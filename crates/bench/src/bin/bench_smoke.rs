@@ -1,9 +1,8 @@
 //! Offline perf-regression smoke bench: a quick fixed-seed sweep over the
-//! generator families, recording modeled communication time and the
-//! per-step byte counters — in particular ghost-refresh bytes with the
-//! full vs the delta refresh — into `BENCH_PR3.json`, together with a
-//! checkpoint-on vs checkpoint-off overhead comparison (wall time, bytes
-//! written to the checkpoint directory, Checkpoint-step traffic).
+//! generator families — ET(0.25) with the full vs the delta ghost
+//! refresh at p∈{1,2,8}, then the colored-sweep thread axis — emitted as
+//! one versioned [`louvain_obs::RunArtifact`], the schema `lens` diffs
+//! and gates on.
 //!
 //! Everything runs in-process on the simulated communicator; no network,
 //! registry, or dataset downloads are involved, so the numbers are
@@ -12,35 +11,19 @@
 //!
 //! Usage:
 //! `cargo run --release -p louvain-bench --bin bench_smoke -- \
-//!      [--out bench.json] [--report-out reports.json]`
+//!      --artifact-out run_artifact.json [--trace-out trace.json]`
 //!
-//! `--out` (or env `BENCH_SMOKE_OUT`, or the first positional argument)
-//! selects the bench-row output path, default `BENCH_PR3.json`.
-//! `--report-out` (or env `BENCH_SMOKE_REPORT`) additionally enables
-//! tracing and writes one aggregated [`louvain_obs::RunReport`] per graph
-//! (8 ranks, delta refresh) with the modeled compute/comm/reduce
-//! fractions to compare against the paper's §V-A breakdown.
-//! `--watchdog-out` (or env `BENCH_SMOKE_WATCHDOG`) selects the
-//! rank-health watchdog on/off A-B output path, default
-//! `BENCH_PR4.json`: per graph, a fault-free run with the watchdog
-//! ladder enabled vs the legacy hard-deadline path, asserting
-//! bit-identical results and recording the wall-time delta plus the
-//! watchdog counters (all zero on a healthy run).
-//! `--artifact-out` (or env `BENCH_SMOKE_ARTIFACT`) additionally writes
-//! the whole sweep as one versioned [`louvain_obs::RunArtifact`] (the
-//! schema `lens` diffs and gates on): every sweep row as an untraced
-//! RunReport entry, plus one traced p=2 delta entry per graph carrying
-//! per-iteration convergence telemetry, the causal phase profile, and
-//! the Lamport-matched message edges `lens crit` analyzes.
+//! `--artifact-out` (or env `BENCH_SMOKE_ARTIFACT`) writes the artifact:
+//! every sweep row as an untraced RunReport entry, plus one traced p=2
+//! delta entry per graph carrying per-iteration convergence telemetry,
+//! the causal phase profile, and the Lamport-matched message edges
+//! `lens crit` analyzes. Without it the sweep still runs (and asserts).
 //! `--trace-out` (or env `BENCH_SMOKE_TRACE`) writes the Chrome/Perfetto
 //! trace of the first traced artifact run (load it at ui.perfetto.dev).
 //! `--threads` (default `1,2,4`) selects the intra-rank thread axis of
 //! the colored-sweep scaling section: per graph at p∈{1,2}, one run per
 //! thread count under `SweepMode::Colored`, asserting bit-identical
-//! results across the axis and a ≥1.5x modeled phase-1 sweep win at the
-//! largest thread count vs 1 thread on at least 2 of the 3 graphs per
-//! rank count (the wall clock is recorded alongside; on a single-core
-//! CI host only the modeled win is stable enough to gate on).
+//! results across the axis (the wall clock is recorded alongside).
 //! `--scale-out` (or env `BENCH_SMOKE_SCALE`) switches to the
 //! million-edge weak-scaling pass instead of the smoke suite: two
 //! ≥1M-edge graphs are stream-generated to disk slabs, run mmap-backed
@@ -49,13 +32,10 @@
 //! the artifact (committed as `BENCH_PR8.json`) is written to the given
 //! path. See [`scale_section`].
 
-use std::fmt::Write as _;
-
-use louvain_comm::{CommStep, CostModel, HealthConfig, RunConfig};
+use louvain_comm::{CommStep, CostModel, RunConfig};
 use louvain_dist::{
-    build_run_report, run_distributed, run_distributed_resilient, run_distributed_resilient_source,
-    CheckpointOptions, DistConfig, DistOutcome, GraphSource, ReportMeta, ResilOptions, SweepMode,
-    Variant,
+    build_run_report, run_distributed, run_distributed_resilient_source, DistConfig, DistOutcome,
+    GraphSource, ReportMeta, ResilOptions, SweepMode, Variant,
 };
 use louvain_graph::gen::{
     lfr, rmat, rmat_stream, ssca2, ssca2_stream, LfrParams, RmatParams, Ssca2Params,
@@ -64,34 +44,6 @@ use louvain_graph::Csr;
 use louvain_obs::{run_label, RunArtifact, RunEntry, RunReport};
 use louvain_store::{Slab, SlabBuilder, SlabOptions, SlabSummary};
 
-struct RunRow {
-    graph: &'static str,
-    n: u64,
-    m: u64,
-    ranks: usize,
-    mode: &'static str,
-    modularity: f64,
-    phases: usize,
-    iterations: usize,
-    modeled_comm_seconds: f64,
-    modeled_total_seconds: f64,
-    ghost_refresh_bytes: u64,
-    /// Ghost-refresh bytes minus the (mode-specific) bytes of a
-    /// one-iteration probe run — i.e. the traffic of every exchange
-    /// *after* the first, which is where the delta refresh can win.
-    ghost_refresh_bytes_post_first: u64,
-    community_pull_bytes: u64,
-    delta_push_bytes: u64,
-    reduction_bytes: u64,
-    /// Modeled HPCToolkit-style breakdown (seconds) — the RunReport
-    /// fields, flattened into the bench row.
-    modeled_compute_seconds: f64,
-    modeled_reduce_seconds: f64,
-    modeled_rebuild_seconds: f64,
-    comm_fraction: f64,
-    wall_ms: u128,
-}
-
 fn et_cfg(delta: bool) -> DistConfig {
     DistConfig {
         delta_ghost_refresh: delta,
@@ -99,65 +51,27 @@ fn et_cfg(delta: bool) -> DistConfig {
     }
 }
 
-fn ghost_bytes(out: &DistOutcome) -> u64 {
-    out.traffic.step_bytes_for(CommStep::GhostRefresh)
-}
-
-fn run_mode(graph: &'static str, g: &Csr, ranks: usize, delta: bool) -> (RunRow, DistOutcome) {
-    let cfg = et_cfg(delta);
-    let watch = louvain_obs::Stopwatch::start();
-    let out = run_distributed(g, ranks, &cfg);
-    let wall_ms = (watch.wall_seconds() * 1e3) as u128;
-    // One-iteration probe: captures the cost of the mandatory first
-    // (full) exchange so the steady-state share can be separated out.
-    let probe_cfg = DistConfig {
-        max_phases: 1,
-        max_iterations: 1,
-        ..cfg
+/// One sweep run as an artifact entry labeled `<graph>/p<ranks>/<mode>`.
+fn sweep_entry(
+    name: &str,
+    g: &Csr,
+    ranks: usize,
+    delta: bool,
+    mode: &str,
+) -> (RunEntry, DistOutcome) {
+    let out = run_distributed(g, ranks, &et_cfg(delta));
+    let meta =
+        ReportMeta::new(name, g.num_vertices() as u64, g.num_edges() as u64).variant(if delta {
+            "ET(0.25)+delta"
+        } else {
+            "ET(0.25)+full"
+        });
+    let entry = RunEntry {
+        label: run_label(name, ranks, mode),
+        report: build_run_report(&out, &meta),
+        telemetry: Vec::new(),
     };
-    let probe = run_distributed(g, ranks, &probe_cfg);
-    let (compute, comm, reduce, rebuild) = out.modeled_breakdown();
-    let total = (compute + comm + reduce + rebuild).max(f64::MIN_POSITIVE);
-    let row = RunRow {
-        graph,
-        n: g.num_vertices() as u64,
-        m: g.num_edges() as u64,
-        ranks,
-        mode: if delta { "delta" } else { "full" },
-        modularity: out.modularity,
-        phases: out.phases,
-        iterations: out.total_iterations,
-        modeled_comm_seconds: comm,
-        modeled_total_seconds: out.modeled_seconds,
-        ghost_refresh_bytes: ghost_bytes(&out),
-        ghost_refresh_bytes_post_first: ghost_bytes(&out).saturating_sub(ghost_bytes(&probe)),
-        community_pull_bytes: out.traffic.step_bytes_for(CommStep::CommunityPull),
-        delta_push_bytes: out.traffic.step_bytes_for(CommStep::DeltaPush),
-        reduction_bytes: out.traffic.step_bytes_for(CommStep::Reduction),
-        modeled_compute_seconds: compute,
-        modeled_reduce_seconds: reduce,
-        modeled_rebuild_seconds: rebuild,
-        comm_fraction: comm / total,
-        wall_ms,
-    };
-    (row, out)
-}
-
-/// Total size of all regular files under `dir`, recursively.
-fn dir_bytes(dir: &std::path::Path) -> u64 {
-    let mut total = 0u64;
-    let Ok(entries) = std::fs::read_dir(dir) else {
-        return 0;
-    };
-    for entry in entries.flatten() {
-        let path = entry.path();
-        if path.is_dir() {
-            total += dir_bytes(&path);
-        } else if let Ok(meta) = entry.metadata() {
-            total += meta.len();
-        }
-    }
-    total
+    (entry, out)
 }
 
 /// `--key value` lookup over raw args.
@@ -389,15 +303,6 @@ fn main() {
         scale_section(&scale_path);
         return;
     }
-    let out_path = flag(&args, "--out")
-        .or_else(|| std::env::var("BENCH_SMOKE_OUT").ok())
-        .or_else(|| args.first().filter(|a| !a.starts_with("--")).cloned())
-        .unwrap_or_else(|| "BENCH_PR3.json".into());
-    let report_path =
-        flag(&args, "--report-out").or_else(|| std::env::var("BENCH_SMOKE_REPORT").ok());
-    let watchdog_path = flag(&args, "--watchdog-out")
-        .or_else(|| std::env::var("BENCH_SMOKE_WATCHDOG").ok())
-        .unwrap_or_else(|| "BENCH_PR4.json".into());
     let artifact_path =
         flag(&args, "--artifact-out").or_else(|| std::env::var("BENCH_SMOKE_ARTIFACT").ok());
     let trace_path = flag(&args, "--trace-out").or_else(|| std::env::var("BENCH_SMOKE_TRACE").ok());
@@ -428,39 +333,24 @@ fn main() {
         ("lfr_3k", lfr(LfrParams::small(3_000, 7)).graph),
     ];
 
-    // The sweep runs with tracing OFF: its wall_ms columns are the
+    // The sweep runs with tracing OFF: its wall columns are the
     // perf-regression reference and must not pay recording costs.
-    let mut rows: Vec<RunRow> = Vec::new();
     let mut artifact_runs: Vec<RunEntry> = Vec::new();
     for (name, g) in &graphs {
         for ranks in [1usize, 2, 8] {
             for delta in [false, true] {
-                let (row, out) = run_mode(name, g, ranks, delta);
-                if artifact_path.is_some() {
-                    let meta =
-                        ReportMeta::new(*name, g.num_vertices() as u64, g.num_edges() as u64)
-                            .variant(if delta {
-                                "ET(0.25)+delta"
-                            } else {
-                                "ET(0.25)+full"
-                            });
-                    artifact_runs.push(RunEntry {
-                        label: run_label(name, ranks, row.mode),
-                        report: build_run_report(&out, &meta),
-                        telemetry: Vec::new(),
-                    });
-                }
+                let mode = if delta { "delta" } else { "full" };
+                let (entry, out) = sweep_entry(name, g, ranks, delta, mode);
                 eprintln!(
-                    "{:>14} p={:<2} {:<5} q={:.4} it={:<3} ghost_bytes={:<10} post_first={}",
-                    row.graph,
-                    row.ranks,
-                    row.mode,
-                    row.modularity,
-                    row.iterations,
-                    row.ghost_refresh_bytes,
-                    row.ghost_refresh_bytes_post_first,
+                    "{:>14} p={:<2} {:<5} q={:.4} it={:<3} ghost_bytes={}",
+                    name,
+                    ranks,
+                    mode,
+                    out.modularity,
+                    out.total_iterations,
+                    out.traffic.step_bytes_for(CommStep::GhostRefresh),
                 );
-                rows.push(row);
+                artifact_runs.push(entry);
             }
         }
     }
@@ -468,352 +358,83 @@ fn main() {
     // Intra-rank thread scaling under the colored deterministic sweep:
     // per graph at p∈{1,2}, one run per thread count on the axis, all
     // with ET(0.25)+delta+Colored. The colored schedule is engineered to
-    // be thread-count invariant, so the runs must agree bit for bit; the
-    // speedup is asserted on the modeled phase-1 sweep seconds (the
-    // critical path: max over ranks of the first phase's thread-adjusted
-    // compute time), which is deterministic — the recorded wall time is
-    // informational on a single-core host. Tracing stays off.
-    let t_max = *threads_axis.iter().max().unwrap();
-    let mut threads_rows = String::new();
-    let mut first_threads_row = true;
+    // be thread-count invariant, so the runs must agree bit for bit. The
+    // modeled phase-1 sweep seconds (max over ranks of the first phase's
+    // thread-adjusted compute time) are printed next to the recorded
+    // wall time. Tracing stays off.
     for p in [1usize, 2] {
-        let mut wins = 0usize;
         for (name, g) in &graphs {
-            let mut reference: Option<(&Vec<u64>, f64)> = None;
-            let mut sweep_t1 = f64::NAN;
-            let mut outs: Vec<(usize, DistOutcome, u128)> = Vec::new();
+            let mut reference: Option<(Vec<u64>, f64, f64)> = None;
             for &t in &threads_axis {
                 let cfg = DistConfig {
-                    delta_ghost_refresh: true,
                     sweep: SweepMode::Colored,
                     threads_per_rank: t,
-                    ..DistConfig::with_variant(Variant::Et { alpha: 0.25 })
+                    ..et_cfg(true)
                 };
                 let watch = louvain_obs::Stopwatch::start();
                 let out = run_distributed(g, p, &cfg);
                 let wall_ms = (watch.wall_seconds() * 1e3) as u128;
-                outs.push((t, out, wall_ms));
-            }
-            for (t, out, wall_ms) in &outs {
-                // Modeled phase-1 sweep critical path across ranks.
                 let sweep_seconds = out
                     .per_rank_stats
                     .iter()
                     .map(|phases| phases[0].compute_seconds())
                     .fold(0.0f64, f64::max);
-                match &reference {
+                let meta = ReportMeta::new(*name, g.num_vertices() as u64, g.num_edges() as u64)
+                    .variant("ET(0.25)+delta+colored")
+                    .threads_per_rank(t);
+                artifact_runs.push(RunEntry {
+                    label: run_label(name, p, &format!("t{t}/colored")),
+                    report: build_run_report(&out, &meta),
+                    telemetry: Vec::new(),
+                });
+                let q = out.modularity;
+                let sweep_t1 = match &reference {
                     None => {
-                        reference = Some((&out.assignment, out.modularity));
-                        sweep_t1 = sweep_seconds;
+                        reference = Some((out.assignment, q, sweep_seconds));
+                        sweep_seconds
                     }
-                    Some((a, q)) => {
+                    Some((a, q1, sweep_t1)) => {
                         assert_eq!(
-                            *a, &out.assignment,
+                            a, &out.assignment,
                             "{name} p={p}: t={t} changed the assignment"
                         );
                         assert_eq!(
+                            q1.to_bits(),
                             q.to_bits(),
-                            out.modularity.to_bits(),
                             "{name} p={p}: t={t} changed the modularity"
                         );
+                        *sweep_t1
                     }
-                }
-                let speedup = sweep_t1 / sweep_seconds;
-                if *t == t_max && speedup >= 1.5 {
-                    wins += 1;
-                }
+                };
                 eprintln!(
                     "{:>14} p={:<2} t={:<2} colored q={:.4} sweep_modeled={:.4}s speedup={:.2}x wall={}ms",
-                    name, p, t, out.modularity, sweep_seconds, speedup, wall_ms
+                    name, p, t, q, sweep_seconds, sweep_t1 / sweep_seconds, wall_ms
                 );
-                if !first_threads_row {
-                    threads_rows.push(',');
-                }
-                first_threads_row = false;
-                write!(
-                    threads_rows,
-                    "\n    {{\"graph\": {:?}, \"ranks\": {}, \"threads\": {}, \"mode\": \"colored\", \"modularity\": {:.6}, \"phases\": {}, \"iterations\": {}, \"sweep_modeled_seconds\": {:.6}, \"sweep_speedup_vs_t1\": {:.3}, \"modeled_total_seconds\": {:.6}, \"wall_ms\": {}, \"bit_identical\": true}}",
-                    name,
-                    p,
-                    t,
-                    out.modularity,
-                    out.phases,
-                    out.total_iterations,
-                    sweep_seconds,
-                    speedup,
-                    out.modeled_seconds,
-                    wall_ms,
-                )
-                .unwrap();
-                if artifact_path.is_some() {
-                    let meta =
-                        ReportMeta::new(*name, g.num_vertices() as u64, g.num_edges() as u64)
-                            .variant("ET(0.25)+delta+colored")
-                            .threads_per_rank(*t);
-                    artifact_runs.push(RunEntry {
-                        label: run_label(name, p, &format!("t{t}/colored")),
-                        report: build_run_report(out, &meta),
-                        telemetry: Vec::new(),
-                    });
-                }
             }
         }
-        assert!(
-            wins >= 2,
-            "p={p}: modeled phase-1 sweep win at t={t_max} vs t=1 reached 1.5x on only {wins} of {} graphs",
-            graphs.len()
-        );
-    }
-
-    // Dedicated traced runs for the reports — one per graph at the
-    // largest rank count with the delta refresh (the paper's
-    // configuration) — separate from the sweep so tracing overhead
-    // never leaks into the bench rows.
-    let mut reports: Vec<String> = Vec::new();
-    if report_path.is_some() {
-        louvain_obs::set_enabled(true);
-        for (name, g) in &graphs {
-            let (_row, out) = run_mode(name, g, 8, true);
-            let meta = ReportMeta::new(*name, g.num_vertices() as u64, g.num_edges() as u64)
-                .variant("ET(0.25)+delta");
-            reports.push(build_run_report(&out, &meta).to_json_string());
-        }
-        louvain_obs::set_enabled(false);
     }
 
     // Artifact telemetry runs: one traced p=2 delta run per graph, kept
-    // separate from the sweep (so tracing overhead never leaks into the
-    // wall_ms columns) and labeled `<graph>/p2/delta+traced` to avoid
+    // separate from the sweep (so tracing overhead never leaks into its
+    // wall columns) and labeled `<graph>/p2/delta+traced` to avoid
     // colliding with the untraced sweep entry of the same shape. The
     // traced entries carry the causal sections (phase_profile, messages)
     // that `lens crit` consumes; `--trace-out` dumps the first one as a
     // Chrome/Perfetto trace.
-    let mut trace_written = false;
-    if artifact_path.is_some() || trace_path.is_some() {
-        louvain_obs::set_enabled(true);
-        for (name, g) in &graphs {
-            let (_row, out) = run_mode(name, g, 2, true);
-            let telemetry = out
-                .trace
-                .as_ref()
-                .map(|t| t.merged_telemetry())
-                .unwrap_or_default();
-            if let (Some(path), Some(trace)) = (trace_path.as_ref(), out.trace.as_ref()) {
-                if !trace_written {
-                    std::fs::write(path, louvain_obs::chrome_trace_json(trace))
-                        .expect("write chrome trace");
-                    eprintln!("wrote {path}");
-                    trace_written = true;
-                }
-            }
-            let meta = ReportMeta::new(*name, g.num_vertices() as u64, g.num_edges() as u64)
-                .variant("ET(0.25)+delta");
-            artifact_runs.push(RunEntry {
-                label: run_label(name, 2, "delta+traced"),
-                report: build_run_report(&out, &meta),
-                telemetry,
-            });
+    louvain_obs::set_enabled(true);
+    let mut trace_path = trace_path;
+    for (name, g) in &graphs {
+        let (mut entry, out) = sweep_entry(name, g, 2, true, "delta+traced");
+        let trace = out.trace.as_ref().expect("tracing is on");
+        entry.telemetry = trace.merged_telemetry();
+        if let Some(path) = trace_path.take() {
+            std::fs::write(&path, louvain_obs::chrome_trace_json(trace))
+                .expect("write chrome trace");
+            eprintln!("wrote {path}");
         }
-        louvain_obs::set_enabled(false);
+        artifact_runs.push(entry);
     }
-
-    // Checkpoint overhead: per graph at p=2 with the delta refresh, run
-    // once with phase-boundary checkpointing on and once off. The results
-    // must be bit-identical; the row records the wall-time delta, the
-    // bytes landed in the checkpoint directory, and the Checkpoint-step
-    // gather traffic. Tracing stays off, like the main sweep.
-    let mut ckpt_rows = String::new();
-    let ckpt_base = std::env::temp_dir().join(format!("louvain-bench-ckpt-{}", std::process::id()));
-    for (i, (name, g)) in graphs.iter().enumerate() {
-        let cfg = et_cfg(true);
-        let ranks = 2usize;
-        let watch = louvain_obs::Stopwatch::start();
-        let off =
-            run_distributed_resilient(g, ranks, &cfg, RunConfig::default(), &ResilOptions::none())
-                .expect("checkpoint-off run");
-        let off_ms = (watch.wall_seconds() * 1e3) as u128;
-
-        let dir = ckpt_base.join(*name);
-        let _ = std::fs::remove_dir_all(&dir);
-        let resil = ResilOptions {
-            checkpoint: Some(CheckpointOptions::new(dir.clone())),
-            ..ResilOptions::none()
-        };
-        let watch = louvain_obs::Stopwatch::start();
-        let on = run_distributed_resilient(g, ranks, &cfg, RunConfig::default(), &resil)
-            .expect("checkpoint-on run");
-        let on_ms = (watch.wall_seconds() * 1e3) as u128;
-
-        assert_eq!(
-            off.modularity.to_bits(),
-            on.modularity.to_bits(),
-            "{name}: checkpointing changed the result"
-        );
-        let ckpt_dir_bytes = dir_bytes(&dir);
-        let ckpt_step_bytes = on.traffic.step_bytes_for(CommStep::Checkpoint);
-        eprintln!(
-            "{:>14} p={} checkpoint off={}ms on={}ms dir_bytes={} step_bytes={}",
-            name, ranks, off_ms, on_ms, ckpt_dir_bytes, ckpt_step_bytes
-        );
-        if i > 0 {
-            ckpt_rows.push(',');
-        }
-        write!(
-            ckpt_rows,
-            "\n    {{\"graph\": {:?}, \"ranks\": {}, \"mode\": \"delta\", \"modularity\": {:.6}, \"phases\": {}, \"wall_ms_off\": {}, \"wall_ms_on\": {}, \"checkpoint_dir_bytes\": {}, \"checkpoint_step_bytes\": {}, \"bit_identical\": true}}",
-            name, ranks, on.modularity, on.phases, off_ms, on_ms, ckpt_dir_bytes, ckpt_step_bytes,
-        )
-        .unwrap();
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-    let _ = std::fs::remove_dir_all(&ckpt_base);
-
-    // Watchdog overhead: per graph at p=4 with the delta refresh, a
-    // fault-free run with the rank-health watchdog ladder on
-    // (deadline-aware waits, heartbeats, retry/backoff machinery armed)
-    // vs off (the legacy single hard deadline). Results must be
-    // bit-identical and a healthy run must record zero watchdog events;
-    // the wall-time delta is the ladder's bookkeeping cost. Best of
-    // three reps per arm to keep scheduler noise out of the delta.
-    let mut wd_rows = String::new();
-    for (i, (name, g)) in graphs.iter().enumerate() {
-        let cfg = et_cfg(true);
-        let ranks = 4usize;
-        let time_arm = |health: HealthConfig| {
-            let mut best_ms = u128::MAX;
-            let mut last = None;
-            for _ in 0..3 {
-                let run_cfg = RunConfig {
-                    health: health.clone(),
-                    ..RunConfig::default()
-                };
-                let watch = louvain_obs::Stopwatch::start();
-                let out = run_distributed_resilient(g, ranks, &cfg, run_cfg, &ResilOptions::none())
-                    .expect("fault-free watchdog run");
-                best_ms = best_ms.min((watch.wall_seconds() * 1e3) as u128);
-                last = Some(out);
-            }
-            (last.unwrap(), best_ms)
-        };
-        let (off, off_ms) = time_arm(HealthConfig::disabled());
-        let (on, on_ms) = time_arm(HealthConfig::default());
-        assert_eq!(
-            off.modularity.to_bits(),
-            on.modularity.to_bits(),
-            "{name}: the watchdog changed the result"
-        );
-        let t = &on.traffic;
-        assert_eq!(
-            (t.wd_timeouts, t.wd_retries, t.wd_stragglers),
-            (0, 0, 0),
-            "{name}: a healthy run must not trip the watchdog"
-        );
-        eprintln!(
-            "{:>14} p={} watchdog off={}ms on={}ms (timeouts={} retries={} stragglers={})",
-            name, ranks, off_ms, on_ms, t.wd_timeouts, t.wd_retries, t.wd_stragglers
-        );
-        if i > 0 {
-            wd_rows.push(',');
-        }
-        write!(
-            wd_rows,
-            "\n    {{\"graph\": {:?}, \"n\": {}, \"m\": {}, \"ranks\": {}, \"mode\": \"delta\", \"modularity\": {:.6}, \"phases\": {}, \"wall_ms_watchdog_off\": {}, \"wall_ms_watchdog_on\": {}, \"wd_timeouts\": {}, \"wd_retries\": {}, \"wd_stragglers\": {}, \"checksum_rejects\": {}, \"bit_identical\": true}}",
-            name,
-            g.num_vertices(),
-            g.num_edges(),
-            ranks,
-            on.modularity,
-            on.phases,
-            off_ms,
-            on_ms,
-            t.wd_timeouts,
-            t.wd_retries,
-            t.wd_stragglers,
-            t.checksum_rejects,
-        )
-        .unwrap();
-    }
-    let wd_json = format!(
-        "{{\n  \"bench\": \"BENCH_PR4\",\n  \"description\": \"rank-health watchdog on/off A-B: fault-free ET(0.25)+delta at p=4, heartbeat/deadline ladder armed vs legacy hard deadline; results bit-identical, zero watchdog events, wall-time delta is the bookkeeping overhead (best of 3)\",\n  \"watchdog\": [{wd_rows}\n  ]\n}}\n"
-    );
-    std::fs::write(&watchdog_path, wd_json).expect("write watchdog bench json");
-    eprintln!("wrote {watchdog_path}");
-
-    // Summary: full/delta ghost-byte ratios per (graph, ranks) pair.
-    let mut summary = String::new();
-    let mut first = true;
-    for (name, _) in &graphs {
-        for ranks in [2usize, 8] {
-            let find = |mode: &str| {
-                rows.iter()
-                    .find(|r| r.graph == *name && r.ranks == ranks && r.mode == mode)
-                    .unwrap()
-            };
-            let full = find("full");
-            let delta = find("delta");
-            let ratio = |a: u64, b: u64| {
-                if b == 0 {
-                    f64::NAN
-                } else {
-                    a as f64 / b as f64
-                }
-            };
-            if !first {
-                summary.push(',');
-            }
-            first = false;
-            write!(
-                summary,
-                "\n    {{\"graph\": {:?}, \"ranks\": {}, \"ghost_bytes_ratio_total\": {:.3}, \"ghost_bytes_ratio_post_first\": {:.3}}}",
-                name,
-                ranks,
-                ratio(full.ghost_refresh_bytes, delta.ghost_refresh_bytes),
-                ratio(
-                    full.ghost_refresh_bytes_post_first,
-                    delta.ghost_refresh_bytes_post_first
-                ),
-            )
-            .unwrap();
-        }
-    }
-
-    let mut runs = String::new();
-    for (i, r) in rows.iter().enumerate() {
-        if i > 0 {
-            runs.push(',');
-        }
-        write!(
-            runs,
-            "\n    {{\"graph\": {:?}, \"n\": {}, \"m\": {}, \"ranks\": {}, \"variant\": \"ET(0.25)\", \"mode\": {:?}, \"modularity\": {:.6}, \"phases\": {}, \"iterations\": {}, \"modeled_comm_seconds\": {:.6}, \"modeled_total_seconds\": {:.6}, \"ghost_refresh_bytes\": {}, \"ghost_refresh_bytes_post_first\": {}, \"community_pull_bytes\": {}, \"delta_push_bytes\": {}, \"reduction_bytes\": {}, \"modeled_compute_seconds\": {:.6}, \"modeled_reduce_seconds\": {:.6}, \"modeled_rebuild_seconds\": {:.6}, \"comm_fraction\": {:.4}, \"wall_ms\": {}}}",
-            r.graph,
-            r.n,
-            r.m,
-            r.ranks,
-            r.mode,
-            r.modularity,
-            r.phases,
-            r.iterations,
-            r.modeled_comm_seconds,
-            r.modeled_total_seconds,
-            r.ghost_refresh_bytes,
-            r.ghost_refresh_bytes_post_first,
-            r.community_pull_bytes,
-            r.delta_push_bytes,
-            r.reduction_bytes,
-            r.modeled_compute_seconds,
-            r.modeled_reduce_seconds,
-            r.modeled_rebuild_seconds,
-            r.comm_fraction,
-            r.wall_ms,
-        )
-        .unwrap();
-    }
-
-    let json = format!(
-        "{{\n  \"bench\": \"BENCH_PR3\",\n  \"description\": \"fixed-seed smoke sweep: ET(0.25), full vs delta ghost refresh; checkpoint-on vs checkpoint-off overhead at p=2; colored-sweep thread scaling at p in {{1,2}}\",\n  \"runs\": [{runs}\n  ],\n  \"threads\": [{threads_rows}\n  ],\n  \"checkpoint\": [{ckpt_rows}\n  ],\n  \"summary\": [{summary}\n  ]\n}}\n"
-    );
-    std::fs::write(&out_path, json).expect("write bench json");
-    eprintln!("wrote {out_path}");
+    louvain_obs::set_enabled(false);
 
     if let Some(path) = artifact_path {
         let artifact = RunArtifact {
@@ -821,42 +442,16 @@ fn main() {
             description: "fixed-seed bench sweep as a unified run artifact: ET(0.25) full vs \
                           delta ghost refresh over {rmat_s11_ef8, ssca2_4k, lfr_3k} x p{1,2,8}, \
                           the colored-sweep thread-scaling axis t{1,2,4} at p{1,2} (bit-identical \
-                          across threads, modeled phase-1 sweep win asserted in-bench), plus one \
-                          traced p=2 delta run per graph with per-iteration convergence \
-                          telemetry and the causal profiling sections (per-(rank,phase) wall \
-                          attribution, Lamport-matched message edges, memory gauges) that `lens \
-                          crit` analyzes; byte counters and modularity are deterministic, wall \
+                          across threads, asserted in-bench), plus one traced p=2 delta run per \
+                          graph with per-iteration convergence telemetry and the causal \
+                          profiling sections (per-(rank,phase) wall attribution, \
+                          Lamport-matched message edges, memory gauges) that `lens crit` \
+                          analyzes; byte counters and modularity are deterministic, wall \
                           times are machine-local (gate with a generous --wall-tol)"
                 .into(),
             runs: artifact_runs,
         };
         std::fs::write(&path, artifact.to_json_string()).expect("write run artifact");
-        eprintln!("wrote {path}");
-    }
-
-    if let Some(path) = report_path {
-        // The paper's §V-A HPCToolkit breakdown attributes roughly 22% of
-        // time to compute, 34% to point-to-point communication and 40% to
-        // the modularity reductions; each report's `modeled` section
-        // carries our fractions for the same buckets.
-        let mut body = String::new();
-        for (i, r) in reports.iter().enumerate() {
-            if i > 0 {
-                body.push_str(",\n");
-            }
-            // Indent the pretty-printed report two levels.
-            for (j, line) in r.lines().enumerate() {
-                if j > 0 {
-                    body.push('\n');
-                }
-                body.push_str("    ");
-                body.push_str(line);
-            }
-        }
-        let doc = format!(
-            "{{\n  \"bench\": \"RUNREPORT_PR2\",\n  \"description\": \"aggregated run reports: ET(0.25) + delta refresh on 8 ranks; compare modeled compute/comm/reduce fractions with the paper's ~22/34/40 split (IPDPS 2018, Sec. V-A)\",\n  \"paper_fractions\": {{\"compute\": 0.22, \"comm\": 0.34, \"reduce\": 0.40}},\n  \"reports\": [\n{body}\n  ]\n}}\n"
-        );
-        std::fs::write(&path, doc).expect("write run reports");
         eprintln!("wrote {path}");
     }
 }

@@ -12,7 +12,7 @@ use crate::resume::{
     JobCancelled, ResilAbort, ResilOptions, CANCELLED_AT_PHASE, CRASH_BUDGET_EXHAUSTED,
     HANG_BUDGET_EXHAUSTED,
 };
-use crate::runner::{run_on_rank, run_on_rank_resilient, RankOutcome};
+use crate::runner::{run_on_rank, RankOutcome};
 use crate::stats::PhaseStats;
 
 /// Tiny helper: hand each rank exactly one pre-built value from a shared
@@ -63,8 +63,8 @@ pub struct DistOutcome {
     /// Phase the final (successful) attempt resumed from, when it was
     /// restored off a checkpoint.
     pub resumed_from_phase: Option<u64>,
-    /// Rank crashes absorbed by [`run_distributed_resilient`] on the way
-    /// to this outcome (always 0 from the non-resilient entry points).
+    /// Rank failures absorbed by [`run_distributed_resilient_source`] on
+    /// the way to this outcome (always 0 under [`ResilOptions::none`]).
     /// Counts both crash and hung-rank recoveries.
     pub recoveries: u64,
     /// Crash-kind recoveries only (`recoveries` minus the hang
@@ -73,8 +73,8 @@ pub struct DistOutcome {
     /// flaky network (hang declarations).
     pub crash_recoveries: u64,
     /// Hung-rank declarations absorbed on the way to this outcome, in
-    /// the order the watchdog raised them (empty from the non-resilient
-    /// entry points).
+    /// the order the watchdog raised them (empty under
+    /// [`ResilOptions::none`]).
     pub hung_events: Vec<RankHung>,
     /// The dendrogram: for each executed phase, the community (coarse
     /// vertex) of every original vertex after that phase. Populated only
@@ -255,17 +255,19 @@ pub enum PartitionStrategy {
 /// Run distributed Louvain on `p` simulated ranks with the paper's input
 /// distribution (edge-balanced 1D).
 pub fn run_distributed(g: &Csr, p: usize, cfg: &DistConfig) -> DistOutcome {
-    run_distributed_with(g, p, cfg, RunConfig::default())
+    run_distributed_partitioned(
+        g,
+        p,
+        cfg,
+        RunConfig::default(),
+        PartitionStrategy::EdgeBalanced,
+    )
 }
 
 /// [`run_distributed`] with an explicit runtime configuration (cost
-/// model, stack size).
-pub fn run_distributed_with(g: &Csr, p: usize, cfg: &DistConfig, runcfg: RunConfig) -> DistOutcome {
-    run_distributed_partitioned(g, p, cfg, runcfg, PartitionStrategy::EdgeBalanced)
-}
-
-/// [`run_distributed`] with an explicit input-distribution strategy
-/// (for the partitioning ablation).
+/// model, stack size) and input-distribution strategy (for the
+/// partitioning ablation). Panics if `runcfg` injects a rank failure:
+/// nothing is recovered without [`ResilOptions`].
 pub fn run_distributed_partitioned(
     g: &Csr,
     p: usize,
@@ -273,8 +275,15 @@ pub fn run_distributed_partitioned(
     runcfg: RunConfig,
     strategy: PartitionStrategy,
 ) -> DistOutcome {
-    run_source_partitioned(GraphSource::Memory(g), p, cfg, runcfg, strategy)
-        .expect("in-memory scatter cannot fail to load")
+    run_attempts(
+        GraphSource::Memory(g),
+        strategy,
+        p,
+        cfg,
+        runcfg,
+        &ResilOptions::none(),
+    )
+    .expect("an in-memory run without injected faults cannot fail")
 }
 
 /// Run distributed Louvain from any [`GraphSource`] (resident CSR,
@@ -286,46 +295,12 @@ pub fn run_distributed_source(
     cfg: &DistConfig,
     runcfg: RunConfig,
 ) -> Result<DistOutcome, String> {
-    run_source_partitioned(src, p, cfg, runcfg, PartitionStrategy::EdgeBalanced)
+    run_distributed_resilient_source(src, p, cfg, runcfg, &ResilOptions::none())
 }
 
-fn run_source_partitioned(
-    src: GraphSource<'_>,
-    p: usize,
-    cfg: &DistConfig,
-    runcfg: RunConfig,
-    strategy: PartitionStrategy,
-) -> Result<DistOutcome, String> {
-    let feed = RankFeed::make(&src, p, strategy);
-
-    // One collector for the whole job when tracing is on: rank threads
-    // install it on entry so spans/metrics land in per-rank rings.
-    let collector = louvain_obs::enabled().then(|| louvain_obs::Collector::new(p));
-    let watch = louvain_obs::Stopwatch::start();
-    let attempt = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        run_with(p, runcfg, |c| {
-            let _obs = collector.as_ref().map(|col| col.install(c.rank()));
-            let lg = feed.get(c.rank());
-            let outcome = run_on_rank(c, lg, cfg);
-            let stats = c.stats().snapshot();
-            (outcome, stats)
-        })
-    }));
-    let results: Vec<(RankOutcome, StatsSnapshot)> = match attempt {
-        Ok(results) => results,
-        Err(payload) => match payload.downcast_ref::<ResilAbort>() {
-            Some(aborted) => return Err(aborted.0.clone()),
-            None => std::panic::resume_unwind(payload),
-        },
-    };
-    let wall = Duration::from_secs_f64(watch.wall_seconds());
-    let trace = collector.map(louvain_obs::Collector::finish);
-
-    Ok(merge(results, wall, trace))
-}
-
-/// [`run_distributed`] with checkpointing, resume, and crash/hang
-/// recovery.
+/// Run distributed Louvain from any [`GraphSource`] with checkpointing,
+/// resume, and crash/hang recovery — the general entry point; every
+/// other `run_distributed*` is this one under [`ResilOptions::none`].
 ///
 /// Runs the job, and whenever a rank failure surfaces as a typed panic
 /// — [`RankCrashed`] from an injected (or, in principle, real) crash,
@@ -339,26 +314,28 @@ fn run_source_partitioned(
 /// cuts and the trajectory is deterministic, the recovered outcome is
 /// bit-identical to an uninterrupted run's.
 ///
+/// Every attempt re-loads the graph from the source — for slab sources
+/// that means re-slicing the mapping or re-issuing the per-rank
+/// byte-range reads, exactly like a restarted MPI job re-reading its
+/// input file.
+///
 /// Unrecoverable conditions (corrupt/incompatible checkpoints, I/O
 /// failures, exhausted recovery budget) come back as `Err`; panics that
 /// are neither crashes nor checkpoint failures propagate unchanged.
-pub fn run_distributed_resilient(
-    g: &Csr,
+pub fn run_distributed_resilient_source(
+    src: GraphSource<'_>,
     p: usize,
     cfg: &DistConfig,
     runcfg: RunConfig,
     resil: &ResilOptions,
 ) -> Result<DistOutcome, String> {
-    run_distributed_resilient_source(GraphSource::Memory(g), p, cfg, runcfg, resil)
+    run_attempts(src, PartitionStrategy::EdgeBalanced, p, cfg, runcfg, resil)
 }
 
-/// [`run_distributed_resilient`] from any [`GraphSource`]. Every
-/// recovery attempt re-loads the graph from the source — for slab
-/// sources that means re-slicing the mapping or re-issuing the per-rank
-/// byte-range reads, exactly like a restarted MPI job re-reading its
-/// input file.
-pub fn run_distributed_resilient_source(
+/// The attempt loop behind every entry point.
+fn run_attempts(
     src: GraphSource<'_>,
+    strategy: PartitionStrategy,
     p: usize,
     cfg: &DistConfig,
     runcfg: RunConfig,
@@ -392,7 +369,7 @@ pub fn run_distributed_resilient_source(
     let mut hung_events: Vec<RankHung> = Vec::new();
     loop {
         let recoveries = crash_recoveries as u64 + hung_events.len() as u64;
-        let feed = RankFeed::make(&src, p, PartitionStrategy::EdgeBalanced);
+        let feed = RankFeed::make(&src, p, strategy);
         let attempt_runcfg = RunConfig {
             // Each absorbed crash consumes one crash rule and each
             // absorbed hang one hang rule, so the next attempt gets
@@ -417,7 +394,7 @@ pub fn run_distributed_resilient_source(
                     .as_ref()
                     .map(|col| col.install_attempt(c.rank(), recoveries as u32));
                 let lg = feed.get(c.rank());
-                let outcome = run_on_rank_resilient(c, lg, cfg, &attempt_resil);
+                let outcome = run_on_rank(c, lg, cfg, &attempt_resil);
                 let stats = c.stats().snapshot();
                 (outcome, stats)
             })

@@ -29,6 +29,32 @@ impl Variant {
         }
     }
 
+    /// Parse a variant spec: `baseline`, `cycling`, `et:0.25`, `etc:0.75`,
+    /// `et+cycling:0.25` — the grammar shared by the CLI `--variant`
+    /// flag and the job server's `"variant"` field.
+    pub fn parse(spec: &str) -> Result<Self, String> {
+        let (name, alpha) = match spec.split_once(':') {
+            Some((n, a)) => {
+                let alpha: f64 = a.parse().map_err(|_| format!("bad alpha in `{spec}`"))?;
+                if !(0.0..=1.0).contains(&alpha) {
+                    return Err(format!("alpha must be in [0,1], got {alpha}"));
+                }
+                (n, Some(alpha))
+            }
+            None => (spec, None),
+        };
+        match (name, alpha) {
+            ("baseline", None) => Ok(Variant::Baseline),
+            ("cycling", None) => Ok(Variant::ThresholdCycling),
+            ("et", Some(a)) => Ok(Variant::Et { alpha: a }),
+            ("etc", Some(a)) => Ok(Variant::Etc { alpha: a }),
+            ("et+cycling", Some(a)) => Ok(Variant::EtPlusCycling { alpha: a }),
+            _ => Err(format!(
+                "unknown variant `{spec}` (expected baseline | cycling | et:<a> | etc:<a> | et+cycling:<a>)"
+            )),
+        }
+    }
+
     /// The α of any ET-family variant.
     pub fn alpha(&self) -> Option<f64> {
         match *self {
@@ -62,9 +88,10 @@ pub enum SweepMode {
     /// coloring seed does not depend on the thread count, so they always
     /// are) — this is the mode the determinism tests pin.
     Colored,
-    /// Ablation: the legacy racing parallel sweep (relaxed atomics, no
-    /// conflict-free batches) when `threads_per_rank > 1`. Results then
-    /// depend on thread interleaving, like the shared-memory baseline.
+    /// The racing parallel sweep (relaxed atomics, no conflict-free
+    /// batches) when `threads_per_rank > 1`. Results then depend on
+    /// thread interleaving, like the shared-memory baseline; it is the
+    /// only schedule measured faster than one thread (DESIGN.md §11).
     Relaxed,
 }
 
@@ -212,6 +239,30 @@ mod tests {
         assert_eq!(Variant::Et { alpha: 0.25 }.label(), "ET(0.25)");
         assert_eq!(Variant::Etc { alpha: 0.75 }.label(), "ETC(0.75)");
         assert_eq!(Variant::ThresholdCycling.label(), "Threshold Cycling");
+
+        // The spec grammar names every paper variant, and round-trips.
+        let spec = |v: &Variant| match *v {
+            Variant::Baseline => "baseline".to_string(),
+            Variant::ThresholdCycling => "cycling".to_string(),
+            Variant::Et { alpha } => format!("et:{alpha}"),
+            Variant::Etc { alpha } => format!("etc:{alpha}"),
+            Variant::EtPlusCycling { alpha } => format!("et+cycling:{alpha}"),
+        };
+        let combined = Variant::EtPlusCycling { alpha: 0.5 };
+        for v in DistConfig::paper_variants().iter().chain([&combined]) {
+            assert_eq!(Variant::parse(&spec(v)), Ok(*v), "{}", v.label());
+        }
+        for (bad, why) in [
+            ("et:2.0", "alpha must be in [0,1]"),
+            ("etc:-0.1", "alpha must be in [0,1]"),
+            ("et:x", "bad alpha"),
+            ("et", "unknown variant"),
+            ("baseline:0.5", "unknown variant"),
+            ("bogus", "unknown variant"),
+        ] {
+            let err = Variant::parse(bad).unwrap_err();
+            assert!(err.contains(why), "{bad}: {err}");
+        }
     }
 
     #[test]

@@ -15,16 +15,18 @@
 //! "community update lag" that distinguishes the distributed algorithm
 //! from its shared-memory counterpart (Section III-B).
 //!
-//! The compute sweep is MPI+OpenMP-shaped like the original. Three
-//! schedules exist (see [`crate::SweepMode`]): the seed's sequential
-//! sweep (1 thread, fully deterministic); a *colored deterministic*
-//! schedule in which a distance-1 coloring over local+ghost adjacency
-//! partitions each round into conflict-free batches — moves inside a
-//! batch are *decided* in parallel against the frozen batch-start state
-//! by a persistent worker pool and *applied* sequentially in a fixed
-//! order, so results are bit-identical at any thread count; and a legacy
-//! *relaxed* schedule (racing atomics, the Grappolo discipline) kept as
-//! an ablation. See DESIGN.md §11 for the parity argument.
+//! The compute sweep is MPI+OpenMP-shaped like the original. One move
+//! kernel (`Sweep::best_move` scores, `Sweep::apply_move` writes) is
+//! driven by three schedules (see [`crate::SweepMode`]): the seed's
+//! sequential sweep (1 thread, fully deterministic); a *colored
+//! deterministic* schedule in which a distance-1 coloring over
+//! local+ghost adjacency partitions each round into conflict-free
+//! batches — moves inside a batch are *decided* in parallel against the
+//! frozen batch-start state by a persistent worker pool and *applied*
+//! sequentially in a fixed order, so results are bit-identical at any
+//! thread count; and a *relaxed* schedule (racing atomics, the Grappolo
+//! discipline), the fastest of the three on two threads. See DESIGN.md
+//! §11 for the parity argument.
 //!
 //! Paper future-work extensions, all off by default (see
 //! [`crate::DistConfig`]): MPI-3-style neighborhood collectives for the
@@ -138,15 +140,17 @@ impl SweepAcc {
     }
 }
 
-/// One ghost community exchange (Step 1), full or delta flavour.
+/// One ghost community exchange (Step 1), full or delta flavour;
+/// returns the modeled seconds it took.
 ///
 /// The snapshot is taken into the scratch arena, and after the exchange
-/// becomes the new delta baseline (`last_pushed`). `use_delta` must be
+/// becomes the new delta baseline (`last_pushed`). The flavour must be
 /// decided *uniformly* across ranks (it changes the collective's payload
-/// type): callers derive it from the config flag, from whether a full
+/// type), so it is derived from the config flag, from whether a full
 /// baseline exists yet (`have_baseline`, which advances in lockstep
-/// because exchanges are collective), and from the previous iteration's
-/// all-reduced global move count.
+/// because exchanges are collective), and from `few_moved` — the
+/// previous iteration's all-reduced global move count staying under a
+/// quarter of the vertices.
 ///
 /// The changed-bit tracking diffs against `last_pushed` rather than
 /// reusing `SweepState::moved`: the move flags reset once per iteration
@@ -159,139 +163,172 @@ fn exchange_ghosts(
     state: &SweepState,
     scratch: &mut IterScratch,
     ghost_comm: &mut Vec<VertexId>,
-    neighborhood: bool,
-    use_delta: bool,
-) {
-    scratch.comm_snapshot.clear();
-    scratch
-        .comm_snapshot
-        .extend(state.comm.iter().map(|c| c.load(Ordering::Relaxed)));
-    let vals = &scratch.comm_snapshot;
-    if use_delta {
-        debug_assert_eq!(scratch.last_pushed.len(), vals.len());
-        scratch.changed.clear();
+    cfg: &DistConfig,
+    few_moved: bool,
+) -> f64 {
+    let use_delta = cfg.delta_ghost_refresh && scratch.have_baseline && few_moved;
+    let neighborhood = cfg.neighborhood_collectives;
+    let t0 = comm.stats().modeled_seconds();
+    comm.with_step(CommStep::GhostRefresh, || {
+        scratch.comm_snapshot.clear();
         scratch
-            .changed
-            .extend(vals.iter().zip(&scratch.last_pushed).map(|(a, b)| a != b));
-        if neighborhood {
-            ghosts.refresh_delta_neighborhood(comm, vals, &scratch.changed, ghost_comm);
-        } else {
-            ghosts.refresh_delta(comm, vals, &scratch.changed, ghost_comm);
-        }
-    } else if neighborhood {
-        ghosts.refresh_neighborhood(comm, vals, ghost_comm);
-    } else {
-        ghosts.refresh(comm, vals, ghost_comm);
-    }
-    scratch.last_pushed.clear();
-    scratch.last_pushed.extend_from_slice(vals);
-    // Delta hit-rate metrics: changed/total slot ratio is the payload
-    // compression the delta flavour achieves over a full refresh.
-    if louvain_obs::enabled() {
+            .comm_snapshot
+            .extend(state.comm.iter().map(|c| c.load(Ordering::Relaxed)));
+        let vals = &scratch.comm_snapshot;
         if use_delta {
-            let changed = scratch.changed.iter().filter(|&&c| c).count() as u64;
-            louvain_obs::counter_add("ghost.delta.refreshes", 1);
-            louvain_obs::counter_add("ghost.delta.changed", changed);
-            louvain_obs::counter_add("ghost.delta.slots", scratch.changed.len() as u64);
+            debug_assert_eq!(scratch.last_pushed.len(), vals.len());
+            scratch.changed.clear();
+            scratch
+                .changed
+                .extend(vals.iter().zip(&scratch.last_pushed).map(|(a, b)| a != b));
+            if neighborhood {
+                ghosts.refresh_delta_neighborhood(comm, vals, &scratch.changed, ghost_comm);
+            } else {
+                ghosts.refresh_delta(comm, vals, &scratch.changed, ghost_comm);
+            }
+        } else if neighborhood {
+            ghosts.refresh_neighborhood(comm, vals, ghost_comm);
         } else {
-            louvain_obs::counter_add("ghost.full.refreshes", 1);
-            louvain_obs::counter_add("ghost.full.slots", vals.len() as u64);
+            ghosts.refresh(comm, vals, ghost_comm);
         }
-    }
+        scratch.last_pushed.clear();
+        scratch.last_pushed.extend_from_slice(vals);
+        scratch.have_baseline = true;
+        // Delta hit-rate metrics: changed/total slot ratio is the payload
+        // compression the delta flavour achieves over a full refresh.
+        if louvain_obs::enabled() {
+            if use_delta {
+                let changed = scratch.changed.iter().filter(|&&c| c).count() as u64;
+                louvain_obs::counter_add("ghost.delta.refreshes", 1);
+                louvain_obs::counter_add("ghost.delta.changed", changed);
+                louvain_obs::counter_add("ghost.delta.slots", scratch.changed.len() as u64);
+            } else {
+                louvain_obs::counter_add("ghost.full.refreshes", 1);
+                louvain_obs::counter_add("ghost.full.slots", vals.len() as u64);
+            }
+        }
+    });
+    comm.stats().modeled_seconds() - t0
 }
 
-/// Evaluate and (if profitable) apply the best move for local vertex `l`.
-#[allow(clippy::too_many_arguments)]
-#[inline]
-fn try_move(
-    l: usize,
-    lg: &LocalGraph,
-    ghosts: &GhostLayer,
-    ghost_comm: &[VertexId],
-    state: &SweepState,
-    k_local: &[Weight],
+/// Read-only inputs of one compute sweep, shared by every schedule.
+/// `state` is written through its atomics, by [`Sweep::apply_move`]
+/// only.
+struct Sweep<'a> {
+    lg: &'a LocalGraph,
+    ghosts: &'a GhostLayer,
+    ghost_comm: &'a [VertexId],
+    state: &'a SweepState,
+    k_local: &'a [Weight],
     two_m: f64,
     guard_singleton_swap: bool,
-    remote_a: &FastMap<VertexId, (Weight, u64)>,
-    acc: &mut SweepAcc,
-    weights: &mut FastMap<VertexId, Weight>,
-) {
-    let first = lg.first_vertex();
-    let nlocal = lg.num_local();
-    let comm_of = |u: VertexId| -> VertexId {
-        if u >= first && u < first + nlocal as u64 {
-            state.comm_of_local((u - first) as usize)
-        } else {
-            ghost_comm[ghosts.slot_of(u)]
-        }
-    };
-    acc.vertices += 1;
-    let v_global = lg.to_global(l);
-    let cu = state.comm_of_local(l);
-    let kv = k_local[l];
-    weights.clear();
-    for (u, w) in lg.neighbors(l) {
-        acc.edges += 1;
-        if u == v_global {
-            continue;
-        }
-        *weights.entry(comm_of(u)).or_insert(0.0) += w;
-    }
-    if weights.is_empty() {
-        return;
-    }
-    // Remote community info = the iteration-start pull, adjusted by the
-    // deltas this thread has itself accumulated since — without this
-    // "local view", every vertex of the rank sees the same stale (small)
-    // a_c of an attractive remote community and they all pile in,
-    // overshooting badly on mesh-like graphs.
-    fn info_of(
-        c: VertexId,
-        lg: &LocalGraph,
-        state: &SweepState,
-        remote_a: &FastMap<VertexId, (Weight, u64)>,
-        acc: &SweepAcc,
-    ) -> (Weight, u64) {
-        if lg.owns(c) {
-            let i = (c - lg.first_vertex()) as usize;
-            (state.a[i].load(), state.size[i].load(Ordering::Relaxed))
-        } else {
-            let (mut a, mut sz) = remote_a.get(&c).copied().unwrap_or((0.0, 0));
-            if let Some(&(da, ds)) = acc.deltas.get(&c) {
-                a += da;
-                sz = (sz as i64 + ds).max(0) as u64;
+    /// `a_c` and size of remote communities as of this round's pull.
+    remote_a: &'a FastMap<VertexId, (Weight, u64)>,
+}
+
+impl Sweep<'_> {
+    /// The local-move rule (Algorithm 3, lines 6–9) for local vertex `l`:
+    /// gather the edge weight toward every neighboring community into
+    /// `weights`, score each candidate, and return the community `l`
+    /// should move to, if any. Nothing is written but the scratch.
+    ///
+    /// `candidates` fixes the order in which the gathered communities are
+    /// scored. Near-ties within 1e-12 go to the smallest community id
+    /// either way, so the order only matters through that tolerance — but
+    /// a schedule's trajectory is pinned to it bit for bit.
+    ///
+    /// Remote community info is the iteration-start pull adjusted by
+    /// `deltas`, the remote-community changes the caller has accumulated
+    /// since — without this "local view", every vertex of the rank sees
+    /// the same stale (small) a_c of an attractive remote community and
+    /// they all pile in, overshooting badly on mesh-like graphs.
+    #[inline]
+    fn best_move<'w, I>(
+        &self,
+        l: usize,
+        deltas: &FastMap<VertexId, (Weight, i64)>,
+        weights: &'w mut FastMap<VertexId, Weight>,
+        edges: &mut u64,
+        candidates: impl FnOnce(&'w FastMap<VertexId, Weight>) -> I,
+    ) -> Option<VertexId>
+    where
+        I: Iterator<Item = (VertexId, Weight)>,
+    {
+        let Sweep { lg, state, .. } = *self;
+        let first = lg.first_vertex();
+        let nlocal = lg.num_local();
+        let comm_of = |u: VertexId| -> VertexId {
+            if u >= first && u < first + nlocal as u64 {
+                state.comm_of_local((u - first) as usize)
+            } else {
+                self.ghost_comm[self.ghosts.slot_of(u)]
             }
-            (a, sz)
+        };
+        let v_global = lg.to_global(l);
+        let cu = state.comm_of_local(l);
+        let kv = self.k_local[l];
+        weights.clear();
+        for (u, w) in lg.neighbors(l) {
+            *edges += 1;
+            if u == v_global {
+                continue;
+            }
+            *weights.entry(comm_of(u)).or_insert(0.0) += w;
         }
-    }
-    let e_cu = weights.get(&cu).copied().unwrap_or(0.0);
-    let (a_cu, size_cu) = info_of(cu, lg, state, remote_a, acc);
-    let stay = e_cu - kv * (a_cu - kv) / two_m;
-    let mut best_c = cu;
-    let mut best_score = f64::NEG_INFINITY;
-    let mut best_size = 0u64;
-    for (&c, &e_vc) in weights.iter() {
-        if c == cu {
-            continue;
+        let weights: &'w FastMap<VertexId, Weight> = weights;
+        if weights.is_empty() {
+            return None;
         }
-        let (a_c, size_c) = info_of(c, lg, state, remote_a, acc);
-        let score = e_vc - kv * a_c / two_m;
-        if score > best_score + 1e-12 || ((score - best_score).abs() <= 1e-12 && c < best_c) {
-            best_score = score;
-            best_c = c;
-            best_size = size_c;
+        let info_of = |c: VertexId| -> (Weight, u64) {
+            if lg.owns(c) {
+                let i = (c - first) as usize;
+                (state.a[i].load(), state.size[i].load(Ordering::Relaxed))
+            } else {
+                let (mut a, mut sz) = self.remote_a.get(&c).copied().unwrap_or((0.0, 0));
+                if let Some(&(da, ds)) = deltas.get(&c) {
+                    a += da;
+                    sz = (sz as i64 + ds).max(0) as u64;
+                }
+                (a, sz)
+            }
+        };
+        let e_cu = weights.get(&cu).copied().unwrap_or(0.0);
+        let (a_cu, size_cu) = info_of(cu);
+        let stay = e_cu - kv * (a_cu - kv) / self.two_m;
+        let mut best_c = cu;
+        let mut best_score = f64::NEG_INFINITY;
+        let mut best_size = 0u64;
+        for (c, e_vc) in candidates(weights) {
+            if c == cu {
+                continue;
+            }
+            let (a_c, size_c) = info_of(c);
+            let score = e_vc - kv * a_c / self.two_m;
+            if score > best_score + 1e-12 || ((score - best_score).abs() <= 1e-12 && c < best_c) {
+                best_score = score;
+                best_c = c;
+                best_size = size_c;
+            }
         }
+        let profitable = best_c != cu
+            && (best_score > stay + 1e-12 || ((best_score - stay).abs() <= 1e-12 && best_c < cu));
+        // Singleton-swap guard (Vite / Lu et al. minimum labeling): two
+        // singleton vertices evaluating each other concurrently would swap
+        // communities forever; only the one moving toward the smaller
+        // community id proceeds.
+        let swap = self.guard_singleton_swap && size_cu == 1 && best_size == 1 && best_c > cu;
+        (profitable && !swap).then_some(best_c)
     }
-    let mut do_move = best_c != cu
-        && (best_score > stay + 1e-12 || ((best_score - stay).abs() <= 1e-12 && best_c < cu));
-    // Singleton-swap guard (Vite / Lu et al. minimum labeling): two
-    // singleton vertices evaluating each other concurrently would swap
-    // communities forever; only the one moving toward the smaller
-    // community id proceeds.
-    if guard_singleton_swap && do_move && size_cu == 1 && best_size == 1 && best_c > cu {
-        do_move = false;
-    }
-    if do_move {
+
+    /// Move local vertex `l` to `best_c`: the only sweep-time writer of
+    /// the community state. Owned communities are updated in place;
+    /// changes to remote ones accumulate in `acc.deltas` for the owner
+    /// push, whose message order follows the insertion history here.
+    fn apply_move(&self, l: usize, best_c: VertexId, acc: &mut SweepAcc) {
+        let Sweep { lg, state, .. } = *self;
+        let first = lg.first_vertex();
+        let cu = state.comm_of_local(l);
+        let kv = self.k_local[l];
         state.comm[l].store(best_c, Ordering::Relaxed);
         state.moved[l].store(true, Ordering::Relaxed);
         acc.moves += 1;
@@ -316,239 +353,128 @@ fn try_move(
             d.1 += 1;
         }
     }
-}
 
-/// Decide (without applying) the best move for local vertex `l` against a
-/// frozen snapshot of community state — the decide half of the colored
-/// deterministic schedule. Mirrors [`try_move`]'s scoring exactly, except
-/// that candidate communities are scanned in ascending community-id order
-/// (collected into `candidates` and sorted), which makes the documented
-/// tie-break policy — near-ties within 1e-12 go to the smallest community
-/// id — exact and independent of the hash map's iteration order (and
-/// therefore of the pooled map's capacity history and the thread count).
-/// `frozen_deltas` is the remote-delta view accumulated by *previous*
-/// batches; it is strictly read-only here, so the decision is a pure
-/// function of (vertex, batch-start state).
-#[allow(clippy::too_many_arguments)]
-fn decide_move(
-    l: usize,
-    lg: &LocalGraph,
-    ghosts: &GhostLayer,
-    ghost_comm: &[VertexId],
-    state: &SweepState,
-    k_local: &[Weight],
-    two_m: f64,
-    guard_singleton_swap: bool,
-    remote_a: &FastMap<VertexId, (Weight, u64)>,
-    frozen_deltas: &FastMap<VertexId, (Weight, i64)>,
-    weights: &mut FastMap<VertexId, Weight>,
-    candidates: &mut Vec<(VertexId, Weight)>,
-    edges: &mut u64,
-) -> Option<VertexId> {
-    let first = lg.first_vertex();
-    let nlocal = lg.num_local();
-    let comm_of = |u: VertexId| -> VertexId {
-        if u >= first && u < first + nlocal as u64 {
-            state.comm_of_local((u - first) as usize)
-        } else {
-            ghost_comm[ghosts.slot_of(u)]
-        }
-    };
-    let v_global = lg.to_global(l);
-    let cu = state.comm_of_local(l);
-    let kv = k_local[l];
-    weights.clear();
-    for (u, w) in lg.neighbors(l) {
-        *edges += 1;
-        if u == v_global {
-            continue;
-        }
-        *weights.entry(comm_of(u)).or_insert(0.0) += w;
-    }
-    if weights.is_empty() {
-        return None;
-    }
-    let info_of = |c: VertexId| -> (Weight, u64) {
-        if lg.owns(c) {
-            let i = (c - first) as usize;
-            (state.a[i].load(), state.size[i].load(Ordering::Relaxed))
-        } else {
-            let (mut a, mut sz) = remote_a.get(&c).copied().unwrap_or((0.0, 0));
-            if let Some(&(da, ds)) = frozen_deltas.get(&c) {
-                a += da;
-                sz = (sz as i64 + ds).max(0) as u64;
+    /// Gauss-Seidel driver of the sequential and relaxed schedules: each
+    /// vertex of `vertices` is scored against the live state (and this
+    /// chunk's own remote deltas) and moved at once. Candidates are
+    /// scored in the pooled map's iteration order.
+    fn sweep_in_place(&self, vertices: &[usize], scratch: &IterScratch) -> SweepAcc {
+        let mut acc = SweepAcc::default();
+        let mut weights = scratch.take_weights();
+        for &l in vertices {
+            acc.vertices += 1;
+            let best = self.best_move(l, &acc.deltas, &mut weights, &mut acc.edges, |w| {
+                w.iter().map(|(&c, &e)| (c, e))
+            });
+            if let Some(c) = best {
+                self.apply_move(l, c, &mut acc);
             }
-            (a, sz)
         }
-    };
-    let e_cu = weights.get(&cu).copied().unwrap_or(0.0);
-    let (a_cu, size_cu) = info_of(cu);
-    let stay = e_cu - kv * (a_cu - kv) / two_m;
-    candidates.clear();
-    candidates.extend(weights.iter().map(|(&c, &w)| (c, w)));
-    candidates.sort_unstable_by_key(|c| c.0);
-    let mut best_c = cu;
-    let mut best_score = f64::NEG_INFINITY;
-    let mut best_size = 0u64;
-    for &(c, e_vc) in candidates.iter() {
-        if c == cu {
-            continue;
-        }
-        let (a_c, size_c) = info_of(c);
-        let score = e_vc - kv * a_c / two_m;
-        if score > best_score + 1e-12 || ((score - best_score).abs() <= 1e-12 && c < best_c) {
-            best_score = score;
-            best_c = c;
-            best_size = size_c;
-        }
+        scratch.put_weights(weights);
+        acc
     }
-    let mut do_move = best_c != cu
-        && (best_score > stay + 1e-12 || ((best_score - stay).abs() <= 1e-12 && best_c < cu));
-    if guard_singleton_swap && do_move && size_cu == 1 && best_size == 1 && best_c > cu {
-        do_move = false;
-    }
-    if do_move {
-        Some(best_c)
-    } else {
-        None
-    }
-}
 
-/// Apply a decided move: the bookkeeping half of [`try_move`], executed
-/// sequentially (single thread, fixed batch order) by the colored
-/// schedule so that `acc.deltas`' insertion history — and with it the
-/// delta-push message order — is identical at any thread count.
-fn apply_move(
-    l: usize,
-    best_c: VertexId,
-    lg: &LocalGraph,
-    state: &SweepState,
-    k_local: &[Weight],
-    acc: &mut SweepAcc,
-) {
-    let first = lg.first_vertex();
-    let cu = state.comm_of_local(l);
-    let kv = k_local[l];
-    state.comm[l].store(best_c, Ordering::Relaxed);
-    state.moved[l].store(true, Ordering::Relaxed);
-    acc.moves += 1;
-    // Leave cu.
-    if lg.owns(cu) {
-        let i = (cu - first) as usize;
-        state.a[i].fetch_add(-kv);
-        state.size[i].fetch_sub(1, Ordering::Relaxed);
-    } else {
-        let d = acc.deltas.entry(cu).or_insert((0.0, 0));
-        d.0 -= kv;
-        d.1 -= 1;
-    }
-    // Join best_c.
-    if lg.owns(best_c) {
-        let i = (best_c - first) as usize;
-        state.a[i].fetch_add(kv);
-        state.size[i].fetch_add(1, Ordering::Relaxed);
-    } else {
-        let d = acc.deltas.entry(best_c).or_insert((0.0, 0));
-        d.0 += kv;
-        d.1 += 1;
-    }
-}
-
-/// One colored deterministic sweep over `scratch.round_vertices`.
-///
-/// Vertices are grouped into conflict-free batches by color class (the
-/// distance-1 coloring guarantees no two batch members are adjacent, so
-/// no decision can read a community membership another batch member is
-/// about to change). Each batch's moves are *decided* in parallel by the
-/// worker pool against the frozen batch-start state, then *applied*
-/// sequentially in batch order on the calling thread. Decisions are pure
-/// and the worker pool returns results in contiguous-range order, so the
-/// applied sequence is a function of the coloring alone — results at any
-/// `threads_per_rank` are bit-identical for a fixed coloring (and the
-/// coloring seed never depends on the thread count). The parity argument
-/// is spelled out in DESIGN.md §11.
-#[allow(clippy::too_many_arguments)]
-fn colored_sweep(
-    pool: &WorkerPool,
-    coloring: &(Vec<u32>, u32),
-    lg: &LocalGraph,
-    ghosts: &GhostLayer,
-    ghost_comm: &[VertexId],
-    state: &SweepState,
-    k_local: &[Weight],
-    two_m: f64,
-    guard: bool,
-    scratch: &IterScratch,
-    batches: &mut Vec<Vec<usize>>,
-    iter: usize,
-    round: usize,
-) -> SweepAcc {
-    let (color, nc) = coloring;
-    let nc = *nc as usize;
-    if batches.len() < nc {
-        batches.resize_with(nc, Vec::new);
-    }
-    for b in batches.iter_mut() {
-        b.clear();
-    }
-    // `round_vertices` is already in sweep order, so each batch inherits
-    // the deterministic order of its members.
-    for &l in &scratch.round_vertices {
-        batches[color[l] as usize].push(l);
-    }
-    let mut acc = SweepAcc::default();
-    for (batch_color, batch) in batches.iter().enumerate().take(nc) {
-        if batch.is_empty() {
-            continue;
+    /// Driver of the colored deterministic schedule over
+    /// `scratch.round_vertices`.
+    ///
+    /// Vertices are grouped into conflict-free batches by color class (the
+    /// distance-1 coloring guarantees no two batch members are adjacent,
+    /// so no decision can read a community membership another batch member
+    /// is about to change). Each batch's moves are *decided* in parallel
+    /// by the worker pool against the frozen batch-start state — the
+    /// remote deltas of *previous* batches, read-only — then *applied*
+    /// sequentially in batch order on the calling thread. Candidates are
+    /// scored in ascending community id, which makes a decision
+    /// independent of the hash map's iteration order (and therefore of
+    /// the pooled map's capacity history and the thread count), and the
+    /// worker pool returns results in contiguous-range order, so the
+    /// applied sequence is a function of the coloring alone — results at
+    /// any `threads_per_rank` are bit-identical for a fixed coloring (and
+    /// the coloring seed never depends on the thread count). The parity
+    /// argument is spelled out in DESIGN.md §11.
+    fn sweep_colored(
+        &self,
+        pool: &WorkerPool,
+        coloring: &(Vec<u32>, u32),
+        scratch: &IterScratch,
+        batches: &mut Vec<Vec<usize>>,
+        iter: usize,
+        round: usize,
+    ) -> SweepAcc {
+        let (color, nc) = coloring;
+        let nc = *nc as usize;
+        if batches.len() < nc {
+            batches.resize_with(nc, Vec::new);
         }
-        let mut batch_span = louvain_obs::span!(
-            "sweep.batch",
-            iter = iter,
-            round = round,
-            color = batch_color
-        );
-        let frozen = &acc.deltas;
-        let decided = pool.run(batch.len(), |r| {
-            let vertices = r.len() as u64;
-            let mut weights = scratch.take_weights();
-            let mut candidates: Vec<(VertexId, Weight)> = Vec::new();
-            let mut moves: Vec<(usize, VertexId)> = Vec::new();
-            let mut edges = 0u64;
-            for &l in &batch[r] {
-                if let Some(c) = decide_move(
-                    l,
-                    lg,
-                    ghosts,
-                    ghost_comm,
-                    state,
-                    k_local,
-                    two_m,
-                    guard,
-                    &scratch.remote_a,
-                    frozen,
-                    &mut weights,
-                    &mut candidates,
-                    &mut edges,
-                ) {
-                    moves.push((l, c));
+        for b in batches.iter_mut() {
+            b.clear();
+        }
+        // `round_vertices` is already in sweep order, so each batch inherits
+        // the deterministic order of its members.
+        for &l in &scratch.round_vertices {
+            batches[color[l] as usize].push(l);
+        }
+        let mut acc = SweepAcc::default();
+        for (batch_color, batch) in batches.iter().enumerate().take(nc) {
+            if batch.is_empty() {
+                continue;
+            }
+            let mut batch_span = louvain_obs::span!(
+                "sweep.batch",
+                iter = iter,
+                round = round,
+                color = batch_color
+            );
+            let frozen = &acc.deltas;
+            let decided = pool.run(batch.len(), |r| {
+                let vertices = r.len() as u64;
+                let mut weights = scratch.take_weights();
+                let mut sorted: Vec<(VertexId, Weight)> = Vec::new();
+                let mut moves: Vec<(usize, VertexId)> = Vec::new();
+                let mut edges = 0u64;
+                for &l in &batch[r] {
+                    let sorted = &mut sorted;
+                    let best = self.best_move(l, frozen, &mut weights, &mut edges, move |w| {
+                        // Moved out so the iterator may outlive this body.
+                        let sorted = sorted;
+                        sorted.clear();
+                        sorted.extend(w.iter().map(|(&c, &e)| (c, e)));
+                        sorted.sort_unstable_by_key(|c| c.0);
+                        sorted.iter().copied()
+                    });
+                    if let Some(c) = best {
+                        moves.push((l, c));
+                    }
+                }
+                scratch.put_weights(weights);
+                (moves, edges, vertices)
+            });
+            let mut batch_moves = 0u64;
+            for (moves, edges, vertices) in decided {
+                acc.edges += edges;
+                acc.vertices += vertices;
+                for (l, c) in moves {
+                    self.apply_move(l, c, &mut acc);
+                    batch_moves += 1;
                 }
             }
-            scratch.put_weights(weights);
-            (moves, edges, vertices)
-        });
-        let mut batch_moves = 0u64;
-        for (moves, edges, vertices) in decided {
-            acc.edges += edges;
-            acc.vertices += vertices;
-            for (l, c) in moves {
-                apply_move(l, c, lg, state, k_local, &mut acc);
-                batch_moves += 1;
-            }
+            louvain_obs::counter_add("sweep.batch_moves", batch_moves);
+            batch_span.arg("moves", batch_moves);
         }
-        louvain_obs::counter_add("sweep.batch_moves", batch_moves);
-        batch_span.arg("moves", batch_moves);
+        acc
     }
-    acc
+}
+
+/// Global modularity (Eq. 2) from this rank's `(Σ e_in, Σ a_c²)` terms:
+/// two sum-reductions, to be called inside a `Reduction` step scope.
+fn reduce_modularity(comm: &Comm, (e_in_local, a2_local): (f64, f64), two_m: f64) -> f64 {
+    let e_in = comm.all_reduce(e_in_local, ReduceOp::Sum);
+    let a2 = comm.all_reduce(a2_local, ReduceOp::Sum);
+    if two_m > 0.0 {
+        e_in / two_m - a2 / (two_m * two_m)
+    } else {
+        0.0
+    }
 }
 
 /// Run the iteration loop of one phase with threshold `tau`.
@@ -626,11 +552,12 @@ pub fn louvain_phase(
     // Per-phase scratch arena: every buffer of the four-step loop is
     // allocated once here and recycled across iterations.
     let mut scratch = IterScratch::new(nlocal, comm.size());
-    // Delta-refresh policy state. Both inputs advance in lockstep on all
-    // ranks (exchanges are collective, the move count is all-reduced), so
-    // every rank picks the same refresh flavour each time.
-    let mut have_baseline = false;
-    let mut prev_moves_global = u64::MAX;
+    // Delta-refresh policy input (with `scratch.have_baseline`): fewer
+    // than a quarter of the global vertices moved in the previous
+    // iteration. Both advance in lockstep on all ranks (exchanges are
+    // collective, the move count is all-reduced), so every rank picks the
+    // same refresh flavour each time.
+    let mut few_moved = false;
 
     // Distributed vertex following: pendant vertices pre-join their
     // unique neighbor's singleton community before the first sweep.
@@ -683,23 +610,15 @@ pub fn louvain_phase(
             };
 
             // -- Step 1: receive the latest ghost vertex communities. -----
-            let use_delta = cfg.delta_ghost_refresh
-                && have_baseline
-                && prev_moves_global.saturating_mul(4) < n_global;
-            let t0 = comm.stats().modeled_seconds();
-            comm.with_step(CommStep::GhostRefresh, || {
-                exchange_ghosts(
-                    comm,
-                    ghosts,
-                    &state,
-                    &mut scratch,
-                    &mut ghost_comm,
-                    cfg.neighborhood_collectives,
-                    use_delta,
-                );
-            });
-            have_baseline = true;
-            comm_seconds += comm.stats().modeled_seconds() - t0;
+            comm_seconds += exchange_ghosts(
+                comm,
+                ghosts,
+                &state,
+                &mut scratch,
+                &mut ghost_comm,
+                cfg,
+                few_moved,
+            );
 
             // -- Step 2: pull a_c for remote communities we may join. ------
             scratch.needed.clear();
@@ -758,10 +677,10 @@ pub fn louvain_phase(
             comm_seconds += comm.stats().modeled_seconds() - t0;
 
             // -- Step 3: the compute sweep (lines 6–9). --------------------
-            // Sequential when threads_per_rank == 1 (deterministic, the
-            // paper's per-process order); rayon-parallel over the shared
-            // atomic state otherwise (the paper's OpenMP loop).
-            let guard = !cfg.disable_singleton_guard;
+            // Colored batches on the worker pool; otherwise in place —
+            // sequential when threads_per_rank == 1 (deterministic, the
+            // paper's per-process order), rayon-parallel over the shared
+            // atomic state when not (the paper's OpenMP loop).
             scratch.round_vertices.clear();
             {
                 let active = &scratch.active;
@@ -774,20 +693,23 @@ pub fn louvain_phase(
             }
             let acc: SweepAcc = {
                 let _sweep_span = louvain_obs::span!("sweep", iter = iterations, round = round);
+                let sweep = Sweep {
+                    lg,
+                    ghosts: &*ghosts,
+                    ghost_comm: &ghost_comm,
+                    state: &state,
+                    k_local: &k_local,
+                    two_m,
+                    guard_singleton_swap: !cfg.disable_singleton_guard,
+                    remote_a: &scratch.remote_a,
+                };
                 let acc = if let Some(pool) = &pool {
                     let mut batches = std::mem::take(&mut scratch.batches);
-                    let acc = colored_sweep(
+                    let acc = sweep.sweep_colored(
                         pool,
                         coloring
                             .as_ref()
                             .expect("colored schedule needs a coloring"),
-                        lg,
-                        ghosts,
-                        &ghost_comm,
-                        &state,
-                        &k_local,
-                        two_m,
-                        guard,
                         &scratch,
                         &mut batches,
                         iterations,
@@ -796,52 +718,13 @@ pub fn louvain_phase(
                     scratch.batches = batches;
                     acc
                 } else if threads <= 1 {
-                    let mut acc = SweepAcc::default();
-                    let mut weights = scratch.take_weights();
-                    for &l in &scratch.round_vertices {
-                        try_move(
-                            l,
-                            lg,
-                            ghosts,
-                            &ghost_comm,
-                            &state,
-                            &k_local,
-                            two_m,
-                            guard,
-                            &scratch.remote_a,
-                            &mut acc,
-                            &mut weights,
-                        );
-                    }
-                    scratch.put_weights(weights);
-                    acc
+                    sweep.sweep_in_place(&scratch.round_vertices, &scratch)
                 } else {
                     let chunk = scratch.round_vertices.len().div_ceil(threads * 4).max(64);
-                    let scratch_ref = &scratch;
                     scratch
                         .round_vertices
                         .par_chunks(chunk)
-                        .map(|chunk| {
-                            let mut acc = SweepAcc::default();
-                            let mut weights = scratch_ref.take_weights();
-                            for &l in chunk {
-                                try_move(
-                                    l,
-                                    lg,
-                                    ghosts,
-                                    &ghost_comm,
-                                    &state,
-                                    &k_local,
-                                    two_m,
-                                    guard,
-                                    &scratch_ref.remote_a,
-                                    &mut acc,
-                                    &mut weights,
-                                );
-                            }
-                            scratch_ref.put_weights(weights);
-                            acc
-                        })
+                        .map(|chunk| sweep.sweep_in_place(chunk, &scratch))
                         .reduce(SweepAcc::default, SweepAcc::merge)
                 };
                 // Advance the tracing layer's modeled clock so the sweep
@@ -886,23 +769,17 @@ pub fn louvain_phase(
         }
 
         // -- Step 4: global modularity (lines 12–13). ----------------------
-        let (e_in_local, a2_local) = local_modularity_terms(lg, ghosts, &state, &ghost_comm);
+        let terms = local_modularity_terms(lg, ghosts, &state, &ghost_comm);
         compute.edges_scanned += lg.num_local_arcs() as u64;
         let t0 = comm.stats().modeled_seconds();
-        let (e_in, a2, moves_global) = comm.with_step(CommStep::Reduction, || {
+        let (q, moves_global) = comm.with_step(CommStep::Reduction, || {
             (
-                comm.all_reduce(e_in_local, ReduceOp::Sum),
-                comm.all_reduce(a2_local, ReduceOp::Sum),
+                reduce_modularity(comm, terms, two_m),
                 comm.all_reduce(local_moves, ReduceOp::Sum),
             )
         });
         reduce_seconds += comm.stats().modeled_seconds() - t0;
-        prev_moves_global = moves_global;
-        let q = if ctx.two_m > 0.0 {
-            e_in / ctx.two_m - a2 / (ctx.two_m * ctx.two_m)
-        } else {
-            0.0
-        };
+        few_moved = moves_global.saturating_mul(4) < n_global;
 
         // -- ET bookkeeping / ghost pruning / ETC exit. --------------------
         let mut inactive_global = 0u64;
@@ -978,36 +855,22 @@ pub fn louvain_phase(
     // above drive convergence exactly as in the paper (stale ghost state),
     // but the reported phase modularity must be exact. Pruned ghosts are
     // frozen, so their cached values are already final.
-    let use_delta =
-        cfg.delta_ghost_refresh && have_baseline && prev_moves_global.saturating_mul(4) < n_global;
-    let t0 = comm.stats().modeled_seconds();
-    comm.with_step(CommStep::GhostRefresh, || {
-        exchange_ghosts(
-            comm,
-            ghosts,
-            &state,
-            &mut scratch,
-            &mut ghost_comm,
-            cfg.neighborhood_collectives,
-            use_delta,
-        );
-    });
-    comm_seconds += comm.stats().modeled_seconds() - t0;
+    comm_seconds += exchange_ghosts(
+        comm,
+        ghosts,
+        &state,
+        &mut scratch,
+        &mut ghost_comm,
+        cfg,
+        few_moved,
+    );
     let comm_of_local = std::mem::take(&mut scratch.comm_snapshot);
-    let (e_in_local, a2_local) = local_modularity_terms(lg, ghosts, &state, &ghost_comm);
+    let terms = local_modularity_terms(lg, ghosts, &state, &ghost_comm);
     let t0 = comm.stats().modeled_seconds();
-    let (e_in, a2) = comm.with_step(CommStep::Reduction, || {
-        (
-            comm.all_reduce(e_in_local, ReduceOp::Sum),
-            comm.all_reduce(a2_local, ReduceOp::Sum),
-        )
+    let final_q = comm.with_step(CommStep::Reduction, || {
+        reduce_modularity(comm, terms, two_m)
     });
     reduce_seconds += comm.stats().modeled_seconds() - t0;
-    let final_q = if ctx.two_m > 0.0 {
-        e_in / ctx.two_m - a2 / (ctx.two_m * ctx.two_m)
-    } else {
-        0.0
-    };
 
     // Memory gauges at phase end: buffer capacities are monotone within
     // a phase, so this samples the arena's and wire pools' high-water

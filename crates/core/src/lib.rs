@@ -43,9 +43,8 @@ pub mod serial;
 pub mod stats;
 
 pub use api::{
-    run_distributed, run_distributed_partitioned, run_distributed_resilient,
-    run_distributed_resilient_source, run_distributed_source, run_distributed_with, DistOutcome,
-    GraphSource, PartitionStrategy,
+    run_distributed, run_distributed_partitioned, run_distributed_resilient_source,
+    run_distributed_source, DistOutcome, GraphSource, PartitionStrategy,
 };
 pub use config::{DistConfig, SweepMode, Variant};
 pub use quality::{adjusted_rand_index, f_score, nmi, QualityReport};
@@ -54,6 +53,6 @@ pub use resume::{
     config_fingerprint, CheckpointOptions, JobCancelled, ResilOptions, CANCELLED_AT_PHASE,
     CRASH_BUDGET_EXHAUSTED, HANG_BUDGET_EXHAUSTED,
 };
-pub use runner::{run_on_rank_resilient, RankOutcome};
+pub use runner::{run_on_rank, RankOutcome};
 pub use serial::serial_louvain;
 pub use stats::{IterationTrace, PhaseStats, WorkCounter};

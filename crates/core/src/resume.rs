@@ -50,7 +50,7 @@ pub struct ResilOptions {
     /// instead of from scratch (falls back to a fresh start when the
     /// directory holds no complete checkpoint yet).
     pub resume: bool,
-    /// How many rank failures [`crate::api::run_distributed_resilient`]
+    /// How many rank failures [`crate::api::run_distributed_resilient_source`]
     /// absorbs by restarting from the newest checkpoint before giving
     /// up. This is the shared default for both failure kinds; the
     /// per-kind fields below override it when set.

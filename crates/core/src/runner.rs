@@ -162,12 +162,9 @@ fn restore_rank(comm: &Comm, store: &CheckpointStore, fingerprint: u64) -> Optio
 }
 
 /// Run the distributed Louvain algorithm on this rank's piece of the
-/// graph. Collective — all ranks call it with their own [`LocalGraph`].
-pub fn run_on_rank(comm: &Comm, lg0: LocalGraph, cfg: &DistConfig) -> RankOutcome {
-    run_on_rank_resilient(comm, lg0, cfg, &ResilOptions::none())
-}
-
-/// [`run_on_rank`] with phase-boundary checkpointing and resume.
+/// graph, with phase-boundary checkpointing and resume as `resil` asks
+/// ([`ResilOptions::none`] for neither). Collective — all ranks call it
+/// with their own [`LocalGraph`].
 ///
 /// Phase boundaries are consistent cuts: the four per-iteration
 /// communication steps have quiesced, the coarse graph was just rebuilt,
@@ -177,7 +174,7 @@ pub fn run_on_rank(comm: &Comm, lg0: LocalGraph, cfg: &DistConfig) -> RankOutcom
 /// the *absolute* phase index, a run resumed from the phase-`k`
 /// checkpoint replays phases `k..` bit-identically to an uninterrupted
 /// run — same assignments, same modularity.
-pub fn run_on_rank_resilient(
+pub fn run_on_rank(
     comm: &Comm,
     lg0: LocalGraph,
     cfg: &DistConfig,
@@ -480,7 +477,9 @@ mod tests {
         for p in [1, 2, 3] {
             let parts = scatter(&g, p);
             let cfg = DistConfig::baseline();
-            let outs = run(p, |c| run_on_rank(c, parts[c.rank()].clone(), &cfg));
+            let outs = run(p, |c| {
+                run_on_rank(c, parts[c.rank()].clone(), &cfg, &ResilOptions::none())
+            });
             let mut assignment = Vec::new();
             for o in &outs {
                 assignment.extend(o.assignment.iter().copied());
@@ -511,7 +510,7 @@ mod tests {
             let parts = scatter(&g, p);
             let collect = |cfg: &DistConfig| {
                 let outs = run(p, |c| {
-                    let o = run_on_rank(c, parts[c.rank()].clone(), cfg);
+                    let o = run_on_rank(c, parts[c.rank()].clone(), cfg, &ResilOptions::none());
                     let refresh_bytes = c.stats().step_bytes(CommStep::GhostRefresh);
                     (o, refresh_bytes)
                 });
@@ -548,7 +547,9 @@ mod tests {
             max_phases: 1,
             ..DistConfig::baseline()
         };
-        let outs = run(2, |c| run_on_rank(c, parts[c.rank()].clone(), &cfg));
+        let outs = run(2, |c| {
+            run_on_rank(c, parts[c.rank()].clone(), &cfg, &ResilOptions::none())
+        });
         for o in &outs {
             assert_eq!(o.phases, 1);
             // Output is still a complete, valid assignment for the
@@ -564,7 +565,9 @@ mod tests {
         let g = louvain_graph::gen::weblike(louvain_graph::gen::WeblikeParams::web(1_200, 4)).graph;
         let parts = scatter(&g, 2);
         let cfg = DistConfig::baseline();
-        let outs = run(2, |c| run_on_rank(c, parts[c.rank()].clone(), &cfg));
+        let outs = run(2, |c| {
+            run_on_rank(c, parts[c.rank()].clone(), &cfg, &ResilOptions::none())
+        });
         let qs: Vec<f64> = outs[0].phase_stats.iter().map(|p| p.modularity).collect();
         // Phases must improve until the last (which may only tie within τ).
         for w in qs.windows(2) {

@@ -26,6 +26,11 @@ pub struct IterScratch {
     /// delta refresh diffs against. Empty until the first (always full)
     /// exchange of the phase.
     pub last_pushed: Vec<VertexId>,
+    /// A ghost exchange has happened this phase, so [`last_pushed`] is a
+    /// valid delta baseline (it is also empty on a rank without vertices).
+    ///
+    /// [`last_pushed`]: IterScratch::last_pushed
+    pub have_baseline: bool,
     /// `changed[l]`: vertex `l`'s community differs from [`last_pushed`];
     /// rebuilt before every delta refresh.
     ///
@@ -59,6 +64,7 @@ impl IterScratch {
         Self {
             comm_snapshot: Vec::with_capacity(nlocal),
             last_pushed: Vec::with_capacity(nlocal),
+            have_baseline: false,
             changed: Vec::with_capacity(nlocal),
             active: Vec::with_capacity(nlocal),
             needed: FastSet::default(),

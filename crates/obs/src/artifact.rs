@@ -2,12 +2,9 @@
 //! (like the checkpoint header) holding any number of labeled runs,
 //! each a full [`RunReport`] plus its per-iteration telemetry rows.
 //!
-//! One schema replaces the ad-hoc shapes of the committed bench files:
-//! `lens` reads only artifacts, and [`RunArtifact::from_any_json_str`]
-//! lifts every legacy shape (`BENCH_PR1/PR3` sweep rows, `BENCH_PR4`
-//! watchdog rows, `RUNREPORT_PR2` embedded reports, or a bare
-//! `RunReport` document) into it, so the whole PR history diffs with
-//! one tool.
+//! `lens` reads only artifacts; [`RunArtifact::from_any_json_str`]
+//! additionally wraps a bare `RunReport` document (what
+//! `louvain run --report-out` writes) as a one-run artifact.
 
 use crate::json::{Json, JsonError};
 use crate::metrics::{Histogram, HIST_BUCKETS};
@@ -227,160 +224,28 @@ impl RunArtifact {
         Self::from_json(&doc)
     }
 
-    /// Parse any committed run-data shape into an artifact: a native
-    /// `LVRA` document, a bare `RunReport`, or one of the legacy bench
-    /// files (`BENCH_PR1`/`BENCH_PR3` sweep rows, `BENCH_PR4` watchdog
-    /// rows, `RUNREPORT_PR2` embedded reports).
+    /// Parse a native `LVRA` document or a bare `RunReport` (wrapped as
+    /// a one-run artifact); any other shape is an `Err`.
     pub fn from_any_json_str(text: &str) -> Result<RunArtifact, String> {
         let doc = Json::parse(text).map_err(|e: JsonError| e.to_string())?;
         if doc.get("magic").is_some() {
             return Self::from_json(&doc);
         }
-        if doc.get("run_report_version").is_some() {
-            let report = RunReport::from_json(&doc)?;
-            let label = run_label(&report.graph, report.ranks, &report.variant);
-            return Ok(RunArtifact {
-                name: "run".into(),
-                description: String::new(),
-                runs: vec![RunEntry {
-                    label,
-                    report,
-                    telemetry: Vec::new(),
-                }],
-            });
+        if doc.get("run_report_version").is_none() {
+            return Err("unrecognized document: neither an LVRA artifact nor a RunReport".into());
         }
-        let name = doc
-            .get("bench")
-            .and_then(Json::as_str)
-            .unwrap_or("legacy")
-            .to_string();
-        let description = doc
-            .get("description")
-            .and_then(Json::as_str)
-            .unwrap_or("")
-            .to_string();
-        let mut runs = Vec::new();
-        if let Some(rows) = doc.get("runs").and_then(Json::as_arr) {
-            for row in rows {
-                runs.push(legacy_sweep_entry(row)?);
-            }
-        }
-        if let Some(rows) = doc.get("watchdog").and_then(Json::as_arr) {
-            for row in rows {
-                runs.push(legacy_watchdog_entry(row)?);
-            }
-        }
-        if let Some(reports) = doc.get("reports").and_then(Json::as_arr) {
-            for rd in reports {
-                let report = RunReport::from_json(rd)?;
-                let label = run_label(&report.graph, report.ranks, &report.variant);
-                runs.push(RunEntry {
-                    label,
-                    report,
-                    telemetry: Vec::new(),
-                });
-            }
-        }
-        if runs.is_empty() {
-            return Err("unrecognized document: no magic, reports, runs, or watchdog rows".into());
-        }
+        let report = RunReport::from_json(&doc)?;
+        let label = run_label(&report.graph, report.ranks, &report.variant);
         Ok(RunArtifact {
-            name,
-            description,
-            runs,
+            name: "run".into(),
+            description: String::new(),
+            runs: vec![RunEntry {
+                label,
+                report,
+                telemetry: Vec::new(),
+            }],
         })
     }
-}
-
-/// Lift one `BENCH_PR1`/`BENCH_PR3` sweep row into a [`RunEntry`]. The
-/// legacy rows are flat: per-step bytes, modeled seconds, and wall
-/// milliseconds; message counts and per-rank detail were never recorded
-/// and stay zero.
-fn legacy_sweep_entry(row: &Json) -> Result<RunEntry, String> {
-    use crate::report::{ModeledBreakdown, StepTotal};
-    let lu = |key: &str| row.get(key).and_then(Json::as_u64).unwrap_or(0);
-    let lf = |key: &str| row.get(key).and_then(Json::as_f64).unwrap_or(0.0);
-    let graph = s(row, "graph")?;
-    let ranks = u(row, "ranks")? as usize;
-    let mode = s(row, "mode")?;
-    let variant = row
-        .get("variant")
-        .and_then(Json::as_str)
-        .map(|v| format!("{v}+{mode}"))
-        .unwrap_or_else(|| mode.clone());
-    let step_totals: Vec<StepTotal> = [
-        ("ghost_refresh", lu("ghost_refresh_bytes")),
-        ("community_pull", lu("community_pull_bytes")),
-        ("delta_push", lu("delta_push_bytes")),
-        ("reduction", lu("reduction_bytes")),
-    ]
-    .into_iter()
-    .map(|(step, bytes)| StepTotal {
-        step: step.into(),
-        bytes,
-        messages: 0,
-        wait_ns: 0,
-    })
-    .collect();
-    let total_bytes = step_totals.iter().map(|t| t.bytes).sum();
-    Ok(RunEntry {
-        label: run_label(&graph, ranks, &mode),
-        report: RunReport {
-            graph,
-            vertices: lu("n"),
-            edges: lu("m"),
-            ranks,
-            variant,
-            threads_per_rank: 1,
-            modularity: f(row, "modularity")?,
-            phases: lu("phases"),
-            iterations: lu("iterations"),
-            wall_seconds: lf("wall_ms") / 1000.0,
-            modeled: ModeledBreakdown {
-                compute: lf("modeled_compute_seconds"),
-                comm: lf("modeled_comm_seconds"),
-                reduce: lf("modeled_reduce_seconds"),
-                rebuild: lf("modeled_rebuild_seconds"),
-            },
-            step_totals,
-            total_bytes,
-            ..Default::default()
-        },
-        telemetry: Vec::new(),
-    })
-}
-
-/// Lift one `BENCH_PR4` watchdog A-B row: the watchdog-armed arm's wall
-/// time, with the wd_* counters landing in the health section.
-fn legacy_watchdog_entry(row: &Json) -> Result<RunEntry, String> {
-    use crate::report::HealthTotals;
-    let lu = |key: &str| row.get(key).and_then(Json::as_u64).unwrap_or(0);
-    let graph = s(row, "graph")?;
-    let ranks = u(row, "ranks")? as usize;
-    let mode = s(row, "mode")?;
-    Ok(RunEntry {
-        label: format!("{}+wd", run_label(&graph, ranks, &mode)),
-        report: RunReport {
-            graph,
-            vertices: lu("n"),
-            edges: lu("m"),
-            ranks,
-            variant: format!("{mode}+wd"),
-            threads_per_rank: 1,
-            modularity: f(row, "modularity")?,
-            phases: lu("phases"),
-            wall_seconds: lu("wall_ms_watchdog_on") as f64 / 1000.0,
-            health: HealthTotals {
-                checksum_rejects: lu("checksum_rejects"),
-                wd_timeouts: lu("wd_timeouts"),
-                wd_retries: lu("wd_retries"),
-                wd_stragglers: lu("wd_stragglers"),
-                ..Default::default()
-            },
-            ..Default::default()
-        },
-        telemetry: Vec::new(),
-    })
 }
 
 #[cfg(test)]
@@ -452,53 +317,22 @@ mod tests {
     }
 
     #[test]
-    fn legacy_sweep_rows_convert() {
-        let text = r#"{
-          "bench": "BENCH_PR3",
-          "description": "sweep",
-          "runs": [
-            {"graph": "ssca2_4k", "n": 4000, "m": 64593, "ranks": 2,
-             "variant": "ET(0.25)", "mode": "delta", "modularity": 0.988502,
-             "phases": 3, "iterations": 5, "wall_ms": 9,
-             "modeled_comm_seconds": 0.000048, "modeled_compute_seconds": 0.011612,
-             "modeled_reduce_seconds": 0.000037, "modeled_rebuild_seconds": 0.003920,
-             "ghost_refresh_bytes": 912, "community_pull_bytes": 2208,
-             "delta_push_bytes": 24, "reduction_bytes": 336}
-          ]
-        }"#;
-        let a = RunArtifact::from_any_json_str(text).expect("convert");
-        assert_eq!(a.name, "BENCH_PR3");
+    fn bare_run_reports_wrap_as_one_run_artifacts() {
+        let report = sample().runs.remove(0).report;
+        let a = RunArtifact::from_any_json_str(&report.to_json_string()).expect("wrap");
         assert_eq!(a.runs.len(), 1);
-        let e = &a.runs[0];
-        assert_eq!(e.label, "ssca2_4k/p2/delta");
-        assert_eq!(e.report.variant, "ET(0.25)+delta");
-        assert_eq!(e.report.total_bytes, 912 + 2208 + 24 + 336);
-        assert_eq!(e.report.step_totals[0].step, "ghost_refresh");
-        assert!((e.report.wall_seconds - 0.009).abs() < 1e-12);
-        assert_eq!(e.report.iterations, 5);
-    }
-
-    #[test]
-    fn legacy_watchdog_rows_convert() {
-        let text = r#"{
-          "bench": "BENCH_PR4",
-          "description": "wd",
-          "watchdog": [
-            {"graph": "lfr_3k", "n": 3000, "m": 18887, "ranks": 4, "mode": "delta",
-             "modularity": 0.867489, "phases": 4, "wall_ms_watchdog_off": 36,
-             "wall_ms_watchdog_on": 36, "wd_timeouts": 1, "wd_retries": 0,
-             "wd_stragglers": 2, "checksum_rejects": 0, "bit_identical": true}
-          ]
-        }"#;
-        let a = RunArtifact::from_any_json_str(text).expect("convert");
-        assert_eq!(a.runs[0].label, "lfr_3k/p4/delta+wd");
-        assert_eq!(a.runs[0].report.health.wd_timeouts, 1);
-        assert_eq!(a.runs[0].report.health.wd_stragglers, 2);
-        assert!((a.runs[0].report.wall_seconds - 0.036).abs() < 1e-12);
+        assert_eq!(a.runs[0].label, "lfr_3k/p2/ET(0.25)+delta");
+        assert_eq!(a.runs[0].report, report);
     }
 
     #[test]
     fn unknown_shapes_are_rejected() {
+        // The pre-artifact bench files (`{"bench": ..., "runs": [...]}`)
+        // are no longer lifted.
+        let legacy = r#"{"bench": "BENCH_PR3", "description": "sweep",
+          "runs": [{"graph": "ssca2_4k", "ranks": 2, "mode": "delta", "modularity": 0.98}]}"#;
+        let err = RunArtifact::from_any_json_str(legacy).unwrap_err();
+        assert!(err.contains("unrecognized document"), "{err}");
         assert!(RunArtifact::from_any_json_str("{\"x\": 1}").is_err());
         assert!(RunArtifact::from_any_json_str("not json").is_err());
     }

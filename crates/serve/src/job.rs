@@ -26,31 +26,6 @@ pub struct JobSpec {
     pub max_hang_recoveries: Option<usize>,
 }
 
-/// Parse a variant spec in the CLI grammar:
-/// `baseline | cycling | et:<a> | etc:<a> | et+cycling:<a>`.
-pub fn parse_variant(spec: &str) -> Result<Variant, String> {
-    let (name, alpha) = match spec.split_once(':') {
-        Some((n, a)) => {
-            let alpha: f64 = a.parse().map_err(|_| format!("bad alpha in `{spec}`"))?;
-            if !(0.0..=1.0).contains(&alpha) {
-                return Err(format!("alpha must be in [0,1], got {alpha}"));
-            }
-            (n, Some(alpha))
-        }
-        None => (spec, None),
-    };
-    match (name, alpha) {
-        ("baseline", None) => Ok(Variant::Baseline),
-        ("cycling", None) => Ok(Variant::ThresholdCycling),
-        ("et", Some(a)) => Ok(Variant::Et { alpha: a }),
-        ("etc", Some(a)) => Ok(Variant::Etc { alpha: a }),
-        ("et+cycling", Some(a)) => Ok(Variant::EtPlusCycling { alpha: a }),
-        _ => Err(format!(
-            "unknown variant `{spec}` (expected baseline | cycling | et:<a> | etc:<a> | et+cycling:<a>)"
-        )),
-    }
-}
-
 fn opt_usize(doc: &Json, key: &str) -> Result<Option<usize>, String> {
     match doc.get(key) {
         None | Some(Json::Null) => Ok(None),
@@ -98,7 +73,7 @@ impl JobSpec {
             }
             if let Some(v) = c.get("variant") {
                 let spec = v.as_str().ok_or("`config.variant` is not a string")?;
-                cfg.variant = parse_variant(spec)?;
+                cfg.variant = Variant::parse(spec)?;
             }
             if let Some(v) = c.get("threshold") {
                 cfg.threshold = v.as_f64().ok_or("`config.threshold` is not a number")?;
@@ -218,17 +193,5 @@ mod tests {
             let err = JobSpec::from_json(&doc).unwrap_err();
             assert!(err.contains(needle), "{err} should mention {needle}");
         }
-    }
-
-    #[test]
-    fn variant_grammar_matches_cli() {
-        assert_eq!(parse_variant("baseline").unwrap(), Variant::Baseline);
-        assert_eq!(parse_variant("cycling").unwrap(), Variant::ThresholdCycling);
-        assert_eq!(
-            parse_variant("et+cycling:0.5").unwrap(),
-            Variant::EtPlusCycling { alpha: 0.5 }
-        );
-        assert!(parse_variant("et:2.0").is_err());
-        assert!(parse_variant("et").is_err());
     }
 }

@@ -54,7 +54,7 @@ fn main() {
                 "edge balance after redistribution: min {min_arcs} / max {max_arcs} arcs per rank"
             );
         }
-        run_on_rank(comm, lg, &cfg)
+        run_on_rank(comm, lg, &cfg, &ResilOptions::none())
     });
 
     // 3. Merge and report.

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Tier-1 verification: build, test, format and lint the workspace.
 #
-# The vendor/ shims (rand, rayon, criterion, ...) are API stand-ins with
+# The vendor/ shims (rand, rayon, proptest, ...) are API stand-ins with
 # intentionally minimal surfaces; they are built and tested as workspace
 # members but excluded from the style gates.
 set -euo pipefail
@@ -30,8 +30,18 @@ done
 echo "==> cargo build --release"
 cargo build --release --workspace
 
-echo "==> cargo test"
-cargo test -q --workspace
+# Twice: an order-dependent test (shared temp dir, global flag) can pass
+# under one schedule and fail under the other. --no-fail-fast so one red
+# binary does not hide the ones after it.
+echo "==> cargo test (default threads)"
+cargo test -q --workspace --no-fail-fast
+echo "==> cargo test (--test-threads=1)"
+cargo test -q --workspace --no-fail-fast -- --test-threads=1
+
+# bench/ is its own workspace, invisible to --workspace: an API change
+# that breaks the ladder must fail here, not in the benchmark driver.
+echo "==> cargo test (bench/ ladder)"
+cargo test -q --offline --manifest-path bench/Cargo.toml
 
 echo "==> cargo fmt --check (first-party crates)"
 fmt_paths=(src crates/*/src tests)
@@ -47,15 +57,12 @@ cargo clippy -q "${pkg_flags[@]}" --all-targets -- -D warnings
 # Perf/quality regression gate: regenerate the bench artifact and gate
 # it against the committed baseline at the default lens tolerances.
 # Byte counters, modularity, iteration counts and the modeled times are
-# deterministic; bench_smoke itself asserts the colored-sweep wall win
-# (>=1.5x modeled phase-1 sweep at t=4 vs t=1 on >=2 of 3 graphs per
-# rank count) before the artifact is even written. The fresh artifact
-# lands at target/run_artifact.json for CI upload.
+# deterministic; bench_smoke itself asserts the colored sweep
+# bit-identical across the thread axis before the artifact is written.
+# The fresh artifact lands at target/run_artifact.json for CI upload.
 echo "==> bench run artifact + lens gate vs BENCH_PR7.json"
 ./target/release/bench_smoke \
   --threads 1,2,4 \
-  --out target/bench_scratch.json \
-  --watchdog-out target/watchdog_scratch.json \
   --artifact-out target/run_artifact.json \
   --trace-out target/trace.json 2>/dev/null
 ./target/release/lens gate --baseline BENCH_PR7.json target/run_artifact.json

@@ -2,14 +2,13 @@
 //!
 //! ```text
 //! lens show BENCH_PR5.json
-//! lens diff artifacts/bench_pr1.json BENCH_PR5.json
-//! lens gate --baseline BENCH_PR5.json fresh.json --wall-tol 4.0
-//! lens convert BENCH_PR1.json --out artifacts/bench_pr1.json
+//! lens diff BENCH_PR5.json BENCH_PR7.json
+//! lens gate --baseline BENCH_PR7.json fresh.json --wall-tol 4.0
 //! ```
 //!
-//! Every input goes through [`RunArtifact::from_any_json_str`], so the
-//! legacy bench shapes (`BENCH_PR1/3/4.json`, `RUNREPORT_PR2.json`) and
-//! bare RunReports are accepted everywhere an artifact is.
+//! Every input goes through [`RunArtifact::from_any_json_str`], so a
+//! bare RunReport (`louvain run --report-out`) is accepted everywhere
+//! an artifact is.
 
 use std::path::Path;
 use std::process::ExitCode;
@@ -68,11 +67,6 @@ USAGE:
       (job_accepted, job_shed, phase_completed, drain_begin, ...) and
       by job id. A torn final line (kill -9 mid-write) is tolerated.
 
-  lens convert <IN> --out <OUT>
-      Normalize any accepted input (legacy BENCH_PR*.json,
-      RUNREPORT_PR2.json, bare RunReport, or an artifact) into the
-      versioned RunArtifact schema.
-
 Threshold flags (defaults in parentheses):
   --wall-tol <F>     relative wall-time growth allowed (0.75 = 1.75x)
   --wall-floor <F>   absolute wall growth in seconds below which wall
@@ -82,7 +76,7 @@ Threshold flags (defaults in parentheses):
   --iters-tol <F>    relative iterations-to-converge growth allowed,
                      plus 2 iterations of fixed slack (0.50)
 
-Inputs may be any shape `RunArtifact::from_any_json_str` accepts.
+Inputs are RunArtifact documents or bare RunReports.
 ";
 
 fn main() -> ExitCode {
@@ -112,7 +106,6 @@ fn main() -> ExitCode {
         },
         Some("top") => run(cmd_top(&args[1..])),
         Some("tail") => run(cmd_tail(&args[1..])),
-        Some("convert") => run(cmd_convert(&args[1..])),
         Some("--help" | "-h" | "help") | None => {
             print!("{USAGE}");
             ExitCode::SUCCESS
@@ -325,17 +318,6 @@ fn cmd_tail(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_convert(args: &[String]) -> Result<(), String> {
-    let [input] = positionals(args)[..] else {
-        return Err("usage: lens convert <IN> --out <OUT>".into());
-    };
-    let out = flag(args, "--out").ok_or("missing required option --out")?;
-    let artifact = load(input)?;
-    std::fs::write(&out, artifact.to_json_string()).map_err(|e| format!("{out}: {e}"))?;
-    println!("converted {input} -> {out} ({} runs)", artifact.runs.len());
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -369,26 +351,16 @@ mod tests {
     }
 
     #[test]
-    fn convert_show_diff_gate_on_real_artifacts() {
-        // End-to-end over a committed legacy bench file: convert it,
-        // then show/diff/gate the converted artifact against itself.
-        let src = concat!(env!("CARGO_MANIFEST_DIR"), "/BENCH_PR1.json");
-        let dir = std::env::temp_dir().join("louvain-lens-cli");
-        std::fs::create_dir_all(&dir).unwrap();
-        let out = dir.join("pr1.artifact.json");
-        cmd_convert(&s(&[src, "--out", out.to_str().unwrap()])).unwrap();
-        let converted = load(out.to_str().unwrap()).unwrap();
-        assert!(!converted.runs.is_empty());
+    fn show_diff_gate_on_real_artifacts() {
+        // End-to-end over two committed artifacts of the same sweep.
+        let pr5 = concat!(env!("CARGO_MANIFEST_DIR"), "/BENCH_PR5.json");
+        let pr7 = concat!(env!("CARGO_MANIFEST_DIR"), "/BENCH_PR7.json");
+        assert!(!load(pr7).unwrap().runs.is_empty());
 
-        cmd_show(&s(&[out.to_str().unwrap()])).unwrap();
-        cmd_diff(&s(&[out.to_str().unwrap(), out.to_str().unwrap()])).unwrap();
+        cmd_show(&s(&[pr7])).unwrap();
+        cmd_diff(&s(&[pr5, pr7])).unwrap();
         assert!(
-            cmd_gate(&s(&[
-                "--baseline",
-                out.to_str().unwrap(),
-                out.to_str().unwrap()
-            ]))
-            .unwrap(),
+            cmd_gate(&s(&["--baseline", pr7, pr7])).unwrap(),
             "an artifact must gate cleanly against itself"
         );
     }

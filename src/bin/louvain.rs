@@ -17,8 +17,8 @@ use std::process::ExitCode;
 
 use distributed_louvain::comm::{BackoffPolicy, FaultPlan, HealthConfig, RunConfig};
 use distributed_louvain::dist::{
-    adjusted_rand_index, f_score, nmi, run_distributed_resilient, run_distributed_resilient_source,
-    CheckpointOptions, DistConfig, GraphSource, ResilOptions, SweepMode, Variant,
+    adjusted_rand_index, f_score, nmi, run_distributed_resilient_source, CheckpointOptions,
+    DistConfig, GraphSource, ResilOptions, SweepMode, Variant,
 };
 use distributed_louvain::graph::{binio, gen, textio, Csr, IngestError, IngestPolicy, VertexId};
 use distributed_louvain::store::{self, Slab, SlabBuilder, SlabOptions, SlabSummary};
@@ -28,7 +28,7 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let result = match args.first().map(String::as_str) {
         Some("generate") => cmd_generate(&args[1..]),
-        Some("convert") => cmd_convert(&args[1..]),
+        Some("convert") => cmd_from_text(&args[1..]),
         Some("ingest") => cmd_ingest(&args[1..]),
         Some("info") => cmd_info(&args[1..]),
         Some("run") => cmd_run(&args[1..]),
@@ -197,31 +197,6 @@ impl<'a> Opts<'a> {
             return Some(a);
         }
         None
-    }
-}
-
-/// Parse a variant spec: `baseline`, `cycling`, `et:0.25`, `etc:0.75`,
-/// `et+cycling:0.25`.
-fn parse_variant(spec: &str) -> Result<Variant, String> {
-    let (name, alpha) = match spec.split_once(':') {
-        Some((n, a)) => {
-            let alpha: f64 = a.parse().map_err(|_| format!("bad alpha in `{spec}`"))?;
-            if !(0.0..=1.0).contains(&alpha) {
-                return Err(format!("alpha must be in [0,1], got {alpha}"));
-            }
-            (n, Some(alpha))
-        }
-        None => (spec, None),
-    };
-    match (name, alpha) {
-        ("baseline", None) => Ok(Variant::Baseline),
-        ("cycling", None) => Ok(Variant::ThresholdCycling),
-        ("et", Some(a)) => Ok(Variant::Et { alpha: a }),
-        ("etc", Some(a)) => Ok(Variant::Etc { alpha: a }),
-        ("et+cycling", Some(a)) => Ok(Variant::EtPlusCycling { alpha: a }),
-        _ => Err(format!(
-            "unknown variant `{spec}` (expected baseline | cycling | et:<a> | etc:<a> | et+cycling:<a>)"
-        )),
     }
 }
 
@@ -485,7 +460,8 @@ fn cmd_ingest(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_convert(args: &[String]) -> Result<(), String> {
+/// `louvain convert`: a text edge list into the binary format or a slab.
+fn cmd_from_text(args: &[String]) -> Result<(), String> {
     let opts = Opts { args };
     let input = PathBuf::from(opts.positional().ok_or("missing text edge-list file")?);
     let out = PathBuf::from(opts.require("--out")?);
@@ -598,7 +574,7 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
         None => SweepMode::Auto,
     };
     let tau: f64 = opts.parse("--tau", 1e-6f64)?;
-    let variant = parse_variant(opts.get("--variant").unwrap_or("baseline"))?;
+    let variant = Variant::parse(opts.get("--variant").unwrap_or("baseline"))?;
     let trace_out = opts.get("--trace-out").map(PathBuf::from);
     let report_out = opts.get("--report-out").map(PathBuf::from);
     let artifact_out = opts.get("--artifact-out").map(PathBuf::from);
@@ -669,58 +645,31 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
         max_recoveries,
         ..ResilOptions::none()
     };
-    let (out, n_vertices, n_edges) = if use_slab {
-        if ranged {
-            // Validate the header up front so a corrupt file fails here,
-            // loudly, instead of inside a rank thread.
-            let h = store::peek_header(&path).map_err(|e| format!("{}: {e}", path.display()))?;
-            println!(
-                "graph: {} vertices, {} edges (slab, per-rank byte-range loads); running {} on {ranks} ranks × {threads} threads",
-                h.num_vertices,
-                h.num_edges,
-                variant.label()
-            );
-            let out = run_distributed_resilient_source(
-                GraphSource::SlabRanged(&path),
-                ranks,
-                &cfg,
-                runcfg,
-                &resil,
-            )?;
-            (out, h.num_vertices, h.num_edges)
-        } else {
-            let slab = Slab::open(&path).map_err(|e| format!("{}: {e}", path.display()))?;
-            println!(
-                "graph: {} vertices, {} edges (slab, mmap); running {} on {ranks} ranks × {threads} threads",
-                slab.num_vertices(),
-                slab.num_edges(),
-                variant.label()
-            );
-            let nv = slab.num_vertices();
-            let ne = slab.num_edges();
-            let out = run_distributed_resilient_source(
-                GraphSource::SlabMapped(&slab),
-                ranks,
-                &cfg,
-                runcfg,
-                &resil,
-            )?;
-            (out, nv, ne)
-        }
+    // The holders outlive the borrowed source.
+    let slab;
+    let g;
+    let (src, n_vertices, n_edges, how) = if use_slab && ranged {
+        // Validate the header up front so a corrupt file fails here,
+        // loudly, instead of inside a rank thread.
+        let h = store::peek_header(&path).map_err(|e| format!("{}: {e}", path.display()))?;
+        let (nv, ne) = (h.num_vertices, h.num_edges);
+        let how = " (slab, per-rank byte-range loads)";
+        (GraphSource::SlabRanged(&path), nv, ne, how)
+    } else if use_slab {
+        slab = Slab::open(&path).map_err(|e| format!("{}: {e}", path.display()))?;
+        let (nv, ne) = (slab.num_vertices(), slab.num_edges());
+        (GraphSource::SlabMapped(&slab), nv, ne, " (slab, mmap)")
     } else {
         let el = binio::read_edge_list(&path).map_err(|e| e.to_string())?;
-        let g = Csr::from_edge_list(el);
-        println!(
-            "graph: {} vertices, {} edges; running {} on {ranks} ranks × {threads} threads",
-            g.num_vertices(),
-            g.num_edges(),
-            variant.label()
-        );
-        let nv = g.num_vertices() as u64;
-        let ne = g.num_edges() as u64;
-        let out = run_distributed_resilient(&g, ranks, &cfg, runcfg, &resil)?;
-        (out, nv, ne)
+        g = Csr::from_edge_list(el);
+        let (nv, ne) = (g.num_vertices() as u64, g.num_edges() as u64);
+        (GraphSource::Memory(&g), nv, ne, "")
     };
+    println!(
+        "graph: {n_vertices} vertices, {n_edges} edges{how}; running {} on {ranks} ranks × {threads} threads",
+        variant.label()
+    );
+    let out = run_distributed_resilient_source(src, ranks, &cfg, runcfg, &resil)?;
     println!("modularity:    {:.6}", out.modularity);
     println!("communities:   {}", out.num_communities);
     println!("phases:        {}", out.phases);
@@ -952,27 +901,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn variant_parsing() {
-        assert_eq!(parse_variant("baseline").unwrap(), Variant::Baseline);
-        assert_eq!(parse_variant("cycling").unwrap(), Variant::ThresholdCycling);
-        assert_eq!(
-            parse_variant("et:0.25").unwrap(),
-            Variant::Et { alpha: 0.25 }
-        );
-        assert_eq!(
-            parse_variant("etc:0.75").unwrap(),
-            Variant::Etc { alpha: 0.75 }
-        );
-        assert_eq!(
-            parse_variant("et+cycling:0.5").unwrap(),
-            Variant::EtPlusCycling { alpha: 0.5 }
-        );
-        assert!(parse_variant("et").is_err());
-        assert!(parse_variant("et:2.0").is_err());
-        assert!(parse_variant("bogus").is_err());
-    }
-
-    #[test]
     fn opts_scanner() {
         let args: Vec<String> = ["g.graph", "--ranks", "8", "--variant", "et:0.5"]
             .iter()
@@ -1157,8 +1085,8 @@ mod tests {
         let slab = dir.join("t.slab");
         let s = |x: &str| x.to_string();
         let p = |x: &Path| s(x.to_str().unwrap());
-        cmd_convert(&[p(&text), s("--out"), p(&bin), s("--repair")]).unwrap();
-        cmd_convert(&[p(&text), s("--out"), p(&slab), s("--repair"), s("--slab")]).unwrap();
+        cmd_from_text(&[p(&text), s("--out"), p(&bin), s("--repair")]).unwrap();
+        cmd_from_text(&[p(&text), s("--out"), p(&slab), s("--repair"), s("--slab")]).unwrap();
         let mem = dir.join("mem.comm");
         let mapped = dir.join("map.comm");
         cmd_run(&[p(&bin), s("--ranks"), s("2"), s("--assignment"), p(&mem)]).unwrap();
@@ -1176,9 +1104,9 @@ mod tests {
             read_assignment(&mapped).unwrap()
         );
         // Strict conversion rejects the duplicate on both paths.
-        assert!(cmd_convert(&[p(&text), s("--out"), p(&bin), s("--strict")]).is_err());
+        assert!(cmd_from_text(&[p(&text), s("--out"), p(&bin), s("--strict")]).is_err());
         assert!(
-            cmd_convert(&[p(&text), s("--out"), p(&slab), s("--strict"), s("--slab")]).is_err()
+            cmd_from_text(&[p(&text), s("--out"), p(&slab), s("--strict"), s("--slab")]).is_err()
         );
     }
 

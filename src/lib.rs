@@ -49,8 +49,8 @@ pub mod prelude {
     pub use crate::comm::{run as run_ranks, CostModel, ReduceOp, RunConfig};
     pub use crate::dist::{
         adjusted_rand_index, f_score, nmi, run_distributed, run_distributed_partitioned,
-        run_distributed_resilient, run_distributed_with, CheckpointOptions, DistConfig,
-        DistOutcome, PartitionStrategy, ResilOptions, Variant,
+        run_distributed_resilient_source, CheckpointOptions, DistConfig, DistOutcome, GraphSource,
+        PartitionStrategy, ResilOptions, Variant,
     };
     pub use crate::graph::gen::{
         banded, barabasi_albert, erdos_renyi, grid3d, lfr, rmat, ssca2, watts_strogatz, weblike,

@@ -1,8 +1,8 @@
 //! Acceptance tests for the `lens` analytics over the committed
-//! artifacts: every legacy bench file converts into the unified
-//! RunArtifact schema, diffing committed artifacts is deterministic
-//! (byte-identical output), and the CI gate passes on the committed
-//! baseline while failing on a synthetic 2x wall-time regression.
+//! artifacts: they load through the one entry point, diffing them is
+//! deterministic (byte-identical output), and the CI gate passes on the
+//! committed baseline while failing on a synthetic 2x wall-time
+//! regression.
 
 use distributed_louvain::obs::RunArtifact;
 use louvain_lens::{diff, gate, show, Thresholds};
@@ -13,47 +13,15 @@ fn load(rel: &str) -> RunArtifact {
     RunArtifact::from_any_json_str(&text).unwrap_or_else(|e| panic!("{path}: {e}"))
 }
 
-/// Every committed artifact — native schema and all legacy shapes —
-/// loads through the single `from_any_json_str` entry point.
+/// The committed gate baselines load through the single
+/// `from_any_json_str` entry point.
 #[test]
-fn committed_artifacts_and_legacy_files_all_parse() {
-    for rel in [
-        "BENCH_PR5.json",
-        "artifacts/bench_pr1.json",
-        "artifacts/bench_pr3.json",
-        "artifacts/bench_pr4.json",
-        "artifacts/runreport_pr2.json",
-        "BENCH_PR1.json",
-        "BENCH_PR3.json",
-        "BENCH_PR4.json",
-        "RUNREPORT_PR2.json",
-    ] {
+fn committed_artifacts_all_parse() {
+    for rel in ["BENCH_PR5.json", "BENCH_PR7.json"] {
         let a = load(rel);
         assert!(!a.runs.is_empty(), "{rel}: no runs");
         for e in &a.runs {
             assert!(!e.label.is_empty(), "{rel}: entry without a label");
-        }
-    }
-}
-
-/// The converted artifacts/ copies carry exactly the runs of the legacy
-/// originals (labels are derived, data is not resampled).
-#[test]
-fn converted_baselines_match_their_legacy_originals() {
-    for (legacy, converted) in [
-        ("BENCH_PR1.json", "artifacts/bench_pr1.json"),
-        ("BENCH_PR3.json", "artifacts/bench_pr3.json"),
-        ("BENCH_PR4.json", "artifacts/bench_pr4.json"),
-        ("RUNREPORT_PR2.json", "artifacts/runreport_pr2.json"),
-    ] {
-        let a = load(legacy);
-        let b = load(converted);
-        assert_eq!(a.runs.len(), b.runs.len(), "{legacy} vs {converted}");
-        for (x, y) in a.runs.iter().zip(&b.runs) {
-            assert_eq!(x.label, y.label);
-            assert_eq!(x.report.modularity.to_bits(), y.report.modularity.to_bits());
-            assert_eq!(x.report.total_bytes, y.report.total_bytes);
-            assert_eq!(x.report.iterations, y.report.iterations);
         }
     }
 }
@@ -64,22 +32,12 @@ fn converted_baselines_match_their_legacy_originals() {
 #[test]
 fn diff_of_committed_artifacts_is_deterministic() {
     let t = Thresholds::default();
-    let r1 = diff(
-        &load("artifacts/bench_pr3.json"),
-        &load("BENCH_PR5.json"),
-        &t,
-    )
-    .render();
-    let r2 = diff(
-        &load("artifacts/bench_pr3.json"),
-        &load("BENCH_PR5.json"),
-        &t,
-    )
-    .render();
+    let r1 = diff(&load("BENCH_PR5.json"), &load("BENCH_PR7.json"), &t).render();
+    let r2 = diff(&load("BENCH_PR5.json"), &load("BENCH_PR7.json"), &t).render();
     assert_eq!(r1, r2, "diff rendering must be byte-identical");
-    assert!(r1.contains("matched"));
-    // The two bench sweeps share the 18 sweep labels.
-    assert!(r1.starts_with("diff: 18 matched"), "{r1}");
+    // The two bench sweeps share the 18 sweep labels and the 3 traced
+    // entries; PR7 adds the thread axis.
+    assert!(r1.starts_with("diff: 21 matched"), "{r1}");
 }
 
 /// Acceptance criterion: the gate passes on the committed baseline

@@ -538,7 +538,9 @@ fn message_edges_and_phase_profile_are_consistent_on_a_traced_run() {
 #[test]
 fn chrome_trace_tags_attempts_under_resilient_recovery() {
     use distributed_louvain::comm::{FaultPlan, RunConfig};
-    use distributed_louvain::dist::{run_distributed_resilient, CheckpointOptions, ResilOptions};
+    use distributed_louvain::dist::{
+        run_distributed_resilient_source, CheckpointOptions, GraphSource, ResilOptions,
+    };
     use std::sync::Arc;
 
     let _guard = TRACE_FLAG.lock().unwrap();
@@ -547,8 +549,8 @@ fn chrome_trace_tags_attempts_under_resilient_recovery() {
     let _ = std::fs::remove_dir_all(&dir);
     let plan = FaultPlan::parse("crash:rank=0,phase=1,op=0").unwrap();
     obs::set_enabled(true);
-    let out = run_distributed_resilient(
-        &g,
+    let out = run_distributed_resilient_source(
+        GraphSource::Memory(&g),
         2,
         &DistConfig::baseline(),
         RunConfig {
@@ -617,7 +619,9 @@ fn chrome_trace_tags_attempts_under_resilient_recovery() {
 #[test]
 fn resumed_run_counters_reconcile_with_uninterrupted_run() {
     use distributed_louvain::comm::{CommStep, FaultPlan, RunConfig};
-    use distributed_louvain::dist::{run_distributed_resilient, CheckpointOptions, ResilOptions};
+    use distributed_louvain::dist::{
+        run_distributed_resilient_source, CheckpointOptions, GraphSource, ResilOptions,
+    };
     use std::sync::Arc;
 
     let g = lfr(LfrParams::small(900, 11)).graph;
@@ -628,8 +632,8 @@ fn resumed_run_counters_reconcile_with_uninterrupted_run() {
     let dir = std::env::temp_dir().join(format!("louvain-obs-reconcile-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let plan = FaultPlan::parse("crash:rank=0,phase=1,op=0").unwrap();
-    let resumed = run_distributed_resilient(
-        &g,
+    let resumed = run_distributed_resilient_source(
+        GraphSource::Memory(&g),
         p,
         &cfg,
         RunConfig {

@@ -162,3 +162,91 @@ fn paper_claim_quality_comparable_to_shared_memory() {
         );
     }
 }
+
+/// The move kernel's trajectories, recorded on the commit before the
+/// sequential, relaxed and colored drivers were put on one scoring
+/// function: FNV-1a of the assignment, modularity bits and total
+/// iterations per graph and schedule. The full and delta ghost refresh
+/// share a pin, as do colored t=1 and t=2. A change to scan order,
+/// tie-breaking, accumulation order or the refresh policy moves at
+/// least one of them.
+#[test]
+fn kernel_trajectories_are_pinned() {
+    use distributed_louvain::dist::{SweepMode, Variant};
+    use distributed_louvain::resil::fnv1a64;
+
+    let graphs: [(&str, Csr); 3] = [
+        ("lfr_3k", lfr(LfrParams::small(3_000, 7)).graph),
+        (
+            "ssca2_4k",
+            ssca2(Ssca2Params {
+                n: 4_000,
+                max_clique_size: 50,
+                inter_clique_prob: 0.05,
+                seed: 9,
+            })
+            .graph,
+        ),
+        ("rmat_s11_ef8", rmat(RmatParams::social(11, 8, 5)).graph),
+    ];
+    let delta = |on: bool| DistConfig {
+        delta_ghost_refresh: on,
+        ..DistConfig::baseline()
+    };
+    let colored = |t: usize| DistConfig {
+        sweep: SweepMode::Colored,
+        threads_per_rank: t,
+        ..DistConfig::baseline()
+    };
+    let et = DistConfig::with_variant(Variant::Et { alpha: 0.25 });
+    // (ranks, configs sharing one pin), in the column order of `PINS`.
+    let schedules: [(usize, Vec<DistConfig>); 4] = [
+        (1, vec![delta(false), delta(true)]),
+        (2, vec![delta(false), delta(true)]),
+        (2, vec![colored(1), colored(2)]),
+        (2, vec![et]),
+    ];
+    type Pin = (u64, u64, usize);
+    const SSCA2: Pin = (0x5cf794233b67ae6c, 0x3fefa1cf2a17de82, 5);
+    const PINS: [[Pin; 4]; 3] = [
+        [
+            (0x91b493afb0440030, 0x3febc46363789377, 11),
+            (0x457c8ed1fa4cd0e7, 0x3febc49fff7576e3, 24),
+            (0xbcb0fc3bec4df4ed, 0x3febc1cec596d024, 20),
+            (0x03866925d665d206, 0x3febc0b7741c8bc1, 26),
+        ],
+        [SSCA2; 4],
+        [
+            (0xcaf35d301dd13681, 0x3fc2a45ec2c42988, 14),
+            (0xbb12f380177a22c6, 0x3fc2091db8d6098a, 15),
+            (0xa6a4722d9cef3845, 0x3fc234df86e2695e, 15),
+            (0xf18e02107d158fd3, 0x3fc1ffa4ddc352fe, 17),
+        ],
+    ];
+    for ((gname, g), pins) in graphs.iter().zip(PINS) {
+        for ((p, cfgs), pin) in schedules.iter().zip(pins) {
+            for cfg in cfgs {
+                let out = run_distributed(g, *p, cfg);
+                let bytes: Vec<u8> = out
+                    .assignment
+                    .iter()
+                    .flat_map(|c| c.to_le_bytes())
+                    .collect();
+                let got = (
+                    fnv1a64(&bytes),
+                    out.modularity.to_bits(),
+                    out.total_iterations,
+                );
+                assert_eq!(
+                    got,
+                    pin,
+                    "{gname} p={p} {:?} t={} delta={} {}: got {got:#x?}",
+                    cfg.sweep,
+                    cfg.threads_per_rank,
+                    cfg.delta_ghost_refresh,
+                    cfg.variant.label()
+                );
+            }
+        }
+    }
+}

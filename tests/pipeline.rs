@@ -30,7 +30,7 @@ fn file_to_communities_pipeline_matches_in_memory_run() {
         let (lo, hi) = binio::rank_record_range(header.num_edges, comm.rank(), comm.size());
         let edges = binio::read_edge_range(&path, lo, hi).unwrap();
         let lg = build_distributed(comm, header.num_vertices, edges);
-        run_on_rank(comm, lg, &cfg)
+        run_on_rank(comm, lg, &cfg, &ResilOptions::none())
     });
     let file_q = outcomes[0].modularity;
 

@@ -9,8 +9,8 @@ use std::sync::{Arc, Mutex};
 
 use louvain_comm::{FaultPlan, RunConfig};
 use louvain_dist::{
-    run_distributed, run_distributed_resilient, CheckpointOptions, DistConfig, DistOutcome,
-    ResilOptions,
+    run_distributed, run_distributed_resilient_source, CheckpointOptions, DistConfig, DistOutcome,
+    GraphSource, ResilOptions, Variant,
 };
 use louvain_graph::gen::{lfr, rmat, ssca2, LfrParams, RmatParams, Ssca2Params};
 use louvain_graph::Csr;
@@ -24,6 +24,17 @@ fn tmp_dir(name: &str) -> PathBuf {
         .join(name);
     let _ = std::fs::remove_dir_all(&dir);
     dir
+}
+
+/// The resilient engine on a resident graph, as every test here runs it.
+fn run_resilient(
+    g: &Csr,
+    p: usize,
+    cfg: &DistConfig,
+    runcfg: RunConfig,
+    resil: &ResilOptions,
+) -> Result<DistOutcome, String> {
+    run_distributed_resilient_source(GraphSource::Memory(g), p, cfg, runcfg, resil)
 }
 
 fn with_plan(spec: &str) -> RunConfig {
@@ -83,7 +94,7 @@ fn kill_and_resume_is_bit_identical_for_every_phase() {
                     max_recoveries: 1,
                     ..ResilOptions::none()
                 };
-                let out = run_distributed_resilient(
+                let out = run_resilient(
                     &g,
                     p,
                     &cfg,
@@ -142,7 +153,7 @@ fn parallel_sweep_crash_mid_phase_resumes_bit_identically() {
                     max_recoveries: 1,
                     ..ResilOptions::none()
                 };
-                let out = run_distributed_resilient(
+                let out = run_resilient(
                     &g,
                     p,
                     &cfg,
@@ -175,8 +186,8 @@ fn repeated_crashes_are_each_recovered_from_the_newest_checkpoint() {
         ..ResilOptions::none()
     };
     let spec = format!("crash:rank=1,phase=1,op=0;crash:rank=0,phase={last},op=1");
-    let out = run_distributed_resilient(&g, p, &cfg, with_plan(&spec), &resil)
-        .expect("two crashes within budget");
+    let out =
+        run_resilient(&g, p, &cfg, with_plan(&spec), &resil).expect("two crashes within budget");
     assert_eq!(out.recoveries, 2);
     assert_eq!(out.resumed_from_phase, Some(last as u64));
     assert_bit_identical(&out, &clean, "two-crash recovery");
@@ -202,15 +213,14 @@ fn exhausted_recovery_budget_is_an_error() {
         max_recoveries: 0,
         ..ResilOptions::none()
     };
-    let err =
-        run_distributed_resilient(&g, 2, &cfg, with_plan("crash:rank=0,phase=1,op=0"), &resil)
-            .expect_err("budget 0 cannot absorb a crash");
+    let err = run_resilient(&g, 2, &cfg, with_plan("crash:rank=0,phase=1,op=0"), &resil)
+        .expect_err("budget 0 cannot absorb a crash");
     assert!(
         err.contains("rank 0") && err.contains("budget"),
         "unhelpful error: {err}"
     );
     // The checkpoint the crashed run left behind resumes cleanly.
-    let resumed = run_distributed_resilient(
+    let resumed = run_resilient(
         &g,
         2,
         &cfg,
@@ -242,11 +252,11 @@ fn resume_validation_refuses_incompatible_state() {
         max_recoveries: 0,
         ..ResilOptions::none()
     };
-    run_distributed_resilient(&g, 2, &cfg, RunConfig::default(), &resil).expect("checkpointed run");
+    run_resilient(&g, 2, &cfg, RunConfig::default(), &resil).expect("checkpointed run");
 
     let mut other = cfg.clone();
     other.seed ^= 1;
-    let err = run_distributed_resilient(
+    let err = run_resilient(
         &g,
         2,
         &other,
@@ -259,7 +269,7 @@ fn resume_validation_refuses_incompatible_state() {
     .expect_err("different config must not resume");
     assert!(err.contains("configuration"), "unhelpful error: {err}");
 
-    let err = run_distributed_resilient(
+    let err = run_resilient(
         &g,
         3,
         &cfg,
@@ -272,7 +282,7 @@ fn resume_validation_refuses_incompatible_state() {
     .expect_err("different rank count must not resume");
     assert!(err.contains("rank"), "unhelpful error: {err}");
 
-    let err = run_distributed_resilient(
+    let err = run_resilient(
         &g,
         2,
         &cfg,
@@ -302,7 +312,7 @@ fn transient_faults_preserve_results_and_are_deterministic() {
     let clean = run_distributed(&g, p, &cfg);
 
     let run_faulty = || {
-        run_distributed_resilient(&g, p, &cfg, with_plan(spec), &ResilOptions::none())
+        run_resilient(&g, p, &cfg, with_plan(spec), &ResilOptions::none())
             .expect("transient faults need no recovery budget")
     };
     let faulty = run_faulty();
@@ -347,8 +357,7 @@ fn crash_recovery_survives_concurrent_transient_faults() {
         ..ResilOptions::none()
     };
     let spec = "seed=13;drop:prob=0.04;duplicate:prob=0.04;crash:rank=1,phase=1,op=2";
-    let out = run_distributed_resilient(&g, p, &cfg, with_plan(spec), &resil)
-        .expect("one crash within budget");
+    let out = run_resilient(&g, p, &cfg, with_plan(spec), &resil).expect("one crash within budget");
     assert_eq!(out.recoveries, 1);
     assert_bit_identical(&out, &clean, "crash + transient noise");
     assert!(out.traffic.fault_drops + out.traffic.fault_duplicates > 0);
@@ -387,7 +396,7 @@ fn delta_ghost_refresh_falls_back_to_full_after_resume() {
     let checkpoint = Some(CheckpointOptions::new(&dir));
 
     // Stage 1: crash at phase 1 with no recovery budget (tracing off).
-    let crashed = run_distributed_resilient(
+    let crashed = run_resilient(
         &g,
         p,
         &cfg,
@@ -404,7 +413,7 @@ fn delta_ghost_refresh_falls_back_to_full_after_resume() {
     // Stage 2: resume with tracing on, so the harvested counters cover
     // exactly the post-resume phases.
     louvain_obs::set_enabled(true);
-    let out = run_distributed_resilient(
+    let out = run_resilient(
         &g,
         p,
         &cfg,
@@ -465,8 +474,8 @@ fn checkpointing_never_changes_results_and_is_step_attributed() {
             max_recoveries: 0,
             ..ResilOptions::none()
         };
-        let ckpt = run_distributed_resilient(&g, p, &cfg, RunConfig::default(), &resil)
-            .expect("checkpointed run");
+        let ckpt =
+            run_resilient(&g, p, &cfg, RunConfig::default(), &resil).expect("checkpointed run");
         assert_bit_identical(&ckpt, &clean, "checkpoint-on vs off");
         assert_eq!(ckpt.recoveries, 0);
         assert_eq!(ckpt.resumed_from_phase, None);
@@ -526,6 +535,36 @@ fn with_plan_and_health(spec: &str, health: HealthConfig) -> RunConfig {
     }
 }
 
+/// Arming the watchdog ladder (deadline-aware waits, heartbeats, the
+/// retry/backoff machinery) must cost a healthy run nothing but
+/// bookkeeping: same result as under the legacy hard deadline, and not
+/// one watchdog event.
+#[test]
+fn armed_watchdog_never_changes_a_fault_free_run() {
+    let cfg = DistConfig {
+        delta_ghost_refresh: true,
+        ..DistConfig::with_variant(Variant::Et { alpha: 0.25 })
+    };
+    for (name, g) in graphs() {
+        let arm = |health: HealthConfig| {
+            let runcfg = RunConfig {
+                health,
+                ..RunConfig::default()
+            };
+            run_resilient(&g, 4, &cfg, runcfg, &ResilOptions::none()).expect("fault-free run")
+        };
+        let off = arm(HealthConfig::disabled());
+        let on = arm(HealthConfig::default());
+        assert_bit_identical(&off, &on, name);
+        let t = &on.traffic;
+        assert_eq!(
+            (t.wd_timeouts, t.wd_retries, t.wd_stragglers),
+            (0, 0, 0),
+            "{name}: a healthy run must not trip the watchdog"
+        );
+    }
+}
+
 /// The watchdog counterpart of the kill-and-resume tentpole: a rank
 /// that goes silent (hangs) at EVERY phase, for every rank count and
 /// graph family, is detected within the configured deadline ladder,
@@ -551,7 +590,7 @@ fn hang_recovery_is_bit_identical_for_every_phase() {
                     max_recoveries: 1,
                     ..ResilOptions::none()
                 };
-                let out = run_distributed_resilient(
+                let out = run_resilient(
                     &g,
                     p,
                     &cfg,
@@ -599,7 +638,7 @@ fn stall_straggler_is_extended_not_declared_hung() {
     // op-keyed (phase-independent), so under this seed op 10 of every
     // epoch stalls — roughly one straggler episode per phase.
     let spec = "seed=2;stall:rank=1,ms=150,prob=0.05";
-    let out = run_distributed_resilient(
+    let out = run_resilient(
         &g,
         p,
         &cfg,
@@ -637,7 +676,7 @@ fn corrupt_payload_and_flaky_burst_are_absorbed_deterministically() {
     let clean = run_distributed(&g, p, &cfg);
     let spec = "seed=21;corrupt-payload:prob=0.03;flaky-burst:prob=0.02,len=2";
     let run_faulty = || {
-        run_distributed_resilient(
+        run_resilient(
             &g,
             p,
             &cfg,
@@ -682,7 +721,7 @@ fn run_report_carries_health_section_and_hung_events() {
         max_recoveries: 1,
         ..ResilOptions::none()
     };
-    let out = run_distributed_resilient(
+    let out = run_resilient(
         &g,
         p,
         &cfg,

@@ -21,8 +21,11 @@ use distributed_louvain::graph::gen::{
 use distributed_louvain::graph::{Csr, EdgeSink};
 use distributed_louvain::store::{Slab, SlabBuilder, SlabOptions};
 
-fn tmp_dir() -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("louvain-storage-e2e-{}", std::process::id()));
+/// One directory per test: tests of this binary run concurrently and
+/// each removes its directory when done.
+fn tmp_dir(test: &str) -> PathBuf {
+    let dir =
+        std::env::temp_dir().join(format!("louvain-storage-e2e-{}-{test}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     dir
 }
@@ -50,7 +53,7 @@ fn run_src(src: GraphSource<'_>, p: usize, cfg: &DistConfig) -> DistOutcome {
 
 #[test]
 fn all_three_load_paths_are_bit_identical_across_the_matrix() {
-    let dir = tmp_dir();
+    let dir = tmp_dir("matrix");
     let graphs: Vec<(&str, Csr, PathBuf)> = vec![
         {
             let p = Ssca2Params::paper(800, 9);
@@ -193,7 +196,7 @@ fn all_three_load_paths_are_bit_identical_across_the_matrix() {
 /// generics; this guards the trait path itself).
 #[test]
 fn sink_trait_object_and_direct_calls_build_identical_slabs() {
-    let dir = tmp_dir();
+    let dir = tmp_dir("sink");
     let p = RmatParams::social(8, 4, 3);
     let direct = dir.join("direct.slab");
     let via_dyn = dir.join("dyn.slab");
