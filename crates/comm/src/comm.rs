@@ -510,103 +510,70 @@ impl Comm {
     // Collectives
     // ---------------------------------------------------------------
 
-    /// Synchronize all ranks.
-    pub fn barrier(&self) {
+    /// One blackboard collective: count the op, charge `bytes` to the
+    /// current step, deposit `value` and `read` the filled board.
+    fn collective<T: Send + 'static, R>(
+        &self,
+        bytes: u64,
+        value: T,
+        read: impl FnOnce(&mut [Option<Box<dyn std::any::Any + Send>>]) -> R,
+    ) -> R {
         self.fault_op_tick();
         self.stats
-            .record_collective(0, self.cost.collective(self.size, 0));
+            .record_collective(bytes, self.cost.collective(self.size, bytes));
         let ctx = self.wait_ctx();
         self.blackboard
-            .exchange_watched(self.rank, (), |_| (), Some(&ctx));
+            .exchange_watched(self.rank, value, read, Some(&ctx))
+    }
+
+    /// Synchronize all ranks.
+    pub fn barrier(&self) {
+        self.collective(0, (), |_| ());
     }
 
     /// Every rank contributes one value; every rank receives the vector of
     /// all contributions indexed by rank.
     pub fn all_gather<T: Clone + Send + 'static>(&self, value: T) -> Vec<T> {
-        self.fault_op_tick();
-        let bytes = std::mem::size_of::<T>() as u64;
-        self.stats
-            .record_collective(bytes, self.cost.collective(self.size, bytes));
-        let ctx = self.wait_ctx();
-        self.blackboard.exchange_watched(
-            self.rank,
-            value,
-            |slots| {
-                slots
-                    .iter()
-                    .map(|s| s.as_ref().unwrap().downcast_ref::<T>().unwrap().clone())
-                    .collect()
-            },
-            Some(&ctx),
-        )
+        self.collective(std::mem::size_of::<T>() as u64, value, |slots| {
+            slots
+                .iter()
+                .map(|s| s.as_ref().unwrap().downcast_ref::<T>().unwrap().clone())
+                .collect()
+        })
     }
 
     /// Global reduction; every rank receives the combined value.
     pub fn all_reduce<T: Reducible>(&self, value: T, op: ReduceOp) -> T {
-        self.fault_op_tick();
-        let bytes = T::wire_bytes();
-        self.stats
-            .record_collective(bytes, self.cost.collective(self.size, bytes));
-        let ctx = self.wait_ctx();
-        self.blackboard.exchange_watched(
-            self.rank,
-            value,
-            |slots| {
-                slots
-                    .iter()
-                    .map(|s| *s.as_ref().unwrap().downcast_ref::<T>().unwrap())
-                    .reduce(|a, b| T::combine(op, a, b))
-                    .expect("non-empty job")
-            },
-            Some(&ctx),
-        )
+        self.collective(T::wire_bytes(), value, |slots| {
+            slots
+                .iter()
+                .map(|s| *s.as_ref().unwrap().downcast_ref::<T>().unwrap())
+                .reduce(|a, b| T::combine(op, a, b))
+                .expect("non-empty job")
+        })
     }
 
     /// Exclusive prefix sum: rank `i` receives the sum of the values
     /// contributed by ranks `0..i` (zero on rank 0). This is the primitive
     /// behind the global renumbering step of graph reconstruction.
     pub fn exscan_sum<T: Reducible>(&self, value: T) -> T {
-        self.fault_op_tick();
-        let bytes = T::wire_bytes();
-        self.stats
-            .record_collective(bytes, self.cost.collective(self.size, bytes));
         let rank = self.rank;
-        let ctx = self.wait_ctx();
-        self.blackboard.exchange_watched(
-            self.rank,
-            value,
-            move |slots| {
-                slots[..rank]
-                    .iter()
-                    .map(|s| *s.as_ref().unwrap().downcast_ref::<T>().unwrap())
-                    .fold(T::zero(), |a, b| T::combine(ReduceOp::Sum, a, b))
-            },
-            Some(&ctx),
-        )
+        self.collective(T::wire_bytes(), value, move |slots| {
+            slots[..rank]
+                .iter()
+                .map(|s| *s.as_ref().unwrap().downcast_ref::<T>().unwrap())
+                .fold(T::zero(), |a, b| T::combine(ReduceOp::Sum, a, b))
+        })
     }
 
     /// Broadcast `value` from `root` to all ranks. Non-root contributions
     /// are ignored (pass any placeholder).
     pub fn broadcast<T: Clone + Send + 'static>(&self, root: usize, value: T) -> T {
-        self.fault_op_tick();
         assert!(root < self.size);
-        let bytes = std::mem::size_of::<T>() as u64;
-        self.stats
-            .record_collective(bytes, self.cost.collective(self.size, bytes));
-        let ctx = self.wait_ctx();
-        self.blackboard.exchange_watched(
-            self.rank,
-            value,
-            |slots| {
-                slots[root]
-                    .as_ref()
-                    .unwrap()
-                    .downcast_ref::<T>()
-                    .unwrap()
-                    .clone()
-            },
-            Some(&ctx),
-        )
+        self.collective(std::mem::size_of::<T>() as u64, value, |slots| {
+            let sent = slots[root].as_ref().unwrap();
+            sent.downcast_ref::<T>().unwrap().clone()
+        })
     }
 
     /// Gather variable-length buffers to `root`. Returns `Some(bufs)` on
@@ -616,36 +583,19 @@ impl Comm {
         root: usize,
         data: Vec<T>,
     ) -> Option<Vec<Vec<T>>> {
-        self.fault_op_tick();
         assert!(root < self.size);
         let bytes = (data.len() * std::mem::size_of::<T>()) as u64;
-        self.stats
-            .record_collective(bytes, self.cost.collective(self.size, bytes));
         let is_root = self.rank == root;
-        let ctx = self.wait_ctx();
-        self.blackboard.exchange_watched(
-            self.rank,
-            data,
-            move |slots| {
-                if is_root {
-                    Some(
-                        slots
-                            .iter_mut()
-                            .map(|s| {
-                                // Move the payload out; non-roots never read it and
-                                // the board is reset after the round completes.
-                                std::mem::take(
-                                    s.as_mut().unwrap().downcast_mut::<Vec<T>>().unwrap(),
-                                )
-                            })
-                            .collect(),
-                    )
-                } else {
-                    None
-                }
-            },
-            Some(&ctx),
-        )
+        self.collective(bytes, data, move |slots| {
+            // Move the payloads out; non-roots never read them and the
+            // board is reset after the round completes.
+            is_root.then(|| {
+                slots
+                    .iter_mut()
+                    .map(|s| std::mem::take(s.as_mut().unwrap().downcast_mut::<Vec<T>>().unwrap()))
+                    .collect()
+            })
+        })
     }
 
     /// Irregular all-to-all: `bufs[j]` is sent to rank `j`; the result's
@@ -675,49 +625,6 @@ impl Comm {
             .record_p2p_batch(nmsgs, sent, self.cost.all_to_all(nmsgs, sent));
         let mut out: Vec<Vec<T>> = (0..self.size).map(|_| Vec::new()).collect();
         out[self.rank] = mine;
-        for (src, slot) in out.iter_mut().enumerate() {
-            if src == self.rank {
-                continue;
-            }
-            let ctx = self.wait_ctx();
-            let env = self.mailbox.borrow_mut().recv_matching(src, A2A_TAG, &ctx);
-            *slot = *env
-                .payload
-                .downcast::<Vec<T>>()
-                .expect("all_to_all_v type mismatch");
-        }
-        out
-    }
-
-    /// Like [`Comm::all_to_all_v`], but borrows the send buffers instead
-    /// of consuming them, so a caller that reuses the same buffers every
-    /// round (e.g. a ghost layer's request lists) does not have to clone
-    /// the whole `Vec<Vec<T>>` per call. Only the cross-rank payloads are
-    /// cloned onto the wire; the self-buffer is cloned directly into the
-    /// result.
-    pub fn all_to_all_v_ref<T: Clone + Send + 'static>(&self, bufs: &[Vec<T>]) -> Vec<Vec<T>> {
-        assert_eq!(
-            bufs.len(),
-            self.size,
-            "all_to_all_v needs one buffer per rank"
-        );
-        const A2A_TAG: Tag = u32::MAX - 7;
-        self.fault_op_tick();
-        let mut nmsgs = 0u64;
-        let mut sent = 0u64;
-        for (dst, buf) in bufs.iter().enumerate() {
-            if dst == self.rank {
-                continue;
-            }
-            let bytes = (buf.len() * std::mem::size_of::<T>()) as u64;
-            let copies = self.deliver(dst, A2A_TAG, buf.clone(), bytes);
-            nmsgs += copies;
-            sent += bytes * copies;
-        }
-        self.stats
-            .record_p2p_batch(nmsgs, sent, self.cost.all_to_all(nmsgs, sent));
-        let mut out: Vec<Vec<T>> = (0..self.size).map(|_| Vec::new()).collect();
-        out[self.rank] = bufs[self.rank].clone();
         for (src, slot) in out.iter_mut().enumerate() {
             if src == self.rank {
                 continue;

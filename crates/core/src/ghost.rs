@@ -1,17 +1,26 @@
-//! Ghost-vertex discovery and refresh (Algorithm 4).
+//! The halo: everything a rank knows about state it does not own.
 //!
-//! Once per phase, every rank scans its edge lists for destinations owned
-//! elsewhere, sends each owner the list of vertices it needs ("ghosts"),
-//! and the owner remembers which of its vertices to serve to whom. Every
-//! iteration then starts with the owners *pushing* the latest community
-//! assignment of those vertices (Algorithm 3 lines 4–5).
+//! The paper keeps remote state in two replicas. *Ghost vertices*
+//! (Algorithm 4): once per phase every rank scans its edge lists for
+//! destinations owned elsewhere, sends each owner the list of vertices it
+//! needs, and the owner remembers which of its vertices to serve to whom;
+//! every iteration then starts with the owners *pushing* the latest value
+//! of those vertices (Algorithm 3 lines 4–5). *Ghost communities*: ranks
+//! *pull* `a_c` of the remote communities their vertices may join and
+//! *push* weight deltas back to the owners (lines 10–11).
+//!
+//! No other module knows how either replica is laid out or exchanged:
+//! [`GhostLayer::value_of`] is the one read of a neighbour's value (the
+//! single edit point for a denser slot layout), [`GhostLayer::exchange`]
+//! and the two refresh flavours under it the one refresh, and
+//! [`pull_from_owners`] / [`push_to_owners`] the one owner exchange.
 //!
 //! Three refinements from the paper's discussion are implemented here:
 //!
-//! * **neighborhood refresh** ([`GhostLayer::refresh_neighborhood`]) —
-//!   the ghost topology is fixed for the whole phase and symmetric, so the
-//!   exchange can use an MPI-3-style neighborhood collective whose
-//!   per-message cost scales with the topology degree instead of `p−1`;
+//! * **neighborhood transport** — the ghost topology is fixed for the
+//!   whole phase and symmetric, so the exchange can use an MPI-3-style
+//!   neighborhood collective whose per-message cost scales with the
+//!   topology degree instead of `p−1`;
 //! * **delta refresh** ([`GhostLayer::refresh_delta`]) — after the first
 //!   iterations most vertices stop moving, so owners push `(index, value)`
 //!   pairs only for vertices whose community changed since the last
@@ -30,13 +39,15 @@
 //! buffers cycle through a small pool ([`GhostLayer`] keeps the vectors
 //! returned by one collective and reuses their capacity as the next
 //! round's send buffers) and per-owner slot offsets are precomputed once
-//! at build time.
+//! at build time; the owner exchanges [`reclaim`] caller-held buffers.
 
 use std::sync::Mutex;
 
-use louvain_comm::Comm;
+use louvain_comm::{Comm, CommStep};
 use louvain_graph::hash::{fast_map, fast_set, FastMap};
-use louvain_graph::{LocalGraph, VertexId};
+use louvain_graph::{LocalGraph, VertexId, VertexPartition, Weight};
+
+use crate::scratch::reclaim;
 
 /// Wire entry of a delta refresh: (position in the receiver's request
 /// list for this owner, new value).
@@ -50,28 +61,23 @@ struct BufPool<T> {
 }
 
 impl<T> BufPool<T> {
+    fn free(&self) -> std::sync::MutexGuard<'_, Vec<Vec<T>>> {
+        self.free.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     fn take(&self) -> Vec<T> {
-        let mut buf = self
-            .free
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .pop()
-            .unwrap_or_default();
+        let mut buf = self.free().pop().unwrap_or_default();
         buf.clear();
         buf
     }
 
     fn put_back(&self, bufs: impl IntoIterator<Item = Vec<T>>) {
-        let mut free = self.free.lock().unwrap_or_else(|e| e.into_inner());
-        free.extend(bufs);
+        self.free().extend(bufs);
     }
 
     /// Bytes held by the pooled buffers (capacities).
     fn pooled_bytes(&self) -> u64 {
-        self.free
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .iter()
+        (self.free().iter())
             .map(|b| (b.capacity() * std::mem::size_of::<T>()) as u64)
             .sum()
     }
@@ -80,6 +86,10 @@ impl<T> BufPool<T> {
 /// Per-phase ghost bookkeeping for one rank.
 #[derive(Debug)]
 pub struct GhostLayer {
+    /// First owned vertex and owned count: ids in `first..first + nlocal`
+    /// are read from the caller's local array, all others from a slot.
+    first: VertexId,
+    nlocal: u64,
     /// Ghost ids this rank needs, grouped by owner, sorted (fixed order —
     /// the wire format of every refresh).
     requests: Vec<Vec<VertexId>>,
@@ -95,11 +105,23 @@ pub struct GhostLayer {
     serve_mask: Vec<Vec<bool>>,
     /// Ranks this rank actually exchanges ghosts with (symmetric).
     neighbors: Vec<usize>,
+    /// Refresh over `neighbors` only (MPI-3 style) instead of the full
+    /// communicator. All ranks must agree.
+    neighborhood: bool,
     /// `base[owner]` — slot offset of `requests[owner][0]` in the flat
-    /// ghost value array (precomputed; `fill_from` runs per refresh).
+    /// ghost value array (precomputed; refreshes fill from it).
     base: Vec<usize>,
     num_ghosts: usize,
     pruned: usize,
+    /// Local values as of the last [`GhostLayer::exchange`] — the
+    /// baseline its delta flavour diffs against.
+    last_pushed: Vec<VertexId>,
+    /// An exchange has happened, so `last_pushed` is a valid baseline
+    /// (it is also empty on a rank without vertices).
+    have_baseline: bool,
+    /// `changed[l]`: local `l` differs from `last_pushed`; rebuilt before
+    /// every delta exchange.
+    changed: Vec<bool>,
     /// Recycled value buffers for full refreshes.
     val_pool: BufPool<VertexId>,
     /// Recycled `(index, value)` buffers for delta refreshes.
@@ -126,17 +148,19 @@ impl GhostLayer {
         }
         // Assign slots in (owner, position-in-request) order.
         let mut slot = fast_map::<VertexId, usize>();
+        let mut base = Vec::new();
         let mut next = 0usize;
         for r in &requests {
+            base.push(next);
             for &g in r {
                 slot.insert(g, next);
                 next += 1;
             }
         }
         // Tell each owner what we need; learn what others need from us.
-        // `all_to_all_v_ref` borrows the request lists (they stay the
-        // wire-format reference for every later refresh).
-        let received = comm.all_to_all_v_ref(&requests);
+        // The request lists stay behind as the wire-format reference for
+        // every later refresh, so a copy goes on the wire (once a phase).
+        let received = comm.all_to_all_v(requests.clone());
         let serve: Vec<Vec<usize>> = received
             .into_iter()
             .map(|ids| ids.into_iter().map(|g| lg.to_local(g)).collect())
@@ -148,24 +172,22 @@ impl GhostLayer {
             .collect();
         let request_mask = requests.iter().map(|r| vec![true; r.len()]).collect();
         let serve_mask = serve.iter().map(|s| vec![true; s.len()]).collect();
-        let base: Vec<usize> = requests
-            .iter()
-            .scan(0usize, |acc, r| {
-                let b = *acc;
-                *acc += r.len();
-                Some(b)
-            })
-            .collect();
         Self {
+            first: lg.first_vertex(),
+            nlocal: lg.num_local() as u64,
             requests,
             request_mask,
             slot,
             serve,
             serve_mask,
             neighbors,
+            neighborhood: false,
             base,
             num_ghosts: next,
             pruned: 0,
+            last_pushed: Vec::new(),
+            have_baseline: false,
+            changed: Vec::new(),
             val_pool: BufPool::default(),
             delta_pool: BufPool::default(),
         }
@@ -186,118 +208,107 @@ impl GhostLayer {
         &self.neighbors
     }
 
+    /// Choose the refresh transport: the neighborhood topology (MPI-3
+    /// style, per-message cost scales with the topology degree) or the
+    /// full communicator (the default). Every rank must make the same
+    /// choice before its next refresh.
+    pub fn use_neighborhood(&mut self, on: bool) {
+        self.neighborhood = on;
+    }
+
     /// Slot of a ghost id in the value array filled by
-    /// [`GhostLayer::refresh`].
+    /// [`GhostLayer::refresh`]: slots follow the flattened request lists.
     #[inline]
-    pub fn slot_of(&self, v: VertexId) -> usize {
+    fn slot_of(&self, v: VertexId) -> usize {
         self.slot[&v]
     }
 
-    /// Build the per-peer outgoing value buffer for a refresh round
-    /// (masked serve entries are skipped), reusing pooled capacity.
-    fn serve_buffers(&self, local_vals: &[VertexId], j: usize) -> Vec<VertexId> {
-        let mut buf = self.val_pool.take();
-        buf.extend(
-            self.serve[j]
-                .iter()
-                .zip(&self.serve_mask[j])
-                .filter(|&(_, &alive)| alive)
-                .map(|(&l, _)| local_vals[l]),
-        );
-        buf
-    }
-
-    /// Build the per-peer outgoing delta buffer: `(index, value)` pairs
-    /// for alive serve entries whose local vertex is marked changed.
-    fn delta_buffers(
+    /// Value of vertex `u` as this rank sees it: `local(u - first)` for
+    /// an owned vertex, otherwise its replica in `ghost_vals` (an array
+    /// filled by [`GhostLayer::refresh`]). `u` must be owned here or be a
+    /// neighbor of an owned vertex.
+    #[inline]
+    pub fn value_of<V: Copy>(
         &self,
-        local_vals: &[VertexId],
-        changed: &[bool],
-        j: usize,
-    ) -> Vec<DeltaEntry> {
-        let mut buf = self.delta_pool.take();
-        buf.extend(
-            self.serve[j]
-                .iter()
-                .zip(&self.serve_mask[j])
-                .enumerate()
-                .filter(|&(_, (&l, &alive))| alive && changed[l])
-                .map(|(i, (&l, _))| (i as u32, local_vals[l])),
-        );
-        buf
-    }
-
-    /// Scatter one peer's reply into the slot array (masked request
-    /// entries keep their last value).
-    fn fill_from(&self, out: &mut [VertexId], owner: usize, values: &[VertexId]) {
-        let base = self.base[owner];
-        let mut vi = 0;
-        for (i, &alive) in self.request_mask[owner].iter().enumerate() {
-            if alive {
-                out[base + i] = values[vi];
-                vi += 1;
-            }
-        }
-        debug_assert_eq!(vi, values.len());
-    }
-
-    /// Scatter one peer's delta reply: only the mentioned slots change.
-    fn fill_from_delta(&self, out: &mut [VertexId], owner: usize, pairs: &[DeltaEntry]) {
-        let base = self.base[owner];
-        for &(i, v) in pairs {
-            debug_assert!(
-                self.request_mask[owner][i as usize],
-                "delta for a pruned ghost slot"
-            );
-            out[base + i as usize] = v;
+        u: VertexId,
+        local: impl FnOnce(usize) -> V,
+        ghost_vals: &[V],
+    ) -> V {
+        let l = u.wrapping_sub(self.first);
+        if l < self.nlocal {
+            local(l as usize)
+        } else {
+            ghost_vals[self.slot_of(u)]
         }
     }
 
-    /// One refresh round over the full communicator: every owner pushes
-    /// `local_vals` entries for the vertices each peer ghosts; `out` is
-    /// updated in slot order (it must persist across rounds once pruning
-    /// is enabled — pruned slots keep their frozen value). Collective.
-    pub fn refresh(&self, comm: &Comm, local_vals: &[VertexId], out: &mut Vec<VertexId>) {
-        out.resize(self.num_ghosts, 0);
-        let sends: Vec<Vec<VertexId>> = (0..comm.size())
-            .map(|j| self.serve_buffers(local_vals, j))
-            .collect();
-        let received = comm.all_to_all_v(sends);
-        for (owner, values) in received.iter().enumerate() {
-            self.fill_from(out, owner, values);
-        }
-        self.val_pool.put_back(received);
-    }
-
-    /// [`GhostLayer::refresh`] over the neighborhood topology only
-    /// (MPI-3 style): per-message cost scales with the topology degree.
-    /// All ranks must use the same refresh flavour within a phase.
-    pub fn refresh_neighborhood(
+    /// One round over the layer's transport: `send(j)` fills a pooled
+    /// buffer for peer `j`, `fill(owner, entries)` consumes what `owner`
+    /// sent; the received buffers go back to `pool`.
+    fn round<T: Send + 'static>(
         &self,
         comm: &Comm,
-        local_vals: &[VertexId],
-        out: &mut Vec<VertexId>,
+        pool: &BufPool<T>,
+        send: impl Fn(usize, &mut Vec<T>),
+        mut fill: impl FnMut(usize, &[T]),
     ) {
-        out.resize(self.num_ghosts, 0);
-        let sends: Vec<Vec<VertexId>> = self
-            .neighbors
-            .iter()
-            .map(|&j| self.serve_buffers(local_vals, j))
+        // The i-th buffer goes to (and comes from) the i-th neighbor, or
+        // rank i on the full communicator.
+        let nbrs = self.neighborhood.then_some(&self.neighbors);
+        let npeers = nbrs.map_or(comm.size(), Vec::len);
+        let peer = |i: usize| nbrs.map_or(i, |n| n[i]);
+        let sends = (0..npeers)
+            .map(|i| {
+                let mut buf = pool.take();
+                send(peer(i), &mut buf);
+                buf
+            })
             .collect();
-        let received = comm.neighbor_all_to_all_v(&self.neighbors, sends);
-        for (&owner, values) in self.neighbors.iter().zip(&received) {
-            self.fill_from(out, owner, values);
+        let received = match nbrs {
+            Some(n) => comm.neighbor_all_to_all_v(n, sends),
+            None => comm.all_to_all_v(sends),
+        };
+        for (i, entries) in received.iter().enumerate() {
+            fill(peer(i), entries);
         }
-        self.val_pool.put_back(received);
+        pool.put_back(received);
     }
 
-    /// Delta refresh over the full communicator: owners push `(index,
-    /// value)` pairs only for serve entries whose local vertex is marked
-    /// in `changed` (indexed by local vertex). `out` must already hold
-    /// the values of a previous full refresh of this phase with every
-    /// un-`changed` vertex at its current value — then the result is
-    /// byte-identical to a full [`GhostLayer::refresh`]. Collective; all
-    /// ranks must take the delta path in the same round.
+    /// One refresh round: every owner pushes `local_vals` entries for
+    /// the vertices each peer ghosts (pruned serve entries are skipped);
+    /// `out` is updated in slot order (it must persist across rounds once
+    /// pruning is enabled — pruned slots keep their frozen value).
+    /// Collective.
+    pub fn refresh(&self, comm: &Comm, local_vals: &[VertexId], out: &mut Vec<VertexId>) {
+        out.resize(self.num_ghosts, 0);
+        self.round(
+            comm,
+            &self.val_pool,
+            |j, buf| {
+                let alive = self.serve[j].iter().zip(&self.serve_mask[j]);
+                buf.extend(alive.filter(|&(_, &on)| on).map(|(&l, _)| local_vals[l]));
+            },
+            |owner, values| {
+                let base = self.base[owner];
+                let mut vi = 0;
+                for (i, &alive) in self.request_mask[owner].iter().enumerate() {
+                    if alive {
+                        out[base + i] = values[vi];
+                        vi += 1;
+                    }
+                }
+                debug_assert_eq!(vi, values.len());
+            },
+        );
+    }
+
+    /// Delta refresh: owners push `(index, value)` pairs only for alive
+    /// serve entries whose local vertex is marked in `changed` (indexed
+    /// by local vertex); only the mentioned slots change. `out` must
+    /// already hold the values of a previous full refresh of this phase
+    /// with every un-`changed` vertex at its current value — then the
+    /// result is byte-identical to a full [`GhostLayer::refresh`].
+    /// Collective; all ranks must take the delta path in the same round.
     pub fn refresh_delta(
         &self,
         comm: &Comm,
@@ -310,39 +321,79 @@ impl GhostLayer {
             self.num_ghosts,
             "delta refresh needs a full refresh first"
         );
-        let sends: Vec<Vec<DeltaEntry>> = (0..comm.size())
-            .map(|j| self.delta_buffers(local_vals, changed, j))
-            .collect();
-        let received = comm.all_to_all_v(sends);
-        for (owner, pairs) in received.iter().enumerate() {
-            self.fill_from_delta(out, owner, pairs);
-        }
-        self.delta_pool.put_back(received);
+        self.round(
+            comm,
+            &self.delta_pool,
+            |j, buf| {
+                let entries = self.serve[j].iter().zip(&self.serve_mask[j]).enumerate();
+                buf.extend(
+                    entries
+                        .filter(|&(_, (&l, &on))| on && changed[l])
+                        .map(|(i, (&l, _))| (i as u32, local_vals[l])),
+                );
+            },
+            |owner, pairs| {
+                for &(i, v) in pairs {
+                    debug_assert!(
+                        self.request_mask[owner][i as usize],
+                        "delta for a pruned ghost slot"
+                    );
+                    out[self.base[owner] + i as usize] = v;
+                }
+            },
+        );
     }
 
-    /// [`GhostLayer::refresh_delta`] over the neighborhood topology.
-    pub fn refresh_delta_neighborhood(
-        &self,
+    /// One refresh of the same `out` array round after round, full or
+    /// delta flavour, remembering `local_vals` as the next round's delta
+    /// baseline.
+    ///
+    /// The flavour must be decided *uniformly* across ranks (it changes
+    /// the collective's payload type): `allow_delta` must be the same on
+    /// every rank, and whether a baseline exists advances in lockstep
+    /// because exchanges are collective.
+    ///
+    /// The changed bits diff against the exact last-pushed values rather
+    /// than any per-iteration move flag, so callers may exchange several
+    /// times per iteration (colored sub-rounds) or after moving vertices
+    /// outside a sweep (vertex following).
+    pub fn exchange(
+        &mut self,
         comm: &Comm,
         local_vals: &[VertexId],
-        changed: &[bool],
-        out: &mut [VertexId],
+        out: &mut Vec<VertexId>,
+        allow_delta: bool,
     ) {
-        debug_assert_eq!(
-            out.len(),
-            self.num_ghosts,
-            "delta refresh needs a full refresh first"
-        );
-        let sends: Vec<Vec<DeltaEntry>> = self
-            .neighbors
-            .iter()
-            .map(|&j| self.delta_buffers(local_vals, changed, j))
-            .collect();
-        let received = comm.neighbor_all_to_all_v(&self.neighbors, sends);
-        for (&owner, pairs) in self.neighbors.iter().zip(&received) {
-            self.fill_from_delta(out, owner, pairs);
+        let use_delta = allow_delta && self.have_baseline;
+        if use_delta {
+            debug_assert_eq!(self.last_pushed.len(), local_vals.len());
+            self.changed.clear();
+            self.changed.extend(
+                local_vals
+                    .iter()
+                    .zip(&self.last_pushed)
+                    .map(|(a, b)| a != b),
+            );
+            self.refresh_delta(comm, local_vals, &self.changed, out);
+        } else {
+            self.refresh(comm, local_vals, out);
         }
-        self.delta_pool.put_back(received);
+        self.last_pushed.clear();
+        self.last_pushed.extend_from_slice(local_vals);
+        self.have_baseline = true;
+        // Delta hit-rate metrics: changed/total slot ratio is the payload
+        // compression the delta flavour achieves over a full refresh.
+        if louvain_obs::enabled() {
+            if use_delta {
+                let changed = self.changed.iter().filter(|&&c| c).count() as u64;
+                louvain_obs::counter_add("ghost.delta.refreshes", 1);
+                louvain_obs::counter_add("ghost.delta.changed", changed);
+                louvain_obs::counter_add("ghost.delta.slots", self.changed.len() as u64);
+            } else {
+                louvain_obs::counter_add("ghost.full.refreshes", 1);
+                louvain_obs::counter_add("ghost.full.slots", local_vals.len() as u64);
+            }
+        }
     }
 
     /// Prune refresh traffic for permanently frozen vertices: this rank
@@ -411,11 +462,90 @@ impl GhostLayer {
             + (self.base.capacity() * size_of::<usize>()) as u64
     }
 
-    /// Bytes parked in the recycled wire-buffer pools between refresh
-    /// rounds — the `mem.wire_bytes` gauge.
+    /// Bytes the layer holds for its refresh rounds at the moment of the
+    /// call: the recycled wire-buffer pools and the delta baseline — the
+    /// `mem.wire_bytes` gauge.
     pub fn wire_bytes(&self) -> u64 {
-        self.val_pool.pooled_bytes() + self.delta_pool.pooled_bytes()
+        self.val_pool.pooled_bytes()
+            + self.delta_pool.pooled_bytes()
+            + (self.last_pushed.capacity() * std::mem::size_of::<VertexId>()) as u64
+            + self.changed.capacity() as u64
     }
+}
+
+/// Reusable send/receive buffers of [`pull_from_owners`]: per-rank
+/// request lists and keyed reply lists.
+#[derive(Default)]
+pub struct PullBufs<V> {
+    pub requests: Vec<Vec<VertexId>>,
+    pub replies: Vec<Vec<(VertexId, V)>>,
+}
+
+/// Keyed pull: fetch `answer(k)` from the owner (under `part`) of every
+/// key in `keys` and insert the `(k, value)` pairs into `out`. Sends
+/// exactly the keys it is given, in the order given (dedupe is the
+/// caller's business). Owners reply keyed, so the requests need not be
+/// retained to decode positional replies, and both receive sides are
+/// reclaimed into `bufs` as the next call's send buffers — a caller that
+/// keeps `bufs` across calls allocates nothing in steady state. Both
+/// exchanges are charged to `step`. Collective.
+///
+/// Not `#[inline]`: forced into `louvain_phase` it (with
+/// [`push_to_owners`]) cost the phase loop's sweep ~6 % on the ladder.
+pub fn pull_from_owners<V: Copy + Send + 'static>(
+    comm: &Comm,
+    part: &VertexPartition,
+    step: CommStep,
+    keys: impl IntoIterator<Item = VertexId>,
+    bufs: &mut PullBufs<V>,
+    answer: impl Fn(VertexId) -> V,
+    out: &mut FastMap<VertexId, V>,
+) {
+    let PullBufs { requests, replies } = bufs;
+    requests.resize_with(comm.size(), Vec::new);
+    replies.resize_with(comm.size(), Vec::new);
+    for k in keys {
+        requests[part.owner_of(k)].push(k);
+    }
+    let answers = comm.with_step(step, || {
+        let incoming = comm.all_to_all_v(std::mem::take(requests));
+        for (reply, asked) in replies.iter_mut().zip(&incoming) {
+            reply.extend(asked.iter().map(|&k| (k, answer(k))));
+        }
+        reclaim(requests, incoming);
+        comm.all_to_all_v(std::mem::take(replies))
+    });
+    for &(k, v) in answers.iter().flatten() {
+        out.insert(k, v);
+    }
+    reclaim(replies, answers);
+}
+
+/// Wire entry of [`push_to_owners`]: `(community, Δa_c, Δsize)`.
+pub type CommunityDelta = (VertexId, Weight, i64);
+
+/// Push per-community `(Δa_c, Δsize)` to the community owners (Algorithm
+/// 3, lines 10–11) and hand every delta received here to `apply`.
+/// Messages carry `deltas` in its iteration order and are applied in
+/// (source rank, message) order — floating-point accumulation at the
+/// owner follows it. `bufs` is reclaimed like [`PullBufs`]. Collective.
+pub fn push_to_owners(
+    comm: &Comm,
+    part: &VertexPartition,
+    step: CommStep,
+    deltas: &FastMap<VertexId, (Weight, i64)>,
+    bufs: &mut Vec<Vec<CommunityDelta>>,
+    mut apply: impl FnMut(VertexId, Weight, i64),
+) {
+    bufs.resize_with(comm.size(), Vec::new);
+    for (&c, &(da, ds)) in deltas {
+        bufs[part.owner_of(c)].push((c, da, ds));
+    }
+    let received = comm.with_step(step, || comm.all_to_all_v(std::mem::take(bufs)));
+    for &(c, da, ds) in received.iter().flatten() {
+        apply(c, da, ds);
+    }
+    reclaim(bufs, received);
 }
 
 #[cfg(test)]
@@ -483,21 +613,34 @@ mod tests {
         assert!(out.into_iter().all(|b| b));
     }
 
+    /// Messages this rank has sent so far.
+    fn sent(c: &Comm) -> u64 {
+        c.stats().snapshot().p2p_messages
+    }
+
     #[test]
-    fn neighborhood_refresh_matches_full_refresh() {
+    fn neighborhood_transport_matches_full_with_fewer_messages() {
+        // A 16-ring on 4 ranks is a sparse topology: two neighbors each,
+        // three peers.
         let g = ring(16);
         let parts = scatter_for(4, &g);
         let out = run(4, |c| {
             let lg = parts[c.rank()].clone();
-            let layer = GhostLayer::build(c, &lg);
+            let mut layer = GhostLayer::build(c, &lg);
             let local_vals: Vec<u64> = (0..lg.num_local()).map(|l| 7 * lg.to_global(l)).collect();
+            let m0 = sent(c);
             let mut full = Vec::new();
             layer.refresh(c, &local_vals, &mut full);
+            let m1 = sent(c);
+            layer.use_neighborhood(true);
             let mut nbr = Vec::new();
-            layer.refresh_neighborhood(c, &local_vals, &mut nbr);
-            full == nbr
+            layer.refresh(c, &local_vals, &mut nbr);
+            (full == nbr, m1 - m0, sent(c) - m1)
         });
-        assert!(out.into_iter().all(|b| b));
+        for (same, full_msgs, nbr_msgs) in out {
+            assert!(same);
+            assert_eq!((full_msgs, nbr_msgs), (3, 2));
+        }
     }
 
     #[test]
@@ -540,12 +683,12 @@ mod tests {
     }
 
     #[test]
-    fn delta_neighborhood_matches_delta_full() {
-        let g = ring(12);
-        let parts = scatter_for(3, &g);
-        let out = run(3, |c| {
+    fn delta_neighborhood_transport_matches_full_with_fewer_messages() {
+        let g = ring(16);
+        let parts = scatter_for(4, &g);
+        let out = run(4, |c| {
             let lg = parts[c.rank()].clone();
-            let layer = GhostLayer::build(c, &lg);
+            let mut layer = GhostLayer::build(c, &lg);
             let vals1: Vec<u64> = (0..lg.num_local()).map(|l| lg.to_global(l)).collect();
             let mut baseline = Vec::new();
             layer.refresh(c, &vals1, &mut baseline);
@@ -553,13 +696,19 @@ mod tests {
                 .map(|l| 3 * lg.to_global(l) + 1)
                 .collect();
             let changed = vec![true; lg.num_local()];
+            let m0 = sent(c);
             let mut via_full = baseline.clone();
             layer.refresh_delta(c, &vals2, &changed, &mut via_full);
+            let m1 = sent(c);
+            layer.use_neighborhood(true);
             let mut via_nbr = baseline.clone();
-            layer.refresh_delta_neighborhood(c, &vals2, &changed, &mut via_nbr);
-            via_full == via_nbr
+            layer.refresh_delta(c, &vals2, &changed, &mut via_nbr);
+            (via_full == via_nbr, m1 - m0, sent(c) - m1)
         });
-        assert!(out.into_iter().all(|b| b));
+        for (same, full_msgs, nbr_msgs) in out {
+            assert!(same);
+            assert_eq!((full_msgs, nbr_msgs), (3, 2));
+        }
     }
 
     #[test]
@@ -675,14 +824,15 @@ mod tests {
         let out = run(3, |c| {
             let lg = parts[c.rank()].clone();
             let mut layer = GhostLayer::build(c, &lg);
+            layer.use_neighborhood(true);
             let mut ghost_vals = Vec::new();
             let vals: Vec<u64> = (0..lg.num_local()).map(|l| lg.to_global(l)).collect();
-            layer.refresh_neighborhood(c, &vals, &mut ghost_vals);
+            layer.refresh(c, &vals, &mut ghost_vals);
             // Everyone freezes their first local vertex.
             let frozen = vec![0usize];
             layer.prune(c, &lg, &frozen);
             let vals2: Vec<u64> = (0..lg.num_local()).map(|l| 500 + lg.to_global(l)).collect();
-            layer.refresh_neighborhood(c, &vals2, &mut ghost_vals);
+            layer.refresh(c, &vals2, &mut ghost_vals);
             ghost_vals
         });
         // Rank 0 ghosts 11 (from rank 2) and 4 (from rank 1). Vertex 4 is

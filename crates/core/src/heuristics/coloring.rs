@@ -62,11 +62,7 @@ pub fn distributed_coloring(
                 if u == v {
                     continue;
                 }
-                let cu = if lg.owns(u) {
-                    snapshot[(u - lg.first_vertex()) as usize]
-                } else {
-                    ghost_color[ghosts.slot_of(u)]
-                };
+                let cu = ghosts.value_of(u, |i| snapshot[i], &ghost_color);
                 if cu == UNCOLORED {
                     let up = priority(seed, u);
                     // Deterministic total order: priority, then id.

@@ -45,9 +45,9 @@ use louvain_graph::hash::{fast_map, FastMap};
 use louvain_graph::{LocalGraph, VertexId, Weight};
 
 use crate::config::{DistConfig, SweepMode};
-use crate::ghost::GhostLayer;
+use crate::ghost::{pull_from_owners, push_to_owners, GhostLayer, PullBufs};
 use crate::heuristics::{distributed_coloring, EtTracker};
-use crate::scratch::{reclaim, IterScratch};
+use crate::scratch::IterScratch;
 use crate::stats::{IterationTrace, WorkCounter};
 
 /// Outcome of one phase's iteration loop on one rank.
@@ -115,6 +115,14 @@ impl SweepState {
     fn snapshot_a(&self) -> Vec<Weight> {
         self.a.iter().map(|a| a.load()).collect()
     }
+
+    /// Owner side of the delta push: fold a peer's `(Δa_c, Δsize)` into
+    /// owned community `i`.
+    fn absorb(&self, i: usize, da: Weight, ds: i64) {
+        self.a[i].fetch_add(da);
+        let cur = self.size[i].load(Ordering::Relaxed) as i64;
+        self.size[i].store((cur + ds) as u64, Ordering::Relaxed);
+    }
 }
 
 /// Per-thread accumulation of one sweep chunk, merged after the loop.
@@ -140,73 +148,26 @@ impl SweepAcc {
     }
 }
 
-/// One ghost community exchange (Step 1), full or delta flavour;
-/// returns the modeled seconds it took.
-///
-/// The snapshot is taken into the scratch arena, and after the exchange
-/// becomes the new delta baseline (`last_pushed`). The flavour must be
-/// decided *uniformly* across ranks (it changes the collective's payload
-/// type), so it is derived from the config flag, from whether a full
-/// baseline exists yet (`have_baseline`, which advances in lockstep
-/// because exchanges are collective), and from `few_moved` — the
-/// previous iteration's all-reduced global move count staying under a
-/// quarter of the vertices.
-///
-/// The changed-bit tracking diffs against `last_pushed` rather than
-/// reusing `SweepState::moved`: the move flags reset once per iteration
-/// while colored sweeps exchange once per sub-round, and vertex
-/// following moves vertices outside any sweep. Comparing against the
-/// exact last-pushed values is correct in every one of those paths.
+/// One ghost community exchange (Step 1): snapshot the local
+/// communities into the scratch arena and let the layer refresh
+/// `ghost_comm` from the owners' snapshots; returns the modeled seconds
+/// it took. `allow_delta` must be uniform across ranks (see
+/// [`GhostLayer::exchange`]).
 fn exchange_ghosts(
     comm: &Comm,
-    ghosts: &GhostLayer,
+    ghosts: &mut GhostLayer,
     state: &SweepState,
     scratch: &mut IterScratch,
     ghost_comm: &mut Vec<VertexId>,
-    cfg: &DistConfig,
-    few_moved: bool,
+    allow_delta: bool,
 ) -> f64 {
-    let use_delta = cfg.delta_ghost_refresh && scratch.have_baseline && few_moved;
-    let neighborhood = cfg.neighborhood_collectives;
     let t0 = comm.stats().modeled_seconds();
     comm.with_step(CommStep::GhostRefresh, || {
         scratch.comm_snapshot.clear();
         scratch
             .comm_snapshot
             .extend(state.comm.iter().map(|c| c.load(Ordering::Relaxed)));
-        let vals = &scratch.comm_snapshot;
-        if use_delta {
-            debug_assert_eq!(scratch.last_pushed.len(), vals.len());
-            scratch.changed.clear();
-            scratch
-                .changed
-                .extend(vals.iter().zip(&scratch.last_pushed).map(|(a, b)| a != b));
-            if neighborhood {
-                ghosts.refresh_delta_neighborhood(comm, vals, &scratch.changed, ghost_comm);
-            } else {
-                ghosts.refresh_delta(comm, vals, &scratch.changed, ghost_comm);
-            }
-        } else if neighborhood {
-            ghosts.refresh_neighborhood(comm, vals, ghost_comm);
-        } else {
-            ghosts.refresh(comm, vals, ghost_comm);
-        }
-        scratch.last_pushed.clear();
-        scratch.last_pushed.extend_from_slice(vals);
-        scratch.have_baseline = true;
-        // Delta hit-rate metrics: changed/total slot ratio is the payload
-        // compression the delta flavour achieves over a full refresh.
-        if louvain_obs::enabled() {
-            if use_delta {
-                let changed = scratch.changed.iter().filter(|&&c| c).count() as u64;
-                louvain_obs::counter_add("ghost.delta.refreshes", 1);
-                louvain_obs::counter_add("ghost.delta.changed", changed);
-                louvain_obs::counter_add("ghost.delta.slots", scratch.changed.len() as u64);
-            } else {
-                louvain_obs::counter_add("ghost.full.refreshes", 1);
-                louvain_obs::counter_add("ghost.full.slots", vals.len() as u64);
-            }
-        }
+        ghosts.exchange(comm, &scratch.comm_snapshot, ghost_comm, allow_delta);
     });
     comm.stats().modeled_seconds() - t0
 }
@@ -254,16 +215,14 @@ impl Sweep<'_> {
     where
         I: Iterator<Item = (VertexId, Weight)>,
     {
-        let Sweep { lg, state, .. } = *self;
+        let Sweep {
+            lg,
+            state,
+            ghosts,
+            ghost_comm,
+            ..
+        } = *self;
         let first = lg.first_vertex();
-        let nlocal = lg.num_local();
-        let comm_of = |u: VertexId| -> VertexId {
-            if u >= first && u < first + nlocal as u64 {
-                state.comm_of_local((u - first) as usize)
-            } else {
-                self.ghost_comm[self.ghosts.slot_of(u)]
-            }
-        };
         let v_global = lg.to_global(l);
         let cu = state.comm_of_local(l);
         let kv = self.k_local[l];
@@ -273,7 +232,8 @@ impl Sweep<'_> {
             if u == v_global {
                 continue;
             }
-            *weights.entry(comm_of(u)).or_insert(0.0) += w;
+            let c = ghosts.value_of(u, |i| state.comm_of_local(i), ghost_comm);
+            *weights.entry(c).or_insert(0.0) += w;
         }
         let weights: &'w FastMap<VertexId, Weight> = weights;
         if weights.is_empty() {
@@ -498,6 +458,7 @@ pub fn louvain_phase(
     // (it holds the non-Sync communicator).
     let two_m = ctx.two_m;
 
+    ghosts.use_neighborhood(cfg.neighborhood_collectives);
     let k_local: Vec<Weight> = (0..nlocal).map(|l| lg.weighted_degree(l)).collect();
     let state = SweepState::new(&k_local, lg);
     let mut ghost_comm: Vec<VertexId> = Vec::new();
@@ -551,12 +512,11 @@ pub fn louvain_phase(
 
     // Per-phase scratch arena: every buffer of the four-step loop is
     // allocated once here and recycled across iterations.
-    let mut scratch = IterScratch::new(nlocal, comm.size());
-    // Delta-refresh policy input (with `scratch.have_baseline`): fewer
-    // than a quarter of the global vertices moved in the previous
-    // iteration. Both advance in lockstep on all ranks (exchanges are
-    // collective, the move count is all-reduced), so every rank picks the
-    // same refresh flavour each time.
+    let mut scratch = IterScratch::new(nlocal);
+    // Delta-refresh policy input: fewer than a quarter of the global
+    // vertices moved in the previous iteration. The move count is
+    // all-reduced, so every rank picks the same refresh flavour each
+    // time.
     let mut few_moved = false;
 
     // Distributed vertex following: pendant vertices pre-join their
@@ -565,14 +525,7 @@ pub fn louvain_phase(
     // so every rank must agree on the flag.
     if cfg.vertex_following && phase_idx == 0 {
         let t0 = comm.stats().modeled_seconds();
-        apply_vertex_following(
-            comm,
-            lg,
-            ghosts,
-            &state,
-            &k_local,
-            cfg.neighborhood_collectives,
-        );
+        apply_vertex_following(comm, lg, ghosts, &state, &k_local);
         comm_seconds += comm.stats().modeled_seconds() - t0;
     }
 
@@ -616,8 +569,7 @@ pub fn louvain_phase(
                 &state,
                 &mut scratch,
                 &mut ghost_comm,
-                cfg,
-                few_moved,
+                cfg.delta_ghost_refresh && few_moved,
             );
 
             // -- Step 2: pull a_c for remote communities we may join. ------
@@ -632,48 +584,26 @@ pub fn louvain_phase(
                 }
                 for (u, _) in lg.neighbors(l) {
                     compute.edges_scanned += 1;
-                    let c = if lg.owns(u) {
-                        state.comm_of_local((u - first) as usize)
-                    } else {
-                        ghost_comm[ghosts.slot_of(u)]
-                    };
+                    let c = ghosts.value_of(u, |i| state.comm_of_local(i), &ghost_comm);
                     if !lg.owns(c) {
                         scratch.needed.insert(c);
                     }
                 }
             }
             let t0 = comm.stats().modeled_seconds();
-            for buf in &mut scratch.requests {
-                buf.clear();
-            }
-            for &c in scratch.needed.iter() {
-                scratch.requests[part.owner_of(c)].push(c);
-            }
-            // Keyed exchange: owners reply (community, a_c, size), so the
-            // request buffers need not be retained (or cloned) to decode
-            // the positional replies; both receive sides are reclaimed as
-            // next round's send buffers.
-            let reply_vals = comm.with_step(CommStep::CommunityPull, || {
-                let incoming = comm.all_to_all_v(std::mem::take(&mut scratch.requests));
-                for buf in &mut scratch.replies {
-                    buf.clear();
-                }
-                for (j, ids) in incoming.iter().enumerate() {
-                    scratch.replies[j].extend(ids.iter().map(|&c| {
-                        let i = (c - first) as usize;
-                        (c, state.a[i].load(), state.size[i].load(Ordering::Relaxed))
-                    }));
-                }
-                reclaim(&mut scratch.requests, incoming);
-                comm.all_to_all_v(std::mem::take(&mut scratch.replies))
-            });
             scratch.remote_a.clear();
-            for vals in &reply_vals {
-                for &(c, a, sz) in vals {
-                    scratch.remote_a.insert(c, (a, sz));
-                }
-            }
-            reclaim(&mut scratch.replies, reply_vals);
+            pull_from_owners(
+                comm,
+                part,
+                CommStep::CommunityPull,
+                scratch.needed.iter().copied(),
+                &mut scratch.pull,
+                |c| {
+                    let i = (c - first) as usize;
+                    (state.a[i].load(), state.size[i].load(Ordering::Relaxed))
+                },
+                &mut scratch.remote_a,
+            );
             comm_seconds += comm.stats().modeled_seconds() - t0;
 
             // -- Step 3: the compute sweep (lines 6–9). --------------------
@@ -747,24 +677,14 @@ pub fn louvain_phase(
 
             // -- Step 3b: push deltas to community owners (lines 10–11). --
             let t0 = comm.stats().modeled_seconds();
-            for buf in &mut scratch.delta_msgs {
-                buf.clear();
-            }
-            for (&c, &(da, ds)) in &acc.deltas {
-                scratch.delta_msgs[part.owner_of(c)].push((c, da, ds));
-            }
-            let received_deltas = comm.with_step(CommStep::DeltaPush, || {
-                comm.all_to_all_v(std::mem::take(&mut scratch.delta_msgs))
-            });
-            for msgs in &received_deltas {
-                for &(c, da, ds) in msgs {
-                    let i = (c - first) as usize;
-                    state.a[i].fetch_add(da);
-                    let cur = state.size[i].load(Ordering::Relaxed) as i64;
-                    state.size[i].store((cur + ds) as u64, Ordering::Relaxed);
-                }
-            }
-            reclaim(&mut scratch.delta_msgs, received_deltas);
+            push_to_owners(
+                comm,
+                part,
+                CommStep::DeltaPush,
+                &acc.deltas,
+                &mut scratch.delta_msgs,
+                |c, da, ds| state.absorb((c - first) as usize, da, ds),
+            );
             comm_seconds += comm.stats().modeled_seconds() - t0;
         }
 
@@ -861,8 +781,7 @@ pub fn louvain_phase(
         &state,
         &mut scratch,
         &mut ghost_comm,
-        cfg,
-        few_moved,
+        cfg.delta_ghost_refresh && few_moved,
     );
     let comm_of_local = std::mem::take(&mut scratch.comm_snapshot);
     let terms = local_modularity_terms(lg, ghosts, &state, &ghost_comm);
@@ -922,40 +841,25 @@ fn apply_vertex_following(
     ghosts: &GhostLayer,
     state: &SweepState,
     k_local: &[Weight],
-    neighborhood: bool,
 ) {
     let part = lg.partition();
     let first = lg.first_vertex();
     let nlocal = lg.num_local();
+    // -- Peeling rounds. ---------------------------------------------------
     // Vertex-following traffic keeps its default `Other` attribution;
     // the explicit scopes give it wait/transfer sub-spans so the traced
     // byte counters reconcile with the sub-span totals.
-    let refresh = |vals: &[u64], out: &mut Vec<u64>| {
-        comm.with_step(CommStep::Other, || {
-            if neighborhood {
-                ghosts.refresh_neighborhood(comm, vals, out);
-            } else {
-                ghosts.refresh(comm, vals, out);
-            }
-        });
-    };
-
-    // -- Peeling rounds. ---------------------------------------------------
     let mut alive: Vec<u64> = vec![1; nlocal];
     let mut parent: Vec<Option<VertexId>> = vec![None; nlocal];
     let mut qual_target: Vec<Option<VertexId>> = vec![None; nlocal];
     let mut ghost_alive: Vec<u64> = Vec::new();
     let mut ghost_qual: Vec<u64> = Vec::new();
     loop {
-        refresh(&alive, &mut ghost_alive);
+        comm.with_step(CommStep::Other, || {
+            ghosts.refresh(comm, &alive, &mut ghost_alive)
+        });
         {
-            let alive_of = |u: VertexId| -> bool {
-                if lg.owns(u) {
-                    alive[(u - first) as usize] == 1
-                } else {
-                    ghost_alive[ghosts.slot_of(u)] == 1
-                }
-            };
+            let alive_of = |u| ghosts.value_of(u, |i| alive[i], &ghost_alive) == 1;
             for l in 0..nlocal {
                 qual_target[l] = None;
                 if alive[l] == 0 {
@@ -970,14 +874,10 @@ fn apply_vertex_following(
             }
         }
         let qual: Vec<u64> = qual_target.iter().map(|t| u64::from(t.is_some())).collect();
-        refresh(&qual, &mut ghost_qual);
-        let qual_of = |u: VertexId| -> bool {
-            if lg.owns(u) {
-                qual[(u - first) as usize] == 1
-            } else {
-                ghost_qual[ghosts.slot_of(u)] == 1
-            }
-        };
+        comm.with_step(CommStep::Other, || {
+            ghosts.refresh(comm, &qual, &mut ghost_qual)
+        });
+        let qual_of = |u| ghosts.value_of(u, |i| qual[i], &ghost_qual) == 1;
         let mut peeled = 0u64;
         for l in 0..nlocal {
             let Some(u) = qual_target[l] else { continue };
@@ -1003,36 +903,30 @@ fn apply_vertex_following(
     let mut anchor = parent;
     let mut resolved: Vec<bool> = anchor.iter().map(|t| t.is_none()).collect();
     loop {
-        let mut requests: Vec<Vec<VertexId>> = vec![Vec::new(); comm.size()];
-        for (l, r) in resolved.iter().enumerate() {
-            if !r {
-                let t = anchor[l].expect("unresolved vertex without a target");
-                requests[part.owner_of(t)].push(t);
-            }
-        }
-        let incoming = comm.with_step(CommStep::Other, || comm.all_to_all_v(requests));
-        let replies: Vec<Vec<(VertexId, u64, VertexId)>> = incoming
-            .iter()
-            .map(|ids| {
-                ids.iter()
-                    .map(|&u| {
-                        let i = (u - first) as usize;
-                        if alive[i] == 1 {
-                            (u, 1, u)
-                        } else {
-                            (u, 0, parent_of(&anchor, i))
-                        }
-                    })
-                    .collect()
-            })
-            .collect();
-        let reply_vals = comm.with_step(CommStep::Other, || comm.all_to_all_v(replies));
+        // Owners answer (alive, self) or (dead, current forward pointer).
+        // The anchor array advances as resolution proceeds, so answering
+        // from it (rather than from the original parents) gives querying
+        // ranks path-compressed hops for free.
+        let unresolved_targets = (0..nlocal)
+            .filter(|&l| !resolved[l])
+            .map(|l| anchor[l].expect("unresolved vertex without a target"));
         let mut next: FastMap<VertexId, (bool, VertexId)> = fast_map();
-        for vals in &reply_vals {
-            for &(u, alive_flag, nxt) in vals {
-                next.insert(u, (alive_flag == 1, nxt));
-            }
-        }
+        pull_from_owners(
+            comm,
+            part,
+            CommStep::Other,
+            unresolved_targets,
+            &mut PullBufs::default(),
+            |u| {
+                let i = (u - first) as usize;
+                if alive[i] == 1 {
+                    (true, u)
+                } else {
+                    (false, anchor[i].expect("dead vertex without a parent"))
+                }
+            },
+            &mut next,
+        );
         let mut unresolved = 0u64;
         for l in 0..nlocal {
             if resolved[l] {
@@ -1081,27 +975,14 @@ fn apply_vertex_following(
         }
     }
     louvain_obs::counter_add("vf.collapsed", collapsed);
-    let mut delta_msgs: Vec<Vec<(VertexId, f64, i64)>> = vec![Vec::new(); comm.size()];
-    for (&c, &(da, ds)) in &deltas {
-        delta_msgs[part.owner_of(c)].push((c, da, ds));
-    }
-    let received = comm.with_step(CommStep::Other, || comm.all_to_all_v(delta_msgs));
-    for msgs in &received {
-        for &(c, da, ds) in msgs {
-            let i = (c - first) as usize;
-            state.a[i].fetch_add(da);
-            let cur = state.size[i].load(Ordering::Relaxed) as i64;
-            state.size[i].store((cur + ds) as u64, Ordering::Relaxed);
-        }
-    }
-}
-
-/// Current forward pointer of a dead local vertex during pointer chasing.
-/// The anchor array advances as resolution proceeds, so answering pulls
-/// from it (rather than from the original parents) gives querying ranks
-/// path-compressed hops for free.
-fn parent_of(anchor: &[Option<VertexId>], i: usize) -> VertexId {
-    anchor[i].expect("dead vertex without a parent")
+    push_to_owners(
+        comm,
+        part,
+        CommStep::Other,
+        &deltas,
+        &mut Vec::new(),
+        |c, da, ds| state.absorb((c - first) as usize, da, ds),
+    );
 }
 
 /// This rank's contribution to `Σ e_in` and `Σ a_c²` (Eq. 2).
@@ -1111,20 +992,11 @@ fn local_modularity_terms(
     state: &SweepState,
     ghost_comm: &[VertexId],
 ) -> (f64, f64) {
-    let first = lg.first_vertex();
     let mut e_in_local = 0.0;
     for l in 0..lg.num_local() {
         let cv = state.comm_of_local(l);
-        let v_global = lg.to_global(l);
         for (u, w) in lg.neighbors(l) {
-            let cu = if u == v_global {
-                cv
-            } else if lg.owns(u) {
-                state.comm_of_local((u - first) as usize)
-            } else {
-                ghost_comm[ghosts.slot_of(u)]
-            };
-            if cu == cv {
+            if ghosts.value_of(u, |i| state.comm_of_local(i), ghost_comm) == cv {
                 e_in_local += w;
             }
         }

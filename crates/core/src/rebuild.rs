@@ -16,7 +16,7 @@ use louvain_comm::{Comm, CommStep, ReduceOp};
 use louvain_graph::hash::{fast_map, fast_set, FastMap};
 use louvain_graph::{LocalGraph, VertexId, VertexPartition, Weight};
 
-use crate::ghost::GhostLayer;
+use crate::ghost::{pull_from_owners, GhostLayer, PullBufs};
 use crate::stats::WorkCounter;
 
 /// Output of one distributed rebuild on one rank.
@@ -47,7 +47,6 @@ pub fn rebuild(
 ) -> RebuildOutput {
     let p = comm.size();
     let part = lg.partition();
-    let first = lg.first_vertex();
     let mut work = WorkCounter::default();
     let t_start = comm.stats().modeled_seconds();
 
@@ -91,57 +90,33 @@ pub fn rebuild(
     // -- Step 4: query the new ids of every community we reference. -------
     // Referenced = final communities of local vertices and of ghosts
     // (needed to relabel edge destinations).
-    let mut query_sets: Vec<Vec<VertexId>> = vec![Vec::new(); p];
-    {
-        let mut seen = fast_set::<VertexId>();
-        for &c in comm_of_local.iter().chain(ghost_comm.iter()) {
-            if seen.insert(c) && !lg.owns(c) {
-                query_sets[part.owner_of(c)].push(c);
-            }
-        }
-    }
-    let incoming_queries = comm.with_step(CommStep::Other, || comm.all_to_all_v(query_sets));
-    // Keyed replies (community, new id) avoid cloning the query sets just
-    // to decode positional responses.
-    let replies: Vec<Vec<(VertexId, VertexId)>> = incoming_queries
+    let mut seen = fast_set::<VertexId>();
+    let referenced = comm_of_local
         .iter()
-        .map(|ids| {
-            ids.iter()
-                .map(|c| {
-                    (
-                        *c,
-                        *owned_new_id
-                            .get(c)
-                            .expect("queried community has no member anywhere"),
-                    )
-                })
-                .collect()
-        })
-        .collect();
-    let reply_vals = comm.with_step(CommStep::Other, || comm.all_to_all_v(replies));
-    let mut new_id: FastMap<VertexId, VertexId> = owned_new_id;
-    for pairs in &reply_vals {
-        for &(c, id) in pairs {
-            new_id.insert(c, id);
-        }
-    }
+        .chain(ghost_comm)
+        .copied()
+        .filter(|&c| seen.insert(c) && !lg.owns(c));
+    let mut remote_new_id: FastMap<VertexId, VertexId> = fast_map();
+    pull_from_owners(
+        comm,
+        part,
+        CommStep::Other,
+        referenced,
+        &mut PullBufs::default(),
+        |c| *(owned_new_id.get(&c)).expect("queried community has no member anywhere"),
+        &mut remote_new_id,
+    );
+    let mut new_id = owned_new_id;
+    new_id.extend(remote_new_id);
 
     // -- Step 5: partial new edge lists. -----------------------------------
     let vertex_new_id: Vec<VertexId> = comm_of_local.iter().map(|c| new_id[c]).collect();
     let new_part = VertexPartition::balanced_vertices(new_num_vertices, p);
     let mut outgoing: Vec<Vec<(VertexId, VertexId, Weight)>> = vec![Vec::new(); p];
-    for l in 0..lg.num_local() {
-        let src = vertex_new_id[l];
-        let v_global = first + l as u64;
+    for (l, &src) in vertex_new_id.iter().enumerate() {
         for (u, w) in lg.neighbors(l) {
             work.edges_scanned += 1;
-            let cu = if u == v_global {
-                comm_of_local[l]
-            } else if lg.owns(u) {
-                comm_of_local[(u - first) as usize]
-            } else {
-                ghost_comm[ghosts.slot_of(u)]
-            };
+            let cu = ghosts.value_of(u, |i| comm_of_local[i], ghost_comm);
             let dst = new_id[&cu];
             outgoing[new_part.owner_of(src)].push((src, dst, w));
         }
@@ -198,13 +173,11 @@ mod tests {
             let ghosts = GhostLayer::build(c, &lg);
             let range = lg.partition().range(c.rank());
             let local: Vec<VertexId> = range.map(|v| assignment[v as usize]).collect();
-            // Ghost communities straight from the global assignment.
-            let mut ghost_comm = vec![0u64; ghosts.num_ghosts()];
-            for reqs in ghosts.requests() {
-                for &gid in reqs {
-                    ghost_comm[ghosts.slot_of(gid)] = assignment[gid as usize];
-                }
-            }
+            // Ghost communities straight from the global assignment
+            // (slots follow the flattened request lists).
+            let ghost_comm: Vec<VertexId> = (ghosts.requests().iter().flatten())
+                .map(|&gid| assignment[gid as usize])
+                .collect();
             let out = rebuild(c, &lg, &ghosts, &local, &ghost_comm);
             out.new_lg
         });

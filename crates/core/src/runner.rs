@@ -3,12 +3,12 @@
 use std::time::Duration;
 
 use louvain_comm::{Comm, CommStep, ReduceOp};
-use louvain_graph::hash::{fast_map, FastMap};
+use louvain_graph::hash::{fast_map, fast_set, FastMap};
 use louvain_graph::{LocalGraph, VertexId, VertexPartition};
 use louvain_resil::{CheckpointStore, RankCheckpoint};
 
 use crate::config::DistConfig;
-use crate::ghost::GhostLayer;
+use crate::ghost::{pull_from_owners, GhostLayer, PullBufs};
 use crate::heuristics::ThresholdSchedule;
 use crate::iteration::{louvain_phase, PhaseContext};
 use crate::rebuild::rebuild;
@@ -52,48 +52,24 @@ fn pull_values(
     local_vals: &[VertexId],
     first: VertexId,
 ) -> Vec<VertexId> {
-    let p = comm.size();
-    let mut unique: FastMap<VertexId, ()> = fast_map();
+    let mut unique = fast_set::<VertexId>();
     for &k in keys {
-        unique.insert(k, ());
-    }
-    let mut requests: Vec<Vec<VertexId>> = vec![Vec::new(); p];
-    for &k in unique.keys() {
-        requests[part.owner_of(k)].push(k);
+        unique.insert(k);
     }
     // `Other` is the default attribution; the explicit scope exists so
     // the projection traffic gets wait/transfer sub-spans like every
     // other collective (the counter totals are unchanged).
-    let incoming = comm.with_step(CommStep::Other, || comm.all_to_all_v(requests));
-    // Keyed replies (key, value) make retaining a copy of the outbound
-    // requests unnecessary.
-    let replies: Vec<Vec<(VertexId, VertexId)>> = incoming
-        .iter()
-        .map(|ids| {
-            ids.iter()
-                .map(|&k| {
-                    debug_assert_eq!(part.owner_of(k), comm.rank());
-                    (k, local_vals[(k - first) as usize])
-                })
-                .collect()
-        })
-        .collect();
-    let reply_vals = comm.with_step(CommStep::Other, || comm.all_to_all_v(replies));
     let mut map: FastMap<VertexId, VertexId> = fast_map();
-    for pairs in &reply_vals {
-        for &(k, v) in pairs {
-            map.insert(k, v);
-        }
-    }
+    pull_from_owners(
+        comm,
+        part,
+        CommStep::Other,
+        unique.iter().copied(),
+        &mut PullBufs::default(),
+        |k| local_vals[(k - first) as usize],
+        &mut map,
+    );
     keys.iter().map(|k| map[k]).collect()
-}
-
-/// Process peak resident set (`VmHWM` from `/proc/self/status`), in
-/// bytes; 0 where unavailable (non-Linux, or a restricted procfs).
-/// Delegates to the shared reader in `louvain-obs` so the phase loop
-/// and the slab-ingest path report the same number.
-pub fn peak_rss_bytes() -> u64 {
-    louvain_obs::peak_rss_bytes()
 }
 
 /// Per-phase memory gauges: CSR and ghost-table resident bytes plus the
@@ -109,7 +85,7 @@ fn record_memory_gauges(lg: &LocalGraph, ghosts: &GhostLayer) {
         + std::mem::size_of_val(weights);
     louvain_obs::gauge_set("mem.csr_bytes", csr as f64);
     louvain_obs::gauge_set("mem.ghost_bytes", ghosts.approx_bytes() as f64);
-    louvain_obs::gauge_set("mem.peak_rss_bytes", peak_rss_bytes() as f64);
+    louvain_obs::gauge_set("mem.peak_rss_bytes", louvain_obs::peak_rss_bytes() as f64);
 }
 
 /// One rank's state recovered from the newest complete checkpoint.
@@ -439,7 +415,7 @@ pub fn run_on_rank(
 
     RankOutcome {
         assignment: cur_of_orig,
-        modularity: final_q.max(0.0_f64.min(final_q)),
+        modularity: final_q,
         phases: start_phase + phase_stats.len(),
         total_iterations,
         phase_stats,

@@ -17,39 +17,26 @@ use std::sync::Mutex;
 use louvain_graph::hash::{FastMap, FastSet};
 use louvain_graph::{VertexId, Weight};
 
+use crate::ghost::{CommunityDelta, PullBufs};
+
 /// Per-phase arena of reusable iteration buffers. `Sync` so the parallel
 /// compute sweep can check neighbor-weight maps out of the shared pool.
 pub struct IterScratch {
     /// Community snapshot taken immediately before each ghost exchange.
     pub comm_snapshot: Vec<VertexId>,
-    /// Community values as of the *last* ghost exchange — the baseline the
-    /// delta refresh diffs against. Empty until the first (always full)
-    /// exchange of the phase.
-    pub last_pushed: Vec<VertexId>,
-    /// A ghost exchange has happened this phase, so [`last_pushed`] is a
-    /// valid delta baseline (it is also empty on a rank without vertices).
-    ///
-    /// [`last_pushed`]: IterScratch::last_pushed
-    pub have_baseline: bool,
-    /// `changed[l]`: vertex `l`'s community differs from [`last_pushed`];
-    /// rebuilt before every delta refresh.
-    ///
-    /// [`last_pushed`]: IterScratch::last_pushed
-    pub changed: Vec<bool>,
     /// Per-vertex ET activity flags for the current iteration.
     pub active: Vec<bool>,
     /// Remote communities whose `a_c` must be pulled this round.
     pub needed: FastSet<VertexId>,
-    /// Per-destination-rank request buffers for the a_c pull.
-    pub requests: Vec<Vec<VertexId>>,
-    /// Per-destination-rank keyed `(community, a_c, size)` reply buffers.
-    pub replies: Vec<Vec<(VertexId, Weight, u64)>>,
+    /// Request and keyed `(community, (a_c, size))` reply buffers of the
+    /// a_c pull.
+    pub pull: PullBufs<(Weight, u64)>,
     /// `a_c` and size of remote communities, rebuilt every round.
     pub remote_a: FastMap<VertexId, (Weight, u64)>,
     /// The vertex ids swept in the current (sub-)round.
     pub round_vertices: Vec<usize>,
     /// Per-destination-rank delta messages for the owner push.
-    pub delta_msgs: Vec<Vec<(VertexId, f64, i64)>>,
+    pub delta_msgs: Vec<Vec<CommunityDelta>>,
     /// Per-color conflict-free batches of the colored sweep schedule,
     /// rebuilt (cleared, capacities kept) every round it runs.
     pub batches: Vec<Vec<usize>>,
@@ -59,20 +46,16 @@ pub struct IterScratch {
 }
 
 impl IterScratch {
-    /// Arena for a rank with `nlocal` vertices in a world of `p` ranks.
-    pub fn new(nlocal: usize, p: usize) -> Self {
+    /// Arena for a rank with `nlocal` vertices.
+    pub fn new(nlocal: usize) -> Self {
         Self {
             comm_snapshot: Vec::with_capacity(nlocal),
-            last_pushed: Vec::with_capacity(nlocal),
-            have_baseline: false,
-            changed: Vec::with_capacity(nlocal),
             active: Vec::with_capacity(nlocal),
             needed: FastSet::default(),
-            requests: vec![Vec::new(); p],
-            replies: vec![Vec::new(); p],
+            pull: PullBufs::default(),
             remote_a: FastMap::default(),
             round_vertices: Vec::with_capacity(nlocal),
-            delta_msgs: vec![Vec::new(); p],
+            delta_msgs: Vec::new(),
             batches: Vec::new(),
             weights: Mutex::new(Vec::new()),
         }
@@ -115,12 +98,10 @@ impl IterScratch {
         }
         let weights = self.weights.lock().unwrap_or_else(|e| e.into_inner());
         flat(&self.comm_snapshot)
-            + flat(&self.last_pushed)
-            + flat(&self.changed)
             + flat(&self.active)
             + (self.needed.capacity() * size_of::<VertexId>()) as u64
-            + nested(&self.requests)
-            + nested(&self.replies)
+            + nested(&self.pull.requests)
+            + nested(&self.pull.replies)
             + (self.remote_a.capacity() * size_of::<(VertexId, (Weight, u64))>()) as u64
             + flat(&self.round_vertices)
             + nested(&self.delta_msgs)
@@ -149,7 +130,7 @@ mod tests {
 
     #[test]
     fn weights_pool_recycles_maps() {
-        let s = IterScratch::new(8, 2);
+        let s = IterScratch::new(8);
         let mut m = s.take_weights();
         m.insert(1, 2.0);
         let cap_hint = m.capacity();

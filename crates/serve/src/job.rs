@@ -68,46 +68,52 @@ impl JobSpec {
 
         let mut cfg = DistConfig::baseline();
         if let Some(c) = doc.get("config") {
-            if c.as_obj().is_none() {
-                return Err("`config` is not an object".into());
-            }
-            if let Some(v) = c.get("variant") {
-                let spec = v.as_str().ok_or("`config.variant` is not a string")?;
-                cfg.variant = Variant::parse(spec)?;
-            }
-            if let Some(v) = c.get("threshold") {
-                cfg.threshold = v.as_f64().ok_or("`config.threshold` is not a number")?;
-            }
-            if let Some(v) = c.get("seed") {
-                cfg.seed = v.as_u64().ok_or("`config.seed` is not a u64")?;
-            }
-            if let Some(v) = opt_usize(c, "max_phases")? {
-                cfg.max_phases = v;
-            }
-            if let Some(v) = opt_usize(c, "max_iterations")? {
-                cfg.max_iterations = v;
-            }
-            if let Some(v) = opt_usize(c, "threads_per_rank")? {
-                cfg.threads_per_rank = v.max(1);
-            }
-            if let Some(v) = c.get("sweep") {
-                let spec = v.as_str().ok_or("`config.sweep` is not a string")?;
-                cfg.sweep = SweepMode::parse(spec)?;
-            }
-            if let Some(v) = opt_bool(c, "delta_ghost_refresh")? {
-                cfg.delta_ghost_refresh = v;
-            }
-            if let Some(v) = opt_bool(c, "vertex_following")? {
-                cfg.vertex_following = v;
-            }
-            if let Some(v) = opt_bool(c, "prune_inactive_ghosts")? {
-                cfg.prune_inactive_ghosts = v;
-            }
-            if let Some(v) = opt_bool(c, "neighborhood_collectives")? {
-                cfg.neighborhood_collectives = v;
-            }
-            if let Some(v) = opt_bool(c, "color_sweeps")? {
-                cfg.color_sweeps = v;
+            // Walk the keys rather than probe known names: a misspelt key
+            // must fail, not run (and cache) the baseline in its place.
+            let members = c.as_obj().ok_or("`config` is not an object")?;
+            for (key, v) in members {
+                match key.as_str() {
+                    "variant" => {
+                        let spec = v.as_str().ok_or("`config.variant` is not a string")?;
+                        cfg.variant = Variant::parse(spec)?;
+                    }
+                    "threshold" => {
+                        cfg.threshold = v.as_f64().ok_or("`config.threshold` is not a number")?;
+                    }
+                    "seed" => cfg.seed = v.as_u64().ok_or("`config.seed` is not a u64")?,
+                    "sweep" => {
+                        let spec = v.as_str().ok_or("`config.sweep` is not a string")?;
+                        cfg.sweep = SweepMode::parse(spec)?;
+                    }
+                    // A `null` count or switch leaves the default in place.
+                    "max_phases" => cfg.max_phases = opt_usize(c, key)?.unwrap_or(cfg.max_phases),
+                    "max_iterations" => {
+                        cfg.max_iterations = opt_usize(c, key)?.unwrap_or(cfg.max_iterations)
+                    }
+                    "threads_per_rank" => {
+                        cfg.threads_per_rank =
+                            opt_usize(c, key)?.map_or(cfg.threads_per_rank, |t| t.max(1))
+                    }
+                    "delta_ghost_refresh" => {
+                        cfg.delta_ghost_refresh =
+                            opt_bool(c, key)?.unwrap_or(cfg.delta_ghost_refresh)
+                    }
+                    "vertex_following" => {
+                        cfg.vertex_following = opt_bool(c, key)?.unwrap_or(cfg.vertex_following)
+                    }
+                    "prune_inactive_ghosts" => {
+                        cfg.prune_inactive_ghosts =
+                            opt_bool(c, key)?.unwrap_or(cfg.prune_inactive_ghosts)
+                    }
+                    "neighborhood_collectives" => {
+                        cfg.neighborhood_collectives =
+                            opt_bool(c, key)?.unwrap_or(cfg.neighborhood_collectives)
+                    }
+                    "color_sweeps" => {
+                        cfg.color_sweeps = opt_bool(c, key)?.unwrap_or(cfg.color_sweeps)
+                    }
+                    unknown => return Err(format!("unknown `config` key `{unknown}`")),
+                }
             }
         }
 
@@ -186,6 +192,10 @@ mod tests {
             (
                 r#"{"job_id": "j", "graph": "g", "config": {"sweep": "fast"}}"#,
                 "sweep",
+            ),
+            (
+                r#"{"job_id": "j", "graph": "g", "config": {"varient": "et:0.25"}}"#,
+                "varient",
             ),
         ];
         for (text, needle) in cases {

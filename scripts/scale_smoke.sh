@@ -31,12 +31,18 @@ mkdir -p "$SCRATCH"
   --out "$SCRATCH/rmat_s18.bin"
 
 echo "==> p=2 bit-identity: in-memory scatter vs mmap vs byte-range"
-./target/release/louvain run "$SCRATCH/rmat_s18.bin" -p 2 \
-  --assignment "$SCRATCH/mem.comm" >/dev/null
-./target/release/louvain run "$SCRATCH/rmat_s18.slab" --slab -p 2 \
-  --assignment "$SCRATCH/mapped.comm" >/dev/null
-./target/release/louvain run "$SCRATCH/rmat_s18.slab" --slab --ranged -p 2 \
-  --assignment "$SCRATCH/ranged.comm" >/dev/null
+# Each arm must say it ran on 2 ranks: an ignored rank flag would compare
+# three default-rank runs and still print "bit-identical" below.
+run_p2() { # <assignment-out> <louvain run args...>
+  local out="$1"
+  shift
+  ./target/release/louvain run "$@" --ranks 2 --assignment "$out" >"$out.log"
+  grep -q ' on 2 ranks ' "$out.log" \
+    || { cat "$out.log"; echo "FAIL: $out was not a 2-rank run" >&2; exit 1; }
+}
+run_p2 "$SCRATCH/mem.comm" "$SCRATCH/rmat_s18.bin"
+run_p2 "$SCRATCH/mapped.comm" "$SCRATCH/rmat_s18.slab" --slab
+run_p2 "$SCRATCH/ranged.comm" "$SCRATCH/rmat_s18.slab" --slab --ranged
 cmp "$SCRATCH/mem.comm" "$SCRATCH/mapped.comm"
 cmp "$SCRATCH/mem.comm" "$SCRATCH/ranged.comm"
 echo "p=2 in-memory, mmap, and byte-range assignments are bit-identical"

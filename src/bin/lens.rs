@@ -13,6 +13,7 @@
 use std::path::Path;
 use std::process::ExitCode;
 
+use distributed_louvain::cli::Args;
 use distributed_louvain::obs::RunArtifact;
 use louvain_lens::{crit, diff, gate_with_skips, show, Thresholds, DEFAULT_WAIT_TOL};
 
@@ -131,66 +132,29 @@ fn load(path: &str) -> Result<RunArtifact, String> {
     RunArtifact::from_any_json_str(&text).map_err(|e| format!("{path}: {e}"))
 }
 
-/// Positional (non-flag) arguments; every flag here takes a value.
-fn positionals(args: &[String]) -> Vec<&str> {
-    let mut out = Vec::new();
-    let mut skip = false;
-    for a in args {
-        if skip {
-            skip = false;
-            continue;
-        }
-        if a.starts_with("--") {
-            skip = true;
-            continue;
-        }
-        out.push(a.as_str());
-    }
-    out
-}
+/// The threshold flags shared by `diff` and `gate`.
+const THRESHOLD_FLAGS: [&str; 5] = [
+    "--wall-tol",
+    "--wall-floor",
+    "--bytes-tol",
+    "--mod-drop",
+    "--iters-tol",
+];
 
-fn flag(args: &[String], key: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == key)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-}
-
-/// Every value of a repeatable flag, in order of appearance.
-fn flag_multi(args: &[String], key: &str) -> Vec<String> {
-    let mut out = Vec::new();
-    let mut i = 0;
-    while i < args.len() {
-        if args[i] == key {
-            if let Some(v) = args.get(i + 1) {
-                out.push(v.clone());
-                i += 2;
-                continue;
-            }
-        }
-        i += 1;
-    }
-    out
-}
-
-fn thresholds(args: &[String]) -> Result<Thresholds, String> {
-    let mut t = Thresholds::default();
-    let set = |key: &str, dst: &mut f64| -> Result<(), String> {
-        if let Some(v) = flag(args, key) {
-            *dst = v.parse().map_err(|_| format!("bad value for {key}: {v}"))?;
-        }
-        Ok(())
-    };
-    set("--wall-tol", &mut t.wall_tol)?;
-    set("--wall-floor", &mut t.wall_floor_seconds)?;
-    set("--bytes-tol", &mut t.bytes_tol)?;
-    set("--mod-drop", &mut t.modularity_drop)?;
-    set("--iters-tol", &mut t.iters_tol)?;
-    Ok(t)
+fn thresholds(args: &Args) -> Result<Thresholds, String> {
+    let d = Thresholds::default();
+    Ok(Thresholds {
+        wall_tol: args.parse("--wall-tol")?.unwrap_or(d.wall_tol),
+        wall_floor_seconds: args.parse("--wall-floor")?.unwrap_or(d.wall_floor_seconds),
+        bytes_tol: args.parse("--bytes-tol")?.unwrap_or(d.bytes_tol),
+        modularity_drop: args.parse("--mod-drop")?.unwrap_or(d.modularity_drop),
+        iters_tol: args.parse("--iters-tol")?.unwrap_or(d.iters_tol),
+    })
 }
 
 fn cmd_show(args: &[String]) -> Result<(), String> {
-    let [path] = positionals(args)[..] else {
+    let args = Args::scan(args, &[], &[])?;
+    let [path] = args.positionals()[..] else {
         return Err("usage: lens show <ARTIFACT>".into());
     };
     print!("{}", show(&load(path)?));
@@ -198,42 +162,36 @@ fn cmd_show(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_diff(args: &[String]) -> Result<(), String> {
-    let [a, b] = positionals(args)[..] else {
+    let args = Args::scan(args, &THRESHOLD_FLAGS, &[])?;
+    let [a, b] = args.positionals()[..] else {
         return Err("usage: lens diff <BASELINE> <CURRENT>".into());
     };
-    let t = thresholds(args)?;
+    let t = thresholds(&args)?;
     print!("{}", diff(&load(a)?, &load(b)?, &t).render());
     Ok(())
 }
 
 fn cmd_gate(args: &[String]) -> Result<bool, String> {
-    let baseline =
-        flag(args, "--baseline").ok_or("usage: lens gate --baseline <BASELINE> <CURRENT>")?;
-    let [current] = positionals(args)[..] else {
+    let mut values = vec!["--baseline", "--skip-label"];
+    values.extend(THRESHOLD_FLAGS);
+    let args = Args::scan(args, &values, &[])?;
+    let (Some(baseline), [current]) = (args.get("--baseline"), args.positionals()) else {
         return Err("usage: lens gate --baseline <BASELINE> <CURRENT>".into());
     };
-    let t = thresholds(args)?;
-    let skips = flag_multi(args, "--skip-label");
-    let skip_refs: Vec<&str> = skips.iter().map(String::as_str).collect();
-    let result = gate_with_skips(&load(&baseline)?, &load(current)?, &t, &skip_refs);
+    let t = thresholds(&args)?;
+    let skips: Vec<&str> = args.all("--skip-label").collect();
+    let result = gate_with_skips(&load(baseline)?, &load(current)?, &t, &skips);
     print!("{}", result.render());
     Ok(result.passed())
 }
 
 fn cmd_crit(args: &[String]) -> Result<bool, String> {
-    let [path] = positionals(args)[..] else {
+    let args = Args::scan(args, &["--baseline", "--wait-tol"], &[])?;
+    let [path] = args.positionals()[..] else {
         return Err("usage: lens crit <ARTIFACT> [--baseline <BASELINE>] [--wait-tol <F>]".into());
     };
-    let baseline = match flag(args, "--baseline") {
-        Some(b) => Some(load(&b)?),
-        None => None,
-    };
-    let wait_tol = match flag(args, "--wait-tol") {
-        Some(v) => v
-            .parse()
-            .map_err(|_| format!("bad value for --wait-tol: {v}"))?,
-        None => DEFAULT_WAIT_TOL,
-    };
+    let baseline = args.get("--baseline").map(load).transpose()?;
+    let wait_tol = args.parse("--wait-tol")?.unwrap_or(DEFAULT_WAIT_TOL);
     let report = crit(&load(path)?, baseline.as_ref(), wait_tol)?;
     print!("{}", report.render());
     Ok(report.passed())
@@ -276,16 +234,11 @@ fn fetch_metrics_text(source: &str) -> Result<String, String> {
 }
 
 fn cmd_top(args: &[String]) -> Result<(), String> {
-    let [source] = positionals(args)[..] else {
+    let args = Args::scan(args, &["--watch"], &[])?;
+    let [source] = args.positionals()[..] else {
         return Err("usage: lens top <ADDR|FILE> [--watch <SECS>]".into());
     };
-    let watch_secs: Option<u64> = match flag(args, "--watch") {
-        Some(v) => Some(
-            v.parse()
-                .map_err(|_| format!("bad value for --watch: {v}"))?,
-        ),
-        None => None,
-    };
+    let watch_secs: Option<u64> = args.parse("--watch")?;
     loop {
         let text = fetch_metrics_text(source)?;
         let metrics = distributed_louvain::obs::parse_prometheus_text(&text)?;
@@ -299,22 +252,20 @@ fn cmd_top(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_tail(args: &[String]) -> Result<(), String> {
-    let [path] = positionals(args)[..] else {
+    let args = Args::scan(args, &["--kind", "--job"], &[])?;
+    let [path] = args.positionals()[..] else {
         return Err("usage: lens tail <EVENT-LOG> [--kind <KIND>] [--job <ID>]".into());
     };
-    let kind = flag(args, "--kind");
-    if let Some(k) = &kind {
+    let kind = args.get("--kind");
+    if let Some(k) = kind {
         if distributed_louvain::obs::OpKind::parse(k).is_none() {
             return Err(format!("unknown event kind `{k}`"));
         }
     }
-    let job = flag(args, "--job");
+    let job = args.get("--job");
     let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
     let events = louvain_lens::parse_event_log(&text).map_err(|e| format!("{path}: {e}"))?;
-    print!(
-        "{}",
-        louvain_lens::render_tail(&events, kind.as_deref(), job.as_deref())
-    );
+    print!("{}", louvain_lens::render_tail(&events, kind, job));
     Ok(())
 }
 
@@ -327,27 +278,25 @@ mod tests {
     }
 
     #[test]
-    fn positionals_skip_flag_values() {
-        let args = s(&["--baseline", "b.json", "cur.json", "--wall-tol", "4.0"]);
-        assert_eq!(positionals(&args), vec!["cur.json"]);
-    }
-
-    #[test]
-    fn flag_multi_collects_repeated_values() {
-        let args = s(&["--skip-label", "weak/", "x.json", "--skip-label", "model/"]);
-        assert_eq!(flag_multi(&args, "--skip-label"), vec!["weak/", "model/"]);
-        assert!(flag_multi(&args, "--other").is_empty());
-        // Trailing flag with no value must not panic or loop.
-        assert!(flag_multi(&s(&["--skip-label"]), "--skip-label").is_empty());
-    }
-
-    #[test]
     fn threshold_flags_override_defaults() {
-        let t = thresholds(&s(&["--wall-tol", "4.0", "--mod-drop", "0.002"])).unwrap();
+        let scan = |v: &[&str]| {
+            let args = s(v);
+            Args::scan(&args, &THRESHOLD_FLAGS, &[]).and_then(|a| thresholds(&a))
+        };
+        let t = scan(&["--wall-tol", "4.0", "--mod-drop", "0.002"]).unwrap();
         assert_eq!(t.wall_tol, 4.0);
         assert_eq!(t.modularity_drop, 0.002);
         assert_eq!(t.bytes_tol, Thresholds::default().bytes_tol);
-        assert!(thresholds(&s(&["--bytes-tol", "abc"])).is_err());
+        assert!(scan(&["--bytes-tol", "abc"]).is_err());
+    }
+
+    #[test]
+    fn a_misspelt_threshold_flag_is_refused_not_defaulted() {
+        // Before the strict scanner this gated at the default tolerance.
+        let err = cmd_gate(&s(&["--baseline", "a.json", "b.json", "--wal-tol", "4"])).unwrap_err();
+        assert!(err.contains("--wal-tol"), "unexpected error: {err}");
+        let err = cmd_gate(&s(&["--baseline", "a.json", "b.json", "--wall-tol"])).unwrap_err();
+        assert!(err.contains("--wall-tol"), "unexpected error: {err}");
     }
 
     #[test]

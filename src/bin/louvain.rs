@@ -15,6 +15,7 @@ use std::io::{BufRead, Write};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
+use distributed_louvain::cli::Args;
 use distributed_louvain::comm::{BackoffPolicy, FaultPlan, HealthConfig, RunConfig};
 use distributed_louvain::dist::{
     adjusted_rand_index, f_score, nmi, run_distributed_resilient_source, CheckpointOptions,
@@ -140,66 +141,6 @@ USAGE:
       adjusted Rand index between two assignment files.
 ";
 
-/// Minimal `--key value` argument scanner.
-struct Opts<'a> {
-    args: &'a [String],
-}
-
-/// Flags that take no value; `positional()` must not skip the token
-/// following one of these.
-const BOOL_FLAGS: &[&str] = &[
-    "--resume",
-    "--repair",
-    "--strict",
-    "--no-watchdog",
-    "--slab",
-    "--ranged",
-];
-
-impl<'a> Opts<'a> {
-    fn get(&self, key: &str) -> Option<&'a str> {
-        self.args
-            .iter()
-            .position(|a| a == key)
-            .and_then(|i| self.args.get(i + 1))
-            .map(String::as_str)
-    }
-
-    fn require(&self, key: &str) -> Result<&'a str, String> {
-        self.get(key)
-            .ok_or_else(|| format!("missing required option {key}"))
-    }
-
-    fn parse<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T, String> {
-        match self.get(key) {
-            None => Ok(default),
-            Some(v) => v.parse().map_err(|_| format!("bad value for {key}: {v}")),
-        }
-    }
-
-    /// Presence of a boolean flag (no value), e.g. `--resume`.
-    fn has(&self, key: &str) -> bool {
-        self.args.iter().any(|a| a == key)
-    }
-
-    /// First non-flag positional argument.
-    fn positional(&self) -> Option<&'a str> {
-        let mut skip = false;
-        for a in self.args {
-            if skip {
-                skip = false;
-                continue;
-            }
-            if a.starts_with("--") {
-                skip = !BOOL_FLAGS.contains(&a.as_str());
-                continue;
-            }
-            return Some(a);
-        }
-        None
-    }
-}
-
 /// A parsed `--kind` plus its parameters, shared by the in-memory and
 /// the streamed `--slab` generation paths so both see identical specs.
 enum GenSpec {
@@ -214,12 +155,12 @@ enum GenSpec {
 }
 
 impl GenSpec {
-    fn parse(kind: &str, opts: &Opts) -> Result<Self, String> {
-        let n: u64 = opts.parse("--n", 10_000u64)?;
-        let seed: u64 = opts.parse("--seed", 1u64)?;
+    fn parse(kind: &str, opts: &Args) -> Result<Self, String> {
+        let n: u64 = opts.parse("--n")?.unwrap_or(10_000);
+        let seed: u64 = opts.parse("--seed")?.unwrap_or(1);
         Ok(match kind {
             "lfr" => {
-                let mu: f64 = opts.parse("--mu", 0.1f64)?;
+                let mu: f64 = opts.parse("--mu")?.unwrap_or(0.1);
                 GenSpec::Lfr(gen::LfrParams {
                     mu,
                     ..gen::LfrParams::small(n, seed)
@@ -233,7 +174,7 @@ impl GenSpec {
             "weblike" => GenSpec::Weblike(gen::WeblikeParams::web(n, seed)),
             "grid3d" => GenSpec::Grid3d(gen::Grid3dParams::cube(n, seed)),
             "erdos-renyi" => {
-                let d: f64 = opts.parse("--avg-degree", 8.0f64)?;
+                let d: f64 = opts.parse("--avg-degree")?.unwrap_or(8.0);
                 GenSpec::ErdosRenyi(gen::ErdosRenyiParams {
                     n,
                     avg_degree: d,
@@ -316,7 +257,17 @@ impl GenSpec {
 }
 
 fn cmd_generate(args: &[String]) -> Result<(), String> {
-    let opts = Opts { args };
+    let values = [
+        "--kind",
+        "--n",
+        "--seed",
+        "--out",
+        "--mu",
+        "--avg-degree",
+        "--chunk-edges",
+        "--index-stride",
+    ];
+    let opts = Args::scan(args, &values, &["--slab"])?;
     let kind = opts.require("--kind")?;
     let out = PathBuf::from(opts.require("--out")?);
     let spec = GenSpec::parse(kind, &opts)?;
@@ -364,7 +315,7 @@ fn cmd_generate(args: &[String]) -> Result<(), String> {
 }
 
 /// Shared `--repair` / `--strict` handling.
-fn parse_policy(opts: &Opts) -> Result<IngestPolicy, String> {
+fn parse_policy(opts: &Args) -> Result<IngestPolicy, String> {
     if opts.has("--repair") && opts.has("--strict") {
         return Err("--repair and --strict are mutually exclusive".into());
     }
@@ -378,12 +329,12 @@ fn parse_policy(opts: &Opts) -> Result<IngestPolicy, String> {
 }
 
 /// Slab-builder tuning from CLI flags.
-fn slab_options(opts: &Opts, policy: IngestPolicy) -> Result<SlabOptions, String> {
+fn slab_options(opts: &Args, policy: IngestPolicy) -> Result<SlabOptions, String> {
     let defaults = SlabOptions::default();
     Ok(SlabOptions {
         policy,
-        chunk_edges: opts.parse("--chunk-edges", defaults.chunk_edges)?,
-        index_stride: opts.parse("--index-stride", defaults.index_stride)?,
+        chunk_edges: opts.parse("--chunk-edges")?.unwrap_or(defaults.chunk_edges),
+        index_stride: (opts.parse("--index-stride")?).unwrap_or(defaults.index_stride),
         ..defaults
     })
 }
@@ -431,8 +382,9 @@ fn print_slab_summary(input: &Path, out: &Path, s: &SlabSummary) {
 }
 
 fn cmd_ingest(args: &[String]) -> Result<(), String> {
-    let opts = Opts { args };
-    let input = PathBuf::from(opts.positional().ok_or("missing input file")?);
+    let values = ["--out", "--chunk-edges", "--index-stride"];
+    let opts = Args::scan(args, &values, &["--repair", "--strict"])?;
+    let input = PathBuf::from(opts.sole_positional("input file")?);
     let out = PathBuf::from(opts.require("--out")?);
     let policy = parse_policy(&opts)?;
     let sopts = slab_options(&opts, policy)?;
@@ -462,8 +414,9 @@ fn cmd_ingest(args: &[String]) -> Result<(), String> {
 
 /// `louvain convert`: a text edge list into the binary format or a slab.
 fn cmd_from_text(args: &[String]) -> Result<(), String> {
-    let opts = Opts { args };
-    let input = PathBuf::from(opts.positional().ok_or("missing text edge-list file")?);
+    let values = ["--out", "--chunk-edges", "--index-stride"];
+    let opts = Args::scan(args, &values, &["--repair", "--strict", "--slab"])?;
+    let input = PathBuf::from(opts.sole_positional("text edge-list file")?);
     let out = PathBuf::from(opts.require("--out")?);
     let policy = parse_policy(&opts)?;
     if opts.has("--slab") {
@@ -533,8 +486,8 @@ fn slab_info(path: &Path) -> Result<(), String> {
 }
 
 fn cmd_info(args: &[String]) -> Result<(), String> {
-    let opts = Opts { args };
-    let path = PathBuf::from(opts.positional().ok_or("missing graph file")?);
+    let opts = Args::scan(args, &[], &[])?;
+    let path = PathBuf::from(opts.sole_positional("graph file")?);
     if matches!(sniff_kind(&path)?, FileKind::Slab) {
         return slab_info(&path);
     }
@@ -565,23 +518,42 @@ fn cmd_info(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_run(args: &[String]) -> Result<(), String> {
-    let opts = Opts { args };
-    let path = PathBuf::from(opts.positional().ok_or("missing graph file")?);
-    let ranks: usize = opts.parse("--ranks", 4usize)?;
-    let threads: usize = opts.parse("--threads-per-rank", 1usize)?;
+    let values = [
+        "--ranks",
+        "--variant",
+        "--threads-per-rank",
+        "--sweep",
+        "--tau",
+        "--assignment",
+        "--trace-out",
+        "--report-out",
+        "--artifact-out",
+        "--checkpoint-dir",
+        "--checkpoint-every",
+        "--fault-plan",
+        "--max-recoveries",
+        "--comm-timeout-ms",
+        "--max-retries",
+        "--backoff-base-ms",
+    ];
+    let bools = ["--slab", "--ranged", "--resume", "--no-watchdog"];
+    let opts = Args::scan(args, &values, &bools)?;
+    let path = PathBuf::from(opts.sole_positional("graph file")?);
+    let ranks: usize = opts.parse("--ranks")?.unwrap_or(4);
+    let threads: usize = opts.parse("--threads-per-rank")?.unwrap_or(1);
     let sweep = match opts.get("--sweep") {
         Some(s) => SweepMode::parse(s).map_err(|e| format!("--sweep: {e}"))?,
         None => SweepMode::Auto,
     };
-    let tau: f64 = opts.parse("--tau", 1e-6f64)?;
+    let tau: f64 = opts.parse("--tau")?.unwrap_or(1e-6);
     let variant = Variant::parse(opts.get("--variant").unwrap_or("baseline"))?;
     let trace_out = opts.get("--trace-out").map(PathBuf::from);
     let report_out = opts.get("--report-out").map(PathBuf::from);
     let artifact_out = opts.get("--artifact-out").map(PathBuf::from);
     let checkpoint_dir = opts.get("--checkpoint-dir").map(PathBuf::from);
-    let checkpoint_every: u64 = opts.parse("--checkpoint-every", 1u64)?;
+    let checkpoint_every: u64 = opts.parse("--checkpoint-every")?.unwrap_or(1);
     let resume = opts.has("--resume");
-    let max_recoveries: usize = opts.parse("--max-recoveries", 8usize)?;
+    let max_recoveries: usize = opts.parse("--max-recoveries")?.unwrap_or(8);
     let fault_plan = match opts.get("--fault-plan") {
         Some(spec) => Some(FaultPlan::parse(spec).map_err(|e| format!("--fault-plan: {e}"))?),
         None => None,
@@ -592,21 +564,19 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
     let health = {
         let defaults = HealthConfig::default();
         let timeout_ms: u64 =
-            opts.parse("--comm-timeout-ms", defaults.deadline.as_millis() as u64)?;
+            (opts.parse("--comm-timeout-ms")?).unwrap_or(defaults.deadline.as_millis() as u64);
         if timeout_ms == 0 {
             return Err("--comm-timeout-ms must be positive".into());
         }
-        let backoff_ms: f64 = opts.parse(
-            "--backoff-base-ms",
-            defaults.backoff.base.as_secs_f64() * 1e3,
-        )?;
+        let backoff_ms: f64 =
+            (opts.parse("--backoff-base-ms")?).unwrap_or(defaults.backoff.base.as_secs_f64() * 1e3);
         if !backoff_ms.is_finite() || backoff_ms < 0.0 {
             return Err("--backoff-base-ms must be a non-negative number".into());
         }
         HealthConfig {
             enabled: !opts.has("--no-watchdog"),
             deadline: std::time::Duration::from_millis(timeout_ms),
-            max_retries: opts.parse("--max-retries", defaults.max_retries)?,
+            max_retries: opts.parse("--max-retries")?.unwrap_or(defaults.max_retries),
             backoff: BackoffPolicy {
                 base: std::time::Duration::from_secs_f64(backoff_ms * 1e-3),
                 ..defaults.backoff
@@ -801,11 +771,6 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
                 .as_ref()
                 .map(|t| t.merged_telemetry())
                 .unwrap_or_default();
-            let mode = if cfg.delta_ghost_refresh {
-                "delta"
-            } else {
-                "full"
-            };
             let artifact = obs::RunArtifact {
                 name: "louvain-cli".into(),
                 description: format!(
@@ -814,7 +779,7 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
                     variant.label()
                 ),
                 runs: vec![obs::RunEntry {
-                    label: obs::run_label(&report.graph, ranks, mode),
+                    label: obs::run_label(&report.graph, ranks, "full"),
                     report,
                     telemetry,
                 }],
@@ -844,7 +809,7 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_quality(args: &[String]) -> Result<(), String> {
-    let opts = Opts { args };
+    let opts = Args::scan(args, &["--truth", "--detected"], &[])?;
     let truth = read_assignment(Path::new(opts.require("--truth")?))?;
     let detected = read_assignment(Path::new(opts.require("--detected")?))?;
     if truth.len() != detected.len() {
@@ -901,30 +866,20 @@ mod tests {
     use super::*;
 
     #[test]
-    fn opts_scanner() {
-        let args: Vec<String> = ["g.graph", "--ranks", "8", "--variant", "et:0.5"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        let o = Opts { args: &args };
-        assert_eq!(o.positional(), Some("g.graph"));
-        assert_eq!(o.get("--ranks"), Some("8"));
-        assert_eq!(o.parse("--ranks", 0usize).unwrap(), 8);
-        assert_eq!(o.parse("--missing", 3usize).unwrap(), 3);
-        assert!(o.require("--nope").is_err());
-    }
-
-    #[test]
-    fn boolean_flags_do_not_swallow_the_positional() {
-        // `--resume` takes no value: the token after it is the graph file.
-        let args: Vec<String> = ["--resume", "g.graph", "--ranks", "2"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        let o = Opts { args: &args };
-        assert!(o.has("--resume"));
-        assert!(!o.has("--checkpoint-dir"));
-        assert_eq!(o.positional(), Some("g.graph"));
+    fn unknown_and_valueless_flags_are_refused_by_name() {
+        let s = |x: &str| x.to_string();
+        // `-p` has never been a flag of `run` (it is `--ranks`); before the
+        // strict scanner it was ignored and the run used the default 4.
+        let err = cmd_run(&[s("g.bin"), s("-p"), s("2")]).unwrap_err();
+        assert!(err.contains("-p"), "unexpected error: {err}");
+        let err = cmd_run(&[s("g.bin"), s("--ranks")]).unwrap_err();
+        assert!(err.contains("--ranks"), "unexpected error: {err}");
+        let err = cmd_run(&[s("g.bin"), s("--ranks"), s("two")]).unwrap_err();
+        assert!(err.contains("--ranks") && err.contains("two"), "{err}");
+        let err = cmd_generate(&[s("--kind"), s("lfr"), s("--nn"), s("5")]).unwrap_err();
+        assert!(err.contains("--nn"), "unexpected error: {err}");
+        let err = cmd_info(&[s("a.bin"), s("b.bin")]).unwrap_err();
+        assert!(err.contains("b.bin"), "unexpected error: {err}");
     }
 
     #[test]

@@ -22,6 +22,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
+use distributed_louvain::cli::Args;
 use distributed_louvain::graph::{binio, gen};
 use distributed_louvain::obs::{Json, RunArtifact, RunEntry, RunReport};
 use distributed_louvain::serve::{serve_lines, JobSpec, JobStatus, ServeConfig, Server};
@@ -103,27 +104,6 @@ fn main() -> ExitCode {
     }
 }
 
-fn flag(args: &[String], key: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == key)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-}
-
-fn flag_usize(args: &[String], key: &str) -> Result<Option<usize>, String> {
-    match flag(args, key) {
-        None => Ok(None),
-        Some(v) => v
-            .parse()
-            .map(Some)
-            .map_err(|_| format!("bad value for {key}: {v}")),
-    }
-}
-
-fn has_flag(args: &[String], key: &str) -> bool {
-    args.iter().any(|a| a == key)
-}
-
 // ---------------------------------------------------------------------------
 // Signals: typed declaration (no libc crate in the build environment).
 // ---------------------------------------------------------------------------
@@ -169,44 +149,32 @@ mod sig {
 // serve
 // ---------------------------------------------------------------------------
 
-fn serve_config(args: &[String]) -> Result<ServeConfig, String> {
+fn serve_config(args: &Args) -> Result<ServeConfig, String> {
     let mut cfg = ServeConfig {
-        verbose: has_flag(args, "--verbose"),
+        verbose: args.has("--verbose"),
         ..ServeConfig::default()
     };
-    if let Some(v) = flag_usize(args, "--workers")? {
-        cfg.workers = v;
+    let set = |key: &str, dst: &mut usize| -> Result<(), String> {
+        if let Some(v) = args.parse(key)? {
+            *dst = v;
+        }
+        Ok(())
+    };
+    set("--workers", &mut cfg.workers)?;
+    set("--queue-depth", &mut cfg.queue_depth)?;
+    set("--cache", &mut cfg.cache_capacity)?;
+    set("--quarantine-after", &mut cfg.quarantine_after)?;
+    set("--crash-budget", &mut cfg.max_crash_recoveries)?;
+    set("--hang-budget", &mut cfg.max_hang_recoveries)?;
+    set("--flight-events", &mut cfg.flight_capacity)?;
+    if let Some(v) = args.parse("--event-log-max-bytes")? {
+        cfg.event_log_max_bytes = v;
     }
-    if let Some(v) = flag_usize(args, "--queue-depth")? {
-        cfg.queue_depth = v;
-    }
-    if let Some(v) = flag_usize(args, "--cache")? {
-        cfg.cache_capacity = v;
-    }
-    if let Some(v) = flag_usize(args, "--quarantine-after")? {
-        cfg.quarantine_after = v;
-    }
-    if let Some(v) = flag_usize(args, "--crash-budget")? {
-        cfg.max_crash_recoveries = v;
-    }
-    if let Some(v) = flag_usize(args, "--hang-budget")? {
-        cfg.max_hang_recoveries = v;
-    }
-    if let Some(dir) = flag(args, "--ckpt-root") {
+    if let Some(dir) = args.get("--ckpt-root") {
         cfg.checkpoint_root = PathBuf::from(dir);
     }
-    if let Some(path) = flag(args, "--event-log") {
-        cfg.event_log = Some(PathBuf::from(path));
-    }
-    if let Some(v) = flag_usize(args, "--event-log-max-bytes")? {
-        cfg.event_log_max_bytes = v as u64;
-    }
-    if let Some(dir) = flag(args, "--flight-dir") {
-        cfg.flight_dir = Some(PathBuf::from(dir));
-    }
-    if let Some(v) = flag_usize(args, "--flight-events")? {
-        cfg.flight_capacity = v;
-    }
+    cfg.event_log = args.get("--event-log").map(PathBuf::from);
+    cfg.flight_dir = args.get("--flight-dir").map(PathBuf::from);
     Ok(cfg)
 }
 
@@ -234,12 +202,27 @@ fn install_flight_panic_hook(server: &Server) {
 }
 
 fn cmd_serve(args: &[String]) -> Result<(), String> {
+    let values = [
+        "--listen",
+        "--workers",
+        "--queue-depth",
+        "--cache",
+        "--ckpt-root",
+        "--quarantine-after",
+        "--crash-budget",
+        "--hang-budget",
+        "--event-log",
+        "--event-log-max-bytes",
+        "--flight-dir",
+        "--flight-events",
+    ];
+    let args = Args::scan(args, &values, &["--verbose"])?;
     sig::install();
-    let cfg = serve_config(args)?;
+    let cfg = serve_config(&args)?;
     let server = Server::start(cfg);
     install_flight_panic_hook(&server);
-    match flag(args, "--listen") {
-        Some(addr) => serve_tcp(&server, &addr),
+    match args.get("--listen") {
+        Some(addr) => serve_tcp(&server, addr),
         None => serve_stdin(&server),
     }
 }
@@ -340,58 +323,83 @@ fn serve_tcp(server: &Server, addr: &str) -> Result<(), String> {
 // submit / query (TCP clients)
 // ---------------------------------------------------------------------------
 
-fn connect(args: &[String]) -> Result<TcpStream, String> {
-    let addr = flag(args, "--addr").ok_or("missing required option --addr")?;
-    TcpStream::connect(&addr).map_err(|e| format!("connect {addr}: {e}"))
+fn connect(args: &Args) -> Result<TcpStream, String> {
+    let addr = args.require("--addr")?;
+    TcpStream::connect(addr).map_err(|e| format!("connect {addr}: {e}"))
+}
+
+/// Scan a client subcommand that takes `--addr` and `--job-id`.
+fn job_client_args(args: &[String]) -> Result<Args<'_>, String> {
+    Args::scan(args, &["--addr", "--job-id"], &[])
 }
 
 fn cmd_submit(args: &[String]) -> Result<(), String> {
-    let job_id = flag(args, "--job-id").ok_or("missing required option --job-id")?;
-    let graph = flag(args, "--graph").ok_or("missing required option --graph")?;
-    let graph = std::fs::canonicalize(&graph)
+    let values = [
+        "--addr",
+        "--job-id",
+        "--graph",
+        "--ranks",
+        "--variant",
+        "--threads",
+        "--sweep",
+        "--seed",
+        "--max-phases",
+        "--fault",
+        "--crash-budget",
+        "--hang-budget",
+    ];
+    let args = Args::scan(args, &values, &[])?;
+    let job_id = args.require("--job-id")?;
+    let graph = args.require("--graph")?;
+    let graph = std::fs::canonicalize(graph)
         .map_err(|e| format!("{graph}: {e}"))?
         .to_string_lossy()
         .into_owned();
+    let num = |key: &str| -> Result<Option<Json>, String> {
+        Ok(args.parse::<usize>(key)?.map(|v| Json::Num(v as f64)))
+    };
 
     let mut config: Vec<(String, Json)> = Vec::new();
-    if let Some(v) = flag(args, "--variant") {
+    if let Some(v) = args.get("--variant") {
         config.push(("variant".into(), Json::str(v)));
     }
-    if let Some(v) = flag(args, "--sweep") {
+    if let Some(v) = args.get("--sweep") {
         config.push(("sweep".into(), Json::str(v)));
     }
-    if let Some(v) = flag_usize(args, "--threads")? {
-        config.push(("threads_per_rank".into(), Json::Num(v as f64)));
-    }
-    if let Some(v) = flag_usize(args, "--seed")? {
-        config.push(("seed".into(), Json::Num(v as f64)));
-    }
-    if let Some(v) = flag_usize(args, "--max-phases")? {
-        config.push(("max_phases".into(), Json::Num(v as f64)));
+    for (flag, key) in [
+        ("--threads", "threads_per_rank"),
+        ("--seed", "seed"),
+        ("--max-phases", "max_phases"),
+    ] {
+        if let Some(v) = num(flag)? {
+            config.push((key.into(), v));
+        }
     }
 
     let mut req: Vec<(String, Json)> = vec![
         ("type".into(), Json::str("submit")),
-        ("job_id".into(), Json::str(job_id.clone())),
+        ("job_id".into(), Json::str(job_id)),
         ("graph".into(), Json::str(graph)),
     ];
-    if let Some(v) = flag_usize(args, "--ranks")? {
-        req.push(("ranks".into(), Json::Num(v as f64)));
+    if let Some(v) = num("--ranks")? {
+        req.push(("ranks".into(), v));
     }
     if !config.is_empty() {
         req.push(("config".into(), Json::Obj(config)));
     }
-    if let Some(plan) = flag(args, "--fault") {
+    if let Some(plan) = args.get("--fault") {
         req.push(("fault_plan".into(), Json::str(plan)));
     }
-    if let Some(v) = flag_usize(args, "--crash-budget")? {
-        req.push(("max_crash_recoveries".into(), Json::Num(v as f64)));
-    }
-    if let Some(v) = flag_usize(args, "--hang-budget")? {
-        req.push(("max_hang_recoveries".into(), Json::Num(v as f64)));
+    for (flag, key) in [
+        ("--crash-budget", "max_crash_recoveries"),
+        ("--hang-budget", "max_hang_recoveries"),
+    ] {
+        if let Some(v) = num(flag)? {
+            req.push((key.into(), v));
+        }
     }
 
-    let stream = connect(args)?;
+    let stream = connect(&args)?;
     talk(stream, &Json::Obj(req), |line| {
         // Stop once the submission is terminal: a result for our job,
         // a rejection, or a protocol error.
@@ -403,22 +411,22 @@ fn cmd_submit(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_query(args: &[String]) -> Result<(), String> {
-    let job_id = flag(args, "--job-id").ok_or("missing required option --job-id")?;
+    let args = job_client_args(args)?;
     let req = Json::Obj(vec![
         ("type".into(), Json::str("query")),
-        ("job_id".into(), Json::str(job_id)),
+        ("job_id".into(), Json::str(args.require("--job-id")?)),
     ]);
-    let stream = connect(args)?;
+    let stream = connect(&args)?;
     talk(stream, &req, |_| true)
 }
 
 fn cmd_watch(args: &[String]) -> Result<(), String> {
-    let job_id = flag(args, "--job-id").ok_or("missing required option --job-id")?;
+    let args = job_client_args(args)?;
     let req = Json::Obj(vec![
         ("type".into(), Json::str("watch")),
-        ("job_id".into(), Json::str(job_id)),
+        ("job_id".into(), Json::str(args.require("--job-id")?)),
     ]);
-    let stream = connect(args)?;
+    let stream = connect(&args)?;
     talk(stream, &req, |line| {
         // The stream closes with the job's terminal result line (or an
         // error for an unknown job).
@@ -433,7 +441,7 @@ fn cmd_watch(args: &[String]) -> Result<(), String> {
 /// the decoded `text` field, not the JSON envelope, so the output pipes
 /// straight into promtool or a file.
 fn cmd_metrics(args: &[String]) -> Result<(), String> {
-    let mut stream = connect(args)?;
+    let mut stream = connect(&Args::scan(args, &["--addr"], &[])?)?;
     let req = Json::Obj(vec![("type".into(), Json::str("metrics-text"))]);
     writeln!(stream, "{}", req.to_string_compact()).map_err(|e| e.to_string())?;
     stream.flush().map_err(|e| e.to_string())?;
@@ -460,7 +468,7 @@ fn cmd_metrics(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_dump(args: &[String]) -> Result<(), String> {
-    let stream = connect(args)?;
+    let stream = connect(&Args::scan(args, &["--addr"], &[])?)?;
     let req = Json::Obj(vec![("type".into(), Json::str("dump"))]);
     talk(stream, &req, |_| true)
 }
@@ -492,7 +500,8 @@ fn talk(mut stream: TcpStream, req: &Json, done: impl Fn(&Json) -> bool) -> Resu
 /// headline behaviours (admission + fresh runs, the result cache, and
 /// crash recovery with resume) in-process and writes a run artifact.
 fn cmd_bench(args: &[String]) -> Result<(), String> {
-    let out = flag(args, "--out").ok_or("missing required option --out")?;
+    let args = Args::scan(args, &["--out"], &[])?;
+    let out = args.require("--out")?;
     let work = std::env::temp_dir().join(format!("louvaind-bench-{}", std::process::id()));
     std::fs::create_dir_all(&work).map_err(|e| e.to_string())?;
 
@@ -612,11 +621,27 @@ fn cmd_bench(args: &[String]) -> Result<(), String> {
             .into(),
         runs: entries,
     };
-    std::fs::write(&out, artifact.to_json_string()).map_err(|e| format!("{out}: {e}"))?;
+    std::fs::write(out, artifact.to_json_string()).map_err(|e| format!("{out}: {e}"))?;
     println!(
         "wrote {out} ({} runs; cache_hits={hits}, jobs_resumed={resumed})",
         artifact.runs.len()
     );
     let _ = std::fs::remove_dir_all(&work);
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn client_commands_refuse_unknown_flags_before_connecting() {
+        let s = |v: &[&str]| v.iter().map(|x| x.to_string()).collect::<Vec<_>>();
+        let err = cmd_submit(&s(&["--addr", "127.0.0.1:1", "--rank", "2"])).unwrap_err();
+        assert!(err.contains("--rank"), "unexpected error: {err}");
+        let err = cmd_query(&s(&["--addr", "127.0.0.1:1", "--job-id"])).unwrap_err();
+        assert!(err.contains("--job-id"), "unexpected error: {err}");
+        let err = cmd_serve(&s(&["--workers", "many"])).unwrap_err();
+        assert!(err.contains("--workers") && err.contains("many"), "{err}");
+    }
 }

@@ -35,6 +35,8 @@
 //! assert!(outcome.modularity > 0.5);
 //! ```
 
+pub mod cli;
+
 pub use grappolo;
 pub use louvain_comm as comm;
 pub use louvain_dist as dist;

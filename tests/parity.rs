@@ -170,6 +170,22 @@ fn paper_claim_quality_comparable_to_shared_memory() {
 /// share a pin, as do colored t=1 and t=2. A change to scan order,
 /// tie-breaking, accumulation order or the refresh policy moves at
 /// least one of them.
+///
+/// The last column (every extension at once: ETC + vertex following +
+/// neighbourhood collectives + ghost pruning + colour sub-rounds) and
+/// the `TRAFFIC` table were recorded on aa63baf, the commit before the
+/// replica reads, refreshes and owner pulls/pushes moved into
+/// `ghost.rs`. `TRAFFIC` holds, per config, FNV-1a over the job's
+/// per-step byte totals, per-step message totals and collective call
+/// count: the same bytes on the wire, not just the same answer. Full
+/// and delta refresh differ there; colored t=1 and t=2 must not.
+///
+/// One cell is not the parent's: rmat × every-extension. The coloring
+/// exchange now follows `neighborhood_collectives`, and in rmat's late
+/// coarse phases the two ranks share no edge, so a refresh there sends
+/// nothing where the full all-to-all sent an empty message: 784
+/// `other`-step messages instead of 850 (hash 0x4d2587947b42fa99 on
+/// aa63baf), every byte total and every other count equal.
 #[test]
 fn kernel_trajectories_are_pinned() {
     use distributed_louvain::dist::{SweepMode, Variant};
@@ -199,47 +215,88 @@ fn kernel_trajectories_are_pinned() {
         ..DistConfig::baseline()
     };
     let et = DistConfig::with_variant(Variant::Et { alpha: 0.25 });
+    let everything = DistConfig {
+        vertex_following: true,
+        neighborhood_collectives: true,
+        prune_inactive_ghosts: true,
+        color_sweeps: true,
+        ..DistConfig::with_variant(Variant::Etc { alpha: 0.25 })
+    };
     // (ranks, configs sharing one pin), in the column order of `PINS`.
-    let schedules: [(usize, Vec<DistConfig>); 4] = [
+    let schedules: [(usize, Vec<DistConfig>); 5] = [
         (1, vec![delta(false), delta(true)]),
         (2, vec![delta(false), delta(true)]),
         (2, vec![colored(1), colored(2)]),
         (2, vec![et]),
+        (2, vec![everything]),
     ];
     type Pin = (u64, u64, usize);
     const SSCA2: Pin = (0x5cf794233b67ae6c, 0x3fefa1cf2a17de82, 5);
-    const PINS: [[Pin; 4]; 3] = [
+    const PINS: [[Pin; 5]; 3] = [
         [
             (0x91b493afb0440030, 0x3febc46363789377, 11),
             (0x457c8ed1fa4cd0e7, 0x3febc49fff7576e3, 24),
             (0xbcb0fc3bec4df4ed, 0x3febc1cec596d024, 20),
             (0x03866925d665d206, 0x3febc0b7741c8bc1, 26),
+            (0x457c8ed1fa4cd0e7, 0x3febc49fff7576e3, 22),
         ],
-        [SSCA2; 4],
+        [SSCA2; 5],
         [
             (0xcaf35d301dd13681, 0x3fc2a45ec2c42988, 14),
             (0xbb12f380177a22c6, 0x3fc2091db8d6098a, 15),
             (0xa6a4722d9cef3845, 0x3fc234df86e2695e, 15),
             (0xf18e02107d158fd3, 0x3fc1ffa4ddc352fe, 17),
+            (0x1a749cfe15e7f7d3, 0x3fc26acdbad72df2, 23),
         ],
     ];
-    for ((gname, g), pins) in graphs.iter().zip(PINS) {
-        for ((p, cfgs), pin) in schedules.iter().zip(pins) {
-            for cfg in cfgs {
+    // One traffic hash per config of each schedule column.
+    const TRAFFIC: [[&[u64]; 5]; 3] = [
+        [
+            &[0x1ccc06e050081874, 0x1ccc06e050081874],
+            &[0xcc69646e29110e0e, 0xdac5719d69ed8998],
+            &[0x45ec5b61ec08619d, 0x45ec5b61ec08619d],
+            &[0x4edb11c2c8018999],
+            &[0xb52a38f7f2262bb9],
+        ],
+        [
+            &[0x7791626364e3059b, 0x7791626364e3059b],
+            &[0x9c963cbd07b82896, 0x79c2e44b051828bc],
+            &[0x7fa6910e21bc17d6, 0x7fa6910e21bc17d6],
+            &[0x08dfe54e436490b6],
+            &[0xec6373232c59c7d0],
+        ],
+        [
+            &[0x64a0250dd50c67ce, 0x64a0250dd50c67ce],
+            &[0xa6fbe024b7a72e0a, 0x84cb7e3ac6cc001f],
+            &[0xb49cb2e7f0ec46bc, 0xb49cb2e7f0ec46bc],
+            &[0xb356d169cc562d4e],
+            &[0x91dd322734ccd67f],
+        ],
+    ];
+    for (((gname, g), pins), traffic) in graphs.iter().zip(PINS).zip(TRAFFIC) {
+        for (((p, cfgs), pin), wire) in schedules.iter().zip(pins).zip(traffic) {
+            for (cfg, &wire) in cfgs.iter().zip(wire) {
                 let out = run_distributed(g, *p, cfg);
                 let bytes: Vec<u8> = out
                     .assignment
                     .iter()
                     .flat_map(|c| c.to_le_bytes())
                     .collect();
+                let t = &out.traffic;
+                let counters: Vec<u8> = (t.step_bytes.iter())
+                    .chain(&t.step_messages)
+                    .chain([&t.collective_calls])
+                    .flat_map(|c| c.to_le_bytes())
+                    .collect();
                 let got = (
                     fnv1a64(&bytes),
                     out.modularity.to_bits(),
                     out.total_iterations,
+                    fnv1a64(&counters),
                 );
                 assert_eq!(
                     got,
-                    pin,
+                    (pin.0, pin.1, pin.2, wire),
                     "{gname} p={p} {:?} t={} delta={} {}: got {got:#x?}",
                     cfg.sweep,
                     cfg.threads_per_rank,
