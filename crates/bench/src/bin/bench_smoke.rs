@@ -13,18 +13,18 @@
 //! `cargo run --release -p louvain-bench --bin bench_smoke -- \
 //!      --artifact-out run_artifact.json [--trace-out trace.json]`
 //!
-//! `--artifact-out` (or env `BENCH_SMOKE_ARTIFACT`) writes the artifact:
+//! `--artifact-out` writes the artifact:
 //! every sweep row as an untraced RunReport entry, plus one traced p=2
 //! delta entry per graph carrying per-iteration convergence telemetry,
 //! the causal phase profile, and the Lamport-matched message edges
 //! `lens crit` analyzes. Without it the sweep still runs (and asserts).
-//! `--trace-out` (or env `BENCH_SMOKE_TRACE`) writes the Chrome/Perfetto
+//! `--trace-out` writes the Chrome/Perfetto
 //! trace of the first traced artifact run (load it at ui.perfetto.dev).
 //! `--threads` (default `1,2,4`) selects the intra-rank thread axis of
 //! the colored-sweep scaling section: per graph at p∈{1,2}, one run per
 //! thread count under `SweepMode::Colored`, asserting bit-identical
 //! results across the axis (the wall clock is recorded alongside).
-//! `--scale-out` (or env `BENCH_SMOKE_SCALE`) switches to the
+//! `--scale-out` switches to the
 //! million-edge weak-scaling pass instead of the smoke suite: two
 //! ≥1M-edge graphs are stream-generated to disk slabs, run mmap-backed
 //! at p∈{1,2,8} (p=2 byte-range load asserted bit-identical), and a
@@ -110,7 +110,7 @@ fn scale_section(out_path: &str) {
     {
         let name = "rmat_s17_ef10";
         let path = dir.join(format!("{name}.slab"));
-        let watch = louvain_obs::Stopwatch::start();
+        let started = std::time::Instant::now();
         let mut b = SlabBuilder::new(1u64 << 17, SlabOptions::default());
         rmat_stream(RmatParams::social(17, 10, 5), &mut b).expect("rmat stream");
         let s = b.finish(&path).expect("finish rmat slab");
@@ -120,14 +120,14 @@ fn scale_section(out_path: &str) {
             s.num_vertices,
             s.num_edges,
             s.file_bytes,
-            watch.wall_seconds()
+            started.elapsed().as_secs_f64()
         );
         graphs.push((name, path, s));
     }
     {
         let name = "ssca2_45k";
         let path = dir.join(format!("{name}.slab"));
-        let watch = louvain_obs::Stopwatch::start();
+        let started = std::time::Instant::now();
         let mut b = SlabBuilder::new(45_000, SlabOptions::default());
         ssca2_stream(Ssca2Params::paper(45_000, 9), &mut b).expect("ssca2 stream");
         let s = b.finish(&path).expect("finish ssca2 slab");
@@ -137,7 +137,7 @@ fn scale_section(out_path: &str) {
             s.num_vertices,
             s.num_edges,
             s.file_bytes,
-            watch.wall_seconds()
+            started.elapsed().as_secs_f64()
         );
         graphs.push((name, path, s));
     }
@@ -159,7 +159,7 @@ fn scale_section(out_path: &str) {
         let mut mapped_p2: Option<DistOutcome> = None;
         let mut mapped_p8: Option<DistOutcome> = None;
         for p in [1usize, 2, 8] {
-            let watch = louvain_obs::Stopwatch::start();
+            let started = std::time::Instant::now();
             let out = run_distributed_resilient_source(
                 GraphSource::SlabMapped(&slab),
                 p,
@@ -175,7 +175,7 @@ fn scale_section(out_path: &str) {
                 out.modularity,
                 out.total_iterations,
                 out.traffic.p2p_bytes + out.traffic.collective_bytes,
-                watch.wall_seconds()
+                started.elapsed().as_secs_f64()
             );
             let meta =
                 ReportMeta::new(*name, s.num_vertices, s.num_edges).variant("ET(0.25)+delta+mmap");
@@ -294,18 +294,14 @@ fn scale_section(out_path: &str) {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if let Some(scale_path) = flag(&args, "--scale-out")
-        .or_else(|| std::env::var("BENCH_SMOKE_SCALE").ok())
-        .filter(|p| !p.is_empty())
-    {
+    if let Some(scale_path) = flag(&args, "--scale-out") {
         // The scale sweep is its own pass: minutes of >=1M-edge runs
         // that CI only pays for behind the LOUVAIN_SCALE_GATE toggle.
         scale_section(&scale_path);
         return;
     }
-    let artifact_path =
-        flag(&args, "--artifact-out").or_else(|| std::env::var("BENCH_SMOKE_ARTIFACT").ok());
-    let trace_path = flag(&args, "--trace-out").or_else(|| std::env::var("BENCH_SMOKE_TRACE").ok());
+    let artifact_path = flag(&args, "--artifact-out");
+    let trace_path = flag(&args, "--trace-out");
     let mut threads_axis: Vec<usize> = flag(&args, "--threads")
         .unwrap_or_else(|| "1,2,4".into())
         .split(',')
@@ -371,13 +367,13 @@ fn main() {
                     threads_per_rank: t,
                     ..et_cfg(true)
                 };
-                let watch = louvain_obs::Stopwatch::start();
+                let started = std::time::Instant::now();
                 let out = run_distributed(g, p, &cfg);
-                let wall_ms = (watch.wall_seconds() * 1e3) as u128;
+                let wall_ms = started.elapsed().as_millis();
                 let sweep_seconds = out
                     .per_rank_stats
                     .iter()
-                    .map(|phases| phases[0].compute_seconds())
+                    .map(|phases| louvain_dist::model::compute_seconds(&phases[0]))
                     .fold(0.0f64, f64::max);
                 let meta = ReportMeta::new(*name, g.num_vertices() as u64, g.num_edges() as u64)
                     .variant("ET(0.25)+delta+colored")

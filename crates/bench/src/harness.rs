@@ -47,9 +47,9 @@ fn record_from(graph: &str, variant: String, ranks: usize, out: &DistOutcome) ->
 
 /// Run the shared-memory (Grappolo) baseline once.
 pub fn run_shared_once(graph_name: &str, g: &Csr, cfg: &GrappoloConfig) -> RunRecord {
-    let watch = louvain_obs::Stopwatch::start();
+    let started = std::time::Instant::now();
     let result = ParallelLouvain::new(*cfg).run(g);
-    let wall = watch.wall_seconds();
+    let wall = started.elapsed().as_secs_f64();
     RunRecord {
         graph: graph_name.to_string(),
         variant: format!("grappolo({}t)", cfg.threads),

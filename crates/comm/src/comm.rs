@@ -6,12 +6,11 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crate::blackboard::Blackboard;
-use crate::cost::CostModel;
 use crate::envelope::{expected_checksum, Envelope, Mailbox, Senders};
 use crate::fault::{FaultKind, FaultPlan, RankCrashed, FAULT_MAX_ATTEMPTS};
 use crate::health::{HealthBoard, HealthConfig, RankHung, WaitCtx};
 use crate::reduce::{ReduceOp, Reducible};
-use crate::stats::{CommStats, CommStep};
+use crate::stats::{CommStats, CommStep, StatsSnapshot};
 
 /// Message tag, matched together with the source rank on receive.
 pub type Tag = u32;
@@ -49,7 +48,6 @@ pub struct Comm {
     mailbox: RefCell<Mailbox>,
     blackboard: Arc<Blackboard>,
     stats: CommStats,
-    cost: CostModel,
     fault: Option<FaultSession>,
     health: HealthConfig,
     board: Arc<HealthBoard>,
@@ -68,7 +66,6 @@ impl Comm {
         senders: Senders,
         mailbox: Mailbox,
         blackboard: Arc<Blackboard>,
-        cost: CostModel,
         fault: Option<Arc<FaultPlan>>,
         health: HealthConfig,
         board: Arc<HealthBoard>,
@@ -80,8 +77,7 @@ impl Comm {
             senders,
             mailbox: RefCell::new(mailbox),
             blackboard,
-            stats: CommStats::new(),
-            cost,
+            stats: CommStats::default(),
             fault: fault.map(|plan| FaultSession {
                 plan,
                 msg_counter: Cell::new(0),
@@ -232,10 +228,6 @@ impl Comm {
                     ),
                     ("lamport", louvain_obs::ArgValue::from(lamport)),
                     ("bytes", louvain_obs::ArgValue::from(bytes)),
-                    (
-                        "modeled_ns",
-                        louvain_obs::ArgValue::from((self.cost.p2p(bytes) * 1e9) as u64),
-                    ),
                 ],
             );
         }
@@ -257,7 +249,8 @@ impl Comm {
                 .health
                 .backoff
                 .delay(attempt, msg ^ ((self.rank as u64) << 48));
-            self.stats.record_backoff(d);
+            self.stats
+                .count(|t, _| t.backoff_nanos += d.as_nanos() as u64);
             if !d.is_zero() {
                 std::thread::sleep(d);
             }
@@ -369,11 +362,6 @@ impl Comm {
         &self.stats
     }
 
-    /// The cost model used for modeled-time accounting.
-    pub fn cost_model(&self) -> &CostModel {
-        &self.cost
-    }
-
     /// Attribute all traffic recorded inside `f` to the given
     /// algorithmic step, restoring the previous attribution afterwards.
     ///
@@ -386,54 +374,33 @@ impl Comm {
     /// panic (e.g. a crash injected mid-collective) still lands on the
     /// span instead of being lost with the unwind.
     ///
-    /// The guard also splits the step's blocking time into two
-    /// attribution sub-spans: `wait` (wall time spent idle in a blocked
-    /// receive or collective fill-wait — straggler-bound) and
-    /// `transfer` (modeled seconds charged for the bytes that moved,
-    /// carrying the step's byte delta so trace totals reconcile with
-    /// the `CommStats` counters byte-for-byte).
+    /// The guard also records the step's idle time as a `wait`
+    /// sub-span: wall time spent in a blocked receive or collective
+    /// fill-wait (straggler-bound). The step span's own `bytes` arg is
+    /// the step's byte delta, so trace totals reconcile with the
+    /// `CommStats` counters byte-for-byte.
     pub fn with_step<R>(&self, step: CommStep, f: impl FnOnce() -> R) -> R {
         struct Restore<'a> {
             stats: &'a CommStats,
             prev: CommStep,
             step: CommStep,
             span: louvain_obs::SpanGuard,
-            bytes_before: u64,
-            msgs_before: u64,
-            retries_before: u64,
-            wait_before: u64,
-            modeled_before: f64,
+            before: StatsSnapshot,
         }
         impl Drop for Restore<'_> {
             fn drop(&mut self) {
-                let bytes = self.stats.step_bytes(self.step) - self.bytes_before;
-                let messages = self.stats.step_messages(self.step) - self.msgs_before;
-                let retries = self.stats.step_retries(self.step) - self.retries_before;
-                let wait_ns = self
-                    .stats
-                    .step_wait_nanos(self.step)
-                    .saturating_sub(self.wait_before);
-                let modeled = (self.stats.modeled_seconds() - self.modeled_before).max(0.0);
-                self.span.arg("bytes", bytes);
-                self.span.arg("messages", messages);
-                self.span.arg("retries", retries);
+                let i = self.step.index();
+                let during = self.stats.snapshot().since(&self.before);
+                let wait_ns = during.step_wait_nanos[i];
+                self.span.arg("bytes", during.step_bytes[i]);
+                self.span.arg("messages", during.step_messages[i]);
+                self.span.arg("retries", during.step_retries[i]);
                 self.span.arg("wait_ns", wait_ns);
                 louvain_obs::complete_span(
                     "wait",
                     "comm",
                     wait_ns,
-                    0.0,
                     vec![("step", louvain_obs::ArgValue::from(self.step.label()))],
-                );
-                louvain_obs::complete_span(
-                    "transfer",
-                    "comm",
-                    (modeled * 1e9) as u64,
-                    modeled,
-                    vec![
-                        ("step", louvain_obs::ArgValue::from(self.step.label())),
-                        ("bytes", louvain_obs::ArgValue::from(bytes)),
-                    ],
                 );
                 self.stats.set_step(self.prev);
             }
@@ -444,33 +411,9 @@ impl Comm {
             prev,
             step,
             span: louvain_obs::span_cat(step.label(), "comm", Vec::new()),
-            bytes_before: self.stats.step_bytes(step),
-            msgs_before: self.stats.step_messages(step),
-            retries_before: self.stats.step_retries(step),
-            wait_before: self.stats.step_wait_nanos(step),
-            modeled_before: self.stats.modeled_seconds(),
+            before: self.stats.snapshot(),
         };
         f()
-    }
-
-    /// Gather every rank's [`StatsSnapshot`]. Each rank snapshots its own
-    /// counters *before* the underlying `all_gather`, so the result
-    /// reflects only application traffic, not the aggregation itself.
-    /// Collective: all ranks must call it together.
-    pub fn gather_stats(&self) -> Vec<crate::stats::StatsSnapshot> {
-        let snap = self.stats.snapshot();
-        self.all_gather(snap)
-    }
-
-    /// Combine all ranks' snapshots into job totals (counters summed,
-    /// modeled time max — the bulk-synchronous critical path).
-    /// Collective: all ranks must call it together.
-    pub fn aggregate_stats(&self) -> crate::stats::StatsSnapshot {
-        let mut total = crate::stats::StatsSnapshot::default();
-        for s in self.gather_stats() {
-            total.merge_max_time(&s);
-        }
-        total
     }
 
     // ---------------------------------------------------------------
@@ -487,8 +430,7 @@ impl Comm {
         self.fault_op_tick();
         let bytes = (data.len() * std::mem::size_of::<T>()) as u64;
         let copies = self.deliver(dst, tag, data, bytes);
-        self.stats
-            .record_p2p_batch(copies, bytes * copies, self.cost.p2p(bytes) * copies as f64);
+        self.stats.record_p2p(copies, bytes * copies);
     }
 
     /// Blocking receive of a message from `src` with tag `tag`.
@@ -519,8 +461,7 @@ impl Comm {
         read: impl FnOnce(&mut [Option<Box<dyn std::any::Any + Send>>]) -> R,
     ) -> R {
         self.fault_op_tick();
-        self.stats
-            .record_collective(bytes, self.cost.collective(self.size, bytes));
+        self.stats.record_collective(bytes);
         let ctx = self.wait_ctx();
         self.blackboard
             .exchange_watched(self.rank, value, read, Some(&ctx))
@@ -621,8 +562,7 @@ impl Comm {
             nmsgs += copies;
             sent += bytes * copies;
         }
-        self.stats
-            .record_p2p_batch(nmsgs, sent, self.cost.all_to_all(nmsgs, sent));
+        self.stats.record_p2p(nmsgs, sent);
         let mut out: Vec<Vec<T>> = (0..self.size).map(|_| Vec::new()).collect();
         out[self.rank] = mine;
         for (src, slot) in out.iter_mut().enumerate() {
@@ -670,8 +610,7 @@ impl Comm {
             nmsgs += copies;
             sent += bytes * copies;
         }
-        self.stats
-            .record_p2p_batch(nmsgs, sent, self.cost.all_to_all(nmsgs, sent));
+        self.stats.record_p2p(nmsgs, sent);
         neighbors
             .iter()
             .map(|&src| {
@@ -683,19 +622,12 @@ impl Comm {
             })
             .collect()
     }
-
-    /// Number of messages sitting unreceived in this rank's mailbox —
-    /// should be zero at clean shutdown; asserted by the runtime in tests.
-    pub fn pending_messages(&self) -> usize {
-        self.mailbox.borrow().pending_len()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::runtime::run;
-    use crate::stats::StatsSnapshot;
     use std::panic::{catch_unwind, AssertUnwindSafe};
 
     #[test]
@@ -712,14 +644,11 @@ mod tests {
             assert_eq!(comm.stats().current_step(), CommStep::Other);
             // …so traffic after the unwind lands on `Other`, not the
             // panicked step.
-            let ghost_before = comm.stats().step_bytes(CommStep::GhostRefresh);
-            let other_before = comm.stats().step_bytes(CommStep::Other);
+            let before = comm.stats().snapshot();
             comm.all_gather(2u64);
-            assert_eq!(
-                comm.stats().step_bytes(CommStep::GhostRefresh),
-                ghost_before
-            );
-            assert!(comm.stats().step_bytes(CommStep::Other) > other_before);
+            let during = comm.stats().snapshot().since(&before);
+            assert_eq!(during.step_bytes_for(CommStep::GhostRefresh), 0);
+            assert!(during.step_bytes_for(CommStep::Other) > 0);
         });
     }
 
@@ -738,32 +667,22 @@ mod tests {
     }
 
     #[test]
-    fn aggregate_stats_sums_counters_across_ranks() {
-        let totals = run(4, |comm| {
+    fn all_to_all_bytes_sum_across_ranks() {
+        let locals = run(4, |comm| {
             // Rank r sends r+1 eight-byte values to every peer.
             let bufs: Vec<Vec<u64>> = (0..comm.size())
                 .map(|_| vec![0u64; comm.rank() + 1])
                 .collect();
             comm.with_step(CommStep::DeltaPush, || comm.all_to_all_v(bufs));
-            let local = comm.stats().snapshot();
-            let total = comm.aggregate_stats();
-            (local, total)
+            comm.stats().snapshot()
         });
-        // Every rank computed the same aggregate.
-        let agg = totals[0].1;
-        for (_, t) in &totals {
-            assert_eq!(*t, agg);
+        let mut total = StatsSnapshot::default();
+        for l in &locals {
+            total.merge(l);
         }
-        // The aggregate equals the manual sum of the local snapshots
-        // taken at the same point (aggregation traffic excluded).
-        let mut manual = StatsSnapshot::default();
-        for (l, _) in &totals {
-            manual.merge_max_time(l);
-        }
-        assert_eq!(agg.p2p_bytes, manual.p2p_bytes);
-        assert_eq!(agg.p2p_messages, manual.p2p_messages);
-        assert_eq!(agg.step_bytes, manual.step_bytes);
+        assert_eq!(total.p2p_messages, 4 * 3);
         // 4 ranks × 3 peers × (rank+1) u64s = 3·(1+2+3+4)·8 bytes.
-        assert_eq!(agg.step_bytes_for(CommStep::DeltaPush), 3 * 10 * 8);
+        assert_eq!(total.p2p_bytes, 3 * 10 * 8);
+        assert_eq!(total.step_bytes_for(CommStep::DeltaPush), 3 * 10 * 8);
     }
 }

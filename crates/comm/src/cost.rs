@@ -1,15 +1,17 @@
 //! α-β (latency-bandwidth) communication cost model.
 //!
 //! The evaluation machine of the paper is NERSC Cori (Cray Aries,
-//! dragonfly). We cannot time a real interconnect, so every communication
-//! call is *also* charged against this analytical model, fed by the exact
-//! message/byte counts the runtime records. Experiments report both wall
-//! time and modeled time; the modeled time is what reproduces the scaling
+//! dragonfly). We cannot time a real interconnect, so the exact
+//! message/byte counts the runtime records are priced with this
+//! analytical model after the run (`louvain_dist::model`); nothing on the
+//! send path knows it. The resulting time is what reproduces the scaling
 //! shape of the paper's Figures 3–4 when ranks are simulated by threads.
 
 /// Analytical model: a point-to-point message of `n` bytes costs
 /// `alpha + beta * n`; a collective over `p` ranks costs
 /// `ceil(log2 p) * (alpha + beta * n_per_stage)` (binomial-tree shaped).
+/// Both are linear in the message and byte counts, so a batch is priced
+/// from its totals.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CostModel {
     /// Per-message latency in seconds.
@@ -19,7 +21,7 @@ pub struct CostModel {
 }
 
 impl CostModel {
-    /// Cray-Aries-like defaults: ~1.3 µs latency, ~9 GB/s effective
+    /// Cray-Aries-like constants: ~1.3 µs latency, ~9 GB/s effective
     /// per-rank bandwidth.
     pub const fn aries() -> Self {
         Self {
@@ -28,38 +30,20 @@ impl CostModel {
         }
     }
 
-    /// A model with zero cost — for tests that only care about semantics.
-    pub const fn free() -> Self {
-        Self {
-            alpha: 0.0,
-            beta: 0.0,
-        }
+    /// Cost of `nmsgs` point-to-point messages carrying `bytes` bytes in
+    /// total (the sends inside the irregular all-to-alls included: the
+    /// sum of the individual sends is the dominant term for the sparse
+    /// exchanges in distributed Louvain).
+    pub fn p2p(&self, nmsgs: u64, bytes: u64) -> f64 {
+        nmsgs as f64 * self.alpha + self.beta * bytes as f64
     }
 
-    /// Cost of one point-to-point message of `bytes` bytes.
-    pub fn p2p(&self, bytes: u64) -> f64 {
-        self.alpha + self.beta * bytes as f64
-    }
-
-    /// Cost of a tree-shaped collective over `p` ranks moving `bytes`
-    /// bytes per stage (e.g. an all-reduce of a scalar, or a broadcast).
-    pub fn collective(&self, p: usize, bytes: u64) -> f64 {
+    /// Cost of `calls` tree-shaped collectives over `p` ranks moving
+    /// `bytes` bytes per stage in total (e.g. all-reduces of a scalar,
+    /// or broadcasts).
+    pub fn collective(&self, p: usize, calls: u64, bytes: u64) -> f64 {
         let stages = (usize::BITS - p.saturating_sub(1).leading_zeros()).max(1) as f64;
-        stages * (self.alpha + self.beta * bytes as f64)
-    }
-
-    /// Cost of an irregular all-to-all where this rank sends
-    /// `sent_bytes` in `nmsgs` messages. Charged as the sum of the
-    /// individual sends (the dominant term for the sparse exchanges in
-    /// distributed Louvain).
-    pub fn all_to_all(&self, nmsgs: u64, sent_bytes: u64) -> f64 {
-        nmsgs as f64 * self.alpha + self.beta * sent_bytes as f64
-    }
-}
-
-impl Default for CostModel {
-    fn default() -> Self {
-        Self::aries()
+        stages * self.p2p(calls, bytes)
     }
 }
 
@@ -68,13 +52,14 @@ mod tests {
     use super::*;
 
     #[test]
-    fn p2p_cost_is_affine() {
+    fn p2p_cost_is_affine_and_batches_by_totals() {
         let m = CostModel {
             alpha: 1.0,
             beta: 0.5,
         };
-        assert_eq!(m.p2p(0), 1.0);
-        assert_eq!(m.p2p(10), 6.0);
+        assert_eq!(m.p2p(1, 0), 1.0);
+        assert_eq!(m.p2p(1, 10), 6.0);
+        assert_eq!(m.p2p(3, 30), 3.0 * m.p2p(1, 10));
     }
 
     #[test]
@@ -83,25 +68,19 @@ mod tests {
             alpha: 1.0,
             beta: 0.0,
         };
-        assert_eq!(m.collective(1, 0), 1.0);
-        assert_eq!(m.collective(2, 0), 1.0);
-        assert_eq!(m.collective(4, 0), 2.0);
-        assert_eq!(m.collective(8, 0), 3.0);
-        assert_eq!(m.collective(5, 0), 3.0); // rounded up to 8
-    }
-
-    #[test]
-    fn free_model_costs_nothing() {
-        let m = CostModel::free();
-        assert_eq!(m.p2p(1 << 30), 0.0);
-        assert_eq!(m.collective(4096, 1 << 20), 0.0);
+        assert_eq!(m.collective(1, 1, 0), 1.0);
+        assert_eq!(m.collective(2, 1, 0), 1.0);
+        assert_eq!(m.collective(4, 1, 0), 2.0);
+        assert_eq!(m.collective(8, 1, 0), 3.0);
+        assert_eq!(m.collective(5, 1, 0), 3.0); // rounded up to 8
+        assert_eq!(m.collective(8, 7, 0), 21.0);
     }
 
     #[test]
     fn aries_defaults_are_sane() {
         let m = CostModel::aries();
         // One MB transfer should take on the order of 100 µs.
-        let t = m.p2p(1 << 20);
+        let t = m.p2p(1, 1 << 20);
         assert!(t > 1e-5 && t < 1e-3, "t = {t}");
     }
 }

@@ -132,7 +132,7 @@ impl Mailbox {
         ctx.board.observe(env.src, env.beat);
         if env.seq != 0 {
             if env.checksum != expected_checksum(env.src, env.tag, env.seq) {
-                ctx.stats.record_checksum_reject();
+                ctx.stats.count(|t, _| t.checksum_rejects += 1);
                 louvain_obs::counter_add("comm.checksum_rejects", 1);
                 return None;
             }
@@ -179,7 +179,7 @@ impl Mailbox {
                     };
                     if env.src == src && env.tag == tag {
                         let waited = wait_start.elapsed().as_nanos() as u64;
-                        ctx.stats.record_wait_nanos(waited);
+                        ctx.stats.count(|t, step| t.step_wait_nanos[step] += waited);
                         louvain_obs::counter_add("wait.recv_ns", waited);
                         on_delivery(&env, ctx);
                         return env;
@@ -201,11 +201,6 @@ impl Mailbox {
                 }
             }
         }
-    }
-
-    /// Number of buffered (unexpected) messages; used by shutdown checks.
-    pub fn pending_len(&self) -> usize {
-        self.pending.len()
     }
 }
 

@@ -131,7 +131,8 @@ impl Default for HealthConfig {
 
 impl HealthConfig {
     /// A config with the watchdog ladder switched off (legacy
-    /// behaviour); used by the bench harness for the on/off A-B rows.
+    /// behaviour); `tests/resilience.rs` runs it against the armed
+    /// default to show the ladder never changes a fault-free run.
     pub fn disabled() -> Self {
         Self {
             enabled: false,
@@ -314,7 +315,7 @@ impl<'a, 'c> Watchdog<'a, 'c> {
             return;
         }
         let step = self.ctx.stats.current_step();
-        self.ctx.stats.record_wd_timeout();
+        self.ctx.stats.count(|t, _| t.wd_timeouts += 1);
         louvain_obs::counter_add("wd_timeouts", 1);
         let hang = |suspect: usize| RankHung {
             rank: suspect,
@@ -335,7 +336,7 @@ impl<'a, 'c> Watchdog<'a, 'c> {
                 // straggler, not hang. Extend the window for free, but
                 // never beyond the liveness ceiling (live-but-deadlocked
                 // ranks must not wedge the job forever).
-                self.ctx.stats.record_wd_straggler();
+                self.ctx.stats.count(|t, _| t.wd_stragglers += 1);
                 louvain_obs::counter_add("wd_stragglers", 1);
                 if waited > cfg.liveness_ceiling() {
                     let suspect = suspects.iter().copied().min().unwrap_or(self.ctx.rank);
@@ -347,11 +348,16 @@ impl<'a, 'c> Watchdog<'a, 'c> {
                     std::panic::panic_any(hang(suspect));
                 }
                 self.extensions += 1;
-                self.ctx.stats.record_wd_retry();
+                self.ctx.stats.count(|t, slot| {
+                    t.wd_retries += 1;
+                    t.step_retries[slot] += 1;
+                });
                 louvain_obs::counter_add("wd_retries", 1);
                 let salt = (self.ctx.rank as u64) << 40 ^ self.ctx.phase << 20 ^ self.ctx.op;
                 let delay = cfg.backoff.delay(self.extensions - 1, salt);
-                self.ctx.stats.record_backoff(delay);
+                self.ctx
+                    .stats
+                    .count(|t, _| t.backoff_nanos += delay.as_nanos() as u64);
                 louvain_obs::hist_observe("wd_backoff_us", delay.as_micros() as u64);
                 if !delay.is_zero() {
                     std::thread::sleep(delay);

@@ -10,9 +10,9 @@
 //!   [`Comm::exscan_sum`], [`Comm::all_to_all_v`], [`Comm::gather_to_root`],
 //!   [`Comm::broadcast`],
 //! * exact per-rank traffic accounting ([`CommStats`]), and
-//! * an α-β (latency/bandwidth) [`CostModel`] that converts the counted
-//!   traffic into a modeled communication time, so that scaling *shape* can
-//!   be studied on a machine with far fewer cores than ranks.
+//! * an α-β (latency/bandwidth) [`CostModel`] that prices the counted
+//!   traffic after the run, so that scaling *shape* can be studied on a
+//!   machine with far fewer cores than ranks.
 //!
 //! The simulation preserves the property that makes distributed Louvain
 //! semantically different from shared-memory Louvain: between two
@@ -45,4 +45,4 @@ pub use fault::{CrashRule, FaultKind, FaultPlan, FaultRule, HangRule, RankCrashe
 pub use health::{BackoffPolicy, HealthBoard, HealthConfig, RankHung};
 pub use reduce::{ReduceOp, Reducible};
 pub use runtime::{run, run_with, RunConfig};
-pub use stats::{CommStats, CommStep, StatsSnapshot, TrafficKind, NUM_COMM_STEPS};
+pub use stats::{CommStats, CommStep, StatsSnapshot, NUM_COMM_STEPS};

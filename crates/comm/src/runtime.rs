@@ -7,7 +7,6 @@ use crossbeam::channel::unbounded;
 
 use crate::blackboard::Blackboard;
 use crate::comm::Comm;
-use crate::cost::CostModel;
 use crate::envelope::Mailbox;
 use crate::fault::FaultPlan;
 use crate::health::{HealthBoard, HealthConfig};
@@ -15,8 +14,6 @@ use crate::health::{HealthBoard, HealthConfig};
 /// Launch-time options for a simulated job.
 #[derive(Debug, Clone)]
 pub struct RunConfig {
-    /// Communication cost model for modeled-time accounting.
-    pub cost: CostModel,
     /// Thread stack size in bytes (graph workloads recurse little, but the
     /// per-rank CSR builders can use deep temporary structures).
     pub stack_size: usize,
@@ -31,7 +28,6 @@ pub struct RunConfig {
 impl Default for RunConfig {
     fn default() -> Self {
         Self {
-            cost: CostModel::default(),
             stack_size: 8 << 20,
             fault: None,
             health: HealthConfig::default(),
@@ -91,7 +87,6 @@ where
                         senders,
                         mailbox,
                         Arc::clone(&blackboard),
-                        config.cost,
                         fault,
                         health,
                         board,
@@ -302,7 +297,6 @@ mod tests {
         assert_eq!(out[0].p2p_bytes, 24);
         assert_eq!(out[1].p2p_messages, 0);
         assert_eq!(out[0].collective_calls, 1);
-        assert!(out[0].modeled_seconds > 0.0);
     }
 
     #[test]
@@ -316,42 +310,6 @@ mod tests {
             // be released by poisoning rather than hanging forever.
             c.barrier();
         });
-    }
-
-    #[test]
-    fn custom_cost_model_drives_modeled_time() {
-        use crate::cost::CostModel;
-        let free = run_with(
-            2,
-            RunConfig {
-                cost: CostModel::free(),
-                ..Default::default()
-            },
-            |c| {
-                c.send((c.rank() + 1) % 2, 1, vec![0u64; 1000]);
-                let _ = c.recv::<u64>((c.rank() + 1) % 2, 1);
-                c.barrier();
-                c.stats().modeled_seconds()
-            },
-        );
-        assert_eq!(free, vec![0.0, 0.0]);
-        let slow = run_with(
-            2,
-            RunConfig {
-                cost: CostModel {
-                    alpha: 1.0,
-                    beta: 0.0,
-                },
-                ..Default::default()
-            },
-            |c| {
-                c.send((c.rank() + 1) % 2, 1, vec![0u64; 1000]);
-                let _ = c.recv::<u64>((c.rank() + 1) % 2, 1);
-                c.stats().modeled_seconds()
-            },
-        );
-        // One p2p message at α=1s.
-        assert_eq!(slow, vec![1.0, 1.0]);
     }
 
     #[test]
@@ -436,11 +394,11 @@ mod tests {
             // Full all-to-all…
             let full: Vec<Vec<u64>> = (0..p).map(|_| vec![1]).collect();
             let _ = c.all_to_all_v(full);
-            let after_full = c.stats().p2p_messages();
+            let after_full = c.stats().snapshot().p2p_messages;
             // …vs a single-neighbor exchange.
             let nbr = [(c.rank() + 1) % p, (c.rank() + p - 1) % p];
             let _ = c.neighbor_all_to_all_v(&nbr, vec![vec![1u64], vec![2u64]]);
-            let after_nbr = c.stats().p2p_messages();
+            let after_nbr = c.stats().snapshot().p2p_messages;
             (after_full, after_nbr - after_full)
         });
         for (full, nbr) in out {

@@ -1,20 +1,17 @@
 //! Per-rank communication accounting.
 //!
 //! Every `Comm` method updates these counters; experiment harnesses read
-//! them to report communication volume and to feed the [`CostModel`]
-//! (the HPCToolkit-style breakdown of Section V-A of the paper is derived
-//! from exactly these numbers).
+//! them to report communication volume, and the α-β [`crate::CostModel`]
+//! is evaluated over them at report time (the HPCToolkit-style breakdown
+//! of Section V-A of the paper is derived from exactly these numbers).
+//!
+//! The counters are named once, in the [`counter_table!`] invocation
+//! below. A snapshot can be walked word by word in that order, and
+//! everything that treats the counters alike — summing across ranks,
+//! re-absorbing a checkpoint, phase deltas, equality, the checkpoint
+//! stats block — is written against the walk.
 
-use std::cell::Cell;
-
-/// Classification of recorded traffic.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum TrafficKind {
-    /// Point-to-point sends (including the sends inside `all_to_all_v`).
-    PointToPoint,
-    /// Barriers, reductions, scans, gathers, broadcasts.
-    Collective,
-}
+use std::cell::{Cell, RefCell};
 
 /// The algorithmic step traffic is attributed to. The distributed
 /// Louvain iteration has four communication steps per sweep (ghost
@@ -46,15 +43,9 @@ impl CommStep {
         CommStep::Other,
     ];
 
+    /// Position in [`CommStep::ALL`] and in every per-step array.
     pub fn index(self) -> usize {
-        match self {
-            CommStep::GhostRefresh => 0,
-            CommStep::CommunityPull => 1,
-            CommStep::DeltaPush => 2,
-            CommStep::Reduction => 3,
-            CommStep::Checkpoint => 4,
-            CommStep::Other => 5,
-        }
+        self as usize
     }
 
     pub fn label(self) -> &'static str {
@@ -74,457 +65,108 @@ impl CommStep {
     }
 }
 
-/// Mutable per-rank counters. Each rank owns its `CommStats` exclusively
-/// (interior mutability via `Cell` keeps the `Comm` API `&self`).
-#[derive(Debug, Default)]
-pub struct CommStats {
-    p2p_messages: Cell<u64>,
-    p2p_bytes: Cell<u64>,
-    collective_calls: Cell<u64>,
-    collective_bytes: Cell<u64>,
-    /// Modeled communication time (seconds) accumulated via the cost model.
-    modeled_seconds: Cell<f64>,
-    /// Which algorithmic step subsequent traffic is attributed to.
-    step: Cell<CommStep>,
-    step_messages: [Cell<u64>; NUM_COMM_STEPS],
-    step_bytes: [Cell<u64>; NUM_COMM_STEPS],
-    /// Injected-fault events observed by this rank's sender (all zero in
-    /// clean runs).
-    fault_drops: Cell<u64>,
-    fault_delays: Cell<u64>,
-    fault_duplicates: Cell<u64>,
-    fault_truncations: Cell<u64>,
-    /// Retransmissions performed to survive drops/truncations.
-    fault_retries: Cell<u64>,
-    /// Injected stalls (straggler simulation) served by this rank.
-    fault_stalls: Cell<u64>,
-    /// Flaky-burst drops (consecutive-failure windows) on this sender.
-    fault_bursts: Cell<u64>,
-    /// Payload corruptions injected on this sender.
-    fault_corruptions: Cell<u64>,
-    /// Envelopes this rank rejected at intake on a checksum mismatch.
-    checksum_rejects: Cell<u64>,
-    /// Watchdog ladder events on this rank's blocked waits.
-    wd_timeouts: Cell<u64>,
-    wd_retries: Cell<u64>,
-    wd_stragglers: Cell<u64>,
-    /// Total time this rank slept in retry/watchdog backoff.
-    backoff_nanos: Cell<u64>,
-    /// Retries (retransmissions + watchdog deadline extensions) charged
-    /// to the step they occurred under — the per-step retry histogram
-    /// surfaced in the run report. Charged *immediately* when the retry
-    /// happens, so a panic mid-step cannot lose them (the panic-safety
-    /// contract of `Comm::with_step`).
-    step_retries: [Cell<u64>; NUM_COMM_STEPS],
-    /// Idle wall time spent blocked (receive loops, collective
-    /// fill-waits) per step — the *wait* half of the wait/transfer
-    /// split. Wall-clock derived, so excluded from snapshot equality.
-    step_wait_nanos: [Cell<u64>; NUM_COMM_STEPS],
-    /// This rank's Lamport clock: bumped on every envelope send, folded
-    /// to `max(local, remote) + 1` on every receive. Gives every sent
-    /// envelope a per-src-unique stamp for matching send/recv trace
-    /// events into cross-rank happens-before edges. Not part of the
-    /// snapshot: it is a clock, not a traffic counter.
-    lamport: Cell<u64>,
+/// Declares [`StatsSnapshot`] from the one list of counters: scalars,
+/// then per-[`CommStep`] arrays. Every field is a `u64` that sums.
+macro_rules! counter_table {
+    (
+        scalars { $($(#[$sdoc:meta])* $s:ident,)* }
+        per_step { $($(#[$adoc:meta])* $a:ident,)* }
+    ) => {
+        /// One rank's counters as plain data, summable across ranks.
+        #[derive(Debug, Default, Clone, Copy)]
+        pub struct StatsSnapshot {
+            $($(#[$sdoc])* pub $s: u64,)*
+            $($(#[$adoc])* pub $a: [u64; NUM_COMM_STEPS],)*
+        }
+
+        impl StatsSnapshot {
+            /// Every counter in table order (arrays in step order).
+            pub fn words(&self) -> impl Iterator<Item = u64> + '_ {
+                std::iter::empty()$(.chain([self.$s]))*$(.chain(self.$a))*
+            }
+
+            /// The same walk, writable.
+            pub fn words_mut(&mut self) -> impl Iterator<Item = &mut u64> {
+                std::iter::empty()$(.chain([&mut self.$s]))*$(.chain(&mut self.$a))*
+            }
+        }
+    };
 }
 
-impl CommStats {
-    pub fn new() -> Self {
-        Self::default()
+counter_table! {
+    scalars {
+        p2p_messages,
+        p2p_bytes,
+        collective_calls,
+        collective_bytes,
+        /// Injected-fault events on this sender (zero in clean runs).
+        fault_drops,
+        fault_delays,
+        fault_duplicates,
+        fault_truncations,
+        /// Retransmissions performed to survive drops/truncations.
+        fault_retries,
+        /// Injected stalls (straggler simulation) served by this rank.
+        fault_stalls,
+        /// Flaky-burst drops (consecutive-failure windows) on this sender.
+        fault_bursts,
+        /// Payload corruptions injected on this sender.
+        fault_corruptions,
+        /// Envelopes this rank rejected at intake on a checksum mismatch.
+        checksum_rejects,
+        /// Watchdog ladder events on this rank's blocked waits.
+        wd_timeouts,
+        wd_retries,
+        wd_stragglers,
+        /// Total time this rank slept in retry/watchdog backoff.
+        backoff_nanos,
     }
-
-    /// Set the step label that subsequent traffic is attributed to;
-    /// returns the previous label so callers can scope and restore.
-    pub fn set_step(&self, step: CommStep) -> CommStep {
-        self.step.replace(step)
+    per_step {
+        /// Messages/calls per step, indexed by `CommStep::index()`.
+        step_messages,
+        /// Bytes per step.
+        step_bytes,
+        /// Retries (retransmissions + watchdog deadline extensions) per
+        /// step, charged when the retry happens so a panic mid-step
+        /// cannot lose them (the contract of `Comm::with_step`).
+        step_retries,
+        /// Idle wall nanoseconds blocked in receives and collective
+        /// fill-waits per step. Excluded from equality.
+        step_wait_nanos,
     }
-
-    /// The step currently being attributed.
-    pub fn current_step(&self) -> CommStep {
-        self.step.get()
-    }
-
-    fn charge_step(&self, nmsgs: u64, bytes: u64) {
-        let i = self.step.get().index();
-        self.step_messages[i].set(self.step_messages[i].get() + nmsgs);
-        self.step_bytes[i].set(self.step_bytes[i].get() + bytes);
-    }
-
-    #[cfg(test)]
-    pub(crate) fn record_p2p(&self, bytes: u64, modeled: f64) {
-        self.record_p2p_batch(1, bytes, modeled);
-    }
-
-    pub(crate) fn record_p2p_batch(&self, nmsgs: u64, bytes: u64, modeled: f64) {
-        self.p2p_messages.set(self.p2p_messages.get() + nmsgs);
-        self.p2p_bytes.set(self.p2p_bytes.get() + bytes);
-        self.modeled_seconds
-            .set(self.modeled_seconds.get() + modeled);
-        self.charge_step(nmsgs, bytes);
-        // Advance the tracing layer's modeled clock so open spans see
-        // modeled comm time next to their wall-clock duration.
-        louvain_obs::add_modeled_seconds(modeled);
-    }
-
-    pub(crate) fn record_collective(&self, bytes: u64, modeled: f64) {
-        self.collective_calls.set(self.collective_calls.get() + 1);
-        self.collective_bytes
-            .set(self.collective_bytes.get() + bytes);
-        self.modeled_seconds
-            .set(self.modeled_seconds.get() + modeled);
-        self.charge_step(1, bytes);
-        louvain_obs::add_modeled_seconds(modeled);
-    }
-
-    /// Number of point-to-point messages sent by this rank.
-    pub fn p2p_messages(&self) -> u64 {
-        self.p2p_messages.get()
-    }
-
-    /// Bytes sent point-to-point by this rank.
-    pub fn p2p_bytes(&self) -> u64 {
-        self.p2p_bytes.get()
-    }
-
-    /// Number of collective operations this rank participated in.
-    pub fn collective_calls(&self) -> u64 {
-        self.collective_calls.get()
-    }
-
-    /// Bytes this rank contributed to collectives.
-    pub fn collective_bytes(&self) -> u64 {
-        self.collective_bytes.get()
-    }
-
-    /// Modeled communication time in seconds (α-β model).
-    pub fn modeled_seconds(&self) -> f64 {
-        self.modeled_seconds.get()
-    }
-
-    /// Bytes attributed to one algorithmic step.
-    pub fn step_bytes(&self, step: CommStep) -> u64 {
-        self.step_bytes[step.index()].get()
-    }
-
-    /// Messages/calls attributed to one algorithmic step.
-    pub fn step_messages(&self, step: CommStep) -> u64 {
-        self.step_messages[step.index()].get()
-    }
-
-    pub(crate) fn record_fault(&self, kind: crate::fault::FaultKind) {
-        use crate::fault::FaultKind;
-        let cell = match kind {
-            FaultKind::Drop => &self.fault_drops,
-            FaultKind::Delay => &self.fault_delays,
-            FaultKind::Duplicate => &self.fault_duplicates,
-            FaultKind::Truncate => &self.fault_truncations,
-            FaultKind::Stall => &self.fault_stalls,
-            FaultKind::FlakyBurst => &self.fault_bursts,
-            FaultKind::CorruptPayload => &self.fault_corruptions,
-        };
-        cell.set(cell.get() + 1);
-    }
-
-    pub(crate) fn record_retry(&self) {
-        self.fault_retries.set(self.fault_retries.get() + 1);
-        self.charge_step_retry();
-    }
-
-    fn charge_step_retry(&self) {
-        let i = self.step.get().index();
-        self.step_retries[i].set(self.step_retries[i].get() + 1);
-    }
-
-    pub(crate) fn record_wd_timeout(&self) {
-        self.wd_timeouts.set(self.wd_timeouts.get() + 1);
-    }
-
-    pub(crate) fn record_wd_retry(&self) {
-        self.wd_retries.set(self.wd_retries.get() + 1);
-        self.charge_step_retry();
-    }
-
-    pub(crate) fn record_wd_straggler(&self) {
-        self.wd_stragglers.set(self.wd_stragglers.get() + 1);
-    }
-
-    pub(crate) fn record_backoff(&self, delay: std::time::Duration) {
-        self.backoff_nanos
-            .set(self.backoff_nanos.get() + delay.as_nanos() as u64);
-    }
-
-    pub(crate) fn record_checksum_reject(&self) {
-        self.checksum_rejects.set(self.checksum_rejects.get() + 1);
-    }
-
-    /// Charge idle blocked time to the current step (the *wait* half of
-    /// the wait/transfer split).
-    pub(crate) fn record_wait_nanos(&self, nanos: u64) {
-        let i = self.step.get().index();
-        self.step_wait_nanos[i].set(self.step_wait_nanos[i].get() + nanos);
-    }
-
-    /// Advance this rank's Lamport clock for a send; returns the stamp
-    /// to put on the envelope.
-    pub(crate) fn tick_lamport(&self) -> u64 {
-        let next = self.lamport.get() + 1;
-        self.lamport.set(next);
-        next
-    }
-
-    /// Fold a received envelope's Lamport stamp into the local clock
-    /// (`max(local, remote) + 1`).
-    pub(crate) fn fold_lamport(&self, remote: u64) {
-        self.lamport.set(self.lamport.get().max(remote) + 1);
-    }
-
-    /// Idle blocked nanoseconds attributed to one algorithmic step.
-    pub fn step_wait_nanos(&self, step: CommStep) -> u64 {
-        self.step_wait_nanos[step.index()].get()
-    }
-
-    /// Watchdog event counts `(timeouts, retries, stragglers,
-    /// backoff_nanos)` on this rank's blocked waits.
-    pub fn watchdog_counts(&self) -> (u64, u64, u64, u64) {
-        (
-            self.wd_timeouts.get(),
-            self.wd_retries.get(),
-            self.wd_stragglers.get(),
-            self.backoff_nanos.get(),
-        )
-    }
-
-    /// Checksum-mismatch rejections at this rank's intake.
-    pub fn checksum_rejects(&self) -> u64 {
-        self.checksum_rejects.get()
-    }
-
-    /// Retries charged to one algorithmic step.
-    pub fn step_retries(&self, step: CommStep) -> u64 {
-        self.step_retries[step.index()].get()
-    }
-
-    /// Injected-fault event counts `(drops, delays, duplicates,
-    /// truncations, retries)`.
-    pub fn fault_counts(&self) -> (u64, u64, u64, u64, u64) {
-        (
-            self.fault_drops.get(),
-            self.fault_delays.get(),
-            self.fault_duplicates.get(),
-            self.fault_truncations.get(),
-            self.fault_retries.get(),
-        )
-    }
-
-    /// Snapshot as a plain-old-data summary (for aggregation across ranks).
-    pub fn snapshot(&self) -> StatsSnapshot {
-        StatsSnapshot {
-            p2p_messages: self.p2p_messages(),
-            p2p_bytes: self.p2p_bytes(),
-            collective_calls: self.collective_calls(),
-            collective_bytes: self.collective_bytes(),
-            modeled_seconds: self.modeled_seconds(),
-            step_messages: std::array::from_fn(|i| self.step_messages[i].get()),
-            step_bytes: std::array::from_fn(|i| self.step_bytes[i].get()),
-            fault_drops: self.fault_drops.get(),
-            fault_delays: self.fault_delays.get(),
-            fault_duplicates: self.fault_duplicates.get(),
-            fault_truncations: self.fault_truncations.get(),
-            fault_retries: self.fault_retries.get(),
-            fault_stalls: self.fault_stalls.get(),
-            fault_bursts: self.fault_bursts.get(),
-            fault_corruptions: self.fault_corruptions.get(),
-            checksum_rejects: self.checksum_rejects.get(),
-            wd_timeouts: self.wd_timeouts.get(),
-            wd_retries: self.wd_retries.get(),
-            wd_stragglers: self.wd_stragglers.get(),
-            backoff_nanos: self.backoff_nanos.get(),
-            step_retries: std::array::from_fn(|i| self.step_retries[i].get()),
-            step_wait_nanos: std::array::from_fn(|i| self.step_wait_nanos[i].get()),
-        }
-    }
-
-    /// Fold a previously captured snapshot back into the live counters.
-    /// A resumed run calls this with the snapshot stored in its
-    /// checkpoint so that the final totals are cumulative (pre-crash +
-    /// post-resume) and per-step byte sums still reconcile.
-    pub fn absorb(&self, base: &StatsSnapshot) {
-        self.p2p_messages
-            .set(self.p2p_messages.get() + base.p2p_messages);
-        self.p2p_bytes.set(self.p2p_bytes.get() + base.p2p_bytes);
-        self.collective_calls
-            .set(self.collective_calls.get() + base.collective_calls);
-        self.collective_bytes
-            .set(self.collective_bytes.get() + base.collective_bytes);
-        self.modeled_seconds
-            .set(self.modeled_seconds.get() + base.modeled_seconds);
-        for i in 0..NUM_COMM_STEPS {
-            self.step_messages[i].set(self.step_messages[i].get() + base.step_messages[i]);
-            self.step_bytes[i].set(self.step_bytes[i].get() + base.step_bytes[i]);
-        }
-        self.fault_drops
-            .set(self.fault_drops.get() + base.fault_drops);
-        self.fault_delays
-            .set(self.fault_delays.get() + base.fault_delays);
-        self.fault_duplicates
-            .set(self.fault_duplicates.get() + base.fault_duplicates);
-        self.fault_truncations
-            .set(self.fault_truncations.get() + base.fault_truncations);
-        self.fault_retries
-            .set(self.fault_retries.get() + base.fault_retries);
-        self.fault_stalls
-            .set(self.fault_stalls.get() + base.fault_stalls);
-        self.fault_bursts
-            .set(self.fault_bursts.get() + base.fault_bursts);
-        self.fault_corruptions
-            .set(self.fault_corruptions.get() + base.fault_corruptions);
-        self.checksum_rejects
-            .set(self.checksum_rejects.get() + base.checksum_rejects);
-        self.wd_timeouts
-            .set(self.wd_timeouts.get() + base.wd_timeouts);
-        self.wd_retries.set(self.wd_retries.get() + base.wd_retries);
-        self.wd_stragglers
-            .set(self.wd_stragglers.get() + base.wd_stragglers);
-        self.backoff_nanos
-            .set(self.backoff_nanos.get() + base.backoff_nanos);
-        for i in 0..NUM_COMM_STEPS {
-            self.step_retries[i].set(self.step_retries[i].get() + base.step_retries[i]);
-            self.step_wait_nanos[i].set(self.step_wait_nanos[i].get() + base.step_wait_nanos[i]);
-        }
-    }
-
-    /// Zero every counter, returning the pre-reset snapshot.
-    pub fn reset(&self) -> StatsSnapshot {
-        let snap = self.snapshot();
-        self.p2p_messages.set(0);
-        self.p2p_bytes.set(0);
-        self.collective_calls.set(0);
-        self.collective_bytes.set(0);
-        self.modeled_seconds.set(0.0);
-        for i in 0..NUM_COMM_STEPS {
-            self.step_messages[i].set(0);
-            self.step_bytes[i].set(0);
-        }
-        self.fault_drops.set(0);
-        self.fault_delays.set(0);
-        self.fault_duplicates.set(0);
-        self.fault_truncations.set(0);
-        self.fault_retries.set(0);
-        self.fault_stalls.set(0);
-        self.fault_bursts.set(0);
-        self.fault_corruptions.set(0);
-        self.checksum_rejects.set(0);
-        self.wd_timeouts.set(0);
-        self.wd_retries.set(0);
-        self.wd_stragglers.set(0);
-        self.backoff_nanos.set(0);
-        for i in 0..NUM_COMM_STEPS {
-            self.step_retries[i].set(0);
-            self.step_wait_nanos[i].set(0);
-        }
-        self.lamport.set(0);
-        snap
-    }
-}
-
-/// Plain-old-data copy of [`CommStats`], summable across ranks.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct StatsSnapshot {
-    pub p2p_messages: u64,
-    pub p2p_bytes: u64,
-    pub collective_calls: u64,
-    pub collective_bytes: u64,
-    pub modeled_seconds: f64,
-    /// Per-[`CommStep`] message/call counts, indexed by `CommStep::index()`.
-    pub step_messages: [u64; NUM_COMM_STEPS],
-    /// Per-[`CommStep`] byte counts, indexed by `CommStep::index()`.
-    pub step_bytes: [u64; NUM_COMM_STEPS],
-    /// Injected-fault events (all zero in clean runs).
-    pub fault_drops: u64,
-    pub fault_delays: u64,
-    pub fault_duplicates: u64,
-    pub fault_truncations: u64,
-    pub fault_retries: u64,
-    pub fault_stalls: u64,
-    pub fault_bursts: u64,
-    pub fault_corruptions: u64,
-    /// Checksum-mismatch rejections at this rank's intake.
-    pub checksum_rejects: u64,
-    /// Watchdog ladder events (all zero in clean runs).
-    pub wd_timeouts: u64,
-    pub wd_retries: u64,
-    pub wd_stragglers: u64,
-    /// Total retry/watchdog backoff sleep, in nanoseconds.
-    pub backoff_nanos: u64,
-    /// Per-[`CommStep`] retry counts (retransmissions + watchdog
-    /// deadline extensions), indexed by `CommStep::index()`.
-    pub step_retries: [u64; NUM_COMM_STEPS],
-    /// Per-[`CommStep`] idle blocked time (wall nanoseconds), indexed by
-    /// `CommStep::index()`. Excluded from equality: see the manual
-    /// `PartialEq` below.
-    pub step_wait_nanos: [u64; NUM_COMM_STEPS],
 }
 
 /// Equality over the *deterministic* counters only. `step_wait_nanos`
 /// is wall-clock derived — two bit-identical runs block for different
 /// real durations — and the determinism/parity tests compare snapshots
-/// wholesale, so the non-deterministic field is excluded by hand.
+/// wholesale.
 impl PartialEq for StatsSnapshot {
     fn eq(&self, other: &Self) -> bool {
-        self.p2p_messages == other.p2p_messages
-            && self.p2p_bytes == other.p2p_bytes
-            && self.collective_calls == other.collective_calls
-            && self.collective_bytes == other.collective_bytes
-            && self.modeled_seconds == other.modeled_seconds
-            && self.step_messages == other.step_messages
-            && self.step_bytes == other.step_bytes
-            && self.fault_drops == other.fault_drops
-            && self.fault_delays == other.fault_delays
-            && self.fault_duplicates == other.fault_duplicates
-            && self.fault_truncations == other.fault_truncations
-            && self.fault_retries == other.fault_retries
-            && self.fault_stalls == other.fault_stalls
-            && self.fault_bursts == other.fault_bursts
-            && self.fault_corruptions == other.fault_corruptions
-            && self.checksum_rejects == other.checksum_rejects
-            && self.wd_timeouts == other.wd_timeouts
-            && self.wd_retries == other.wd_retries
-            && self.wd_stragglers == other.wd_stragglers
-            && self.backoff_nanos == other.backoff_nanos
-            && self.step_retries == other.step_retries
+        let timeless = |s: &Self| Self {
+            step_wait_nanos: [0; NUM_COMM_STEPS],
+            ..*s
+        };
+        timeless(self).words().eq(timeless(other).words())
     }
 }
 
 impl StatsSnapshot {
-    /// Element-wise accumulation (modeled time takes the max, matching the
-    /// bulk-synchronous critical path; counters sum).
-    pub fn merge_max_time(&mut self, other: &StatsSnapshot) {
-        self.p2p_messages += other.p2p_messages;
-        self.p2p_bytes += other.p2p_bytes;
-        self.collective_calls += other.collective_calls;
-        self.collective_bytes += other.collective_bytes;
-        self.modeled_seconds = self.modeled_seconds.max(other.modeled_seconds);
-        for i in 0..NUM_COMM_STEPS {
-            self.step_messages[i] += other.step_messages[i];
-            self.step_bytes[i] += other.step_bytes[i];
+    /// Add every counter of `other` (another rank, or an earlier leg of
+    /// the same run).
+    pub fn merge(&mut self, other: &Self) {
+        for (mine, theirs) in self.words_mut().zip(other.words()) {
+            *mine += theirs;
         }
-        self.fault_drops += other.fault_drops;
-        self.fault_delays += other.fault_delays;
-        self.fault_duplicates += other.fault_duplicates;
-        self.fault_truncations += other.fault_truncations;
-        self.fault_retries += other.fault_retries;
-        self.fault_stalls += other.fault_stalls;
-        self.fault_bursts += other.fault_bursts;
-        self.fault_corruptions += other.fault_corruptions;
-        self.checksum_rejects += other.checksum_rejects;
-        self.wd_timeouts += other.wd_timeouts;
-        self.wd_retries += other.wd_retries;
-        self.wd_stragglers += other.wd_stragglers;
-        self.backoff_nanos += other.backoff_nanos;
-        for i in 0..NUM_COMM_STEPS {
-            self.step_retries[i] += other.step_retries[i];
-            self.step_wait_nanos[i] += other.step_wait_nanos[i];
+    }
+
+    /// What was counted after `earlier`, a previous snapshot of the
+    /// same rank.
+    pub fn since(&self, earlier: &Self) -> Self {
+        let mut delta = *self;
+        for (mine, theirs) in delta.words_mut().zip(earlier.words()) {
+            *mine -= theirs;
         }
+        delta
     }
 
     /// Bytes attributed to one algorithmic step.
@@ -548,74 +190,194 @@ impl StatsSnapshot {
     }
 }
 
+/// Live per-rank counters. Each rank owns its `CommStats` exclusively
+/// (interior mutability keeps the `Comm` API `&self`).
+#[derive(Debug, Default)]
+pub struct CommStats {
+    table: RefCell<StatsSnapshot>,
+    /// Which algorithmic step subsequent traffic is attributed to.
+    step: Cell<CommStep>,
+    /// This rank's Lamport clock: gives every sent envelope a
+    /// per-src-unique stamp for matching send/recv trace events into
+    /// cross-rank happens-before edges. A clock, not a counter, so not
+    /// in the table.
+    lamport: Cell<u64>,
+}
+
+impl CommStats {
+    /// Set the step label that subsequent traffic is attributed to;
+    /// returns the previous label so callers can scope and restore.
+    pub fn set_step(&self, step: CommStep) -> CommStep {
+        self.step.replace(step)
+    }
+
+    /// The step currently being attributed.
+    pub fn current_step(&self) -> CommStep {
+        self.step.get()
+    }
+
+    /// Copy of the counters (for aggregation across ranks).
+    pub fn snapshot(&self) -> StatsSnapshot {
+        *self.table.borrow()
+    }
+
+    /// Fold a checkpointed snapshot back into the live counters, so a
+    /// resumed run's totals are cumulative (pre-crash + post-resume)
+    /// and per-step byte sums still reconcile.
+    pub fn absorb(&self, base: &StatsSnapshot) {
+        self.table.borrow_mut().merge(base);
+    }
+
+    /// Update the table, given the current step's slot in the per-step
+    /// arrays.
+    pub(crate) fn count(&self, f: impl FnOnce(&mut StatsSnapshot, usize)) {
+        f(&mut self.table.borrow_mut(), self.step.get().index());
+    }
+
+    pub(crate) fn record_p2p(&self, nmsgs: u64, bytes: u64) {
+        self.count(|t, step| {
+            t.p2p_messages += nmsgs;
+            t.p2p_bytes += bytes;
+            t.step_messages[step] += nmsgs;
+            t.step_bytes[step] += bytes;
+        });
+    }
+
+    pub(crate) fn record_collective(&self, bytes: u64) {
+        self.count(|t, step| {
+            t.collective_calls += 1;
+            t.collective_bytes += bytes;
+            t.step_messages[step] += 1;
+            t.step_bytes[step] += bytes;
+        });
+    }
+
+    pub(crate) fn record_fault(&self, kind: crate::fault::FaultKind) {
+        use crate::fault::FaultKind;
+        self.count(|t, _| {
+            *match kind {
+                FaultKind::Drop => &mut t.fault_drops,
+                FaultKind::Delay => &mut t.fault_delays,
+                FaultKind::Duplicate => &mut t.fault_duplicates,
+                FaultKind::Truncate => &mut t.fault_truncations,
+                FaultKind::Stall => &mut t.fault_stalls,
+                FaultKind::FlakyBurst => &mut t.fault_bursts,
+                FaultKind::CorruptPayload => &mut t.fault_corruptions,
+            } += 1;
+        });
+    }
+
+    pub(crate) fn record_retry(&self) {
+        self.count(|t, step| {
+            t.fault_retries += 1;
+            t.step_retries[step] += 1;
+        });
+    }
+
+    /// Advance the Lamport clock for a send; returns the envelope stamp.
+    pub(crate) fn tick_lamport(&self) -> u64 {
+        let next = self.lamport.get() + 1;
+        self.lamport.set(next);
+        next
+    }
+
+    /// Fold a received stamp into the clock (`max(local, remote) + 1`).
+    pub(crate) fn fold_lamport(&self, remote: u64) {
+        self.lamport.set(self.lamport.get().max(remote) + 1);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn counters_accumulate() {
-        let s = CommStats::new();
-        s.record_p2p(100, 0.5);
-        s.record_p2p(50, 0.25);
-        s.record_collective(8, 0.1);
-        assert_eq!(s.p2p_messages(), 2);
-        assert_eq!(s.p2p_bytes(), 150);
-        assert_eq!(s.collective_calls(), 1);
-        assert_eq!(s.collective_bytes(), 8);
-        assert!((s.modeled_seconds() - 0.85).abs() < 1e-12);
+        let s = CommStats::default();
+        s.record_p2p(1, 100);
+        s.record_p2p(1, 50);
+        s.record_collective(8);
+        let snap = s.snapshot();
+        assert_eq!(snap.p2p_messages, 2);
+        assert_eq!(snap.p2p_bytes, 150);
+        assert_eq!(snap.collective_calls, 1);
+        assert_eq!(snap.collective_bytes, 8);
     }
 
     #[test]
     fn step_attribution_follows_set_step() {
-        let s = CommStats::new();
-        s.record_p2p(100, 0.0);
+        let s = CommStats::default();
+        s.record_p2p(1, 100);
         let prev = s.set_step(CommStep::GhostRefresh);
         assert_eq!(prev, CommStep::Other);
-        s.record_p2p_batch(3, 300, 0.0);
+        s.record_p2p(3, 300);
         s.set_step(CommStep::Reduction);
-        s.record_collective(8, 0.0);
+        s.record_collective(8);
         s.set_step(prev);
-        assert_eq!(s.step_bytes(CommStep::Other), 100);
-        assert_eq!(s.step_bytes(CommStep::GhostRefresh), 300);
-        assert_eq!(s.step_messages(CommStep::GhostRefresh), 3);
-        assert_eq!(s.step_bytes(CommStep::Reduction), 8);
         let snap = s.snapshot();
+        assert_eq!(snap.step_bytes_for(CommStep::Other), 100);
         assert_eq!(snap.step_bytes_for(CommStep::GhostRefresh), 300);
+        assert_eq!(snap.step_messages_for(CommStep::GhostRefresh), 3);
+        assert_eq!(snap.step_bytes_for(CommStep::Reduction), 8);
         assert_eq!(
             snap.step_bytes.iter().sum::<u64>(),
             snap.p2p_bytes + snap.collective_bytes
         );
     }
 
+    /// A snapshot whose every word differs: a walker that skips or
+    /// repeats a field cannot preserve it.
+    fn distinct() -> StatsSnapshot {
+        let mut s = StatsSnapshot::default();
+        for (i, w) in s.words_mut().enumerate() {
+            *w = 1_000 + i as u64;
+        }
+        s
+    }
+
     #[test]
-    fn snapshot_merge_takes_time_max_and_counter_sum() {
-        let mut a = StatsSnapshot {
-            p2p_messages: 1,
-            p2p_bytes: 10,
-            collective_calls: 2,
-            collective_bytes: 4,
-            modeled_seconds: 0.5,
-            ..Default::default()
-        };
-        let b = StatsSnapshot {
-            p2p_messages: 3,
-            p2p_bytes: 30,
-            collective_calls: 1,
-            collective_bytes: 8,
-            modeled_seconds: 0.2,
-            ..Default::default()
-        };
-        a.merge_max_time(&b);
-        assert_eq!(a.p2p_messages, 4);
-        assert_eq!(a.p2p_bytes, 40);
-        assert_eq!(a.collective_calls, 3);
-        assert_eq!(a.collective_bytes, 12);
-        assert_eq!(a.modeled_seconds, 0.5);
+    fn every_field_survives_the_walk_absorb_merge_and_since() {
+        let full = distinct();
+        let words: Vec<u64> = full.words().collect();
+        assert_eq!(
+            words,
+            (1_000..1_000 + words.len() as u64).collect::<Vec<_>>()
+        );
+        // The walk starts at the table's first field and covers the
+        // whole struct, so a field added to the table is walked too.
+        assert_eq!(full.p2p_messages, 1_000);
+        assert_eq!(
+            words.len() * std::mem::size_of::<u64>(),
+            std::mem::size_of::<StatsSnapshot>()
+        );
+
+        let live = CommStats::default();
+        live.absorb(&full);
+        assert!(live.snapshot().words().eq(full.words()));
+
+        let mut twice = full;
+        twice.merge(&full);
+        assert!(twice.words().eq(words.iter().map(|w| 2 * w)));
+        assert!(twice.since(&full).words().eq(full.words()));
+    }
+
+    #[test]
+    fn equality_ignores_only_the_wall_clock_wait_field() {
+        let full = distinct();
+        let mut other = full;
+        other.step_wait_nanos = [0; NUM_COMM_STEPS];
+        assert_eq!(full, other);
+        for i in 0..full.words().count() {
+            let mut bumped = full;
+            *bumped.words_mut().nth(i).unwrap() += 1;
+            let only_wait_differs = bumped.step_wait_nanos != full.step_wait_nanos;
+            assert_eq!(full == bumped, only_wait_differs, "word {i}");
+        }
     }
 
     #[test]
     fn lamport_clock_ticks_and_folds() {
-        let s = CommStats::new();
+        let s = CommStats::default();
         assert_eq!(s.tick_lamport(), 1);
         assert_eq!(s.tick_lamport(), 2);
         // Receiving a stamp from the future jumps past it.
@@ -627,47 +389,22 @@ mod tests {
     }
 
     #[test]
-    fn wait_nanos_charge_current_step_and_survive_absorb() {
-        let s = CommStats::new();
-        s.set_step(CommStep::GhostRefresh);
-        s.record_wait_nanos(500);
+    fn absorb_restores_cumulative_totals() {
+        // A "crashed" attempt's counters...
+        let before = CommStats::default();
+        before.set_step(CommStep::GhostRefresh);
+        before.record_p2p(1, 100);
+        before.count(|t, step| t.step_wait_nanos[step] += 500);
+        before.set_step(CommStep::Checkpoint);
+        before.record_collective(8);
+        let cut = before.snapshot();
+
+        // ...absorbed by the resumed attempt after its own traffic.
+        let s = CommStats::default();
         s.set_step(CommStep::Reduction);
-        s.record_wait_nanos(200);
-        assert_eq!(s.step_wait_nanos(CommStep::GhostRefresh), 500);
-        assert_eq!(s.step_wait_nanos(CommStep::Reduction), 200);
-        let cut = s.reset();
-        assert_eq!(cut.step_wait_nanos_for(CommStep::GhostRefresh), 500);
-        assert_eq!(s.step_wait_nanos(CommStep::GhostRefresh), 0);
+        s.record_collective(16);
         s.set_step(CommStep::GhostRefresh);
-        s.record_wait_nanos(100);
-        s.absorb(&cut);
-        let after = s.snapshot();
-        assert_eq!(after.step_wait_nanos_for(CommStep::GhostRefresh), 600);
-        assert_eq!(after.wait_nanos_total(), 800);
-        // Equality ignores the wall-clock wait field: two runs with the
-        // same traffic but different idle time still compare equal.
-        let mut other = after;
-        other.step_wait_nanos = [0; NUM_COMM_STEPS];
-        assert_eq!(after, other);
-    }
-
-    #[test]
-    fn reset_then_absorb_restores_cumulative_totals() {
-        let s = CommStats::new();
-        s.set_step(CommStep::GhostRefresh);
-        s.record_p2p(100, 0.5);
-        s.set_step(CommStep::Checkpoint);
-        s.record_collective(8, 0.1);
-        let before = s.snapshot();
-
-        let cut = s.reset();
-        assert_eq!(cut, before);
-        assert_eq!(s.snapshot(), StatsSnapshot::default());
-
-        // Post-"resume" traffic plus the absorbed pre-crash snapshot
-        // must equal the uninterrupted totals plus the new traffic.
-        s.set_step(CommStep::Reduction);
-        s.record_collective(16, 0.2);
+        s.count(|t, step| t.step_wait_nanos[step] += 100);
         s.absorb(&cut);
         let after = s.snapshot();
         assert_eq!(after.p2p_bytes, 100);
@@ -675,10 +412,11 @@ mod tests {
         assert_eq!(after.step_bytes_for(CommStep::GhostRefresh), 100);
         assert_eq!(after.step_bytes_for(CommStep::Checkpoint), 8);
         assert_eq!(after.step_bytes_for(CommStep::Reduction), 16);
+        assert_eq!(after.step_wait_nanos_for(CommStep::GhostRefresh), 600);
+        assert_eq!(after.wait_nanos_total(), 600);
         assert_eq!(
             after.step_bytes.iter().sum::<u64>(),
             after.p2p_bytes + after.collective_bytes
         );
-        assert!((after.modeled_seconds - 0.8).abs() < 1e-12);
     }
 }

@@ -52,8 +52,8 @@ pub struct DistOutcome {
     /// is their merge; kept separately so run reports can show per-rank
     /// imbalance.
     pub per_rank_traffic: Vec<StatsSnapshot>,
-    /// Modeled job time: Σ over phases of the slowest rank's modeled
-    /// phase time (bulk-synchronous critical path).
+    /// Modeled job time ([`crate::model::job_seconds`]): Σ over phases of
+    /// the slowest rank's phase time (bulk-synchronous critical path).
     pub modeled_seconds: f64,
     /// Real wall time of the simulated job (all ranks share the host).
     pub wall: Duration,
@@ -107,61 +107,10 @@ impl DistOutcome {
     }
 
     /// Modeled-time breakdown over the whole run:
-    /// `(compute, comm, reduce, rebuild)` seconds, HPCToolkit-style.
-    ///
-    /// The iterations are bulk-synchronous: the rank that finishes its
-    /// sweep early waits at the modularity all-reduce for the slowest
-    /// rank. HPCToolkit (and hence the paper's §V-A numbers) attributes
-    /// that wait to the reduction, so this method does too: per
-    /// iteration, `compute` gets the *mean* rank's sweep time and the
-    /// `reduce` bucket gets the wire time plus the imbalance wait
-    /// (`max − mean`).
+    /// `(compute, comm, reduce, rebuild)` seconds, HPCToolkit-style (see
+    /// [`crate::model::breakdown`]).
     pub fn modeled_breakdown(&self) -> (f64, f64, f64, f64) {
-        let phases = self.phases;
-        let mut compute = 0.0;
-        let mut comm = 0.0;
-        let mut reduce = 0.0;
-        let mut rebuild = 0.0;
-        for phase in 0..phases {
-            let mut m = 0.0_f64;
-            let mut r_wire = 0.0_f64;
-            let mut b = 0.0_f64;
-            let mut speedup = 1.0_f64;
-            let mut max_iters = 0;
-            for rank in &self.per_rank_stats {
-                if let Some(s) = rank.get(phase) {
-                    m = m.max(s.comm_seconds);
-                    r_wire = r_wire.max(s.reduce_seconds);
-                    b = b.max(s.rebuild.modeled_seconds());
-                    speedup = crate::stats::parallel_speedup(s.threads_per_rank);
-                    max_iters = max_iters.max(s.iteration_traces.len());
-                }
-            }
-            // Per-iteration imbalance: mean vs slowest rank's sweep.
-            let mut mean_compute = 0.0;
-            let mut critical_compute = 0.0;
-            for it in 0..max_iters {
-                let edges: Vec<f64> = self
-                    .per_rank_stats
-                    .iter()
-                    .filter_map(|rank| rank.get(phase))
-                    .filter_map(|s| s.iteration_traces.get(it))
-                    .map(|t| t.local_edges as f64)
-                    .collect();
-                if edges.is_empty() {
-                    continue;
-                }
-                let max = edges.iter().cloned().fold(0.0, f64::max);
-                let mean = edges.iter().sum::<f64>() / edges.len() as f64;
-                critical_compute += max * crate::stats::EDGE_COST / speedup;
-                mean_compute += mean * crate::stats::EDGE_COST / speedup;
-            }
-            compute += mean_compute;
-            comm += m;
-            reduce += r_wire + (critical_compute - mean_compute);
-            rebuild += b;
-        }
-        (compute, comm, reduce, rebuild)
+        crate::model::breakdown(&self.per_rank_stats, self.phases)
     }
 }
 
@@ -264,8 +213,8 @@ pub fn run_distributed(g: &Csr, p: usize, cfg: &DistConfig) -> DistOutcome {
     )
 }
 
-/// [`run_distributed`] with an explicit runtime configuration (cost
-/// model, stack size) and input-distribution strategy (for the
+/// [`run_distributed`] with an explicit runtime configuration (stack
+/// size, fault plan, watchdog) and input-distribution strategy (for the
 /// partitioning ablation). Panics if `runcfg` injects a rank failure:
 /// nothing is recovered without [`ResilOptions`].
 pub fn run_distributed_partitioned(
@@ -363,7 +312,7 @@ fn run_attempts(
         .progress
         .as_ref()
         .map(|_| louvain_obs::ProgressScope::new());
-    let watch = louvain_obs::Stopwatch::start();
+    let started = std::time::Instant::now();
 
     let mut crash_recoveries = 0usize;
     let mut hung_events: Vec<RankHung> = Vec::new();
@@ -401,7 +350,7 @@ fn run_attempts(
         }));
         match attempt {
             Ok(results) => {
-                let wall = Duration::from_secs_f64(watch.wall_seconds());
+                let wall = started.elapsed();
                 // Rows whose iterations some ranks early-terminated out
                 // of never reach a full rank count in the merger; emit
                 // them now so watchers see the complete trajectory.
@@ -472,7 +421,7 @@ fn merge(
     let mut per_rank_stats = Vec::with_capacity(results.len());
     for (o, s) in &results {
         assignment.extend(o.assignment.iter().copied());
-        traffic.merge_max_time(s);
+        traffic.merge(s);
         per_rank_traffic.push(*s);
     }
     // Dendrogram levels (recorded only under `record_levels`): the phase
@@ -497,17 +446,7 @@ fn merge(
         per_rank_stats.push(o.phase_stats);
     }
 
-    // Critical-path modeled time: per phase, the slowest rank.
-    let mut modeled_seconds = 0.0;
-    for phase in 0..phases {
-        let slowest = per_rank_stats
-            .iter()
-            .filter_map(|r| r.get(phase))
-            .map(|s| s.modeled_seconds())
-            .fold(0.0_f64, f64::max);
-        modeled_seconds += slowest;
-    }
-
+    let modeled_seconds = crate::model::job_seconds(&per_rank_stats, phases);
     let (dense, num_communities) = louvain_graph::community::renumber(&assignment);
     DistOutcome {
         assignment: dense,

@@ -64,10 +64,6 @@ pub struct PhaseResult {
     pub iterations: usize,
     pub traces: Vec<IterationTrace>,
     pub compute: WorkCounter,
-    /// Modeled seconds in ghost/community exchanges (steps 1–3).
-    pub comm_seconds: f64,
-    /// Modeled seconds in the modularity reductions (step 4).
-    pub reduce_seconds: f64,
     /// True if the ETC 90%-inactive exit ended the phase.
     pub etc_exit: bool,
     /// Ghost refreshes pruned away by the inactive-vertex refinement.
@@ -150,9 +146,8 @@ impl SweepAcc {
 
 /// One ghost community exchange (Step 1): snapshot the local
 /// communities into the scratch arena and let the layer refresh
-/// `ghost_comm` from the owners' snapshots; returns the modeled seconds
-/// it took. `allow_delta` must be uniform across ranks (see
-/// [`GhostLayer::exchange`]).
+/// `ghost_comm` from the owners' snapshots. `allow_delta` must be
+/// uniform across ranks (see [`GhostLayer::exchange`]).
 fn exchange_ghosts(
     comm: &Comm,
     ghosts: &mut GhostLayer,
@@ -160,8 +155,7 @@ fn exchange_ghosts(
     scratch: &mut IterScratch,
     ghost_comm: &mut Vec<VertexId>,
     allow_delta: bool,
-) -> f64 {
-    let t0 = comm.stats().modeled_seconds();
+) {
     comm.with_step(CommStep::GhostRefresh, || {
         scratch.comm_snapshot.clear();
         scratch
@@ -169,7 +163,6 @@ fn exchange_ghosts(
             .extend(state.comm.iter().map(|c| c.load(Ordering::Relaxed)));
         ghosts.exchange(comm, &scratch.comm_snapshot, ghost_comm, allow_delta);
     });
-    comm.stats().modeled_seconds() - t0
 }
 
 /// Read-only inputs of one compute sweep, shared by every schedule.
@@ -477,8 +470,6 @@ pub fn louvain_phase(
     };
 
     let mut compute = WorkCounter::default();
-    let mut comm_seconds = 0.0;
-    let mut reduce_seconds = 0.0;
 
     // Distance-1 coloring, needed by the `color_sweeps` sub-round
     // extension and/or the colored deterministic batch schedule. Computed
@@ -491,9 +482,7 @@ pub fn louvain_phase(
         SweepMode::Relaxed => false,
     };
     let coloring: Option<(Vec<u32>, u32)> = if cfg.color_sweeps || colored_batches {
-        let t0 = comm.stats().modeled_seconds();
         let res = distributed_coloring(comm, lg, ghosts, cfg.seed ^ 0xC0105);
-        comm_seconds += comm.stats().modeled_seconds() - t0;
         louvain_obs::counter_add("sweep.colors", res.1 as u64);
         Some(res)
     } else {
@@ -524,9 +513,7 @@ pub fn louvain_phase(
     // Collective (one ghost exchange of pendant flags + one delta push),
     // so every rank must agree on the flag.
     if cfg.vertex_following && phase_idx == 0 {
-        let t0 = comm.stats().modeled_seconds();
         apply_vertex_following(comm, lg, ghosts, &state, &k_local);
-        comm_seconds += comm.stats().modeled_seconds() - t0;
     }
 
     let mut traces: Vec<IterationTrace> = Vec::new();
@@ -541,7 +528,9 @@ pub fn louvain_phase(
         // Telemetry baseline for this iteration's ghost-traffic delta;
         // behind the same one-relaxed-load gate as every recording site.
         let ghost_bytes_at_start = if louvain_obs::enabled() {
-            comm.stats().step_bytes(CommStep::GhostRefresh)
+            comm.stats()
+                .snapshot()
+                .step_bytes_for(CommStep::GhostRefresh)
         } else {
             0
         };
@@ -563,7 +552,7 @@ pub fn louvain_phase(
             };
 
             // -- Step 1: receive the latest ghost vertex communities. -----
-            comm_seconds += exchange_ghosts(
+            exchange_ghosts(
                 comm,
                 ghosts,
                 &state,
@@ -590,7 +579,6 @@ pub fn louvain_phase(
                     }
                 }
             }
-            let t0 = comm.stats().modeled_seconds();
             scratch.remote_a.clear();
             pull_from_owners(
                 comm,
@@ -604,7 +592,6 @@ pub fn louvain_phase(
                 },
                 &mut scratch.remote_a,
             );
-            comm_seconds += comm.stats().modeled_seconds() - t0;
 
             // -- Step 3: the compute sweep (lines 6–9). --------------------
             // Colored batches on the worker pool; otherwise in place —
@@ -633,7 +620,7 @@ pub fn louvain_phase(
                     guard_singleton_swap: !cfg.disable_singleton_guard,
                     remote_a: &scratch.remote_a,
                 };
-                let acc = if let Some(pool) = &pool {
+                if let Some(pool) = &pool {
                     let mut batches = std::mem::take(&mut scratch.batches);
                     let acc = sweep.sweep_colored(
                         pool,
@@ -656,17 +643,7 @@ pub fn louvain_phase(
                         .par_chunks(chunk)
                         .map(|chunk| sweep.sweep_in_place(chunk, &scratch))
                         .reduce(SweepAcc::default, SweepAcc::merge)
-                };
-                // Advance the tracing layer's modeled clock so the sweep
-                // span carries modeled compute time next to wall time.
-                let work = WorkCounter {
-                    edges_scanned: acc.edges,
-                    vertices_processed: acc.vertices,
-                };
-                louvain_obs::add_modeled_seconds(
-                    work.modeled_seconds() / crate::stats::parallel_speedup(threads),
-                );
-                acc
+                }
             };
             local_moves += acc.moves;
             compute.edges_scanned += acc.edges;
@@ -676,7 +653,6 @@ pub fn louvain_phase(
             louvain_obs::counter_add("sweep.edges", acc.edges);
 
             // -- Step 3b: push deltas to community owners (lines 10–11). --
-            let t0 = comm.stats().modeled_seconds();
             push_to_owners(
                 comm,
                 part,
@@ -685,20 +661,17 @@ pub fn louvain_phase(
                 &mut scratch.delta_msgs,
                 |c, da, ds| state.absorb((c - first) as usize, da, ds),
             );
-            comm_seconds += comm.stats().modeled_seconds() - t0;
         }
 
         // -- Step 4: global modularity (lines 12–13). ----------------------
         let terms = local_modularity_terms(lg, ghosts, &state, &ghost_comm);
         compute.edges_scanned += lg.num_local_arcs() as u64;
-        let t0 = comm.stats().modeled_seconds();
         let (q, moves_global) = comm.with_step(CommStep::Reduction, || {
             (
                 reduce_modularity(comm, terms, two_m),
                 comm.all_reduce(local_moves, ReduceOp::Sum),
             )
         });
-        reduce_seconds += comm.stats().modeled_seconds() - t0;
         few_moved = moves_global.saturating_mul(4) < n_global;
 
         // -- ET bookkeeping / ghost pruning / ETC exit. --------------------
@@ -709,16 +682,12 @@ pub fn louvain_phase(
             }
             if cfg.prune_inactive_ghosts {
                 let frozen = t.drain_newly_frozen();
-                let t0 = comm.stats().modeled_seconds();
                 ghosts.prune(comm, lg, &frozen);
-                comm_seconds += comm.stats().modeled_seconds() - t0;
             }
             if cfg.variant.uses_etc_exit() {
-                let t0 = comm.stats().modeled_seconds();
                 inactive_global = comm.with_step(CommStep::Reduction, || {
                     comm.all_reduce(t.num_inactive(), ReduceOp::Sum)
                 });
-                comm_seconds += comm.stats().modeled_seconds() - t0;
             }
         }
         traces.push(IterationTrace {
@@ -754,7 +723,11 @@ pub fn louvain_phase(
                 vertices: nlocal as u64,
                 communities,
                 community_sizes,
-                ghost_bytes: comm.stats().step_bytes(CommStep::GhostRefresh) - ghost_bytes_at_start,
+                ghost_bytes: comm
+                    .stats()
+                    .snapshot()
+                    .step_bytes_for(CommStep::GhostRefresh)
+                    - ghost_bytes_at_start,
             });
         }
 
@@ -775,7 +748,7 @@ pub fn louvain_phase(
     // above drive convergence exactly as in the paper (stale ghost state),
     // but the reported phase modularity must be exact. Pruned ghosts are
     // frozen, so their cached values are already final.
-    comm_seconds += exchange_ghosts(
+    exchange_ghosts(
         comm,
         ghosts,
         &state,
@@ -785,11 +758,9 @@ pub fn louvain_phase(
     );
     let comm_of_local = std::mem::take(&mut scratch.comm_snapshot);
     let terms = local_modularity_terms(lg, ghosts, &state, &ghost_comm);
-    let t0 = comm.stats().modeled_seconds();
     let final_q = comm.with_step(CommStep::Reduction, || {
         reduce_modularity(comm, terms, two_m)
     });
-    reduce_seconds += comm.stats().modeled_seconds() - t0;
 
     // Memory gauges at phase end: buffer capacities are monotone within
     // a phase, so this samples the arena's and wire pools' high-water
@@ -807,8 +778,6 @@ pub fn louvain_phase(
         iterations,
         traces,
         compute,
-        comm_seconds,
-        reduce_seconds,
         etc_exit,
         pruned_ghosts: ghosts.num_pruned(),
     }
@@ -1537,7 +1506,7 @@ mod tests {
     }
 
     #[test]
-    fn work_counters_and_comm_time_are_recorded() {
+    fn work_and_traffic_of_every_step_are_counted() {
         let g = two_triangles();
         let part = VertexPartition::balanced_vertices(6, 2);
         let parts = LocalGraph::scatter(&g, &part);
@@ -1549,14 +1518,15 @@ mod tests {
                 lg: &lg,
                 two_m: g.two_m(),
             };
+            let before = c.stats().snapshot();
             let r = louvain_phase(&ctx, &mut ghosts, &DistConfig::baseline(), 0, 1e-6);
-            (r.compute, r.comm_seconds, r.reduce_seconds)
+            (r.compute, c.stats().snapshot().since(&before))
         });
-        for (w, cs, rs) in outs {
+        for (w, traffic) in outs {
             assert!(w.edges_scanned > 0);
             assert!(w.vertices_processed > 0);
-            assert!(cs > 0.0);
-            assert!(rs > 0.0);
+            assert!(traffic.step_messages_for(CommStep::GhostRefresh) > 0);
+            assert!(traffic.step_messages_for(CommStep::Reduction) > 0);
         }
     }
 }

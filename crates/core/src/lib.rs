@@ -33,6 +33,7 @@ pub mod config;
 pub mod ghost;
 pub mod heuristics;
 pub mod iteration;
+pub mod model;
 pub mod quality;
 pub mod rebuild;
 pub mod report;

@@ -30,8 +30,6 @@ pub struct RebuildOutput {
     /// Number of vertices of the coarse graph.
     pub new_num_vertices: u64,
     pub work: WorkCounter,
-    /// Modeled seconds spent in rebuild communication.
-    pub comm_seconds: f64,
 }
 
 /// Execute the distributed rebuild. Collective.
@@ -48,7 +46,6 @@ pub fn rebuild(
     let p = comm.size();
     let part = lg.partition();
     let mut work = WorkCounter::default();
-    let t_start = comm.stats().modeled_seconds();
 
     // -- Steps 1–2: report used communities to their owners. -------------
     // Each community that has at least one member must survive; members
@@ -129,14 +126,12 @@ pub fn rebuild(
 
     // -- Step 7: rebuild the CSR (duplicate arcs merged inside from_arcs).
     let new_lg = LocalGraph::from_arcs(new_part, comm.rank(), arcs);
-    let comm_seconds = comm.stats().modeled_seconds() - t_start;
 
     RebuildOutput {
         new_lg,
         vertex_new_id,
         new_num_vertices,
         work,
-        comm_seconds,
     }
 }
 

@@ -18,6 +18,7 @@ use louvain_obs::{
 };
 
 use crate::api::DistOutcome;
+use crate::model::comm_seconds;
 
 fn arg_u64(ev: &TraceEvent, key: &str) -> Option<u64> {
     ev.args
@@ -151,7 +152,6 @@ fn build_message_edges(trace: &TraceData) -> Vec<MessageEdge> {
                 bytes: arg_u64(ev, "bytes").unwrap_or(0),
                 send_ts_ns: ev.ts_ns,
                 recv_ts_ns: recv_ts,
-                modeled_ns: arg_u64(ev, "modeled_ns").unwrap_or(0),
             });
         }
     }
@@ -206,6 +206,7 @@ impl ReportMeta {
 /// carries a harvested trace.
 pub fn build_run_report(outcome: &DistOutcome, meta: &ReportMeta) -> RunReport {
     let traffic = &outcome.traffic;
+    let ranks = outcome.per_rank_traffic.len();
 
     let step_totals: Vec<StepTotal> = CommStep::ALL
         .iter()
@@ -234,7 +235,7 @@ pub fn build_run_report(outcome: &DistOutcome, meta: &ReportMeta) -> RunReport {
                 p2p_bytes: s.p2p_bytes,
                 collective_calls: s.collective_calls,
                 collective_bytes: s.collective_bytes,
-                modeled_comm_seconds: s.modeled_seconds,
+                modeled_comm_seconds: comm_seconds(s, ranks),
                 step_messages: s.step_messages.to_vec(),
                 step_bytes: s.step_bytes.to_vec(),
                 wait_ns: s.wait_nanos_total(),
@@ -246,12 +247,10 @@ pub fn build_run_report(outcome: &DistOutcome, meta: &ReportMeta) -> RunReport {
 
     // Slowest-rank attribution: the rank with the largest modeled
     // communication time carried the job's critical path.
-    let slowest = outcome
-        .per_rank_traffic
+    let slowest = per_rank
         .iter()
-        .enumerate()
-        .max_by(|(_, a), (_, b)| a.modeled_seconds.total_cmp(&b.modeled_seconds))
-        .map(|(rank, s)| (rank, s.modeled_seconds));
+        .max_by(|a, b| a.modeled_comm_seconds.total_cmp(&b.modeled_comm_seconds))
+        .map(|r| (r.rank, r.modeled_comm_seconds));
     let health = HealthTotals {
         stalls: traffic.fault_stalls,
         bursts: traffic.fault_bursts,
@@ -321,7 +320,7 @@ pub fn build_run_report(outcome: &DistOutcome, meta: &ReportMeta) -> RunReport {
         graph: meta.graph.clone(),
         vertices: meta.vertices,
         edges: meta.edges,
-        ranks: outcome.per_rank_traffic.len(),
+        ranks,
         variant: meta.variant.clone(),
         threads_per_rank: meta.threads_per_rank,
         modularity: outcome.modularity,

@@ -57,8 +57,8 @@ fn pull_values(
         unique.insert(k);
     }
     // `Other` is the default attribution; the explicit scope exists so
-    // the projection traffic gets wait/transfer sub-spans like every
-    // other collective (the counter totals are unchanged).
+    // the projection traffic gets a step span and wait sub-span like
+    // every other collective (the counter totals are unchanged).
     let mut map: FastMap<VertexId, VertexId> = fast_map();
     pull_from_owners(
         comm,
@@ -156,7 +156,7 @@ pub fn run_on_rank(
     cfg: &DistConfig,
     resil: &ResilOptions,
 ) -> RankOutcome {
-    let watch = louvain_obs::Stopwatch::start();
+    let started = std::time::Instant::now();
     let schedule = if cfg.variant.uses_cycling() {
         ThresholdSchedule::paper_cycle(cfg.threshold)
     } else {
@@ -238,7 +238,7 @@ pub fn run_on_rank(
         let mut ghosts = {
             let _s = louvain_obs::span!("ghost_build", phase = phase_idx);
             // Scoped under `Other` (its default attribution) so the
-            // slot-map exchange gets wait/transfer sub-spans.
+            // slot-map exchange gets a step span and wait sub-span.
             comm.with_step(CommStep::Other, || GhostLayer::build(comm, &lg))
         };
         record_memory_gauges(&lg, &ghosts);
@@ -250,7 +250,9 @@ pub fn run_on_rank(
             lg: &lg,
             two_m,
         };
+        let before_phase = comm.stats().snapshot();
         let result = louvain_phase(&ctx, &mut ghosts, cfg, phase_idx, tau);
+        let traffic = comm.stats().snapshot().since(&before_phase);
         total_iterations += result.iterations;
         final_q = result.modularity;
         phase_span.arg("iterations", result.iterations);
@@ -274,8 +276,7 @@ pub fn run_on_rank(
             iteration_traces: result.traces.clone(),
             compute: result.compute,
             rebuild: Default::default(),
-            comm_seconds: result.comm_seconds,
-            reduce_seconds: result.reduce_seconds,
+            traffic,
             etc_exit: result.etc_exit,
             threads_per_rank: cfg.threads_per_rank.max(1),
         };
@@ -304,6 +305,7 @@ pub fn run_on_rank(
         }
 
         // Rebuild the coarse graph (also yields each old vertex's new id).
+        let before_rebuild = comm.stats().snapshot();
         let out = {
             let _s = louvain_obs::span!("rebuild", phase = phase_idx);
             rebuild(
@@ -315,7 +317,9 @@ pub fn run_on_rank(
             )
         };
         stats.rebuild = out.work;
-        stats.comm_seconds += out.comm_seconds;
+        stats
+            .traffic
+            .merge(&comm.stats().snapshot().since(&before_rebuild));
         phase_stats.push(stats);
 
         // Project the original vertices onto the new coarse graph.
@@ -419,7 +423,7 @@ pub fn run_on_rank(
         phases: start_phase + phase_stats.len(),
         total_iterations,
         phase_stats,
-        wall: Duration::from_secs_f64(watch.wall_seconds()),
+        wall: started.elapsed(),
         resumed_from_phase,
         levels,
     }
@@ -487,7 +491,7 @@ mod tests {
             let collect = |cfg: &DistConfig| {
                 let outs = run(p, |c| {
                     let o = run_on_rank(c, parts[c.rank()].clone(), cfg, &ResilOptions::none());
-                    let refresh_bytes = c.stats().step_bytes(CommStep::GhostRefresh);
+                    let refresh_bytes = c.stats().snapshot().step_bytes_for(CommStep::GhostRefresh);
                     (o, refresh_bytes)
                 });
                 let mut assignment = Vec::new();

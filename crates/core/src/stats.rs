@@ -1,36 +1,13 @@
-//! Per-phase and per-iteration instrumentation.
-//!
-//! The paper profiles its runs with HPCToolkit (Section V-A): 98% of time
-//! in the iteration body, of which ~34% community communication, ~40% the
-//! modularity reduction, ~22% compute. We reproduce that breakdown from
-//! explicit work counters: compute is counted in *visited edges/vertices*
-//! (robust against core oversubscription when many ranks share few
-//! cores) and converted to modeled seconds with fixed per-unit costs;
-//! communication time comes from the α-β cost model in `louvain-comm`.
+//! Per-phase and per-iteration instrumentation: counters only.
+//! [`crate::model`] turns them into seconds after the run.
 
-/// Modeled cost of scanning one adjacency entry in the ΔQ loop
-/// (hash-map accumulate + gain evaluation), in seconds.
-pub const EDGE_COST: f64 = 3.0e-8;
-/// Modeled fixed cost per processed vertex, in seconds.
-pub const VERTEX_COST: f64 = 5.0e-8;
+use louvain_comm::StatsSnapshot;
 
 /// Deterministic compute-work counter.
 #[derive(Debug, Default, Clone, Copy, PartialEq)]
 pub struct WorkCounter {
     pub edges_scanned: u64,
     pub vertices_processed: u64,
-}
-
-impl WorkCounter {
-    /// Modeled compute seconds for this much work.
-    pub fn modeled_seconds(&self) -> f64 {
-        self.edges_scanned as f64 * EDGE_COST + self.vertices_processed as f64 * VERTEX_COST
-    }
-
-    pub fn add(&mut self, other: WorkCounter) {
-        self.edges_scanned += other.edges_scanned;
-        self.vertices_processed += other.vertices_processed;
-    }
 }
 
 /// One iteration's record (drives the Fig 5/6 convergence plots and the
@@ -50,14 +27,6 @@ pub struct IterationTrace {
     pub local_edges: u64,
 }
 
-/// Modeled speedup of the intra-rank ("OpenMP") compute sweep on `t`
-/// threads: sublinear (`t^0.9`) to account for the memory-bound inner
-/// loop, matching the paper's observed ~4× on 16× threads shape for the
-/// distributed code.
-pub fn parallel_speedup(threads: usize) -> f64 {
-    (threads.max(1) as f64).powf(0.9)
-}
-
 /// One phase's record.
 #[derive(Debug, Clone)]
 pub struct PhaseStats {
@@ -74,106 +43,11 @@ pub struct PhaseStats {
     pub compute: WorkCounter,
     /// Compute work in graph reconstruction.
     pub rebuild: WorkCounter,
-    /// Modeled seconds in ghost/community communication (α-β).
-    pub comm_seconds: f64,
-    /// Modeled seconds in the modularity reduction.
-    pub reduce_seconds: f64,
+    /// What this rank's communicator counted during the phase's
+    /// iteration loop and rebuild.
+    pub traffic: StatsSnapshot,
     /// True if ETC's 90%-inactive exit fired.
     pub etc_exit: bool,
     /// Intra-rank threads used by the compute sweep.
     pub threads_per_rank: usize,
-}
-
-impl PhaseStats {
-    /// Modeled compute seconds of the iteration body, accounting for the
-    /// intra-rank thread count.
-    pub fn compute_seconds(&self) -> f64 {
-        self.compute.modeled_seconds() / parallel_speedup(self.threads_per_rank)
-    }
-
-    /// Total modeled seconds of this phase (compute + comm + reduce +
-    /// rebuild).
-    pub fn modeled_seconds(&self) -> f64 {
-        self.compute_seconds()
-            + self.rebuild.modeled_seconds()
-            + self.comm_seconds
-            + self.reduce_seconds
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn work_counter_converts_to_seconds() {
-        let w = WorkCounter {
-            edges_scanned: 1_000_000,
-            vertices_processed: 100_000,
-        };
-        let s = w.modeled_seconds();
-        assert!((s - (1e6 * EDGE_COST + 1e5 * VERTEX_COST)).abs() < 1e-12);
-    }
-
-    #[test]
-    fn work_counter_add() {
-        let mut a = WorkCounter {
-            edges_scanned: 1,
-            vertices_processed: 2,
-        };
-        a.add(WorkCounter {
-            edges_scanned: 10,
-            vertices_processed: 20,
-        });
-        assert_eq!(
-            a,
-            WorkCounter {
-                edges_scanned: 11,
-                vertices_processed: 22
-            }
-        );
-    }
-
-    #[test]
-    fn phase_modeled_time_sums_components() {
-        let p = PhaseStats {
-            phase: 0,
-            num_vertices: 10,
-            iterations: 1,
-            modularity: 0.5,
-            tau: 1e-6,
-            iteration_traces: vec![],
-            compute: WorkCounter {
-                edges_scanned: 100,
-                vertices_processed: 10,
-            },
-            rebuild: WorkCounter {
-                edges_scanned: 50,
-                vertices_processed: 5,
-            },
-            comm_seconds: 0.25,
-            reduce_seconds: 0.5,
-            etc_exit: false,
-            threads_per_rank: 1,
-        };
-        let expected = 150.0 * EDGE_COST + 15.0 * VERTEX_COST + 0.75;
-        assert!((p.modeled_seconds() - expected).abs() < 1e-12);
-        // More intra-rank threads shrink only the iteration-body compute.
-        let p4 = PhaseStats {
-            threads_per_rank: 4,
-            ..p.clone()
-        };
-        let expected4 = (100.0 * EDGE_COST + 10.0 * VERTEX_COST) / parallel_speedup(4)
-            + 50.0 * EDGE_COST
-            + 5.0 * VERTEX_COST
-            + 0.75;
-        assert!((p4.modeled_seconds() - expected4).abs() < 1e-12);
-    }
-
-    #[test]
-    fn parallel_speedup_is_sublinear() {
-        assert_eq!(parallel_speedup(1), 1.0);
-        assert!(parallel_speedup(4) > 3.0 && parallel_speedup(4) < 4.0);
-        assert!(parallel_speedup(16) > 10.0 && parallel_speedup(16) < 16.0);
-    }
 }

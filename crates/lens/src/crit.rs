@@ -6,8 +6,7 @@
 //! - `phase_profile`: per-(rank, phase) wall attribution derived from the
 //!   span tree (compute / transfer / wait / rebuild, summing to the
 //!   phase-span wall by construction), and
-//! - `messages`: Lamport-matched send/recv edges with wire bytes and the
-//!   α-β modeled cost of each edge.
+//! - `messages`: Lamport-matched send/recv edges with wire bytes.
 //!
 //! From these we reconstruct the happens-before DAG. Nodes are
 //! (rank, phase) cells; within a rank, phase `k` happens-before phase
@@ -29,15 +28,10 @@
 //!   transfer + rebuild, excluding blocked wait — wait is victim time: a
 //!   rank stalled behind a straggler must not inherit the blame),
 //!   refined by message evidence (the receiver whose incoming edges show
-//!   the most delivery latency in excess of the α-β model — in the
-//!   simulated clocks, excess latency means the message folded late
-//!   because the receiver's clock had run ahead),
-//! - an α-β fit: least-squares of `modeled_ns` against `bytes` over all
-//!   message edges, compared to the generating [`CostModel::aries`]
-//!   constants. The recovered constants must land within
-//!   [`FIT_TOLERANCE`] (5%) of the model — slack that covers the
-//!   per-edge u64-nanosecond truncation of the traced clocks — which CI
-//!   asserts on the committed bench artifact,
+//!   the most delivery latency in excess of the α-β model, each edge
+//!   priced from its bytes with [`CostModel::aries`] — in the simulated
+//!   clocks, excess latency means the message folded late because the
+//!   receiver's clock had run ahead),
 //! - a byte reconciliation between the matched message edges and the
 //!   run's p2p traffic counters (exact on clean runs, where every
 //!   logical p2p message is traced at both endpoints),
@@ -54,12 +48,6 @@ use std::fmt::Write as _;
 use louvain_comm::CostModel;
 use louvain_obs::{MessageEdge, PhaseProfileRow, RunArtifact, RunReport};
 
-/// Relative tolerance for the recovered α and β against the generating
-/// model constants. The traced `modeled_ns` values are u64-truncated
-/// nanoseconds of an exactly linear model, so the fit is near-exact;
-/// 5% leaves room for truncation and tiny-sample runs.
-pub const FIT_TOLERANCE: f64 = 0.05;
-
 /// Default absolute slack allowed on the wait fraction versus a
 /// baseline before `crit` fails the gate (`--wait-tol`).
 pub const DEFAULT_WAIT_TOL: f64 = 0.25;
@@ -71,28 +59,6 @@ pub struct ChainStep {
     pub phase: u64,
     pub rank: usize,
     pub cell: PhaseProfileRow,
-}
-
-/// Least-squares α-β recovery from the message edges.
-#[derive(Debug, Clone, Copy)]
-pub struct AlphaBetaFit {
-    /// Edges the fit used.
-    pub edges: usize,
-    /// Recovered latency term, seconds.
-    pub alpha_seconds: f64,
-    /// Recovered inverse bandwidth, seconds per byte.
-    pub beta_seconds_per_byte: f64,
-    /// Relative error of α against the generating model.
-    pub alpha_rel_err: f64,
-    /// Relative error of β against the generating model.
-    pub beta_rel_err: f64,
-}
-
-impl AlphaBetaFit {
-    /// Both constants within [`FIT_TOLERANCE`] of the model.
-    pub fn within_tolerance(&self) -> bool {
-        self.alpha_rel_err.abs() <= FIT_TOLERANCE && self.beta_rel_err.abs() <= FIT_TOLERANCE
-    }
 }
 
 /// Crit analysis of one traced run.
@@ -120,9 +86,6 @@ pub struct RunCrit {
     /// exceeds the model). Excess latency means the message folded late
     /// because the receiver's clock had run ahead (busy or stalled).
     pub message_blame: Option<(usize, u64)>,
-    /// α-β recovery (`None` when the edges are degenerate — fewer than
-    /// two distinct message sizes).
-    pub fit: Option<AlphaBetaFit>,
     /// Total bytes over matched message edges vs the run's p2p byte
     /// counters (equal on clean runs).
     pub edge_bytes: u64,
@@ -237,27 +200,6 @@ impl CritReport {
                     let _ = writeln!(out, "; no message edge exceeded the model");
                 }
             }
-            match &r.fit {
-                Some(f) => {
-                    let _ = writeln!(
-                        out,
-                        "  alpha-beta fit over {} edges: alpha={:.4e} s ({:+.2}% vs model) beta={:.4e} s/B ({:+.2}% vs model){}",
-                        f.edges,
-                        f.alpha_seconds,
-                        100.0 * f.alpha_rel_err,
-                        f.beta_seconds_per_byte,
-                        100.0 * f.beta_rel_err,
-                        if f.within_tolerance() {
-                            ""
-                        } else {
-                            "  OUTSIDE TOLERANCE"
-                        }
-                    );
-                }
-                None => {
-                    let _ = writeln!(out, "  alpha-beta fit: skipped (degenerate message sizes)");
-                }
-            }
             let _ = writeln!(
                 out,
                 "  messages: {} bytes traced, {} bytes in p2p counters ({})",
@@ -332,38 +274,6 @@ fn slowest_chain(rows: &[PhaseProfileRow]) -> Vec<ChainStep> {
     by_phase.into_values().collect()
 }
 
-/// Least-squares line through (bytes, modeled_ns), reported in seconds
-/// and seconds-per-byte against [`CostModel::aries`].
-fn fit_alpha_beta(edges: &[MessageEdge]) -> Option<AlphaBetaFit> {
-    let n = edges.len() as f64;
-    if edges.len() < 2 {
-        return None;
-    }
-    let sx: f64 = edges.iter().map(|e| e.bytes as f64).sum();
-    let sy: f64 = edges.iter().map(|e| e.modeled_ns as f64).sum();
-    let sxx: f64 = edges.iter().map(|e| (e.bytes as f64).powi(2)).sum();
-    let sxy: f64 = edges
-        .iter()
-        .map(|e| e.bytes as f64 * e.modeled_ns as f64)
-        .sum();
-    let denom = n * sxx - sx * sx;
-    if denom.abs() < f64::EPSILON {
-        return None; // every edge the same size: slope unobservable
-    }
-    let beta_ns = (n * sxy - sx * sy) / denom;
-    let alpha_ns = (sy - beta_ns * sx) / n;
-    let model = CostModel::aries();
-    let alpha_seconds = alpha_ns * 1e-9;
-    let beta_seconds_per_byte = beta_ns * 1e-9;
-    Some(AlphaBetaFit {
-        edges: edges.len(),
-        alpha_seconds,
-        beta_seconds_per_byte,
-        alpha_rel_err: (alpha_seconds - model.alpha) / model.alpha,
-        beta_rel_err: (beta_seconds_per_byte - model.beta) / model.beta,
-    })
-}
-
 /// Receiver whose incoming edges show the most delivery latency in
 /// excess of the α-β model — the message-level straggler. In the
 /// simulated clocks `recv_ts = max(receiver_clock, send_ts + modeled)`,
@@ -371,10 +281,11 @@ fn fit_alpha_beta(edges: &[MessageEdge]) -> Option<AlphaBetaFit> {
 /// folding the delivery (busy or stalled); the sender's own delay shows
 /// up in a late `send_ts`, not in the edge latency.
 fn message_blame(edges: &[MessageEdge]) -> Option<(usize, u64)> {
+    let model = CostModel::aries();
     let mut excess: BTreeMap<usize, u64> = BTreeMap::new();
     for e in edges {
         let latency = e.recv_ts_ns.saturating_sub(e.send_ts_ns);
-        let over = latency.saturating_sub(e.modeled_ns);
+        let over = latency.saturating_sub((model.p2p(1, e.bytes) * 1e9) as u64);
         if over > 0 {
             *excess.entry(e.dst).or_insert(0) += over;
         }
@@ -435,7 +346,6 @@ fn analyze_run(
         blame_rank,
         blame_share,
         message_blame: message_blame(&report.messages),
-        fit: fit_alpha_beta(&report.messages),
         edge_bytes,
         p2p_bytes,
         wait_fraction: frac,
@@ -511,7 +421,6 @@ mod tests {
     }
 
     fn edge(src: usize, dst: usize, bytes: u64, latency_ns: u64) -> MessageEdge {
-        let model = CostModel::aries();
         MessageEdge {
             src,
             dst,
@@ -520,7 +429,6 @@ mod tests {
             bytes,
             send_ts_ns: 1_000,
             recv_ts_ns: 1_000 + latency_ns,
-            modeled_ns: (model.p2p(bytes) * 1e9) as u64,
         }
     }
 
@@ -629,18 +537,6 @@ mod tests {
         let r = &report.runs[0];
         assert!(r.chain.iter().all(|s| s.rank == 0), "rank 0 owns the chain");
         assert_eq!(r.blame_rank, 1, "blame must skip rank 0's victim wait");
-    }
-
-    #[test]
-    fn alpha_beta_fit_recovers_model_constants() {
-        let report = crit(&traced_artifact(), None, DEFAULT_WAIT_TOL).unwrap();
-        let fit = report.runs[0].fit.expect("three distinct sizes");
-        assert!(
-            fit.within_tolerance(),
-            "alpha {:+.3}% beta {:+.3}%",
-            100.0 * fit.alpha_rel_err,
-            100.0 * fit.beta_rel_err
-        );
     }
 
     #[test]

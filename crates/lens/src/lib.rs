@@ -14,8 +14,8 @@
 //!   committed baseline artifact.
 //! - [`crit`]: cross-rank critical-path analysis over the causal
 //!   profiling sections (phase profiles + Lamport-matched message
-//!   edges) — per-phase wall attribution, straggler blame, an α-β
-//!   model fit, and a wait-fraction regression gate (see [`crit`]).
+//!   edges) — per-phase wall attribution, straggler blame, and a
+//!   wait-fraction regression gate (see [`crit`]).
 //!
 //! Every rendering path is deterministic — fixed float precision, label
 //! ordering via `BTreeMap`, no clocks — so diffing the same two
@@ -28,9 +28,7 @@ use std::fmt::Write as _;
 use louvain_obs::{RunArtifact, RunEntry, TelemetryRow};
 
 mod crit;
-pub use crit::{
-    crit, AlphaBetaFit, ChainStep, CritReport, RunCrit, DEFAULT_WAIT_TOL, FIT_TOLERANCE,
-};
+pub use crit::{crit, ChainStep, CritReport, RunCrit, DEFAULT_WAIT_TOL};
 mod ops;
 pub use ops::{parse_event_log, render_event, render_tail, render_top, PromMetrics};
 

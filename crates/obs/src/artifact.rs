@@ -45,39 +45,26 @@ pub fn run_label(graph: &str, ranks: usize, mode: &str) -> String {
 // JSON encoding
 // ---------------------------------------------------------------------------
 
-fn obj(members: Vec<(&str, Json)>) -> Json {
-    Json::Obj(
-        members
-            .into_iter()
-            .map(|(k, v)| (k.to_string(), v))
-            .collect(),
-    )
-}
-
-fn num_u(v: u64) -> Json {
-    Json::Num(v as f64)
-}
-
 fn hist_to_json(h: &Histogram) -> Json {
     let top = h.buckets.iter().rposition(|&b| b > 0).map_or(0, |i| i + 1);
     let (p50, p95, p99) = h.quantile_summary();
-    obj(vec![
-        ("count", num_u(h.count)),
-        ("sum", num_u(h.sum)),
-        ("p50", num_u(p50)),
-        ("p95", num_u(p95)),
-        ("p99", num_u(p99)),
+    Json::obj(vec![
+        ("count", Json::uint(h.count)),
+        ("sum", Json::uint(h.sum)),
+        ("p50", Json::uint(p50)),
+        ("p95", Json::uint(p95)),
+        ("p99", Json::uint(p99)),
         (
             "log2_buckets",
-            Json::Arr(h.buckets[..top].iter().map(|&b| num_u(b)).collect()),
+            Json::Arr(h.buckets[..top].iter().map(|&b| Json::uint(b)).collect()),
         ),
     ])
 }
 
 fn hist_from_json(doc: &Json) -> Result<Histogram, String> {
     let mut h = Histogram {
-        count: u(doc, "count")?,
-        sum: u(doc, "sum")?,
+        count: doc.field_u64("count")?,
+        sum: doc.field_u64("sum")?,
         ..Default::default()
     };
     let buckets = doc
@@ -93,58 +80,41 @@ fn hist_from_json(doc: &Json) -> Result<Histogram, String> {
 }
 
 fn telemetry_to_json(row: &TelemetryRow) -> Json {
-    obj(vec![
-        ("phase", num_u(row.phase)),
-        ("iteration", num_u(row.iteration)),
+    Json::obj(vec![
+        ("phase", Json::uint(row.phase)),
+        ("iteration", Json::uint(row.iteration)),
         ("modularity", Json::Num(row.modularity)),
         ("delta_q", Json::Num(row.delta_q)),
-        ("moves", num_u(row.moves)),
-        ("active", num_u(row.active)),
-        ("vertices", num_u(row.vertices)),
-        ("communities", num_u(row.communities)),
+        ("moves", Json::uint(row.moves)),
+        ("active", Json::uint(row.active)),
+        ("vertices", Json::uint(row.vertices)),
+        ("communities", Json::uint(row.communities)),
         ("community_sizes", hist_to_json(&row.community_sizes)),
         (
             "ghost_bytes_per_rank",
-            Json::Arr(row.ghost_bytes_per_rank.iter().map(|&b| num_u(b)).collect()),
+            Json::Arr(
+                row.ghost_bytes_per_rank
+                    .iter()
+                    .map(|&b| Json::uint(b))
+                    .collect(),
+            ),
         ),
     ])
 }
 
-fn get<'a>(doc: &'a Json, key: &str) -> Result<&'a Json, String> {
-    doc.get(key).ok_or_else(|| format!("missing field `{key}`"))
-}
-
-fn f(doc: &Json, key: &str) -> Result<f64, String> {
-    get(doc, key)?
-        .as_f64()
-        .ok_or_else(|| format!("field `{key}` is not a number"))
-}
-
-fn u(doc: &Json, key: &str) -> Result<u64, String> {
-    get(doc, key)?
-        .as_u64()
-        .ok_or_else(|| format!("field `{key}` is not a u64"))
-}
-
-fn s(doc: &Json, key: &str) -> Result<String, String> {
-    Ok(get(doc, key)?
-        .as_str()
-        .ok_or_else(|| format!("field `{key}` is not a string"))?
-        .to_string())
-}
-
 fn telemetry_from_json(doc: &Json) -> Result<TelemetryRow, String> {
     Ok(TelemetryRow {
-        phase: u(doc, "phase")?,
-        iteration: u(doc, "iteration")?,
-        modularity: f(doc, "modularity")?,
-        delta_q: f(doc, "delta_q")?,
-        moves: u(doc, "moves")?,
-        active: u(doc, "active")?,
-        vertices: u(doc, "vertices")?,
-        communities: u(doc, "communities")?,
-        community_sizes: hist_from_json(get(doc, "community_sizes")?)?,
-        ghost_bytes_per_rank: get(doc, "ghost_bytes_per_rank")?
+        phase: doc.field_u64("phase")?,
+        iteration: doc.field_u64("iteration")?,
+        modularity: doc.field_f64("modularity")?,
+        delta_q: doc.field_f64("delta_q")?,
+        moves: doc.field_u64("moves")?,
+        active: doc.field_u64("active")?,
+        vertices: doc.field_u64("vertices")?,
+        communities: doc.field_u64("communities")?,
+        community_sizes: hist_from_json(doc.field("community_sizes")?)?,
+        ghost_bytes_per_rank: doc
+            .field("ghost_bytes_per_rank")?
             .as_arr()
             .ok_or("`ghost_bytes_per_rank` is not an array")?
             .iter()
@@ -155,9 +125,9 @@ fn telemetry_from_json(doc: &Json) -> Result<TelemetryRow, String> {
 
 impl RunArtifact {
     pub fn to_json(&self) -> Json {
-        obj(vec![
+        Json::obj(vec![
             ("magic", Json::str(ARTIFACT_MAGIC)),
-            ("artifact_version", num_u(ARTIFACT_VERSION as u64)),
+            ("artifact_version", Json::uint(ARTIFACT_VERSION as u64)),
             ("name", Json::str(self.name.clone())),
             ("description", Json::str(self.description.clone())),
             (
@@ -166,7 +136,7 @@ impl RunArtifact {
                     self.runs
                         .iter()
                         .map(|r| {
-                            obj(vec![
+                            Json::obj(vec![
                                 ("label", Json::str(r.label.clone())),
                                 ("report", r.report.to_json()),
                                 (
@@ -188,26 +158,28 @@ impl RunArtifact {
 
     /// Strict parse of an `LVRA` document.
     pub fn from_json(doc: &Json) -> Result<RunArtifact, String> {
-        let magic = s(doc, "magic")?;
+        let magic = doc.field_str("magic")?.to_string();
         if magic != ARTIFACT_MAGIC {
             return Err(format!("bad artifact magic `{magic}`"));
         }
-        let version = u(doc, "artifact_version")?;
+        let version = doc.field_u64("artifact_version")?;
         if version != ARTIFACT_VERSION as u64 {
             return Err(format!("unsupported artifact_version {version}"));
         }
         Ok(RunArtifact {
-            name: s(doc, "name")?,
-            description: s(doc, "description")?,
-            runs: get(doc, "runs")?
+            name: doc.field_str("name")?.to_string(),
+            description: doc.field_str("description")?.to_string(),
+            runs: doc
+                .field("runs")?
                 .as_arr()
                 .ok_or("`runs` is not an array")?
                 .iter()
                 .map(|r| {
                     Ok(RunEntry {
-                        label: s(r, "label")?,
-                        report: RunReport::from_json(get(r, "report")?)?,
-                        telemetry: get(r, "telemetry")?
+                        label: r.field_str("label")?.to_string(),
+                        report: RunReport::from_json(r.field("report")?)?,
+                        telemetry: r
+                            .field("telemetry")?
                             .as_arr()
                             .ok_or("`telemetry` is not an array")?
                             .iter()

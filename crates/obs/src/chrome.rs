@@ -5,8 +5,7 @@
 //! record so Perfetto labels the track "rank N"), each recording thread
 //! one `tid`. Span events use phase `"X"` (complete), markers `"i"`
 //! (instant). Timestamps and durations are microseconds, as the format
-//! requires; the modeled-seconds reading rides along in `args` as
-//! `modeled_ms` so both timelines are visible on every slice.
+//! requires.
 
 use crate::collector::TraceData;
 use crate::event::{ArgValue, EventKind, TraceEvent};
@@ -23,18 +22,12 @@ fn arg_to_json(v: &ArgValue) -> Json {
 }
 
 fn event_args(ev: &TraceEvent) -> Json {
-    let mut members: Vec<(String, Json)> = ev
-        .args
-        .iter()
-        .map(|(k, v)| (k.to_string(), arg_to_json(v)))
-        .collect();
-    if ev.modeled_seconds != 0.0 {
-        members.push((
-            "modeled_ms".to_string(),
-            Json::Num(ev.modeled_seconds * 1e3),
-        ));
-    }
-    Json::Obj(members)
+    Json::Obj(
+        ev.args
+            .iter()
+            .map(|(k, v)| (k.to_string(), arg_to_json(v)))
+            .collect(),
+    )
 }
 
 fn event_record(rank: usize, ev: &TraceEvent) -> Json {
@@ -161,19 +154,11 @@ pub fn jsonl(data: &TraceData) -> String {
                 ("dur_us".to_string(), Json::Num(ev.dur_ns() as f64 / 1e3)),
                 ("tid".to_string(), Json::Num(ev.tid as f64)),
             ];
-            if ev.modeled_seconds != 0.0 {
-                members.push(("modeled_s".to_string(), Json::Num(ev.modeled_seconds)));
-            }
             if ev.attempt > 0 {
                 members.push(("attempt".to_string(), Json::Num(ev.attempt as f64)));
             }
             if !ev.args.is_empty() {
-                let args = ev
-                    .args
-                    .iter()
-                    .map(|(k, v)| (k.to_string(), arg_to_json(v)))
-                    .collect();
-                members.push(("args".to_string(), Json::Obj(args)));
+                members.push(("args".to_string(), event_args(ev)));
             }
             out.push_str(&Json::Obj(members).to_string_compact());
             out.push('\n');
@@ -199,7 +184,6 @@ mod tests {
             },
             ts_ns,
             tid,
-            modeled_seconds: 0.001,
             attempt: 0,
             args: vec![("k", ArgValue::U64(7))],
         }
@@ -253,7 +237,7 @@ mod tests {
             vec![0, 1],
             "one pid per rank"
         );
-        // Spot-check the complete event: µs conversion + modeled arg.
+        // Spot-check the complete event: µs conversion + args.
         let a = events
             .iter()
             .find(|e| e.get("name").and_then(Json::as_str) == Some("a"))
@@ -263,7 +247,6 @@ mod tests {
         assert_eq!(a.get("dur").and_then(Json::as_f64), Some(5.0));
         let args = a.get("args").unwrap();
         assert_eq!(args.get("k").and_then(Json::as_u64), Some(7));
-        assert_eq!(args.get("modeled_ms").and_then(Json::as_f64), Some(1.0));
         // Instant event carries scope.
         let b = events
             .iter()

@@ -175,13 +175,12 @@ pub struct TraceData {
     pub ranks: Vec<RankTrace>,
 }
 
-/// Aggregate wall/modeled time for one span name across all ranks.
+/// Aggregate wall time for one span name across all ranks.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SpanRollup {
     pub name: String,
     pub count: u64,
     pub wall_seconds: f64,
-    pub modeled_seconds: f64,
 }
 
 impl TraceData {
@@ -209,7 +208,7 @@ impl TraceData {
         out
     }
 
-    /// Sum wall/modeled time per span name across ranks, sorted by
+    /// Sum wall time per span name across ranks, sorted by
     /// descending wall time. Only complete (duration-bearing) events
     /// contribute.
     pub fn span_rollup(&self) -> Vec<SpanRollup> {
@@ -225,11 +224,9 @@ impl TraceData {
                     name: ev.name.to_string(),
                     count: 0,
                     wall_seconds: 0.0,
-                    modeled_seconds: 0.0,
                 });
                 e.count += 1;
                 e.wall_seconds += dur as f64 * 1e-9;
-                e.modeled_seconds += ev.modeled_seconds;
             }
         }
         let mut out: Vec<SpanRollup> = by_name.into_values().collect();
@@ -256,7 +253,6 @@ mod tests {
                     let _g = c.install(rank);
                     {
                         let mut s = span!("work", rank = rank);
-                        crate::add_modeled_seconds(0.5);
                         s.arg("done", true);
                     }
                     instant("tick", "test", vec![]);
@@ -284,7 +280,6 @@ mod tests {
         assert_eq!(rollup.len(), 1);
         assert_eq!(rollup[0].name, "work");
         assert_eq!(rollup[0].count, 2);
-        assert!((rollup[0].modeled_seconds - 1.0).abs() < 1e-12);
         assert!(rollup[0].wall_seconds > 0.0);
     }
 

@@ -82,9 +82,6 @@ pub struct TraceEvent {
     pub ts_ns: u64,
     /// Thread that recorded the event (process-wide small integer).
     pub tid: u32,
-    /// Modeled (α-β / work-counter) seconds elapsed inside the span,
-    /// recorded side by side with the wall-clock duration.
-    pub modeled_seconds: f64,
     /// Which execution attempt of the rank recorded this event: 0 for
     /// the first, incremented on each crash/hang recovery so pre-crash
     /// events stay distinguishable from the resumed attempt's.
@@ -124,7 +121,6 @@ mod tests {
             kind: EventKind::Instant,
             ts_ns: 5,
             tid: 0,
-            modeled_seconds: 0.0,
             attempt: 0,
             args: vec![],
         };

@@ -24,12 +24,54 @@ impl Json {
         Json::Str(s.into())
     }
 
+    /// An object of `(key, value)` members, in the order given.
+    pub fn obj(members: Vec<(&str, Json)>) -> Json {
+        Json::Obj(
+            members
+                .into_iter()
+                .map(|(k, v)| (k.to_string(), v))
+                .collect(),
+        )
+    }
+
+    /// An unsigned integer (exact below 2^53).
+    pub fn uint(v: u64) -> Json {
+        Json::Num(v as f64)
+    }
+
     /// Object member lookup (first match).
     pub fn get(&self, key: &str) -> Option<&Json> {
         match self {
             Json::Obj(members) => members.iter().find(|(k, _)| k == key).map(|(_, v)| v),
             _ => None,
         }
+    }
+
+    /// A member that must be present.
+    pub fn field(&self, key: &str) -> Result<&Json, String> {
+        self.get(key)
+            .ok_or_else(|| format!("missing field `{key}`"))
+    }
+
+    /// A required numeric member.
+    pub fn field_f64(&self, key: &str) -> Result<f64, String> {
+        self.field(key)?
+            .as_f64()
+            .ok_or_else(|| format!("field `{key}` is not a number"))
+    }
+
+    /// A required unsigned-integer member.
+    pub fn field_u64(&self, key: &str) -> Result<u64, String> {
+        self.field(key)?
+            .as_u64()
+            .ok_or_else(|| format!("field `{key}` is not a u64"))
+    }
+
+    /// A required string member.
+    pub fn field_str(&self, key: &str) -> Result<&str, String> {
+        self.field(key)?
+            .as_str()
+            .ok_or_else(|| format!("field `{key}` is not a string"))
     }
 
     pub fn as_f64(&self) -> Option<f64> {

@@ -9,9 +9,8 @@
 //! Pieces:
 //!
 //! - **Spans** ([`span!`], [`span`], [`SpanGuard`]): RAII scopes that
-//!   record wall-clock duration *and* the modeled-seconds delta (α-β
-//!   comm model + work counters) side by side, into a per-rank
-//!   lock-free [`EventRing`]. One relaxed atomic load when disabled.
+//!   record wall-clock duration into a per-rank lock-free
+//!   [`EventRing`]. One relaxed atomic load when disabled.
 //! - **Collector** ([`Collector`]): one ring + metrics registry per
 //!   rank, a shared epoch so rank timelines align, and a harvest step
 //!   producing [`TraceData`].
@@ -22,8 +21,8 @@
 //!   [`hist_observe`]): counters, gauges, log2 histograms; snapshots
 //!   merge commutatively across ranks.
 //! - **Run reports** ([`RunReport`]): the end-of-run JSON artifact with
-//!   per-step byte totals, modeled-time breakdown, merged metrics, and
-//!   span rollups.
+//!   per-step byte totals, the α-β model's time breakdown, merged
+//!   metrics, and span rollups.
 //!
 //! This crate sits below `louvain-comm` in the dependency graph so the
 //! communicator can auto-span its own steps; anything needing both the
@@ -67,8 +66,8 @@ pub use report::{
 };
 pub use ring::EventRing;
 pub use span::{
-    add_modeled_seconds, complete_span, enabled, init_from_env, instant, modeled_seconds_now,
-    set_enabled, span, span_cat, telemetry_enabled, SpanGuard, Stopwatch,
+    complete_span, enabled, init_from_env, instant, set_enabled, span, span_cat, telemetry_enabled,
+    SpanGuard,
 };
 pub use telemetry::{merge_ranks, record_iteration, IterationRecord, TelemetryLog, TelemetryRow};
 

@@ -79,9 +79,6 @@ pub struct MessageEdge {
     pub bytes: u64,
     pub send_ts_ns: u64,
     pub recv_ts_ns: u64,
-    /// Modeled α-β transfer cost of this edge, in nanoseconds — the
-    /// calibration target for the `lens crit` α-β fit.
-    pub modeled_ns: u64,
 }
 
 /// Modeled-seconds breakdown in the paper's Section V-A categories.
@@ -246,7 +243,7 @@ pub struct RunReport {
     pub per_rank: Vec<RankTotals>,
     /// Metrics merged across all ranks.
     pub metrics: MetricsSnapshot,
-    /// Wall/modeled rollup per span name (descending wall time).
+    /// Wall rollup per span name (descending wall time).
     pub spans: Vec<SpanRollup>,
     /// Per-(rank, phase) wall attribution (empty on untraced runs and
     /// pre-causal-profiling artifacts).
@@ -260,27 +257,14 @@ pub struct RunReport {
 // JSON encoding
 // ---------------------------------------------------------------------------
 
-fn obj(members: Vec<(&str, Json)>) -> Json {
-    Json::Obj(
-        members
-            .into_iter()
-            .map(|(k, v)| (k.to_string(), v))
-            .collect(),
-    )
-}
-
-fn num_u(v: u64) -> Json {
-    Json::Num(v as f64)
-}
-
 pub(crate) fn metrics_to_json(m: &MetricsSnapshot) -> Json {
-    obj(vec![
+    Json::obj(vec![
         (
             "counters",
             Json::Obj(
                 m.counters
                     .iter()
-                    .map(|(k, v)| (k.clone(), num_u(*v)))
+                    .map(|(k, v)| (k.clone(), Json::uint(*v)))
                     .collect(),
             ),
         ),
@@ -292,12 +276,12 @@ pub(crate) fn metrics_to_json(m: &MetricsSnapshot) -> Json {
                     .map(|(k, g)| {
                         (
                             k.clone(),
-                            obj(vec![
+                            Json::obj(vec![
                                 ("last", Json::Num(g.last)),
                                 ("min", Json::Num(g.min)),
                                 ("max", Json::Num(g.max)),
                                 ("sum", Json::Num(g.sum)),
-                                ("count", num_u(g.count)),
+                                ("count", Json::uint(g.count)),
                             ]),
                         )
                     })
@@ -314,17 +298,19 @@ pub(crate) fn metrics_to_json(m: &MetricsSnapshot) -> Json {
                         let (p50, p95, p99) = h.quantile_summary();
                         (
                             k.clone(),
-                            obj(vec![
-                                ("count", num_u(h.count)),
-                                ("sum", num_u(h.sum)),
+                            Json::obj(vec![
+                                ("count", Json::uint(h.count)),
+                                ("sum", Json::uint(h.sum)),
                                 // Derived on encode (bucket upper edges);
                                 // from_json rebuilds them from the buckets.
-                                ("p50", num_u(p50)),
-                                ("p95", num_u(p95)),
-                                ("p99", num_u(p99)),
+                                ("p50", Json::uint(p50)),
+                                ("p95", Json::uint(p95)),
+                                ("p99", Json::uint(p99)),
                                 (
                                     "log2_buckets",
-                                    Json::Arr(h.buckets[..top].iter().map(|&b| num_u(b)).collect()),
+                                    Json::Arr(
+                                        h.buckets[..top].iter().map(|&b| Json::uint(b)).collect(),
+                                    ),
                                 ),
                             ]),
                         )
@@ -337,52 +323,52 @@ pub(crate) fn metrics_to_json(m: &MetricsSnapshot) -> Json {
 
 impl RunReport {
     pub fn to_json(&self) -> Json {
-        obj(vec![
-            ("run_report_version", num_u(RUN_REPORT_VERSION as u64)),
+        Json::obj(vec![
+            ("run_report_version", Json::uint(RUN_REPORT_VERSION as u64)),
             ("graph", Json::str(self.graph.clone())),
-            ("vertices", num_u(self.vertices)),
-            ("edges", num_u(self.edges)),
-            ("ranks", num_u(self.ranks as u64)),
+            ("vertices", Json::uint(self.vertices)),
+            ("edges", Json::uint(self.edges)),
+            ("ranks", Json::uint(self.ranks as u64)),
             ("variant", Json::str(self.variant.clone())),
-            ("threads_per_rank", num_u(self.threads_per_rank as u64)),
+            ("threads_per_rank", Json::uint(self.threads_per_rank as u64)),
             ("modularity", Json::Num(self.modularity)),
-            ("num_communities", num_u(self.num_communities)),
-            ("phases", num_u(self.phases)),
-            ("iterations", num_u(self.iterations)),
+            ("num_communities", Json::uint(self.num_communities)),
+            ("phases", Json::uint(self.phases)),
+            ("iterations", Json::uint(self.iterations)),
             ("wall_seconds", Json::Num(self.wall_seconds)),
             (
                 "resumed_from_phase",
                 match self.resumed_from_phase {
-                    Some(p) => num_u(p),
+                    Some(p) => Json::uint(p),
                     None => Json::Null,
                 },
             ),
-            ("recoveries", num_u(self.recoveries)),
+            ("recoveries", Json::uint(self.recoveries)),
             (
                 "faults",
-                obj(vec![
-                    ("drops", num_u(self.faults.drops)),
-                    ("delays", num_u(self.faults.delays)),
-                    ("duplicates", num_u(self.faults.duplicates)),
-                    ("truncations", num_u(self.faults.truncations)),
-                    ("retries", num_u(self.faults.retries)),
+                Json::obj(vec![
+                    ("drops", Json::uint(self.faults.drops)),
+                    ("delays", Json::uint(self.faults.delays)),
+                    ("duplicates", Json::uint(self.faults.duplicates)),
+                    ("truncations", Json::uint(self.faults.truncations)),
+                    ("retries", Json::uint(self.faults.retries)),
                 ]),
             ),
             (
                 "health",
-                obj(vec![
-                    ("stalls", num_u(self.health.stalls)),
-                    ("bursts", num_u(self.health.bursts)),
-                    ("corruptions", num_u(self.health.corruptions)),
-                    ("checksum_rejects", num_u(self.health.checksum_rejects)),
-                    ("wd_timeouts", num_u(self.health.wd_timeouts)),
-                    ("wd_retries", num_u(self.health.wd_retries)),
-                    ("wd_stragglers", num_u(self.health.wd_stragglers)),
+                Json::obj(vec![
+                    ("stalls", Json::uint(self.health.stalls)),
+                    ("bursts", Json::uint(self.health.bursts)),
+                    ("corruptions", Json::uint(self.health.corruptions)),
+                    ("checksum_rejects", Json::uint(self.health.checksum_rejects)),
+                    ("wd_timeouts", Json::uint(self.health.wd_timeouts)),
+                    ("wd_retries", Json::uint(self.health.wd_retries)),
+                    ("wd_stragglers", Json::uint(self.health.wd_stragglers)),
                     ("backoff_seconds", Json::Num(self.health.backoff_seconds)),
                     (
                         "slowest_rank",
                         match self.health.slowest_rank {
-                            Some(r) => num_u(r as u64),
+                            Some(r) => Json::uint(r as u64),
                             None => Json::Null,
                         },
                     ),
@@ -397,18 +383,21 @@ impl RunReport {
                                 .per_rank
                                 .iter()
                                 .map(|r| {
-                                    obj(vec![
-                                        ("rank", num_u(r.rank as u64)),
-                                        ("retries", num_u(r.retries)),
-                                        ("wd_timeouts", num_u(r.wd_timeouts)),
-                                        ("wd_retries", num_u(r.wd_retries)),
-                                        ("wd_stragglers", num_u(r.wd_stragglers)),
+                                    Json::obj(vec![
+                                        ("rank", Json::uint(r.rank as u64)),
+                                        ("retries", Json::uint(r.retries)),
+                                        ("wd_timeouts", Json::uint(r.wd_timeouts)),
+                                        ("wd_retries", Json::uint(r.wd_retries)),
+                                        ("wd_stragglers", Json::uint(r.wd_stragglers)),
                                         ("backoff_seconds", Json::Num(r.backoff_seconds)),
-                                        ("checksum_rejects", num_u(r.checksum_rejects)),
+                                        ("checksum_rejects", Json::uint(r.checksum_rejects)),
                                         (
                                             "step_retries",
                                             Json::Arr(
-                                                r.step_retries.iter().map(|&v| num_u(v)).collect(),
+                                                r.step_retries
+                                                    .iter()
+                                                    .map(|&v| Json::uint(v))
+                                                    .collect(),
                                             ),
                                         ),
                                     ])
@@ -423,13 +412,13 @@ impl RunReport {
                                 .hung_events
                                 .iter()
                                 .map(|e| {
-                                    obj(vec![
-                                        ("rank", num_u(e.rank as u64)),
-                                        ("detector", num_u(e.detector as u64)),
-                                        ("phase", num_u(e.phase)),
-                                        ("op", num_u(e.op)),
+                                    Json::obj(vec![
+                                        ("rank", Json::uint(e.rank as u64)),
+                                        ("detector", Json::uint(e.detector as u64)),
+                                        ("phase", Json::uint(e.phase)),
+                                        ("op", Json::uint(e.op)),
                                         ("step", Json::str(e.step.clone())),
-                                        ("waited_ms", num_u(e.waited_ms)),
+                                        ("waited_ms", Json::uint(e.waited_ms)),
                                     ])
                                 })
                                 .collect(),
@@ -439,7 +428,7 @@ impl RunReport {
             ),
             ("modeled", {
                 let (fc, fm, fr, fb) = self.modeled.fractions();
-                obj(vec![
+                Json::obj(vec![
                     ("compute_seconds", Json::Num(self.modeled.compute)),
                     ("comm_seconds", Json::Num(self.modeled.comm)),
                     ("reduce_seconds", Json::Num(self.modeled.reduce)),
@@ -457,42 +446,46 @@ impl RunReport {
                     self.step_totals
                         .iter()
                         .map(|s| {
-                            obj(vec![
+                            Json::obj(vec![
                                 ("step", Json::str(s.step.clone())),
-                                ("bytes", num_u(s.bytes)),
-                                ("messages", num_u(s.messages)),
-                                ("wait_ns", num_u(s.wait_ns)),
+                                ("bytes", Json::uint(s.bytes)),
+                                ("messages", Json::uint(s.messages)),
+                                ("wait_ns", Json::uint(s.wait_ns)),
                             ])
                         })
                         .collect(),
                 ),
             ),
-            ("total_bytes", num_u(self.total_bytes)),
-            ("total_messages", num_u(self.total_messages)),
+            ("total_bytes", Json::uint(self.total_bytes)),
+            ("total_messages", Json::uint(self.total_messages)),
             (
                 "per_rank",
                 Json::Arr(
                     self.per_rank
                         .iter()
                         .map(|r| {
-                            obj(vec![
-                                ("rank", num_u(r.rank as u64)),
-                                ("p2p_messages", num_u(r.p2p_messages)),
-                                ("p2p_bytes", num_u(r.p2p_bytes)),
-                                ("collective_calls", num_u(r.collective_calls)),
-                                ("collective_bytes", num_u(r.collective_bytes)),
+                            Json::obj(vec![
+                                ("rank", Json::uint(r.rank as u64)),
+                                ("p2p_messages", Json::uint(r.p2p_messages)),
+                                ("p2p_bytes", Json::uint(r.p2p_bytes)),
+                                ("collective_calls", Json::uint(r.collective_calls)),
+                                ("collective_bytes", Json::uint(r.collective_bytes)),
                                 ("modeled_comm_seconds", Json::Num(r.modeled_comm_seconds)),
                                 (
                                     "step_messages",
-                                    Json::Arr(r.step_messages.iter().map(|&v| num_u(v)).collect()),
+                                    Json::Arr(
+                                        r.step_messages.iter().map(|&v| Json::uint(v)).collect(),
+                                    ),
                                 ),
                                 (
                                     "step_bytes",
-                                    Json::Arr(r.step_bytes.iter().map(|&v| num_u(v)).collect()),
+                                    Json::Arr(
+                                        r.step_bytes.iter().map(|&v| Json::uint(v)).collect(),
+                                    ),
                                 ),
-                                ("wait_ns", num_u(r.wait_ns)),
-                                ("events_recorded", num_u(r.events_recorded)),
-                                ("events_dropped", num_u(r.events_dropped)),
+                                ("wait_ns", Json::uint(r.wait_ns)),
+                                ("events_recorded", Json::uint(r.events_recorded)),
+                                ("events_dropped", Json::uint(r.events_dropped)),
                             ])
                         })
                         .collect(),
@@ -505,11 +498,10 @@ impl RunReport {
                     self.spans
                         .iter()
                         .map(|s| {
-                            obj(vec![
+                            Json::obj(vec![
                                 ("name", Json::str(s.name.clone())),
-                                ("count", num_u(s.count)),
+                                ("count", Json::uint(s.count)),
                                 ("wall_seconds", Json::Num(s.wall_seconds)),
-                                ("modeled_seconds", Json::Num(s.modeled_seconds)),
                             ])
                         })
                         .collect(),
@@ -521,14 +513,14 @@ impl RunReport {
                     self.phase_profile
                         .iter()
                         .map(|p| {
-                            obj(vec![
-                                ("rank", num_u(p.rank as u64)),
-                                ("phase", num_u(p.phase)),
-                                ("compute_ns", num_u(p.compute_ns)),
-                                ("transfer_ns", num_u(p.transfer_ns)),
-                                ("wait_ns", num_u(p.wait_ns)),
-                                ("rebuild_ns", num_u(p.rebuild_ns)),
-                                ("total_ns", num_u(p.total_ns)),
+                            Json::obj(vec![
+                                ("rank", Json::uint(p.rank as u64)),
+                                ("phase", Json::uint(p.phase)),
+                                ("compute_ns", Json::uint(p.compute_ns)),
+                                ("transfer_ns", Json::uint(p.transfer_ns)),
+                                ("wait_ns", Json::uint(p.wait_ns)),
+                                ("rebuild_ns", Json::uint(p.rebuild_ns)),
+                                ("total_ns", Json::uint(p.total_ns)),
                             ])
                         })
                         .collect(),
@@ -540,15 +532,14 @@ impl RunReport {
                     self.messages
                         .iter()
                         .map(|m| {
-                            obj(vec![
-                                ("src", num_u(m.src as u64)),
-                                ("dst", num_u(m.dst as u64)),
+                            Json::obj(vec![
+                                ("src", Json::uint(m.src as u64)),
+                                ("dst", Json::uint(m.dst as u64)),
                                 ("step", Json::str(m.step.clone())),
-                                ("lamport", num_u(m.lamport)),
-                                ("bytes", num_u(m.bytes)),
-                                ("send_ts_ns", num_u(m.send_ts_ns)),
-                                ("recv_ts_ns", num_u(m.recv_ts_ns)),
-                                ("modeled_ns", num_u(m.modeled_ns)),
+                                ("lamport", Json::uint(m.lamport)),
+                                ("bytes", Json::uint(m.bytes)),
+                                ("send_ts_ns", Json::uint(m.send_ts_ns)),
+                                ("recv_ts_ns", Json::uint(m.recv_ts_ns)),
                             ])
                         })
                         .collect(),
@@ -570,27 +561,8 @@ impl RunReport {
     }
 
     pub fn from_json(doc: &Json) -> Result<RunReport, String> {
-        fn get<'a>(doc: &'a Json, key: &str) -> Result<&'a Json, String> {
-            doc.get(key).ok_or_else(|| format!("missing field `{key}`"))
-        }
-        fn f(doc: &Json, key: &str) -> Result<f64, String> {
-            get(doc, key)?
-                .as_f64()
-                .ok_or_else(|| format!("field `{key}` is not a number"))
-        }
-        fn u(doc: &Json, key: &str) -> Result<u64, String> {
-            get(doc, key)?
-                .as_u64()
-                .ok_or_else(|| format!("field `{key}` is not a u64"))
-        }
-        fn s(doc: &Json, key: &str) -> Result<String, String> {
-            Ok(get(doc, key)?
-                .as_str()
-                .ok_or_else(|| format!("field `{key}` is not a string"))?
-                .to_string())
-        }
         fn u_arr(doc: &Json, key: &str) -> Result<Vec<u64>, String> {
-            get(doc, key)?
+            doc.field(key)?
                 .as_arr()
                 .ok_or_else(|| format!("field `{key}` is not an array"))?
                 .iter()
@@ -601,36 +573,36 @@ impl RunReport {
                 .collect()
         }
 
-        let version = u(doc, "run_report_version")?;
+        let version = doc.field_u64("run_report_version")?;
         if version != RUN_REPORT_VERSION as u64 {
             return Err(format!("unsupported run_report_version {version}"));
         }
-        let modeled_doc = get(doc, "modeled")?;
-        let metrics_doc = get(doc, "metrics")?;
+        let modeled_doc = doc.field("modeled")?;
+        let metrics_doc = doc.field("metrics")?;
 
         let mut metrics = MetricsSnapshot::default();
-        for (k, v) in get(metrics_doc, "counters")?.as_obj().unwrap_or(&[]) {
+        for (k, v) in metrics_doc.field("counters")?.as_obj().unwrap_or(&[]) {
             metrics.counters.insert(
                 k.clone(),
                 v.as_u64().ok_or_else(|| format!("counter `{k}` not u64"))?,
             );
         }
-        for (k, v) in get(metrics_doc, "gauges")?.as_obj().unwrap_or(&[]) {
+        for (k, v) in metrics_doc.field("gauges")?.as_obj().unwrap_or(&[]) {
             metrics.gauges.insert(
                 k.clone(),
                 GaugeStat {
-                    last: f(v, "last")?,
-                    min: f(v, "min")?,
-                    max: f(v, "max")?,
-                    sum: f(v, "sum")?,
-                    count: u(v, "count")?,
+                    last: v.field_f64("last")?,
+                    min: v.field_f64("min")?,
+                    max: v.field_f64("max")?,
+                    sum: v.field_f64("sum")?,
+                    count: v.field_u64("count")?,
                 },
             );
         }
-        for (k, v) in get(metrics_doc, "histograms")?.as_obj().unwrap_or(&[]) {
+        for (k, v) in metrics_doc.field("histograms")?.as_obj().unwrap_or(&[]) {
             let mut h = Histogram {
-                count: u(v, "count")?,
-                sum: u(v, "sum")?,
+                count: v.field_u64("count")?,
+                sum: v.field_u64("sum")?,
                 ..Default::default()
             };
             for (i, b) in u_arr(v, "log2_buckets")?.into_iter().enumerate() {
@@ -642,28 +614,28 @@ impl RunReport {
         }
 
         Ok(RunReport {
-            graph: s(doc, "graph")?,
-            vertices: u(doc, "vertices")?,
-            edges: u(doc, "edges")?,
-            ranks: u(doc, "ranks")? as usize,
-            variant: s(doc, "variant")?,
-            threads_per_rank: u(doc, "threads_per_rank")? as usize,
-            modularity: f(doc, "modularity")?,
-            num_communities: u(doc, "num_communities")?,
-            phases: u(doc, "phases")?,
-            iterations: u(doc, "iterations")?,
-            wall_seconds: f(doc, "wall_seconds")?,
+            graph: doc.field_str("graph")?.to_string(),
+            vertices: doc.field_u64("vertices")?,
+            edges: doc.field_u64("edges")?,
+            ranks: doc.field_u64("ranks")? as usize,
+            variant: doc.field_str("variant")?.to_string(),
+            threads_per_rank: doc.field_u64("threads_per_rank")? as usize,
+            modularity: doc.field_f64("modularity")?,
+            num_communities: doc.field_u64("num_communities")?,
+            phases: doc.field_u64("phases")?,
+            iterations: doc.field_u64("iterations")?,
+            wall_seconds: doc.field_f64("wall_seconds")?,
             // Resilience fields arrived after version 1 shipped; parse
             // them leniently so pre-resilience artifacts still load.
             resumed_from_phase: doc.get("resumed_from_phase").and_then(Json::as_u64),
             recoveries: doc.get("recoveries").and_then(Json::as_u64).unwrap_or(0),
             faults: match doc.get("faults") {
                 Some(fd) => FaultTotals {
-                    drops: u(fd, "drops")?,
-                    delays: u(fd, "delays")?,
-                    duplicates: u(fd, "duplicates")?,
-                    truncations: u(fd, "truncations")?,
-                    retries: u(fd, "retries")?,
+                    drops: fd.field_u64("drops")?,
+                    delays: fd.field_u64("delays")?,
+                    duplicates: fd.field_u64("duplicates")?,
+                    truncations: fd.field_u64("truncations")?,
+                    retries: fd.field_u64("retries")?,
                 },
                 None => FaultTotals::default(),
             },
@@ -721,7 +693,7 @@ impl RunReport {
                                     detector: lu(e, "detector") as usize,
                                     phase: lu(e, "phase"),
                                     op: lu(e, "op"),
-                                    step: s(e, "step")?,
+                                    step: e.field_str("step")?.to_string(),
                                     waited_ms: lu(e, "waited_ms"),
                                 })
                             })
@@ -731,58 +703,60 @@ impl RunReport {
                 None => HealthTotals::default(),
             },
             modeled: ModeledBreakdown {
-                compute: f(modeled_doc, "compute_seconds")?,
-                comm: f(modeled_doc, "comm_seconds")?,
-                reduce: f(modeled_doc, "reduce_seconds")?,
-                rebuild: f(modeled_doc, "rebuild_seconds")?,
+                compute: modeled_doc.field_f64("compute_seconds")?,
+                comm: modeled_doc.field_f64("comm_seconds")?,
+                reduce: modeled_doc.field_f64("reduce_seconds")?,
+                rebuild: modeled_doc.field_f64("rebuild_seconds")?,
             },
-            step_totals: get(doc, "step_totals")?
+            step_totals: doc
+                .field("step_totals")?
                 .as_arr()
                 .ok_or("`step_totals` is not an array")?
                 .iter()
                 .map(|t| {
                     Ok(StepTotal {
-                        step: s(t, "step")?,
-                        bytes: u(t, "bytes")?,
-                        messages: u(t, "messages")?,
+                        step: t.field_str("step")?.to_string(),
+                        bytes: t.field_u64("bytes")?,
+                        messages: t.field_u64("messages")?,
                         // Lenient: pre-wait-split artifacts lack it.
                         wait_ns: t.get("wait_ns").and_then(Json::as_u64).unwrap_or(0),
                     })
                 })
                 .collect::<Result<_, String>>()?,
-            total_bytes: u(doc, "total_bytes")?,
-            total_messages: u(doc, "total_messages")?,
-            per_rank: get(doc, "per_rank")?
+            total_bytes: doc.field_u64("total_bytes")?,
+            total_messages: doc.field_u64("total_messages")?,
+            per_rank: doc
+                .field("per_rank")?
                 .as_arr()
                 .ok_or("`per_rank` is not an array")?
                 .iter()
                 .map(|r| {
                     Ok(RankTotals {
-                        rank: u(r, "rank")? as usize,
-                        p2p_messages: u(r, "p2p_messages")?,
-                        p2p_bytes: u(r, "p2p_bytes")?,
-                        collective_calls: u(r, "collective_calls")?,
-                        collective_bytes: u(r, "collective_bytes")?,
-                        modeled_comm_seconds: f(r, "modeled_comm_seconds")?,
+                        rank: r.field_u64("rank")? as usize,
+                        p2p_messages: r.field_u64("p2p_messages")?,
+                        p2p_bytes: r.field_u64("p2p_bytes")?,
+                        collective_calls: r.field_u64("collective_calls")?,
+                        collective_bytes: r.field_u64("collective_bytes")?,
+                        modeled_comm_seconds: r.field_f64("modeled_comm_seconds")?,
                         step_messages: u_arr(r, "step_messages")?,
                         step_bytes: u_arr(r, "step_bytes")?,
                         wait_ns: r.get("wait_ns").and_then(Json::as_u64).unwrap_or(0),
-                        events_recorded: u(r, "events_recorded")?,
-                        events_dropped: u(r, "events_dropped")?,
+                        events_recorded: r.field_u64("events_recorded")?,
+                        events_dropped: r.field_u64("events_dropped")?,
                     })
                 })
                 .collect::<Result<_, String>>()?,
             metrics,
-            spans: get(doc, "spans")?
+            spans: doc
+                .field("spans")?
                 .as_arr()
                 .ok_or("`spans` is not an array")?
                 .iter()
                 .map(|sp| {
                     Ok(SpanRollup {
-                        name: s(sp, "name")?,
-                        count: u(sp, "count")?,
-                        wall_seconds: f(sp, "wall_seconds")?,
-                        modeled_seconds: f(sp, "modeled_seconds")?,
+                        name: sp.field_str("name")?.to_string(),
+                        count: sp.field_u64("count")?,
+                        wall_seconds: sp.field_f64("wall_seconds")?,
                     })
                 })
                 .collect::<Result<_, String>>()?,
@@ -818,12 +792,11 @@ impl RunReport {
                     Ok(MessageEdge {
                         src: lu(m, "src") as usize,
                         dst: lu(m, "dst") as usize,
-                        step: s(m, "step")?,
+                        step: m.field_str("step")?.to_string(),
                         lamport: lu(m, "lamport"),
                         bytes: lu(m, "bytes"),
                         send_ts_ns: lu(m, "send_ts_ns"),
                         recv_ts_ns: lu(m, "recv_ts_ns"),
-                        modeled_ns: lu(m, "modeled_ns"),
                     })
                 })
                 .collect::<Result<_, String>>()?,
@@ -943,7 +916,6 @@ mod tests {
                 name: "phase".into(),
                 count: 3,
                 wall_seconds: 1.1,
-                modeled_seconds: 9.9,
             }],
             phase_profile: vec![PhaseProfileRow {
                 rank: 0,
@@ -962,7 +934,6 @@ mod tests {
                 bytes: 128,
                 send_ts_ns: 10_000,
                 recv_ts_ns: 12_000,
-                modeled_ns: 1_314,
             }],
         }
     }

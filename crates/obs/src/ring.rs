@@ -145,7 +145,6 @@ mod tests {
             kind: EventKind::Instant,
             ts_ns: ts,
             tid: 0,
-            modeled_seconds: 0.0,
             attempt: 0,
             args: vec![],
         }

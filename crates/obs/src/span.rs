@@ -3,10 +3,7 @@
 //! Recording is a two-switch design: a process-global enable flag (one
 //! relaxed atomic load on the fast path — the ≤2% disabled-overhead
 //! budget) and a thread-local observer installed per rank thread by
-//! [`crate::Collector::install`]. A span records its wall-clock duration
-//! *and* the delta of the thread's modeled-seconds clock (advanced by the
-//! α-β cost model in `louvain-comm` and the work counters in
-//! `louvain-dist`), so both timelines ride on every event.
+//! [`crate::Collector::install`]. A span records its wall-clock duration.
 
 use std::cell::{Cell, RefCell};
 use std::sync::atomic::{AtomicU32, Ordering};
@@ -91,7 +88,7 @@ pub fn init_from_env() -> bool {
 }
 
 // ---------------------------------------------------------------------------
-// Thread-local observer + modeled clock
+// Thread-local observer
 // ---------------------------------------------------------------------------
 
 /// Per-thread recording state, installed by the collector.
@@ -117,8 +114,6 @@ static NEXT_TID: AtomicU32 = AtomicU32::new(1);
 
 thread_local! {
     static OBSERVER: RefCell<Option<ThreadObserver>> = const { RefCell::new(None) };
-    /// Monotone modeled-seconds clock for this thread.
-    static MODELED: Cell<f64> = const { Cell::new(0.0) };
     /// Small process-wide id for this thread (Chrome `tid`).
     static TID: Cell<u32> = const { Cell::new(0) };
 }
@@ -142,21 +137,6 @@ fn current_tid() -> u32 {
     })
 }
 
-/// Advance this thread's modeled-seconds clock. Called by the comm layer
-/// (α-β transfer model) and compute work counters; open spans observe the
-/// clock's delta.
-#[inline]
-pub fn add_modeled_seconds(seconds: f64) {
-    if enabled() {
-        MODELED.with(|m| m.set(m.get() + seconds));
-    }
-}
-
-/// Current value of this thread's modeled-seconds clock.
-pub fn modeled_seconds_now() -> f64 {
-    MODELED.with(Cell::get)
-}
-
 pub(crate) fn with_observer<R>(f: impl FnOnce(&ThreadObserver) -> R) -> Option<R> {
     OBSERVER.with(|o| o.borrow().as_ref().map(f))
 }
@@ -170,7 +150,6 @@ struct SpanInner {
     cat: &'static str,
     start: Instant,
     start_ts_ns: u64,
-    start_modeled: f64,
     args: Vec<(&'static str, ArgValue)>,
 }
 
@@ -200,7 +179,6 @@ impl Drop for SpanGuard {
     fn drop(&mut self) {
         let Some(inner) = self.0.take() else { return };
         let dur_ns = inner.start.elapsed().as_nanos() as u64;
-        let modeled = modeled_seconds_now() - inner.start_modeled;
         with_observer(|obs| {
             obs.ring.push(TraceEvent {
                 name: inner.name,
@@ -208,7 +186,6 @@ impl Drop for SpanGuard {
                 kind: EventKind::Complete { dur_ns },
                 ts_ns: inner.start_ts_ns,
                 tid: current_tid(),
-                modeled_seconds: modeled,
                 attempt: obs.attempt,
                 args: inner.args,
             });
@@ -241,7 +218,6 @@ pub fn span_cat(
         cat,
         start: Instant::now(),
         start_ts_ns,
-        start_modeled: modeled_seconds_now(),
         args,
     }))
 }
@@ -258,7 +234,6 @@ pub fn instant(name: &'static str, cat: &'static str, args: Vec<(&'static str, A
             kind: EventKind::Instant,
             ts_ns: obs.epoch.elapsed().as_nanos() as u64,
             tid: current_tid(),
-            modeled_seconds: 0.0,
             attempt: obs.attempt,
             args,
         });
@@ -267,14 +242,13 @@ pub fn instant(name: &'static str, cat: &'static str, args: Vec<(&'static str, A
 
 /// Record a completed span retroactively: the span ends *now* and lasted
 /// `dur_ns`. Used for sub-spans whose extent is known only after the
-/// fact — e.g. the wait/transfer split of a comm step, where the idle
-/// time is accumulated by the blocking receive loops and only totalled
-/// when the step closes.
+/// fact — e.g. the `wait` share of a comm step, where the idle time is
+/// accumulated by the blocking receive loops and only totalled when the
+/// step closes.
 pub fn complete_span(
     name: &'static str,
     cat: &'static str,
     dur_ns: u64,
-    modeled_seconds: f64,
     args: Vec<(&'static str, ArgValue)>,
 ) {
     if !enabled() {
@@ -288,7 +262,6 @@ pub fn complete_span(
             kind: EventKind::Complete { dur_ns },
             ts_ns: now_ns.saturating_sub(dur_ns),
             tid: current_tid(),
-            modeled_seconds,
             attempt: obs.attempt,
             args,
         });
@@ -306,44 +279,6 @@ macro_rules! span {
     ($name:literal $(, $k:ident = $v:expr)* $(,)?) => {
         $crate::span_cat($name, "louvain", vec![$((stringify!($k), $crate::ArgValue::from($v))),*])
     };
-}
-
-// ---------------------------------------------------------------------------
-// Stopwatch
-// ---------------------------------------------------------------------------
-
-/// Wall-clock + modeled-seconds stopwatch: the one consistent replacement
-/// for the ad-hoc `Instant::now()` pairs that used to live in the
-/// runner, API glue, and bench harness.
-#[derive(Debug, Clone, Copy)]
-pub struct Stopwatch {
-    start: Instant,
-    start_modeled: f64,
-}
-
-impl Stopwatch {
-    pub fn start() -> Self {
-        Stopwatch {
-            start: Instant::now(),
-            start_modeled: modeled_seconds_now(),
-        }
-    }
-
-    /// Wall-clock seconds since start.
-    pub fn wall_seconds(&self) -> f64 {
-        self.start.elapsed().as_secs_f64()
-    }
-
-    /// Modeled seconds accrued on this thread since start.
-    pub fn modeled_seconds(&self) -> f64 {
-        modeled_seconds_now() - self.start_modeled
-    }
-}
-
-impl Default for Stopwatch {
-    fn default() -> Self {
-        Self::start()
-    }
 }
 
 #[cfg(test)]
@@ -390,7 +325,6 @@ pub(crate) mod tests {
         set_enabled(true);
         let ((), events) = with_ring(|| {
             let mut g = span!(cat "comm", "ghost_refresh", bytes = 128u64);
-            add_modeled_seconds(0.25);
             g.arg("round", 2u64);
             drop(g);
             instant("poisoned", "t", vec![("rank", ArgValue::U64(3))]);
@@ -401,7 +335,6 @@ pub(crate) mod tests {
         assert_eq!(span_ev.name, "ghost_refresh");
         assert_eq!(span_ev.cat, "comm");
         assert!(matches!(span_ev.kind, EventKind::Complete { .. }));
-        assert!((span_ev.modeled_seconds - 0.25).abs() < 1e-12);
         assert_eq!(
             span_ev.args,
             vec![("bytes", ArgValue::U64(128)), ("round", ArgValue::U64(2))]
@@ -459,26 +392,5 @@ pub(crate) mod tests {
             events[0].ts_ns >= events[1].ts_ns,
             "inner starts after outer"
         );
-    }
-
-    #[test]
-    fn stopwatch_tracks_wall_and_modeled_time() {
-        let _l = ENABLE_LOCK.lock().unwrap();
-        set_enabled(true);
-        let sw = Stopwatch::start();
-        add_modeled_seconds(1.5);
-        add_modeled_seconds(0.5);
-        assert!((sw.modeled_seconds() - 2.0).abs() < 1e-12);
-        assert!(sw.wall_seconds() >= 0.0);
-        set_enabled(false);
-    }
-
-    #[test]
-    fn modeled_clock_ignored_when_disabled() {
-        let _l = ENABLE_LOCK.lock().unwrap();
-        set_enabled(false);
-        let before = modeled_seconds_now();
-        add_modeled_seconds(10.0);
-        assert_eq!(modeled_seconds_now(), before);
     }
 }

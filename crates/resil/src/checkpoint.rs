@@ -19,7 +19,7 @@
 //! dests        [len u64, len × u64]   CSR destinations (global ids)
 //! weights      [len u64, len × f64]   CSR weights
 //! cur_of_orig  [len u64, len × u64]   community of each original vertex
-//! stats        fixed-width StatsSnapshot block
+//! stats        [len u64, len × u64]   StatsSnapshot counters, table order
 //! hash     u64  FNV-1a over every preceding byte
 //! ```
 
@@ -27,7 +27,7 @@ use std::fs::File;
 use std::io::{self, Write};
 use std::path::Path;
 
-use louvain_comm::{StatsSnapshot, NUM_COMM_STEPS};
+use louvain_comm::StatsSnapshot;
 
 use crate::error::ResilError;
 
@@ -36,8 +36,11 @@ const MAGIC: u64 = u64::from_le_bytes(*b"LVRSCKPT");
 /// block with the rank-health counters (stalls, bursts, corruptions,
 /// checksum rejects, watchdog ladder, backoff time, per-step retries).
 /// Version 3 appends the per-step blocked-wait nanoseconds, so wait
-/// attribution stays cumulative across a crash/restart.
-pub const CHECKPOINT_VERSION: u32 = 3;
+/// attribution stays cumulative across a crash/restart. Version 4 stores
+/// the stats block as one counted run of words in the counter table's
+/// order ([`StatsSnapshot::words`]) and drops the α-β seconds, which are
+/// evaluated from the counters at report time.
+pub const CHECKPOINT_VERSION: u32 = 4;
 
 /// Everything one rank needs to rejoin the phase loop at a phase
 /// boundary. `phase` is the next phase to execute; the ET probabilities
@@ -173,29 +176,7 @@ pub fn encode(ckpt: &RankCheckpoint) -> Vec<u8> {
     put_u64s(&mut buf, &ckpt.dests);
     put_f64s(&mut buf, &ckpt.weights);
     put_u64s(&mut buf, &ckpt.cur_of_orig);
-    let s = &ckpt.stats;
-    put_u64(&mut buf, s.p2p_messages);
-    put_u64(&mut buf, s.p2p_bytes);
-    put_u64(&mut buf, s.collective_calls);
-    put_u64(&mut buf, s.collective_bytes);
-    put_f64(&mut buf, s.modeled_seconds);
-    put_u64s(&mut buf, &s.step_messages);
-    put_u64s(&mut buf, &s.step_bytes);
-    put_u64(&mut buf, s.fault_drops);
-    put_u64(&mut buf, s.fault_delays);
-    put_u64(&mut buf, s.fault_duplicates);
-    put_u64(&mut buf, s.fault_truncations);
-    put_u64(&mut buf, s.fault_retries);
-    put_u64(&mut buf, s.fault_stalls);
-    put_u64(&mut buf, s.fault_bursts);
-    put_u64(&mut buf, s.fault_corruptions);
-    put_u64(&mut buf, s.checksum_rejects);
-    put_u64(&mut buf, s.wd_timeouts);
-    put_u64(&mut buf, s.wd_retries);
-    put_u64(&mut buf, s.wd_stragglers);
-    put_u64(&mut buf, s.backoff_nanos);
-    put_u64s(&mut buf, &s.step_retries);
-    put_u64s(&mut buf, &s.step_wait_nanos);
+    put_u64s(&mut buf, &ckpt.stats.words().collect::<Vec<_>>());
     let hash = fnv1a64(&buf);
     put_u64(&mut buf, hash);
     buf
@@ -246,54 +227,18 @@ pub fn decode(bytes: &[u8]) -> Result<RankCheckpoint, ResilError> {
     let dests = c.u64s()?;
     let weights = c.f64s()?;
     let cur_of_orig = c.u64s()?;
-    let mut stats = StatsSnapshot {
-        p2p_messages: c.u64()?,
-        p2p_bytes: c.u64()?,
-        collective_calls: c.u64()?,
-        collective_bytes: c.u64()?,
-        modeled_seconds: c.f64()?,
-        ..Default::default()
-    };
-    let step_messages = c.u64s()?;
-    let step_bytes = c.u64s()?;
-    if step_messages.len() != NUM_COMM_STEPS || step_bytes.len() != NUM_COMM_STEPS {
+    let words = c.u64s()?;
+    let mut stats = StatsSnapshot::default();
+    let expected = stats.words().count();
+    if words.len() != expected {
         return Err(ResilError::Corrupt(format!(
-            "stats block has {}/{} comm steps, this build expects {NUM_COMM_STEPS}",
-            step_messages.len(),
-            step_bytes.len()
+            "stats block has {} counters, this build expects {expected}",
+            words.len()
         )));
     }
-    stats.step_messages.copy_from_slice(&step_messages);
-    stats.step_bytes.copy_from_slice(&step_bytes);
-    stats.fault_drops = c.u64()?;
-    stats.fault_delays = c.u64()?;
-    stats.fault_duplicates = c.u64()?;
-    stats.fault_truncations = c.u64()?;
-    stats.fault_retries = c.u64()?;
-    stats.fault_stalls = c.u64()?;
-    stats.fault_bursts = c.u64()?;
-    stats.fault_corruptions = c.u64()?;
-    stats.checksum_rejects = c.u64()?;
-    stats.wd_timeouts = c.u64()?;
-    stats.wd_retries = c.u64()?;
-    stats.wd_stragglers = c.u64()?;
-    stats.backoff_nanos = c.u64()?;
-    let step_retries = c.u64s()?;
-    if step_retries.len() != NUM_COMM_STEPS {
-        return Err(ResilError::Corrupt(format!(
-            "stats block has {} retry steps, this build expects {NUM_COMM_STEPS}",
-            step_retries.len()
-        )));
+    for (slot, word) in stats.words_mut().zip(words) {
+        *slot = word;
     }
-    stats.step_retries.copy_from_slice(&step_retries);
-    let step_wait_nanos = c.u64s()?;
-    if step_wait_nanos.len() != NUM_COMM_STEPS {
-        return Err(ResilError::Corrupt(format!(
-            "stats block has {} wait steps, this build expects {NUM_COMM_STEPS}",
-            step_wait_nanos.len()
-        )));
-    }
-    stats.step_wait_nanos.copy_from_slice(&step_wait_nanos);
     if c.pos != body.len() {
         return Err(ResilError::Corrupt(format!(
             "{} trailing bytes after the stats block",
@@ -365,14 +310,14 @@ mod tests {
             dests: vec![11, 12, 13, 14, 15],
             weights: vec![1.0, 0.5, 2.0, 0.25, 3.0],
             cur_of_orig: vec![7, 7, 9],
-            stats: StatsSnapshot {
-                p2p_messages: 5,
-                p2p_bytes: 120,
-                collective_calls: 3,
-                collective_bytes: 24,
-                modeled_seconds: 0.125,
-                step_wait_nanos: [7, 0, 11, 0, 0, 3],
-                ..Default::default()
+            stats: {
+                // Every counter distinct: a field the stats block
+                // dropped or reordered would not round-trip.
+                let mut stats = StatsSnapshot::default();
+                for (i, w) in stats.words_mut().enumerate() {
+                    *w = 5 + 3 * i as u64;
+                }
+                stats
             },
         }
     }
@@ -385,8 +330,8 @@ mod tests {
         assert_eq!(back, ckpt);
         assert!(back.prev_q == f64::NEG_INFINITY);
         // StatsSnapshot's PartialEq deliberately ignores the wall-clock
-        // wait array, so pin its roundtrip explicitly.
-        assert_eq!(back.stats.step_wait_nanos, ckpt.stats.step_wait_nanos);
+        // wait array, so compare the whole walk.
+        assert!(back.stats.words().eq(ckpt.stats.words()));
     }
 
     #[test]
@@ -422,15 +367,40 @@ mod tests {
     }
 
     #[test]
-    fn wrong_version_rejected() {
-        let mut bytes = encode(&sample());
-        bytes[8] = 99;
+    fn other_versions_are_refused_by_name() {
+        // 3 is the previous format (its stats block carried the α-β
+        // seconds); 99 is one this build has never heard of.
+        for version in [CHECKPOINT_VERSION - 1, 99] {
+            let mut bytes = encode(&sample());
+            bytes[8..12].copy_from_slice(&version.to_le_bytes());
+            let n = bytes.len();
+            let h = fnv1a64(&bytes[..n - 8]);
+            bytes[n - 8..].copy_from_slice(&h.to_le_bytes());
+            match decode(&bytes) {
+                Err(ResilError::UnsupportedVersion { found, expected }) => {
+                    assert_eq!((found, expected), (version, CHECKPOINT_VERSION));
+                }
+                other => panic!("expected UnsupportedVersion, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn stats_block_of_another_table_is_refused() {
+        // Same version, one counter short: a build whose table differs.
+        let ckpt = sample();
+        let mut bytes = encode(&ckpt);
+        let words = ckpt.stats.words().count();
+        let n = bytes.len();
+        let len_at = n - 8 - 8 * (words + 1);
+        bytes[len_at..len_at + 8].copy_from_slice(&(words as u64 - 1).to_le_bytes());
+        bytes.drain(n - 16..n - 8);
         let n = bytes.len();
         let h = fnv1a64(&bytes[..n - 8]);
         bytes[n - 8..].copy_from_slice(&h.to_le_bytes());
         match decode(&bytes) {
-            Err(ResilError::UnsupportedVersion { found: 99, .. }) => {}
-            other => panic!("expected UnsupportedVersion, got {other:?}"),
+            Err(ResilError::Corrupt(msg)) => assert!(msg.contains("counters"), "{msg}"),
+            other => panic!("expected Corrupt(stats block), got {other:?}"),
         }
     }
 

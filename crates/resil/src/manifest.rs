@@ -46,21 +46,10 @@ fn hex(v: u64) -> String {
     format!("{v:#018x}")
 }
 
-fn parse_hex(s: &str) -> Result<u64, ResilError> {
+fn parse_hex(s: &str) -> Result<u64, String> {
     s.strip_prefix("0x")
         .and_then(|h| u64::from_str_radix(h, 16).ok())
-        .ok_or_else(|| ResilError::Manifest(format!("bad hex value {s:?}")))
-}
-
-fn field<'a>(doc: &'a Json, key: &str) -> Result<&'a Json, ResilError> {
-    doc.get(key)
-        .ok_or_else(|| ResilError::Manifest(format!("missing field {key:?}")))
-}
-
-fn field_u64(doc: &Json, key: &str) -> Result<u64, ResilError> {
-    field(doc, key)?
-        .as_u64()
-        .ok_or_else(|| ResilError::Manifest(format!("field {key:?} is not an integer")))
+        .ok_or_else(|| format!("bad hex value {s:?}"))
 }
 
 impl Manifest {
@@ -92,41 +81,32 @@ impl Manifest {
         ])
     }
 
-    fn from_json(doc: &Json) -> Result<Manifest, ResilError> {
-        let version = field_u64(doc, "version")?;
+    /// Every failure is a [`ResilError::Manifest`] carrying the message.
+    fn from_json(doc: &Json) -> Result<Manifest, String> {
+        let version = doc.field_u64("version")?;
         if version != MANIFEST_VERSION {
-            return Err(ResilError::Manifest(format!(
+            return Err(format!(
                 "manifest version {version} unsupported (expected {MANIFEST_VERSION})"
-            )));
+            ));
         }
-        let files = field(doc, "files")?
+        let files = doc
+            .field("files")?
             .as_arr()
-            .ok_or_else(|| ResilError::Manifest("files is not an array".into()))?
+            .ok_or("files is not an array")?
             .iter()
             .map(|f| {
                 Ok(ManifestEntry {
-                    rank: field_u64(f, "rank")? as usize,
-                    file: field(f, "file")?
-                        .as_str()
-                        .ok_or_else(|| ResilError::Manifest("file is not a string".into()))?
-                        .to_string(),
-                    bytes: field_u64(f, "bytes")?,
-                    hash: parse_hex(
-                        field(f, "hash")?
-                            .as_str()
-                            .ok_or_else(|| ResilError::Manifest("hash is not a string".into()))?,
-                    )?,
+                    rank: f.field_u64("rank")? as usize,
+                    file: f.field_str("file")?.to_string(),
+                    bytes: f.field_u64("bytes")?,
+                    hash: parse_hex(f.field_str("hash")?)?,
                 })
             })
-            .collect::<Result<Vec<_>, ResilError>>()?;
+            .collect::<Result<Vec<_>, String>>()?;
         Ok(Manifest {
-            phase: field_u64(doc, "phase")?,
-            ranks: field_u64(doc, "ranks")? as usize,
-            config_fingerprint: parse_hex(
-                field(doc, "config_fingerprint")?
-                    .as_str()
-                    .ok_or_else(|| ResilError::Manifest("fingerprint is not a string".into()))?,
-            )?,
+            phase: doc.field_u64("phase")?,
+            ranks: doc.field_u64("ranks")? as usize,
+            config_fingerprint: parse_hex(doc.field_str("config_fingerprint")?)?,
             files,
         })
     }
@@ -282,7 +262,7 @@ impl CheckpointStore {
         let text = std::fs::read_to_string(&path)?;
         let doc = Json::parse(&text)
             .map_err(|e| ResilError::Manifest(format!("{}: {e:?}", path.display())))?;
-        let manifest = Manifest::from_json(&doc)?;
+        let manifest = Manifest::from_json(&doc).map_err(ResilError::Manifest)?;
         if manifest.phase != phase {
             return Err(ResilError::Manifest(format!(
                 "manifest in phase-{phase}/ claims phase {}",

@@ -37,21 +37,8 @@ use louvain_obs::{Json, TelemetryRow};
 use crate::job::JobSpec;
 use crate::server::{JobStatus, Server, SubmitError};
 
-fn obj(members: Vec<(&str, Json)>) -> Json {
-    Json::Obj(
-        members
-            .into_iter()
-            .map(|(k, v)| (k.to_string(), v))
-            .collect(),
-    )
-}
-
-fn num(v: u64) -> Json {
-    Json::Num(v as f64)
-}
-
 fn error_line(message: &str) -> Json {
-    obj(vec![
+    Json::obj(vec![
         ("type", Json::str("error")),
         ("message", Json::str(message)),
     ])
@@ -61,7 +48,7 @@ fn error_line(message: &str) -> Json {
 pub fn status_json(job_id: &str, seq: Option<u64>, status: &JobStatus) -> Json {
     let mut members = vec![("type", Json::str("result")), ("job_id", Json::str(job_id))];
     if let Some(seq) = seq {
-        members.push(("seq", num(seq)));
+        members.push(("seq", Json::uint(seq)));
     }
     match status {
         JobStatus::Queued => members.push(("outcome", Json::str("queued"))),
@@ -78,29 +65,29 @@ pub fn status_json(job_id: &str, seq: Option<u64>, status: &JobStatus) -> Json {
             members.push(("cached", Json::Bool(*cached)));
             members.push((
                 "resumed_from_phase",
-                resumed_from_phase.map_or(Json::Null, num),
+                resumed_from_phase.map_or(Json::Null, Json::uint),
             ));
-            members.push(("crash_recoveries", num(*crash_recoveries)));
-            members.push(("hang_recoveries", num(*hang_recoveries)));
-            members.push(("wall_ms", num(*wall_ms)));
+            members.push(("crash_recoveries", Json::uint(*crash_recoveries)));
+            members.push(("hang_recoveries", Json::uint(*hang_recoveries)));
+            members.push(("wall_ms", Json::uint(*wall_ms)));
             members.push(("modularity", Json::Num(result.modularity)));
-            members.push(("num_communities", num(result.num_communities as u64)));
-            members.push(("phases", num(result.phases as u64)));
-            members.push(("levels", num(result.levels.len() as u64)));
+            members.push(("num_communities", Json::uint(result.num_communities as u64)));
+            members.push(("phases", Json::uint(result.phases as u64)));
+            members.push(("levels", Json::uint(result.levels.len() as u64)));
         }
         JobStatus::Failed { error, attempts } => {
             members.push(("outcome", Json::str("failed")));
             members.push(("error", Json::str(error.clone())));
-            members.push(("attempts", num(*attempts as u64)));
+            members.push(("attempts", Json::uint(*attempts as u64)));
         }
         JobStatus::Quarantined { error, attempts } => {
             members.push(("outcome", Json::str("quarantined")));
             members.push(("error", Json::str(error.clone())));
-            members.push(("attempts", num(*attempts as u64)));
+            members.push(("attempts", Json::uint(*attempts as u64)));
         }
         JobStatus::Cancelled { at_phase } => {
             members.push(("outcome", Json::str("cancelled")));
-            members.push(("at_phase", at_phase.map_or(Json::Null, num)));
+            members.push(("at_phase", at_phase.map_or(Json::Null, Json::uint)));
         }
     }
     Json::Obj(
@@ -113,16 +100,16 @@ pub fn status_json(job_id: &str, seq: Option<u64>, status: &JobStatus) -> Json {
 
 /// One per-(phase, iteration) progress line for `watch` subscribers.
 pub fn progress_json(job_id: &str, row: &TelemetryRow) -> Json {
-    obj(vec![
+    Json::obj(vec![
         ("type", Json::str("progress")),
         ("job_id", Json::str(job_id)),
-        ("phase", num(row.phase)),
-        ("iteration", num(row.iteration)),
+        ("phase", Json::uint(row.phase)),
+        ("iteration", Json::uint(row.iteration)),
         ("modularity", Json::Num(row.modularity)),
         ("delta_q", Json::Num(row.delta_q)),
-        ("moves", num(row.moves)),
-        ("active", num(row.active)),
-        ("vertices", num(row.vertices)),
+        ("moves", Json::uint(row.moves)),
+        ("active", Json::uint(row.active)),
+        ("vertices", Json::uint(row.vertices)),
         ("active_fraction", Json::Num(row.active_fraction())),
     ])
 }
@@ -197,7 +184,7 @@ pub fn serve_lines<R: BufRead, W: Write + Send + 'static>(
         let _ = h.join();
     }
     if shutdown {
-        write_line(&writer, &obj(vec![("type", Json::str("drained"))]));
+        write_line(&writer, &Json::obj(vec![("type", Json::str("drained"))]));
     }
     shutdown
 }
@@ -238,10 +225,10 @@ fn handle_line<W: Write + Send + 'static>(
                 Ok(seq) => {
                     write_line(
                         writer,
-                        &obj(vec![
+                        &Json::obj(vec![
                             ("type", Json::str("accepted")),
                             ("job_id", Json::str(job_id.clone())),
-                            ("seq", num(seq)),
+                            ("seq", Json::uint(seq)),
                         ]),
                     );
                     let server = server.clone();
@@ -260,7 +247,7 @@ fn handle_line<W: Write + Send + 'static>(
                     };
                     write_line(
                         writer,
-                        &obj(vec![
+                        &Json::obj(vec![
                             ("type", Json::str("rejected")),
                             ("job_id", Json::str(job_id)),
                             ("reason", Json::str(reason)),
@@ -282,15 +269,15 @@ fn handle_line<W: Write + Send + 'static>(
                     let mut line = status_json(job_id, None, &d.status);
                     if let Json::Obj(members) = &mut line {
                         if let Some(pos) = d.queue_position {
-                            members.push(("queue_position".to_string(), num(pos as u64)));
+                            members.push(("queue_position".to_string(), Json::uint(pos as u64)));
                         }
                         // Only in-flight jobs report a current position;
                         // terminal lines already carry their final
                         // modularity/phases fields.
                         if matches!(d.status, JobStatus::Running) {
                             if let Some((phase, iteration, modularity)) = d.current {
-                                members.push(("phase".to_string(), num(phase)));
-                                members.push(("iteration".to_string(), num(iteration)));
+                                members.push(("phase".to_string(), Json::uint(phase)));
+                                members.push(("iteration".to_string(), Json::uint(iteration)));
                                 members.push(("modularity".to_string(), Json::Num(modularity)));
                             }
                         }
@@ -311,16 +298,16 @@ fn handle_line<W: Write + Send + 'static>(
                         result
                             .levels
                             .iter()
-                            .map(|level| Json::Arr(level.iter().map(|&c| num(c)).collect()))
+                            .map(|level| Json::Arr(level.iter().map(|&c| Json::uint(c)).collect()))
                             .collect(),
                     );
                     write_line(
                         writer,
-                        &obj(vec![
+                        &Json::obj(vec![
                             ("type", Json::str("hierarchy")),
                             ("job_id", Json::str(job_id)),
                             ("modularity", Json::Num(result.modularity)),
-                            ("num_communities", num(result.num_communities as u64)),
+                            ("num_communities", Json::uint(result.num_communities as u64)),
                             ("levels", levels),
                         ]),
                     );
@@ -336,18 +323,18 @@ fn handle_line<W: Write + Send + 'static>(
             let counters = Json::Obj(
                 snap.counters
                     .iter()
-                    .map(|(k, v)| (k.clone(), num(*v)))
+                    .map(|(k, v)| (k.clone(), Json::uint(*v)))
                     .collect(),
             );
             write_line(
                 writer,
-                &obj(vec![("type", Json::str("metrics")), ("counters", counters)]),
+                &Json::obj(vec![("type", Json::str("metrics")), ("counters", counters)]),
             );
         }
         "metrics-text" => match server.prometheus_text() {
             Ok(text) => write_line(
                 writer,
-                &obj(vec![
+                &Json::obj(vec![
                     ("type", Json::str("metrics_text")),
                     ("text", Json::str(text)),
                 ]),
@@ -371,10 +358,10 @@ fn handle_line<W: Write + Send + 'static>(
             };
             write_line(
                 writer,
-                &obj(vec![
+                &Json::obj(vec![
                     ("type", Json::str("watching")),
                     ("job_id", Json::str(job_id)),
-                    ("seq", num(seq)),
+                    ("seq", Json::uint(seq)),
                 ]),
             );
             for row in &replay {
@@ -412,7 +399,7 @@ fn handle_line<W: Write + Send + 'static>(
         "dump" => match server.dump_flight("on_demand") {
             Ok(path) => write_line(
                 writer,
-                &obj(vec![
+                &Json::obj(vec![
                     ("type", Json::str("flight")),
                     ("path", Json::str(path.to_string_lossy().into_owned())),
                 ]),
@@ -438,13 +425,15 @@ mod tests {
     use std::io::Cursor;
     use std::path::PathBuf;
 
+    /// Empties `dir` first: the server resumes a job from whatever
+    /// checkpoints its directory holds, and an earlier build's run may
+    /// have left some of another format version there.
     fn tiny_graph(dir: &std::path::Path) -> PathBuf {
+        let _ = std::fs::remove_dir_all(dir);
         std::fs::create_dir_all(dir).unwrap();
         let path = dir.join("lfr_tiny.bin");
-        if !path.exists() {
-            let g = gen::lfr(gen::LfrParams::small(300, 7)).graph;
-            binio::write_edge_list(&path, &g.to_edge_list()).unwrap();
-        }
+        let g = gen::lfr(gen::LfrParams::small(300, 7)).graph;
+        binio::write_edge_list(&path, &g.to_edge_list()).unwrap();
         path
     }
 

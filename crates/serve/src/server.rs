@@ -18,6 +18,7 @@ use louvain_obs::{
     RunEntry, TelemetryRow, DEFAULT_FLIGHT_CAPACITY,
 };
 use louvain_resil::CheckpointStore;
+use louvain_store::{sniff_kind, FileKind};
 
 use crate::cache::{graph_fingerprint, ArtifactCache, CachedResult, JobKey};
 use crate::job::JobSpec;
@@ -973,26 +974,4 @@ fn kind(status: &JobStatus) -> &'static str {
         JobStatus::Quarantined { .. } => "quarantined",
         JobStatus::Cancelled { .. } => "cancelled",
     }
-}
-
-enum FileKind {
-    Slab,
-    BinaryEdges,
-    Text,
-}
-
-/// First-8-bytes magic sniff, mirroring the CLI's ingest dispatch: both
-/// binary formats put a 7-byte signature above a version byte.
-fn sniff_kind(path: &std::path::Path) -> std::io::Result<FileKind> {
-    use std::io::Read;
-    let mut f = std::fs::File::open(path)?;
-    let mut head = [0u8; 8];
-    if f.read_exact(&mut head).is_err() {
-        return Ok(FileKind::Text);
-    }
-    Ok(match u64::from_le_bytes(head) & !0xFF {
-        louvain_store::MAGIC_SIGNATURE => FileKind::Slab,
-        binio::MAGIC_SIGNATURE => FileKind::BinaryEdges,
-        _ => FileKind::Text,
-    })
 }

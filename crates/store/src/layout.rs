@@ -39,6 +39,32 @@ pub const MAGIC: u64 = 0x4C56_534C_4142_4331;
 pub const MAGIC_SIGNATURE: u64 = MAGIC & !0xFF;
 /// Current format version byte (the low byte of [`MAGIC`]).
 pub const FORMAT_VERSION: u8 = (MAGIC & 0xFF) as u8;
+
+/// What a graph file holds, by its first eight bytes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FileKind {
+    Slab,
+    BinaryEdges,
+    /// Neither magic (or too short to hold one): a text edge list, or
+    /// nothing this workspace reads — the text parser reports which.
+    Text,
+}
+
+/// Sniff the magic of `path`. Both binary formats put a 7-byte signature
+/// above a version byte, so a file of a newer version still sniffs as
+/// its kind and its own reader refuses the version by name.
+pub fn sniff_kind(path: &std::path::Path) -> std::io::Result<FileKind> {
+    use std::io::Read;
+    let mut head = [0u8; 8];
+    if std::fs::File::open(path)?.read_exact(&mut head).is_err() {
+        return Ok(FileKind::Text);
+    }
+    Ok(match u64::from_le_bytes(head) & !0xFF {
+        MAGIC_SIGNATURE => FileKind::Slab,
+        louvain_graph::binio::MAGIC_SIGNATURE => FileKind::BinaryEdges,
+        _ => FileKind::Text,
+    })
+}
 /// Every section offset is a multiple of this (and of the page-aligned
 /// mmap base), so zero-copy `u64`/`f64` views are always aligned.
 pub const SECTION_ALIGN: u64 = 64;

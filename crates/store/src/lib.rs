@@ -23,8 +23,8 @@ pub mod slab;
 pub use builder::{SlabBuilder, SlabOptions, SlabSummary};
 pub use err::StoreError;
 pub use layout::{
-    SectionDesc, SlabHeader, DEFAULT_INDEX_STRIDE, FORMAT_VERSION, HEADER_BYTES, MAGIC,
-    MAGIC_SIGNATURE, SECTION_ALIGN, SECTION_NAMES,
+    sniff_kind, FileKind, SectionDesc, SlabHeader, DEFAULT_INDEX_STRIDE, FORMAT_VERSION,
+    HEADER_BYTES, MAGIC, MAGIC_SIGNATURE, SECTION_ALIGN, SECTION_NAMES,
 };
 pub use slab::{load_rank, peek_header, RankSlice, Slab};
 

@@ -41,8 +41,8 @@ run_p2() { # <assignment-out> <louvain run args...>
     || { cat "$out.log"; echo "FAIL: $out was not a 2-rank run" >&2; exit 1; }
 }
 run_p2 "$SCRATCH/mem.comm" "$SCRATCH/rmat_s18.bin"
-run_p2 "$SCRATCH/mapped.comm" "$SCRATCH/rmat_s18.slab" --slab
-run_p2 "$SCRATCH/ranged.comm" "$SCRATCH/rmat_s18.slab" --slab --ranged
+run_p2 "$SCRATCH/mapped.comm" "$SCRATCH/rmat_s18.slab"
+run_p2 "$SCRATCH/ranged.comm" "$SCRATCH/rmat_s18.slab" --ranged
 cmp "$SCRATCH/mem.comm" "$SCRATCH/mapped.comm"
 cmp "$SCRATCH/mem.comm" "$SCRATCH/ranged.comm"
 echo "p=2 in-memory, mmap, and byte-range assignments are bit-identical"

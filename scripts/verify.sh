@@ -56,8 +56,8 @@ cargo clippy -q "${pkg_flags[@]}" --all-targets -- -D warnings
 
 # Perf/quality regression gate: regenerate the bench artifact and gate
 # it against the committed baseline at the default lens tolerances.
-# Byte counters, modularity, iteration counts and the modeled times are
-# deterministic; bench_smoke itself asserts the colored sweep
+# Byte counters, modularity and iteration counts are deterministic (and
+# the α-β times derived from them); bench_smoke itself asserts the colored sweep
 # bit-identical across the thread axis before the artifact is written.
 # The fresh artifact lands at target/run_artifact.json for CI upload.
 echo "==> bench run artifact + lens gate vs BENCH_PR7.json"
@@ -69,10 +69,9 @@ echo "==> bench run artifact + lens gate vs BENCH_PR7.json"
 
 # Causal critical-path gate: reconstruct the cross-rank happens-before
 # DAG from the fresh artifact's message edges, check byte-exact
-# agreement between transfer sub-spans and the comm counters, the
-# alpha-beta fit against the modeled-clock constants, and that the
-# wait fraction has not regressed past the committed baseline's plus
-# the tolerance. The report lands at target/crit_report.txt and the
+# agreement between the traced edges and the p2p counters, and that
+# the wait fraction has not regressed past the committed baseline's
+# plus the tolerance. The report lands at target/crit_report.txt and the
 # Perfetto trace at target/trace.json for CI upload.
 echo "==> lens crit (critical path + wait-fraction gate vs BENCH_PR7.json)"
 ./target/release/lens crit target/run_artifact.json \

@@ -1,8 +1,8 @@
 //! `lens` — run-artifact analytics for the distributed Louvain repo.
 //!
 //! ```text
-//! lens show BENCH_PR5.json
-//! lens diff BENCH_PR5.json BENCH_PR7.json
+//! lens show BENCH_PR7.json
+//! lens diff BENCH_PR7.json fresh.json
 //! lens gate --baseline BENCH_PR7.json fresh.json --wall-tol 4.0
 //! ```
 //!
@@ -48,9 +48,8 @@ USAGE:
       Cross-rank critical-path analysis over the causal profiling
       sections (phase profiles + Lamport-matched message edges):
       per-phase compute/transfer/wait/rebuild attribution along the
-      critical path, slowest-rank chains with straggler blame, an
-      alpha-beta model fit against the traced edges, and byte
-      reconciliation with the p2p counters. With --baseline, exits
+      critical path, slowest-rank chains with straggler blame, and
+      byte reconciliation with the p2p counters. With --baseline, exits
       nonzero when a run's blocked-wait fraction exceeds the
       baseline's by more than --wait-tol (absolute slack, 0.25).
       Errors (nonzero exit) on artifacts with no message events.
@@ -301,13 +300,12 @@ mod tests {
 
     #[test]
     fn show_diff_gate_on_real_artifacts() {
-        // End-to-end over two committed artifacts of the same sweep.
-        let pr5 = concat!(env!("CARGO_MANIFEST_DIR"), "/BENCH_PR5.json");
+        // End-to-end over the committed sweep.
         let pr7 = concat!(env!("CARGO_MANIFEST_DIR"), "/BENCH_PR7.json");
         assert!(!load(pr7).unwrap().runs.is_empty());
 
         cmd_show(&s(&[pr7])).unwrap();
-        cmd_diff(&s(&[pr5, pr7])).unwrap();
+        cmd_diff(&s(&[pr7, pr7])).unwrap();
         assert!(
             cmd_gate(&s(&["--baseline", pr7, pr7])).unwrap(),
             "an artifact must gate cleanly against itself"

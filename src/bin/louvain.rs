@@ -22,7 +22,7 @@ use distributed_louvain::dist::{
     DistConfig, GraphSource, ResilOptions, SweepMode, Variant,
 };
 use distributed_louvain::graph::{binio, gen, textio, Csr, IngestError, IngestPolicy, VertexId};
-use distributed_louvain::store::{self, Slab, SlabBuilder, SlabOptions, SlabSummary};
+use distributed_louvain::store::{self, FileKind, Slab, SlabBuilder, SlabOptions, SlabSummary};
 use distributed_louvain::{dist, obs};
 
 fn main() -> ExitCode {
@@ -64,15 +64,15 @@ USAGE:
       CSR) instead: peak memory stays O(n + chunk) no matter how many
       edges are emitted. --chunk-edges tunes the spill-chunk size.
 
-  louvain convert <TEXT-FILE> --out <FILE> [--repair | --strict] [--slab]
+  louvain convert <TEXT-FILE> --out <FILE> [--repair | --strict]
       Converts a text edge list (`src dst [weight]` per line, # comments,
       SNAP-style) to the binary format, remapping sparse ids densely.
       NaN/negative/overflowing weights are always rejected with the
       offending line number. --strict also rejects duplicate edges and
       self-loops; --repair merges duplicates (summing weights) and drops
-      self-loops, printing what changed. --slab writes a slab (on-disk
-      CSR) directly, streaming in two passes with no RAM-resident edge
-      list; the policies behave identically.
+      self-loops, printing what changed. (`louvain ingest` takes the
+      same file and policies to a slab, streaming in two passes with no
+      RAM-resident edge list.)
 
   louvain ingest <FILE> --out <SLAB> [--repair | --strict]
                  [--chunk-edges <C>]
@@ -88,7 +88,7 @@ USAGE:
       file, or the header / section layout of a slab (after validating
       every section checksum).
 
-  louvain run <FILE> [--slab [--ranged]]
+  louvain run <FILE> [--ranged]
               [--ranks <P>] [--variant <V>] [--threads-per-rank <T>]
               [--sweep <auto|colored|relaxed>]
               [--tau <F>] [--assignment <OUT>]
@@ -101,11 +101,12 @@ USAGE:
       V: baseline | cycling | et:<alpha> | etc:<alpha> | et+cycling:<alpha>
       Runs distributed Louvain on P simulated ranks, prints the summary,
       optionally writes the community assignment to <OUT>.
-      --slab treats <FILE> as a slab: the file is memory-mapped once and
-      every rank slices its piece zero-copy. Adding --ranged makes each
-      rank instead read only its own byte ranges from the file (the
-      paper's MPI-I/O pattern) — nothing is ever fully resident. Both
-      paths are bit-identical to running the in-memory graph.
+      <FILE> is a binary edge list or a slab, told apart by file magic.
+      A slab is memory-mapped once and every rank slices its piece
+      zero-copy; with --ranged (slabs only) each rank instead reads only
+      its own byte ranges from the file (the paper's MPI-I/O pattern) —
+      nothing is ever fully resident. Both paths are bit-identical to
+      running the in-memory graph.
       --sweep picks the per-rank sweep schedule: `auto` (sequential at one
       thread, colored conflict-free batches otherwise), `colored` (force
       the deterministic colored schedule at any thread count), `relaxed`
@@ -339,27 +340,9 @@ fn slab_options(opts: &Args, policy: IngestPolicy) -> Result<SlabOptions, String
     })
 }
 
-/// What a file holds, sniffed from its first eight bytes.
-enum FileKind {
-    Slab,
-    BinaryEdges,
-    Text,
-}
-
+/// What `path` holds, by file magic.
 fn sniff_kind(path: &Path) -> Result<FileKind, String> {
-    use std::io::Read;
-    let mut f = std::fs::File::open(path).map_err(|e| format!("{}: {e}", path.display()))?;
-    let mut head = [0u8; 8];
-    if f.read_exact(&mut head).is_err() {
-        // Too short for any binary header — let the text parser report.
-        return Ok(FileKind::Text);
-    }
-    // Both magics put a 7-byte signature above a version byte.
-    Ok(match u64::from_le_bytes(head) & !0xFF {
-        store::MAGIC_SIGNATURE => FileKind::Slab,
-        binio::MAGIC_SIGNATURE => FileKind::BinaryEdges,
-        _ => FileKind::Text,
-    })
+    store::sniff_kind(path).map_err(|e| format!("{}: {e}", path.display()))
 }
 
 fn print_slab_summary(input: &Path, out: &Path, s: &SlabSummary) {
@@ -412,26 +395,12 @@ fn cmd_ingest(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// `louvain convert`: a text edge list into the binary format or a slab.
+/// `louvain convert`: a text edge list into the binary format.
 fn cmd_from_text(args: &[String]) -> Result<(), String> {
-    let values = ["--out", "--chunk-edges", "--index-stride"];
-    let opts = Args::scan(args, &values, &["--repair", "--strict", "--slab"])?;
+    let opts = Args::scan(args, &["--out"], &["--repair", "--strict"])?;
     let input = PathBuf::from(opts.sole_positional("text edge-list file")?);
     let out = PathBuf::from(opts.require("--out")?);
     let policy = parse_policy(&opts)?;
-    if opts.has("--slab") {
-        // Streamed two-pass conversion: no RAM-resident edge list; the
-        // builder enforces the self-loop/duplicate policy.
-        let sopts = slab_options(&opts, policy)?;
-        let (b, _original_ids) =
-            textio::stream_text_edge_list(&input, |n| SlabBuilder::new(n, sopts))
-                .map_err(|e| format!("{}: {e}", input.display()))?;
-        let summary = b
-            .finish(&out)
-            .map_err(|e| format!("writing {}: {e}", out.display()))?;
-        print_slab_summary(&input, &out, &summary);
-        return Ok(());
-    }
     let imported = textio::read_text_edge_list_policy(&input, policy)
         .map_err(|e| format!("{}: {e}", input.display()))?;
     binio::write_edge_list(&out, &imported.edges)
@@ -536,7 +505,7 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
         "--max-retries",
         "--backoff-base-ms",
     ];
-    let bools = ["--slab", "--ranged", "--resume", "--no-watchdog"];
+    let bools = ["--ranged", "--resume", "--no-watchdog"];
     let opts = Args::scan(args, &values, &bools)?;
     let path = PathBuf::from(opts.sole_positional("graph file")?);
     let ranks: usize = opts.parse("--ranks")?.unwrap_or(4);
@@ -585,14 +554,10 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
         }
     };
 
+    let ranged = opts.has("--ranged");
+
     // LOUVAIN_TRACE=1 enables tracing too; --trace-out and
     // --artifact-out imply it (telemetry rides on the span machinery).
-    let use_slab = opts.has("--slab");
-    let ranged = opts.has("--ranged");
-    if ranged && !use_slab {
-        return Err("--ranged requires --slab".into());
-    }
-
     obs::init_from_env();
     if trace_out.is_some() || artifact_out.is_some() {
         obs::set_enabled(true);
@@ -618,22 +583,35 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
     // The holders outlive the borrowed source.
     let slab;
     let g;
-    let (src, n_vertices, n_edges, how) = if use_slab && ranged {
-        // Validate the header up front so a corrupt file fails here,
-        // loudly, instead of inside a rank thread.
-        let h = store::peek_header(&path).map_err(|e| format!("{}: {e}", path.display()))?;
-        let (nv, ne) = (h.num_vertices, h.num_edges);
-        let how = " (slab, per-rank byte-range loads)";
-        (GraphSource::SlabRanged(&path), nv, ne, how)
-    } else if use_slab {
-        slab = Slab::open(&path).map_err(|e| format!("{}: {e}", path.display()))?;
-        let (nv, ne) = (slab.num_vertices(), slab.num_edges());
-        (GraphSource::SlabMapped(&slab), nv, ne, " (slab, mmap)")
-    } else {
-        let el = binio::read_edge_list(&path).map_err(|e| e.to_string())?;
-        g = Csr::from_edge_list(el);
-        let (nv, ne) = (g.num_vertices() as u64, g.num_edges() as u64);
-        (GraphSource::Memory(&g), nv, ne, "")
+    let (src, n_vertices, n_edges, how) = match sniff_kind(&path)? {
+        FileKind::Slab if ranged => {
+            // Validate the header up front so a corrupt file fails here,
+            // loudly, instead of inside a rank thread.
+            let h = store::peek_header(&path).map_err(|e| format!("{}: {e}", path.display()))?;
+            let (nv, ne) = (h.num_vertices, h.num_edges);
+            let how = " (slab, per-rank byte-range loads)";
+            (GraphSource::SlabRanged(&path), nv, ne, how)
+        }
+        FileKind::Slab => {
+            slab = Slab::open(&path).map_err(|e| format!("{}: {e}", path.display()))?;
+            let (nv, ne) = (slab.num_vertices(), slab.num_edges());
+            (GraphSource::SlabMapped(&slab), nv, ne, " (slab, mmap)")
+        }
+        _ if ranged => {
+            return Err(format!(
+                "--ranged reads a slab by byte range, and {} is not a slab \
+                 (build one with `louvain ingest`)",
+                path.display()
+            ));
+        }
+        // A text file fails in the binary reader, which names the magic
+        // it wanted.
+        FileKind::BinaryEdges | FileKind::Text => {
+            let el = binio::read_edge_list(&path).map_err(|e| e.to_string())?;
+            g = Csr::from_edge_list(el);
+            let (nv, ne) = (g.num_vertices() as u64, g.num_edges() as u64);
+            (GraphSource::Memory(&g), nv, ne, "")
+        }
     };
     println!(
         "graph: {n_vertices} vertices, {n_edges} edges{how}; running {} on {ranks} ranks × {threads} threads",
@@ -653,8 +631,8 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
         out.traffic.collective_calls
     );
     if out.traffic.wait_nanos_total() > 0 {
-        // Idle time blocked on peers, split out of the comm steps by the
-        // wait/transfer sub-spans (summed across ranks).
+        // Idle time blocked on peers, counted per comm step (summed
+        // across ranks).
         println!(
             "blocked wait:  {:.3} ms across ranks (worst step: {})",
             out.traffic.wait_nanos_total() as f64 * 1e-6,
@@ -989,7 +967,6 @@ mod tests {
         let ranged = dir.join("rng.comm");
         cmd_run(&[p(&graph), s("--ranks"), s("2"), s("--assignment"), p(&mem)]).unwrap();
         cmd_run(&[
-            s("--slab"),
             p(&slab),
             s("--ranks"),
             s("2"),
@@ -998,7 +975,6 @@ mod tests {
         ])
         .unwrap();
         cmd_run(&[
-            s("--slab"),
             s("--ranged"),
             p(&slab),
             s("--ranks"),
@@ -1018,13 +994,19 @@ mod tests {
             std::fs::read(&slab).unwrap(),
             std::fs::read(&ingested).unwrap()
         );
-        // --ranged without --slab is refused.
+        // --ranged on anything but a slab is refused by name, and so is
+        // the flag the magic sniff replaced.
         let err = cmd_run(&[s("--ranged"), p(&graph)]).unwrap_err();
+        assert!(
+            err.contains("--ranged") && err.contains("not a slab"),
+            "unexpected error: {err}"
+        );
+        let err = cmd_run(&[s("--slab"), p(&slab)]).unwrap_err();
         assert!(err.contains("--slab"), "unexpected error: {err}");
     }
 
     #[test]
-    fn convert_slab_matches_in_memory_convert() {
+    fn text_ingest_matches_in_memory_convert() {
         let dir = std::env::temp_dir().join("louvain-cli-convert-slab");
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
@@ -1041,12 +1023,11 @@ mod tests {
         let s = |x: &str| x.to_string();
         let p = |x: &Path| s(x.to_str().unwrap());
         cmd_from_text(&[p(&text), s("--out"), p(&bin), s("--repair")]).unwrap();
-        cmd_from_text(&[p(&text), s("--out"), p(&slab), s("--repair"), s("--slab")]).unwrap();
+        cmd_ingest(&[p(&text), s("--out"), p(&slab), s("--repair")]).unwrap();
         let mem = dir.join("mem.comm");
         let mapped = dir.join("map.comm");
         cmd_run(&[p(&bin), s("--ranks"), s("2"), s("--assignment"), p(&mem)]).unwrap();
         cmd_run(&[
-            s("--slab"),
             p(&slab),
             s("--ranks"),
             s("2"),
@@ -1060,9 +1041,10 @@ mod tests {
         );
         // Strict conversion rejects the duplicate on both paths.
         assert!(cmd_from_text(&[p(&text), s("--out"), p(&bin), s("--strict")]).is_err());
-        assert!(
-            cmd_from_text(&[p(&text), s("--out"), p(&slab), s("--strict"), s("--slab")]).is_err()
-        );
+        assert!(cmd_ingest(&[p(&text), s("--out"), p(&slab), s("--strict")]).is_err());
+        // The flag `ingest` replaced is refused by name.
+        let err = cmd_from_text(&[p(&text), s("--out"), p(&slab), s("--slab")]).unwrap_err();
+        assert!(err.contains("--slab"), "unexpected error: {err}");
     }
 
     #[test]
@@ -1097,7 +1079,7 @@ mod tests {
             err.contains("checksum mismatch") && err.contains("offsets"),
             "unexpected error: {err}"
         );
-        let err = cmd_run(&[s("--slab"), p(&slab), s("--ranks"), s("2")]).unwrap_err();
+        let err = cmd_run(&[p(&slab), s("--ranks"), s("2")]).unwrap_err();
         assert!(
             err.contains("checksum mismatch") && err.contains("offsets"),
             "unexpected error: {err}"
@@ -1108,15 +1090,14 @@ mod tests {
         let mut bytes = pristine.clone();
         bytes[header.sections[3].offset as usize] ^= 0xFF;
         std::fs::write(&slab, &bytes).unwrap();
-        let err =
-            cmd_run(&[s("--slab"), s("--ranged"), p(&slab), s("--ranks"), s("2")]).unwrap_err();
+        let err = cmd_run(&[s("--ranged"), p(&slab), s("--ranks"), s("2")]).unwrap_err();
         assert!(
             err.contains("checksum mismatch") && err.contains("halo"),
             "unexpected error: {err}"
         );
         // Truncation is a distinct typed error.
         std::fs::write(&slab, &pristine[..100]).unwrap();
-        let err = cmd_run(&[s("--slab"), p(&slab), s("--ranks"), s("2")]).unwrap_err();
+        let err = cmd_run(&[p(&slab), s("--ranks"), s("2")]).unwrap_err();
         assert!(err.contains("truncated"), "unexpected error: {err}");
         // Re-ingesting a slab is refused by the magic sniff.
         let err = cmd_ingest(&[p(&slab), s("--out"), p(&dir.join("x.slab"))]).unwrap_err();

@@ -13,11 +13,19 @@ fn load(rel: &str) -> RunArtifact {
     RunArtifact::from_any_json_str(&text).unwrap_or_else(|e| panic!("{path}: {e}"))
 }
 
+/// The committed sweep as it was before the colored thread axis was
+/// added to it: the 18 sweep labels and the 3 traced entries.
+fn before_thread_axis() -> RunArtifact {
+    let mut a = load("BENCH_PR7.json");
+    a.runs.retain(|e| !e.label.ends_with("/colored"));
+    a
+}
+
 /// The committed gate baselines load through the single
 /// `from_any_json_str` entry point.
 #[test]
 fn committed_artifacts_all_parse() {
-    for rel in ["BENCH_PR5.json", "BENCH_PR7.json"] {
+    for rel in ["BENCH_PR7.json", "BENCH_PR8.json", "BENCH_PR9.json"] {
         let a = load(rel);
         assert!(!a.runs.is_empty(), "{rel}: no runs");
         for e in &a.runs {
@@ -26,17 +34,17 @@ fn committed_artifacts_all_parse() {
     }
 }
 
-/// Acceptance criterion: `lens diff` of two committed artifacts is
+/// Acceptance criterion: `lens diff` of two artifacts is
 /// deterministic — two independent load+diff+render passes produce
 /// byte-identical output.
 #[test]
 fn diff_of_committed_artifacts_is_deterministic() {
     let t = Thresholds::default();
-    let r1 = diff(&load("BENCH_PR5.json"), &load("BENCH_PR7.json"), &t).render();
-    let r2 = diff(&load("BENCH_PR5.json"), &load("BENCH_PR7.json"), &t).render();
+    let r1 = diff(&before_thread_axis(), &load("BENCH_PR7.json"), &t).render();
+    let r2 = diff(&before_thread_axis(), &load("BENCH_PR7.json"), &t).render();
     assert_eq!(r1, r2, "diff rendering must be byte-identical");
-    // The two bench sweeps share the 18 sweep labels and the 3 traced
-    // entries; PR7 adds the thread axis.
+    // The two sweeps share the 18 sweep labels and the 3 traced
+    // entries; the committed one adds the thread axis.
     assert!(r1.starts_with("diff: 21 matched"), "{r1}");
 }
 
@@ -44,7 +52,7 @@ fn diff_of_committed_artifacts_is_deterministic() {
 /// (diffed against itself) with default thresholds.
 #[test]
 fn gate_passes_on_committed_baseline() {
-    let base = load("BENCH_PR5.json");
+    let base = load("BENCH_PR7.json");
     let g = gate(&base, &base, &Thresholds::default());
     assert!(g.passed(), "failures: {:?}", g.failures);
     assert_eq!(g.checked, base.runs.len());
@@ -54,7 +62,7 @@ fn gate_passes_on_committed_baseline() {
 /// run fails the gate with default thresholds.
 #[test]
 fn gate_fails_on_synthetic_two_x_wall_regression() {
-    let base = load("BENCH_PR5.json");
+    let base = load("BENCH_PR7.json");
     let mut cur = base.clone();
     for e in &mut cur.runs {
         e.report.wall_seconds *= 2.0;
@@ -72,7 +80,7 @@ fn gate_fails_on_synthetic_two_x_wall_regression() {
 /// `lens show` renders their convergence tables.
 #[test]
 fn committed_baseline_has_telemetry_and_shows_convergence() {
-    let base = load("BENCH_PR5.json");
+    let base = load("BENCH_PR7.json");
     let traced: Vec<_> = base
         .runs
         .iter()

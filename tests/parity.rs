@@ -163,33 +163,11 @@ fn paper_claim_quality_comparable_to_shared_memory() {
     }
 }
 
-/// The move kernel's trajectories, recorded on the commit before the
-/// sequential, relaxed and colored drivers were put on one scoring
-/// function: FNV-1a of the assignment, modularity bits and total
-/// iterations per graph and schedule. The full and delta ghost refresh
-/// share a pin, as do colored t=1 and t=2. A change to scan order,
-/// tie-breaking, accumulation order or the refresh policy moves at
-/// least one of them.
-///
-/// The last column (every extension at once: ETC + vertex following +
-/// neighbourhood collectives + ghost pruning + colour sub-rounds) and
-/// the `TRAFFIC` table were recorded on aa63baf, the commit before the
-/// replica reads, refreshes and owner pulls/pushes moved into
-/// `ghost.rs`. `TRAFFIC` holds, per config, FNV-1a over the job's
-/// per-step byte totals, per-step message totals and collective call
-/// count: the same bytes on the wire, not just the same answer. Full
-/// and delta refresh differ there; colored t=1 and t=2 must not.
-///
-/// One cell is not the parent's: rmat × every-extension. The coloring
-/// exchange now follows `neighborhood_collectives`, and in rmat's late
-/// coarse phases the two ranks share no edge, so a refresh there sends
-/// nothing where the full all-to-all sent an empty message: 784
-/// `other`-step messages instead of 850 (hash 0x4d2587947b42fa99 on
-/// aa63baf), every byte total and every other count equal.
-#[test]
-fn kernel_trajectories_are_pinned() {
+/// The graphs and configs the pins below are recorded on: per graph,
+/// five schedule columns of `(ranks, configs sharing one pin)`.
+#[allow(clippy::type_complexity)]
+fn pin_matrix() -> ([(&'static str, Csr); 3], [(usize, Vec<DistConfig>); 5]) {
     use distributed_louvain::dist::{SweepMode, Variant};
-    use distributed_louvain::resil::fnv1a64;
 
     let graphs: [(&str, Csr); 3] = [
         ("lfr_3k", lfr(LfrParams::small(3_000, 7)).graph),
@@ -222,7 +200,7 @@ fn kernel_trajectories_are_pinned() {
         color_sweeps: true,
         ..DistConfig::with_variant(Variant::Etc { alpha: 0.25 })
     };
-    // (ranks, configs sharing one pin), in the column order of `PINS`.
+    // In the column order of `PINS`.
     let schedules: [(usize, Vec<DistConfig>); 5] = [
         (1, vec![delta(false), delta(true)]),
         (2, vec![delta(false), delta(true)]),
@@ -230,6 +208,37 @@ fn kernel_trajectories_are_pinned() {
         (2, vec![et]),
         (2, vec![everything]),
     ];
+    (graphs, schedules)
+}
+
+/// The move kernel's trajectories, recorded on the commit before the
+/// sequential, relaxed and colored drivers were put on one scoring
+/// function: FNV-1a of the assignment, modularity bits and total
+/// iterations per graph and schedule. The full and delta ghost refresh
+/// share a pin, as do colored t=1 and t=2. A change to scan order,
+/// tie-breaking, accumulation order or the refresh policy moves at
+/// least one of them.
+///
+/// The last column (every extension at once: ETC + vertex following +
+/// neighbourhood collectives + ghost pruning + colour sub-rounds) and
+/// the `TRAFFIC` table were recorded on aa63baf, the commit before the
+/// replica reads, refreshes and owner pulls/pushes moved into
+/// `ghost.rs`. `TRAFFIC` holds, per config, FNV-1a over the job's
+/// per-step byte totals, per-step message totals and collective call
+/// count: the same bytes on the wire, not just the same answer. Full
+/// and delta refresh differ there; colored t=1 and t=2 must not.
+///
+/// One cell is not the parent's: rmat × every-extension. The coloring
+/// exchange now follows `neighborhood_collectives`, and in rmat's late
+/// coarse phases the two ranks share no edge, so a refresh there sends
+/// nothing where the full all-to-all sent an empty message: 784
+/// `other`-step messages instead of 850 (hash 0x4d2587947b42fa99 on
+/// aa63baf), every byte total and every other count equal.
+#[test]
+fn kernel_trajectories_are_pinned() {
+    use distributed_louvain::resil::fnv1a64;
+
+    let (graphs, schedules) = pin_matrix();
     type Pin = (u64, u64, usize);
     const SSCA2: Pin = (0x5cf794233b67ae6c, 0x3fefa1cf2a17de82, 5);
     const PINS: [[Pin; 5]; 3] = [
@@ -302,6 +311,240 @@ fn kernel_trajectories_are_pinned() {
                     cfg.threads_per_rank,
                     cfg.delta_ghost_refresh,
                     cfg.variant.label()
+                );
+            }
+        }
+    }
+}
+
+/// `DistOutcome::modeled_seconds` and `modeled_breakdown()` of every row
+/// of the pin matrix, recorded on c24fe15 — the last commit where the
+/// α-β seconds were accumulated call by call on the send path and the
+/// per-phase shares were bracketed in the iteration loop. Evaluating the
+/// model from the counters at report time must give the same figures;
+/// only the order of the floating-point sums differs.
+///
+/// Columns: total, compute, comm, reduce, rebuild. The every-extension
+/// rows pin `comm + reduce`: their inactive-count all-reduce was always
+/// counted under the reduction step but its seconds were bracketed into
+/// `comm`; read from the counters it lands in `reduce`.
+#[test]
+fn modeled_seconds_match_the_send_path_clock() {
+    const MODEL: [[&[[f64; 5]]; 5]; 3] = [
+        [
+            &[
+                [
+                    0.028507618222222218,
+                    0.024917399999999996,
+                    5.203555555555563e-6,
+                    5.073466666666668e-5,
+                    0.0024688799999999997,
+                ],
+                [
+                    0.028507618222222218,
+                    0.024917399999999996,
+                    5.203555555555563e-6,
+                    5.073466666666668e-5,
+                    0.0024688799999999997,
+                ],
+            ],
+            &[
+                [
+                    0.034367485777777776,
+                    0.03141818999999999,
+                    0.00021154088888888895,
+                    0.00015339933333333175,
+                    0.0012534699999999998,
+                ],
+                [
+                    0.03434813822222222,
+                    0.03141818999999999,
+                    0.00019218800000000015,
+                    0.0001533993333333317,
+                    0.0012534699999999998,
+                ],
+            ],
+            &[
+                [
+                    0.022964495111111115,
+                    0.019916639999999996,
+                    0.0006975920000000026,
+                    0.00012725044444444753,
+                    0.0013803499999999996,
+                ],
+                [
+                    0.013309486446957435,
+                    0.01067306310744442,
+                    0.0006975920000000026,
+                    0.00010924749075033144,
+                    0.0013803499999999996,
+                ],
+            ],
+            &[[
+                0.01968278288888889,
+                0.017450219999999995,
+                0.0002327199999999996,
+                0.0003410164444444459,
+                0.0013707399999999996,
+            ]],
+            &[[
+                0.020686244666666697,
+                0.016110599999999996,
+                0.002609984444444486,
+                0.000339205777777776,
+                0.0013352799999999999,
+            ]],
+        ],
+        [
+            &[
+                [
+                    0.03153446222222222,
+                    0.023300729999999995,
+                    5.203555555555553e-6,
+                    2.7318666666666666e-5,
+                    0.007777609999999999,
+                ],
+                [
+                    0.03153446222222222,
+                    0.023300729999999995,
+                    5.203555555555553e-6,
+                    2.7318666666666666e-5,
+                    0.007777609999999999,
+                ],
+            ],
+            &[
+                [
+                    0.015864349555555553,
+                    0.011650364999999998,
+                    4.826444444444445e-5,
+                    3.582366666666756e-5,
+                    0.0039203699999999985,
+                ],
+                [
+                    0.015864316666666663,
+                    0.011650364999999998,
+                    4.823955555555555e-5,
+                    3.582366666666756e-5,
+                    0.0039203699999999985,
+                ],
+            ],
+            &[
+                [
+                    0.016010085111111107,
+                    0.011650364999999998,
+                    0.00019359999999999994,
+                    3.58236666666673e-5,
+                    0.0039203699999999985,
+                ],
+                [
+                    0.010500633627056775,
+                    0.00624327601793082,
+                    0.00019359999999999994,
+                    3.187638331610212e-5,
+                    0.0039203699999999985,
+                ],
+            ],
+            &[[
+                0.015825776888888886,
+                0.011612354999999998,
+                4.826355555555556e-5,
+                3.711366666666719e-5,
+                0.0039203699999999985,
+            ]],
+            &[[
+                0.016534067999999992,
+                0.011611964999999998,
+                0.0007557084444444393,
+                3.7323666666667144e-5,
+                0.003920319999999999,
+            ]],
+        ],
+        [
+            &[
+                [
+                    0.017810599777777776,
+                    0.015087779999999999,
+                    7.805333333333338e-6,
+                    6.504444444444449e-5,
+                    0.0017962699999999998,
+                ],
+                [
+                    0.017810599777777776,
+                    0.015087779999999999,
+                    7.805333333333338e-6,
+                    6.504444444444449e-5,
+                    0.0017962699999999998,
+                ],
+            ],
+            &[
+                [
+                    0.010945276,
+                    0.008593335,
+                    0.00015491111111111123,
+                    0.0006515621111111105,
+                    0.0013309899999999998,
+                ],
+                [
+                    0.010944618222222223,
+                    0.008593335,
+                    0.0001531324444444445,
+                    0.0006515621111111105,
+                    0.0013309899999999998,
+                ],
+            ],
+            &[
+                [
+                    0.011285325555555557,
+                    0.008554860000000001,
+                    0.0006106480000000014,
+                    0.0006092171111111114,
+                    0.00134924,
+                ],
+                [
+                    0.006946409505437144,
+                    0.0045844359618566165,
+                    0.0006106480000000014,
+                    0.00035847063541335307,
+                    0.00134924,
+                ],
+            ],
+            &[[
+                0.010498710444444444,
+                0.008171025,
+                0.00016764533333333336,
+                0.000736767444444443,
+                0.0013521199999999998,
+            ]],
+            &[[
+                0.016556955333333387,
+                0.009538755000000001,
+                0.004194976888888948,
+                0.0015910034444444386,
+                0.0015207199999999997,
+            ]],
+        ],
+    ];
+    let (graphs, schedules) = pin_matrix();
+    let close = |got: f64, want: f64| (got - want).abs() <= 1e-9 * want.abs();
+    for ((gname, g), model) in graphs.iter().zip(MODEL) {
+        for (col, ((p, cfgs), rows)) in schedules.iter().zip(model).enumerate() {
+            for (cfg, &[total, compute, comm, reduce, rebuild]) in cfgs.iter().zip(rows) {
+                let out = run_distributed(g, *p, cfg);
+                let got = out.modeled_breakdown();
+                let shares_agree = if col == 4 {
+                    close(got.1 + got.2, comm + reduce)
+                } else {
+                    close(got.1, comm) && close(got.2, reduce)
+                };
+                assert!(
+                    close(out.modeled_seconds, total)
+                        && close(got.0, compute)
+                        && shares_agree
+                        && close(got.3, rebuild),
+                    "{gname} p={p} col={col} t={} delta={}: total {:?}, breakdown {got:?}",
+                    cfg.threads_per_rank,
+                    cfg.delta_ghost_refresh,
+                    out.modeled_seconds
                 );
             }
         }
