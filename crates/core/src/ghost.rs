@@ -10,10 +10,18 @@
 //! *push* weight deltas back to the owners (lines 10–11).
 //!
 //! No other module knows how either replica is laid out or exchanged:
-//! [`GhostLayer::value_of`] is the one read of a neighbour's value (the
-//! single edit point for a denser slot layout), [`GhostLayer::exchange`]
-//! and the two refresh flavours under it the one refresh, and
-//! [`pull_from_owners`] / [`push_to_owners`] the one owner exchange.
+//! [`GhostLayer::value_of`] is the one read of a neighbour's value,
+//! [`GhostLayer::exchange`] and the two refresh flavours under it the one
+//! refresh, and [`pull_from_owners`] / [`push_to_owners`] the one owner
+//! exchange.
+//!
+//! The layout is dense, so the per-arc paths index arrays and never hash.
+//! [`GhostLayer::build`] relabels every arc destination once per phase
+//! into a `u32` *target* (`0..nlocal` an owned vertex, `nlocal..` a ghost
+//! slot), and [`CommunityIndex`] numbers the communities a rank meets
+//! during the phase the same way (`0..nlocal` owned, `nlocal..` remote in
+//! order of first sight). Global ids are translated only where a value
+//! crosses the wire.
 //!
 //! Three refinements from the paper's discussion are implemented here:
 //!
@@ -44,7 +52,7 @@
 use std::sync::Mutex;
 
 use louvain_comm::{Comm, CommStep};
-use louvain_graph::hash::{fast_map, fast_set, FastMap};
+use louvain_graph::hash::{fast_map, FastMap};
 use louvain_graph::{LocalGraph, VertexId, VertexPartition, Weight};
 
 use crate::scratch::reclaim;
@@ -52,6 +60,10 @@ use crate::scratch::reclaim;
 /// Wire entry of a delta refresh: (position in the receiver's request
 /// list for this owner, new value).
 pub type DeltaEntry = (u32, VertexId);
+
+const TARGET_LIMIT: &str =
+    "dense indices are u32: a rank's owned vertices plus its ghosts, and its owned plus \
+     remote communities, must each stay below 4_294_967_296";
 
 /// Grab-and-put vector pool: `take` pops a cleared buffer (or makes a
 /// fresh one), `put_back` returns buffers so their capacity is reused.
@@ -86,18 +98,17 @@ impl<T> BufPool<T> {
 /// Per-phase ghost bookkeeping for one rank.
 #[derive(Debug)]
 pub struct GhostLayer {
-    /// First owned vertex and owned count: ids in `first..first + nlocal`
-    /// are read from the caller's local array, all others from a slot.
-    first: VertexId,
-    nlocal: u64,
+    /// Owned vertex count: targets below it are read from the caller's
+    /// local array, all others from ghost slot `target - nlocal`.
+    nlocal: usize,
+    /// Dense target of every arc, aligned with `lg.csr_parts().1`.
+    targets: Vec<u32>,
     /// Ghost ids this rank needs, grouped by owner, sorted (fixed order —
     /// the wire format of every refresh).
     requests: Vec<Vec<VertexId>>,
     /// `request_mask[owner][i]` — false once the ghost was pruned
     /// (frozen); its slot keeps the last received value.
     request_mask: Vec<Vec<bool>>,
-    /// Global ghost id → slot in the flat ghost value array.
-    slot: FastMap<VertexId, usize>,
     /// For each peer rank: the local indices of our vertices it ghosts,
     /// aligned with that peer's request order.
     serve: Vec<Vec<usize>>,
@@ -134,27 +145,47 @@ impl GhostLayer {
     pub fn build(comm: &Comm, lg: &LocalGraph) -> Self {
         let p = comm.size();
         let part = lg.partition();
-        let mut seen = fast_set::<VertexId>();
+        let first = lg.first_vertex();
+        let nlocal = lg.num_local();
+        let dests = lg.csr_parts().1;
+        // One walk over the arcs discovers the ghosts and relabels every
+        // destination; ghosts are numbered in order of first sight here
+        // and renumbered to their slots once the request lists are sorted.
+        let target_of = |i: usize| u32::try_from(i).expect(TARGET_LIMIT);
+        let mut seen = fast_map::<VertexId, u32>();
         let mut requests: Vec<Vec<VertexId>> = vec![Vec::new(); p];
-        for l in 0..lg.num_local() {
-            for (u, _) in lg.neighbors(l) {
-                if !lg.owns(u) && seen.insert(u) {
+        let mut targets: Vec<u32> = Vec::with_capacity(dests.len());
+        for &u in dests {
+            let l = u.wrapping_sub(first);
+            targets.push(if l < nlocal as u64 {
+                target_of(l as usize)
+            } else {
+                let next = nlocal + seen.len();
+                *seen.entry(u).or_insert_with(|| {
                     requests[part.owner_of(u)].push(u);
-                }
-            }
+                    target_of(next)
+                })
+            });
         }
         for r in requests.iter_mut() {
             r.sort_unstable();
         }
         // Assign slots in (owner, position-in-request) order.
-        let mut slot = fast_map::<VertexId, usize>();
+        let mut slot_of_seen = vec![0u32; seen.len()];
         let mut base = Vec::new();
         let mut next = 0usize;
         for r in &requests {
             base.push(next);
-            for &g in r {
-                slot.insert(g, next);
+            for g in r {
+                slot_of_seen[seen[g] as usize - nlocal] = target_of(nlocal + next);
                 next += 1;
+            }
+        }
+        if next > 0 {
+            for t in &mut targets {
+                if let Some(s) = (*t as usize).checked_sub(nlocal) {
+                    *t = slot_of_seen[s];
+                }
             }
         }
         // Tell each owner what we need; learn what others need from us.
@@ -173,11 +204,10 @@ impl GhostLayer {
         let request_mask = requests.iter().map(|r| vec![true; r.len()]).collect();
         let serve_mask = serve.iter().map(|s| vec![true; s.len()]).collect();
         Self {
-            first: lg.first_vertex(),
-            nlocal: lg.num_local() as u64,
+            nlocal,
+            targets,
             requests,
             request_mask,
-            slot,
             serve,
             serve_mask,
             neighbors,
@@ -216,29 +246,36 @@ impl GhostLayer {
         self.neighborhood = on;
     }
 
-    /// Slot of a ghost id in the value array filled by
-    /// [`GhostLayer::refresh`]: slots follow the flattened request lists.
+    /// Dense target of every arc, aligned with `lg.csr_parts().1`:
+    /// `t < nlocal` is owned vertex `t`, anything else ghost slot
+    /// `t - nlocal` of the value array filled by [`GhostLayer::refresh`]
+    /// (slots follow the flattened request lists).
     #[inline]
-    fn slot_of(&self, v: VertexId) -> usize {
-        self.slot[&v]
+    pub fn targets(&self) -> &[u32] {
+        &self.targets
     }
 
-    /// Value of vertex `u` as this rank sees it: `local(u - first)` for
-    /// an owned vertex, otherwise its replica in `ghost_vals` (an array
-    /// filled by [`GhostLayer::refresh`]). `u` must be owned here or be a
-    /// neighbor of an owned vertex.
+    /// Neighbours of local vertex `l` as `(target, global id, weight)`.
+    /// `lg` must be the graph the layer was built on.
+    pub fn neighbors<'a>(
+        &'a self,
+        lg: &'a LocalGraph,
+        l: usize,
+    ) -> impl Iterator<Item = (u32, VertexId, Weight)> + 'a {
+        let offsets = lg.csr_parts().0;
+        debug_assert_eq!(self.targets.len(), lg.num_local_arcs());
+        let row = &self.targets[offsets[l]..offsets[l + 1]];
+        (row.iter().zip(lg.neighbors(l))).map(|(&t, (u, w))| (t, u, w))
+    }
+
+    /// Value of the vertex behind target `t` as this rank sees it:
+    /// `local(t)` for an owned vertex, otherwise its replica in
+    /// `ghost_vals` (an array filled by [`GhostLayer::refresh`]).
     #[inline]
-    pub fn value_of<V: Copy>(
-        &self,
-        u: VertexId,
-        local: impl FnOnce(usize) -> V,
-        ghost_vals: &[V],
-    ) -> V {
-        let l = u.wrapping_sub(self.first);
-        if l < self.nlocal {
-            local(l as usize)
-        } else {
-            ghost_vals[self.slot_of(u)]
+    pub fn value_of<V: Copy>(&self, t: u32, local: impl FnOnce(usize) -> V, ghost_vals: &[V]) -> V {
+        match (t as usize).checked_sub(self.nlocal) {
+            None => local(t as usize),
+            Some(slot) => ghost_vals[slot],
         }
     }
 
@@ -444,8 +481,8 @@ impl GhostLayer {
         &self.requests
     }
 
-    /// Approximate resident bytes of the ghost bookkeeping (request and
-    /// serve tables, masks, slot map) — the `mem.ghost_bytes` gauge.
+    /// Approximate resident bytes of the ghost bookkeeping (arc targets,
+    /// request and serve tables, masks) — the `mem.ghost_bytes` gauge.
     pub fn approx_bytes(&self) -> u64 {
         use std::mem::size_of;
         fn nested<T>(v: &[Vec<T>]) -> u64 {
@@ -457,7 +494,7 @@ impl GhostLayer {
             + nested(&self.request_mask)
             + nested(&self.serve)
             + nested(&self.serve_mask)
-            + (self.slot.capacity() * size_of::<(VertexId, usize)>()) as u64
+            + (self.targets.capacity() * size_of::<u32>()) as u64
             + (self.neighbors.capacity() * size_of::<usize>()) as u64
             + (self.base.capacity() * size_of::<usize>()) as u64
     }
@@ -473,6 +510,93 @@ impl GhostLayer {
     }
 }
 
+/// The phase's dense community numbering on one rank. An owned community
+/// `c` is `c - first` (`0..nlocal`, the index of its `a_c` and size at
+/// the owner); a remote one gets the next index `nlocal..` the first
+/// time the rank sees it — in a refreshed ghost slot or as a vertex
+/// following anchor — and keeps it for the phase.
+#[derive(Debug)]
+pub struct CommunityIndex {
+    first: VertexId,
+    nlocal: u32,
+    /// Remote slot → global id.
+    remote_ids: Vec<VertexId>,
+    /// Global id → dense index of the remote communities seen so far.
+    remote: FastMap<VertexId, u32>,
+}
+
+impl CommunityIndex {
+    pub fn new(lg: &LocalGraph) -> Self {
+        Self {
+            first: lg.first_vertex(),
+            nlocal: u32::try_from(lg.num_local()).expect(TARGET_LIMIT),
+            remote_ids: Vec::new(),
+            remote: fast_map(),
+        }
+    }
+
+    /// Dense indices in use: `0..num_dense()`.
+    pub fn num_dense(&self) -> usize {
+        self.nlocal as usize + self.remote_ids.len()
+    }
+
+    /// Remote communities seen so far: remote slots `0..num_remote()`.
+    pub fn num_remote(&self) -> usize {
+        self.remote_ids.len()
+    }
+
+    /// Position of dense index `d` among the remote communities, `None`
+    /// for an owned one.
+    #[inline]
+    pub fn remote_slot(&self, d: u32) -> Option<u32> {
+        d.checked_sub(self.nlocal)
+    }
+
+    /// Global id of the remote community in remote slot `r`.
+    #[inline]
+    pub fn remote_global(&self, r: u32) -> VertexId {
+        self.remote_ids[r as usize]
+    }
+
+    /// Global id of dense index `d`.
+    #[inline]
+    pub fn global(&self, d: u32) -> VertexId {
+        match self.remote_slot(d) {
+            None => self.first + VertexId::from(d),
+            Some(r) => self.remote_global(r),
+        }
+    }
+
+    /// Dense index of global community `c`, numbering it on first sight.
+    pub fn dense(&mut self, c: VertexId) -> u32 {
+        let l = c.wrapping_sub(self.first);
+        if l < VertexId::from(self.nlocal) {
+            return l as u32;
+        }
+        let next = self.num_dense();
+        *self.remote.entry(c).or_insert_with(|| {
+            self.remote_ids.push(c);
+            u32::try_from(next).expect(TARGET_LIMIT)
+        })
+    }
+
+    /// Bring `dense` (one index per ghost slot) up to date with the
+    /// refreshed global values: one array compare per slot, one hash
+    /// probe per slot whose community changed.
+    pub fn translate(&mut self, ghost_vals: &[VertexId], dense: &mut Vec<u32>) {
+        if dense.len() != ghost_vals.len() {
+            dense.clear();
+            dense.extend(ghost_vals.iter().map(|&c| self.dense(c)));
+            return;
+        }
+        for (d, &c) in dense.iter_mut().zip(ghost_vals) {
+            if self.global(*d) != c {
+                *d = self.dense(c);
+            }
+        }
+    }
+}
+
 /// Reusable send/receive buffers of [`pull_from_owners`]: per-rank
 /// request lists and keyed reply lists.
 #[derive(Default)]
@@ -482,7 +606,7 @@ pub struct PullBufs<V> {
 }
 
 /// Keyed pull: fetch `answer(k)` from the owner (under `part`) of every
-/// key in `keys` and insert the `(k, value)` pairs into `out`. Sends
+/// key in `keys` and hand each `(k, value)` reply to `store`. Sends
 /// exactly the keys it is given, in the order given (dedupe is the
 /// caller's business). Owners reply keyed, so the requests need not be
 /// retained to decode positional replies, and both receive sides are
@@ -499,7 +623,7 @@ pub fn pull_from_owners<V: Copy + Send + 'static>(
     keys: impl IntoIterator<Item = VertexId>,
     bufs: &mut PullBufs<V>,
     answer: impl Fn(VertexId) -> V,
-    out: &mut FastMap<VertexId, V>,
+    mut store: impl FnMut(VertexId, V),
 ) {
     let PullBufs { requests, replies } = bufs;
     requests.resize_with(comm.size(), Vec::new);
@@ -516,7 +640,7 @@ pub fn pull_from_owners<V: Copy + Send + 'static>(
         comm.all_to_all_v(std::mem::take(replies))
     });
     for &(k, v) in answers.iter().flatten() {
-        out.insert(k, v);
+        store(k, v);
     }
     reclaim(replies, answers);
 }
@@ -526,20 +650,21 @@ pub type CommunityDelta = (VertexId, Weight, i64);
 
 /// Push per-community `(Δa_c, Δsize)` to the community owners (Algorithm
 /// 3, lines 10–11) and hand every delta received here to `apply`.
-/// Messages carry `deltas` in its iteration order and are applied in
-/// (source rank, message) order — floating-point accumulation at the
-/// owner follows it. `bufs` is reclaimed like [`PullBufs`]. Collective.
+/// Messages carry `deltas` (at most one per community) in the order
+/// given and are applied in (source rank, message) order —
+/// floating-point accumulation at the owner follows it. `bufs` is
+/// reclaimed like [`PullBufs`]. Collective.
 pub fn push_to_owners(
     comm: &Comm,
     part: &VertexPartition,
     step: CommStep,
-    deltas: &FastMap<VertexId, (Weight, i64)>,
+    deltas: impl IntoIterator<Item = CommunityDelta>,
     bufs: &mut Vec<Vec<CommunityDelta>>,
     mut apply: impl FnMut(VertexId, Weight, i64),
 ) {
     bufs.resize_with(comm.size(), Vec::new);
-    for (&c, &(da, ds)) in deltas {
-        bufs[part.owner_of(c)].push((c, da, ds));
+    for delta in deltas {
+        bufs[part.owner_of(delta.0)].push(delta);
     }
     let received = comm.with_step(step, || comm.all_to_all_v(std::mem::take(bufs)));
     for &(c, da, ds) in received.iter().flatten() {
@@ -599,16 +724,17 @@ mod tests {
                 .collect();
             let mut ghost_vals = Vec::new();
             layer.refresh(c, &local_vals, &mut ghost_vals);
-            // Check all ghosts carry their owner's value.
-            let mut ok = true;
-            for reqs in layer.requests() {
-                for &gid in reqs {
-                    if ghost_vals[layer.slot_of(gid)] != 1000 + gid {
-                        ok = false;
-                    }
-                }
-            }
-            ok
+            // Check all ghosts carry their owner's value (slots follow
+            // the flattened request lists) and every arc's target reads
+            // its destination's value.
+            let slots = layer.requests().iter().flatten();
+            let slots_ok = slots.zip(&ghost_vals).all(|(&gid, &v)| v == 1000 + gid);
+            let arcs_ok = (0..lg.num_local()).all(|l| {
+                layer
+                    .neighbors(&lg, l)
+                    .all(|(t, u, _)| layer.value_of(t, |i| local_vals[i], &ghost_vals) == 1000 + u)
+            });
+            slots_ok && arcs_ok
         });
         assert!(out.into_iter().all(|b| b));
     }
@@ -738,6 +864,30 @@ mod tests {
         // Rank 1 ghosts vertices 0 and 3: 0 is frozen at 100, 3 moves to 203.
         assert!(out[1].contains(&100), "{:?}", out[1]);
         assert!(out[1].contains(&203), "{:?}", out[1]);
+    }
+
+    #[test]
+    fn community_index_numbers_remote_communities_on_first_sight() {
+        // Rank 1 of 3 on a 12-ring owns 4..8.
+        let lg = scatter_for(3, &ring(12)).swap_remove(1);
+        let mut index = CommunityIndex::new(&lg);
+        assert_eq!((index.dense(4), index.dense(7)), (0, 3));
+        assert_eq!(
+            (index.dense(11), index.dense(2), index.dense(11)),
+            (4, 5, 4)
+        );
+        assert_eq!((index.num_dense(), index.num_remote()), (6, 2));
+        for (d, c) in [(0, 4), (3, 7), (4, 11), (5, 2)] {
+            assert_eq!(index.global(d), c);
+            assert_eq!(index.remote_slot(d), d.checked_sub(4));
+        }
+        // Translating refreshed slots renumbers exactly those that changed.
+        let mut dense = Vec::new();
+        index.translate(&[11, 5, 2], &mut dense);
+        assert_eq!(dense, [4, 1, 5]);
+        index.translate(&[11, 9, 6], &mut dense);
+        assert_eq!(dense, [4, 6, 2]);
+        assert_eq!(index.remote_global(2), 9);
     }
 
     #[test]

@@ -58,11 +58,11 @@ pub fn distributed_coloring(
             let vp = priority(seed, v);
             let mut is_max = true;
             forbidden.clear();
-            for (u, _) in lg.neighbors(l) {
+            for (t, u, _) in ghosts.neighbors(lg, l) {
                 if u == v {
                     continue;
                 }
-                let cu = ghosts.value_of(u, |i| snapshot[i], &ghost_color);
+                let cu = ghosts.value_of(t, |i| snapshot[i], &ghost_color);
                 if cu == UNCOLORED {
                     let up = priority(seed, u);
                     // Deterministic total order: priority, then id.

@@ -28,15 +28,20 @@
 //! discipline), the fastest of the three on two threads. See DESIGN.md
 //! §11 for the parity argument.
 //!
+//! Inside a phase every vertex and community is a dense `u32` index
+//! (arc targets from [`GhostLayer::build`], communities from
+//! [`CommunityIndex`]), so the per-arc loops index arrays; global ids
+//! appear only where a value crosses the wire.
+//!
 //! Paper future-work extensions, all off by default (see
 //! [`crate::DistConfig`]): MPI-3-style neighborhood collectives for the
 //! ghost refresh, pruning of refresh traffic for permanently inactive
 //! vertices under ET, and distance-1-colored sub-rounds in which
 //! concurrently moved vertices are never adjacent.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+use std::sync::Mutex;
 
-use rayon::prelude::*;
 use rayon::WorkerPool;
 
 use louvain_comm::{Comm, CommStep, ReduceOp};
@@ -45,9 +50,9 @@ use louvain_graph::hash::{fast_map, FastMap};
 use louvain_graph::{LocalGraph, VertexId, Weight};
 
 use crate::config::{DistConfig, SweepMode};
-use crate::ghost::{pull_from_owners, push_to_owners, GhostLayer, PullBufs};
+use crate::ghost::{pull_from_owners, push_to_owners, CommunityIndex, GhostLayer, PullBufs};
 use crate::heuristics::{distributed_coloring, EtTracker};
-use crate::scratch::IterScratch;
+use crate::scratch::{lock_worker, DenseMap, IterScratch, SweepAcc, SweepWorker};
 use crate::stats::{IterationTrace, WorkCounter};
 
 /// Outcome of one phase's iteration loop on one rank.
@@ -60,6 +65,8 @@ pub struct PhaseResult {
     pub ghost_comm: Vec<VertexId>,
     /// Weight `a_c` of every *owned* community (indexed by `c - first`).
     pub owned_a: Vec<Weight>,
+    /// Member count of every owned community, same indexing.
+    pub owned_size: Vec<u64>,
     pub modularity: f64,
     pub iterations: usize,
     pub traces: Vec<IterationTrace>,
@@ -80,9 +87,10 @@ pub struct PhaseContext<'a> {
 
 /// Shared (possibly multi-threaded) per-rank community state.
 struct SweepState {
-    /// Community of each local vertex (global ids).
-    comm: Vec<AtomicU64>,
-    /// Weight of each owned community (`a_c`, indexed `c - first`).
+    /// Community of each local vertex (dense index, see
+    /// [`CommunityIndex`]).
+    comm: Vec<AtomicU32>,
+    /// Weight of each owned community (`a_c`, by dense index).
     a: Vec<AtomicF64>,
     /// Size of each owned community.
     size: Vec<AtomicU64>,
@@ -91,12 +99,13 @@ struct SweepState {
 }
 
 impl SweepState {
-    fn new(k_local: &[Weight], lg: &LocalGraph) -> Self {
-        let nlocal = lg.num_local();
+    /// Every vertex in its own community, whose dense index is the
+    /// vertex's local index ([`CommunityIndex::new`] has checked that the
+    /// local indices fit).
+    fn new(k_local: &[Weight]) -> Self {
+        let nlocal = k_local.len();
         Self {
-            comm: (0..nlocal)
-                .map(|l| AtomicU64::new(lg.to_global(l)))
-                .collect(),
+            comm: (0..nlocal).map(|l| AtomicU32::new(l as u32)).collect(),
             a: k_local.iter().map(|&k| AtomicF64::new(k)).collect(),
             size: (0..nlocal).map(|_| AtomicU64::new(1)).collect(),
             moved: (0..nlocal).map(|_| AtomicBool::new(false)).collect(),
@@ -104,12 +113,14 @@ impl SweepState {
     }
 
     #[inline]
-    fn comm_of_local(&self, l: usize) -> VertexId {
+    fn comm_of_local(&self, l: usize) -> u32 {
         self.comm[l].load(Ordering::Relaxed)
     }
 
-    fn snapshot_a(&self) -> Vec<Weight> {
-        self.a.iter().map(|a| a.load()).collect()
+    /// `(a_c, size)` of owned community `i`.
+    #[inline]
+    fn info(&self, i: usize) -> (Weight, u64) {
+        (self.a[i].load(), self.size[i].load(Ordering::Relaxed))
     }
 
     /// Owner side of the delta push: fold a peer's `(Δa_c, Δsize)` into
@@ -121,75 +132,77 @@ impl SweepState {
     }
 }
 
-/// Per-thread accumulation of one sweep chunk, merged after the loop.
+/// The ghost vertices' communities, one per ghost slot: as refreshed
+/// (global ids — the wire's and rebuild's view) and as the sweep reads
+/// them (dense).
 #[derive(Default)]
-struct SweepAcc {
-    deltas: FastMap<VertexId, (Weight, i64)>,
-    moves: u64,
-    edges: u64,
-    vertices: u64,
-}
-
-impl SweepAcc {
-    fn merge(mut self, other: SweepAcc) -> SweepAcc {
-        for (c, (da, ds)) in other.deltas {
-            let e = self.deltas.entry(c).or_insert((0.0, 0));
-            e.0 += da;
-            e.1 += ds;
-        }
-        self.moves += other.moves;
-        self.edges += other.edges;
-        self.vertices += other.vertices;
-        self
-    }
+struct GhostComms {
+    global: Vec<VertexId>,
+    dense: Vec<u32>,
 }
 
 /// One ghost community exchange (Step 1): snapshot the local
-/// communities into the scratch arena and let the layer refresh
-/// `ghost_comm` from the owners' snapshots. `allow_delta` must be
-/// uniform across ranks (see [`GhostLayer::exchange`]).
+/// communities into the scratch arena, let the layer refresh the ghost
+/// communities from the owners' snapshots, and renumber the slots that
+/// changed. `allow_delta` must be uniform across ranks (see
+/// [`GhostLayer::exchange`]).
 fn exchange_ghosts(
     comm: &Comm,
     ghosts: &mut GhostLayer,
+    index: &mut CommunityIndex,
     state: &SweepState,
     scratch: &mut IterScratch,
-    ghost_comm: &mut Vec<VertexId>,
+    ghost_comm: &mut GhostComms,
     allow_delta: bool,
 ) {
     comm.with_step(CommStep::GhostRefresh, || {
         scratch.comm_snapshot.clear();
         scratch
             .comm_snapshot
-            .extend(state.comm.iter().map(|c| c.load(Ordering::Relaxed)));
-        ghosts.exchange(comm, &scratch.comm_snapshot, ghost_comm, allow_delta);
+            .extend((state.comm.iter()).map(|c| index.global(c.load(Ordering::Relaxed))));
+        ghosts.exchange(
+            comm,
+            &scratch.comm_snapshot,
+            &mut ghost_comm.global,
+            allow_delta,
+        );
     });
+    index.translate(&ghost_comm.global, &mut ghost_comm.dense);
 }
 
 /// Read-only inputs of one compute sweep, shared by every schedule.
 /// `state` is written through its atomics, by [`Sweep::apply_move`]
 /// only.
 struct Sweep<'a> {
-    lg: &'a LocalGraph,
+    /// Row bounds and weights of the local CSR, and the dense target of
+    /// every arc.
+    offsets: &'a [usize],
+    arc_weights: &'a [Weight],
+    targets: &'a [u32],
     ghosts: &'a GhostLayer,
-    ghost_comm: &'a [VertexId],
+    ghost_comm: &'a [u32],
+    index: &'a CommunityIndex,
     state: &'a SweepState,
     k_local: &'a [Weight],
     two_m: f64,
     guard_singleton_swap: bool,
     /// `a_c` and size of remote communities as of this round's pull.
-    remote_a: &'a FastMap<VertexId, (Weight, u64)>,
+    remote_a: &'a DenseMap<(Weight, u64)>,
 }
 
 impl Sweep<'_> {
     /// The local-move rule (Algorithm 3, lines 6–9) for local vertex `l`:
     /// gather the edge weight toward every neighboring community into
     /// `weights`, score each candidate, and return the community `l`
-    /// should move to, if any. Nothing is written but the scratch.
+    /// should move to, if any. Nothing is written but the scratch, which
+    /// is handed back clear.
     ///
-    /// `candidates` fixes the order in which the gathered communities are
-    /// scored. Near-ties within 1e-12 go to the smallest community id
-    /// either way, so the order only matters through that tolerance — but
-    /// a schedule's trajectory is pinned to it bit for bit.
+    /// Per-community weights accumulate in neighbour order and candidates
+    /// are scored in order of first touch. A candidate wins by more than
+    /// 1e-12, or within 1e-12 by the smaller *global* id (Lu et al.'s
+    /// minimum labelling), so the order matters only when three scores
+    /// chain inside that tolerance — never on integer weights, where two
+    /// scores are equal or at least 1/2m apart (DESIGN.md §11).
     ///
     /// Remote community info is the iteration-start pull adjusted by
     /// `deltas`, the remote-community changes the caller has accumulated
@@ -197,79 +210,94 @@ impl Sweep<'_> {
     /// the same stale (small) a_c of an attractive remote community and
     /// they all pile in, overshooting badly on mesh-like graphs.
     #[inline]
-    fn best_move<'w, I>(
+    fn best_move(
         &self,
         l: usize,
-        deltas: &FastMap<VertexId, (Weight, i64)>,
-        weights: &'w mut FastMap<VertexId, Weight>,
+        deltas: &DenseMap<(Weight, i64)>,
+        weights: &mut DenseMap<Weight>,
         edges: &mut u64,
-        candidates: impl FnOnce(&'w FastMap<VertexId, Weight>) -> I,
-    ) -> Option<VertexId>
-    where
-        I: Iterator<Item = (VertexId, Weight)>,
-    {
-        let Sweep {
-            lg,
-            state,
-            ghosts,
-            ghost_comm,
-            ..
-        } = *self;
-        let first = lg.first_vertex();
-        let v_global = lg.to_global(l);
-        let cu = state.comm_of_local(l);
-        let kv = self.k_local[l];
-        weights.clear();
-        for (u, w) in lg.neighbors(l) {
-            *edges += 1;
-            if u == v_global {
+    ) -> Option<u32> {
+        let state = self.state;
+        debug_assert!(
+            weights.entries().is_empty(),
+            "scratch not handed back clear"
+        );
+        let row = self.offsets[l]..self.offsets[l + 1];
+        *edges += row.len() as u64;
+        for (&t, &w) in self.targets[row.clone()].iter().zip(&self.arc_weights[row]) {
+            // A self-loop: the only arc of `l` whose target is `l`.
+            if t as usize == l {
                 continue;
             }
-            let c = ghosts.value_of(u, |i| state.comm_of_local(i), ghost_comm);
-            *weights.entry(c).or_insert(0.0) += w;
+            let c = (self.ghosts).value_of(t, |i| state.comm_of_local(i), self.ghost_comm);
+            *weights.entry(c) += w;
         }
-        let weights: &'w FastMap<VertexId, Weight> = weights;
-        if weights.is_empty() {
+        let best = self.score(l, deltas, weights);
+        weights.clear();
+        best
+    }
+
+    /// Score the gathered candidates of `l`; see [`Sweep::best_move`].
+    #[inline]
+    fn score(
+        &self,
+        l: usize,
+        deltas: &DenseMap<(Weight, i64)>,
+        weights: &DenseMap<Weight>,
+    ) -> Option<u32> {
+        let Sweep { state, index, .. } = *self;
+        if weights.entries().is_empty() {
             return None;
         }
-        let info_of = |c: VertexId| -> (Weight, u64) {
-            if lg.owns(c) {
-                let i = (c - first) as usize;
-                (state.a[i].load(), state.size[i].load(Ordering::Relaxed))
-            } else {
-                let (mut a, mut sz) = self.remote_a.get(&c).copied().unwrap_or((0.0, 0));
-                if let Some(&(da, ds)) = deltas.get(&c) {
-                    a += da;
-                    sz = (sz as i64 + ds).max(0) as u64;
-                }
-                (a, sz)
+        let cu = state.comm_of_local(l);
+        let kv = self.k_local[l];
+        // Remote community info: this round's pull plus the caller's deltas.
+        let remote = |r: u32| -> (Weight, u64) {
+            let (mut a, mut sz) = self.remote_a.get(r).unwrap_or((0.0, 0));
+            if let Some((da, ds)) = deltas.get(r) {
+                a += da;
+                sz = (sz as i64 + ds).max(0) as u64;
             }
+            (a, sz)
         };
-        let e_cu = weights.get(&cu).copied().unwrap_or(0.0);
-        let (a_cu, size_cu) = info_of(cu);
-        let stay = e_cu - kv * (a_cu - kv) / self.two_m;
+        let a_of = |c: u32| match index.remote_slot(c) {
+            None => state.a[c as usize].load(),
+            Some(r) => remote(r).0,
+        };
+        // Read for two communities per vertex, not for every candidate.
+        let size_of = |c: u32| match index.remote_slot(c) {
+            None => state.size[c as usize].load(Ordering::Relaxed),
+            Some(r) => remote(r).1,
+        };
+        let id = |c: u32| index.global(c);
+        let e_cu = weights.get(cu).unwrap_or(0.0);
+        let stay = e_cu - kv * (a_of(cu) - kv) / self.two_m;
         let mut best_c = cu;
         let mut best_score = f64::NEG_INFINITY;
-        let mut best_size = 0u64;
-        for (c, e_vc) in candidates(weights) {
+        for &(c, e_vc) in weights.entries() {
             if c == cu {
                 continue;
             }
-            let (a_c, size_c) = info_of(c);
-            let score = e_vc - kv * a_c / self.two_m;
-            if score > best_score + 1e-12 || ((score - best_score).abs() <= 1e-12 && c < best_c) {
+            let score = e_vc - kv * a_of(c) / self.two_m;
+            if score > best_score + 1e-12
+                || ((score - best_score).abs() <= 1e-12 && id(c) < id(best_c))
+            {
                 best_score = score;
                 best_c = c;
-                best_size = size_c;
             }
         }
         let profitable = best_c != cu
-            && (best_score > stay + 1e-12 || ((best_score - stay).abs() <= 1e-12 && best_c < cu));
+            && (best_score > stay + 1e-12
+                || ((best_score - stay).abs() <= 1e-12 && id(best_c) < id(cu)));
         // Singleton-swap guard (Vite / Lu et al. minimum labeling): two
         // singleton vertices evaluating each other concurrently would swap
         // communities forever; only the one moving toward the smaller
         // community id proceeds.
-        let swap = self.guard_singleton_swap && size_cu == 1 && best_size == 1 && best_c > cu;
+        let swap = profitable
+            && self.guard_singleton_swap
+            && id(best_c) > id(cu)
+            && size_of(cu) == 1
+            && size_of(best_c) == 1;
         (profitable && !swap).then_some(best_c)
     }
 
@@ -277,58 +305,53 @@ impl Sweep<'_> {
     /// the community state. Owned communities are updated in place;
     /// changes to remote ones accumulate in `acc.deltas` for the owner
     /// push, whose message order follows the insertion history here.
-    fn apply_move(&self, l: usize, best_c: VertexId, acc: &mut SweepAcc) {
-        let Sweep { lg, state, .. } = *self;
-        let first = lg.first_vertex();
+    fn apply_move(&self, l: usize, best_c: u32, acc: &mut SweepAcc) {
+        let Sweep { state, index, .. } = *self;
         let cu = state.comm_of_local(l);
         let kv = self.k_local[l];
         state.comm[l].store(best_c, Ordering::Relaxed);
         state.moved[l].store(true, Ordering::Relaxed);
         acc.moves += 1;
         // Leave cu.
-        if lg.owns(cu) {
-            let i = (cu - first) as usize;
-            state.a[i].fetch_add(-kv);
-            state.size[i].fetch_sub(1, Ordering::Relaxed);
-        } else {
-            let d = acc.deltas.entry(cu).or_insert((0.0, 0));
-            d.0 -= kv;
-            d.1 -= 1;
+        match index.remote_slot(cu) {
+            None => {
+                state.a[cu as usize].fetch_add(-kv);
+                state.size[cu as usize].fetch_sub(1, Ordering::Relaxed);
+            }
+            Some(r) => {
+                let d = acc.deltas.entry(r);
+                d.0 -= kv;
+                d.1 -= 1;
+            }
         }
         // Join best_c.
-        if lg.owns(best_c) {
-            let i = (best_c - first) as usize;
-            state.a[i].fetch_add(kv);
-            state.size[i].fetch_add(1, Ordering::Relaxed);
-        } else {
-            let d = acc.deltas.entry(best_c).or_insert((0.0, 0));
-            d.0 += kv;
-            d.1 += 1;
+        match index.remote_slot(best_c) {
+            None => {
+                state.a[best_c as usize].fetch_add(kv);
+                state.size[best_c as usize].fetch_add(1, Ordering::Relaxed);
+            }
+            Some(r) => {
+                let d = acc.deltas.entry(r);
+                d.0 += kv;
+                d.1 += 1;
+            }
         }
     }
 
     /// Gauss-Seidel driver of the sequential and relaxed schedules: each
     /// vertex of `vertices` is scored against the live state (and this
-    /// chunk's own remote deltas) and moved at once. Candidates are
-    /// scored in the pooled map's iteration order.
-    fn sweep_in_place(&self, vertices: &[usize], scratch: &IterScratch) -> SweepAcc {
-        let mut acc = SweepAcc::default();
-        let mut weights = scratch.take_weights();
+    /// worker's own remote deltas) and moved at once.
+    fn sweep_in_place(&self, vertices: &[usize], worker: &mut SweepWorker) {
+        let SweepWorker { weights, acc, .. } = worker;
         for &l in vertices {
             acc.vertices += 1;
-            let best = self.best_move(l, &acc.deltas, &mut weights, &mut acc.edges, |w| {
-                w.iter().map(|(&c, &e)| (c, e))
-            });
-            if let Some(c) = best {
-                self.apply_move(l, c, &mut acc);
+            if let Some(c) = self.best_move(l, &acc.deltas, weights, &mut acc.edges) {
+                self.apply_move(l, c, acc);
             }
         }
-        scratch.put_weights(weights);
-        acc
     }
 
-    /// Driver of the colored deterministic schedule over
-    /// `scratch.round_vertices`.
+    /// Driver of the colored deterministic schedule over `round_vertices`.
     ///
     /// Vertices are grouped into conflict-free batches by color class (the
     /// distance-1 coloring guarantees no two batch members are adjacent,
@@ -336,24 +359,26 @@ impl Sweep<'_> {
     /// is about to change). Each batch's moves are *decided* in parallel
     /// by the worker pool against the frozen batch-start state — the
     /// remote deltas of *previous* batches, read-only — then *applied*
-    /// sequentially in batch order on the calling thread. Candidates are
-    /// scored in ascending community id, which makes a decision
-    /// independent of the hash map's iteration order (and therefore of
-    /// the pooled map's capacity history and the thread count), and the
-    /// worker pool returns results in contiguous-range order, so the
+    /// sequentially in batch order on the calling thread into `acc`. A
+    /// decision is a function of the vertex and the frozen state alone
+    /// (each worker's table is clear between vertices), and the workers'
+    /// moves are applied in worker order, which is range order, so the
     /// applied sequence is a function of the coloring alone — results at
     /// any `threads_per_rank` are bit-identical for a fixed coloring (and
     /// the coloring seed never depends on the thread count). The parity
     /// argument is spelled out in DESIGN.md §11.
+    #[allow(clippy::too_many_arguments)]
     fn sweep_colored(
         &self,
         pool: &WorkerPool,
         coloring: &(Vec<u32>, u32),
-        scratch: &IterScratch,
+        round_vertices: &[usize],
+        workers: &[Mutex<SweepWorker>],
         batches: &mut Vec<Vec<usize>>,
+        acc: &mut SweepAcc,
         iter: usize,
         round: usize,
-    ) -> SweepAcc {
+    ) {
         let (color, nc) = coloring;
         let nc = *nc as usize;
         if batches.len() < nc {
@@ -364,10 +389,9 @@ impl Sweep<'_> {
         }
         // `round_vertices` is already in sweep order, so each batch inherits
         // the deterministic order of its members.
-        for &l in &scratch.round_vertices {
+        for &l in round_vertices {
             batches[color[l] as usize].push(l);
         }
-        let mut acc = SweepAcc::default();
         for (batch_color, batch) in batches.iter().enumerate().take(nc) {
             if batch.is_empty() {
                 continue;
@@ -379,42 +403,30 @@ impl Sweep<'_> {
                 color = batch_color
             );
             let frozen = &acc.deltas;
-            let decided = pool.run(batch.len(), |r| {
-                let vertices = r.len() as u64;
-                let mut weights = scratch.take_weights();
-                let mut sorted: Vec<(VertexId, Weight)> = Vec::new();
-                let mut moves: Vec<(usize, VertexId)> = Vec::new();
-                let mut edges = 0u64;
+            pool.run(batch.len(), |w, r| {
+                let mut worker = lock_worker(&workers[w]);
+                let SweepWorker {
+                    weights,
+                    moves,
+                    acc,
+                } = &mut *worker;
+                acc.vertices += r.len() as u64;
                 for &l in &batch[r] {
-                    let sorted = &mut sorted;
-                    let best = self.best_move(l, frozen, &mut weights, &mut edges, move |w| {
-                        // Moved out so the iterator may outlive this body.
-                        let sorted = sorted;
-                        sorted.clear();
-                        sorted.extend(w.iter().map(|(&c, &e)| (c, e)));
-                        sorted.sort_unstable_by_key(|c| c.0);
-                        sorted.iter().copied()
-                    });
-                    if let Some(c) = best {
+                    if let Some(c) = self.best_move(l, frozen, weights, &mut acc.edges) {
                         moves.push((l, c));
                     }
                 }
-                scratch.put_weights(weights);
-                (moves, edges, vertices)
             });
             let mut batch_moves = 0u64;
-            for (moves, edges, vertices) in decided {
-                acc.edges += edges;
-                acc.vertices += vertices;
-                for (l, c) in moves {
-                    self.apply_move(l, c, &mut acc);
+            for worker in workers {
+                for (l, c) in lock_worker(worker).moves.drain(..) {
+                    self.apply_move(l, c, acc);
                     batch_moves += 1;
                 }
             }
             louvain_obs::counter_add("sweep.batch_moves", batch_moves);
             batch_span.arg("moves", batch_moves);
         }
-        acc
     }
 }
 
@@ -450,11 +462,13 @@ pub fn louvain_phase(
     // Hoisted copy: the parallel sweep closure must not capture `ctx`
     // (it holds the non-Sync communicator).
     let two_m = ctx.two_m;
+    let (offsets, _, arc_weights) = lg.csr_parts();
 
     ghosts.use_neighborhood(cfg.neighborhood_collectives);
     let k_local: Vec<Weight> = (0..nlocal).map(|l| lg.weighted_degree(l)).collect();
-    let state = SweepState::new(&k_local, lg);
-    let mut ghost_comm: Vec<VertexId> = Vec::new();
+    let mut index = CommunityIndex::new(lg);
+    let state = SweepState::new(&k_local);
+    let mut ghost_comm = GhostComms::default();
 
     let mut et: Option<EtTracker> = cfg
         .variant
@@ -495,13 +509,14 @@ pub fn louvain_phase(
     } else {
         1
     };
-    // The colored schedule dispatches one parallel region per color batch,
-    // so workers are kept alive for the whole phase instead of respawned.
-    let pool = colored_batches.then(|| WorkerPool::new(threads));
+    // Every schedule dispatches through one pool kept alive for the whole
+    // phase (the colored one once per color batch); at one thread it
+    // spawns nothing and runs inline. Worker `w` owns `scratch.workers[w]`.
+    let pool = WorkerPool::new(threads);
 
     // Per-phase scratch arena: every buffer of the four-step loop is
     // allocated once here and recycled across iterations.
-    let mut scratch = IterScratch::new(nlocal);
+    let mut scratch = IterScratch::new(nlocal, threads);
     // Delta-refresh policy input: fewer than a quarter of the global
     // vertices moved in the previous iteration. The move count is
     // all-reduced, so every rank picks the same refresh flavour each
@@ -513,7 +528,7 @@ pub fn louvain_phase(
     // Collective (one ghost exchange of pendant flags + one delta push),
     // so every rank must agree on the flag.
     if cfg.vertex_following && phase_idx == 0 {
-        apply_vertex_following(comm, lg, ghosts, &state, &k_local);
+        apply_vertex_following(comm, lg, ghosts, &mut index, &state, &k_local);
     }
 
     let mut traces: Vec<IterationTrace> = Vec::new();
@@ -555,49 +570,74 @@ pub fn louvain_phase(
             exchange_ghosts(
                 comm,
                 ghosts,
+                &mut index,
                 &state,
                 &mut scratch,
                 &mut ghost_comm,
                 cfg.delta_ghost_refresh && few_moved,
             );
+            // New remote communities enter only through the exchange (and
+            // vertex following before it), so the tables are sized here.
+            scratch.cover(index.num_dense(), index.num_remote());
+            let targets = ghosts.targets();
+            let comm_of =
+                |t: u32| ghosts.value_of(t, |i| state.comm_of_local(i), &ghost_comm.dense);
 
             // -- Step 2: pull a_c for remote communities we may join. ------
-            scratch.needed.clear();
+            // The communities of the round's vertices and of their
+            // neighbours. A rank that knows no remote community (always
+            // so on one rank) has nothing to find and skips the arc walk,
+            // counting the arcs it would have read.
+            scratch.remote_a.clear();
+            let find_remote = index.num_remote() > 0;
             for (l, &is_active) in scratch.active.iter().enumerate() {
                 if !is_active || !in_round(l) {
                     continue;
                 }
-                let cu = state.comm_of_local(l);
-                if !lg.owns(cu) {
-                    scratch.needed.insert(cu);
+                let row = offsets[l]..offsets[l + 1];
+                compute.edges_scanned += row.len() as u64;
+                if !find_remote {
+                    continue;
                 }
-                for (u, _) in lg.neighbors(l) {
-                    compute.edges_scanned += 1;
-                    let c = ghosts.value_of(u, |i| state.comm_of_local(i), &ghost_comm);
-                    if !lg.owns(c) {
-                        scratch.needed.insert(c);
+                let cu = state.comm_of_local(l);
+                for c in std::iter::once(cu).chain(targets[row].iter().map(|&t| comm_of(t))) {
+                    if let Some(r) = index.remote_slot(c) {
+                        scratch.remote_a.entry(r);
                     }
                 }
             }
-            scratch.remote_a.clear();
-            pull_from_owners(
-                comm,
-                part,
-                CommStep::CommunityPull,
-                scratch.needed.iter().copied(),
-                &mut scratch.pull,
-                |c| {
-                    let i = (c - first) as usize;
-                    (state.a[i].load(), state.size[i].load(Ordering::Relaxed))
-                },
-                &mut scratch.remote_a,
-            );
+            scratch.needed.clear();
+            scratch
+                .needed
+                .extend((scratch.remote_a.entries().iter()).map(|&(r, _)| index.remote_global(r)));
+            {
+                let IterScratch {
+                    needed,
+                    pull,
+                    remote_a,
+                    ..
+                } = &mut scratch;
+                pull_from_owners(
+                    comm,
+                    part,
+                    CommStep::CommunityPull,
+                    needed.iter().copied(),
+                    pull,
+                    |c| state.info((c - first) as usize),
+                    |c, info| {
+                        let d = index.dense(c);
+                        let r = index.remote_slot(d).expect("pulled an owned community");
+                        *remote_a.entry(r) = info;
+                    },
+                );
+            }
 
             // -- Step 3: the compute sweep (lines 6–9). --------------------
-            // Colored batches on the worker pool; otherwise in place —
-            // sequential when threads_per_rank == 1 (deterministic, the
-            // paper's per-process order), rayon-parallel over the shared
-            // atomic state when not (the paper's OpenMP loop).
+            // Colored batches, or in place over one contiguous range of
+            // the round per pool worker — the whole round, sequentially,
+            // when threads_per_rank == 1 (deterministic, the paper's
+            // per-process order); racing on the shared atomic state when
+            // not (the paper's OpenMP loop).
             scratch.round_vertices.clear();
             {
                 let active = &scratch.active;
@@ -608,43 +648,52 @@ pub fn louvain_phase(
                         .filter(|&l| active[l] && in_round(l)),
                 );
             }
-            let acc: SweepAcc = {
+            {
                 let _sweep_span = louvain_obs::span!("sweep", iter = iterations, round = round);
+                let IterScratch {
+                    remote_a,
+                    round_vertices,
+                    batches,
+                    workers,
+                    acc,
+                    ..
+                } = &mut scratch;
                 let sweep = Sweep {
-                    lg,
+                    offsets,
+                    arc_weights,
+                    targets,
                     ghosts: &*ghosts,
-                    ghost_comm: &ghost_comm,
+                    ghost_comm: &ghost_comm.dense,
+                    index: &index,
                     state: &state,
                     k_local: &k_local,
                     two_m,
                     guard_singleton_swap: !cfg.disable_singleton_guard,
-                    remote_a: &scratch.remote_a,
+                    remote_a,
                 };
-                if let Some(pool) = &pool {
-                    let mut batches = std::mem::take(&mut scratch.batches);
-                    let acc = sweep.sweep_colored(
-                        pool,
+                if colored_batches {
+                    sweep.sweep_colored(
+                        &pool,
                         coloring
                             .as_ref()
                             .expect("colored schedule needs a coloring"),
-                        &scratch,
-                        &mut batches,
+                        round_vertices,
+                        workers,
+                        batches,
+                        acc,
                         iterations,
                         round,
                     );
-                    scratch.batches = batches;
-                    acc
-                } else if threads <= 1 {
-                    sweep.sweep_in_place(&scratch.round_vertices, &scratch)
                 } else {
-                    let chunk = scratch.round_vertices.len().div_ceil(threads * 4).max(64);
-                    scratch
-                        .round_vertices
-                        .par_chunks(chunk)
-                        .map(|chunk| sweep.sweep_in_place(chunk, &scratch))
-                        .reduce(SweepAcc::default, SweepAcc::merge)
+                    pool.run(round_vertices.len(), |w, r| {
+                        sweep.sweep_in_place(&round_vertices[r], &mut lock_worker(&workers[w]))
+                    });
                 }
-            };
+                for worker in workers.iter() {
+                    acc.absorb(&mut lock_worker(worker).acc);
+                }
+            }
+            let acc = &mut scratch.acc;
             local_moves += acc.moves;
             compute.edges_scanned += acc.edges;
             compute.vertices_processed += acc.vertices;
@@ -657,14 +706,16 @@ pub fn louvain_phase(
                 comm,
                 part,
                 CommStep::DeltaPush,
-                &acc.deltas,
+                (acc.deltas.entries().iter())
+                    .map(|&(r, (da, ds))| (index.remote_global(r), da, ds)),
                 &mut scratch.delta_msgs,
                 |c, da, ds| state.absorb((c - first) as usize, da, ds),
             );
+            acc.clear();
         }
 
         // -- Step 4: global modularity (lines 12–13). ----------------------
-        let terms = local_modularity_terms(lg, ghosts, &state, &ghost_comm);
+        let terms = local_modularity_terms(lg, ghosts, &state, &ghost_comm.dense);
         compute.edges_scanned += lg.num_local_arcs() as u64;
         let (q, moves_global) = comm.with_step(CommStep::Reduction, || {
             (
@@ -751,13 +802,14 @@ pub fn louvain_phase(
     exchange_ghosts(
         comm,
         ghosts,
+        &mut index,
         &state,
         &mut scratch,
         &mut ghost_comm,
         cfg.delta_ghost_refresh && few_moved,
     );
     let comm_of_local = std::mem::take(&mut scratch.comm_snapshot);
-    let terms = local_modularity_terms(lg, ghosts, &state, &ghost_comm);
+    let terms = local_modularity_terms(lg, ghosts, &state, &ghost_comm.dense);
     let final_q = comm.with_step(CommStep::Reduction, || {
         reduce_modularity(comm, terms, two_m)
     });
@@ -772,8 +824,11 @@ pub fn louvain_phase(
 
     PhaseResult {
         comm_of_local,
-        ghost_comm,
-        owned_a: state.snapshot_a(),
+        ghost_comm: ghost_comm.global,
+        owned_a: state.a.iter().map(|a| a.load()).collect(),
+        owned_size: (state.size.iter())
+            .map(|s| s.load(Ordering::Relaxed))
+            .collect(),
         modularity: final_q,
         iterations,
         traces,
@@ -808,6 +863,7 @@ fn apply_vertex_following(
     comm: &Comm,
     lg: &LocalGraph,
     ghosts: &GhostLayer,
+    index: &mut CommunityIndex,
     state: &SweepState,
     k_local: &[Weight],
 ) {
@@ -820,7 +876,8 @@ fn apply_vertex_following(
     // byte counters reconcile with the sub-span totals.
     let mut alive: Vec<u64> = vec![1; nlocal];
     let mut parent: Vec<Option<VertexId>> = vec![None; nlocal];
-    let mut qual_target: Vec<Option<VertexId>> = vec![None; nlocal];
+    // The unique alive neighbor of each qualifying vertex: (target, id).
+    let mut qual_target: Vec<Option<(u32, VertexId)>> = vec![None; nlocal];
     let mut ghost_alive: Vec<u64> = Vec::new();
     let mut ghost_qual: Vec<u64> = Vec::new();
     loop {
@@ -828,16 +885,16 @@ fn apply_vertex_following(
             ghosts.refresh(comm, &alive, &mut ghost_alive)
         });
         {
-            let alive_of = |u| ghosts.value_of(u, |i| alive[i], &ghost_alive) == 1;
+            let alive_of = |t| ghosts.value_of(t, |i| alive[i], &ghost_alive) == 1;
             for l in 0..nlocal {
                 qual_target[l] = None;
                 if alive[l] == 0 {
                     continue;
                 }
                 let v = lg.to_global(l);
-                let mut nbrs = lg.neighbors(l).filter(|&(u, _)| u != v && alive_of(u));
+                let mut nbrs = (ghosts.neighbors(lg, l)).filter(|&(t, u, _)| u != v && alive_of(t));
                 qual_target[l] = match (nbrs.next(), nbrs.next()) {
-                    (Some((u, _)), None) => Some(u),
+                    (Some((t, u, _)), None) => Some((t, u)),
                     _ => None,
                 };
             }
@@ -846,15 +903,17 @@ fn apply_vertex_following(
         comm.with_step(CommStep::Other, || {
             ghosts.refresh(comm, &qual, &mut ghost_qual)
         });
-        let qual_of = |u| ghosts.value_of(u, |i| qual[i], &ghost_qual) == 1;
+        let qual_of = |t| ghosts.value_of(t, |i| qual[i], &ghost_qual) == 1;
         let mut peeled = 0u64;
         for l in 0..nlocal {
-            let Some(u) = qual_target[l] else { continue };
+            let Some((t, u)) = qual_target[l] else {
+                continue;
+            };
             let v = lg.to_global(l);
             // If the parent also qualifies, the relation is mutual (its
             // unique alive neighbor must be us): only the larger id
             // follows, the smaller survives as the pair's anchor.
-            if qual_of(u) && u > v {
+            if qual_of(t) && u > v {
                 continue;
             }
             alive[l] = 0;
@@ -894,7 +953,9 @@ fn apply_vertex_following(
                     (false, anchor[i].expect("dead vertex without a parent"))
                 }
             },
-            &mut next,
+            |u, hop| {
+                next.insert(u, hop);
+            },
         );
         let mut unresolved = 0u64;
         for l in 0..nlocal {
@@ -928,15 +989,15 @@ fn apply_vertex_following(
         let t = anchor[l].expect("peeled vertex without an anchor");
         let kv = k_local[l];
         // Leave own singleton community (owned here by construction).
-        state.comm[l].store(t, Ordering::Relaxed);
+        let joined = index.dense(t);
+        state.comm[l].store(joined, Ordering::Relaxed);
         state.a[l].fetch_add(-kv);
         state.size[l].fetch_sub(1, Ordering::Relaxed);
         collapsed += 1;
         // Join the anchor's community.
-        if lg.owns(t) {
-            let i = (t - first) as usize;
-            state.a[i].fetch_add(kv);
-            state.size[i].fetch_add(1, Ordering::Relaxed);
+        if index.remote_slot(joined).is_none() {
+            state.a[joined as usize].fetch_add(kv);
+            state.size[joined as usize].fetch_add(1, Ordering::Relaxed);
         } else {
             let d = deltas.entry(t).or_insert((0.0, 0));
             d.0 += kv;
@@ -948,7 +1009,7 @@ fn apply_vertex_following(
         comm,
         part,
         CommStep::Other,
-        &deltas,
+        deltas.iter().map(|(&c, &(da, ds))| (c, da, ds)),
         &mut Vec::new(),
         |c, da, ds| state.absorb((c - first) as usize, da, ds),
     );
@@ -959,13 +1020,16 @@ fn local_modularity_terms(
     lg: &LocalGraph,
     ghosts: &GhostLayer,
     state: &SweepState,
-    ghost_comm: &[VertexId],
+    ghost_comm: &[u32],
 ) -> (f64, f64) {
+    let (offsets, _, arc_weights) = lg.csr_parts();
+    let targets = ghosts.targets();
     let mut e_in_local = 0.0;
     for l in 0..lg.num_local() {
         let cv = state.comm_of_local(l);
-        for (u, w) in lg.neighbors(l) {
-            if ghosts.value_of(u, |i| state.comm_of_local(i), ghost_comm) == cv {
+        let row = offsets[l]..offsets[l + 1];
+        for (&t, &w) in targets[row.clone()].iter().zip(&arc_weights[row]) {
+            if ghosts.value_of(t, |i| state.comm_of_local(i), ghost_comm) == cv {
                 e_in_local += w;
             }
         }
@@ -1320,6 +1384,245 @@ mod tests {
             .graph,
             louvain_graph::gen::rmat(louvain_graph::gen::RmatParams::social(9, 8, 11)).graph,
         ]
+    }
+
+    /// `lg` with the arcs of every row reversed or shuffled in place.
+    fn with_row_order(lg: &LocalGraph, order: &str) -> LocalGraph {
+        let (offsets, dests, weights) = lg.csr_parts();
+        let (mut d, mut w) = (dests.to_vec(), weights.to_vec());
+        for l in 0..lg.num_local() {
+            let row = offsets[l]..offsets[l + 1];
+            let from: Vec<usize> = match order {
+                "forward" => continue,
+                "reversed" => row.clone().rev().collect(),
+                "shuffled" => louvain_graph::hash::shuffled_order(row.len(), 0x5eed ^ l as u64)
+                    .into_iter()
+                    .map(|i| row.start + i)
+                    .collect(),
+                other => panic!("unknown row order {other}"),
+            };
+            for (to, from) in row.zip(from) {
+                (d[to], w[to]) = (dests[from], weights[from]);
+            }
+        }
+        LocalGraph::from_csr_parts(lg.partition().clone(), lg.rank(), offsets.to_vec(), d, w)
+    }
+
+    /// Two copies of `g` side by side with no edge between them. Under
+    /// `index_order_sweep` on one rank the two workers of a relaxed sweep
+    /// get one copy each and never read each other's vertices, which
+    /// makes that racy schedule repeatable.
+    fn side_by_side(g: &Csr) -> Csr {
+        let n = g.num_vertices() as u64;
+        let mut el = EdgeList::new(2 * n);
+        for e in g.to_edge_list().edges() {
+            el.push(e.u, e.v, e.w);
+            el.push(e.u + n, e.v + n, e.w);
+        }
+        Csr::from_edge_list(el)
+    }
+
+    #[test]
+    fn arc_order_within_a_row_never_changes_a_decision() {
+        // What makes first-touch candidate order safe: on integer weights
+        // two candidate scores are equal or at least 1/2m apart, so the
+        // 1e-12 / smallest-id rule picks the same target whatever order
+        // the candidates are met in. If every decision is the same, so is
+        // the whole phase — asserted bit for bit, under all three drivers.
+        let graphs = [
+            louvain_graph::gen::lfr(louvain_graph::gen::LfrParams::small(3_000, 7)).graph,
+            louvain_graph::gen::rmat(louvain_graph::gen::RmatParams::social(11, 8, 5)).graph,
+        ];
+        let threaded = |sweep| DistConfig {
+            sweep,
+            threads_per_rank: 2,
+            ..DistConfig::baseline()
+        };
+        for (gi, g) in graphs.iter().enumerate() {
+            let doubled = side_by_side(g);
+            let relaxed = DistConfig {
+                index_order_sweep: true,
+                ..threaded(crate::SweepMode::Relaxed)
+            };
+            let cases = [
+                ("sequential", g, vec![1, 2], DistConfig::baseline()),
+                (
+                    "colored",
+                    g,
+                    vec![1, 2],
+                    threaded(crate::SweepMode::Colored),
+                ),
+                ("relaxed", &doubled, vec![1], relaxed),
+            ];
+            for (driver, g, ranks, cfg) in cases {
+                for p in ranks {
+                    let part = VertexPartition::balanced_vertices(g.num_vertices() as u64, p);
+                    let parts = LocalGraph::scatter(g, &part);
+                    let phase = |order: &str| {
+                        run(p, |c| {
+                            let lg = with_row_order(&parts[c.rank()], order);
+                            let mut ghosts = GhostLayer::build(c, &lg);
+                            let ctx = PhaseContext {
+                                comm: c,
+                                lg: &lg,
+                                two_m: g.two_m(),
+                            };
+                            let r = louvain_phase(&ctx, &mut ghosts, &cfg, 0, cfg.threshold);
+                            (r.comm_of_local, r.modularity.to_bits(), r.iterations)
+                        })
+                    };
+                    let forward = phase("forward");
+                    for order in ["reversed", "shuffled"] {
+                        assert_eq!(
+                            forward,
+                            phase(order),
+                            "graph {gi}, {driver}, p={p}: {order}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn only_scores_chained_inside_the_tolerance_depend_on_candidate_order() {
+        // Vertex 3 next to the singletons 0, 1, 2, all with the same a_c,
+        // so its three scores differ by exactly the edge weights. Met as
+        // 0, 1, 2, candidate 2 beats 0 outright; met as 2, 1, 0, each next
+        // one ties with its predecessor and wins on the smaller id. "Within
+        // 1e-12" is not transitive — that, and nothing else, is where the
+        // order of the candidates can show.
+        let decide = |w: [Weight; 3], order: [usize; 3]| -> Option<VertexId> {
+            let part = VertexPartition::balanced_vertices(4, 1);
+            let dests: Vec<VertexId> = [3, 3, 3]
+                .into_iter()
+                .chain(order.map(|i| i as u64))
+                .collect();
+            let weights: Vec<Weight> = w.into_iter().chain(order.map(|i| w[i])).collect();
+            let lg = LocalGraph::from_csr_parts(part, 0, vec![0, 1, 2, 3, 6], dests, weights);
+            run(1, |c| {
+                let ghosts = GhostLayer::build(c, &lg);
+                let index = CommunityIndex::new(&lg);
+                let k_local: Vec<Weight> = (0..4).map(|l| lg.weighted_degree(l)).collect();
+                let state = SweepState::new(&k_local);
+                for a in &state.a[..3] {
+                    a.store(1.0);
+                }
+                let (offsets, _, arc_weights) = lg.csr_parts();
+                let sweep = Sweep {
+                    offsets,
+                    arc_weights,
+                    targets: ghosts.targets(),
+                    ghosts: &ghosts,
+                    ghost_comm: &[],
+                    index: &index,
+                    state: &state,
+                    k_local: &k_local,
+                    two_m: lg.local_arc_weight(),
+                    guard_singleton_swap: true,
+                    remote_a: &DenseMap::default(),
+                };
+                let mut table = DenseMap::default();
+                table.cover(index.num_dense());
+                let best = sweep.best_move(3, &DenseMap::default(), &mut table, &mut 0);
+                assert!(table.is_clear());
+                best.map(|c| index.global(c))
+            })[0]
+        };
+        let chained = [1.0, 1.0 + 0.8e-12, 1.0 + 1.6e-12];
+        assert_eq!(decide(chained, [0, 1, 2]), Some(2));
+        assert_eq!(decide(chained, [2, 1, 0]), Some(0));
+        // Integer weights: scores are equal (smallest id) or far apart
+        // (largest score), in either order.
+        for order in [[0, 1, 2], [2, 1, 0], [1, 2, 0]] {
+            assert_eq!(decide([1.0, 1.0, 1.0], order), Some(0));
+            assert_eq!(decide([1.0, 2.0, 1.0], order), Some(1));
+        }
+    }
+
+    #[test]
+    fn phase_boundary_invariants_hold_for_every_schedule() {
+        // The oracle the pins cannot be: whatever trajectory a schedule
+        // takes, what it hands to rebuild must be consistent.
+        let threaded = |sweep| DistConfig {
+            sweep,
+            threads_per_rank: 2,
+            ..DistConfig::baseline()
+        };
+        let schedules = [
+            ("sequential", DistConfig::baseline()),
+            ("colored", threaded(crate::SweepMode::Colored)),
+            ("relaxed", threaded(crate::SweepMode::Relaxed)),
+        ];
+        for (gi, g) in parity_graphs().iter().enumerate() {
+            let n = g.num_vertices();
+            let two_m = g.two_m();
+            for p in [1, 2, 3] {
+                for (name, cfg) in &schedules {
+                    let at = format!("graph {gi}, p={p}, {name}");
+                    let part = VertexPartition::balanced_vertices(n as u64, p);
+                    let parts = LocalGraph::scatter(g, &part);
+                    let outs = run(p, |c| {
+                        let lg = parts[c.rank()].clone();
+                        let mut ghosts = GhostLayer::build(c, &lg);
+                        let ctx = PhaseContext {
+                            comm: c,
+                            lg: &lg,
+                            two_m,
+                        };
+                        let r = louvain_phase(&ctx, &mut ghosts, cfg, 0, cfg.threshold);
+                        let ghost_ids: Vec<VertexId> =
+                            ghosts.requests().iter().flatten().copied().collect();
+                        let coarse = crate::rebuild::rebuild(
+                            c,
+                            &lg,
+                            &ghosts,
+                            &r.comm_of_local,
+                            &r.ghost_comm,
+                        );
+                        (r, ghost_ids, coarse.new_lg)
+                    });
+                    let assignment: Vec<VertexId> =
+                        (outs.iter().flat_map(|o| o.0.comm_of_local.iter().copied())).collect();
+                    // The incrementally tracked a_c and sizes are the ones
+                    // recomputed from the final assignment.
+                    let mut a = vec![0.0; n];
+                    let mut size = vec![0u64; n];
+                    for (v, &c) in assignment.iter().enumerate() {
+                        a[c as usize] += g.weighted_degree(v as u64);
+                        size[c as usize] += 1;
+                    }
+                    let owned_a: Vec<Weight> = outs
+                        .iter()
+                        .flat_map(|o| o.0.owned_a.iter().copied())
+                        .collect();
+                    let owned_size: Vec<u64> =
+                        (outs.iter().flat_map(|o| o.0.owned_size.iter().copied())).collect();
+                    assert_eq!(owned_size, size, "{at}: community sizes");
+                    assert_eq!(owned_size.iter().sum::<u64>(), n as u64, "{at}");
+                    for (c, (got, want)) in owned_a.iter().zip(&a).enumerate() {
+                        assert!((got - want).abs() < 1e-9, "{at}: a[{c}] {got} vs {want}");
+                    }
+                    assert!((owned_a.iter().sum::<f64>() - two_m).abs() < 1e-9, "{at}");
+                    // Every ghost slot holds its owner's final value.
+                    for (r, ghost_ids, _) in &outs {
+                        assert_eq!(r.ghost_comm.len(), ghost_ids.len(), "{at}");
+                        for (&c, &v) in r.ghost_comm.iter().zip(ghost_ids) {
+                            assert_eq!(c, assignment[v as usize], "{at}: ghost {v}");
+                        }
+                    }
+                    // Reported Q is Q from scratch, and rebuild keeps it.
+                    let q = outs[0].0.modularity;
+                    assert!((q - modularity(g, &assignment)).abs() < 1e-9, "{at}");
+                    let pieces: Vec<LocalGraph> = outs.into_iter().map(|o| o.2).collect();
+                    let coarse = LocalGraph::assemble(&pieces);
+                    assert!((coarse.two_m() - two_m).abs() < 1e-9, "{at}: arc weight");
+                    let singletons =
+                        louvain_graph::community::singleton_assignment(coarse.num_vertices());
+                    assert!((modularity(&coarse, &singletons) - q).abs() < 1e-9, "{at}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -32,10 +32,15 @@ pub struct RebuildOutput {
     pub work: WorkCounter,
 }
 
+/// New id of an owned community nobody is a member of.
+const DROPPED: VertexId = VertexId::MAX;
+
 /// Execute the distributed rebuild. Collective.
 ///
 /// `comm_of_local` / `ghost_comm` are the final (exchanged) community
-/// assignments from the phase's last iteration.
+/// assignments from the phase's last iteration. Owned communities are
+/// looked up by `c - first` in flat arrays, remote ones hashed once per
+/// vertex or ghost that is in one; the arc loop of step 5 only indexes.
 pub fn rebuild(
     comm: &Comm,
     lg: &LocalGraph,
@@ -45,54 +50,62 @@ pub fn rebuild(
 ) -> RebuildOutput {
     let p = comm.size();
     let part = lg.partition();
+    let first = lg.first_vertex();
+    let nlocal = lg.num_local();
+    let owned = |c: VertexId| Some(c.wrapping_sub(first) as usize).filter(|&i| i < nlocal);
     let mut work = WorkCounter::default();
 
     // -- Steps 1–2: report used communities to their owners. -------------
     // Each community that has at least one member must survive; members
     // report to the community's owner. (A community id owned here that no
-    // vertex uses anymore is thereby dropped — step 2.)
+    // vertex uses anymore is thereby dropped — step 2.) The remote ones
+    // are also the first of the communities step 4 asks about.
     let mut report_sets: Vec<Vec<VertexId>> = vec![Vec::new(); p];
+    let mut referenced: Vec<VertexId> = Vec::new();
+    let mut seen_remote = fast_set::<VertexId>();
     {
-        let mut seen = fast_set::<VertexId>();
+        let mut seen_owned = vec![false; nlocal];
         for &c in comm_of_local {
-            if seen.insert(c) {
+            let here = owned(c);
+            let first_sight = match here {
+                Some(i) => !std::mem::replace(&mut seen_owned[i], true),
+                None => seen_remote.insert(c),
+            };
+            if first_sight {
                 report_sets[part.owner_of(c)].push(c);
+                if here.is_none() {
+                    referenced.push(c);
+                }
             }
         }
     }
     let reports = comm.with_step(CommStep::Other, || comm.all_to_all_v(report_sets));
-    let mut survivors: Vec<VertexId> = {
-        let mut s = fast_set::<VertexId>();
-        for list in &reports {
-            s.extend(list.iter().copied());
-        }
-        s.into_iter().collect()
-    };
-    survivors.sort_unstable();
-    work.vertices_processed += survivors.len() as u64;
+    // Mark the survivors; step 3 numbers them in id order.
+    let mut owned_new_id = vec![DROPPED; nlocal];
+    for &c in reports.iter().flatten() {
+        owned_new_id[owned(c).expect("reported community not owned here")] = 0;
+    }
+    let k_local = owned_new_id.iter().filter(|&&id| id != DROPPED).count() as u64;
+    work.vertices_processed += k_local;
 
     // -- Step 3: global renumbering via exclusive prefix sum. -------------
-    let k_local = survivors.len() as u64;
     let (base, new_num_vertices) = comm.with_step(CommStep::Other, || {
         (
             comm.exscan_sum(k_local),
             comm.all_reduce(k_local, ReduceOp::Sum),
         )
     });
-    let mut owned_new_id: FastMap<VertexId, VertexId> = fast_map();
-    for (i, &c) in survivors.iter().enumerate() {
-        owned_new_id.insert(c, base + i as u64);
+    let survivors = owned_new_id.iter_mut().filter(|id| **id != DROPPED);
+    for (rank, id) in survivors.enumerate() {
+        *id = base + rank as u64;
     }
 
     // -- Step 4: query the new ids of every community we reference. -------
     // Referenced = final communities of local vertices and of ghosts
     // (needed to relabel edge destinations).
-    let mut seen = fast_set::<VertexId>();
-    let referenced = comm_of_local
-        .iter()
-        .chain(ghost_comm)
-        .copied()
-        .filter(|&c| seen.insert(c) && !lg.owns(c));
+    referenced.extend(
+        (ghost_comm.iter().copied()).filter(|&c| owned(c).is_none() && seen_remote.insert(c)),
+    );
     let mut remote_new_id: FastMap<VertexId, VertexId> = fast_map();
     pull_from_owners(
         comm,
@@ -100,32 +113,50 @@ pub fn rebuild(
         CommStep::Other,
         referenced,
         &mut PullBufs::default(),
-        |c| *(owned_new_id.get(&c)).expect("queried community has no member anywhere"),
-        &mut remote_new_id,
+        |c| {
+            let id = owned_new_id[(c - first) as usize];
+            assert_ne!(id, DROPPED, "queried community {c} has no member anywhere");
+            id
+        },
+        |c, id| {
+            remote_new_id.insert(c, id);
+        },
     );
-    let mut new_id = owned_new_id;
-    new_id.extend(remote_new_id);
+    let new_id = |c: &VertexId| match owned(*c) {
+        Some(i) => owned_new_id[i],
+        None => remote_new_id[c],
+    };
 
     // -- Step 5: partial new edge lists. -----------------------------------
-    let vertex_new_id: Vec<VertexId> = comm_of_local.iter().map(|c| new_id[c]).collect();
+    // A row goes to the owner of its source's new id, found once per row;
+    // the buffers are sized exactly by a pass over the row lengths.
+    let vertex_new_id: Vec<VertexId> = comm_of_local.iter().map(new_id).collect();
+    let ghost_new_id: Vec<VertexId> = ghost_comm.iter().map(new_id).collect();
     let new_part = VertexPartition::balanced_vertices(new_num_vertices, p);
-    let mut outgoing: Vec<Vec<(VertexId, VertexId, Weight)>> = vec![Vec::new(); p];
+    let (offsets, _, weights) = lg.csr_parts();
+    let targets = ghosts.targets();
+    let mut lens = vec![0usize; p];
     for (l, &src) in vertex_new_id.iter().enumerate() {
-        for (u, w) in lg.neighbors(l) {
-            work.edges_scanned += 1;
-            let cu = ghosts.value_of(u, |i| comm_of_local[i], ghost_comm);
-            let dst = new_id[&cu];
-            outgoing[new_part.owner_of(src)].push((src, dst, w));
-        }
+        lens[new_part.owner_of(src)] += offsets[l + 1] - offsets[l];
+    }
+    let mut outgoing: Vec<Vec<(VertexId, VertexId, Weight)>> =
+        lens.into_iter().map(Vec::with_capacity).collect();
+    for (l, &src) in vertex_new_id.iter().enumerate() {
+        let row = offsets[l]..offsets[l + 1];
+        work.edges_scanned += row.len() as u64;
+        let arcs = targets[row.clone()].iter().zip(&weights[row]);
+        outgoing[new_part.owner_of(src)].extend(arcs.map(|(&t, &w)| {
+            let dst = ghosts.value_of(t, |i| vertex_new_id[i], &ghost_new_id);
+            (src, dst, w)
+        }));
     }
 
     // -- Step 6: redistribute. ---------------------------------------------
     let received = comm.with_step(CommStep::Other, || comm.all_to_all_v(outgoing));
-    let arcs: Vec<(VertexId, VertexId, Weight)> = received.into_iter().flatten().collect();
-    work.edges_scanned += arcs.len() as u64;
+    work.edges_scanned += received.iter().map(|arcs| arcs.len() as u64).sum::<u64>();
 
     // -- Step 7: rebuild the CSR (duplicate arcs merged inside from_arcs).
-    let new_lg = LocalGraph::from_arcs(new_part, comm.rank(), arcs);
+    let new_lg = LocalGraph::from_arcs(new_part, comm.rank(), received);
 
     RebuildOutput {
         new_lg,

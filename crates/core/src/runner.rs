@@ -67,7 +67,9 @@ fn pull_values(
         unique.iter().copied(),
         &mut PullBufs::default(),
         |k| local_vals[(k - first) as usize],
-        &mut map,
+        |k, v| {
+            map.insert(k, v);
+        },
     );
     keys.iter().map(|k| map[k]).collect()
 }

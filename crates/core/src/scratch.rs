@@ -11,28 +11,143 @@
 //! from the receive side of the same collective (see [`reclaim`]), so
 //! after the first iteration the steady state performs no allocation at
 //! all on the exchange path.
+//!
+//! Everything keyed by a community is a [`DenseMap`] over the phase's
+//! dense community numbering ([`crate::ghost::CommunityIndex`]): the
+//! sweep and the steps around it index arrays, they never hash.
 
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 
-use louvain_graph::hash::{FastMap, FastSet};
 use louvain_graph::{VertexId, Weight};
 
 use crate::ghost::{CommunityDelta, PullBufs};
 
-/// Per-phase arena of reusable iteration buffers. `Sync` so the parallel
-/// compute sweep can check neighbor-weight maps out of the shared pool.
+/// Collision-free map over a dense key range (Sahu's per-thread table):
+/// a full-size slot array plus the entries in first-touch order, cleared
+/// by walking the entries. A key's presence is exact — an entry whose
+/// value sums to zero is still an entry.
+#[derive(Debug, Default)]
+pub struct DenseMap<V> {
+    /// `slot[k]`: 1 + position of key `k` in `entries`, 0 while absent.
+    slot: Vec<u32>,
+    entries: Vec<(u32, V)>,
+}
+
+impl<V: Copy + Default> DenseMap<V> {
+    /// Accept keys `0..keys`. The slot array only grows (the new tail
+    /// zero-filled), so calling this before every use costs nothing once
+    /// the key range has settled.
+    pub fn cover(&mut self, keys: usize) {
+        if self.slot.len() < keys {
+            self.slot.resize(keys, 0);
+        }
+    }
+
+    /// The value of `k`, inserted as `V::default()` on first touch.
+    #[inline]
+    pub fn entry(&mut self, k: u32) -> &mut V {
+        let slot = &mut self.slot[k as usize];
+        if *slot == 0 {
+            self.entries.push((k, V::default()));
+            // At most one entry per key and keys are `u32`.
+            *slot = self.entries.len() as u32;
+        }
+        &mut self.entries[*slot as usize - 1].1
+    }
+
+    #[inline]
+    pub fn get(&self, k: u32) -> Option<V> {
+        match self.slot[k as usize] {
+            0 => None,
+            s => Some(self.entries[s as usize - 1].1),
+        }
+    }
+
+    /// `(key, value)` pairs in first-touch order.
+    #[inline]
+    pub fn entries(&self) -> &[(u32, V)] {
+        &self.entries
+    }
+
+    pub fn clear(&mut self) {
+        for &(k, _) in &self.entries {
+            self.slot[k as usize] = 0;
+        }
+        self.entries.clear();
+    }
+
+    /// No entry and every slot zero (a full scan — for `debug_assert!`).
+    pub fn is_clear(&self) -> bool {
+        self.entries.is_empty() && self.slot.iter().all(|&s| s == 0)
+    }
+
+    fn approx_bytes(&self) -> u64 {
+        flat_bytes(&self.slot) + flat_bytes(&self.entries)
+    }
+}
+
+/// What one sweep driver accumulated, merged into the round's total
+/// after the sweep.
+#[derive(Debug, Default)]
+pub struct SweepAcc {
+    /// `(Δa_c, Δsize)` of remote communities, keyed by
+    /// [`crate::ghost::CommunityIndex::remote_slot`]; the owner push
+    /// sends them in first-touch order.
+    pub deltas: DenseMap<(Weight, i64)>,
+    pub moves: u64,
+    pub edges: u64,
+    pub vertices: u64,
+}
+
+impl SweepAcc {
+    /// Fold `other` into `self`, leaving `other` empty for the next sweep.
+    pub fn absorb(&mut self, other: &mut SweepAcc) {
+        for &(c, (da, ds)) in other.deltas.entries() {
+            let e = self.deltas.entry(c);
+            e.0 += da;
+            e.1 += ds;
+        }
+        self.moves += other.moves;
+        self.edges += other.edges;
+        self.vertices += other.vertices;
+        other.clear();
+    }
+
+    pub fn clear(&mut self) {
+        self.deltas.clear();
+        (self.moves, self.edges, self.vertices) = (0, 0, 0);
+    }
+}
+
+/// One sweep worker's private state, alive for the whole phase: worker
+/// `w` of the pool is the only thread that ever locks slot `w`.
+#[derive(Debug, Default)]
+pub struct SweepWorker {
+    /// Edge weight from the vertex being scored toward each neighbouring
+    /// community (dense index); clear between vertices.
+    pub weights: DenseMap<Weight>,
+    /// Moves `(local vertex, target community)` this worker decided in
+    /// the current colour batch, drained by the apply step.
+    pub moves: Vec<(usize, u32)>,
+    pub acc: SweepAcc,
+}
+
+/// Per-phase arena of reusable iteration buffers.
 pub struct IterScratch {
-    /// Community snapshot taken immediately before each ghost exchange.
+    /// Community snapshot (global ids) taken immediately before each
+    /// ghost exchange.
     pub comm_snapshot: Vec<VertexId>,
     /// Per-vertex ET activity flags for the current iteration.
     pub active: Vec<bool>,
-    /// Remote communities whose `a_c` must be pulled this round.
-    pub needed: FastSet<VertexId>,
+    /// Global ids of the remote communities whose `a_c` is pulled this
+    /// round: the keys of `remote_a`, as they go on the wire.
+    pub needed: Vec<VertexId>,
     /// Request and keyed `(community, (a_c, size))` reply buffers of the
     /// a_c pull.
     pub pull: PullBufs<(Weight, u64)>,
-    /// `a_c` and size of remote communities, rebuilt every round.
-    pub remote_a: FastMap<VertexId, (Weight, u64)>,
+    /// `a_c` and size of remote communities (by remote slot), rebuilt
+    /// every round.
+    pub remote_a: DenseMap<(Weight, u64)>,
     /// The vertex ids swept in the current (sub-)round.
     pub round_vertices: Vec<usize>,
     /// Per-destination-rank delta messages for the owner push.
@@ -40,46 +155,41 @@ pub struct IterScratch {
     /// Per-color conflict-free batches of the colored sweep schedule,
     /// rebuilt (cleared, capacities kept) every round it runs.
     pub batches: Vec<Vec<usize>>,
-    /// Neighbor-weight maps checked out by sweep workers (sequential or
-    /// one per rayon chunk) and returned after the sweep.
-    weights: Mutex<Vec<FastMap<VertexId, Weight>>>,
+    /// One slot per pool worker.
+    pub workers: Vec<Mutex<SweepWorker>>,
+    /// The current round's merged sweep result.
+    pub acc: SweepAcc,
 }
 
 impl IterScratch {
-    /// Arena for a rank with `nlocal` vertices.
-    pub fn new(nlocal: usize) -> Self {
+    /// Arena for a rank with `nlocal` vertices swept by `workers` threads.
+    pub fn new(nlocal: usize, workers: usize) -> Self {
         Self {
             comm_snapshot: Vec::with_capacity(nlocal),
             active: Vec::with_capacity(nlocal),
-            needed: FastSet::default(),
+            needed: Vec::new(),
             pull: PullBufs::default(),
-            remote_a: FastMap::default(),
+            remote_a: DenseMap::default(),
             round_vertices: Vec::with_capacity(nlocal),
             delta_msgs: Vec::new(),
             batches: Vec::new(),
-            weights: Mutex::new(Vec::new()),
+            workers: (0..workers).map(|_| Mutex::default()).collect(),
+            acc: SweepAcc::default(),
         }
     }
 
-    /// Check a cleared neighbor-weight map out of the pool (allocating
-    /// only if the pool is dry — i.e. the first sweep of the phase).
-    pub fn take_weights(&self) -> FastMap<VertexId, Weight> {
-        let mut m = self
-            .weights
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .pop()
-            .unwrap_or_default();
-        m.clear();
-        m
-    }
-
-    /// Return a neighbor-weight map to the pool for the next sweep.
-    pub fn put_weights(&self, m: FastMap<VertexId, Weight>) {
-        self.weights
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .push(m);
+    /// Size every community-keyed table for `communities` dense indices,
+    /// `remote` of them remote. Called once per round, before the sweep;
+    /// a no-op unless the rank saw a new remote community since.
+    pub fn cover(&mut self, communities: usize, remote: usize) {
+        self.remote_a.cover(remote);
+        self.acc.deltas.cover(remote);
+        for w in &mut self.workers {
+            let w = w.get_mut().expect("a sweep worker panicked");
+            debug_assert!(w.weights.is_clear(), "a sweep left its table dirty");
+            w.weights.cover(communities);
+            w.acc.deltas.cover(remote);
+        }
     }
 
     /// Approximate resident bytes of the arena, from buffer *capacities*
@@ -87,30 +197,37 @@ impl IterScratch {
     /// phase end yields the arena's high-water mark for the
     /// `mem.scratch_bytes` gauge.
     pub fn approx_bytes(&self) -> u64 {
-        use std::mem::size_of;
-        fn flat<T>(v: &Vec<T>) -> u64 {
-            (v.capacity() * size_of::<T>()) as u64
-        }
         fn nested<T>(v: &[Vec<T>]) -> u64 {
-            v.iter()
-                .map(|b| (b.capacity() * size_of::<T>()) as u64)
-                .sum()
+            v.iter().map(flat_bytes).sum()
         }
-        let weights = self.weights.lock().unwrap_or_else(|e| e.into_inner());
-        flat(&self.comm_snapshot)
-            + flat(&self.active)
-            + (self.needed.capacity() * size_of::<VertexId>()) as u64
+        let workers: u64 = (self.workers.iter())
+            .map(|w| {
+                let w = lock_worker(w);
+                w.weights.approx_bytes() + flat_bytes(&w.moves) + w.acc.deltas.approx_bytes()
+            })
+            .sum();
+        flat_bytes(&self.comm_snapshot)
+            + flat_bytes(&self.active)
+            + flat_bytes(&self.needed)
             + nested(&self.pull.requests)
             + nested(&self.pull.replies)
-            + (self.remote_a.capacity() * size_of::<(VertexId, (Weight, u64))>()) as u64
-            + flat(&self.round_vertices)
+            + self.remote_a.approx_bytes()
+            + flat_bytes(&self.round_vertices)
             + nested(&self.delta_msgs)
             + nested(&self.batches)
-            + weights
-                .iter()
-                .map(|m| (m.capacity() * size_of::<(VertexId, Weight)>()) as u64)
-                .sum::<u64>()
+            + workers
+            + self.acc.deltas.approx_bytes()
     }
+}
+
+fn flat_bytes<T>(v: &Vec<T>) -> u64 {
+    (v.capacity() * std::mem::size_of::<T>()) as u64
+}
+
+/// Lock a worker slot. Uncontended by construction; poisoned only if a
+/// sweep worker panicked, which has already failed the run.
+pub fn lock_worker(w: &Mutex<SweepWorker>) -> MutexGuard<'_, SweepWorker> {
+    w.lock().expect("a sweep worker panicked")
 }
 
 /// Reclaim the vectors received from one collective as the send buffers
@@ -129,15 +246,54 @@ mod tests {
     use super::*;
 
     #[test]
-    fn weights_pool_recycles_maps() {
-        let s = IterScratch::new(8);
-        let mut m = s.take_weights();
-        m.insert(1, 2.0);
-        let cap_hint = m.capacity();
-        s.put_weights(m);
-        let m2 = s.take_weights();
-        assert!(m2.is_empty(), "pooled map must come back cleared");
-        assert!(m2.capacity() >= cap_hint.min(1));
+    fn dense_map_keeps_first_touch_order_and_clears_by_its_entries() {
+        let mut m: DenseMap<Weight> = DenseMap::default();
+        m.cover(8);
+        assert!(m.is_clear());
+        *m.entry(5) += 1.5;
+        *m.entry(2) += 1.0;
+        *m.entry(5) += 0.25;
+        // Presence is exact: a zero sum is still an entry.
+        *m.entry(7) += 0.0;
+        assert_eq!(m.entries(), &[(5, 1.75), (2, 1.0), (7, 0.0)]);
+        assert_eq!(m.get(7), Some(0.0));
+        assert_eq!(m.get(0), None);
+        m.clear();
+        assert!(m.is_clear());
+        // Growing keeps what is there and zero-fills the tail.
+        *m.entry(1) += 2.0;
+        m.cover(16);
+        assert_eq!(m.get(1), Some(2.0));
+        assert_eq!(m.get(15), None);
+    }
+
+    #[test]
+    fn absorb_merges_and_empties_the_source() {
+        let mut total = SweepAcc::default();
+        let mut part = SweepAcc::default();
+        total.deltas.cover(4);
+        part.deltas.cover(4);
+        *total.deltas.entry(1) = (1.0, 1);
+        *part.deltas.entry(3) = (2.0, -1);
+        *part.deltas.entry(1) = (0.5, 1);
+        part.moves = 2;
+        part.edges = 10;
+        part.vertices = 3;
+        total.absorb(&mut part);
+        assert_eq!(total.deltas.entries(), &[(1, (1.5, 2)), (3, (2.0, -1))]);
+        assert_eq!((total.moves, total.edges, total.vertices), (2, 10, 3));
+        assert!(part.deltas.is_clear());
+        assert_eq!((part.moves, part.edges, part.vertices), (0, 0, 0));
+    }
+
+    #[test]
+    fn approx_bytes_counts_the_worker_tables() {
+        let mut s = IterScratch::new(8, 2);
+        let before = s.approx_bytes();
+        s.cover(1000, 100);
+        // Two weight tables over 1000 communities, four remote tables
+        // over 100 (remote_a, the round's deltas, one per worker).
+        assert!(s.approx_bytes() >= before + 2 * 4000 + 4 * 400);
     }
 
     #[test]

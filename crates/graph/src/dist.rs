@@ -21,41 +21,67 @@ pub struct LocalGraph {
 }
 
 impl LocalGraph {
-    /// Build from arcs whose sources are all owned by `rank`. Duplicate
-    /// `(src, dst)` arcs are merged by summing weights (this happens after
-    /// the edge redistribution of graph reconstruction).
+    /// Build from arcs whose sources are all owned by `rank`, as they
+    /// arrive from an edge redistribution: one vector per sending rank.
+    /// Duplicate `(src, dst)` arcs are merged by summing their weights in
+    /// arrival order.
     pub fn from_arcs(
         part: VertexPartition,
         rank: usize,
-        arcs: Vec<(VertexId, VertexId, Weight)>,
+        arcs: Vec<Vec<(VertexId, VertexId, Weight)>>,
     ) -> Self {
         let first = part.first(rank);
         let nlocal = part.num_local(rank);
-        // Merge duplicates, then bucket by source row.
-        let mut merged = fast_map_with_capacity::<(VertexId, VertexId), Weight>(arcs.len());
-        for (u, v, w) in arcs {
+        // Bucket by source row, keeping arrival order inside a row.
+        let mut offsets = vec![0usize; nlocal + 1];
+        for &(u, _, _) in arcs.iter().flatten() {
             debug_assert_eq!(
                 part.owner_of(u),
                 rank,
                 "arc source {u} not owned by rank {rank}"
             );
-            *merged.entry((u, v)).or_insert(0.0) += w;
-        }
-        let mut sorted: Vec<_> = merged.into_iter().map(|((u, v), w)| (u, v, w)).collect();
-        sorted.sort_unstable_by_key(|&(u, v, _)| (u, v));
-        let mut offsets = vec![0usize; nlocal + 1];
-        for &(u, _, _) in &sorted {
             offsets[(u - first) as usize + 1] += 1;
         }
         for i in 0..nlocal {
             offsets[i + 1] += offsets[i];
         }
+        let mut cursor = offsets[..nlocal].to_vec();
+        let mut rows: Vec<(VertexId, Weight)> = vec![(0, 0.0); offsets[nlocal]];
+        for chunk in arcs {
+            for (u, v, w) in chunk {
+                let at = &mut cursor[(u - first) as usize];
+                rows[*at] = (v, w);
+                *at += 1;
+            }
+        }
+        // Per row: stable sort by destination, then fold each run of equal
+        // destinations into one arc, compacting toward the front of `rows`
+        // (the write position never passes the read position).
+        let mut merged = 0;
+        for i in 0..nlocal {
+            let (lo, hi) = (offsets[i], offsets[i + 1]);
+            rows[lo..hi].sort_by_key(|&(v, _)| v);
+            offsets[i] = merged;
+            let mut next = lo;
+            while next < hi {
+                let v = rows[next].0;
+                let mut sum = 0.0;
+                while next < hi && rows[next].0 == v {
+                    sum += rows[next].1;
+                    next += 1;
+                }
+                rows[merged] = (v, sum);
+                merged += 1;
+            }
+        }
+        offsets[nlocal] = merged;
+        rows.truncate(merged);
         Self {
             part,
             rank,
             offsets,
-            dests: sorted.iter().map(|&(_, v, _)| v).collect(),
-            weights: sorted.iter().map(|&(_, _, w)| w).collect(),
+            dests: rows.iter().map(|&(v, _)| v).collect(),
+            weights: rows.iter().map(|&(_, w)| w).collect(),
         }
     }
 
@@ -308,7 +334,7 @@ pub fn build_distributed(
         outgoing[part.owner_of(arc.0)].push(arc);
     }
     let received = comm.all_to_all_v(outgoing);
-    LocalGraph::from_arcs(part, comm.rank(), received.into_iter().flatten().collect())
+    LocalGraph::from_arcs(part, comm.rank(), received)
 }
 
 #[cfg(test)]
@@ -374,7 +400,7 @@ mod tests {
         let lg = LocalGraph::from_arcs(
             part,
             0,
-            vec![(0, 1, 1.0), (0, 1, 2.0), (1, 3, 1.0), (0, 0, 0.5)],
+            vec![vec![(0, 1, 1.0), (0, 1, 2.0), (1, 3, 1.0), (0, 0, 0.5)]],
         );
         assert_eq!(lg.num_local_arcs(), 3);
         let w01: f64 = lg
@@ -384,6 +410,76 @@ mod tests {
             .sum();
         assert_eq!(w01, 3.0);
         assert_eq!(lg.weighted_degree(0), 3.5);
+    }
+
+    /// The hash-merge `from_arcs` used before the bucket/sort/fold one,
+    /// kept as its reference: sum duplicates in a map in arrival order,
+    /// then sort the unique arcs.
+    fn from_arcs_by_hash_merge(
+        part: &VertexPartition,
+        rank: usize,
+        arcs: &[(VertexId, VertexId, Weight)],
+    ) -> (Vec<usize>, Vec<VertexId>, Vec<Weight>) {
+        let first = part.first(rank);
+        let nlocal = part.num_local(rank);
+        let mut merged = fast_map_with_capacity::<(VertexId, VertexId), Weight>(arcs.len());
+        for &(u, v, w) in arcs {
+            *merged.entry((u, v)).or_insert(0.0) += w;
+        }
+        let mut sorted: Vec<_> = merged.into_iter().map(|((u, v), w)| (u, v, w)).collect();
+        sorted.sort_unstable_by_key(|&(u, v, _)| (u, v));
+        let mut offsets = vec![0usize; nlocal + 1];
+        for &(u, _, _) in &sorted {
+            offsets[(u - first) as usize + 1] += 1;
+        }
+        for i in 0..nlocal {
+            offsets[i + 1] += offsets[i];
+        }
+        (
+            offsets,
+            sorted.iter().map(|&(_, v, _)| v).collect(),
+            sorted.iter().map(|&(_, _, w)| w).collect(),
+        )
+    }
+
+    #[test]
+    fn from_arcs_matches_the_hash_merge_bit_for_bit() {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+        // Rank 1 owns nothing; ranks 0 and 2 own 5 and 7 vertices.
+        let part = VertexPartition::from_starts(vec![0, 5, 5, 12]);
+        for seed in 0..40u64 {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            for rank in 0..3 {
+                let rows = part.range(rank);
+                // Arcs arrive from four peers; some rows get none.
+                let mut chunks: Vec<Vec<(VertexId, VertexId, Weight)>> = vec![Vec::new(); 4];
+                let mut pool: Vec<(VertexId, VertexId)> = Vec::new();
+                for u in rows.clone().filter(|u| (u + seed) % 3 != 0) {
+                    pool.push((u, u));
+                    for _ in 0..rng.random_range(0..6usize) {
+                        pool.push((u, rng.random_range(0..12u64)));
+                    }
+                }
+                for _ in 0..4 * pool.len() {
+                    let (u, v) = pool[rng.random_range(0..pool.len())];
+                    let chunk = &mut chunks[rng.random_range(0..4usize)];
+                    // A run of the same arc, each with its own weight.
+                    for _ in 0..rng.random_range(1..4usize) {
+                        chunk.push((u, v, rng.random::<f64>() * 3.0 + 1e-3));
+                    }
+                }
+                let flat: Vec<_> = chunks.iter().flatten().copied().collect();
+                let want = from_arcs_by_hash_merge(&part, rank, &flat);
+                let lg = LocalGraph::from_arcs(part.clone(), rank, chunks);
+                let (offsets, dests, weights) = lg.csr_parts();
+                let bits = |w: &[Weight]| w.iter().map(|w| w.to_bits()).collect::<Vec<_>>();
+                assert_eq!(offsets, want.0, "seed {seed} rank {rank}");
+                assert_eq!(dests, want.1, "seed {seed} rank {rank}");
+                assert_eq!(bits(weights), bits(&want.2), "seed {seed} rank {rank}");
+                assert_eq!(lg.num_local(), rows.count());
+            }
+        }
     }
 
     #[test]

@@ -263,9 +263,35 @@ pub struct Server {
     inner: Arc<Inner>,
 }
 
+/// Make every thread of the process allocate from one malloc arena.
+///
+/// A job runs on rank threads that live for one detection. glibc gives
+/// each new thread an arena of its own and keeps the heap an exited
+/// thread freed (up to 64 MiB, below its trim threshold) resident until
+/// some later thread happens to inherit that arena, so the daemon's
+/// footprint depends on which thread of the next job starts first:
+/// the same 37 jobs peak at 254 or at 305 MiB. With one arena the heap
+/// a finished job freed is what the next job allocates from.
+#[cfg(all(target_os = "linux", target_env = "gnu"))]
+fn share_one_malloc_arena() {
+    const M_ARENA_MAX: i32 = -8;
+    extern "C" {
+        fn mallopt(param: i32, value: i32) -> i32;
+    }
+    // SAFETY: `mallopt` is thread-safe and `M_ARENA_MAX` only bounds
+    // arenas created from now on; a refusal (return 0) changes nothing.
+    unsafe {
+        mallopt(M_ARENA_MAX, 1);
+    }
+}
+
+#[cfg(not(all(target_os = "linux", target_env = "gnu")))]
+fn share_one_malloc_arena() {}
+
 impl Server {
     /// Start the worker pool.
     pub fn start(cfg: ServeConfig) -> Server {
+        share_one_malloc_arena();
         let workers = cfg.workers;
         let ops = match &cfg.event_log {
             Some(path) => OpsPlane::with_log(cfg.flight_capacity, path, cfg.event_log_max_bytes)

@@ -38,6 +38,11 @@ cargo test -q --workspace --no-fail-fast
 echo "==> cargo test (--test-threads=1)"
 cargo test -q --workspace --no-fail-fast -- --test-threads=1
 
+# The ladder measures the release build and the tests above the debug
+# one; a kernel full of debug_assert!s must hold its pins in both.
+echo "==> cargo test --release --test parity"
+cargo test --release -q --test parity
+
 # bench/ is its own workspace, invisible to --workspace: an API change
 # that breaks the ladder must fail here, not in the benchmark driver.
 echo "==> cargo test (bench/ ladder)"
