@@ -223,10 +223,16 @@ fn pin_matrix() -> ([(&'static str, Csr); 3], [(usize, Vec<DistConfig>); 5]) {
 /// neighbourhood collectives + ghost pruning + colour sub-rounds) and
 /// the `TRAFFIC` table were recorded on aa63baf, the commit before the
 /// replica reads, refreshes and owner pulls/pushes moved into
-/// `ghost.rs`. `TRAFFIC` holds, per config, FNV-1a over the job's
-/// per-step byte totals, per-step message totals and collective call
-/// count: the same bytes on the wire, not just the same answer. Full
-/// and delta refresh differ there; colored t=1 and t=2 must not.
+/// `ghost.rs`. `TRAFFIC` holds, per config, two figures: FNV-1a over
+/// the job's per-step byte totals *except* `CommStep::Other`, per-step
+/// message totals and collective call count — the same bytes on the
+/// wire, not just the same answer — and the `Other`-step byte total
+/// itself (ghost discovery, the rebuild's renumbering and its edge
+/// redistribution), in the clear so a change to the rebuild's wire
+/// format shows as a number that went up or down. Full and delta
+/// refresh differ in the hash; colored t=1 and t=2 must not. (The split
+/// was recorded on 707a9a1, where the unsplit hashes of aa63baf still
+/// held.)
 ///
 /// One cell is not the parent's: rmat × every-extension. The coloring
 /// exchange now follows `neighborhood_collectives`, and in rmat's late
@@ -236,6 +242,7 @@ fn pin_matrix() -> ([(&'static str, Csr); 3], [(usize, Vec<DistConfig>); 5]) {
 /// aa63baf), every byte total and every other count equal.
 #[test]
 fn kernel_trajectories_are_pinned() {
+    use distributed_louvain::comm::CommStep;
     use distributed_louvain::resil::fnv1a64;
 
     let (graphs, schedules) = pin_matrix();
@@ -258,28 +265,35 @@ fn kernel_trajectories_are_pinned() {
             (0x1a749cfe15e7f7d3, 0x3fc26acdbad72df2, 23),
         ],
     ];
-    // One traffic hash per config of each schedule column.
-    const TRAFFIC: [[&[u64]; 5]; 3] = [
+    // Per config of each schedule column: (hash of everything but the
+    // `Other` step's bytes, the `Other` step's bytes).
+    const TRAFFIC: [[&[(u64, u64)]; 5]; 3] = [
         [
-            &[0x1ccc06e050081874, 0x1ccc06e050081874],
-            &[0xcc69646e29110e0e, 0xdac5719d69ed8998],
-            &[0x45ec5b61ec08619d, 0x45ec5b61ec08619d],
-            &[0x4edb11c2c8018999],
-            &[0xb52a38f7f2262bb9],
+            &[(0xaecf04b7211e060c, 56), (0xaecf04b7211e060c, 56)],
+            &[(0x986beb6876f6d5f1, 485_400), (0xeffc9ef990a40207, 485_400)],
+            &[
+                (0xc1c00221c620ef60, 1_309_208),
+                (0xc1c00221c620ef60, 1_309_208),
+            ],
+            &[(0x4e95cb6e8acb07aa, 511_104)],
+            &[(0xadb9b70fb32dd72e, 1_398_400)],
         ],
         [
-            &[0x7791626364e3059b, 0x7791626364e3059b],
-            &[0x9c963cbd07b82896, 0x79c2e44b051828bc],
-            &[0x7fa6910e21bc17d6, 0x7fa6910e21bc17d6],
-            &[0x08dfe54e436490b6],
-            &[0xec6373232c59c7d0],
+            &[(0x0b57ff71a3e0fc03, 56), (0x0b57ff71a3e0fc03, 56)],
+            &[(0xb7505f6bd91cf62d, 23_936), (0x54e85763abc6a893, 23_936)],
+            &[(0x0f7f7e8d9a64b55a, 46_176), (0x0f7f7e8d9a64b55a, 46_176)],
+            &[(0x7d25c1f52384024d, 23_936)],
+            &[(0x815aad9be25637e2, 48_800)],
         ],
         [
-            &[0x64a0250dd50c67ce, 0x64a0250dd50c67ce],
-            &[0xa6fbe024b7a72e0a, 0x84cb7e3ac6cc001f],
-            &[0xb49cb2e7f0ec46bc, 0xb49cb2e7f0ec46bc],
-            &[0xb356d169cc562d4e],
-            &[0x91dd322734ccd67f],
+            &[(0x8ff601acc1dd7c5e, 80), (0x8ff601acc1dd7c5e, 80)],
+            &[(0x78ba3f5438f65f32, 336_712), (0x9bad041fb1f2a747, 336_712)],
+            &[
+                (0x022cb28896fa7eea, 1_272_736),
+                (0x022cb28896fa7eea, 1_272_736),
+            ],
+            &[(0x9e81431fbae51011, 334_416)],
+            &[(0xd6b9bac7efa6ea29, 1_381_808)],
         ],
     ];
     for (((gname, g), pins), traffic) in graphs.iter().zip(PINS).zip(TRAFFIC) {
@@ -292,7 +306,9 @@ fn kernel_trajectories_are_pinned() {
                     .flat_map(|c| c.to_le_bytes())
                     .collect();
                 let t = &out.traffic;
-                let counters: Vec<u8> = (t.step_bytes.iter())
+                let other = CommStep::Other.index();
+                let steps = t.step_bytes.iter().enumerate();
+                let counters: Vec<u8> = (steps.filter(|&(i, _)| i != other).map(|(_, b)| b))
                     .chain(&t.step_messages)
                     .chain([&t.collective_calls])
                     .flat_map(|c| c.to_le_bytes())
@@ -302,10 +318,11 @@ fn kernel_trajectories_are_pinned() {
                     out.modularity.to_bits(),
                     out.total_iterations,
                     fnv1a64(&counters),
+                    t.step_bytes[other],
                 );
                 assert_eq!(
                     got,
-                    (pin.0, pin.1, pin.2, wire),
+                    (pin.0, pin.1, pin.2, wire.0, wire.1),
                     "{gname} p={p} {:?} t={} delta={} {}: got {got:#x?}",
                     cfg.sweep,
                     cfg.threads_per_rank,
