@@ -15,7 +15,7 @@ use louvain_comm::{CommStep, CostModel, StatsSnapshot};
 
 use crate::stats::{PhaseStats, WorkCounter};
 
-/// Cost of scanning one adjacency entry in the ΔQ loop (hash-map
+/// Cost of scanning one adjacency entry in the ΔQ loop (dense-table
 /// accumulate + gain evaluation), in seconds.
 pub const EDGE_COST: f64 = 3.0e-8;
 /// Fixed cost per processed vertex, in seconds.

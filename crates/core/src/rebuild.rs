@@ -7,16 +7,24 @@
 //! 4. communicate the new global community ids to the ranks that use
 //!    them,
 //! 5. build partial new edge lists (same-community neighbors become a
-//!    self-loop),
-//! 6. redistribute edges so every rank owns an equal number of the new
-//!    vertices,
-//! 7. rebuild the CSR arrays of the coarse graph.
+//!    self-loop), summed before they are sent — Sahu's grouped
+//!    aggregation (PAPERS.md): vertices grouped by new id, each group's
+//!    arcs folded through one collision-free table into one `(src, dst,
+//!    w)` entry per distinct pair this rank saw; nothing per arc is
+//!    buffered or hashed,
+//! 6. redistribute them, one message per peer, so every rank owns an
+//!    equal number of the new vertices,
+//! 7. rebuild the CSR arrays of the coarse graph, merging per row one
+//!    sorted duplicate-free run per sender.
+//!
+//! DESIGN §11 states the order a coarse weight is summed in and what that
+//! means for its bits at p=1 and p>1.
 
 use louvain_comm::{Comm, CommStep, ReduceOp};
-use louvain_graph::hash::{fast_map, fast_set, FastMap};
 use louvain_graph::{LocalGraph, VertexId, VertexPartition, Weight};
 
-use crate::ghost::{pull_from_owners, GhostLayer, PullBufs};
+use crate::ghost::{pull_from_owners, CommunityIndex, GhostLayer, PullBufs};
+use crate::scratch::DenseMap;
 use crate::stats::WorkCounter;
 
 /// Output of one distributed rebuild on one rank.
@@ -29,6 +37,10 @@ pub struct RebuildOutput {
     pub vertex_new_id: Vec<VertexId>,
     /// Number of vertices of the coarse graph.
     pub new_num_vertices: u64,
+    /// `vertices_processed`: owned communities that survive.
+    /// `edges_scanned`: arcs this rank read in step 5 plus summed
+    /// entries it received for step 7 (one per distinct pair per sender,
+    /// not one per arc).
     pub work: WorkCounter,
 }
 
@@ -38,9 +50,7 @@ const DROPPED: VertexId = VertexId::MAX;
 /// Execute the distributed rebuild. Collective.
 ///
 /// `comm_of_local` / `ghost_comm` are the final (exchanged) community
-/// assignments from the phase's last iteration. Owned communities are
-/// looked up by `c - first` in flat arrays, remote ones hashed once per
-/// vertex or ghost that is in one; the arc loop of step 5 only indexes.
+/// assignments from the phase's last iteration.
 pub fn rebuild(
     comm: &Comm,
     lg: &LocalGraph,
@@ -50,43 +60,40 @@ pub fn rebuild(
 ) -> RebuildOutput {
     let p = comm.size();
     let part = lg.partition();
-    let first = lg.first_vertex();
     let nlocal = lg.num_local();
-    let owned = |c: VertexId| Some(c.wrapping_sub(first) as usize).filter(|&i| i < nlocal);
-    let mut work = WorkCounter::default();
+
+    // Key the communities of this rank's vertices, then of its ghosts,
+    // the way the phase numbers them: an owned `c` is `c - first`, a
+    // remote one gets the next key, hashed once per vertex or ghost that
+    // is in it. Step 5 then only indexes.
+    let mut index = CommunityIndex::new(lg);
+    let local_key: Vec<u32> = comm_of_local.iter().map(|&c| index.dense(c)).collect();
+    // Remote communities a vertex of this rank is in: the first `joined`.
+    let joined = index.num_remote();
+    let ghost_key: Vec<u32> = ghost_comm.iter().map(|&c| index.dense(c)).collect();
+    let remote: Vec<VertexId> = (0..index.num_remote() as u32)
+        .map(|r| index.remote_global(r))
+        .collect();
 
     // -- Steps 1–2: report used communities to their owners. -------------
     // Each community that has at least one member must survive; members
-    // report to the community's owner. (A community id owned here that no
-    // vertex uses anymore is thereby dropped — step 2.) The remote ones
-    // are also the first of the communities step 4 asks about.
+    // report to the community's owner — here by marking it. (A community
+    // id owned here that no vertex uses anymore is thereby dropped —
+    // step 2.)
     let mut report_sets: Vec<Vec<VertexId>> = vec![Vec::new(); p];
-    let mut referenced: Vec<VertexId> = Vec::new();
-    let mut seen_remote = fast_set::<VertexId>();
-    {
-        let mut seen_owned = vec![false; nlocal];
-        for &c in comm_of_local {
-            let here = owned(c);
-            let first_sight = match here {
-                Some(i) => !std::mem::replace(&mut seen_owned[i], true),
-                None => seen_remote.insert(c),
-            };
-            if first_sight {
-                report_sets[part.owner_of(c)].push(c);
-                if here.is_none() {
-                    referenced.push(c);
-                }
-            }
-        }
+    for &c in &remote[..joined] {
+        report_sets[part.owner_of(c)].push(c);
     }
     let reports = comm.with_step(CommStep::Other, || comm.all_to_all_v(report_sets));
-    // Mark the survivors; step 3 numbers them in id order.
-    let mut owned_new_id = vec![DROPPED; nlocal];
-    for &c in reports.iter().flatten() {
-        owned_new_id[owned(c).expect("reported community not owned here")] = 0;
+    // New id by key; the owned keys first. Step 3 numbers the survivors
+    // in id order.
+    let mut new_id = vec![DROPPED; nlocal];
+    let reported = reports.iter().flatten().map(|&c| lg.to_local(c));
+    let own = local_key.iter().map(|&k| k as usize);
+    for i in reported.chain(own.filter(|&k| k < nlocal)) {
+        new_id[i] = 0;
     }
-    let k_local = owned_new_id.iter().filter(|&&id| id != DROPPED).count() as u64;
-    work.vertices_processed += k_local;
+    let k_local = new_id.iter().filter(|&&id| id != DROPPED).count() as u64;
 
     // -- Step 3: global renumbering via exclusive prefix sum. -------------
     let (base, new_num_vertices) = comm.with_step(CommStep::Other, || {
@@ -95,75 +102,107 @@ pub fn rebuild(
             comm.all_reduce(k_local, ReduceOp::Sum),
         )
     });
-    let survivors = owned_new_id.iter_mut().filter(|id| **id != DROPPED);
+    let survivors = new_id.iter_mut().filter(|id| **id != DROPPED);
     for (rank, id) in survivors.enumerate() {
         *id = base + rank as u64;
     }
 
-    // -- Step 4: query the new ids of every community we reference. -------
-    // Referenced = final communities of local vertices and of ghosts
-    // (needed to relabel edge destinations).
-    referenced.extend(
-        (ghost_comm.iter().copied()).filter(|&c| owned(c).is_none() && seen_remote.insert(c)),
-    );
-    let mut remote_new_id: FastMap<VertexId, VertexId> = fast_map();
+    // -- Step 4: query the new ids of the remote communities we reference
+    // (those of ghosts included, to relabel edge destinations). -----------
+    let mut remote_new_id = vec![DROPPED; remote.len()];
     pull_from_owners(
         comm,
         part,
         CommStep::Other,
-        referenced,
+        remote,
         &mut PullBufs::default(),
         |c| {
-            let id = owned_new_id[(c - first) as usize];
+            let id = new_id[lg.to_local(c)];
             assert_ne!(id, DROPPED, "queried community {c} has no member anywhere");
             id
         },
-        |c, id| {
-            remote_new_id.insert(c, id);
-        },
+        |c, id| remote_new_id[index.dense(c) as usize - nlocal] = id,
     );
-    let new_id = |c: &VertexId| match owned(*c) {
-        Some(i) => owned_new_id[i],
-        None => remote_new_id[c],
-    };
+    new_id.extend(remote_new_id);
 
-    // -- Step 5: partial new edge lists. -----------------------------------
-    // A row goes to the owner of its source's new id, found once per row;
-    // the buffers are sized exactly by a pass over the row lengths.
-    let vertex_new_id: Vec<VertexId> = comm_of_local.iter().map(new_id).collect();
-    let ghost_new_id: Vec<VertexId> = ghost_comm.iter().map(new_id).collect();
+    // -- Steps 5–7. ----------------------------------------------------------
     let new_part = VertexPartition::balanced_vertices(new_num_vertices, p);
-    let (offsets, _, weights) = lg.csr_parts();
-    let targets = ghosts.targets();
-    let mut lens = vec![0usize; p];
-    for (l, &src) in vertex_new_id.iter().enumerate() {
-        lens[new_part.owner_of(src)] += offsets[l + 1] - offsets[l];
-    }
-    let mut outgoing: Vec<Vec<(VertexId, VertexId, Weight)>> =
-        lens.into_iter().map(Vec::with_capacity).collect();
-    for (l, &src) in vertex_new_id.iter().enumerate() {
-        let row = offsets[l]..offsets[l + 1];
-        work.edges_scanned += row.len() as u64;
-        let arcs = targets[row.clone()].iter().zip(&weights[row]);
-        outgoing[new_part.owner_of(src)].extend(arcs.map(|(&t, &w)| {
-            let dst = ghosts.value_of(t, |i| vertex_new_id[i], &ghost_new_id);
-            (src, dst, w)
-        }));
-    }
-
-    // -- Step 6: redistribute. ---------------------------------------------
+    let outgoing = combine(lg, ghosts, &new_id, &local_key, &ghost_key, &new_part);
     let received = comm.with_step(CommStep::Other, || comm.all_to_all_v(outgoing));
-    work.edges_scanned += received.iter().map(|arcs| arcs.len() as u64).sum::<u64>();
-
-    // -- Step 7: rebuild the CSR (duplicate arcs merged inside from_arcs).
+    let entries: usize = received.iter().map(Vec::len).sum();
+    // Each row's per-sender runs are merged and equal destinations
+    // summed inside from_arcs.
     let new_lg = LocalGraph::from_arcs(new_part, comm.rank(), received);
 
     RebuildOutput {
         new_lg,
-        vertex_new_id,
+        vertex_new_id: local_key.iter().map(|&k| new_id[k as usize]).collect(),
         new_num_vertices,
-        work,
+        work: WorkCounter {
+            edges_scanned: (lg.num_local_arcs() + entries) as u64,
+            vertices_processed: k_local,
+        },
     }
+}
+
+/// Step 5: this rank's partial edge lists, one buffer per owner under
+/// `new_part`, one summed entry per distinct `(src, dst)` pair among the
+/// rank's arcs, each source's entries together and sorted by `dst`.
+/// `local_key` / `ghost_key` give the key of each vertex's and each
+/// ghost slot's community, `new_id` the new id behind each key that has
+/// one.
+fn combine(
+    lg: &LocalGraph,
+    ghosts: &GhostLayer,
+    new_id: &[VertexId],
+    local_key: &[u32],
+    ghost_key: &[u32],
+    new_part: &VertexPartition,
+) -> Vec<Vec<(VertexId, VertexId, Weight)>> {
+    let nkeys = new_id.len();
+    // Group the vertices by source key with a stable counting sort
+    // (Sahu's "community vertices" CSR): members[starts[k]..starts[k+1]]
+    // are the local vertices of key k in ascending order.
+    let mut starts = vec![0usize; nkeys + 1];
+    for &k in local_key {
+        starts[k as usize + 1] += 1;
+    }
+    for k in 0..nkeys {
+        starts[k + 1] += starts[k];
+    }
+    let mut cursor = starts[..nkeys].to_vec();
+    let mut members = vec![0usize; local_key.len()];
+    for (l, &k) in local_key.iter().enumerate() {
+        members[cursor[k as usize]] = l;
+        cursor[k as usize] += 1;
+    }
+
+    let (offsets, _, weights) = lg.csr_parts();
+    let targets = ghosts.targets();
+    let mut outgoing = vec![Vec::new(); new_part.num_ranks()];
+    // Weight toward each destination key from the group being folded.
+    let mut table: DenseMap<Weight> = DenseMap::default();
+    table.cover(nkeys);
+    for (k, &src) in new_id.iter().enumerate() {
+        let group = &members[starts[k]..starts[k + 1]];
+        if group.is_empty() {
+            continue;
+        }
+        debug_assert!(table.is_clear(), "a group left the table dirty");
+        for &l in group {
+            let row = offsets[l]..offsets[l + 1];
+            for (&t, &w) in targets[row.clone()].iter().zip(&weights[row]) {
+                *table.entry(ghosts.value_of(t, |i| local_key[i], ghost_key)) += w;
+            }
+        }
+        let out: &mut Vec<_> = &mut outgoing[new_part.owner_of(src)];
+        let at = out.len();
+        let row = table.entries().iter();
+        out.extend(row.map(|&(dst, w)| (src, new_id[dst as usize], w)));
+        out[at..].sort_unstable_by_key(|&(_, dst, _)| dst);
+        table.clear();
+    }
+    outgoing
 }
 
 #[cfg(test)]
@@ -188,26 +227,37 @@ mod tests {
         ))
     }
 
-    /// Rebuild with an explicit global assignment, return the assembled
-    /// coarse graph.
-    fn rebuild_with(g: &Csr, p: usize, assignment: &[VertexId]) -> Csr {
-        let part = VertexPartition::balanced_vertices(g.num_vertices() as u64, p);
-        let parts = LocalGraph::scatter(g, &part);
-        let assignment = assignment.to_vec();
-        let outs = run(p, |c| {
-            let lg = parts[c.rank()].clone();
-            let ghosts = GhostLayer::build(c, &lg);
-            let range = lg.partition().range(c.rank());
-            let local: Vec<VertexId> = range.map(|v| assignment[v as usize]).collect();
-            // Ghost communities straight from the global assignment
-            // (slots follow the flattened request lists).
-            let ghost_comm: Vec<VertexId> = (ghosts.requests().iter().flatten())
-                .map(|&gid| assignment[gid as usize])
-                .collect();
-            let out = rebuild(c, &lg, &ghosts, &local, &ghost_comm);
-            out.new_lg
+    /// This rank's inputs to a rebuild under an explicit global
+    /// assignment: its piece of `g`, its ghost layer and the communities
+    /// of its vertices and of its ghosts (slots follow the flattened
+    /// request lists).
+    fn inputs(
+        c: &Comm,
+        g: &Csr,
+        part: &VertexPartition,
+        assignment: &[VertexId],
+    ) -> (LocalGraph, GhostLayer, Vec<VertexId>, Vec<VertexId>) {
+        let lg = LocalGraph::scatter(g, part).swap_remove(c.rank());
+        let ghosts = GhostLayer::build(c, &lg);
+        let of = |v: VertexId| assignment[v as usize];
+        let local = part.range(c.rank()).map(of).collect();
+        let ghost_comm = (ghosts.requests().iter().flatten().copied().map(of)).collect();
+        (lg, ghosts, local, ghost_comm)
+    }
+
+    /// Rebuild along `part` with an explicit global assignment, return
+    /// the assembled coarse graph.
+    fn rebuild_on(g: &Csr, part: &VertexPartition, assignment: &[VertexId]) -> Csr {
+        let outs = run(part.num_ranks(), |c| {
+            let (lg, ghosts, local, ghost_comm) = inputs(c, g, part, assignment);
+            rebuild(c, &lg, &ghosts, &local, &ghost_comm).new_lg
         });
         LocalGraph::assemble(&outs)
+    }
+
+    fn rebuild_with(g: &Csr, p: usize, assignment: &[VertexId]) -> Csr {
+        let part = VertexPartition::balanced_vertices(g.num_vertices() as u64, p);
+        rebuild_on(g, &part, assignment)
     }
 
     #[test]
@@ -258,5 +308,118 @@ mod tests {
         let q_coarse = modularity(&coarse, &singleton_assignment(coarse.num_vertices()));
         assert!((q_fine - q_coarse).abs() < 1e-9);
         assert_eq!(coarse.two_m(), g.two_m());
+    }
+
+    #[test]
+    fn step_five_hands_over_one_entry_per_distinct_pair() {
+        use std::collections::BTreeSet;
+        let lfr = louvain_graph::gen::lfr(louvain_graph::gen::LfrParams::small(600, 11));
+        let rmat = louvain_graph::gen::rmat(louvain_graph::gen::RmatParams::social(9, 8, 3)).graph;
+        let folded: Vec<VertexId> = (0..rmat.num_vertices() as u64).map(|v| v % 61).collect();
+        for (g, assignment) in [(lfr.graph, lfr.ground_truth.unwrap()), (rmat, folded)] {
+            for p in [1, 2, 3] {
+                let part = VertexPartition::balanced_vertices(g.num_vertices() as u64, p);
+                let mut ids = assignment.clone();
+                ids.sort_unstable();
+                ids.dedup();
+                let outs = run(p, |c| {
+                    let (lg, ghosts, local, ghost_comm) = inputs(c, &g, &part, &assignment);
+                    // Any numbering will do for step 5; here a key is its
+                    // community's rank among all ids, and so is its new id.
+                    let key = |c: &VertexId| ids.binary_search(c).unwrap() as u32;
+                    let local_key: Vec<u32> = local.iter().map(key).collect();
+                    let ghost_key: Vec<u32> = ghost_comm.iter().map(key).collect();
+                    let new_id: Vec<VertexId> = (0..ids.len() as u64).collect();
+                    let new_part = VertexPartition::balanced_vertices(ids.len() as u64, p);
+                    let outgoing =
+                        combine(&lg, &ghosts, &new_id, &local_key, &ghost_key, &new_part);
+                    for (owner, buf) in outgoing.iter().enumerate() {
+                        // To the owner of the source, each source's
+                        // entries in one run of strictly increasing dst.
+                        assert!(buf.iter().all(|e| new_part.owner_of(e.0) == owner));
+                        let mut closed = BTreeSet::new();
+                        for run in buf.chunk_by(|a, b| a.0 == b.0) {
+                            assert!(closed.insert(run[0].0), "source {} split", run[0].0);
+                            assert!(run.windows(2).all(|w| w[0].1 < w[1].1));
+                        }
+                    }
+                    outgoing.iter().map(Vec::len).sum::<usize>()
+                });
+                for (rank, sent) in outs.iter().enumerate() {
+                    let mut arcs = 0;
+                    let mut pairs = BTreeSet::new();
+                    for u in part.range(rank) {
+                        for (v, _) in g.neighbors(u) {
+                            arcs += 1;
+                            pairs.insert((assignment[u as usize], assignment[v as usize]));
+                        }
+                    }
+                    assert_eq!(*sent, pairs.len(), "p={p} rank {rank}");
+                    assert!(*sent <= arcs, "p={p} rank {rank}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_rank_without_vertices_takes_part() {
+        // Rank 1 owns nothing: it reports nothing, is asked nothing and
+        // still makes every collective call.
+        let mut el = EdgeList::new(12);
+        for v in 0..12u64 {
+            el.push(v, (v + 1) % 12, 1.0 + v as f64);
+            el.push(v, (v + 5) % 12, 2.0);
+        }
+        let g = Csr::from_edge_list(el);
+        let part = VertexPartition::from_starts(vec![0, 5, 5, 12]);
+        // Ids first appear in ascending order, which makes `coarsen`'s
+        // numbering the distributed one.
+        let assignment = vec![2u64, 2, 7, 7, 9, 9, 2, 7, 11, 9, 11, 11];
+        let (want, _) = louvain_graph::community::coarsen(&g, &assignment);
+        assert_eq!(rebuild_on(&g, &part, &assignment), want);
+    }
+
+    #[test]
+    fn a_zero_weight_arc_is_still_an_arc() {
+        // The table's presence is exact: the pair (0, 1) exists in the
+        // coarse graph although its weight sums to zero.
+        let g = Csr::from_edge_list(EdgeList::from_edges(
+            4,
+            [(0, 1, 1.0), (2, 3, 1.0), (1, 2, 0.0)],
+        ));
+        let assignment = vec![0u64, 0, 3, 3];
+        for p in [1, 2] {
+            let coarse = rebuild_with(&g, p, &assignment);
+            let (want, _) = louvain_graph::community::coarsen(&g, &assignment);
+            assert_eq!(coarse, want, "p={p}");
+            assert_eq!(
+                coarse.neighbors(0).collect::<Vec<_>>(),
+                [(0, 2.0), (1, 0.0)]
+            );
+        }
+    }
+
+    #[test]
+    fn a_group_with_only_internal_arcs_is_one_self_loop() {
+        let g = Csr::from_edge_list(EdgeList::from_edges(
+            6,
+            [
+                (0, 1, 1.0),
+                (1, 2, 1.0),
+                (0, 2, 1.0),
+                (3, 4, 1.0),
+                (4, 5, 1.0),
+            ],
+        ));
+        let assignment = vec![1u64, 1, 1, 4, 4, 4];
+        for p in [1, 2, 3] {
+            let coarse = rebuild_with(&g, p, &assignment);
+            assert_eq!(coarse.num_arcs(), 2, "p={p}");
+            assert_eq!(
+                (coarse.self_loop(0), coarse.self_loop(1)),
+                (6.0, 4.0),
+                "p={p}"
+            );
+        }
     }
 }

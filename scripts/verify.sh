@@ -113,4 +113,9 @@ else
   echo "==> weak-scaling gate skipped (set LOUVAIN_SCALE_GATE=1 to enable)"
 fi
 
+# Not a gate: the figure a PR quotes against ROADMAP's "lines no higher
+# than found" rule.
+echo "==> first-party lines above the test modules (scripts/loc.sh)"
+scripts/loc.sh
+
 echo "verify: OK"

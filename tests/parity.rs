@@ -163,6 +163,96 @@ fn paper_claim_quality_comparable_to_shared_memory() {
     }
 }
 
+/// Phase 0 of the baseline on `p` ranks, then the distributed rebuild:
+/// the final assignment and the assembled coarse graph.
+fn phase_zero_then_rebuild(g: &Csr, p: usize) -> (Vec<VertexId>, Csr) {
+    use distributed_louvain::dist::ghost::GhostLayer;
+    use distributed_louvain::dist::iteration::{louvain_phase, PhaseContext};
+    use distributed_louvain::dist::rebuild::rebuild;
+    use distributed_louvain::graph::{LocalGraph, VertexPartition};
+
+    let part = VertexPartition::balanced_vertices(g.num_vertices() as u64, p);
+    let parts = LocalGraph::scatter(g, &part);
+    let cfg = DistConfig::baseline();
+    let outs = run_ranks(p, |c| {
+        let lg = &parts[c.rank()];
+        let mut ghosts = GhostLayer::build(c, lg);
+        let ctx = PhaseContext {
+            comm: c,
+            lg,
+            two_m: g.two_m(),
+        };
+        let r = louvain_phase(&ctx, &mut ghosts, &cfg, 0, cfg.threshold);
+        let coarse = rebuild(c, lg, &ghosts, &r.comm_of_local, &r.ghost_comm);
+        (r.comm_of_local, coarse.new_lg)
+    });
+    let (assignment, pieces): (Vec<_>, Vec<_>) = outs.into_iter().unzip();
+    (assignment.concat(), LocalGraph::assemble(&pieces))
+}
+
+/// `coarsen`'s graph under the distributed numbering: communities in
+/// ascending id order, where `coarsen` numbers them as they appear.
+fn coarsen_by_id(g: &Csr, assignment: &[VertexId]) -> Csr {
+    let (coarse, dense) = distributed_louvain::graph::community::coarsen(g, assignment);
+    let mut ids = assignment.to_vec();
+    ids.sort_unstable();
+    ids.dedup();
+    let mut by_id = vec![0; ids.len()];
+    for (v, c) in assignment.iter().enumerate() {
+        by_id[dense[v] as usize] = ids.binary_search(c).unwrap() as VertexId;
+    }
+    let arcs = (0..coarse.num_vertices() as VertexId).flat_map(|a| {
+        let row = coarse.neighbors(a);
+        row.map(|(b, w)| (by_id[a as usize], by_id[b as usize], w))
+            .collect::<Vec<_>>()
+    });
+    Csr::from_arcs(ids.len(), arcs.collect())
+}
+
+#[test]
+fn distributed_rebuild_equals_shared_memory_coarsening() {
+    let bits = |g: &Csr| g.weights().iter().map(|w| w.to_bits()).collect::<Vec<_>>();
+    let mut graphs = families(37);
+    graphs.push(("rmat", rmat(RmatParams::social(11, 8, 5)).graph));
+    for (name, g) in &graphs {
+        for p in [1, 2, 3] {
+            // Integer weights: every sum is exact, whoever adds it.
+            let (assignment, coarse) = phase_zero_then_rebuild(g, p);
+            let want = coarsen_by_id(g, &assignment);
+            assert!(coarse.num_vertices() < g.num_vertices(), "{name} p={p}");
+            assert_eq!(coarse.offsets(), want.offsets(), "{name} p={p}");
+            assert_eq!(coarse.dests(), want.dests(), "{name} p={p}");
+            assert_eq!(bits(&coarse), bits(&want), "{name} p={p}");
+        }
+    }
+    // Arbitrary weights: one rank adds a pair's arcs in `coarsen`'s
+    // order; several add one partial sum per sender.
+    use rand::{rngs::SmallRng, Rng, SeedableRng};
+    let mut rng = SmallRng::seed_from_u64(38);
+    let base = &graphs[0].1;
+    let mut el = EdgeList::new(base.num_vertices() as u64);
+    for u in 0..base.num_vertices() as u64 {
+        for (v, _) in base.neighbors(u).filter(|&(v, _)| u <= v) {
+            el.push(u, v, rng.random::<f64>() * 3.0 + 1e-3);
+        }
+    }
+    let g = Csr::from_edge_list(el);
+    for p in [1, 2, 3] {
+        let (assignment, coarse) = phase_zero_then_rebuild(&g, p);
+        let want = coarsen_by_id(&g, &assignment);
+        assert_eq!(coarse.offsets(), want.offsets(), "p={p}");
+        assert_eq!(coarse.dests(), want.dests(), "p={p}");
+        if p == 1 {
+            assert_eq!(bits(&coarse), bits(&want));
+        }
+        for (got, want) in coarse.weights().iter().zip(want.weights()) {
+            assert!((got - want).abs() <= 1e-12 * want, "p={p}: {got} vs {want}");
+        }
+        let two_m = g.two_m();
+        assert!((coarse.two_m() - two_m).abs() <= 1e-12 * two_m, "p={p}");
+    }
+}
+
 /// The graphs and configs the pins below are recorded on: per graph,
 /// five schedule columns of `(ranks, configs sharing one pin)`.
 #[allow(clippy::type_complexity)]
@@ -266,36 +356,61 @@ fn kernel_trajectories_are_pinned() {
         ],
     ];
     // Per config of each schedule column: (hash of everything but the
-    // `Other` step's bytes, the `Other` step's bytes).
+    // `Other` step's bytes, the `Other` step's bytes). The first column
+    // is p=1, where a rank's own buffer is not traffic.
     const TRAFFIC: [[&[(u64, u64)]; 5]; 3] = [
         [
             &[(0xaecf04b7211e060c, 56), (0xaecf04b7211e060c, 56)],
-            &[(0x986beb6876f6d5f1, 485_400), (0xeffc9ef990a40207, 485_400)],
-            &[
-                (0xc1c00221c620ef60, 1_309_208),
-                (0xc1c00221c620ef60, 1_309_208),
-            ],
-            &[(0x4e95cb6e8acb07aa, 511_104)],
-            &[(0xadb9b70fb32dd72e, 1_398_400)],
+            &[(0x986beb6876f6d5f1, 87_264), (0xeffc9ef990a40207, 87_264)],
+            &[(0xc1c00221c620ef60, 922_112), (0xc1c00221c620ef60, 922_112)],
+            &[(0x4e95cb6e8acb07aa, 118_584)],
+            &[(0xadb9b70fb32dd72e, 1_015_888)],
         ],
         [
             &[(0x0b57ff71a3e0fc03, 56), (0x0b57ff71a3e0fc03, 56)],
-            &[(0xb7505f6bd91cf62d, 23_936), (0x54e85763abc6a893, 23_936)],
-            &[(0x0f7f7e8d9a64b55a, 46_176), (0x0f7f7e8d9a64b55a, 46_176)],
-            &[(0x7d25c1f52384024d, 23_936)],
-            &[(0x815aad9be25637e2, 48_800)],
+            &[(0xb7505f6bd91cf62d, 920), (0x54e85763abc6a893, 920)],
+            &[(0x0f7f7e8d9a64b55a, 23_160), (0x0f7f7e8d9a64b55a, 23_160)],
+            &[(0x7d25c1f52384024d, 920)],
+            &[(0x815aad9be25637e2, 25_784)],
         ],
         [
             &[(0x8ff601acc1dd7c5e, 80), (0x8ff601acc1dd7c5e, 80)],
-            &[(0x78ba3f5438f65f32, 336_712), (0x9bad041fb1f2a747, 336_712)],
+            &[(0x78ba3f5438f65f32, 78_088), (0x9bad041fb1f2a747, 78_088)],
             &[
-                (0x022cb28896fa7eea, 1_272_736),
-                (0x022cb28896fa7eea, 1_272_736),
+                (0x022cb28896fa7eea, 1_016_728),
+                (0x022cb28896fa7eea, 1_016_728),
             ],
-            &[(0x9e81431fbae51011, 334_416)],
-            &[(0xd6b9bac7efa6ea29, 1_381_808)],
+            &[(0x9e81431fbae51011, 82_968)],
+            &[(0xd6b9bac7efa6ea29, 1_172_144)],
         ],
     ];
+    // The p=2 cells' `Other` bytes while the rebuild sent one tuple per
+    // arc (707a9a1), in `TRAFFIC`'s order: sending one summed entry per
+    // distinct (community, community) pair must stay below them.
+    const OTHER_PER_ARC: [[&[u64]; 4]; 3] = [
+        [
+            &[485_400, 485_400],
+            &[1_309_208, 1_309_208],
+            &[511_104],
+            &[1_398_400],
+        ],
+        [&[23_936, 23_936], &[46_176, 46_176], &[23_936], &[48_800]],
+        [
+            &[336_712, 336_712],
+            &[1_272_736, 1_272_736],
+            &[334_416],
+            &[1_381_808],
+        ],
+    ];
+    for (traffic, per_arc) in TRAFFIC.iter().zip(OTHER_PER_ARC) {
+        for (now, before) in traffic[1..].iter().zip(per_arc) {
+            let now: Vec<u64> = now.iter().map(|cell| cell.1).collect();
+            assert!(
+                now.iter().zip(before).all(|(n, b)| n < b),
+                "{now:?} vs {before:?}"
+            );
+        }
+    }
     for (((gname, g), pins), traffic) in graphs.iter().zip(PINS).zip(TRAFFIC) {
         for (((p, cfgs), pin), wire) in schedules.iter().zip(pins).zip(traffic) {
             for (cfg, &wire) in cfgs.iter().zip(wire) {
@@ -345,199 +460,206 @@ fn kernel_trajectories_are_pinned() {
 /// rows pin `comm + reduce`: their inactive-count all-reduce was always
 /// counted under the reduction step but its seconds were bracketed into
 /// `comm`; read from the counters it lands in `reduce`.
+///
+/// `compute` and `reduce` are still c24fe15's. `rebuild`, `comm` at p=2
+/// and with them `total` were re-recorded when the rebuild began to sum
+/// each (community, community) pair before sending it: the rebuild then
+/// counts one received entry per distinct pair per sender instead of one
+/// per arc, and ships as many fewer bytes. Every re-recorded figure is
+/// below the one it replaced.
 #[test]
 fn modeled_seconds_match_the_send_path_clock() {
     const MODEL: [[&[[f64; 5]]; 5]; 3] = [
         [
             &[
                 [
-                    0.028507618222222218,
+                    0.02745479822222222,
                     0.024917399999999996,
                     5.203555555555563e-6,
                     5.073466666666668e-5,
-                    0.0024688799999999997,
+                    0.0014160599999999998,
                 ],
                 [
-                    0.028507618222222218,
+                    0.02745479822222222,
                     0.024917399999999996,
                     5.203555555555563e-6,
                     5.073466666666668e-5,
-                    0.0024688799999999997,
+                    0.0014160599999999998,
                 ],
             ],
             &[
                 [
-                    0.034367485777777776,
+                    0.033849215777777775,
                     0.03141818999999999,
-                    0.00021154088888888895,
+                    0.00018865288888888888,
                     0.00015339933333333175,
-                    0.0012534699999999998,
+                    0.00072286,
                 ],
                 [
-                    0.03434813822222222,
+                    0.03382986822222222,
                     0.03141818999999999,
-                    0.00019218800000000015,
+                    0.0001693,
                     0.0001533993333333317,
-                    0.0012534699999999998,
+                    0.00072286,
                 ],
             ],
             &[
                 [
-                    0.022964495111111115,
+                    0.02237320177777778,
                     0.019916639999999996,
-                    0.0006975920000000026,
+                    0.0006737813333333334,
                     0.00012725044444444753,
-                    0.0013803499999999996,
+                    0.00080783,
                 ],
                 [
-                    0.013309486446957435,
+                    0.012718193113624095,
                     0.01067306310744442,
-                    0.0006975920000000026,
+                    0.0006737813333333334,
                     0.00010924749075033144,
-                    0.0013803499999999996,
+                    0.00080783,
                 ],
             ],
             &[[
-                0.01968278288888889,
+                0.019169413555555556,
                 0.017450219999999995,
-                0.0002327199999999996,
+                0.00021147555555555556,
                 0.0003410164444444459,
-                0.0013707399999999996,
+                0.0008404599999999999,
             ]],
             &[[
-                0.020686244666666697,
+                0.020156466666666664,
                 0.016110599999999996,
-                0.002609984444444486,
+                0.0025888511111111148,
                 0.000339205777777776,
-                0.0013352799999999999,
+                0.0008258199999999999,
             ]],
         ],
         [
             &[
                 [
-                    0.03153446222222222,
+                    0.027663832222222216,
                     0.023300729999999995,
                     5.203555555555553e-6,
                     2.7318666666666666e-5,
-                    0.007777609999999999,
+                    0.00390698,
                 ],
                 [
-                    0.03153446222222222,
+                    0.027663832222222216,
                     0.023300729999999995,
                     5.203555555555553e-6,
                     2.7318666666666666e-5,
-                    0.007777609999999999,
+                    0.00390698,
                 ],
             ],
             &[
                 [
-                    0.015864349555555553,
+                    0.013898839555555554,
                     0.011650364999999998,
-                    4.826444444444445e-5,
+                    4.574355555555556e-5,
                     3.582366666666756e-5,
-                    0.0039203699999999985,
+                    0.00195486,
                 ],
                 [
-                    0.015864316666666663,
+                    0.013898806666666668,
                     0.011650364999999998,
-                    4.823955555555555e-5,
+                    4.571066666666666e-5,
                     3.582366666666756e-5,
-                    0.0039203699999999985,
+                    0.00195486,
                 ],
             ],
             &[
                 [
-                    0.016010085111111107,
+                    0.01404457511111111,
                     0.011650364999999998,
-                    0.00019359999999999994,
+                    0.00019147911111111113,
                     3.58236666666673e-5,
-                    0.0039203699999999985,
+                    0.00195486,
                 ],
                 [
-                    0.010500633627056775,
+                    0.008535123627056777,
                     0.00624327601793082,
-                    0.00019359999999999994,
+                    0.00019147911111111113,
                     3.187638331610212e-5,
-                    0.0039203699999999985,
+                    0.00195486,
                 ],
             ],
             &[[
-                0.015825776888888886,
+                0.013860266888888886,
                 0.011612354999999998,
-                4.826355555555556e-5,
+                4.574266666666667e-5,
                 3.711366666666719e-5,
-                0.0039203699999999985,
+                0.00195486,
             ]],
             &[[
-                0.016534067999999992,
+                0.014568467999999996,
                 0.011611964999999998,
-                0.0007557084444444393,
+                0.0007543119999999998,
                 3.7323666666667144e-5,
-                0.003920319999999999,
+                0.0019547199999999996,
             ]],
         ],
         [
             &[
                 [
-                    0.017810599777777776,
+                    0.017051689777777775,
                     0.015087779999999999,
                     7.805333333333338e-6,
                     6.504444444444449e-5,
-                    0.0017962699999999998,
+                    0.00103736,
                 ],
                 [
-                    0.017810599777777776,
+                    0.017051689777777775,
                     0.015087779999999999,
                     7.805333333333338e-6,
                     6.504444444444449e-5,
-                    0.0017962699999999998,
+                    0.00103736,
                 ],
             ],
             &[
                 [
-                    0.010945276,
+                    0.010548516888888889,
                     0.008593335,
-                    0.00015491111111111123,
+                    0.00012624977777777777,
                     0.0006515621111111105,
-                    0.0013309899999999998,
+                    0.0005991999999999999,
                 ],
                 [
-                    0.010944618222222223,
+                    0.010546731999999998,
                     0.008593335,
-                    0.0001531324444444445,
+                    0.0001244648888888889,
                     0.0006515621111111105,
-                    0.0013309899999999998,
+                    0.0005991999999999999,
                 ],
             ],
             &[
                 [
-                    0.011285325555555557,
+                    0.010932878444444443,
                     0.008554860000000001,
-                    0.0006106480000000014,
+                    0.0005825013333333334,
                     0.0006092171111111114,
-                    0.00134924,
+                    0.00062006,
                 ],
                 [
-                    0.006946409505437144,
+                    0.00641008071725447,
                     0.0045844359618566165,
-                    0.0006106480000000014,
+                    0.0005825013333333334,
                     0.00035847063541335307,
-                    0.00134924,
+                    0.00062006,
                 ],
             ],
             &[[
-                0.010498710444444444,
+                0.009795515333333334,
                 0.008171025,
-                0.00016764533333333336,
+                0.0001398328888888889,
                 0.000736767444444443,
-                0.0013521199999999998,
+                0.0006230599999999999,
             ]],
             &[[
-                0.016556955333333387,
+                0.016355754,
                 0.009538755000000001,
-                0.004194976888888948,
+                0.004172395555555561,
                 0.0015910034444444386,
-                0.0015207199999999997,
+                0.0008227099999999998,
             ]],
         ],
     ];
