@@ -254,9 +254,9 @@ fn distributed_rebuild_equals_shared_memory_coarsening() {
 }
 
 /// The graphs and configs the pins below are recorded on: per graph,
-/// five schedule columns of `(ranks, configs sharing one pin)`.
+/// six schedule columns of `(ranks, configs sharing one pin)`.
 #[allow(clippy::type_complexity)]
-fn pin_matrix() -> ([(&'static str, Csr); 3], [(usize, Vec<DistConfig>); 5]) {
+fn pin_matrix() -> ([(&'static str, Csr); 3], [(usize, Vec<DistConfig>); 6]) {
     use distributed_louvain::dist::{SweepMode, Variant};
 
     let graphs: [(&str, Csr); 3] = [
@@ -283,6 +283,13 @@ fn pin_matrix() -> ([(&'static str, Csr); 3], [(usize, Vec<DistConfig>); 5]) {
         ..DistConfig::baseline()
     };
     let et = DistConfig::with_variant(Variant::Et { alpha: 0.25 });
+    let et_full_and_delta = vec![
+        et.clone(),
+        DistConfig {
+            delta_ghost_refresh: true,
+            ..et.clone()
+        },
+    ];
     let everything = DistConfig {
         vertex_following: true,
         neighborhood_collectives: true,
@@ -291,12 +298,13 @@ fn pin_matrix() -> ([(&'static str, Csr); 3], [(usize, Vec<DistConfig>); 5]) {
         ..DistConfig::with_variant(Variant::Etc { alpha: 0.25 })
     };
     // In the column order of `PINS`.
-    let schedules: [(usize, Vec<DistConfig>); 5] = [
+    let schedules: [(usize, Vec<DistConfig>); 6] = [
         (1, vec![delta(false), delta(true)]),
         (2, vec![delta(false), delta(true)]),
         (2, vec![colored(1), colored(2)]),
         (2, vec![et]),
         (2, vec![everything]),
+        (8, et_full_and_delta),
     ];
     (graphs, schedules)
 }
@@ -309,7 +317,7 @@ fn pin_matrix() -> ([(&'static str, Csr); 3], [(usize, Vec<DistConfig>); 5]) {
 /// tie-breaking, accumulation order or the refresh policy moves at
 /// least one of them.
 ///
-/// The last column (every extension at once: ETC + vertex following +
+/// The fifth column (every extension at once: ETC + vertex following +
 /// neighbourhood collectives + ghost pruning + colour sub-rounds) and
 /// the `TRAFFIC` table were recorded on aa63baf, the commit before the
 /// replica reads, refreshes and owner pulls/pushes moved into
@@ -323,6 +331,11 @@ fn pin_matrix() -> ([(&'static str, Csr); 3], [(usize, Vec<DistConfig>); 5]) {
 /// refresh differ in the hash; colored t=1 and t=2 must not. (The split
 /// was recorded on 707a9a1, where the unsplit hashes of aa63baf still
 /// held.)
+///
+/// The sixth column — ET(0.25) at p=8, full and delta refresh sharing
+/// one pin — and its `TRAFFIC` and `MODEL` rows were recorded on
+/// d066b9f, before the perf sweep that used to compare these rows
+/// against a committed JSON at 10 % was deleted.
 ///
 /// One cell is not the parent's: rmat × every-extension. The coloring
 /// exchange now follows `neighborhood_collectives`, and in rmat's late
@@ -338,33 +351,43 @@ fn kernel_trajectories_are_pinned() {
     let (graphs, schedules) = pin_matrix();
     type Pin = (u64, u64, usize);
     const SSCA2: Pin = (0x5cf794233b67ae6c, 0x3fefa1cf2a17de82, 5);
-    const PINS: [[Pin; 5]; 3] = [
+    const PINS: [[Pin; 6]; 3] = [
         [
             (0x91b493afb0440030, 0x3febc46363789377, 11),
             (0x457c8ed1fa4cd0e7, 0x3febc49fff7576e3, 24),
             (0xbcb0fc3bec4df4ed, 0x3febc1cec596d024, 20),
             (0x03866925d665d206, 0x3febc0b7741c8bc1, 26),
             (0x457c8ed1fa4cd0e7, 0x3febc49fff7576e3, 22),
+            (0x85fce419487c4b80, 0x3febc3164f58c880, 28),
         ],
-        [SSCA2; 5],
+        [
+            SSCA2,
+            SSCA2,
+            SSCA2,
+            SSCA2,
+            SSCA2,
+            (0x5cf794233b67ae6c, 0x3fefa1cf2a17de82, 6),
+        ],
         [
             (0xcaf35d301dd13681, 0x3fc2a45ec2c42988, 14),
             (0xbb12f380177a22c6, 0x3fc2091db8d6098a, 15),
             (0xa6a4722d9cef3845, 0x3fc234df86e2695e, 15),
             (0xf18e02107d158fd3, 0x3fc1ffa4ddc352fe, 17),
             (0x1a749cfe15e7f7d3, 0x3fc26acdbad72df2, 23),
+            (0x10499ffecf2632fd, 0x3fbfdf2aef6697ea, 16),
         ],
     ];
     // Per config of each schedule column: (hash of everything but the
     // `Other` step's bytes, the `Other` step's bytes). The first column
     // is p=1, where a rank's own buffer is not traffic.
-    const TRAFFIC: [[&[(u64, u64)]; 5]; 3] = [
+    const TRAFFIC: [[&[(u64, u64)]; 6]; 3] = [
         [
             &[(0xaecf04b7211e060c, 56), (0xaecf04b7211e060c, 56)],
             &[(0x986beb6876f6d5f1, 87_264), (0xeffc9ef990a40207, 87_264)],
             &[(0xc1c00221c620ef60, 922_112), (0xc1c00221c620ef60, 922_112)],
             &[(0x4e95cb6e8acb07aa, 118_584)],
             &[(0xadb9b70fb32dd72e, 1_015_888)],
+            &[(0x6d08035f10b1f85c, 491_704), (0x9f9df50266594640, 491_704)],
         ],
         [
             &[(0x0b57ff71a3e0fc03, 56), (0x0b57ff71a3e0fc03, 56)],
@@ -372,6 +395,7 @@ fn kernel_trajectories_are_pinned() {
             &[(0x0f7f7e8d9a64b55a, 23_160), (0x0f7f7e8d9a64b55a, 23_160)],
             &[(0x7d25c1f52384024d, 920)],
             &[(0x815aad9be25637e2, 25_784)],
+            &[(0x1663dda602a342d4, 4_960), (0xa30085feaac924b9, 4_960)],
         ],
         [
             &[(0x8ff601acc1dd7c5e, 80), (0x8ff601acc1dd7c5e, 80)],
@@ -382,6 +406,7 @@ fn kernel_trajectories_are_pinned() {
             ],
             &[(0x9e81431fbae51011, 82_968)],
             &[(0xd6b9bac7efa6ea29, 1_172_144)],
+            &[(0x381198c5fca196b3, 364_464), (0x94d046f2ef49b732, 364_464)],
         ],
     ];
     // The p=2 cells' `Other` bytes while the rebuild sent one tuple per
@@ -469,7 +494,7 @@ fn kernel_trajectories_are_pinned() {
 /// below the one it replaced.
 #[test]
 fn modeled_seconds_match_the_send_path_clock() {
-    const MODEL: [[&[[f64; 5]]; 5]; 3] = [
+    const MODEL: [[&[[f64; 5]]; 6]; 3] = [
         [
             &[
                 [
@@ -533,6 +558,22 @@ fn modeled_seconds_match_the_send_path_clock() {
                 0.000339205777777776,
                 0.0008258199999999999,
             ]],
+            &[
+                [
+                    0.006802752666666667,
+                    0.0046263975,
+                    0.001266608888888889,
+                    0.0006362678333333328,
+                    0.00024166999999999998,
+                ],
+                [
+                    0.006782748222222222,
+                    0.0046263975,
+                    0.0012461902222222223,
+                    0.0006362678333333328,
+                    0.00024166999999999998,
+                ],
+            ],
         ],
         [
             &[
@@ -597,6 +638,22 @@ fn modeled_seconds_match_the_send_path_clock() {
                 3.7323666666667144e-5,
                 0.0019547199999999996,
             ]],
+            &[
+                [
+                    0.005137370444444443,
+                    0.00411162375,
+                    0.00033460755555555556,
+                    0.00014397024999999918,
+                    0.0004897699999999999,
+                ],
+                [
+                    0.005137301111111109,
+                    0.00411162375,
+                    0.0003344822222222222,
+                    0.00014397024999999918,
+                    0.0004897699999999999,
+                ],
+            ],
         ],
         [
             &[
@@ -661,6 +718,22 @@ fn modeled_seconds_match_the_send_path_clock() {
                 0.0015910034444444386,
                 0.0008227099999999998,
             ]],
+            &[
+                [
+                    0.004164092666666667,
+                    0.0015662099999999997,
+                    0.000828108,
+                    0.0013548046666666664,
+                    0.0004418199999999999,
+                ],
+                [
+                    0.004163721111111111,
+                    0.0015662099999999997,
+                    0.0008277364444444445,
+                    0.0013548046666666664,
+                    0.0004418199999999999,
+                ],
+            ],
         ],
     ];
     let (graphs, schedules) = pin_matrix();
