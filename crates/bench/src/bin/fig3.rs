@@ -6,13 +6,15 @@
 //! Times are the modeled job times (α-β communication + work-counter
 //! compute on the critical path); the paper's wall times on Cori cannot
 //! be reproduced on a laptop, but the *shape* — which variant wins, where
-//! scaling flattens — can. Run with
+//! scaling flattens — can. Past the largest rank count the host runs,
+//! each variant's curve continues to 4096 ranks as `modeled` rows:
+//! [`louvain_dist::model::extrapolate`] off that run's counters. Run with
 //! `cargo run --release -p louvain-bench --bin fig3 [graph ...]` to
 //! restrict the graph set, and `LOUVAIN_SCALE=quick` for a fast pass.
 
 use louvain_bench::datasets::{registry, Scale};
 use louvain_bench::{harness, Table};
-use louvain_dist::DistConfig;
+use louvain_dist::{model, DistConfig, DistOutcome};
 
 fn main() {
     let scale = Scale::from_env();
@@ -31,8 +33,9 @@ fn main() {
     };
     let variants = DistConfig::paper_variants();
 
-    let mut tsv =
-        String::from("graph\tvariant\tranks\tmodeled_s\twall_s\tmodularity\tphases\titerations\n");
+    let mut tsv = String::from(
+        "graph\tvariant\tranks\tmodeled_s\twall_s\tmodularity\tphases\titerations\tsource\n",
+    );
     for ds in &datasets {
         let gen = ds.generate(scale);
         let mut table = Table::new(
@@ -49,30 +52,52 @@ fn main() {
                 "modularity",
                 "phases",
                 "iters",
+                "source",
             ],
         );
         for &variant in &variants {
+            let mut row =
+                |p: usize, modeled_s: f64, wall_s: f64, out: &DistOutcome, source: &str| {
+                    table.add_row(vec![
+                        variant.label(),
+                        p.to_string(),
+                        format!("{modeled_s:.4}"),
+                        format!("{:.4}", out.modularity),
+                        out.phases.to_string(),
+                        out.total_iterations.to_string(),
+                        source.to_string(),
+                    ]);
+                    tsv.push_str(&format!(
+                        "{}\t{}\t{p}\t{modeled_s:.6}\t{wall_s:.6}\t{:.6}\t{}\t{}\t{source}\n",
+                        ds.name,
+                        variant.label(),
+                        out.modularity,
+                        out.phases,
+                        out.total_iterations
+                    ));
+                };
+            let cfg = DistConfig::with_variant(variant);
+            let mut last = None;
             for &p in &ranks {
-                let r = harness::run_dist_once(ds.name, &gen.graph, p, variant);
-                table.add_row(vec![
-                    r.variant.clone(),
-                    p.to_string(),
-                    format!("{:.4}", r.modeled_seconds),
-                    format!("{:.4}", r.modularity),
-                    r.phases.to_string(),
-                    r.iterations.to_string(),
-                ]);
-                tsv.push_str(&format!(
-                    "{}\t{}\t{}\t{:.6}\t{:.6}\t{:.6}\t{}\t{}\n",
-                    r.graph,
-                    r.variant,
-                    r.ranks,
-                    r.modeled_seconds,
-                    r.wall_seconds,
-                    r.modularity,
-                    r.phases,
-                    r.iterations
-                ));
+                let out = harness::run_dist_full(&gen.graph, p, &cfg);
+                row(
+                    p,
+                    out.modeled_seconds,
+                    out.wall.as_secs_f64(),
+                    &out,
+                    "measured",
+                );
+                last = Some((p, out));
+            }
+            // The tail no host runs: 1/P compute and the 1D-cut α-β comm
+            // off the largest measured run.
+            let (from, out) = last.expect("at least one rank count");
+            let (measured_compute, ..) = out.modeled_breakdown();
+            let iterations = out.total_iterations;
+            for to in [128usize, 256, 512, 1024, 2048, 4096] {
+                let (compute, comm) =
+                    model::extrapolate(&out.traffic, measured_compute, iterations, from, to);
+                row(to, compute + comm, f64::NAN, &out, "modeled");
             }
             eprintln!("# {} / {} done", ds.name, variant.label());
         }

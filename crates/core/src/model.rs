@@ -139,6 +139,38 @@ pub fn breakdown(per_rank: &[Vec<PhaseStats>], phases: usize) -> (f64, f64, f64,
     (compute, comm, reduce, rebuild)
 }
 
+/// `(compute, comm)` seconds of a run measured on `from_ranks` ≥ 2 ranks,
+/// modeled at a rank count this host cannot run: the 64→4096-rank tail
+/// of a strong-scaling curve. Compute shrinks as 1/P off the measured
+/// `compute_seconds`. The bytes exchanged over the 1D cut grow as
+/// `C·(1 − 1/P)`, with `C` calibrated on the measured ghost-refresh,
+/// community-pull, delta-push and reduction bytes of `traffic`, and are
+/// shared by P ranks; each of the `iterations` supersteps also pays
+/// `α·(P − 1)` per rank for the ghost exchange — the term that flattens
+/// the paper's Fig 3 curves at high rank counts.
+pub fn extrapolate(
+    traffic: &StatsSnapshot,
+    compute_seconds: f64,
+    iterations: usize,
+    from_ranks: usize,
+    to_ranks: usize,
+) -> (f64, f64) {
+    assert!(from_ranks >= 2, "one rank has no cut to calibrate on");
+    let CostModel { alpha, beta } = CostModel::aries();
+    let cut_steps = [
+        CommStep::GhostRefresh,
+        CommStep::CommunityPull,
+        CommStep::DeltaPush,
+        CommStep::Reduction,
+    ];
+    let measured: u64 = cut_steps.iter().map(|&s| traffic.step_bytes_for(s)).sum();
+    let (from, to) = (from_ranks as f64, to_ranks as f64);
+    let cut_c = measured as f64 / (1.0 - 1.0 / from);
+    let bytes = cut_c * (1.0 - 1.0 / to);
+    let comm = iterations as f64 * alpha * (to - 1.0) + beta * bytes / to;
+    (compute_seconds * from / to, comm)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -225,5 +257,42 @@ mod tests {
         assert!((phase_seconds(&p4, 2) - expected4).abs() < 1e-12);
         // One rank, one phase: the job is that phase.
         assert_eq!(job_seconds(&[vec![p.clone()]], 1), phase_seconds(&p, 1));
+    }
+
+    #[test]
+    fn extrapolation_has_the_closed_form_and_a_minimum() {
+        let CostModel { alpha, beta } = CostModel::aries();
+        // 7000 bytes over the cut at p=8, 900 rebuild bytes that must
+        // not count; C = 7000 / (7/8) = 8000.
+        let mut t = StatsSnapshot::default();
+        t.step_bytes[CommStep::GhostRefresh.index()] = 4_000;
+        t.step_bytes[CommStep::CommunityPull.index()] = 1_500;
+        t.step_bytes[CommStep::DeltaPush.index()] = 1_000;
+        t.step_bytes[CommStep::Reduction.index()] = 500;
+        t.step_bytes[CommStep::Other.index()] = 900;
+        let at = |p: usize| extrapolate(&t, 0.4, 20, 8, p);
+        let close = |got: f64, want: f64| (got - want).abs() <= 1e-12 * want;
+        for p in [64usize, 4096] {
+            let pf = p as f64;
+            let (compute, comm) = at(p);
+            assert!(close(compute, 0.4 * 8.0 / pf));
+            let want = 20.0 * alpha * (pf - 1.0) + beta * 8_000.0 * (1.0 - 1.0 / pf) / pf;
+            assert!(close(comm, want), "p={p}: {comm} vs {want}");
+        }
+        // At the measured rank count the split is the inputs' own.
+        let (compute, comm) = at(8);
+        assert_eq!(compute, 0.4);
+        assert!(close(comm, 20.0 * alpha * 7.0 + beta * 7_000.0 / 8.0));
+        // Compute falls and the latency term — all that is left of comm
+        // when no bytes cross the cut — rises with every doubling, so the
+        // total turns up again: 3.2/P against 26e-6·P bottoms out near 350.
+        let latency = |p: usize| extrapolate(&StatsSnapshot::default(), 0.4, 20, 8, p).1;
+        let ranks: Vec<usize> = (6..=12).map(|k| 1 << k).collect();
+        for w in ranks.windows(2) {
+            assert!(at(w[1]).0 < at(w[0]).0);
+            assert!(latency(w[1]) > latency(w[0]));
+        }
+        let total = |p: usize| at(p).0 + at(p).1;
+        assert!(total(256) < total(64) && total(256) < total(4096));
     }
 }

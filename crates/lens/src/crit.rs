@@ -391,8 +391,8 @@ pub fn crit(
     if runs.is_empty() {
         return Err(format!(
             "artifact `{}` has no runs with message events: it predates the \
-             causal profiling layer (re-run the bench with tracing to produce \
-             phase_profile and messages sections)",
+             causal profiling layer or was run untraced (`louvain run --trace-out` \
+             produces the phase_profile and messages sections)",
             artifact.name
         ));
     }

@@ -1,8 +1,7 @@
 //! # louvain-lens — run-artifact analytics
 //!
-//! Turns [`RunArtifact`]s (and every legacy bench shape that converts
-//! into them) into human summaries, deterministic diffs, and a CI
-//! regression verdict:
+//! Turns [`RunArtifact`]s into human summaries, deterministic diffs, and
+//! a regression verdict:
 //!
 //! - [`show`]: per-run summary plus a sparkline convergence table when
 //!   the run carries telemetry.
@@ -10,8 +9,8 @@
 //!   wall / bytes / modularity / iterations-to-converge deltas, with
 //!   noise thresholds separating signal (deterministic byte and
 //!   modularity counts) from jitter (wall time).
-//! - [`gate`]: nonzero-exit regression verdict for CI, against a
-//!   committed baseline artifact.
+//! - [`gate`]: the pass / fail verdict over [`diff`], for two artifacts
+//!   of the caller's own.
 //! - [`crit`]: cross-rank critical-path analysis over the causal
 //!   profiling sections (phase profiles + Lamport-matched message
 //!   edges) — per-phase wall attribution, straggler blame, and a
@@ -19,8 +18,7 @@
 //!
 //! Every rendering path is deterministic — fixed float precision, label
 //! ordering via `BTreeMap`, no clocks — so diffing the same two
-//! artifacts twice is byte-identical (asserted in tests; the property
-//! CI relies on to keep verdicts reproducible).
+//! artifacts twice is byte-identical (asserted in tests).
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -152,37 +150,6 @@ fn memory_line(r: &louvain_obs::RunReport) -> Option<String> {
     Some(line)
 }
 
-/// Serve-ops line for runs carrying the daemon's `serve.*` metrics
-/// (the `serve/daemon` summary row of the serving benchmark): queue
-/// high-water from the gauge's max, shed count, and the cache hit rate.
-fn serve_ops_line(r: &louvain_obs::RunReport) -> Option<String> {
-    let has_serve = r.metrics.counters.keys().any(|k| k.starts_with("serve."))
-        || r.metrics.gauges.keys().any(|k| k.starts_with("serve."));
-    if !has_serve {
-        return None;
-    }
-    let counter = |name: &str| r.metrics.counters.get(name).copied().unwrap_or(0);
-    let mut line = format!(
-        "serve ops: accepted={} completed={} shed={}",
-        counter("serve.jobs_accepted"),
-        counter("serve.jobs_completed"),
-        counter("serve.jobs_rejected"),
-    );
-    if let Some(g) = r.metrics.gauges.get("serve.queue_depth") {
-        let _ = write!(line, "  queue_high_water={}", g.max as u64);
-    }
-    let hits = counter("serve.cache_hits");
-    let misses = counter("serve.cache_misses");
-    if hits + misses > 0 {
-        let _ = write!(
-            line,
-            "  cache_hit_rate={:.1}%",
-            100.0 * hits as f64 / (hits + misses) as f64
-        );
-    }
-    Some(line)
-}
-
 /// Human summary of an artifact: one block per run, with a sparkline
 /// convergence table for traced runs.
 pub fn show(artifact: &RunArtifact) -> String {
@@ -233,22 +200,11 @@ pub fn show(artifact: &RunArtifact) -> String {
         if let Some(mem) = memory_line(r) {
             let _ = writeln!(out, "  {mem}");
         }
-        if let Some(ops) = serve_ops_line(r) {
-            let _ = writeln!(out, "  {ops}");
-        }
         if let Some(h) = r.metrics.histograms.get("rank.total_bytes") {
             let (p50, p95, p99) = h.quantile_summary();
             let _ = writeln!(
                 out,
                 "  rank imbalance (total bytes): p50<={p50} p95<={p95} p99<={p99}"
-            );
-        }
-        if let Some(h) = r.metrics.histograms.get("serve.job_latency_ms") {
-            let (p50, p95, p99) = h.quantile_summary();
-            let _ = writeln!(
-                out,
-                "  job latency (ms): p50<={p50} p95<={p95} p99<={p99} over {} jobs",
-                h.count
             );
         }
         if !entry.telemetry.is_empty() {
@@ -343,7 +299,7 @@ impl DiffReport {
 }
 
 fn by_label(a: &RunArtifact) -> BTreeMap<String, RunEntry> {
-    // First entry wins on duplicate labels (legacy files may repeat).
+    // First entry wins on duplicate labels.
     let mut map = BTreeMap::new();
     for e in &a.runs {
         map.entry(e.label.clone()).or_insert_with(|| e.clone());
@@ -459,39 +415,15 @@ impl GateResult {
 /// Gate `current` against `baseline`: regressions and missing baseline
 /// runs fail; runs only in `current` are allowed (new coverage).
 pub fn gate(baseline: &RunArtifact, current: &RunArtifact, t: &Thresholds) -> GateResult {
-    gate_with_skips(baseline, current, t, &[])
-}
-
-/// [`gate`], but runs whose label starts with any prefix in `skips`
-/// are excluded from the verdict entirely (neither regressions nor
-/// missing-run failures). This keeps informational rows — e.g. the
-/// machine-dependent weak-scaling sweeps in `BENCH_PR8.json` — inside
-/// the committed artifact without letting their wall-time jitter gate
-/// CI.
-pub fn gate_with_skips(
-    baseline: &RunArtifact,
-    current: &RunArtifact,
-    t: &Thresholds,
-    skips: &[&str],
-) -> GateResult {
-    let skipped = |label: &str| skips.iter().any(|s| label.starts_with(s));
     let d = diff(baseline, current, t);
-    let mut failures = Vec::new();
-    let mut checked = 0usize;
-    for m in &d.matched {
-        if skipped(&m.label) {
-            continue;
-        }
-        checked += 1;
-        failures.extend(m.regressions.iter().map(|r| format!("{}: {r}", m.label)));
-    }
+    let mut failures = d.regressions();
     for l in &d.only_a {
-        if skipped(l) {
-            continue;
-        }
         failures.push(format!("{l}: present in baseline but missing from current"));
     }
-    GateResult { checked, failures }
+    GateResult {
+        checked: d.matched.len(),
+        failures,
+    }
 }
 
 #[cfg(test)]
@@ -587,29 +519,6 @@ mod tests {
         let r2 = diff(&base, &cur, &Thresholds::default()).render();
         assert_eq!(r1, r2, "diff rendering must be byte-identical");
         assert!(r1.contains("only in baseline: g/p4/full"));
-    }
-
-    #[test]
-    fn skip_label_prefixes_are_excluded_from_the_verdict() {
-        let base = artifact(vec![
-            entry("g/p2/delta", 0.2, 10_000, 0.8, 12),
-            entry("weak/rmat17/p8", 0.2, 10_000, 0.8, 12),
-        ]);
-        // The weak-scaling row regresses on wall AND goes missing in a
-        // second artifact — neither may gate when its prefix is skipped.
-        let cur = artifact(vec![
-            entry("g/p2/delta", 0.2, 10_000, 0.8, 12),
-            entry("weak/rmat17/p8", 0.9, 10_000, 0.8, 12),
-        ]);
-        let t = Thresholds::default();
-        assert!(!gate(&base, &cur, &t).passed(), "unskipped: must fail");
-        let g = gate_with_skips(&base, &cur, &t, &["weak/"]);
-        assert!(g.passed(), "{:?}", g.failures);
-        assert_eq!(g.checked, 1, "skipped rows must not count as checked");
-
-        let missing = artifact(vec![entry("g/p2/delta", 0.2, 10_000, 0.8, 12)]);
-        assert!(gate_with_skips(&base, &missing, &t, &["weak/"]).passed());
-        assert!(!gate(&base, &missing, &t).passed());
     }
 
     #[test]

@@ -301,7 +301,7 @@ mod tests {
     fn unknown_shapes_are_rejected() {
         // The pre-artifact bench files (`{"bench": ..., "runs": [...]}`)
         // are no longer lifted.
-        let legacy = r#"{"bench": "BENCH_PR3", "description": "sweep",
+        let legacy = r#"{"bench": "PR3_SWEEP", "description": "sweep",
           "runs": [{"graph": "ssca2_4k", "ranks": 2, "mode": "delta", "modularity": 0.98}]}"#;
         let err = RunArtifact::from_any_json_str(legacy).unwrap_err();
         assert!(err.contains("unrecognized document"), "{err}");

@@ -2,7 +2,7 @@
 # First-party Rust lines above each file's first `#[cfg(test)]`, per
 # crate and in total: the figure ROADMAP's "lines no higher than found"
 # rule is read against. vendor/ shims, tests/, examples/ and bench/ are
-# not counted.
+# not counted. Last, the bytes of committed JSON.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -21,3 +21,5 @@ find src crates/*/src -name '*.rs' | sort | xargs awk '
     close("sort -k2")
     printf "%7d total\n", total
   }'
+
+git ls-files -z '*.json' | xargs -0 -r cat | wc -c | awk '{ printf "%7d bytes of committed *.json\n", $1 }'

@@ -1,18 +1,14 @@
 #!/usr/bin/env bash
-# Million-edge weak-scaling smoke for the out-of-core slab path.
+# Million-edge smoke for the out-of-core slab path.
 #
 # Exercises the full disk pipeline end to end at >=1M edges:
 #   1. stream-generate a slab (bounded-memory external sort, no in-RAM
 #      edge list) and the same graph as a binary edge list,
 #   2. run p=2 three ways — in-memory scatter, mmap-backed slab, and
 #      per-rank byte-range slab loads — and require bit-identical
-#      community assignments,
-#   3. run the bench_smoke weak-scaling sweep (measured p{1,2,8} rows +
-#      modeled 64->4096-rank alpha-beta curves) and gate its
-#      deterministic modeled rows against the committed BENCH_PR8.json.
+#      community assignments.
 #
-# CI runs this behind the LOUVAIN_SCALE_GATE toggle; the fresh artifact lands
-# at target/scale_artifact.json for upload.
+# CI runs this behind the LOUVAIN_SCALE_GATE repository variable.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -46,11 +42,5 @@ run_p2 "$SCRATCH/ranged.comm" "$SCRATCH/rmat_s18.slab" --ranged
 cmp "$SCRATCH/mem.comm" "$SCRATCH/mapped.comm"
 cmp "$SCRATCH/mem.comm" "$SCRATCH/ranged.comm"
 echo "p=2 in-memory, mmap, and byte-range assignments are bit-identical"
-
-echo "==> weak-scaling sweep + lens gate vs BENCH_PR8.json"
-./target/release/bench_smoke --scale-out target/scale_artifact.json
-./target/release/lens gate --baseline BENCH_PR8.json target/scale_artifact.json \
-  --skip-label weak/
-./target/release/lens show target/scale_artifact.json
 
 echo "scale_smoke: OK"

@@ -59,63 +59,24 @@ rustfmt --edition 2021 --check "${fmt_files[@]}"
 echo "==> cargo clippy -D warnings (first-party crates)"
 cargo clippy -q "${pkg_flags[@]}" --all-targets -- -D warnings
 
-# Perf/quality regression gate: regenerate the bench artifact and gate
-# it against the committed baseline at the default lens tolerances.
-# Byte counters, modularity and iteration counts are deterministic (and
-# the α-β times derived from them); bench_smoke itself asserts the colored sweep
-# bit-identical across the thread axis before the artifact is written.
-# The fresh artifact lands at target/run_artifact.json for CI upload.
-echo "==> bench run artifact + lens gate vs BENCH_PR7.json"
-./target/release/bench_smoke \
-  --threads 1,2,4 \
-  --artifact-out target/run_artifact.json \
-  --trace-out target/trace.json 2>/dev/null
-./target/release/lens gate --baseline BENCH_PR7.json target/run_artifact.json
+# The product end to end: a traced 2-rank run writes the artifact and
+# the Perfetto trace CI uploads, `lens crit` rebuilds the cross-rank
+# happens-before DAG from its message edges and must find the traced
+# bytes equal to the p2p counters, and fig3 prints the modeled
+# 128->4096-rank tail past its last measured rank count.
+echo "==> louvain generate | run --artifact-out | lens show | lens crit | fig3"
+./target/release/louvain generate --kind lfr --n 3000 --seed 7 --out target/verify_lfr.graph
+./target/release/louvain run target/verify_lfr.graph --ranks 2 --variant et:0.25 \
+  --artifact-out target/run_artifact.json --trace-out target/trace.json
+./target/release/lens show target/run_artifact.json
+./target/release/lens crit target/run_artifact.json | tee target/crit_report.txt
+grep -q "exact match" target/crit_report.txt
+# -c, not -q: grep must drain the pipe or fig3 dies writing to it.
+LOUVAIN_SCALE=quick ./target/release/fig3 channel 2>/dev/null | grep -cw modeled
 
-# Causal critical-path gate: reconstruct the cross-rank happens-before
-# DAG from the fresh artifact's message edges, check byte-exact
-# agreement between the traced edges and the p2p counters, and that
-# the wait fraction has not regressed past the committed baseline's
-# plus the tolerance. The report lands at target/crit_report.txt and the
-# Perfetto trace at target/trace.json for CI upload.
-echo "==> lens crit (critical path + wait-fraction gate vs BENCH_PR7.json)"
-./target/release/lens crit target/run_artifact.json \
-  --baseline BENCH_PR7.json | tee target/crit_report.txt
-
-# Serving gate: run the in-process louvaind bench (fresh job, cache
-# hit, crash-injected kill-and-resume, single-rank job — the bench
-# errors out unless the cache hit and the checkpoint resume actually
-# happened) and gate the per-job rows against the committed
-# BENCH_PR9.json. Modularity/bytes/iterations are deterministic; job
-# wall times are machine-local latencies, hence the wide --wall-tol.
-# The summary row must render the job-latency percentiles in lens show.
-echo "==> louvaind bench + lens gate vs BENCH_PR9.json"
-./target/release/louvaind bench --out target/serve_artifact.json 2>/dev/null
-./target/release/lens gate --baseline BENCH_PR9.json target/serve_artifact.json \
-  --wall-tol 4.0
-./target/release/lens show BENCH_PR9.json | grep -q "job latency" \
-  || { echo "FAIL: BENCH_PR9.json has no job-latency row"; exit 1; }
-
-# Million-edge weak-scaling gate over the out-of-core slab path: opt-in
-# via LOUVAIN_SCALE_GATE=1 because it spends tens of seconds on >=1M-edge
-# runs. Regenerates the weak-scaling artifact (which itself asserts the
-# p=2 byte-range load bit-identical to the shared mapping) and gates
-# the deterministic modeled 64->4096-rank rows against the committed
-# BENCH_PR8.json; measured weak/ rows carry machine-local wall times
-# and are excluded with --skip-label. The fresh artifact lands at
-# target/scale_artifact.json for CI upload.
-if [[ "${LOUVAIN_SCALE_GATE:-0}" == "1" ]]; then
-  echo "==> weak-scaling artifact + lens gate vs BENCH_PR8.json (LOUVAIN_SCALE_GATE=1)"
-  ./target/release/bench_smoke --scale-out target/scale_artifact.json
-  ./target/release/lens gate --baseline BENCH_PR8.json target/scale_artifact.json \
-    --skip-label weak/
-else
-  echo "==> weak-scaling gate skipped (set LOUVAIN_SCALE_GATE=1 to enable)"
-fi
-
-# Not a gate: the figure a PR quotes against ROADMAP's "lines no higher
+# Not a gate: the figures a PR quotes against ROADMAP's "lines no higher
 # than found" rule.
-echo "==> first-party lines above the test modules (scripts/loc.sh)"
+echo "==> first-party lines above the test modules, committed JSON bytes (scripts/loc.sh)"
 scripts/loc.sh
 
 echo "verify: OK"

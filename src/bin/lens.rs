@@ -1,9 +1,10 @@
 //! `lens` — run-artifact analytics for the distributed Louvain repo.
 //!
 //! ```text
-//! lens show BENCH_PR7.json
-//! lens diff BENCH_PR7.json fresh.json
-//! lens gate --baseline BENCH_PR7.json fresh.json --wall-tol 4.0
+//! lens show run.json
+//! lens diff before.json after.json
+//! lens gate --baseline before.json after.json --wall-tol 4.0
+//! lens crit run.json
 //! ```
 //!
 //! Every input goes through [`RunArtifact::from_any_json_str`], so a
@@ -15,10 +16,10 @@ use std::process::ExitCode;
 
 use distributed_louvain::cli::Args;
 use distributed_louvain::obs::RunArtifact;
-use louvain_lens::{crit, diff, gate_with_skips, show, Thresholds, DEFAULT_WAIT_TOL};
+use louvain_lens::{crit, diff, gate, show, Thresholds, DEFAULT_WAIT_TOL};
 
 const USAGE: &str = "\
-lens — run-artifact analytics (convergence tables, diffs, CI gate)
+lens — run-artifact analytics (convergence tables, diffs, critical path)
 
 USAGE:
   lens show <ARTIFACT>
@@ -34,15 +35,10 @@ USAGE:
       output. Threshold crossings are marked REGRESSION but do not
       affect the exit code.
 
-  lens gate --baseline <BASELINE> <CURRENT> [--skip-label <PREFIX>]...
-            [threshold flags]
-      CI verdict: exit 0 when every baseline run matches within
-      thresholds, nonzero on any regression or on a baseline run
+  lens gate --baseline <BASELINE> <CURRENT> [threshold flags]
+      The verdict over `diff`: exit 0 when every baseline run matches
+      within thresholds, nonzero on any regression or on a baseline run
       missing from <CURRENT>. Runs only in <CURRENT> are allowed.
-      --skip-label (repeatable) excludes runs whose label starts with
-      PREFIX from the verdict — for informational rows (e.g. the
-      machine-dependent weak-scaling sweeps) that should stay in the
-      artifact without gating CI.
 
   lens crit <ARTIFACT> [--baseline <BASELINE>] [--wait-tol <F>]
       Cross-rank critical-path analysis over the causal profiling
@@ -171,15 +167,14 @@ fn cmd_diff(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_gate(args: &[String]) -> Result<bool, String> {
-    let mut values = vec!["--baseline", "--skip-label"];
+    let mut values = vec!["--baseline"];
     values.extend(THRESHOLD_FLAGS);
     let args = Args::scan(args, &values, &[])?;
     let (Some(baseline), [current]) = (args.get("--baseline"), args.positionals()) else {
         return Err("usage: lens gate --baseline <BASELINE> <CURRENT>".into());
     };
     let t = thresholds(&args)?;
-    let skips: Vec<&str> = args.all("--skip-label").collect();
-    let result = gate_with_skips(&load(baseline)?, &load(current)?, &t, &skips);
+    let result = gate(&load(baseline)?, &load(current)?, &t);
     print!("{}", result.render());
     Ok(result.passed())
 }
@@ -300,15 +295,36 @@ mod tests {
 
     #[test]
     fn show_diff_gate_on_real_artifacts() {
-        // End-to-end over the committed sweep.
-        let pr7 = concat!(env!("CARGO_MANIFEST_DIR"), "/BENCH_PR7.json");
-        assert!(!load(pr7).unwrap().runs.is_empty());
+        // End-to-end over an artifact file, as the CLI reads one.
+        use distributed_louvain::obs::{RunEntry, RunReport};
+        let artifact = RunArtifact {
+            name: "hand-built".into(),
+            description: String::new(),
+            runs: vec![RunEntry {
+                label: "g/p2/delta".into(),
+                report: RunReport {
+                    graph: "g".into(),
+                    ranks: 2,
+                    modularity: 0.8,
+                    iterations: 12,
+                    wall_seconds: 0.2,
+                    total_bytes: 10_000,
+                    ..Default::default()
+                },
+                telemetry: Vec::new(),
+            }],
+        };
+        let path = std::env::temp_dir().join(format!("lens-cli-{}.json", std::process::id()));
+        std::fs::write(&path, artifact.to_json_string()).unwrap();
+        let file = path.to_str().unwrap();
+        assert_eq!(load(file).unwrap().runs.len(), 1);
 
-        cmd_show(&s(&[pr7])).unwrap();
-        cmd_diff(&s(&[pr7, pr7])).unwrap();
+        cmd_show(&s(&[file])).unwrap();
+        cmd_diff(&s(&[file, file])).unwrap();
         assert!(
-            cmd_gate(&s(&["--baseline", pr7, pr7])).unwrap(),
+            cmd_gate(&s(&["--baseline", file, file])).unwrap(),
             "an artifact must gate cleanly against itself"
         );
+        let _ = std::fs::remove_file(&path);
     }
 }

@@ -4,7 +4,6 @@
 //! louvaind serve --listen 127.0.0.1:7077 --workers 2
 //! louvaind submit --addr 127.0.0.1:7077 --job-id a --graph g.bin --ranks 2
 //! louvaind query --addr 127.0.0.1:7077 --job-id a
-//! louvaind bench --out target/serve_artifact.json
 //! ```
 //!
 //! `serve` speaks the JSON-lines protocol of `louvain_serve::proto` over
@@ -23,9 +22,8 @@ use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use distributed_louvain::cli::Args;
-use distributed_louvain::graph::{binio, gen};
-use distributed_louvain::obs::{Json, RunArtifact, RunEntry, RunReport};
-use distributed_louvain::serve::{serve_lines, JobSpec, JobStatus, ServeConfig, Server};
+use distributed_louvain::obs::Json;
+use distributed_louvain::serve::{serve_lines, ServeConfig, Server};
 
 const USAGE: &str = "\
 louvaind — fault-tolerant job server for distributed Louvain
@@ -69,13 +67,6 @@ USAGE:
       Ask the daemon to dump its flight recorder to disk now; prints
       the dump's path.
 
-  louvaind bench --out <FILE>
-      In-process serving benchmark: a 2-worker pool runs a fresh job, a
-      cache-hit repeat, a crash-injected kill-and-resume job, and a
-      single-rank job; asserts the cache hit and the resume actually
-      happened and writes a run artifact whose summary row carries the
-      serve.* metrics (p50/p95/p99 job latency included).
-
 The wire protocol is one JSON object per line; see DESIGN.md §14.
 ";
 
@@ -88,7 +79,6 @@ fn main() -> ExitCode {
         Some("watch") => cmd_watch(&args[1..]),
         Some("metrics") => cmd_metrics(&args[1..]),
         Some("dump") => cmd_dump(&args[1..]),
-        Some("bench") => cmd_bench(&args[1..]),
         Some("--help" | "-h" | "help") | None => {
             print!("{USAGE}");
             Ok(())
@@ -490,144 +480,6 @@ fn talk(mut stream: TcpStream, req: &Json, done: impl Fn(&Json) -> bool) -> Resu
         }
     }
     Err("connection closed before a terminal response".into())
-}
-
-// ---------------------------------------------------------------------------
-// bench
-// ---------------------------------------------------------------------------
-
-/// The committed-benchmark driver: exercises the serving layer's three
-/// headline behaviours (admission + fresh runs, the result cache, and
-/// crash recovery with resume) in-process and writes a run artifact.
-fn cmd_bench(args: &[String]) -> Result<(), String> {
-    let args = Args::scan(args, &["--out"], &[])?;
-    let out = args.require("--out")?;
-    let work = std::env::temp_dir().join(format!("louvaind-bench-{}", std::process::id()));
-    std::fs::create_dir_all(&work).map_err(|e| e.to_string())?;
-
-    let graph_path = work.join("lfr_1k.bin");
-    let g = gen::lfr(gen::LfrParams::small(1000, 42)).graph;
-    binio::write_edge_list(&graph_path, &g.to_edge_list()).map_err(|e| e.to_string())?;
-
-    let server = Server::start(ServeConfig {
-        workers: 2,
-        checkpoint_root: work.join("ckpt"),
-        verbose: false,
-        ..ServeConfig::default()
-    });
-
-    let spec = |job_id: &str, ranks: usize| JobSpec {
-        job_id: job_id.to_string(),
-        graph: graph_path.clone(),
-        ranks,
-        cfg: distributed_louvain::dist::DistConfig::baseline(),
-        fault_plan: None,
-        max_crash_recoveries: None,
-        max_hang_recoveries: None,
-    };
-
-    // a-base and a-repeat share a cache key; b-crash takes a mid-run
-    // crash with budget 1 (absorbed in-run, resuming off the phase
-    // checkpoint); c-p1 is a distinct key on one rank.
-    let jobs: Vec<(&str, JobSpec)> = vec![
-        ("a-base", spec("a-base", 2)),
-        ("a-repeat", spec("a-repeat", 2)),
-        ("b-crash", {
-            // A distinct config (ET variant) so b-crash cannot hit
-            // a-base's cache entry — the fault plan is deliberately not
-            // part of the cache key.
-            let mut job = spec("b-crash", 2);
-            job.cfg.variant = distributed_louvain::dist::Variant::Et { alpha: 0.25 };
-            job.fault_plan = Some("crash:rank=0,phase=1,op=0".into());
-            job.max_crash_recoveries = Some(1);
-            job
-        }),
-        ("c-p1", spec("c-p1", 1)),
-    ];
-
-    let mut entries: Vec<RunEntry> = Vec::new();
-    for (name, job) in jobs {
-        // Sequential submission keeps cache behaviour deterministic
-        // (a-repeat must run after a-base finished).
-        let seq = server
-            .submit(job)
-            .map_err(|e| format!("submit {name}: {e}"))?;
-        let status = server.wait(seq).ok_or("job record vanished")?;
-        let JobStatus::Done {
-            cached,
-            resumed_from_phase,
-            crash_recoveries,
-            result,
-            ..
-        } = &status
-        else {
-            return Err(format!("job {name} did not finish: {status:?}"));
-        };
-        println!(
-            "job {name}: modularity {:.6}, {} communities, cached={cached}, \
-             resumed_from_phase={resumed_from_phase:?}, crash_recoveries={crash_recoveries}",
-            result.modularity, result.num_communities
-        );
-        for run in &result.artifact.runs {
-            entries.push(RunEntry {
-                label: format!("serve/{name}"),
-                ..run.clone()
-            });
-        }
-    }
-
-    let snapshot = server.metrics_snapshot();
-    server.drain();
-
-    let hits = snapshot
-        .counters
-        .get("serve.cache_hits")
-        .copied()
-        .unwrap_or(0);
-    let resumed = snapshot
-        .counters
-        .get("serve.jobs_resumed")
-        .copied()
-        .unwrap_or(0);
-    if hits < 1 {
-        return Err(format!("expected at least one cache hit, saw {hits}"));
-    }
-    if resumed < 1 {
-        return Err(format!(
-            "expected at least one checkpoint resume, saw {resumed}"
-        ));
-    }
-
-    // Summary row: an otherwise-empty report carrying the server's
-    // serve.* metrics, so `lens show` renders the job-latency
-    // percentiles and `lens gate` keeps the row matched across PRs.
-    entries.push(RunEntry {
-        label: "serve/daemon".into(),
-        report: RunReport {
-            graph: "serve-daemon".into(),
-            variant: "serve".into(),
-            metrics: snapshot,
-            ..RunReport::default()
-        },
-        telemetry: Vec::new(),
-    });
-
-    let artifact = RunArtifact {
-        name: "BENCH_PR9".into(),
-        description: "louvaind serving benchmark: fresh run, cache hit, \
-                      crash-injected kill-and-resume, single-rank job; the \
-                      serve/daemon row carries the serve.* metrics and the \
-                      job-latency histogram"
-            .into(),
-        runs: entries,
-    };
-    std::fs::write(out, artifact.to_json_string()).map_err(|e| format!("{out}: {e}"))?;
-    println!(
-        "wrote {out} ({} runs; cache_hits={hits}, jobs_resumed={resumed})",
-        artifact.runs.len()
-    );
-    let _ = std::fs::remove_dir_all(&work);
-    Ok(())
 }
 
 #[cfg(test)]

@@ -65,17 +65,9 @@ impl<'a> Args<'a> {
         }
     }
 
-    /// Every value given for a (repeatable) value flag, in order.
-    pub fn all<'s>(&'s self, key: &'s str) -> impl Iterator<Item = &'a str> + 's {
-        self.flags
-            .iter()
-            .filter(move |(k, _)| *k == key)
-            .filter_map(|(_, v)| *v)
-    }
-
     /// The first value given for a value flag.
     pub fn get(&self, key: &str) -> Option<&'a str> {
-        self.all(key).next()
+        self.flags.iter().find(|(k, _)| *k == key)?.1
     }
 
     pub fn require(&self, key: &str) -> Result<&'a str, String> {
@@ -115,18 +107,6 @@ mod tests {
         assert_eq!(a.parse::<usize>("--ranks").unwrap(), Some(8));
         assert_eq!(a.parse::<f64>("--tau").unwrap(), None);
         assert!(a.require("--tau").unwrap_err().contains("--tau"));
-    }
-
-    #[test]
-    fn repeated_flags_keep_every_value_in_order() {
-        let args = s(&["--skip-label", "weak/", "x.json", "--skip-label", "model/"]);
-        let a = Args::scan(&args, &["--skip-label"], &[]).unwrap();
-        assert_eq!(
-            a.all("--skip-label").collect::<Vec<_>>(),
-            ["weak/", "model/"]
-        );
-        assert_eq!(a.get("--skip-label"), Some("weak/"));
-        assert_eq!(a.positionals(), ["x.json"]);
     }
 
     #[test]
