@@ -90,20 +90,18 @@ pub fn count_communities(comm: &[VertexId]) -> usize {
 pub fn coarsen(g: &Csr, comm: &[VertexId]) -> (Csr, CommunityAssignment) {
     assert_eq!(g.num_vertices(), comm.len());
     let (dense, k) = renumber(comm);
-    let mut acc = fast_map_with_capacity::<(VertexId, VertexId), Weight>(g.num_arcs() / 2 + 1);
-    for u in 0..g.num_vertices() as VertexId {
-        let cu = dense[u as usize];
-        for (v, w) in g.neighbors(u) {
-            let cv = dense[v as usize];
-            *acc.entry((cu, cv)).or_insert(0.0) += w;
-        }
-    }
-    // Off-diagonal entries appear from both orientations already; the
-    // diagonal accumulated every internal arc (2× per undirected internal
-    // edge + 1× per original loop), which is exactly the self-loop weight
-    // that keeps a_c and e_in invariant.
-    let arcs: Vec<_> = acc.into_iter().map(|((a, b), w)| (a, b, w)).collect();
-    (Csr::from_arcs(k, arcs), dense)
+    // Every arc lands on (c_u, c_v), summed per pair by the builder:
+    // off-diagonal entries appear from both orientations already; the
+    // diagonal accumulates every internal arc (2× per undirected internal edge
+    // + 1× per loop), exactly the self-loop weight keeping a_c, e_in invariant.
+    let dense_of = |v: VertexId| dense[v as usize];
+    let coarse = Csr::from_arcs(k, || {
+        (0..g.num_vertices() as VertexId).flat_map(|u| {
+            g.neighbors(u)
+                .map(move |(v, w)| (dense_of(u), dense_of(v), w))
+        })
+    });
+    (coarse, dense)
 }
 
 /// Map a fine-graph assignment through a coarse-graph assignment:

@@ -16,28 +16,84 @@ pub struct Csr {
     weights: Vec<Weight>,
 }
 
+/// The one CSR row builder, behind [`Csr::from_edge_list`],
+/// [`Csr::from_arcs`] and `LocalGraph::from_arcs`: a counting sort by row
+/// (`src - first`), then per row a stable sort by destination and a fold
+/// of each run of equal destinations into one arc. `arcs` is called twice
+/// (count, scatter) and must replay the same `(src, dst, w)` sequence; the
+/// weights of one `(src, dst)` are summed left to right from 0.0 in that
+/// order, which every bit-identity claim in this workspace (slab bytes,
+/// rebuild against coarsen) is stated against. The rows come back as
+/// `(dst, w)` pairs, so a caller can drop its source before splitting them.
+pub(crate) fn build_rows<I>(
+    first: VertexId,
+    nrows: usize,
+    arcs: impl Fn() -> I,
+) -> (Vec<usize>, Vec<(VertexId, Weight)>)
+where
+    I: Iterator<Item = (VertexId, VertexId, Weight)>,
+{
+    let mut offsets = vec![0usize; nrows + 1];
+    arcs().for_each(|(u, _, _)| offsets[(u - first) as usize + 1] += 1);
+    for i in 0..nrows {
+        offsets[i + 1] += offsets[i];
+    }
+    // Bucket by row, keeping arrival order inside a row.
+    let mut cursor = offsets[..nrows].to_vec();
+    let mut rows: Vec<(VertexId, Weight)> = vec![(0, 0.0); offsets[nrows]];
+    arcs().for_each(|(u, v, w)| {
+        let at = &mut cursor[(u - first) as usize];
+        rows[*at] = (v, w);
+        *at += 1;
+    });
+    // A row that arrives sorted — one sender's pre-merged row — is left
+    // alone; one made of a sorted run per sender is what the run-adaptive
+    // stable sort merges fastest. Runs fold toward the front of `rows`.
+    let mut merged = 0;
+    for i in 0..nrows {
+        let (lo, hi) = (offsets[i], offsets[i + 1]);
+        if !rows[lo..hi].is_sorted_by_key(|&(v, _)| v) {
+            rows[lo..hi].sort_by_key(|&(v, _)| v);
+        }
+        offsets[i] = merged;
+        for next in lo..hi {
+            let (v, w) = rows[next];
+            if merged > offsets[i] && rows[merged - 1].0 == v {
+                rows[merged - 1].1 += w;
+            } else {
+                rows[merged] = (v, 0.0 + w);
+                merged += 1;
+            }
+        }
+    }
+    offsets[nrows] = merged;
+    rows.truncate(merged);
+    (offsets, rows)
+}
+
 impl Csr {
-    /// Build from an undirected edge list (duplicates are merged first).
-    pub fn from_edge_list(mut list: EdgeList) -> Self {
-        list.dedup_sum();
-        let n = list.num_vertices() as usize;
-        let arcs = list.to_arcs();
-        Self::from_arcs(n, arcs)
+    /// Build from an undirected edge list: both orientations of a
+    /// non-loop, a loop once. Duplicate pairs (in either orientation) are
+    /// merged, their weights summed in list order.
+    pub fn from_edge_list(list: EdgeList) -> Self {
+        Self::from_arcs(list.num_vertices() as usize, || {
+            list.edges().iter().flat_map(|e| {
+                let back = (e.u != e.v).then_some((e.v, e.u, e.w));
+                std::iter::once((e.u, e.v, e.w)).chain(back)
+            })
+        })
     }
 
-    /// Build from directed arcs. The caller guarantees symmetry (both
-    /// orientations present for non-loops); this is checked in debug mode.
-    pub fn from_arcs(n: usize, mut arcs: Vec<(VertexId, VertexId, Weight)>) -> Self {
-        arcs.sort_unstable_by_key(|&(u, v, _)| (u, v));
-        let mut offsets = vec![0usize; n + 1];
-        for &(u, _, _) in &arcs {
-            offsets[u as usize + 1] += 1;
-        }
-        for i in 0..n {
-            offsets[i + 1] += offsets[i];
-        }
-        let dests = arcs.iter().map(|&(_, v, _)| v).collect();
-        let weights = arcs.iter().map(|&(_, _, w)| w).collect();
+    /// Build from directed `(src, dst, w)` arcs, yielded twice in the same
+    /// order; duplicate `(src, dst)` arcs are merged, their weights summed
+    /// in that order. The caller guarantees symmetry (both orientations
+    /// present for non-loops); this is checked in debug mode.
+    pub fn from_arcs<I>(n: usize, arcs: impl Fn() -> I) -> Self
+    where
+        I: Iterator<Item = (VertexId, VertexId, Weight)>,
+    {
+        let (offsets, rows) = build_rows(0, n, arcs);
+        let (dests, weights) = rows.into_iter().unzip();
         let csr = Self {
             offsets,
             dests,
@@ -254,6 +310,81 @@ mod tests {
         let g = triangle_with_loop();
         let g2 = Csr::from_edge_list(g.to_edge_list());
         assert_eq!(g, g2);
+    }
+
+    /// `from_edge_list` as it was before `build_rows`, kept as its
+    /// reference: sum each `(min, max)` pair in a hash map in list order,
+    /// sort the pairs, expand to arcs, sort the arcs. Also returns the
+    /// deduplicated edges, which `EdgeList::dedup_sum` must still equal.
+    fn from_edge_list_by_hash_dedup(list: &EdgeList) -> (Csr, Vec<(VertexId, VertexId, u64)>) {
+        let mut acc = crate::hash::fast_map::<(VertexId, VertexId), Weight>();
+        for e in list.edges() {
+            *acc.entry((e.u.min(e.v), e.u.max(e.v))).or_insert(0.0) += e.w;
+        }
+        let mut edges: Vec<_> = acc.into_iter().map(|((u, v), w)| (u, v, w)).collect();
+        edges.sort_unstable_by_key(|&(u, v, _)| (u, v));
+        let mut arcs = Vec::new();
+        for &(u, v, w) in &edges {
+            arcs.push((u, v, w));
+            if u != v {
+                arcs.push((v, u, w));
+            }
+        }
+        arcs.sort_unstable_by_key(|&(u, v, _)| (u, v));
+        let n = list.num_vertices() as usize;
+        let mut offsets = vec![0usize; n + 1];
+        for &(u, _, _) in &arcs {
+            offsets[u as usize + 1] += 1;
+        }
+        for i in 0..n {
+            offsets[i + 1] += offsets[i];
+        }
+        let csr = Csr {
+            offsets,
+            dests: arcs.iter().map(|&(_, v, _)| v).collect(),
+            weights: arcs.iter().map(|&(_, _, w)| w).collect(),
+        };
+        let edges = edges.iter().map(|&(u, v, w)| (u, v, w.to_bits()));
+        (csr, edges.collect())
+    }
+
+    fn assert_matches_the_hash_dedup(list: EdgeList, what: &str) {
+        let bits = |w: &[Weight]| w.iter().map(|w| w.to_bits()).collect::<Vec<_>>();
+        let (want, want_edges) = from_edge_list_by_hash_dedup(&list);
+        let mut deduped = list.clone();
+        deduped.dedup_sum();
+        let got_edges = deduped.edges().iter().map(|e| (e.u, e.v, e.w.to_bits()));
+        assert_eq!(got_edges.collect::<Vec<_>>(), want_edges, "{what}");
+        let got = Csr::from_edge_list(list);
+        assert_eq!(got.offsets, want.offsets, "{what}");
+        assert_eq!(got.dests, want.dests, "{what}");
+        assert_eq!(bits(&got.weights), bits(&want.weights), "{what}");
+    }
+
+    #[test]
+    fn from_edge_list_matches_the_hash_dedup_bit_for_bit() {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+        assert_matches_the_hash_dedup(EdgeList::new(0), "no vertices");
+        assert_matches_the_hash_dedup(EdgeList::new(7), "no edges");
+        let signed_zero = EdgeList::from_edges(2, [(0, 1, -0.0), (1, 1, -0.0)]);
+        assert_matches_the_hash_dedup(signed_zero, "a lone -0.0 sums to 0.0");
+        for seed in 0..40u64 {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            // Vertices 20.. stay isolated; few enough pairs that most
+            // repeat, in both orientations, and loops repeat too.
+            let mut list = EdgeList::new(24);
+            for _ in 0..rng.random_range(1..400usize) {
+                let (u, v) = (rng.random_range(0..20u64), rng.random_range(0..20u64));
+                let u = if rng.random_bool(0.1) { v } else { u };
+                list.push(u, v, rng.random::<f64>() * 3.0 + 1e-3);
+            }
+            assert_matches_the_hash_dedup(list, &format!("seed {seed}"));
+        }
+        let mut list = EdgeList::new(1 << 14);
+        let p = crate::gen::RmatParams::social(14, 8, 3);
+        crate::gen::rmat_stream(p, &mut list).unwrap();
+        assert_matches_the_hash_dedup(list, "rmat scale 14");
     }
 
     #[test]

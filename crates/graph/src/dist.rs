@@ -4,7 +4,7 @@
 //! the edge array holds **global** destination ids; each rank also knows
 //! the full ownership table ([`VertexPartition`]).
 
-use crate::csr::Csr;
+use crate::csr::{build_rows, Csr};
 use crate::hash::fast_map_with_capacity;
 use crate::partition::VertexPartition;
 use crate::{VertexId, Weight};
@@ -23,70 +23,23 @@ pub struct LocalGraph {
 impl LocalGraph {
     /// Build from arcs whose sources are all owned by `rank`, as they
     /// arrive from an edge redistribution: one vector per sending rank.
-    /// Duplicate `(src, dst)` arcs are merged by summing their weights in
-    /// arrival order.
+    /// Duplicate `(src, dst)` arcs are merged, weights summed in arrival order.
     pub fn from_arcs(
         part: VertexPartition,
         rank: usize,
         arcs: Vec<Vec<(VertexId, VertexId, Weight)>>,
     ) -> Self {
-        let first = part.first(rank);
-        let nlocal = part.num_local(rank);
-        // Bucket by source row, keeping arrival order inside a row.
-        let mut offsets = vec![0usize; nlocal + 1];
-        for &(u, _, _) in arcs.iter().flatten() {
-            debug_assert_eq!(
-                part.owner_of(u),
-                rank,
-                "arc source {u} not owned by rank {rank}"
-            );
-            offsets[(u - first) as usize + 1] += 1;
-        }
-        for i in 0..nlocal {
-            offsets[i + 1] += offsets[i];
-        }
-        let mut cursor = offsets[..nlocal].to_vec();
-        let mut rows: Vec<(VertexId, Weight)> = vec![(0, 0.0); offsets[nlocal]];
-        for chunk in arcs {
-            for (u, v, w) in chunk {
-                let at = &mut cursor[(u - first) as usize];
-                rows[*at] = (v, w);
-                *at += 1;
-            }
-        }
-        // Per row: stable sort by destination, then fold each run of equal
-        // destinations into one arc, compacting toward the front of `rows`
-        // (the write position never passes the read position). A row that
-        // arrives sorted — one sender's pre-merged row — is left alone; one
-        // made of a sorted run per sender is what the run-adaptive stable
-        // sort merges fastest.
-        let mut merged = 0;
-        for i in 0..nlocal {
-            let (lo, hi) = (offsets[i], offsets[i + 1]);
-            if !rows[lo..hi].is_sorted_by_key(|&(v, _)| v) {
-                rows[lo..hi].sort_by_key(|&(v, _)| v);
-            }
-            offsets[i] = merged;
-            let mut next = lo;
-            while next < hi {
-                let v = rows[next].0;
-                let mut sum = 0.0;
-                while next < hi && rows[next].0 == v {
-                    sum += rows[next].1;
-                    next += 1;
-                }
-                rows[merged] = (v, sum);
-                merged += 1;
-            }
-        }
-        offsets[nlocal] = merged;
-        rows.truncate(merged);
+        let (offsets, rows) = build_rows(part.first(rank), part.num_local(rank), || {
+            arcs.iter().flatten().copied()
+        });
+        drop(arcs); // before the split below allocates: it was the peak at p=2
+        let (dests, weights) = rows.into_iter().unzip();
         Self {
             part,
             rank,
             offsets,
-            dests: rows.iter().map(|&(v, _)| v).collect(),
-            weights: rows.iter().map(|&(_, w)| w).collect(),
+            dests,
+            weights,
         }
     }
 
@@ -229,17 +182,12 @@ impl LocalGraph {
     /// checks only).
     pub fn assemble(parts: &[LocalGraph]) -> Csr {
         assert!(!parts.is_empty());
-        let n = parts[0].num_global() as usize;
-        let mut arcs = Vec::new();
-        for p in parts {
-            for l in 0..p.num_local() {
-                let u = p.to_global(l);
-                for (v, w) in p.neighbors(l) {
-                    arcs.push((u, v, w));
-                }
-            }
-        }
-        Csr::from_arcs(n, arcs)
+        Csr::from_arcs(parts[0].num_global() as usize, || {
+            parts.iter().flat_map(|p| {
+                (0..p.num_local())
+                    .flat_map(move |l| p.neighbors(l).map(move |(v, w)| (p.to_global(l), v, w)))
+            })
+        })
     }
 }
 

@@ -1,7 +1,6 @@
 //! Weighted undirected edge lists — the interchange format between
 //! generators, binary I/O, and CSR construction.
 
-use crate::hash::fast_map;
 use crate::ingest::{check_weight, IngestError, RepairStats};
 use crate::{VertexId, Weight};
 
@@ -107,20 +106,25 @@ impl EdgeList {
         self.edges.iter().map(|e| e.w).sum()
     }
 
-    /// Merge duplicate undirected pairs by summing their weights.
-    /// `(u,v)` and `(v,u)` are the same pair.
+    /// Merge duplicate undirected pairs by summing their weights in list
+    /// order. `(u,v)` and `(v,u)` are the same pair; the result holds each
+    /// pair once as `(min, max)`, sorted.
     pub fn dedup_sum(&mut self) {
-        let mut acc = fast_map::<(VertexId, VertexId), Weight>();
-        acc.reserve(self.edges.len());
-        for e in &self.edges {
-            let key = if e.u <= e.v { (e.u, e.v) } else { (e.v, e.u) };
-            *acc.entry(key).or_insert(0.0) += e.w;
+        for e in &mut self.edges {
+            if e.u > e.v {
+                std::mem::swap(&mut e.u, &mut e.v);
+            }
+            // As in `csr::build_rows`, every sum starts from 0.0: -0.0 + 0.0 is 0.0.
+            e.w += 0.0;
         }
-        self.edges = acc
-            .into_iter()
-            .map(|((u, v), w)| Edge { u, v, w })
-            .collect();
-        self.edges.sort_unstable_by_key(|e| (e.u, e.v));
+        self.edges.sort_by_key(|e| (e.u, e.v));
+        self.edges.dedup_by(|next, kept| {
+            let same = (next.u, next.v) == (kept.u, kept.v);
+            if same {
+                kept.w += next.w;
+            }
+            same
+        });
     }
 
     /// Repair pass over an already-built list: merge duplicate
@@ -136,19 +140,6 @@ impl EdgeList {
             duplicates_merged: (before - loops - self.edges.len()) as u64,
             self_loops_dropped: loops as u64,
         }
-    }
-
-    /// Expand to directed arcs: each non-loop edge becomes two arcs, each
-    /// self-loop one arc. Returned triples are `(src, dst, w)`.
-    pub fn to_arcs(&self) -> Vec<(VertexId, VertexId, Weight)> {
-        let mut arcs = Vec::with_capacity(self.edges.len() * 2);
-        for e in &self.edges {
-            arcs.push((e.u, e.v, e.w));
-            if e.u != e.v {
-                arcs.push((e.v, e.u, e.w));
-            }
-        }
-        arcs
     }
 
     /// Maximum endpoint id present, or `None` if empty.
@@ -187,16 +178,6 @@ mod tests {
         assert_eq!(e01.w, 3.5);
         let loop2 = el.edges().iter().find(|e| e.u == 2 && e.v == 2).unwrap();
         assert_eq!(loop2.w, 1.0);
-    }
-
-    #[test]
-    fn arcs_double_non_loops_only() {
-        let el = EdgeList::from_edges(3, [(0, 1, 1.0), (2, 2, 4.0)]);
-        let arcs = el.to_arcs();
-        assert_eq!(arcs.len(), 3);
-        assert!(arcs.contains(&(0, 1, 1.0)));
-        assert!(arcs.contains(&(1, 0, 1.0)));
-        assert!(arcs.contains(&(2, 2, 4.0)));
     }
 
     #[test]

@@ -51,30 +51,34 @@ pub fn rmat(p: RmatParams) -> Generated {
     }
 }
 
+/// One level of the descent: the `(u, v)` bits of the quadrant `r` falls
+/// in, for thresholds `a ≤ ab ≤ abc` — `(0, 0)` below `a`, then `(0, 1)`,
+/// `(1, 0)`, and `(1, 1)` from `abc` up. Comparisons summed, not branched
+/// on: a branch on a uniform draw is mispredicted nearly half the time.
+fn quadrant(r: f64, a: f64, ab: f64, abc: f64) -> (u64, u64) {
+    let u = (r >= ab) as u64;
+    (u, (r >= a) as u64 - u + (r >= abc) as u64)
+}
+
 /// Emit the RMAT edge stream into `sink` in bounded memory: O(1) state
 /// beyond the quadrant descent. [`rmat`] is this loop collected into an
 /// [`EdgeList`], so both paths see the identical edge sequence.
 pub fn rmat_stream(p: RmatParams, sink: &mut impl EdgeSink) -> Result<(), IngestError> {
     let n: u64 = 1 << p.scale;
     let m = n * p.edge_factor as u64;
-    let d = 1.0 - p.a - p.b - p.c;
-    assert!(d >= 0.0, "quadrant probabilities exceed 1");
+    let (ab, abc) = (p.a + p.b, p.a + p.b + p.c);
+    // `1 - a - b - c` rounds below zero when d is 0: (0.05, 0.45, 0.50).
+    assert!(
+        p.a >= 0.0 && p.b >= 0.0 && p.c >= 0.0 && abc <= 1.0 + 1e-9,
+        "quadrant probabilities negative or exceed 1"
+    );
     let mut rng = SmallRng::seed_from_u64(p.seed);
     for _ in 0..m {
         let (mut u, mut v) = (0u64, 0u64);
         for level in (0..p.scale).rev() {
-            let r: f64 = rng.random();
-            let bit = 1u64 << level;
-            if r < p.a {
-                // top-left: no bits
-            } else if r < p.a + p.b {
-                v |= bit;
-            } else if r < p.a + p.b + p.c {
-                u |= bit;
-            } else {
-                u |= bit;
-                v |= bit;
-            }
+            let (ubit, vbit) = quadrant(rng.random(), p.a, ab, abc);
+            u |= ubit << level;
+            v |= vbit << level;
         }
         if u != v {
             sink.edge(u, v, 1.0)?;
@@ -103,6 +107,96 @@ mod tests {
         // The top vertex should have degree far above the average.
         let avg = degs.iter().sum::<usize>() as f64 / degs.len() as f64;
         assert!(degs[0] as f64 > 10.0 * avg, "max={} avg={avg}", degs[0]);
+    }
+
+    /// The descent as it branched before [`quadrant`], kept as its
+    /// reference: one draw per level, three-way `if`.
+    fn rmat_edges_by_branching(p: RmatParams) -> Vec<(u64, u64)> {
+        let mut rng = SmallRng::seed_from_u64(p.seed);
+        let mut edges = Vec::new();
+        for _ in 0..(p.edge_factor as u64) << p.scale {
+            let (mut u, mut v) = (0u64, 0u64);
+            for level in (0..p.scale).rev() {
+                let r: f64 = rng.random();
+                let bit = 1u64 << level;
+                if r < p.a {
+                    // top-left: no bits
+                } else if r < p.a + p.b {
+                    v |= bit;
+                } else if r < p.a + p.b + p.c {
+                    u |= bit;
+                } else {
+                    u |= bit;
+                    v |= bit;
+                }
+            }
+            if u != v {
+                edges.push((u, v));
+            }
+        }
+        edges
+    }
+
+    #[test]
+    fn branch_free_descent_emits_the_branching_sequence() {
+        for (a, b, c) in [(0.57, 0.19, 0.19), (0.05, 0.45, 0.50)] {
+            for scale in [1, 7, 12] {
+                for seed in [0, 5, 77] {
+                    let p = RmatParams {
+                        a,
+                        b,
+                        c,
+                        ..RmatParams::social(scale, 4, seed)
+                    };
+                    let mut el = EdgeList::new(1 << scale);
+                    rmat_stream(p, &mut el).unwrap();
+                    let got: Vec<_> = el.edges().iter().map(|e| (e.u, e.v)).collect();
+                    assert_eq!(got, rmat_edges_by_branching(p), "{p:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_draw_on_a_threshold_falls_in_the_upper_quadrant() {
+        let (a, ab, abc) = (0.57, 0.57 + 0.19, 0.57 + 0.19 + 0.19);
+        assert_eq!(quadrant(0.0, a, ab, abc), (0, 0));
+        assert_eq!(quadrant(a, a, ab, abc), (0, 1));
+        assert_eq!(quadrant(ab, a, ab, abc), (1, 0));
+        assert_eq!(quadrant(abc, a, ab, abc), (1, 1));
+        // Empty quadrants (equal thresholds) are skipped, not summed twice.
+        assert_eq!(quadrant(0.5, 0.5, 0.5, 1.0), (1, 0));
+        assert_eq!(quadrant(0.5, 0.5, 0.5, 0.5), (1, 1));
+        assert_eq!(quadrant(0.5, 0.0, 1.0, 1.0), (0, 1));
+    }
+
+    #[test]
+    fn every_grid_triple_summing_to_one_is_accepted() {
+        // 5 % grid, d = 0: `1 - a - b - c` rounds below zero on 70 of these 231.
+        let mut el = EdgeList::new(8);
+        for i in 0..=20u32 {
+            for j in 0..=20 - i {
+                let [a, b, c] = [i, j, 20 - i - j].map(|k| k as f64 / 20.0);
+                let p = RmatParams {
+                    a,
+                    b,
+                    c,
+                    ..RmatParams::social(3, 1, 1)
+                };
+                rmat_stream(p, &mut el).unwrap();
+            }
+        }
+        assert!(!el.is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "exceed 1")]
+    fn quadrants_summing_past_one_are_refused() {
+        let p = RmatParams {
+            a: 0.7,
+            ..RmatParams::social(3, 1, 1)
+        };
+        rmat_stream(p, &mut EdgeList::new(8)).unwrap();
     }
 
     #[test]

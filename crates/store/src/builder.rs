@@ -10,12 +10,13 @@
 //! # Bit-identity with the in-memory path
 //!
 //! The result is **bit-identical** to `Csr::from_edge_list` over the same
-//! edge stream. That hinges on reproducing `EdgeList::dedup_sum`'s f64
-//! accumulation order:
+//! edge stream. That hinges on reproducing the f64 fold order of the CSR
+//! row builder behind it (`louvain_graph::csr::build_rows`):
 //!
-//! * `dedup_sum` canonicalizes each edge to `(min, max)` and adds weights
-//!   per key *in raw emission order*.
-//! * The builder canonicalizes at push, **stably** sorts each chunk (so
+//! * The row builder sums the weights of one `(src, dst)` left to right
+//!   from 0.0 *in raw emission order*, and an edge reaches both of its
+//!   rows in that order, so `(a, b)` and `(b, a)` carry the same sum.
+//! * This builder canonicalizes at push, **stably** sorts each chunk (so
 //!   equal keys keep emission order within a chunk), spills chunks
 //!   chronologically, and k-way merges with the run index as tie-break —
 //!   so equal keys pop in global emission order and their weights sum in
@@ -23,7 +24,8 @@
 //! * Forward arcs `(a, b)` with `a ≤ b` leave the dedup merge already
 //!   sorted by `(src, dst)`; reverse arcs `(b, a)` get their own external
 //!   sort (keys are unique after dedup), and the final two-stream merge
-//!   emits arcs in exactly the order `Csr::from_arcs` sorts into.
+//!   emits arcs row by row, each row ascending by destination — the
+//!   order the row builder leaves them in.
 
 use std::collections::BinaryHeap;
 use std::fs::File;

@@ -252,7 +252,7 @@ mod tests {
 
     #[test]
     fn self_loops_and_duplicates_follow_lenient_semantics() {
-        // Same stream the EdgeList/dedup_sum path would see.
+        // Same stream the EdgeList / `Csr::from_edge_list` path would see.
         let mut el = EdgeList::new(4);
         let edges = [(0, 1, 1.0), (1, 0, 2.0), (2, 2, 3.0), (1, 3, 0.5)];
         let path = TempPath::new("lenient");

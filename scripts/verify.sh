@@ -39,9 +39,11 @@ echo "==> cargo test (--test-threads=1)"
 cargo test -q --workspace --no-fail-fast -- --test-threads=1
 
 # The ladder measures the release build and the tests above the debug
-# one; a kernel full of debug_assert!s must hold its pins in both.
-echo "==> cargo test --release --test parity"
+# one; a kernel full of debug_assert!s must hold its pins in both, and
+# the CSR and slab builders their bit-identity tests.
+echo "==> cargo test --release (parity pins, louvain-graph, louvain-store)"
 cargo test --release -q --test parity
+cargo test --release -q -p louvain-graph -p louvain-store
 
 # bench/ is its own workspace, invisible to --workspace: an API change
 # that breaks the ladder must fail here, not in the benchmark driver.

@@ -206,7 +206,8 @@ fn coarsen_by_id(g: &Csr, assignment: &[VertexId]) -> Csr {
         row.map(|(b, w)| (by_id[a as usize], by_id[b as usize], w))
             .collect::<Vec<_>>()
     });
-    Csr::from_arcs(ids.len(), arcs.collect())
+    let arcs: Vec<_> = arcs.collect();
+    Csr::from_arcs(ids.len(), || arcs.iter().copied())
 }
 
 #[test]
