@@ -133,7 +133,6 @@ impl Mailbox {
         if env.seq != 0 {
             if env.checksum != expected_checksum(env.src, env.tag, env.seq) {
                 ctx.stats.count(|t, _| t.checksum_rejects += 1);
-                louvain_obs::counter_add("comm.checksum_rejects", 1);
                 return None;
             }
             if env.corrupt || env.seq <= self.last_seq[env.src] {

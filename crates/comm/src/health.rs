@@ -23,6 +23,10 @@ use std::time::{Duration, Instant};
 use crate::fault::mix64;
 use crate::stats::{CommStats, CommStep, NUM_COMM_STEPS};
 
+/// The hung-rank declaration this module raises as a panic payload; the
+/// plain data lives beside the report that lists it.
+pub use louvain_obs::RankHung;
+
 /// Exponential backoff with deterministic jitter.
 ///
 /// The delay for attempt `a` is `base · 2^a` plus a jitter of up to 25%
@@ -160,41 +164,6 @@ impl HealthConfig {
     }
 }
 
-/// Panic payload carried out of a rank thread when the watchdog (or an
-/// injected hang's self-timeout) declares a rank hung. The resilient
-/// driver downcasts it and recovers exactly like a [`crate::RankCrashed`].
-#[derive(Debug, Clone, Copy)]
-pub struct RankHung {
-    /// The rank declared hung.
-    pub rank: usize,
-    /// The rank that made the declaration (== `rank` for an injected
-    /// hang's self-timeout).
-    pub detector: usize,
-    /// Fault epoch (Louvain phase) the detector was in.
-    pub phase: u64,
-    /// Comm-op index the detector was blocked at.
-    pub op: u64,
-    /// Step attribution of the blocked wait.
-    pub step: CommStep,
-    /// Total time the detector had been blocked.
-    pub waited_ms: u64,
-}
-
-impl std::fmt::Display for RankHung {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "rank {} declared hung by rank {} after {} ms blocked in {} (comm op {} of phase {})",
-            self.rank,
-            self.detector,
-            self.waited_ms,
-            self.step.label(),
-            self.op,
-            self.phase
-        )
-    }
-}
-
 /// Shared per-rank heartbeat stamps (nanoseconds since job start, via
 /// one relaxed atomic per rank). Ranks stamp their own slot on every
 /// comm op and every blocked poll tick; envelope intake folds in the
@@ -316,7 +285,6 @@ impl<'a, 'c> Watchdog<'a, 'c> {
         }
         let step = self.ctx.stats.current_step();
         self.ctx.stats.count(|t, _| t.wd_timeouts += 1);
-        louvain_obs::counter_add("wd_timeouts", 1);
         let hang = |suspect: usize| RankHung {
             rank: suspect,
             detector: self.ctx.rank,
@@ -337,7 +305,6 @@ impl<'a, 'c> Watchdog<'a, 'c> {
                 // never beyond the liveness ceiling (live-but-deadlocked
                 // ranks must not wedge the job forever).
                 self.ctx.stats.count(|t, _| t.wd_stragglers += 1);
-                louvain_obs::counter_add("wd_stragglers", 1);
                 if waited > cfg.liveness_ceiling() {
                     let suspect = suspects.iter().copied().min().unwrap_or(self.ctx.rank);
                     std::panic::panic_any(hang(suspect));
@@ -352,7 +319,6 @@ impl<'a, 'c> Watchdog<'a, 'c> {
                     t.wd_retries += 1;
                     t.step_retries[slot] += 1;
                 });
-                louvain_obs::counter_add("wd_retries", 1);
                 let salt = (self.ctx.rank as u64) << 40 ^ self.ctx.phase << 20 ^ self.ctx.op;
                 let delay = cfg.backoff.delay(self.extensions - 1, salt);
                 self.ctx

@@ -2,193 +2,16 @@
 //!
 //! Every `Comm` method updates these counters; experiment harnesses read
 //! them to report communication volume, and the α-β [`crate::CostModel`]
-//! is evaluated over them at report time (the HPCToolkit-style breakdown
-//! of Section V-A of the paper is derived from exactly these numbers).
+//! is evaluated over them at report time.
 //!
-//! The counters are named once, in the [`counter_table!`] invocation
-//! below. A snapshot can be walked word by word in that order, and
-//! everything that treats the counters alike — summing across ranks,
-//! re-absorbing a checkpoint, phase deltas, equality, the checkpoint
-//! stats block — is written against the walk.
+//! The counters themselves — [`StatsSnapshot`], its one `counter_table!`
+//! and [`CommStep`] — are plain data and live in `louvain-obs`, beside
+//! the report that carries them; this module re-exports them and keeps
+//! the live recorder.
 
 use std::cell::{Cell, RefCell};
 
-/// The algorithmic step traffic is attributed to. The distributed
-/// Louvain iteration has four communication steps per sweep (ghost
-/// community refresh, remote-community a_c pull, delta push to owners,
-/// and the modularity reduction); checkpoint manifest gathers land in
-/// `Checkpoint`; everything else (setup, graph rebuild, result
-/// gathering) lands in `Other`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum CommStep {
-    GhostRefresh,
-    CommunityPull,
-    DeltaPush,
-    Reduction,
-    Checkpoint,
-    #[default]
-    Other,
-}
-
-/// Number of [`CommStep`] variants (array-indexed counters).
-pub const NUM_COMM_STEPS: usize = 6;
-
-impl CommStep {
-    pub const ALL: [CommStep; NUM_COMM_STEPS] = [
-        CommStep::GhostRefresh,
-        CommStep::CommunityPull,
-        CommStep::DeltaPush,
-        CommStep::Reduction,
-        CommStep::Checkpoint,
-        CommStep::Other,
-    ];
-
-    /// Position in [`CommStep::ALL`] and in every per-step array.
-    pub fn index(self) -> usize {
-        self as usize
-    }
-
-    pub fn label(self) -> &'static str {
-        match self {
-            CommStep::GhostRefresh => "ghost_refresh",
-            CommStep::CommunityPull => "community_pull",
-            CommStep::DeltaPush => "delta_push",
-            CommStep::Reduction => "reduction",
-            CommStep::Checkpoint => "checkpoint",
-            CommStep::Other => "other",
-        }
-    }
-
-    /// Inverse of [`CommStep::label`] (used by the fault-plan DSL).
-    pub fn from_label(label: &str) -> Option<CommStep> {
-        CommStep::ALL.into_iter().find(|s| s.label() == label)
-    }
-}
-
-/// Declares [`StatsSnapshot`] from the one list of counters: scalars,
-/// then per-[`CommStep`] arrays. Every field is a `u64` that sums.
-macro_rules! counter_table {
-    (
-        scalars { $($(#[$sdoc:meta])* $s:ident,)* }
-        per_step { $($(#[$adoc:meta])* $a:ident,)* }
-    ) => {
-        /// One rank's counters as plain data, summable across ranks.
-        #[derive(Debug, Default, Clone, Copy)]
-        pub struct StatsSnapshot {
-            $($(#[$sdoc])* pub $s: u64,)*
-            $($(#[$adoc])* pub $a: [u64; NUM_COMM_STEPS],)*
-        }
-
-        impl StatsSnapshot {
-            /// Every counter in table order (arrays in step order).
-            pub fn words(&self) -> impl Iterator<Item = u64> + '_ {
-                std::iter::empty()$(.chain([self.$s]))*$(.chain(self.$a))*
-            }
-
-            /// The same walk, writable.
-            pub fn words_mut(&mut self) -> impl Iterator<Item = &mut u64> {
-                std::iter::empty()$(.chain([&mut self.$s]))*$(.chain(&mut self.$a))*
-            }
-        }
-    };
-}
-
-counter_table! {
-    scalars {
-        p2p_messages,
-        p2p_bytes,
-        collective_calls,
-        collective_bytes,
-        /// Injected-fault events on this sender (zero in clean runs).
-        fault_drops,
-        fault_delays,
-        fault_duplicates,
-        fault_truncations,
-        /// Retransmissions performed to survive drops/truncations.
-        fault_retries,
-        /// Injected stalls (straggler simulation) served by this rank.
-        fault_stalls,
-        /// Flaky-burst drops (consecutive-failure windows) on this sender.
-        fault_bursts,
-        /// Payload corruptions injected on this sender.
-        fault_corruptions,
-        /// Envelopes this rank rejected at intake on a checksum mismatch.
-        checksum_rejects,
-        /// Watchdog ladder events on this rank's blocked waits.
-        wd_timeouts,
-        wd_retries,
-        wd_stragglers,
-        /// Total time this rank slept in retry/watchdog backoff.
-        backoff_nanos,
-    }
-    per_step {
-        /// Messages/calls per step, indexed by `CommStep::index()`.
-        step_messages,
-        /// Bytes per step.
-        step_bytes,
-        /// Retries (retransmissions + watchdog deadline extensions) per
-        /// step, charged when the retry happens so a panic mid-step
-        /// cannot lose them (the contract of `Comm::with_step`).
-        step_retries,
-        /// Idle wall nanoseconds blocked in receives and collective
-        /// fill-waits per step. Excluded from equality.
-        step_wait_nanos,
-    }
-}
-
-/// Equality over the *deterministic* counters only. `step_wait_nanos`
-/// is wall-clock derived — two bit-identical runs block for different
-/// real durations — and the determinism/parity tests compare snapshots
-/// wholesale.
-impl PartialEq for StatsSnapshot {
-    fn eq(&self, other: &Self) -> bool {
-        let timeless = |s: &Self| Self {
-            step_wait_nanos: [0; NUM_COMM_STEPS],
-            ..*s
-        };
-        timeless(self).words().eq(timeless(other).words())
-    }
-}
-
-impl StatsSnapshot {
-    /// Add every counter of `other` (another rank, or an earlier leg of
-    /// the same run).
-    pub fn merge(&mut self, other: &Self) {
-        for (mine, theirs) in self.words_mut().zip(other.words()) {
-            *mine += theirs;
-        }
-    }
-
-    /// What was counted after `earlier`, a previous snapshot of the
-    /// same rank.
-    pub fn since(&self, earlier: &Self) -> Self {
-        let mut delta = *self;
-        for (mine, theirs) in delta.words_mut().zip(earlier.words()) {
-            *mine -= theirs;
-        }
-        delta
-    }
-
-    /// Bytes attributed to one algorithmic step.
-    pub fn step_bytes_for(&self, step: CommStep) -> u64 {
-        self.step_bytes[step.index()]
-    }
-
-    /// Messages/calls attributed to one algorithmic step.
-    pub fn step_messages_for(&self, step: CommStep) -> u64 {
-        self.step_messages[step.index()]
-    }
-
-    /// Idle blocked nanoseconds attributed to one algorithmic step.
-    pub fn step_wait_nanos_for(&self, step: CommStep) -> u64 {
-        self.step_wait_nanos[step.index()]
-    }
-
-    /// Total idle blocked nanoseconds across all steps.
-    pub fn wait_nanos_total(&self) -> u64 {
-        self.step_wait_nanos.iter().sum()
-    }
-}
+pub use louvain_obs::{CommStep, StatsSnapshot, NUM_COMM_STEPS};
 
 /// Live per-rank counters. Each rank owns its `CommStats` exclusively
 /// (interior mutability keeps the `Comm` API `&self`).
@@ -325,54 +148,15 @@ mod tests {
         );
     }
 
-    /// A snapshot whose every word differs: a walker that skips or
-    /// repeats a field cannot preserve it.
-    fn distinct() -> StatsSnapshot {
-        let mut s = StatsSnapshot::default();
-        for (i, w) in s.words_mut().enumerate() {
+    #[test]
+    fn absorb_adds_every_word_of_the_table() {
+        let mut full = StatsSnapshot::default();
+        for (i, w) in full.words_mut().enumerate() {
             *w = 1_000 + i as u64;
         }
-        s
-    }
-
-    #[test]
-    fn every_field_survives_the_walk_absorb_merge_and_since() {
-        let full = distinct();
-        let words: Vec<u64> = full.words().collect();
-        assert_eq!(
-            words,
-            (1_000..1_000 + words.len() as u64).collect::<Vec<_>>()
-        );
-        // The walk starts at the table's first field and covers the
-        // whole struct, so a field added to the table is walked too.
-        assert_eq!(full.p2p_messages, 1_000);
-        assert_eq!(
-            words.len() * std::mem::size_of::<u64>(),
-            std::mem::size_of::<StatsSnapshot>()
-        );
-
         let live = CommStats::default();
         live.absorb(&full);
         assert!(live.snapshot().words().eq(full.words()));
-
-        let mut twice = full;
-        twice.merge(&full);
-        assert!(twice.words().eq(words.iter().map(|w| 2 * w)));
-        assert!(twice.since(&full).words().eq(full.words()));
-    }
-
-    #[test]
-    fn equality_ignores_only_the_wall_clock_wait_field() {
-        let full = distinct();
-        let mut other = full;
-        other.step_wait_nanos = [0; NUM_COMM_STEPS];
-        assert_eq!(full, other);
-        for i in 0..full.words().count() {
-            let mut bumped = full;
-            *bumped.words_mut().nth(i).unwrap() += 1;
-            let only_wait_differs = bumped.step_wait_nanos != full.step_wait_nanos;
-            assert_eq!(full == bumped, only_wait_differs, "word {i}");
-        }
     }
 
     #[test]

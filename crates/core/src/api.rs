@@ -121,8 +121,12 @@ pub enum GraphSource<'a> {
     /// A resident [`Csr`]: partition, then slice per rank
     /// ([`LocalGraph::scatter`]).
     Memory(&'a Csr),
-    /// A fully validated memory-mapped slab; per-rank pieces are sliced
-    /// zero-copy from the shared mapping.
+    /// A fully validated memory-mapped slab. The mapping is shared, but
+    /// each rank's piece is a heap copy: `Slab::local_graph` rebases the
+    /// rank's offsets and `to_vec()`s its slice of the target and weight
+    /// sections, so what is saved against [`GraphSource::Memory`] is the
+    /// whole-graph `Csr`, not the per-rank rows. Borrowing the rows from
+    /// the mapping is ROADMAP item 7(b).
     SlabMapped(&'a louvain_store::Slab),
     /// A slab file loaded by per-rank byte-range reads
     /// ([`louvain_store::load_rank`]): each rank opens the file itself

@@ -7,14 +7,15 @@
 //! * the optional span/metric trace harvested by the
 //!   [`louvain_obs::Collector`] when tracing was enabled for the run.
 //!
-//! Per-step byte and message totals in the report are copied verbatim
-//! from the merged snapshot, so they match `louvain_comm::stats` exactly
-//! — `tests/observability.rs` asserts this invariant across rank counts.
+//! The report carries the snapshots themselves (`traffic`,
+//! `per_rank_traffic`), so there is nothing to keep in step with
+//! `louvain_comm::stats`; what is computed here is what is not a
+//! counter: modeled seconds, the slowest rank, and the trace sections.
 
 use louvain_comm::CommStep;
 use louvain_obs::{
-    ArgValue, EventKind, HealthTotals, HungEvent, MessageEdge, ModeledBreakdown, PhaseProfileRow,
-    RankHealth, RankTotals, RunReport, StepTotal, TraceData, TraceEvent,
+    ArgValue, EventKind, HealthTotals, MessageEdge, ModeledBreakdown, PhaseProfileRow, RankTotals,
+    RunReport, TraceData, TraceEvent,
 };
 
 use crate::api::DistOutcome;
@@ -200,47 +201,23 @@ impl ReportMeta {
 
 /// Assemble the aggregated run report for `outcome`.
 ///
-/// Works with or without tracing: the communication section is always
-/// populated from the per-rank [`louvain_comm::StatsSnapshot`]s; the
-/// `metrics` and `spans` sections are filled only when the outcome
-/// carries a harvested trace.
+/// Works with or without tracing: the outcome's
+/// [`louvain_comm::StatsSnapshot`]s are always there; the `metrics`,
+/// `spans`, `phase_profile` and `messages` sections are filled only
+/// when the outcome carries a harvested trace.
 pub fn build_run_report(outcome: &DistOutcome, meta: &ReportMeta) -> RunReport {
-    let traffic = &outcome.traffic;
     let ranks = outcome.per_rank_traffic.len();
-
-    let step_totals: Vec<StepTotal> = CommStep::ALL
-        .iter()
-        .map(|&step| StepTotal {
-            step: step.label().to_string(),
-            bytes: traffic.step_bytes_for(step),
-            messages: traffic.step_messages_for(step),
-            wait_ns: traffic.step_wait_nanos_for(step),
-        })
-        .collect();
-
     let per_rank: Vec<RankTotals> = outcome
         .per_rank_traffic
         .iter()
         .enumerate()
         .map(|(rank, s)| {
-            let (events_recorded, events_dropped) = outcome
-                .trace
-                .as_ref()
-                .and_then(|t| t.ranks.get(rank))
-                .map(|r| (r.events.len() as u64, r.dropped))
-                .unwrap_or((0, 0));
+            let traced = outcome.trace.as_ref().and_then(|t| t.ranks.get(rank));
             RankTotals {
                 rank,
-                p2p_messages: s.p2p_messages,
-                p2p_bytes: s.p2p_bytes,
-                collective_calls: s.collective_calls,
-                collective_bytes: s.collective_bytes,
                 modeled_comm_seconds: comm_seconds(s, ranks),
-                step_messages: s.step_messages.to_vec(),
-                step_bytes: s.step_bytes.to_vec(),
-                wait_ns: s.wait_nanos_total(),
-                events_recorded,
-                events_dropped,
+                events_recorded: traced.map_or(0, |r| r.events.len() as u64),
+                events_dropped: traced.map_or(0, |r| r.dropped),
             }
         })
         .collect();
@@ -249,46 +226,11 @@ pub fn build_run_report(outcome: &DistOutcome, meta: &ReportMeta) -> RunReport {
     // communication time carried the job's critical path.
     let slowest = per_rank
         .iter()
-        .max_by(|a, b| a.modeled_comm_seconds.total_cmp(&b.modeled_comm_seconds))
-        .map(|r| (r.rank, r.modeled_comm_seconds));
+        .max_by(|a, b| a.modeled_comm_seconds.total_cmp(&b.modeled_comm_seconds));
     let health = HealthTotals {
-        stalls: traffic.fault_stalls,
-        bursts: traffic.fault_bursts,
-        corruptions: traffic.fault_corruptions,
-        checksum_rejects: traffic.checksum_rejects,
-        wd_timeouts: traffic.wd_timeouts,
-        wd_retries: traffic.wd_retries,
-        wd_stragglers: traffic.wd_stragglers,
-        backoff_seconds: traffic.backoff_nanos as f64 * 1e-9,
-        slowest_rank: slowest.map(|(rank, _)| rank),
-        slowest_rank_seconds: slowest.map_or(0.0, |(_, secs)| secs),
-        per_rank: outcome
-            .per_rank_traffic
-            .iter()
-            .enumerate()
-            .map(|(rank, s)| RankHealth {
-                rank,
-                retries: s.fault_retries,
-                wd_timeouts: s.wd_timeouts,
-                wd_retries: s.wd_retries,
-                wd_stragglers: s.wd_stragglers,
-                backoff_seconds: s.backoff_nanos as f64 * 1e-9,
-                checksum_rejects: s.checksum_rejects,
-                step_retries: s.step_retries.to_vec(),
-            })
-            .collect(),
-        hung_events: outcome
-            .hung_events
-            .iter()
-            .map(|h| HungEvent {
-                rank: h.rank,
-                detector: h.detector,
-                phase: h.phase,
-                op: h.op,
-                step: h.step.label().to_string(),
-                waited_ms: h.waited_ms,
-            })
-            .collect(),
+        slowest_rank: slowest.map(|r| r.rank),
+        slowest_rank_seconds: slowest.map_or(0.0, |r| r.modeled_comm_seconds),
+        hung_events: outcome.hung_events.clone(),
     };
 
     let (compute, comm, reduce, rebuild) = outcome.modeled_breakdown();
@@ -309,7 +251,7 @@ pub fn build_run_report(outcome: &DistOutcome, meta: &ReportMeta) -> RunReport {
     if !outcome.per_rank_traffic.is_empty() {
         let mut rank_bytes = louvain_obs::Histogram::default();
         for s in &outcome.per_rank_traffic {
-            rank_bytes.observe(s.p2p_bytes + s.collective_bytes);
+            rank_bytes.observe(s.total_bytes());
         }
         metrics
             .histograms
@@ -330,22 +272,8 @@ pub fn build_run_report(outcome: &DistOutcome, meta: &ReportMeta) -> RunReport {
         wall_seconds: outcome.wall.as_secs_f64(),
         resumed_from_phase: outcome.resumed_from_phase,
         recoveries: outcome.recoveries,
-        faults: {
-            let (drops, delays, duplicates, truncations, retries) = (
-                traffic.fault_drops,
-                traffic.fault_delays,
-                traffic.fault_duplicates,
-                traffic.fault_truncations,
-                traffic.fault_retries,
-            );
-            louvain_obs::FaultTotals {
-                drops,
-                delays,
-                duplicates,
-                truncations,
-                retries,
-            }
-        },
+        traffic: outcome.traffic,
+        per_rank_traffic: outcome.per_rank_traffic.clone(),
         health,
         modeled: ModeledBreakdown {
             compute,
@@ -353,9 +281,6 @@ pub fn build_run_report(outcome: &DistOutcome, meta: &ReportMeta) -> RunReport {
             reduce,
             rebuild,
         },
-        step_totals,
-        total_bytes: traffic.p2p_bytes + traffic.collective_bytes,
-        total_messages: traffic.p2p_messages + traffic.collective_calls,
         per_rank,
         metrics,
         spans,
@@ -384,28 +309,26 @@ mod tests {
 
         assert_eq!(report.ranks, 3);
         assert_eq!(report.per_rank.len(), 3);
-        let total_from_steps: u64 = report.step_totals.iter().map(|s| s.bytes).sum();
-        assert_eq!(total_from_steps, out.traffic.step_bytes.iter().sum::<u64>());
+        assert!(report.traffic.words().eq(out.traffic.words()));
+        // Conservation: the per-step decomposition covers all traffic,
+        // and the per-rank snapshots sum to the merged one.
+        let total = report.traffic.total_bytes();
+        assert_eq!(report.traffic.step_bytes.iter().sum::<u64>(), total);
+        let mut summed = louvain_comm::StatsSnapshot::default();
+        for s in &report.per_rank_traffic {
+            summed.merge(s);
+        }
+        assert!(summed.words().eq(report.traffic.words()));
+        let slowest = report.health.slowest_rank.expect("three ranks ran");
         assert_eq!(
-            report.total_bytes,
-            out.traffic.p2p_bytes + out.traffic.collective_bytes
+            report.health.slowest_rank_seconds,
+            report.per_rank[slowest].modeled_comm_seconds
         );
-        // Conservation: per-step decomposition covers all traffic.
-        assert_eq!(total_from_steps, report.total_bytes);
-        // Per-rank snapshots sum to the merged totals.
-        let per_rank_bytes: u64 = report
-            .per_rank
-            .iter()
-            .map(|r| r.p2p_bytes + r.collective_bytes)
-            .sum();
-        assert_eq!(per_rank_bytes, report.total_bytes);
 
         // Round-trips through JSON without loss.
-        let text = report.to_json_string();
-        let back = RunReport::from_json_str(&text).unwrap();
-        assert_eq!(back.total_bytes, report.total_bytes);
-        assert_eq!(back.step_totals, report.step_totals);
-        assert_eq!(back.per_rank, report.per_rank);
+        let back = RunReport::from_json_str(&report.to_json_string()).unwrap();
+        assert!(back.traffic.words().eq(report.traffic.words()));
+        assert_eq!(back, report);
 
         // The imbalance histogram has one observation per rank and its
         // percentiles are monotone.
@@ -426,21 +349,6 @@ mod tests {
         let out = crate::api::run_distributed(&gen.graph, 2, &DistConfig::baseline());
         let meta = ReportMeta::new("ssca2-400", 400, gen.graph.num_edges() as u64);
         build_run_report(&out, &meta).to_json_string()
-    }
-
-    // Lenient-parse coverage: reports written by older builds (or by
-    // hand) must load as long as the core fields are intact.
-
-    #[test]
-    fn report_without_health_section_parses() {
-        let text = sample_report_text();
-        let mut doc = louvain_obs::Json::parse(&text).unwrap();
-        if let louvain_obs::Json::Obj(members) = &mut doc {
-            members.retain(|(k, _)| k != "health");
-        }
-        let back = RunReport::from_json(&doc).expect("missing health is lenient");
-        assert_eq!(back.health, HealthTotals::default());
-        assert!(!back.health.any());
     }
 
     #[test]
@@ -467,43 +375,5 @@ mod tests {
                 "truncation at {cut} must fail cleanly"
             );
         }
-    }
-
-    #[test]
-    fn legacy_health_counter_sets_parse_with_zero_defaults() {
-        // Reports written before checkpoint format v2 carried a health
-        // section without the wd_* ladder counters; those fields must
-        // default to zero instead of failing the parse.
-        let text = sample_report_text();
-        let mut doc = louvain_obs::Json::parse(&text).unwrap();
-        if let louvain_obs::Json::Obj(members) = &mut doc {
-            for (key, value) in members.iter_mut() {
-                if key != "health" {
-                    continue;
-                }
-                let louvain_obs::Json::Obj(health) = value else {
-                    continue;
-                };
-                health.retain(|(k, _)| !k.starts_with("wd_") && k != "backoff_seconds");
-                for (k, v) in health.iter_mut() {
-                    if k != "per_rank" {
-                        continue;
-                    }
-                    let louvain_obs::Json::Arr(rows) = v else {
-                        continue;
-                    };
-                    for row in rows {
-                        if let louvain_obs::Json::Obj(fields) = row {
-                            fields.retain(|(k, _)| !k.starts_with("wd_") && k != "step_retries");
-                        }
-                    }
-                }
-            }
-        }
-        let back = RunReport::from_json(&doc).expect("pre-v2 counter set is lenient");
-        assert_eq!(back.health.wd_timeouts, 0);
-        assert_eq!(back.health.backoff_seconds, 0.0);
-        assert!(!back.health.per_rank.is_empty());
-        assert!(back.health.per_rank[0].step_retries.is_empty());
     }
 }

@@ -161,8 +161,31 @@ pub(crate) fn abort(msg: String) -> ! {
 /// field. Floats are hashed by bit pattern so `-0.0` vs `0.0` and NaN
 /// payloads are distinguished exactly like the runner distinguishes
 /// them.
+///
+/// The config is destructured without `..`: a field added to
+/// `DistConfig` does not compile until it is named here, and is an
+/// unused binding until it is hashed. A forgotten field would mean a
+/// silent resume — and a served cache hit — under the wrong
+/// configuration.
 pub fn config_fingerprint(cfg: &DistConfig) -> u64 {
-    let variant = match cfg.variant {
+    let DistConfig {
+        variant,
+        threshold,
+        max_phases,
+        max_iterations,
+        etc_exit_fraction,
+        seed,
+        neighborhood_collectives,
+        prune_inactive_ghosts,
+        color_sweeps,
+        disable_singleton_guard,
+        index_order_sweep,
+        threads_per_rank,
+        vertex_following,
+        delta_ghost_refresh,
+        sweep,
+    } = cfg;
+    let variant = match variant {
         Variant::Baseline => "baseline".to_string(),
         Variant::ThresholdCycling => "cycling".to_string(),
         Variant::Et { alpha } => format!("et:{:016x}", alpha.to_bits()),
@@ -170,25 +193,17 @@ pub fn config_fingerprint(cfg: &DistConfig) -> u64 {
         Variant::EtPlusCycling { alpha } => format!("et+cycling:{:016x}", alpha.to_bits()),
     };
     let text = format!(
-        "variant={variant};threshold={:016x};max_phases={};max_iterations={};\
-         etc_exit_fraction={:016x};seed={:016x};neighborhood_collectives={};\
-         prune_inactive_ghosts={};color_sweeps={};disable_singleton_guard={};\
-         index_order_sweep={};threads_per_rank={};vertex_following={};\
-         delta_ghost_refresh={};sweep={}",
-        cfg.threshold.to_bits(),
-        cfg.max_phases,
-        cfg.max_iterations,
-        cfg.etc_exit_fraction.to_bits(),
-        cfg.seed,
-        cfg.neighborhood_collectives,
-        cfg.prune_inactive_ghosts,
-        cfg.color_sweeps,
-        cfg.disable_singleton_guard,
-        cfg.index_order_sweep,
-        cfg.threads_per_rank,
-        cfg.vertex_following,
-        cfg.delta_ghost_refresh,
-        cfg.sweep.label(),
+        "variant={variant};threshold={:016x};max_phases={max_phases};\
+         max_iterations={max_iterations};etc_exit_fraction={:016x};seed={seed:016x};\
+         neighborhood_collectives={neighborhood_collectives};\
+         prune_inactive_ghosts={prune_inactive_ghosts};color_sweeps={color_sweeps};\
+         disable_singleton_guard={disable_singleton_guard};\
+         index_order_sweep={index_order_sweep};threads_per_rank={threads_per_rank};\
+         vertex_following={vertex_following};delta_ghost_refresh={delta_ghost_refresh};\
+         sweep={}",
+        threshold.to_bits(),
+        etc_exit_fraction.to_bits(),
+        sweep.label(),
     );
     louvain_resil::fnv1a64(text.as_bytes())
 }
@@ -199,31 +214,38 @@ mod tests {
 
     #[test]
     fn fingerprint_is_stable_and_field_sensitive() {
-        let base = DistConfig::baseline();
-        let fp = config_fingerprint(&base);
-        assert_eq!(fp, config_fingerprint(&DistConfig::baseline()));
+        let base = DistConfig::baseline;
+        assert_eq!(config_fingerprint(&base()), config_fingerprint(&base()));
 
-        // Every field that steers the trajectory must perturb the
-        // fingerprint — a sample across types:
-        let mut seeds = DistConfig::baseline();
-        seeds.seed ^= 1;
-        let mut tau = DistConfig::baseline();
-        tau.threshold *= 2.0;
-        let mut delta = DistConfig::baseline();
-        delta.delta_ghost_refresh = true;
-        let mut sweep = DistConfig::baseline();
-        sweep.sweep = crate::SweepMode::Colored;
-        let variant = DistConfig::with_variant(Variant::Et { alpha: 0.25 });
-        let mut alpha = DistConfig::with_variant(Variant::Et { alpha: 0.75 });
-        alpha.seed = base.seed;
-        for other in [&seeds, &tau, &delta, &sweep, &variant, &alpha] {
-            assert_ne!(fp, config_fingerprint(other));
+        // Every field, flipped alone, must move the fingerprint — and
+        // no two flips may land on the same one.
+        let flips: [fn(&mut DistConfig); 16] = [
+            |c| c.variant = Variant::Et { alpha: 0.25 },
+            |c| c.variant = Variant::Et { alpha: 0.75 },
+            |c| c.threshold *= 2.0,
+            |c| c.max_phases += 1,
+            |c| c.max_iterations += 1,
+            |c| c.etc_exit_fraction = 0.5,
+            |c| c.seed ^= 1,
+            |c| c.neighborhood_collectives ^= true,
+            |c| c.prune_inactive_ghosts ^= true,
+            |c| c.color_sweeps ^= true,
+            |c| c.disable_singleton_guard ^= true,
+            |c| c.index_order_sweep ^= true,
+            |c| c.threads_per_rank += 1,
+            |c| c.vertex_following ^= true,
+            |c| c.delta_ghost_refresh ^= true,
+            |c| c.sweep = crate::SweepMode::Colored,
+        ];
+        let mut seen = std::collections::HashSet::from([config_fingerprint(&base())]);
+        for (i, flip) in flips.iter().enumerate() {
+            let mut cfg = base();
+            flip(&mut cfg);
+            assert!(
+                seen.insert(config_fingerprint(&cfg)),
+                "flip {i} is not hashed"
+            );
         }
-        assert_ne!(
-            config_fingerprint(&variant),
-            config_fingerprint(&alpha),
-            "same variant kind, different alpha"
-        );
     }
 
     #[test]

@@ -332,7 +332,7 @@ fn analyze_run(
         0.0
     };
     let edge_bytes: u64 = report.messages.iter().map(|e| e.bytes).sum();
-    let p2p_bytes: u64 = report.per_rank.iter().map(|r| r.p2p_bytes).sum();
+    let p2p_bytes = report.traffic.p2p_bytes;
     let frac = wait_fraction(&report.phase_profile);
     let baseline_wait_fraction = baseline.map(|b| wait_fraction(&b.phase_profile));
     let wait_gate_ok = baseline_wait_fraction.map(|base| frac <= base + wait_tol);
@@ -406,7 +406,7 @@ pub fn crit(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use louvain_obs::{RankTotals, RunEntry};
+    use louvain_obs::{RunEntry, StatsSnapshot};
 
     fn cell(rank: usize, phase: u64, c: u64, t: u64, w: u64, b: u64) -> PhaseProfileRow {
         PhaseProfileRow {
@@ -454,19 +454,11 @@ mod tests {
                 ranks: 2,
                 variant: "delta".into(),
                 wall_seconds: 2.0e-6,
-                per_rank: vec![RankTotals {
-                    rank: 0,
+                traffic: StatsSnapshot {
                     p2p_messages: 3,
                     p2p_bytes,
-                    collective_calls: 0,
-                    collective_bytes: 0,
-                    modeled_comm_seconds: 0.0,
-                    step_messages: vec![0; 6],
-                    step_bytes: vec![0; 6],
-                    wait_ns: 0,
-                    events_recorded: 0,
-                    events_dropped: 0,
-                }],
+                    ..Default::default()
+                },
                 phase_profile,
                 messages,
                 ..Default::default()

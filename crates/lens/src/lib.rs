@@ -175,7 +175,7 @@ pub fn show(artifact: &RunArtifact) -> String {
             r.phases,
             r.iterations,
             r.wall_seconds * 1000.0,
-            r.total_bytes,
+            r.traffic.total_bytes(),
         );
         if r.recoveries > 0 || r.resumed_from_phase.is_some() {
             let _ = writeln!(
@@ -187,14 +187,24 @@ pub fn show(artifact: &RunArtifact) -> String {
                     .unwrap_or_else(|| "-".into()),
             );
         }
-        if r.health.any() {
+        // Did the watchdog or the fault protocol do anything at all?
+        let t = &r.traffic;
+        let hung = r.health.hung_events.len() as u64;
+        let events = [
+            t.fault_stalls,
+            t.fault_bursts,
+            t.fault_corruptions,
+            t.checksum_rejects,
+            t.wd_timeouts,
+            t.wd_retries,
+            t.wd_stragglers,
+            hung,
+        ];
+        if events.iter().any(|&n| n > 0) {
             let _ = writeln!(
                 out,
-                "  health: wd_timeouts={} wd_stragglers={} checksum_rejects={} hung_events={}",
-                r.health.wd_timeouts,
-                r.health.wd_stragglers,
-                r.health.checksum_rejects,
-                r.health.hung_events.len(),
+                "  health: wd_timeouts={} wd_stragglers={} checksum_rejects={} hung_events={hung}",
+                t.wd_timeouts, t.wd_stragglers, t.checksum_rejects,
             );
         }
         if let Some(mem) = memory_line(r) {
@@ -330,12 +340,10 @@ pub fn diff(baseline: &RunArtifact, current: &RunArtifact, t: &Thresholds) -> Di
                 t.wall_tol * 100.0
             ));
         }
-        if ra.total_bytes > 0 && rb.total_bytes as f64 > ra.total_bytes as f64 * (1.0 + t.bytes_tol)
-        {
+        let (bytes_a, bytes_b) = (ra.traffic.total_bytes(), rb.traffic.total_bytes());
+        if bytes_a > 0 && bytes_b as f64 > bytes_a as f64 * (1.0 + t.bytes_tol) {
             regressions.push(format!(
-                "total bytes {} → {} exceeds {:.0}% tolerance",
-                ra.total_bytes,
-                rb.total_bytes,
+                "total bytes {bytes_a} → {bytes_b} exceeds {:.0}% tolerance",
                 t.bytes_tol * 100.0
             ));
         }
@@ -359,8 +367,8 @@ pub fn diff(baseline: &RunArtifact, current: &RunArtifact, t: &Thresholds) -> Di
             label: label.clone(),
             wall_a: ra.wall_seconds,
             wall_b: rb.wall_seconds,
-            bytes_a: ra.total_bytes,
-            bytes_b: rb.total_bytes,
+            bytes_a,
+            bytes_b,
             modularity_a: ra.modularity,
             modularity_b: rb.modularity,
             iters_a: ra.iterations,
@@ -429,7 +437,7 @@ pub fn gate(baseline: &RunArtifact, current: &RunArtifact, t: &Thresholds) -> Ga
 #[cfg(test)]
 mod tests {
     use super::*;
-    use louvain_obs::RunReport;
+    use louvain_obs::{RunReport, StatsSnapshot};
 
     fn entry(label: &str, wall: f64, bytes: u64, q: f64, iters: u64) -> RunEntry {
         RunEntry {
@@ -441,7 +449,10 @@ mod tests {
                 modularity: q,
                 iterations: iters,
                 wall_seconds: wall,
-                total_bytes: bytes,
+                traffic: StatsSnapshot {
+                    p2p_bytes: bytes,
+                    ..Default::default()
+                },
                 ..Default::default()
             },
             telemetry: Vec::new(),

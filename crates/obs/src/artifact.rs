@@ -7,8 +7,7 @@
 //! `louvain run --report-out` writes) as a one-run artifact.
 
 use crate::json::{Json, JsonError};
-use crate::metrics::{Histogram, HIST_BUCKETS};
-use crate::report::RunReport;
+use crate::report::{hist_from_json, hist_to_json, rows_from_json, u64_from_json, RunReport};
 use crate::telemetry::TelemetryRow;
 
 /// First bytes of every artifact (the `magic` field).
@@ -45,40 +44,6 @@ pub fn run_label(graph: &str, ranks: usize, mode: &str) -> String {
 // JSON encoding
 // ---------------------------------------------------------------------------
 
-fn hist_to_json(h: &Histogram) -> Json {
-    let top = h.buckets.iter().rposition(|&b| b > 0).map_or(0, |i| i + 1);
-    let (p50, p95, p99) = h.quantile_summary();
-    Json::obj(vec![
-        ("count", Json::uint(h.count)),
-        ("sum", Json::uint(h.sum)),
-        ("p50", Json::uint(p50)),
-        ("p95", Json::uint(p95)),
-        ("p99", Json::uint(p99)),
-        (
-            "log2_buckets",
-            Json::Arr(h.buckets[..top].iter().map(|&b| Json::uint(b)).collect()),
-        ),
-    ])
-}
-
-fn hist_from_json(doc: &Json) -> Result<Histogram, String> {
-    let mut h = Histogram {
-        count: doc.field_u64("count")?,
-        sum: doc.field_u64("sum")?,
-        ..Default::default()
-    };
-    let buckets = doc
-        .get("log2_buckets")
-        .and_then(Json::as_arr)
-        .ok_or("histogram missing `log2_buckets`")?;
-    for (i, b) in buckets.iter().enumerate() {
-        if i < HIST_BUCKETS {
-            h.buckets[i] = b.as_u64().ok_or("histogram bucket is not a u64")?;
-        }
-    }
-    Ok(h)
-}
-
 fn telemetry_to_json(row: &TelemetryRow) -> Json {
     Json::obj(vec![
         ("phase", Json::uint(row.phase)),
@@ -113,13 +78,7 @@ fn telemetry_from_json(doc: &Json) -> Result<TelemetryRow, String> {
         vertices: doc.field_u64("vertices")?,
         communities: doc.field_u64("communities")?,
         community_sizes: hist_from_json(doc.field("community_sizes")?)?,
-        ghost_bytes_per_rank: doc
-            .field("ghost_bytes_per_rank")?
-            .as_arr()
-            .ok_or("`ghost_bytes_per_rank` is not an array")?
-            .iter()
-            .map(|v| v.as_u64().ok_or_else(|| "ghost bytes not u64".to_string()))
-            .collect::<Result<_, String>>()?,
+        ghost_bytes_per_rank: rows_from_json(doc, "ghost_bytes_per_rank", u64_from_json)?,
     })
 }
 
@@ -169,25 +128,13 @@ impl RunArtifact {
         Ok(RunArtifact {
             name: doc.field_str("name")?.to_string(),
             description: doc.field_str("description")?.to_string(),
-            runs: doc
-                .field("runs")?
-                .as_arr()
-                .ok_or("`runs` is not an array")?
-                .iter()
-                .map(|r| {
-                    Ok(RunEntry {
-                        label: r.field_str("label")?.to_string(),
-                        report: RunReport::from_json(r.field("report")?)?,
-                        telemetry: r
-                            .field("telemetry")?
-                            .as_arr()
-                            .ok_or("`telemetry` is not an array")?
-                            .iter()
-                            .map(telemetry_from_json)
-                            .collect::<Result<_, String>>()?,
-                    })
+            runs: rows_from_json(doc, "runs", |r| {
+                Ok(RunEntry {
+                    label: r.field_str("label")?.to_string(),
+                    report: RunReport::from_json(r.field("report")?)?,
+                    telemetry: rows_from_json(r, "telemetry", telemetry_from_json)?,
                 })
-                .collect::<Result<_, String>>()?,
+            })?,
         })
     }
 
@@ -223,6 +170,8 @@ impl RunArtifact {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metrics::Histogram;
+    use crate::report::tests as report_tests;
 
     fn sample() -> RunArtifact {
         let mut sizes = Histogram::default();
@@ -295,6 +244,25 @@ mod tests {
         assert_eq!(a.runs.len(), 1);
         assert_eq!(a.runs[0].label, "lfr_3k/p2/ET(0.25)+delta");
         assert_eq!(a.runs[0].report, report);
+    }
+
+    #[test]
+    fn hostile_artifacts_are_errors_never_panics() {
+        let mut a = sample();
+        a.runs[0].report = report_tests::sample();
+        let doc = a.to_json();
+        report_tests::assert_mutants_are_refused(&doc, RunArtifact::from_json);
+        a.runs[0].report = report_tests::small();
+        report_tests::assert_every_truncation_is_refused(
+            &a.to_json().to_string_compact(),
+            RunArtifact::from_json_str,
+        );
+        // The report inside is held to its one version too.
+        let v1 = doc
+            .to_string_compact()
+            .replace("\"run_report_version\":2", "\"run_report_version\":1");
+        let err = RunArtifact::from_json_str(&v1).unwrap_err();
+        assert!(err.contains("run_report_version 1"), "{err}");
     }
 
     #[test]

@@ -20,14 +20,17 @@
 //! - **Metrics** ([`MetricsRegistry`], [`counter_add`], [`gauge_set`],
 //!   [`hist_observe`]): counters, gauges, log2 histograms; snapshots
 //!   merge commutatively across ranks.
-//! - **Run reports** ([`RunReport`]): the end-of-run JSON artifact with
-//!   per-step byte totals, the α-β model's time breakdown, merged
-//!   metrics, and span rollups.
+//! - **The counter table** ([`StatsSnapshot`], [`CommStep`]): every
+//!   always-on per-rank counter, named once. `louvain-comm` records
+//!   into it; everything else walks it.
+//! - **Run reports** ([`RunReport`]): the end-of-run JSON artifact: the
+//!   run's [`StatsSnapshot`]s as they are, the α-β model's time
+//!   breakdown, merged metrics, and span rollups.
 //!
 //! This crate sits below `louvain-comm` in the dependency graph so the
-//! communicator can auto-span its own steps; anything needing both the
-//! communicator and reports (cross-rank aggregation) lives above, in
-//! `louvain-dist`.
+//! communicator can auto-span its own steps and record into the table;
+//! what needs the communicator itself (filling a report from a finished
+//! run) lives above, in `louvain-dist`.
 
 mod artifact;
 mod chrome;
@@ -41,6 +44,7 @@ mod prom;
 mod report;
 mod ring;
 mod span;
+mod stats;
 mod telemetry;
 
 pub use artifact::{run_label, RunArtifact, RunEntry, ARTIFACT_MAGIC, ARTIFACT_VERSION};
@@ -61,14 +65,15 @@ pub use ops::{
 pub use progress::{ProgressMerger, ProgressScope, ProgressSink};
 pub use prom::{parse_prometheus_text, prometheus_name, prometheus_text};
 pub use report::{
-    FaultTotals, HealthTotals, HungEvent, MessageEdge, ModeledBreakdown, PhaseProfileRow,
-    RankHealth, RankTotals, RunReport, StepTotal, RUN_REPORT_VERSION,
+    HealthTotals, MessageEdge, ModeledBreakdown, PhaseProfileRow, RankHung, RankTotals, RunReport,
+    RUN_REPORT_VERSION,
 };
 pub use ring::EventRing;
 pub use span::{
     complete_span, enabled, init_from_env, instant, set_enabled, span, span_cat, telemetry_enabled,
     SpanGuard,
 };
+pub use stats::{CommStep, StatsSnapshot, NUM_COMM_STEPS};
 pub use telemetry::{merge_ranks, record_iteration, IterationRecord, TelemetryLog, TelemetryRow};
 
 // ---------------------------------------------------------------------------
@@ -90,9 +95,10 @@ pub enum MetricKind {
 /// namespace without grepping call sites.
 ///
 /// Namespaces: `sweep.*` (move sweep work), `ghost.*` (ghost refresh,
-/// split full/delta), `ingest.*` (edge-list ingestion), `comm.*`
-/// (envelope transport), `wd_*` (rank-health watchdog; underscore names
-/// match the RunReport health section they feed), `checkpoint.*`
+/// split full/delta), `ingest.*` (edge-list ingestion), `wd_backoff_us`
+/// (the watchdog's backoff distribution; its event counts, like the
+/// checksum rejects, are in the counter table [`StatsSnapshot`] and
+/// nowhere else), `checkpoint.*`
 /// (checkpoint/restart), `resil.*` (recovery driver), `rank.*`
 /// (per-rank imbalance histograms attached at report build), plus the
 /// `modularity` gauge.
@@ -111,11 +117,6 @@ pub const METRIC_REGISTRY: &[(&str, MetricKind, &str)] = &[
         "checkpoint.writes",
         MetricKind::Counter,
         "checkpoint snapshots written",
-    ),
-    (
-        "comm.checksum_rejects",
-        MetricKind::Counter,
-        "envelopes rejected by checksum",
     ),
     (
         "ghost.delta.changed",
@@ -305,21 +306,6 @@ pub const METRIC_REGISTRY: &[(&str, MetricKind, &str)] = &[
         MetricKind::Histogram,
         "watchdog retry backoff (microseconds)",
     ),
-    (
-        "wd_retries",
-        MetricKind::Counter,
-        "watchdog deadline extensions (stale peer)",
-    ),
-    (
-        "wd_stragglers",
-        MetricKind::Counter,
-        "watchdog straggler extensions (live peer)",
-    ),
-    (
-        "wd_timeouts",
-        MetricKind::Counter,
-        "watchdog window expiries",
-    ),
 ];
 
 /// Whether `name` is in [`METRIC_REGISTRY`] with the given kind.
@@ -370,13 +356,13 @@ mod registry_tests {
         reg.counter_add("sweep.moves", 1);
         reg.counter_add("sweep.bogus", 1);
         reg.gauge_set("modularity", 0.5);
-        reg.hist_observe("wd_timeouts", 3); // right name, wrong kind
+        reg.counter_add("wd_backoff_us", 3); // right name, wrong kind
         let drift = unregistered_metrics(&reg.snapshot());
         assert_eq!(
             drift,
-            vec!["sweep.bogus".to_string(), "wd_timeouts".to_string()]
+            vec!["sweep.bogus".to_string(), "wd_backoff_us".to_string()]
         );
-        assert!(metric_registered("wd_timeouts", MetricKind::Counter));
+        assert!(metric_registered("wd_backoff_us", MetricKind::Histogram));
         assert!(!metric_registered("watchdog.timeouts", MetricKind::Counter));
     }
 }

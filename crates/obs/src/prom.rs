@@ -205,7 +205,7 @@ mod tests {
     #[test]
     fn names_map_onto_prometheus_grammar() {
         assert_eq!(prometheus_name("serve.queue_depth"), "serve_queue_depth");
-        assert_eq!(prometheus_name("wd_timeouts"), "wd_timeouts");
+        assert_eq!(prometheus_name("wd_backoff_us"), "wd_backoff_us");
         assert_eq!(
             prometheus_name("ghost.delta.changed"),
             "ghost_delta_changed"

@@ -1,50 +1,35 @@
-//! The machine-readable run artifact: everything one distributed run
-//! produced — configuration, quality, wall/modeled time, per-step and
-//! per-rank traffic totals, merged metrics, and span rollups — in one
-//! JSON-serializable struct.
+//! The machine-readable run report: everything one distributed run
+//! produced — configuration, quality, wall/modeled time, traffic,
+//! merged metrics, and span rollups — in one JSON-serializable struct.
 //!
-//! This crate is dependency-free, so the report holds plain data; the
-//! glue that lifts `louvain_comm::StatsSnapshot` values into these
-//! fields lives in `louvain-dist` (which sees both crates).
+//! Traffic is the counter table itself: the report holds the run's
+//! merged [`StatsSnapshot`] and one per rank, typed, and encodes them
+//! by walking [`StatsSnapshot::names`]. No counter is named in this
+//! file, so a counter added to the table appears in the report, and
+//! round-trips, with no edit here. Beside the snapshots sits only what
+//! is not a counter: run identity, the modeled seconds, the hung-rank
+//! events, and the trace-derived sections.
+//!
+//! There is one schema version, [`RUN_REPORT_VERSION`]; `from_json`
+//! accepts exactly it and requires every section.
+
+use std::collections::BTreeMap;
 
 use crate::collector::SpanRollup;
 use crate::json::{Json, JsonError};
-use crate::metrics::{GaugeStat, Histogram, MetricsSnapshot, HIST_BUCKETS};
+use crate::metrics::{GaugeStat, Histogram, MetricsSnapshot};
+use crate::stats::{CommStep, StatsSnapshot};
 
 /// Report schema version (bump on breaking field changes).
-pub const RUN_REPORT_VERSION: u32 = 1;
+pub const RUN_REPORT_VERSION: u32 = 2;
 
-/// Traffic attributed to one algorithmic communication step, summed
-/// across ranks.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct StepTotal {
-    /// Step label (`ghost_refresh`, `community_pull`, `delta_push`,
-    /// `reduction`, `other`).
-    pub step: String,
-    pub bytes: u64,
-    pub messages: u64,
-    /// Idle wall nanoseconds ranks spent blocked inside this step
-    /// (summed across ranks; 0 in pre-wait-split artifacts).
-    pub wait_ns: u64,
-}
-
-/// One rank's traffic totals plus its trace bookkeeping.
-#[derive(Debug, Clone, PartialEq)]
+/// What is known of one rank besides its counters (those are
+/// `RunReport::per_rank_traffic[rank]`).
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct RankTotals {
     pub rank: usize,
-    pub p2p_messages: u64,
-    pub p2p_bytes: u64,
-    pub collective_calls: u64,
-    pub collective_bytes: u64,
     /// Modeled (α-β) communication seconds on this rank.
     pub modeled_comm_seconds: f64,
-    /// Per-step message counts, indexed like `CommStep::index()`.
-    pub step_messages: Vec<u64>,
-    /// Per-step byte counts, indexed like `CommStep::index()`.
-    pub step_bytes: Vec<u64>,
-    /// Idle wall nanoseconds this rank spent blocked in receives and
-    /// collective fill-waits (0 in pre-wait-split artifacts).
-    pub wait_ns: u64,
     pub events_recorded: u64,
     pub events_dropped: u64,
 }
@@ -112,103 +97,57 @@ impl ModeledBreakdown {
     }
 }
 
-/// Injected-fault totals summed across ranks (all zero on clean runs).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct FaultTotals {
-    pub drops: u64,
-    pub delays: u64,
-    pub duplicates: u64,
-    pub truncations: u64,
-    pub retries: u64,
-}
-
-impl FaultTotals {
-    pub fn any(&self) -> bool {
-        self.drops + self.delays + self.duplicates + self.truncations + self.retries > 0
-    }
-}
-
-/// One hung-rank declaration absorbed by the resilient driver.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct HungEvent {
-    /// Rank declared hung.
+/// One hung-rank declaration. `louvain-comm` carries it out of a rank
+/// thread as the panic payload when the watchdog (or an injected hang's
+/// self-timeout) declares a rank hung; the resilient driver downcasts
+/// it, recovers as from a crash, and the report lists it as it is.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RankHung {
+    /// The rank declared hung.
     pub rank: usize,
-    /// Rank whose watchdog raised the declaration (equal to `rank` for
-    /// a self-declaration).
+    /// The rank that made the declaration (== `rank` for an injected
+    /// hang's self-timeout).
     pub detector: usize,
-    /// Fault epoch (phase) and operation index at the declaration.
+    /// Fault epoch (Louvain phase) the detector was in.
     pub phase: u64,
+    /// Comm-op index the detector was blocked at.
     pub op: u64,
-    /// Communication step the detector was blocked in.
-    pub step: String,
-    /// How long the detector had been waiting, in milliseconds.
+    /// Step attribution of the blocked wait.
+    pub step: CommStep,
+    /// Total time the detector had been blocked.
     pub waited_ms: u64,
 }
 
-/// One rank's health counters (watchdog ladder + fault protocol).
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct RankHealth {
-    pub rank: usize,
-    /// Retransmissions of injected message faults on this rank.
-    pub retries: u64,
-    /// Watchdog deadline expiries while this rank was blocked.
-    pub wd_timeouts: u64,
-    /// Deadline extensions this rank granted to stale peers.
-    pub wd_retries: u64,
-    /// Extensions granted to live-but-slow peers (stragglers).
-    pub wd_stragglers: u64,
-    /// Total time this rank spent in backoff sleeps.
-    pub backoff_seconds: f64,
-    /// Envelopes this rank discarded on a checksum mismatch.
-    pub checksum_rejects: u64,
-    /// Retransmissions per communication step, indexed like
-    /// `CommStep::index()` (the per-step retry histogram).
-    pub step_retries: Vec<u64>,
+impl std::fmt::Display for RankHung {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "rank {} declared hung by rank {} after {} ms blocked in {} (comm op {} of phase {})",
+            self.rank,
+            self.detector,
+            self.waited_ms,
+            self.step.label(),
+            self.op,
+            self.phase
+        )
+    }
 }
 
-/// Rank-health section of the report: watchdog activity, hung-rank
-/// events, and slowest-rank attribution (all zero/empty on healthy
-/// runs with the watchdog idle).
+/// Rank-health facts that are not counters: hung-rank events and the
+/// modeled slowest rank. The watchdog and fault counts are in
+/// `RunReport::traffic`.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct HealthTotals {
-    /// Injected stall events across ranks.
-    pub stalls: u64,
-    /// Injected flaky-burst drops across ranks.
-    pub bursts: u64,
-    /// Injected payload corruptions across ranks.
-    pub corruptions: u64,
-    /// Corrupted envelopes caught by the receiver checksum.
-    pub checksum_rejects: u64,
-    pub wd_timeouts: u64,
-    pub wd_retries: u64,
-    pub wd_stragglers: u64,
-    pub backoff_seconds: f64,
     /// Rank with the largest modeled communication time (straggler
     /// attribution); `None` when the run had no ranks.
     pub slowest_rank: Option<usize>,
     /// That rank's modeled communication seconds.
     pub slowest_rank_seconds: f64,
-    pub per_rank: Vec<RankHealth>,
     /// Hung-rank declarations, in the order they were raised.
-    pub hung_events: Vec<HungEvent>,
+    pub hung_events: Vec<RankHung>,
 }
 
-impl HealthTotals {
-    /// Did the watchdog or the fault protocol do anything at all?
-    pub fn any(&self) -> bool {
-        self.stalls
-            + self.bursts
-            + self.corruptions
-            + self.checksum_rejects
-            + self.wd_timeouts
-            + self.wd_retries
-            + self.wd_stragglers
-            + self.hung_events.len() as u64
-            > 0
-    }
-}
-
-/// The complete run artifact. See module docs.
+/// The complete run report. See module docs.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct RunReport {
     pub graph: String,
@@ -224,32 +163,27 @@ pub struct RunReport {
     pub iterations: u64,
     pub wall_seconds: f64,
     /// Phase index the run resumed from when restarted off a checkpoint
-    /// (`None` on uninterrupted runs). The cumulative totals above cover
+    /// (`None` on uninterrupted runs). The cumulative totals below cover
     /// the whole logical run: checkpointed counters are re-absorbed on
     /// resume, so a recovered run reports the same per-step traffic as
     /// an uninterrupted one (modulo the `checkpoint` step itself).
     pub resumed_from_phase: Option<u64>,
     /// Crash recoveries the resilient driver performed (0 = clean run).
     pub recoveries: u64,
-    /// Injected-fault totals summed across ranks.
-    pub faults: FaultTotals,
-    /// Rank-health section (watchdog, hung events, slowest rank).
+    /// Every counter of the table, summed across ranks.
+    pub traffic: StatsSnapshot,
+    /// The same counters per rank, indexed by rank.
+    pub per_rank_traffic: Vec<StatsSnapshot>,
     pub health: HealthTotals,
     pub modeled: ModeledBreakdown,
-    /// Cross-rank traffic per communication step.
-    pub step_totals: Vec<StepTotal>,
-    pub total_bytes: u64,
-    pub total_messages: u64,
     pub per_rank: Vec<RankTotals>,
     /// Metrics merged across all ranks.
     pub metrics: MetricsSnapshot,
     /// Wall rollup per span name (descending wall time).
     pub spans: Vec<SpanRollup>,
-    /// Per-(rank, phase) wall attribution (empty on untraced runs and
-    /// pre-causal-profiling artifacts).
+    /// Per-(rank, phase) wall attribution (empty on untraced runs).
     pub phase_profile: Vec<PhaseProfileRow>,
-    /// Matched cross-rank message edges (empty on untraced runs and
-    /// pre-causal-profiling artifacts).
+    /// Matched cross-rank message edges (empty on untraced runs).
     pub messages: Vec<MessageEdge>,
 }
 
@@ -257,68 +191,132 @@ pub struct RunReport {
 // JSON encoding
 // ---------------------------------------------------------------------------
 
-pub(crate) fn metrics_to_json(m: &MetricsSnapshot) -> Json {
+fn opt_uint(v: Option<u64>) -> Json {
+    v.map_or(Json::Null, Json::uint)
+}
+
+/// A required member that is `null` or a u64.
+fn field_opt_u64(doc: &Json, key: &str) -> Result<Option<u64>, String> {
+    match doc.field(key)? {
+        Json::Null => Ok(None),
+        v => v
+            .as_u64()
+            .map(Some)
+            .ok_or_else(|| format!("field `{key}` is neither null nor a u64")),
+    }
+}
+
+fn rows_to_json<T>(rows: &[T], row: impl Fn(&T) -> Json) -> Json {
+    Json::Arr(rows.iter().map(row).collect())
+}
+
+/// Decode the required member `key` with `read`; an error names it.
+fn section<T>(
+    doc: &Json,
+    key: &str,
+    read: impl FnOnce(&Json) -> Result<T, String>,
+) -> Result<T, String> {
+    read(doc.field(key)?).map_err(|e| format!("`{key}`: {e}"))
+}
+
+/// A required array member, each element decoded by `row`.
+pub(crate) fn rows_from_json<T>(
+    doc: &Json,
+    key: &str,
+    row: impl Fn(&Json) -> Result<T, String>,
+) -> Result<Vec<T>, String> {
+    section(doc, key, |v| {
+        v.as_arr().ok_or("not an array")?.iter().map(row).collect()
+    })
+}
+
+/// A required `u64` element.
+pub(crate) fn u64_from_json(v: &Json) -> Result<u64, String> {
+    v.as_u64().ok_or_else(|| "not a u64".to_string())
+}
+
+fn map_to_json<V>(map: &BTreeMap<String, V>, value: impl Fn(&V) -> Json) -> Json {
+    Json::Obj(map.iter().map(|(k, v)| (k.clone(), value(v))).collect())
+}
+
+/// A required object member keyed by whatever was recorded, each value
+/// decoded by `value`.
+fn map_from_json<V>(
+    doc: &Json,
+    key: &str,
+    value: impl Fn(&Json) -> Result<V, String>,
+) -> Result<BTreeMap<String, V>, String> {
+    section(doc, key, |v| {
+        let entries = v.as_obj().ok_or("not an object")?.iter();
+        entries
+            .map(|(k, v)| Ok((k.clone(), value(v).map_err(|e| format!("`{k}`: {e}"))?)))
+            .collect()
+    })
+}
+
+pub(crate) fn hist_to_json(h: &Histogram) -> Json {
+    let top = h.buckets.iter().rposition(|&b| b > 0).map_or(0, |i| i + 1);
+    let (p50, p95, p99) = h.quantile_summary();
     Json::obj(vec![
+        ("count", Json::uint(h.count)),
+        ("sum", Json::uint(h.sum)),
+        // Derived on encode (bucket upper edges); decoding rebuilds
+        // them from the buckets.
+        ("p50", Json::uint(p50)),
+        ("p95", Json::uint(p95)),
+        ("p99", Json::uint(p99)),
         (
-            "counters",
-            Json::Obj(
-                m.counters
-                    .iter()
-                    .map(|(k, v)| (k.clone(), Json::uint(*v)))
-                    .collect(),
-            ),
-        ),
-        (
-            "gauges",
-            Json::Obj(
-                m.gauges
-                    .iter()
-                    .map(|(k, g)| {
-                        (
-                            k.clone(),
-                            Json::obj(vec![
-                                ("last", Json::Num(g.last)),
-                                ("min", Json::Num(g.min)),
-                                ("max", Json::Num(g.max)),
-                                ("sum", Json::Num(g.sum)),
-                                ("count", Json::uint(g.count)),
-                            ]),
-                        )
-                    })
-                    .collect(),
-            ),
-        ),
-        (
-            "histograms",
-            Json::Obj(
-                m.histograms
-                    .iter()
-                    .map(|(k, h)| {
-                        let top = h.buckets.iter().rposition(|&b| b > 0).map_or(0, |i| i + 1);
-                        let (p50, p95, p99) = h.quantile_summary();
-                        (
-                            k.clone(),
-                            Json::obj(vec![
-                                ("count", Json::uint(h.count)),
-                                ("sum", Json::uint(h.sum)),
-                                // Derived on encode (bucket upper edges);
-                                // from_json rebuilds them from the buckets.
-                                ("p50", Json::uint(p50)),
-                                ("p95", Json::uint(p95)),
-                                ("p99", Json::uint(p99)),
-                                (
-                                    "log2_buckets",
-                                    Json::Arr(
-                                        h.buckets[..top].iter().map(|&b| Json::uint(b)).collect(),
-                                    ),
-                                ),
-                            ]),
-                        )
-                    })
-                    .collect(),
-            ),
+            "log2_buckets",
+            rows_to_json(&h.buckets[..top], |&b| Json::uint(b)),
         ),
     ])
+}
+
+pub(crate) fn hist_from_json(doc: &Json) -> Result<Histogram, String> {
+    let mut h = Histogram {
+        count: doc.field_u64("count")?,
+        sum: doc.field_u64("sum")?,
+        ..Default::default()
+    };
+    let buckets = rows_from_json(doc, "log2_buckets", u64_from_json)?;
+    for (slot, b) in h.buckets.iter_mut().zip(buckets) {
+        *slot = b;
+    }
+    Ok(h)
+}
+
+pub(crate) fn metrics_to_json(m: &MetricsSnapshot) -> Json {
+    let gauge = |g: &GaugeStat| {
+        Json::obj(vec![
+            ("last", Json::Num(g.last)),
+            ("min", Json::Num(g.min)),
+            ("max", Json::Num(g.max)),
+            ("sum", Json::Num(g.sum)),
+            ("count", Json::uint(g.count)),
+        ])
+    };
+    Json::obj(vec![
+        ("counters", map_to_json(&m.counters, |&v| Json::uint(v))),
+        ("gauges", map_to_json(&m.gauges, gauge)),
+        ("histograms", map_to_json(&m.histograms, hist_to_json)),
+    ])
+}
+
+fn metrics_from_json(doc: &Json) -> Result<MetricsSnapshot, String> {
+    let gauge = |v: &Json| {
+        Ok(GaugeStat {
+            last: v.field_f64("last")?,
+            min: v.field_f64("min")?,
+            max: v.field_f64("max")?,
+            sum: v.field_f64("sum")?,
+            count: v.field_u64("count")?,
+        })
+    };
+    Ok(MetricsSnapshot {
+        counters: map_from_json(doc, "counters", u64_from_json)?,
+        gauges: map_from_json(doc, "gauges", gauge)?,
+        histograms: map_from_json(doc, "histograms", hist_from_json)?,
+    })
 }
 
 impl RunReport {
@@ -336,93 +334,36 @@ impl RunReport {
             ("phases", Json::uint(self.phases)),
             ("iterations", Json::uint(self.iterations)),
             ("wall_seconds", Json::Num(self.wall_seconds)),
-            (
-                "resumed_from_phase",
-                match self.resumed_from_phase {
-                    Some(p) => Json::uint(p),
-                    None => Json::Null,
-                },
-            ),
+            ("resumed_from_phase", opt_uint(self.resumed_from_phase)),
             ("recoveries", Json::uint(self.recoveries)),
+            ("traffic", self.traffic.to_json()),
             (
-                "faults",
-                Json::obj(vec![
-                    ("drops", Json::uint(self.faults.drops)),
-                    ("delays", Json::uint(self.faults.delays)),
-                    ("duplicates", Json::uint(self.faults.duplicates)),
-                    ("truncations", Json::uint(self.faults.truncations)),
-                    ("retries", Json::uint(self.faults.retries)),
-                ]),
+                "per_rank_traffic",
+                rows_to_json(&self.per_rank_traffic, StatsSnapshot::to_json),
             ),
             (
                 "health",
                 Json::obj(vec![
-                    ("stalls", Json::uint(self.health.stalls)),
-                    ("bursts", Json::uint(self.health.bursts)),
-                    ("corruptions", Json::uint(self.health.corruptions)),
-                    ("checksum_rejects", Json::uint(self.health.checksum_rejects)),
-                    ("wd_timeouts", Json::uint(self.health.wd_timeouts)),
-                    ("wd_retries", Json::uint(self.health.wd_retries)),
-                    ("wd_stragglers", Json::uint(self.health.wd_stragglers)),
-                    ("backoff_seconds", Json::Num(self.health.backoff_seconds)),
                     (
                         "slowest_rank",
-                        match self.health.slowest_rank {
-                            Some(r) => Json::uint(r as u64),
-                            None => Json::Null,
-                        },
+                        opt_uint(self.health.slowest_rank.map(|r| r as u64)),
                     ),
                     (
                         "slowest_rank_seconds",
                         Json::Num(self.health.slowest_rank_seconds),
                     ),
                     (
-                        "per_rank",
-                        Json::Arr(
-                            self.health
-                                .per_rank
-                                .iter()
-                                .map(|r| {
-                                    Json::obj(vec![
-                                        ("rank", Json::uint(r.rank as u64)),
-                                        ("retries", Json::uint(r.retries)),
-                                        ("wd_timeouts", Json::uint(r.wd_timeouts)),
-                                        ("wd_retries", Json::uint(r.wd_retries)),
-                                        ("wd_stragglers", Json::uint(r.wd_stragglers)),
-                                        ("backoff_seconds", Json::Num(r.backoff_seconds)),
-                                        ("checksum_rejects", Json::uint(r.checksum_rejects)),
-                                        (
-                                            "step_retries",
-                                            Json::Arr(
-                                                r.step_retries
-                                                    .iter()
-                                                    .map(|&v| Json::uint(v))
-                                                    .collect(),
-                                            ),
-                                        ),
-                                    ])
-                                })
-                                .collect(),
-                        ),
-                    ),
-                    (
                         "hung_events",
-                        Json::Arr(
-                            self.health
-                                .hung_events
-                                .iter()
-                                .map(|e| {
-                                    Json::obj(vec![
-                                        ("rank", Json::uint(e.rank as u64)),
-                                        ("detector", Json::uint(e.detector as u64)),
-                                        ("phase", Json::uint(e.phase)),
-                                        ("op", Json::uint(e.op)),
-                                        ("step", Json::str(e.step.clone())),
-                                        ("waited_ms", Json::uint(e.waited_ms)),
-                                    ])
-                                })
-                                .collect(),
-                        ),
+                        rows_to_json(&self.health.hung_events, |e| {
+                            Json::obj(vec![
+                                ("rank", Json::uint(e.rank as u64)),
+                                ("detector", Json::uint(e.detector as u64)),
+                                ("phase", Json::uint(e.phase)),
+                                ("op", Json::uint(e.op)),
+                                ("step", Json::str(e.step.label())),
+                                ("waited_ms", Json::uint(e.waited_ms)),
+                            ])
+                        }),
                     ),
                 ]),
             ),
@@ -441,178 +382,79 @@ impl RunReport {
                 ])
             }),
             (
-                "step_totals",
-                Json::Arr(
-                    self.step_totals
-                        .iter()
-                        .map(|s| {
-                            Json::obj(vec![
-                                ("step", Json::str(s.step.clone())),
-                                ("bytes", Json::uint(s.bytes)),
-                                ("messages", Json::uint(s.messages)),
-                                ("wait_ns", Json::uint(s.wait_ns)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-            ("total_bytes", Json::uint(self.total_bytes)),
-            ("total_messages", Json::uint(self.total_messages)),
-            (
                 "per_rank",
-                Json::Arr(
-                    self.per_rank
-                        .iter()
-                        .map(|r| {
-                            Json::obj(vec![
-                                ("rank", Json::uint(r.rank as u64)),
-                                ("p2p_messages", Json::uint(r.p2p_messages)),
-                                ("p2p_bytes", Json::uint(r.p2p_bytes)),
-                                ("collective_calls", Json::uint(r.collective_calls)),
-                                ("collective_bytes", Json::uint(r.collective_bytes)),
-                                ("modeled_comm_seconds", Json::Num(r.modeled_comm_seconds)),
-                                (
-                                    "step_messages",
-                                    Json::Arr(
-                                        r.step_messages.iter().map(|&v| Json::uint(v)).collect(),
-                                    ),
-                                ),
-                                (
-                                    "step_bytes",
-                                    Json::Arr(
-                                        r.step_bytes.iter().map(|&v| Json::uint(v)).collect(),
-                                    ),
-                                ),
-                                ("wait_ns", Json::uint(r.wait_ns)),
-                                ("events_recorded", Json::uint(r.events_recorded)),
-                                ("events_dropped", Json::uint(r.events_dropped)),
-                            ])
-                        })
-                        .collect(),
-                ),
+                rows_to_json(&self.per_rank, |r| {
+                    Json::obj(vec![
+                        ("rank", Json::uint(r.rank as u64)),
+                        ("modeled_comm_seconds", Json::Num(r.modeled_comm_seconds)),
+                        ("events_recorded", Json::uint(r.events_recorded)),
+                        ("events_dropped", Json::uint(r.events_dropped)),
+                    ])
+                }),
             ),
             ("metrics", metrics_to_json(&self.metrics)),
             (
                 "spans",
-                Json::Arr(
-                    self.spans
-                        .iter()
-                        .map(|s| {
-                            Json::obj(vec![
-                                ("name", Json::str(s.name.clone())),
-                                ("count", Json::uint(s.count)),
-                                ("wall_seconds", Json::Num(s.wall_seconds)),
-                            ])
-                        })
-                        .collect(),
-                ),
+                rows_to_json(&self.spans, |s| {
+                    Json::obj(vec![
+                        ("name", Json::str(s.name.clone())),
+                        ("count", Json::uint(s.count)),
+                        ("wall_seconds", Json::Num(s.wall_seconds)),
+                    ])
+                }),
             ),
             (
                 "phase_profile",
-                Json::Arr(
-                    self.phase_profile
-                        .iter()
-                        .map(|p| {
-                            Json::obj(vec![
-                                ("rank", Json::uint(p.rank as u64)),
-                                ("phase", Json::uint(p.phase)),
-                                ("compute_ns", Json::uint(p.compute_ns)),
-                                ("transfer_ns", Json::uint(p.transfer_ns)),
-                                ("wait_ns", Json::uint(p.wait_ns)),
-                                ("rebuild_ns", Json::uint(p.rebuild_ns)),
-                                ("total_ns", Json::uint(p.total_ns)),
-                            ])
-                        })
-                        .collect(),
-                ),
+                rows_to_json(&self.phase_profile, |p| {
+                    Json::obj(vec![
+                        ("rank", Json::uint(p.rank as u64)),
+                        ("phase", Json::uint(p.phase)),
+                        ("compute_ns", Json::uint(p.compute_ns)),
+                        ("transfer_ns", Json::uint(p.transfer_ns)),
+                        ("wait_ns", Json::uint(p.wait_ns)),
+                        ("rebuild_ns", Json::uint(p.rebuild_ns)),
+                        ("total_ns", Json::uint(p.total_ns)),
+                    ])
+                }),
             ),
             (
                 "messages",
-                Json::Arr(
-                    self.messages
-                        .iter()
-                        .map(|m| {
-                            Json::obj(vec![
-                                ("src", Json::uint(m.src as u64)),
-                                ("dst", Json::uint(m.dst as u64)),
-                                ("step", Json::str(m.step.clone())),
-                                ("lamport", Json::uint(m.lamport)),
-                                ("bytes", Json::uint(m.bytes)),
-                                ("send_ts_ns", Json::uint(m.send_ts_ns)),
-                                ("recv_ts_ns", Json::uint(m.recv_ts_ns)),
-                            ])
-                        })
-                        .collect(),
-                ),
+                rows_to_json(&self.messages, |m| {
+                    Json::obj(vec![
+                        ("src", Json::uint(m.src as u64)),
+                        ("dst", Json::uint(m.dst as u64)),
+                        ("step", Json::str(m.step.clone())),
+                        ("lamport", Json::uint(m.lamport)),
+                        ("bytes", Json::uint(m.bytes)),
+                        ("send_ts_ns", Json::uint(m.send_ts_ns)),
+                        ("recv_ts_ns", Json::uint(m.recv_ts_ns)),
+                    ])
+                }),
             ),
         ])
     }
 
-    /// Pretty-printed JSON document (the on-disk artifact format).
+    /// Pretty-printed JSON document (what `louvain run --report-out`
+    /// writes).
     pub fn to_json_string(&self) -> String {
         self.to_json().to_string_pretty()
     }
 
-    /// Parse a report back from its JSON text (round-trip testing, and
-    /// diffing committed artifacts).
+    /// Parse a report back from its JSON text.
     pub fn from_json_str(text: &str) -> Result<RunReport, String> {
         let doc = Json::parse(text).map_err(|e: JsonError| e.to_string())?;
         Self::from_json(&doc)
     }
 
+    /// Strict: exactly [`RUN_REPORT_VERSION`], every section present and
+    /// well typed (an error names the section); unknown keys are ignored.
     pub fn from_json(doc: &Json) -> Result<RunReport, String> {
-        fn u_arr(doc: &Json, key: &str) -> Result<Vec<u64>, String> {
-            doc.field(key)?
-                .as_arr()
-                .ok_or_else(|| format!("field `{key}` is not an array"))?
-                .iter()
-                .map(|v| {
-                    v.as_u64()
-                        .ok_or_else(|| format!("`{key}` element is not a u64"))
-                })
-                .collect()
-        }
-
         let version = doc.field_u64("run_report_version")?;
         if version != RUN_REPORT_VERSION as u64 {
-            return Err(format!("unsupported run_report_version {version}"));
+            return Err(format!(
+                "unsupported run_report_version {version} (this build reads {RUN_REPORT_VERSION})"
+            ));
         }
-        let modeled_doc = doc.field("modeled")?;
-        let metrics_doc = doc.field("metrics")?;
-
-        let mut metrics = MetricsSnapshot::default();
-        for (k, v) in metrics_doc.field("counters")?.as_obj().unwrap_or(&[]) {
-            metrics.counters.insert(
-                k.clone(),
-                v.as_u64().ok_or_else(|| format!("counter `{k}` not u64"))?,
-            );
-        }
-        for (k, v) in metrics_doc.field("gauges")?.as_obj().unwrap_or(&[]) {
-            metrics.gauges.insert(
-                k.clone(),
-                GaugeStat {
-                    last: v.field_f64("last")?,
-                    min: v.field_f64("min")?,
-                    max: v.field_f64("max")?,
-                    sum: v.field_f64("sum")?,
-                    count: v.field_u64("count")?,
-                },
-            );
-        }
-        for (k, v) in metrics_doc.field("histograms")?.as_obj().unwrap_or(&[]) {
-            let mut h = Histogram {
-                count: v.field_u64("count")?,
-                sum: v.field_u64("sum")?,
-                ..Default::default()
-            };
-            for (i, b) in u_arr(v, "log2_buckets")?.into_iter().enumerate() {
-                if i < HIST_BUCKETS {
-                    h.buckets[i] = b;
-                }
-            }
-            metrics.histograms.insert(k.clone(), h);
-        }
-
         Ok(RunReport {
             graph: doc.field_str("graph")?.to_string(),
             vertices: doc.field_u64("vertices")?,
@@ -625,190 +467,93 @@ impl RunReport {
             phases: doc.field_u64("phases")?,
             iterations: doc.field_u64("iterations")?,
             wall_seconds: doc.field_f64("wall_seconds")?,
-            // Resilience fields arrived after version 1 shipped; parse
-            // them leniently so pre-resilience artifacts still load.
-            resumed_from_phase: doc.get("resumed_from_phase").and_then(Json::as_u64),
-            recoveries: doc.get("recoveries").and_then(Json::as_u64).unwrap_or(0),
-            faults: match doc.get("faults") {
-                Some(fd) => FaultTotals {
-                    drops: fd.field_u64("drops")?,
-                    delays: fd.field_u64("delays")?,
-                    duplicates: fd.field_u64("duplicates")?,
-                    truncations: fd.field_u64("truncations")?,
-                    retries: fd.field_u64("retries")?,
-                },
-                None => FaultTotals::default(),
-            },
-            // The health section also arrived after version 1, and its
-            // counter set has grown since (the wd_* ladder landed with
-            // checkpoint format v2). Parse every field leniently so a
-            // report from any intermediate build still loads: a missing
-            // counter means the build that wrote it had nothing to count.
-            health: match doc.get("health") {
-                Some(hd) => {
-                    let lu = |d: &Json, key: &str| d.get(key).and_then(Json::as_u64).unwrap_or(0);
-                    let lf = |d: &Json, key: &str| d.get(key).and_then(Json::as_f64).unwrap_or(0.0);
-                    HealthTotals {
-                        stalls: lu(hd, "stalls"),
-                        bursts: lu(hd, "bursts"),
-                        corruptions: lu(hd, "corruptions"),
-                        checksum_rejects: lu(hd, "checksum_rejects"),
-                        wd_timeouts: lu(hd, "wd_timeouts"),
-                        wd_retries: lu(hd, "wd_retries"),
-                        wd_stragglers: lu(hd, "wd_stragglers"),
-                        backoff_seconds: lf(hd, "backoff_seconds"),
-                        slowest_rank: hd
-                            .get("slowest_rank")
-                            .and_then(Json::as_u64)
-                            .map(|r| r as usize),
-                        slowest_rank_seconds: lf(hd, "slowest_rank_seconds"),
-                        per_rank: hd
-                            .get("per_rank")
-                            .and_then(Json::as_arr)
-                            .unwrap_or(&[])
-                            .iter()
-                            .map(|r| RankHealth {
-                                rank: lu(r, "rank") as usize,
-                                retries: lu(r, "retries"),
-                                wd_timeouts: lu(r, "wd_timeouts"),
-                                wd_retries: lu(r, "wd_retries"),
-                                wd_stragglers: lu(r, "wd_stragglers"),
-                                backoff_seconds: lf(r, "backoff_seconds"),
-                                checksum_rejects: lu(r, "checksum_rejects"),
-                                step_retries: r
-                                    .get("step_retries")
-                                    .and_then(Json::as_arr)
-                                    .map(|a| a.iter().filter_map(Json::as_u64).collect())
-                                    .unwrap_or_default(),
-                            })
-                            .collect(),
-                        hung_events: hd
-                            .get("hung_events")
-                            .and_then(Json::as_arr)
-                            .unwrap_or(&[])
-                            .iter()
-                            .map(|e| {
-                                Ok(HungEvent {
-                                    rank: lu(e, "rank") as usize,
-                                    detector: lu(e, "detector") as usize,
-                                    phase: lu(e, "phase"),
-                                    op: lu(e, "op"),
-                                    step: e.field_str("step")?.to_string(),
-                                    waited_ms: lu(e, "waited_ms"),
-                                })
-                            })
-                            .collect::<Result<_, String>>()?,
-                    }
-                }
-                None => HealthTotals::default(),
-            },
-            modeled: ModeledBreakdown {
-                compute: modeled_doc.field_f64("compute_seconds")?,
-                comm: modeled_doc.field_f64("comm_seconds")?,
-                reduce: modeled_doc.field_f64("reduce_seconds")?,
-                rebuild: modeled_doc.field_f64("rebuild_seconds")?,
-            },
-            step_totals: doc
-                .field("step_totals")?
-                .as_arr()
-                .ok_or("`step_totals` is not an array")?
-                .iter()
-                .map(|t| {
-                    Ok(StepTotal {
-                        step: t.field_str("step")?.to_string(),
-                        bytes: t.field_u64("bytes")?,
-                        messages: t.field_u64("messages")?,
-                        // Lenient: pre-wait-split artifacts lack it.
-                        wait_ns: t.get("wait_ns").and_then(Json::as_u64).unwrap_or(0),
-                    })
+            resumed_from_phase: field_opt_u64(doc, "resumed_from_phase")?,
+            recoveries: doc.field_u64("recoveries")?,
+            traffic: section(doc, "traffic", StatsSnapshot::from_json)?,
+            per_rank_traffic: rows_from_json(doc, "per_rank_traffic", StatsSnapshot::from_json)?,
+            health: section(doc, "health", |health| {
+                Ok(HealthTotals {
+                    slowest_rank: field_opt_u64(health, "slowest_rank")?.map(|r| r as usize),
+                    slowest_rank_seconds: health.field_f64("slowest_rank_seconds")?,
+                    hung_events: rows_from_json(health, "hung_events", |e| {
+                        Ok(RankHung {
+                            rank: e.field_u64("rank")? as usize,
+                            detector: e.field_u64("detector")? as usize,
+                            phase: e.field_u64("phase")?,
+                            op: e.field_u64("op")?,
+                            step: CommStep::from_label(e.field_str("step")?)
+                                .ok_or("`step` names no comm step")?,
+                            waited_ms: e.field_u64("waited_ms")?,
+                        })
+                    })?,
                 })
-                .collect::<Result<_, String>>()?,
-            total_bytes: doc.field_u64("total_bytes")?,
-            total_messages: doc.field_u64("total_messages")?,
-            per_rank: doc
-                .field("per_rank")?
-                .as_arr()
-                .ok_or("`per_rank` is not an array")?
-                .iter()
-                .map(|r| {
-                    Ok(RankTotals {
-                        rank: r.field_u64("rank")? as usize,
-                        p2p_messages: r.field_u64("p2p_messages")?,
-                        p2p_bytes: r.field_u64("p2p_bytes")?,
-                        collective_calls: r.field_u64("collective_calls")?,
-                        collective_bytes: r.field_u64("collective_bytes")?,
-                        modeled_comm_seconds: r.field_f64("modeled_comm_seconds")?,
-                        step_messages: u_arr(r, "step_messages")?,
-                        step_bytes: u_arr(r, "step_bytes")?,
-                        wait_ns: r.get("wait_ns").and_then(Json::as_u64).unwrap_or(0),
-                        events_recorded: r.field_u64("events_recorded")?,
-                        events_dropped: r.field_u64("events_dropped")?,
-                    })
+            })?,
+            modeled: section(doc, "modeled", |modeled| {
+                Ok(ModeledBreakdown {
+                    compute: modeled.field_f64("compute_seconds")?,
+                    comm: modeled.field_f64("comm_seconds")?,
+                    reduce: modeled.field_f64("reduce_seconds")?,
+                    rebuild: modeled.field_f64("rebuild_seconds")?,
                 })
-                .collect::<Result<_, String>>()?,
-            metrics,
-            spans: doc
-                .field("spans")?
-                .as_arr()
-                .ok_or("`spans` is not an array")?
-                .iter()
-                .map(|sp| {
-                    Ok(SpanRollup {
-                        name: sp.field_str("name")?.to_string(),
-                        count: sp.field_u64("count")?,
-                        wall_seconds: sp.field_f64("wall_seconds")?,
-                    })
+            })?,
+            per_rank: rows_from_json(doc, "per_rank", |r| {
+                Ok(RankTotals {
+                    rank: r.field_u64("rank")? as usize,
+                    modeled_comm_seconds: r.field_f64("modeled_comm_seconds")?,
+                    events_recorded: r.field_u64("events_recorded")?,
+                    events_dropped: r.field_u64("events_dropped")?,
                 })
-                .collect::<Result<_, String>>()?,
-            // Causal-profiling sections arrived after version 1 shipped;
-            // parse them leniently so earlier artifacts still load (an
-            // absent section means the build that wrote the report could
-            // not have recorded message edges or phase profiles).
-            phase_profile: doc
-                .get("phase_profile")
-                .and_then(Json::as_arr)
-                .unwrap_or(&[])
-                .iter()
-                .map(|p| {
-                    let lu = |d: &Json, key: &str| d.get(key).and_then(Json::as_u64).unwrap_or(0);
-                    PhaseProfileRow {
-                        rank: lu(p, "rank") as usize,
-                        phase: lu(p, "phase"),
-                        compute_ns: lu(p, "compute_ns"),
-                        transfer_ns: lu(p, "transfer_ns"),
-                        wait_ns: lu(p, "wait_ns"),
-                        rebuild_ns: lu(p, "rebuild_ns"),
-                        total_ns: lu(p, "total_ns"),
-                    }
+            })?,
+            metrics: section(doc, "metrics", metrics_from_json)?,
+            spans: rows_from_json(doc, "spans", |sp| {
+                Ok(SpanRollup {
+                    name: sp.field_str("name")?.to_string(),
+                    count: sp.field_u64("count")?,
+                    wall_seconds: sp.field_f64("wall_seconds")?,
                 })
-                .collect(),
-            messages: doc
-                .get("messages")
-                .and_then(Json::as_arr)
-                .unwrap_or(&[])
-                .iter()
-                .map(|m| {
-                    let lu = |d: &Json, key: &str| d.get(key).and_then(Json::as_u64).unwrap_or(0);
-                    Ok(MessageEdge {
-                        src: lu(m, "src") as usize,
-                        dst: lu(m, "dst") as usize,
-                        step: m.field_str("step")?.to_string(),
-                        lamport: lu(m, "lamport"),
-                        bytes: lu(m, "bytes"),
-                        send_ts_ns: lu(m, "send_ts_ns"),
-                        recv_ts_ns: lu(m, "recv_ts_ns"),
-                    })
+            })?,
+            phase_profile: rows_from_json(doc, "phase_profile", |p| {
+                Ok(PhaseProfileRow {
+                    rank: p.field_u64("rank")? as usize,
+                    phase: p.field_u64("phase")?,
+                    compute_ns: p.field_u64("compute_ns")?,
+                    transfer_ns: p.field_u64("transfer_ns")?,
+                    wait_ns: p.field_u64("wait_ns")?,
+                    rebuild_ns: p.field_u64("rebuild_ns")?,
+                    total_ns: p.field_u64("total_ns")?,
                 })
-                .collect::<Result<_, String>>()?,
+            })?,
+            messages: rows_from_json(doc, "messages", |m| {
+                Ok(MessageEdge {
+                    src: m.field_u64("src")? as usize,
+                    dst: m.field_u64("dst")? as usize,
+                    step: m.field_str("step")?.to_string(),
+                    lamport: m.field_u64("lamport")?,
+                    bytes: m.field_u64("bytes")?,
+                    send_ts_ns: m.field_u64("send_ts_ns")?,
+                    recv_ts_ns: m.field_u64("recv_ts_ns")?,
+                })
+            })?,
         })
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
-    fn sample() -> RunReport {
+    /// A snapshot whose words are `base`, `base + 1`, … in table order.
+    fn numbered(base: u64) -> StatsSnapshot {
+        let mut s = StatsSnapshot::default();
+        for (i, w) in s.words_mut().enumerate() {
+            *w = base + i as u64;
+        }
+        s
+    }
+
+    /// A p=3 report with every section populated and a distinct value
+    /// in every counter word.
+    pub(crate) fn sample() -> RunReport {
         let mut metrics = MetricsSnapshot::default();
         metrics.counters.insert("sweep.moves".into(), 42);
         metrics.gauges.insert(
@@ -829,7 +574,7 @@ mod tests {
             graph: "ssca2-1e4".into(),
             vertices: 10_000,
             edges: 62_000,
-            ranks: 8,
+            ranks: 3,
             variant: "delta+et(0.25)".into(),
             threads_per_rank: 1,
             modularity: 0.412345,
@@ -839,40 +584,17 @@ mod tests {
             wall_seconds: 1.25,
             resumed_from_phase: Some(2),
             recoveries: 1,
-            faults: FaultTotals {
-                drops: 3,
-                delays: 1,
-                duplicates: 0,
-                truncations: 2,
-                retries: 5,
-            },
+            traffic: numbered(1_000),
+            per_rank_traffic: vec![numbered(2_000), numbered(3_000), numbered(4_000)],
             health: HealthTotals {
-                stalls: 2,
-                bursts: 4,
-                corruptions: 1,
-                checksum_rejects: 1,
-                wd_timeouts: 3,
-                wd_retries: 2,
-                wd_stragglers: 2,
-                backoff_seconds: 0.004,
-                slowest_rank: Some(5),
+                slowest_rank: Some(2),
                 slowest_rank_seconds: 0.5,
-                per_rank: vec![RankHealth {
-                    rank: 0,
-                    retries: 5,
-                    wd_timeouts: 3,
-                    wd_retries: 2,
-                    wd_stragglers: 2,
-                    backoff_seconds: 0.004,
-                    checksum_rejects: 1,
-                    step_retries: vec![3, 0, 0, 2, 0],
-                }],
-                hung_events: vec![HungEvent {
-                    rank: 3,
+                hung_events: vec![RankHung {
+                    rank: 1,
                     detector: 0,
                     phase: 2,
                     op: 7,
-                    step: "ghost_refresh".into(),
+                    step: CommStep::GhostRefresh,
                     waited_ms: 480,
                 }],
             },
@@ -882,35 +604,14 @@ mod tests {
                 reduce: 4.0,
                 rebuild: 0.4,
             },
-            step_totals: vec![
-                StepTotal {
-                    step: "ghost_refresh".into(),
-                    bytes: 1_000,
-                    messages: 24,
-                    wait_ns: 1_200,
-                },
-                StepTotal {
-                    step: "reduction".into(),
-                    bytes: 640,
-                    messages: 80,
-                    wait_ns: 300,
-                },
-            ],
-            total_bytes: 1_640,
-            total_messages: 104,
-            per_rank: vec![RankTotals {
-                rank: 0,
-                p2p_messages: 12,
-                p2p_bytes: 500,
-                collective_calls: 10,
-                collective_bytes: 80,
-                modeled_comm_seconds: 0.42,
-                step_messages: vec![12, 0, 0, 10, 0],
-                step_bytes: vec![500, 0, 0, 80, 0],
-                wait_ns: 1_500,
-                events_recorded: 321,
-                events_dropped: 0,
-            }],
+            per_rank: (0..3)
+                .map(|rank| RankTotals {
+                    rank,
+                    modeled_comm_seconds: 0.25 * (rank + 1) as f64,
+                    events_recorded: 321 + rank as u64,
+                    events_dropped: rank as u64,
+                })
+                .collect(),
             metrics,
             spans: vec![SpanRollup {
                 name: "phase".into(),
@@ -938,12 +639,56 @@ mod tests {
         }
     }
 
+    /// [`sample`] cut to one rank: every section still populated, a
+    /// third of the text (the truncation walk is quadratic in it).
+    pub(crate) fn small() -> RunReport {
+        let mut r = sample();
+        r.ranks = 1;
+        r.per_rank_traffic.truncate(1);
+        r.per_rank.truncate(1);
+        r
+    }
+
     #[test]
     fn report_round_trips_through_json() {
         let r = sample();
-        let text = r.to_json_string();
-        let back = RunReport::from_json_str(&text).expect("parse back");
+        let back = RunReport::from_json_str(&r.to_json_string()).expect("parse back");
         assert_eq!(back, r);
+        // `==` on a snapshot skips the wall-derived wait column, so a
+        // lost `step_wait_nanos` needs the walk to be seen.
+        assert!(back.traffic.words().eq(r.traffic.words()));
+        assert_eq!(back.per_rank_traffic.len(), 3);
+        for (b, a) in back.per_rank_traffic.iter().zip(&r.per_rank_traffic) {
+            assert!(b.words().eq(a.words()));
+        }
+    }
+
+    #[test]
+    fn health_section_round_trips_with_hung_events() {
+        let r = sample();
+        let back = RunReport::from_json_str(&r.to_json_string()).expect("parse back");
+        assert_eq!(back.health, r.health);
+        assert_eq!(back.health.hung_events[0].rank, 1);
+        assert_eq!(back.health.slowest_rank, Some(2));
+    }
+
+    /// "One table line is enough": whatever the table names is in the
+    /// encoded report, merged and per rank, with no name spelled here.
+    #[test]
+    fn encoded_report_names_every_counter_of_the_table() {
+        let doc = sample().to_json();
+        let mut snapshots = vec![doc.get("traffic").unwrap()];
+        snapshots.extend(doc.get("per_rank_traffic").unwrap().as_arr().unwrap());
+        assert_eq!(snapshots.len(), 4);
+        for (s, snap) in snapshots.into_iter().enumerate() {
+            let words = StatsSnapshot::names().map(|(name, step)| {
+                let member = snap.get(name).unwrap_or_else(|| panic!("no `{name}`"));
+                step.map_or(member, |st: CommStep| member.get(st.label()).unwrap())
+                    .as_u64()
+                    .unwrap()
+            });
+            assert!(words.eq(numbered(1_000 * (s as u64 + 1)).words()));
+        }
     }
 
     #[test]
@@ -969,69 +714,137 @@ mod tests {
         );
     }
 
-    #[test]
-    fn resilience_fields_parse_leniently_when_absent() {
-        // Reports written before the resilience subsystem carry neither
-        // `resumed_from_phase` nor `recoveries` nor `faults`; they must
-        // still load, defaulting to a clean uninterrupted run.
-        let mut doc = sample().to_json();
-        if let Json::Obj(members) = &mut doc {
-            members.retain(|(k, _)| {
-                k != "resumed_from_phase" && k != "recoveries" && k != "faults" && k != "health"
+    // ---- hostile input (ROADMAP 1(c), this decoder's slice) ----
+
+    /// Members written for readers of the JSON and rebuilt, not read,
+    /// on decode: no mutation of one can make a document incomplete.
+    fn derived(key: &str) -> bool {
+        matches!(key, "p50" | "p95" | "p99" | "total_seconds") || key.ends_with("_fraction")
+    }
+
+    /// The three metric maps are keyed by whatever was recorded, so an
+    /// entry of one may be absent (but not ill-typed).
+    fn open_map(key: Option<&str>) -> bool {
+        matches!(key, Some("counters" | "gauges" | "histograms"))
+    }
+
+    fn node_mut<'a>(doc: &'a mut Json, path: &[usize]) -> &'a mut Json {
+        path.iter().fold(doc, |node, &i| match node {
+            Json::Obj(members) => &mut members[i].1,
+            Json::Arr(items) => &mut items[i],
+            _ => unreachable!("path descends through containers"),
+        })
+    }
+
+    /// One node below the root: its child indices from the root, its
+    /// key (`None` for an array element), and its parent's key.
+    struct Site<'a> {
+        path: Vec<usize>,
+        key: Option<&'a str>,
+        map: Option<&'a str>,
+    }
+
+    fn sites<'a>(
+        node: &'a Json,
+        key: Option<&'a str>,
+        here: &mut Vec<usize>,
+        out: &mut Vec<Site<'a>>,
+    ) {
+        let children: Vec<(Option<&str>, &Json)> = match node {
+            Json::Obj(members) => members.iter().map(|(k, v)| (Some(&**k), v)).collect(),
+            Json::Arr(items) => items.iter().map(|v| (None, v)).collect(),
+            _ => Vec::new(),
+        };
+        for (i, (child_key, child)) in children.into_iter().enumerate() {
+            here.push(i);
+            out.push(Site {
+                path: here.clone(),
+                key: child_key,
+                map: key,
             });
+            sites(child, child_key, here, out);
+            here.pop();
         }
-        let back = RunReport::from_json(&doc).expect("lenient parse");
-        assert_eq!(back.resumed_from_phase, None);
-        assert_eq!(back.recoveries, 0);
-        assert_eq!(back.faults, FaultTotals::default());
-        assert!(!back.faults.any());
-        assert_eq!(back.health, HealthTotals::default());
-        assert!(!back.health.any());
     }
 
-    #[test]
-    fn causal_sections_parse_leniently_when_absent() {
-        // Pre-causal-profiling artifacts lack wait_ns / phase_profile /
-        // messages; they must load as zero-wait, section-free reports.
-        let mut doc = sample().to_json();
-        if let Json::Obj(members) = &mut doc {
-            members.retain(|(k, _)| k != "phase_profile" && k != "messages");
-            for (k, v) in members.iter_mut() {
-                if k == "step_totals" || k == "per_rank" {
-                    if let Json::Arr(rows) = v {
-                        for row in rows {
-                            if let Json::Obj(fields) = row {
-                                fields.retain(|(f, _)| f != "wait_ns");
-                            }
-                        }
-                    }
-                }
+    /// At every node of `doc` — every section, every row, every leaf —
+    /// a value of the wrong type, and for object members the member
+    /// gone, must each be refused by `decode`. Returns how many
+    /// documents were tried.
+    pub(crate) fn assert_mutants_are_refused<T>(
+        doc: &Json,
+        decode: impl Fn(&Json) -> Result<T, String>,
+    ) -> usize {
+        assert!(decode(doc).is_ok(), "the unmutated document must decode");
+        let mut all = Vec::new();
+        sites(doc, None, &mut Vec::new(), &mut all);
+        let mut tried = 0;
+        for Site { path, key, map } in &all {
+            if key.is_some_and(derived) {
+                continue;
             }
+            if let Some(key) = key.filter(|_| !open_map(*map)) {
+                let (&last, parent) = path.split_last().unwrap();
+                let mut without = doc.clone();
+                if let Json::Obj(members) = node_mut(&mut without, parent) {
+                    members.remove(last);
+                }
+                assert!(decode(&without).is_err(), "accepted without `{key}`");
+                tried += 1;
+            }
+            let mut retyped = doc.clone();
+            let node = node_mut(&mut retyped, path);
+            *node = match node {
+                Json::Str(_) => Json::Num(1.0),
+                _ => Json::str("x"),
+            };
+            let err = decode(&retyped).err();
+            assert!(err.is_some(), "accepted a wrong type at {key:?} {path:?}");
+            tried += 1;
         }
-        let back = RunReport::from_json(&doc).expect("lenient parse");
-        assert!(back.phase_profile.is_empty());
-        assert!(back.messages.is_empty());
-        assert!(back.step_totals.iter().all(|s| s.wait_ns == 0));
-        assert!(back.per_rank.iter().all(|r| r.wait_ns == 0));
+        tried
+    }
+
+    pub(crate) fn assert_every_truncation_is_refused<T>(
+        text: &str,
+        decode: impl Fn(&str) -> Result<T, String>,
+    ) {
+        assert!(decode(text).is_ok());
+        for cut in (0..text.len()).filter(|&c| text.is_char_boundary(c)) {
+            assert!(decode(&text[..cut]).is_err(), "accepted a cut at {cut}");
+        }
     }
 
     #[test]
-    fn health_section_round_trips_with_hung_events() {
-        let r = sample();
-        assert!(r.health.any());
-        let back = RunReport::from_json_str(&r.to_json_string()).expect("parse back");
-        assert_eq!(back.health, r.health);
-        assert_eq!(back.health.hung_events[0].rank, 3);
-        assert_eq!(back.health.slowest_rank, Some(5));
+    fn hostile_reports_are_errors_never_panics() {
+        let doc = sample().to_json();
+        assert!(assert_mutants_are_refused(&doc, RunReport::from_json) > 400);
+        assert_every_truncation_is_refused(
+            &small().to_json().to_string_compact(),
+            RunReport::from_json_str,
+        );
+
+        // A missing section is named.
+        for key in ["traffic", "per_rank_traffic", "health", "messages"] {
+            let mut without = doc.clone();
+            if let Json::Obj(members) = &mut without {
+                members.retain(|(k, _)| k != key);
+            }
+            let err = RunReport::from_json(&without).unwrap_err();
+            assert!(err.contains(key), "{err}");
+        }
     }
 
     #[test]
     fn from_json_rejects_missing_fields_and_bad_versions() {
         assert!(RunReport::from_json_str("{}").is_err());
-        let mut r = sample().to_json();
-        if let Json::Obj(members) = &mut r {
-            members[0].1 = Json::Num(999.0);
+        // One version: the shape that called itself 1 is not read.
+        let mut v1 = sample().to_json();
+        if let Json::Obj(members) = &mut v1 {
+            assert_eq!(members[0].0, "run_report_version");
+            members[0].1 = Json::uint(1);
         }
-        assert!(RunReport::from_json(&r).unwrap_err().contains("version"));
+        let err = RunReport::from_json(&v1).unwrap_err();
+        assert!(err.contains("run_report_version 1"), "{err}");
     }
 }

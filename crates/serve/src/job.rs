@@ -26,6 +26,13 @@ pub struct JobSpec {
     pub max_hang_recoveries: Option<usize>,
 }
 
+/// Most simulated ranks one job may ask for. Every rank is an OS thread
+/// with an 8 MiB stack, all alive at once and blocking in each other's
+/// collectives, so the count is bounded before any is spawned.
+pub const MAX_RANKS: usize = 256;
+/// Most sweep worker threads one rank may ask for.
+pub const MAX_THREADS_PER_RANK: usize = 64;
+
 fn opt_usize(doc: &Json, key: &str) -> Result<Option<usize>, String> {
     match doc.get(key) {
         None | Some(Json::Null) => Ok(None),
@@ -45,6 +52,23 @@ fn opt_bool(doc: &Json, key: &str) -> Result<Option<bool>, String> {
 }
 
 impl JobSpec {
+    /// Refuse a rank or thread count past its bound (or no ranks at
+    /// all), naming the field. [`JobSpec::from_json`] checks what came
+    /// off the wire and `Server::submit` checks a hand-built spec, so
+    /// nothing reaches `run_with` unchecked.
+    pub fn validate(&self) -> Result<(), String> {
+        let (ranks, threads) = (self.ranks, self.cfg.threads_per_rank);
+        if !(1..=MAX_RANKS).contains(&ranks) {
+            return Err(format!("`ranks` must be in 1..={MAX_RANKS}, got {ranks}"));
+        }
+        if threads > MAX_THREADS_PER_RANK {
+            return Err(format!(
+                "`config.threads_per_rank` must be at most {MAX_THREADS_PER_RANK}, got {threads}"
+            ));
+        }
+        Ok(())
+    }
+
     /// Parse a submit request body. Required fields: `job_id`, `graph`.
     /// `ranks` defaults to 2; the optional `config` subobject overrides
     /// individual [`DistConfig`] fields on top of the baseline defaults.
@@ -62,9 +86,6 @@ impl JobSpec {
             .and_then(Json::as_str)
             .ok_or("submit is missing string field `graph`")?;
         let ranks = opt_usize(doc, "ranks")?.unwrap_or(2);
-        if ranks == 0 {
-            return Err("`ranks` must be at least 1".into());
-        }
 
         let mut cfg = DistConfig::baseline();
         if let Some(c) = doc.get("config") {
@@ -126,7 +147,7 @@ impl JobSpec {
             ),
         };
 
-        Ok(JobSpec {
+        let spec = JobSpec {
             job_id,
             graph: PathBuf::from(graph),
             ranks,
@@ -134,7 +155,9 @@ impl JobSpec {
             fault_plan,
             max_crash_recoveries: opt_usize(doc, "max_crash_recoveries")?,
             max_hang_recoveries: opt_usize(doc, "max_hang_recoveries")?,
-        })
+        };
+        spec.validate()?;
+        Ok(spec)
     }
 }
 
@@ -181,10 +204,28 @@ mod tests {
     }
 
     #[test]
+    fn counts_at_their_bounds_are_accepted() {
+        let doc = Json::parse(&format!(
+            r#"{{"job_id": "j", "graph": "g", "ranks": {MAX_RANKS},
+                "config": {{"threads_per_rank": {MAX_THREADS_PER_RANK}}}}}"#
+        ))
+        .unwrap();
+        let spec = JobSpec::from_json(&doc).unwrap();
+        assert_eq!(spec.ranks, MAX_RANKS);
+        assert_eq!(spec.cfg.threads_per_rank, MAX_THREADS_PER_RANK);
+    }
+
+    #[test]
     fn bad_submits_are_rejected_with_field_names() {
         let cases = [
             (r#"{"graph": "g"}"#, "job_id"),
             (r#"{"job_id": "j", "graph": "g", "ranks": 0}"#, "ranks"),
+            (r#"{"job_id": "j", "graph": "g", "ranks": 257}"#, "`ranks`"),
+            (r#"{"job_id": "j", "graph": "g", "ranks": 1e6}"#, "`ranks`"),
+            (
+                r#"{"job_id": "j", "graph": "g", "config": {"threads_per_rank": 65}}"#,
+                "`config.threads_per_rank`",
+            ),
             (
                 r#"{"job_id": "j", "graph": "g", "config": {"variant": "bogus"}}"#,
                 "variant",

@@ -641,4 +641,46 @@ mod tests {
         }
         server.drain();
     }
+
+    /// A submit asking for more rank or worker threads than the fixed
+    /// bounds is refused by field name before anything is spawned, and
+    /// the session serves the next line.
+    #[test]
+    fn over_limit_submits_are_refused_and_the_session_goes_on() {
+        let server = Server::start(ServeConfig {
+            workers: 0,
+            ..ServeConfig::default()
+        });
+        let script = "{\"type\":\"submit\",\"job_id\":\"a\",\"graph\":\"g\",\"ranks\":1000000}\n\
+                      {\"type\":\"submit\",\"job_id\":\"b\",\"graph\":\"g\",\
+                       \"config\":{\"threads_per_rank\":1000000}}\n\
+                      {\"type\":\"status\",\"job_id\":\"a\"}\n";
+        let (shutdown, lines) = session_output(&server, script);
+        assert!(!shutdown);
+        assert_eq!(lines.len(), 3);
+        for (line, field) in lines.iter().zip(["`ranks`", "`config.threads_per_rank`"]) {
+            assert_eq!(line.get("type").and_then(Json::as_str), Some("error"));
+            let message = line.get("message").and_then(Json::as_str).unwrap();
+            assert!(message.contains(field), "{message}");
+        }
+        // Neither job was admitted, and the third line was still served.
+        let message = lines[2].get("message").and_then(Json::as_str).unwrap();
+        assert!(message.contains("unknown job"), "{message}");
+
+        // A hand-built spec meets the same check at `submit`, typed.
+        let spec = crate::JobSpec {
+            job_id: "c".into(),
+            graph: "g".into(),
+            ranks: crate::job::MAX_RANKS + 1,
+            cfg: louvain_dist::DistConfig::baseline(),
+            fault_plan: None,
+            max_crash_recoveries: None,
+            max_hang_recoveries: None,
+        };
+        match server.submit(spec) {
+            Err(SubmitError::Invalid(msg)) => assert!(msg.contains("`ranks`"), "{msg}"),
+            other => panic!("expected Invalid, got {other:?}"),
+        }
+        server.drain();
+    }
 }

@@ -377,15 +377,17 @@ impl Server {
     /// Admission control: accept into the bounded queue or shed.
     /// Never blocks on a full pool — that is the point.
     pub fn submit(&self, spec: JobSpec) -> Result<u64, SubmitError> {
-        if let Some(plan) = spec.fault_plan.as_deref() {
-            if let Err(e) = FaultPlan::parse(plan) {
-                self.inner.ops.emit(
-                    OpKind::JobShed,
-                    Some(&spec.job_id),
-                    vec![("reason", Json::str("invalid"))],
-                );
-                return Err(SubmitError::Invalid(e));
-            }
+        let checked = spec.validate().and_then(|()| match &spec.fault_plan {
+            Some(plan) => FaultPlan::parse(plan).map(drop),
+            None => Ok(()),
+        });
+        if let Err(e) = checked {
+            self.inner.ops.emit(
+                OpKind::JobShed,
+                Some(&spec.job_id),
+                vec![("reason", Json::str("invalid"))],
+            );
+            return Err(SubmitError::Invalid(e));
         }
         let mut st = self.inner.state.lock().unwrap();
         if !st.accepting {

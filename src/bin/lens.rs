@@ -296,7 +296,7 @@ mod tests {
     #[test]
     fn show_diff_gate_on_real_artifacts() {
         // End-to-end over an artifact file, as the CLI reads one.
-        use distributed_louvain::obs::{RunEntry, RunReport};
+        use distributed_louvain::obs::{RunEntry, RunReport, StatsSnapshot};
         let artifact = RunArtifact {
             name: "hand-built".into(),
             description: String::new(),
@@ -308,7 +308,10 @@ mod tests {
                     modularity: 0.8,
                     iterations: 12,
                     wall_seconds: 0.2,
-                    total_bytes: 10_000,
+                    traffic: StatsSnapshot {
+                        p2p_bytes: 10_000,
+                        ..Default::default()
+                    },
                     ..Default::default()
                 },
                 telemetry: Vec::new(),

@@ -509,6 +509,9 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
     let opts = Args::scan(args, &values, &bools)?;
     let path = PathBuf::from(opts.sole_positional("graph file")?);
     let ranks: usize = opts.parse("--ranks")?.unwrap_or(4);
+    if ranks == 0 {
+        return Err("--ranks must be at least 1".into());
+    }
     let threads: usize = opts.parse("--threads-per-rank")?.unwrap_or(1);
     let sweep = match opts.get("--sweep") {
         Some(s) => SweepMode::parse(s).map_err(|e| format!("--sweep: {e}"))?,
@@ -860,6 +863,17 @@ mod tests {
         assert!(err.contains("b.bin"), "unexpected error: {err}");
     }
 
+    /// Zero ranks used to reach `Partition::new`'s `assert!(p > 0)` and
+    /// die with a backtrace.
+    #[test]
+    fn zero_ranks_is_a_usage_error_naming_the_flag() {
+        let err = cmd_run(&["g.bin".into(), "--ranks".into(), "0".into()]).unwrap_err();
+        assert!(
+            err.contains("--ranks") && err.contains("at least 1"),
+            "{err}"
+        );
+    }
+
     #[test]
     fn assignment_roundtrip() {
         let dir = std::env::temp_dir().join("louvain-cli-tests");
@@ -922,7 +936,7 @@ mod tests {
         let rep =
             obs::RunReport::from_json_str(&std::fs::read_to_string(&report).unwrap()).unwrap();
         assert_eq!(rep.ranks, 2);
-        assert!(rep.total_bytes > 0);
+        assert!(rep.traffic.total_bytes() > 0);
         cmd_quality(&[
             s("--truth"),
             s(truth_sibling(&graph).to_str().unwrap()),

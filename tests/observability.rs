@@ -10,6 +10,7 @@
 
 use std::sync::Mutex;
 
+use distributed_louvain::comm::{CommStep, StatsSnapshot};
 use distributed_louvain::dist::{build_run_report, run_distributed, DistConfig, ReportMeta};
 use distributed_louvain::graph::gen::{lfr, LfrParams};
 use distributed_louvain::obs;
@@ -17,8 +18,9 @@ use distributed_louvain::obs;
 /// Serializes the tests that read or write the global tracing flag.
 static TRACE_FLAG: Mutex<()> = Mutex::new(());
 
-/// RunReport per-step byte totals must match the `louvain_comm::stats`
-/// snapshots exactly, for every rank count (acceptance criterion).
+/// The report's snapshots are the `louvain_comm::stats` ones, word for
+/// word, and reconcile with each other for every rank count
+/// (acceptance criterion).
 #[test]
 fn report_step_bytes_match_comm_snapshots_across_rank_counts() {
     let g = lfr(LfrParams::small(1_200, 17)).graph;
@@ -29,38 +31,35 @@ fn report_step_bytes_match_comm_snapshots_across_rank_counts() {
 
         assert_eq!(report.ranks, p);
         assert_eq!(report.per_rank.len(), p);
+        assert_eq!(report.per_rank_traffic.len(), p);
 
-        // Per-step totals are copied verbatim from the merged snapshot.
-        for (i, st) in report.step_totals.iter().enumerate() {
-            assert_eq!(
-                st.bytes, out.traffic.step_bytes[i],
-                "p={p} step={}",
-                st.step
-            );
-            assert_eq!(
-                st.messages, out.traffic.step_messages[i],
-                "p={p} step={}",
-                st.step
-            );
+        // The merged snapshot is the outcome's, wait column included.
+        assert!(report.traffic.words().eq(out.traffic.words()), "p={p}");
+        for (mine, theirs) in report.per_rank_traffic.iter().zip(&out.per_rank_traffic) {
+            assert!(mine.words().eq(theirs.words()), "p={p}");
         }
 
         // Conservation: the per-step decomposition covers all traffic,
-        // and the merged snapshot equals the sum of the per-rank ones.
-        let step_sum: u64 = report.step_totals.iter().map(|s| s.bytes).sum();
-        assert_eq!(
-            step_sum,
-            out.traffic.p2p_bytes + out.traffic.collective_bytes,
-            "p={p}"
-        );
-        assert_eq!(step_sum, report.total_bytes, "p={p}");
-        let mut per_rank_step_sum = vec![0u64; report.step_totals.len()];
-        for r in &report.per_rank {
-            for (i, b) in r.step_bytes.iter().enumerate() {
-                per_rank_step_sum[i] += b;
-            }
-        }
-        for (i, st) in report.step_totals.iter().enumerate() {
-            assert_eq!(per_rank_step_sum[i], st.bytes, "p={p} step={}", st.step);
+        // and the merged snapshot equals the sum of the per-rank ones,
+        // step by step.
+        let step_sum: u64 = report.traffic.step_bytes.iter().sum();
+        assert_eq!(step_sum, report.traffic.total_bytes(), "p={p}");
+        for step in CommStep::ALL {
+            let per_rank_sum = |of: fn(&StatsSnapshot, CommStep) -> u64| -> u64 {
+                report.per_rank_traffic.iter().map(|r| of(r, step)).sum()
+            };
+            assert_eq!(
+                per_rank_sum(StatsSnapshot::step_bytes_for),
+                report.traffic.step_bytes_for(step),
+                "p={p} step={}",
+                step.label()
+            );
+            assert_eq!(
+                per_rank_sum(StatsSnapshot::step_messages_for),
+                report.traffic.step_messages_for(step),
+                "p={p} step={}",
+                step.label()
+            );
         }
     }
 }
@@ -153,7 +152,8 @@ fn tracing_enabled_end_to_end() {
     let events_total: u64 = report.per_rank.iter().map(|r| r.events_recorded).sum();
     assert_eq!(events_total, trace.total_events() as u64);
     let back = obs::RunReport::from_json_str(&report.to_json_string()).unwrap();
-    assert_eq!(back.step_totals, report.step_totals);
+    assert!(back.traffic.words().eq(report.traffic.words()));
+    assert_eq!(back.per_rank_traffic, report.per_rank_traffic);
     assert_eq!(back.per_rank, report.per_rank);
     assert_eq!(back.spans.len(), report.spans.len());
 }
@@ -353,7 +353,7 @@ fn disabled_tracing_yields_reports_without_trace_sections() {
     assert!(report.metrics.gauges.is_empty());
     let rank_bytes = &report.metrics.histograms["rank.total_bytes"];
     assert_eq!(rank_bytes.count, 2, "one observation per rank");
-    assert!(report.total_bytes > 0);
+    assert!(report.traffic.total_bytes() > 0);
 }
 
 fn arg_u64(ev: &obs::TraceEvent, key: &str) -> Option<u64> {
@@ -384,7 +384,6 @@ fn arg_str<'a>(ev: &'a obs::TraceEvent, key: &str) -> Option<&'a str> {
 /// same traced run and must be registered.
 #[test]
 fn step_span_bytes_reconcile_with_step_counters_across_rank_counts() {
-    use distributed_louvain::comm::CommStep;
     let _guard = TRACE_FLAG.lock().unwrap();
     let g = lfr(LfrParams::small(1_000, 19)).graph;
     for p in [1usize, 2, 8] {
@@ -607,7 +606,7 @@ fn chrome_trace_tags_attempts_under_resilient_recovery() {
 /// carries the recovery bookkeeping.
 #[test]
 fn resumed_run_counters_reconcile_with_uninterrupted_run() {
-    use distributed_louvain::comm::{CommStep, FaultPlan, RunConfig};
+    use distributed_louvain::comm::{FaultPlan, RunConfig};
     use distributed_louvain::dist::{
         run_distributed_resilient_source, CheckpointOptions, GraphSource, ResilOptions,
     };
@@ -671,7 +670,12 @@ fn resumed_run_counters_reconcile_with_uninterrupted_run() {
     let report = build_run_report(&resumed, &meta);
     assert_eq!(report.recoveries, 1);
     assert_eq!(report.resumed_from_phase, Some(1));
-    assert!(!report.faults.any(), "a crash is not a transient fault");
+    let t = &report.traffic;
+    assert_eq!(
+        t.fault_drops + t.fault_delays + t.fault_duplicates + t.fault_truncations + t.fault_retries,
+        0,
+        "a crash is not a transient fault"
+    );
     let back = obs::RunReport::from_json_str(&report.to_json_string()).unwrap();
     assert_eq!(back.recoveries, 1);
     assert_eq!(back.resumed_from_phase, Some(1));

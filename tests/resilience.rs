@@ -710,7 +710,7 @@ fn corrupt_payload_and_flaky_burst_are_absorbed_deterministically() {
 #[test]
 fn run_report_carries_health_section_and_hung_events() {
     use louvain_dist::{build_run_report, ReportMeta};
-    use louvain_obs::RunReport;
+    use louvain_obs::{RunReport, StatsSnapshot};
     let g = lfr(LfrParams::small(700, 9)).graph;
     let cfg = DistConfig::baseline();
     let p = 2;
@@ -731,15 +731,22 @@ fn run_report_carries_health_section_and_hung_events() {
     .expect("hang within budget");
     let meta = ReportMeta::new("lfr-700", 700, g.num_edges() as u64);
     let report = build_run_report(&out, &meta);
-    assert!(report.health.any(), "health section empty after a hang");
     assert_eq!(report.health.hung_events.len(), 1);
     assert_eq!(report.health.hung_events[0].rank, 1);
     assert_eq!(report.health.hung_events[0].phase, 1);
-    assert!(!report.health.hung_events[0].step.is_empty());
-    assert_eq!(report.health.per_rank.len(), p);
+    assert_eq!(report.health.hung_events, out.hung_events);
+    // Per-rank watchdog counters: one snapshot per rank, summing to the
+    // merged one.
+    assert_eq!(report.per_rank_traffic.len(), p);
+    let per_rank =
+        |of: fn(&StatsSnapshot) -> u64| -> u64 { report.per_rank_traffic.iter().map(of).sum() };
+    assert_eq!(report.traffic.wd_timeouts, per_rank(|s| s.wd_timeouts));
+    assert_eq!(report.traffic.wd_retries, per_rank(|s| s.wd_retries));
     assert!(report.health.slowest_rank.is_some());
     assert_eq!(report.recoveries, 1);
     let back = RunReport::from_json_str(&report.to_json_string()).expect("round-trip");
     assert_eq!(back.health, report.health);
+    assert!(back.traffic.words().eq(report.traffic.words()));
+    assert_eq!(back.per_rank_traffic, report.per_rank_traffic);
     let _ = std::fs::remove_dir_all(&dir);
 }
