@@ -129,7 +129,6 @@ impl Blackboard {
         if let (Some(start), Some(ctx)) = (fill_wait, watch) {
             let waited = start.elapsed().as_nanos() as u64;
             ctx.stats.count(|t, step| t.step_wait_nanos[step] += waited);
-            louvain_obs::counter_add("wait.collective_ns", waited);
         }
         let out = read(&mut s.slots);
         s.read += 1;

@@ -179,7 +179,6 @@ impl Mailbox {
                     if env.src == src && env.tag == tag {
                         let waited = wait_start.elapsed().as_nanos() as u64;
                         ctx.stats.count(|t, step| t.step_wait_nanos[step] += waited);
-                        louvain_obs::counter_add("wait.recv_ns", waited);
                         on_delivery(&env, ctx);
                         return env;
                     }

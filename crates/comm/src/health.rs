@@ -324,7 +324,6 @@ impl<'a, 'c> Watchdog<'a, 'c> {
                 self.ctx
                     .stats
                     .count(|t, _| t.backoff_nanos += delay.as_nanos() as u64);
-                louvain_obs::hist_observe("wd_backoff_us", delay.as_micros() as u64);
                 if !delay.is_zero() {
                     std::thread::sleep(delay);
                 }

@@ -398,7 +398,6 @@ fn run_attempts(
                             hung_events.len(),
                         ));
                     }
-                    louvain_obs::counter_add("resil.hang_recoveries", 1);
                     hung_events.push(*hung);
                     continue;
                 }

@@ -418,19 +418,14 @@ impl GhostLayer {
         self.last_pushed.clear();
         self.last_pushed.extend_from_slice(local_vals);
         self.have_baseline = true;
-        // Delta hit-rate metrics: changed/total slot ratio is the payload
-        // compression the delta flavour achieves over a full refresh.
-        if louvain_obs::enabled() {
+        louvain_obs::counter_add(
             if use_delta {
-                let changed = self.changed.iter().filter(|&&c| c).count() as u64;
-                louvain_obs::counter_add("ghost.delta.refreshes", 1);
-                louvain_obs::counter_add("ghost.delta.changed", changed);
-                louvain_obs::counter_add("ghost.delta.slots", self.changed.len() as u64);
+                "ghost.delta.refreshes"
             } else {
-                louvain_obs::counter_add("ghost.full.refreshes", 1);
-                louvain_obs::counter_add("ghost.full.slots", local_vals.len() as u64);
-            }
-        }
+                "ghost.full.refreshes"
+            },
+            1,
+        );
     }
 
     /// Prune refresh traffic for permanently frozen vertices: this rank

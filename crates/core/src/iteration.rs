@@ -424,7 +424,6 @@ impl Sweep<'_> {
                     batch_moves += 1;
                 }
             }
-            louvain_obs::counter_add("sweep.batch_moves", batch_moves);
             batch_span.arg("moves", batch_moves);
         }
     }
@@ -697,9 +696,6 @@ pub fn louvain_phase(
             local_moves += acc.moves;
             compute.edges_scanned += acc.edges;
             compute.vertices_processed += acc.vertices;
-            louvain_obs::counter_add("sweep.moves", acc.moves);
-            louvain_obs::counter_add("sweep.vertices", acc.vertices);
-            louvain_obs::counter_add("sweep.edges", acc.edges);
 
             // -- Step 3b: push deltas to community owners (lines 10–11). --
             push_to_owners(
@@ -749,7 +745,6 @@ pub fn louvain_phase(
         });
         iter_span.arg("moves", moves_global);
         iter_span.arg("q", q);
-        louvain_obs::gauge_set("modularity", q);
         if louvain_obs::telemetry_enabled() {
             // Convergence telemetry: the global fields (q, delta-Q,
             // moves) are all-reduced and identical on every rank; the
@@ -981,7 +976,6 @@ fn apply_vertex_following(
 
     // -- Apply: every peeled vertex joins its anchor's singleton. ----------
     let mut deltas: FastMap<VertexId, (Weight, i64)> = fast_map();
-    let mut collapsed = 0u64;
     for l in 0..nlocal {
         if alive[l] == 1 {
             continue;
@@ -993,7 +987,6 @@ fn apply_vertex_following(
         state.comm[l].store(joined, Ordering::Relaxed);
         state.a[l].fetch_add(-kv);
         state.size[l].fetch_sub(1, Ordering::Relaxed);
-        collapsed += 1;
         // Join the anchor's community.
         if index.remote_slot(joined).is_none() {
             state.a[joined as usize].fetch_add(kv);
@@ -1004,7 +997,6 @@ fn apply_vertex_following(
             d.1 += 1;
         }
     }
-    louvain_obs::counter_add("vf.collapsed", collapsed);
     push_to_owners(
         comm,
         part,

@@ -235,7 +235,7 @@ pub fn build_run_report(outcome: &DistOutcome, meta: &ReportMeta) -> RunReport {
 
     let (compute, comm, reduce, rebuild) = outcome.modeled_breakdown();
 
-    let (mut metrics, spans, phase_profile, messages) = match &outcome.trace {
+    let (metrics, spans, phase_profile, messages) = match &outcome.trace {
         Some(t) => (
             t.merged_metrics(),
             t.span_rollup(),
@@ -244,19 +244,6 @@ pub fn build_run_report(outcome: &DistOutcome, meta: &ReportMeta) -> RunReport {
         ),
         None => (Default::default(), Vec::new(), Vec::new(), Vec::new()),
     };
-
-    // Per-rank imbalance row: one observation per rank of its total
-    // traffic, so the artifact's p50/p95/p99 expose load skew without
-    // re-deriving it from the per-rank table.
-    if !outcome.per_rank_traffic.is_empty() {
-        let mut rank_bytes = louvain_obs::Histogram::default();
-        for s in &outcome.per_rank_traffic {
-            rank_bytes.observe(s.total_bytes());
-        }
-        metrics
-            .histograms
-            .insert("rank.total_bytes".into(), rank_bytes);
-    }
 
     RunReport {
         graph: meta.graph.clone(),
@@ -330,13 +317,8 @@ mod tests {
         assert!(back.traffic.words().eq(report.traffic.words()));
         assert_eq!(back, report);
 
-        // The imbalance histogram has one observation per rank and its
-        // percentiles are monotone.
-        let h = &report.metrics.histograms["rank.total_bytes"];
-        assert_eq!(h.count, 3);
-        let (p50, p95, p99) = h.quantile_summary();
-        assert!(p50 <= p95 && p95 <= p99);
-        assert!(p99 > 0);
+        // Untraced: nothing is recorded into the metrics section.
+        assert!(report.metrics.is_empty());
     }
 
     fn sample_report_text() -> String {

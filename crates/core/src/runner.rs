@@ -74,18 +74,22 @@ fn pull_values(
     keys.iter().map(|k| map[k]).collect()
 }
 
-/// Per-phase memory gauges: CSR and ghost-table resident bytes plus the
-/// process peak RSS. Sampled once per phase right after the ghost build,
-/// when both structures are at their final size for the phase.
-fn record_memory_gauges(lg: &LocalGraph, ghosts: &GhostLayer) {
+/// Memory gauges of a traced run, sampled right after the ghost build,
+/// when both structures are at their final size for the phase: ghost
+/// bytes and peak RSS every phase, the CSR's heap bytes on the rank's
+/// first phase only, so the merged gauge's `sum` is Σ over ranks of
+/// the CSR each rank started from.
+fn record_memory_gauges(lg: &LocalGraph, ghosts: &GhostLayer, first_phase: bool) {
     if !louvain_obs::enabled() {
         return;
     }
-    let (offsets, dests, weights) = lg.csr_parts();
-    let csr = std::mem::size_of_val(offsets)
-        + std::mem::size_of_val(dests)
-        + std::mem::size_of_val(weights);
-    louvain_obs::gauge_set("mem.csr_bytes", csr as f64);
+    if first_phase {
+        let (offsets, dests, weights) = lg.csr_parts();
+        let csr = std::mem::size_of_val(offsets)
+            + std::mem::size_of_val(dests)
+            + std::mem::size_of_val(weights);
+        louvain_obs::gauge_set("mem.csr_bytes", csr as f64);
+    }
     louvain_obs::gauge_set("mem.ghost_bytes", ghosts.approx_bytes() as f64);
     louvain_obs::gauge_set("mem.peak_rss_bytes", louvain_obs::peak_rss_bytes() as f64);
 }
@@ -111,7 +115,6 @@ fn restore_rank(comm: &Comm, store: &CheckpointStore, fingerprint: u64) -> Optio
         .latest()
         .unwrap_or_else(|e| abort(format!("cannot resume: {e}")))?;
     let _s = louvain_obs::span!("checkpoint_restore", phase = latest);
-    louvain_obs::counter_add("checkpoint.restores", 1);
     fn fail(latest: u64, e: louvain_resil::ResilError) -> ! {
         abort(format!("cannot resume from phase {latest}: {e}"))
     }
@@ -243,7 +246,7 @@ pub fn run_on_rank(
             // slot-map exchange gets a step span and wait sub-span.
             comm.with_step(CommStep::Other, || GhostLayer::build(comm, &lg))
         };
-        record_memory_gauges(&lg, &ghosts);
+        record_memory_gauges(&lg, &ghosts, phase_idx == start_phase);
         let two_m = comm.with_step(CommStep::Other, || {
             comm.all_reduce(lg.local_arc_weight(), ReduceOp::Sum)
         });
@@ -413,8 +416,6 @@ pub fn run_on_rank(
                     bytes
                 });
                 span.arg("bytes", bytes);
-                louvain_obs::counter_add("checkpoint.writes", 1);
-                louvain_obs::counter_add("checkpoint.bytes", bytes);
             }
         }
     }

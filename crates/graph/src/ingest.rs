@@ -6,8 +6,9 @@
 //! constructors historically panicked on the worst of these; this
 //! module gives ingestion a typed error surface ([`IngestError`]) and a
 //! repair mode that normalizes recoverable defects (duplicate merging,
-//! self-loop dropping) while counting what it touched in the obs
-//! metrics (`ingest.duplicates_merged`, `ingest.self_loops_dropped`).
+//! self-loop dropping) and counts what it touched in [`RepairStats`],
+//! which the caller gets back with the graph (`louvain convert` and
+//! `ingest` print it).
 
 use std::fmt;
 use std::io;
@@ -120,7 +121,7 @@ pub enum IngestPolicy {
     /// Reject duplicates and self-loops with a typed error.
     Strict,
     /// Merge duplicate pairs (summing weights) and drop self-loops,
-    /// counting both in [`RepairStats`] and the obs counters.
+    /// counting both in [`RepairStats`].
     Repair,
 }
 
@@ -136,12 +137,6 @@ pub struct RepairStats {
 impl RepairStats {
     pub fn any(&self) -> bool {
         self.duplicates_merged + self.self_loops_dropped > 0
-    }
-
-    /// Publish the repair counters to the obs metrics sink.
-    pub fn publish(&self) {
-        louvain_obs::counter_add("ingest.duplicates_merged", self.duplicates_merged);
-        louvain_obs::counter_add("ingest.self_loops_dropped", self.self_loops_dropped);
     }
 }
 
@@ -187,13 +182,12 @@ mod tests {
     }
 
     #[test]
-    fn repair_stats_publish_and_any() {
+    fn repair_stats_any() {
         let s = RepairStats {
             duplicates_merged: 2,
             self_loops_dropped: 1,
         };
         assert!(s.any());
         assert!(!RepairStats::default().any());
-        s.publish(); // must not panic with tracing off
     }
 }

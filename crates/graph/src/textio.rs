@@ -97,8 +97,6 @@ pub fn parse_edge_list_policy<R: BufRead>(
         triples.push((du, dv, w));
     }
     let n = original_ids.len() as u64;
-    repairs.publish();
-    louvain_obs::counter_add("ingest.edges_kept", triples.len() as u64);
     Ok(TextImport {
         edges: EdgeList::try_from_edges(n, triples)?,
         original_ids,

@@ -177,12 +177,7 @@ pub fn run_phase(
     // regularly numbered graphs such as grids and bands.
     let order =
         louvain_graph::hash::shuffled_order(n, cfg.seed ^ (phase_idx as u64).wrapping_mul(0x9e37));
-    let classes = if cfg.coloring {
-        let _s = louvain_obs::span!(cat "grappolo", "grappolo/coloring", phase = phase_idx);
-        Some(greedy_coloring(g).1)
-    } else {
-        None
-    };
+    let classes = cfg.coloring.then(|| greedy_coloring(g).1);
     let mut et = match cfg.early_termination {
         EtMode::On { alpha } => Some(EtState::new(n, alpha, cfg.seed)),
         EtMode::Off => None,

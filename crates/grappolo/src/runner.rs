@@ -77,11 +77,7 @@ impl ParallelLouvain {
             } else {
                 singleton_assignment(n)
             };
-            let mut phase_span = louvain_obs::span!(cat "grappolo", "grappolo/phase", phase = phase_idx, vertices = n);
             let out: PhaseOutcome = run_phase(cur, &init, cfg, phase_idx);
-            phase_span.arg("iterations", out.iterations);
-            phase_span.arg("q", out.modularity);
-            drop(phase_span);
             total_iterations += out.iterations;
             traces.push(PhaseTrace {
                 iterations: out.iterations,
@@ -97,8 +93,6 @@ impl ParallelLouvain {
                 break;
             }
 
-            let _coarsen_span =
-                louvain_obs::span!(cat "grappolo", "grappolo/coarsen", phase = phase_idx);
             let (coarse, dense) = coarsen(cur, &out.assignment);
             flat = project(&flat, &dense);
             let compressed = coarse.num_vertices() < n;

@@ -119,11 +119,11 @@ fn convergence_table(rows: &[TelemetryRow]) -> String {
     out
 }
 
-/// Storage-footprint line built from the `mem.*` gauges (absent on
-/// artifacts predating them). Heap CSR bytes and mmap-resident bytes
-/// are summed across ranks (`GaugeStat::sum` — each rank sets its gauge
-/// once per run); peak RSS is process-wide, so ranks all observe the
-/// same value and `max` is the honest aggregate.
+/// Storage-footprint line built from the `mem.*` gauges of a traced
+/// run. Heap CSR bytes and mmap-resident bytes are summed across ranks
+/// (`GaugeStat::sum` — each rank sets both once per run: its starting
+/// CSR, its slab load); peak RSS is process-wide, so ranks all observe
+/// the same value and `max` is the honest aggregate.
 fn memory_line(r: &louvain_obs::RunReport) -> Option<String> {
     let csr = r.metrics.gauges.get("mem.csr_bytes");
     let mapped = r.metrics.gauges.get("mem.mapped_bytes");
@@ -148,6 +148,18 @@ fn memory_line(r: &louvain_obs::RunReport) -> Option<String> {
         let _ = write!(line, "  peak_rss={:.1} MiB", g.max / (1024.0 * 1024.0));
     }
     Some(line)
+}
+
+/// Rank-imbalance line: exact min, median (lower, for even rank counts)
+/// and max of the ranks' total traffic.
+fn imbalance_line(r: &louvain_obs::RunReport) -> Option<String> {
+    let mut bytes: Vec<u64> = r.per_rank_traffic.iter().map(|s| s.total_bytes()).collect();
+    bytes.sort_unstable();
+    let (min, max) = (*bytes.first()?, *bytes.last()?);
+    let median = bytes[(bytes.len() - 1) / 2];
+    Some(format!(
+        "rank imbalance (total bytes): min={min} median={median} max={max}"
+    ))
 }
 
 /// Human summary of an artifact: one block per run, with a sparkline
@@ -210,12 +222,8 @@ pub fn show(artifact: &RunArtifact) -> String {
         if let Some(mem) = memory_line(r) {
             let _ = writeln!(out, "  {mem}");
         }
-        if let Some(h) = r.metrics.histograms.get("rank.total_bytes") {
-            let (p50, p95, p99) = h.quantile_summary();
-            let _ = writeln!(
-                out,
-                "  rank imbalance (total bytes): p50<={p50} p95<={p95} p99<={p99}"
-            );
+        if let Some(line) = imbalance_line(r) {
+            let _ = writeln!(out, "  {line}");
         }
         if !entry.telemetry.is_empty() {
             out.push_str(&convergence_table(&entry.telemetry));
@@ -553,6 +561,25 @@ mod tests {
         // Artifacts without the gauges (pre-PR7) render no memory line.
         let plain = show(&artifact(vec![entry("g/p2/delta", 0.2, 10_000, 0.8, 12)]));
         assert!(!plain.contains("memory:"), "{plain}");
+    }
+
+    #[test]
+    fn show_prints_exact_rank_imbalance() {
+        let mut e = entry("g/p3/delta", 0.2, 10_000, 0.8, 12);
+        e.report.per_rank_traffic = [700, 100, 4_000_000]
+            .map(|b| StatsSnapshot {
+                p2p_bytes: b,
+                ..Default::default()
+            })
+            .to_vec();
+        let text = show(&artifact(vec![e]));
+        assert!(
+            text.contains("rank imbalance (total bytes): min=100 median=700 max=4000000"),
+            "{text}"
+        );
+        // No per-rank table, no line.
+        let plain = show(&artifact(vec![entry("g/p2/delta", 0.2, 10_000, 0.8, 12)]));
+        assert!(!plain.contains("rank imbalance"), "{plain}");
     }
 
     #[test]

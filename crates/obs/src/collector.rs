@@ -104,12 +104,6 @@ impl Collector {
         }
     }
 
-    /// Direct handle to a rank's metrics registry (e.g. for recording
-    /// from outside the rank thread).
-    pub fn metrics(&self, rank: usize) -> Arc<MetricsRegistry> {
-        Arc::clone(&self.ranks[rank].metrics)
-    }
-
     /// Harvest all recorded data. Call after every [`InstallGuard`] has
     /// been dropped (i.e. after rank threads joined); panics if a ring is
     /// still shared.

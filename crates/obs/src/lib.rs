@@ -17,9 +17,9 @@
 //! - **Exporters** ([`chrome_trace_json`], [`jsonl`]): Chrome
 //!   trace-event JSON (open in Perfetto / `chrome://tracing`; one `pid`
 //!   per rank) and line-delimited JSON.
-//! - **Metrics** ([`MetricsRegistry`], [`counter_add`], [`gauge_set`],
-//!   [`hist_observe`]): counters, gauges, log2 histograms; snapshots
-//!   merge commutatively across ranks.
+//! - **Metrics** ([`MetricsRegistry`], [`counter_add`], [`gauge_set`]):
+//!   counters, gauges, log2 histograms under the names of
+//!   [`METRIC_REGISTRY`]; snapshots merge commutatively across ranks.
 //! - **The counter table** ([`StatsSnapshot`], [`CommStep`]): every
 //!   always-on per-rank counter, named once. `louvain-comm` records
 //!   into it; everything else walks it.
@@ -55,8 +55,8 @@ pub use collector::{
 pub use event::{ArgValue, EventKind, TraceEvent};
 pub use json::{Json, JsonError};
 pub use metrics::{
-    counter_add, gauge_set, hist_observe, peak_rss_bytes, GaugeStat, Histogram, MetricsRegistry,
-    MetricsSnapshot, HIST_BUCKETS,
+    counter_add, gauge_set, peak_rss_bytes, GaugeStat, Histogram, MetricsRegistry, MetricsSnapshot,
+    HIST_BUCKETS,
 };
 pub use ops::{
     parse_flight_dump, unix_ms_now, OpEvent, OpKind, OpsPlane, DEFAULT_FLIGHT_CAPACITY,
@@ -91,220 +91,143 @@ pub enum MetricKind {
 /// The one table of every metric name the workspace records, in
 /// namespace order. Recording sites across the crates must use names
 /// from this table — `tests/observability.rs` asserts a traced run
-/// emits no stranger — so dashboards and `lens` can rely on the
-/// namespace without grepping call sites.
+/// emits no stranger and records every non-`serve.*` name — so
+/// dashboards and `lens` can rely on the namespace without grepping
+/// call sites.
 ///
-/// Namespaces: `sweep.*` (move sweep work), `ghost.*` (ghost refresh,
-/// split full/delta), `ingest.*` (edge-list ingestion), `wd_backoff_us`
-/// (the watchdog's backoff distribution; its event counts, like the
-/// checksum rejects, are in the counter table [`StatsSnapshot`] and
-/// nowhere else), `checkpoint.*`
-/// (checkpoint/restart), `resil.*` (recovery driver), `rank.*`
-/// (per-rank imbalance histograms attached at report build), plus the
-/// `modularity` gauge.
+/// A name earns its line by having a reader, named in its description.
+/// A value the run already holds (the counter table [`StatsSnapshot`],
+/// per-phase and per-iteration stats, the outcome's recovery records)
+/// is read from there and not recorded here a second time.
+///
+/// Namespaces: `mem.*` (memory footprint gauges, recorded on rank
+/// threads of a traced run), `ghost.*` (ghost refreshes, split
+/// full/delta), `sweep.colors`, and `serve.*` (the job server's own
+/// registry, exported as Prometheus text).
 pub const METRIC_REGISTRY: &[(&str, MetricKind, &str)] = &[
-    (
-        "checkpoint.bytes",
-        MetricKind::Counter,
-        "checkpoint bytes written",
-    ),
-    (
-        "checkpoint.restores",
-        MetricKind::Counter,
-        "checkpoint restores (resume or in-run recovery)",
-    ),
-    (
-        "checkpoint.writes",
-        MetricKind::Counter,
-        "checkpoint snapshots written",
-    ),
-    (
-        "ghost.delta.changed",
-        MetricKind::Counter,
-        "ghost slots actually changed in delta refreshes",
-    ),
     (
         "ghost.delta.refreshes",
         MetricKind::Counter,
-        "delta ghost refreshes",
-    ),
-    (
-        "ghost.delta.slots",
-        MetricKind::Counter,
-        "ghost slots shipped by delta refreshes",
+        "delta ghost refreshes; read by tests/resilience.rs",
     ),
     (
         "ghost.full.refreshes",
         MetricKind::Counter,
-        "full ghost refreshes",
-    ),
-    (
-        "ghost.full.slots",
-        MetricKind::Counter,
-        "ghost slots shipped by full refreshes",
-    ),
-    (
-        "ingest.duplicates_merged",
-        MetricKind::Counter,
-        "duplicate edges merged at ingest",
-    ),
-    (
-        "ingest.edges_kept",
-        MetricKind::Counter,
-        "edges kept at ingest",
-    ),
-    (
-        "ingest.self_loops_dropped",
-        MetricKind::Counter,
-        "self loops dropped at ingest",
+        "full ghost refreshes; read by tests/resilience.rs",
     ),
     (
         "mem.csr_bytes",
         MetricKind::Gauge,
-        "local CSR graph footprint (heap bytes only, per phase; \
-         mapped slab bytes are reported under mem.mapped_bytes)",
+        "heap bytes of the rank's starting CSR, set once per run (mapped \
+         slab bytes are mem.mapped_bytes); read by `lens show`",
     ),
     (
         "mem.ghost_bytes",
         MetricKind::Gauge,
-        "ghost-layer footprint (bytes, per phase)",
+        "ghost-layer footprint (bytes, per phase); read by item 7(a)'s \
+         memory budget and tests/observability.rs",
     ),
     (
         "mem.mapped_bytes",
         MetricKind::Gauge,
         "slab bytes mapped or range-read from the store (not heap; \
-         disjoint from mem.csr_bytes, which counts heap copies only)",
+         disjoint from mem.csr_bytes); read by `lens show` and tests/storage.rs",
     ),
     (
         "mem.peak_rss_bytes",
         MetricKind::Gauge,
-        "process peak RSS (VmHWM, bytes; 0 where unavailable)",
+        "process peak RSS (VmHWM, bytes; 0 where unavailable); read by \
+         `lens show` and tests/storage.rs",
     ),
     (
         "mem.scratch_bytes",
         MetricKind::Gauge,
-        "iteration scratch-arena high-water mark (bytes)",
+        "iteration scratch-arena high-water mark (bytes); read by item \
+         7(a)'s memory budget and tests/observability.rs",
     ),
     (
         "mem.wire_bytes",
         MetricKind::Gauge,
-        "wire-buffer (outgoing message staging) high-water mark (bytes)",
-    ),
-    (
-        "modularity",
-        MetricKind::Gauge,
-        "per-iteration global modularity",
-    ),
-    (
-        "rank.total_bytes",
-        MetricKind::Histogram,
-        "per-rank total traffic (one observation per rank)",
-    ),
-    (
-        "resil.hang_recoveries",
-        MetricKind::Counter,
-        "recoveries triggered by hung-rank declarations",
+        "wire-buffer (outgoing message staging) high-water mark (bytes); \
+         read by item 7(a)'s memory budget and tests/observability.rs",
     ),
     (
         "serve.cache_evictions",
         MetricKind::Counter,
-        "cached job results evicted by the LRU capacity bound",
+        "cached job results evicted by the LRU capacity bound; read by \
+         the Prometheus exposition",
     ),
     (
         "serve.cache_hits",
         MetricKind::Counter,
-        "jobs answered from the fingerprint-keyed result cache",
+        "jobs answered from the fingerprint-keyed result cache; read by \
+         `lens top` and tests/serve.rs",
     ),
     (
         "serve.cache_misses",
         MetricKind::Counter,
-        "jobs that had to run because no cached result matched",
+        "jobs that had to run because no cached result matched; read by \
+         `lens top` and tests/serve.rs",
     ),
     (
         "serve.job_latency_ms",
         MetricKind::Histogram,
-        "submit-to-result latency per served job (milliseconds)",
+        "submit-to-result latency per served job (milliseconds); read by \
+         `lens top` and tests/serve.rs",
     ),
     (
         "serve.jobs_accepted",
         MetricKind::Counter,
-        "jobs admitted past the bounded queue",
+        "jobs admitted past the bounded queue; read by `lens top` and \
+         tests/serve.rs",
     ),
     (
         "serve.jobs_cancelled",
         MetricKind::Counter,
-        "jobs drained to a phase-boundary checkpoint by shutdown",
+        "jobs drained to a phase-boundary checkpoint by shutdown; read by \
+         `lens top` and tests/serve.rs",
     ),
     (
         "serve.jobs_completed",
         MetricKind::Counter,
-        "jobs that finished with a result (fresh or cached)",
+        "jobs that finished with a result (fresh or cached); read by \
+         `lens top` and tests/serve.rs",
     ),
     (
         "serve.jobs_quarantined",
         MetricKind::Counter,
-        "jobs quarantined by the poisoned-job ladder",
+        "jobs quarantined by the poisoned-job ladder; read by `lens top` \
+         and tests/serve.rs",
     ),
     (
         "serve.jobs_rejected",
         MetricKind::Counter,
-        "submissions shed with queue_full by admission control",
+        "submissions shed with queue_full by admission control; read by \
+         `lens top` and tests/serve.rs",
     ),
     (
         "serve.jobs_resumed",
         MetricKind::Counter,
-        "jobs that restarted from a checkpoint instead of from scratch",
+        "jobs that restarted from a checkpoint instead of from scratch; \
+         read by `lens top` and tests/serve.rs",
     ),
     (
         "serve.jobs_running",
         MetricKind::Gauge,
-        "jobs currently executing on worker threads",
+        "jobs currently executing on worker threads; read by `lens top` \
+         and tests/serve.rs",
     ),
     (
         "serve.queue_depth",
         MetricKind::Gauge,
-        "admission queue depth (jobs waiting for a worker)",
-    ),
-    (
-        "sweep.batch_moves",
-        MetricKind::Counter,
-        "vertices moved by colored conflict-free batches",
+        "admission queue depth (jobs waiting for a worker); read by \
+         `lens top` and tests/serve.rs",
     ),
     (
         "sweep.colors",
         MetricKind::Counter,
-        "color classes of the per-phase distance-1 coloring",
-    ),
-    (
-        "sweep.edges",
-        MetricKind::Counter,
-        "edges scanned by move sweeps",
-    ),
-    ("sweep.moves", MetricKind::Counter, "vertices moved"),
-    (
-        "sweep.vertices",
-        MetricKind::Counter,
-        "vertices visited by move sweeps",
-    ),
-    (
-        "vf.collapsed",
-        MetricKind::Counter,
-        "vertices collapsed into their anchor by vertex following",
-    ),
-    (
-        "wait.collective_ns",
-        MetricKind::Counter,
-        "idle nanoseconds blocked in collective fill-waits",
-    ),
-    (
-        "wait.recv_ns",
-        MetricKind::Counter,
-        "idle nanoseconds blocked in point-to-point receives",
-    ),
-    (
-        "wd_backoff_us",
-        MetricKind::Histogram,
-        "watchdog retry backoff (microseconds)",
+        "color classes of the per-phase distance-1 coloring; read by \
+         tests/observability.rs",
     ),
 ];
 
@@ -353,16 +276,22 @@ mod registry_tests {
     #[test]
     fn unregistered_names_are_reported() {
         let reg = MetricsRegistry::new();
-        reg.counter_add("sweep.moves", 1);
+        reg.counter_add("sweep.colors", 1);
         reg.counter_add("sweep.bogus", 1);
-        reg.gauge_set("modularity", 0.5);
-        reg.counter_add("wd_backoff_us", 3); // right name, wrong kind
+        reg.gauge_set("mem.csr_bytes", 0.5);
+        reg.counter_add("serve.job_latency_ms", 3); // right name, wrong kind
         let drift = unregistered_metrics(&reg.snapshot());
         assert_eq!(
             drift,
-            vec!["sweep.bogus".to_string(), "wd_backoff_us".to_string()]
+            vec![
+                "serve.job_latency_ms".to_string(),
+                "sweep.bogus".to_string()
+            ]
         );
-        assert!(metric_registered("wd_backoff_us", MetricKind::Histogram));
+        assert!(metric_registered(
+            "serve.job_latency_ms",
+            MetricKind::Histogram
+        ));
         assert!(!metric_registered("watchdog.timeouts", MetricKind::Counter));
     }
 }

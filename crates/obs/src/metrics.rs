@@ -256,17 +256,10 @@ pub fn gauge_set(name: &str, value: f64) {
     }
 }
 
-/// Observe a value into a named histogram on the current rank's registry.
-pub fn hist_observe(name: &str, value: u64) {
-    if crate::enabled() {
-        crate::span::with_observer(|o| o.metrics.hist_observe(name, value));
-    }
-}
-
 /// Process peak resident set (`VmHWM` from `/proc/self/status`), in
 /// bytes; 0 where unavailable (non-Linux, or a restricted procfs).
-/// Lives here so every recording site of the `mem.peak_rss_bytes`
-/// gauge (phase loop, slab ingest) reads the same number.
+/// The `mem.peak_rss_bytes` gauge, the RSS-bound test and the bench
+/// ladder all read this one number.
 pub fn peak_rss_bytes() -> u64 {
     #[cfg(target_os = "linux")]
     {

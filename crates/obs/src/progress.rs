@@ -118,10 +118,9 @@ impl ProgressMerger {
         }
     }
 
-    /// Offer one rank's record for `(rec.phase, rec.iteration)`. The
-    /// merge mirrors [`crate::merge_ranks`] exactly: globally-reduced
-    /// fields come from the first contributor (identical everywhere),
-    /// per-rank fields sum. The sink runs outside the lock.
+    /// Offer one rank's record for `(rec.phase, rec.iteration)`, folded
+    /// in by the same [`TelemetryRow::new`] / [`TelemetryRow::absorb`]
+    /// as [`crate::merge_ranks`]. The sink runs outside the lock.
     pub fn offer(&self, rank: usize, attempt: u32, rec: &IterationRecord) {
         let key = (rec.phase, rec.iteration);
         let complete = {
@@ -135,29 +134,11 @@ impl ProgressMerger {
             if st.emitted.contains(&key) {
                 return;
             }
-            let num_ranks = self.num_ranks;
-            let (seen, row) = st.pending.entry(key).or_insert_with(|| {
-                (
-                    0,
-                    TelemetryRow {
-                        phase: rec.phase,
-                        iteration: rec.iteration,
-                        modularity: rec.modularity,
-                        delta_q: rec.delta_q,
-                        moves: rec.moves,
-                        active: 0,
-                        vertices: 0,
-                        communities: 0,
-                        community_sizes: crate::Histogram::default(),
-                        ghost_bytes_per_rank: vec![0; num_ranks],
-                    },
-                )
-            });
-            row.active += rec.active;
-            row.vertices += rec.vertices;
-            row.communities += rec.communities;
-            row.community_sizes.merge(&rec.community_sizes);
-            row.ghost_bytes_per_rank[rank] += rec.ghost_bytes;
+            let (seen, row) = st
+                .pending
+                .entry(key)
+                .or_insert_with(|| (0, TelemetryRow::new(self.num_ranks, rec)));
+            row.absorb(rank, rec);
             *seen += 1;
             if *seen == self.num_ranks {
                 let (_, row) = st.pending.remove(&key).unwrap();

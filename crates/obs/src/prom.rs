@@ -134,7 +134,7 @@ mod tests {
         r.counter_add("serve.jobs_accepted", 3);
         r.counter_add("serve.cache_hits", 1);
         r.gauge_set("serve.queue_depth", 2.0);
-        r.gauge_set("modularity", 0.4375);
+        r.gauge_set("mem.csr_bytes", 0.4375);
         for v in [12u64, 900, 900, 15_000] {
             r.hist_observe("serve.job_latency_ms", v);
         }
@@ -147,7 +147,7 @@ mod tests {
         assert!(text.contains("# TYPE serve_jobs_accepted_total counter\n"));
         assert!(text.contains("serve_jobs_accepted_total 3\n"));
         assert!(text.contains("serve_queue_depth 2\n"));
-        assert!(text.contains("modularity 0.4375\n"));
+        assert!(text.contains("mem_csr_bytes 0.4375\n"));
         // Buckets are cumulative: 12 → bucket 3 (le=15), two 900s →
         // bucket 9 (le=1023), 15000 → bucket 13 (le=16383).
         assert!(text.contains("serve_job_latency_ms_bucket{le=\"15\"} 1\n"));
@@ -187,7 +187,7 @@ mod tests {
         assert_eq!(samples["serve_jobs_accepted_total"], 3.0);
         assert_eq!(samples["serve_cache_hits_total"], 1.0);
         assert_eq!(samples["serve_queue_depth"], 2.0);
-        assert_eq!(samples["modularity"], 0.4375);
+        assert_eq!(samples["mem_csr_bytes"], 0.4375);
         assert_eq!(samples["serve_job_latency_ms_count"], 4.0);
         assert_eq!(samples["serve_job_latency_ms_bucket{le=\"1023\"}"], 3.0);
         assert_eq!(samples["serve_job_latency_ms_p95"], 16383.0);
@@ -205,10 +205,10 @@ mod tests {
     #[test]
     fn names_map_onto_prometheus_grammar() {
         assert_eq!(prometheus_name("serve.queue_depth"), "serve_queue_depth");
-        assert_eq!(prometheus_name("wd_backoff_us"), "wd_backoff_us");
+        assert_eq!(prometheus_name("sweep.colors"), "sweep_colors");
         assert_eq!(
-            prometheus_name("ghost.delta.changed"),
-            "ghost_delta_changed"
+            prometheus_name("ghost.delta.refreshes"),
+            "ghost_delta_refreshes"
         );
     }
 }

@@ -555,9 +555,9 @@ pub(crate) mod tests {
     /// in every counter word.
     pub(crate) fn sample() -> RunReport {
         let mut metrics = MetricsSnapshot::default();
-        metrics.counters.insert("sweep.moves".into(), 42);
+        metrics.counters.insert("sweep.colors".into(), 42);
         metrics.gauges.insert(
-            "modularity".into(),
+            "mem.csr_bytes".into(),
             GaugeStat {
                 last: 0.41,
                 min: 0.1,

@@ -107,6 +107,33 @@ pub struct TelemetryRow {
 }
 
 impl TelemetryRow {
+    /// An empty row for `rec`'s `(phase, iteration)` in a `num_ranks`
+    /// job. The globally-reduced fields are taken from `rec` (identical
+    /// on every rank); [`TelemetryRow::absorb`] adds the per-rank ones.
+    pub fn new(num_ranks: usize, rec: &IterationRecord) -> Self {
+        TelemetryRow {
+            phase: rec.phase,
+            iteration: rec.iteration,
+            modularity: rec.modularity,
+            delta_q: rec.delta_q,
+            moves: rec.moves,
+            active: 0,
+            vertices: 0,
+            communities: 0,
+            community_sizes: Histogram::default(),
+            ghost_bytes_per_rank: vec![0; num_ranks],
+        }
+    }
+
+    /// Add `rank`'s per-rank fields of `rec`.
+    pub fn absorb(&mut self, rank: usize, rec: &IterationRecord) {
+        self.active += rec.active;
+        self.vertices += rec.vertices;
+        self.communities += rec.communities;
+        self.community_sizes.merge(&rec.community_sizes);
+        self.ghost_bytes_per_rank[rank] += rec.ghost_bytes;
+    }
+
     /// Fraction of vertices the ET/ETC heuristics kept active.
     pub fn active_fraction(&self) -> f64 {
         if self.vertices == 0 {
@@ -130,25 +157,9 @@ pub fn merge_ranks(per_rank: &[Vec<IterationRecord>]) -> Vec<TelemetryRow> {
     let num_ranks = per_rank.len();
     for (rank, recs) in per_rank.iter().enumerate() {
         for r in recs {
-            let row = rows
-                .entry((r.phase, r.iteration))
-                .or_insert_with(|| TelemetryRow {
-                    phase: r.phase,
-                    iteration: r.iteration,
-                    modularity: r.modularity,
-                    delta_q: r.delta_q,
-                    moves: r.moves,
-                    active: 0,
-                    vertices: 0,
-                    communities: 0,
-                    community_sizes: Histogram::default(),
-                    ghost_bytes_per_rank: vec![0; num_ranks],
-                });
-            row.active += r.active;
-            row.vertices += r.vertices;
-            row.communities += r.communities;
-            row.community_sizes.merge(&r.community_sizes);
-            row.ghost_bytes_per_rank[rank] += r.ghost_bytes;
+            rows.entry((r.phase, r.iteration))
+                .or_insert_with(|| TelemetryRow::new(num_ranks, r))
+                .absorb(rank, r);
         }
     }
     rows.into_values().collect()

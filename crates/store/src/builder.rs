@@ -381,8 +381,6 @@ impl SlabBuilder {
         } else {
             RepairStats::default()
         };
-        repair.publish();
-        louvain_obs::gauge_set("mem.peak_rss_bytes", louvain_obs::peak_rss_bytes() as f64);
 
         Ok(SlabSummary {
             num_vertices: self.n,

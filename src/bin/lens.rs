@@ -25,9 +25,10 @@ USAGE:
   lens show <ARTIFACT>
       Human summary: one block per run; traced runs get a sparkline
       convergence table (modularity, delta-Q, moves, active fraction,
-      community count, ghost bytes per iteration). Runs carrying the
-      mem.* gauges also get a memory line: heap CSR bytes, mmap-resident
-      bytes, bytes-per-edge, and peak RSS.
+      community count, ghost bytes per iteration) and a memory line from
+      the mem.* gauges: heap bytes of the ranks' starting CSRs,
+      mmap-resident bytes, bytes-per-edge, and peak RSS. Every run gets
+      the exact min / median / max of the ranks' total traffic.
 
   lens diff <BASELINE> <CURRENT> [threshold flags]
       Match runs by label and print wall / bytes / modularity /

@@ -106,10 +106,17 @@ fn tracing_enabled_end_to_end() {
     let ghost = rollup.iter().find(|s| s.name == "ghost_refresh").unwrap();
     assert!(ghost.count > 0 && ghost.wall_seconds >= 0.0);
 
-    // --- Metrics aggregated across ranks.
-    let metrics = trace.merged_metrics();
-    assert!(metrics.counter("sweep.moves") > 0);
-    assert!(metrics.counter("sweep.edges") > 0);
+    // --- Sweep work, from the iteration traces the run already holds:
+    // `moves` is global, `local_edges` is the rank's own.
+    let traces = |rank: usize| {
+        out.per_rank_stats[rank]
+            .iter()
+            .flat_map(|ph| &ph.iteration_traces)
+    };
+    assert!(traces(0).map(|t| t.moves).sum::<u64>() > 0);
+    for rank in 0..3 {
+        assert!(traces(rank).map(|t| t.local_edges).sum::<u64>() > 0);
+    }
 
     // --- Chrome trace: valid JSON, pid per rank, globally monotonic ts.
     let text = obs::chrome_trace_json(trace);
@@ -148,7 +155,6 @@ fn tracing_enabled_end_to_end() {
     let meta = ReportMeta::new("lfr-1000", 1_000, g.num_edges() as u64).variant("baseline");
     let report = build_run_report(&out, &meta);
     assert!(!report.spans.is_empty());
-    assert!(report.metrics.counter("sweep.moves") > 0);
     let events_total: u64 = report.per_rank.iter().map(|r| r.events_recorded).sum();
     assert_eq!(events_total, trace.total_events() as u64);
     let back = obs::RunReport::from_json_str(&report.to_json_string()).unwrap();
@@ -322,16 +328,28 @@ fn et_active_fraction_rows_populate_under_colored_parallel_sweep() {
         rows.iter().any(|r| r.active < r.vertices),
         "ET never froze a vertex: the activity filter is not wired in"
     );
-    // The colored schedule's own counters ride the same trace: a
+    // The colored schedule's own records ride the same trace: a
     // coloring was computed, and every move went through a color batch.
-    let metrics = trace.merged_metrics();
     assert!(
-        metrics.counter("sweep.colors") > 0,
+        trace.merged_metrics().counter("sweep.colors") > 0,
         "coloring was never computed"
     );
+    assert_eq!(trace.total_dropped(), 0);
+    let batch_moves: u64 = trace
+        .ranks
+        .iter()
+        .flat_map(|r| &r.events)
+        .filter(|ev| ev.name == "sweep.batch")
+        .map(|ev| arg_u64(ev, "moves").expect("batch spans carry moves"))
+        .sum();
+    let moves: u64 = out.per_rank_stats[0]
+        .iter()
+        .flat_map(|ph| &ph.iteration_traces)
+        .map(|t| t.moves)
+        .sum();
+    assert!(moves > 0);
     assert_eq!(
-        metrics.counter("sweep.batch_moves"),
-        metrics.counter("sweep.moves"),
+        batch_moves, moves,
         "every move must be attributed to a conflict-free color batch"
     );
 }
@@ -347,12 +365,8 @@ fn disabled_tracing_yields_reports_without_trace_sections() {
     assert!(out.trace.is_none());
     let report = build_run_report(&out, &ReportMeta::new("lfr-700", 700, g.num_edges() as u64));
     assert!(report.spans.is_empty());
-    // No recorded metrics — only the imbalance histogram derived from
-    // the always-on per-rank traffic counters.
-    assert!(report.metrics.counters.is_empty());
-    assert!(report.metrics.gauges.is_empty());
-    let rank_bytes = &report.metrics.histograms["rank.total_bytes"];
-    assert_eq!(rank_bytes.count, 2, "one observation per rank");
+    assert!(report.metrics.is_empty(), "nothing is recorded untraced");
+    assert_eq!(report.per_rank_traffic.len(), 2);
     assert!(report.traffic.total_bytes() > 0);
 }
 
@@ -378,9 +392,8 @@ fn arg_str<'a>(ev: &'a obs::TraceEvent, key: &str) -> Option<&'a str> {
 
 /// Satellite: counter/span reconciliation. For every rank count, the
 /// bytes carried by the comm-step spans must agree byte-exactly with
-/// the per-step comm counters, the `wait` sub-span durations must
-/// agree with the per-step blocked-wait counters, and the `wait.*`
-/// metric counters must sum to the same total. Memory gauges ride the
+/// the per-step comm counters, and the `wait` sub-span durations must
+/// agree with the per-step blocked-wait counters. Memory gauges ride the
 /// same traced run and must be registered.
 #[test]
 fn step_span_bytes_reconcile_with_step_counters_across_rank_counts() {
@@ -423,15 +436,8 @@ fn step_span_bytes_reconcile_with_step_counters_across_rank_counts() {
             );
         }
 
-        // The wait.* metric counters decompose the same total.
-        let metrics = trace.merged_metrics();
-        assert_eq!(
-            metrics.counter("wait.recv_ns") + metrics.counter("wait.collective_ns"),
-            out.traffic.wait_nanos_total(),
-            "p={p}: wait counters must sum to the snapshot's blocked-wait total"
-        );
-
         // Memory gauges are recorded on traced runs and registered.
+        let metrics = trace.merged_metrics();
         for gauge in [
             "mem.csr_bytes",
             "mem.ghost_bytes",
@@ -453,7 +459,7 @@ fn step_span_bytes_reconcile_with_step_counters_across_rank_counts() {
         assert_eq!(
             obs::unregistered_metrics(&metrics),
             Vec::<String>::new(),
-            "p={p}: every recorded mem.*/wait.* name must be in METRIC_REGISTRY"
+            "p={p}: every recorded mem.* name must be in METRIC_REGISTRY"
         );
     }
 }
@@ -680,4 +686,99 @@ fn resumed_run_counters_reconcile_with_uninterrupted_run() {
     assert_eq!(back.recoveries, 1);
     assert_eq!(back.resumed_from_phase, Some(1));
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Registered ⇒ recorded: one traced run that takes every instrumented
+/// path (colored t=2 sweep, delta refresh, mapped slab) records every
+/// non-`serve.*` name of the registry, so a name whose recording site
+/// is gone cannot stay registered. (`serve.*` is the job server's own
+/// registry; `tests/serve.rs` reads it.)
+#[test]
+fn every_registered_run_metric_is_recorded_by_one_traced_run() {
+    use distributed_louvain::comm::RunConfig;
+    use distributed_louvain::dist::{
+        run_distributed_resilient_source, GraphSource, ResilOptions, SweepMode,
+    };
+    use distributed_louvain::graph::gen::lfr_stream;
+    use distributed_louvain::store::{Slab, SlabBuilder, SlabOptions};
+
+    let _guard = TRACE_FLAG.lock().unwrap();
+    let dir = std::env::temp_dir().join(format!("louvain-obs-registry-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("lfr.slab");
+    let params = LfrParams::small(1_000, 11);
+    let mut b = SlabBuilder::new(1_000, SlabOptions::default());
+    lfr_stream(params, &mut b).unwrap();
+    b.finish(&path).unwrap();
+    let slab = Slab::open(&path).unwrap();
+    let cfg = DistConfig {
+        sweep: SweepMode::Colored,
+        threads_per_rank: 2,
+        delta_ghost_refresh: true,
+        ..DistConfig::baseline()
+    };
+    obs::set_enabled(true);
+    let out = run_distributed_resilient_source(
+        GraphSource::SlabMapped(&slab),
+        2,
+        &cfg,
+        RunConfig::default(),
+        &ResilOptions::none(),
+    )
+    .expect("slab run");
+    obs::set_enabled(false);
+    let _ = std::fs::remove_dir_all(&dir);
+
+    let metrics = out.trace.as_ref().expect("traced").merged_metrics();
+    let recorded = |name: &str| {
+        metrics.counters.contains_key(name)
+            || metrics.gauges.contains_key(name)
+            || metrics.histograms.contains_key(name)
+    };
+    let unrecorded: Vec<&str> = obs::METRIC_REGISTRY
+        .iter()
+        .map(|(name, _, _)| *name)
+        .filter(|name| !name.starts_with("serve.") && !recorded(name))
+        .collect();
+    assert_eq!(
+        unrecorded,
+        Vec::<&str>::new(),
+        "registered names no traced run records: delete them or their reader's gone"
+    );
+    assert_eq!(obs::unregistered_metrics(&metrics), Vec::<String>::new());
+}
+
+/// `lens show`'s memory line on a multi-phase p=2 run: `mem.csr_bytes`
+/// is set once per rank, so its sum is the two starting CSRs —
+/// (n + p) offsets and one `u64` dest plus one `f64` weight per arc —
+/// not that plus every coarse phase's.
+#[test]
+fn memory_line_counts_each_ranks_starting_csr_once() {
+    let _guard = TRACE_FLAG.lock().unwrap();
+    let g = lfr(LfrParams::small(2_000, 7)).graph;
+    let p = 2;
+    obs::set_enabled(true);
+    let out = run_distributed(&g, p, &DistConfig::baseline());
+    obs::set_enabled(false);
+    assert!(out.phases >= 2, "needs a coarse phase to over-count");
+
+    let report = build_run_report(
+        &out,
+        &ReportMeta::new("lfr-2000", 2_000, g.num_edges() as u64),
+    );
+    let csr = report.metrics.gauges["mem.csr_bytes"];
+    assert_eq!(csr.count, p as u64, "one sample per rank");
+    let expected = (g.num_vertices() + p) * 8 + g.num_arcs() * 16;
+    assert_eq!(csr.sum, expected as f64);
+
+    let text = louvain_lens::show(&obs::RunArtifact {
+        name: "memory".into(),
+        description: String::new(),
+        runs: vec![obs::RunEntry {
+            label: "lfr-2000/p2".into(),
+            report,
+            telemetry: Vec::new(),
+        }],
+    });
+    assert!(text.contains(&format!("csr={expected} B")), "{text}");
 }
