@@ -205,38 +205,11 @@ impl Comm {
     /// a stale extra copy the receiver deduplicates, delays sleep
     /// briefly. Returns the number of physical copies transmitted, for
     /// byte accounting (always 1 in clean runs).
-    ///
-    /// `bytes` is the serialized payload size the caller charges to its
-    /// byte counters; it rides on the envelope (and the `msg_send`
-    /// trace event) so the receive side can attribute the same number.
-    fn deliver<T: Send + 'static>(&self, dst: usize, tag: Tag, data: Vec<T>, bytes: u64) -> u64 {
-        // One Lamport tick and one `msg_send` event per *logical*
-        // message: every physical copy carries the same stamp, and the
-        // receiver's dedup/checksum intake delivers exactly one, so the
-        // (src, lamport) pair matches send and recv events one-to-one.
-        let lamport = self.stats.tick_lamport();
-        if louvain_obs::enabled() {
-            louvain_obs::instant(
-                "msg_send",
-                "comm",
-                vec![
-                    ("src", louvain_obs::ArgValue::from(self.rank)),
-                    ("dst", louvain_obs::ArgValue::from(dst)),
-                    (
-                        "step",
-                        louvain_obs::ArgValue::from(self.stats.current_step().label()),
-                    ),
-                    ("lamport", louvain_obs::ArgValue::from(lamport)),
-                    ("bytes", louvain_obs::ArgValue::from(bytes)),
-                ],
-            );
-        }
+    fn deliver<T: Send + 'static>(&self, dst: usize, tag: Tag, data: Vec<T>) -> u64 {
         let beat = self.board.beat(self.rank);
         let Some(f) = &self.fault else {
             let mut env = Envelope::clean(self.rank, tag, Box::new(data));
             env.beat = beat;
-            env.lamport = lamport;
-            env.wire_bytes = bytes;
             self.senders[dst].send(env).expect("peer mailbox closed");
             return 1;
         };
@@ -265,8 +238,6 @@ impl Comm {
                     corrupt,
                     checksum,
                     beat: self.board.beat(self.rank),
-                    lamport,
-                    wire_bytes: bytes,
                     payload,
                 }
             };
@@ -429,7 +400,7 @@ impl Comm {
         );
         self.fault_op_tick();
         let bytes = (data.len() * std::mem::size_of::<T>()) as u64;
-        let copies = self.deliver(dst, tag, data, bytes);
+        let copies = self.deliver(dst, tag, data);
         self.stats.record_p2p(copies, bytes * copies);
     }
 
@@ -558,7 +529,7 @@ impl Comm {
                 continue;
             }
             let bytes = (buf.len() * std::mem::size_of::<T>()) as u64;
-            let copies = self.deliver(dst, A2A_TAG, buf, bytes);
+            let copies = self.deliver(dst, A2A_TAG, buf);
             nmsgs += copies;
             sent += bytes * copies;
         }
@@ -606,7 +577,7 @@ impl Comm {
         for (&dst, buf) in neighbors.iter().zip(bufs) {
             assert!(dst < self.size && dst != self.rank, "bad neighbor {dst}");
             let bytes = (buf.len() * std::mem::size_of::<T>()) as u64;
-            let copies = self.deliver(dst, NBR_TAG, buf, bytes);
+            let copies = self.deliver(dst, NBR_TAG, buf);
             nmsgs += copies;
             sent += bytes * copies;
         }

@@ -46,15 +46,6 @@ pub(crate) struct Envelope {
     /// Sender's latest heartbeat stamp, piggybacked for the health
     /// board (`0` = no stamp).
     pub beat: u64,
-    /// Sender's Lamport clock at send time: unique per sender, folded
-    /// into the receiver's clock on delivery. Matches the sender's
-    /// `msg_send` trace event to the receiver's `msg_recv` event,
-    /// giving the cross-rank happens-before edge `lens crit` walks.
-    pub lamport: u64,
-    /// Serialized payload size the sender charged to its byte counters
-    /// (the payload itself travels as an in-memory `Box`, so the wire
-    /// size must ride alongside for receive-side attribution).
-    pub wire_bytes: u64,
     pub payload: Box<dyn Any + Send>,
 }
 
@@ -73,33 +64,8 @@ impl Envelope {
             corrupt: false,
             checksum: 0,
             beat: 0,
-            lamport: 0,
-            wire_bytes: 0,
             payload,
         }
-    }
-}
-
-/// Delivery bookkeeping shared by both receive paths: fold the
-/// envelope's Lamport stamp into the local clock and record the
-/// `msg_recv` edge event (a no-op unless tracing is enabled).
-fn on_delivery(env: &Envelope, ctx: &WaitCtx<'_>) {
-    ctx.stats.fold_lamport(env.lamport);
-    if louvain_obs::enabled() {
-        louvain_obs::instant(
-            "msg_recv",
-            "comm",
-            vec![
-                ("src", louvain_obs::ArgValue::from(env.src)),
-                ("dst", louvain_obs::ArgValue::from(ctx.rank)),
-                (
-                    "step",
-                    louvain_obs::ArgValue::from(ctx.stats.current_step().label()),
-                ),
-                ("lamport", louvain_obs::ArgValue::from(env.lamport)),
-                ("bytes", louvain_obs::ArgValue::from(env.wire_bytes)),
-            ],
-        );
     }
 }
 
@@ -160,9 +126,7 @@ impl Mailbox {
             // same (src, tag) stream must be delivered in arrival order,
             // or consecutive all_to_all_v rounds would get swapped.
             // Buffered = already arrived = zero blocked wait.
-            let env = self.pending.remove(pos);
-            on_delivery(&env, ctx);
-            return env;
+            return self.pending.remove(pos);
         }
         // From here the caller is genuinely blocked: everything until
         // the matching envelope arrives is *wait* (idle, straggler-
@@ -179,7 +143,6 @@ impl Mailbox {
                     if env.src == src && env.tag == tag {
                         let waited = wait_start.elapsed().as_nanos() as u64;
                         ctx.stats.count(|t, step| t.step_wait_nanos[step] += waited);
-                        on_delivery(&env, ctx);
                         return env;
                     }
                     self.pending.push(env);

@@ -20,11 +20,6 @@ pub struct CommStats {
     table: RefCell<StatsSnapshot>,
     /// Which algorithmic step subsequent traffic is attributed to.
     step: Cell<CommStep>,
-    /// This rank's Lamport clock: gives every sent envelope a
-    /// per-src-unique stamp for matching send/recv trace events into
-    /// cross-rank happens-before edges. A clock, not a counter, so not
-    /// in the table.
-    lamport: Cell<u64>,
 }
 
 impl CommStats {
@@ -96,18 +91,6 @@ impl CommStats {
             t.step_retries[step] += 1;
         });
     }
-
-    /// Advance the Lamport clock for a send; returns the envelope stamp.
-    pub(crate) fn tick_lamport(&self) -> u64 {
-        let next = self.lamport.get() + 1;
-        self.lamport.set(next);
-        next
-    }
-
-    /// Fold a received stamp into the clock (`max(local, remote) + 1`).
-    pub(crate) fn fold_lamport(&self, remote: u64) {
-        self.lamport.set(self.lamport.get().max(remote) + 1);
-    }
 }
 
 #[cfg(test)]
@@ -157,19 +140,6 @@ mod tests {
         let live = CommStats::default();
         live.absorb(&full);
         assert!(live.snapshot().words().eq(full.words()));
-    }
-
-    #[test]
-    fn lamport_clock_ticks_and_folds() {
-        let s = CommStats::default();
-        assert_eq!(s.tick_lamport(), 1);
-        assert_eq!(s.tick_lamport(), 2);
-        // Receiving a stamp from the future jumps past it.
-        s.fold_lamport(10);
-        assert_eq!(s.tick_lamport(), 12);
-        // Receiving a stale stamp still advances.
-        s.fold_lamport(3);
-        assert_eq!(s.tick_lamport(), 14);
     }
 
     #[test]

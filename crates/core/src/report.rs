@@ -10,16 +10,15 @@
 //! The report carries the snapshots themselves (`traffic`,
 //! `per_rank_traffic`), so there is nothing to keep in step with
 //! `louvain_comm::stats`; what is computed here is what is not a
-//! counter: modeled seconds, the slowest rank, and the trace sections.
+//! counter: modeled seconds and the trace sections.
 
 use louvain_comm::CommStep;
 use louvain_obs::{
-    ArgValue, EventKind, HealthTotals, MessageEdge, ModeledBreakdown, PhaseProfileRow, RankTotals,
-    RunReport, TraceData, TraceEvent,
+    ArgValue, EventKind, HealthTotals, ModeledBreakdown, PhaseProfileRow, RankTotals, RunReport,
+    TraceData, TraceEvent,
 };
 
 use crate::api::DistOutcome;
-use crate::model::comm_seconds;
 
 fn arg_u64(ev: &TraceEvent, key: &str) -> Option<u64> {
     ev.args
@@ -28,16 +27,6 @@ fn arg_u64(ev: &TraceEvent, key: &str) -> Option<u64> {
         .and_then(|(_, v)| match v {
             ArgValue::U64(n) => Some(*n),
             ArgValue::I64(n) => u64::try_from(*n).ok(),
-            _ => None,
-        })
-}
-
-fn arg_str<'a>(ev: &'a TraceEvent, key: &str) -> Option<&'a str> {
-    ev.args
-        .iter()
-        .find(|(k, _)| *k == key)
-        .and_then(|(_, v)| match v {
-            ArgValue::Str(s) => Some(*s),
             _ => None,
         })
 }
@@ -111,55 +100,6 @@ fn build_phase_profile(trace: &TraceData) -> Vec<PhaseProfileRow> {
     rows.into_values().collect()
 }
 
-/// Matched cross-rank message edges: every `msg_send` instant paired
-/// with the `msg_recv` recorded by the destination rank. The Lamport
-/// stamp is unique per (sender, attempt), so `(src, lamport, attempt)`
-/// is the join key; sends whose delivery was never observed (e.g. the
-/// receiver crashed first) are dropped.
-fn build_message_edges(trace: &TraceData) -> Vec<MessageEdge> {
-    let mut recvs: std::collections::BTreeMap<(u64, u64, u32), u64> =
-        std::collections::BTreeMap::new();
-    for rt in &trace.ranks {
-        for ev in &rt.events {
-            if ev.name != "msg_recv" {
-                continue;
-            }
-            if let (Some(src), Some(lamport)) = (arg_u64(ev, "src"), arg_u64(ev, "lamport")) {
-                recvs.insert((src, lamport, ev.attempt), ev.ts_ns);
-            }
-        }
-    }
-    let mut edges = Vec::new();
-    for rt in &trace.ranks {
-        for ev in &rt.events {
-            if ev.name != "msg_send" {
-                continue;
-            }
-            let (Some(src), Some(dst), Some(lamport)) = (
-                arg_u64(ev, "src"),
-                arg_u64(ev, "dst"),
-                arg_u64(ev, "lamport"),
-            ) else {
-                continue;
-            };
-            let Some(&recv_ts) = recvs.get(&(src, lamport, ev.attempt)) else {
-                continue;
-            };
-            edges.push(MessageEdge {
-                src: src as usize,
-                dst: dst as usize,
-                step: arg_str(ev, "step").unwrap_or("other").to_string(),
-                lamport,
-                bytes: arg_u64(ev, "bytes").unwrap_or(0),
-                send_ts_ns: ev.ts_ns,
-                recv_ts_ns: recv_ts,
-            });
-        }
-    }
-    edges.sort_by_key(|e| (e.src, e.lamport));
-    edges
-}
-
 /// Run identity that the [`DistOutcome`] itself does not know: what
 /// graph was run, under which variant label, with how many software
 /// threads per rank.
@@ -203,46 +143,26 @@ impl ReportMeta {
 ///
 /// Works with or without tracing: the outcome's
 /// [`louvain_comm::StatsSnapshot`]s are always there; the `metrics`,
-/// `spans`, `phase_profile` and `messages` sections are filled only
-/// when the outcome carries a harvested trace.
+/// `spans` and `phase_profile` sections are filled only when the
+/// outcome carries a harvested trace.
 pub fn build_run_report(outcome: &DistOutcome, meta: &ReportMeta) -> RunReport {
     let ranks = outcome.per_rank_traffic.len();
-    let per_rank: Vec<RankTotals> = outcome
-        .per_rank_traffic
-        .iter()
-        .enumerate()
-        .map(|(rank, s)| {
+    let per_rank: Vec<RankTotals> = (0..ranks)
+        .map(|rank| {
             let traced = outcome.trace.as_ref().and_then(|t| t.ranks.get(rank));
             RankTotals {
                 rank,
-                modeled_comm_seconds: comm_seconds(s, ranks),
                 events_recorded: traced.map_or(0, |r| r.events.len() as u64),
                 events_dropped: traced.map_or(0, |r| r.dropped),
             }
         })
         .collect();
 
-    // Slowest-rank attribution: the rank with the largest modeled
-    // communication time carried the job's critical path.
-    let slowest = per_rank
-        .iter()
-        .max_by(|a, b| a.modeled_comm_seconds.total_cmp(&b.modeled_comm_seconds));
-    let health = HealthTotals {
-        slowest_rank: slowest.map(|r| r.rank),
-        slowest_rank_seconds: slowest.map_or(0.0, |r| r.modeled_comm_seconds),
-        hung_events: outcome.hung_events.clone(),
-    };
-
     let (compute, comm, reduce, rebuild) = outcome.modeled_breakdown();
 
-    let (metrics, spans, phase_profile, messages) = match &outcome.trace {
-        Some(t) => (
-            t.merged_metrics(),
-            t.span_rollup(),
-            build_phase_profile(t),
-            build_message_edges(t),
-        ),
-        None => (Default::default(), Vec::new(), Vec::new(), Vec::new()),
+    let (metrics, spans, phase_profile) = match &outcome.trace {
+        Some(t) => (t.merged_metrics(), t.span_rollup(), build_phase_profile(t)),
+        None => (Default::default(), Vec::new(), Vec::new()),
     };
 
     RunReport {
@@ -261,7 +181,9 @@ pub fn build_run_report(outcome: &DistOutcome, meta: &ReportMeta) -> RunReport {
         recoveries: outcome.recoveries,
         traffic: outcome.traffic,
         per_rank_traffic: outcome.per_rank_traffic.clone(),
-        health,
+        health: HealthTotals {
+            hung_events: outcome.hung_events.clone(),
+        },
         modeled: ModeledBreakdown {
             compute,
             comm,
@@ -272,7 +194,6 @@ pub fn build_run_report(outcome: &DistOutcome, meta: &ReportMeta) -> RunReport {
         metrics,
         spans,
         phase_profile,
-        messages,
     }
 }
 
@@ -306,11 +227,7 @@ mod tests {
             summed.merge(s);
         }
         assert!(summed.words().eq(report.traffic.words()));
-        let slowest = report.health.slowest_rank.expect("three ranks ran");
-        assert_eq!(
-            report.health.slowest_rank_seconds,
-            report.per_rank[slowest].modeled_comm_seconds
-        );
+        assert!(report.health.hung_events.is_empty());
 
         // Round-trips through JSON without loss.
         let back = RunReport::from_json_str(&report.to_json_string()).unwrap();

@@ -1,20 +1,19 @@
 //! # louvain-lens — run-artifact analytics
 //!
-//! Turns [`RunArtifact`]s into human summaries, deterministic diffs, and
-//! a regression verdict:
+//! Turns [`RunArtifact`]s into human summaries, deterministic diffs,
+//! critical paths, and ops views. It reads artifacts; it gates nothing
+//! (perf is gated by the `bench/` ladder, determinism by the
+//! `tests/parity.rs` pins):
 //!
 //! - [`show`]: per-run summary plus a sparkline convergence table when
 //!   the run carries telemetry.
-//! - [`diff`]: match runs by label across two artifacts and compute
-//!   wall / bytes / modularity / iterations-to-converge deltas, with
-//!   noise thresholds separating signal (deterministic byte and
-//!   modularity counts) from jitter (wall time).
-//! - [`gate`]: the pass / fail verdict over [`diff`], for two artifacts
-//!   of the caller's own.
-//! - [`crit`]: cross-rank critical-path analysis over the causal
-//!   profiling sections (phase profiles + Lamport-matched message
-//!   edges) — per-phase wall attribution, straggler blame, and a
-//!   wait-fraction regression gate (see [`crit`]).
+//! - [`diff`]: match runs by label across two artifacts and tabulate
+//!   wall / bytes / modularity / iterations-to-converge, a→b.
+//! - [`crit`]: cross-rank critical-path analysis over a traced run's
+//!   phase profile — per-phase wall attribution along the slowest-rank
+//!   chain and straggler blame by self time (see [`crit`]).
+//! - [`render_top`] / [`render_tail`]: a daemon's metrics dashboard and
+//!   event log.
 //!
 //! Every rendering path is deterministic — fixed float precision, label
 //! ordering via `BTreeMap`, no clocks — so diffing the same two
@@ -26,42 +25,9 @@ use std::fmt::Write as _;
 use louvain_obs::{RunArtifact, RunEntry, TelemetryRow};
 
 mod crit;
-pub use crit::{crit, ChainStep, CritReport, RunCrit, DEFAULT_WAIT_TOL};
+pub use crit::{crit, ChainStep, CritReport, RunCrit};
 mod ops;
 pub use ops::{parse_event_log, render_event, render_tail, render_top, PromMetrics};
-
-/// Noise thresholds separating regression signal from run-to-run
-/// jitter. Wall time on a shared CI box is noisy, so it gets both a
-/// generous relative tolerance and an absolute floor; byte counts and
-/// modularity are deterministic for a fixed seed, so their tolerances
-/// only allow for intentional drift.
-#[derive(Debug, Clone, Copy)]
-pub struct Thresholds {
-    /// Relative wall-time growth allowed (0.75 = fail above 1.75x).
-    pub wall_tol: f64,
-    /// Absolute wall-time growth (seconds) below which wall deltas are
-    /// never flagged, whatever the ratio.
-    pub wall_floor_seconds: f64,
-    /// Relative total-byte growth allowed.
-    pub bytes_tol: f64,
-    /// Absolute modularity drop allowed.
-    pub modularity_drop: f64,
-    /// Relative growth allowed in iterations-to-converge (plus a fixed
-    /// slack of 2 iterations).
-    pub iters_tol: f64,
-}
-
-impl Default for Thresholds {
-    fn default() -> Self {
-        Thresholds {
-            wall_tol: 0.75,
-            wall_floor_seconds: 0.005,
-            bytes_tol: 0.10,
-            modularity_drop: 0.01,
-            iters_tol: 0.50,
-        }
-    }
-}
 
 // ---------------------------------------------------------------------------
 // show
@@ -248,9 +214,6 @@ pub struct RunDelta {
     pub modularity_b: f64,
     pub iters_a: u64,
     pub iters_b: u64,
-    /// Threshold-crossing regressions for this run (empty = within
-    /// noise).
-    pub regressions: Vec<String>,
 }
 
 /// The full diff of two artifacts.
@@ -264,14 +227,6 @@ pub struct DiffReport {
 }
 
 impl DiffReport {
-    /// All regressions, prefixed with their run label.
-    pub fn regressions(&self) -> Vec<String> {
-        self.matched
-            .iter()
-            .flat_map(|d| d.regressions.iter().map(|r| format!("{}: {r}", d.label)))
-            .collect()
-    }
-
     /// Deterministic human rendering (byte-identical across
     /// invocations on the same inputs).
     pub fn render(&self) -> String {
@@ -302,9 +257,6 @@ impl DiffReport {
                 d.iters_a,
                 d.iters_b,
             );
-            for r in &d.regressions {
-                let _ = writeln!(out, "  REGRESSION: {r}");
-            }
         }
         for l in &self.only_a {
             let _ = writeln!(out, "only in baseline: {l}");
@@ -326,7 +278,7 @@ fn by_label(a: &RunArtifact) -> BTreeMap<String, RunEntry> {
 }
 
 /// Diff `current` against `baseline`, matching runs by label.
-pub fn diff(baseline: &RunArtifact, current: &RunArtifact, t: &Thresholds) -> DiffReport {
+pub fn diff(baseline: &RunArtifact, current: &RunArtifact) -> DiffReport {
     let a = by_label(baseline);
     let b = by_label(current);
     let mut report = DiffReport::default();
@@ -336,52 +288,16 @@ pub fn diff(baseline: &RunArtifact, current: &RunArtifact, t: &Thresholds) -> Di
             continue;
         };
         let (ra, rb) = (&ea.report, &eb.report);
-        let mut regressions = Vec::new();
-        let wall_grew = rb.wall_seconds - ra.wall_seconds;
-        if rb.wall_seconds > ra.wall_seconds * (1.0 + t.wall_tol)
-            && wall_grew > t.wall_floor_seconds
-        {
-            regressions.push(format!(
-                "wall {:.1}ms → {:.1}ms exceeds {:.0}% tolerance",
-                ra.wall_seconds * 1000.0,
-                rb.wall_seconds * 1000.0,
-                t.wall_tol * 100.0
-            ));
-        }
-        let (bytes_a, bytes_b) = (ra.traffic.total_bytes(), rb.traffic.total_bytes());
-        if bytes_a > 0 && bytes_b as f64 > bytes_a as f64 * (1.0 + t.bytes_tol) {
-            regressions.push(format!(
-                "total bytes {bytes_a} → {bytes_b} exceeds {:.0}% tolerance",
-                t.bytes_tol * 100.0
-            ));
-        }
-        if rb.modularity < ra.modularity - t.modularity_drop {
-            regressions.push(format!(
-                "modularity {:.6} → {:.6} drops more than {:.3}",
-                ra.modularity, rb.modularity, t.modularity_drop
-            ));
-        }
-        if ra.iterations > 0
-            && rb.iterations as f64 > ra.iterations as f64 * (1.0 + t.iters_tol) + 2.0
-        {
-            regressions.push(format!(
-                "iterations to converge {} → {} exceeds {:.0}% tolerance",
-                ra.iterations,
-                rb.iterations,
-                t.iters_tol * 100.0
-            ));
-        }
         report.matched.push(RunDelta {
             label: label.clone(),
             wall_a: ra.wall_seconds,
             wall_b: rb.wall_seconds,
-            bytes_a,
-            bytes_b,
+            bytes_a: ra.traffic.total_bytes(),
+            bytes_b: rb.traffic.total_bytes(),
             modularity_a: ra.modularity,
             modularity_b: rb.modularity,
             iters_a: ra.iterations,
             iters_b: rb.iterations,
-            regressions,
         });
     }
     for label in b.keys() {
@@ -390,56 +306,6 @@ pub fn diff(baseline: &RunArtifact, current: &RunArtifact, t: &Thresholds) -> Di
         }
     }
     report
-}
-
-// ---------------------------------------------------------------------------
-// gate
-// ---------------------------------------------------------------------------
-
-/// CI verdict: every baseline run must match within thresholds, and no
-/// baseline run may silently disappear from the current artifact.
-#[derive(Debug, Clone)]
-pub struct GateResult {
-    pub checked: usize,
-    pub failures: Vec<String>,
-}
-
-impl GateResult {
-    pub fn passed(&self) -> bool {
-        self.failures.is_empty()
-    }
-
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        if self.passed() {
-            let _ = writeln!(out, "gate: PASS ({} runs within thresholds)", self.checked);
-        } else {
-            let _ = writeln!(
-                out,
-                "gate: FAIL ({} regressions across {} runs)",
-                self.failures.len(),
-                self.checked
-            );
-            for f in &self.failures {
-                let _ = writeln!(out, "  {f}");
-            }
-        }
-        out
-    }
-}
-
-/// Gate `current` against `baseline`: regressions and missing baseline
-/// runs fail; runs only in `current` are allowed (new coverage).
-pub fn gate(baseline: &RunArtifact, current: &RunArtifact, t: &Thresholds) -> GateResult {
-    let d = diff(baseline, current, t);
-    let mut failures = d.regressions();
-    for l in &d.only_a {
-        failures.push(format!("{l}: present in baseline but missing from current"));
-    }
-    GateResult {
-        checked: d.matched.len(),
-        failures,
-    }
 }
 
 #[cfg(test)]
@@ -476,68 +342,20 @@ mod tests {
     }
 
     #[test]
-    fn identical_artifacts_pass_the_gate() {
-        let a = artifact(vec![entry("g/p2/delta", 0.2, 10_000, 0.8, 12)]);
-        let g = gate(&a, &a, &Thresholds::default());
-        assert!(g.passed(), "{:?}", g.failures);
-        assert_eq!(g.checked, 1);
-    }
-
-    #[test]
-    fn two_x_wall_regression_fails_the_gate() {
-        let base = artifact(vec![entry("g/p2/delta", 0.2, 10_000, 0.8, 12)]);
-        let cur = artifact(vec![entry("g/p2/delta", 0.4, 10_000, 0.8, 12)]);
-        let g = gate(&base, &cur, &Thresholds::default());
-        assert!(!g.passed());
-        assert!(g.failures[0].contains("wall"), "{:?}", g.failures);
-    }
-
-    #[test]
-    fn wall_floor_suppresses_tiny_absolute_jitter() {
-        // 3ms → 7ms is >2x but under the absolute floor: noise, not signal.
-        let base = artifact(vec![entry("g/p2/delta", 0.003, 10_000, 0.8, 12)]);
-        let cur = artifact(vec![entry("g/p2/delta", 0.007, 10_000, 0.8, 12)]);
-        assert!(gate(&base, &cur, &Thresholds::default()).passed());
-    }
-
-    #[test]
-    fn byte_modularity_and_iteration_regressions_fail() {
-        let base = artifact(vec![entry("g/p2/delta", 0.2, 10_000, 0.8, 12)]);
-        let bytes = artifact(vec![entry("g/p2/delta", 0.2, 12_000, 0.8, 12)]);
-        let quality = artifact(vec![entry("g/p2/delta", 0.2, 10_000, 0.77, 12)]);
-        let iters = artifact(vec![entry("g/p2/delta", 0.2, 10_000, 0.8, 25)]);
-        let t = Thresholds::default();
-        assert!(gate(&base, &bytes, &t).failures[0].contains("bytes"));
-        assert!(gate(&base, &quality, &t).failures[0].contains("modularity"));
-        assert!(gate(&base, &iters, &t).failures[0].contains("iterations"));
-    }
-
-    #[test]
-    fn missing_baseline_run_fails_new_runs_allowed() {
-        let base = artifact(vec![
-            entry("g/p2/delta", 0.2, 10_000, 0.8, 12),
-            entry("g/p4/delta", 0.2, 10_000, 0.8, 12),
-        ]);
-        let cur = artifact(vec![
-            entry("g/p2/delta", 0.2, 10_000, 0.8, 12),
-            entry("g/p8/delta", 0.2, 10_000, 0.8, 12),
-        ]);
-        let g = gate(&base, &cur, &Thresholds::default());
-        assert_eq!(g.failures.len(), 1);
-        assert!(g.failures[0].contains("missing from current"));
-    }
-
-    #[test]
     fn diff_render_is_deterministic() {
         let base = artifact(vec![
             entry("g/p2/delta", 0.2, 10_000, 0.8, 12),
             entry("g/p4/full", 0.1, 20_000, 0.81, 14),
         ]);
         let cur = artifact(vec![entry("g/p2/delta", 0.5, 9_000, 0.8, 12)]);
-        let r1 = diff(&base, &cur, &Thresholds::default()).render();
-        let r2 = diff(&base, &cur, &Thresholds::default()).render();
+        let r1 = diff(&base, &cur).render();
+        let r2 = diff(&base, &cur).render();
         assert_eq!(r1, r2, "diff rendering must be byte-identical");
         assert!(r1.contains("only in baseline: g/p4/full"));
+        // A 2.5x wall and a byte drop are tabulated, not judged.
+        assert!(r1.contains("200.0→500.0"), "{r1}");
+        assert!(r1.contains("10000→9000"), "{r1}");
+        assert!(!r1.contains("REGRESSION"), "{r1}");
     }
 
     #[test]

@@ -79,13 +79,17 @@ pub fn render_top(m: &PromMetrics) -> String {
 }
 
 /// Parse a JSONL event log (or any prefix of one) into typed events.
-/// A torn final line — the one a `kill -9` can leave — is tolerated;
-/// any other malformed line is an error with its line number.
+/// A torn final line — unterminated, the one a `kill -9` can leave — is
+/// tolerated; any other malformed line, a newline-terminated last one
+/// included, is an error with its line number.
 pub fn parse_event_log(text: &str) -> Result<Vec<OpEvent>, String> {
     let mut events = Vec::new();
-    let lines: Vec<&str> = text.lines().collect();
-    for (i, line) in lines.iter().enumerate() {
-        if line.trim().is_empty() {
+    for (i, line) in text.split_inclusive('\n').enumerate() {
+        // The daemon appends each event as `line + '\n'` and flushes, so
+        // only an unterminated last line can be mid-write.
+        let torn = !line.ends_with('\n');
+        let line = line.trim();
+        if line.is_empty() {
             continue;
         }
         let parsed = Json::parse(line)
@@ -93,11 +97,7 @@ pub fn parse_event_log(text: &str) -> Result<Vec<OpEvent>, String> {
             .and_then(|doc| OpEvent::from_json(&doc).map_err(|e| format!("line {}: {e}", i + 1)));
         match parsed {
             Ok(ev) => events.push(ev),
-            Err(e) if i + 1 == lines.len() => {
-                // The log is flushed per event, so only the very last
-                // line can be mid-write when the process died.
-                let _ = e;
-            }
+            Err(_) if torn => {}
             Err(e) => return Err(e),
         }
     }
@@ -213,5 +213,10 @@ mod tests {
         assert_eq!(parse_event_log(&torn).unwrap().len(), 1);
         let interior = format!("not json\n{good}\n");
         assert!(parse_event_log(&interior).is_err());
+        // A terminated line was written whole: garbage there is not a
+        // torn write, even when it is the last line.
+        let terminated = format!("{good}\nnot json\n");
+        let err = parse_event_log(&terminated).unwrap_err();
+        assert!(err.starts_with("line 2:"), "{err}");
     }
 }

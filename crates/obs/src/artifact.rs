@@ -257,12 +257,13 @@ mod tests {
             &a.to_json().to_string_compact(),
             RunArtifact::from_json_str,
         );
-        // The report inside is held to its one version too.
-        let v1 = doc
+        // The report inside is held to its one version too: a v2 report
+        // (with `messages` and the modeled straggler) is refused.
+        let v2 = doc
             .to_string_compact()
-            .replace("\"run_report_version\":2", "\"run_report_version\":1");
-        let err = RunArtifact::from_json_str(&v1).unwrap_err();
-        assert!(err.contains("run_report_version 1"), "{err}");
+            .replace("\"run_report_version\":3", "\"run_report_version\":2");
+        let err = RunArtifact::from_json_str(&v2).unwrap_err();
+        assert!(err.contains("run_report_version 2"), "{err}");
     }
 
     #[test]

@@ -233,7 +233,7 @@ impl TraceData {
 mod tests {
     use super::*;
     use crate::span::tests::ENABLE_LOCK;
-    use crate::{instant, set_enabled, span};
+    use crate::{complete_span, set_enabled, span};
 
     #[test]
     fn collector_gathers_events_from_rank_threads() {
@@ -249,7 +249,7 @@ mod tests {
                         let mut s = span!("work", rank = rank);
                         s.arg("done", true);
                     }
-                    instant("tick", "test", vec![]);
+                    complete_span("wait", "test", 10, vec![]);
                     crate::counter_add("moves", (rank + 1) as u64);
                 })
             })
@@ -264,17 +264,30 @@ mod tests {
             .finish();
         assert_eq!(data.ranks.len(), 2);
         for r in &data.ranks {
-            assert_eq!(r.events.len(), 2, "rank {}: span + instant", r.rank);
+            assert_eq!(
+                r.events.len(),
+                2,
+                "rank {}: span + retroactive span",
+                r.rank
+            );
             assert_eq!(r.dropped, 0);
             assert!(r.events.windows(2).all(|w| w[0].ts_ns <= w[1].ts_ns));
         }
         assert_eq!(data.total_events(), 4);
         assert_eq!(data.merged_metrics().counter("moves"), 3);
         let rollup = data.span_rollup();
-        assert_eq!(rollup.len(), 1);
-        assert_eq!(rollup[0].name, "work");
-        assert_eq!(rollup[0].count, 2);
-        assert!(rollup[0].wall_seconds > 0.0);
+        assert_eq!(rollup.len(), 2);
+        let work = rollup
+            .iter()
+            .find(|r| r.name == "work")
+            .expect("work rollup");
+        assert_eq!(work.count, 2);
+        assert!(work.wall_seconds > 0.0);
+        let wait = rollup
+            .iter()
+            .find(|r| r.name == "wait")
+            .expect("wait rollup");
+        assert_eq!(wait.count, 2);
     }
 
     #[test]
@@ -286,9 +299,9 @@ mod tests {
         let _og = outer.install(0);
         {
             let _ig = inner.install(0);
-            instant("inner", "t", vec![]);
+            drop(span!("inner"));
         }
-        instant("outer", "t", vec![]);
+        drop(span!("outer"));
         drop(_og);
         set_enabled(false);
         let inner = inner.finish();

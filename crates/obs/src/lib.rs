@@ -65,12 +65,12 @@ pub use ops::{
 pub use progress::{ProgressMerger, ProgressScope, ProgressSink};
 pub use prom::{parse_prometheus_text, prometheus_name, prometheus_text};
 pub use report::{
-    HealthTotals, MessageEdge, ModeledBreakdown, PhaseProfileRow, RankHung, RankTotals, RunReport,
+    HealthTotals, ModeledBreakdown, PhaseProfileRow, RankHung, RankTotals, RunReport,
     RUN_REPORT_VERSION,
 };
 pub use ring::EventRing;
 pub use span::{
-    complete_span, enabled, init_from_env, instant, set_enabled, span, span_cat, telemetry_enabled,
+    complete_span, enabled, init_from_env, set_enabled, span, span_cat, telemetry_enabled,
     SpanGuard,
 };
 pub use stats::{CommStep, StatsSnapshot, NUM_COMM_STEPS};

@@ -21,15 +21,13 @@ use crate::metrics::{GaugeStat, Histogram, MetricsSnapshot};
 use crate::stats::{CommStep, StatsSnapshot};
 
 /// Report schema version (bump on breaking field changes).
-pub const RUN_REPORT_VERSION: u32 = 2;
+pub const RUN_REPORT_VERSION: u32 = 3;
 
 /// What is known of one rank besides its counters (those are
 /// `RunReport::per_rank_traffic[rank]`).
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct RankTotals {
     pub rank: usize,
-    /// Modeled (α-β) communication seconds on this rank.
-    pub modeled_comm_seconds: f64,
     pub events_recorded: u64,
     pub events_dropped: u64,
 }
@@ -49,21 +47,6 @@ pub struct PhaseProfileRow {
     /// Wall duration of the phase span; the four categories above sum
     /// to exactly this value by construction.
     pub total_ns: u64,
-}
-
-/// One matched send/recv edge of the cross-rank happens-before graph:
-/// a Lamport-stamped envelope observed at both endpoints.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct MessageEdge {
-    pub src: usize,
-    pub dst: usize,
-    /// Communication step label the sender charged the bytes to.
-    pub step: String,
-    /// Sender's Lamport clock at send time (unique per src).
-    pub lamport: u64,
-    pub bytes: u64,
-    pub send_ts_ns: u64,
-    pub recv_ts_ns: u64,
 }
 
 /// Modeled-seconds breakdown in the paper's Section V-A categories.
@@ -133,16 +116,11 @@ impl std::fmt::Display for RankHung {
     }
 }
 
-/// Rank-health facts that are not counters: hung-rank events and the
-/// modeled slowest rank. The watchdog and fault counts are in
-/// `RunReport::traffic`.
+/// Rank-health facts that are not counters. The watchdog and fault
+/// counts are in `RunReport::traffic`; the measured straggler is `lens
+/// crit`'s self-time blame over `RunReport::phase_profile`.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct HealthTotals {
-    /// Rank with the largest modeled communication time (straggler
-    /// attribution); `None` when the run had no ranks.
-    pub slowest_rank: Option<usize>,
-    /// That rank's modeled communication seconds.
-    pub slowest_rank_seconds: f64,
     /// Hung-rank declarations, in the order they were raised.
     pub hung_events: Vec<RankHung>,
 }
@@ -183,8 +161,6 @@ pub struct RunReport {
     pub spans: Vec<SpanRollup>,
     /// Per-(rank, phase) wall attribution (empty on untraced runs).
     pub phase_profile: Vec<PhaseProfileRow>,
-    /// Matched cross-rank message edges (empty on untraced runs).
-    pub messages: Vec<MessageEdge>,
 }
 
 // ---------------------------------------------------------------------------
@@ -343,29 +319,19 @@ impl RunReport {
             ),
             (
                 "health",
-                Json::obj(vec![
-                    (
-                        "slowest_rank",
-                        opt_uint(self.health.slowest_rank.map(|r| r as u64)),
-                    ),
-                    (
-                        "slowest_rank_seconds",
-                        Json::Num(self.health.slowest_rank_seconds),
-                    ),
-                    (
-                        "hung_events",
-                        rows_to_json(&self.health.hung_events, |e| {
-                            Json::obj(vec![
-                                ("rank", Json::uint(e.rank as u64)),
-                                ("detector", Json::uint(e.detector as u64)),
-                                ("phase", Json::uint(e.phase)),
-                                ("op", Json::uint(e.op)),
-                                ("step", Json::str(e.step.label())),
-                                ("waited_ms", Json::uint(e.waited_ms)),
-                            ])
-                        }),
-                    ),
-                ]),
+                Json::obj(vec![(
+                    "hung_events",
+                    rows_to_json(&self.health.hung_events, |e| {
+                        Json::obj(vec![
+                            ("rank", Json::uint(e.rank as u64)),
+                            ("detector", Json::uint(e.detector as u64)),
+                            ("phase", Json::uint(e.phase)),
+                            ("op", Json::uint(e.op)),
+                            ("step", Json::str(e.step.label())),
+                            ("waited_ms", Json::uint(e.waited_ms)),
+                        ])
+                    }),
+                )]),
             ),
             ("modeled", {
                 let (fc, fm, fr, fb) = self.modeled.fractions();
@@ -386,7 +352,6 @@ impl RunReport {
                 rows_to_json(&self.per_rank, |r| {
                     Json::obj(vec![
                         ("rank", Json::uint(r.rank as u64)),
-                        ("modeled_comm_seconds", Json::Num(r.modeled_comm_seconds)),
                         ("events_recorded", Json::uint(r.events_recorded)),
                         ("events_dropped", Json::uint(r.events_dropped)),
                     ])
@@ -414,20 +379,6 @@ impl RunReport {
                         ("wait_ns", Json::uint(p.wait_ns)),
                         ("rebuild_ns", Json::uint(p.rebuild_ns)),
                         ("total_ns", Json::uint(p.total_ns)),
-                    ])
-                }),
-            ),
-            (
-                "messages",
-                rows_to_json(&self.messages, |m| {
-                    Json::obj(vec![
-                        ("src", Json::uint(m.src as u64)),
-                        ("dst", Json::uint(m.dst as u64)),
-                        ("step", Json::str(m.step.clone())),
-                        ("lamport", Json::uint(m.lamport)),
-                        ("bytes", Json::uint(m.bytes)),
-                        ("send_ts_ns", Json::uint(m.send_ts_ns)),
-                        ("recv_ts_ns", Json::uint(m.recv_ts_ns)),
                     ])
                 }),
             ),
@@ -473,8 +424,6 @@ impl RunReport {
             per_rank_traffic: rows_from_json(doc, "per_rank_traffic", StatsSnapshot::from_json)?,
             health: section(doc, "health", |health| {
                 Ok(HealthTotals {
-                    slowest_rank: field_opt_u64(health, "slowest_rank")?.map(|r| r as usize),
-                    slowest_rank_seconds: health.field_f64("slowest_rank_seconds")?,
                     hung_events: rows_from_json(health, "hung_events", |e| {
                         Ok(RankHung {
                             rank: e.field_u64("rank")? as usize,
@@ -499,7 +448,6 @@ impl RunReport {
             per_rank: rows_from_json(doc, "per_rank", |r| {
                 Ok(RankTotals {
                     rank: r.field_u64("rank")? as usize,
-                    modeled_comm_seconds: r.field_f64("modeled_comm_seconds")?,
                     events_recorded: r.field_u64("events_recorded")?,
                     events_dropped: r.field_u64("events_dropped")?,
                 })
@@ -521,17 +469,6 @@ impl RunReport {
                     wait_ns: p.field_u64("wait_ns")?,
                     rebuild_ns: p.field_u64("rebuild_ns")?,
                     total_ns: p.field_u64("total_ns")?,
-                })
-            })?,
-            messages: rows_from_json(doc, "messages", |m| {
-                Ok(MessageEdge {
-                    src: m.field_u64("src")? as usize,
-                    dst: m.field_u64("dst")? as usize,
-                    step: m.field_str("step")?.to_string(),
-                    lamport: m.field_u64("lamport")?,
-                    bytes: m.field_u64("bytes")?,
-                    send_ts_ns: m.field_u64("send_ts_ns")?,
-                    recv_ts_ns: m.field_u64("recv_ts_ns")?,
                 })
             })?,
         })
@@ -587,8 +524,6 @@ pub(crate) mod tests {
             traffic: numbered(1_000),
             per_rank_traffic: vec![numbered(2_000), numbered(3_000), numbered(4_000)],
             health: HealthTotals {
-                slowest_rank: Some(2),
-                slowest_rank_seconds: 0.5,
                 hung_events: vec![RankHung {
                     rank: 1,
                     detector: 0,
@@ -607,7 +542,6 @@ pub(crate) mod tests {
             per_rank: (0..3)
                 .map(|rank| RankTotals {
                     rank,
-                    modeled_comm_seconds: 0.25 * (rank + 1) as f64,
                     events_recorded: 321 + rank as u64,
                     events_dropped: rank as u64,
                 })
@@ -626,15 +560,6 @@ pub(crate) mod tests {
                 wait_ns: 80,
                 rebuild_ns: 20,
                 total_ns: 1_000,
-            }],
-            messages: vec![MessageEdge {
-                src: 0,
-                dst: 1,
-                step: "ghost_refresh".into(),
-                lamport: 7,
-                bytes: 128,
-                send_ts_ns: 10_000,
-                recv_ts_ns: 12_000,
             }],
         }
     }
@@ -669,7 +594,6 @@ pub(crate) mod tests {
         let back = RunReport::from_json_str(&r.to_json_string()).expect("parse back");
         assert_eq!(back.health, r.health);
         assert_eq!(back.health.hung_events[0].rank, 1);
-        assert_eq!(back.health.slowest_rank, Some(2));
     }
 
     /// "One table line is enough": whatever the table names is in the
@@ -825,7 +749,7 @@ pub(crate) mod tests {
         );
 
         // A missing section is named.
-        for key in ["traffic", "per_rank_traffic", "health", "messages"] {
+        for key in ["traffic", "per_rank_traffic", "health", "phase_profile"] {
             let mut without = doc.clone();
             if let Json::Obj(members) = &mut without {
                 members.retain(|(k, _)| k != key);
@@ -838,13 +762,16 @@ pub(crate) mod tests {
     #[test]
     fn from_json_rejects_missing_fields_and_bad_versions() {
         assert!(RunReport::from_json_str("{}").is_err());
-        // One version: the shape that called itself 1 is not read.
-        let mut v1 = sample().to_json();
-        if let Json::Obj(members) = &mut v1 {
-            assert_eq!(members[0].0, "run_report_version");
-            members[0].1 = Json::uint(1);
+        // One version: the shapes that called themselves 1 and 2 (the
+        // latter with `messages` and the modeled straggler) are not read.
+        for old in [1, 2] {
+            let mut doc = sample().to_json();
+            if let Json::Obj(members) = &mut doc {
+                assert_eq!(members[0].0, "run_report_version");
+                members[0].1 = Json::uint(old);
+            }
+            let err = RunReport::from_json(&doc).unwrap_err();
+            assert!(err.contains(&format!("run_report_version {old}")), "{err}");
         }
-        let err = RunReport::from_json(&v1).unwrap_err();
-        assert!(err.contains("run_report_version 1"), "{err}");
     }
 }

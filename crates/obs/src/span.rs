@@ -1,4 +1,4 @@
-//! RAII spans, instant markers, and the thread-local observer state.
+//! RAII spans, retroactive spans, and the thread-local observer state.
 //!
 //! Recording is a two-switch design: a process-global enable flag (one
 //! relaxed atomic load on the fast path — the ≤2% disabled-overhead
@@ -222,24 +222,6 @@ pub fn span_cat(
     }))
 }
 
-/// Record a point-in-time marker event.
-pub fn instant(name: &'static str, cat: &'static str, args: Vec<(&'static str, ArgValue)>) {
-    if !enabled() {
-        return;
-    }
-    with_observer(|obs| {
-        obs.ring.push(TraceEvent {
-            name,
-            cat,
-            kind: EventKind::Instant,
-            ts_ns: obs.epoch.elapsed().as_nanos() as u64,
-            tid: current_tid(),
-            attempt: obs.attempt,
-            args,
-        });
-    });
-}
-
 /// Record a completed span retroactively: the span ends *now* and lasted
 /// `dur_ns`. Used for sub-spans whose extent is known only after the
 /// fact — e.g. the `wait` share of a comm step, where the idle time is
@@ -314,7 +296,7 @@ pub(crate) mod tests {
             let mut g = span!("phase", phase = 1);
             g.arg("x", 3u64);
             drop(g);
-            instant("marker", "t", vec![]);
+            complete_span("marker", "t", 5, vec![]);
         });
         assert!(events.is_empty());
     }
@@ -327,7 +309,7 @@ pub(crate) mod tests {
             let mut g = span!(cat "comm", "ghost_refresh", bytes = 128u64);
             g.arg("round", 2u64);
             drop(g);
-            instant("poisoned", "t", vec![("rank", ArgValue::U64(3))]);
+            complete_span("wait", "comm", 40, vec![("rank", ArgValue::U64(3))]);
         });
         set_enabled(false);
         assert_eq!(events.len(), 2);
@@ -339,8 +321,9 @@ pub(crate) mod tests {
             span_ev.args,
             vec![("bytes", ArgValue::U64(128)), ("round", ArgValue::U64(2))]
         );
-        assert_eq!(events[1].name, "poisoned");
-        assert!(matches!(events[1].kind, EventKind::Instant));
+        assert_eq!(events[1].name, "wait");
+        assert_eq!(events[1].kind, EventKind::Complete { dur_ns: 40 });
+        assert_eq!(events[1].args, vec![("rank", ArgValue::U64(3))]);
     }
 
     #[test]
@@ -353,7 +336,7 @@ pub(crate) mod tests {
         // Spans stay inert: only telemetry sites consult the progress bit.
         let ((), events) = with_ring(|| {
             let _g = span!("phase", phase = 1);
-            instant("marker", "t", vec![]);
+            complete_span("marker", "t", 5, vec![]);
         });
         assert!(events.is_empty());
         set_flag(FLAG_PROGRESS, false);
@@ -367,7 +350,7 @@ pub(crate) mod tests {
         // No observer installed on this thread: must not panic or leak.
         let g = span!("orphan", n = 1u64);
         drop(g);
-        instant("orphan", "t", vec![]);
+        complete_span("orphan", "t", 5, vec![]);
         set_enabled(false);
     }
 

@@ -131,8 +131,8 @@ if grep -q '^recoveries:' "$WORK/stall.log"; then
 fi
 grep -Eq '^watchdog:.* [1-9][0-9]* straggler extensions' "$WORK/stall.log" \
   || { echo "FAIL: no straggler extension recorded" >&2; exit 1; }
-# The causal profiler must pin the injected straggler: rank 1 is the
-# one stalling, so the critical-path chain has to put the blame there.
+# The phase profile must pin the injected straggler: rank 1 is the one
+# stalling, so crit's self-time blame has to land there.
 "$BIN2" crit "$WORK/stall.artifact.json" | tee "$WORK/stall.crit.txt"
 grep -q 'straggler blame: rank 1 ' "$WORK/stall.crit.txt" \
   || { echo "FAIL: lens crit did not blame the stalled rank 1" >&2; exit 1; }

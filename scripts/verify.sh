@@ -62,19 +62,20 @@ echo "==> cargo clippy -D warnings (first-party crates)"
 cargo clippy -q "${pkg_flags[@]}" --all-targets -- -D warnings
 
 # The product end to end: a traced 2-rank run writes the artifact and
-# the Perfetto trace CI uploads, `lens crit` rebuilds the cross-rank
-# happens-before DAG from its message edges and must find the traced
-# bytes equal to the p2p counters, the artifact diffed against itself
-# must decode and show no changed row, `--ranks 0` must be a usage
-# error and not a panic, and fig3 prints the modeled 128->4096-rank
-# tail past its last measured rank count.
+# the Perfetto trace CI uploads, `lens crit` walks the slowest-rank
+# chain of its phase profile and must exit 0 with a straggler blame,
+# the artifact diffed against itself must decode and show no changed
+# row, `--ranks 0` must be a usage error and not a panic, and fig3
+# prints the modeled 128->4096-rank tail past its last measured rank
+# count.
 echo "==> louvain generate | run --artifact-out | lens show | lens crit | lens diff | run --ranks 0 | fig3"
 ./target/release/louvain generate --kind lfr --n 3000 --seed 7 --out target/verify_lfr.graph
 ./target/release/louvain run target/verify_lfr.graph --ranks 2 --variant et:0.25 \
   --artifact-out target/run_artifact.json --trace-out target/trace.json
 ./target/release/lens show target/run_artifact.json
-./target/release/lens crit target/run_artifact.json | tee target/crit_report.txt
-grep -q "exact match" target/crit_report.txt
+./target/release/lens crit target/run_artifact.json > target/crit_report.txt
+cat target/crit_report.txt
+grep -q "^  straggler blame: rank " target/crit_report.txt
 # Every `a→b` cell of the self-diff must have a = b, on exactly one row.
 ./target/release/lens diff target/run_artifact.json target/run_artifact.json | tee target/self_diff.txt
 grep -q "^diff: 1 matched, 0 only-baseline, 0 only-current" target/self_diff.txt

@@ -3,7 +3,6 @@
 //! ```text
 //! lens show run.json
 //! lens diff before.json after.json
-//! lens gate --baseline before.json after.json --wall-tol 4.0
 //! lens crit run.json
 //! ```
 //!
@@ -16,7 +15,7 @@ use std::process::ExitCode;
 
 use distributed_louvain::cli::Args;
 use distributed_louvain::obs::RunArtifact;
-use louvain_lens::{crit, diff, gate, show, Thresholds, DEFAULT_WAIT_TOL};
+use louvain_lens::{crit, diff, show};
 
 const USAGE: &str = "\
 lens — run-artifact analytics (convergence tables, diffs, critical path)
@@ -30,26 +29,20 @@ USAGE:
       mmap-resident bytes, bytes-per-edge, and peak RSS. Every run gets
       the exact min / median / max of the ranks' total traffic.
 
-  lens diff <BASELINE> <CURRENT> [threshold flags]
-      Match runs by label and print wall / bytes / modularity /
-      iterations deltas. Deterministic: same inputs, byte-identical
-      output. Threshold crossings are marked REGRESSION but do not
-      affect the exit code.
+  lens diff <BASELINE> <CURRENT>
+      Match runs by label and tabulate wall / bytes / modularity /
+      iterations, a→b, plus the labels only one side has.
+      Deterministic: same inputs, byte-identical output. It judges
+      nothing: perf is gated by the bench/ ladder, determinism by the
+      tests/parity.rs pins.
 
-  lens gate --baseline <BASELINE> <CURRENT> [threshold flags]
-      The verdict over `diff`: exit 0 when every baseline run matches
-      within thresholds, nonzero on any regression or on a baseline run
-      missing from <CURRENT>. Runs only in <CURRENT> are allowed.
-
-  lens crit <ARTIFACT> [--baseline <BASELINE>] [--wait-tol <F>]
-      Cross-rank critical-path analysis over the causal profiling
-      sections (phase profiles + Lamport-matched message edges):
-      per-phase compute/transfer/wait/rebuild attribution along the
-      critical path, slowest-rank chains with straggler blame, and
-      byte reconciliation with the p2p counters. With --baseline, exits
-      nonzero when a run's blocked-wait fraction exceeds the
-      baseline's by more than --wait-tol (absolute slack, 0.25).
-      Errors (nonzero exit) on artifacts with no message events.
+  lens crit <ARTIFACT>
+      Cross-rank critical-path analysis over each traced run's phase
+      profile: per-phase compute/transfer/wait/rebuild attribution
+      along the slowest-rank chain, and straggler blame — the rank with
+      the most self time (compute + transfer + rebuild; blocked wait
+      is victim time and does not count). Errors (nonzero exit) when
+      no run carries a phase profile (`louvain run --trace-out`).
 
   lens top <ADDR|FILE> [--watch <SECS>]
       One-screen ops dashboard over a live daemon's metrics: queue
@@ -62,16 +55,8 @@ USAGE:
       Pretty-print a daemon's JSONL event log (--event-log), one
       aligned line per event, filterable by snake_case event kind
       (job_accepted, job_shed, phase_completed, drain_begin, ...) and
-      by job id. A torn final line (kill -9 mid-write) is tolerated.
-
-Threshold flags (defaults in parentheses):
-  --wall-tol <F>     relative wall-time growth allowed (0.75 = 1.75x)
-  --wall-floor <F>   absolute wall growth in seconds below which wall
-                     deltas are never flagged (0.005)
-  --bytes-tol <F>    relative total-byte growth allowed (0.10)
-  --mod-drop <F>     absolute modularity drop allowed (0.01)
-  --iters-tol <F>    relative iterations-to-converge growth allowed,
-                     plus 2 iterations of fixed slack (0.50)
+      by job id. An unterminated final line (kill -9 mid-write) is
+      tolerated; any other malformed line is an error.
 
 Inputs are RunArtifact documents or bare RunReports.
 ";
@@ -81,26 +66,7 @@ fn main() -> ExitCode {
     match args.first().map(String::as_str) {
         Some("show") => run(cmd_show(&args[1..])),
         Some("diff") => run(cmd_diff(&args[1..])),
-        Some("gate") => match cmd_gate(&args[1..]) {
-            Ok(passed) => {
-                if passed {
-                    ExitCode::SUCCESS
-                } else {
-                    ExitCode::FAILURE
-                }
-            }
-            Err(msg) => fail(&msg),
-        },
-        Some("crit") => match cmd_crit(&args[1..]) {
-            Ok(passed) => {
-                if passed {
-                    ExitCode::SUCCESS
-                } else {
-                    ExitCode::FAILURE
-                }
-            }
-            Err(msg) => fail(&msg),
-        },
+        Some("crit") => run(cmd_crit(&args[1..])),
         Some("top") => run(cmd_top(&args[1..])),
         Some("tail") => run(cmd_tail(&args[1..])),
         Some("--help" | "-h" | "help") | None => {
@@ -128,26 +94,6 @@ fn load(path: &str) -> Result<RunArtifact, String> {
     RunArtifact::from_any_json_str(&text).map_err(|e| format!("{path}: {e}"))
 }
 
-/// The threshold flags shared by `diff` and `gate`.
-const THRESHOLD_FLAGS: [&str; 5] = [
-    "--wall-tol",
-    "--wall-floor",
-    "--bytes-tol",
-    "--mod-drop",
-    "--iters-tol",
-];
-
-fn thresholds(args: &Args) -> Result<Thresholds, String> {
-    let d = Thresholds::default();
-    Ok(Thresholds {
-        wall_tol: args.parse("--wall-tol")?.unwrap_or(d.wall_tol),
-        wall_floor_seconds: args.parse("--wall-floor")?.unwrap_or(d.wall_floor_seconds),
-        bytes_tol: args.parse("--bytes-tol")?.unwrap_or(d.bytes_tol),
-        modularity_drop: args.parse("--mod-drop")?.unwrap_or(d.modularity_drop),
-        iters_tol: args.parse("--iters-tol")?.unwrap_or(d.iters_tol),
-    })
-}
-
 fn cmd_show(args: &[String]) -> Result<(), String> {
     let args = Args::scan(args, &[], &[])?;
     let [path] = args.positionals()[..] else {
@@ -158,38 +104,21 @@ fn cmd_show(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_diff(args: &[String]) -> Result<(), String> {
-    let args = Args::scan(args, &THRESHOLD_FLAGS, &[])?;
+    let args = Args::scan(args, &[], &[])?;
     let [a, b] = args.positionals()[..] else {
         return Err("usage: lens diff <BASELINE> <CURRENT>".into());
     };
-    let t = thresholds(&args)?;
-    print!("{}", diff(&load(a)?, &load(b)?, &t).render());
+    print!("{}", diff(&load(a)?, &load(b)?).render());
     Ok(())
 }
 
-fn cmd_gate(args: &[String]) -> Result<bool, String> {
-    let mut values = vec!["--baseline"];
-    values.extend(THRESHOLD_FLAGS);
-    let args = Args::scan(args, &values, &[])?;
-    let (Some(baseline), [current]) = (args.get("--baseline"), args.positionals()) else {
-        return Err("usage: lens gate --baseline <BASELINE> <CURRENT>".into());
-    };
-    let t = thresholds(&args)?;
-    let result = gate(&load(baseline)?, &load(current)?, &t);
-    print!("{}", result.render());
-    Ok(result.passed())
-}
-
-fn cmd_crit(args: &[String]) -> Result<bool, String> {
-    let args = Args::scan(args, &["--baseline", "--wait-tol"], &[])?;
+fn cmd_crit(args: &[String]) -> Result<(), String> {
+    let args = Args::scan(args, &[], &[])?;
     let [path] = args.positionals()[..] else {
-        return Err("usage: lens crit <ARTIFACT> [--baseline <BASELINE>] [--wait-tol <F>]".into());
+        return Err("usage: lens crit <ARTIFACT>".into());
     };
-    let baseline = args.get("--baseline").map(load).transpose()?;
-    let wait_tol = args.parse("--wait-tol")?.unwrap_or(DEFAULT_WAIT_TOL);
-    let report = crit(&load(path)?, baseline.as_ref(), wait_tol)?;
-    print!("{}", report.render());
-    Ok(report.passed())
+    print!("{}", crit(&load(path)?)?.render());
+    Ok(())
 }
 
 /// Fetch Prometheus exposition text from `source`: an existing file is
@@ -273,29 +202,27 @@ mod tests {
     }
 
     #[test]
-    fn threshold_flags_override_defaults() {
-        let scan = |v: &[&str]| {
-            let args = s(v);
-            Args::scan(&args, &THRESHOLD_FLAGS, &[]).and_then(|a| thresholds(&a))
-        };
-        let t = scan(&["--wall-tol", "4.0", "--mod-drop", "0.002"]).unwrap();
-        assert_eq!(t.wall_tol, 4.0);
-        assert_eq!(t.modularity_drop, 0.002);
-        assert_eq!(t.bytes_tol, Thresholds::default().bytes_tol);
-        assert!(scan(&["--bytes-tol", "abc"]).is_err());
-    }
-
-    #[test]
     fn a_misspelt_threshold_flag_is_refused_not_defaulted() {
-        // Before the strict scanner this gated at the default tolerance.
-        let err = cmd_gate(&s(&["--baseline", "a.json", "b.json", "--wal-tol", "4"])).unwrap_err();
-        assert!(err.contains("--wal-tol"), "unexpected error: {err}");
-        let err = cmd_gate(&s(&["--baseline", "a.json", "b.json", "--wall-tol"])).unwrap_err();
-        assert!(err.contains("--wall-tol"), "unexpected error: {err}");
+        // `diff` and `crit` judge nothing, so every threshold or baseline
+        // flag, spelt right or not, is an unknown option named in the
+        // error — never silently ignored.
+        type Cmd = fn(&[String]) -> Result<(), String>;
+        let cases: [(Cmd, &[&str]); 5] = [
+            (cmd_diff, &["a.json", "b.json", "--wal-tol", "4"]),
+            (cmd_diff, &["a.json", "b.json", "--wall-tol", "4"]),
+            (cmd_diff, &["a.json", "b.json", "--mod-drop", "0.01"]),
+            (cmd_crit, &["a.json", "--baseline", "b.json"]),
+            (cmd_crit, &["a.json", "--wait-tol", "0.25"]),
+        ];
+        for (cmd, argv) in cases {
+            let flag = argv[argv.len() - 2];
+            let err = cmd(&s(argv)).unwrap_err();
+            assert!(err.contains(flag), "{argv:?}: unexpected error: {err}");
+        }
     }
 
     #[test]
-    fn show_diff_gate_on_real_artifacts() {
+    fn show_diff_crit_on_real_artifacts() {
         // End-to-end over an artifact file, as the CLI reads one.
         use distributed_louvain::obs::{RunEntry, RunReport, StatsSnapshot};
         let artifact = RunArtifact {
@@ -325,10 +252,9 @@ mod tests {
 
         cmd_show(&s(&[file])).unwrap();
         cmd_diff(&s(&[file, file])).unwrap();
-        assert!(
-            cmd_gate(&s(&["--baseline", file, file])).unwrap(),
-            "an artifact must gate cleanly against itself"
-        );
+        // No phase profile in a hand-built report: crit says so.
+        let err = cmd_crit(&s(&[file])).unwrap_err();
+        assert!(err.contains("no runs with a phase profile"), "{err}");
         let _ = std::fs::remove_file(&path);
     }
 }

@@ -464,11 +464,10 @@ fn step_span_bytes_reconcile_with_step_counters_across_rank_counts() {
     }
 }
 
-/// Satellite: message edges in the report match sends to receives 1:1 by
-/// (src, lamport, attempt) and reconcile byte-exactly with the p2p
-/// counters; every phase-profile row's four buckets sum to its total.
+/// Every phase-profile row's four buckets sum to its total, every rank
+/// has a row for every phase, and the trace behind it holds spans only.
 #[test]
-fn message_edges_and_phase_profile_are_consistent_on_a_traced_run() {
+fn phase_profile_is_consistent_on_a_traced_run() {
     let _guard = TRACE_FLAG.lock().unwrap();
     let g = lfr(LfrParams::small(1_000, 19)).graph;
     obs::set_enabled(true);
@@ -477,31 +476,15 @@ fn message_edges_and_phase_profile_are_consistent_on_a_traced_run() {
 
     let meta = ReportMeta::new("lfr-1000", 1_000, g.num_edges() as u64);
     let report = build_run_report(&out, &meta);
+    let trace = out.trace.as_ref().expect("tracing was enabled");
     assert!(
-        !report.messages.is_empty(),
-        "a multi-rank traced run must record message edges"
+        trace
+            .ranks
+            .iter()
+            .flat_map(|r| &r.events)
+            .all(|e| matches!(e.kind, obs::EventKind::Complete { .. })),
+        "the send path records no per-message events"
     );
-    let edge_bytes: u64 = report.messages.iter().map(|e| e.bytes).sum();
-    assert_eq!(
-        edge_bytes, out.traffic.p2p_bytes,
-        "matched edges must carry exactly the p2p bytes"
-    );
-    assert_eq!(
-        report.messages.len() as u64,
-        out.traffic.p2p_messages,
-        "every logical p2p message must match at both endpoints"
-    );
-    for e in &report.messages {
-        assert!(e.recv_ts_ns >= e.send_ts_ns, "recv cannot precede send");
-        assert_ne!(e.src, e.dst, "self-sends bypass the mailbox");
-    }
-    // Lamport stamps strictly increase per sender.
-    let mut last: std::collections::BTreeMap<usize, u64> = Default::default();
-    for e in &report.messages {
-        if let Some(prev) = last.insert(e.src, e.lamport) {
-            assert!(e.lamport > prev, "lamport must increase per sender");
-        }
-    }
 
     assert!(!report.phase_profile.is_empty());
     for row in &report.phase_profile {
@@ -513,15 +496,16 @@ fn message_edges_and_phase_profile_are_consistent_on_a_traced_run() {
             row.phase
         );
     }
-    // One row per (rank, phase) cell.
+    // One row per (rank, phase) cell, every rank in every phase.
     let mut cells = std::collections::BTreeSet::new();
     for row in &report.phase_profile {
         assert!(cells.insert((row.rank, row.phase)), "duplicate cell");
     }
+    let phases: std::collections::BTreeSet<u64> = cells.iter().map(|&(_, ph)| ph).collect();
+    assert_eq!(cells.len(), 4 * phases.len(), "a rank is missing a phase");
 
-    // Round-trip: the causal sections survive JSON.
+    // Round-trip: the phase profile survives JSON.
     let back = obs::RunReport::from_json_str(&report.to_json_string()).unwrap();
-    assert_eq!(back.messages, report.messages);
     assert_eq!(back.phase_profile, report.phase_profile);
 }
 

@@ -742,7 +742,6 @@ fn run_report_carries_health_section_and_hung_events() {
         |of: fn(&StatsSnapshot) -> u64| -> u64 { report.per_rank_traffic.iter().map(of).sum() };
     assert_eq!(report.traffic.wd_timeouts, per_rank(|s| s.wd_timeouts));
     assert_eq!(report.traffic.wd_retries, per_rank(|s| s.wd_retries));
-    assert!(report.health.slowest_rank.is_some());
     assert_eq!(report.recoveries, 1);
     let back = RunReport::from_json_str(&report.to_json_string()).expect("round-trip");
     assert_eq!(back.health, report.health);
