@@ -22,10 +22,14 @@
 //!   quarantined after [`ServeConfig::quarantine_after`] attempts with
 //!   a structured error result; it never takes the daemon down.
 //! * **Result cache** — finished jobs land in a fingerprint-keyed LRU
-//!   ([`cache::ArtifactCache`], key = graph fingerprint × config
-//!   fingerprint × ranks); an identical resubmission returns the cached
+//!   ([`cache::ArtifactCache`], key = graph key × config fingerprint ×
+//!   ranks); an identical resubmission returns the cached
 //!   [`louvain_obs::RunArtifact`] without re-running, and `query`
-//!   exposes the dendrogram (per-level assignments) from the cache.
+//!   exposes the dendrogram (per-level assignments) from the cache. A
+//!   slab's graph key is the hash of its checksummed header, so a hit
+//!   costs one 192-byte read; a miss verifies every section checksum
+//!   before it runs ([`cache::graph_key`]). A binary edge list is keyed
+//!   on a streamed hash of its bytes.
 //!
 //! The [`proto`] module speaks the JSON-lines wire protocol used by the
 //! `louvaind` binary over stdin pipes and TCP connections.

@@ -18,9 +18,9 @@ use louvain_obs::{
     RunEntry, TelemetryRow, DEFAULT_FLIGHT_CAPACITY,
 };
 use louvain_resil::CheckpointStore;
-use louvain_store::{sniff_kind, FileKind};
+use louvain_store::{sniff_kind, verify, FileKind, StoreError};
 
-use crate::cache::{graph_fingerprint, ArtifactCache, CachedResult, JobKey};
+use crate::cache::{graph_key, ArtifactCache, CachedResult, JobKey};
 use crate::job::JobSpec;
 
 /// Server tunables.
@@ -766,11 +766,15 @@ impl Server {
         progress: &Arc<Mutex<JobProgress>>,
     ) -> JobStatus {
         let m = &self.inner.metrics;
-        let graph_fp = match graph_fingerprint(&spec.graph) {
-            Ok(fp) => fp,
+        let path = &spec.graph;
+        let keyed = sniff_kind(path)
+            .map_err(StoreError::from)
+            .and_then(|kind| Ok((kind, graph_key(path, kind)?)));
+        let (kind, graph_fp) = match keyed {
+            Ok(keyed) => keyed,
             Err(e) => {
                 return JobStatus::Failed {
-                    error: format!("cannot read graph {}: {e}", spec.graph.display()),
+                    error: format!("cannot read graph {}: {e}", path.display()),
                     attempts: 0,
                 }
             }
@@ -845,7 +849,7 @@ impl Server {
             }
         }
 
-        let outcome = match self.load_and_run(spec, runcfg, &resil) {
+        let outcome = match self.load_and_run(spec, kind, runcfg, &resil) {
             Ok(v) => v,
             Err(e) => {
                 if let Some(rest) = e.strip_prefix(CANCELLED_AT_PHASE) {
@@ -947,20 +951,22 @@ impl Server {
         }
     }
 
-    /// Sniff the snapshot format and run. Returns the outcome plus the
-    /// input's (vertices, edges) for the report.
+    /// Run the job on the graph file of the given kind. A slab is
+    /// verified end to end first: its byte-range load checks only the
+    /// small sections, and a run on a corrupt body would be cached under
+    /// the key of the content its header declares. Returns the outcome
+    /// plus the input's (vertices, edges) for the report.
     fn load_and_run(
         &self,
         spec: &JobSpec,
+        kind: FileKind,
         runcfg: RunConfig,
         resil: &ResilOptions,
     ) -> Result<(louvain_dist::DistOutcome, u64, u64), String> {
         let path = &spec.graph;
-        let kind = sniff_kind(path).map_err(|e| format!("{}: {e}", path.display()))?;
         match kind {
             FileKind::Slab => {
-                let h = louvain_store::peek_header(path)
-                    .map_err(|e| format!("{}: {e}", path.display()))?;
+                let h = verify(path).map_err(|e| format!("{}: {e}", path.display()))?;
                 let out = run_distributed_resilient_source(
                     GraphSource::SlabRanged(path),
                     spec.ranks,

@@ -26,7 +26,7 @@ pub use layout::{
     sniff_kind, FileKind, SectionDesc, SlabHeader, DEFAULT_INDEX_STRIDE, FORMAT_VERSION,
     HEADER_BYTES, MAGIC, MAGIC_SIGNATURE, SECTION_ALIGN, SECTION_NAMES,
 };
-pub use slab::{load_rank, peek_header, RankSlice, Slab};
+pub use slab::{load_rank, peek_header, verify, RankSlice, Slab};
 
 #[cfg(test)]
 mod tests {
@@ -430,6 +430,93 @@ mod tests {
                 ..
             })
         ));
+    }
+
+    /// Run `verify` and `Slab::open` on the same bytes, assert they agree
+    /// on `Ok` / the error variant, and return what `verify` said.
+    fn verify_agrees_with_open(path: &TempPath, bytes: &[u8]) -> Result<SlabHeader, StoreError> {
+        std::fs::write(&path.0, bytes).unwrap();
+        let verified = verify(&path.0);
+        let opened = Slab::open(&path.0);
+        let kind = |r: Result<(), &StoreError>| r.map_err(std::mem::discriminant);
+        assert_eq!(
+            kind(verified.as_ref().map(drop)),
+            kind(opened.as_ref().map(drop)),
+            "verify {verified:?} vs open {:?}",
+            opened.as_ref().map(drop)
+        );
+        verified
+    }
+
+    #[test]
+    fn verify_accepts_a_good_slab_and_returns_its_header() {
+        let path = TempPath::new("verify-ok");
+        let bytes = valid_slab_bytes(&path);
+        let header = verify_agrees_with_open(&path, &bytes).unwrap();
+        assert_eq!(header, peek_header(&path.0).unwrap());
+    }
+
+    #[test]
+    fn verify_names_the_section_whose_bit_flipped() {
+        let started = std::time::Instant::now();
+        let path = TempPath::new("verify-flip");
+        let bytes = valid_slab_bytes(&path);
+        let header = SlabHeader::decode(&bytes).unwrap();
+        for (name, s) in SECTION_NAMES.iter().zip(&header.sections) {
+            let mut bad = bytes.clone();
+            bad[(s.offset + s.len / 2) as usize] ^= 0x10;
+            match verify_agrees_with_open(&path, &bad) {
+                Err(StoreError::ChecksumMismatch { section, .. }) => assert_eq!(section, *name),
+                other => panic!("flip in {name}: {other:?}"),
+            }
+        }
+        assert!(started.elapsed().as_secs_f64() < 5.0);
+    }
+
+    #[test]
+    fn verify_reports_truncation_at_every_section_boundary() {
+        let path = TempPath::new("verify-trunc");
+        let bytes = valid_slab_bytes(&path);
+        let header = SlabHeader::decode(&bytes).unwrap();
+        let mut cuts = vec![0, HEADER_BYTES as usize - 1];
+        for s in &header.sections {
+            cuts.push(s.offset as usize);
+            cuts.push((s.offset + s.len) as usize - 8);
+        }
+        for cut in cuts {
+            assert!(
+                matches!(
+                    verify_agrees_with_open(&path, &bytes[..cut]),
+                    Err(StoreError::Truncated { .. })
+                ),
+                "cut at {cut}"
+            );
+        }
+    }
+
+    #[test]
+    fn verify_matches_open_on_header_defects() {
+        let path = TempPath::new("verify-header");
+        let bytes = valid_slab_bytes(&path);
+        // Bad magic, wrong version, a misaligned and an over-long section.
+        let edits: [(usize, u64); 4] = [
+            (0, 0x1122_3344_5566_7788),
+            (0, layout::MAGIC_SIGNATURE | b'9' as u64),
+            (0x30 + 24, header_word(&bytes, 0x30 + 24) + 8),
+            (0x30 + 8, header_word(&bytes, 0x30 + 8) + 8),
+        ];
+        for (pos, word) in edits {
+            let mut bad = bytes.clone();
+            bad[pos..pos + 8].copy_from_slice(&word.to_le_bytes());
+            assert!(
+                verify_agrees_with_open(&path, &bad).is_err(),
+                "edit at {pos:#x}"
+            );
+        }
+    }
+
+    fn header_word(bytes: &[u8], pos: usize) -> u64 {
+        u64::from_le_bytes(bytes[pos..pos + 8].try_into().unwrap())
     }
 
     #[test]

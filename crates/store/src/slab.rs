@@ -11,6 +11,9 @@
 //!   `weights`. The big sections are *not* checksummed on this path —
 //!   a rank reads a strict subset of their bytes — which is the
 //!   documented trade-off for O(local) I/O.
+//! * [`verify`] checks all five checksums by streaming the file through
+//!   a fixed buffer, for callers that load by range but must not run on
+//!   a corrupt body (the job server verifies before every fresh run).
 //!
 //! Both paths produce `LocalGraph`s bit-identical to
 //! `LocalGraph::scatter` over the in-memory CSR.
@@ -26,7 +29,7 @@ use louvain_graph::{VertexId, Weight};
 
 use crate::err::StoreError;
 use crate::layout::{
-    fnv1a_words, SlabHeader, HEADER_BYTES, SECTION_NAMES, SEC_HALO, SEC_OFFSETS, SEC_PINDEX,
+    fnv1a_words, Fnv1a, SlabHeader, HEADER_BYTES, SECTION_NAMES, SEC_HALO, SEC_OFFSETS, SEC_PINDEX,
     SEC_TARGETS, SEC_WEIGHTS,
 };
 use crate::mmap::Mapping;
@@ -186,7 +189,46 @@ fn start_for_target(offsets: &[u64], target: u64) -> u64 {
 /// touching any section bytes. This is what `run --ranged` and `info`
 /// use to report a slab's shape cheaply; checksums are *not* verified.
 pub fn peek_header(path: &Path) -> Result<SlabHeader, StoreError> {
+    read_header(&mut File::open(path)?)
+}
+
+/// Bytes [`verify`] hashes per read: enough to amortise the syscall,
+/// small enough that verifying a slab of any size adds nothing to RSS.
+const VERIFY_CHUNK_BYTES: usize = 1 << 20;
+
+/// Check everything [`Slab::open`] checks — header, section table,
+/// and all five section checksums — by streaming each section through
+/// a fixed buffer instead of mapping the file. Fails with the same
+/// `ChecksumMismatch` / `Truncated` error `Slab::open` would.
+pub fn verify(path: &Path) -> Result<SlabHeader, StoreError> {
     let mut file = File::open(path)?;
+    let header = read_header(&mut file)?;
+    let mut buf = vec![0u8; VERIFY_CHUNK_BYTES];
+    for (name, s) in SECTION_NAMES.iter().zip(&header.sections) {
+        file.seek(SeekFrom::Start(s.offset))?;
+        let mut hash = Fnv1a::default();
+        let mut left = s.len;
+        while left > 0 {
+            let chunk = &mut buf[..left.min(VERIFY_CHUNK_BYTES as u64) as usize];
+            read_exact_or_truncated(&mut file, chunk, name)?;
+            hash.update(chunk);
+            left -= chunk.len() as u64;
+        }
+        let found = hash.finish();
+        if found != s.checksum {
+            return Err(StoreError::ChecksumMismatch {
+                section: name,
+                expect: s.checksum,
+                found,
+            });
+        }
+    }
+    Ok(header)
+}
+
+/// Decode the header at the start of `file` and check the section
+/// table against the file's length.
+fn read_header(file: &mut File) -> Result<SlabHeader, StoreError> {
     let file_len = file.metadata()?.len();
     if file_len < HEADER_BYTES {
         return Err(StoreError::Truncated {
@@ -223,21 +265,8 @@ pub struct RankSlice {
 pub fn load_rank(path: &Path, rank: usize, p: usize) -> Result<RankSlice, StoreError> {
     assert!(p > 0 && rank < p, "rank {rank} out of range for p={p}");
     let mut file = File::open(path)?;
-    let file_len = file.metadata()?.len();
-    let mut bytes_read = 0u64;
-
-    let mut head = [0u8; HEADER_BYTES as usize];
-    if file_len < HEADER_BYTES {
-        return Err(StoreError::Truncated {
-            what: "header",
-            need: HEADER_BYTES,
-            have: file_len,
-        });
-    }
-    file.read_exact(&mut head)?;
-    bytes_read += HEADER_BYTES;
-    let header = SlabHeader::decode(&head)?;
-    header.validate_extents(file_len)?;
+    let header = read_header(&mut file)?;
+    let mut bytes_read = HEADER_BYTES;
     let n = header.num_vertices;
     let stride = header.index_stride;
 

@@ -5,6 +5,8 @@
 #   B. submit a clean job — must finish `done`;
 #   C. resubmit the identical job — must be answered `"cached":true`
 #      from the result cache without re-running;
+#   S. the same for a slab: a fresh job, then a resubmission answered
+#      from the cache on the slab's header key;
 #   D. submit a job with an injected mid-run crash — the per-job
 #      recovery budget absorbs it and the run resumes from its
 #      phase-boundary checkpoint (`resumed_from_phase` non-null), with
@@ -43,6 +45,7 @@ LENS=target/release/lens
 
 echo "==> generate graphs"
 "$LOUVAIN" generate --kind lfr --n 900 --seed 11 --out "$WORK/g.graph"
+"$LOUVAIN" generate --kind ssca2 --n 2000 --seed 5 --slab --out "$WORK/g.slab"
 # A bigger graph keeps a job in flight long enough to scrape mid-run.
 "$LOUVAIN" generate --kind lfr --n 30000 --seed 13 --out "$WORK/big.graph"
 
@@ -72,6 +75,14 @@ echo "==> C. identical resubmission (cache hit)"
 "$LOUVAIND" submit --addr "$ADDR" --job-id clean-again --graph "$WORK/g.graph" \
     --ranks 2 | tee "$WORK/cached.out"
 grep -q '"cached":true' "$WORK/cached.out" || { echo "FAIL: resubmission was not served from the cache"; exit 1; }
+
+echo "==> S. slab job, then its resubmission (cache hit on the header key)"
+"$LOUVAIND" submit --addr "$ADDR" --job-id slab --graph "$WORK/g.slab" \
+    --ranks 2 | tee "$WORK/slab.out"
+grep -q '"cached":false' "$WORK/slab.out" || { echo "FAIL: first slab job did not run"; exit 1; }
+"$LOUVAIND" submit --addr "$ADDR" --job-id slab-again --graph "$WORK/g.slab" \
+    --ranks 2 | tee "$WORK/slab-cached.out"
+grep -q '"cached":true' "$WORK/slab-cached.out" || { echo "FAIL: slab resubmission was not served from the cache"; exit 1; }
 
 echo "==> D. crash-injected job (kill-and-resume inside its budget)"
 "$LOUVAIND" submit --addr "$ADDR" --job-id crashy --graph "$WORK/g.graph" \
@@ -158,4 +169,4 @@ grep -q "louvaind drained, exiting" "$WORK/daemon2.log" || { cat "$WORK/daemon2.
 grep -q "flight recorder dumped to" "$WORK/daemon2.log" || { cat "$WORK/daemon2.log"; echo "FAIL: SIGTERM drain did not dump the flight recorder"; exit 1; }
 ls "$WORK/flight2"/flight-*.json >/dev/null 2>&1 || { echo "FAIL: no flight dump on disk after SIGTERM"; exit 1; }
 
-echo "serve smoke: OK (cache hit, kill-and-resume, mid-job scrape, watch stream, flight/event-log parity, clean SIGTERM drain)"
+echo "serve smoke: OK (cache hit, slab cache hit, kill-and-resume, mid-job scrape, watch stream, flight/event-log parity, clean SIGTERM drain)"

@@ -8,10 +8,14 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Duration;
 
-use distributed_louvain::serve::{JobSpec, JobStatus, ServeConfig, Server, SubmitError};
+use distributed_louvain::serve::{
+    graph_fingerprint, JobSpec, JobStatus, ServeConfig, Server, SubmitError,
+};
+use distributed_louvain::store::layout::SEC_WEIGHTS;
+use distributed_louvain::store::{peek_header, SlabBuilder, SlabOptions};
 use louvain_dist::{run_distributed, DistConfig, Variant};
 use louvain_graph::gen::{lfr, LfrParams};
-use louvain_graph::{binio, Csr};
+use louvain_graph::{binio, Csr, EdgeSink};
 use proptest::prelude::*;
 
 fn work_dir(name: &str) -> PathBuf {
@@ -29,6 +33,29 @@ fn graph_file(dir: &Path, n: u64, seed: u64) -> (PathBuf, Csr) {
     let path = dir.join(format!("lfr_{n}_{seed}.bin"));
     binio::write_edge_list(&path, &g.to_edge_list()).unwrap();
     (path, g)
+}
+
+/// The same LFR graph ingested to a slab, with the first edge's weight
+/// raised by `bump` (0.0 leaves the graph as generated).
+fn slab_file(dir: &Path, n: u64, seed: u64, bump: f64) -> PathBuf {
+    let el = lfr(LfrParams::small(n, seed)).graph.to_edge_list();
+    let path = dir.join(format!("lfr_{n}_{seed}_{bump}.slab"));
+    let mut b = SlabBuilder::new(el.num_vertices(), SlabOptions::default());
+    for (i, e) in el.edges().iter().enumerate() {
+        let w = if i == 0 { e.w + bump } else { e.w };
+        b.edge(e.u, e.v, w).unwrap();
+    }
+    b.finish(&path).unwrap();
+    path
+}
+
+/// Flip one bit in the middle of the slab's `weights` section, leaving
+/// the header (and so the job key) intact.
+fn corrupt_weights(path: &Path) {
+    let s = peek_header(path).unwrap().sections[SEC_WEIGHTS];
+    let mut bytes = std::fs::read(path).unwrap();
+    bytes[(s.offset + s.len / 2) as usize] ^= 0x04;
+    std::fs::write(path, bytes).unwrap();
 }
 
 fn spec(job_id: &str, graph: &Path, ranks: usize, cfg: DistConfig) -> JobSpec {
@@ -152,6 +179,141 @@ fn identical_resubmission_is_a_cache_hit() {
     let snap = srv.metrics_snapshot();
     assert_eq!(snap.counters.get("serve.cache_hits"), Some(&1));
     assert_eq!(snap.counters.get("serve.cache_misses"), Some(&2));
+    srv.drain();
+}
+
+#[test]
+fn binary_edge_list_key_is_the_streamed_file_hash() {
+    let dir = work_dir("bin-key");
+    let (path, _) = graph_file(&dir, 300, 43);
+    let srv = server(&dir, 1);
+    let s1 = srv
+        .submit(spec("bin", &path, 2, DistConfig::baseline()))
+        .unwrap();
+    let JobStatus::Done { result, .. } = done(&srv.wait(s1).unwrap()).clone() else {
+        unreachable!()
+    };
+    // Checkpoint directories of `.bin` jobs keep their names.
+    assert_eq!(result.key.graph_fp, graph_fingerprint(&path).unwrap());
+    srv.drain();
+}
+
+#[test]
+fn slab_resubmission_is_a_cache_hit() {
+    let dir = work_dir("slab-cache");
+    let path = slab_file(&dir, 400, 47, 0.0);
+    let srv = server(&dir, 1);
+    let s1 = srv
+        .submit(spec("first", &path, 2, DistConfig::baseline()))
+        .unwrap();
+    let first = srv.wait(s1).unwrap();
+    let JobStatus::Done {
+        cached: false,
+        result: r1,
+        ..
+    } = done(&first)
+    else {
+        panic!("first slab submission must run: {first:?}");
+    };
+    let s2 = srv
+        .submit(spec("second", &path, 2, DistConfig::baseline()))
+        .unwrap();
+    let second = srv.wait(s2).unwrap();
+    let JobStatus::Done {
+        cached: true,
+        result: r2,
+        ..
+    } = done(&second)
+    else {
+        panic!("slab resubmission must be served from the cache: {second:?}");
+    };
+    assert!(Arc::ptr_eq(r1, r2), "cache hit returns the same result");
+    srv.drain();
+}
+
+#[test]
+fn slab_with_corrupt_body_fails_its_checksum_on_a_miss() {
+    let dir = work_dir("slab-corrupt-miss");
+    let path = slab_file(&dir, 400, 53, 0.0);
+    corrupt_weights(&path);
+    let srv = server(&dir, 1);
+    let s1 = srv
+        .submit(spec("corrupt", &path, 2, DistConfig::baseline()))
+        .unwrap();
+    let status = srv.wait(s1).unwrap();
+    let JobStatus::Failed { error, attempts } = &status else {
+        panic!("a corrupt slab body must never be run: {status:?}");
+    };
+    assert!(
+        error.contains("checksum mismatch in section weights"),
+        "{error}"
+    );
+    assert_eq!(
+        *attempts, 1,
+        "a refused body counts on the quarantine ladder"
+    );
+    let snap = srv.metrics_snapshot();
+    assert_eq!(snap.counters.get("serve.jobs_completed"), None);
+    srv.drain();
+}
+
+#[test]
+fn slab_with_one_weight_changed_is_a_different_key() {
+    let dir = work_dir("slab-rekey");
+    let path = slab_file(&dir, 400, 59, 0.0);
+    let heavier = slab_file(&dir, 400, 59, 1.0);
+    let srv = server(&dir, 1);
+    let mut keys = Vec::new();
+    for (id, graph) in [("plain", &path), ("heavier", &heavier)] {
+        let seq = srv
+            .submit(spec(id, graph, 2, DistConfig::baseline()))
+            .unwrap();
+        let status = srv.wait(seq).unwrap();
+        let JobStatus::Done {
+            cached: false,
+            result,
+            ..
+        } = done(&status)
+        else {
+            panic!("job {id} must miss: {status:?}");
+        };
+        keys.push(result.key.graph_fp);
+    }
+    assert_ne!(keys[0], keys[1], "the header key must see the weight");
+    let snap = srv.metrics_snapshot();
+    assert_eq!(snap.counters.get("serve.cache_hits"), None);
+    assert_eq!(snap.counters.get("serve.cache_misses"), Some(&2));
+    srv.drain();
+}
+
+/// The documented limit of header keying: once a header's result is
+/// cached, a body corrupted under that intact header is a hit — and is
+/// answered with the result for the content the header declares.
+#[test]
+fn slab_with_corrupt_body_under_a_cached_header_is_a_hit() {
+    let dir = work_dir("slab-corrupt-hit");
+    let path = slab_file(&dir, 400, 61, 0.0);
+    let srv = server(&dir, 1);
+    let s1 = srv
+        .submit(spec("good", &path, 2, DistConfig::baseline()))
+        .unwrap();
+    let JobStatus::Done { result: r1, .. } = done(&srv.wait(s1).unwrap()).clone() else {
+        unreachable!()
+    };
+    corrupt_weights(&path);
+    let s2 = srv
+        .submit(spec("after", &path, 2, DistConfig::baseline()))
+        .unwrap();
+    let second = srv.wait(s2).unwrap();
+    let JobStatus::Done {
+        cached: true,
+        result: r2,
+        ..
+    } = &second
+    else {
+        panic!("an intact header with a cached result is a hit: {second:?}");
+    };
+    assert!(Arc::ptr_eq(&r1, r2));
     srv.drain();
 }
 
