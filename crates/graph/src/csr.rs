@@ -17,7 +17,8 @@ pub struct Csr {
 }
 
 /// The one CSR row builder, behind [`Csr::from_edge_list`],
-/// [`Csr::from_arcs`] and `LocalGraph::from_arcs`: a counting sort by row
+/// [`Csr::from_arcs`], `LocalGraph::from_arcs` and, one row block at a
+/// time, `louvain_store::SlabBuilder::finish`: a counting sort by row
 /// (`src - first`), then per row a stable sort by destination and a fold
 /// of each run of equal destinations into one arc. `arcs` is called twice
 /// (count, scatter) and must replay the same `(src, dst, w)` sequence; the
@@ -25,7 +26,7 @@ pub struct Csr {
 /// order, which every bit-identity claim in this workspace (slab bytes,
 /// rebuild against coarsen) is stated against. The rows come back as
 /// `(dst, w)` pairs, so a caller can drop its source before splitting them.
-pub(crate) fn build_rows<I>(
+pub fn build_rows<I>(
     first: VertexId,
     nrows: usize,
     arcs: impl Fn() -> I,

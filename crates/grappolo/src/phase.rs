@@ -271,7 +271,14 @@ mod tests {
             threads: 1,
             ..Default::default()
         };
-        let out = run_phase(&g, &singleton_assignment(6), &cfg, 0);
+        // `run_phase` sweeps on the caller's pool (the runner installs one
+        // of `cfg.threads`); on the default pool two racing moves could
+        // split a triangle.
+        let pool = rayon::ThreadPoolBuilder::new()
+            .num_threads(1)
+            .build()
+            .unwrap();
+        let out = pool.install(|| run_phase(&g, &singleton_assignment(6), &cfg, 0));
         assert_eq!(out.assignment[0], out.assignment[1]);
         assert_eq!(out.assignment[1], out.assignment[2]);
         assert_eq!(out.assignment[3], out.assignment[4]);

@@ -1,59 +1,64 @@
 //! Streaming slab construction with bounded memory.
 //!
 //! [`SlabBuilder`] is an [`EdgeSink`]: generators and file parsers emit
-//! edges into it one at a time, it buffers at most `chunk_edges` triples
-//! in RAM, and [`SlabBuilder::finish`] performs an external merge sort to
-//! produce the on-disk CSR. Peak memory is `O(n + chunk_edges)` — the
-//! per-vertex arrays (degree counts, offsets, halo) plus one chunk —
-//! never `O(m)`.
+//! edges into it one at a time. It appends each raw `(u, v, w)` to one
+//! spill file and counts the raw arcs of every row (an edge in both of
+//! its rows, a loop once). [`SlabBuilder::finish`] then builds the CSR by
+//! counting sort, one block of rows at a time:
+//!
+//! 1. cut `0..n` into consecutive row blocks of at most `chunk_edges` raw
+//!    arcs — a heavier single row is a block of its own;
+//! 2. distribute the spill, in emission order, into one bucket file per
+//!    block — a record goes to the block of each of its two rows — with
+//!    at most 64 buckets open per pass over the spill;
+//! 3. build each block's rows from its bucket with
+//!    `louvain_graph::csr::build_rows`;
+//! 4. stream the rows into the `targets` / `weights` sections and the
+//!    per-vertex offsets and weighted degrees into theirs.
+//!
+//! Peak memory is `O(n + chunk_edges)` — the per-vertex arrays (raw
+//! degrees, offsets, halo) plus one block — never `O(m)`.
 //!
 //! # Bit-identity with the in-memory path
 //!
 //! The result is **bit-identical** to `Csr::from_edge_list` over the same
-//! edge stream. That hinges on reproducing the f64 fold order of the CSR
-//! row builder behind it (`louvain_graph::csr::build_rows`):
-//!
-//! * The row builder sums the weights of one `(src, dst)` left to right
-//!   from 0.0 *in raw emission order*, and an edge reaches both of its
-//!   rows in that order, so `(a, b)` and `(b, a)` carry the same sum.
-//! * This builder canonicalizes at push, **stably** sorts each chunk (so
-//!   equal keys keep emission order within a chunk), spills chunks
-//!   chronologically, and k-way merges with the run index as tie-break —
-//!   so equal keys pop in global emission order and their weights sum in
-//!   the same sequence.
-//! * Forward arcs `(a, b)` with `a ≤ b` leave the dedup merge already
-//!   sorted by `(src, dst)`; reverse arcs `(b, a)` get their own external
-//!   sort (keys are unique after dedup), and the final two-stream merge
-//!   emits arcs row by row, each row ascending by destination — the
-//!   order the row builder leaves them in.
+//! edge stream because the same row builder makes it. `build_rows` sums
+//! the weights of one `(src, dst)` left to right in the order its source
+//! yields them. A block's source replays its bucket, in emission order,
+//! as `(a, b, w)` when `a` is in the block and `(b, a, w)` when `a != b`
+//! and `b` is: the arcs `Csr::from_edge_list` gives those rows, in the
+//! same order.
 
-use std::collections::BinaryHeap;
 use std::fs::File;
 use std::io::{self, BufReader, BufWriter, Read, Seek, SeekFrom, Write};
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use louvain_graph::csr::build_rows;
 use louvain_graph::ingest::{check_weight, IngestError, IngestPolicy, RepairStats};
 use louvain_graph::sink::EdgeSink;
 use louvain_graph::{VertexId, Weight};
 
 use crate::err::StoreError;
 use crate::layout::{
-    align_up, pindex_samples, Fnv1a, SectionDesc, SlabHeader, DEFAULT_INDEX_STRIDE, HEADER_BYTES,
-    SECTION_ALIGN, SECTION_COUNT,
+    align_up, fnv1a_words, pindex_samples, Fnv1a, SectionDesc, SlabHeader, DEFAULT_INDEX_STRIDE,
+    HEADER_BYTES, SECTION_ALIGN, SECTION_COUNT,
 };
 
 /// Tuning knobs for [`SlabBuilder`].
 #[derive(Debug, Clone)]
 pub struct SlabOptions {
-    /// Canonical triples buffered before a sorted run is spilled to disk.
-    /// Peak builder RSS scales with this (24 bytes per buffered triple).
+    /// Raw arcs per row block (a row with more is a block of its own).
+    /// A block is built in RAM, so the builder peaks at about
+    /// 40 B × `chunk_edges` plus `O(n)` for the per-vertex arrays.
     pub chunk_edges: usize,
     /// `pindex` sampling stride (vertices per sample).
     pub index_stride: u64,
     /// How duplicate pairs and self-loops are treated.
     pub policy: IngestPolicy,
-    /// Where spill runs live; defaults to `std::env::temp_dir()`.
+    /// Where the spill and bucket files live; defaults to
+    /// `std::env::temp_dir()`.
     pub tmp_dir: Option<PathBuf>,
 }
 
@@ -88,13 +93,23 @@ static BUILD_ID: AtomicU64 = AtomicU64::new(0);
 
 const RECORD_BYTES: usize = 24;
 
+/// Bucket files written at once while distributing: blocks past this many
+/// take another pass over the spill, so the builder's open files stay
+/// bounded however small `chunk_edges` is.
+const MAX_OPEN_BUCKETS: usize = 64;
+
+/// Write buffer per open bucket: 8× `BufWriter`'s default takes a fifth
+/// off the distribution pass, and 64 of them hold 4 MiB.
+const BUCKET_BUFFER: usize = 1 << 16;
+
 /// Streaming, bounded-memory slab writer. See the module docs for the
-/// external-sort design and the bit-identity argument.
+/// row-block design and the bit-identity argument.
 pub struct SlabBuilder {
     n: u64,
     opts: SlabOptions,
-    chunk: Vec<(VertexId, VertexId, Weight)>,
-    runs: Vec<PathBuf>,
+    /// Raw arcs per row: an edge counts in both rows, a loop once.
+    degrees: Vec<u64>,
+    spill: Option<BufWriter<File>>,
     tmp: Option<PathBuf>,
     edges_in: u64,
     loops_dropped: u64,
@@ -107,8 +122,8 @@ impl SlabBuilder {
         Self {
             n: num_vertices,
             opts,
-            chunk: Vec::new(),
-            runs: Vec::new(),
+            degrees: vec![0; num_vertices as usize],
+            spill: None,
             tmp: None,
             edges_in: 0,
             loops_dropped: 0,
@@ -139,130 +154,131 @@ impl SlabBuilder {
         Ok(dir)
     }
 
-    fn spill(&mut self) -> io::Result<()> {
-        if self.chunk.is_empty() {
-            return Ok(());
+    fn spill(&mut self) -> io::Result<&mut BufWriter<File>> {
+        if self.spill.is_none() {
+            let path = self.tmp_dir()?.join("spill.tmp");
+            self.spill = Some(BufWriter::new(File::create(path)?));
         }
-        // Stable sort: equal canonical keys keep their emission order
-        // within the chunk (see the bit-identity argument above).
-        self.chunk.sort_by_key(|x| (x.0, x.1));
-        let dir = self.tmp_dir()?;
-        let path = dir.join(format!("run-{:06}.tmp", self.runs.len()));
-        let mut w = BufWriter::new(File::create(&path)?);
-        for &(a, b, wt) in &self.chunk {
-            write_record(&mut w, a, b, wt)?;
-        }
-        w.flush()?;
-        self.runs.push(path);
-        self.chunk.clear();
-        Ok(())
+        Ok(self.spill.as_mut().expect("spill opened above"))
     }
 
-    /// Dedup-merge all runs, count arc degrees, and split into a forward
-    /// stream (already in `(src, dst)` order) plus externally sorted
-    /// reverse runs. Returns `(dedup_path, reverse_runs, counts,
-    /// num_edges, num_arcs, dup_extra)`.
-    #[allow(clippy::type_complexity)]
-    fn dedup_pass(
-        &mut self,
-    ) -> Result<(PathBuf, Vec<PathBuf>, Vec<u64>, u64, u64, u64), StoreError> {
+    /// Flush the spill (creating it empty if no edge came) and copy each
+    /// record, in emission order, into the bucket of every block holding
+    /// one of its rows. Returns the bucket paths, block by block.
+    fn distribute(&mut self, blocks: &[Range<usize>]) -> io::Result<Vec<PathBuf>> {
+        self.spill()?.flush()?;
+        self.spill = None;
         let dir = self.tmp_dir()?;
-        let dedup_path = dir.join("dedup.tmp");
-        let mut out = BufWriter::new(File::create(&dedup_path)?);
-        let mut counts = vec![0u64; self.n as usize];
-        let mut num_edges = 0u64;
-        let mut num_arcs = 0u64;
-        let mut dup_extra = 0u64;
-
-        let mut rev_chunk: Vec<(VertexId, VertexId, Weight)> = Vec::new();
-        let mut rev_runs: Vec<PathBuf> = Vec::new();
-        let spill_rev = |chunk: &mut Vec<(VertexId, VertexId, Weight)>,
-                         runs: &mut Vec<PathBuf>|
-         -> io::Result<()> {
-            if chunk.is_empty() {
-                return Ok(());
-            }
-            // Keys are unique after dedup, so an unstable sort is fine.
-            chunk.sort_unstable_by_key(|&(s, d, _)| (s, d));
-            let path = dir.join(format!("rev-{:06}.tmp", runs.len()));
-            let mut w = BufWriter::new(File::create(&path)?);
-            for &(s, d, wt) in chunk.iter() {
-                write_record(&mut w, s, d, wt)?;
-            }
-            w.flush()?;
-            runs.push(path);
-            chunk.clear();
-            Ok(())
-        };
-
-        let mut merge = KWayMerge::open(&self.runs)?;
-        let mut pending: Option<(VertexId, VertexId, Weight, u64)> = None;
-        loop {
-            let next = merge.next()?;
-            match (&mut pending, next) {
-                (Some((pa, pb, pw, copies)), Some((a, b, w))) if *pa == a && *pb == b => {
-                    if self.opts.policy == IngestPolicy::Strict {
-                        return Err(IngestError::DuplicateEdge {
-                            u: a,
-                            v: b,
-                            line: 0,
-                        }
-                        .into());
-                    }
-                    *pw += w;
-                    *copies += 1;
+        let spill = dir.join("spill.tmp");
+        let buckets: Vec<PathBuf> = (0..blocks.len())
+            .map(|b| dir.join(format!("bucket-{b:06}.tmp")))
+            .collect();
+        let block_of = |row: u64| blocks.partition_point(|r| r.end as u64 <= row);
+        for round in (0..blocks.len()).step_by(MAX_OPEN_BUCKETS) {
+            let open = round..(round + MAX_OPEN_BUCKETS).min(blocks.len());
+            let mut out = buckets[open.clone()]
+                .iter()
+                .map(|p| File::create(p).map(|f| BufWriter::with_capacity(BUCKET_BUFFER, f)))
+                .collect::<io::Result<Vec<_>>>()?;
+            for_each_record(&spill, |u, v, w| {
+                let (bu, bv) = (block_of(u), block_of(v));
+                if open.contains(&bu) {
+                    write_record(&mut out[bu - round], u, v, w)?;
                 }
-                (slot, next) => {
-                    if let Some((a, b, w, copies)) = slot.take() {
-                        write_record(&mut out, a, b, w)?;
-                        counts[a as usize] += 1;
-                        num_arcs += 1;
-                        if a != b {
-                            counts[b as usize] += 1;
-                            num_arcs += 1;
-                            rev_chunk.push((b, a, w));
-                            if rev_chunk.len() >= self.opts.chunk_edges {
-                                spill_rev(&mut rev_chunk, &mut rev_runs)?;
-                            }
-                        }
-                        num_edges += 1;
-                        dup_extra += copies - 1;
-                    }
-                    match next {
-                        Some((a, b, w)) => pending = Some((a, b, w, 1)),
-                        None => break,
-                    }
+                if bv != bu && open.contains(&bv) {
+                    write_record(&mut out[bv - round], u, v, w)?;
                 }
+                Ok(())
+            })?;
+            for mut w in out {
+                w.flush()?;
             }
         }
-        out.flush()?;
-        spill_rev(&mut rev_chunk, &mut rev_runs)?;
-        Ok((dedup_path, rev_runs, counts, num_edges, num_arcs, dup_extra))
+        std::fs::remove_file(&spill)?;
+        Ok(buckets)
     }
 
-    /// Run the external merge and write the slab to `path`. Consumes the
-    /// builder; spill files are removed on exit (including the error
-    /// paths, via `Drop`).
+    /// Build the slab at `path` block by block. Consumes the builder;
+    /// spill and bucket files are removed on exit (including the error
+    /// paths, via `Drop`), and so is a slab left half-written by an error.
     pub fn finish(mut self, path: &Path) -> Result<SlabSummary, StoreError> {
-        self.spill()?;
-        let (dedup_path, rev_runs, counts, num_edges, num_arcs, dup_extra) = self.dedup_pass()?;
+        let blocks = row_blocks(&self.degrees, self.opts.chunk_edges as u64);
+        let buckets = self.distribute(&blocks)?;
+        let mut out = SectionedWriter::create(path)?;
+        let written = self.write(&mut out, &blocks, &buckets);
+        if written.is_err() {
+            let _ = std::fs::remove_file(path);
+        }
+        written
+    }
 
-        // Prefix-sum degrees into CSR offsets.
+    fn write(
+        &mut self,
+        out: &mut SectionedWriter,
+        blocks: &[Range<usize>],
+        buckets: &[PathBuf],
+    ) -> Result<SlabSummary, StoreError> {
         let n = self.n as usize;
         let mut offsets = vec![0u64; n + 1];
-        for v in 0..n {
-            offsets[v + 1] = offsets[v] + counts[v];
+        let mut halo = vec![0.0f64; n];
+        let mut loops = 0u64;
+
+        // Targets stream straight into their section, whose place depends
+        // only on n; the weights section starts after the last target, so
+        // weights go through a temp file, and the offsets are patched in
+        // at the end.
+        let weights_path = self.tmp_dir()?.join("weights.tmp");
+        let mut weights_tmp = BufWriter::new(File::create(&weights_path)?);
+        let targets_at = align_up(HEADER_BYTES + (self.n + 1) * 8, SECTION_ALIGN);
+        out.begin(targets_at)?;
+        let mut arcs = 0u64;
+        for (rows, bucket) in blocks.iter().zip(buckets) {
+            let records = std::fs::read(bucket)?;
+            std::fs::remove_file(bucket)?;
+            let (first, last) = (rows.start as VertexId, rows.end as VertexId);
+            let in_block = |x: VertexId| first <= x && x < last;
+            let block_arcs = || {
+                records.chunks_exact(RECORD_BYTES).flat_map(|rec| {
+                    let (a, b, w) = decode_record(rec);
+                    let fwd = in_block(a).then_some((a, b, w));
+                    let back = (a != b && in_block(b)).then_some((b, a, w));
+                    fwd.into_iter().chain(back)
+                })
+            };
+            let (row_at, built) = build_rows(first, rows.len(), block_arcs);
+            if self.opts.policy == IngestPolicy::Strict {
+                let short_row = (0..rows.len())
+                    .find(|&i| (row_at[i + 1] - row_at[i]) as u64 != self.degrees[rows.start + i]);
+                if let Some(i) = short_row {
+                    return Err(first_duplicate(first + i as VertexId, block_arcs()).into());
+                }
+            }
+            drop(records);
+            for (i, v) in rows.clone().enumerate() {
+                let row = &built[row_at[i]..row_at[i + 1]];
+                offsets[v] = arcs + row_at[i] as u64;
+                // The same sum as `Csr::weighted_degree`, bit for bit.
+                halo[v] = row.iter().map(|&(_, w)| w).sum();
+                loops += row.iter().any(|&(d, _)| d == v as VertexId) as u64;
+            }
+            for piece in built.chunks(8192) {
+                let dsts: Vec<u8> = piece.iter().flat_map(|&(d, _)| d.to_le_bytes()).collect();
+                let ws: Vec<u8> = piece.iter().flat_map(|&(_, w)| w.to_le_bytes()).collect();
+                out.write_section(&dsts)?;
+                weights_tmp.write_all(&ws)?;
+            }
+            arcs += built.len() as u64;
         }
-        drop(counts);
-        debug_assert_eq!(offsets[n], num_arcs);
+        offsets[n] = arcs;
+        let num_edges = (arcs - loops) / 2 + loops;
 
         // Packed section layout.
         let stride = self.opts.index_stride;
         let samples = pindex_samples(self.n, stride);
         let lens: [u64; SECTION_COUNT] = [
             (self.n + 1) * 8,
-            num_arcs * 8,
-            num_arcs * 8,
+            arcs * 8,
+            arcs * 8,
             self.n * 8,
             samples * 8,
         ];
@@ -273,63 +289,12 @@ impl SlabBuilder {
             s.len = lens[i];
             cursor = align_up(cursor + lens[i], SECTION_ALIGN);
         }
-
-        let mut out = SectionedWriter::create(path)?;
-        out.write_all(&[0u8; HEADER_BYTES as usize])?; // placeholder header
-
-        // Section 0: offsets.
-        out.begin(sections[0].offset)?;
-        for chunk in offsets.chunks(8192) {
-            let bytes: Vec<u8> = chunk.iter().flat_map(|&o| o.to_le_bytes()).collect();
-            out.write_section(&bytes)?;
-        }
-        sections[0].checksum = out.end();
-
-        // Section 1: targets, streamed from the forward/reverse merge.
-        // Weights ride along into a temp file (the weights section starts
-        // only after the last target byte), and the halo accumulates in
-        // emitted-row order — the same order `Csr::weighted_degree` sums.
-        let dir = self.tmp_dir()?;
-        let weights_path = dir.join("weights.tmp");
-        let mut weights_tmp = BufWriter::new(File::create(&weights_path)?);
-        // -0.0 is iterator-Sum's identity for floats, so the halo is
-        // bit-identical to `Csr::weighted_degree` even for empty rows.
-        let mut halo = vec![-0.0f64; n];
-        out.begin(sections[1].offset)?;
-        {
-            let mut fwd = RunReader::open(&dedup_path)?;
-            let mut rev = KWayMerge::open(&rev_runs)?;
-            let mut fwd_cur = fwd.next()?;
-            let mut rev_cur = rev.next()?;
-            let mut written = 0u64;
-            loop {
-                let take_fwd = match (&fwd_cur, &rev_cur) {
-                    (Some(f), Some(r)) => (f.0, f.1) < (r.0, r.1),
-                    (Some(_), None) => true,
-                    (None, Some(_)) => false,
-                    (None, None) => break,
-                };
-                let (src, dst, w) = if take_fwd {
-                    let rec = fwd_cur.take().unwrap();
-                    fwd_cur = fwd.next()?;
-                    rec
-                } else {
-                    let rec = rev_cur.take().unwrap();
-                    rev_cur = rev.next()?;
-                    rec
-                };
-                out.write_section(&dst.to_le_bytes())?;
-                weights_tmp.write_all(&w.to_le_bytes())?;
-                halo[src as usize] += w;
-                written += 1;
-            }
-            debug_assert_eq!(written, num_arcs);
-        }
+        assert_eq!(sections[1].offset, targets_at, "targets written off layout");
         sections[1].checksum = out.end();
-        weights_tmp.flush()?;
-        drop(weights_tmp);
 
         // Section 2: weights, copied from the temp file.
+        weights_tmp.flush()?;
+        drop(weights_tmp);
         out.begin(sections[2].offset)?;
         {
             let mut src = BufReader::new(File::open(&weights_path)?);
@@ -363,19 +328,23 @@ impl SlabBuilder {
         }
         sections[4].checksum = out.end();
 
-        // Patch the real header in.
+        // Section 0: offsets, written in place with the real header.
+        let offset_bytes: Vec<u8> = offsets.iter().flat_map(|&o| o.to_le_bytes()).collect();
+        drop(offsets);
+        sections[0].checksum = fnv1a_words(&offset_bytes);
         let header = SlabHeader {
             num_vertices: self.n,
-            num_arcs,
+            num_arcs: arcs,
             num_edges,
             index_stride: stride,
             sections,
         };
-        let file_bytes = out.patch_header(&header.encode())?;
+        let file_bytes =
+            out.patch(&[(sections[0].offset, &offset_bytes), (0, &header.encode())])?;
 
         let repair = if self.opts.policy == IngestPolicy::Repair {
             RepairStats {
-                duplicates_merged: dup_extra,
+                duplicates_merged: self.edges_in - num_edges,
                 self_loops_dropped: self.loops_dropped,
             }
         } else {
@@ -385,7 +354,7 @@ impl SlabBuilder {
         Ok(SlabSummary {
             num_vertices: self.n,
             num_edges,
-            num_arcs,
+            num_arcs: arcs,
             edges_in: self.edges_in,
             file_bytes,
             repair,
@@ -413,12 +382,12 @@ impl EdgeSink for SlabBuilder {
                 IngestPolicy::Lenient => {}
             }
         }
-        let (a, b) = if u <= v { (u, v) } else { (v, u) };
-        self.chunk.push((a, b, w));
-        self.edges_in += 1;
-        if self.chunk.len() >= self.opts.chunk_edges {
-            self.spill()?;
+        write_record(self.spill()?, u, v, w)?;
+        self.degrees[u as usize] += 1;
+        if u != v {
+            self.degrees[v as usize] += 1;
         }
+        self.edges_in += 1;
         Ok(())
     }
 }
@@ -431,6 +400,39 @@ impl Drop for SlabBuilder {
     }
 }
 
+/// Cut `0..degrees.len()` into consecutive row blocks of at most `chunk`
+/// raw arcs; a heavier single row is a block of its own.
+fn row_blocks(degrees: &[u64], chunk: u64) -> Vec<Range<usize>> {
+    let mut blocks = Vec::new();
+    let (mut first, mut load) = (0, 0);
+    for (row, &d) in degrees.iter().enumerate() {
+        if load > 0 && load + d > chunk {
+            blocks.push(first..row);
+            (first, load) = (row, 0);
+        }
+        load += d;
+    }
+    blocks.push(first..degrees.len());
+    blocks
+}
+
+/// Strict's error for row `u`, the first row whose raw arcs fold into
+/// fewer: its smallest repeated destination `v`. Every earlier row is
+/// duplicate-free, so `v > u` and `(u, v)` is the smallest canonical
+/// duplicate pair.
+fn first_duplicate(
+    u: VertexId,
+    arcs: impl Iterator<Item = (VertexId, VertexId, Weight)>,
+) -> IngestError {
+    let mut dests: Vec<VertexId> = arcs.filter(|a| a.0 == u).map(|a| a.1).collect();
+    dests.sort_unstable();
+    let v = dests
+        .windows(2)
+        .find(|p| p[0] == p[1])
+        .expect("a row that folds shorter repeats a destination")[0];
+    IngestError::DuplicateEdge { u, v, line: 0 }
+}
+
 fn write_record(w: &mut impl Write, a: u64, b: u64, wt: f64) -> io::Result<()> {
     let mut rec = [0u8; RECORD_BYTES];
     rec[0..8].copy_from_slice(&a.to_le_bytes());
@@ -439,69 +441,27 @@ fn write_record(w: &mut impl Write, a: u64, b: u64, wt: f64) -> io::Result<()> {
     w.write_all(&rec)
 }
 
-/// Sequential reader over one spill run.
-struct RunReader {
-    inner: BufReader<File>,
+fn decode_record(rec: &[u8]) -> (u64, u64, f64) {
+    let word = |at: usize| u64::from_le_bytes(rec[at..at + 8].try_into().expect("8-byte field"));
+    (word(0), word(8), f64::from_bits(word(16)))
 }
 
-impl RunReader {
-    fn open(path: &Path) -> io::Result<Self> {
-        Ok(Self {
-            inner: BufReader::new(File::open(path)?),
-        })
-    }
-
-    fn next(&mut self) -> io::Result<Option<(u64, u64, f64)>> {
-        let mut rec = [0u8; RECORD_BYTES];
-        match self.inner.read_exact(&mut rec) {
-            Ok(()) => Ok(Some((
-                u64::from_le_bytes(rec[0..8].try_into().unwrap()),
-                u64::from_le_bytes(rec[8..16].try_into().unwrap()),
-                f64::from_le_bytes(rec[16..24].try_into().unwrap()),
-            ))),
-            Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => Ok(None),
-            Err(e) => Err(e),
-        }
-    }
-}
-
-/// K-way merge of sorted runs, ordered by `(a, b, run_index)`. The run
-/// index is the chronological spill order, so records with equal keys
-/// pop in global emission order.
-struct KWayMerge {
-    readers: Vec<RunReader>,
-    heap: BinaryHeap<std::cmp::Reverse<(u64, u64, usize)>>,
-    cur: Vec<Option<(u64, u64, f64)>>,
-}
-
-impl KWayMerge {
-    fn open(paths: &[PathBuf]) -> io::Result<Self> {
-        let mut readers = Vec::with_capacity(paths.len());
-        let mut heap = BinaryHeap::with_capacity(paths.len());
-        let mut cur = Vec::with_capacity(paths.len());
-        for (i, p) in paths.iter().enumerate() {
-            let mut r = RunReader::open(p)?;
-            let rec = r.next()?;
-            if let Some((a, b, _)) = rec {
-                heap.push(std::cmp::Reverse((a, b, i)));
+/// Call `f` on every record of a spill or bucket file, in file order.
+fn for_each_record(
+    path: &Path,
+    mut f: impl FnMut(u64, u64, f64) -> io::Result<()>,
+) -> io::Result<()> {
+    let mut src = BufReader::with_capacity(1 << 16, File::open(path)?);
+    let mut rec = [0u8; RECORD_BYTES];
+    loop {
+        match src.read_exact(&mut rec) {
+            Ok(()) => {
+                let (a, b, w) = decode_record(&rec);
+                f(a, b, w)?;
             }
-            readers.push(r);
-            cur.push(rec);
+            Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => return Ok(()),
+            Err(e) => return Err(e),
         }
-        Ok(Self { readers, heap, cur })
-    }
-
-    fn next(&mut self) -> io::Result<Option<(u64, u64, f64)>> {
-        let Some(std::cmp::Reverse((_, _, i))) = self.heap.pop() else {
-            return Ok(None);
-        };
-        let rec = self.cur[i].take().expect("heap entry without a record");
-        let refill = self.readers[i].next()?;
-        if let Some((a, b, _)) = refill {
-            self.heap.push(std::cmp::Reverse((a, b, i)));
-        }
-        self.cur[i] = refill;
-        Ok(Some(rec))
     }
 }
 
@@ -546,14 +506,16 @@ impl SectionedWriter {
         self.hash.finish()
     }
 
-    /// Flush, rewrite the header at offset 0, and return the file length.
-    fn patch_header(mut self, header: &[u8]) -> io::Result<u64> {
-        let len = self.pos;
+    /// Flush, write each `(offset, bytes)` over what the padding left
+    /// there, sync, and return the file length.
+    fn patch(&mut self, patches: &[(u64, &[u8])]) -> io::Result<u64> {
         self.inner.flush()?;
-        let mut file = self.inner.into_inner().map_err(|e| e.into_error())?;
-        file.seek(SeekFrom::Start(0))?;
-        file.write_all(header)?;
+        let file = self.inner.get_mut();
+        for &(at, bytes) in patches {
+            file.seek(SeekFrom::Start(at))?;
+            file.write_all(bytes)?;
+        }
         file.sync_all()?;
-        Ok(len)
+        Ok(self.pos)
     }
 }

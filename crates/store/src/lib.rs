@@ -6,9 +6,10 @@
 //!
 //! * **Writing** — [`SlabBuilder`] is an `EdgeSink`; the streamed
 //!   generator paths (`rmat_stream`, `ssca2_stream`, ...) and file
-//!   parsers emit edges into it with `O(n + chunk)` peak memory, and an
-//!   external merge sort produces a CSR **bit-identical** to
-//!   `Csr::from_edge_list` over the same stream.
+//!   parsers emit edges into it with `O(n + chunk)` peak memory. It
+//!   spills them raw and builds the CSR one row block at a time with
+//!   the counting sort behind `Csr::from_edge_list`, so the result is
+//!   **bit-identical** to it over the same stream.
 //! * **Reading** — [`Slab::open`] memory-maps the whole file with
 //!   zero-copy section views; [`load_rank`] reads only one rank's byte
 //!   ranges (the paper's MPI-I/O pattern), reconstructing the exact
@@ -66,7 +67,7 @@ mod tests {
 
     fn small_opts() -> SlabOptions {
         SlabOptions {
-            // Tiny chunks force multi-run external merges in every test.
+            // Tiny row blocks force many blocks in every test.
             chunk_edges: 64,
             index_stride: 8,
             ..SlabOptions::default()
@@ -132,30 +133,140 @@ mod tests {
         assert_eq!(Slab::open(&path.0).unwrap().to_csr(), expected);
     }
 
+    /// Build the same LFR stream once per `chunk_edges` and assert every
+    /// file equals the first, byte for byte.
+    fn assert_chunk_sizes_build_identical_files(chunks: &[usize]) {
+        let p = LfrParams::small(600, 3);
+        let files: Vec<Vec<u8>> = chunks
+            .iter()
+            .map(|&chunk_edges| {
+                let path = TempPath::new(&format!("chunk-{chunk_edges}"));
+                let opts = SlabOptions {
+                    chunk_edges,
+                    ..small_opts()
+                };
+                build_slab(600, |b| lfr_stream(p, b).map(|_| ()), opts, &path);
+                std::fs::read(&path.0).unwrap()
+            })
+            .collect();
+        for (chunk, file) in chunks.iter().zip(&files) {
+            assert!(file == &files[0], "chunk_edges {chunk} vs {}", chunks[0]);
+        }
+    }
+
     #[test]
     fn single_chunk_and_multi_chunk_builds_are_identical_files() {
-        let p = LfrParams::small(600, 3);
-        let big = TempPath::new("one-chunk");
-        let small = TempPath::new("many-chunks");
-        let n = 600;
+        // One block, blocks of 64 raw arcs, and one block per non-empty
+        // row — more blocks than one distribution round holds.
+        assert_chunk_sizes_build_identical_files(&[1 << 20, 64, 1]);
+    }
+
+    #[test]
+    fn star_hub_heavier_than_a_block_matches_in_memory_csr() {
+        // Hub 0's row alone exceeds `chunk_edges`: a block of its own.
+        // Repeats in both orientations make the fold order matter, and a
+        // lone -0.0 weight must sum to 0.0 as in `build_rows`.
+        let mut el = EdgeList::new(301);
+        for k in 1..=300u64 {
+            el.push(0, k, 0.1 * k as f64);
+        }
+        for k in (1..=300u64).step_by(3) {
+            el.push(k, 0, 1.0 / k as f64);
+        }
+        el.push(0, 0, 2.5);
+        el.push(7, 8, -0.0);
+        let path = TempPath::new("star");
         build_slab(
-            n,
-            |b| lfr_stream(p, b).map(|_| ()),
-            SlabOptions::default(),
-            &big,
+            301,
+            |b| el.edges().iter().try_for_each(|e| b.edge(e.u, e.v, e.w)),
+            small_opts(),
+            &path,
         );
-        build_slab(n, |b| lfr_stream(p, b).map(|_| ()), small_opts(), &small);
-        // index_stride differs between the two options, so compare the
-        // graph payload sections rather than whole files.
-        let a = Slab::open(&big.0).unwrap();
-        let b = Slab::open(&small.0).unwrap();
-        assert_eq!(a.offsets(), b.offsets());
-        assert_eq!(a.targets(), b.targets());
-        assert!(a
-            .weights()
-            .iter()
-            .zip(b.weights())
-            .all(|(x, y)| x.to_bits() == y.to_bits()));
+        let expected = Csr::from_edge_list(el);
+        let slab = Slab::open(&path.0).unwrap();
+        let bits = |w: &[f64]| w.iter().map(|w| w.to_bits()).collect::<Vec<_>>();
+        assert_eq!(slab.to_csr(), expected);
+        assert_eq!(bits(slab.weights()), bits(expected.weights()));
+        assert_eq!(bits(slab.halo()), bits(&expected.weighted_degrees()));
+    }
+
+    #[test]
+    fn strict_names_the_smaller_duplicate_across_blocks() {
+        // chunk_edges 2 puts rows 3 and 8 in different blocks; the later
+        // block's duplicate is emitted first.
+        let opts = SlabOptions {
+            chunk_edges: 2,
+            policy: IngestPolicy::Strict,
+            ..small_opts()
+        };
+        let path = TempPath::new("strict-blocks");
+        let mut b = SlabBuilder::new(10, opts);
+        for (u, v) in [(0, 1), (9, 8), (8, 9), (5, 3), (2, 4), (3, 5)] {
+            b.edge(u, v, 1.0).unwrap();
+        }
+        let err = b.finish(&path.0).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                StoreError::Ingest(IngestError::DuplicateEdge { u: 3, v: 5, .. })
+            ),
+            "{err}"
+        );
+        assert!(!path.0.exists(), "a failed build leaves no slab behind");
+    }
+
+    #[test]
+    fn repair_counts_the_merges_dedup_sum_makes() {
+        let p = RmatParams::social(10, 8, 42);
+        let mut el = EdgeList::new(1 << 10);
+        rmat_stream(p, &mut el).unwrap();
+        let path = TempPath::new("repair-rmat");
+        let opts = SlabOptions {
+            policy: IngestPolicy::Repair,
+            ..small_opts()
+        };
+        let summary = build_slab(1 << 10, |b| rmat_stream(p, b), opts, &path);
+        let expected = el.repair();
+        assert!(expected.duplicates_merged > 0, "RMAT repeats pairs");
+        assert_eq!(summary.repair, expected);
+        assert_eq!(summary.num_edges, el.num_edges() as u64);
+        assert_eq!(
+            Slab::open(&path.0).unwrap().to_csr(),
+            Csr::from_edge_list(el)
+        );
+    }
+
+    #[test]
+    fn builder_temp_dir_is_gone_after_finish_and_after_a_strict_error() {
+        let dir = std::env::temp_dir().join(format!(
+            "louvain-store-test-{}-{}-tmpdir",
+            std::process::id(),
+            TEST_ID.fetch_add(1, Ordering::Relaxed)
+        ));
+        std::fs::create_dir_all(&dir).unwrap();
+        let opts = SlabOptions {
+            tmp_dir: Some(dir.clone()),
+            ..small_opts()
+        };
+        let is_empty = |dir: &PathBuf| std::fs::read_dir(dir).unwrap().next().is_none();
+
+        let path = TempPath::new("tmpdir-ok");
+        let p = RmatParams::social(8, 8, 1);
+        build_slab(1 << 8, |b| rmat_stream(p, b), opts.clone(), &path);
+        assert!(is_empty(&dir), "spill or buckets left after finish");
+
+        let mut b = SlabBuilder::new(
+            4,
+            SlabOptions {
+                policy: IngestPolicy::Strict,
+                ..opts
+            },
+        );
+        b.edge(0, 1, 1.0).unwrap();
+        b.edge(1, 0, 1.0).unwrap();
+        b.finish(&TempPath::new("tmpdir-strict").0).unwrap_err();
+        assert!(is_empty(&dir), "spill or buckets left after a Strict error");
+        std::fs::remove_dir(&dir).unwrap();
     }
 
     #[test]

@@ -2,8 +2,9 @@
 # Million-edge smoke for the out-of-core slab path.
 #
 # Exercises the full disk pipeline end to end at >=1M edges:
-#   1. stream-generate a slab (bounded-memory external sort, no in-RAM
-#      edge list) and the same graph as a binary edge list,
+#   1. stream-generate a slab (raw spill, then a counting sort per row
+#      block: bounded memory, no in-RAM edge list) and the same graph as
+#      a binary edge list,
 #   2. run p=2 three ways — in-memory scatter, mmap-backed slab, and
 #      per-rank byte-range slab loads — and require bit-identical
 #      community assignments.

@@ -91,6 +91,19 @@ grep -q -- "--ranks" target/ranks0.err
 # -c, not -q: grep must drain the pipe or fig3 dies writing to it.
 LOUVAIN_SCALE=quick ./target/release/fig3 channel 2>/dev/null | grep -cw modeled
 
+# The slab builder keeps its open files bounded however many row blocks
+# it cuts: ≥1911 blocks of ≤500 arcs must build under 256 descriptors, and
+# to the same bytes as the default block size.
+echo "==> generate --slab --chunk-edges 500 under ulimit -n 256 | cmp against the default chunk"
+(
+  ulimit -n 256
+  ./target/release/louvain generate --kind rmat --n 65536 --seed 3 --slab --chunk-edges 500 \
+    --out target/verify_small_blocks.slab
+)
+./target/release/louvain generate --kind rmat --n 65536 --seed 3 --slab \
+  --out target/verify_default_blocks.slab
+cmp target/verify_small_blocks.slab target/verify_default_blocks.slab
+
 # Not a gate: the figures a PR quotes against ROADMAP's "lines no higher
 # than found" rule.
 echo "==> first-party lines above the test modules, committed JSON bytes (scripts/loc.sh)"

@@ -62,7 +62,7 @@ USAGE:
       communities, <FILE>.truth (one community id per line).
       --slab streams the generator straight into a slab file (on-disk
       CSR) instead: peak memory stays O(n + chunk) no matter how many
-      edges are emitted. --chunk-edges tunes the spill-chunk size.
+      edges are emitted. --chunk-edges sets the raw arcs per row block.
 
   louvain convert <TEXT-FILE> --out <FILE> [--repair | --strict]
       Converts a text edge list (`src dst [weight]` per line, # comments,
@@ -78,8 +78,9 @@ USAGE:
                  [--chunk-edges <C>]
       Builds a slab — a versioned, checksummed on-disk CSR — from a
       binary edge list or a text edge list (detected by file magic),
-      streaming with bounded memory: edges are chunk-sorted, spilled,
-      and external-merged, so graphs far larger than RAM ingest cleanly.
+      streaming with bounded memory: edges are spilled raw, then
+      counting-sorted into CSR rows one row block at a time, so graphs
+      far larger than RAM ingest cleanly.
       The resulting CSR is bit-identical to loading the same edges in
       memory.
 

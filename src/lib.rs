@@ -20,8 +20,8 @@
 //!   pool, per-job recovery budgets, kill-and-resume serving, and a
 //!   fingerprint-keyed result cache,
 //! * [`store`] — out-of-core slab storage: checksummed on-disk CSR built
-//!   by bounded-memory external sort, memory-mapped or per-rank
-//!   byte-range loading (the paper's MPI-I/O pattern).
+//!   by a bounded-memory counting sort per row block, memory-mapped or
+//!   per-rank byte-range loading (the paper's MPI-I/O pattern).
 //!
 //! ## Quickstart
 //!

@@ -7,10 +7,11 @@ use distributed_louvain::store::{SlabBuilder, SlabOptions};
 
 /// Stream-generate a >=1M-edge RMAT graph straight into a slab and
 /// assert the process peak RSS stays well below what materializing the
-/// edge list would cost. The builder's external sort keeps O(chunk)
-/// triples resident (here 64k × 24 B = 1.5 MiB per buffer); an
-/// in-memory build holds every raw triple (24 B each) plus the dedup
-/// map and the CSR arrays, several times the raw-triple footprint.
+/// edge list would cost. The builder spills raw triples to disk and
+/// keeps one row block resident (here at most 64k raw arcs, about
+/// 40 B × 64k = 2.5 MiB) plus O(n) per-vertex arrays; an in-memory build
+/// holds every raw triple (24 B each) plus the CSR arrays, several times
+/// the raw-triple footprint.
 #[test]
 fn million_edge_streamed_ingest_is_rss_bounded() {
     let dir = std::env::temp_dir().join(format!("louvain-rss-test-{}", std::process::id()));
