@@ -8,8 +8,7 @@
 //!    vertex-balanced,
 //! 4. **neighborhood collectives** vs full all-to-all for the ghost
 //!    refresh (paper future work),
-//! 5. **inactive-ghost pruning** under ET (paper §IV-B refinement),
-//! 6. **distance-1 colored sweeps** vs free-for-all (paper future work).
+//! 5. **inactive-ghost pruning** under ET (paper §IV-B refinement).
 
 use louvain_bench::datasets::{dataset_by_name, Scale};
 use louvain_bench::Table;
@@ -179,23 +178,4 @@ fn main() {
     );
     t.print();
     t.write_tsv_named("ablation5_ghost_pruning").unwrap();
-
-    // 6. Distance-1 colored sweeps.
-    let t = ablate(
-        "Ablation 6: distance-1 colored sweeps (social graph)",
-        &social,
-        ranks,
-        &[
-            ("free-for-all (paper)", DistConfig::baseline()),
-            (
-                "colored sub-rounds",
-                DistConfig {
-                    color_sweeps: true,
-                    ..DistConfig::baseline()
-                },
-            ),
-        ],
-    );
-    t.print();
-    t.write_tsv_named("ablation6_coloring").unwrap();
 }

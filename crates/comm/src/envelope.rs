@@ -112,10 +112,9 @@ impl Mailbox {
     /// Blocking receive of the next envelope matching `(src, tag)`,
     /// under the watchdog ladder described in the module docs.
     ///
-    /// Panics if the job is poisoned (another rank panicked), with a
+    /// Panics if the job is poisoned (another rank panicked), or with a
     /// typed [`crate::RankHung`] once the ladder declares the sender
-    /// hung, or with a plain timeout string when the watchdog is
-    /// disabled and the hard deadline passes.
+    /// hung.
     pub fn recv_matching(&mut self, src: usize, tag: u32, ctx: &WaitCtx<'_>) -> Envelope {
         if let Some(pos) = self
             .pending

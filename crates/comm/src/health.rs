@@ -93,14 +93,16 @@ impl SaturatingShl for u64 {
     }
 }
 
+/// Hard liveness ceiling, in deadlines: a wait longer than `deadline ×
+/// LIVENESS_FACTOR` is declared hung even if the suspects are still
+/// heartbeating (catches application-level deadlocks where every rank
+/// is alive but none can progress).
+const LIVENESS_FACTOR: u32 = 8;
+
 /// Tuning for the rank-health watchdog, carried by
 /// [`crate::RunConfig`].
 #[derive(Debug, Clone)]
 pub struct HealthConfig {
-    /// Master switch. When off, blocked waits fall back to the legacy
-    /// behaviour: a single hard deadline that panics with a plain
-    /// string (never a recoverable [`RankHung`]).
-    pub enabled: bool,
     /// How long one blocked wait may go without progress before the
     /// watchdog escalates (the per-window deadline of the ladder).
     pub deadline: Duration,
@@ -113,37 +115,20 @@ pub struct HealthConfig {
     /// Per-[`CommStep`] overrides of `max_retries` (index =
     /// `CommStep::index()`); `None` = use the global cap.
     pub step_max_retries: [Option<u32>; NUM_COMM_STEPS],
-    /// Hard liveness ceiling: a wait that exceeds `deadline ×
-    /// liveness_factor` is declared hung even if the suspects are still
-    /// heartbeating (catches application-level deadlocks where every
-    /// rank is alive but none can progress).
-    pub liveness_factor: u32,
 }
 
 impl Default for HealthConfig {
     fn default() -> Self {
         Self {
-            enabled: true,
             deadline: Duration::from_secs(30),
             max_retries: 3,
             backoff: BackoffPolicy::default(),
             step_max_retries: [None; NUM_COMM_STEPS],
-            liveness_factor: 8,
         }
     }
 }
 
 impl HealthConfig {
-    /// A config with the watchdog ladder switched off (legacy
-    /// behaviour); `tests/resilience.rs` runs it against the armed
-    /// default to show the ladder never changes a fault-free run.
-    pub fn disabled() -> Self {
-        Self {
-            enabled: false,
-            ..Self::default()
-        }
-    }
-
     /// The retry cap in effect for `step`.
     pub fn retries_for(&self, step: CommStep) -> u32 {
         self.step_max_retries[step.index()].unwrap_or(self.max_retries)
@@ -156,11 +141,6 @@ impl HealthConfig {
     /// detector.
     pub fn hang_self_timeout(&self) -> Duration {
         self.deadline * (self.max_retries + 2)
-    }
-
-    /// Hard ceiling on one blocked wait (see `liveness_factor`).
-    pub fn liveness_ceiling(&self) -> Duration {
-        self.deadline * self.liveness_factor.max(1)
     }
 }
 
@@ -273,16 +253,6 @@ impl<'a, 'c> Watchdog<'a, 'c> {
     pub fn observe(&mut self, suspects: &[usize]) {
         let cfg = self.ctx.cfg;
         let waited = self.started.elapsed();
-        if !cfg.enabled {
-            // Legacy behaviour: one hard deadline, plain string panic.
-            if waited > cfg.deadline {
-                panic!(
-                    "receive timed out after {:?} waiting on ranks {:?} (lost message or deadlock)",
-                    cfg.deadline, suspects
-                );
-            }
-            return;
-        }
         let step = self.ctx.stats.current_step();
         self.ctx.stats.count(|t, _| t.wd_timeouts += 1);
         let hang = |suspect: usize| RankHung {
@@ -305,7 +275,7 @@ impl<'a, 'c> Watchdog<'a, 'c> {
                 // never beyond the liveness ceiling (live-but-deadlocked
                 // ranks must not wedge the job forever).
                 self.ctx.stats.count(|t, _| t.wd_stragglers += 1);
-                if waited > cfg.liveness_ceiling() {
+                if waited > cfg.deadline * LIVENESS_FACTOR {
                     let suspect = suspects.iter().copied().min().unwrap_or(self.ctx.rank);
                     std::panic::panic_any(hang(suspect));
                 }

@@ -11,28 +11,19 @@ use crate::envelope::Mailbox;
 use crate::fault::FaultPlan;
 use crate::health::{HealthBoard, HealthConfig};
 
+/// Stack size of a rank thread in bytes (graph workloads recurse little,
+/// but the per-rank CSR builders can use deep temporary structures).
+const STACK_SIZE: usize = 8 << 20;
+
 /// Launch-time options for a simulated job.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct RunConfig {
-    /// Thread stack size in bytes (graph workloads recurse little, but the
-    /// per-rank CSR builders can use deep temporary structures).
-    pub stack_size: usize,
     /// Deterministic fault-injection schedule applied to every rank.
     /// `None` (the default) is a clean run with zero fault-path work.
     pub fault: Option<Arc<FaultPlan>>,
     /// Rank-health watchdog tuning: wait deadlines, retry/backoff
     /// policy, and hang-declaration ladder (see [`HealthConfig`]).
     pub health: HealthConfig,
-}
-
-impl Default for RunConfig {
-    fn default() -> Self {
-        Self {
-            stack_size: 8 << 20,
-            fault: None,
-            health: HealthConfig::default(),
-        }
-    }
 }
 
 /// Run `f` on `p` simulated ranks and return the per-rank results in rank
@@ -77,7 +68,7 @@ where
             let first_payload_ref = &first_payload;
             let builder = std::thread::Builder::new()
                 .name(format!("rank-{rank}"))
-                .stack_size(config.stack_size);
+                .stack_size(STACK_SIZE);
             let handle = builder
                 .spawn_scoped(scope, move || {
                     let mailbox = Mailbox::new(rx, Arc::clone(&poison), p);
@@ -530,7 +521,6 @@ mod tests {
                 RunConfig {
                     fault: Some(plan),
                     health,
-                    ..Default::default()
                 },
                 |c| {
                     for _ in 0..4 {
@@ -563,7 +553,6 @@ mod tests {
                 RunConfig {
                     fault: Some(plan),
                     health,
-                    ..Default::default()
                 },
                 |c| {
                     c.barrier();
@@ -605,7 +594,6 @@ mod tests {
             RunConfig {
                 fault: Some(plan),
                 health,
-                ..Default::default()
             },
             |c| {
                 let acc = work(c);
@@ -674,41 +662,6 @@ mod tests {
         assert_eq!(
             step_retries, retries,
             "retries reconcile with the per-step histogram"
-        );
-    }
-
-    #[test]
-    fn disabled_watchdog_times_out_with_a_plain_string() {
-        use crate::health::HealthConfig;
-        let res = std::panic::catch_unwind(|| {
-            run_with(
-                2,
-                RunConfig {
-                    health: HealthConfig {
-                        deadline: std::time::Duration::from_millis(60),
-                        ..HealthConfig::disabled()
-                    },
-                    ..Default::default()
-                },
-                |c| {
-                    if c.rank() == 0 {
-                        // Rank 1 never sends: rank 0's receive must hit the
-                        // legacy hard deadline.
-                        let _ = c.recv::<u64>(1, 5);
-                    } else {
-                        std::thread::sleep(std::time::Duration::from_millis(400));
-                    }
-                },
-            )
-        });
-        let payload = res.unwrap_err();
-        let msg = payload
-            .downcast_ref::<String>()
-            .cloned()
-            .unwrap_or_default();
-        assert!(
-            msg.contains("receive timed out"),
-            "disabled watchdog keeps the legacy string panic, got {msg:?}"
         );
     }
 

@@ -58,7 +58,7 @@ pub struct DistOutcome {
     /// Real wall time of the simulated job (all ranks share the host).
     pub wall: Duration,
     /// Harvested trace events/metrics, present when tracing was enabled
-    /// (`louvain_obs::set_enabled(true)` / `LOUVAIN_TRACE=1`) for the run.
+    /// (`louvain_obs::set_enabled(true)`) for the run.
     pub trace: Option<louvain_obs::TraceData>,
     /// Phase the final (successful) attempt resumed from, when it was
     /// restored off a checkpoint.
@@ -126,7 +126,7 @@ pub enum GraphSource<'a> {
     /// rank's offsets and `to_vec()`s its slice of the target and weight
     /// sections, so what is saved against [`GraphSource::Memory`] is the
     /// whole-graph `Csr`, not the per-rank rows. Borrowing the rows from
-    /// the mapping is ROADMAP item 7(b).
+    /// the mapping is ROADMAP item 9(b).
     SlabMapped(&'a louvain_store::Slab),
     /// A slab file loaded by per-rank byte-range reads
     /// ([`louvain_store::load_rank`]): each rank opens the file itself

@@ -142,12 +142,6 @@ pub struct DistConfig {
     /// refreshing that ghost (the paper's "communication that relates to
     /// inactive vertices can be prevented" refinement).
     pub prune_inactive_ghosts: bool,
-    /// Distance-1 coloring sweeps (the paper's other future-work item):
-    /// vertices are processed color class by color class with a ghost
-    /// refresh and delta push between classes, so concurrently moved
-    /// vertices are never adjacent. Fewer iterations, more communication
-    /// per iteration.
-    pub color_sweeps: bool,
     /// Ablation switch: disable the Vite singleton-swap guard.
     pub disable_singleton_guard: bool,
     /// Ablation switch: sweep vertices in index order instead of the
@@ -200,7 +194,6 @@ impl DistConfig {
             seed: 0xD157,
             neighborhood_collectives: false,
             prune_inactive_ghosts: false,
-            color_sweeps: false,
             disable_singleton_guard: false,
             index_order_sweep: false,
             threads_per_rank: 1,

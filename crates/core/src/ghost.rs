@@ -391,9 +391,9 @@ impl GhostLayer {
     /// because exchanges are collective.
     ///
     /// The changed bits diff against the exact last-pushed values rather
-    /// than any per-iteration move flag, so callers may exchange several
-    /// times per iteration (colored sub-rounds) or after moving vertices
-    /// outside a sweep (vertex following).
+    /// than any per-iteration move flag, so an exchange also carries
+    /// moves made outside a sweep (vertex following). The phase loop
+    /// exchanges once per iteration and once after the last one.
     pub fn exchange(
         &mut self,
         comm: &Comm,

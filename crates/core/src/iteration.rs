@@ -20,7 +20,7 @@
 //! driven by three schedules (see [`crate::SweepMode`]): the seed's
 //! sequential sweep (1 thread, fully deterministic); a *colored
 //! deterministic* schedule in which a distance-1 coloring over
-//! local+ghost adjacency partitions each round into conflict-free
+//! local+ghost adjacency partitions each sweep into conflict-free
 //! batches — moves inside a batch are *decided* in parallel against the
 //! frozen batch-start state by a persistent worker pool and *applied*
 //! sequentially in a fixed order, so results are bit-identical at any
@@ -35,9 +35,9 @@
 //!
 //! Paper future-work extensions, all off by default (see
 //! [`crate::DistConfig`]): MPI-3-style neighborhood collectives for the
-//! ghost refresh, pruning of refresh traffic for permanently inactive
-//! vertices under ET, and distance-1-colored sub-rounds in which
-//! concurrently moved vertices are never adjacent.
+//! ghost refresh, and pruning of refresh traffic for permanently
+//! inactive vertices under ET. The paper's other one, distance-1
+//! coloring, is the colored schedule's batching.
 
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -186,7 +186,7 @@ struct Sweep<'a> {
     k_local: &'a [Weight],
     two_m: f64,
     guard_singleton_swap: bool,
-    /// `a_c` and size of remote communities as of this round's pull.
+    /// `a_c` and size of remote communities as of this iteration's pull.
     remote_a: &'a DenseMap<(Weight, u64)>,
 }
 
@@ -251,7 +251,7 @@ impl Sweep<'_> {
         }
         let cu = state.comm_of_local(l);
         let kv = self.k_local[l];
-        // Remote community info: this round's pull plus the caller's deltas.
+        // Remote community info: this iteration's pull plus the caller's deltas.
         let remote = |r: u32| -> (Weight, u64) {
             let (mut a, mut sz) = self.remote_a.get(r).unwrap_or((0.0, 0));
             if let Some((da, ds)) = deltas.get(r) {
@@ -351,7 +351,7 @@ impl Sweep<'_> {
         }
     }
 
-    /// Driver of the colored deterministic schedule over `round_vertices`.
+    /// Driver of the colored deterministic schedule over `vertices`.
     ///
     /// Vertices are grouped into conflict-free batches by color class (the
     /// distance-1 coloring guarantees no two batch members are adjacent,
@@ -372,12 +372,11 @@ impl Sweep<'_> {
         &self,
         pool: &WorkerPool,
         coloring: &(Vec<u32>, u32),
-        round_vertices: &[usize],
+        vertices: &[usize],
         workers: &[Mutex<SweepWorker>],
         batches: &mut Vec<Vec<usize>>,
         acc: &mut SweepAcc,
         iter: usize,
-        round: usize,
     ) {
         let (color, nc) = coloring;
         let nc = *nc as usize;
@@ -387,21 +386,17 @@ impl Sweep<'_> {
         for b in batches.iter_mut() {
             b.clear();
         }
-        // `round_vertices` is already in sweep order, so each batch inherits
-        // the deterministic order of its members.
-        for &l in round_vertices {
+        // `vertices` is already in sweep order, so each batch inherits the
+        // deterministic order of its members.
+        for &l in vertices {
             batches[color[l] as usize].push(l);
         }
         for (batch_color, batch) in batches.iter().enumerate().take(nc) {
             if batch.is_empty() {
                 continue;
             }
-            let mut batch_span = louvain_obs::span!(
-                "sweep.batch",
-                iter = iter,
-                round = round,
-                color = batch_color
-            );
+            let mut batch_span =
+                louvain_obs::span!("sweep.batch", iter = iter, color = batch_color);
             let frozen = &acc.deltas;
             pool.run(batch.len(), |w, r| {
                 let mut worker = lock_worker(&workers[w]);
@@ -484,30 +479,21 @@ pub fn louvain_phase(
 
     let mut compute = WorkCounter::default();
 
-    // Distance-1 coloring, needed by the `color_sweeps` sub-round
-    // extension and/or the colored deterministic batch schedule. Computed
-    // once per phase with a thread-count-independent seed, so the
-    // coloring — and with it every colored-schedule trajectory — is fixed
-    // across `threads_per_rank` settings.
+    // Distance-1 coloring, present exactly when the colored
+    // deterministic batch schedule runs. Computed once per phase with a
+    // thread-count-independent seed, so the coloring — and with it every
+    // colored-schedule trajectory — is fixed across `threads_per_rank`
+    // settings.
     let colored_batches = match cfg.sweep {
         SweepMode::Colored => true,
         SweepMode::Auto => threads > 1,
         SweepMode::Relaxed => false,
     };
-    let coloring: Option<(Vec<u32>, u32)> = if cfg.color_sweeps || colored_batches {
+    let coloring: Option<(Vec<u32>, u32)> = colored_batches.then(|| {
         let res = distributed_coloring(comm, lg, ghosts, cfg.seed ^ 0xC0105);
         louvain_obs::counter_add("sweep.colors", res.1 as u64);
-        Some(res)
-    } else {
-        None
-    };
-    // Sub-rounds (one exchange per color class) only under `color_sweeps`;
-    // the colored batch schedule shares one exchange across all classes.
-    let num_rounds = if cfg.color_sweeps {
-        coloring.as_ref().map_or(1, |&(_, nc)| nc as usize)
-    } else {
-        1
-    };
+        res
+    });
     // Every schedule dispatches through one pool kept alive for the whole
     // phase (the colored one once per color batch); at one thread it
     // spawns nothing and runs inline. Worker `w` owns `scratch.workers[w]`.
@@ -556,159 +542,139 @@ pub fn louvain_phase(
         for m in &state.moved {
             m.store(false, Ordering::Relaxed);
         }
-        let mut local_moves = 0u64;
+        // -- Step 1: receive the latest ghost vertex communities. ---------
+        exchange_ghosts(
+            comm,
+            ghosts,
+            &mut index,
+            &state,
+            &mut scratch,
+            &mut ghost_comm,
+            cfg.delta_ghost_refresh && few_moved,
+        );
+        // New remote communities enter only through the exchange (and
+        // vertex following before it), so the tables are sized here.
+        scratch.cover(index.num_dense(), index.num_remote());
+        let targets = ghosts.targets();
+        let comm_of = |t: u32| ghosts.value_of(t, |i| state.comm_of_local(i), &ghost_comm.dense);
 
-        // One sub-round per color class (one total without coloring).
-        for round in 0..num_rounds {
-            let in_round = |l: usize| match &coloring {
-                Some((color, _)) if cfg.color_sweeps => color[l] as usize == round,
-                _ => true,
-            };
-
-            // -- Step 1: receive the latest ghost vertex communities. -----
-            exchange_ghosts(
-                comm,
-                ghosts,
-                &mut index,
-                &state,
-                &mut scratch,
-                &mut ghost_comm,
-                cfg.delta_ghost_refresh && few_moved,
-            );
-            // New remote communities enter only through the exchange (and
-            // vertex following before it), so the tables are sized here.
-            scratch.cover(index.num_dense(), index.num_remote());
-            let targets = ghosts.targets();
-            let comm_of =
-                |t: u32| ghosts.value_of(t, |i| state.comm_of_local(i), &ghost_comm.dense);
-
-            // -- Step 2: pull a_c for remote communities we may join. ------
-            // The communities of the round's vertices and of their
-            // neighbours. A rank that knows no remote community (always
-            // so on one rank) has nothing to find and skips the arc walk,
-            // counting the arcs it would have read.
-            scratch.remote_a.clear();
-            let find_remote = index.num_remote() > 0;
-            for (l, &is_active) in scratch.active.iter().enumerate() {
-                if !is_active || !in_round(l) {
-                    continue;
-                }
-                let row = offsets[l]..offsets[l + 1];
-                compute.edges_scanned += row.len() as u64;
-                if !find_remote {
-                    continue;
-                }
-                let cu = state.comm_of_local(l);
-                for c in std::iter::once(cu).chain(targets[row].iter().map(|&t| comm_of(t))) {
-                    if let Some(r) = index.remote_slot(c) {
-                        scratch.remote_a.entry(r);
-                    }
+        // -- Step 2: pull a_c for remote communities we may join. ----------
+        // The communities of the active vertices and of their neighbours.
+        // A rank that knows no remote community (always so on one rank)
+        // has nothing to find and skips the arc walk, counting the arcs
+        // it would have read.
+        scratch.remote_a.clear();
+        let find_remote = index.num_remote() > 0;
+        for (l, &is_active) in scratch.active.iter().enumerate() {
+            if !is_active {
+                continue;
+            }
+            let row = offsets[l]..offsets[l + 1];
+            compute.edges_scanned += row.len() as u64;
+            if !find_remote {
+                continue;
+            }
+            let cu = state.comm_of_local(l);
+            for c in std::iter::once(cu).chain(targets[row].iter().map(|&t| comm_of(t))) {
+                if let Some(r) = index.remote_slot(c) {
+                    scratch.remote_a.entry(r);
                 }
             }
-            scratch.needed.clear();
-            scratch
-                .needed
-                .extend((scratch.remote_a.entries().iter()).map(|&(r, _)| index.remote_global(r)));
-            {
-                let IterScratch {
-                    needed,
-                    pull,
-                    remote_a,
-                    ..
-                } = &mut scratch;
-                pull_from_owners(
-                    comm,
-                    part,
-                    CommStep::CommunityPull,
-                    needed.iter().copied(),
-                    pull,
-                    |c| state.info((c - first) as usize),
-                    |c, info| {
-                        let d = index.dense(c);
-                        let r = index.remote_slot(d).expect("pulled an owned community");
-                        *remote_a.entry(r) = info;
-                    },
-                );
-            }
-
-            // -- Step 3: the compute sweep (lines 6–9). --------------------
-            // Colored batches, or in place over one contiguous range of
-            // the round per pool worker — the whole round, sequentially,
-            // when threads_per_rank == 1 (deterministic, the paper's
-            // per-process order); racing on the shared atomic state when
-            // not (the paper's OpenMP loop).
-            scratch.round_vertices.clear();
-            {
-                let active = &scratch.active;
-                scratch.round_vertices.extend(
-                    sweep_order
-                        .iter()
-                        .copied()
-                        .filter(|&l| active[l] && in_round(l)),
-                );
-            }
-            {
-                let _sweep_span = louvain_obs::span!("sweep", iter = iterations, round = round);
-                let IterScratch {
-                    remote_a,
-                    round_vertices,
-                    batches,
-                    workers,
-                    acc,
-                    ..
-                } = &mut scratch;
-                let sweep = Sweep {
-                    offsets,
-                    arc_weights,
-                    targets,
-                    ghosts: &*ghosts,
-                    ghost_comm: &ghost_comm.dense,
-                    index: &index,
-                    state: &state,
-                    k_local: &k_local,
-                    two_m,
-                    guard_singleton_swap: !cfg.disable_singleton_guard,
-                    remote_a,
-                };
-                if colored_batches {
-                    sweep.sweep_colored(
-                        &pool,
-                        coloring
-                            .as_ref()
-                            .expect("colored schedule needs a coloring"),
-                        round_vertices,
-                        workers,
-                        batches,
-                        acc,
-                        iterations,
-                        round,
-                    );
-                } else {
-                    pool.run(round_vertices.len(), |w, r| {
-                        sweep.sweep_in_place(&round_vertices[r], &mut lock_worker(&workers[w]))
-                    });
-                }
-                for worker in workers.iter() {
-                    acc.absorb(&mut lock_worker(worker).acc);
-                }
-            }
-            let acc = &mut scratch.acc;
-            local_moves += acc.moves;
-            compute.edges_scanned += acc.edges;
-            compute.vertices_processed += acc.vertices;
-
-            // -- Step 3b: push deltas to community owners (lines 10–11). --
-            push_to_owners(
+        }
+        scratch.needed.clear();
+        scratch
+            .needed
+            .extend((scratch.remote_a.entries().iter()).map(|&(r, _)| index.remote_global(r)));
+        {
+            let IterScratch {
+                needed,
+                pull,
+                remote_a,
+                ..
+            } = &mut scratch;
+            pull_from_owners(
                 comm,
                 part,
-                CommStep::DeltaPush,
-                (acc.deltas.entries().iter())
-                    .map(|&(r, (da, ds))| (index.remote_global(r), da, ds)),
-                &mut scratch.delta_msgs,
-                |c, da, ds| state.absorb((c - first) as usize, da, ds),
+                CommStep::CommunityPull,
+                needed.iter().copied(),
+                pull,
+                |c| state.info((c - first) as usize),
+                |c, info| {
+                    let d = index.dense(c);
+                    let r = index.remote_slot(d).expect("pulled an owned community");
+                    *remote_a.entry(r) = info;
+                },
             );
-            acc.clear();
         }
+
+        // -- Step 3: the compute sweep (lines 6–9). ------------------------
+        // Colored batches, or in place over one contiguous range of the
+        // active vertices per pool worker — all of them, sequentially,
+        // when threads_per_rank == 1 (deterministic, the paper's
+        // per-process order); racing on the shared atomic state when not
+        // (the paper's OpenMP loop).
+        scratch.sweep_vertices.clear();
+        {
+            let active = &scratch.active;
+            (scratch.sweep_vertices).extend(sweep_order.iter().copied().filter(|&l| active[l]));
+        }
+        {
+            let _sweep_span = louvain_obs::span!("sweep", iter = iterations);
+            let IterScratch {
+                remote_a,
+                sweep_vertices,
+                batches,
+                workers,
+                acc,
+                ..
+            } = &mut scratch;
+            let sweep = Sweep {
+                offsets,
+                arc_weights,
+                targets,
+                ghosts: &*ghosts,
+                ghost_comm: &ghost_comm.dense,
+                index: &index,
+                state: &state,
+                k_local: &k_local,
+                two_m,
+                guard_singleton_swap: !cfg.disable_singleton_guard,
+                remote_a,
+            };
+            if let Some(coloring) = &coloring {
+                sweep.sweep_colored(
+                    &pool,
+                    coloring,
+                    sweep_vertices,
+                    workers,
+                    batches,
+                    acc,
+                    iterations,
+                );
+            } else {
+                pool.run(sweep_vertices.len(), |w, r| {
+                    sweep.sweep_in_place(&sweep_vertices[r], &mut lock_worker(&workers[w]))
+                });
+            }
+            for worker in workers.iter() {
+                acc.absorb(&mut lock_worker(worker).acc);
+            }
+        }
+        let acc = &mut scratch.acc;
+        let local_moves = acc.moves;
+        compute.edges_scanned += acc.edges;
+        compute.vertices_processed += acc.vertices;
+
+        // -- Step 3b: push deltas to community owners (lines 10–11). ------
+        push_to_owners(
+            comm,
+            part,
+            CommStep::DeltaPush,
+            (acc.deltas.entries().iter()).map(|&(r, (da, ds))| (index.remote_global(r), da, ds)),
+            &mut scratch.delta_msgs,
+            |c, da, ds| state.absorb((c - first) as usize, da, ds),
+        );
+        acc.clear();
 
         // -- Step 4: global modularity (lines 12–13). ----------------------
         let terms = local_modularity_terms(lg, ghosts, &state, &ghost_comm.dense);
@@ -1297,23 +1263,6 @@ mod tests {
     }
 
     #[test]
-    fn colored_sweeps_converge_with_comparable_quality() {
-        let g = louvain_graph::gen::lfr(louvain_graph::gen::LfrParams::small(600, 7)).graph;
-        let base = run_one_phase(&g, 3, &DistConfig::baseline());
-        let cfg = DistConfig {
-            color_sweeps: true,
-            ..DistConfig::baseline()
-        };
-        let colored = run_one_phase(&g, 3, &cfg);
-        assert!(
-            colored.1 > base.1 - 0.1,
-            "colored {} vs base {}",
-            colored.1,
-            base.1
-        );
-    }
-
-    #[test]
     fn pruning_preserves_results_for_frozen_et() {
         // With pruning on, the phase output must still be a consistent
         // (reported == recomputed) clustering.
@@ -1726,10 +1675,9 @@ mod tests {
     }
 
     #[test]
-    fn colored_schedule_composes_with_et_and_color_sweeps() {
+    fn colored_schedule_composes_with_et() {
         // Thread-count bit-identity must survive composition with the ET
-        // activity filter (settled vertices skipped per batch) and the
-        // color_sweeps sub-round extension (monochromatic rounds).
+        // activity filter (settled vertices skipped per batch).
         let g = louvain_graph::gen::ssca2(louvain_graph::gen::Ssca2Params {
             n: 600,
             max_clique_size: 15,
@@ -1737,34 +1685,20 @@ mod tests {
             seed: 3,
         })
         .graph;
-        for base_cfg in [
-            DistConfig::with_variant(crate::Variant::Et { alpha: 0.25 }),
-            DistConfig {
-                color_sweeps: true,
-                ..DistConfig::baseline()
-            },
-        ] {
-            let t1 = run_one_phase(
+        let at = |threads_per_rank| {
+            run_one_phase(
                 &g,
                 2,
                 &DistConfig {
                     sweep: crate::SweepMode::Colored,
-                    threads_per_rank: 1,
-                    ..base_cfg.clone()
+                    threads_per_rank,
+                    ..DistConfig::with_variant(crate::Variant::Et { alpha: 0.25 })
                 },
-            );
-            let t4 = run_one_phase(
-                &g,
-                2,
-                &DistConfig {
-                    sweep: crate::SweepMode::Colored,
-                    threads_per_rank: 4,
-                    ..base_cfg.clone()
-                },
-            );
-            assert_eq!(t1.0, t4.0);
-            assert_eq!(t1.1.to_bits(), t4.1.to_bits());
-        }
+            )
+        };
+        let (t1, t4) = (at(1), at(4));
+        assert_eq!(t1.0, t4.0);
+        assert_eq!(t1.1.to_bits(), t4.1.to_bits());
     }
 
     #[test]

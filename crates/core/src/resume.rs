@@ -16,26 +16,16 @@ use std::sync::Arc;
 
 use crate::config::{DistConfig, Variant};
 
-/// Where and how often to write phase-boundary checkpoints.
+/// Where to write phase-boundary checkpoints: one at every boundary.
 #[derive(Debug, Clone)]
 pub struct CheckpointOptions {
     /// Checkpoint directory (created on first use).
     pub dir: PathBuf,
-    /// Write a checkpoint every `every`-th phase boundary (≥ 1).
-    pub every: u64,
 }
 
 impl CheckpointOptions {
     pub fn new(dir: impl Into<PathBuf>) -> Self {
-        Self {
-            dir: dir.into(),
-            every: 1,
-        }
-    }
-
-    pub fn every(mut self, every: u64) -> Self {
-        self.every = every.max(1);
-        self
+        Self { dir: dir.into() }
     }
 }
 
@@ -177,7 +167,6 @@ pub fn config_fingerprint(cfg: &DistConfig) -> u64 {
         seed,
         neighborhood_collectives,
         prune_inactive_ghosts,
-        color_sweeps,
         disable_singleton_guard,
         index_order_sweep,
         threads_per_rank,
@@ -196,7 +185,7 @@ pub fn config_fingerprint(cfg: &DistConfig) -> u64 {
         "variant={variant};threshold={:016x};max_phases={max_phases};\
          max_iterations={max_iterations};etc_exit_fraction={:016x};seed={seed:016x};\
          neighborhood_collectives={neighborhood_collectives};\
-         prune_inactive_ghosts={prune_inactive_ghosts};color_sweeps={color_sweeps};\
+         prune_inactive_ghosts={prune_inactive_ghosts};\
          disable_singleton_guard={disable_singleton_guard};\
          index_order_sweep={index_order_sweep};threads_per_rank={threads_per_rank};\
          vertex_following={vertex_following};delta_ghost_refresh={delta_ghost_refresh};\
@@ -217,9 +206,9 @@ mod tests {
         let base = DistConfig::baseline;
         assert_eq!(config_fingerprint(&base()), config_fingerprint(&base()));
 
-        // Every field, flipped alone, must move the fingerprint — and
-        // no two flips may land on the same one.
-        let flips: [fn(&mut DistConfig); 16] = [
+        // Every one of the 14 fields, flipped alone, must move the
+        // fingerprint — and no two flips may land on the same one.
+        let flips: [fn(&mut DistConfig); 15] = [
             |c| c.variant = Variant::Et { alpha: 0.25 },
             |c| c.variant = Variant::Et { alpha: 0.75 },
             |c| c.threshold *= 2.0,
@@ -229,7 +218,6 @@ mod tests {
             |c| c.seed ^= 1,
             |c| c.neighborhood_collectives ^= true,
             |c| c.prune_inactive_ghosts ^= true,
-            |c| c.color_sweeps ^= true,
             |c| c.disable_singleton_guard ^= true,
             |c| c.index_order_sweep ^= true,
             |c| c.threads_per_rank += 1,
@@ -246,11 +234,5 @@ mod tests {
                 "flip {i} is not hashed"
             );
         }
-    }
-
-    #[test]
-    fn checkpoint_every_is_clamped_to_one() {
-        assert_eq!(CheckpointOptions::new("/tmp/x").every(0).every, 1);
-        assert_eq!(CheckpointOptions::new("/tmp/x").every(3).every, 3);
     }
 }

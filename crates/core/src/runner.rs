@@ -360,63 +360,60 @@ pub fn run_on_rank(
         // coarse graph was just rebuilt, and the projection is current —
         // a consistent cut of the whole distributed state.
         if let Some(store) = store.as_ref() {
-            let every = resil.checkpoint.as_ref().map_or(1, |c| c.every.max(1));
             let next_phase = (phase_idx + 1) as u64;
-            if next_phase.is_multiple_of(every) {
-                let mut span = louvain_obs::span!("checkpoint_write", phase = next_phase);
-                // The stats cut is snapshotted BEFORE the checkpoint-step
-                // gather below, so the stored counters exclude the
-                // checkpointing traffic itself: a resumed run then
-                // reproduces an uninterrupted run's per-step totals
-                // exactly for every step but `checkpoint`.
-                let (offsets, dests, weights) = lg.csr_parts();
-                let ckpt = RankCheckpoint {
-                    rank: comm.rank(),
-                    ranks: comm.size(),
-                    phase: next_phase,
-                    force_min_tau,
-                    prev_q,
-                    final_q,
-                    total_iterations: total_iterations as u64,
-                    config_fingerprint: fingerprint,
-                    part_starts: lg.partition().starts().to_vec(),
-                    offsets: offsets.iter().map(|&o| o as u64).collect(),
-                    dests: dests.to_vec(),
-                    weights: weights.to_vec(),
-                    cur_of_orig: cur_of_orig.clone(),
-                    stats: comm.stats().snapshot(),
-                };
-                let bytes = comm.with_step(CommStep::Checkpoint, || {
-                    // Slab serialization + fsync is the longest stretch a
-                    // rank spends away from any comm op; bracket it with
-                    // heartbeats so peer watchdogs see a straggler, not a
-                    // hang, when the disk is slow.
-                    comm.heartbeat();
-                    let entry = store.write_rank(&ckpt).unwrap_or_else(|e| {
-                        abort(format!(
-                            "checkpoint write failed at phase {next_phase}: {e}"
-                        ))
-                    });
-                    comm.heartbeat();
-                    let bytes = entry.bytes;
-                    if let Some(entries) = comm.gather_to_root(0, vec![entry]) {
-                        let all: Vec<_> = entries.into_iter().flatten().collect();
-                        store
-                            .commit_phase(next_phase, comm.size(), fingerprint, all)
-                            .unwrap_or_else(|e| {
-                                abort(format!(
-                                    "checkpoint commit failed at phase {next_phase}: {e}"
-                                ))
-                            });
-                    }
-                    // No rank proceeds before the manifest is durable —
-                    // otherwise a crash early in the next phase could
-                    // strand slabs with no committed manifest behind them.
-                    comm.barrier();
-                    bytes
+            let mut span = louvain_obs::span!("checkpoint_write", phase = next_phase);
+            // The stats cut is snapshotted BEFORE the checkpoint-step
+            // gather below, so the stored counters exclude the
+            // checkpointing traffic itself: a resumed run then
+            // reproduces an uninterrupted run's per-step totals
+            // exactly for every step but `checkpoint`.
+            let (offsets, dests, weights) = lg.csr_parts();
+            let ckpt = RankCheckpoint {
+                rank: comm.rank(),
+                ranks: comm.size(),
+                phase: next_phase,
+                force_min_tau,
+                prev_q,
+                final_q,
+                total_iterations: total_iterations as u64,
+                config_fingerprint: fingerprint,
+                part_starts: lg.partition().starts().to_vec(),
+                offsets: offsets.iter().map(|&o| o as u64).collect(),
+                dests: dests.to_vec(),
+                weights: weights.to_vec(),
+                cur_of_orig: cur_of_orig.clone(),
+                stats: comm.stats().snapshot(),
+            };
+            let bytes = comm.with_step(CommStep::Checkpoint, || {
+                // Slab serialization + fsync is the longest stretch a
+                // rank spends away from any comm op; bracket it with
+                // heartbeats so peer watchdogs see a straggler, not a
+                // hang, when the disk is slow.
+                comm.heartbeat();
+                let entry = store.write_rank(&ckpt).unwrap_or_else(|e| {
+                    abort(format!(
+                        "checkpoint write failed at phase {next_phase}: {e}"
+                    ))
                 });
-                span.arg("bytes", bytes);
-            }
+                comm.heartbeat();
+                let bytes = entry.bytes;
+                if let Some(entries) = comm.gather_to_root(0, vec![entry]) {
+                    let all: Vec<_> = entries.into_iter().flatten().collect();
+                    store
+                        .commit_phase(next_phase, comm.size(), fingerprint, all)
+                        .unwrap_or_else(|e| {
+                            abort(format!(
+                                "checkpoint commit failed at phase {next_phase}: {e}"
+                            ))
+                        });
+                }
+                // No rank proceeds before the manifest is durable —
+                // otherwise a crash early in the next phase could
+                // strand slabs with no committed manifest behind them.
+                comm.barrier();
+                bytes
+            });
+            span.arg("bytes", bytes);
         }
     }
 

@@ -4,7 +4,7 @@
 //! four communication steps dozens of times per phase. The seed
 //! implementation allocated every intermediate — the community snapshot,
 //! the request/reply vectors of the a_c pull, the delta message buffers,
-//! the per-thread neighbor-weight maps — from scratch on every round.
+//! the per-thread neighbor-weight maps — from scratch on every iteration.
 //! [`IterScratch`] owns all of them for the lifetime of a phase: buffers
 //! are cleared between uses (which keeps their capacity) instead of
 //! reallocated, and vectors that cross the simulated wire are reclaimed
@@ -86,7 +86,7 @@ impl<V: Copy + Default> DenseMap<V> {
     }
 }
 
-/// What one sweep driver accumulated, merged into the round's total
+/// What one sweep driver accumulated, merged into the iteration's total
 /// after the sweep.
 #[derive(Debug, Default)]
 pub struct SweepAcc {
@@ -140,24 +140,24 @@ pub struct IterScratch {
     /// Per-vertex ET activity flags for the current iteration.
     pub active: Vec<bool>,
     /// Global ids of the remote communities whose `a_c` is pulled this
-    /// round: the keys of `remote_a`, as they go on the wire.
+    /// iteration: the keys of `remote_a`, as they go on the wire.
     pub needed: Vec<VertexId>,
     /// Request and keyed `(community, (a_c, size))` reply buffers of the
     /// a_c pull.
     pub pull: PullBufs<(Weight, u64)>,
     /// `a_c` and size of remote communities (by remote slot), rebuilt
-    /// every round.
+    /// every iteration.
     pub remote_a: DenseMap<(Weight, u64)>,
-    /// The vertex ids swept in the current (sub-)round.
-    pub round_vertices: Vec<usize>,
+    /// The vertex ids swept in the current iteration, in sweep order.
+    pub sweep_vertices: Vec<usize>,
     /// Per-destination-rank delta messages for the owner push.
     pub delta_msgs: Vec<Vec<CommunityDelta>>,
     /// Per-color conflict-free batches of the colored sweep schedule,
-    /// rebuilt (cleared, capacities kept) every round it runs.
+    /// rebuilt (cleared, capacities kept) every iteration it runs.
     pub batches: Vec<Vec<usize>>,
     /// One slot per pool worker.
     pub workers: Vec<Mutex<SweepWorker>>,
-    /// The current round's merged sweep result.
+    /// The current iteration's merged sweep result.
     pub acc: SweepAcc,
 }
 
@@ -170,7 +170,7 @@ impl IterScratch {
             needed: Vec::new(),
             pull: PullBufs::default(),
             remote_a: DenseMap::default(),
-            round_vertices: Vec::with_capacity(nlocal),
+            sweep_vertices: Vec::with_capacity(nlocal),
             delta_msgs: Vec::new(),
             batches: Vec::new(),
             workers: (0..workers).map(|_| Mutex::default()).collect(),
@@ -179,8 +179,8 @@ impl IterScratch {
     }
 
     /// Size every community-keyed table for `communities` dense indices,
-    /// `remote` of them remote. Called once per round, before the sweep;
-    /// a no-op unless the rank saw a new remote community since.
+    /// `remote` of them remote. Called once per iteration, before the
+    /// sweep; a no-op unless the rank saw a new remote community since.
     pub fn cover(&mut self, communities: usize, remote: usize) {
         self.remote_a.cover(remote);
         self.acc.deltas.cover(remote);
@@ -212,7 +212,7 @@ impl IterScratch {
             + nested(&self.pull.requests)
             + nested(&self.pull.replies)
             + self.remote_a.approx_bytes()
-            + flat_bytes(&self.round_vertices)
+            + flat_bytes(&self.sweep_vertices)
             + nested(&self.delta_msgs)
             + nested(&self.batches)
             + workers

@@ -2,9 +2,8 @@
 //! (like the checkpoint header) holding any number of labeled runs,
 //! each a full [`RunReport`] plus its per-iteration telemetry rows.
 //!
-//! `lens` reads only artifacts; [`RunArtifact::from_any_json_str`]
-//! additionally wraps a bare `RunReport` document (what
-//! `louvain run --report-out` writes) as a one-run artifact.
+//! `lens` reads only artifacts: a bare `RunReport` document is refused
+//! for its missing `magic`.
 
 use crate::json::{Json, JsonError};
 use crate::report::{hist_from_json, hist_to_json, rows_from_json, u64_from_json, RunReport};
@@ -142,29 +141,6 @@ impl RunArtifact {
         let doc = Json::parse(text).map_err(|e: JsonError| e.to_string())?;
         Self::from_json(&doc)
     }
-
-    /// Parse a native `LVRA` document or a bare `RunReport` (wrapped as
-    /// a one-run artifact); any other shape is an `Err`.
-    pub fn from_any_json_str(text: &str) -> Result<RunArtifact, String> {
-        let doc = Json::parse(text).map_err(|e: JsonError| e.to_string())?;
-        if doc.get("magic").is_some() {
-            return Self::from_json(&doc);
-        }
-        if doc.get("run_report_version").is_none() {
-            return Err("unrecognized document: neither an LVRA artifact nor a RunReport".into());
-        }
-        let report = RunReport::from_json(&doc)?;
-        let label = run_label(&report.graph, report.ranks, &report.variant);
-        Ok(RunArtifact {
-            name: "run".into(),
-            description: String::new(),
-            runs: vec![RunEntry {
-                label,
-                report,
-                telemetry: Vec::new(),
-            }],
-        })
-    }
 }
 
 #[cfg(test)]
@@ -217,8 +193,6 @@ mod tests {
         let text = a.to_json_string();
         let back = RunArtifact::from_json_str(&text).expect("parse back");
         assert_eq!(back, a);
-        // from_any must take the same path for native documents.
-        assert_eq!(RunArtifact::from_any_json_str(&text).unwrap(), a);
     }
 
     #[test]
@@ -235,15 +209,6 @@ mod tests {
         assert!(RunArtifact::from_json(&doc)
             .unwrap_err()
             .contains("artifact_version"));
-    }
-
-    #[test]
-    fn bare_run_reports_wrap_as_one_run_artifacts() {
-        let report = sample().runs.remove(0).report;
-        let a = RunArtifact::from_any_json_str(&report.to_json_string()).expect("wrap");
-        assert_eq!(a.runs.len(), 1);
-        assert_eq!(a.runs[0].label, "lfr_3k/p2/ET(0.25)+delta");
-        assert_eq!(a.runs[0].report, report);
     }
 
     #[test]
@@ -268,13 +233,15 @@ mod tests {
 
     #[test]
     fn unknown_shapes_are_rejected() {
-        // The pre-artifact bench files (`{"bench": ..., "runs": [...]}`)
-        // are no longer lifted.
+        // Neither the pre-artifact bench files (`{"bench": ..., "runs":
+        // [...]}`) nor a bare RunReport is lifted into an artifact.
         let legacy = r#"{"bench": "PR3_SWEEP", "description": "sweep",
           "runs": [{"graph": "ssca2_4k", "ranks": 2, "mode": "delta", "modularity": 0.98}]}"#;
-        let err = RunArtifact::from_any_json_str(legacy).unwrap_err();
-        assert!(err.contains("unrecognized document"), "{err}");
-        assert!(RunArtifact::from_any_json_str("{\"x\": 1}").is_err());
-        assert!(RunArtifact::from_any_json_str("not json").is_err());
+        let report = sample().runs.remove(0).report.to_json_string();
+        for doc in [legacy, &report, "{\"x\": 1}"] {
+            let err = RunArtifact::from_json_str(doc).unwrap_err();
+            assert!(err.contains("missing field `magic`"), "{err}");
+        }
+        assert!(RunArtifact::from_json_str("not json").is_err());
     }
 }

@@ -1,5 +1,5 @@
-//! Trace exporters: Chrome trace-event JSON (loadable in Perfetto /
-//! `chrome://tracing`) and line-delimited JSONL.
+//! Trace exporter: Chrome trace-event JSON (loadable in Perfetto /
+//! `chrome://tracing`).
 //!
 //! Mapping: each rank becomes one `pid` (with a `process_name` metadata
 //! record so Perfetto labels the track "rank N"), each recording thread
@@ -138,33 +138,6 @@ pub fn chrome_trace(data: &TraceData) -> Json {
 /// Serialize the Chrome trace-event document to a JSON string.
 pub fn chrome_trace_json(data: &TraceData) -> String {
     chrome_trace(data).to_string_compact()
-}
-
-/// Serialize every event as one JSON object per line (rank-major order).
-/// Friendlier than the Chrome format for `grep`/`jq`-style analysis.
-pub fn jsonl(data: &TraceData) -> String {
-    let mut out = String::new();
-    for rank in &data.ranks {
-        for ev in &rank.events {
-            let mut members = vec![
-                ("rank".to_string(), Json::Num(rank.rank as f64)),
-                ("name".to_string(), Json::str(ev.name)),
-                ("cat".to_string(), Json::str(ev.cat)),
-                ("ts_us".to_string(), Json::Num(ev.ts_ns as f64 / 1e3)),
-                ("dur_us".to_string(), Json::Num(ev.dur_ns() as f64 / 1e3)),
-                ("tid".to_string(), Json::Num(ev.tid as f64)),
-            ];
-            if ev.attempt > 0 {
-                members.push(("attempt".to_string(), Json::Num(ev.attempt as f64)));
-            }
-            if !ev.args.is_empty() {
-                members.push(("args".to_string(), event_args(ev)));
-            }
-            out.push_str(&Json::Obj(members).to_string_compact());
-            out.push('\n');
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -332,27 +305,5 @@ mod tests {
             assert!(ts >= last_ts);
             last_ts = ts;
         }
-        // JSONL carries the attempt too.
-        let lines = jsonl(&data);
-        assert!(lines.lines().any(|l| {
-            let v = Json::parse(l).unwrap();
-            v.get("name").and_then(Json::as_str) == Some("b")
-                && v.get("attempt").and_then(Json::as_u64) == Some(1)
-        }));
-    }
-
-    #[test]
-    fn jsonl_emits_one_valid_object_per_line() {
-        let text = jsonl(&sample());
-        let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 3);
-        for line in &lines {
-            let v = Json::parse(line).expect("each line parses");
-            assert!(v.get("rank").is_some());
-            assert!(v.get("ts_us").is_some());
-        }
-        let first = Json::parse(lines[0]).unwrap();
-        assert_eq!(first.get("name").and_then(Json::as_str), Some("a"));
-        assert_eq!(first.get("dur_us").and_then(Json::as_f64), Some(5.0));
     }
 }

@@ -18,9 +18,9 @@ use crate::ring::EventRing;
 use crate::span::{install_observer, uninstall_observer, ThreadObserver};
 use crate::telemetry::{self, IterationRecord, TelemetryLog, TelemetryRow};
 
-/// Default per-rank event capacity (events beyond this are dropped and
-/// counted, never reallocated — see [`EventRing`]).
-pub const DEFAULT_EVENTS_PER_RANK: usize = 1 << 16;
+/// Per-rank event capacity (events beyond this are dropped and counted,
+/// never reallocated — see [`EventRing`]).
+const DEFAULT_EVENTS_PER_RANK: usize = 1 << 16;
 
 struct RankSlot {
     ring: Arc<EventRing>,
@@ -37,15 +37,11 @@ pub struct Collector {
 
 impl Collector {
     pub fn new(num_ranks: usize) -> Self {
-        Self::with_capacity(num_ranks, DEFAULT_EVENTS_PER_RANK)
-    }
-
-    pub fn with_capacity(num_ranks: usize, events_per_rank: usize) -> Self {
         Collector {
             epoch: Instant::now(),
             ranks: (0..num_ranks)
                 .map(|_| RankSlot {
-                    ring: Arc::new(EventRing::with_capacity(events_per_rank)),
+                    ring: Arc::new(EventRing::with_capacity(DEFAULT_EVENTS_PER_RANK)),
                     metrics: Arc::new(MetricsRegistry::new()),
                     telemetry: Arc::new(TelemetryLog::default()),
                 })

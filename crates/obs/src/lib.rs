@@ -14,9 +14,8 @@
 //! - **Collector** ([`Collector`]): one ring + metrics registry per
 //!   rank, a shared epoch so rank timelines align, and a harvest step
 //!   producing [`TraceData`].
-//! - **Exporters** ([`chrome_trace_json`], [`jsonl`]): Chrome
-//!   trace-event JSON (open in Perfetto / `chrome://tracing`; one `pid`
-//!   per rank) and line-delimited JSON.
+//! - **Exporter** ([`chrome_trace_json`]): Chrome trace-event JSON
+//!   (open in Perfetto / `chrome://tracing`; one `pid` per rank).
 //! - **Metrics** ([`MetricsRegistry`], [`counter_add`], [`gauge_set`]):
 //!   counters, gauges, log2 histograms under the names of
 //!   [`METRIC_REGISTRY`]; snapshots merge commutatively across ranks.
@@ -48,10 +47,8 @@ mod stats;
 mod telemetry;
 
 pub use artifact::{run_label, RunArtifact, RunEntry, ARTIFACT_MAGIC, ARTIFACT_VERSION};
-pub use chrome::{chrome_trace, chrome_trace_json, jsonl};
-pub use collector::{
-    Collector, InstallGuard, RankTrace, SpanRollup, TraceData, DEFAULT_EVENTS_PER_RANK,
-};
+pub use chrome::{chrome_trace, chrome_trace_json};
+pub use collector::{Collector, InstallGuard, RankTrace, SpanRollup, TraceData};
 pub use event::{ArgValue, EventKind, TraceEvent};
 pub use json::{Json, JsonError};
 pub use metrics::{
@@ -69,10 +66,7 @@ pub use report::{
     RUN_REPORT_VERSION,
 };
 pub use ring::EventRing;
-pub use span::{
-    complete_span, enabled, init_from_env, set_enabled, span, span_cat, telemetry_enabled,
-    SpanGuard,
-};
+pub use span::{complete_span, enabled, set_enabled, span, span_cat, telemetry_enabled, SpanGuard};
 pub use stats::{CommStep, StatsSnapshot, NUM_COMM_STEPS};
 pub use telemetry::{merge_ranks, record_iteration, IterationRecord, TelemetryLog, TelemetryRow};
 

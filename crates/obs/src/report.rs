@@ -385,8 +385,7 @@ impl RunReport {
         ])
     }
 
-    /// Pretty-printed JSON document (what `louvain run --report-out`
-    /// writes).
+    /// Pretty-printed JSON document.
     pub fn to_json_string(&self) -> String {
         self.to_json().to_string_pretty()
     }

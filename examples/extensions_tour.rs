@@ -1,7 +1,7 @@
 //! A tour of the paper's future-work extensions, implemented in this
 //! library and toggled through `DistConfig` flags: neighborhood
-//! collectives, inactive-ghost pruning, distance-1 colored sweeps,
-//! vertex following, and the MPI+OpenMP hybrid mode.
+//! collectives, inactive-ghost pruning, vertex following, and the
+//! MPI+OpenMP hybrid mode with its distance-1 colored batches.
 //!
 //! ```sh
 //! cargo run --release --example extensions_tour
@@ -45,17 +45,6 @@ fn main() {
     show("+ neighborhood collectives", &out);
     assert_eq!(out.assignment, base.assignment, "must be bit-identical");
 
-    // Distance-1 colored sub-rounds: fewer iterations, more messages.
-    let out = run_distributed(
-        &g,
-        ranks,
-        &DistConfig {
-            color_sweeps: true,
-            ..DistConfig::baseline()
-        },
-    );
-    show("+ colored sweeps", &out);
-
     // Vertex following: pendants pre-merged before the first sweep.
     let out = run_distributed(
         &g,
@@ -67,7 +56,8 @@ fn main() {
     );
     show("+ vertex following", &out);
 
-    // Hybrid MPI+OpenMP: half the ranks, two threads each.
+    // Hybrid MPI+OpenMP: half the ranks, two threads each, sweeping in
+    // distance-1 colored batches.
     let out = run_distributed(
         &g,
         ranks / 2,

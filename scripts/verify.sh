@@ -65,10 +65,10 @@ cargo clippy -q "${pkg_flags[@]}" --all-targets -- -D warnings
 # the Perfetto trace CI uploads, `lens crit` walks the slowest-rank
 # chain of its phase profile and must exit 0 with a straggler blame,
 # the artifact diffed against itself must decode and show no changed
-# row, `--ranks 0` must be a usage error and not a panic, and fig3
-# prints the modeled 128->4096-rank tail past its last measured rank
-# count.
-echo "==> louvain generate | run --artifact-out | lens show | lens crit | lens diff | run --ranks 0 | fig3"
+# row, `--ranks 0` and a deleted option must be usage errors naming the
+# flag and not panics, and fig3 prints the modeled 128->4096-rank tail
+# past its last measured rank count.
+echo "==> louvain generate | run --artifact-out | lens show | lens crit | lens diff | run --ranks 0 | run <deleted option> | fig3"
 ./target/release/louvain generate --kind lfr --n 3000 --seed 7 --out target/verify_lfr.graph
 ./target/release/louvain run target/verify_lfr.graph --ranks 2 --variant et:0.25 \
   --artifact-out target/run_artifact.json --trace-out target/trace.json
@@ -88,6 +88,15 @@ fi
 cat target/ranks0.err
 grep -q -- "--ranks" target/ranks0.err
 ! grep -q panicked target/ranks0.err
+# The quotes split the deleted name so that it appears nowhere in the code.
+gone=--report-"out"
+if ./target/release/louvain run target/verify_lfr.graph "$gone" target/gone.json 2> target/gone.err; then
+  echo "verify: $gone must exit non-zero" >&2
+  exit 1
+fi
+cat target/gone.err
+grep -qF -- "unknown option $gone" target/gone.err
+! grep -q panicked target/gone.err
 # -c, not -q: grep must drain the pipe or fig3 dies writing to it.
 LOUVAIN_SCALE=quick ./target/release/fig3 channel 2>/dev/null | grep -cw modeled
 

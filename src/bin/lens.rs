@@ -6,9 +6,8 @@
 //! lens crit run.json
 //! ```
 //!
-//! Every input goes through [`RunArtifact::from_any_json_str`], so a
-//! bare RunReport (`louvain run --report-out`) is accepted everywhere
-//! an artifact is.
+//! Every input goes through [`RunArtifact::from_json_str`]: only `LVRA`
+//! run artifacts (`louvain run --artifact-out`) are read.
 
 use std::path::Path;
 use std::process::ExitCode;
@@ -58,7 +57,8 @@ USAGE:
       by job id. An unterminated final line (kill -9 mid-write) is
       tolerated; any other malformed line is an error.
 
-Inputs are RunArtifact documents or bare RunReports.
+show, diff and crit read RunArtifact documents (`louvain run
+--artifact-out`).
 ";
 
 fn main() -> ExitCode {
@@ -91,7 +91,7 @@ fn fail(msg: &str) -> ExitCode {
 
 fn load(path: &str) -> Result<RunArtifact, String> {
     let text = std::fs::read_to_string(Path::new(path)).map_err(|e| format!("{path}: {e}"))?;
-    RunArtifact::from_any_json_str(&text).map_err(|e| format!("{path}: {e}"))
+    RunArtifact::from_json_str(&text).map_err(|e| format!("{path}: {e}"))
 }
 
 fn cmd_show(args: &[String]) -> Result<(), String> {

@@ -93,38 +93,36 @@ USAGE:
               [--ranks <P>] [--variant <V>] [--threads-per-rank <T>]
               [--sweep <auto|colored|relaxed>]
               [--tau <F>] [--assignment <OUT>]
-              [--trace-out <TRACE>] [--report-out <REPORT>]
-              [--artifact-out <ARTIFACT>]
-              [--checkpoint-dir <DIR>] [--checkpoint-every <K>] [--resume]
+              [--trace-out <TRACE>] [--artifact-out <ARTIFACT>]
+              [--checkpoint-dir <DIR>] [--resume]
               [--fault-plan <SPEC>] [--max-recoveries <N>]
               [--comm-timeout-ms <MS>] [--max-retries <N>]
-              [--backoff-base-ms <MS>] [--no-watchdog]
+              [--backoff-base-ms <MS>]
       V: baseline | cycling | et:<alpha> | etc:<alpha> | et+cycling:<alpha>
       Runs distributed Louvain on P simulated ranks, prints the summary,
       optionally writes the community assignment to <OUT>.
       <FILE> is a binary edge list or a slab, told apart by file magic.
-      A slab is memory-mapped once and every rank slices its piece
-      zero-copy; with --ranged (slabs only) each rank instead reads only
-      its own byte ranges from the file (the paper's MPI-I/O pattern) —
-      nothing is ever fully resident. Both paths are bit-identical to
-      running the in-memory graph.
+      A slab is memory-mapped once and every rank copies its own rows
+      out of the mapping; with --ranged (slabs only) each rank instead
+      reads only its own byte ranges from the file (the paper's MPI-I/O
+      pattern) — nothing is ever fully resident. Both paths are
+      bit-identical to running the in-memory graph.
       --sweep picks the per-rank sweep schedule: `auto` (sequential at one
       thread, colored conflict-free batches otherwise), `colored` (force
       the deterministic colored schedule at any thread count), `relaxed`
-      (legacy racing multithreaded sweep; results may vary with T).
+      (the racing multithreaded sweep, a supported mode; results may
+      vary with T).
       --trace-out enables tracing and writes a Chrome trace-event JSON
-      (load in Perfetto / chrome://tracing; one process track per rank);
-      a `.jsonl` extension selects line-delimited JSON instead.
-      --report-out writes the aggregated RunReport JSON (per-step byte
-      totals, modeled compute/comm/reduce breakdown, metrics, span
-      rollup). Setting LOUVAIN_TRACE=1 also enables tracing.
-      --artifact-out writes a versioned RunArtifact JSON (the unified
-      schema `lens` consumes: RunReport + per-iteration convergence
-      telemetry). Implies tracing, like --trace-out.
-      --checkpoint-dir writes a checkpoint at every --checkpoint-every'th
-      phase boundary (default 1); --resume restarts from the newest
-      complete checkpoint in that directory. A run killed mid-flight and
-      resumed produces bit-identical results to an uninterrupted run.
+      (load in Perfetto / chrome://tracing; one process track per rank).
+      --artifact-out writes a versioned RunArtifact JSON, the schema
+      `lens` consumes: the aggregated RunReport (per-step byte totals,
+      modeled compute/comm/reduce breakdown, metrics, span rollup) plus
+      per-iteration convergence telemetry. Implies tracing, like
+      --trace-out.
+      --checkpoint-dir writes a checkpoint at every phase boundary;
+      --resume restarts from the newest complete checkpoint in that
+      directory. A run killed mid-flight and resumed produces
+      bit-identical results to an uninterrupted run.
       --fault-plan injects deterministic comm faults, e.g.
       `seed=7;drop:prob=0.05;crash:rank=1,phase=2,op=0`
       (kinds: drop | delay | duplicate | truncate | corrupt-payload |
@@ -135,8 +133,7 @@ USAGE:
       --comm-timeout-ms sets the watchdog deadline per blocked wait
       (default 30000); after --max-retries deadline extensions (default
       3, exponential backoff from --backoff-base-ms, default 0.05) the
-      silent rank is declared hung. --no-watchdog restores the legacy
-      single hard timeout (no hang recovery).
+      silent rank is declared hung.
 
   louvain quality --truth <FILE> --detected <FILE>
       Precision/recall/F-score (methodology of the paper's §V-D), NMI and
@@ -496,17 +493,15 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
         "--tau",
         "--assignment",
         "--trace-out",
-        "--report-out",
         "--artifact-out",
         "--checkpoint-dir",
-        "--checkpoint-every",
         "--fault-plan",
         "--max-recoveries",
         "--comm-timeout-ms",
         "--max-retries",
         "--backoff-base-ms",
     ];
-    let bools = ["--ranged", "--resume", "--no-watchdog"];
+    let bools = ["--ranged", "--resume"];
     let opts = Args::scan(args, &values, &bools)?;
     let path = PathBuf::from(opts.sole_positional("graph file")?);
     let ranks: usize = opts.parse("--ranks")?.unwrap_or(4);
@@ -521,10 +516,8 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
     let tau: f64 = opts.parse("--tau")?.unwrap_or(1e-6);
     let variant = Variant::parse(opts.get("--variant").unwrap_or("baseline"))?;
     let trace_out = opts.get("--trace-out").map(PathBuf::from);
-    let report_out = opts.get("--report-out").map(PathBuf::from);
     let artifact_out = opts.get("--artifact-out").map(PathBuf::from);
     let checkpoint_dir = opts.get("--checkpoint-dir").map(PathBuf::from);
-    let checkpoint_every: u64 = opts.parse("--checkpoint-every")?.unwrap_or(1);
     let resume = opts.has("--resume");
     let max_recoveries: usize = opts.parse("--max-recoveries")?.unwrap_or(8);
     let fault_plan = match opts.get("--fault-plan") {
@@ -547,7 +540,6 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
             return Err("--backoff-base-ms must be a non-negative number".into());
         }
         HealthConfig {
-            enabled: !opts.has("--no-watchdog"),
             deadline: std::time::Duration::from_millis(timeout_ms),
             max_retries: opts.parse("--max-retries")?.unwrap_or(defaults.max_retries),
             backoff: BackoffPolicy {
@@ -560,9 +552,8 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
 
     let ranged = opts.has("--ranged");
 
-    // LOUVAIN_TRACE=1 enables tracing too; --trace-out and
-    // --artifact-out imply it (telemetry rides on the span machinery).
-    obs::init_from_env();
+    // --trace-out and --artifact-out enable tracing (telemetry rides on
+    // the span machinery).
     if trace_out.is_some() || artifact_out.is_some() {
         obs::set_enabled(true);
     }
@@ -576,10 +567,9 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
     let runcfg = RunConfig {
         fault: fault_plan.map(std::sync::Arc::new),
         health,
-        ..RunConfig::default()
     };
     let resil = ResilOptions {
-        checkpoint: checkpoint_dir.map(|dir| CheckpointOptions::new(dir).every(checkpoint_every)),
+        checkpoint: checkpoint_dir.map(CheckpointOptions::new),
         resume,
         max_recoveries,
         ..ResilOptions::none()
@@ -718,12 +708,8 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
             .trace
             .as_ref()
             .ok_or("tracing produced no data (was it disabled mid-run?)")?;
-        let text = if dest.extension().is_some_and(|e| e == "jsonl") {
-            obs::jsonl(trace)
-        } else {
-            obs::chrome_trace_json(trace)
-        };
-        std::fs::write(dest, text).map_err(|e| format!("{}: {e}", dest.display()))?;
+        std::fs::write(dest, obs::chrome_trace_json(trace))
+            .map_err(|e| format!("{}: {e}", dest.display()))?;
         println!(
             "wrote {} ({} events, {} dropped)",
             dest.display(),
@@ -731,7 +717,7 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
             trace.total_dropped()
         );
     }
-    if report_out.is_some() || artifact_out.is_some() {
+    if let Some(dest) = &artifact_out {
         let meta = dist::ReportMeta::new(
             path.file_name()
                 .map(|f| f.to_string_lossy().into_owned())
@@ -742,34 +728,27 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
         .variant(variant.label())
         .threads_per_rank(threads);
         let report = dist::build_run_report(&out, &meta);
-        if let Some(dest) = &report_out {
-            std::fs::write(dest, report.to_json_string())
-                .map_err(|e| format!("{}: {e}", dest.display()))?;
-            println!("wrote {}", dest.display());
-        }
-        if let Some(dest) = &artifact_out {
-            let telemetry = out
-                .trace
-                .as_ref()
-                .map(|t| t.merged_telemetry())
-                .unwrap_or_default();
-            let artifact = obs::RunArtifact {
-                name: "louvain-cli".into(),
-                description: format!(
-                    "louvain run {} on {ranks} ranks ({})",
-                    report.graph,
-                    variant.label()
-                ),
-                runs: vec![obs::RunEntry {
-                    label: obs::run_label(&report.graph, ranks, "full"),
-                    report,
-                    telemetry,
-                }],
-            };
-            std::fs::write(dest, artifact.to_json_string())
-                .map_err(|e| format!("{}: {e}", dest.display()))?;
-            println!("wrote {} (run artifact)", dest.display());
-        }
+        let telemetry = out
+            .trace
+            .as_ref()
+            .map(|t| t.merged_telemetry())
+            .unwrap_or_default();
+        let artifact = obs::RunArtifact {
+            name: "louvain-cli".into(),
+            description: format!(
+                "louvain run {} on {ranks} ranks ({})",
+                report.graph,
+                variant.label()
+            ),
+            runs: vec![obs::RunEntry {
+                label: obs::run_label(&report.graph, ranks, "full"),
+                report,
+                telemetry,
+            }],
+        };
+        std::fs::write(dest, artifact.to_json_string())
+            .map_err(|e| format!("{}: {e}", dest.display()))?;
+        println!("wrote {} (run artifact)", dest.display());
     }
     // If the generator left a ground-truth file next to the input, score
     // against it automatically.
@@ -862,6 +841,19 @@ mod tests {
         assert!(err.contains("--nn"), "unexpected error: {err}");
         let err = cmd_info(&[s("a.bin"), s("b.bin")]).unwrap_err();
         assert!(err.contains("b.bin"), "unexpected error: {err}");
+        // Options deleted as unused are unknown options like any other.
+        // Their names are spelt in pieces so that they appear nowhere in
+        // the code.
+        for (flag, value) in [
+            (concat!("--report", "-out"), Some("r.json")),
+            (concat!("--checkpoint", "-every"), Some("2")),
+            (concat!("--no", "-watchdog"), None),
+        ] {
+            let mut args = vec![s("g.bin"), s(flag)];
+            args.extend(value.map(s));
+            let err = cmd_run(&args).unwrap_err();
+            assert_eq!(err, format!("unknown option {flag}"));
+        }
     }
 
     /// Zero ranks used to reach `Partition::new`'s `assert!(p > 0)` and
@@ -914,7 +906,7 @@ mod tests {
         assert!(truth_sibling(&graph).exists());
         cmd_info(&[s(graph.to_str().unwrap())]).unwrap();
         let trace = dir.join("t.trace.json");
-        let report = dir.join("t.report.json");
+        let artifact = dir.join("t.artifact.json");
         cmd_run(&[
             s(graph.to_str().unwrap()),
             s("--ranks"),
@@ -925,17 +917,19 @@ mod tests {
             s(assign.to_str().unwrap()),
             s("--trace-out"),
             s(trace.to_str().unwrap()),
-            s("--report-out"),
-            s(report.to_str().unwrap()),
+            s("--artifact-out"),
+            s(artifact.to_str().unwrap()),
         ])
         .unwrap();
         assert!(assign.exists());
-        // The trace is valid JSON with a traceEvents array; the report
-        // round-trips through the RunReport parser.
+        // The trace is valid JSON with a traceEvents array; the artifact
+        // round-trips through the RunArtifact parser and carries the
+        // run's report.
         let doc = obs::Json::parse(&std::fs::read_to_string(&trace).unwrap()).unwrap();
         assert!(!doc.get("traceEvents").unwrap().as_arr().unwrap().is_empty());
-        let rep =
-            obs::RunReport::from_json_str(&std::fs::read_to_string(&report).unwrap()).unwrap();
+        let art =
+            obs::RunArtifact::from_json_str(&std::fs::read_to_string(&artifact).unwrap()).unwrap();
+        let rep = &art.runs[0].report;
         assert_eq!(rep.ranks, 2);
         assert!(rep.traffic.total_bytes() > 0);
         cmd_quality(&[

@@ -12,7 +12,7 @@
 //! * [`grappolo`] — the shared-memory multithreaded Louvain baseline,
 //! * [`dist`] — the distributed Louvain algorithm with threshold cycling
 //!   and early-termination heuristics,
-//! * [`obs`] — rank-aware tracing: spans, Chrome-trace/JSONL export,
+//! * [`obs`] — rank-aware tracing: spans, Chrome-trace export,
 //!   metrics, aggregated run reports,
 //! * [`resil`] — checkpoint/restart: versioned per-rank phase-boundary
 //!   checkpoints, atomic manifests, deterministic crash recovery,
