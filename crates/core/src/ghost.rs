@@ -62,8 +62,8 @@ use crate::scratch::reclaim;
 pub type DeltaEntry = (u32, VertexId);
 
 const TARGET_LIMIT: &str =
-    "dense indices are u32: a rank's owned vertices plus its ghosts, and its owned plus \
-     remote communities, must each stay below 4_294_967_296";
+    "dense indices are u32: a rank's owned vertices plus its ghosts, its arcs if it has \
+     ghosts, and its owned plus remote communities must each stay below 4_294_967_296";
 
 /// Grab-and-put vector pool: `take` pops a cleared buffer (or makes a
 /// fresh one), `put_back` returns buffers so their capacity is reused.
@@ -103,6 +103,12 @@ pub struct GhostLayer {
     nlocal: usize,
     /// Dense target of every arc, aligned with `lg.csr_parts().1`.
     targets: Vec<u32>,
+    /// The arcs into ghost slot `s` are `arcs_into[into_start[s]..
+    /// into_start[s + 1]]`, as `(local source, arc index)` in arc order;
+    /// `has_ghost_arcs[l]` flags the rows with one. Empty without ghosts.
+    into_start: Vec<u32>,
+    arcs_into: Vec<(u32, u32)>,
+    has_ghost_arcs: Vec<bool>,
     /// Ghost ids this rank needs, grouped by owner, sorted (fixed order —
     /// the wire format of every refresh).
     requests: Vec<Vec<VertexId>>,
@@ -181,13 +187,25 @@ impl GhostLayer {
                 next += 1;
             }
         }
+        // Renumbering also flags the rows with a ghost arc and counts the
+        // arcs into each slot: the first step of `arcs_into`'s counting sort.
+        let offsets = lg.csr_parts().0;
+        let (mut into_start, mut has_ghost_arcs) = (Vec::new(), Vec::new());
         if next > 0 {
-            for t in &mut targets {
-                if let Some(s) = (*t as usize).checked_sub(nlocal) {
-                    *t = slot_of_seen[s];
+            u32::try_from(targets.len()).expect(TARGET_LIMIT);
+            into_start = vec![0u32; next + 1];
+            has_ghost_arcs = vec![false; nlocal];
+            for l in 0..nlocal {
+                for t in &mut targets[offsets[l]..offsets[l + 1]] {
+                    if let Some(s) = (*t as usize).checked_sub(nlocal) {
+                        *t = slot_of_seen[s];
+                        into_start[*t as usize - nlocal] += 1;
+                        has_ghost_arcs[l] = true;
+                    }
                 }
             }
         }
+        let arcs_into = place_ghost_arcs(offsets, &targets, &has_ghost_arcs, &mut into_start);
         // Tell each owner what we need; learn what others need from us.
         // The request lists stay behind as the wire-format reference for
         // every later refresh, so a copy goes on the wire (once a phase).
@@ -206,6 +224,9 @@ impl GhostLayer {
         Self {
             nlocal,
             targets,
+            into_start,
+            arcs_into,
+            has_ghost_arcs,
             requests,
             request_mask,
             serve,
@@ -268,15 +289,34 @@ impl GhostLayer {
         (row.iter().zip(lg.neighbors(l))).map(|(&t, (u, w))| (t, u, w))
     }
 
+    /// The ghost slot behind target `t`, `None` for an owned vertex.
+    #[inline]
+    pub(crate) fn slot(&self, t: u32) -> Option<usize> {
+        (t as usize).checked_sub(self.nlocal)
+    }
+
     /// Value of the vertex behind target `t` as this rank sees it:
     /// `local(t)` for an owned vertex, otherwise its replica in
     /// `ghost_vals` (an array filled by [`GhostLayer::refresh`]).
     #[inline]
     pub fn value_of<V: Copy>(&self, t: u32, local: impl FnOnce(usize) -> V, ghost_vals: &[V]) -> V {
-        match (t as usize).checked_sub(self.nlocal) {
+        match self.slot(t) {
             None => local(t as usize),
             Some(slot) => ghost_vals[slot],
         }
+    }
+
+    /// The local arcs whose target is ghost slot `slot`, as `(local
+    /// source vertex, arc index)` in arc order.
+    #[inline]
+    pub(crate) fn arcs_into(&self, slot: usize) -> &[(u32, u32)] {
+        &self.arcs_into[self.into_start[slot] as usize..self.into_start[slot + 1] as usize]
+    }
+
+    /// Some arc of local vertex `l` targets a ghost slot.
+    #[inline]
+    pub(crate) fn has_ghost_arcs(&self, l: usize) -> bool {
+        self.has_ghost_arcs.get(l).copied().unwrap_or(false)
     }
 
     /// One round over the layer's transport: `send(j)` fills a pooled
@@ -476,8 +516,9 @@ impl GhostLayer {
         &self.requests
     }
 
-    /// Approximate resident bytes of the ghost bookkeeping (arc targets,
-    /// request and serve tables, masks) — the `mem.ghost_bytes` gauge.
+    /// Approximate resident bytes of the ghost bookkeeping (arc targets
+    /// and their reverse index, request and serve tables, masks) — the
+    /// `mem.ghost_bytes` gauge.
     pub fn approx_bytes(&self) -> u64 {
         use std::mem::size_of;
         fn nested<T>(v: &[Vec<T>]) -> u64 {
@@ -490,6 +531,9 @@ impl GhostLayer {
             + nested(&self.serve)
             + nested(&self.serve_mask)
             + (self.targets.capacity() * size_of::<u32>()) as u64
+            + (self.into_start.capacity() * size_of::<u32>()) as u64
+            + (self.arcs_into.capacity() * size_of::<(u32, u32)>()) as u64
+            + self.has_ghost_arcs.capacity() as u64
             + (self.neighbors.capacity() * size_of::<usize>()) as u64
             + (self.base.capacity() * size_of::<usize>()) as u64
     }
@@ -503,6 +547,35 @@ impl GhostLayer {
             + (self.last_pushed.capacity() * std::mem::size_of::<VertexId>()) as u64
             + self.changed.capacity() as u64
     }
+}
+
+/// The rest of the slot → arc counting sort, given each slot's arc
+/// count in `start` (plus a trailing 0): prefix-sum to each slot's end,
+/// then place the arcs of the flagged rows walking backwards, so each
+/// slot's arcs stay in arc order and its end becomes its start.
+fn place_ghost_arcs(
+    offsets: &[usize],
+    targets: &[u32],
+    has_ghost_arcs: &[bool],
+    start: &mut [u32],
+) -> Vec<(u32, u32)> {
+    let Some(num_ghosts) = start.len().checked_sub(1) else {
+        return Vec::new();
+    };
+    for s in 1..=num_ghosts {
+        start[s] += start[s - 1];
+    }
+    let nlocal = has_ghost_arcs.len();
+    let mut arcs = vec![(0, 0); start[num_ghosts] as usize];
+    for l in (0..nlocal).rev().filter(|&l| has_ghost_arcs[l]) {
+        for a in (offsets[l]..offsets[l + 1]).rev() {
+            if let Some(s) = (targets[a] as usize).checked_sub(nlocal) {
+                start[s] -= 1;
+                arcs[start[s] as usize] = (l as u32, a as u32);
+            }
+        }
+    }
+    arcs
 }
 
 /// The phase's dense community numbering on one rank. An owned community
@@ -577,16 +650,25 @@ impl CommunityIndex {
 
     /// Bring `dense` (one index per ghost slot) up to date with the
     /// refreshed global values: one array compare per slot, one hash
-    /// probe per slot whose community changed.
-    pub fn translate(&mut self, ghost_vals: &[VertexId], dense: &mut Vec<u32>) {
+    /// probe per slot whose community changed, reported to
+    /// `changed(slot, old, new)` in dense indices. The first call fills
+    /// `dense` and reports nothing.
+    pub fn translate(
+        &mut self,
+        ghost_vals: &[VertexId],
+        dense: &mut Vec<u32>,
+        mut changed: impl FnMut(usize, u32, u32),
+    ) {
         if dense.len() != ghost_vals.len() {
             dense.clear();
             dense.extend(ghost_vals.iter().map(|&c| self.dense(c)));
             return;
         }
-        for (d, &c) in dense.iter_mut().zip(ghost_vals) {
+        for (s, (d, &c)) in dense.iter_mut().zip(ghost_vals).enumerate() {
             if self.global(*d) != c {
+                let old = *d;
                 *d = self.dense(c);
+                changed(s, old, *d);
             }
         }
     }
@@ -702,6 +784,39 @@ mod tests {
             assert_eq!(ghosts, 2);
             let expected: Vec<usize> = (0..3).filter(|&j| j != rank).collect();
             assert_eq!(neighbors, expected);
+        }
+    }
+
+    #[test]
+    fn reverse_index_lists_every_ghost_arc_once_in_arc_order() {
+        let g = louvain_graph::gen::rmat(louvain_graph::gen::RmatParams::social(8, 6, 3)).graph;
+        for p in [2, 3] {
+            let parts = scatter_for(p, &g);
+            run(p, |c| {
+                let lg = &parts[c.rank()];
+                let layer = GhostLayer::build(c, lg);
+                let offsets = lg.csr_parts().0;
+                let mut want: Vec<Vec<(u32, u32)>> = vec![Vec::new(); layer.num_ghosts()];
+                for l in 0..lg.num_local() {
+                    for a in offsets[l]..offsets[l + 1] {
+                        if let Some(s) = layer.slot(layer.targets()[a]) {
+                            want[s].push((l as u32, a as u32));
+                        }
+                    }
+                }
+                for (s, arcs) in want.iter().enumerate() {
+                    assert_eq!(layer.arcs_into(s), &arcs[..], "p={p} slot {s}");
+                }
+                for l in 0..lg.num_local() {
+                    let ghost_row = want.iter().flatten().any(|&(src, _)| src as usize == l);
+                    assert_eq!(layer.has_ghost_arcs(l), ghost_row, "p={p} row {l}");
+                }
+                // The gauge counts the index: 8 B per ghost arc, a 4 B
+                // start per slot plus the end, and a flag per row.
+                let ghost_arcs = want.iter().map(Vec::len).sum::<usize>();
+                let index_bytes = 8 * ghost_arcs + 4 * (layer.num_ghosts() + 1) + lg.num_local();
+                assert_eq!(reverse_index_bytes(layer), index_bytes as u64);
+            });
         }
     }
 
@@ -876,12 +991,20 @@ mod tests {
             assert_eq!(index.global(d), c);
             assert_eq!(index.remote_slot(d), d.checked_sub(4));
         }
-        // Translating refreshed slots renumbers exactly those that changed.
+        // Translating refreshed slots renumbers exactly those that
+        // changed, and reports them; the first fill reports nothing.
         let mut dense = Vec::new();
-        index.translate(&[11, 5, 2], &mut dense);
+        let mut changed = Vec::new();
+        index.translate(&[11, 5, 2], &mut dense, |s, old, new| {
+            changed.push((s, old, new))
+        });
         assert_eq!(dense, [4, 1, 5]);
-        index.translate(&[11, 9, 6], &mut dense);
+        assert!(changed.is_empty());
+        index.translate(&[11, 9, 6], &mut dense, |s, old, new| {
+            changed.push((s, old, new))
+        });
         assert_eq!(dense, [4, 6, 2]);
+        assert_eq!(changed, [(1, 1, 6), (2, 5, 2)]);
         assert_eq!(index.remote_global(2), 9);
     }
 
@@ -893,9 +1016,22 @@ mod tests {
             let layer = GhostLayer::build(c, &parts[0]);
             let mut vals = vec![7u64; 3];
             layer.refresh(c, &[0u64; 8], &mut vals);
-            (layer.num_ghosts(), vals.len(), layer.neighbor_ranks().len())
+            let shape = (layer.num_ghosts(), vals.len(), layer.neighbor_ranks().len());
+            // The slot → arc index holds nothing, not even a start array,
+            // and no row is flagged.
+            (shape, reverse_index_bytes(layer))
         });
-        assert_eq!(out[0], (0, 0, 0));
+        assert_eq!(out[0], ((0, 0, 0), 0));
+    }
+
+    /// What the slot → arc index and the ghost-row flags add to the
+    /// `mem.ghost_bytes` gauge.
+    fn reverse_index_bytes(mut layer: GhostLayer) -> u64 {
+        let with = layer.approx_bytes();
+        layer.into_start = Vec::new();
+        layer.arcs_into = Vec::new();
+        layer.has_ghost_arcs = Vec::new();
+        with - layer.approx_bytes()
     }
 
     #[test]

@@ -15,6 +15,12 @@
 //! "community update lag" that distinguishes the distributed algorithm
 //! from its shared-memory counterpart (Section III-B).
 //!
+//! Step 4's `Σ e_in` is carried through the phase, not recomputed by an
+//! arc pass: it starts at the self-loop weight, each move adds
+//! `Sweep::e_in_change` and each ghost slot a refresh changes adds the
+//! change over the arcs into it. The racing schedule keeps the pass.
+//! DESIGN.md §11, "Σ e_in through the moves", argues it is exact.
+//!
 //! The compute sweep is MPI+OpenMP-shaped like the original. One move
 //! kernel (`Sweep::best_move` scores, `Sweep::apply_move` writes) is
 //! driven by three schedules (see [`crate::SweepMode`]): the seed's
@@ -146,6 +152,11 @@ struct GhostComms {
 /// communities from the owners' snapshots, and renumber the slots that
 /// changed. `allow_delta` must be uniform across ranks (see
 /// [`GhostLayer::exchange`]).
+///
+/// Given the arc weights, also returns what the changed slots did to
+/// this rank's `Σ e_in` against the (frozen) local communities, and the
+/// arcs read for it.
+#[allow(clippy::too_many_arguments)]
 fn exchange_ghosts(
     comm: &Comm,
     ghosts: &mut GhostLayer,
@@ -154,7 +165,8 @@ fn exchange_ghosts(
     scratch: &mut IterScratch,
     ghost_comm: &mut GhostComms,
     allow_delta: bool,
-) {
+    track_e_in: Option<&[Weight]>,
+) -> (Weight, u64) {
     comm.with_step(CommStep::GhostRefresh, || {
         scratch.comm_snapshot.clear();
         scratch
@@ -167,7 +179,23 @@ fn exchange_ghosts(
             allow_delta,
         );
     });
-    index.translate(&ghost_comm.global, &mut ghost_comm.dense);
+    let (mut e_in_change, mut arcs) = (0.0, 0);
+    index.translate(&ghost_comm.global, &mut ghost_comm.dense, |s, old, new| {
+        let Some(arc_weights) = track_e_in else {
+            return;
+        };
+        let into = ghosts.arcs_into(s);
+        arcs += into.len() as u64;
+        for &(l, a) in into {
+            let c = state.comm_of_local(l as usize);
+            if c == new {
+                e_in_change += arc_weights[a as usize];
+            } else if c == old {
+                e_in_change -= arc_weights[a as usize];
+            }
+        }
+    });
+    (e_in_change, arcs)
 }
 
 /// Read-only inputs of one compute sweep, shared by every schedule.
@@ -194,8 +222,9 @@ impl Sweep<'_> {
     /// The local-move rule (Algorithm 3, lines 6–9) for local vertex `l`:
     /// gather the edge weight toward every neighboring community into
     /// `weights`, score each candidate, and return the community `l`
-    /// should move to, if any. Nothing is written but the scratch, which
-    /// is handed back clear.
+    /// should move to, if any, beside what the move does to this rank's
+    /// `Σ e_in` ([`Sweep::e_in_change`]). Nothing is written but the
+    /// scratch, which is handed back clear.
     ///
     /// Per-community weights accumulate in neighbour order and candidates
     /// are scored in order of first touch. A candidate wins by more than
@@ -216,7 +245,7 @@ impl Sweep<'_> {
         deltas: &DenseMap<(Weight, i64)>,
         weights: &mut DenseMap<Weight>,
         edges: &mut u64,
-    ) -> Option<u32> {
+    ) -> Option<(u32, Weight)> {
         let state = self.state;
         debug_assert!(
             weights.entries().is_empty(),
@@ -232,9 +261,43 @@ impl Sweep<'_> {
             let c = (self.ghosts).value_of(t, |i| state.comm_of_local(i), self.ghost_comm);
             *weights.entry(c) += w;
         }
-        let best = self.score(l, deltas, weights);
+        let best =
+            (self.score(l, deltas, weights)).map(|c| (c, self.e_in_change(l, c, weights, edges)));
         weights.clear();
         best
+    }
+
+    /// What moving `l` to `best` does to this rank's `Σ e_in`, from the
+    /// gathered `weights`: `l`'s row changes by `e_best − e_cu`, the
+    /// reverse arcs of its local neighbours by the same sums over local
+    /// arcs only (a ghost's owner sees `l` through a stale replica), so
+    /// a mover with ghost arcs reads its row once more for them.
+    fn e_in_change(
+        &self,
+        l: usize,
+        best: u32,
+        weights: &DenseMap<Weight>,
+        edges: &mut u64,
+    ) -> Weight {
+        let cu = self.state.comm_of_local(l);
+        let e = |c| weights.get(c).unwrap_or(0.0);
+        let own_row = e(best) - e(cu);
+        if !self.ghosts.has_ghost_arcs(l) {
+            return 2.0 * own_row;
+        }
+        let row = self.offsets[l]..self.offsets[l + 1];
+        *edges += row.len() as u64;
+        let mut ghost_arcs = 0.0;
+        for (&t, &w) in self.targets[row.clone()].iter().zip(&self.arc_weights[row]) {
+            if let Some(s) = self.ghosts.slot(t) {
+                if self.ghost_comm[s] == best {
+                    ghost_arcs += w;
+                } else if self.ghost_comm[s] == cu {
+                    ghost_arcs -= w;
+                }
+            }
+        }
+        2.0 * own_row - ghost_arcs
     }
 
     /// Score the gathered candidates of `l`; see [`Sweep::best_move`].
@@ -301,17 +364,19 @@ impl Sweep<'_> {
         (profitable && !swap).then_some(best_c)
     }
 
-    /// Move local vertex `l` to `best_c`: the only sweep-time writer of
-    /// the community state. Owned communities are updated in place;
-    /// changes to remote ones accumulate in `acc.deltas` for the owner
-    /// push, whose message order follows the insertion history here.
-    fn apply_move(&self, l: usize, best_c: u32, acc: &mut SweepAcc) {
+    /// Move local vertex `l` to `best_c` (and `Σ e_in` by `e_in_change`):
+    /// the only sweep-time writer of the community state. Owned
+    /// communities are updated in place; changes to remote ones
+    /// accumulate in `acc.deltas` for the owner push, whose message
+    /// order follows the insertion history here.
+    fn apply_move(&self, l: usize, (best_c, e_in_change): (u32, Weight), acc: &mut SweepAcc) {
         let Sweep { state, index, .. } = *self;
         let cu = state.comm_of_local(l);
         let kv = self.k_local[l];
         state.comm[l].store(best_c, Ordering::Relaxed);
         state.moved[l].store(true, Ordering::Relaxed);
         acc.moves += 1;
+        acc.e_in += e_in_change;
         // Leave cu.
         match index.remote_slot(cu) {
             None => {
@@ -345,8 +410,8 @@ impl Sweep<'_> {
         let SweepWorker { weights, acc, .. } = worker;
         for &l in vertices {
             acc.vertices += 1;
-            if let Some(c) = self.best_move(l, &acc.deltas, weights, &mut acc.edges) {
-                self.apply_move(l, c, acc);
+            if let Some(mv) = self.best_move(l, &acc.deltas, weights, &mut acc.edges) {
+                self.apply_move(l, mv, acc);
             }
         }
     }
@@ -366,7 +431,8 @@ impl Sweep<'_> {
     /// applied sequence is a function of the coloring alone — results at
     /// any `threads_per_rank` are bit-identical for a fixed coloring (and
     /// the coloring seed never depends on the thread count). The parity
-    /// argument is spelled out in DESIGN.md §11.
+    /// argument is spelled out in DESIGN.md §11. The same independence
+    /// keeps the `Σ e_in` change a decision carries exact when applied.
     #[allow(clippy::too_many_arguments)]
     fn sweep_colored(
         &self,
@@ -407,15 +473,18 @@ impl Sweep<'_> {
                 } = &mut *worker;
                 acc.vertices += r.len() as u64;
                 for &l in &batch[r] {
-                    if let Some(c) = self.best_move(l, frozen, weights, &mut acc.edges) {
-                        moves.push((l, c));
+                    if let Some((c, e_in_change)) =
+                        self.best_move(l, frozen, weights, &mut acc.edges)
+                    {
+                        // `l` < nlocal, which `CommunityIndex::new` bounds.
+                        moves.push((l as u32, c, e_in_change));
                     }
                 }
             });
             let mut batch_moves = 0u64;
             for worker in workers {
-                for (l, c) in lock_worker(worker).moves.drain(..) {
-                    self.apply_move(l, c, acc);
+                for (l, c, e_in_change) in lock_worker(worker).moves.drain(..) {
+                    self.apply_move(l as usize, (c, e_in_change), acc);
                     batch_moves += 1;
                 }
             }
@@ -424,9 +493,17 @@ impl Sweep<'_> {
     }
 }
 
-/// Global modularity (Eq. 2) from this rank's `(Σ e_in, Σ a_c²)` terms:
-/// two sum-reductions, to be called inside a `Reduction` step scope.
-fn reduce_modularity(comm: &Comm, (e_in_local, a2_local): (f64, f64), two_m: f64) -> f64 {
+/// Global modularity (Eq. 2) from this rank's `Σ e_in` and the weights
+/// `a` of its owned communities: two sum-reductions, to be called inside
+/// a `Reduction` step scope.
+fn reduce_modularity(comm: &Comm, e_in_local: f64, a: &[AtomicF64], two_m: f64) -> f64 {
+    let a2_local: f64 = a
+        .iter()
+        .map(|a| {
+            let v = a.load();
+            v * v
+        })
+        .sum();
     let e_in = comm.all_reduce(e_in_local, ReduceOp::Sum);
     let a2 = comm.all_reduce(a2_local, ReduceOp::Sum);
     if two_m > 0.0 {
@@ -512,9 +589,18 @@ pub fn louvain_phase(
     // unique neighbor's singleton community before the first sweep.
     // Collective (one ghost exchange of pendant flags + one delta push),
     // so every rank must agree on the flag.
-    if cfg.vertex_following && phase_idx == 0 {
+    let followed = cfg.vertex_following && phase_idx == 0;
+    if followed {
         apply_vertex_following(comm, lg, ghosts, &mut index, &state, &k_local);
     }
+
+    // This rank's Σ e_in (module doc). The relaxed schedule on several
+    // threads races, so its moves cannot be accounted.
+    let racing = !colored_batches && threads > 1;
+    let track_e_in = (!racing).then_some(arc_weights);
+    let mut e_in = self_loop_weight(lg, ghosts);
+    let check_e_in = cfg!(any(debug_assertions, test));
+    let integer_weights = check_e_in && arc_weights.iter().all(|w| w.fract() == 0.0);
 
     let mut traces: Vec<IterationTrace> = Vec::new();
     let mut prev_q = f64::NEG_INFINITY;
@@ -543,7 +629,7 @@ pub fn louvain_phase(
             m.store(false, Ordering::Relaxed);
         }
         // -- Step 1: receive the latest ghost vertex communities. ---------
-        exchange_ghosts(
+        let (ghost_e_in_change, arcs) = exchange_ghosts(
             comm,
             ghosts,
             &mut index,
@@ -551,7 +637,15 @@ pub fn louvain_phase(
             &mut scratch,
             &mut ghost_comm,
             cfg.delta_ghost_refresh && few_moved,
+            track_e_in,
         );
+        compute.edges_scanned += arcs;
+        e_in += ghost_e_in_change;
+        if followed && iterations == 1 {
+            // Vertex following moved vertices before the first exchange,
+            // so the self-loop weight is not this phase's start.
+            e_in = local_e_in(lg, ghosts, &state, &ghost_comm.dense);
+        }
         // New remote communities enter only through the exchange (and
         // vertex following before it), so the tables are sized here.
         scratch.cover(index.num_dense(), index.num_remote());
@@ -561,23 +655,20 @@ pub fn louvain_phase(
         // -- Step 2: pull a_c for remote communities we may join. ----------
         // The communities of the active vertices and of their neighbours.
         // A rank that knows no remote community (always so on one rank)
-        // has nothing to find and skips the arc walk, counting the arcs
-        // it would have read.
+        // has nothing to find and skips the arc walk.
         scratch.remote_a.clear();
-        let find_remote = index.num_remote() > 0;
-        for (l, &is_active) in scratch.active.iter().enumerate() {
-            if !is_active {
-                continue;
-            }
-            let row = offsets[l]..offsets[l + 1];
-            compute.edges_scanned += row.len() as u64;
-            if !find_remote {
-                continue;
-            }
-            let cu = state.comm_of_local(l);
-            for c in std::iter::once(cu).chain(targets[row].iter().map(|&t| comm_of(t))) {
-                if let Some(r) = index.remote_slot(c) {
-                    scratch.remote_a.entry(r);
+        if index.num_remote() > 0 {
+            for (l, &is_active) in scratch.active.iter().enumerate() {
+                if !is_active {
+                    continue;
+                }
+                let row = offsets[l]..offsets[l + 1];
+                compute.edges_scanned += row.len() as u64;
+                let cu = state.comm_of_local(l);
+                for c in std::iter::once(cu).chain(targets[row].iter().map(|&t| comm_of(t))) {
+                    if let Some(r) = index.remote_slot(c) {
+                        scratch.remote_a.entry(r);
+                    }
                 }
             }
         }
@@ -664,6 +755,7 @@ pub fn louvain_phase(
         let local_moves = acc.moves;
         compute.edges_scanned += acc.edges;
         compute.vertices_processed += acc.vertices;
+        e_in += acc.e_in;
 
         // -- Step 3b: push deltas to community owners (lines 10–11). ------
         push_to_owners(
@@ -677,11 +769,24 @@ pub fn louvain_phase(
         acc.clear();
 
         // -- Step 4: global modularity (lines 12–13). ----------------------
-        let terms = local_modularity_terms(lg, ghosts, &state, &ghost_comm.dense);
-        compute.edges_scanned += lg.num_local_arcs() as u64;
+        // Σ e_in is at hand (tracked), except on the racing schedule.
+        if racing {
+            e_in = local_e_in(lg, ghosts, &state, &ghost_comm.dense);
+            compute.edges_scanned += lg.num_local_arcs() as u64;
+        } else if check_e_in {
+            // Bit for bit on integer weights (every partial sum exact).
+            let scratch = local_e_in(lg, ghosts, &state, &ghost_comm.dense);
+            let agree = if integer_weights {
+                e_in.to_bits() == scratch.to_bits()
+            } else {
+                (e_in - scratch).abs() <= 1e-9 * scratch.abs().max(e_in.abs())
+            };
+            let at = format!("phase {phase_idx}, iteration {iterations}");
+            assert!(agree, "{at}: tracked Σe_in {e_in}, {scratch} from scratch");
+        }
         let (q, moves_global) = comm.with_step(CommStep::Reduction, || {
             (
-                reduce_modularity(comm, terms, two_m),
+                reduce_modularity(comm, e_in, &state.a, two_m),
                 comm.all_reduce(local_moves, ReduceOp::Sum),
             )
         });
@@ -759,7 +864,8 @@ pub fn louvain_phase(
     // then recompute modularity once WITHOUT lag: the per-iteration values
     // above drive convergence exactly as in the paper (stale ghost state),
     // but the reported phase modularity must be exact. Pruned ghosts are
-    // frozen, so their cached values are already final.
+    // frozen, so their cached values are already final. This Σ e_in is
+    // recomputed from scratch, once a phase, for every schedule.
     exchange_ghosts(
         comm,
         ghosts,
@@ -768,11 +874,12 @@ pub fn louvain_phase(
         &mut scratch,
         &mut ghost_comm,
         cfg.delta_ghost_refresh && few_moved,
+        None,
     );
     let comm_of_local = std::mem::take(&mut scratch.comm_snapshot);
-    let terms = local_modularity_terms(lg, ghosts, &state, &ghost_comm.dense);
+    let final_e_in = local_e_in(lg, ghosts, &state, &ghost_comm.dense);
     let final_q = comm.with_step(CommStep::Reduction, || {
-        reduce_modularity(comm, terms, two_m)
+        reduce_modularity(comm, final_e_in, &state.a, two_m)
     });
 
     // Memory gauges at phase end: buffer capacities are monotone within
@@ -973,13 +1080,8 @@ fn apply_vertex_following(
     );
 }
 
-/// This rank's contribution to `Σ e_in` and `Σ a_c²` (Eq. 2).
-fn local_modularity_terms(
-    lg: &LocalGraph,
-    ghosts: &GhostLayer,
-    state: &SweepState,
-    ghost_comm: &[u32],
-) -> (f64, f64) {
+/// This rank's `Σ e_in` (Eq. 2) from scratch: one pass over its arcs.
+fn local_e_in(lg: &LocalGraph, ghosts: &GhostLayer, state: &SweepState, ghost_comm: &[u32]) -> f64 {
     let (offsets, _, arc_weights) = lg.csr_parts();
     let targets = ghosts.targets();
     let mut e_in_local = 0.0;
@@ -992,15 +1094,17 @@ fn local_modularity_terms(
             }
         }
     }
-    let a2_local: f64 = state
-        .a
-        .iter()
-        .map(|a| {
-            let v = a.load();
-            v * v
-        })
-        .sum();
-    (e_in_local, a2_local)
+    e_in_local
+}
+
+/// `Σ e_in` after a phase's first exchange unless vertex following ran:
+/// every vertex alone and every ghost at its own id leave the self-loops.
+fn self_loop_weight(lg: &LocalGraph, ghosts: &GhostLayer) -> f64 {
+    let (offsets, _, arc_weights) = lg.csr_parts();
+    let targets = ghosts.targets();
+    let self_loops = (0..lg.num_local())
+        .flat_map(|l| (offsets[l]..offsets[l + 1]).filter(move |&a| targets[a] as usize == l));
+    self_loops.fold(0.0, |e_in, a| e_in + arc_weights[a])
 }
 
 #[cfg(test)]
@@ -1467,7 +1571,7 @@ mod tests {
                 table.cover(index.num_dense());
                 let best = sweep.best_move(3, &DenseMap::default(), &mut table, &mut 0);
                 assert!(table.is_clear());
-                best.map(|c| index.global(c))
+                best.map(|(c, _)| index.global(c))
             })[0]
         };
         let chained = [1.0, 1.0 + 0.8e-12, 1.0 + 1.6e-12];
@@ -1699,6 +1803,105 @@ mod tests {
         let (t1, t4) = (at(1), at(4));
         assert_eq!(t1.0, t4.0);
         assert_eq!(t1.1.to_bits(), t4.1.to_bits());
+    }
+
+    /// `g` with every weight replaced by a random `f64` in [0.001, 3.001).
+    fn with_random_weights(g: &Csr, seed: u64) -> Csr {
+        use rand::{rngs::SmallRng, Rng, SeedableRng};
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let mut el = EdgeList::new(g.num_vertices() as u64);
+        for e in g.to_edge_list().edges() {
+            el.push(e.u, e.v, rng.random::<f64>() * 3.0 + 1e-3);
+        }
+        Csr::from_edge_list(el)
+    }
+
+    /// One phase on `p` ranks: the global assignment and rank 0's traces.
+    fn phase_traces(g: &Csr, p: usize, cfg: &DistConfig) -> (Vec<VertexId>, Vec<IterationTrace>) {
+        let part = VertexPartition::balanced_vertices(g.num_vertices() as u64, p);
+        let parts = LocalGraph::scatter(g, &part);
+        let outs = run(p, |c| {
+            let lg = &parts[c.rank()];
+            let mut ghosts = GhostLayer::build(c, lg);
+            let ctx = PhaseContext {
+                comm: c,
+                lg,
+                two_m: g.two_m(),
+            };
+            let r = louvain_phase(&ctx, &mut ghosts, cfg, 0, cfg.threshold);
+            (r.comm_of_local, r.traces)
+        });
+        let traces = outs[0].1.clone();
+        (outs.into_iter().flat_map(|o| o.0).collect(), traces)
+    }
+
+    #[test]
+    fn tracked_e_in_matches_from_scratch_every_iteration() {
+        // `louvain_phase` checks its tracked Σe_in against the
+        // from-scratch pass at every iteration in debug builds and in
+        // these tests (`assert_tracked_e_in`): bit for bit on the
+        // integer-weight generators, within 1e-9 relative on random f64
+        // weights. Every schedule that tracks, at p ∈ {1, 2, 3}, under
+        // the extensions that change which vertices move and which ghost
+        // slots are refreshed.
+        let mut graphs = parity_graphs();
+        graphs.push(with_random_weights(&graphs[0], 41));
+        let colored = |threads_per_rank| DistConfig {
+            sweep: crate::SweepMode::Colored,
+            threads_per_rank,
+            ..DistConfig::baseline()
+        };
+        let schedules = [
+            ("sequential", DistConfig::baseline()),
+            ("colored t=1", colored(1)),
+            ("colored t=2", colored(2)),
+        ];
+        let extensions = |base: &DistConfig| {
+            [
+                ("baseline", base.clone()),
+                (
+                    "ET(0.25) + delta refresh + pruning",
+                    DistConfig {
+                        variant: crate::Variant::Et { alpha: 0.25 },
+                        delta_ghost_refresh: true,
+                        prune_inactive_ghosts: true,
+                        ..base.clone()
+                    },
+                ),
+                (
+                    "vertex following",
+                    DistConfig {
+                        vertex_following: true,
+                        ..base.clone()
+                    },
+                ),
+            ]
+        };
+        for (gi, g) in graphs.iter().enumerate() {
+            for (schedule, base) in &schedules {
+                for (extension, cfg) in extensions(base) {
+                    for p in [2, 3] {
+                        phase_traces(g, p, &cfg);
+                    }
+                    // One rank sees no lag: iteration k's Q is the Q of
+                    // the assignment it leaves, from scratch.
+                    let iterations = phase_traces(g, 1, &cfg).1.len();
+                    for k in 1..=iterations {
+                        let capped = DistConfig {
+                            max_iterations: k,
+                            ..cfg.clone()
+                        };
+                        let (assignment, traces) = phase_traces(g, 1, &capped);
+                        let q = traces[k - 1].modularity;
+                        let q_ref = modularity(g, &assignment);
+                        assert!(
+                            (q - q_ref).abs() <= 1e-12,
+                            "graph {gi}, {schedule}, {extension}, iteration {k}: {q} vs {q_ref}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

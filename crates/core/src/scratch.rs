@@ -94,6 +94,9 @@ pub struct SweepAcc {
     /// [`crate::ghost::CommunityIndex::remote_slot`]; the owner push
     /// sends them in first-touch order.
     pub deltas: DenseMap<(Weight, i64)>,
+    /// Change to this rank's Σe_in the applied moves made, summed in
+    /// apply order.
+    pub e_in: Weight,
     pub moves: u64,
     pub edges: u64,
     pub vertices: u64,
@@ -107,6 +110,7 @@ impl SweepAcc {
             e.0 += da;
             e.1 += ds;
         }
+        self.e_in += other.e_in;
         self.moves += other.moves;
         self.edges += other.edges;
         self.vertices += other.vertices;
@@ -115,6 +119,7 @@ impl SweepAcc {
 
     pub fn clear(&mut self) {
         self.deltas.clear();
+        self.e_in = 0.0;
         (self.moves, self.edges, self.vertices) = (0, 0, 0);
     }
 }
@@ -126,9 +131,10 @@ pub struct SweepWorker {
     /// Edge weight from the vertex being scored toward each neighbouring
     /// community (dense index); clear between vertices.
     pub weights: DenseMap<Weight>,
-    /// Moves `(local vertex, target community)` this worker decided in
-    /// the current colour batch, drained by the apply step.
-    pub moves: Vec<(usize, u32)>,
+    /// Moves `(local vertex, target community, Σe_in change)` this
+    /// worker decided in the current colour batch, drained by the apply
+    /// step.
+    pub moves: Vec<(u32, u32, Weight)>,
     pub acc: SweepAcc,
 }
 
@@ -276,13 +282,17 @@ mod tests {
         *total.deltas.entry(1) = (1.0, 1);
         *part.deltas.entry(3) = (2.0, -1);
         *part.deltas.entry(1) = (0.5, 1);
+        part.e_in = 4.0;
         part.moves = 2;
         part.edges = 10;
         part.vertices = 3;
+        total.e_in = -1.0;
         total.absorb(&mut part);
         assert_eq!(total.deltas.entries(), &[(1, (1.5, 2)), (3, (2.0, -1))]);
+        assert_eq!(total.e_in, 3.0);
         assert_eq!((total.moves, total.edges, total.vertices), (2, 10, 3));
         assert!(part.deltas.is_clear());
+        assert_eq!(part.e_in, 0.0);
         assert_eq!((part.moves, part.edges, part.vertices), (0, 0, 0));
     }
 

@@ -6,6 +6,8 @@ use louvain_comm::StatsSnapshot;
 /// Deterministic compute-work counter.
 #[derive(Debug, Default, Clone, Copy, PartialEq)]
 pub struct WorkCounter {
+    /// Arcs the iterations read; a phase's once-only passes (its `Σ e_in`
+    /// seed, the exact Q after the last exchange) are not counted.
     pub edges_scanned: u64,
     pub vertices_processed: u64,
 }

@@ -118,8 +118,9 @@ pub const METRIC_REGISTRY: &[(&str, MetricKind, &str)] = &[
     (
         "mem.ghost_bytes",
         MetricKind::Gauge,
-        "ghost-layer footprint (bytes, per phase); read by item 7(a)'s \
-         memory budget and tests/observability.rs",
+        "ghost-layer footprint (bytes, per phase: arc targets, their \
+         slot → arc reverse index, request and serve tables); read by \
+         item 9(a)'s memory budget and tests/observability.rs",
     ),
     (
         "mem.mapped_bytes",
@@ -137,13 +138,13 @@ pub const METRIC_REGISTRY: &[(&str, MetricKind, &str)] = &[
         "mem.scratch_bytes",
         MetricKind::Gauge,
         "iteration scratch-arena high-water mark (bytes); read by item \
-         7(a)'s memory budget and tests/observability.rs",
+         9(a)'s memory budget and tests/observability.rs",
     ),
     (
         "mem.wire_bytes",
         MetricKind::Gauge,
         "wire-buffer (outgoing message staging) high-water mark (bytes); \
-         read by item 7(a)'s memory budget and tests/observability.rs",
+         read by item 9(a)'s memory budget and tests/observability.rs",
     ),
     (
         "serve.cache_evictions",

@@ -39,11 +39,13 @@ echo "==> cargo test (--test-threads=1)"
 cargo test -q --workspace --no-fail-fast -- --test-threads=1
 
 # The ladder measures the release build and the tests above the debug
-# one; a kernel full of debug_assert!s must hold its pins in both, and
-# the CSR and slab builders their bit-identity tests.
-echo "==> cargo test --release (parity pins, louvain-graph, louvain-store)"
+# one; a kernel full of debug_assert!s must hold its pins in both, the
+# CSR and slab builders their bit-identity tests, and the phase its
+# bit-identity tests across row orders, thread counts and refresh
+# flavours, with the tracked-Σe_in check its unit tests keep on.
+echo "==> cargo test --release (parity pins, louvain-graph, louvain-store, louvain-dist)"
 cargo test --release -q --test parity
-cargo test --release -q -p louvain-graph -p louvain-store
+cargo test --release -q -p louvain-graph -p louvain-store -p louvain-dist
 
 # bench/ is its own workspace, invisible to --workspace: an API change
 # that breaks the ladder must fail here, not in the benchmark driver.
