@@ -118,15 +118,12 @@ impl DistOutcome {
 /// the paper's MPI-I/O loading modes.
 #[derive(Debug, Clone, Copy)]
 pub enum GraphSource<'a> {
-    /// A resident [`Csr`]: partition, then slice per rank
+    /// A resident [`Csr`]: partition, then each rank borrows its rows
     /// ([`LocalGraph::scatter`]).
     Memory(&'a Csr),
-    /// A fully validated memory-mapped slab. The mapping is shared, but
-    /// each rank's piece is a heap copy: `Slab::local_graph` rebases the
-    /// rank's offsets and `to_vec()`s its slice of the target and weight
-    /// sections, so what is saved against [`GraphSource::Memory`] is the
-    /// whole-graph `Csr`, not the per-rank rows. Borrowing the rows from
-    /// the mapping is ROADMAP item 9(b).
+    /// A fully validated memory-mapped slab, shared and zero-copy: each
+    /// rank borrows its rows from the mapping (`Slab::local_graph`) and
+    /// holds only its rebased offsets.
     SlabMapped(&'a louvain_store::Slab),
     /// A slab file loaded by per-rank byte-range reads
     /// ([`louvain_store::load_rank`]): each rank opens the file itself
@@ -140,7 +137,7 @@ pub enum GraphSource<'a> {
 /// gauge) happens in rank context; a failed load aborts the job through
 /// the typed [`ResilAbort`] panic the resilient loop already understands.
 enum RankFeed<'a> {
-    Slots(TakeSlots<LocalGraph>),
+    Slots(TakeSlots<LocalGraph<'a>>),
     Mapped {
         slab: &'a louvain_store::Slab,
         part: VertexPartition,
@@ -151,8 +148,8 @@ enum RankFeed<'a> {
     },
 }
 
-impl RankFeed<'_> {
-    fn make<'a>(src: &GraphSource<'a>, p: usize, strategy: PartitionStrategy) -> RankFeed<'a> {
+impl<'a> RankFeed<'a> {
+    fn make(src: &GraphSource<'a>, p: usize, strategy: PartitionStrategy) -> Self {
         match *src {
             GraphSource::Memory(g) => {
                 let part = match strategy {
@@ -171,25 +168,32 @@ impl RankFeed<'_> {
         }
     }
 
-    fn get(&self, rank: usize) -> LocalGraph {
-        match self {
-            RankFeed::Slots(slots) => slots.take(rank),
+    /// This rank's piece, and its `mem.csr_bytes`: the offsets, plus the
+    /// rows unless they are mapped pages (`mem.mapped_bytes` counts those).
+    fn get(&self, rank: usize) -> LocalGraph<'a> {
+        let (lg, rows_mapped) = match self {
+            RankFeed::Slots(slots) => (slots.take(rank), false),
             RankFeed::Mapped { slab, part } => {
                 louvain_obs::gauge_set("mem.mapped_bytes", slab.mapped_bytes() as f64);
-                slab.local_graph(part, rank)
+                (slab.local_graph(part, rank), true)
             }
             RankFeed::Ranged { path, ranks } => {
                 match louvain_store::load_rank(path, rank, *ranks) {
                     Ok(slice) => {
                         louvain_obs::gauge_set("mem.mapped_bytes", slice.bytes_read as f64);
-                        slice.local
+                        (slice.local, false)
                     }
                     Err(e) => std::panic::panic_any(ResilAbort(format!(
                         "slab load failed on rank {rank}: {e}"
                     ))),
                 }
             }
-        }
+        };
+        let (offsets, dests, weights) = lg.csr_parts();
+        let rows = size_of_val(dests) + size_of_val(weights);
+        let held = size_of_val(offsets) + if rows_mapped { 0 } else { rows };
+        louvain_obs::gauge_set("mem.csr_bytes", held as f64);
+        lg
     }
 }
 

@@ -764,7 +764,7 @@ mod tests {
         Csr::from_edge_list(el)
     }
 
-    fn scatter_for(p: usize, g: &Csr) -> Vec<LocalGraph> {
+    fn scatter_for(p: usize, g: &Csr) -> Vec<LocalGraph<'_>> {
         let part = VertexPartition::balanced_vertices(g.num_vertices() as u64, p);
         LocalGraph::scatter(g, &part)
     }
@@ -979,7 +979,8 @@ mod tests {
     #[test]
     fn community_index_numbers_remote_communities_on_first_sight() {
         // Rank 1 of 3 on a 12-ring owns 4..8.
-        let lg = scatter_for(3, &ring(12)).swap_remove(1);
+        let g = ring(12);
+        let lg = scatter_for(3, &g).swap_remove(1);
         let mut index = CommunityIndex::new(&lg);
         assert_eq!((index.dense(4), index.dense(7)), (0, 3));
         assert_eq!(

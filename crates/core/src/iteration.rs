@@ -86,7 +86,7 @@ pub struct PhaseResult {
 /// Immutable phase inputs shared by the iteration loop.
 pub struct PhaseContext<'a> {
     pub comm: &'a Comm,
-    pub lg: &'a LocalGraph,
+    pub lg: &'a LocalGraph<'a>,
     /// Global `2m` (all-reduced once per phase by the caller).
     pub two_m: f64,
 }
@@ -1432,7 +1432,7 @@ mod tests {
     }
 
     /// `lg` with the arcs of every row reversed or shuffled in place.
-    fn with_row_order(lg: &LocalGraph, order: &str) -> LocalGraph {
+    fn with_row_order(lg: &LocalGraph<'_>, order: &str) -> LocalGraph<'static> {
         let (offsets, dests, weights) = lg.csr_parts();
         let (mut d, mut w) = (dests.to_vec(), weights.to_vec());
         for l in 0..lg.num_local() {

@@ -31,7 +31,7 @@ use crate::stats::WorkCounter;
 #[derive(Debug)]
 pub struct RebuildOutput {
     /// The rank's piece of the coarse graph.
-    pub new_lg: LocalGraph,
+    pub new_lg: LocalGraph<'static>,
     /// For each OLD local vertex: its vertex id in the coarse graph
     /// (i.e. the renumbered id of its final community).
     pub vertex_new_id: Vec<VertexId>,
@@ -231,12 +231,12 @@ mod tests {
     /// assignment: its piece of `g`, its ghost layer and the communities
     /// of its vertices and of its ghosts (slots follow the flattened
     /// request lists).
-    fn inputs(
+    fn inputs<'g>(
         c: &Comm,
-        g: &Csr,
+        g: &'g Csr,
         part: &VertexPartition,
         assignment: &[VertexId],
-    ) -> (LocalGraph, GhostLayer, Vec<VertexId>, Vec<VertexId>) {
+    ) -> (LocalGraph<'g>, GhostLayer, Vec<VertexId>, Vec<VertexId>) {
         let lg = LocalGraph::scatter(g, part).swap_remove(c.rank());
         let ghosts = GhostLayer::build(c, &lg);
         let of = |v: VertexId| assignment[v as usize];

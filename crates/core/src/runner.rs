@@ -74,29 +74,9 @@ fn pull_values(
     keys.iter().map(|k| map[k]).collect()
 }
 
-/// Memory gauges of a traced run, sampled right after the ghost build,
-/// when both structures are at their final size for the phase: ghost
-/// bytes and peak RSS every phase, the CSR's heap bytes on the rank's
-/// first phase only, so the merged gauge's `sum` is Σ over ranks of
-/// the CSR each rank started from.
-fn record_memory_gauges(lg: &LocalGraph, ghosts: &GhostLayer, first_phase: bool) {
-    if !louvain_obs::enabled() {
-        return;
-    }
-    if first_phase {
-        let (offsets, dests, weights) = lg.csr_parts();
-        let csr = std::mem::size_of_val(offsets)
-            + std::mem::size_of_val(dests)
-            + std::mem::size_of_val(weights);
-        louvain_obs::gauge_set("mem.csr_bytes", csr as f64);
-    }
-    louvain_obs::gauge_set("mem.ghost_bytes", ghosts.approx_bytes() as f64);
-    louvain_obs::gauge_set("mem.peak_rss_bytes", louvain_obs::peak_rss_bytes() as f64);
-}
-
 /// One rank's state recovered from the newest complete checkpoint.
 struct RestoredState {
-    lg: LocalGraph,
+    lg: LocalGraph<'static>,
     cur_of_orig: Vec<VertexId>,
     start_phase: usize,
     force_min_tau: bool,
@@ -157,7 +137,7 @@ fn restore_rank(comm: &Comm, store: &CheckpointStore, fingerprint: u64) -> Optio
 /// run — same assignments, same modularity.
 pub fn run_on_rank(
     comm: &Comm,
-    lg0: LocalGraph,
+    lg0: LocalGraph<'_>,
     cfg: &DistConfig,
     resil: &ResilOptions,
 ) -> RankOutcome {
@@ -246,7 +226,11 @@ pub fn run_on_rank(
             // slot-map exchange gets a step span and wait sub-span.
             comm.with_step(CommStep::Other, || GhostLayer::build(comm, &lg))
         };
-        record_memory_gauges(&lg, &ghosts, phase_idx == start_phase);
+        // Both at full size for the phase; `mem.csr_bytes` is set at load.
+        if louvain_obs::enabled() {
+            louvain_obs::gauge_set("mem.ghost_bytes", ghosts.approx_bytes() as f64);
+            louvain_obs::gauge_set("mem.peak_rss_bytes", louvain_obs::peak_rss_bytes() as f64);
+        }
         let two_m = comm.with_step(CommStep::Other, || {
             comm.all_reduce(lg.local_arc_weight(), ReduceOp::Sum)
         });
@@ -435,7 +419,7 @@ mod tests {
     use louvain_comm::run;
     use louvain_graph::{Csr, EdgeList};
 
-    fn scatter(g: &Csr, p: usize) -> Vec<LocalGraph> {
+    fn scatter(g: &Csr, p: usize) -> Vec<LocalGraph<'_>> {
         let part = VertexPartition::balanced_vertices(g.num_vertices() as u64, p);
         LocalGraph::scatter(g, &part)
     }

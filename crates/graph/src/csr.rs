@@ -77,12 +77,14 @@ impl Csr {
     /// non-loop, a loop once. Duplicate pairs (in either orientation) are
     /// merged, their weights summed in list order.
     pub fn from_edge_list(list: EdgeList) -> Self {
-        Self::from_arcs(list.num_vertices() as usize, || {
+        let (offsets, rows) = build_rows(0, list.num_vertices() as usize, || {
             list.edges().iter().flat_map(|e| {
                 let back = (e.u != e.v).then_some((e.v, e.u, e.w));
                 std::iter::once((e.u, e.v, e.w)).chain(back)
             })
-        })
+        });
+        drop(list); // before the split below allocates: it was the set-up peak
+        Self::from_rows(offsets, rows)
     }
 
     /// Build from directed `(src, dst, w)` arcs, yielded twice in the same
@@ -94,6 +96,11 @@ impl Csr {
         I: Iterator<Item = (VertexId, VertexId, Weight)>,
     {
         let (offsets, rows) = build_rows(0, n, arcs);
+        Self::from_rows(offsets, rows)
+    }
+
+    /// Split `build_rows` output into the two arc arrays.
+    fn from_rows(offsets: Vec<usize>, rows: Vec<(VertexId, Weight)>) -> Self {
         let (dests, weights) = rows.into_iter().unzip();
         let csr = Self {
             offsets,

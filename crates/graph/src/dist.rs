@@ -4,23 +4,27 @@
 //! the edge array holds **global** destination ids; each rank also knows
 //! the full ownership table ([`VertexPartition`]).
 
+use std::borrow::Cow;
+
 use crate::csr::{build_rows, Csr};
 use crate::hash::fast_map_with_capacity;
 use crate::partition::VertexPartition;
 use crate::{VertexId, Weight};
 
 /// The portion of a distributed graph owned by one rank: a CSR over the
-/// rank's contiguous vertex range, with global destination ids.
+/// rank's contiguous vertex range, with global destination ids. The
+/// rebased offsets are its own; the rows are borrowed from a resident
+/// [`Csr`] or a mapped slab, and owned when built or read for this rank.
 #[derive(Debug, Clone)]
-pub struct LocalGraph {
+pub struct LocalGraph<'a> {
     part: VertexPartition,
     rank: usize,
     offsets: Vec<usize>,
-    dests: Vec<VertexId>,
-    weights: Vec<Weight>,
+    dests: Cow<'a, [VertexId]>,
+    weights: Cow<'a, [Weight]>,
 }
 
-impl LocalGraph {
+impl<'a> LocalGraph<'a> {
     /// Build from arcs whose sources are all owned by `rank`, as they
     /// arrive from an edge redistribution: one vector per sending rank.
     /// Duplicate `(src, dst)` arcs are merged, weights summed in arrival order.
@@ -33,20 +37,14 @@ impl LocalGraph {
             arcs.iter().flatten().copied()
         });
         drop(arcs); // before the split below allocates: it was the peak at p=2
-        let (dests, weights) = rows.into_iter().unzip();
-        Self {
-            part,
-            rank,
-            offsets,
-            dests,
-            weights,
-        }
+        let (dests, weights): (Vec<_>, Vec<_>) = rows.into_iter().unzip();
+        Self::from_csr_parts(part, rank, offsets, dests, weights)
     }
 
     /// Split a whole graph into per-rank pieces along `part` (sequential
     /// construction used by tests and by harnesses that generate the input
-    /// in one place).
-    pub fn scatter(g: &Csr, part: &VertexPartition) -> Vec<LocalGraph> {
+    /// in one place). Each piece borrows its rows from `g`.
+    pub fn scatter(g: &'a Csr, part: &VertexPartition) -> Vec<Self> {
         assert_eq!(g.num_vertices() as u64, part.num_vertices());
         (0..part.num_ranks())
             .map(|rank| {
@@ -62,11 +60,43 @@ impl LocalGraph {
                     part: part.clone(),
                     rank,
                     offsets,
-                    dests: g.dests()[lo..hi].to_vec(),
-                    weights: g.weights()[lo..hi].to_vec(),
+                    dests: Cow::Borrowed(&g.dests()[lo..hi]),
+                    weights: Cow::Borrowed(&g.weights()[lo..hi]),
                 }
             })
             .collect()
+    }
+
+    /// Build from raw CSR storage, owning `Vec` rows and borrowing slices.
+    /// Panics if the parts are not a well-formed CSR for `rank`'s range.
+    pub fn from_csr_parts(
+        part: VertexPartition,
+        rank: usize,
+        offsets: Vec<usize>,
+        dests: impl Into<Cow<'a, [VertexId]>>,
+        weights: impl Into<Cow<'a, [Weight]>>,
+    ) -> Self {
+        let (dests, weights) = (dests.into(), weights.into());
+        assert!(rank < part.num_ranks(), "rank {rank} out of range");
+        assert_eq!(
+            offsets.len(),
+            part.num_local(rank) + 1,
+            "offsets length does not match the rank's vertex count"
+        );
+        assert_eq!(offsets[0], 0, "offsets must start at 0");
+        assert!(
+            offsets.windows(2).all(|w| w[0] <= w[1]),
+            "offsets must be nondecreasing"
+        );
+        assert_eq!(*offsets.last().unwrap(), dests.len());
+        assert_eq!(dests.len(), weights.len());
+        Self {
+            part,
+            rank,
+            offsets,
+            dests,
+            weights,
+        }
     }
 
     /// Ownership table shared by all ranks.
@@ -103,37 +133,6 @@ impl LocalGraph {
     /// [`LocalGraph::from_csr_parts`] is the inverse.
     pub fn csr_parts(&self) -> (&[usize], &[VertexId], &[Weight]) {
         (&self.offsets, &self.dests, &self.weights)
-    }
-
-    /// Rebuild a slab from raw CSR storage (checkpoint restore). Panics
-    /// if the parts are not a well-formed CSR for `rank`'s vertex range.
-    pub fn from_csr_parts(
-        part: VertexPartition,
-        rank: usize,
-        offsets: Vec<usize>,
-        dests: Vec<VertexId>,
-        weights: Vec<Weight>,
-    ) -> Self {
-        assert!(rank < part.num_ranks(), "rank {rank} out of range");
-        assert_eq!(
-            offsets.len(),
-            part.num_local(rank) + 1,
-            "offsets length does not match the rank's vertex count"
-        );
-        assert_eq!(offsets[0], 0, "offsets must start at 0");
-        assert!(
-            offsets.windows(2).all(|w| w[0] <= w[1]),
-            "offsets must be nondecreasing"
-        );
-        assert_eq!(*offsets.last().unwrap(), dests.len());
-        assert_eq!(dests.len(), weights.len());
-        Self {
-            part,
-            rank,
-            offsets,
-            dests,
-            weights,
-        }
     }
 
     /// Convert a global id of an owned vertex to its local index.
@@ -180,7 +179,7 @@ impl LocalGraph {
 
     /// Reassemble a full CSR from all pieces (testing / root-side quality
     /// checks only).
-    pub fn assemble(parts: &[LocalGraph]) -> Csr {
+    pub fn assemble(parts: &[LocalGraph<'_>]) -> Csr {
         assert!(!parts.is_empty());
         Csr::from_arcs(parts[0].num_global() as usize, || {
             parts.iter().flat_map(|p| {
@@ -205,7 +204,7 @@ pub fn build_distributed(
     comm: &louvain_comm::Comm,
     num_vertices: u64,
     edges: Vec<(VertexId, VertexId, Weight)>,
-) -> LocalGraph {
+) -> LocalGraph<'static> {
     use louvain_comm::ReduceOp;
     let p = comm.size();
 
@@ -321,6 +320,41 @@ mod tests {
         let parts = LocalGraph::scatter(&g, &part);
         let g2 = LocalGraph::assemble(&parts);
         assert_eq!(g, g2);
+    }
+
+    /// True when `inner`'s memory is a sub-range of `outer`'s.
+    fn lies_within<T>(inner: &[T], outer: &[T]) -> bool {
+        let (i, o) = (inner.as_ptr_range(), outer.as_ptr_range());
+        o.start <= i.start && i.end <= o.end
+    }
+
+    #[test]
+    fn scatter_borrows_the_rows_of_the_csr() {
+        let g = path_graph(10);
+        let part = VertexPartition::balanced_vertices(10, 3);
+        for lg in LocalGraph::scatter(&g, &part) {
+            let (_, dests, weights) = lg.csr_parts();
+            assert!(!dests.is_empty(), "rank {}", lg.rank());
+            assert!(lies_within(dests, g.dests()), "rank {}", lg.rank());
+            assert!(lies_within(weights, g.weights()), "rank {}", lg.rank());
+            assert!(matches!(
+                (&lg.dests, &lg.weights),
+                (Cow::Borrowed(_), Cow::Borrowed(_))
+            ));
+        }
+    }
+
+    #[test]
+    fn from_arcs_and_from_csr_parts_own_their_rows() {
+        let part = VertexPartition::balanced_vertices(4, 2);
+        let built = LocalGraph::from_arcs(part.clone(), 0, vec![vec![(0, 1, 1.0), (1, 3, 1.0)]]);
+        let restored = LocalGraph::from_csr_parts(part, 0, vec![0, 1, 2], vec![1, 3], vec![1.0; 2]);
+        for lg in [built, restored] {
+            assert!(matches!(
+                (&lg.dests, &lg.weights),
+                (Cow::Owned(_), Cow::Owned(_))
+            ));
+        }
     }
 
     #[test]

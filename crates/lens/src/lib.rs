@@ -86,10 +86,11 @@ fn convergence_table(rows: &[TelemetryRow]) -> String {
 }
 
 /// Storage-footprint line built from the `mem.*` gauges of a traced
-/// run. Heap CSR bytes and mmap-resident bytes are summed across ranks
-/// (`GaugeStat::sum` — each rank sets both once per run: its starting
-/// CSR, its slab load); peak RSS is process-wide, so ranks all observe
-/// the same value and `max` is the honest aggregate.
+/// run. CSR bytes and slab bytes are summed across ranks
+/// (`GaugeStat::sum` — each rank sets both once per run, at load; a
+/// mapped run's rows are slab bytes only, so the two never overlap);
+/// peak RSS is process-wide, so ranks all observe the same value and
+/// `max` is the honest aggregate.
 fn memory_line(r: &louvain_obs::RunReport) -> Option<String> {
     let csr = r.metrics.gauges.get("mem.csr_bytes");
     let mapped = r.metrics.gauges.get("mem.mapped_bytes");

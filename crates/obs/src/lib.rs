@@ -112,8 +112,9 @@ pub const METRIC_REGISTRY: &[(&str, MetricKind, &str)] = &[
     (
         "mem.csr_bytes",
         MetricKind::Gauge,
-        "heap bytes of the rank's starting CSR, set once per run (mapped \
-         slab bytes are mem.mapped_bytes); read by `lens show`",
+        "bytes of the CSR a rank loads, set once per rank at load: its \
+         offsets, plus its rows unless they are mapped slab pages (those \
+         are mem.mapped_bytes); read by `lens show` and tests/storage.rs",
     ),
     (
         "mem.ghost_bytes",
@@ -125,8 +126,9 @@ pub const METRIC_REGISTRY: &[(&str, MetricKind, &str)] = &[
     (
         "mem.mapped_bytes",
         MetricKind::Gauge,
-        "slab bytes mapped or range-read from the store (not heap; \
-         disjoint from mem.csr_bytes); read by `lens show` and tests/storage.rs",
+        "slab bytes mapped (the whole file) or range-read from the store; \
+         a mapped run's rows are counted here and not in mem.csr_bytes; \
+         read by `lens show` and tests/storage.rs",
     ),
     (
         "mem.peak_rss_bytes",

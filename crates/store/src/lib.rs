@@ -311,6 +311,33 @@ mod tests {
         }
     }
 
+    /// True when `inner`'s memory is a sub-range of `outer`'s.
+    fn lies_within<T>(inner: &[T], outer: &[T]) -> bool {
+        let (i, o) = (inner.as_ptr_range(), outer.as_ptr_range());
+        o.start <= i.start && i.end <= o.end
+    }
+
+    #[test]
+    fn mapped_pieces_borrow_the_mapping_and_ranged_pieces_own_their_rows() {
+        let p = LfrParams::small(300, 4);
+        let path = TempPath::new("borrow");
+        build_slab(300, |b| lfr_stream(p, b).map(|_| ()), small_opts(), &path);
+        let slab = Slab::open(&path.0).unwrap();
+        let part = slab.partition(2);
+        for rank in 0..2 {
+            let mapped = slab.local_graph(&part, rank);
+            let (_, dests, weights) = mapped.csr_parts();
+            assert!(!dests.is_empty(), "rank {rank}");
+            assert!(lies_within(dests, slab.targets()), "rank {rank}");
+            assert!(lies_within(weights, slab.weights()), "rank {rank}");
+
+            let ranged = load_rank(&path.0, rank, 2).unwrap().local;
+            let (_, dests, weights) = ranged.csr_parts();
+            assert!(!lies_within(dests, slab.targets()), "rank {rank}");
+            assert!(!lies_within(weights, slab.weights()), "rank {rank}");
+        }
+    }
+
     #[test]
     fn ranged_loads_match_scatter_and_read_less() {
         let p = RmatParams::social(9, 8, 3);

@@ -16,7 +16,8 @@
 //!   a corrupt body (the job server verifies before every fresh run).
 //!
 //! Both paths produce `LocalGraph`s bit-identical to
-//! `LocalGraph::scatter` over the in-memory CSR.
+//! `LocalGraph::scatter` over the in-memory CSR. A mapped piece borrows
+//! its rows from the mapping; a ranged piece owns what it read.
 
 use std::fs::File;
 use std::io::{self, Read, Seek, SeekFrom};
@@ -156,8 +157,9 @@ impl Slab {
 
     /// Build one rank's piece from the mapped sections — bit-identical
     /// to `LocalGraph::scatter(&self.to_csr(), part)[rank]`, without the
-    /// full-graph copy.
-    pub fn local_graph(&self, part: &VertexPartition, rank: usize) -> LocalGraph {
+    /// full-graph copy. The rows borrow the mapping; only the rebased
+    /// offsets are new.
+    pub fn local_graph(&self, part: &VertexPartition, rank: usize) -> LocalGraph<'_> {
         assert_eq!(part.num_vertices(), self.num_vertices());
         let range = part.range(rank);
         let offsets = self.offsets();
@@ -171,8 +173,8 @@ impl Slab {
             part.clone(),
             rank,
             local_offsets,
-            self.targets()[lo..hi].to_vec(),
-            self.weights()[lo..hi].to_vec(),
+            &self.targets()[lo..hi],
+            &self.weights()[lo..hi],
         )
     }
 }
@@ -249,7 +251,7 @@ fn read_header(file: &mut File) -> Result<SlabHeader, StoreError> {
 pub struct RankSlice {
     /// This rank's CSR piece (global destination ids), with the full
     /// ownership table — exactly what `LocalGraph::scatter` hands out.
-    pub local: LocalGraph,
+    pub local: LocalGraph<'static>,
     /// Weighted degrees of **all** vertices (the ghost-halo section), so
     /// ghost degrees resolve without communication.
     pub halo: Vec<Weight>,

@@ -102,8 +102,8 @@ USAGE:
       Runs distributed Louvain on P simulated ranks, prints the summary,
       optionally writes the community assignment to <OUT>.
       <FILE> is a binary edge list or a slab, told apart by file magic.
-      A slab is memory-mapped once and every rank copies its own rows
-      out of the mapping; with --ranged (slabs only) each rank instead
+      A slab is memory-mapped once and every rank reads its own rows in
+      place from the mapping; with --ranged (slabs only) each rank instead
       reads only its own byte ranges from the file (the paper's MPI-I/O
       pattern) — nothing is ever fully resident. Both paths are
       bit-identical to running the in-memory graph.

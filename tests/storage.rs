@@ -6,7 +6,8 @@
 //! bits across the in-memory scatter, the shared mmap, and the per-rank
 //! byte-range loads; at p=2 the traced arm additionally compares the
 //! per-iteration telemetry rows and checks that slab-backed runs record
-//! the `mem.mapped_bytes` gauge the in-memory run does not.
+//! the `mem.mapped_bytes` gauge the in-memory run does not, and that
+//! `mem.csr_bytes` leaves out the rows a mapped run borrows.
 
 use std::path::{Path, PathBuf};
 
@@ -177,6 +178,23 @@ fn all_three_load_paths_are_bit_identical_across_the_matrix() {
         assert!(
             r.metrics.gauges.get("mem.peak_rss_bytes").map(|x| x.max) > Some(0.0),
             "{name}: {mode} run must record peak RSS"
+        );
+    }
+    // `mem.csr_bytes` is each rank's (n + p) offsets, plus a `u64` dest
+    // and an `f64` weight per arc unless those are mapped pages, which
+    // `mem.mapped_bytes` already counts.
+    let offsets = (g.num_vertices() + 2) * 8;
+    let rows = g.num_arcs() * 16;
+    for (mode, out, want) in [
+        ("memory", &mem, offsets + rows),
+        ("mapped", &mapped, offsets),
+        ("ranged", &ranged, offsets + rows),
+    ] {
+        let csr = report(out).metrics.gauges["mem.csr_bytes"];
+        assert_eq!(
+            (csr.count, csr.sum),
+            (2, want as f64),
+            "{name}: {mode} csr bytes"
         );
     }
     // The shared mapping charges each rank the whole file; byte-range
