@@ -30,10 +30,6 @@ impl Table {
         self.rows.is_empty()
     }
 
-    pub fn num_rows(&self) -> usize {
-        self.rows.len()
-    }
-
     /// Render with aligned columns.
     pub fn render(&self) -> String {
         let mut widths: Vec<usize> = self.headers.iter().map(|h| h.len()).collect();

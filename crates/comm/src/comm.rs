@@ -99,11 +99,6 @@ impl Comm {
         self.ops_in_epoch.set(0);
     }
 
-    /// The health configuration this rank runs under.
-    pub fn health_config(&self) -> &HealthConfig {
-        &self.health
-    }
-
     /// Stamp this rank's heartbeat without counting a comm op. Long
     /// local sections between comm calls (checkpoint serialization and
     /// fsync, big rebuilds) should call this so peer watchdogs keep

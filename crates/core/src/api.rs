@@ -98,14 +98,6 @@ impl DistOutcome {
             .collect()
     }
 
-    /// Iterations per phase.
-    pub fn iterations_per_phase(&self) -> Vec<usize> {
-        self.per_rank_stats[0]
-            .iter()
-            .map(|p| p.iterations)
-            .collect()
-    }
-
     /// Modeled-time breakdown over the whole run:
     /// `(compute, comm, reduce, rebuild)` seconds, HPCToolkit-style (see
     /// [`crate::model::breakdown`]).
@@ -127,7 +119,9 @@ pub enum GraphSource<'a> {
     SlabMapped(&'a louvain_store::Slab),
     /// A slab file loaded by per-rank byte-range reads
     /// ([`louvain_store::load_rank`]): each rank opens the file itself
-    /// and reads only its own extents, like the paper's per-process
+    /// and reads only its own offsets and arc extents, besides the header,
+    /// the `pindex` section and one `offsets` window per partition
+    /// boundary — nothing Θ(n) — like the paper's per-process
     /// `MPI_File_read_at` pattern.
     SlabRanged(&'a std::path::Path),
 }

@@ -10,8 +10,7 @@ pub enum Variant {
     /// Adaptive early termination with decay rate α (Eq. 3).
     Et { alpha: f64 },
     /// ET plus the extra global reduction of the inactive-vertex count;
-    /// the phase exits once ≥ `etc_exit_fraction` of vertices are
-    /// globally inactive.
+    /// the phase exits once ≥ 90 % of vertices are globally inactive.
     Etc { alpha: f64 },
     /// ET(α) combined with threshold cycling (Table VI).
     EtPlusCycling { alpha: f64 },
@@ -127,9 +126,6 @@ pub struct DistConfig {
     pub max_phases: usize,
     /// Safety cap on iterations per phase.
     pub max_iterations: usize,
-    /// ETC exits the phase when this fraction of vertices is inactive
-    /// globally (paper: 90%).
-    pub etc_exit_fraction: f64,
     /// Seed for deterministic ET coin flips.
     pub seed: u64,
     /// Use MPI-3-style neighborhood collectives for the ghost refresh
@@ -190,7 +186,6 @@ impl DistConfig {
             threshold: 1e-6,
             max_phases: 40,
             max_iterations: 200,
-            etc_exit_fraction: 0.9,
             seed: 0xD157,
             neighborhood_collectives: false,
             prune_inactive_ghosts: false,

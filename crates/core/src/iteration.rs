@@ -848,8 +848,11 @@ pub fn louvain_phase(
             });
         }
 
+        // ETC leaves the phase once the paper's 90 % of all vertices are
+        // inactive.
+        const ETC_EXIT_FRACTION: f64 = 0.9;
         if cfg.variant.uses_etc_exit()
-            && inactive_global as f64 >= cfg.etc_exit_fraction * n_global as f64
+            && inactive_global as f64 >= ETC_EXIT_FRACTION * n_global as f64
         {
             etc_exit = true;
             break;

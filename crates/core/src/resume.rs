@@ -163,7 +163,6 @@ pub fn config_fingerprint(cfg: &DistConfig) -> u64 {
         threshold,
         max_phases,
         max_iterations,
-        etc_exit_fraction,
         seed,
         neighborhood_collectives,
         prune_inactive_ghosts,
@@ -183,7 +182,7 @@ pub fn config_fingerprint(cfg: &DistConfig) -> u64 {
     };
     let text = format!(
         "variant={variant};threshold={:016x};max_phases={max_phases};\
-         max_iterations={max_iterations};etc_exit_fraction={:016x};seed={seed:016x};\
+         max_iterations={max_iterations};seed={seed:016x};\
          neighborhood_collectives={neighborhood_collectives};\
          prune_inactive_ghosts={prune_inactive_ghosts};\
          disable_singleton_guard={disable_singleton_guard};\
@@ -191,7 +190,6 @@ pub fn config_fingerprint(cfg: &DistConfig) -> u64 {
          vertex_following={vertex_following};delta_ghost_refresh={delta_ghost_refresh};\
          sweep={}",
         threshold.to_bits(),
-        etc_exit_fraction.to_bits(),
         sweep.label(),
     );
     louvain_resil::fnv1a64(text.as_bytes())
@@ -206,15 +204,14 @@ mod tests {
         let base = DistConfig::baseline;
         assert_eq!(config_fingerprint(&base()), config_fingerprint(&base()));
 
-        // Every one of the 14 fields, flipped alone, must move the
+        // Every one of the 13 fields, flipped alone, must move the
         // fingerprint — and no two flips may land on the same one.
-        let flips: [fn(&mut DistConfig); 15] = [
+        let flips: [fn(&mut DistConfig); 14] = [
             |c| c.variant = Variant::Et { alpha: 0.25 },
             |c| c.variant = Variant::Et { alpha: 0.75 },
             |c| c.threshold *= 2.0,
             |c| c.max_phases += 1,
             |c| c.max_iterations += 1,
-            |c| c.etc_exit_fraction = 0.5,
             |c| c.seed ^= 1,
             |c| c.neighborhood_collectives ^= true,
             |c| c.prune_inactive_ghosts ^= true,

@@ -47,31 +47,26 @@ impl VertexPartition {
     /// Boundaries chosen so each rank holds roughly the same number of
     /// arcs (the paper's input distribution).
     pub fn balanced_edges(g: &Csr, p: usize) -> Self {
-        let degrees: Vec<usize> = (0..g.num_vertices())
-            .map(|v| g.degree(v as VertexId))
-            .collect();
-        Self::balanced_edges_from_degrees(&degrees, p)
+        Self::balanced_offsets(g.offsets(), p)
     }
 
-    /// Same as [`VertexPartition::balanced_edges`] from a degree array.
-    pub fn balanced_edges_from_degrees(degrees: &[usize], p: usize) -> Self {
+    /// [`VertexPartition::balanced_edges`] over any CSR offsets array
+    /// (`n + 1` entries, monotone from 0, `usize` in memory or `u64` in a
+    /// slab): boundary `r` is the first vertex whose offset reaches
+    /// `total·r/p` arcs; with no arcs, vertex counts are balanced instead.
+    pub fn balanced_offsets<O: Copy + TryInto<u64>>(offsets: &[O], p: usize) -> Self {
         assert!(p > 0);
-        let n = degrees.len() as u64;
-        let total: u64 = degrees.iter().map(|&d| d as u64).sum();
+        let arcs = |o: O| o.try_into().unwrap_or(u64::MAX);
+        let n = offsets.len() as u64 - 1;
+        let total = arcs(offsets[n as usize]);
         if total == 0 {
             return Self::balanced_vertices(n, p);
         }
         let mut starts = Vec::with_capacity(p + 1);
         starts.push(0);
-        let mut acc = 0u64;
-        let mut v = 0u64;
         for r in 1..p as u64 {
             let target = total * r / p as u64;
-            while v < n && acc < target {
-                acc += degrees[v as usize] as u64;
-                v += 1;
-            }
-            starts.push(v);
+            starts.push(offsets.partition_point(|&o| arcs(o) < target) as VertexId);
         }
         starts.push(n);
         Self { starts }
@@ -120,6 +115,47 @@ impl VertexPartition {
 mod tests {
     use super::*;
     use crate::edgelist::EdgeList;
+    use crate::gen::{lfr, rmat, ssca2, LfrParams, RmatParams, Ssca2Params};
+
+    /// Reference rule for `balanced_edges`: walk the degrees one vertex at
+    /// a time until the arcs passed reach `total·r/p`.
+    fn degree_walk(g: &Csr, p: usize) -> VertexPartition {
+        let n = g.num_vertices() as u64;
+        let total = g.num_arcs() as u64;
+        if total == 0 {
+            return VertexPartition::balanced_vertices(n, p);
+        }
+        let mut starts = vec![0];
+        let (mut acc, mut v) = (0u64, 0u64);
+        for r in 1..p as u64 {
+            let target = total * r / p as u64;
+            while v < n && acc < target {
+                acc += g.degree(v) as u64;
+                v += 1;
+            }
+            starts.push(v);
+        }
+        starts.push(n);
+        VertexPartition::from_starts(starts)
+    }
+
+    #[test]
+    fn balanced_edges_equals_the_degree_walk_on_the_ladder_generators() {
+        let graphs = [
+            ("rmat", rmat(RmatParams::social(10, 8, 5)).graph),
+            ("lfr", lfr(LfrParams::small(1_000, 5)).graph),
+            ("ssca2", ssca2(Ssca2Params::paper(1_000, 5)).graph),
+        ];
+        for (name, g) in &graphs {
+            for p in [1, 2, 3, 8, 64] {
+                assert_eq!(
+                    VertexPartition::balanced_edges(g, p),
+                    degree_walk(g, p),
+                    "{name} p={p}"
+                );
+            }
+        }
+    }
 
     #[test]
     fn balanced_vertices_covers_everything() {
@@ -171,7 +207,8 @@ mod tests {
 
     #[test]
     fn balanced_edges_zero_degree_falls_back() {
-        let p = VertexPartition::balanced_edges_from_degrees(&[0, 0, 0, 0], 2);
+        let g = crate::csr::Csr::from_edge_list(EdgeList::new(4));
+        let p = VertexPartition::balanced_edges(&g, 2);
         assert_eq!(p.starts(), &[0, 2, 4]);
     }
 

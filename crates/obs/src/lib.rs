@@ -121,7 +121,7 @@ pub const METRIC_REGISTRY: &[(&str, MetricKind, &str)] = &[
         MetricKind::Gauge,
         "ghost-layer footprint (bytes, per phase: arc targets, their \
          slot → arc reverse index, request and serve tables); read by \
-         item 9(a)'s memory budget and tests/observability.rs",
+         tests/observability.rs",
     ),
     (
         "mem.mapped_bytes",
@@ -139,14 +139,14 @@ pub const METRIC_REGISTRY: &[(&str, MetricKind, &str)] = &[
     (
         "mem.scratch_bytes",
         MetricKind::Gauge,
-        "iteration scratch-arena high-water mark (bytes); read by item \
-         9(a)'s memory budget and tests/observability.rs",
+        "iteration scratch-arena high-water mark (bytes); read by \
+         tests/observability.rs",
     ),
     (
         "mem.wire_bytes",
         MetricKind::Gauge,
         "wire-buffer (outgoing message staging) high-water mark (bytes); \
-         read by item 9(a)'s memory budget and tests/observability.rs",
+         read by tests/observability.rs",
     ),
     (
         "serve.cache_evictions",

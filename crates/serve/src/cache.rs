@@ -38,7 +38,7 @@ impl JobKey {
 }
 
 /// The graph half of a [`JobKey`]. A slab's header names its content —
-/// counts, geometry and the five section checksums — so a slab is keyed
+/// counts, geometry and the four section checksums — so a slab is keyed
 /// on one 192-byte read; equal headers declare equal content, and the
 /// server verifies that content before it computes on it (a miss). A
 /// binary edge list has no such header and keeps the streamed hash.

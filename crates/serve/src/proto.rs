@@ -12,7 +12,6 @@
 //!   phase/iteration/modularity (running jobs).
 //! * `{"type":"query", "job_id":"..."}` — the dendrogram (per-level
 //!   assignments) of a finished job, from the result cache.
-//! * `{"type":"metrics"}` — the server's `serve.*` counters.
 //! * `{"type":"metrics-text"}` — the full live snapshot rendered as
 //!   Prometheus exposition text (in a `metrics_text` response line).
 //! * `{"type":"watch", "job_id":"..."}` — subscribe to the job's
@@ -318,19 +317,6 @@ fn handle_line<W: Write + Send + 'static>(
                 ),
             }
         }
-        "metrics" => {
-            let snap = server.metrics_snapshot();
-            let counters = Json::Obj(
-                snap.counters
-                    .iter()
-                    .map(|(k, v)| (k.clone(), Json::uint(*v)))
-                    .collect(),
-            );
-            write_line(
-                writer,
-                &Json::obj(vec![("type", Json::str("metrics")), ("counters", counters)]),
-            );
-        }
         "metrics-text" => match server.prometheus_text() {
             Ok(text) => write_line(
                 writer,
@@ -574,8 +560,11 @@ mod tests {
 
         // `GET ` only short-circuits on the *first* line: later lines
         // that merely look like HTTP still get a JSON error.
-        let response = raw("{\"type\":\"metrics\"}\nGET /metrics HTTP/1.0\n");
-        assert!(response.starts_with("{\"type\":\"metrics\""), "{response}");
+        let response = raw("{\"type\":\"metrics-text\"}\nGET /metrics HTTP/1.0\n");
+        assert!(
+            response.starts_with("{\"type\":\"metrics_text\""),
+            "{response}"
+        );
         assert!(response.contains("bad request line"), "{response}");
         server.drain();
     }

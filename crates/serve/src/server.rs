@@ -447,13 +447,6 @@ impl Server {
         st.jobs.get(&seq).map(|r| r.status.clone())
     }
 
-    /// Status of the latest submission under a client job id.
-    pub fn status_by_id(&self, job_id: &str) -> Option<JobStatus> {
-        let st = self.inner.state.lock().unwrap();
-        let seq = st.by_id.get(job_id)?;
-        st.jobs.get(seq).map(|r| r.status.clone())
-    }
-
     /// Lifecycle plus queue position / current phase for the `status`
     /// verb.
     pub fn status_detail(&self, seq: u64) -> Option<StatusDetail> {

@@ -14,10 +14,10 @@
 //! 3. build each block's rows from its bucket with
 //!    `louvain_graph::csr::build_rows`;
 //! 4. stream the rows into the `targets` / `weights` sections and the
-//!    per-vertex offsets and weighted degrees into theirs.
+//!    row offsets into theirs.
 //!
 //! Peak memory is `O(n + chunk_edges)` — the per-vertex arrays (raw
-//! degrees, offsets, halo) plus one block — never `O(m)`.
+//! degrees, offsets) plus one block — never `O(m)`.
 //!
 //! # Bit-identity with the in-memory path
 //!
@@ -42,8 +42,8 @@ use louvain_graph::{VertexId, Weight};
 
 use crate::err::StoreError;
 use crate::layout::{
-    align_up, fnv1a_words, pindex_samples, Fnv1a, SectionDesc, SlabHeader, DEFAULT_INDEX_STRIDE,
-    HEADER_BYTES, SECTION_ALIGN, SECTION_COUNT,
+    align_up, fnv1a_words, pindex_samples, Fnv1a, SlabHeader, DEFAULT_INDEX_STRIDE, HEADER_BYTES,
+    SECTION_ALIGN,
 };
 
 /// Tuning knobs for [`SlabBuilder`].
@@ -220,7 +220,6 @@ impl SlabBuilder {
     ) -> Result<SlabSummary, StoreError> {
         let n = self.n as usize;
         let mut offsets = vec![0u64; n + 1];
-        let mut halo = vec![0.0f64; n];
         let mut loops = 0u64;
 
         // Targets stream straight into their section, whose place depends
@@ -257,8 +256,6 @@ impl SlabBuilder {
             for (i, v) in rows.clone().enumerate() {
                 let row = &built[row_at[i]..row_at[i + 1]];
                 offsets[v] = arcs + row_at[i] as u64;
-                // The same sum as `Csr::weighted_degree`, bit for bit.
-                halo[v] = row.iter().map(|&(_, w)| w).sum();
                 loops += row.iter().any(|&(d, _)| d == v as VertexId) as u64;
             }
             for piece in built.chunks(8192) {
@@ -274,20 +271,20 @@ impl SlabBuilder {
 
         // Packed section layout.
         let stride = self.opts.index_stride;
-        let samples = pindex_samples(self.n, stride);
-        let lens: [u64; SECTION_COUNT] = [
-            (self.n + 1) * 8,
-            arcs * 8,
-            arcs * 8,
-            self.n * 8,
-            samples * 8,
-        ];
-        let mut sections = [SectionDesc::default(); SECTION_COUNT];
+        let mut header = SlabHeader {
+            num_vertices: self.n,
+            num_arcs: arcs,
+            num_edges,
+            index_stride: stride,
+            sections: Default::default(),
+        };
+        let lens = header.expected_section_lens();
+        let sections = &mut header.sections;
         let mut cursor = HEADER_BYTES;
-        for (i, s) in sections.iter_mut().enumerate() {
+        for (s, len) in sections.iter_mut().zip(lens) {
             s.offset = cursor;
-            s.len = lens[i];
-            cursor = align_up(cursor + lens[i], SECTION_ALIGN);
+            s.len = len;
+            cursor = align_up(cursor + len, SECTION_ALIGN);
         }
         assert_eq!(sections[1].offset, targets_at, "targets written off layout");
         sections[1].checksum = out.end();
@@ -309,38 +306,22 @@ impl SlabBuilder {
         }
         sections[2].checksum = out.end();
 
-        // Section 3: halo (weighted degrees).
+        // Section 3: pindex (sampled offsets).
         out.begin(sections[3].offset)?;
-        for chunk in halo.chunks(8192) {
-            let bytes: Vec<u8> = chunk.iter().flat_map(|&h| h.to_le_bytes()).collect();
-            out.write_section(&bytes)?;
-        }
-        sections[3].checksum = out.end();
-        drop(halo);
-
-        // Section 4: pindex (sampled offsets).
-        out.begin(sections[4].offset)?;
         {
-            let bytes: Vec<u8> = (0..samples)
+            let bytes: Vec<u8> = (0..pindex_samples(self.n, stride))
                 .flat_map(|i| offsets[(i * stride) as usize].to_le_bytes())
                 .collect();
             out.write_section(&bytes)?;
         }
-        sections[4].checksum = out.end();
+        sections[3].checksum = out.end();
 
         // Section 0: offsets, written in place with the real header.
         let offset_bytes: Vec<u8> = offsets.iter().flat_map(|&o| o.to_le_bytes()).collect();
         drop(offsets);
         sections[0].checksum = fnv1a_words(&offset_bytes);
-        let header = SlabHeader {
-            num_vertices: self.n,
-            num_arcs: arcs,
-            num_edges,
-            index_stride: stride,
-            sections,
-        };
-        let file_bytes =
-            out.patch(&[(sections[0].offset, &offset_bytes), (0, &header.encode())])?;
+        let offsets_at = sections[0].offset;
+        let file_bytes = out.patch(&[(offsets_at, &offset_bytes), (0, &header.encode())])?;
 
         let repair = if self.opts.policy == IngestPolicy::Repair {
             RepairStats {

@@ -23,7 +23,7 @@ pub enum StoreError {
         found: u64,
     },
     /// Signature recognized but the format version byte is not ours.
-    WrongVersion {
+    BadVersion {
         found: u8,
     },
     /// A section's stored checksum does not match its bytes.
@@ -56,9 +56,13 @@ impl fmt::Display for StoreError {
             StoreError::BadMagic { found } => {
                 write!(f, "bad magic: {found:#018x} is not a slab file")
             }
-            StoreError::WrongVersion { found } => {
-                write!(f, "unsupported slab format version {found:#04x}")
-            }
+            StoreError::BadVersion { found } => write!(
+                f,
+                "unsupported slab format version {:?}: this build reads version {:?}; \
+                 re-ingest the graph",
+                *found as char,
+                crate::layout::FORMAT_VERSION as char
+            ),
             StoreError::ChecksumMismatch {
                 section,
                 expect,
@@ -119,7 +123,10 @@ mod tests {
                 "truncated",
             ),
             (StoreError::BadMagic { found: 0xdead }, "bad magic"),
-            (StoreError::WrongVersion { found: 9 }, "version"),
+            (
+                StoreError::BadVersion { found: b'1' },
+                "slab format version '1'",
+            ),
             (
                 StoreError::ChecksumMismatch {
                     section: "targets",

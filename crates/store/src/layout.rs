@@ -1,6 +1,6 @@
 //! Byte-exact slab layout: header, section table, alignment, checksums.
 //!
-//! A slab file is a fixed 192-byte header followed by five sections, each
+//! A slab file is a fixed 192-byte header followed by four sections, each
 //! aligned to [`SECTION_ALIGN`] bytes and individually checksummed:
 //!
 //! | # | section   | contents                                   | bytes        |
@@ -8,8 +8,7 @@
 //! | 0 | `offsets` | CSR row offsets, `u64`                     | `(n+1) * 8`  |
 //! | 1 | `targets` | arc destinations (global ids), `u64`       | `arcs * 8`   |
 //! | 2 | `weights` | arc weights, `f64`                         | `arcs * 8`   |
-//! | 3 | `halo`    | per-vertex weighted degrees, `f64`         | `n * 8`      |
-//! | 4 | `pindex`  | `offsets` sampled every `index_stride`     | `samples * 8`|
+//! | 3 | `pindex`  | `offsets` sampled every `index_stride`     | `samples * 8`|
 //!
 //! All integers and floats are little-endian. The header layout is
 //!
@@ -19,22 +18,19 @@
 //! 0x10  num_arcs         u64   directed arcs (2·edges − loops)
 //! 0x18  num_edges        u64   undirected edges (loops count once)
 //! 0x20  index_stride     u64   pindex sampling stride
-//! 0x28  section_count    u64   always 5
-//! 0x30  5 × (offset u64, len u64, checksum u64)   section table
-//! 0xA8  zero padding to 192 bytes
+//! 0x28  section_count    u64   always 4
+//! 0x30  4 × (offset u64, len u64, checksum u64)   section table
+//! 0x90  zero padding to 192 bytes
 //! ```
 //!
-//! The `halo` section makes every vertex's weighted degree available
-//! without reading its row — a rank loading only its byte ranges can look
-//! up ghost-vertex degrees locally instead of exchanging them. The
-//! `pindex` section lets a rank locate edge-balanced partition boundaries
+//! The `pindex` section lets a rank locate edge-balanced partition boundaries
 //! with a windowed binary search instead of reading the whole `offsets`
 //! section (see `slab::load_rank`).
 
 use crate::err::StoreError;
 
-/// File magic: 7-byte signature `LVSLABC` plus the version byte `'1'`.
-pub const MAGIC: u64 = 0x4C56_534C_4142_4331;
+/// File magic: 7-byte signature `LVSLABC` plus the version byte `'2'`.
+pub const MAGIC: u64 = 0x4C56_534C_4142_4332;
 /// Signature part of the magic (version byte masked off).
 pub const MAGIC_SIGNATURE: u64 = MAGIC & !0xFF;
 /// Current format version byte (the low byte of [`MAGIC`]).
@@ -70,20 +66,18 @@ pub fn sniff_kind(path: &std::path::Path) -> std::io::Result<FileKind> {
 pub const SECTION_ALIGN: u64 = 64;
 /// Fixed header size — itself a multiple of [`SECTION_ALIGN`].
 pub const HEADER_BYTES: u64 = 192;
-/// Number of sections in format version 1.
-pub const SECTION_COUNT: usize = 5;
+/// Number of sections in format version 2.
+pub const SECTION_COUNT: usize = 4;
 /// Default `pindex` sampling stride (vertices per sample).
 pub const DEFAULT_INDEX_STRIDE: u64 = 4096;
 
 /// Section names, in file order (also the section-table order).
-pub const SECTION_NAMES: [&str; SECTION_COUNT] =
-    ["offsets", "targets", "weights", "halo", "pindex"];
+pub const SECTION_NAMES: [&str; SECTION_COUNT] = ["offsets", "targets", "weights", "pindex"];
 
 pub const SEC_OFFSETS: usize = 0;
 pub const SEC_TARGETS: usize = 1;
 pub const SEC_WEIGHTS: usize = 2;
-pub const SEC_HALO: usize = 3;
-pub const SEC_PINDEX: usize = 4;
+pub const SEC_PINDEX: usize = 3;
 
 /// One section-table entry: where the section lives and what it hashes to.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -148,7 +142,7 @@ impl SlabHeader {
             return Err(StoreError::BadMagic { found: magic });
         }
         if magic != MAGIC {
-            return Err(StoreError::WrongVersion {
+            return Err(StoreError::BadVersion {
                 found: (magic & 0xFF) as u8,
             });
         }
@@ -194,7 +188,6 @@ impl SlabHeader {
             (self.num_vertices + 1) * 8,
             self.num_arcs * 8,
             self.num_arcs * 8,
-            self.num_vertices * 8,
             pindex_samples(self.num_vertices, self.index_stride) * 8,
         ]
     }
@@ -324,7 +317,7 @@ mod tests {
     #[test]
     fn magic_split_is_consistent() {
         assert_eq!(MAGIC_SIGNATURE | FORMAT_VERSION as u64, MAGIC);
-        assert_eq!(FORMAT_VERSION, b'1');
+        assert_eq!(FORMAT_VERSION, b'2');
     }
 
     #[test]
@@ -346,12 +339,12 @@ mod tests {
     }
 
     #[test]
-    fn same_signature_other_version_is_wrong_version() {
+    fn same_signature_other_version_is_bad_version() {
         let mut bytes = header().encode();
-        bytes[..8].copy_from_slice(&(MAGIC_SIGNATURE | b'2' as u64).to_le_bytes());
+        bytes[..8].copy_from_slice(&(MAGIC_SIGNATURE | b'1' as u64).to_le_bytes());
         assert!(matches!(
             SlabHeader::decode(&bytes),
-            Err(StoreError::WrongVersion { found: b'2' })
+            Err(StoreError::BadVersion { found: b'1' })
         ));
     }
 

@@ -109,14 +109,6 @@ mod tests {
             .iter()
             .zip(expected.weights())
             .all(|(a, b)| a.to_bits() == b.to_bits()));
-        // The halo section is the weighted-degree table, bit for bit.
-        for v in 0..expected.num_vertices() {
-            assert_eq!(
-                slab.halo()[v].to_bits(),
-                expected.weighted_degree(v as u64).to_bits(),
-                "halo[{v}]"
-            );
-        }
     }
 
     #[test]
@@ -187,7 +179,6 @@ mod tests {
         let bits = |w: &[f64]| w.iter().map(|w| w.to_bits()).collect::<Vec<_>>();
         assert_eq!(slab.to_csr(), expected);
         assert_eq!(bits(slab.weights()), bits(expected.weights()));
-        assert_eq!(bits(slab.halo()), bits(&expected.weighted_degrees()));
     }
 
     #[test]
@@ -361,11 +352,65 @@ mod tests {
                     expected.csr_parts(),
                     "p={ranks} rank {rank}"
                 );
-                assert_eq!(slice.halo.len() as u64, slab.num_vertices());
                 if ranks > 1 {
                     assert!(
                         slice.bytes_read < slab.mapped_bytes(),
                         "p={ranks} rank {rank}: ranged load read the whole file"
+                    );
+                }
+            }
+        }
+    }
+
+    /// What a ranged load of `rank` must read and nothing more: the
+    /// header, the `pindex` section, one `offsets` window per partition
+    /// boundary, the rank's own offsets, and 16 B per local arc.
+    fn ranged_load_bytes(slab: &Slab, rank: usize, p: usize) -> u64 {
+        let (n, stride) = (slab.num_vertices(), slab.index_stride());
+        let pindex = slab.pindex();
+        let windows: u64 = (1..p as u64)
+            .map(|r| {
+                let target = slab.num_arcs() * r / p as u64;
+                let i = pindex.partition_point(|&s| s < target) as u64;
+                (i * stride).min(n) - i.saturating_sub(1) * stride + 1
+            })
+            .sum();
+        let range = slab.partition(p).range(rank);
+        let local_arcs = slab.offsets()[range.end as usize] - slab.offsets()[range.start as usize];
+        HEADER_BYTES
+            + pindex.len() as u64 * 8
+            + windows * 8
+            + (range.end - range.start + 1) * 8
+            + local_arcs * 16
+    }
+
+    #[test]
+    fn ranged_load_reads_exactly_its_windows_and_extents() {
+        let rmat_p = RmatParams::social(10, 8, 3);
+        let lfr_p = LfrParams::small(700, 6);
+        let rmat_path = TempPath::new("bytes-rmat");
+        let lfr_path = TempPath::new("bytes-lfr");
+        build_slab(
+            1 << 10,
+            |b| rmat_stream(rmat_p, b),
+            small_opts(),
+            &rmat_path,
+        );
+        build_slab(
+            700,
+            |b| lfr_stream(lfr_p, b).map(|_| ()),
+            small_opts(),
+            &lfr_path,
+        );
+        for path in [&rmat_path, &lfr_path] {
+            let slab = Slab::open(&path.0).unwrap();
+            for p in [1, 2, 3, 8] {
+                for rank in 0..p {
+                    assert_eq!(
+                        load_rank(&path.0, rank, p).unwrap().bytes_read,
+                        ranged_load_bytes(&slab, rank, p),
+                        "{} p={p} rank {rank}",
+                        path.0.display()
                     );
                 }
             }
@@ -529,15 +574,16 @@ mod tests {
     }
 
     #[test]
-    fn wrong_version_is_wrong_version_error() {
+    fn a_version_1_slab_is_bad_version_on_every_reader() {
         let path = TempPath::new("version");
         let mut bytes = valid_slab_bytes(&path);
-        bytes[..8].copy_from_slice(&(layout::MAGIC_SIGNATURE | b'9' as u64).to_le_bytes());
+        bytes[0] = b'1';
         std::fs::write(&path.0, &bytes).unwrap();
-        assert!(matches!(
-            Slab::open(&path.0),
-            Err(StoreError::WrongVersion { found: b'9' })
-        ));
+        let is_v1 = |e: StoreError| matches!(e, StoreError::BadVersion { found: b'1' });
+        assert!(is_v1(Slab::open(&path.0).unwrap_err()));
+        assert!(is_v1(load_rank(&path.0, 0, 2).unwrap_err()));
+        assert!(is_v1(peek_header(&path.0).unwrap_err()));
+        assert!(is_v1(verify(&path.0).unwrap_err()));
     }
 
     #[test]
@@ -554,17 +600,17 @@ mod tests {
     }
 
     #[test]
-    fn corrupted_halo_fails_ranged_load_too() {
-        let path = TempPath::new("halo-checksum");
+    fn corrupted_pindex_fails_ranged_load_too() {
+        let path = TempPath::new("pindex-checksum");
         let mut bytes = valid_slab_bytes(&path);
         let header = layout::SlabHeader::decode(&bytes).unwrap();
-        let halo = &header.sections[layout::SEC_HALO];
-        bytes[(halo.offset + halo.len / 2) as usize] ^= 0x01;
+        let pindex = &header.sections[layout::SEC_PINDEX];
+        bytes[(pindex.offset + pindex.len / 2) as usize] ^= 0x01;
         std::fs::write(&path.0, &bytes).unwrap();
         assert!(matches!(
             load_rank(&path.0, 0, 2),
             Err(StoreError::ChecksumMismatch {
-                section: "halo",
+                section: "pindex",
                 ..
             })
         ));
@@ -639,7 +685,7 @@ mod tests {
         // Bad magic, wrong version, a misaligned and an over-long section.
         let edits: [(usize, u64); 4] = [
             (0, 0x1122_3344_5566_7788),
-            (0, layout::MAGIC_SIGNATURE | b'9' as u64),
+            (0, layout::MAGIC_SIGNATURE | b'1' as u64),
             (0x30 + 24, header_word(&bytes, 0x30 + 24) + 8),
             (0x30 + 8, header_word(&bytes, 0x30 + 8) + 8),
         ];

@@ -3,15 +3,16 @@
 //! Two load paths, mirroring the paper's MPI-I/O usage:
 //!
 //! * [`Slab::open`] maps the entire file read-only and exposes zero-copy
-//!   `u64`/`f64` views of every section. All five checksums are
+//!   `u64`/`f64` views of every section. All four checksums are
 //!   validated up front.
 //! * [`load_rank`] reads only the byte ranges one rank needs: the header,
-//!   the small `pindex` and `halo` sections (checksummed), the rank's
-//!   window of `offsets`, and its `[lo, hi)` extent of `targets` and
-//!   `weights`. The big sections are *not* checksummed on this path —
-//!   a rank reads a strict subset of their bytes — which is the
-//!   documented trade-off for O(local) I/O.
-//! * [`verify`] checks all five checksums by streaming the file through
+//!   the small `pindex` section (checksummed), one window of `offsets`
+//!   per partition boundary, the rank's own window of `offsets`, and its
+//!   `[lo, hi)` extent of `targets` and `weights` — nothing Θ(n). The
+//!   big sections are *not* checksummed on this path — a rank reads a
+//!   strict subset of their bytes — which is the documented trade-off
+//!   for O(local) I/O.
+//! * [`verify`] checks all four checksums by streaming the file through
 //!   a fixed buffer, for callers that load by range but must not run on
 //!   a corrupt body (the job server verifies before every fresh run).
 //!
@@ -26,11 +27,11 @@ use std::path::Path;
 use louvain_graph::csr::Csr;
 use louvain_graph::dist::LocalGraph;
 use louvain_graph::partition::VertexPartition;
-use louvain_graph::{VertexId, Weight};
+use louvain_graph::VertexId;
 
 use crate::err::StoreError;
 use crate::layout::{
-    fnv1a_words, Fnv1a, SlabHeader, HEADER_BYTES, SECTION_NAMES, SEC_HALO, SEC_OFFSETS, SEC_PINDEX,
+    fnv1a_words, Fnv1a, SlabHeader, HEADER_BYTES, SECTION_NAMES, SEC_OFFSETS, SEC_PINDEX,
     SEC_TARGETS, SEC_WEIGHTS,
 };
 use crate::mmap::Mapping;
@@ -119,11 +120,6 @@ impl Slab {
         self.view_f64(SEC_WEIGHTS)
     }
 
-    /// Per-vertex weighted degrees (the ghost-halo section), zero-copy.
-    pub fn halo(&self) -> &[f64] {
-        self.view_f64(SEC_HALO)
-    }
-
     /// Sampled offsets (`offsets[i * stride]`), zero-copy.
     pub fn pindex(&self) -> &[u64] {
         self.view_u64(SEC_PINDEX)
@@ -138,21 +134,11 @@ impl Slab {
         )
     }
 
-    /// Edge-balanced partition boundaries, identical to
-    /// `VertexPartition::balanced_edges` over the in-memory CSR.
+    /// Edge-balanced partition boundaries: the rule
+    /// `VertexPartition::balanced_edges` applies to the in-memory CSR,
+    /// applied to the mapped offsets.
     pub fn partition(&self, p: usize) -> VertexPartition {
-        assert!(p > 0);
-        if self.num_arcs() == 0 {
-            return VertexPartition::balanced_vertices(self.num_vertices(), p);
-        }
-        let offsets = self.offsets();
-        let mut starts = Vec::with_capacity(p + 1);
-        starts.push(0);
-        for r in 1..p as u64 {
-            starts.push(start_for_target(offsets, self.num_arcs() * r / p as u64));
-        }
-        starts.push(self.num_vertices());
-        VertexPartition::from_starts(starts)
+        VertexPartition::balanced_offsets(self.offsets(), p)
     }
 
     /// Build one rank's piece from the mapped sections — bit-identical
@@ -179,13 +165,6 @@ impl Slab {
     }
 }
 
-/// The sequential `balanced_edges_from_degrees` walk, restated over the
-/// offsets array: boundary `r` is the first `v` with `offsets[v] >=
-/// total*r/p`. `offsets[n] = total >= target` bounds the result by `n`.
-fn start_for_target(offsets: &[u64], target: u64) -> u64 {
-    offsets.partition_point(|&o| o < target) as u64
-}
-
 /// Read and validate only the header: magic, version, geometry, and the
 /// section table against the file length — without mapping the file or
 /// touching any section bytes. This is what `run --ranged` and `info`
@@ -199,7 +178,7 @@ pub fn peek_header(path: &Path) -> Result<SlabHeader, StoreError> {
 const VERIFY_CHUNK_BYTES: usize = 1 << 20;
 
 /// Check everything [`Slab::open`] checks — header, section table,
-/// and all five section checksums — by streaming each section through
+/// and all four section checksums — by streaming each section through
 /// a fixed buffer instead of mapping the file. Fails with the same
 /// `ChecksumMismatch` / `Truncated` error `Slab::open` would.
 pub fn verify(path: &Path) -> Result<SlabHeader, StoreError> {
@@ -252,17 +231,14 @@ pub struct RankSlice {
     /// This rank's CSR piece (global destination ids), with the full
     /// ownership table — exactly what `LocalGraph::scatter` hands out.
     pub local: LocalGraph<'static>,
-    /// Weighted degrees of **all** vertices (the ghost-halo section), so
-    /// ghost degrees resolve without communication.
-    pub halo: Vec<Weight>,
     /// Bytes actually read from the file for this rank.
     pub bytes_read: u64,
 }
 
 /// Byte-range loader used by ranked runs: each rank calls this with its
 /// own `(rank, p)` and reads only the extents it owns (plus the small
-/// `pindex`/`halo` sections). Partition boundaries come from a windowed
-/// binary search over `pindex`, so no rank ever reads the full `offsets`
+/// `pindex` section). Partition boundaries come from a windowed binary
+/// search over `pindex`, so no rank ever reads the full `offsets`
 /// section.
 pub fn load_rank(path: &Path, rank: usize, p: usize) -> Result<RankSlice, StoreError> {
     assert!(p > 0 && rank < p, "rank {rank} out of range for p={p}");
@@ -272,15 +248,13 @@ pub fn load_rank(path: &Path, rank: usize, p: usize) -> Result<RankSlice, StoreE
     let n = header.num_vertices;
     let stride = header.index_stride;
 
-    // Small sections are read whole and checksummed even on this path.
+    // The small section is read whole and checksummed even on this path.
     let pindex = read_u64s_checked(&mut file, &header, SEC_PINDEX, &mut bytes_read)?;
-    let halo_raw = read_u64s_checked(&mut file, &header, SEC_HALO, &mut bytes_read)?;
-    let halo: Vec<f64> = halo_raw.iter().map(|&b| f64::from_bits(b)).collect();
-    drop(halo_raw);
 
     // Partition boundaries via windowed binary search: pindex narrows
     // each target to one stride of `offsets`, which is then read from
-    // disk. All ranks compute the same table (static knowledge).
+    // disk. All ranks compute the same table (static knowledge), by the
+    // rule `VertexPartition::balanced_offsets` applies to whole offsets.
     let offsets_off = header.sections[SEC_OFFSETS].offset;
     let mut read_offsets = |first: u64, count: u64| -> Result<Vec<u64>, StoreError> {
         let mut buf = vec![0u8; (count * 8) as usize];
@@ -304,13 +278,7 @@ pub fn load_rank(path: &Path, rank: usize, p: usize) -> Result<RankSlice, StoreE
             let win_first = i.saturating_sub(1) * stride;
             let win_last = (i * stride).min(n); // inclusive
             let window = read_offsets(win_first, win_last - win_first + 1)?;
-            let v = if i == 0 {
-                // pindex[0] = offsets[0] = 0 >= target, so target == 0.
-                0
-            } else {
-                win_first + window.partition_point(|&o| o < target) as u64
-            };
-            starts.push(v);
+            starts.push(win_first + window.partition_point(|&o| o < target) as u64);
         }
         starts.push(n);
         VertexPartition::from_starts(starts)
@@ -343,11 +311,7 @@ pub fn load_rank(path: &Path, rank: usize, p: usize) -> Result<RankSlice, StoreE
         .collect();
 
     let local = LocalGraph::from_csr_parts(part, rank, local_offsets, dests, weights);
-    Ok(RankSlice {
-        local,
-        halo,
-        bytes_read,
-    })
+    Ok(RankSlice { local, bytes_read })
 }
 
 /// Read one whole section as `u64` words and validate its checksum.

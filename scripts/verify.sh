@@ -27,6 +27,23 @@ for p in "${PACKAGES[@]}"; do
   pkg_flags+=(-p "$p")
 done
 
+# Run a command that must be refused: non-zero exit, stderr containing
+# NEEDLE, and no panic.
+must_refuse() {
+  local needle=$1 err=target/refused.err
+  shift
+  if "$@" 2> "$err"; then
+    echo "verify: '$*' must exit non-zero" >&2
+    exit 1
+  fi
+  cat "$err"
+  grep -qF -- "$needle" "$err"
+  if grep -q panicked "$err"; then
+    echo "verify: '$*' panicked" >&2
+    exit 1
+  fi
+}
+
 echo "==> cargo build --release"
 cargo build --release --workspace
 
@@ -84,29 +101,20 @@ grep -q "^  straggler blame: rank " target/crit_report.txt
 grep -q "^diff: 1 matched, 0 only-baseline, 0 only-current" target/self_diff.txt
 awk '{ for (i = 1; i <= NF; i++) if (split($i, ab, "→") == 2 && ab[1] != ab[2]) changed++ }
      END { exit changed > 0 }' target/self_diff.txt
-if ./target/release/louvain run target/verify_lfr.graph --ranks 0 2> target/ranks0.err; then
-  echo "verify: --ranks 0 must exit non-zero" >&2
-  exit 1
-fi
-cat target/ranks0.err
-grep -q -- "--ranks" target/ranks0.err
-! grep -q panicked target/ranks0.err
+must_refuse --ranks ./target/release/louvain run target/verify_lfr.graph --ranks 0
 # The quotes split the deleted name so that it appears nowhere in the code.
 gone=--report-"out"
-if ./target/release/louvain run target/verify_lfr.graph "$gone" target/gone.json 2> target/gone.err; then
-  echo "verify: $gone must exit non-zero" >&2
-  exit 1
-fi
-cat target/gone.err
-grep -qF -- "unknown option $gone" target/gone.err
-! grep -q panicked target/gone.err
+must_refuse "unknown option $gone" \
+  ./target/release/louvain run target/verify_lfr.graph "$gone" target/gone.json
 # -c, not -q: grep must drain the pipe or fig3 dies writing to it.
 LOUVAIN_SCALE=quick ./target/release/fig3 channel 2>/dev/null | grep -cw modeled
 
 # The slab builder keeps its open files bounded however many row blocks
 # it cuts: ≥1911 blocks of ≤500 arcs must build under 256 descriptors, and
-# to the same bytes as the default block size.
-echo "==> generate --slab --chunk-edges 500 under ulimit -n 256 | cmp against the default chunk"
+# to the same bytes as the default block size. The slab is format v2
+# with four sections; a copy whose version byte (file offset 0) says 1
+# is refused by `info` and `run`, by version and without a panic.
+echo "==> slab v2: generate --slab --chunk-edges 500 under ulimit -n 256 | cmp against the default chunk | info | v1 copy refused by info and run"
 (
   ulimit -n 256
   ./target/release/louvain generate --kind rmat --n 65536 --seed 3 --slab --chunk-edges 500 \
@@ -115,6 +123,13 @@ echo "==> generate --slab --chunk-edges 500 under ulimit -n 256 | cmp against th
 ./target/release/louvain generate --kind rmat --n 65536 --seed 3 --slab \
   --out target/verify_default_blocks.slab
 cmp target/verify_small_blocks.slab target/verify_default_blocks.slab
+./target/release/louvain info target/verify_default_blocks.slab | tee target/slab_info.txt
+grep -q "slab v2" target/slab_info.txt
+test "$(grep -c '^section:' target/slab_info.txt)" -eq 4
+cp target/verify_default_blocks.slab target/verify_v1.slab
+printf 1 | dd of=target/verify_v1.slab bs=1 count=1 conv=notrunc status=none
+must_refuse "slab format version '1'" ./target/release/louvain info target/verify_v1.slab
+must_refuse "slab format version '1'" ./target/release/louvain run target/verify_v1.slab
 
 # Not a gate: the figures a PR quotes against ROADMAP's "lines no higher
 # than found" rule.

@@ -423,7 +423,7 @@ fn slab_info(path: &Path) -> Result<(), String> {
     // Full open: validates the header, the section table, and every
     // section checksum before printing anything.
     let slab = Slab::open(path).map_err(|e| format!("{}: {e}", path.display()))?;
-    let two_m: f64 = slab.halo().iter().sum();
+    let two_m: f64 = slab.weights().iter().sum();
     println!("file:         {}", path.display());
     println!(
         "format:       slab v{} (all section checksums OK)",
@@ -1094,16 +1094,30 @@ mod tests {
             "unexpected error: {err}"
         );
         // The ranged path reads only its own byte ranges of the big
-        // sections, but checksums the small sections it reads whole —
-        // corrupt the halo and the per-rank load must fail loudly too.
+        // sections, but checksums the small section it reads whole —
+        // corrupt the pindex and the per-rank load must fail loudly too.
         let mut bytes = pristine.clone();
         bytes[header.sections[3].offset as usize] ^= 0xFF;
         std::fs::write(&slab, &bytes).unwrap();
         let err = cmd_run(&[s("--ranged"), p(&slab), s("--ranks"), s("2")]).unwrap_err();
         assert!(
-            err.contains("checksum mismatch") && err.contains("halo"),
+            err.contains("checksum mismatch") && err.contains("pindex"),
             "unexpected error: {err}"
         );
+        // A version-1 slab is refused by version on every path.
+        let mut bytes = pristine.clone();
+        bytes[0] = b'1';
+        std::fs::write(&slab, &bytes).unwrap();
+        for err in [
+            cmd_info(&[p(&slab)]).unwrap_err(),
+            cmd_run(&[p(&slab), s("--ranks"), s("2")]).unwrap_err(),
+            cmd_run(&[s("--ranged"), p(&slab), s("--ranks"), s("2")]).unwrap_err(),
+        ] {
+            assert!(
+                err.contains("slab format version '1'"),
+                "unexpected error: {err}"
+            );
+        }
         // Truncation is a distinct typed error.
         std::fs::write(&slab, &pristine[..100]).unwrap();
         let err = cmd_run(&[p(&slab), s("--ranks"), s("2")]).unwrap_err();

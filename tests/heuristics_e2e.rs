@@ -59,19 +59,13 @@ fn etc_records_inactive_counts_and_can_exit_early() {
 
 #[test]
 fn etc_exit_flag_set_when_threshold_reached() {
-    // α = 1 deactivates immediately; with a high exit fraction satisfied,
-    // some phase should flag the ETC exit.
+    // α = 1 deactivates immediately, so some phase reaches the paper's
+    // 90 % inactive and flags the ETC exit.
     let g = test_graph();
-    let cfg = DistConfig {
-        etc_exit_fraction: 0.5,
-        ..DistConfig::with_variant(Variant::Etc { alpha: 1.0 })
-    };
+    let cfg = DistConfig::with_variant(Variant::Etc { alpha: 1.0 });
     let out = run_distributed(&g, 2, &cfg);
     let any_etc_exit = out.per_rank_stats[0].iter().any(|p| p.etc_exit);
-    assert!(
-        any_etc_exit,
-        "ETC exit never fired at fraction 0.5 with alpha 1.0"
-    );
+    assert!(any_etc_exit, "ETC exit never fired with alpha 1.0");
 }
 
 #[test]
