@@ -313,6 +313,11 @@ impl GhostLayer {
         &self.arcs_into[self.into_start[slot] as usize..self.into_start[slot + 1] as usize]
     }
 
+    /// Global ids of the ghost slots, in slot order.
+    pub(crate) fn slot_ids(&self) -> impl Iterator<Item = VertexId> + '_ {
+        self.requests.iter().flatten().copied()
+    }
+
     /// Some arc of local vertex `l` targets a ghost slot.
     #[inline]
     pub(crate) fn has_ghost_arcs(&self, l: usize) -> bool {

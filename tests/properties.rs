@@ -27,6 +27,28 @@ fn arb_graph() -> impl Strategy<Value = Csr> {
     })
 }
 
+/// Strategy: a random multigraph: every edge may be repeated, and some
+/// vertices carry self-loops (the builder folds repeats into one arc).
+fn arb_multigraph() -> impl Strategy<Value = Csr> {
+    (2usize..60).prop_flat_map(|n| {
+        let edge = (0..n as u64, 0..n as u64, 1u32..4, 1usize..4);
+        let edges = proptest::collection::vec(edge, 0..4 * n);
+        let loops = proptest::collection::vec(0..n as u64, 0..n);
+        (edges, loops).prop_map(move |(edges, loops)| {
+            let mut el = EdgeList::new(n as u64);
+            for (u, v, w, copies) in edges {
+                for _ in 0..copies {
+                    el.push(u, v, w as f64);
+                }
+            }
+            for v in loops {
+                el.push(v, v, 1.0);
+            }
+            Csr::from_edge_list(el)
+        })
+    })
+}
+
 /// Strategy: a random community assignment for a given n.
 fn arb_assignment(n: usize) -> impl Strategy<Value = Vec<u64>> {
     proptest::collection::vec(0..n as u64, n)
@@ -279,5 +301,34 @@ proptest! {
         prop_assert_eq!(raw[0].0.clone(), raw[1].0.clone(), "assignments diverged");
         prop_assert_eq!(raw[0].1.to_bits(), raw[1].1.to_bits(), "modularity diverged");
         prop_assert_eq!(&artifacts[0], &artifacts[1], "artifact bytes diverged");
+    }
+
+    /// The distributed coloring is proper across rank boundaries, and
+    /// rank-count invariant: priorities depend only on the global id.
+    #[test]
+    fn coloring_is_proper_and_rank_count_invariant(g in arb_multigraph(), p in 2usize..5) {
+        use distributed_louvain::comm::run;
+        use distributed_louvain::dist::ghost::GhostLayer;
+        use distributed_louvain::dist::heuristics::distributed_coloring;
+
+        let color = |p: usize| {
+            let parts = LocalGraph::scatter(&g, &VertexPartition::balanced_edges(&g, p));
+            let outs = run(p, |c| {
+                let lg = &parts[c.rank()];
+                distributed_coloring(c, lg, &GhostLayer::build(c, lg), 7)
+            });
+            let ncolors: Vec<u32> = outs.iter().map(|o| o.1).collect();
+            assert!(ncolors.iter().all(|&k| k == ncolors[0]), "ranks disagree: {ncolors:?}");
+            let colors: Vec<u32> = outs.into_iter().flat_map(|o| o.0).collect();
+            (colors, ncolors[0])
+        };
+        let (one, k1) = color(1);
+        for v in 0..g.num_vertices() as u64 {
+            for (u, _) in g.neighbors(v).filter(|&(u, _)| u != v) {
+                prop_assert_ne!(one[v as usize], one[u as usize], "edge {}-{}", v, u);
+            }
+        }
+        prop_assert!(one.iter().all(|&c| c < k1));
+        prop_assert_eq!(color(p), (one, k1));
     }
 }
