@@ -87,11 +87,6 @@ pub enum SweepMode {
     /// coloring seed does not depend on the thread count, so they always
     /// are) — this is the mode the determinism tests pin.
     Colored,
-    /// The racing parallel sweep (relaxed atomics, no conflict-free
-    /// batches) when `threads_per_rank > 1`. Results then depend on
-    /// thread interleaving, like the shared-memory baseline; it is the
-    /// only schedule measured faster than one thread (DESIGN.md §11).
-    Relaxed,
 }
 
 impl SweepMode {
@@ -100,7 +95,6 @@ impl SweepMode {
         match self {
             SweepMode::Auto => "auto",
             SweepMode::Colored => "colored",
-            SweepMode::Relaxed => "relaxed",
         }
     }
 
@@ -108,9 +102,8 @@ impl SweepMode {
         match s {
             "auto" => Ok(SweepMode::Auto),
             "colored" => Ok(SweepMode::Colored),
-            "relaxed" => Ok(SweepMode::Relaxed),
             other => Err(format!(
-                "unknown sweep mode {other:?} (expected auto|colored|relaxed)"
+                "unknown sweep mode {other:?} (expected auto|colored)"
             )),
         }
     }
@@ -144,11 +137,10 @@ pub struct DistConfig {
     /// seeded shuffled order.
     pub index_order_sweep: bool,
     /// Intra-rank ("OpenMP") threads for the compute sweep — the paper is
-    /// MPI+OpenMP and runs "either 2 or 4 threads per process". With 1
-    /// the sweep is sequential and deterministic; with more, community
-    /// state is shared through atomics exactly like the shared-memory
-    /// baseline (results then depend on thread interleaving, as they do
-    /// in the original).
+    /// MPI+OpenMP and runs "either 2 or 4 threads per process". With more
+    /// than one, the colored schedule decides each conflict-free batch's
+    /// moves in parallel and applies them in a fixed order, so results
+    /// are bit-identical at any thread count (see [`SweepMode`]).
     pub threads_per_rank: usize,
     /// Distributed vertex following (Grappolo's VF heuristic, §4.1 of Lu
     /// et al.): before the first phase's sweeps, every degree-1 vertex
@@ -271,9 +263,13 @@ mod tests {
 
     #[test]
     fn sweep_mode_labels_round_trip() {
-        for mode in [SweepMode::Auto, SweepMode::Colored, SweepMode::Relaxed] {
+        for mode in [SweepMode::Auto, SweepMode::Colored] {
             assert_eq!(SweepMode::parse(mode.label()), Ok(mode));
         }
-        assert!(SweepMode::parse("frobnicate").is_err());
+        // The racing schedule is deleted: its name is refused like any other.
+        for bad in ["frobnicate", "relaxed"] {
+            let err = SweepMode::parse(bad).unwrap_err();
+            assert!(err.contains(bad) && err.contains("auto|colored)"), "{err}");
+        }
     }
 }

@@ -18,21 +18,20 @@
 //! Step 4's `Σ e_in` is carried through the phase, not recomputed by an
 //! arc pass: it starts at the self-loop weight, each move adds
 //! `Sweep::e_in_change` and each ghost slot a refresh changes adds the
-//! change over the arcs into it. The racing schedule keeps the pass.
-//! DESIGN.md §11, "Σ e_in through the moves", argues it is exact.
+//! change over the arcs into it. DESIGN.md §11, "Σ e_in through the
+//! moves", argues it is exact.
 //!
 //! The compute sweep is MPI+OpenMP-shaped like the original. One move
 //! kernel (`Sweep::best_move` scores, `Sweep::apply_move` writes) is
-//! driven by three schedules (see [`crate::SweepMode`]): the seed's
-//! sequential sweep (1 thread, fully deterministic); a *colored
-//! deterministic* schedule in which a distance-1 coloring over
-//! local+ghost adjacency partitions each sweep into conflict-free
-//! batches — moves inside a batch are *decided* in parallel against the
-//! frozen batch-start state by a persistent worker pool and *applied*
-//! sequentially in a fixed order, so results are bit-identical at any
-//! thread count; and a *relaxed* schedule (racing atomics, the Grappolo
-//! discipline), the fastest of the three on two threads. See DESIGN.md
-//! §11 for the parity argument.
+//! driven by two schedules (see [`crate::SweepMode`]): the seed's
+//! sequential sweep on one thread, and a *colored* schedule in which a
+//! distance-1 coloring over local+ghost adjacency partitions each sweep
+//! into conflict-free batches — moves inside a batch are *decided* in
+//! parallel against the frozen batch-start state by a persistent worker
+//! pool and *applied* sequentially in a fixed order, so results are
+//! bit-identical at any thread count. Both are deterministic, and the
+//! community state is plain arrays: decisions borrow it shared, applies
+//! borrow it mutably. See DESIGN.md §11 for the parity argument.
 //!
 //! Inside a phase every vertex and community is a dense `u32` index
 //! (arc targets from [`GhostLayer::build`], communities from
@@ -45,13 +44,11 @@
 //! inactive vertices under ET. The paper's other one, distance-1
 //! coloring, is the colored schedule's batching.
 
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use rayon::WorkerPool;
 
 use louvain_comm::{Comm, CommStep, ReduceOp};
-use louvain_graph::atomic::AtomicF64;
 use louvain_graph::hash::{fast_map, FastMap};
 use louvain_graph::{LocalGraph, VertexId, Weight};
 
@@ -91,17 +88,19 @@ pub struct PhaseContext<'a> {
     pub two_m: f64,
 }
 
-/// Shared (possibly multi-threaded) per-rank community state.
+/// Per-rank community state. The sweep's decisions read it through `&`,
+/// its applies write it through `&mut`, so no decision can run while a
+/// move is applied.
 struct SweepState {
     /// Community of each local vertex (dense index, see
     /// [`CommunityIndex`]).
-    comm: Vec<AtomicU32>,
+    comm: Vec<u32>,
     /// Weight of each owned community (`a_c`, by dense index).
-    a: Vec<AtomicF64>,
+    a: Vec<Weight>,
     /// Size of each owned community.
-    size: Vec<AtomicU64>,
+    size: Vec<u64>,
     /// Per-vertex move flags for this iteration.
-    moved: Vec<AtomicBool>,
+    moved: Vec<bool>,
 }
 
 impl SweepState {
@@ -111,30 +110,18 @@ impl SweepState {
     fn new(k_local: &[Weight]) -> Self {
         let nlocal = k_local.len();
         Self {
-            comm: (0..nlocal).map(|l| AtomicU32::new(l as u32)).collect(),
-            a: k_local.iter().map(|&k| AtomicF64::new(k)).collect(),
-            size: (0..nlocal).map(|_| AtomicU64::new(1)).collect(),
-            moved: (0..nlocal).map(|_| AtomicBool::new(false)).collect(),
+            comm: (0..nlocal as u32).collect(),
+            a: k_local.to_vec(),
+            size: vec![1; nlocal],
+            moved: vec![false; nlocal],
         }
-    }
-
-    #[inline]
-    fn comm_of_local(&self, l: usize) -> u32 {
-        self.comm[l].load(Ordering::Relaxed)
-    }
-
-    /// `(a_c, size)` of owned community `i`.
-    #[inline]
-    fn info(&self, i: usize) -> (Weight, u64) {
-        (self.a[i].load(), self.size[i].load(Ordering::Relaxed))
     }
 
     /// Owner side of the delta push: fold a peer's `(Δa_c, Δsize)` into
     /// owned community `i`.
-    fn absorb(&self, i: usize, da: Weight, ds: i64) {
-        self.a[i].fetch_add(da);
-        let cur = self.size[i].load(Ordering::Relaxed) as i64;
-        self.size[i].store((cur + ds) as u64, Ordering::Relaxed);
+    fn absorb(&mut self, i: usize, da: Weight, ds: i64) {
+        self.a[i] += da;
+        self.size[i] = (self.size[i] as i64 + ds) as u64;
     }
 }
 
@@ -171,7 +158,7 @@ fn exchange_ghosts(
         scratch.comm_snapshot.clear();
         scratch
             .comm_snapshot
-            .extend((state.comm.iter()).map(|c| index.global(c.load(Ordering::Relaxed))));
+            .extend(state.comm.iter().map(|&c| index.global(c)));
         ghosts.exchange(
             comm,
             &scratch.comm_snapshot,
@@ -187,7 +174,7 @@ fn exchange_ghosts(
         let into = ghosts.arcs_into(s);
         arcs += into.len() as u64;
         for &(l, a) in into {
-            let c = state.comm_of_local(l as usize);
+            let c = state.comm[l as usize];
             if c == new {
                 e_in_change += arc_weights[a as usize];
             } else if c == old {
@@ -198,9 +185,9 @@ fn exchange_ghosts(
     (e_in_change, arcs)
 }
 
-/// Read-only inputs of one compute sweep, shared by every schedule.
-/// `state` is written through its atomics, by [`Sweep::apply_move`]
-/// only.
+/// Read-only inputs of one compute sweep, shared by both schedules. The
+/// community state is passed beside it: `&` to decide, `&mut` to apply
+/// ([`Sweep::apply_move`] is its only sweep-time writer).
 struct Sweep<'a> {
     /// Row bounds and weights of the local CSR, and the dense target of
     /// every arc.
@@ -210,7 +197,6 @@ struct Sweep<'a> {
     ghosts: &'a GhostLayer,
     ghost_comm: &'a [u32],
     index: &'a CommunityIndex,
-    state: &'a SweepState,
     k_local: &'a [Weight],
     two_m: f64,
     guard_singleton_swap: bool,
@@ -241,12 +227,12 @@ impl Sweep<'_> {
     #[inline]
     fn best_move(
         &self,
+        state: &SweepState,
         l: usize,
         deltas: &DenseMap<(Weight, i64)>,
         weights: &mut DenseMap<Weight>,
         edges: &mut u64,
     ) -> Option<(u32, Weight)> {
-        let state = self.state;
         debug_assert!(
             weights.entries().is_empty(),
             "scratch not handed back clear"
@@ -258,11 +244,11 @@ impl Sweep<'_> {
             if t as usize == l {
                 continue;
             }
-            let c = (self.ghosts).value_of(t, |i| state.comm_of_local(i), self.ghost_comm);
+            let c = (self.ghosts).value_of(t, |i| state.comm[i], self.ghost_comm);
             *weights.entry(c) += w;
         }
-        let best =
-            (self.score(l, deltas, weights)).map(|c| (c, self.e_in_change(l, c, weights, edges)));
+        let best = (self.score(state, l, deltas, weights))
+            .map(|c| (c, self.e_in_change(state, l, c, weights, edges)));
         weights.clear();
         best
     }
@@ -274,12 +260,13 @@ impl Sweep<'_> {
     /// a mover with ghost arcs reads its row once more for them.
     fn e_in_change(
         &self,
+        state: &SweepState,
         l: usize,
         best: u32,
         weights: &DenseMap<Weight>,
         edges: &mut u64,
     ) -> Weight {
-        let cu = self.state.comm_of_local(l);
+        let cu = state.comm[l];
         let e = |c| weights.get(c).unwrap_or(0.0);
         let own_row = e(best) - e(cu);
         if !self.ghosts.has_ghost_arcs(l) {
@@ -304,15 +291,16 @@ impl Sweep<'_> {
     #[inline]
     fn score(
         &self,
+        state: &SweepState,
         l: usize,
         deltas: &DenseMap<(Weight, i64)>,
         weights: &DenseMap<Weight>,
     ) -> Option<u32> {
-        let Sweep { state, index, .. } = *self;
+        let index = self.index;
         if weights.entries().is_empty() {
             return None;
         }
-        let cu = state.comm_of_local(l);
+        let cu = state.comm[l];
         let kv = self.k_local[l];
         // Remote community info: this iteration's pull plus the caller's deltas.
         let remote = |r: u32| -> (Weight, u64) {
@@ -324,12 +312,12 @@ impl Sweep<'_> {
             (a, sz)
         };
         let a_of = |c: u32| match index.remote_slot(c) {
-            None => state.a[c as usize].load(),
+            None => state.a[c as usize],
             Some(r) => remote(r).0,
         };
         // Read for two communities per vertex, not for every candidate.
         let size_of = |c: u32| match index.remote_slot(c) {
-            None => state.size[c as usize].load(Ordering::Relaxed),
+            None => state.size[c as usize],
             Some(r) => remote(r).1,
         };
         let id = |c: u32| index.global(c);
@@ -369,19 +357,25 @@ impl Sweep<'_> {
     /// communities are updated in place; changes to remote ones
     /// accumulate in `acc.deltas` for the owner push, whose message
     /// order follows the insertion history here.
-    fn apply_move(&self, l: usize, (best_c, e_in_change): (u32, Weight), acc: &mut SweepAcc) {
-        let Sweep { state, index, .. } = *self;
-        let cu = state.comm_of_local(l);
+    fn apply_move(
+        &self,
+        state: &mut SweepState,
+        l: usize,
+        (best_c, e_in_change): (u32, Weight),
+        acc: &mut SweepAcc,
+    ) {
+        let index = self.index;
+        let cu = state.comm[l];
         let kv = self.k_local[l];
-        state.comm[l].store(best_c, Ordering::Relaxed);
-        state.moved[l].store(true, Ordering::Relaxed);
+        state.comm[l] = best_c;
+        state.moved[l] = true;
         acc.moves += 1;
         acc.e_in += e_in_change;
         // Leave cu.
         match index.remote_slot(cu) {
             None => {
-                state.a[cu as usize].fetch_add(-kv);
-                state.size[cu as usize].fetch_sub(1, Ordering::Relaxed);
+                state.a[cu as usize] -= kv;
+                state.size[cu as usize] -= 1;
             }
             Some(r) => {
                 let d = acc.deltas.entry(r);
@@ -392,8 +386,8 @@ impl Sweep<'_> {
         // Join best_c.
         match index.remote_slot(best_c) {
             None => {
-                state.a[best_c as usize].fetch_add(kv);
-                state.size[best_c as usize].fetch_add(1, Ordering::Relaxed);
+                state.a[best_c as usize] += kv;
+                state.size[best_c as usize] += 1;
             }
             Some(r) => {
                 let d = acc.deltas.entry(r);
@@ -403,15 +397,15 @@ impl Sweep<'_> {
         }
     }
 
-    /// Gauss-Seidel driver of the sequential and relaxed schedules: each
-    /// vertex of `vertices` is scored against the live state (and this
-    /// worker's own remote deltas) and moved at once.
-    fn sweep_in_place(&self, vertices: &[usize], worker: &mut SweepWorker) {
+    /// Gauss-Seidel driver of the sequential schedule: each vertex of
+    /// `vertices` is scored against the live state (and the remote deltas
+    /// so far) and moved at once.
+    fn sweep_in_place(&self, state: &mut SweepState, vertices: &[usize], worker: &mut SweepWorker) {
         let SweepWorker { weights, acc, .. } = worker;
         for &l in vertices {
             acc.vertices += 1;
-            if let Some(mv) = self.best_move(l, &acc.deltas, weights, &mut acc.edges) {
-                self.apply_move(l, mv, acc);
+            if let Some(mv) = self.best_move(state, l, &acc.deltas, weights, &mut acc.edges) {
+                self.apply_move(state, l, mv, acc);
             }
         }
     }
@@ -430,12 +424,16 @@ impl Sweep<'_> {
     /// moves are applied in worker order, which is range order, so the
     /// applied sequence is a function of the coloring alone — results at
     /// any `threads_per_rank` are bit-identical for a fixed coloring (and
-    /// the coloring seed never depends on the thread count). The parity
-    /// argument is spelled out in DESIGN.md §11. The same independence
-    /// keeps the `Σ e_in` change a decision carries exact when applied.
+    /// the coloring seed never depends on the thread count). The pool's
+    /// decisions share-borrow `state` and the applies after it returns
+    /// borrow it mutably, so the frozen-batch rule is the borrow
+    /// checker's. The parity argument is spelled out in DESIGN.md §11.
+    /// The same independence keeps the `Σ e_in` change a decision
+    /// carries exact when applied.
     #[allow(clippy::too_many_arguments)]
     fn sweep_colored(
         &self,
+        state: &mut SweepState,
         pool: &WorkerPool,
         coloring: &(Vec<u32>, u32),
         vertices: &[usize],
@@ -463,7 +461,7 @@ impl Sweep<'_> {
             }
             let mut batch_span =
                 louvain_obs::span!("sweep.batch", iter = iter, color = batch_color);
-            let frozen = &acc.deltas;
+            let (frozen, batch_start) = (&acc.deltas, &*state);
             pool.run(batch.len(), |w, r| {
                 let mut worker = lock_worker(&workers[w]);
                 let SweepWorker {
@@ -474,7 +472,7 @@ impl Sweep<'_> {
                 acc.vertices += r.len() as u64;
                 for &l in &batch[r] {
                     if let Some((c, e_in_change)) =
-                        self.best_move(l, frozen, weights, &mut acc.edges)
+                        self.best_move(batch_start, l, frozen, weights, &mut acc.edges)
                     {
                         // `l` < nlocal, which `CommunityIndex::new` bounds.
                         moves.push((l as u32, c, e_in_change));
@@ -484,7 +482,7 @@ impl Sweep<'_> {
             let mut batch_moves = 0u64;
             for worker in workers {
                 for (l, c, e_in_change) in lock_worker(worker).moves.drain(..) {
-                    self.apply_move(l as usize, (c, e_in_change), acc);
+                    self.apply_move(state, l as usize, (c, e_in_change), acc);
                     batch_moves += 1;
                 }
             }
@@ -496,14 +494,8 @@ impl Sweep<'_> {
 /// Global modularity (Eq. 2) from this rank's `Σ e_in` and the weights
 /// `a` of its owned communities: two sum-reductions, to be called inside
 /// a `Reduction` step scope.
-fn reduce_modularity(comm: &Comm, e_in_local: f64, a: &[AtomicF64], two_m: f64) -> f64 {
-    let a2_local: f64 = a
-        .iter()
-        .map(|a| {
-            let v = a.load();
-            v * v
-        })
-        .sum();
+fn reduce_modularity(comm: &Comm, e_in_local: f64, a: &[Weight], two_m: f64) -> f64 {
+    let a2_local: f64 = a.iter().map(|a| a * a).sum();
     let e_in = comm.all_reduce(e_in_local, ReduceOp::Sum);
     let a2 = comm.all_reduce(a2_local, ReduceOp::Sum);
     if two_m > 0.0 {
@@ -538,7 +530,7 @@ pub fn louvain_phase(
     ghosts.use_neighborhood(cfg.neighborhood_collectives);
     let k_local: Vec<Weight> = (0..nlocal).map(|l| lg.weighted_degree(l)).collect();
     let mut index = CommunityIndex::new(lg);
-    let state = SweepState::new(&k_local);
+    let mut state = SweepState::new(&k_local);
     let mut ghost_comm = GhostComms::default();
 
     let mut et: Option<EtTracker> = cfg
@@ -561,19 +553,15 @@ pub fn louvain_phase(
     // thread-count-independent seed, so the coloring — and with it every
     // colored-schedule trajectory — is fixed across `threads_per_rank`
     // settings.
-    let colored_batches = match cfg.sweep {
-        SweepMode::Colored => true,
-        SweepMode::Auto => threads > 1,
-        SweepMode::Relaxed => false,
-    };
+    let colored_batches = cfg.sweep == SweepMode::Colored || threads > 1;
     let coloring: Option<(Vec<u32>, u32)> = colored_batches.then(|| {
         let res = distributed_coloring(comm, lg, ghosts, cfg.seed ^ 0xC0105);
         louvain_obs::counter_add("sweep.colors", res.1 as u64);
         res
     });
-    // Every schedule dispatches through one pool kept alive for the whole
-    // phase (the colored one once per color batch); at one thread it
-    // spawns nothing and runs inline. Worker `w` owns `scratch.workers[w]`.
+    // The colored schedule dispatches each color batch through one pool
+    // kept alive for the whole phase; at one thread it spawns nothing and
+    // runs inline. Worker `w` owns `scratch.workers[w]`.
     let pool = WorkerPool::new(threads);
 
     // Per-phase scratch arena: every buffer of the four-step loop is
@@ -591,13 +579,10 @@ pub fn louvain_phase(
     // so every rank must agree on the flag.
     let followed = cfg.vertex_following && phase_idx == 0;
     if followed {
-        apply_vertex_following(comm, lg, ghosts, &mut index, &state, &k_local);
+        apply_vertex_following(comm, lg, ghosts, &mut index, &mut state, &k_local);
     }
 
-    // This rank's Σ e_in (module doc). The relaxed schedule on several
-    // threads races, so its moves cannot be accounted.
-    let racing = !colored_batches && threads > 1;
-    let track_e_in = (!racing).then_some(arc_weights);
+    // This rank's Σ e_in (module doc).
     let mut e_in = self_loop_weight(lg, ghosts);
     let check_e_in = cfg!(any(debug_assertions, test));
     let integer_weights = check_e_in && arc_weights.iter().all(|w| w.fract() == 0.0);
@@ -625,9 +610,7 @@ pub fn louvain_phase(
             Some(t) => t.is_active(phase_idx, iterations, l),
             None => true,
         }));
-        for m in &state.moved {
-            m.store(false, Ordering::Relaxed);
-        }
+        state.moved.fill(false);
         // -- Step 1: receive the latest ghost vertex communities. ---------
         let (ghost_e_in_change, arcs) = exchange_ghosts(
             comm,
@@ -637,7 +620,7 @@ pub fn louvain_phase(
             &mut scratch,
             &mut ghost_comm,
             cfg.delta_ghost_refresh && few_moved,
-            track_e_in,
+            Some(arc_weights),
         );
         compute.edges_scanned += arcs;
         e_in += ghost_e_in_change;
@@ -650,7 +633,7 @@ pub fn louvain_phase(
         // vertex following before it), so the tables are sized here.
         scratch.cover(index.num_dense(), index.num_remote());
         let targets = ghosts.targets();
-        let comm_of = |t: u32| ghosts.value_of(t, |i| state.comm_of_local(i), &ghost_comm.dense);
+        let comm_of = |t: u32| ghosts.value_of(t, |i| state.comm[i], &ghost_comm.dense);
 
         // -- Step 2: pull a_c for remote communities we may join. ----------
         // The communities of the active vertices and of their neighbours.
@@ -664,7 +647,7 @@ pub fn louvain_phase(
                 }
                 let row = offsets[l]..offsets[l + 1];
                 compute.edges_scanned += row.len() as u64;
-                let cu = state.comm_of_local(l);
+                let cu = state.comm[l];
                 for c in std::iter::once(cu).chain(targets[row].iter().map(|&t| comm_of(t))) {
                     if let Some(r) = index.remote_slot(c) {
                         scratch.remote_a.entry(r);
@@ -689,7 +672,10 @@ pub fn louvain_phase(
                 CommStep::CommunityPull,
                 needed.iter().copied(),
                 pull,
-                |c| state.info((c - first) as usize),
+                |c| {
+                    let i = (c - first) as usize;
+                    (state.a[i], state.size[i])
+                },
                 |c, info| {
                     let d = index.dense(c);
                     let r = index.remote_slot(d).expect("pulled an owned community");
@@ -699,11 +685,9 @@ pub fn louvain_phase(
         }
 
         // -- Step 3: the compute sweep (lines 6–9). ------------------------
-        // Colored batches, or in place over one contiguous range of the
-        // active vertices per pool worker — all of them, sequentially,
-        // when threads_per_rank == 1 (deterministic, the paper's
-        // per-process order); racing on the shared atomic state when not
-        // (the paper's OpenMP loop).
+        // Colored batches, or in place over the active vertices in sweep
+        // order on this thread (the seed's sequential sweep, which runs
+        // only at threads_per_rank == 1).
         scratch.sweep_vertices.clear();
         {
             let active = &scratch.active;
@@ -726,7 +710,6 @@ pub fn louvain_phase(
                 ghosts: &*ghosts,
                 ghost_comm: &ghost_comm.dense,
                 index: &index,
-                state: &state,
                 k_local: &k_local,
                 two_m,
                 guard_singleton_swap: !cfg.disable_singleton_guard,
@@ -734,6 +717,7 @@ pub fn louvain_phase(
             };
             if let Some(coloring) = &coloring {
                 sweep.sweep_colored(
+                    &mut state,
                     &pool,
                     coloring,
                     sweep_vertices,
@@ -743,9 +727,7 @@ pub fn louvain_phase(
                     iterations,
                 );
             } else {
-                pool.run(sweep_vertices.len(), |w, r| {
-                    sweep.sweep_in_place(&sweep_vertices[r], &mut lock_worker(&workers[w]))
-                });
+                sweep.sweep_in_place(&mut state, sweep_vertices, &mut lock_worker(&workers[0]));
             }
             for worker in workers.iter() {
                 acc.absorb(&mut lock_worker(worker).acc);
@@ -769,11 +751,8 @@ pub fn louvain_phase(
         acc.clear();
 
         // -- Step 4: global modularity (lines 12–13). ----------------------
-        // Σ e_in is at hand (tracked), except on the racing schedule.
-        if racing {
-            e_in = local_e_in(lg, ghosts, &state, &ghost_comm.dense);
-            compute.edges_scanned += lg.num_local_arcs() as u64;
-        } else if check_e_in {
+        // Σ e_in is at hand (tracked).
+        if check_e_in {
             // Bit for bit on integer weights (every partial sum exact).
             let scratch = local_e_in(lg, ghosts, &state, &ghost_comm.dense);
             let agree = if integer_weights {
@@ -795,8 +774,8 @@ pub fn louvain_phase(
         // -- ET bookkeeping / ghost pruning / ETC exit. --------------------
         let mut inactive_global = 0u64;
         if let Some(t) = &mut et {
-            for (l, m) in state.moved.iter().enumerate() {
-                t.update(l, m.load(Ordering::Relaxed));
+            for (l, &m) in state.moved.iter().enumerate() {
+                t.update(l, m);
             }
             if cfg.prune_inactive_ghosts {
                 let frozen = t.drain_newly_frozen();
@@ -823,8 +802,7 @@ pub fn louvain_phase(
             // vertex and each community has exactly one owner.
             let mut community_sizes = louvain_obs::Histogram::default();
             let mut communities = 0u64;
-            for sz in &state.size {
-                let sz = sz.load(Ordering::Relaxed);
+            for &sz in &state.size {
                 if sz > 0 {
                     communities += 1;
                     community_sizes.observe(sz);
@@ -868,7 +846,7 @@ pub fn louvain_phase(
     // above drive convergence exactly as in the paper (stale ghost state),
     // but the reported phase modularity must be exact. Pruned ghosts are
     // frozen, so their cached values are already final. This Σ e_in is
-    // recomputed from scratch, once a phase, for every schedule.
+    // recomputed from scratch, once a phase.
     exchange_ghosts(
         comm,
         ghosts,
@@ -896,10 +874,8 @@ pub fn louvain_phase(
     PhaseResult {
         comm_of_local,
         ghost_comm: ghost_comm.global,
-        owned_a: state.a.iter().map(|a| a.load()).collect(),
-        owned_size: (state.size.iter())
-            .map(|s| s.load(Ordering::Relaxed))
-            .collect(),
+        owned_a: state.a,
+        owned_size: state.size,
         modularity: final_q,
         iterations,
         traces,
@@ -935,7 +911,7 @@ fn apply_vertex_following(
     lg: &LocalGraph,
     ghosts: &GhostLayer,
     index: &mut CommunityIndex,
-    state: &SweepState,
+    state: &mut SweepState,
     k_local: &[Weight],
 ) {
     let part = lg.partition();
@@ -1060,13 +1036,13 @@ fn apply_vertex_following(
         let kv = k_local[l];
         // Leave own singleton community (owned here by construction).
         let joined = index.dense(t);
-        state.comm[l].store(joined, Ordering::Relaxed);
-        state.a[l].fetch_add(-kv);
-        state.size[l].fetch_sub(1, Ordering::Relaxed);
+        state.comm[l] = joined;
+        state.a[l] -= kv;
+        state.size[l] -= 1;
         // Join the anchor's community.
         if index.remote_slot(joined).is_none() {
-            state.a[joined as usize].fetch_add(kv);
-            state.size[joined as usize].fetch_add(1, Ordering::Relaxed);
+            state.a[joined as usize] += kv;
+            state.size[joined as usize] += 1;
         } else {
             let d = deltas.entry(t).or_insert((0.0, 0));
             d.0 += kv;
@@ -1089,10 +1065,10 @@ fn local_e_in(lg: &LocalGraph, ghosts: &GhostLayer, state: &SweepState, ghost_co
     let targets = ghosts.targets();
     let mut e_in_local = 0.0;
     for l in 0..lg.num_local() {
-        let cv = state.comm_of_local(l);
+        let cv = state.comm[l];
         let row = offsets[l]..offsets[l + 1];
         for (&t, &w) in targets[row.clone()].iter().zip(&arc_weights[row]) {
-            if ghosts.value_of(t, |i| state.comm_of_local(i), ghost_comm) == cv {
+            if ghosts.value_of(t, |i| state.comm[i], ghost_comm) == cv {
                 e_in_local += w;
             }
         }
@@ -1238,9 +1214,9 @@ mod tests {
             ..DistConfig::baseline()
         };
         let threaded = run_one_phase(&g, 2, &cfg);
-        // Parallel interleaving changes the trajectory but not the
-        // quality ballpark; the reported Q must still be exact for the
-        // returned assignment.
+        // The colored schedule's trajectory differs from the sequential
+        // one but not its quality ballpark; the reported Q must still be
+        // exact for the returned assignment.
         assert!(
             threaded.1 > base.1 - 0.1,
             "threaded {} vs sequential {}",
@@ -1456,27 +1432,13 @@ mod tests {
         LocalGraph::from_csr_parts(lg.partition().clone(), lg.rank(), offsets.to_vec(), d, w)
     }
 
-    /// Two copies of `g` side by side with no edge between them. Under
-    /// `index_order_sweep` on one rank the two workers of a relaxed sweep
-    /// get one copy each and never read each other's vertices, which
-    /// makes that racy schedule repeatable.
-    fn side_by_side(g: &Csr) -> Csr {
-        let n = g.num_vertices() as u64;
-        let mut el = EdgeList::new(2 * n);
-        for e in g.to_edge_list().edges() {
-            el.push(e.u, e.v, e.w);
-            el.push(e.u + n, e.v + n, e.w);
-        }
-        Csr::from_edge_list(el)
-    }
-
     #[test]
     fn arc_order_within_a_row_never_changes_a_decision() {
         // What makes first-touch candidate order safe: on integer weights
         // two candidate scores are equal or at least 1/2m apart, so the
         // 1e-12 / smallest-id rule picks the same target whatever order
         // the candidates are met in. If every decision is the same, so is
-        // the whole phase — asserted bit for bit, under all three drivers.
+        // the whole phase — asserted bit for bit, under both drivers.
         let graphs = [
             louvain_graph::gen::lfr(louvain_graph::gen::LfrParams::small(3_000, 7)).graph,
             louvain_graph::gen::rmat(louvain_graph::gen::RmatParams::social(11, 8, 5)).graph,
@@ -1487,11 +1449,6 @@ mod tests {
             ..DistConfig::baseline()
         };
         for (gi, g) in graphs.iter().enumerate() {
-            let doubled = side_by_side(g);
-            let relaxed = DistConfig {
-                index_order_sweep: true,
-                ..threaded(crate::SweepMode::Relaxed)
-            };
             let cases = [
                 ("sequential", g, vec![1, 2], DistConfig::baseline()),
                 (
@@ -1500,7 +1457,6 @@ mod tests {
                     vec![1, 2],
                     threaded(crate::SweepMode::Colored),
                 ),
-                ("relaxed", &doubled, vec![1], relaxed),
             ];
             for (driver, g, ranks, cfg) in cases {
                 for p in ranks {
@@ -1552,10 +1508,8 @@ mod tests {
                 let ghosts = GhostLayer::build(c, &lg);
                 let index = CommunityIndex::new(&lg);
                 let k_local: Vec<Weight> = (0..4).map(|l| lg.weighted_degree(l)).collect();
-                let state = SweepState::new(&k_local);
-                for a in &state.a[..3] {
-                    a.store(1.0);
-                }
+                let mut state = SweepState::new(&k_local);
+                state.a[..3].fill(1.0);
                 let (offsets, _, arc_weights) = lg.csr_parts();
                 let sweep = Sweep {
                     offsets,
@@ -1564,7 +1518,6 @@ mod tests {
                     ghosts: &ghosts,
                     ghost_comm: &[],
                     index: &index,
-                    state: &state,
                     k_local: &k_local,
                     two_m: lg.local_arc_weight(),
                     guard_singleton_swap: true,
@@ -1572,7 +1525,7 @@ mod tests {
                 };
                 let mut table = DenseMap::default();
                 table.cover(index.num_dense());
-                let best = sweep.best_move(3, &DenseMap::default(), &mut table, &mut 0);
+                let best = sweep.best_move(&state, 3, &DenseMap::default(), &mut table, &mut 0);
                 assert!(table.is_clear());
                 best.map(|(c, _)| index.global(c))
             })[0]
@@ -1600,7 +1553,6 @@ mod tests {
         let schedules = [
             ("sequential", DistConfig::baseline()),
             ("colored", threaded(crate::SweepMode::Colored)),
-            ("relaxed", threaded(crate::SweepMode::Relaxed)),
         ];
         for (gi, g) in parity_graphs().iter().enumerate() {
             let n = g.num_vertices();
@@ -1712,22 +1664,12 @@ mod tests {
 
     #[test]
     fn auto_mode_keeps_seed_behavior_on_one_thread() {
-        // Auto at threads=1 must remain the seed's sequential sweep
-        // bit-for-bit; Auto at threads>1 must equal Colored at the same
-        // thread count (same coloring, same frozen-batch schedule).
+        // Auto at threads=1 is the seed's sequential sweep, which `PINS`
+        // in tests/parity.rs holds bit for bit; Auto at threads>1 must
+        // equal Colored at the same thread count (same coloring, same
+        // frozen-batch schedule).
         let g = parity_graphs().remove(0);
         for p in [1, 3] {
-            let auto1 = run_one_phase(&g, p, &DistConfig::baseline());
-            let explicit_seq = run_one_phase(
-                &g,
-                p,
-                &DistConfig {
-                    sweep: crate::SweepMode::Relaxed,
-                    ..DistConfig::baseline()
-                },
-            );
-            assert_eq!(auto1.0, explicit_seq.0, "p={p}");
-            assert_eq!(auto1.1.to_bits(), explicit_seq.1.to_bits(), "p={p}");
             let auto4 = run_one_phase(
                 &g,
                 p,
@@ -1844,7 +1786,7 @@ mod tests {
         // from-scratch pass at every iteration in debug builds and in
         // these tests (`assert_tracked_e_in`): bit for bit on the
         // integer-weight generators, within 1e-9 relative on random f64
-        // weights. Every schedule that tracks, at p ∈ {1, 2, 3}, under
+        // weights. Both schedules, none exempt, at p ∈ {1, 2, 3}, under
         // the extensions that change which vertices move and which ghost
         // slots are refreshed.
         let mut graphs = parity_graphs();

@@ -232,4 +232,20 @@ mod tests {
             );
         }
     }
+
+    #[test]
+    fn fingerprints_of_the_remaining_schedules_are_pinned() {
+        // Recorded before the racing schedule was deleted: checkpoint
+        // directories and served job keys written then still match.
+        let colored_t2 = DistConfig {
+            sweep: crate::SweepMode::Colored,
+            threads_per_rank: 2,
+            ..DistConfig::baseline()
+        };
+        assert_eq!(
+            config_fingerprint(&DistConfig::baseline()),
+            0xf53e_75b2_3ba8_99bd
+        );
+        assert_eq!(config_fingerprint(&colored_t2), 0x108f_76db_f734_5b3b);
+    }
 }

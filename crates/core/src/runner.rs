@@ -241,6 +241,9 @@ pub fn run_on_rank(
         };
         let before_phase = comm.stats().snapshot();
         let result = louvain_phase(&ctx, &mut ghosts, cfg, phase_idx, tau);
+        // The owned a_c and sizes are the phase's own arrays, which no step
+        // below reads: held through rebuild, they raise its peak.
+        drop((result.owned_a, result.owned_size));
         let traffic = comm.stats().snapshot().since(&before_phase);
         total_iterations += result.iterations;
         final_q = result.modularity;

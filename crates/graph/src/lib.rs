@@ -24,7 +24,6 @@
 //! vertex is the sum of its outgoing arc weights, `2m` is the sum of all
 //! weighted degrees, and modularity is exactly invariant under coarsening.
 
-pub mod atomic;
 pub mod binio;
 pub mod community;
 pub mod csr;

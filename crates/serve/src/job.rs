@@ -231,6 +231,11 @@ mod tests {
                 r#"{"job_id": "j", "graph": "g", "config": {"sweep": "fast"}}"#,
                 "sweep",
             ),
+            // The racing schedule is deleted: its name is refused too.
+            (
+                r#"{"job_id": "j", "graph": "g", "config": {"sweep": "relaxed"}}"#,
+                "\"relaxed\" (expected auto|colored)",
+            ),
             (
                 r#"{"job_id": "j", "graph": "g", "config": {"varient": "et:0.25"}}"#,
                 "varient",

@@ -86,10 +86,11 @@ cargo clippy -q "${pkg_flags[@]}" --all-targets -- -D warnings
 # chain of its phase profile and must exit 0 with a straggler blame,
 # the artifact diffed against itself must decode and show no changed
 # row, `--ranks 0` and a deleted option must be usage errors naming the
-# flag and not panics, a colored 2-rank run prints the same result at one
-# and two threads per rank, and fig3 prints the modeled 128->4096-rank tail
-# past its last measured rank count.
-echo "==> louvain generate | run --artifact-out | lens show | lens crit | lens diff | run --ranks 0 | colored run t=1 = t=2 | run <deleted option> | fig3"
+# flag and not panics, so must the deleted `relaxed` sweep mode, a colored
+# 2-rank run prints the same result at one and two threads per rank and
+# as `auto` at two, and fig3 prints the modeled 128->4096-rank tail past
+# its last measured rank count.
+echo "==> louvain generate | run --artifact-out | lens show | lens crit | lens diff | run --ranks 0 | run --sweep relaxed | colored run t=1 = t=2 = auto t=2 | run <deleted option> | fig3"
 ./target/release/louvain generate --kind lfr --n 3000 --seed 7 --out target/verify_lfr.graph
 ./target/release/louvain run target/verify_lfr.graph --ranks 2 --variant et:0.25 \
   --artifact-out target/run_artifact.json --trace-out target/trace.json
@@ -103,16 +104,19 @@ grep -q "^diff: 1 matched, 0 only-baseline, 0 only-current" target/self_diff.txt
 awk '{ for (i = 1; i <= NF; i++) if (split($i, ab, "→") == 2 && ab[1] != ab[2]) changed++ }
      END { exit changed > 0 }' target/self_diff.txt
 must_refuse --ranks ./target/release/louvain run target/verify_lfr.graph --ranks 0
+must_refuse relaxed ./target/release/louvain run target/verify_lfr.graph --sweep relaxed
 # The colored schedule's coloring crosses the rank boundary through the
-# ghost layer; its result must not depend on the thread count.
-for t in 1 2; do
-  ./target/release/louvain run target/verify_lfr.graph --ranks 2 --sweep colored \
-    --threads-per-rank "$t" | grep -E '^(modularity|communities|iterations|traffic)' \
-    > "target/colored_t$t.txt"
+# ghost layer; its result must not depend on the thread count, and `auto`
+# above one thread is that schedule.
+for run in colored:1 colored:2 auto:2; do
+  ./target/release/louvain run target/verify_lfr.graph --ranks 2 --sweep "${run%:*}" \
+    --threads-per-rank "${run#*:}" | grep -E '^(modularity|communities|iterations|traffic)' \
+    > "target/${run%:*}_t${run#*:}.txt"
 done
 cat target/colored_t1.txt
 test "$(wc -l < target/colored_t1.txt)" -eq 4
 cmp target/colored_t1.txt target/colored_t2.txt
+cmp target/colored_t1.txt target/auto_t2.txt
 # The quotes split the deleted name so that it appears nowhere in the code.
 gone=--report-"out"
 must_refuse "unknown option $gone" \

@@ -91,7 +91,7 @@ USAGE:
 
   louvain run <FILE> [--ranged]
               [--ranks <P>] [--variant <V>] [--threads-per-rank <T>]
-              [--sweep <auto|colored|relaxed>]
+              [--sweep <auto|colored>]
               [--tau <F>] [--assignment <OUT>]
               [--trace-out <TRACE>] [--artifact-out <ARTIFACT>]
               [--checkpoint-dir <DIR>] [--resume]
@@ -108,10 +108,9 @@ USAGE:
       pattern) — nothing is ever fully resident. Both paths are
       bit-identical to running the in-memory graph.
       --sweep picks the per-rank sweep schedule: `auto` (sequential at one
-      thread, colored conflict-free batches otherwise), `colored` (force
-      the deterministic colored schedule at any thread count), `relaxed`
-      (the racing multithreaded sweep, a supported mode; results may
-      vary with T).
+      thread, colored conflict-free batches otherwise) or `colored` (the
+      colored schedule at any thread count). Both are deterministic; the
+      colored one gives bit-identical results at every T.
       --trace-out enables tracing and writes a Chrome trace-event JSON
       (load in Perfetto / chrome://tracing; one process track per rank).
       --artifact-out writes a versioned RunArtifact JSON, the schema
@@ -841,6 +840,12 @@ mod tests {
         assert!(err.contains("--nn"), "unexpected error: {err}");
         let err = cmd_info(&[s("a.bin"), s("b.bin")]).unwrap_err();
         assert!(err.contains("b.bin"), "unexpected error: {err}");
+        // The racing sweep schedule is deleted: its name is refused.
+        let err = cmd_run(&[s("g.bin"), s("--sweep"), s("relaxed")]).unwrap_err();
+        assert!(
+            err.starts_with("--sweep") && err.contains("relaxed"),
+            "{err}"
+        );
         // Options deleted as unused are unknown options like any other.
         // Their names are spelt in pieces so that they appear nowhere in
         // the code.

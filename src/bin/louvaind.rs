@@ -22,6 +22,7 @@ use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use distributed_louvain::cli::Args;
+use distributed_louvain::dist::SweepMode;
 use distributed_louvain::obs::Json;
 use distributed_louvain::serve::{serve_lines, ServeConfig, Server};
 
@@ -46,7 +47,7 @@ USAGE:
 
   louvaind submit --addr <HOST:PORT> --job-id <ID> --graph <FILE>
                   [--ranks <N>] [--variant <V>] [--threads <N>]
-                  [--sweep auto|colored|relaxed] [--seed <S>]
+                  [--sweep auto|colored] [--seed <S>]
                   [--max-phases <N>] [--fault <PLAN>]
                   [--crash-budget <N>] [--hang-budget <N>]
       Submit one job over TCP and print every response line until the
@@ -354,6 +355,7 @@ fn cmd_submit(args: &[String]) -> Result<(), String> {
         config.push(("variant".into(), Json::str(v)));
     }
     if let Some(v) = args.get("--sweep") {
+        SweepMode::parse(v).map_err(|e| format!("--sweep: {e}"))?;
         config.push(("sweep".into(), Json::str(v)));
     }
     for (flag, key) in [
@@ -491,6 +493,12 @@ mod tests {
         let s = |v: &[&str]| v.iter().map(|x| x.to_string()).collect::<Vec<_>>();
         let err = cmd_submit(&s(&["--addr", "127.0.0.1:1", "--rank", "2"])).unwrap_err();
         assert!(err.contains("--rank"), "unexpected error: {err}");
+        let submit = ["--addr", "127.0.0.1:1", "--job-id", "j", "--graph", "."];
+        let err = cmd_submit(&s(&[&submit[..], &["--sweep", "relaxed"]].concat())).unwrap_err();
+        assert!(
+            err.starts_with("--sweep") && err.contains("relaxed"),
+            "{err}"
+        );
         let err = cmd_query(&s(&["--addr", "127.0.0.1:1", "--job-id"])).unwrap_err();
         assert!(err.contains("--job-id"), "unexpected error: {err}");
         let err = cmd_serve(&s(&["--workers", "many"])).unwrap_err();

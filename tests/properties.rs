@@ -331,4 +331,31 @@ proptest! {
         prop_assert!(one.iter().all(|&c| c < k1));
         prop_assert_eq!(color(p), (one, k1));
     }
+
+    /// Every remaining sweep configuration is deterministic: a repeat run
+    /// is bit-identical, and at more than one thread both modes run the
+    /// colored schedule, so they equal Colored at one thread.
+    #[test]
+    fn every_sweep_configuration_is_repeatable_and_thread_count_invariant(
+        g in arb_multigraph(),
+        p in 1usize..4,
+    ) {
+        use distributed_louvain::dist::SweepMode;
+
+        let run = |sweep, threads_per_rank| {
+            let cfg = DistConfig { sweep, threads_per_rank, ..DistConfig::baseline() };
+            let out = run_distributed(&g, p, &cfg);
+            (out.assignment, out.modularity.to_bits(), out.total_iterations)
+        };
+        let colored_t1 = run(SweepMode::Colored, 1);
+        for sweep in [SweepMode::Auto, SweepMode::Colored] {
+            for threads in [1usize, 2, 3] {
+                let first = run(sweep, threads);
+                prop_assert_eq!(&first, &run(sweep, threads), "{:?} t={} repeat", sweep, threads);
+                if threads >= 2 {
+                    prop_assert_eq!(&first, &colored_t1, "{:?} t={} vs colored t=1", sweep, threads);
+                }
+            }
+        }
+    }
 }
