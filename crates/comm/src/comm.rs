@@ -6,35 +6,14 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crate::blackboard::Blackboard;
-use crate::envelope::{expected_checksum, Envelope, Mailbox, Senders};
-use crate::fault::{FaultKind, FaultPlan, RankCrashed, FAULT_MAX_ATTEMPTS};
+use crate::envelope::{Envelope, Mailbox, Senders};
+use crate::fault::{FaultPlan, RankCrashed};
 use crate::health::{HealthBoard, HealthConfig, RankHung, WaitCtx};
 use crate::reduce::{ReduceOp, Reducible};
 use crate::stats::{CommStats, CommStep, StatsSnapshot};
 
 /// Message tag, matched together with the source rank on receive.
 pub type Tag = u32;
-
-/// Per-rank mutable state of an active [`FaultPlan`]: the message
-/// numbering that the plan's deterministic decisions key on. (Epoch/op
-/// numbering lives on [`Comm`] itself so [`RankHung`] reports carry
-/// phase context even in fault-free runs.)
-struct FaultSession {
-    plan: Arc<FaultPlan>,
-    /// Logical messages sent so far (plan decision key).
-    msg_counter: Cell<u64>,
-    /// Physical send sequence (receiver-side dedup key); starts at 1 so
-    /// `seq == 0` stays reserved for clean runs.
-    seq: Cell<u64>,
-}
-
-impl FaultSession {
-    fn next_seq(&self) -> u64 {
-        let s = self.seq.get() + 1;
-        self.seq.set(s);
-        s
-    }
-}
 
 /// One rank's endpoint into the simulated job.
 ///
@@ -48,7 +27,7 @@ pub struct Comm {
     mailbox: RefCell<Mailbox>,
     blackboard: Arc<Blackboard>,
     stats: CommStats,
-    fault: Option<FaultSession>,
+    fault: Option<Arc<FaultPlan>>,
     health: HealthConfig,
     board: Arc<HealthBoard>,
     poison: Arc<AtomicBool>,
@@ -78,11 +57,7 @@ impl Comm {
             mailbox: RefCell::new(mailbox),
             blackboard,
             stats: CommStats::default(),
-            fault: fault.map(|plan| FaultSession {
-                plan,
-                msg_counter: Cell::new(0),
-                seq: Cell::new(0),
-            }),
+            fault,
             health,
             board,
             poison,
@@ -129,22 +104,19 @@ impl Comm {
         let op = self.ops_in_epoch.get();
         self.ops_in_epoch.set(op + 1);
         self.board.beat(self.rank);
-        let Some(f) = &self.fault else { return };
+        let Some(plan) = &self.fault else { return };
         let phase = self.epoch.get();
-        if f.plan.should_crash(self.rank, phase, op) {
+        if plan.should_crash(self.rank, phase, op) {
             std::panic::panic_any(RankCrashed {
                 rank: self.rank,
                 phase,
                 op,
             });
         }
-        if f.plan.should_hang(self.rank, phase, op) {
+        if plan.should_hang(self.rank, phase, op) {
             self.hang_injected(phase, op);
         }
-        if let Some(stall) = f
-            .plan
-            .decide_stall(self.rank, self.stats.current_step(), phase, op)
-        {
+        if let Some(stall) = plan.decide_stall(self.rank, self.stats.current_step(), phase, op) {
             self.stall_injected(stall);
         }
     }
@@ -180,7 +152,7 @@ impl Comm {
     /// *continuing to heartbeat*, so peers classify this rank as a
     /// straggler (deadline extensions), never as hung.
     fn stall_injected(&self, dur: Duration) {
-        self.stats.record_fault(FaultKind::Stall);
+        self.stats.count(|t, _| t.fault_stalls += 1);
         let started = Instant::now();
         let slice = Duration::from_millis(2).min(dur);
         while started.elapsed() < dur {
@@ -193,124 +165,16 @@ impl Comm {
         self.board.beat(self.rank);
     }
 
-    /// Deliver one logical message to `dst`, surviving any transient
-    /// faults the plan injects: dropped, truncated, flaky-burst, and
-    /// checksum-corrupted copies are retransmitted (bounded attempts
-    /// with exponential-backoff-plus-jitter), duplicates materialize as
-    /// a stale extra copy the receiver deduplicates, delays sleep
-    /// briefly. Returns the number of physical copies transmitted, for
-    /// byte accounting (always 1 in clean runs).
-    fn deliver<T: Send + 'static>(&self, dst: usize, tag: Tag, data: Vec<T>) -> u64 {
-        let beat = self.board.beat(self.rank);
-        let Some(f) = &self.fault else {
-            let mut env = Envelope::clean(self.rank, tag, Box::new(data));
-            env.beat = beat;
-            self.senders[dst].send(env).expect("peer mailbox closed");
-            return 1;
+    /// Put one message in `dst`'s mailbox, stamped with this rank's
+    /// heartbeat.
+    fn deliver<T: Send + 'static>(&self, dst: usize, tag: Tag, data: Vec<T>) {
+        let env = Envelope {
+            src: self.rank,
+            tag,
+            beat: self.board.beat(self.rank),
+            payload: Box::new(data),
         };
-        let step = self.stats.current_step();
-        let phase = self.epoch.get();
-        let msg = f.msg_counter.get();
-        f.msg_counter.set(msg + 1);
-        let backoff = |attempt: u32| {
-            let d = self
-                .health
-                .backoff
-                .delay(attempt, msg ^ ((self.rank as u64) << 48));
-            self.stats
-                .count(|t, _| t.backoff_nanos += d.as_nanos() as u64);
-            if !d.is_zero() {
-                std::thread::sleep(d);
-            }
-        };
-        // A protocol envelope: sequenced, checksummed, heartbeat-stamped.
-        let proto =
-            |seq: u64, corrupt: bool, checksum: u64, payload: Box<dyn std::any::Any + Send>| {
-                Envelope {
-                    src: self.rank,
-                    tag,
-                    seq,
-                    corrupt,
-                    checksum,
-                    beat: self.board.beat(self.rank),
-                    payload,
-                }
-            };
-        // After this many faulty tries the message goes through clean —
-        // injected faults must never block progress. The per-step
-        // watchdog retry cap can raise the window so flaky bursts get
-        // room to play out.
-        let retry_cap = FAULT_MAX_ATTEMPTS.max(self.health.retries_for(step));
-        let mut copies = 0u64;
-        let mut attempt = 0u32;
-        loop {
-            let fault = if attempt < retry_cap {
-                f.plan.decide(self.rank, step, phase, msg, attempt)
-            } else {
-                None
-            };
-            match fault {
-                Some(kind @ (FaultKind::Drop | FaultKind::FlakyBurst)) => {
-                    // Transmitted but lost on the wire; retransmit.
-                    self.stats.record_fault(kind);
-                    self.stats.record_retry();
-                    copies += 1;
-                    backoff(attempt);
-                    attempt += 1;
-                }
-                Some(FaultKind::Truncate) => {
-                    // A mangled copy arrives; the receiver discards it
-                    // via the `corrupt` flag and we retransmit.
-                    self.stats.record_fault(FaultKind::Truncate);
-                    self.stats.record_retry();
-                    let seq = f.next_seq();
-                    let sum = expected_checksum(self.rank, tag, seq);
-                    self.senders[dst]
-                        .send(proto(seq, true, sum, Box::<Vec<T>>::default()))
-                        .expect("peer mailbox closed");
-                    copies += 1;
-                    backoff(attempt);
-                    attempt += 1;
-                }
-                Some(FaultKind::CorruptPayload) => {
-                    // The copy arrives with a flipped checksum; the
-                    // receiver detects the mismatch, discards it, and we
-                    // retransmit.
-                    self.stats.record_fault(FaultKind::CorruptPayload);
-                    self.stats.record_retry();
-                    let seq = f.next_seq();
-                    let sum = expected_checksum(self.rank, tag, seq) ^ 0xBAD0_BAD0_BAD0_BAD0;
-                    self.senders[dst]
-                        .send(proto(seq, false, sum, Box::<Vec<T>>::default()))
-                        .expect("peer mailbox closed");
-                    copies += 1;
-                    backoff(attempt);
-                    attempt += 1;
-                }
-                other => {
-                    if other == Some(FaultKind::Delay) {
-                        self.stats.record_fault(FaultKind::Delay);
-                        std::thread::sleep(Duration::from_micros(200));
-                    }
-                    let seq = f.next_seq();
-                    let sum = expected_checksum(self.rank, tag, seq);
-                    self.senders[dst]
-                        .send(proto(seq, false, sum, Box::new(data)))
-                        .expect("peer mailbox closed");
-                    copies += 1;
-                    if other == Some(FaultKind::Duplicate) {
-                        // A stale extra copy reusing the same sequence
-                        // number; the receiver's dedup drops it.
-                        self.stats.record_fault(FaultKind::Duplicate);
-                        self.senders[dst]
-                            .send(proto(seq, false, sum, Box::<Vec<T>>::default()))
-                            .expect("peer mailbox closed");
-                        copies += 1;
-                    }
-                    return copies;
-                }
-            }
-        }
+        self.senders[dst].send(env).expect("peer mailbox closed");
     }
 
     /// This rank's id in `[0, size)`.
@@ -334,9 +198,9 @@ impl Comm {
     /// The restore runs from a drop guard, so a panicking closure cannot
     /// leave later traffic misattributed to `step`. When tracing is
     /// enabled the scope also records a span named after the step
-    /// (category `comm`) carrying the bytes/messages/retries charged
-    /// inside it — the span args are recorded from the same drop guard,
-    /// so traffic and retry/backoff activity that happened before a
+    /// (category `comm`) carrying the bytes/messages/watchdog extensions
+    /// charged inside it — the span args are recorded from the same drop
+    /// guard, so traffic and watchdog activity that happened before a
     /// panic (e.g. a crash injected mid-collective) still lands on the
     /// span instead of being lost with the unwind.
     ///
@@ -395,8 +259,8 @@ impl Comm {
         );
         self.fault_op_tick();
         let bytes = (data.len() * std::mem::size_of::<T>()) as u64;
-        let copies = self.deliver(dst, tag, data);
-        self.stats.record_p2p(copies, bytes * copies);
+        self.deliver(dst, tag, data);
+        self.stats.record_p2p(1, bytes);
     }
 
     /// Blocking receive of a message from `src` with tag `tag`.
@@ -523,10 +387,9 @@ impl Comm {
             if dst == self.rank {
                 continue;
             }
-            let bytes = (buf.len() * std::mem::size_of::<T>()) as u64;
-            let copies = self.deliver(dst, A2A_TAG, buf);
-            nmsgs += copies;
-            sent += bytes * copies;
+            nmsgs += 1;
+            sent += (buf.len() * std::mem::size_of::<T>()) as u64;
+            self.deliver(dst, A2A_TAG, buf);
         }
         self.stats.record_p2p(nmsgs, sent);
         let mut out: Vec<Vec<T>> = (0..self.size).map(|_| Vec::new()).collect();
@@ -571,10 +434,9 @@ impl Comm {
         let mut sent = 0u64;
         for (&dst, buf) in neighbors.iter().zip(bufs) {
             assert!(dst < self.size && dst != self.rank, "bad neighbor {dst}");
-            let bytes = (buf.len() * std::mem::size_of::<T>()) as u64;
-            let copies = self.deliver(dst, NBR_TAG, buf);
-            nmsgs += copies;
-            sent += bytes * copies;
+            nmsgs += 1;
+            sent += (buf.len() * std::mem::size_of::<T>()) as u64;
+            self.deliver(dst, NBR_TAG, buf);
         }
         self.stats.record_p2p(nmsgs, sent);
         neighbors

@@ -1,80 +1,49 @@
 //! Seeded, deterministic fault injection for the simulated communicator.
 //!
-//! A [`FaultPlan`] describes transient message faults (drop, delay,
-//! duplicate, truncate) and hard crashes (a chosen rank panics at a
-//! chosen communication operation of a chosen phase). Every injection
-//! decision is a pure function of `(plan seed, rule, rank, message
-//! index, attempt)`, so the same plan on the same program produces the
-//! same faults and the same recovery trace — the property the fault
-//! matrix tests rely on.
+//! A [`FaultPlan`] describes the failures of the paper's setting: a rank
+//! that crashes (panics at a chosen communication operation of a chosen
+//! phase), one that hangs there (goes silent), and one that stalls
+//! (sleeps before an operation while still heartbeating). Message loss,
+//! duplication and corruption are not modelled: Algorithm 3 runs on MPI,
+//! which delivers every message reliably, in order and intact, so
+//! [`FaultPlan::parse`] refuses those kinds by name. Every stall decision
+//! is a pure function of `(plan seed, rule, rank, op index)`, so the same
+//! plan on the same program produces the same faults and the same
+//! recovery trace — the property the fault matrix tests rely on.
 //!
-//! Transient faults are *survived* inside the comm layer: the sender
-//! retransmits dropped or truncated messages (with backoff), receivers
-//! discard corrupt copies and deduplicate by per-sender sequence number.
-//! Crashes are *not* survived here — they unwind the rank thread with a
-//! [`RankCrashed`] payload, which the resilient driver in
-//! `louvain-dist` catches and turns into a checkpoint restore. Injected
-//! hangs likewise unwind — but indirectly, via the rank-health watchdog
-//! declaring the silent rank hung (see [`crate::health`]).
+//! Crashes unwind the rank thread with a [`RankCrashed`] payload, which
+//! the resilient driver in `louvain-dist` catches and turns into a
+//! checkpoint restore. Injected hangs likewise unwind — but indirectly,
+//! via the rank-health watchdog declaring the silent rank hung (see
+//! [`crate::health`]).
 
 use crate::stats::CommStep;
 
-/// Transient message-level fault kinds.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FaultKind {
-    /// The copy is transmitted but never arrives; the sender retries.
-    Drop,
-    /// The copy arrives after a short injected latency.
-    Delay,
-    /// A stale extra copy is delivered; the receiver deduplicates it.
-    Duplicate,
-    /// The copy arrives corrupt; the receiver discards it and the
-    /// sender retries.
-    Truncate,
-    /// The sending rank stalls (sleeping, but still heartbeating)
-    /// before the matched comm op — a straggler, not a hang.
-    Stall,
-    /// The same logical message is dropped on `len` consecutive
-    /// attempts (decided per message, not per attempt), exercising the
-    /// multi-step exponential backoff ladder.
-    FlakyBurst,
-    /// The copy arrives with a corrupted payload; the receiver detects
-    /// the checksum mismatch, discards it, and the sender retries.
-    CorruptPayload,
-}
+/// Message-fault kinds that MPI's reliable, ordered delivery rules out;
+/// [`FaultPlan::parse`] refuses each by name.
+const TRANSPORT_FAULTS: [&str; 6] = [
+    "drop",
+    "delay",
+    "duplicate",
+    "truncate",
+    "flaky-burst",
+    "corrupt-payload",
+];
 
-impl FaultKind {
-    fn parse(s: &str) -> Option<FaultKind> {
-        match s {
-            "drop" => Some(FaultKind::Drop),
-            "delay" => Some(FaultKind::Delay),
-            "duplicate" => Some(FaultKind::Duplicate),
-            "truncate" => Some(FaultKind::Truncate),
-            "stall" => Some(FaultKind::Stall),
-            "flaky-burst" => Some(FaultKind::FlakyBurst),
-            "corrupt-payload" => Some(FaultKind::CorruptPayload),
-            _ => None,
-        }
-    }
-}
-
-/// One transient-fault rule: messages matching the filters are hit with
-/// probability `prob` per transmission attempt.
+/// One stall rule: before each comm op matching the filters, the rank
+/// sleeps `ms` with probability `prob` — a straggler, not a hang.
 #[derive(Debug, Clone)]
-pub struct FaultRule {
-    pub kind: FaultKind,
+pub struct StallRule {
     /// Restrict to one comm step (`None` = any step).
     pub step: Option<CommStep>,
-    /// Restrict to one sending rank (`None` = any rank).
+    /// Restrict to one rank (`None` = any rank).
     pub rank: Option<usize>,
     /// Restrict to one fault epoch / Louvain phase (`None` = any).
     pub phase: Option<u64>,
-    /// Per-attempt injection probability in `[0, 1]`.
+    /// Per-op injection probability in `[0, 1]`.
     pub prob: f64,
-    /// [`FaultKind::Stall`] only: how long the stall sleeps.
-    pub stall_ms: u64,
-    /// [`FaultKind::FlakyBurst`] only: consecutive attempts dropped.
-    pub burst_len: u32,
+    /// How long the stall sleeps.
+    pub ms: u64,
 }
 
 /// A hard-crash rule: `rank` panics with [`RankCrashed`] when it reaches
@@ -102,7 +71,7 @@ pub struct HangRule {
 #[derive(Debug, Clone, Default)]
 pub struct FaultPlan {
     pub seed: u64,
-    pub rules: Vec<FaultRule>,
+    pub stalls: Vec<StallRule>,
     pub crashes: Vec<CrashRule>,
     pub hangs: Vec<HangRule>,
 }
@@ -127,13 +96,8 @@ impl std::fmt::Display for RankCrashed {
     }
 }
 
-/// Bounded retransmission: after this many faulty attempts per logical
-/// message, faults are suppressed so the run always makes progress.
-pub(crate) const FAULT_MAX_ATTEMPTS: u32 = 3;
-
-/// splitmix64 finalizer — the per-decision hash (also used by the
-/// envelope checksum and the backoff jitter).
-pub(crate) fn mix64(mut x: u64) -> u64 {
+/// splitmix64 finalizer — the per-decision hash.
+fn mix64(mut x: u64) -> u64 {
     x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     x ^ (x >> 31)
@@ -148,13 +112,14 @@ impl FaultPlan {
     /// Parse the CLI fault-plan DSL: `;`-separated segments, each either
     /// `seed=N` or `<kind>[:key=value,...]`.
     ///
-    /// Kinds: `drop`, `delay`, `duplicate`, `truncate`,
-    /// `corrupt-payload` (keys `prob`, `step`, `rank`, `phase`),
-    /// `stall` (adds `ms`), `flaky-burst` (adds `len`), and the
-    /// op-addressed `crash` / `hang` (keys `rank` — required — `phase`,
-    /// `op`). Step names are the [`CommStep`] labels. Example:
+    /// Kinds: `stall` (keys `prob`, `step`, `rank`, `phase`, `ms`) and
+    /// the op-addressed `crash` / `hang` (keys `rank` — required —
+    /// `phase`, `op`). Step names are the [`CommStep`] labels. A
+    /// transport fault (`drop`, `delay`, `duplicate`, `truncate`,
+    /// `flaky-burst`, `corrupt-payload`) is an error naming the kind.
+    /// Example:
     ///
-    /// `seed=42;drop:step=ghost_refresh,prob=0.2;stall:rank=0,ms=80,prob=0.1;hang:rank=1,phase=1`
+    /// `seed=42;stall:rank=0,ms=80,prob=0.1;hang:rank=1,phase=1`
     pub fn parse(spec: &str) -> Result<FaultPlan, String> {
         let mut plan = FaultPlan::default();
         for seg in spec.split(';') {
@@ -182,75 +147,59 @@ impl FaultPlan {
                 Ok(None)
             };
             let parse_u64 = |v: &str| v.parse::<u64>().map_err(|_| format!("bad number {v:?}"));
-            if head == "crash" || head == "hang" {
-                let rank = kv("rank")?
-                    .ok_or_else(|| format!("{head} rule {seg:?} needs rank=N"))?
-                    .parse::<usize>()
-                    .map_err(|_| format!("bad rank in {seg:?}"))?;
-                let phase = kv("phase")?.map(parse_u64).transpose()?.unwrap_or(0);
-                let op = kv("op")?.map(parse_u64).transpose()?.unwrap_or(0);
-                if head == "crash" {
-                    plan.crashes.push(CrashRule { rank, phase, op });
-                } else {
-                    plan.hangs.push(HangRule { rank, phase, op });
+            match head {
+                "crash" | "hang" => {
+                    let rank = kv("rank")?
+                        .ok_or_else(|| format!("{head} rule {seg:?} needs rank=N"))?
+                        .parse::<usize>()
+                        .map_err(|_| format!("bad rank in {seg:?}"))?;
+                    let phase = kv("phase")?.map(parse_u64).transpose()?.unwrap_or(0);
+                    let op = kv("op")?.map(parse_u64).transpose()?.unwrap_or(0);
+                    if head == "crash" {
+                        plan.crashes.push(CrashRule { rank, phase, op });
+                    } else {
+                        plan.hangs.push(HangRule { rank, phase, op });
+                    }
                 }
-            } else {
-                let kind = FaultKind::parse(head)
-                    .ok_or_else(|| format!("unknown fault kind {head:?} in {seg:?}"))?;
-                let step = match kv("step")? {
-                    Some(s) => Some(
-                        CommStep::from_label(s)
-                            .ok_or_else(|| format!("unknown comm step {s:?} in {seg:?}"))?,
-                    ),
-                    None => None,
-                };
-                let rank = kv("rank")?
-                    .map(|v| v.parse::<usize>().map_err(|_| format!("bad rank {v:?}")))
-                    .transpose()?;
-                let phase = kv("phase")?.map(parse_u64).transpose()?;
-                let prob = match kv("prob")? {
-                    Some(v) => {
-                        let p: f64 = v.parse().map_err(|_| format!("bad prob {v:?}"))?;
-                        if !(0.0..=1.0).contains(&p) {
-                            return Err(format!("prob {p} outside [0, 1]"));
+                "stall" => {
+                    let step = match kv("step")? {
+                        Some(s) => Some(
+                            CommStep::from_label(s)
+                                .ok_or_else(|| format!("unknown comm step {s:?} in {seg:?}"))?,
+                        ),
+                        None => None,
+                    };
+                    let rank = kv("rank")?
+                        .map(|v| v.parse::<usize>().map_err(|_| format!("bad rank {v:?}")))
+                        .transpose()?;
+                    let phase = kv("phase")?.map(parse_u64).transpose()?;
+                    let prob = match kv("prob")? {
+                        Some(v) => {
+                            let p: f64 = v.parse().map_err(|_| format!("bad prob {v:?}"))?;
+                            if !(0.0..=1.0).contains(&p) {
+                                return Err(format!("prob {p} outside [0, 1]"));
+                            }
+                            p
                         }
-                        p
-                    }
-                    None => 1.0,
-                };
-                let stall_ms = match kv("ms")? {
-                    Some(v) => {
-                        if kind != FaultKind::Stall {
-                            return Err(format!("ms= only applies to stall rules, got {seg:?}"));
-                        }
-                        parse_u64(v)?
-                    }
-                    None => 100,
-                };
-                let burst_len = match kv("len")? {
-                    Some(v) => {
-                        if kind != FaultKind::FlakyBurst {
-                            return Err(format!(
-                                "len= only applies to flaky-burst rules, got {seg:?}"
-                            ));
-                        }
-                        let len = parse_u64(v)?;
-                        if !(1..=16).contains(&len) {
-                            return Err(format!("burst len {len} outside 1..=16"));
-                        }
-                        len as u32
-                    }
-                    None => 3,
-                };
-                plan.rules.push(FaultRule {
-                    kind,
-                    step,
-                    rank,
-                    phase,
-                    prob,
-                    stall_ms,
-                    burst_len,
-                });
+                        None => 1.0,
+                    };
+                    let ms = kv("ms")?.map(parse_u64).transpose()?.unwrap_or(100);
+                    plan.stalls.push(StallRule {
+                        step,
+                        rank,
+                        phase,
+                        prob,
+                        ms,
+                    });
+                }
+                kind if TRANSPORT_FAULTS.contains(&kind) => {
+                    return Err(format!(
+                        "fault kind {kind:?} is a transport fault, and transport faults are \
+                         not modelled (MPI delivers every message reliably and in order); \
+                         kinds: stall, crash, hang"
+                    ));
+                }
+                _ => return Err(format!("unknown fault kind {head:?} in {seg:?}")),
             }
         }
         Ok(plan)
@@ -262,10 +211,8 @@ impl FaultPlan {
     /// sequence.
     pub fn with_crashes_skipped(&self, n: usize) -> FaultPlan {
         FaultPlan {
-            seed: self.seed,
-            rules: self.rules.clone(),
             crashes: self.crashes.iter().skip(n).copied().collect(),
-            hangs: self.hangs.clone(),
+            ..self.clone()
         }
     }
 
@@ -275,67 +222,14 @@ impl FaultPlan {
     /// every injected hang fires exactly once.
     pub fn with_hangs_skipped(&self, n: usize) -> FaultPlan {
         FaultPlan {
-            seed: self.seed,
-            rules: self.rules.clone(),
-            crashes: self.crashes.clone(),
             hangs: self.hangs.iter().skip(n).copied().collect(),
+            ..self.clone()
         }
-    }
-
-    /// The transient fault (if any) to inject into transmission attempt
-    /// `attempt` of logical message `msg` sent by `rank`. Deterministic:
-    /// depends only on the plan and the arguments.
-    pub fn decide(
-        &self,
-        rank: usize,
-        step: CommStep,
-        phase: u64,
-        msg: u64,
-        attempt: u32,
-    ) -> Option<FaultKind> {
-        for (i, r) in self.rules.iter().enumerate() {
-            if r.kind == FaultKind::Stall {
-                // Op-level, not message-level; see `decide_stall`.
-                continue;
-            }
-            if r.rank.is_some_and(|x| x != rank) {
-                continue;
-            }
-            if r.step.is_some_and(|s| s != step) {
-                continue;
-            }
-            if r.phase.is_some_and(|p| p != phase) {
-                continue;
-            }
-            // A flaky burst is decided once per logical message (the
-            // attempt index is excluded from the hash) and then applies
-            // to its first `burst_len` attempts, so the same message
-            // keeps failing and the backoff ladder actually climbs.
-            let burst = r.kind == FaultKind::FlakyBurst;
-            if burst && attempt >= r.burst_len {
-                continue;
-            }
-            let h = mix64(
-                self.seed
-                    ^ (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
-                    ^ (rank as u64).wrapping_mul(0xC2B2_AE3D_27D4_EB4F)
-                    ^ msg.wrapping_mul(0x1656_67B1_9E37_79F9)
-                    ^ if burst {
-                        0
-                    } else {
-                        (attempt as u64).wrapping_mul(0x2545_F491_4F6C_DD1D)
-                    },
-            );
-            if u01(h) < r.prob {
-                return Some(r.kind);
-            }
-        }
-        None
     }
 
     /// The injected stall (if any) before comm op `op` of `phase` on
-    /// `rank`: op-level straggler injection, decided like [`FaultPlan::
-    /// decide`] but keyed on the op index. Returns the stall duration.
+    /// `rank`, keyed on the op index. Deterministic: depends only on the
+    /// plan and the arguments. Returns the stall duration.
     pub fn decide_stall(
         &self,
         rank: usize,
@@ -343,10 +237,7 @@ impl FaultPlan {
         phase: u64,
         op: u64,
     ) -> Option<std::time::Duration> {
-        for (i, r) in self.rules.iter().enumerate() {
-            if r.kind != FaultKind::Stall {
-                continue;
-            }
+        for (i, r) in self.stalls.iter().enumerate() {
             if r.rank.is_some_and(|x| x != rank) {
                 continue;
             }
@@ -363,7 +254,7 @@ impl FaultPlan {
                     ^ op.wrapping_mul(0x1656_67B1_9E37_79F9),
             );
             if u01(h) < r.prob {
-                return Some(std::time::Duration::from_millis(r.stall_ms));
+                return Some(std::time::Duration::from_millis(r.ms));
             }
         }
         None
@@ -385,17 +276,17 @@ impl FaultPlan {
 
     /// True when the plan injects nothing at all.
     pub fn is_empty(&self) -> bool {
-        self.rules.is_empty() && self.crashes.is_empty() && self.hangs.is_empty()
+        self.stalls.is_empty() && self.crashes.is_empty() && self.hangs.is_empty()
     }
 
     /// One-line human summary of what the plan injects — used by the job
     /// server to log the fault shape of a submitted job next to its
-    /// recovery budgets (e.g. `"2 transient rules, 1 crash, 0 hangs"`).
+    /// recovery budgets (e.g. `"2 stall rules, 1 crash, 0 hangs"`).
     pub fn summary(&self) -> String {
         format!(
-            "{} transient rule{}, {} crash{}, {} hang{}",
-            self.rules.len(),
-            if self.rules.len() == 1 { "" } else { "s" },
+            "{} stall rule{}, {} crash{}, {} hang{}",
+            self.stalls.len(),
+            if self.stalls.len() == 1 { "" } else { "s" },
             self.crashes.len(),
             if self.crashes.len() == 1 { "" } else { "es" },
             self.hangs.len(),
@@ -410,24 +301,25 @@ mod tests {
 
     #[test]
     fn summary_counts_by_kind() {
-        let plan = FaultPlan::parse("drop:prob=0.1;crash:rank=0,phase=1,op=0").unwrap();
-        assert_eq!(plan.summary(), "1 transient rule, 1 crash, 0 hangs");
+        let plan = FaultPlan::parse("stall:prob=0.1;crash:rank=0,phase=1,op=0").unwrap();
+        assert_eq!(plan.summary(), "1 stall rule, 1 crash, 0 hangs");
         let plan = FaultPlan::parse("hang:rank=1,phase=0,op=2").unwrap();
-        assert_eq!(plan.summary(), "0 transient rules, 0 crashes, 1 hang");
+        assert_eq!(plan.summary(), "0 stall rules, 0 crashes, 1 hang");
     }
 
     #[test]
     fn parse_full_spec() {
         let plan = FaultPlan::parse(
-            "seed=42;drop:step=ghost_refresh,prob=0.2;duplicate:rank=1,prob=0.5;crash:rank=1,phase=2,op=3",
+            "seed=42;stall:step=ghost_refresh,prob=0.2;stall:rank=1,prob=0.5,ms=80;crash:rank=1,phase=2,op=3;hang:rank=2,phase=1,op=3",
         )
         .unwrap();
         assert_eq!(plan.seed, 42);
-        assert_eq!(plan.rules.len(), 2);
-        assert_eq!(plan.rules[0].kind, FaultKind::Drop);
-        assert_eq!(plan.rules[0].step, Some(CommStep::GhostRefresh));
-        assert_eq!(plan.rules[0].prob, 0.2);
-        assert_eq!(plan.rules[1].rank, Some(1));
+        assert_eq!(plan.stalls.len(), 2);
+        assert_eq!(plan.stalls[0].step, Some(CommStep::GhostRefresh));
+        assert_eq!(plan.stalls[0].prob, 0.2);
+        assert_eq!(plan.stalls[0].ms, 100, "ms defaults to 100");
+        assert_eq!(plan.stalls[1].rank, Some(1));
+        assert_eq!(plan.stalls[1].ms, 80);
         assert_eq!(
             plan.crashes,
             vec![CrashRule {
@@ -436,34 +328,6 @@ mod tests {
                 op: 3
             }]
         );
-    }
-
-    #[test]
-    fn parse_rejects_garbage() {
-        assert!(FaultPlan::parse("explode:prob=1").is_err());
-        assert!(FaultPlan::parse("drop:step=warp_drive").is_err());
-        assert!(FaultPlan::parse("drop:prob=1.5").is_err());
-        assert!(FaultPlan::parse("crash:phase=1").is_err());
-        assert!(FaultPlan::parse("hang:phase=1").is_err());
-        assert!(FaultPlan::parse("seed=xyzzy").is_err());
-        assert!(FaultPlan::parse("drop:ms=5").is_err());
-        assert!(FaultPlan::parse("stall:rank=0,len=2").is_err());
-        assert!(FaultPlan::parse("flaky-burst:len=0").is_err());
-        assert!(FaultPlan::parse("flaky-burst:len=99").is_err());
-    }
-
-    #[test]
-    fn parse_health_fault_kinds() {
-        let plan = FaultPlan::parse(
-            "seed=9;stall:rank=0,ms=80,prob=0.5;flaky-burst:len=4,prob=0.1;corrupt-payload:prob=0.2;hang:rank=2,phase=1,op=3",
-        )
-        .unwrap();
-        assert_eq!(plan.rules.len(), 3);
-        assert_eq!(plan.rules[0].kind, FaultKind::Stall);
-        assert_eq!(plan.rules[0].stall_ms, 80);
-        assert_eq!(plan.rules[1].kind, FaultKind::FlakyBurst);
-        assert_eq!(plan.rules[1].burst_len, 4);
-        assert_eq!(plan.rules[2].kind, FaultKind::CorruptPayload);
         assert_eq!(
             plan.hangs,
             vec![HangRule {
@@ -473,6 +337,28 @@ mod tests {
             }]
         );
         assert!(!plan.is_empty());
+    }
+
+    #[test]
+    fn parse_rejects_garbage() {
+        assert!(FaultPlan::parse("explode:prob=1").is_err());
+        assert!(FaultPlan::parse("stall:step=warp_drive").is_err());
+        assert!(FaultPlan::parse("stall:prob=1.5").is_err());
+        assert!(FaultPlan::parse("stall:ms=soon").is_err());
+        assert!(FaultPlan::parse("crash:phase=1").is_err());
+        assert!(FaultPlan::parse("hang:phase=1").is_err());
+        assert!(FaultPlan::parse("seed=xyzzy").is_err());
+    }
+
+    #[test]
+    fn transport_faults_are_refused_by_name() {
+        for kind in TRANSPORT_FAULTS {
+            for spec in [kind.to_string(), format!("seed=3;{kind}:prob=0.1")] {
+                let err = FaultPlan::parse(&spec).unwrap_err();
+                assert!(err.contains(&format!("{kind:?}")), "{spec}: {err}");
+                assert!(err.contains("not modelled"), "{spec}: {err}");
+            }
+        }
     }
 
     #[test]
@@ -490,35 +376,8 @@ mod tests {
     }
 
     #[test]
-    fn flaky_burst_hits_consecutive_attempts_then_clears() {
-        let plan = FaultPlan::parse("seed=5;flaky-burst:len=3,prob=0.3").unwrap();
-        let mut burst_msgs = 0;
-        for msg in 0..300u64 {
-            let first = plan.decide(0, CommStep::DeltaPush, 0, msg, 0);
-            if first == Some(FaultKind::FlakyBurst) {
-                burst_msgs += 1;
-                // The whole burst window fails, then the message clears.
-                for a in 1..3 {
-                    assert_eq!(
-                        plan.decide(0, CommStep::DeltaPush, 0, msg, a),
-                        Some(FaultKind::FlakyBurst)
-                    );
-                }
-                assert_eq!(plan.decide(0, CommStep::DeltaPush, 0, msg, 3), None);
-            } else {
-                assert_eq!(first, None);
-            }
-        }
-        assert!((40..200).contains(&burst_msgs), "prob=0.3 hit {burst_msgs}");
-    }
-
-    #[test]
     fn stall_decisions_are_op_level_and_deterministic() {
         let plan = FaultPlan::parse("seed=11;stall:rank=1,ms=40,prob=0.5").unwrap();
-        // Stall rules never fire through the message-level path.
-        for msg in 0..100 {
-            assert_eq!(plan.decide(1, CommStep::Other, 0, msg, 0), None);
-        }
         let hits = (0..1000u64)
             .filter(|&op| plan.decide_stall(1, CommStep::Other, 0, op).is_some())
             .count();
@@ -535,16 +394,18 @@ mod tests {
 
     #[test]
     fn decisions_are_deterministic_and_filtered() {
-        let plan = FaultPlan::parse("seed=7;drop:step=delta_push,rank=2,prob=0.5").unwrap();
-        for msg in 0..200u64 {
-            let a = plan.decide(2, CommStep::DeltaPush, 0, msg, 0);
-            let b = plan.decide(2, CommStep::DeltaPush, 0, msg, 0);
+        let plan =
+            FaultPlan::parse("seed=7;stall:step=delta_push,rank=2,phase=1,prob=0.5").unwrap();
+        for op in 0..200u64 {
+            let a = plan.decide_stall(2, CommStep::DeltaPush, 1, op);
+            let b = plan.decide_stall(2, CommStep::DeltaPush, 1, op);
             assert_eq!(a, b, "same inputs must give the same decision");
-            assert_eq!(plan.decide(1, CommStep::DeltaPush, 0, msg, 0), None);
-            assert_eq!(plan.decide(2, CommStep::GhostRefresh, 0, msg, 0), None);
+            assert_eq!(plan.decide_stall(1, CommStep::DeltaPush, 1, op), None);
+            assert_eq!(plan.decide_stall(2, CommStep::GhostRefresh, 1, op), None);
+            assert_eq!(plan.decide_stall(2, CommStep::DeltaPush, 0, op), None);
         }
         let hits = (0..1000u64)
-            .filter(|&m| plan.decide(2, CommStep::DeltaPush, 0, m, 0).is_some())
+            .filter(|&op| plan.decide_stall(2, CommStep::DeltaPush, 1, op).is_some())
             .count();
         assert!((300..700).contains(&hits), "prob=0.5 hit {hits}/1000");
     }

@@ -1,18 +1,19 @@
-//! Rank-health watchdog: deadline-aware waits, adaptive retry/backoff,
-//! and heartbeat-based hang detection.
+//! Rank-health watchdog: deadline-aware waits and heartbeat-based hang
+//! detection.
 //!
 //! Every blocking wait in the communicator (mailbox receives and
 //! blackboard collectives) runs under a [`Watchdog`] that escalates
 //! through a ladder: *deadline expires* → *consult heartbeats* →
-//! *retry with exponential backoff* → *declare the silent rank hung* by
-//! panicking with a [`RankHung`] payload. The resilient driver in
-//! `louvain-dist` catches that payload exactly like a
-//! [`crate::RankCrashed`] and restores from the newest checkpoint.
+//! *extend the deadline* (`max_retries` more windows for a silent rank)
+//! → *declare the silent rank hung* by panicking with a [`RankHung`]
+//! payload. The resilient driver in `louvain-dist` catches that payload
+//! exactly like a [`crate::RankCrashed`] and restores from the newest
+//! checkpoint.
 //!
 //! Heartbeats are cheap: every rank stamps a shared [`HealthBoard`]
 //! slot (one relaxed atomic store) at every communication operation and
-//! on every poll tick while blocked, and every protocol envelope
-//! piggybacks the sender's latest stamp. A rank that is merely *slow*
+//! on every poll tick while blocked, and every envelope piggybacks the
+//! sender's latest stamp. A rank that is merely *slow*
 //! (stalled in compute, or waiting on a third rank) keeps beating and is
 //! recorded as a straggler — only a rank whose heartbeat goes stale past
 //! the deadline is declared hung.
@@ -20,78 +21,11 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
-use crate::fault::mix64;
 use crate::stats::{CommStats, CommStep, NUM_COMM_STEPS};
 
 /// The hung-rank declaration this module raises as a panic payload; the
 /// plain data lives beside the report that lists it.
 pub use louvain_obs::RankHung;
-
-/// Exponential backoff with deterministic jitter.
-///
-/// The delay for attempt `a` is `base · 2^a` plus a jitter of up to 25%
-/// of that value, clamped to `cap`. The jitter is a pure function of
-/// `(seed, salt, attempt)`, so a fixed seed reproduces the exact same
-/// delay sequence — the property the fault matrix and the proptests
-/// rely on. Delays are monotone non-decreasing in `attempt`: the
-/// exponential term doubles while the jitter adds strictly less than
-/// one doubling, and once the cap is reached every later delay equals
-/// the cap.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BackoffPolicy {
-    /// Delay of attempt 0 (before jitter).
-    pub base: Duration,
-    /// Upper bound on any single delay.
-    pub cap: Duration,
-    /// Jitter seed; same seed ⇒ same delays.
-    pub seed: u64,
-}
-
-impl Default for BackoffPolicy {
-    fn default() -> Self {
-        Self {
-            base: Duration::from_micros(50),
-            cap: Duration::from_millis(5),
-            seed: 0,
-        }
-    }
-}
-
-impl BackoffPolicy {
-    /// The delay before retry `attempt` (0-based) of the logical
-    /// operation identified by `salt`. Deterministic; see the type docs
-    /// for the monotonicity/cap/jitter contract.
-    pub fn delay(&self, attempt: u32, salt: u64) -> Duration {
-        let base = self.base.as_nanos() as u64;
-        let cap = self.cap.as_nanos() as u64;
-        let exp = base.saturating_shl(attempt.min(63));
-        // Jitter in [0, exp/4): strictly less than the next doubling,
-        // which is what keeps the sequence monotone non-decreasing.
-        let h = mix64(
-            self.seed
-                ^ salt.wrapping_mul(0x9E37_79B9_7F4A_7C15)
-                ^ (attempt as u64).wrapping_mul(0xC2B2_AE3D_27D4_EB4F),
-        );
-        let jitter = if exp >= 4 { h % (exp / 4) } else { 0 };
-        Duration::from_nanos(exp.saturating_add(jitter).min(cap))
-    }
-}
-
-/// `u64::checked_shl` that saturates instead of wrapping.
-trait SaturatingShl {
-    fn saturating_shl(self, rhs: u32) -> u64;
-}
-impl SaturatingShl for u64 {
-    fn saturating_shl(self, rhs: u32) -> u64 {
-        if self == 0 {
-            0
-        } else if rhs >= self.leading_zeros() {
-            u64::MAX
-        } else {
-            self << rhs
-        }
-    }
-}
 
 /// Hard liveness ceiling, in deadlines: a wait longer than `deadline ×
 /// LIVENESS_FACTOR` is declared hung even if the suspects are still
@@ -106,12 +40,9 @@ pub struct HealthConfig {
     /// How long one blocked wait may go without progress before the
     /// watchdog escalates (the per-window deadline of the ladder).
     pub deadline: Duration,
-    /// Deadline extensions (with backoff) granted to a silent peer
-    /// before it is declared hung; also the default retransmission cap
-    /// for injected message faults.
+    /// Deadline extensions granted to a silent peer before it is
+    /// declared hung.
     pub max_retries: u32,
-    /// Backoff between deadline extensions and retransmissions.
-    pub backoff: BackoffPolicy,
     /// Per-[`CommStep`] overrides of `max_retries` (index =
     /// `CommStep::index()`); `None` = use the global cap.
     pub step_max_retries: [Option<u32>; NUM_COMM_STEPS],
@@ -122,7 +53,6 @@ impl Default for HealthConfig {
         Self {
             deadline: Duration::from_secs(30),
             max_retries: 3,
-            backoff: BackoffPolicy::default(),
             step_max_retries: [None; NUM_COMM_STEPS],
         }
     }
@@ -181,9 +111,7 @@ impl HealthBoard {
 
     /// Fold in a stamp received on the wire (monotone max).
     pub fn observe(&self, rank: usize, stamp: u64) {
-        if stamp != 0 {
-            self.beats[rank].fetch_max(stamp, Ordering::Relaxed);
-        }
+        self.beats[rank].fetch_max(stamp, Ordering::Relaxed);
     }
 
     /// Time since `rank` last heartbeat.
@@ -206,7 +134,7 @@ pub(crate) struct WaitCtx<'a> {
 }
 
 /// The escalation ladder of one blocked wait: `deadline → (straggler
-/// extension | retry with backoff) → RankHung`. Created per wait;
+/// extension | silent-rank extension) → RankHung`. Created per wait;
 /// callers invoke [`Watchdog::alive`] every poll tick and
 /// [`Watchdog::observe`] with the current suspect set once
 /// [`Watchdog::due`] reports the window expired.
@@ -249,7 +177,8 @@ impl<'a, 'c> Watchdog<'a, 'c> {
     /// is blocked on; the subset whose heartbeats are stale past the
     /// deadline are candidates for a hung declaration. Panics with
     /// [`RankHung`] when the ladder is exhausted; otherwise extends the
-    /// window (recording a straggler or a backed-off retry) and returns.
+    /// window (recording a straggler or a silent-rank extension) and
+    /// returns.
     pub fn observe(&mut self, suspects: &[usize]) {
         let cfg = self.ctx.cfg;
         let waited = self.started.elapsed();
@@ -289,14 +218,6 @@ impl<'a, 'c> Watchdog<'a, 'c> {
                     t.wd_retries += 1;
                     t.step_retries[slot] += 1;
                 });
-                let salt = (self.ctx.rank as u64) << 40 ^ self.ctx.phase << 20 ^ self.ctx.op;
-                let delay = cfg.backoff.delay(self.extensions - 1, salt);
-                self.ctx
-                    .stats
-                    .count(|t, _| t.backoff_nanos += delay.as_nanos() as u64);
-                if !delay.is_zero() {
-                    std::thread::sleep(delay);
-                }
             }
         }
         self.window = Instant::now();
@@ -306,61 +227,6 @@ impl<'a, 'c> Watchdog<'a, 'c> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn backoff_is_deterministic_and_monotone() {
-        let p = BackoffPolicy {
-            base: Duration::from_micros(100),
-            cap: Duration::from_millis(50),
-            seed: 42,
-        };
-        for salt in [0u64, 7, 12345] {
-            let mut prev = Duration::ZERO;
-            for attempt in 0..20 {
-                let d = p.delay(attempt, salt);
-                assert_eq!(d, p.delay(attempt, salt), "same inputs, same delay");
-                assert!(d >= prev, "attempt {attempt}: {d:?} < {prev:?}");
-                assert!(d <= p.cap, "cap violated at attempt {attempt}");
-                prev = d;
-            }
-            assert_eq!(p.delay(19, salt), p.cap, "tail saturates at the cap");
-        }
-    }
-
-    #[test]
-    fn backoff_jitter_stays_within_a_quarter_of_the_exponential() {
-        let p = BackoffPolicy {
-            base: Duration::from_micros(64),
-            cap: Duration::from_secs(10),
-            seed: 9,
-        };
-        for attempt in 0..8u32 {
-            let exp = 64_000u64 << attempt; // nanos
-            for salt in 0..100u64 {
-                let d = p.delay(attempt, salt).as_nanos() as u64;
-                assert!(d >= exp, "delay below the exponential floor");
-                assert!(d < exp + exp / 4 + 1, "jitter above 25% at {attempt}");
-            }
-        }
-    }
-
-    #[test]
-    fn backoff_zero_base_yields_zero_delays() {
-        let p = BackoffPolicy {
-            base: Duration::ZERO,
-            cap: Duration::from_secs(1),
-            seed: 1,
-        };
-        assert_eq!(p.delay(0, 3), Duration::ZERO);
-        assert_eq!(p.delay(17, 3), Duration::ZERO);
-    }
-
-    #[test]
-    fn backoff_huge_attempt_saturates_at_cap_without_overflow() {
-        let p = BackoffPolicy::default();
-        assert_eq!(p.delay(u32::MAX, 0), p.cap);
-        assert_eq!(p.delay(63, 0), p.cap);
-    }
 
     #[test]
     fn health_board_tracks_freshness() {

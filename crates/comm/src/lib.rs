@@ -41,8 +41,8 @@ mod stats;
 
 pub use comm::{Comm, Tag};
 pub use cost::CostModel;
-pub use fault::{CrashRule, FaultKind, FaultPlan, FaultRule, HangRule, RankCrashed};
-pub use health::{BackoffPolicy, HealthBoard, HealthConfig, RankHung};
+pub use fault::{CrashRule, FaultPlan, HangRule, RankCrashed, StallRule};
+pub use health::{HealthBoard, HealthConfig, RankHung};
 pub use reduce::{ReduceOp, Reducible};
 pub use runtime::{run, run_with, RunConfig};
 pub use stats::{CommStats, CommStep, StatsSnapshot, NUM_COMM_STEPS};

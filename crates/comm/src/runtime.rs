@@ -21,8 +21,8 @@ pub struct RunConfig {
     /// Deterministic fault-injection schedule applied to every rank.
     /// `None` (the default) is a clean run with zero fault-path work.
     pub fault: Option<Arc<FaultPlan>>,
-    /// Rank-health watchdog tuning: wait deadlines, retry/backoff
-    /// policy, and hang-declaration ladder (see [`HealthConfig`]).
+    /// Rank-health watchdog tuning: wait deadlines, extension caps,
+    /// and hang-declaration ladder (see [`HealthConfig`]).
     pub health: HealthConfig,
 }
 
@@ -71,7 +71,7 @@ where
                 .stack_size(STACK_SIZE);
             let handle = builder
                 .spawn_scoped(scope, move || {
-                    let mailbox = Mailbox::new(rx, Arc::clone(&poison), p);
+                    let mailbox = Mailbox::new(rx, Arc::clone(&poison));
                     let comm = Comm::new(
                         rank,
                         p,
@@ -432,55 +432,6 @@ mod tests {
     }
 
     #[test]
-    fn transient_faults_are_survived_with_identical_results() {
-        use crate::fault::FaultPlan;
-        let plan = Arc::new(
-            FaultPlan::parse(
-                "seed=3;drop:prob=0.1;duplicate:prob=0.1;truncate:prob=0.05;delay:prob=0.02",
-            )
-            .unwrap(),
-        );
-        let p = 4;
-        let work = |c: &Comm| {
-            let bufs: Vec<Vec<u64>> = (0..p)
-                .map(|d| vec![(c.rank() * 100 + d) as u64; 3])
-                .collect();
-            let got = c.all_to_all_v(bufs);
-            let sum: u64 = got.iter().flatten().sum();
-            c.send((c.rank() + 1) % p, 11, vec![sum]);
-            let prev = c.recv::<u64>((c.rank() + p - 1) % p, 11)[0];
-            c.all_reduce(sum + prev, crate::reduce::ReduceOp::Sum)
-        };
-        let clean = run(p, work);
-        let faulty_cfg = RunConfig {
-            fault: Some(Arc::clone(&plan)),
-            ..Default::default()
-        };
-        let faulty = run_with(p, faulty_cfg.clone(), work);
-        assert_eq!(clean, faulty, "faults must be invisible to callers");
-
-        // Same plan, same seed ⇒ the same injected faults, down to the
-        // per-rank counters.
-        let counters = |cfg: RunConfig| {
-            run_with(p, cfg, |c| {
-                work(c);
-                c.stats().snapshot()
-            })
-        };
-        let a = counters(faulty_cfg.clone());
-        let b = counters(faulty_cfg);
-        assert_eq!(a, b, "fault injection must be deterministic");
-        let hits: u64 = a
-            .iter()
-            .map(|s| s.fault_drops + s.fault_duplicates + s.fault_truncations + s.fault_delays)
-            .sum();
-        assert!(hits > 0, "the plan should have injected something");
-        let retries: u64 = a.iter().map(|s| s.fault_retries).sum();
-        let lossy: u64 = a.iter().map(|s| s.fault_drops + s.fault_truncations).sum();
-        assert_eq!(retries, lossy, "every drop/truncation is retried once");
-    }
-
-    #[test]
     fn injected_crash_propagates_typed_payload() {
         use crate::fault::{FaultPlan, RankCrashed};
         let plan = Arc::new(FaultPlan::parse("crash:rank=1,phase=0,op=2").unwrap());
@@ -607,61 +558,6 @@ mod tests {
         assert!(
             stragglers > 0,
             "the peer's watchdog should have recorded straggler extensions"
-        );
-    }
-
-    #[test]
-    fn corrupt_payload_and_flaky_burst_are_survived() {
-        use crate::fault::FaultPlan;
-        let plan = Arc::new(
-            FaultPlan::parse("seed=12;corrupt-payload:prob=0.15;flaky-burst:prob=0.1,len=2")
-                .unwrap(),
-        );
-        let p = 4;
-        let work = |c: &Comm| {
-            let bufs: Vec<Vec<u64>> = (0..p)
-                .map(|d| vec![(c.rank() * 10 + d) as u64; 4])
-                .collect();
-            let got = c.all_to_all_v(bufs);
-            c.all_reduce(got.iter().flatten().sum::<u64>(), ReduceOp::Sum)
-        };
-        let clean = run(p, work);
-        let faulty = run_with(
-            p,
-            RunConfig {
-                fault: Some(Arc::clone(&plan)),
-                ..Default::default()
-            },
-            |c| {
-                let out = work(c);
-                (out, c.stats().snapshot())
-            },
-        );
-        for (rank, (out, _)) in faulty.iter().enumerate() {
-            assert_eq!(*out, clean[rank], "faults must be invisible to callers");
-        }
-        let corruptions: u64 = faulty.iter().map(|(_, s)| s.fault_corruptions).sum();
-        let rejects: u64 = faulty.iter().map(|(_, s)| s.checksum_rejects).sum();
-        let bursts: u64 = faulty.iter().map(|(_, s)| s.fault_bursts).sum();
-        let retries: u64 = faulty.iter().map(|(_, s)| s.fault_retries).sum();
-        assert!(corruptions > 0, "the corrupt-payload rule should fire");
-        assert_eq!(
-            corruptions, rejects,
-            "every injected corruption is caught by the receiver checksum"
-        );
-        assert!(bursts > 0, "the flaky-burst rule should fire");
-        assert_eq!(
-            retries,
-            corruptions + bursts,
-            "every corruption/burst drop is retried"
-        );
-        let step_retries: u64 = faulty
-            .iter()
-            .map(|(_, s)| s.step_retries.iter().sum::<u64>())
-            .sum();
-        assert_eq!(
-            step_retries, retries,
-            "retries reconcile with the per-step histogram"
         );
     }
 

@@ -69,28 +69,6 @@ impl CommStats {
             t.step_bytes[step] += bytes;
         });
     }
-
-    pub(crate) fn record_fault(&self, kind: crate::fault::FaultKind) {
-        use crate::fault::FaultKind;
-        self.count(|t, _| {
-            *match kind {
-                FaultKind::Drop => &mut t.fault_drops,
-                FaultKind::Delay => &mut t.fault_delays,
-                FaultKind::Duplicate => &mut t.fault_duplicates,
-                FaultKind::Truncate => &mut t.fault_truncations,
-                FaultKind::Stall => &mut t.fault_stalls,
-                FaultKind::FlakyBurst => &mut t.fault_bursts,
-                FaultKind::CorruptPayload => &mut t.fault_corruptions,
-            } += 1;
-        });
-    }
-
-    pub(crate) fn record_retry(&self) {
-        self.count(|t, step| {
-            t.fault_retries += 1;
-            t.step_retries[step] += 1;
-        });
-    }
 }
 
 #[cfg(test)]

@@ -41,7 +41,8 @@ fn is_comm_step_span(ev: &TraceEvent) -> bool {
 /// `transfer`, the remainder), `rebuild` spans minus their nested comm
 /// are graph reconstruction, and `compute` is the residual. The four
 /// buckets sum to the window by construction (up to clamping when a
-/// nested span leaks past its parent's edge).
+/// nested span leaks past its parent's edge). `end_ns` is the latest
+/// phase span's end, which `lens crit` lines up across ranks.
 fn build_phase_profile(trace: &TraceData) -> Vec<PhaseProfileRow> {
     let mut rows: std::collections::BTreeMap<(usize, u64), PhaseProfileRow> =
         std::collections::BTreeMap::new();
@@ -91,6 +92,7 @@ fn build_phase_profile(trace: &TraceData) -> Vec<PhaseProfileRow> {
                 ..Default::default()
             });
             row.total_ns += dur_ns;
+            row.end_ns = row.end_ns.max(end);
             row.wait_ns += wait.min(comm_wall);
             row.transfer_ns += comm_wall.saturating_sub(wait);
             row.rebuild_ns += rebuild_ns;

@@ -4,22 +4,26 @@
 //! A traced run carries `phase_profile` in its [`RunReport`]:
 //! per-(rank, phase) wall attribution derived from the span tree
 //! (compute / transfer / wait / rebuild, summing to the phase-span wall
-//! by construction).
+//! by construction) and the time each cell's phase span ended, on the
+//! trace's one clock.
 //!
-//! From it we reconstruct the happens-before DAG. Nodes are (rank,
-//! phase) cells; within a rank, phase `k` happens-before phase `k+1`;
-//! across ranks, the end-of-phase reduction is an all-to-all barrier,
-//! so every rank's phase `k` happens-before every rank's phase `k+1`.
-//! The longest path through that DAG is computed by dynamic
-//! programming: because each frontier is all-to-all, `longest(k) =
-//! longest(k-1) + max_rank(total_ns[k])`, and backtracking the
-//! per-phase argmax yields the slowest-rank chain.
+//! The end-of-phase reduction is an all-to-all barrier, so phase `k` is
+//! over only when its last rank leaves it. Each phase's extent on the
+//! critical path is therefore the latest phase-`k` end over ranks minus
+//! the latest phase-`(k−1)` end (the first phase starts at its earliest
+//! start). The extents telescope to the span from the first phase's
+//! start to the last phase's end, so the path can never exceed the wall.
+//! Summing each phase's slowest *duration* instead would count a rank's
+//! exit skew at a phase's last collective twice: once in its own phase
+//! `k`, and again in the peer's phase `k+1`, which opens with the wait
+//! for it.
 //!
 //! On top of the path we report:
 //!
-//! - per-phase wall attribution along the critical path and its
-//!   aggregate compute/transfer/wait/rebuild fractions (they sum to 1
-//!   because each cell's buckets sum to its total), and
+//! - the slowest rank of each phase (the longest phase span) and its
+//!   compute/transfer/wait/rebuild split, scaled to the phase's extent,
+//!   and the split's aggregate fractions along the path (they sum to 1
+//!   because each scaled split sums to its extent), and
 //! - straggler blame: the rank spending the most *self* time (compute +
 //!   transfer + rebuild, excluding blocked wait — wait is victim time: a
 //!   rank stalled behind a straggler must not inherit the blame).
@@ -32,13 +36,19 @@ use std::fmt::Write as _;
 
 use louvain_obs::{PhaseProfileRow, RunArtifact, RunReport};
 
-/// One step of the slowest-rank chain: the cell that carried phase
-/// `phase` on the critical path.
+/// One step of the slowest-rank chain: phase `phase`'s extent on the
+/// critical path and the cell of its slowest rank.
 #[derive(Debug, Clone, Copy)]
 pub struct ChainStep {
     pub phase: u64,
     pub rank: usize,
     pub cell: PhaseProfileRow,
+    /// Latest end of this phase over ranks minus the latest end of the
+    /// previous one (the earliest start, for the first phase).
+    pub extent_ns: u64,
+    /// `cell`'s (compute, transfer, wait, rebuild), scaled to sum to
+    /// `extent_ns`.
+    pub split_ns: [u64; 4],
 }
 
 /// Crit analysis of one traced run.
@@ -48,7 +58,7 @@ pub struct RunCrit {
     pub ranks: usize,
     /// Slowest-rank chain, one entry per phase in phase order.
     pub chain: Vec<ChainStep>,
-    /// Critical-path length: sum of the chain cells' totals.
+    /// Critical-path length: sum of the chain's phase extents.
     pub critical_path_ns: u64,
     /// Whole-run wall from the report, for the path/wall ratio.
     pub wall_ns: u64,
@@ -66,7 +76,7 @@ pub struct RunCrit {
 impl RunCrit {
     /// (compute, transfer, wait, rebuild) as fractions of the critical
     /// path. Sums to 1 whenever the path is non-empty, because each
-    /// cell's four buckets sum to its total by construction.
+    /// step's scaled split sums to its extent.
     pub fn path_fractions(&self) -> [f64; 4] {
         let t = self.critical_path_ns;
         if t == 0 {
@@ -128,16 +138,13 @@ impl CritReport {
             );
             let _ = writeln!(out, "  slowest-rank chain:");
             for s in &r.chain {
+                let [c, t, w, b] = s.split_ns.map(|v| v as f64 / 1e6);
                 let _ = writeln!(
                     out,
-                    "    phase {:>2}: rank {:>2}  total {:>10.3}ms  compute {:.3} transfer {:.3} wait {:.3} rebuild {:.3}",
+                    "    phase {:>2}: rank {:>2}  extent {:>10.3}ms  compute {c:.3} transfer {t:.3} wait {w:.3} rebuild {b:.3}",
                     s.phase,
                     s.rank,
-                    s.cell.total_ns as f64 / 1e6,
-                    s.cell.compute_ns as f64 / 1e6,
-                    s.cell.transfer_ns as f64 / 1e6,
-                    s.cell.wait_ns as f64 / 1e6,
-                    s.cell.rebuild_ns as f64 / 1e6,
+                    s.extent_ns as f64 / 1e6,
                 );
             }
             let _ = writeln!(
@@ -151,40 +158,75 @@ impl CritReport {
     }
 }
 
-/// Longest path through the barrier-coupled phase DAG: pick the slowest
-/// rank per phase, in phase order.
+/// `cell`'s four buckets scaled to sum to exactly `extent` (the
+/// rounding remainder lands on compute). Scaled by the buckets' own sum:
+/// when a nested span leaks past the phase span, clamping leaves
+/// `total_ns` below it.
+fn scale_split(cell: &PhaseProfileRow, extent: u64) -> [u64; 4] {
+    let buckets = [
+        cell.compute_ns,
+        cell.transfer_ns,
+        cell.wait_ns,
+        cell.rebuild_ns,
+    ];
+    let sum: u128 = buckets.iter().map(|&v| v as u128).sum();
+    if sum == 0 {
+        return [extent, 0, 0, 0];
+    }
+    let mut split = buckets.map(|v| (v as u128 * extent as u128 / sum) as u64);
+    split[0] += extent - split.iter().sum::<u64>();
+    split
+}
+
+/// The critical path through the barrier-coupled phases, in phase
+/// order: each phase's extent between the latest ends of it and of its
+/// predecessor, attributed to its slowest rank.
 fn slowest_chain(rows: &[PhaseProfileRow]) -> Vec<ChainStep> {
-    let mut by_phase: BTreeMap<u64, ChainStep> = BTreeMap::new();
+    // phase -> (slowest cell, latest end, earliest start)
+    let mut by_phase: BTreeMap<u64, (PhaseProfileRow, u64, u64)> = BTreeMap::new();
     for row in rows {
-        let step = ChainStep {
-            phase: row.phase,
-            rank: row.rank,
-            cell: *row,
-        };
+        let start = row.end_ns.saturating_sub(row.total_ns);
         by_phase
             .entry(row.phase)
-            .and_modify(|cur| {
+            .and_modify(|(slow, end, first)| {
                 // Ties break toward the lower rank for determinism.
-                if row.total_ns > cur.cell.total_ns
-                    || (row.total_ns == cur.cell.total_ns && row.rank < cur.rank)
+                if row.total_ns > slow.total_ns
+                    || (row.total_ns == slow.total_ns && row.rank < slow.rank)
                 {
-                    *cur = step;
+                    *slow = *row;
                 }
+                *end = (*end).max(row.end_ns);
+                *first = (*first).min(start);
             })
-            .or_insert(step);
+            .or_insert((*row, row.end_ns, start));
     }
-    by_phase.into_values().collect()
+    let mut prev_end: Option<u64> = None;
+    by_phase
+        .into_values()
+        .map(|(cell, end, first)| {
+            let from = prev_end.unwrap_or(first);
+            let end = end.max(from);
+            prev_end = Some(end);
+            let extent_ns = end - from;
+            ChainStep {
+                phase: cell.phase,
+                rank: cell.rank,
+                cell,
+                extent_ns,
+                split_ns: scale_split(&cell, extent_ns),
+            }
+        })
+        .collect()
 }
 
 fn analyze_run(label: &str, report: &RunReport) -> RunCrit {
     let chain = slowest_chain(&report.phase_profile);
-    let critical_path_ns: u64 = chain.iter().map(|s| s.cell.total_ns).sum();
+    let critical_path_ns: u64 = chain.iter().map(|s| s.extent_ns).sum();
     let mut path_breakdown_ns = [0u64; 4];
     for s in &chain {
-        path_breakdown_ns[0] += s.cell.compute_ns;
-        path_breakdown_ns[1] += s.cell.transfer_ns;
-        path_breakdown_ns[2] += s.cell.wait_ns;
-        path_breakdown_ns[3] += s.cell.rebuild_ns;
+        for (sum, v) in path_breakdown_ns.iter_mut().zip(s.split_ns) {
+            *sum += v;
+        }
     }
     // Straggler blame goes by *self* time across every cell, not chain
     // membership: a rank blocked waiting on the straggler can carry the
@@ -251,7 +293,9 @@ mod tests {
     use super::*;
     use louvain_obs::RunEntry;
 
-    fn cell(rank: usize, phase: u64, c: u64, t: u64, w: u64, b: u64) -> PhaseProfileRow {
+    /// A cell whose phase span ended at `end` (its buckets: compute,
+    /// transfer, wait, rebuild).
+    fn cell(rank: usize, phase: u64, [c, t, w, b]: [u64; 4], end: u64) -> PhaseProfileRow {
         PhaseProfileRow {
             rank,
             phase,
@@ -260,15 +304,17 @@ mod tests {
             wait_ns: w,
             rebuild_ns: b,
             total_ns: c + t + w + b,
+            end_ns: end,
         }
     }
 
+    /// Two ranks leaving each phase together (no exit skew).
     fn traced_entry(label: &str) -> RunEntry {
         let phase_profile = vec![
-            cell(0, 0, 700, 100, 50, 150),
-            cell(1, 0, 900, 100, 200, 100), // slowest in phase 0
-            cell(0, 1, 400, 50, 25, 25),    // slowest in phase 1
-            cell(1, 1, 300, 50, 25, 25),
+            cell(0, 0, [700, 100, 50, 150], 1_300),
+            cell(1, 0, [900, 100, 200, 100], 1_300), // slowest in phase 0
+            cell(0, 1, [400, 50, 25, 25], 1_800),    // slowest in phase 1
+            cell(1, 1, [300, 50, 25, 25], 1_800),
         ];
         RunEntry {
             label: label.into(),
@@ -296,7 +342,8 @@ mod tests {
     fn critical_path_sums_slowest_rank_per_phase() {
         let report = crit(&traced_artifact()).unwrap();
         let r = &report.runs[0];
-        // phase 0: rank 1 (1300ns) + phase 1: rank 0 (500ns)
+        // Without exit skew each extent is the slowest rank's span:
+        // phase 0: rank 1 (1300ns) + phase 1: rank 0 (500ns).
         assert_eq!(r.critical_path_ns, 1_300 + 500);
         assert_eq!(r.chain.len(), 2);
         assert_eq!(r.chain[0].rank, 1);
@@ -307,6 +354,43 @@ mod tests {
         }
         // Critical path cannot exceed wall (2.0e-6 s = 2000ns > 1800ns).
         assert!(r.critical_path_ns <= r.wall_ns);
+    }
+
+    /// Exit skew at a phase's last collective: rank 1 is descheduled
+    /// there and leaves phase 0 300 ns after rank 0, whose phase 1 then
+    /// opens with 300 ns of waiting for it. Summing each phase's slowest
+    /// total counts those 300 ns twice (1300 + 1000 ns against a 2100 ns
+    /// wall); the phase extents count them once.
+    #[test]
+    fn exit_skew_is_counted_once() {
+        let mut a = traced_artifact();
+        a.runs[0].report.wall_seconds = 2.1e-6;
+        a.runs[0].report.phase_profile = vec![
+            cell(0, 0, [900, 50, 50, 0], 1_000),
+            cell(1, 0, [1_000, 50, 250, 0], 1_300),
+            cell(0, 1, [600, 50, 350, 0], 2_000),
+            cell(1, 1, [600, 50, 50, 0], 2_000),
+        ];
+        let r = &crit(&a).unwrap().runs[0];
+        assert_eq!(r.critical_path_ns, 2_000, "1300 + 700, not 1300 + 1000");
+        assert!(r.critical_path_ns <= r.wall_ns, "path exceeds wall");
+        // Both ranks spent 2000 ns in phases; the path bounds each.
+        for rank in 0..2 {
+            let own: u64 = a.runs[0]
+                .report
+                .phase_profile
+                .iter()
+                .filter(|row| row.rank == rank)
+                .map(|row| row.total_ns)
+                .sum();
+            assert!(r.critical_path_ns >= own, "rank {rank}: {own}");
+        }
+        let extents: Vec<_> = r.chain.iter().map(|s| (s.rank, s.extent_ns)).collect();
+        assert_eq!(extents, vec![(1, 1_300), (0, 700)]);
+        // Phase 1's slowest rank is rank 0; its 600/50/350/0 split is
+        // scaled from its 1000 ns span to the 700 ns extent.
+        assert_eq!(r.chain[1].split_ns, [420, 35, 245, 0]);
+        assert_eq!(r.path_breakdown_ns.iter().sum::<u64>(), r.critical_path_ns);
     }
 
     #[test]
@@ -337,10 +421,10 @@ mod tests {
         // time is where the stall actually lives.
         let mut a = traced_artifact();
         a.runs[0].report.phase_profile = vec![
-            cell(0, 0, 100, 50, 9_000, 0),
-            cell(1, 0, 200, 5_000, 100, 0),
-            cell(0, 1, 50, 25, 4_000, 0),
-            cell(1, 1, 100, 2_000, 50, 0),
+            cell(0, 0, [100, 50, 9_000, 0], 9_150),
+            cell(1, 0, [200, 5_000, 100, 0], 9_150),
+            cell(0, 1, [50, 25, 4_000, 0], 13_225),
+            cell(1, 1, [100, 2_000, 50, 0], 13_225),
         ];
         let report = crit(&a).unwrap();
         let r = &report.runs[0];

@@ -166,14 +166,11 @@ pub fn show(artifact: &RunArtifact) -> String {
                     .unwrap_or_else(|| "-".into()),
             );
         }
-        // Did the watchdog or the fault protocol do anything at all?
+        // Did the watchdog or an injected fault do anything at all?
         let t = &r.traffic;
         let hung = r.health.hung_events.len() as u64;
         let events = [
             t.fault_stalls,
-            t.fault_bursts,
-            t.fault_corruptions,
-            t.checksum_rejects,
             t.wd_timeouts,
             t.wd_retries,
             t.wd_stragglers,
@@ -182,8 +179,8 @@ pub fn show(artifact: &RunArtifact) -> String {
         if events.iter().any(|&n| n > 0) {
             let _ = writeln!(
                 out,
-                "  health: wd_timeouts={} wd_stragglers={} checksum_rejects={} hung_events={hung}",
-                t.wd_timeouts, t.wd_stragglers, t.checksum_rejects,
+                "  health: fault_stalls={} wd_timeouts={} wd_retries={} wd_stragglers={} hung_events={hung}",
+                t.fault_stalls, t.wd_timeouts, t.wd_retries, t.wd_stragglers,
             );
         }
         if let Some(mem) = memory_line(r) {

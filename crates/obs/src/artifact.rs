@@ -222,13 +222,13 @@ mod tests {
             &a.to_json().to_string_compact(),
             RunArtifact::from_json_str,
         );
-        // The report inside is held to its one version too: a v2 report
-        // (with `messages` and the modeled straggler) is refused.
-        let v2 = doc
+        // The report inside is held to its one version too: a v3 report
+        // (with the message-fault counters) is refused.
+        let v3 = doc
             .to_string_compact()
-            .replace("\"run_report_version\":3", "\"run_report_version\":2");
-        let err = RunArtifact::from_json_str(&v2).unwrap_err();
-        assert!(err.contains("run_report_version 2"), "{err}");
+            .replace("\"run_report_version\":4", "\"run_report_version\":3");
+        let err = RunArtifact::from_json_str(&v3).unwrap_err();
+        assert!(err.contains("run_report_version 3"), "{err}");
     }
 
     #[test]

@@ -21,7 +21,7 @@ use crate::metrics::{GaugeStat, Histogram, MetricsSnapshot};
 use crate::stats::{CommStep, StatsSnapshot};
 
 /// Report schema version (bump on breaking field changes).
-pub const RUN_REPORT_VERSION: u32 = 3;
+pub const RUN_REPORT_VERSION: u32 = 4;
 
 /// What is known of one rank besides its counters (those are
 /// `RunReport::per_rank_traffic[rank]`).
@@ -47,6 +47,10 @@ pub struct PhaseProfileRow {
     /// Wall duration of the phase span; the four categories above sum
     /// to exactly this value by construction.
     pub total_ns: u64,
+    /// When the cell's (latest) phase span ended, in nanoseconds since
+    /// the trace epoch — one clock for every rank, so `lens crit` can
+    /// place the phase boundaries of different ranks on one line.
+    pub end_ns: u64,
 }
 
 /// Modeled-seconds breakdown in the paper's Section V-A categories.
@@ -379,6 +383,7 @@ impl RunReport {
                         ("wait_ns", Json::uint(p.wait_ns)),
                         ("rebuild_ns", Json::uint(p.rebuild_ns)),
                         ("total_ns", Json::uint(p.total_ns)),
+                        ("end_ns", Json::uint(p.end_ns)),
                     ])
                 }),
             ),
@@ -468,6 +473,7 @@ impl RunReport {
                     wait_ns: p.field_u64("wait_ns")?,
                     rebuild_ns: p.field_u64("rebuild_ns")?,
                     total_ns: p.field_u64("total_ns")?,
+                    end_ns: p.field_u64("end_ns")?,
                 })
             })?,
         })
@@ -559,6 +565,7 @@ pub(crate) mod tests {
                 wait_ns: 80,
                 rebuild_ns: 20,
                 total_ns: 1_000,
+                end_ns: 1_250,
             }],
         }
     }
@@ -761,9 +768,10 @@ pub(crate) mod tests {
     #[test]
     fn from_json_rejects_missing_fields_and_bad_versions() {
         assert!(RunReport::from_json_str("{}").is_err());
-        // One version: the shapes that called themselves 1 and 2 (the
-        // latter with `messages` and the modeled straggler) are not read.
-        for old in [1, 2] {
+        // One version: the shapes that called themselves 1, 2 (with
+        // `messages` and the modeled straggler) and 3 (with the
+        // message-fault counters, and no phase end times) are not read.
+        for old in [1, 2, 3] {
             let mut doc = sample().to_json();
             if let Json::Obj(members) = &mut doc {
                 assert_eq!(members[0].0, "run_report_version");

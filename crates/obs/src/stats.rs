@@ -109,36 +109,24 @@ counter_table! {
         p2p_bytes,
         collective_calls,
         collective_bytes,
-        /// Injected-fault events on this sender (zero in clean runs).
-        fault_drops,
-        fault_delays,
-        fault_duplicates,
-        fault_truncations,
-        /// Retransmissions performed to survive drops/truncations.
-        fault_retries,
-        /// Injected stalls (straggler simulation) served by this rank.
+        /// Injected stalls (straggler simulation) served by this rank
+        /// (zero in clean runs).
         fault_stalls,
-        /// Flaky-burst drops (consecutive-failure windows) on this sender.
-        fault_bursts,
-        /// Payload corruptions injected on this sender.
-        fault_corruptions,
-        /// Envelopes this rank rejected at intake on a checksum mismatch.
-        checksum_rejects,
-        /// Watchdog ladder events on this rank's blocked waits.
+        /// Watchdog ladder events on this rank's blocked waits: expired
+        /// deadline windows, extensions granted to a silent rank, and
+        /// extensions granted to a heartbeating straggler.
         wd_timeouts,
         wd_retries,
         wd_stragglers,
-        /// Total time this rank slept in retry/watchdog backoff.
-        backoff_nanos,
     }
     per_step {
         /// Messages/calls per step, indexed by `CommStep::index()`.
         step_messages,
         /// Bytes per step.
         step_bytes,
-        /// Retries (retransmissions + watchdog deadline extensions) per
-        /// step, charged when the retry happens so a panic mid-step
-        /// cannot lose them (the contract of `Comm::with_step`).
+        /// Watchdog extensions granted to a silent rank, per step,
+        /// charged when the extension happens so a panic mid-step cannot
+        /// lose them (the contract of `Comm::with_step`).
         step_retries,
         /// Idle wall nanoseconds blocked in receives and collective
         /// fill-waits per step. Excluded from equality.

@@ -39,8 +39,11 @@ const MAGIC: u64 = u64::from_le_bytes(*b"LVRSCKPT");
 /// attribution stays cumulative across a crash/restart. Version 4 stores
 /// the stats block as one counted run of words in the counter table's
 /// order ([`StatsSnapshot::words`]) and drops the α-β seconds, which are
-/// evaluated from the counters at report time.
-pub const CHECKPOINT_VERSION: u32 = 4;
+/// evaluated from the counters at report time. Version 5 carries the
+/// shorter table left once message faults stopped being modelled: eight
+/// scalars (no drop / delay / duplicate / truncate / burst / corruption
+/// / retransmission counts, checksum rejects or backoff time).
+pub const CHECKPOINT_VERSION: u32 = 5;
 
 /// Everything one rank needs to rejoin the phase loop at a phase
 /// boundary. `phase` is the next phase to execute; the ET probabilities
@@ -368,8 +371,9 @@ mod tests {
 
     #[test]
     fn other_versions_are_refused_by_name() {
-        // 3 is the previous format (its stats block carried the α-β
-        // seconds); 99 is one this build has never heard of.
+        // 4 is the previous format (its stats block carried the
+        // message-fault counters); 99 is one this build has never heard
+        // of.
         for version in [CHECKPOINT_VERSION - 1, 99] {
             let mut bytes = encode(&sample());
             bytes[8..12].copy_from_slice(&version.to_le_bytes());

@@ -121,6 +121,15 @@ cmp target/colored_t1.txt target/auto_t2.txt
 gone=--report-"out"
 must_refuse "unknown option $gone" \
   ./target/release/louvain run target/verify_lfr.graph "$gone" target/gone.json
+# Message faults are not modelled (MPI delivers reliably and in order):
+# each kind is refused by name, and the backoff knob went with them.
+must_refuse 'fault kind "drop"' \
+  ./target/release/louvain run target/verify_lfr.graph --fault-plan 'drop:prob=0.1'
+must_refuse 'fault kind "corrupt-payload"' \
+  ./target/release/louvain run target/verify_lfr.graph --fault-plan 'corrupt-payload:prob=0.1'
+gone=--backoff-"base-ms"
+must_refuse "unknown option $gone" \
+  ./target/release/louvain run target/verify_lfr.graph "$gone" 1
 # -c, not -q: grep must drain the pipe or fig3 dies writing to it.
 LOUVAIN_SCALE=quick ./target/release/fig3 channel 2>/dev/null | grep -cw modeled
 

@@ -16,7 +16,7 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 use distributed_louvain::cli::Args;
-use distributed_louvain::comm::{BackoffPolicy, FaultPlan, HealthConfig, RunConfig};
+use distributed_louvain::comm::{FaultPlan, HealthConfig, RunConfig};
 use distributed_louvain::dist::{
     adjusted_rand_index, f_score, nmi, run_distributed_resilient_source, CheckpointOptions,
     DistConfig, GraphSource, ResilOptions, SweepMode, Variant,
@@ -97,7 +97,6 @@ USAGE:
               [--checkpoint-dir <DIR>] [--resume]
               [--fault-plan <SPEC>] [--max-recoveries <N>]
               [--comm-timeout-ms <MS>] [--max-retries <N>]
-              [--backoff-base-ms <MS>]
       V: baseline | cycling | et:<alpha> | etc:<alpha> | et+cycling:<alpha>
       Runs distributed Louvain on P simulated ranks, prints the summary,
       optionally writes the community assignment to <OUT>.
@@ -122,17 +121,17 @@ USAGE:
       --resume restarts from the newest complete checkpoint in that
       directory. A run killed mid-flight and resumed produces
       bit-identical results to an uninterrupted run.
-      --fault-plan injects deterministic comm faults, e.g.
-      `seed=7;drop:prob=0.05;crash:rank=1,phase=2,op=0`
-      (kinds: drop | delay | duplicate | truncate | corrupt-payload |
-      flaky-burst[,len=K] | stall[,ms=MS] | hang | crash; hang/crash
-      need rank=, optional phase=/op=). Crashes and watchdog-declared
+      --fault-plan injects deterministic rank faults, e.g.
+      `seed=7;stall:rank=0,ms=80,prob=0.05;crash:rank=1,phase=2,op=0`
+      (kinds: stall[,ms=MS] | hang | crash; hang/crash need rank=,
+      optional phase=/op=). Message faults (drop, delay, duplicate,
+      truncate, flaky-burst, corrupt-payload) are refused: MPI delivers
+      every message reliably and in order. Crashes and watchdog-declared
       hangs are absorbed by restarting from the newest checkpoint, up
       to --max-recoveries times (default 8).
       --comm-timeout-ms sets the watchdog deadline per blocked wait
-      (default 30000); after --max-retries deadline extensions (default
-      3, exponential backoff from --backoff-base-ms, default 0.05) the
-      silent rank is declared hung.
+      (default 30000); a rank whose heartbeat stays silent through
+      --max-retries more deadlines (default 3) is declared hung.
 
   louvain quality --truth <FILE> --detected <FILE>
       Precision/recall/F-score (methodology of the paper's §V-D), NMI and
@@ -498,7 +497,6 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
         "--max-recoveries",
         "--comm-timeout-ms",
         "--max-retries",
-        "--backoff-base-ms",
     ];
     let bools = ["--ranged", "--resume"];
     let opts = Args::scan(args, &values, &bools)?;
@@ -533,18 +531,9 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
         if timeout_ms == 0 {
             return Err("--comm-timeout-ms must be positive".into());
         }
-        let backoff_ms: f64 =
-            (opts.parse("--backoff-base-ms")?).unwrap_or(defaults.backoff.base.as_secs_f64() * 1e3);
-        if !backoff_ms.is_finite() || backoff_ms < 0.0 {
-            return Err("--backoff-base-ms must be a non-negative number".into());
-        }
         HealthConfig {
             deadline: std::time::Duration::from_millis(timeout_ms),
             max_retries: opts.parse("--max-retries")?.unwrap_or(defaults.max_retries),
-            backoff: BackoffPolicy {
-                base: std::time::Duration::from_secs_f64(backoff_ms * 1e-3),
-                ..defaults.backoff
-            },
             ..defaults
         }
     };
@@ -666,35 +655,13 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
         );
     }
     let t = &out.traffic;
-    if t.fault_drops
-        + t.fault_delays
-        + t.fault_duplicates
-        + t.fault_truncations
-        + t.fault_stalls
-        + t.fault_corruptions
-        + t.fault_bursts
-        > 0
-    {
-        println!(
-            "faults:        {} dropped, {} delayed, {} duplicated, {} truncated, {} stalled, {} corrupted, {} burst-dropped; {} retries",
-            t.fault_drops,
-            t.fault_delays,
-            t.fault_duplicates,
-            t.fault_truncations,
-            t.fault_stalls,
-            t.fault_corruptions,
-            t.fault_bursts,
-            t.fault_retries
-        );
+    if t.fault_stalls > 0 {
+        println!("faults:        {} stalled", t.fault_stalls);
     }
-    if t.wd_timeouts + t.wd_retries + t.wd_stragglers + t.checksum_rejects > 0 {
+    if t.wd_timeouts + t.wd_retries + t.wd_stragglers > 0 {
         println!(
-            "watchdog:      {} timeouts, {} retries, {} straggler extensions, {} checksum rejects, {:.3} ms backoff",
-            t.wd_timeouts,
-            t.wd_retries,
-            t.wd_stragglers,
-            t.checksum_rejects,
-            t.backoff_nanos as f64 * 1e-6
+            "watchdog:      {} timeouts, {} silent-rank extensions, {} straggler extensions",
+            t.wd_timeouts, t.wd_retries, t.wd_stragglers
         );
     }
 

@@ -657,9 +657,9 @@ fn resumed_run_counters_reconcile_with_uninterrupted_run() {
     assert_eq!(report.resumed_from_phase, Some(1));
     let t = &report.traffic;
     assert_eq!(
-        t.fault_drops + t.fault_delays + t.fault_duplicates + t.fault_truncations + t.fault_retries,
+        t.fault_stalls + t.wd_retries,
         0,
-        "a crash is not a transient fault"
+        "a crash is neither a stall nor a hang"
     );
     let back = obs::RunReport::from_json_str(&report.to_json_string()).unwrap();
     assert_eq!(back.recoveries, 1);

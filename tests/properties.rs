@@ -170,55 +170,11 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
-// Rank-health backoff policy (satellite of the watchdog subsystem)
+// Ingestion repair
 // ---------------------------------------------------------------------------
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
-
-    /// The backoff contract the watchdog ladder relies on, over random
-    /// policies: delays are monotone non-decreasing in the attempt
-    /// number, jitter stays within a quarter of the exponential term,
-    /// the cap is never exceeded, and a fixed seed reproduces the exact
-    /// sequence.
-    #[test]
-    fn backoff_is_monotone_jitter_bounded_capped_and_deterministic(
-        base_us in 1u64..500,
-        cap_mult in 1u32..64,
-        seed in 0u64..u64::MAX,
-        salt in 0u64..u64::MAX,
-    ) {
-        use distributed_louvain::comm::BackoffPolicy;
-        use std::time::Duration;
-        let base = Duration::from_micros(base_us);
-        let cap = base * cap_mult;
-        let policy = BackoffPolicy { base, cap, seed };
-        let twin = BackoffPolicy { base, cap, seed };
-        let mut prev = Duration::ZERO;
-        for attempt in 0..24u32 {
-            let d = policy.delay(attempt, salt);
-            prop_assert_eq!(d, twin.delay(attempt, salt), "same seed, same delay");
-            prop_assert!(d >= prev, "attempt {}: {:?} < previous {:?}", attempt, d, prev);
-            prop_assert!(d <= cap, "attempt {}: {:?} exceeds cap {:?}", attempt, d, cap);
-            // Pre-cap bounds: exp <= delay <= exp * 5/4 (jitter < exp/4).
-            let exp = (base.as_nanos()) << attempt.min(63);
-            let lo = exp.min(cap.as_nanos());
-            let hi = (exp + exp / 4).min(cap.as_nanos());
-            prop_assert!(
-                (lo..=hi).contains(&d.as_nanos()),
-                "attempt {}: {:?} outside [{}, {}] ns", attempt, d, lo, hi
-            );
-            prev = d;
-        }
-        // A different seed produces a different sequence somewhere
-        // (statistically; equal-everywhere would mean the seed is dead).
-        let other = BackoffPolicy { base, cap, seed: seed ^ 1 };
-        let differs = (0..24u32).any(|a| {
-            let x = policy.delay(a, salt);
-            x != other.delay(a, salt) || x == cap
-        });
-        prop_assert!(differs, "seed has no effect and cap never reached");
-    }
 
     /// Repairing an edge list is idempotent, conserves non-loop weight,
     /// and never invents edges.

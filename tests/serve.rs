@@ -417,6 +417,29 @@ fn poisoned_job_is_quarantined_and_daemon_survives() {
     srv.drain();
 }
 
+/// A transport fault is not a fault this system models: admission sheds
+/// the job as invalid, naming the kind, and nothing runs.
+#[test]
+fn transport_fault_plan_is_shed_as_invalid() {
+    let dir = work_dir("transport-fault");
+    let (path, _) = graph_file(&dir, 300, 23);
+    let srv = server(&dir, 1);
+    let err = srv
+        .submit(JobSpec {
+            fault_plan: Some("drop:prob=0.1".into()),
+            ..spec("lossy", &path, 2, DistConfig::baseline())
+        })
+        .unwrap_err();
+    let SubmitError::Invalid(msg) = err else {
+        panic!("expected Invalid, got {err:?}");
+    };
+    assert!(msg.contains("\"drop\""), "{msg}");
+    let snap = srv.metrics_snapshot();
+    assert_eq!(snap.counters.get("serve.jobs_accepted"), None);
+    assert_eq!(snap.counters.get("serve.cache_misses"), None);
+    srv.drain();
+}
+
 #[test]
 fn queued_job_cancels_deterministically_and_resubmits_clean() {
     let dir = work_dir("cancel");
