@@ -165,13 +165,13 @@ impl Comm {
         self.board.beat(self.rank);
     }
 
-    /// Put one message in `dst`'s mailbox, stamped with this rank's
-    /// heartbeat.
+    /// Put one message in `dst`'s mailbox, heartbeating this rank's
+    /// slot of the job's shared health board.
     fn deliver<T: Send + 'static>(&self, dst: usize, tag: Tag, data: Vec<T>) {
+        self.board.beat(self.rank);
         let env = Envelope {
             src: self.rank,
             tag,
-            beat: self.board.beat(self.rank),
             payload: Box::new(data),
         };
         self.senders[dst].send(env).expect("peer mailbox closed");

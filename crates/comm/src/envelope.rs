@@ -5,10 +5,8 @@
 //! of messages that arrived before anyone asked for them). Out-of-order
 //! arrival is expected — MPI matches on `(source, tag)` and so do we.
 //!
-//! Every envelope piggybacks the sender's latest heartbeat stamp, which
-//! the receiver folds into the [`crate::health::HealthBoard`]. Delivery
-//! is reliable and in order per sender, as under MPI, so the mailbox
-//! needs no sequence numbers, dedup or checksums.
+//! Delivery is reliable and in order per sender, as under MPI, so the
+//! mailbox needs no sequence numbers, dedup or checksums.
 //!
 //! Blocked receives run under the rank-health [`Watchdog`]: the
 //! configured deadline, deadline extensions, and finally a
@@ -27,9 +25,6 @@ use crate::health::{WaitCtx, Watchdog};
 pub(crate) struct Envelope {
     pub src: usize,
     pub tag: u32,
-    /// Sender's latest heartbeat stamp, piggybacked for the health
-    /// board.
-    pub beat: u64,
     pub payload: Box<dyn Any + Send>,
 }
 
@@ -79,7 +74,6 @@ impl Mailbox {
             dog.alive();
             match self.rx.recv_timeout(dog.tick()) {
                 Ok(env) => {
-                    ctx.board.observe(env.src, env.beat);
                     if env.src == src && env.tag == tag {
                         let waited = wait_start.elapsed().as_nanos() as u64;
                         ctx.stats.count(|t, step| t.step_wait_nanos[step] += waited);

@@ -12,8 +12,7 @@
 //!
 //! Heartbeats are cheap: every rank stamps a shared [`HealthBoard`]
 //! slot (one relaxed atomic store) at every communication operation and
-//! on every poll tick while blocked, and every envelope piggybacks the
-//! sender's latest stamp. A rank that is merely *slow*
+//! on every poll tick while blocked. A rank that is merely *slow*
 //! (stalled in compute, or waiting on a third rank) keeps beating and is
 //! recorded as a straggler — only a rank whose heartbeat goes stale past
 //! the deadline is declared hung.
@@ -76,8 +75,7 @@ impl HealthConfig {
 
 /// Shared per-rank heartbeat stamps (nanoseconds since job start, via
 /// one relaxed atomic per rank). Ranks stamp their own slot on every
-/// comm op and every blocked poll tick; envelope intake folds in the
-/// stamp piggybacked by the sender.
+/// comm op and every blocked poll tick.
 pub struct HealthBoard {
     origin: Instant,
     beats: Vec<AtomicU64>,
@@ -101,17 +99,9 @@ impl HealthBoard {
         (self.origin.elapsed().as_nanos() as u64).saturating_add(1)
     }
 
-    /// Stamp `rank`'s slot with "now"; returns the stamp for envelope
-    /// piggybacking.
-    pub fn beat(&self, rank: usize) -> u64 {
-        let t = self.now_nanos();
-        self.beats[rank].fetch_max(t, Ordering::Relaxed);
-        t
-    }
-
-    /// Fold in a stamp received on the wire (monotone max).
-    pub fn observe(&self, rank: usize, stamp: u64) {
-        self.beats[rank].fetch_max(stamp, Ordering::Relaxed);
+    /// Stamp `rank`'s slot with "now".
+    pub fn beat(&self, rank: usize) {
+        self.beats[rank].fetch_max(self.now_nanos(), Ordering::Relaxed);
     }
 
     /// Time since `rank` last heartbeat.
@@ -236,12 +226,6 @@ mod tests {
         b.beat(1);
         assert!(b.age(1) < Duration::from_millis(10));
         assert!(b.age(0) >= Duration::from_millis(20));
-        // Piggybacked stamps fold in monotonically.
-        let s = b.beat(0);
-        b.observe(1, s);
-        assert!(b.age(1) < Duration::from_millis(10));
-        b.observe(1, 1); // stale stamp: ignored by the max
-        assert!(b.age(1) < Duration::from_millis(10));
     }
 
     #[test]

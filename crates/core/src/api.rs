@@ -143,15 +143,12 @@ enum RankFeed<'a> {
 }
 
 impl<'a> RankFeed<'a> {
-    fn make(src: &GraphSource<'a>, p: usize, strategy: PartitionStrategy) -> Self {
+    /// The paper's input distribution: "each process receives roughly
+    /// the same number of edges" (edge-balanced 1D blocks).
+    fn make(src: &GraphSource<'a>, p: usize) -> Self {
         match *src {
             GraphSource::Memory(g) => {
-                let part = match strategy {
-                    PartitionStrategy::EdgeBalanced => VertexPartition::balanced_edges(g, p),
-                    PartitionStrategy::VertexBalanced => {
-                        VertexPartition::balanced_vertices(g.num_vertices() as u64, p)
-                    }
-                };
+                let part = VertexPartition::balanced_edges(g, p);
                 RankFeed::Slots(TakeSlots::new(LocalGraph::scatter(g, &part)))
             }
             GraphSource::SlabMapped(slab) => RankFeed::Mapped {
@@ -191,50 +188,11 @@ impl<'a> RankFeed<'a> {
     }
 }
 
-/// How the input is split across ranks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum PartitionStrategy {
-    /// The paper's scheme: "each process receives roughly the same number
-    /// of edges".
-    #[default]
-    EdgeBalanced,
-    /// Naive equal vertex counts (ablation comparator — skewed degree
-    /// distributions then put most of the work on a few ranks).
-    VertexBalanced,
-}
-
 /// Run distributed Louvain on `p` simulated ranks with the paper's input
 /// distribution (edge-balanced 1D).
 pub fn run_distributed(g: &Csr, p: usize, cfg: &DistConfig) -> DistOutcome {
-    run_distributed_partitioned(
-        g,
-        p,
-        cfg,
-        RunConfig::default(),
-        PartitionStrategy::EdgeBalanced,
-    )
-}
-
-/// [`run_distributed`] with an explicit runtime configuration (stack
-/// size, fault plan, watchdog) and input-distribution strategy (for the
-/// partitioning ablation). Panics if `runcfg` injects a rank failure:
-/// nothing is recovered without [`ResilOptions`].
-pub fn run_distributed_partitioned(
-    g: &Csr,
-    p: usize,
-    cfg: &DistConfig,
-    runcfg: RunConfig,
-    strategy: PartitionStrategy,
-) -> DistOutcome {
-    run_attempts(
-        GraphSource::Memory(g),
-        strategy,
-        p,
-        cfg,
-        runcfg,
-        &ResilOptions::none(),
-    )
-    .expect("an in-memory run without injected faults cannot fail")
+    run_distributed_source(GraphSource::Memory(g), p, cfg, RunConfig::default())
+        .expect("an in-memory run without injected faults cannot fail")
 }
 
 /// Run distributed Louvain from any [`GraphSource`] (resident CSR,
@@ -280,13 +238,12 @@ pub fn run_distributed_resilient_source(
     runcfg: RunConfig,
     resil: &ResilOptions,
 ) -> Result<DistOutcome, String> {
-    run_attempts(src, PartitionStrategy::EdgeBalanced, p, cfg, runcfg, resil)
+    run_attempts(src, p, cfg, runcfg, resil)
 }
 
 /// The attempt loop behind every entry point.
 fn run_attempts(
     src: GraphSource<'_>,
-    strategy: PartitionStrategy,
     p: usize,
     cfg: &DistConfig,
     runcfg: RunConfig,
@@ -320,7 +277,7 @@ fn run_attempts(
     let mut hung_events: Vec<RankHung> = Vec::new();
     loop {
         let recoveries = crash_recoveries as u64 + hung_events.len() as u64;
-        let feed = RankFeed::make(&src, p, strategy);
+        let feed = RankFeed::make(&src, p);
         let attempt_runcfg = RunConfig {
             // Each absorbed crash consumes one crash rule and each
             // absorbed hang one hang rule, so the next attempt gets

@@ -121,21 +121,11 @@ pub struct DistConfig {
     pub max_iterations: usize,
     /// Seed for deterministic ET coin flips.
     pub seed: u64,
-    /// Use MPI-3-style neighborhood collectives for the ghost refresh
-    /// instead of a full all-to-all (the paper's future-work item: the
-    /// per-message α cost then scales with the ghost topology degree, not
-    /// with p−1).
-    pub neighborhood_collectives: bool,
     /// With an ET variant: once a vertex is permanently inactive, its
     /// community is frozen, so owners announce it and peers stop
     /// refreshing that ghost (the paper's "communication that relates to
     /// inactive vertices can be prevented" refinement).
     pub prune_inactive_ghosts: bool,
-    /// Ablation switch: disable the Vite singleton-swap guard.
-    pub disable_singleton_guard: bool,
-    /// Ablation switch: sweep vertices in index order instead of the
-    /// seeded shuffled order.
-    pub index_order_sweep: bool,
     /// Intra-rank ("OpenMP") threads for the compute sweep — the paper is
     /// MPI+OpenMP and runs "either 2 or 4 threads per process". With more
     /// than one, the colored schedule decides each conflict-free batch's
@@ -179,10 +169,7 @@ impl DistConfig {
             max_phases: 40,
             max_iterations: 200,
             seed: 0xD157,
-            neighborhood_collectives: false,
             prune_inactive_ghosts: false,
-            disable_singleton_guard: false,
-            index_order_sweep: false,
             threads_per_rank: 1,
             vertex_following: false,
             delta_ghost_refresh: false,

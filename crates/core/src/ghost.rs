@@ -26,9 +26,11 @@
 //! Three refinements from the paper's discussion are implemented here:
 //!
 //! * **neighborhood transport** — the ghost topology is fixed for the
-//!   whole phase and symmetric, so the exchange can use an MPI-3-style
-//!   neighborhood collective whose per-message cost scales with the
-//!   topology degree instead of `p−1`;
+//!   whole phase and symmetric, so every refresh is an MPI-3-style
+//!   neighborhood collective over it, whose per-message cost scales with
+//!   the topology degree instead of `p−1` (the discovery exchange in
+//!   [`GhostLayer::build`], the owner pulls/pushes and pruning's
+//!   announcements still go over the full communicator);
 //! * **delta refresh** ([`GhostLayer::refresh_delta`]) — after the first
 //!   iterations most vertices stop moving, so owners push `(index, value)`
 //!   pairs only for vertices whose community changed since the last
@@ -120,11 +122,9 @@ pub struct GhostLayer {
     serve: Vec<Vec<usize>>,
     /// Mirror of the peer's `request_mask` for our serve entries.
     serve_mask: Vec<Vec<bool>>,
-    /// Ranks this rank actually exchanges ghosts with (symmetric).
+    /// Ranks this rank actually exchanges ghosts with (symmetric): the
+    /// topology every refresh is sent over.
     neighbors: Vec<usize>,
-    /// Refresh over `neighbors` only (MPI-3 style) instead of the full
-    /// communicator. All ranks must agree.
-    neighborhood: bool,
     /// `base[owner]` — slot offset of `requests[owner][0]` in the flat
     /// ghost value array (precomputed; refreshes fill from it).
     base: Vec<usize>,
@@ -232,7 +232,6 @@ impl GhostLayer {
             serve,
             serve_mask,
             neighbors,
-            neighborhood: false,
             base,
             num_ghosts: next,
             pruned: 0,
@@ -257,14 +256,6 @@ impl GhostLayer {
     /// Ranks this rank exchanges ghosts with (symmetric topology).
     pub fn neighbor_ranks(&self) -> &[usize] {
         &self.neighbors
-    }
-
-    /// Choose the refresh transport: the neighborhood topology (MPI-3
-    /// style, per-message cost scales with the topology degree) or the
-    /// full communicator (the default). Every rank must make the same
-    /// choice before its next refresh.
-    pub fn use_neighborhood(&mut self, on: bool) {
-        self.neighborhood = on;
     }
 
     /// Dense target of every arc, aligned with `lg.csr_parts().1`:
@@ -324,9 +315,9 @@ impl GhostLayer {
         self.has_ghost_arcs.get(l).copied().unwrap_or(false)
     }
 
-    /// One round over the layer's transport: `send(j)` fills a pooled
-    /// buffer for peer `j`, `fill(owner, entries)` consumes what `owner`
-    /// sent; the received buffers go back to `pool`.
+    /// One round over the neighbour topology: `send(j)` fills a pooled
+    /// buffer for neighbour `j`, `fill(owner, entries)` consumes what
+    /// `owner` sent; the received buffers go back to `pool`.
     fn round<T: Send + 'static>(
         &self,
         comm: &Comm,
@@ -334,24 +325,17 @@ impl GhostLayer {
         send: impl Fn(usize, &mut Vec<T>),
         mut fill: impl FnMut(usize, &[T]),
     ) {
-        // The i-th buffer goes to (and comes from) the i-th neighbor, or
-        // rank i on the full communicator.
-        let nbrs = self.neighborhood.then_some(&self.neighbors);
-        let npeers = nbrs.map_or(comm.size(), Vec::len);
-        let peer = |i: usize| nbrs.map_or(i, |n| n[i]);
-        let sends = (0..npeers)
-            .map(|i| {
+        // The i-th buffer goes to (and comes from) the i-th neighbour.
+        let sends = (self.neighbors.iter())
+            .map(|&j| {
                 let mut buf = pool.take();
-                send(peer(i), &mut buf);
+                send(j, &mut buf);
                 buf
             })
             .collect();
-        let received = match nbrs {
-            Some(n) => comm.neighbor_all_to_all_v(n, sends),
-            None => comm.all_to_all_v(sends),
-        };
-        for (i, entries) in received.iter().enumerate() {
-            fill(peer(i), entries);
+        let received = comm.neighbor_all_to_all_v(&self.neighbors, sends);
+        for (&owner, entries) in self.neighbors.iter().zip(&received) {
+            fill(owner, entries);
         }
         pool.put_back(received);
     }
@@ -854,33 +838,47 @@ mod tests {
         assert!(out.into_iter().all(|b| b));
     }
 
-    /// Messages this rank has sent so far.
-    fn sent(c: &Comm) -> u64 {
-        c.stats().snapshot().p2p_messages
-    }
-
     #[test]
-    fn neighborhood_transport_matches_full_with_fewer_messages() {
-        // A 16-ring on 4 ranks is a sparse topology: two neighbors each,
-        // three peers.
-        let g = ring(16);
-        let parts = scatter_for(4, &g);
-        let out = run(4, |c| {
+    fn refresh_messages_go_to_the_topology_only() {
+        // A 32-ring on 8 ranks: two topology neighbours each, seven peers.
+        let g = ring(32);
+        let parts = scatter_for(8, &g);
+        let out = run(8, |c| {
             let lg = parts[c.rank()].clone();
-            let mut layer = GhostLayer::build(c, &lg);
-            let local_vals: Vec<u64> = (0..lg.num_local()).map(|l| 7 * lg.to_global(l)).collect();
-            let m0 = sent(c);
-            let mut full = Vec::new();
-            layer.refresh(c, &local_vals, &mut full);
-            let m1 = sent(c);
-            layer.use_neighborhood(true);
-            let mut nbr = Vec::new();
-            layer.refresh(c, &local_vals, &mut nbr);
-            (full == nbr, m1 - m0, sent(c) - m1)
+            let layer = GhostLayer::build(c, &lg);
+            let sent = || {
+                let t = c.stats().snapshot();
+                t.step_messages_for(CommStep::GhostRefresh)
+            };
+            let vals = |k: u64| -> Vec<u64> {
+                (0..lg.num_local())
+                    .map(|l| k * 1000 + lg.to_global(l))
+                    .collect()
+            };
+            // Every slot holds its owner's value `k * 1000 + id`.
+            let owners = |k: u64, got: &[u64]| {
+                let want = layer.slot_ids().map(|u| k * 1000 + u);
+                want.eq(got.iter().copied())
+            };
+            let mut ghost_vals = Vec::new();
+            let m0 = sent();
+            c.with_step(CommStep::GhostRefresh, || {
+                layer.refresh(c, &vals(1), &mut ghost_vals)
+            });
+            let (m1, full_ok) = (sent(), owners(1, &ghost_vals));
+            let changed = vec![true; lg.num_local()];
+            c.with_step(CommStep::GhostRefresh, || {
+                layer.refresh_delta(c, &vals(2), &changed, &mut ghost_vals)
+            });
+            let delta_ok = owners(2, &ghost_vals);
+            let msgs = (m1 - m0, sent() - m1);
+            let degree = layer.neighbor_ranks().len() as u64;
+            (degree, msgs, full_ok && delta_ok)
         });
-        for (same, full_msgs, nbr_msgs) in out {
-            assert!(same);
-            assert_eq!((full_msgs, nbr_msgs), (3, 2));
+        for (rank, (degree, (full, delta), owners_values)) in out.into_iter().enumerate() {
+            assert_eq!(degree, 2, "rank {rank}");
+            assert_eq!((full, delta), (degree, degree), "rank {rank}");
+            assert!(owners_values, "rank {rank}");
         }
     }
 
@@ -921,35 +919,6 @@ mod tests {
             (full == delta, delta3 == delta)
         });
         assert!(out.into_iter().all(|(a, b)| a && b));
-    }
-
-    #[test]
-    fn delta_neighborhood_transport_matches_full_with_fewer_messages() {
-        let g = ring(16);
-        let parts = scatter_for(4, &g);
-        let out = run(4, |c| {
-            let lg = parts[c.rank()].clone();
-            let mut layer = GhostLayer::build(c, &lg);
-            let vals1: Vec<u64> = (0..lg.num_local()).map(|l| lg.to_global(l)).collect();
-            let mut baseline = Vec::new();
-            layer.refresh(c, &vals1, &mut baseline);
-            let vals2: Vec<u64> = (0..lg.num_local())
-                .map(|l| 3 * lg.to_global(l) + 1)
-                .collect();
-            let changed = vec![true; lg.num_local()];
-            let m0 = sent(c);
-            let mut via_full = baseline.clone();
-            layer.refresh_delta(c, &vals2, &changed, &mut via_full);
-            let m1 = sent(c);
-            layer.use_neighborhood(true);
-            let mut via_nbr = baseline.clone();
-            layer.refresh_delta(c, &vals2, &changed, &mut via_nbr);
-            (via_full == via_nbr, m1 - m0, sent(c) - m1)
-        });
-        for (same, full_msgs, nbr_msgs) in out {
-            assert!(same);
-            assert_eq!((full_msgs, nbr_msgs), (3, 2));
-        }
     }
 
     #[test]
@@ -1102,29 +1071,5 @@ mod tests {
         assert!(after1.contains(&203));
         // Rank 0 pruned nothing on its side.
         assert_eq!(out[0].2, 0);
-    }
-
-    #[test]
-    fn prune_then_neighborhood_refresh_stays_consistent() {
-        let g = ring(12);
-        let parts = scatter_for(3, &g);
-        let out = run(3, |c| {
-            let lg = parts[c.rank()].clone();
-            let mut layer = GhostLayer::build(c, &lg);
-            layer.use_neighborhood(true);
-            let mut ghost_vals = Vec::new();
-            let vals: Vec<u64> = (0..lg.num_local()).map(|l| lg.to_global(l)).collect();
-            layer.refresh(c, &vals, &mut ghost_vals);
-            // Everyone freezes their first local vertex.
-            let frozen = vec![0usize];
-            layer.prune(c, &lg, &frozen);
-            let vals2: Vec<u64> = (0..lg.num_local()).map(|l| 500 + lg.to_global(l)).collect();
-            layer.refresh(c, &vals2, &mut ghost_vals);
-            ghost_vals
-        });
-        // Rank 0 ghosts 11 (from rank 2) and 4 (from rank 1). Vertex 4 is
-        // rank 1's first local vertex → frozen at its old value 4.
-        assert!(out[0].contains(&4), "{:?}", out[0]);
-        assert!(out[0].contains(&(500 + 11)));
     }
 }

@@ -38,10 +38,10 @@
 //! [`CommunityIndex`]), so the per-arc loops index arrays; global ids
 //! appear only where a value crosses the wire.
 //!
-//! Paper future-work extensions, all off by default (see
-//! [`crate::DistConfig`]): MPI-3-style neighborhood collectives for the
-//! ghost refresh, and pruning of refresh traffic for permanently
-//! inactive vertices under ET. The paper's other one, distance-1
+//! Paper future-work extensions: the ghost refresh is always an
+//! MPI-3-style neighborhood collective ([`GhostLayer`]); pruning of
+//! refresh traffic for permanently inactive vertices under ET is off by
+//! default (see [`crate::DistConfig`]). The paper's other one, distance-1
 //! coloring, is the colored schedule's batching.
 
 use std::sync::Mutex;
@@ -199,7 +199,6 @@ struct Sweep<'a> {
     index: &'a CommunityIndex,
     k_local: &'a [Weight],
     two_m: f64,
-    guard_singleton_swap: bool,
     /// `a_c` and size of remote communities as of this iteration's pull.
     remote_a: &'a DenseMap<(Weight, u64)>,
 }
@@ -344,11 +343,7 @@ impl Sweep<'_> {
         // singleton vertices evaluating each other concurrently would swap
         // communities forever; only the one moving toward the smaller
         // community id proceeds.
-        let swap = profitable
-            && self.guard_singleton_swap
-            && id(best_c) > id(cu)
-            && size_of(cu) == 1
-            && size_of(best_c) == 1;
+        let swap = profitable && id(best_c) > id(cu) && size_of(cu) == 1 && size_of(best_c) == 1;
         (profitable && !swap).then_some(best_c)
     }
 
@@ -527,7 +522,6 @@ pub fn louvain_phase(
     let two_m = ctx.two_m;
     let (offsets, _, arc_weights) = lg.csr_parts();
 
-    ghosts.use_neighborhood(cfg.neighborhood_collectives);
     let k_local: Vec<Weight> = (0..nlocal).map(|l| lg.weighted_degree(l)).collect();
     let mut index = CommunityIndex::new(lg);
     let mut state = SweepState::new(&k_local);
@@ -537,14 +531,10 @@ pub fn louvain_phase(
         .variant
         .alpha()
         .map(|alpha| EtTracker::new(nlocal, first, alpha, cfg.seed));
-    let sweep_order: Vec<usize> = if cfg.index_order_sweep {
-        (0..nlocal).collect()
-    } else {
-        louvain_graph::hash::shuffled_order(
-            nlocal,
-            cfg.seed ^ (phase_idx as u64).wrapping_mul(0x9e37) ^ first,
-        )
-    };
+    let sweep_order = louvain_graph::hash::shuffled_order(
+        nlocal,
+        cfg.seed ^ (phase_idx as u64).wrapping_mul(0x9e37) ^ first,
+    );
 
     let mut compute = WorkCounter::default();
 
@@ -712,7 +702,6 @@ pub fn louvain_phase(
                 index: &index,
                 k_local: &k_local,
                 two_m,
-                guard_singleton_swap: !cfg.disable_singleton_guard,
                 remote_a,
             };
             if let Some(coloring) = &coloring {
@@ -1228,19 +1217,6 @@ mod tests {
     }
 
     #[test]
-    fn neighborhood_collectives_give_identical_results() {
-        let g = louvain_graph::gen::lfr(louvain_graph::gen::LfrParams::small(600, 6)).graph;
-        let base = run_one_phase(&g, 3, &DistConfig::baseline());
-        let cfg = DistConfig {
-            neighborhood_collectives: true,
-            ..DistConfig::baseline()
-        };
-        let nbr = run_one_phase(&g, 3, &cfg);
-        assert_eq!(base.0, nbr.0, "assignments differ");
-        assert_eq!(base.1, nbr.1);
-    }
-
-    #[test]
     fn delta_ghost_refresh_gives_identical_results() {
         // The delta refresh promises a *bit-identical* trajectory, so the
         // comparison is exact equality (not a tolerance) on three
@@ -1272,7 +1248,7 @@ mod tests {
     }
 
     #[test]
-    fn delta_refresh_composes_with_neighborhood_and_pruning() {
+    fn delta_refresh_composes_with_pruning() {
         let g = louvain_graph::gen::ssca2(louvain_graph::gen::Ssca2Params {
             n: 600,
             max_clique_size: 15,
@@ -1280,20 +1256,6 @@ mod tests {
             seed: 3,
         })
         .graph;
-        // Neighborhood collectives: the delta flavour rides the same
-        // neighbor topology, so results stay identical.
-        let nbr = DistConfig {
-            neighborhood_collectives: true,
-            ..DistConfig::baseline()
-        };
-        let nbr_delta = DistConfig {
-            delta_ghost_refresh: true,
-            ..nbr.clone()
-        };
-        let a = run_one_phase(&g, 4, &nbr);
-        let b = run_one_phase(&g, 4, &nbr_delta);
-        assert_eq!(a.0, b.0);
-        assert_eq!(a.1, b.1);
         // ET + inactive-ghost pruning: pruned serve slots are excluded
         // from delta payloads exactly as from full ones.
         let et = DistConfig {
@@ -1520,7 +1482,6 @@ mod tests {
                     index: &index,
                     k_local: &k_local,
                     two_m: lg.local_arc_weight(),
-                    guard_singleton_swap: true,
                     remote_a: &DenseMap::default(),
                 };
                 let mut table = DenseMap::default();

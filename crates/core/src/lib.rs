@@ -44,8 +44,8 @@ pub mod serial;
 pub mod stats;
 
 pub use api::{
-    run_distributed, run_distributed_partitioned, run_distributed_resilient_source,
-    run_distributed_source, DistOutcome, GraphSource, PartitionStrategy,
+    run_distributed, run_distributed_resilient_source, run_distributed_source, DistOutcome,
+    GraphSource,
 };
 pub use config::{DistConfig, SweepMode, Variant};
 pub use quality::{adjusted_rand_index, f_score, nmi, QualityReport};

@@ -126,10 +126,6 @@ impl JobSpec {
                         cfg.prune_inactive_ghosts =
                             opt_bool(c, key)?.unwrap_or(cfg.prune_inactive_ghosts)
                     }
-                    "neighborhood_collectives" => {
-                        cfg.neighborhood_collectives =
-                            opt_bool(c, key)?.unwrap_or(cfg.neighborhood_collectives)
-                    }
                     unknown => return Err(format!("unknown `config` key `{unknown}`")),
                 }
             }
@@ -240,14 +236,21 @@ mod tests {
                 r#"{"job_id": "j", "graph": "g", "config": {"varient": "et:0.25"}}"#,
                 "varient",
             ),
-            // A deleted setting is an unknown key like any other. Its name
-            // is spelt in two pieces so that it appears nowhere in the code.
+            // A deleted setting is an unknown key like any other. The names
+            // are spelt in two pieces so that they appear nowhere in the code.
             (
                 concat!(
                     r#"{"job_id": "j", "graph": "g", "config": {"color"#,
                     r#"_sweeps": true}}"#
                 ),
                 concat!("`color", "_sweeps`"),
+            ),
+            (
+                concat!(
+                    r#"{"job_id": "j", "graph": "g", "config": {"neighborhood"#,
+                    r#"_collectives": true}}"#
+                ),
+                concat!("unknown `config` key `neighborhood", "_collectives`"),
             ),
         ];
         for (text, needle) in cases {

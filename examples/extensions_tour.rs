@@ -1,7 +1,8 @@
 //! A tour of the paper's future-work extensions, implemented in this
-//! library and toggled through `DistConfig` flags: neighborhood
-//! collectives, inactive-ghost pruning, vertex following, and the
-//! MPI+OpenMP hybrid mode with its distance-1 colored batches.
+//! library and toggled through `DistConfig` flags: inactive-ghost
+//! pruning, vertex following, and the MPI+OpenMP hybrid mode with its
+//! distance-1 colored batches. (The fourth, neighborhood collectives for
+//! the ghost refresh, is not a flag: every refresh uses them.)
 //!
 //! ```sh
 //! cargo run --release --example extensions_tour
@@ -32,18 +33,6 @@ fn main() {
 
     let base = run_distributed(&g, ranks, &DistConfig::baseline());
     show("Baseline (paper Alg. 2)", &base);
-
-    // MPI-3 neighborhood collectives: identical results, fewer messages.
-    let out = run_distributed(
-        &g,
-        ranks,
-        &DistConfig {
-            neighborhood_collectives: true,
-            ..DistConfig::baseline()
-        },
-    );
-    show("+ neighborhood collectives", &out);
-    assert_eq!(out.assignment, base.assignment, "must be bit-identical");
 
     // Vertex following: pendants pre-merged before the first sweep.
     let out = run_distributed(

@@ -50,9 +50,9 @@ pub use louvain_store as store;
 pub mod prelude {
     pub use crate::comm::{run as run_ranks, CostModel, ReduceOp, RunConfig};
     pub use crate::dist::{
-        adjusted_rand_index, f_score, nmi, run_distributed, run_distributed_partitioned,
-        run_distributed_resilient_source, CheckpointOptions, DistConfig, DistOutcome, GraphSource,
-        PartitionStrategy, ResilOptions, Variant,
+        adjusted_rand_index, f_score, nmi, run_distributed, run_distributed_resilient_source,
+        run_distributed_source, CheckpointOptions, DistConfig, DistOutcome, GraphSource,
+        ResilOptions, Variant,
     };
     pub use crate::graph::gen::{
         banded, barabasi_albert, erdos_renyi, grid3d, lfr, rmat, ssca2, watts_strogatz, weblike,

@@ -10,48 +10,6 @@ fn lfr_graph(seed: u64) -> Csr {
 }
 
 #[test]
-fn neighborhood_collectives_match_baseline_bit_for_bit() {
-    // The neighborhood refresh moves identical data over a sparser
-    // topology: the entire multi-phase run must be identical.
-    let g = lfr_graph(81);
-    let base = run_distributed(&g, 4, &DistConfig::baseline());
-    let nbr = run_distributed(
-        &g,
-        4,
-        &DistConfig {
-            neighborhood_collectives: true,
-            ..DistConfig::baseline()
-        },
-    );
-    assert_eq!(base.assignment, nbr.assignment);
-    assert_eq!(base.modularity, nbr.modularity);
-    assert_eq!(base.total_iterations, nbr.total_iterations);
-}
-
-#[test]
-fn neighborhood_collectives_reduce_messages_at_scale() {
-    // With 8 ranks on a mesh, the ghost topology is sparser than
-    // all-to-all, so the refresh sends fewer messages.
-    let g = grid3d(Grid3dParams::cube(4_000, 5)).graph;
-    let base = run_distributed(&g, 8, &DistConfig::baseline());
-    let nbr = run_distributed(
-        &g,
-        8,
-        &DistConfig {
-            neighborhood_collectives: true,
-            ..DistConfig::baseline()
-        },
-    );
-    assert_eq!(base.modularity, nbr.modularity);
-    assert!(
-        nbr.traffic.p2p_messages < base.traffic.p2p_messages,
-        "neighborhood {} vs full {}",
-        nbr.traffic.p2p_messages,
-        base.traffic.p2p_messages
-    );
-}
-
-#[test]
 fn ghost_pruning_keeps_quality_and_cuts_refresh_bytes() {
     let g = grid3d(Grid3dParams::cube(4_000, 7)).graph;
     let et_cfg = DistConfig::with_variant(Variant::Et { alpha: 0.75 });
@@ -148,10 +106,9 @@ fn vertex_following_full_run_preserves_quality() {
 
 #[test]
 fn extensions_compose() {
-    // Everything at once: ET + pruning + neighborhood + VF on 4 ranks.
+    // Everything at once: ETC + pruning + VF on 4 ranks.
     let g = grid3d(Grid3dParams::cube(3_000, 9)).graph;
     let cfg = DistConfig {
-        neighborhood_collectives: true,
         prune_inactive_ghosts: true,
         vertex_following: true,
         ..DistConfig::with_variant(Variant::Etc { alpha: 0.25 })

@@ -105,7 +105,7 @@ fn stalled_run() -> RunArtifact {
     };
     let cfg = DistConfig::baseline();
     obs::set_enabled(true);
-    let out = run_distributed_partitioned(&g, 2, &cfg, runcfg, PartitionStrategy::EdgeBalanced);
+    let out = run_distributed_source(GraphSource::Memory(&g), 2, &cfg, runcfg).expect("stall run");
     obs::set_enabled(false);
     let meta = ReportMeta::new("lfr_900", g.num_vertices() as u64, g.num_edges() as u64);
     RunArtifact {
