@@ -50,12 +50,12 @@ use rayon::WorkerPool;
 
 use louvain_comm::{Comm, CommStep, ReduceOp};
 use louvain_graph::hash::{fast_map, FastMap};
-use louvain_graph::{LocalGraph, VertexId, Weight};
+use louvain_graph::{DenseMap, LocalGraph, VertexId, Weight};
 
 use crate::config::{DistConfig, SweepMode};
 use crate::ghost::{pull_from_owners, push_to_owners, CommunityIndex, GhostLayer, PullBufs};
 use crate::heuristics::{distributed_coloring, EtTracker};
-use crate::scratch::{lock_worker, DenseMap, IterScratch, SweepAcc, SweepWorker};
+use crate::scratch::{lock_worker, IterScratch, SweepAcc, SweepWorker};
 use crate::stats::{IterationTrace, WorkCounter};
 
 /// Outcome of one phase's iteration loop on one rank.
@@ -184,6 +184,10 @@ fn exchange_ghosts(
     });
     (e_in_change, arcs)
 }
+
+/// How many vertices ahead of the one being scored a sweep driver
+/// prefetches a row (8 and 16 measured the same).
+const PREFETCH_AHEAD: usize = 4;
 
 /// Read-only inputs of one compute sweep, shared by both schedules. The
 /// community state is passed beside it: `&` to decide, `&mut` to apply
@@ -392,12 +396,37 @@ impl Sweep<'_> {
         }
     }
 
+    /// Ask for the first cache lines of row `l` (its targets and
+    /// weights), [`PREFETCH_AHEAD`] vertices before a driver reads it:
+    /// the shuffled sweep order makes every row start a cold miss.
+    #[allow(unsafe_code)]
+    #[inline]
+    fn prefetch_row(&self, l: usize) {
+        #[cfg(target_arch = "x86_64")]
+        {
+            use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+            let a = self.offsets[l];
+            // SAFETY: a prefetch is a hint that never dereferences its
+            // address or faults, and `a ≤ offsets[nlocal]`, the length of
+            // both arrays, so `add` stays inside (or one past) them.
+            unsafe {
+                _mm_prefetch::<_MM_HINT_T0>(self.targets.as_ptr().add(a).cast());
+                _mm_prefetch::<_MM_HINT_T0>(self.arc_weights.as_ptr().add(a).cast());
+            }
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        let _ = l;
+    }
+
     /// Gauss-Seidel driver of the sequential schedule: each vertex of
     /// `vertices` is scored against the live state (and the remote deltas
     /// so far) and moved at once.
     fn sweep_in_place(&self, state: &mut SweepState, vertices: &[usize], worker: &mut SweepWorker) {
         let SweepWorker { weights, acc, .. } = worker;
-        for &l in vertices {
+        for (i, &l) in vertices.iter().enumerate() {
+            if let Some(&ahead) = vertices.get(i + PREFETCH_AHEAD) {
+                self.prefetch_row(ahead);
+            }
             acc.vertices += 1;
             if let Some(mv) = self.best_move(state, l, &acc.deltas, weights, &mut acc.edges) {
                 self.apply_move(state, l, mv, acc);
@@ -464,8 +493,12 @@ impl Sweep<'_> {
                     moves,
                     acc,
                 } = &mut *worker;
-                acc.vertices += r.len() as u64;
-                for &l in &batch[r] {
+                let mine = &batch[r];
+                acc.vertices += mine.len() as u64;
+                for (i, &l) in mine.iter().enumerate() {
+                    if let Some(&ahead) = mine.get(i + PREFETCH_AHEAD) {
+                        self.prefetch_row(ahead);
+                    }
                     if let Some((c, e_in_change)) =
                         self.best_move(batch_start, l, frozen, weights, &mut acc.edges)
                     {

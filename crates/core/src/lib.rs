@@ -28,6 +28,10 @@
 //! assert!(outcome.modularity > 0.5);
 //! ```
 
+// The one `unsafe` block is `Sweep::prefetch_row`'s prefetch hint.
+#![deny(unsafe_code)]
+#![warn(clippy::undocumented_unsafe_blocks)]
+
 pub mod api;
 pub mod config;
 pub mod ghost;

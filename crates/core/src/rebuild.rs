@@ -21,10 +21,9 @@
 //! means for its bits at p=1 and p>1.
 
 use louvain_comm::{Comm, CommStep, ReduceOp};
-use louvain_graph::{LocalGraph, VertexId, VertexPartition, Weight};
+use louvain_graph::{DenseMap, LocalGraph, VertexId, VertexPartition, Weight};
 
 use crate::ghost::{pull_from_owners, CommunityIndex, GhostLayer, PullBufs};
-use crate::scratch::DenseMap;
 use crate::stats::WorkCounter;
 
 /// Output of one distributed rebuild on one rank.

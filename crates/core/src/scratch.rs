@@ -14,77 +14,17 @@
 //!
 //! Everything keyed by a community is a [`DenseMap`] over the phase's
 //! dense community numbering ([`crate::ghost::CommunityIndex`]): the
-//! sweep and the steps around it index arrays, they never hash.
+//! sweep and the steps around it index arrays, they never hash. The
+//! table lives in `louvain-graph` so Grappolo's gather shares it, and
+//! its first touch is branch-free: about half the arcs a gather reads
+//! touch a new community, so a branch on it would mispredict on every
+//! other arc (DESIGN.md §11, "Dense per-phase layout").
 
 use std::sync::{Mutex, MutexGuard};
 
-use louvain_graph::{VertexId, Weight};
+use louvain_graph::{DenseMap, VertexId, Weight};
 
 use crate::ghost::{CommunityDelta, PullBufs};
-
-/// Collision-free map over a dense key range (Sahu's per-thread table):
-/// a full-size slot array plus the entries in first-touch order, cleared
-/// by walking the entries. A key's presence is exact — an entry whose
-/// value sums to zero is still an entry.
-#[derive(Debug, Default)]
-pub struct DenseMap<V> {
-    /// `slot[k]`: 1 + position of key `k` in `entries`, 0 while absent.
-    slot: Vec<u32>,
-    entries: Vec<(u32, V)>,
-}
-
-impl<V: Copy + Default> DenseMap<V> {
-    /// Accept keys `0..keys`. The slot array only grows (the new tail
-    /// zero-filled), so calling this before every use costs nothing once
-    /// the key range has settled.
-    pub fn cover(&mut self, keys: usize) {
-        if self.slot.len() < keys {
-            self.slot.resize(keys, 0);
-        }
-    }
-
-    /// The value of `k`, inserted as `V::default()` on first touch.
-    #[inline]
-    pub fn entry(&mut self, k: u32) -> &mut V {
-        let slot = &mut self.slot[k as usize];
-        if *slot == 0 {
-            self.entries.push((k, V::default()));
-            // At most one entry per key and keys are `u32`.
-            *slot = self.entries.len() as u32;
-        }
-        &mut self.entries[*slot as usize - 1].1
-    }
-
-    #[inline]
-    pub fn get(&self, k: u32) -> Option<V> {
-        match self.slot[k as usize] {
-            0 => None,
-            s => Some(self.entries[s as usize - 1].1),
-        }
-    }
-
-    /// `(key, value)` pairs in first-touch order.
-    #[inline]
-    pub fn entries(&self) -> &[(u32, V)] {
-        &self.entries
-    }
-
-    pub fn clear(&mut self) {
-        for &(k, _) in &self.entries {
-            self.slot[k as usize] = 0;
-        }
-        self.entries.clear();
-    }
-
-    /// No entry and every slot zero (a full scan — for `debug_assert!`).
-    pub fn is_clear(&self) -> bool {
-        self.entries.is_empty() && self.slot.iter().all(|&s| s == 0)
-    }
-
-    fn approx_bytes(&self) -> u64 {
-        flat_bytes(&self.slot) + flat_bytes(&self.entries)
-    }
-}
 
 /// What one sweep driver accumulated, merged into the iteration's total
 /// after the sweep.
@@ -271,6 +211,55 @@ mod tests {
         m.cover(16);
         assert_eq!(m.get(1), Some(2.0));
         assert_eq!(m.get(15), None);
+    }
+
+    /// Seeded random `entry` / `get` / `clear` / `cover` sequences against
+    /// a model (first-touch key list plus a `HashMap`), each from an empty
+    /// table so the buffer's cold grow runs several times.
+    #[test]
+    fn dense_map_matches_a_reference_model() {
+        use rand::{rngs::SmallRng, Rng, SeedableRng};
+        use std::collections::HashMap;
+        for seed in 0..40u64 {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let mut keys = rng.random_range(1..64u32);
+            let mut m: DenseMap<Weight> = DenseMap::default();
+            m.cover(keys as usize);
+            let (mut order, mut sums) = (Vec::new(), HashMap::new());
+            for _ in 0..600 {
+                match rng.random_range(0..100u32) {
+                    0..=69 => {
+                        // Repeats, the last key of the range, `+= 0.0`.
+                        let k = match rng.random_range(0..4u32) {
+                            0 => keys - 1,
+                            1 => order.last().copied().unwrap_or(0),
+                            _ => rng.random_range(0..keys),
+                        };
+                        let w = [0.0, 1.0, 0.5, -2.25][rng.random_range(0..4usize)];
+                        *m.entry(k) += w;
+                        *sums.entry(k).or_insert_with(|| {
+                            order.push(k);
+                            0.0
+                        }) += w;
+                    }
+                    70..=89 => {
+                        let k = rng.random_range(0..keys);
+                        assert_eq!(m.get(k), sums.get(&k).copied(), "seed {seed} key {k}");
+                    }
+                    90..=95 => {
+                        m.clear();
+                        (order, sums) = (Vec::new(), HashMap::new());
+                        assert!(m.is_clear(), "seed {seed}");
+                    }
+                    _ => {
+                        keys += rng.random_range(0..32u32);
+                        m.cover(keys as usize);
+                    }
+                }
+                let model: Vec<(u32, Weight)> = order.iter().map(|k| (*k, sums[k])).collect();
+                assert_eq!(m.entries(), &model[..], "seed {seed}");
+            }
+        }
     }
 
     #[test]

@@ -10,6 +10,8 @@
 //! * [`partition`] — the 1D edge-balanced vertex distribution of
 //!   Section IV ("each process receives roughly the same number of edges;
 //!   no clever graph partitioning"),
+//! * [`DenseMap`] — the collision-free per-thread table both move
+//!   kernels (distributed and Grappolo) gather into,
 //! * [`dist`] — per-rank local graph pieces with global edge endpoints,
 //! * [`binio`] — the binary edge-list file format the paper converts all
 //!   inputs to, with per-rank range reads standing in for MPI I/O,
@@ -27,6 +29,7 @@
 pub mod binio;
 pub mod community;
 pub mod csr;
+pub mod dense;
 pub mod dist;
 pub mod edgelist;
 pub mod gen;
@@ -39,6 +42,7 @@ pub mod textio;
 
 pub use community::{modularity, CommunityAssignment};
 pub use csr::Csr;
+pub use dense::DenseMap;
 pub use dist::LocalGraph;
 pub use edgelist::EdgeList;
 pub use ingest::{IngestError, IngestPolicy, RepairStats, WeightFault};

@@ -8,17 +8,24 @@
 //! Lu et al. show prevents the oscillation pathologies of parallel
 //! Louvain.
 
+use std::cell::RefCell;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 use rayon::prelude::*;
 
-use louvain_graph::hash::fast_map;
-use louvain_graph::{Csr, VertexId, Weight};
+use louvain_graph::{Csr, DenseMap, VertexId, Weight};
 
 use crate::atomicf64::AtomicF64;
 use crate::coloring::greedy_coloring;
 use crate::config::{EtMode, GrappoloConfig};
 use crate::et::EtState;
+
+thread_local! {
+    /// Per-thread gather table of [`PhaseState::try_move`], keyed by
+    /// community id and handed back clear after every vertex: the same
+    /// collision-free table as the distributed move kernel's.
+    static WEIGHTS: RefCell<DenseMap<Weight>> = RefCell::default();
+}
 
 /// Result of one phase.
 #[derive(Debug, Clone)]
@@ -48,6 +55,7 @@ impl<'g> PhaseState<'g> {
     fn new(g: &'g Csr, init: &[VertexId]) -> Self {
         let n = g.num_vertices();
         assert_eq!(init.len(), n);
+        assert!(u32::try_from(n).is_ok(), "ids must fit the u32 table keys");
         let k = g.weighted_degrees();
         let two_m = g.two_m();
         let comm: Vec<AtomicU64> = init.iter().map(|&c| AtomicU64::new(c)).collect();
@@ -69,29 +77,40 @@ impl<'g> PhaseState<'g> {
         }
     }
 
-    /// Evaluate and (if profitable) apply the best move for vertex `v`.
+    /// Evaluate and (if profitable) apply the best move for vertex `v`,
+    /// gathering into this thread's [`WEIGHTS`] table.
     #[inline]
     fn try_move(&self, v: usize) {
+        WEIGHTS.with_borrow_mut(|weights| {
+            weights.cover(self.g.num_vertices());
+            self.try_move_with(v, weights);
+            weights.clear();
+        });
+    }
+
+    #[inline]
+    fn try_move_with(&self, v: usize, weights: &mut DenseMap<Weight>) {
         let cu = self.comm[v].load(Ordering::Relaxed);
         let kv = self.k[v];
         // Accumulate edge weight toward each neighboring community,
-        // excluding v's own self-loop.
-        let mut weights = fast_map::<VertexId, Weight>();
+        // excluding v's own self-loop. Community ids are vertex ids,
+        // which `PhaseState::new` has checked fit a `u32`.
         for (u, w) in self.g.neighbors(v as VertexId) {
             if u == v as VertexId {
                 continue;
             }
             let c = self.comm[u as usize].load(Ordering::Relaxed);
-            *weights.entry(c).or_insert(0.0) += w;
+            *weights.entry(c as u32) += w;
         }
-        if weights.is_empty() {
+        if weights.entries().is_empty() {
             return;
         }
-        let e_cu = weights.get(&cu).copied().unwrap_or(0.0);
+        let e_cu = weights.get(cu as u32).unwrap_or(0.0);
         let stay = e_cu - kv * (self.a_tot[cu as usize].load() - kv) / self.two_m;
         let mut best_c = cu;
         let mut best_score = f64::NEG_INFINITY;
-        for (&c, &e_vc) in &weights {
+        for &(c, e_vc) in weights.entries() {
+            let c = VertexId::from(c);
             if c == cu {
                 continue;
             }
