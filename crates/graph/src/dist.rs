@@ -7,7 +7,6 @@
 use std::borrow::Cow;
 
 use crate::csr::{build_rows, Csr};
-use crate::hash::fast_map_with_capacity;
 use crate::partition::VertexPartition;
 use crate::{VertexId, Weight};
 
@@ -190,107 +189,11 @@ impl<'a> LocalGraph<'a> {
     }
 }
 
-/// Build a distributed graph from per-rank chunks of an undirected edge
-/// list — the paper's loading path: every rank reads an arbitrary slice of
-/// the binary edge file (MPI-I/O style) and the edges are redistributed so
-/// that "each process receives roughly the same number of edges".
-/// Collective; returns this rank's piece.
-///
-/// The edge-balanced boundaries are computed *distributedly*: a provisional
-/// uniform partition owns the degree histogram, an exclusive prefix scan
-/// gives each rank its global degree offset, and boundary vertices are
-/// located where the cumulative degree crosses the per-rank quota.
-pub fn build_distributed(
-    comm: &louvain_comm::Comm,
-    num_vertices: u64,
-    edges: Vec<(VertexId, VertexId, Weight)>,
-) -> LocalGraph<'static> {
-    use louvain_comm::ReduceOp;
-    let p = comm.size();
-
-    // Symmetrize into arcs.
-    let mut arcs = Vec::with_capacity(edges.len() * 2);
-    for (u, v, w) in edges {
-        arcs.push((u, v, w));
-        if u != v {
-            arcs.push((v, u, w));
-        }
-    }
-
-    // Pass 1: distributed degree histogram under a provisional uniform
-    // partition.
-    let provisional = VertexPartition::balanced_vertices(num_vertices, p);
-    let mut degree_msgs: Vec<Vec<(VertexId, u64)>> = vec![Vec::new(); p];
-    {
-        let mut local_counts = fast_map_with_capacity::<VertexId, u64>(arcs.len());
-        for &(u, _, _) in &arcs {
-            *local_counts.entry(u).or_insert(0) += 1;
-        }
-        for (v, c) in local_counts {
-            degree_msgs[provisional.owner_of(v)].push((v, c));
-        }
-    }
-    let received = comm.all_to_all_v(degree_msgs);
-    let my_range = provisional.range(comm.rank());
-    let my_first = my_range.start;
-    let mut degrees = vec![0u64; provisional.num_local(comm.rank())];
-    for msgs in &received {
-        for &(v, c) in msgs {
-            degrees[(v - my_first) as usize] += c;
-        }
-    }
-
-    // Pass 2: edge-balanced boundaries from a prefix scan of degrees.
-    let local_sum: u64 = degrees.iter().sum();
-    let my_offset = comm.exscan_sum(local_sum);
-    let total = comm.all_reduce(local_sum, ReduceOp::Sum);
-    // Each rank reports the boundary vertices whose cumulative degree
-    // crosses a quota multiple inside its provisional range.
-    let mut local_boundaries: Vec<(u64, VertexId)> = Vec::new(); // (quota index, vertex)
-    if total > 0 {
-        let mut acc = my_offset;
-        for (i, &d) in degrees.iter().enumerate() {
-            let before = acc;
-            acc += d;
-            // Quota r is crossed when cumulative degree first reaches
-            // total*r/p.
-            for r in 1..p as u64 {
-                let target = total * r / p as u64;
-                if before < target && acc >= target {
-                    local_boundaries.push((r, my_first + i as u64 + 1));
-                }
-            }
-        }
-    }
-    let all_boundaries: Vec<Vec<(u64, VertexId)>> = comm.all_gather(local_boundaries);
-    let mut starts = vec![0 as VertexId; p + 1];
-    starts[p] = num_vertices;
-    for list in &all_boundaries {
-        for &(r, v) in list {
-            starts[r as usize] = v;
-        }
-    }
-    // Quotas never crossed (e.g. empty tail ranks) stay 0 — make monotone.
-    for r in 1..=p {
-        if starts[r] < starts[r - 1] {
-            starts[r] = starts[r - 1];
-        }
-    }
-    let part = VertexPartition::from_starts(starts);
-
-    // Pass 3: route arcs to the owner of their source.
-    let mut outgoing: Vec<Vec<(VertexId, VertexId, Weight)>> = vec![Vec::new(); p];
-    for arc in arcs {
-        outgoing[part.owner_of(arc.0)].push(arc);
-    }
-    let received = comm.all_to_all_v(outgoing);
-    LocalGraph::from_arcs(part, comm.rank(), received)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::edgelist::EdgeList;
+    use crate::hash::fast_map_with_capacity;
 
     fn path_graph(n: u64) -> Csr {
         let mut el = EdgeList::new(n);
@@ -487,58 +390,6 @@ mod tests {
                 assert!(back.neighbors(l).eq(lg.neighbors(l)));
             }
         }
-    }
-
-    #[test]
-    fn build_distributed_matches_direct_scatter() {
-        let gen = crate::gen::lfr(crate::gen::LfrParams::small(400, 7));
-        let g = gen.graph;
-        let el = g.to_edge_list();
-        let n = g.num_vertices() as u64;
-        for p in [1, 2, 4] {
-            let edges: Vec<(u64, u64, f64)> = el.edges().iter().map(|e| (e.u, e.v, e.w)).collect();
-            // Split the records arbitrarily across ranks (as a range read
-            // of the binary file would).
-            let chunks: Vec<Vec<(u64, u64, f64)>> = (0..p)
-                .map(|r| {
-                    let lo = edges.len() * r / p;
-                    let hi = edges.len() * (r + 1) / p;
-                    edges[lo..hi].to_vec()
-                })
-                .collect();
-            let parts = louvain_comm::run(p, |c| build_distributed(c, n, chunks[c.rank()].clone()));
-            let assembled = LocalGraph::assemble(&parts);
-            assert_eq!(assembled, g, "p={p}");
-            // The split is edge-balanced: no rank holds more than ~2x the
-            // average arc count (power-law degrees make perfect balance
-            // impossible at vertex granularity).
-            let avg = g.num_arcs() / p;
-            for piece in &parts {
-                assert!(
-                    piece.num_local_arcs() <= 2 * avg + 64,
-                    "p={p} rank {} holds {} arcs (avg {avg})",
-                    piece.rank(),
-                    piece.num_local_arcs()
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn build_distributed_handles_empty_rank_chunks() {
-        // All edges arrive through rank 0's chunk.
-        let g = path_graph(20);
-        let el = g.to_edge_list();
-        let edges: Vec<(u64, u64, f64)> = el.edges().iter().map(|e| (e.u, e.v, e.w)).collect();
-        let parts = louvain_comm::run(3, |c| {
-            let chunk = if c.rank() == 0 {
-                edges.clone()
-            } else {
-                Vec::new()
-            };
-            build_distributed(c, 20, chunk)
-        });
-        assert_eq!(LocalGraph::assemble(&parts), g);
     }
 
     #[test]

@@ -13,8 +13,10 @@
 //! * [`DenseMap`] — the collision-free per-thread table both move
 //!   kernels (distributed and Grappolo) gather into,
 //! * [`dist`] — per-rank local graph pieces with global edge endpoints,
-//! * [`binio`] — the binary edge-list file format the paper converts all
-//!   inputs to, with per-rank range reads standing in for MPI I/O,
+//! * [`textio`] — the text edge lists graphs arrive in, streamed into any
+//!   [`EdgeSink`] (the on-disk format every input is converted to, with
+//!   per-rank range reads standing in for MPI I/O, is `louvain-store`'s
+//!   slab),
 //! * [`gen`] — synthetic workload generators: LFR (ground-truth quality,
 //!   Table VII), SSCA#2 (weak scaling, Table V/Fig 4), RMAT social
 //!   networks, banded meshes (`channel`/`nlpkkt`-like), web-like
@@ -26,7 +28,6 @@
 //! vertex is the sum of its outgoing arc weights, `2m` is the sum of all
 //! weighted degrees, and modularity is exactly invariant under coarsening.
 
-pub mod binio;
 pub mod community;
 pub mod csr;
 pub mod dense;

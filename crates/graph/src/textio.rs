@@ -1,12 +1,13 @@
-//! Text edge-list import/export (SNAP / Matrix-Market-adjacent format).
+//! Text edge-list import (SNAP / Matrix-Market-adjacent format).
 //!
 //! The paper's inputs come "in their native formats from four sources:
 //! UFL sparse matrix collection, Network repository, SNAP and LAW", which
-//! the authors convert to their binary format. This module covers the
-//! common text form: one edge per line, `src dst [weight]`, `#` or `%`
+//! the authors convert to their binary format (here, a slab: `louvain
+//! ingest` streams a text file into one). This module reads the common
+//! text form: one edge per line, `src dst [weight]`, `#` or `%`
 //! comments, arbitrary (non-contiguous) vertex ids remapped densely.
 
-use std::io::{self, BufRead, BufWriter, Write};
+use std::io::{self, BufRead};
 use std::path::Path;
 
 use crate::edgelist::EdgeList;
@@ -26,18 +27,11 @@ pub struct TextImport {
     pub repairs: RepairStats,
 }
 
-/// Parse a text edge list from a reader. Lines: `src dst [weight]`,
-/// separated by whitespace; `#`/`%`-prefixed lines are comments.
-/// Vertex ids are remapped to `0..n` in order of first appearance.
-///
-/// Legacy entry point: [`IngestPolicy::Lenient`] with errors flattened
-/// to `io::Error`. NaN/negative/infinite weights are rejected in every
-/// policy.
-pub fn parse_edge_list<R: BufRead>(reader: R) -> io::Result<TextImport> {
-    parse_edge_list_policy(reader, IngestPolicy::Lenient).map_err(io::Error::from)
-}
-
-/// [`parse_edge_list`] with an explicit defect policy and typed errors.
+/// Parse a text edge list from a reader under a defect policy. Lines:
+/// `src dst [weight]`, separated by whitespace; `#`/`%`-prefixed lines
+/// are comments. Vertex ids are remapped to `0..n` in order of first
+/// appearance. NaN/negative/infinite weights are rejected in every
+/// policy. The in-memory oracle of [`stream_text_edge_list`].
 pub fn parse_edge_list_policy<R: BufRead>(
     reader: R,
     policy: IngestPolicy,
@@ -199,46 +193,12 @@ pub fn stream_text_edge_list<S: crate::sink::EdgeSink>(
     Ok((sink, original_ids))
 }
 
-/// Read a text edge-list file (lenient policy; see [`parse_edge_list`]).
-pub fn read_text_edge_list(path: &Path) -> io::Result<TextImport> {
-    let f = std::fs::File::open(path)?;
-    parse_edge_list(io::BufReader::new(f))
-}
-
-/// Read a text edge-list file under an explicit defect policy.
-pub fn read_text_edge_list_policy(
-    path: &Path,
-    policy: IngestPolicy,
-) -> Result<TextImport, IngestError> {
-    let f = std::fs::File::open(path)?;
-    parse_edge_list_policy(io::BufReader::new(f), policy)
-}
-
-/// Write an edge list as text (`src dst weight` per line).
-pub fn write_text_edge_list(path: &Path, list: &EdgeList) -> io::Result<()> {
-    let mut w = BufWriter::new(std::fs::File::create(path)?);
-    writeln!(
-        w,
-        "# {} vertices, {} edges",
-        list.num_vertices(),
-        list.num_edges()
-    )?;
-    for e in list.edges() {
-        if e.w == 1.0 {
-            writeln!(w, "{} {}", e.u, e.v)?;
-        } else {
-            writeln!(w, "{} {} {}", e.u, e.v, e.w)?;
-        }
-    }
-    w.flush()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn parse(s: &str) -> TextImport {
-        parse_edge_list(io::BufReader::new(s.as_bytes())).unwrap()
+        parse_edge_list_policy(s.as_bytes(), IngestPolicy::Lenient).unwrap()
     }
 
     #[test]
@@ -261,22 +221,10 @@ mod tests {
 
     #[test]
     fn rejects_garbage() {
-        let r = parse_edge_list(io::BufReader::new("0 x\n".as_bytes()));
+        let r = parse_edge_list_policy("0 x\n".as_bytes(), IngestPolicy::Lenient);
         assert!(r.is_err());
-        let r = parse_edge_list(io::BufReader::new("17\n".as_bytes()));
+        let r = parse_edge_list_policy("17\n".as_bytes(), IngestPolicy::Lenient);
         assert!(r.is_err());
-    }
-
-    #[test]
-    fn text_roundtrip_through_files() {
-        let dir = std::env::temp_dir().join("louvain-textio-tests");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("t.txt");
-        let el = EdgeList::from_edges(4, [(0, 1, 1.0), (2, 3, 0.5), (1, 1, 2.0)]);
-        write_text_edge_list(&path, &el).unwrap();
-        let back = read_text_edge_list(&path).unwrap();
-        assert_eq!(back.edges.num_edges(), 3);
-        assert_eq!(back.edges.total_weight(), 3.5);
     }
 
     #[test]
@@ -336,7 +284,9 @@ mod tests {
             "# sparse ids, duplicates, a self-loop\n1000 42\n42 7 2.5\n7 1000\n1000 42 0.5\n7 7\n",
         )
         .unwrap();
-        let in_mem = read_text_edge_list(&path).unwrap();
+        let file = std::fs::File::open(&path).unwrap();
+        let in_mem =
+            parse_edge_list_policy(io::BufReader::new(file), IngestPolicy::Lenient).unwrap();
         let (el, original_ids) = stream_text_edge_list(&path, EdgeList::new).unwrap();
         assert_eq!(el.edges(), in_mem.edges.edges());
         assert_eq!(el.num_vertices(), in_mem.edges.num_vertices());

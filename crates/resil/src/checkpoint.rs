@@ -1,7 +1,7 @@
 //! The per-rank checkpoint slab: binary encoding and atomic writes.
 //!
-//! Layout (little endian, following the `louvain-graph::binio`
-//! conventions of magic + format version + fixed-width fields):
+//! Layout (little endian, following the slab's conventions of magic +
+//! format version + fixed-width fields):
 //!
 //! ```text
 //! magic    u64  = "LVRSCKPT"

@@ -8,7 +8,7 @@ use std::sync::Arc;
 use louvain_graph::VertexId;
 use louvain_obs::RunArtifact;
 use louvain_store::layout::fnv1a_words;
-use louvain_store::{peek_header, FileKind, StoreError};
+use louvain_store::{peek_header, StoreError};
 
 /// Cache key of a job: what graph, under what configuration, on how
 /// many ranks. Two submissions with the same key are guaranteed the
@@ -17,9 +17,8 @@ use louvain_store::{peek_header, FileKind, StoreError};
 /// resubmission finds the manifests its killed predecessor left behind.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct JobKey {
-    /// [`graph_key`] of the graph file: for a slab, FNV-1a over its
-    /// 192-byte header (which carries every section's checksum); for
-    /// anything else, [`graph_fingerprint`] over the file's bytes.
+    /// [`graph_key`] of the slab: FNV-1a over its 192-byte header
+    /// (which carries every section's checksum).
     pub graph_fp: u64,
     /// [`louvain_dist::config_fingerprint`] of the `DistConfig`.
     pub config_fp: u64,
@@ -37,22 +36,20 @@ impl JobKey {
     }
 }
 
-/// The graph half of a [`JobKey`]. A slab's header names its content —
-/// counts, geometry and the four section checksums — so a slab is keyed
-/// on one 192-byte read; equal headers declare equal content, and the
-/// server verifies that content before it computes on it (a miss). A
-/// binary edge list has no such header and keeps the streamed hash.
-pub fn graph_key(path: &Path, kind: FileKind) -> Result<u64, StoreError> {
-    match kind {
-        FileKind::Slab => Ok(fnv1a_words(&peek_header(path)?.encode())),
-        FileKind::BinaryEdges | FileKind::Text => Ok(graph_fingerprint(path)?),
-    }
+/// The graph half of a [`JobKey`]: FNV-1a over a slab's 192-byte
+/// header. The header names the slab's content — counts, geometry and
+/// the four section checksums — so a slab is keyed on one small read;
+/// equal headers declare equal content, and the server verifies that
+/// content before it computes on it (a miss).
+pub fn graph_key(path: &Path) -> Result<u64, StoreError> {
+    Ok(fnv1a_words(&peek_header(path)?.encode()))
 }
 
 /// Streamed FNV-1a over a graph file's bytes — same function as
 /// [`louvain_resil::fnv1a64`], but constant-memory over arbitrarily
-/// large files. Ingested snapshots are immutable, so the byte hash is a
-/// stable identity for cache keying.
+/// large files. No job is keyed on it ([`graph_key`] reads only the
+/// slab header); the bench ladder's `serve.fingerprint_mib_per_s` row
+/// still measures it.
 pub fn graph_fingerprint(path: &Path) -> std::io::Result<u64> {
     let mut file = std::fs::File::open(path)?;
     let mut hash: u64 = 0xcbf2_9ce4_8422_2325;

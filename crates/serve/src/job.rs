@@ -160,7 +160,7 @@ mod tests {
 
     #[test]
     fn minimal_submit_gets_baseline_defaults() {
-        let doc = Json::parse(r#"{"job_id": "j1", "graph": "/tmp/g.bin"}"#).unwrap();
+        let doc = Json::parse(r#"{"job_id": "j1", "graph": "/tmp/g.slab"}"#).unwrap();
         let spec = JobSpec::from_json(&doc).unwrap();
         assert_eq!(spec.job_id, "j1");
         assert_eq!(spec.ranks, 2);

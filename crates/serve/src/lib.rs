@@ -28,8 +28,8 @@
 //!   exposes the dendrogram (per-level assignments) from the cache. A
 //!   slab's graph key is the hash of its checksummed header, so a hit
 //!   costs one 192-byte read; a miss verifies every section checksum
-//!   before it runs ([`cache::graph_key`]). A binary edge list is keyed
-//!   on a streamed hash of its bytes.
+//!   before it runs ([`cache::graph_key`]). Every job runs on a slab;
+//!   any other file is refused by its magic before anything is hashed.
 //!
 //! The [`proto`] module speaks the JSON-lines wire protocol used by the
 //! `louvaind` binary over stdin pipes and TCP connections.

@@ -407,7 +407,8 @@ fn handle_line<W: Write + Send + 'static>(
 mod tests {
     use super::*;
     use crate::server::ServeConfig;
-    use louvain_graph::{binio, gen};
+    use louvain_graph::gen;
+    use louvain_store::{SlabBuilder, SlabOptions};
     use std::io::Cursor;
     use std::path::PathBuf;
 
@@ -417,9 +418,10 @@ mod tests {
     fn tiny_graph(dir: &std::path::Path) -> PathBuf {
         let _ = std::fs::remove_dir_all(dir);
         std::fs::create_dir_all(dir).unwrap();
-        let path = dir.join("lfr_tiny.bin");
-        let g = gen::lfr(gen::LfrParams::small(300, 7)).graph;
-        binio::write_edge_list(&path, &g.to_edge_list()).unwrap();
+        let path = dir.join("lfr_tiny.slab");
+        let mut b = SlabBuilder::new(300, SlabOptions::default());
+        gen::lfr_stream(gen::LfrParams::small(300, 7), &mut b).unwrap();
+        b.finish(&path).unwrap();
         path
     }
 

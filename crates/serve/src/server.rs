@@ -12,13 +12,12 @@ use louvain_dist::{
     build_run_report, config_fingerprint, run_distributed_resilient_source, CheckpointOptions,
     GraphSource, ReportMeta, ResilOptions, CANCELLED_AT_PHASE,
 };
-use louvain_graph::{binio, Csr};
 use louvain_obs::{
     run_label, Json, MetricsRegistry, MetricsSnapshot, OpKind, OpsPlane, ProgressSink, RunArtifact,
     RunEntry, TelemetryRow, DEFAULT_FLIGHT_CAPACITY,
 };
 use louvain_resil::CheckpointStore;
-use louvain_store::{sniff_kind, verify, FileKind, StoreError};
+use louvain_store::{sniff_kind, verify, FileKind};
 
 use crate::cache::{graph_key, ArtifactCache, CachedResult, JobKey};
 use crate::job::JobSpec;
@@ -760,11 +759,16 @@ impl Server {
     ) -> JobStatus {
         let m = &self.inner.metrics;
         let path = &spec.graph;
-        let keyed = sniff_kind(path)
-            .map_err(StoreError::from)
-            .and_then(|kind| Ok((kind, graph_key(path, kind)?)));
-        let (kind, graph_fp) = match keyed {
-            Ok(keyed) => keyed,
+        // The magic sniff refuses a text file before anything hashes it.
+        let keyed = match sniff_kind(path) {
+            Ok(FileKind::Slab) => graph_key(path).map_err(|e| e.to_string()),
+            Ok(FileKind::Text) => Err("not a slab; build one with `louvain ingest` \
+                 or `louvain generate`"
+                .to_string()),
+            Err(e) => Err(e.to_string()),
+        };
+        let graph_fp = match keyed {
+            Ok(fp) => fp,
             Err(e) => {
                 return JobStatus::Failed {
                     error: format!("cannot read graph {}: {e}", path.display()),
@@ -842,7 +846,7 @@ impl Server {
             }
         }
 
-        let outcome = match self.load_and_run(spec, kind, runcfg, &resil) {
+        let outcome = match self.load_and_run(spec, runcfg, &resil) {
             Ok(v) => v,
             Err(e) => {
                 if let Some(rest) = e.strip_prefix(CANCELLED_AT_PHASE) {
@@ -944,50 +948,27 @@ impl Server {
         }
     }
 
-    /// Run the job on the graph file of the given kind. A slab is
-    /// verified end to end first: its byte-range load checks only the
-    /// small sections, and a run on a corrupt body would be cached under
-    /// the key of the content its header declares. Returns the outcome
-    /// plus the input's (vertices, edges) for the report.
+    /// Run the job on its slab, verified end to end first: the
+    /// byte-range load checks only the small sections, and a run on a
+    /// corrupt body would be cached under the key of the content its
+    /// header declares. Returns the outcome plus the input's (vertices,
+    /// edges) for the report.
     fn load_and_run(
         &self,
         spec: &JobSpec,
-        kind: FileKind,
         runcfg: RunConfig,
         resil: &ResilOptions,
     ) -> Result<(louvain_dist::DistOutcome, u64, u64), String> {
         let path = &spec.graph;
-        match kind {
-            FileKind::Slab => {
-                let h = verify(path).map_err(|e| format!("{}: {e}", path.display()))?;
-                let out = run_distributed_resilient_source(
-                    GraphSource::SlabRanged(path),
-                    spec.ranks,
-                    &spec.cfg,
-                    runcfg,
-                    resil,
-                )?;
-                Ok((out, h.num_vertices, h.num_edges))
-            }
-            FileKind::BinaryEdges => {
-                let el = binio::read_edge_list(path).map_err(|e| e.to_string())?;
-                let g = Csr::from_edge_list(el);
-                let (nv, ne) = (g.num_vertices() as u64, g.num_edges() as u64);
-                let out = run_distributed_resilient_source(
-                    GraphSource::Memory(&g),
-                    spec.ranks,
-                    &spec.cfg,
-                    runcfg,
-                    resil,
-                )?;
-                Ok((out, nv, ne))
-            }
-            FileKind::Text => Err(format!(
-                "{} is not an ingested snapshot (slab or binary edge list); \
-                 run `louvain ingest`/`louvain generate` first",
-                path.display()
-            )),
-        }
+        let h = verify(path).map_err(|e| format!("{}: {e}", path.display()))?;
+        let out = run_distributed_resilient_source(
+            GraphSource::SlabRanged(path),
+            spec.ranks,
+            &spec.cfg,
+            runcfg,
+            resil,
+        )?;
+        Ok((out, h.num_vertices, h.num_edges))
     }
 }
 

@@ -278,7 +278,7 @@ impl SlabBuilder {
             index_stride: stride,
             sections: Default::default(),
         };
-        let lens = header.expected_section_lens();
+        let lens = header.expected_section_lens()?;
         let sections = &mut header.sections;
         let mut cursor = HEADER_BYTES;
         for (s, len) in sections.iter_mut().zip(lens) {

@@ -26,6 +26,9 @@ pub enum StoreError {
     BadVersion {
         found: u8,
     },
+    /// The file is an `LVGRBPH1` binary edge list, a format no longer
+    /// read or written.
+    RetiredFormat,
     /// A section's stored checksum does not match its bytes.
     ChecksumMismatch {
         section: &'static str,
@@ -62,6 +65,12 @@ impl fmt::Display for StoreError {
                  re-ingest the graph",
                 *found as char,
                 crate::layout::FORMAT_VERSION as char
+            ),
+            StoreError::RetiredFormat => write!(
+                f,
+                "LVGRBPH1 binary edge lists are no longer read: regenerate the graph \
+                 with `louvain generate`, or build a slab from its text form with \
+                 `louvain ingest`"
             ),
             StoreError::ChecksumMismatch {
                 section,
@@ -127,6 +136,7 @@ mod tests {
                 StoreError::BadVersion { found: b'1' },
                 "slab format version '1'",
             ),
+            (StoreError::RetiredFormat, "louvain ingest"),
             (
                 StoreError::ChecksumMismatch {
                     section: "targets",

@@ -36,30 +36,34 @@ pub const MAGIC_SIGNATURE: u64 = MAGIC & !0xFF;
 /// Current format version byte (the low byte of [`MAGIC`]).
 pub const FORMAT_VERSION: u8 = (MAGIC & 0xFF) as u8;
 
+/// Signature (version byte masked off) of the retired `LVGRBPH1` binary
+/// edge list. Nothing reads that format; [`sniff_kind`] names it so the
+/// caller learns what to do instead of reading "bad magic".
+const RETIRED_EDGE_LIST_SIGNATURE: u64 = 0x4C56_4752_4250_4800;
+
 /// What a graph file holds, by its first eight bytes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FileKind {
     Slab,
-    BinaryEdges,
-    /// Neither magic (or too short to hold one): a text edge list, or
+    /// Not a slab (or too short to hold a magic): a text edge list, or
     /// nothing this workspace reads — the text parser reports which.
     Text,
 }
 
-/// Sniff the magic of `path`. Both binary formats put a 7-byte signature
-/// above a version byte, so a file of a newer version still sniffs as
-/// its kind and its own reader refuses the version by name.
-pub fn sniff_kind(path: &std::path::Path) -> std::io::Result<FileKind> {
+/// Sniff the magic of `path`. A slab of another version still sniffs as
+/// a slab, so its reader refuses the version by name; the retired
+/// binary edge list is refused here, by name.
+pub fn sniff_kind(path: &std::path::Path) -> Result<FileKind, StoreError> {
     use std::io::Read;
     let mut head = [0u8; 8];
     if std::fs::File::open(path)?.read_exact(&mut head).is_err() {
         return Ok(FileKind::Text);
     }
-    Ok(match u64::from_le_bytes(head) & !0xFF {
-        MAGIC_SIGNATURE => FileKind::Slab,
-        louvain_graph::binio::MAGIC_SIGNATURE => FileKind::BinaryEdges,
-        _ => FileKind::Text,
-    })
+    match u64::from_le_bytes(head) & !0xFF {
+        MAGIC_SIGNATURE => Ok(FileKind::Slab),
+        RETIRED_EDGE_LIST_SIGNATURE => Err(StoreError::RetiredFormat),
+        _ => Ok(FileKind::Text),
+    }
 }
 /// Every section offset is a multiple of this (and of the page-aligned
 /// mmap base), so zero-copy `u64`/`f64` views are always aligned.
@@ -161,6 +165,12 @@ impl SlabHeader {
                 what: "index stride is zero".into(),
             });
         }
+        // arcs = 2·edges − loops, with 0 ≤ loops ≤ edges.
+        if num_edges > num_arcs || num_arcs - num_edges > num_edges {
+            return Err(StoreError::Corrupt {
+                what: format!("{num_arcs} arcs cannot hold {num_edges} edges"),
+            });
+        }
         let mut sections = [SectionDesc::default(); SECTION_COUNT];
         for (i, s) in sections.iter_mut().enumerate() {
             s.offset = get();
@@ -173,6 +183,11 @@ impl SlabHeader {
                 });
             }
         }
+        if bytes[pos..HEADER_BYTES as usize].iter().any(|&b| b != 0) {
+            return Err(StoreError::Corrupt {
+                what: "header padding is not zero".into(),
+            });
+        }
         Ok(Self {
             num_vertices,
             num_arcs,
@@ -182,21 +197,32 @@ impl SlabHeader {
         })
     }
 
-    /// The expected byte length of each section given the header counts.
-    pub fn expected_section_lens(&self) -> [u64; SECTION_COUNT] {
-        [
-            (self.num_vertices + 1) * 8,
-            self.num_arcs * 8,
-            self.num_arcs * 8,
-            pindex_samples(self.num_vertices, self.index_stride) * 8,
-        ]
+    /// The expected byte length of each section given the header counts,
+    /// or `Corrupt` if a count is too large for any file to hold.
+    pub fn expected_section_lens(&self) -> Result<[u64; SECTION_COUNT], StoreError> {
+        let words = |count: Option<u64>| {
+            count
+                .and_then(|c| c.checked_mul(8))
+                .ok_or_else(|| StoreError::Corrupt {
+                    what: format!(
+                        "header counts ({} vertices, {} arcs) overflow a section length",
+                        self.num_vertices, self.num_arcs
+                    ),
+                })
+        };
+        Ok([
+            words(self.num_vertices.checked_add(1))?,
+            words(Some(self.num_arcs))?,
+            words(Some(self.num_arcs))?,
+            words(Some(pindex_samples(self.num_vertices, self.index_stride)))?,
+        ])
     }
 
     /// Cross-check the section table against the counts and the file
     /// length: expected lengths, in-bounds extents, and the canonical
     /// packed layout (each section directly after the previous, aligned).
     pub fn validate_extents(&self, file_len: u64) -> Result<(), StoreError> {
-        let expected = self.expected_section_lens();
+        let expected = self.expected_section_lens()?;
         let mut cursor = HEADER_BYTES;
         for i in 0..SECTION_COUNT {
             let s = &self.sections[i];
@@ -294,7 +320,7 @@ mod tests {
             index_stride: DEFAULT_INDEX_STRIDE,
             sections: [SectionDesc::default(); SECTION_COUNT],
         };
-        let lens = h.expected_section_lens();
+        let lens = h.expected_section_lens().unwrap();
         let mut cursor = HEADER_BYTES;
         for (i, &len) in lens.iter().enumerate() {
             h.sections[i] = SectionDesc {

@@ -734,4 +734,268 @@ mod tests {
             Err(StoreError::Corrupt { .. })
         ));
     }
+
+    // ---- hostile input: mutation fuzzing of the header and table ----
+
+    /// Counts, per thread, the largest single heap request made since the
+    /// last [`largest_alloc_since_last_call`]: the fuzz test's bound on
+    /// what a corrupt length field can make a reader allocate.
+    struct LargestAlloc;
+
+    thread_local! {
+        static LARGEST: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+    }
+
+    fn note_alloc(size: usize) {
+        // `try_with`: the allocator also runs while a thread's locals are
+        // being torn down.
+        let _ = LARGEST.try_with(|c| c.set(c.get().max(size)));
+    }
+
+    fn largest_alloc_since_last_call() -> usize {
+        LARGEST.with(|c| c.replace(0))
+    }
+
+    // SAFETY: every method forwards to `System` unchanged; the only
+    // addition is a write to a const-initialised thread-local `Cell`,
+    // which neither allocates nor unwinds.
+    unsafe impl std::alloc::GlobalAlloc for LargestAlloc {
+        unsafe fn alloc(&self, layout: std::alloc::Layout) -> *mut u8 {
+            note_alloc(layout.size());
+            std::alloc::System.alloc(layout)
+        }
+        unsafe fn alloc_zeroed(&self, layout: std::alloc::Layout) -> *mut u8 {
+            note_alloc(layout.size());
+            std::alloc::System.alloc_zeroed(layout)
+        }
+        unsafe fn realloc(
+            &self,
+            ptr: *mut u8,
+            layout: std::alloc::Layout,
+            new_size: usize,
+        ) -> *mut u8 {
+            note_alloc(new_size);
+            std::alloc::System.realloc(ptr, layout, new_size)
+        }
+        unsafe fn dealloc(&self, ptr: *mut u8, layout: std::alloc::Layout) {
+            std::alloc::System.dealloc(ptr, layout)
+        }
+    }
+
+    #[global_allocator]
+    static ALLOCATOR: LargestAlloc = LargestAlloc;
+
+    /// What the four readers made of one mutated file.
+    struct Verdicts {
+        peek: Result<(), StoreError>,
+        open: Result<(), StoreError>,
+        verify: Result<(), StoreError>,
+        /// `load_rank` for every rank of p = 3, the first error if any.
+        ranged: Result<(), StoreError>,
+    }
+
+    /// Feed `bytes` to every reader. Fails the test, naming `case`, if a
+    /// reader panics or any single allocation exceeds the file length.
+    fn read_hostile(path: &TempPath, bytes: &[u8], case: &str) -> Verdicts {
+        std::fs::write(&path.0, bytes).unwrap();
+        let limit = bytes.len();
+        let call = |what: &str, f: &dyn Fn() -> Result<(), StoreError>| {
+            largest_alloc_since_last_call();
+            let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f))
+                .unwrap_or_else(|_| panic!("{case}: {what} panicked"));
+            let largest = largest_alloc_since_last_call();
+            assert!(
+                largest <= limit,
+                "{case}: {what} allocated {largest} bytes at once from a {limit}-byte file"
+            );
+            r
+        };
+        Verdicts {
+            peek: call("peek_header", &|| peek_header(&path.0).map(drop)),
+            open: call("Slab::open", &|| Slab::open(&path.0).map(drop)),
+            verify: call("verify", &|| verify(&path.0).map(drop)),
+            ranged: call("load_rank", &|| {
+                (0..3).try_for_each(|r| load_rank(&path.0, r, 3).map(drop))
+            }),
+        }
+    }
+
+    /// Header words (by index) whose every change the header's own
+    /// cross-checks catch: magic, vertex and arc counts, section count,
+    /// each section's offset and length, and the zero padding. Edge
+    /// count and stride are checked only for consistency, and the big
+    /// sections' checksums only by the readers that hash them.
+    fn always_refused(word: usize) -> bool {
+        matches!(word, 0 | 1 | 2 | 5)
+            || (6..18).contains(&word) && (word - 6) % 3 != 2
+            || word >= 18
+    }
+
+    /// Check one mutant: nothing panics or over-allocates (in
+    /// `read_hostile`), `open` and `verify` agree, and a change to a
+    /// checked word, or to any checksum, is refused by every reader that
+    /// checks it.
+    fn check_mutant(path: &TempPath, pristine: &[u8], bytes: &[u8], case: &str) {
+        let v = read_hostile(path, bytes, case);
+        let kind = |r: &Result<(), StoreError>| r.as_ref().map_err(std::mem::discriminant).copied();
+        assert_eq!(
+            kind(&v.open),
+            kind(&v.verify),
+            "{case}: open {:?} vs verify {:?}",
+            v.open,
+            v.verify
+        );
+        let changed = (0..24).filter(|&w| bytes[w * 8..w * 8 + 8] != pristine[w * 8..w * 8 + 8]);
+        for w in changed {
+            if always_refused(w) {
+                for (what, r) in [("peek", &v.peek), ("open", &v.open), ("ranged", &v.ranged)] {
+                    assert!(r.is_err(), "{case}: word {w} changed, {what} accepted it");
+                }
+            }
+            if (6..18).contains(&w) && (w - 6) % 3 == 2 {
+                assert!(
+                    v.open.is_err(),
+                    "{case}: checksum word {w} changed, open accepted it"
+                );
+                if w == 6 + 3 * layout::SEC_PINDEX + 2 {
+                    assert!(
+                        v.ranged.is_err(),
+                        "{case}: pindex checksum changed, load_rank accepted it"
+                    );
+                }
+            }
+        }
+    }
+
+    /// Seeded byte flips and overwrites of the 192-byte header and its
+    /// section table, and truncations at every section boundary, on a
+    /// slab whose stride divides it into many samples and on one whose
+    /// stride exceeds its vertex count. Every reader returns a typed
+    /// error or a value, never panics, and never allocates more than the
+    /// file holds.
+    #[test]
+    fn hostile_slabs_are_errors_never_panics() {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+        let path = TempPath::new("hostile");
+        let mut rng = SmallRng::seed_from_u64(24);
+        let mut cases = 0usize;
+        for stride in [8, DEFAULT_INDEX_STRIDE] {
+            let p = LfrParams::small(120, 1);
+            let opts = SlabOptions {
+                index_stride: stride,
+                ..small_opts()
+            };
+            build_slab(120, |b| lfr_stream(p, b).map(|_| ()), opts, &path);
+            let pristine = std::fs::read(&path.0).unwrap();
+            let v = read_hostile(&path, &pristine, "pristine");
+            assert!(v.peek.is_ok() && v.open.is_ok() && v.verify.is_ok() && v.ranged.is_ok());
+            let hdr = HEADER_BYTES as usize;
+
+            // Every single-bit flip of the header.
+            for bit in 0..hdr * 8 {
+                let mut bytes = pristine.clone();
+                bytes[bit / 8] ^= 1 << (bit % 8);
+                check_mutant(
+                    &path,
+                    &pristine,
+                    &bytes,
+                    &format!("stride {stride}, bit {bit}"),
+                );
+                cases += 1;
+            }
+            // Whole-word overwrites with values that overflow, alias or
+            // point past the end, at every header word.
+            let len = pristine.len() as u64;
+            let nasty = [
+                0,
+                1,
+                7,
+                len,
+                len + 64,
+                u64::MAX,
+                u64::MAX / 8,
+                1 << 61,
+                (1 << 61) - 1,
+                1 << 63,
+            ];
+            for w in 0..hdr / 8 {
+                for &value in &nasty {
+                    let mut bytes = pristine.clone();
+                    bytes[w * 8..w * 8 + 8].copy_from_slice(&value.to_le_bytes());
+                    if bytes != pristine {
+                        check_mutant(
+                            &path,
+                            &pristine,
+                            &bytes,
+                            &format!("stride {stride}, word {w} = {value:#x}"),
+                        );
+                        cases += 1;
+                    }
+                }
+            }
+            // Seeded overwrites of one to four random header bytes.
+            for i in 0..1500 {
+                let mut bytes = pristine.clone();
+                for _ in 0..rng.random_range(1..5usize) {
+                    bytes[rng.random_range(0..hdr)] = rng.random::<u64>() as u8;
+                }
+                if bytes != pristine {
+                    check_mutant(
+                        &path,
+                        &pristine,
+                        &bytes,
+                        &format!("stride {stride}, random overwrite {i}"),
+                    );
+                    cases += 1;
+                }
+            }
+            // Seeded overwrites of one `offsets` word: only the ranged
+            // load reads that section unchecked, and must still refuse or
+            // load without a panic.
+            let offsets = SlabHeader::decode(&pristine).unwrap().sections[layout::SEC_OFFSETS];
+            for i in 0..300 {
+                let mut bytes = pristine.clone();
+                let at =
+                    offsets.offset as usize + 8 * rng.random_range(0..offsets.len as usize / 8);
+                let word = match i % 3 {
+                    0 => rng.random::<u64>(),
+                    1 => header_word(&bytes, at).wrapping_add(rng.random_range(1..64u64)),
+                    _ => header_word(&bytes, at).wrapping_sub(rng.random_range(1..64u64)),
+                };
+                bytes[at..at + 8].copy_from_slice(&word.to_le_bytes());
+                read_hostile(
+                    &path,
+                    &bytes,
+                    &format!("stride {stride}, offsets overwrite {i}"),
+                );
+                cases += 1;
+            }
+            // Truncation at, and a word either side of, every section
+            // boundary and inside the header.
+            let header = SlabHeader::decode(&pristine).unwrap();
+            let mut cuts = vec![0, 7, 8, hdr - 8, hdr - 1, hdr];
+            for s in &header.sections {
+                let (start, end) = (s.offset as usize, (s.offset + s.len) as usize);
+                cuts.extend([start - 8, start, start + 8, end - 8, end - 1]);
+            }
+            for cut in cuts.into_iter().filter(|&c| c < pristine.len()) {
+                let case = format!("stride {stride}, cut at {cut}");
+                let v = read_hostile(&path, &pristine[..cut], &case);
+                for (what, r) in [
+                    ("peek", v.peek),
+                    ("open", v.open),
+                    ("verify", v.verify),
+                    ("ranged", v.ranged),
+                ] {
+                    assert!(
+                        matches!(r, Err(StoreError::Truncated { .. })),
+                        "{case}: {what} gave {r:?}"
+                    );
+                }
+                cases += 1;
+            }
+        }
+        assert!(cases > 6000, "{cases} cases");
+    }
 }

@@ -184,13 +184,17 @@ const VERIFY_CHUNK_BYTES: usize = 1 << 20;
 pub fn verify(path: &Path) -> Result<SlabHeader, StoreError> {
     let mut file = File::open(path)?;
     let header = read_header(&mut file)?;
-    let mut buf = vec![0u8; VERIFY_CHUNK_BYTES];
+    // No bigger than the largest section, which the header check bounds
+    // by the file length.
+    let largest = header.sections.iter().map(|s| s.len).max().unwrap_or(0);
+    let chunk_bytes = largest.min(VERIFY_CHUNK_BYTES as u64);
+    let mut buf = vec![0u8; chunk_bytes as usize];
     for (name, s) in SECTION_NAMES.iter().zip(&header.sections) {
         file.seek(SeekFrom::Start(s.offset))?;
         let mut hash = Fnv1a::default();
         let mut left = s.len;
         while left > 0 {
-            let chunk = &mut buf[..left.min(VERIFY_CHUNK_BYTES as u64) as usize];
+            let chunk = &mut buf[..left.min(chunk_bytes) as usize];
             read_exact_or_truncated(&mut file, chunk, name)?;
             hash.update(chunk);
             left -= chunk.len() as u64;
@@ -289,6 +293,13 @@ pub fn load_rank(path: &Path, rank: usize, p: usize) -> Result<RankSlice, StoreE
     let window = read_offsets(range.start, range.end - range.start + 1)?;
     let lo = window[0];
     let hi = *window.last().unwrap();
+    // `offsets` is not checksummed on this path: a corrupt window is an
+    // error here, not a wrapped length below.
+    if window.windows(2).any(|w| w[0] > w[1]) || hi > header.num_arcs {
+        return Err(StoreError::Corrupt {
+            what: format!("offsets of rank {rank} are not a monotone window of the arcs"),
+        });
+    }
     let local_offsets: Vec<usize> = window.iter().map(|&o| (o - lo) as usize).collect();
 
     // The [lo, hi) extents of targets and weights.

@@ -44,7 +44,7 @@ BIN=target/release/louvain
 BIN2=target/release/lens
 
 echo "==> generate graph"
-"$BIN" generate --kind lfr --n 900 --seed 11 --out "$WORK/g.graph"
+"$BIN" generate --kind lfr --n 900 --seed 11 --out "$WORK/g.slab"
 
 run_q() { # <logfile> — extract the modularity line
   awk '/^modularity:/ {print $2}' "$1"
@@ -52,7 +52,7 @@ run_q() { # <logfile> — extract the modularity line
 
 echo "==> A: clean reference run"
 # shellcheck disable=SC2086  # EXTRA_FLAGS is a flag list
-"$BIN" run "$WORK/g.graph" --ranks "$RANKS" $EXTRA_FLAGS \
+"$BIN" run "$WORK/g.slab" --ranks "$RANKS" $EXTRA_FLAGS \
   --assignment "$WORK/clean.comm" | tee "$WORK/clean.log"
 
 if [ "${ONLY_CLEAN:-0}" = "1" ]; then
@@ -64,7 +64,7 @@ fi
 
 echo "==> B: crash at phase 1, recovery budget 0 (must fail)"
 # shellcheck disable=SC2086  # EXTRA_FLAGS is a flag list
-if "$BIN" run "$WORK/g.graph" --ranks "$RANKS" $EXTRA_FLAGS \
+if "$BIN" run "$WORK/g.slab" --ranks "$RANKS" $EXTRA_FLAGS \
     --checkpoint-dir "$WORK/ckpt" \
     --fault-plan 'crash:rank=0,phase=1,op=0' \
     --max-recoveries 0 >"$WORK/crash.log" 2>&1; then
@@ -75,7 +75,7 @@ test -f "$WORK/ckpt/LATEST" || { echo "FAIL: no checkpoint written" >&2; exit 1;
 
 echo "==> C: resume from the checkpoint"
 # shellcheck disable=SC2086  # EXTRA_FLAGS is a flag list
-"$BIN" run "$WORK/g.graph" --ranks "$RANKS" $EXTRA_FLAGS \
+"$BIN" run "$WORK/g.slab" --ranks "$RANKS" $EXTRA_FLAGS \
   --checkpoint-dir "$WORK/ckpt" --resume \
   --artifact-out "$WORK/resumed.artifact.json" \
   --assignment "$WORK/resumed.comm" | tee "$WORK/resumed.log"
@@ -90,7 +90,7 @@ grep -q '"resumed_from_phase": [0-9]' "$WORK/resumed.artifact.json" \
 
 echo "==> D: same crash, automatic in-run recovery"
 # shellcheck disable=SC2086  # EXTRA_FLAGS is a flag list
-"$BIN" run "$WORK/g.graph" --ranks "$RANKS" $EXTRA_FLAGS \
+"$BIN" run "$WORK/g.slab" --ranks "$RANKS" $EXTRA_FLAGS \
   --checkpoint-dir "$WORK/ckpt2" \
   --fault-plan 'crash:rank=0,phase=1,op=0' \
   --assignment "$WORK/recovered.comm" | tee "$WORK/recovered.log"
@@ -99,7 +99,7 @@ grep -q '^recoveries:' "$WORK/recovered.log" \
 
 echo "==> F: hang at phase 1, watchdog declares + recovers from checkpoint"
 # shellcheck disable=SC2086  # EXTRA_FLAGS is a flag list
-"$BIN" run "$WORK/g.graph" --ranks "$RANKS" $EXTRA_FLAGS \
+"$BIN" run "$WORK/g.slab" --ranks "$RANKS" $EXTRA_FLAGS \
   --checkpoint-dir "$WORK/ckpt3" \
   --fault-plan 'hang:rank=1,phase=1,op=0' \
   --comm-timeout-ms 100 --max-retries 2 \
@@ -111,7 +111,7 @@ grep -q '(0 crash, 1 hang)' "$WORK/hang.log" \
 
 echo "==> G: stall straggler — extended, not declared hung, blamed by crit"
 # shellcheck disable=SC2086  # EXTRA_FLAGS is a flag list
-"$BIN" run "$WORK/g.graph" --ranks "$RANKS" $EXTRA_FLAGS \
+"$BIN" run "$WORK/g.slab" --ranks "$RANKS" $EXTRA_FLAGS \
   --fault-plan 'seed=2;stall:rank=1,ms=150,prob=0.05' \
   --comm-timeout-ms 60 \
   --artifact-out "$WORK/stall.artifact.json" \

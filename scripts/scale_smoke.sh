@@ -3,11 +3,14 @@
 #
 # Exercises the full disk pipeline end to end at >=1M edges:
 #   1. stream-generate a slab (raw spill, then a counting sort per row
-#      block: bounded memory, no in-RAM edge list) and the same graph as
-#      a binary edge list,
-#   2. run p=2 three ways — in-memory scatter, mmap-backed slab, and
+#      block: bounded memory, no in-RAM edge list) and validate it with
+#      `louvain info`,
+#   2. run it p=2 two ways through the CLI — mmap-backed slab and
 #      per-rank byte-range slab loads — and require bit-identical
-#      community assignments.
+#      community assignments,
+#   3. run tests/storage.rs's ignored million-edge test, which checks
+#      the in-memory scatter, mmap and byte-range paths on the same
+#      graph for equal assignments and bit-equal modularity.
 #
 # CI runs this behind the LOUVAIN_SCALE_GATE repository variable.
 set -euo pipefail
@@ -19,17 +22,14 @@ SCRATCH=target/scale
 mkdir -p "$SCRATCH"
 
 # RMAT scale 18 (262144 vertices, ~1.9M edges after dedup), streamed
-# straight to a slab and, separately, written as a binary edge list for
-# the in-memory reference arm.
+# straight to a slab.
 ./target/release/louvain generate --kind rmat --n 262144 --seed 5 \
-  --slab --out "$SCRATCH/rmat_s18.slab"
+  --out "$SCRATCH/rmat_s18.slab"
 ./target/release/louvain info "$SCRATCH/rmat_s18.slab"
-./target/release/louvain generate --kind rmat --n 262144 --seed 5 \
-  --out "$SCRATCH/rmat_s18.bin"
 
-echo "==> p=2 bit-identity: in-memory scatter vs mmap vs byte-range"
+echo "==> p=2 bit-identity: mmap vs byte-range"
 # Each arm must say it ran on 2 ranks: an ignored rank flag would compare
-# three default-rank runs and still print "bit-identical" below.
+# two default-rank runs and still print "bit-identical" below.
 run_p2() { # <assignment-out> <louvain run args...>
   local out="$1"
   shift
@@ -37,11 +37,12 @@ run_p2() { # <assignment-out> <louvain run args...>
   grep -q ' on 2 ranks ' "$out.log" \
     || { cat "$out.log"; echo "FAIL: $out was not a 2-rank run" >&2; exit 1; }
 }
-run_p2 "$SCRATCH/mem.comm" "$SCRATCH/rmat_s18.bin"
 run_p2 "$SCRATCH/mapped.comm" "$SCRATCH/rmat_s18.slab"
 run_p2 "$SCRATCH/ranged.comm" "$SCRATCH/rmat_s18.slab" --ranged
-cmp "$SCRATCH/mem.comm" "$SCRATCH/mapped.comm"
-cmp "$SCRATCH/mem.comm" "$SCRATCH/ranged.comm"
-echo "p=2 in-memory, mmap, and byte-range assignments are bit-identical"
+cmp "$SCRATCH/mapped.comm" "$SCRATCH/ranged.comm"
+echo "p=2 mmap and byte-range assignments are bit-identical"
+
+echo "==> p=2 bit-identity: in-memory vs mmap vs byte-range (tests/storage.rs)"
+cargo test --release --test storage -- --ignored --nocapture
 
 echo "scale_smoke: OK"

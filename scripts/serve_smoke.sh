@@ -5,8 +5,8 @@
 #   B. submit a clean job — must finish `done`;
 #   C. resubmit the identical job — must be answered `"cached":true`
 #      from the result cache without re-running;
-#   S. the same for a slab: a fresh job, then a resubmission answered
-#      from the cache on the slab's header key;
+#   S. the same for a second slab (SSCA#2): a fresh job, then a
+#      resubmission answered from the cache on the slab's header key;
 #   D. submit a job with an injected mid-run crash — the per-job
 #      recovery budget absorbs it and the run resumes from its
 #      phase-boundary checkpoint (`resumed_from_phase` non-null), with
@@ -44,10 +44,10 @@ LOUVAIND=target/release/louvaind
 LENS=target/release/lens
 
 echo "==> generate graphs"
-"$LOUVAIN" generate --kind lfr --n 900 --seed 11 --out "$WORK/g.graph"
-"$LOUVAIN" generate --kind ssca2 --n 2000 --seed 5 --slab --out "$WORK/g.slab"
+"$LOUVAIN" generate --kind lfr --n 900 --seed 11 --out "$WORK/g.slab"
+"$LOUVAIN" generate --kind ssca2 --n 2000 --seed 5 --out "$WORK/s.slab"
 # A bigger graph keeps a job in flight long enough to scrape mid-run.
-"$LOUVAIN" generate --kind lfr --n 30000 --seed 13 --out "$WORK/big.graph"
+"$LOUVAIN" generate --kind lfr --n 30000 --seed 13 --out "$WORK/big.slab"
 
 echo "==> start daemon"
 "$LOUVAIND" serve --listen 127.0.0.1:0 --workers 2 \
@@ -66,26 +66,26 @@ done
 echo "    listening on $ADDR"
 
 echo "==> B. clean job"
-"$LOUVAIND" submit --addr "$ADDR" --job-id clean --graph "$WORK/g.graph" \
+"$LOUVAIND" submit --addr "$ADDR" --job-id clean --graph "$WORK/g.slab" \
     --ranks 2 | tee "$WORK/clean.out"
 grep -q '"outcome":"done"' "$WORK/clean.out" || { echo "FAIL: clean job did not finish"; exit 1; }
 grep -q '"cached":false' "$WORK/clean.out" || { echo "FAIL: first run cannot be cached"; exit 1; }
 
 echo "==> C. identical resubmission (cache hit)"
-"$LOUVAIND" submit --addr "$ADDR" --job-id clean-again --graph "$WORK/g.graph" \
+"$LOUVAIND" submit --addr "$ADDR" --job-id clean-again --graph "$WORK/g.slab" \
     --ranks 2 | tee "$WORK/cached.out"
 grep -q '"cached":true' "$WORK/cached.out" || { echo "FAIL: resubmission was not served from the cache"; exit 1; }
 
-echo "==> S. slab job, then its resubmission (cache hit on the header key)"
-"$LOUVAIND" submit --addr "$ADDR" --job-id slab --graph "$WORK/g.slab" \
+echo "==> S. second slab job, then its resubmission (cache hit on the header key)"
+"$LOUVAIND" submit --addr "$ADDR" --job-id slab --graph "$WORK/s.slab" \
     --ranks 2 | tee "$WORK/slab.out"
 grep -q '"cached":false' "$WORK/slab.out" || { echo "FAIL: first slab job did not run"; exit 1; }
-"$LOUVAIND" submit --addr "$ADDR" --job-id slab-again --graph "$WORK/g.slab" \
+"$LOUVAIND" submit --addr "$ADDR" --job-id slab-again --graph "$WORK/s.slab" \
     --ranks 2 | tee "$WORK/slab-cached.out"
 grep -q '"cached":true' "$WORK/slab-cached.out" || { echo "FAIL: slab resubmission was not served from the cache"; exit 1; }
 
 echo "==> D. crash-injected job (kill-and-resume inside its budget)"
-"$LOUVAIND" submit --addr "$ADDR" --job-id crashy --graph "$WORK/g.graph" \
+"$LOUVAIND" submit --addr "$ADDR" --job-id crashy --graph "$WORK/g.slab" \
     --ranks 2 --variant et:0.25 --fault "crash:rank=0,phase=1,op=0" \
     --crash-budget 1 | tee "$WORK/crash.out"
 grep -q '"outcome":"done"' "$WORK/crash.out" || { echo "FAIL: crash-injected job did not finish"; exit 1; }
@@ -98,7 +98,7 @@ grep -q '"type":"hierarchy"' "$WORK/query.out" || { echo "FAIL: query returned n
 grep -q '"levels":\[\[' "$WORK/query.out" || { echo "FAIL: hierarchy has no levels"; exit 1; }
 
 echo "==> G. mid-job metrics scrape"
-"$LOUVAIND" submit --addr "$ADDR" --job-id long --graph "$WORK/big.graph" \
+"$LOUVAIND" submit --addr "$ADDR" --job-id long --graph "$WORK/big.slab" \
     --ranks 2 >"$WORK/long.out" 2>&1 &
 SUBMIT_PID=$!
 RUNNING=""

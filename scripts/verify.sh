@@ -91,8 +91,8 @@ cargo clippy -q "${pkg_flags[@]}" --all-targets -- -D warnings
 # as `auto` at two, fig3 prints the modeled 128->4096-rank tail past
 # its last measured rank count, and ablations prints its pruning table.
 echo "==> louvain generate | run --artifact-out | lens show | lens crit | lens diff | run --ranks 0 | run --sweep relaxed | colored run t=1 = t=2 = auto t=2 | run <deleted option> | fig3 | ablations"
-./target/release/louvain generate --kind lfr --n 3000 --seed 7 --out target/verify_lfr.graph
-./target/release/louvain run target/verify_lfr.graph --ranks 2 --variant et:0.25 \
+./target/release/louvain generate --kind lfr --n 3000 --seed 7 --out target/verify_lfr.slab
+./target/release/louvain run target/verify_lfr.slab --ranks 2 --variant et:0.25 \
   --artifact-out target/run_artifact.json --trace-out target/trace.json
 ./target/release/lens show target/run_artifact.json
 ./target/release/lens crit target/run_artifact.json > target/crit_report.txt
@@ -103,13 +103,13 @@ grep -q "^  straggler blame: rank " target/crit_report.txt
 grep -q "^diff: 1 matched, 0 only-baseline, 0 only-current" target/self_diff.txt
 awk '{ for (i = 1; i <= NF; i++) if (split($i, ab, "→") == 2 && ab[1] != ab[2]) changed++ }
      END { exit changed > 0 }' target/self_diff.txt
-must_refuse --ranks ./target/release/louvain run target/verify_lfr.graph --ranks 0
-must_refuse relaxed ./target/release/louvain run target/verify_lfr.graph --sweep relaxed
+must_refuse --ranks ./target/release/louvain run target/verify_lfr.slab --ranks 0
+must_refuse relaxed ./target/release/louvain run target/verify_lfr.slab --sweep relaxed
 # The colored schedule's coloring crosses the rank boundary through the
 # ghost layer; its result must not depend on the thread count, and `auto`
 # above one thread is that schedule.
 for run in colored:1 colored:2 auto:2; do
-  ./target/release/louvain run target/verify_lfr.graph --ranks 2 --sweep "${run%:*}" \
+  ./target/release/louvain run target/verify_lfr.slab --ranks 2 --sweep "${run%:*}" \
     --threads-per-rank "${run#*:}" | grep -E '^(modularity|communities|iterations|traffic)' \
     > "target/${run%:*}_t${run#*:}.txt"
 done
@@ -120,16 +120,16 @@ cmp target/colored_t1.txt target/auto_t2.txt
 # The quotes split the deleted name so that it appears nowhere in the code.
 gone=--report-"out"
 must_refuse "unknown option $gone" \
-  ./target/release/louvain run target/verify_lfr.graph "$gone" target/gone.json
+  ./target/release/louvain run target/verify_lfr.slab "$gone" target/gone.json
 # Message faults are not modelled (MPI delivers reliably and in order):
 # each kind is refused by name, and the backoff knob went with them.
 must_refuse 'fault kind "drop"' \
-  ./target/release/louvain run target/verify_lfr.graph --fault-plan 'drop:prob=0.1'
+  ./target/release/louvain run target/verify_lfr.slab --fault-plan 'drop:prob=0.1'
 must_refuse 'fault kind "corrupt-payload"' \
-  ./target/release/louvain run target/verify_lfr.graph --fault-plan 'corrupt-payload:prob=0.1'
+  ./target/release/louvain run target/verify_lfr.slab --fault-plan 'corrupt-payload:prob=0.1'
 gone=--backoff-"base-ms"
 must_refuse "unknown option $gone" \
-  ./target/release/louvain run target/verify_lfr.graph "$gone" 1
+  ./target/release/louvain run target/verify_lfr.slab "$gone" 1
 # -c, not -q: grep must drain the pipe or fig3 dies writing to it.
 LOUVAIN_SCALE=quick ./target/release/fig3 channel 2>/dev/null | grep -cw modeled
 # The ablation binary keeps one study, ghost pruning: its table must print.
@@ -141,13 +141,13 @@ LOUVAIN_SCALE=quick ./target/release/ablations 2>/dev/null |
 # to the same bytes as the default block size. The slab is format v2
 # with four sections; a copy whose version byte (file offset 0) says 1
 # is refused by `info` and `run`, by version and without a panic.
-echo "==> slab v2: generate --slab --chunk-edges 500 under ulimit -n 256 | cmp against the default chunk | info | v1 copy refused by info and run"
+echo "==> slab v2: generate --chunk-edges 500 under ulimit -n 256 | cmp against the default chunk | info | v1 copy refused by info and run | the retired --slab switch, convert and an LVGRBPH1 file refused"
 (
   ulimit -n 256
-  ./target/release/louvain generate --kind rmat --n 65536 --seed 3 --slab --chunk-edges 500 \
+  ./target/release/louvain generate --kind rmat --n 65536 --seed 3 --chunk-edges 500 \
     --out target/verify_small_blocks.slab
 )
-./target/release/louvain generate --kind rmat --n 65536 --seed 3 --slab \
+./target/release/louvain generate --kind rmat --n 65536 --seed 3 \
   --out target/verify_default_blocks.slab
 cmp target/verify_small_blocks.slab target/verify_default_blocks.slab
 ./target/release/louvain info target/verify_default_blocks.slab | tee target/slab_info.txt
@@ -157,6 +157,20 @@ cp target/verify_default_blocks.slab target/verify_v1.slab
 printf 1 | dd of=target/verify_v1.slab bs=1 count=1 conv=notrunc status=none
 must_refuse "slab format version '1'" ./target/release/louvain info target/verify_v1.slab
 must_refuse "slab format version '1'" ./target/release/louvain run target/verify_v1.slab
+# The slab is the only graph file: the switch that chose it, the command
+# that wrote the binary edge list, and a file with that format's magic
+# (its 8-byte header, "LVGRBPH1" read as a big-endian word) are each
+# refused by name. The quotes split the deleted names so that they appear
+# nowhere in the code.
+must_refuse "unknown option --slab" ./target/release/louvain generate --kind rmat --n 1024 \
+  --out target/verify_gone.slab --"slab"
+must_refuse "unknown command \`convert\`" ./target/release/louvain con"vert" target/verify_gone.txt \
+  --out target/verify_gone.slab
+printf '1HPBRGVL' > target/verify_retired.bin
+must_refuse LVGRBPH1 ./target/release/louvain run target/verify_retired.bin
+must_refuse LVGRBPH1 ./target/release/louvain info target/verify_retired.bin
+must_refuse LVGRBPH1 ./target/release/louvain ingest target/verify_retired.bin \
+  --out target/verify_gone.slab
 
 # Not a gate: the figures a PR quotes against ROADMAP's "lines no higher
 # than found" rule.

@@ -1,15 +1,16 @@
 //! `louvain` — command-line driver for the distributed Louvain library.
 //!
 //! ```text
-//! louvain generate --kind lfr --n 10000 --seed 1 --out g.graph
-//! louvain info g.graph
-//! louvain run g.graph --ranks 8 --variant etc:0.25 --assignment out.comm
-//! louvain quality --truth g.graph.truth --detected out.comm
+//! louvain generate --kind lfr --n 10000 --seed 1 --out g.slab
+//! louvain info g.slab
+//! louvain run g.slab --ranks 8 --variant etc:0.25 --assignment out.comm
+//! louvain quality --truth g.slab.truth --detected out.comm
 //! ```
 //!
-//! Graphs use the binary edge-list format of the paper
-//! (`louvain_graph::binio`); assignments and ground truth are plain text,
-//! one community id per line, line number = vertex id.
+//! Graphs are slabs (`louvain_store`), the one on-disk format: `generate`
+//! streams into one, `ingest` builds one from a text edge list, and `run`
+//! and `info` read nothing else. Assignments and ground truth are plain
+//! text, one community id per line, line number = vertex id.
 
 use std::io::{BufRead, Write};
 use std::path::{Path, PathBuf};
@@ -21,7 +22,7 @@ use distributed_louvain::dist::{
     adjusted_rand_index, f_score, nmi, run_distributed_resilient_source, CheckpointOptions,
     DistConfig, GraphSource, ResilOptions, SweepMode, Variant,
 };
-use distributed_louvain::graph::{binio, gen, textio, Csr, IngestError, IngestPolicy, VertexId};
+use distributed_louvain::graph::{gen, metrics, textio, IngestError, IngestPolicy, VertexId};
 use distributed_louvain::store::{self, FileKind, Slab, SlabBuilder, SlabOptions, SlabSummary};
 use distributed_louvain::{dist, obs};
 
@@ -29,7 +30,6 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let result = match args.first().map(String::as_str) {
         Some("generate") => cmd_generate(&args[1..]),
-        Some("convert") => cmd_from_text(&args[1..]),
         Some("ingest") => cmd_ingest(&args[1..]),
         Some("info") => cmd_info(&args[1..]),
         Some("run") => cmd_run(&args[1..]),
@@ -53,43 +53,36 @@ const USAGE: &str = "\
 louvain — distributed Louvain community detection (IPDPS 2018 reproduction)
 
 USAGE:
-  louvain generate --kind <KIND> --n <N> [--seed <S>] --out <FILE>
-                   [--slab [--chunk-edges <C>]]
+  louvain generate --kind <KIND> --n <N> [--seed <S>] --out <SLAB>
+                   [--chunk-edges <C>] [--index-stride <S>]
       KIND: lfr | ssca2 | rmat | weblike | grid3d | erdos-renyi |
             watts-strogatz | barabasi-albert
       extra: --mu <F> (lfr), --avg-degree <F> (erdos-renyi)
-      Writes <FILE> (binary edge list) and, when the generator plants
-      communities, <FILE>.truth (one community id per line).
-      --slab streams the generator straight into a slab file (on-disk
-      CSR) instead: peak memory stays O(n + chunk) no matter how many
-      edges are emitted. --chunk-edges sets the raw arcs per row block.
+      Streams the generator into <SLAB>, a versioned, checksummed
+      on-disk CSR: peak memory stays O(n + chunk) no matter how many
+      edges are emitted. When the generator plants communities it also
+      writes <SLAB>.truth (one community id per line). --chunk-edges
+      sets the raw arcs per row block.
 
-  louvain convert <TEXT-FILE> --out <FILE> [--repair | --strict]
-      Converts a text edge list (`src dst [weight]` per line, # comments,
-      SNAP-style) to the binary format, remapping sparse ids densely.
+  louvain ingest <TEXT-FILE> --out <SLAB> [--repair | --strict]
+                 [--chunk-edges <C>] [--index-stride <S>]
+      Builds a slab from a text edge list (`src dst [weight]` per line,
+      # or % comments, SNAP-style), remapping sparse ids densely and
+      streaming in two passes with bounded memory: edges are spilled
+      raw, then counting-sorted into CSR rows one row block at a time,
+      so graphs far larger than RAM ingest cleanly. The resulting CSR is
+      bit-identical to loading the same edges in memory.
       NaN/negative/overflowing weights are always rejected with the
       offending line number. --strict also rejects duplicate edges and
       self-loops; --repair merges duplicates (summing weights) and drops
-      self-loops, printing what changed. (`louvain ingest` takes the
-      same file and policies to a slab, streaming in two passes with no
-      RAM-resident edge list.)
+      self-loops, printing what changed.
 
-  louvain ingest <FILE> --out <SLAB> [--repair | --strict]
-                 [--chunk-edges <C>]
-      Builds a slab — a versioned, checksummed on-disk CSR — from a
-      binary edge list or a text edge list (detected by file magic),
-      streaming with bounded memory: edges are spilled raw, then
-      counting-sorted into CSR rows one row block at a time, so graphs
-      far larger than RAM ingest cleanly.
-      The resulting CSR is bit-identical to loading the same edges in
-      memory.
+  louvain info <SLAB>
+      Validates every section checksum, then prints the slab's header,
+      degree statistics (and clustering up to 200 000 vertices) and
+      section layout.
 
-  louvain info <FILE>
-      Prints header, degree and clustering statistics of a binary graph
-      file, or the header / section layout of a slab (after validating
-      every section checksum).
-
-  louvain run <FILE> [--ranged]
+  louvain run <SLAB> [--ranged]
               [--ranks <P>] [--variant <V>] [--threads-per-rank <T>]
               [--sweep <auto|colored>]
               [--tau <F>] [--assignment <OUT>]
@@ -100,11 +93,10 @@ USAGE:
       V: baseline | cycling | et:<alpha> | etc:<alpha> | et+cycling:<alpha>
       Runs distributed Louvain on P simulated ranks, prints the summary,
       optionally writes the community assignment to <OUT>.
-      <FILE> is a binary edge list or a slab, told apart by file magic.
-      A slab is memory-mapped once and every rank reads its own rows in
-      place from the mapping; with --ranged (slabs only) each rank instead
-      reads only its own byte ranges from the file (the paper's MPI-I/O
-      pattern) — nothing is ever fully resident. Both paths are
+      <SLAB> is memory-mapped once and every rank reads its own rows
+      in place from the mapping; with --ranged each rank
+      instead reads only its own byte ranges from the file (the paper's
+      MPI-I/O pattern) — nothing is ever fully resident. Both paths are
       bit-identical to running the in-memory graph.
       --sweep picks the per-rank sweep schedule: `auto` (sequential at one
       thread, colored conflict-free batches otherwise) or `colored` (the
@@ -138,8 +130,7 @@ USAGE:
       adjusted Rand index between two assignment files.
 ";
 
-/// A parsed `--kind` plus its parameters, shared by the in-memory and
-/// the streamed `--slab` generation paths so both see identical specs.
+/// A parsed `--kind` plus its parameters.
 enum GenSpec {
     Lfr(gen::LfrParams),
     Ssca2(gen::Ssca2Params),
@@ -238,19 +229,6 @@ impl GenSpec {
             }
         })
     }
-
-    fn generate(self) -> gen::Generated {
-        match self {
-            GenSpec::Lfr(p) => gen::lfr(p),
-            GenSpec::Ssca2(p) => gen::ssca2(p),
-            GenSpec::Rmat(p) => gen::rmat(p),
-            GenSpec::Weblike(p) => gen::weblike(p),
-            GenSpec::Grid3d(p) => gen::grid3d(p),
-            GenSpec::ErdosRenyi(p) => gen::erdos_renyi(p),
-            GenSpec::WattsStrogatz(p) => gen::watts_strogatz(p),
-            GenSpec::BarabasiAlbert(p) => gen::barabasi_albert(p),
-        }
-    }
 }
 
 fn cmd_generate(args: &[String]) -> Result<(), String> {
@@ -264,46 +242,27 @@ fn cmd_generate(args: &[String]) -> Result<(), String> {
         "--chunk-edges",
         "--index-stride",
     ];
-    let opts = Args::scan(args, &values, &["--slab"])?;
+    let opts = Args::scan(args, &values, &[])?;
     let kind = opts.require("--kind")?;
     let out = PathBuf::from(opts.require("--out")?);
     let spec = GenSpec::parse(kind, &opts)?;
-
-    if opts.has("--slab") {
-        let sopts = slab_options(&opts, IngestPolicy::Lenient)?;
-        let mut b = SlabBuilder::new(spec.num_vertices(), sopts);
-        let truth = spec
-            .stream(&mut b)
-            .map_err(|e| format!("generating {kind}: {e}"))?;
-        let summary = b
-            .finish(&out)
-            .map_err(|e| format!("writing {}: {e}", out.display()))?;
-        println!(
-            "wrote {} ({} vertices, {} edges, {} arcs, {} bytes; slab)",
-            out.display(),
-            summary.num_vertices,
-            summary.num_edges,
-            summary.num_arcs,
-            summary.file_bytes
-        );
-        if let Some(truth) = truth {
-            let truth_path = truth_sibling(&out);
-            write_assignment(&truth_path, &truth)?;
-            println!("wrote {} (ground truth)", truth_path.display());
-        }
-        return Ok(());
-    }
-
-    let generated = spec.generate();
-    binio::write_edge_list(&out, &generated.graph.to_edge_list())
+    let sopts = slab_options(&opts, IngestPolicy::Lenient)?;
+    let mut b = SlabBuilder::new(spec.num_vertices(), sopts);
+    let truth = spec
+        .stream(&mut b)
+        .map_err(|e| format!("generating {kind}: {e}"))?;
+    let summary = b
+        .finish(&out)
         .map_err(|e| format!("writing {}: {e}", out.display()))?;
     println!(
-        "wrote {} ({} vertices, {} edges)",
+        "wrote {} ({} vertices, {} edges, {} arcs, {} bytes; slab)",
         out.display(),
-        generated.graph.num_vertices(),
-        generated.graph.num_edges()
+        summary.num_vertices,
+        summary.num_edges,
+        summary.num_arcs,
+        summary.file_bytes
     );
-    if let Some(truth) = generated.ground_truth {
+    if let Some(truth) = truth {
         let truth_path = truth_sibling(&out);
         write_assignment(&truth_path, &truth)?;
         println!("wrote {} (ground truth)", truth_path.display());
@@ -336,9 +295,22 @@ fn slab_options(opts: &Args, policy: IngestPolicy) -> Result<SlabOptions, String
     })
 }
 
-/// What `path` holds, by file magic.
+/// What `path` holds, by file magic. The retired binary edge list is
+/// an error naming it.
 fn sniff_kind(path: &Path) -> Result<FileKind, String> {
     store::sniff_kind(path).map_err(|e| format!("{}: {e}", path.display()))
+}
+
+/// Refuse anything but a slab, saying how to make one.
+fn require_slab(path: &Path) -> Result<(), String> {
+    match sniff_kind(path)? {
+        FileKind::Slab => Ok(()),
+        FileKind::Text => Err(format!(
+            "{} is not a slab: build one from a text edge list with `louvain ingest`, \
+             or with `louvain generate`",
+            path.display()
+        )),
+    }
 }
 
 fn print_slab_summary(input: &Path, out: &Path, s: &SlabSummary) {
@@ -367,54 +339,31 @@ fn cmd_ingest(args: &[String]) -> Result<(), String> {
     let out = PathBuf::from(opts.require("--out")?);
     let policy = parse_policy(&opts)?;
     let sopts = slab_options(&opts, policy)?;
-    let summary = match sniff_kind(&input)? {
-        FileKind::Slab => {
-            return Err(format!("{} is already a slab", input.display()));
-        }
-        FileKind::BinaryEdges => {
-            let header = binio::read_header(&input).map_err(|e| e.to_string())?;
-            let mut b = SlabBuilder::new(header.num_vertices, sopts);
-            binio::stream_edge_records(&input, &mut b)
-                .map_err(|e| format!("{}: {e}", input.display()))?;
-            b.finish(&out)
-                .map_err(|e| format!("writing {}: {e}", out.display()))?
-        }
-        FileKind::Text => {
-            let (b, _original_ids) =
-                textio::stream_text_edge_list(&input, |n| SlabBuilder::new(n, sopts))
-                    .map_err(|e| format!("{}: {e}", input.display()))?;
-            b.finish(&out)
-                .map_err(|e| format!("writing {}: {e}", out.display()))?
-        }
-    };
+    if sniff_kind(&input)? == FileKind::Slab {
+        return Err(format!("{} is already a slab", input.display()));
+    }
+    let (b, _original_ids) = textio::stream_text_edge_list(&input, |n| SlabBuilder::new(n, sopts))
+        .map_err(|e| format!("{}: {e}", input.display()))?;
+    let summary = b
+        .finish(&out)
+        .map_err(|e| format!("writing {}: {e}", out.display()))?;
     print_slab_summary(&input, &out, &summary);
     Ok(())
 }
 
-/// `louvain convert`: a text edge list into the binary format.
-fn cmd_from_text(args: &[String]) -> Result<(), String> {
-    let opts = Args::scan(args, &["--out"], &["--repair", "--strict"])?;
-    let input = PathBuf::from(opts.sole_positional("text edge-list file")?);
-    let out = PathBuf::from(opts.require("--out")?);
-    let policy = parse_policy(&opts)?;
-    let imported = textio::read_text_edge_list_policy(&input, policy)
-        .map_err(|e| format!("{}: {e}", input.display()))?;
-    binio::write_edge_list(&out, &imported.edges)
-        .map_err(|e| format!("writing {}: {e}", out.display()))?;
-    println!(
-        "converted {} -> {} ({} vertices, {} edges; sparse ids remapped densely)",
-        input.display(),
-        out.display(),
-        imported.edges.num_vertices(),
-        imported.edges.num_edges()
-    );
-    if imported.repairs.any() {
-        println!(
-            "repaired: {} duplicate edges merged, {} self-loops dropped",
-            imported.repairs.duplicates_merged, imported.repairs.self_loops_dropped
-        );
-    }
-    Ok(())
+/// Isolated vertices, maximum degree and median degree (the upper
+/// median) of a CSR, from its row offsets alone.
+fn degree_summary(offsets: &[u64]) -> (usize, u64, u64) {
+    let mut degs: Vec<u64> = offsets.windows(2).map(|w| w[1] - w[0]).collect();
+    let isolated = degs.iter().filter(|&&d| d == 0).count();
+    let max = degs.iter().copied().max().unwrap_or(0);
+    let mid = degs.len() / 2;
+    let median = if degs.is_empty() {
+        0
+    } else {
+        *degs.select_nth_unstable(mid).1
+    };
+    (isolated, max, median)
 }
 
 fn slab_info(path: &Path) -> Result<(), String> {
@@ -431,6 +380,16 @@ fn slab_info(path: &Path) -> Result<(), String> {
     println!("edges:        {}", slab.num_edges());
     println!("arcs:         {}", slab.num_arcs());
     println!("total weight: {}", two_m / 2.0);
+    let (isolated, max, median) = degree_summary(slab.offsets());
+    println!("isolated:     {isolated}");
+    println!("max degree:   {max}");
+    println!("median degree: {median}");
+    if slab.num_vertices() <= 200_000 {
+        println!(
+            "clustering:   {:.4}",
+            metrics::clustering_coefficient(&slab.to_csr())
+        );
+    }
     println!("file bytes:   {}", slab.mapped_bytes());
     if slab.num_edges() > 0 {
         println!(
@@ -453,33 +412,8 @@ fn slab_info(path: &Path) -> Result<(), String> {
 fn cmd_info(args: &[String]) -> Result<(), String> {
     let opts = Args::scan(args, &[], &[])?;
     let path = PathBuf::from(opts.sole_positional("graph file")?);
-    if matches!(sniff_kind(&path)?, FileKind::Slab) {
-        return slab_info(&path);
-    }
-    let header = binio::read_header(&path).map_err(|e| e.to_string())?;
-    let el = binio::read_edge_list(&path).map_err(|e| e.to_string())?;
-    let g = Csr::from_edge_list(el);
-    let mut degs: Vec<usize> = (0..g.num_vertices()).map(|v| g.degree(v as u64)).collect();
-    degs.sort_unstable();
-    let nz = degs.iter().filter(|&&d| d > 0).count();
-    println!("file:         {}", path.display());
-    println!("vertices:     {}", header.num_vertices);
-    println!("edges:        {}", header.num_edges);
-    println!("arcs (2E):    {}", g.num_arcs());
-    println!("total weight: {}", g.two_m() / 2.0);
-    println!("isolated:     {}", g.num_vertices() - nz);
-    println!("max degree:   {}", degs.last().copied().unwrap_or(0));
-    println!(
-        "median degree: {}",
-        degs.get(degs.len() / 2).copied().unwrap_or(0)
-    );
-    if g.num_vertices() <= 200_000 {
-        println!(
-            "clustering:   {:.4}",
-            distributed_louvain::graph::metrics::clustering_coefficient(&g)
-        );
-    }
-    Ok(())
+    require_slab(&path)?;
+    slab_info(&path)
 }
 
 fn cmd_run(args: &[String]) -> Result<(), String> {
@@ -562,41 +496,27 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
         max_recoveries,
         ..ResilOptions::none()
     };
-    // The holders outlive the borrowed source.
+    require_slab(&path)?;
+    // The mapping outlives the borrowed source.
     let slab;
-    let g;
-    let (src, n_vertices, n_edges, how) = match sniff_kind(&path)? {
-        FileKind::Slab if ranged => {
-            // Validate the header up front so a corrupt file fails here,
-            // loudly, instead of inside a rank thread.
-            let h = store::peek_header(&path).map_err(|e| format!("{}: {e}", path.display()))?;
-            let (nv, ne) = (h.num_vertices, h.num_edges);
-            let how = " (slab, per-rank byte-range loads)";
-            (GraphSource::SlabRanged(&path), nv, ne, how)
-        }
-        FileKind::Slab => {
-            slab = Slab::open(&path).map_err(|e| format!("{}: {e}", path.display()))?;
-            let (nv, ne) = (slab.num_vertices(), slab.num_edges());
-            (GraphSource::SlabMapped(&slab), nv, ne, " (slab, mmap)")
-        }
-        _ if ranged => {
-            return Err(format!(
-                "--ranged reads a slab by byte range, and {} is not a slab \
-                 (build one with `louvain ingest`)",
-                path.display()
-            ));
-        }
-        // A text file fails in the binary reader, which names the magic
-        // it wanted.
-        FileKind::BinaryEdges | FileKind::Text => {
-            let el = binio::read_edge_list(&path).map_err(|e| e.to_string())?;
-            g = Csr::from_edge_list(el);
-            let (nv, ne) = (g.num_vertices() as u64, g.num_edges() as u64);
-            (GraphSource::Memory(&g), nv, ne, "")
-        }
+    let (src, n_vertices, n_edges, how) = if ranged {
+        // Validate the header up front so a corrupt file fails here,
+        // loudly, instead of inside a rank thread.
+        let h = store::peek_header(&path).map_err(|e| format!("{}: {e}", path.display()))?;
+        let how = "per-rank byte-range loads";
+        (
+            GraphSource::SlabRanged(&path),
+            h.num_vertices,
+            h.num_edges,
+            how,
+        )
+    } else {
+        slab = Slab::open(&path).map_err(|e| format!("{}: {e}", path.display()))?;
+        let (nv, ne) = (slab.num_vertices(), slab.num_edges());
+        (GraphSource::SlabMapped(&slab), nv, ne, "mmap")
     };
     println!(
-        "graph: {n_vertices} vertices, {n_edges} edges{how}; running {} on {ranks} ranks × {threads} threads",
+        "graph: {n_vertices} vertices, {n_edges} edges (slab, {how}); running {} on {ranks} ranks × {threads} threads",
         variant.label()
     );
     let out = run_distributed_resilient_source(src, ranks, &cfg, runcfg, &resil)?;
@@ -797,18 +717,18 @@ mod tests {
         let s = |x: &str| x.to_string();
         // `-p` has never been a flag of `run` (it is `--ranks`); before the
         // strict scanner it was ignored and the run used the default 4.
-        let err = cmd_run(&[s("g.bin"), s("-p"), s("2")]).unwrap_err();
+        let err = cmd_run(&[s("g.slab"), s("-p"), s("2")]).unwrap_err();
         assert!(err.contains("-p"), "unexpected error: {err}");
-        let err = cmd_run(&[s("g.bin"), s("--ranks")]).unwrap_err();
+        let err = cmd_run(&[s("g.slab"), s("--ranks")]).unwrap_err();
         assert!(err.contains("--ranks"), "unexpected error: {err}");
-        let err = cmd_run(&[s("g.bin"), s("--ranks"), s("two")]).unwrap_err();
+        let err = cmd_run(&[s("g.slab"), s("--ranks"), s("two")]).unwrap_err();
         assert!(err.contains("--ranks") && err.contains("two"), "{err}");
         let err = cmd_generate(&[s("--kind"), s("lfr"), s("--nn"), s("5")]).unwrap_err();
         assert!(err.contains("--nn"), "unexpected error: {err}");
-        let err = cmd_info(&[s("a.bin"), s("b.bin")]).unwrap_err();
-        assert!(err.contains("b.bin"), "unexpected error: {err}");
+        let err = cmd_info(&[s("a.slab"), s("b.slab")]).unwrap_err();
+        assert!(err.contains("b.slab"), "unexpected error: {err}");
         // The racing sweep schedule is deleted: its name is refused.
-        let err = cmd_run(&[s("g.bin"), s("--sweep"), s("relaxed")]).unwrap_err();
+        let err = cmd_run(&[s("g.slab"), s("--sweep"), s("relaxed")]).unwrap_err();
         assert!(
             err.starts_with("--sweep") && err.contains("relaxed"),
             "{err}"
@@ -821,7 +741,7 @@ mod tests {
             (concat!("--checkpoint", "-every"), Some("2")),
             (concat!("--no", "-watchdog"), None),
         ] {
-            let mut args = vec![s("g.bin"), s(flag)];
+            let mut args = vec![s("g.slab"), s(flag)];
             args.extend(value.map(s));
             let err = cmd_run(&args).unwrap_err();
             assert_eq!(err, format!("unknown option {flag}"));
@@ -832,7 +752,7 @@ mod tests {
     /// die with a backtrace.
     #[test]
     fn zero_ranks_is_a_usage_error_naming_the_flag() {
-        let err = cmd_run(&["g.bin".into(), "--ranks".into(), "0".into()]).unwrap_err();
+        let err = cmd_run(&["g.slab".into(), "--ranks".into(), "0".into()]).unwrap_err();
         assert!(
             err.contains("--ranks") && err.contains("at least 1"),
             "{err}"
@@ -860,7 +780,7 @@ mod tests {
     fn end_to_end_generate_run_quality() {
         let dir = std::env::temp_dir().join("louvain-cli-e2e");
         std::fs::create_dir_all(&dir).unwrap();
-        let graph = dir.join("t.graph");
+        let graph = dir.join("t.slab");
         let assign = dir.join("t.comm");
         let s = |x: &str| x.to_string();
         cmd_generate(&[
@@ -913,40 +833,37 @@ mod tests {
         .unwrap();
     }
 
+    /// The community assignment of an in-memory run with `run`'s
+    /// defaults at two ranks: the oracle the slab paths must equal.
+    fn in_memory_assignment(g: &distributed_louvain::graph::Csr) -> Vec<VertexId> {
+        dist::run_distributed(g, 2, &DistConfig::with_variant(Variant::Baseline)).assignment
+    }
+
     #[test]
     fn end_to_end_slab_flow_matches_in_memory() {
         let dir = std::env::temp_dir().join("louvain-cli-slab");
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
-        let graph = dir.join("s.graph");
         let slab = dir.join("s.slab");
         let s = |x: &str| x.to_string();
         let p = |x: &Path| s(x.to_str().unwrap());
-        // The same spec through both writers: binary edge list + slab.
-        for extra in [None, Some("--slab")] {
-            let mut args = vec![
-                s("--kind"),
-                s("ssca2"),
-                s("--n"),
-                s("600"),
-                s("--seed"),
-                s("3"),
-                s("--out"),
-                if extra.is_some() { p(&slab) } else { p(&graph) },
-            ];
-            if let Some(f) = extra {
-                args.push(s(f));
-            }
-            cmd_generate(&args).unwrap();
-        }
+        let spec = [
+            s("--kind"),
+            s("ssca2"),
+            s("--n"),
+            s("600"),
+            s("--seed"),
+            s("3"),
+        ];
+        let mut args = spec.to_vec();
+        args.extend([s("--out"), p(&slab)]);
+        cmd_generate(&args).unwrap();
         assert!(truth_sibling(&slab).exists());
-        // Slab-aware info validates every checksum before printing.
+        // Info validates every checksum before printing.
         cmd_info(&[p(&slab)]).unwrap();
-        // All three load paths must produce the identical assignment.
-        let mem = dir.join("mem.comm");
+        // Both slab load paths produce the in-memory run's assignment.
         let mapped = dir.join("map.comm");
         let ranged = dir.join("rng.comm");
-        cmd_run(&[p(&graph), s("--ranks"), s("2"), s("--assignment"), p(&mem)]).unwrap();
         cmd_run(&[
             p(&slab),
             s("--ranks"),
@@ -964,26 +881,27 @@ mod tests {
             p(&ranged),
         ])
         .unwrap();
-        let want = read_assignment(&mem).unwrap();
+        let g = gen::ssca2(gen::Ssca2Params::paper(600, 3)).graph;
+        let want = in_memory_assignment(&g);
         assert_eq!(want, read_assignment(&mapped).unwrap());
         assert_eq!(want, read_assignment(&ranged).unwrap());
-        // Ingesting the binary edge list replays the identical edge
-        // stream, so the slab files are byte-identical.
-        let ingested = dir.join("i.slab");
-        cmd_ingest(&[p(&graph), s("--out"), p(&ingested)]).unwrap();
-        assert_eq!(
-            std::fs::read(&slab).unwrap(),
-            std::fs::read(&ingested).unwrap()
-        );
-        // --ranged on anything but a slab is refused by name, and so is
-        // the flag the magic sniff replaced.
-        let err = cmd_run(&[s("--ranged"), p(&graph)]).unwrap_err();
-        assert!(
-            err.contains("--ranged") && err.contains("not a slab"),
-            "unexpected error: {err}"
-        );
+        // A text file is refused on both paths, pointing at `ingest`.
+        let text = dir.join("g.txt");
+        std::fs::write(&text, "0 1\n1 2\n").unwrap();
+        for args in [vec![p(&text)], vec![s("--ranged"), p(&text)]] {
+            let err = cmd_run(&args).unwrap_err();
+            assert!(
+                err.contains("not a slab") && err.contains("louvain ingest"),
+                "unexpected error: {err}"
+            );
+        }
+        // The flags the slab-only paths made redundant are refused by name.
         let err = cmd_run(&[s("--slab"), p(&slab)]).unwrap_err();
         assert!(err.contains("--slab"), "unexpected error: {err}");
+        let mut args = spec.to_vec();
+        args.extend([s("--out"), p(&slab), s("--slab")]);
+        let err = cmd_generate(&args).unwrap_err();
+        assert_eq!(err, "unknown option --slab");
     }
 
     #[test]
@@ -994,20 +912,13 @@ mod tests {
         let text = dir.join("t.txt");
         // Sparse ids, duplicates, and a self-loop exercise the repair
         // policy on both paths.
-        std::fs::write(
-            &text,
-            "# test\n100 200\n200 300 2.0\n300 100\n100 200 0.5\n300 300\n400 100\n",
-        )
-        .unwrap();
-        let bin = dir.join("t.bin");
+        let body = "# test\n100 200\n200 300 2.0\n300 100\n100 200 0.5\n300 300\n400 100\n";
+        std::fs::write(&text, body).unwrap();
         let slab = dir.join("t.slab");
         let s = |x: &str| x.to_string();
         let p = |x: &Path| s(x.to_str().unwrap());
-        cmd_from_text(&[p(&text), s("--out"), p(&bin), s("--repair")]).unwrap();
         cmd_ingest(&[p(&text), s("--out"), p(&slab), s("--repair")]).unwrap();
-        let mem = dir.join("mem.comm");
         let mapped = dir.join("map.comm");
-        cmd_run(&[p(&bin), s("--ranks"), s("2"), s("--assignment"), p(&mem)]).unwrap();
         cmd_run(&[
             p(&slab),
             s("--ranks"),
@@ -1016,16 +927,61 @@ mod tests {
             p(&mapped),
         ])
         .unwrap();
-        assert_eq!(
-            read_assignment(&mem).unwrap(),
-            read_assignment(&mapped).unwrap()
-        );
-        // Strict conversion rejects the duplicate on both paths.
-        assert!(cmd_from_text(&[p(&text), s("--out"), p(&bin), s("--strict")]).is_err());
+        // The in-memory parse under the same policy is the oracle.
+        let parsed = textio::parse_edge_list_policy(body.as_bytes(), IngestPolicy::Repair).unwrap();
+        let g = distributed_louvain::graph::Csr::from_edge_list(parsed.edges);
+        assert_eq!(in_memory_assignment(&g), read_assignment(&mapped).unwrap());
+        // Strict ingest rejects the duplicate.
         assert!(cmd_ingest(&[p(&text), s("--out"), p(&slab), s("--strict")]).is_err());
-        // The flag `ingest` replaced is refused by name.
-        let err = cmd_from_text(&[p(&text), s("--out"), p(&slab), s("--slab")]).unwrap_err();
-        assert!(err.contains("--slab"), "unexpected error: {err}");
+    }
+
+    /// `run`, `run --ranged`, `info` and `ingest` refuse the retired
+    /// binary edge list by name, from its 8-byte magic alone.
+    #[test]
+    fn retired_binary_edge_list_is_refused_by_name_on_every_path() {
+        let dir = std::env::temp_dir().join("louvain-cli-retired");
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let old = dir.join("g.bin");
+        std::fs::write(&old, 0x4C56_4752_4250_4831u64.to_le_bytes()).unwrap();
+        let s = |x: &str| x.to_string();
+        let p = |x: &Path| s(x.to_str().unwrap());
+        for err in [
+            cmd_run(&[p(&old), s("--ranks"), s("2")]).unwrap_err(),
+            cmd_run(&[s("--ranged"), p(&old)]).unwrap_err(),
+            cmd_info(&[p(&old)]).unwrap_err(),
+            cmd_ingest(&[p(&old), s("--out"), p(&dir.join("x.slab"))]).unwrap_err(),
+        ] {
+            assert!(
+                err.contains("LVGRBPH1")
+                    && err.contains("louvain generate")
+                    && err.contains("louvain ingest"),
+                "unexpected error: {err}"
+            );
+        }
+    }
+
+    #[test]
+    fn degree_summary_matches_csr_degree() {
+        // A self-loop (one arc), a hub, a path and two isolated vertices.
+        let el = distributed_louvain::graph::EdgeList::from_edges(
+            8,
+            [
+                (0, 0, 1.0),
+                (1, 2, 1.0),
+                (1, 3, 1.0),
+                (1, 4, 1.0),
+                (4, 5, 2.0),
+            ],
+        );
+        let g = distributed_louvain::graph::Csr::from_edge_list(el);
+        let offsets: Vec<u64> = g.offsets().iter().map(|&o| o as u64).collect();
+        let mut degs: Vec<u64> = (0..8).map(|v| g.degree(v) as u64).collect();
+        degs.sort_unstable();
+        let isolated = degs.iter().filter(|&&d| d == 0).count();
+        assert_eq!(isolated, 2);
+        assert_eq!(degree_summary(&offsets), (isolated, degs[7], degs[4]));
+        assert_eq!(degree_summary(&[0]), (0, 0, 0));
     }
 
     #[test]
@@ -1045,7 +1001,6 @@ mod tests {
             s("2"),
             s("--out"),
             p(&slab),
-            s("--slab"),
         ])
         .unwrap();
         let pristine = std::fs::read(&slab).unwrap();
@@ -1104,7 +1059,7 @@ mod tests {
         let dir = std::env::temp_dir().join("louvain-cli-resil");
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
-        let graph = dir.join("r.graph");
+        let graph = dir.join("r.slab");
         let ckpt = dir.join("ckpt");
         let clean = dir.join("clean.comm");
         let resumed = dir.join("resumed.comm");

@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! louvaind serve --listen 127.0.0.1:7077 --workers 2
-//! louvaind submit --addr 127.0.0.1:7077 --job-id a --graph g.bin --ranks 2
+//! louvaind submit --addr 127.0.0.1:7077 --job-id a --graph g.slab --ranks 2
 //! louvaind query --addr 127.0.0.1:7077 --job-id a
 //! ```
 //!

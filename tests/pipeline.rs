@@ -1,48 +1,11 @@
-//! Full-pipeline integration: binary file → per-rank range reads →
-//! edge-balanced redistribution → distributed Louvain → quality report,
-//! plus determinism guarantees.
+//! Full-pipeline integration: generated graph → edge-balanced
+//! distribution → distributed Louvain → quality report, plus determinism
+//! guarantees. The file → per-rank range read → run path is
+//! `tests/storage.rs`'s load-path matrix.
 
-use distributed_louvain::comm::run as run_ranks;
-use distributed_louvain::dist::runner::run_on_rank;
 use distributed_louvain::dist::{f_score, run_distributed, DistConfig};
-use distributed_louvain::graph::dist::build_distributed;
-use distributed_louvain::graph::{binio, modularity};
+use distributed_louvain::graph::modularity;
 use distributed_louvain::prelude::*;
-
-fn tmp_path(name: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join("louvain-pipeline-tests");
-    std::fs::create_dir_all(&dir).unwrap();
-    dir.join(name)
-}
-
-#[test]
-fn file_to_communities_pipeline_matches_in_memory_run() {
-    let generated = lfr(LfrParams::small(1_200, 55));
-    let g = &generated.graph;
-    let path = tmp_path("pipeline.graph");
-    binio::write_edge_list(&path, &g.to_edge_list()).unwrap();
-    let header = binio::read_header(&path).unwrap();
-    assert_eq!(header.num_vertices as usize, g.num_vertices());
-
-    let p = 3;
-    let cfg = DistConfig::baseline();
-    let outcomes = run_ranks(p, |comm| {
-        let (lo, hi) = binio::rank_record_range(header.num_edges, comm.rank(), comm.size());
-        let edges = binio::read_edge_range(&path, lo, hi).unwrap();
-        let lg = build_distributed(comm, header.num_vertices, edges);
-        run_on_rank(comm, lg, &cfg, &ResilOptions::none())
-    });
-    let file_q = outcomes[0].modularity;
-
-    let direct = run_distributed(g, p, &cfg);
-    // Identical partitioning and seeds → identical result.
-    assert!(
-        (file_q - direct.modularity).abs() < 1e-9,
-        "file {} vs direct {}",
-        file_q,
-        direct.modularity
-    );
-}
 
 #[test]
 fn quality_report_on_planted_graph_is_high() {

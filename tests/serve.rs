@@ -8,14 +8,12 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Duration;
 
-use distributed_louvain::serve::{
-    graph_fingerprint, JobSpec, JobStatus, ServeConfig, Server, SubmitError,
-};
+use distributed_louvain::serve::{JobSpec, JobStatus, ServeConfig, Server, SubmitError};
 use distributed_louvain::store::layout::SEC_WEIGHTS;
 use distributed_louvain::store::{peek_header, SlabBuilder, SlabOptions};
 use louvain_dist::{run_distributed, DistConfig, Variant};
 use louvain_graph::gen::{lfr, LfrParams};
-use louvain_graph::{binio, Csr, EdgeSink};
+use louvain_graph::{Csr, EdgeSink};
 use proptest::prelude::*;
 
 fn work_dir(name: &str) -> PathBuf {
@@ -27,12 +25,11 @@ fn work_dir(name: &str) -> PathBuf {
     dir
 }
 
-/// Deterministic test graph, written as a binary edge list.
+/// Deterministic test graph as a slab, beside the in-memory graph a
+/// direct run is checked against.
 fn graph_file(dir: &Path, n: u64, seed: u64) -> (PathBuf, Csr) {
-    let g = lfr(LfrParams::small(n, seed)).graph;
-    let path = dir.join(format!("lfr_{n}_{seed}.bin"));
-    binio::write_edge_list(&path, &g.to_edge_list()).unwrap();
-    (path, g)
+    let path = slab_file(dir, n, seed, 0.0);
+    (path, lfr(LfrParams::small(n, seed)).graph)
 }
 
 /// The same LFR graph ingested to a slab, with the first edge's weight
@@ -182,19 +179,39 @@ fn identical_resubmission_is_a_cache_hit() {
     srv.drain();
 }
 
+/// Only slabs are served. A retired `LVGRBPH1` binary edge list and a
+/// text edge list are each refused from the magic sniff: the job ends
+/// `Failed`, the error says to run `louvain ingest`, and the daemon goes
+/// on serving.
 #[test]
-fn binary_edge_list_key_is_the_streamed_file_hash() {
-    let dir = work_dir("bin-key");
-    let (path, _) = graph_file(&dir, 300, 43);
+fn non_slab_graphs_fail_naming_ingest() {
+    let dir = work_dir("non-slab");
+    let retired = dir.join("g.bin");
+    std::fs::write(&retired, 0x4C56_4752_4250_4831u64.to_le_bytes()).unwrap();
+    let text = dir.join("g.txt");
+    std::fs::write(&text, "0 1\n1 2\n2 0\n").unwrap();
     let srv = server(&dir, 1);
-    let s1 = srv
-        .submit(spec("bin", &path, 2, DistConfig::baseline()))
+    for (job, path, names) in [
+        ("retired", &retired, "LVGRBPH1"),
+        ("text", &text, "not a slab"),
+    ] {
+        let seq = srv
+            .submit(spec(job, path, 2, DistConfig::baseline()))
+            .unwrap();
+        let status = srv.wait(seq).unwrap();
+        let JobStatus::Failed { error, attempts: 0 } = &status else {
+            panic!("{job}: expected Failed before any attempt, got {status:?}");
+        };
+        assert!(
+            error.contains(names) && error.contains("louvain ingest"),
+            "{job}: {error}"
+        );
+    }
+    let (path, _) = graph_file(&dir, 300, 43);
+    let seq = srv
+        .submit(spec("slab", &path, 2, DistConfig::baseline()))
         .unwrap();
-    let JobStatus::Done { result, .. } = done(&srv.wait(s1).unwrap()).clone() else {
-        unreachable!()
-    };
-    // Checkpoint directories of `.bin` jobs keep their names.
-    assert_eq!(result.key.graph_fp, graph_fingerprint(&path).unwrap());
+    done(&srv.wait(seq).unwrap());
     srv.drain();
 }
 

@@ -249,3 +249,40 @@ fn sink_trait_object_and_direct_calls_build_identical_slabs() {
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// The matrix's three load paths at a million edges: RMAT scale 18
+/// (≈1.9M edges) at p=2 under `louvain run`'s defaults, assignment and
+/// modularity bits compared. Too slow for a debug build, so it is
+/// ignored by default; `scripts/scale_smoke.sh` runs it with
+/// `cargo test --release --test storage -- --ignored`.
+#[test]
+#[ignore]
+fn million_edge_load_paths_are_bit_identical() {
+    let dir = tmp_dir("million");
+    let params = RmatParams::social(18, 8, 5);
+    let (g, path) = build_pair("rmat_s18", &dir, rmat(params).graph, |b| {
+        rmat_stream(params, b).unwrap();
+    });
+    assert!(g.num_edges() >= 1_000_000, "{} edges", g.num_edges());
+    let slab = Slab::open(&path).unwrap();
+    let cfg = DistConfig::with_variant(Variant::Baseline);
+    let mem = run_src(GraphSource::Memory(&g), 2, &cfg);
+    let mapped = run_src(GraphSource::SlabMapped(&slab), 2, &cfg);
+    let ranged = run_src(GraphSource::SlabRanged(&path), 2, &cfg);
+    for (mode, out) in [("mapped", &mapped), ("ranged", &ranged)] {
+        assert_eq!(mem.assignment, out.assignment, "{mode} assignment");
+        assert_eq!(
+            mem.modularity.to_bits(),
+            out.modularity.to_bits(),
+            "{mode} modularity"
+        );
+    }
+    println!(
+        "rmat scale 18: {} vertices, {} edges, Q = {:.6} on all three load paths",
+        g.num_vertices(),
+        g.num_edges(),
+        mem.modularity
+    );
+    drop(slab);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
