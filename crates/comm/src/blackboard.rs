@@ -15,6 +15,7 @@ use std::time::Duration;
 use parking_lot::{Condvar, Mutex};
 
 use crate::health::{WaitCtx, Watchdog};
+use crate::runtime::poisoned;
 
 struct State {
     generation: u64,
@@ -48,7 +49,7 @@ impl Blackboard {
 
     fn check_poison(&self) {
         if self.poison.load(Ordering::Relaxed) {
-            panic!("communicator poisoned: a peer rank panicked");
+            poisoned();
         }
     }
 

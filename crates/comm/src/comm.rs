@@ -10,6 +10,7 @@ use crate::envelope::{Envelope, Mailbox, Senders};
 use crate::fault::{FaultPlan, RankCrashed};
 use crate::health::{HealthBoard, HealthConfig, RankHung, WaitCtx};
 use crate::reduce::{ReduceOp, Reducible};
+use crate::runtime::poisoned;
 use crate::stats::{CommStats, CommStep, StatsSnapshot};
 
 /// Message tag, matched together with the source rank on receive.
@@ -133,7 +134,7 @@ impl Comm {
         loop {
             std::thread::sleep(Duration::from_millis(2));
             if self.poison.load(Ordering::Relaxed) {
-                panic!("communicator poisoned: a peer rank panicked");
+                poisoned();
             }
             if started.elapsed() >= limit {
                 std::panic::panic_any(RankHung {
@@ -158,7 +159,7 @@ impl Comm {
         while started.elapsed() < dur {
             self.board.beat(self.rank);
             if self.poison.load(Ordering::Relaxed) {
-                panic!("communicator poisoned: a peer rank panicked");
+                poisoned();
             }
             std::thread::sleep(slice);
         }
@@ -174,7 +175,13 @@ impl Comm {
             tag,
             payload: Box::new(data),
         };
-        self.senders[dst].send(env).expect("peer mailbox closed");
+        if self.senders[dst].send(env).is_err() {
+            // A failed peer drops its mailbox after poisoning the job.
+            if self.poison.load(Ordering::Relaxed) {
+                poisoned();
+            }
+            panic!("peer mailbox closed");
+        }
     }
 
     /// This rank's id in `[0, size)`.

@@ -19,6 +19,7 @@ use std::sync::Arc;
 use crossbeam::channel::{Receiver, RecvTimeoutError, Sender};
 
 use crate::health::{WaitCtx, Watchdog};
+use crate::runtime::poisoned;
 
 /// A single in-flight message: source rank, user tag, and payload.
 /// (Byte accounting happens on the send side, in `CommStats`.)
@@ -83,7 +84,7 @@ impl Mailbox {
                 }
                 Err(RecvTimeoutError::Timeout) => {
                     if self.poison.load(Ordering::Relaxed) {
-                        panic!("communicator poisoned: a peer rank panicked");
+                        poisoned();
                     }
                     if dog.due() {
                         dog.observe(&[src]);

@@ -37,6 +37,12 @@ where
     run_with(p, RunConfig::default(), f)
 }
 
+/// Unwind a rank blocked on a job a peer has already failed. It skips the
+/// panic hook: the job reports the first rank's payload, not these.
+pub(crate) fn poisoned() -> ! {
+    std::panic::resume_unwind(Box::new("communicator poisoned: a peer rank panicked"))
+}
+
 /// [`run`] with explicit configuration.
 pub fn run_with<R, F>(p: usize, config: RunConfig, f: F) -> Vec<R>
 where

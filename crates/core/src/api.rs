@@ -9,7 +9,7 @@ use parking_lot_free::TakeSlots;
 
 use crate::config::DistConfig;
 use crate::resume::{
-    JobCancelled, ResilAbort, ResilOptions, CANCELLED_AT_PHASE, CRASH_BUDGET_EXHAUSTED,
+    abort, JobCancelled, ResilAbort, ResilOptions, CANCELLED_AT_PHASE, CRASH_BUDGET_EXHAUSTED,
     HANG_BUDGET_EXHAUSTED,
 };
 use crate::runner::{run_on_rank, RankOutcome};
@@ -174,9 +174,7 @@ impl<'a> RankFeed<'a> {
                         louvain_obs::gauge_set("mem.mapped_bytes", slice.bytes_read as f64);
                         (slice.local, false)
                     }
-                    Err(e) => std::panic::panic_any(ResilAbort(format!(
-                        "slab load failed on rank {rank}: {e}"
-                    ))),
+                    Err(e) => abort(format!("slab load failed on rank {rank}: {e}")),
                 }
             }
         };
@@ -251,11 +249,12 @@ fn run_attempts(
 ) -> Result<DistOutcome, String> {
     let base_fault: Option<std::sync::Arc<FaultPlan>> = runcfg.fault.clone();
 
-    // One collector across attempts: a crashed attempt's spans stay in
-    // the rings, so the final trace shows the recovery story end to end.
-    // A live progress sink also needs the collector (its merger rides on
-    // the installed observers), but does not by itself enable tracing —
-    // a progress-only run produces no trace sections.
+    // One collector across attempts: a crashed attempt's records are
+    // handed to it as its rank threads unwind, so the final trace shows
+    // the recovery story end to end. A live progress sink also needs the
+    // collector (its merger rides on the installed observers), but does
+    // not by itself enable tracing — a progress-only run produces no
+    // trace sections.
     let tracing = louvain_obs::enabled();
     let collector = (tracing || resil.progress.is_some()).then(|| {
         let mut col = louvain_obs::Collector::new(p);
@@ -264,13 +263,6 @@ fn run_attempts(
         }
         col
     });
-    // Keep the global progress bit set for the duration of the run so
-    // `record_iteration` sites feed the merger; dropped on every return
-    // path.
-    let _progress_scope = resil
-        .progress
-        .as_ref()
-        .map(|_| louvain_obs::ProgressScope::new());
     let started = std::time::Instant::now();
 
     let mut crash_recoveries = 0usize;
@@ -310,12 +302,7 @@ fn run_attempts(
         match attempt {
             Ok(results) => {
                 let wall = started.elapsed();
-                // Rows whose iterations some ranks early-terminated out
-                // of never reach a full rank count in the merger; emit
-                // them now so watchers see the complete trajectory.
-                if let Some(m) = collector.as_ref().and_then(|c| c.progress_merger()) {
-                    m.flush();
-                }
+                // `finish` also emits the partial progress rows.
                 let trace = collector
                     .map(louvain_obs::Collector::finish)
                     .filter(|_| tracing);

@@ -615,13 +615,15 @@ pub fn louvain_phase(
     let mut iterations = 0;
     let mut etc_exit = false;
 
+    // A collector is listening (tracing, a progress sink, or both).
+    let observed = louvain_obs::observing();
     while iterations < cfg.max_iterations {
         iterations += 1;
         let mut iter_span = louvain_obs::span!("iteration", phase = phase_idx, iter = iterations);
         let edges_at_iter_start = compute.edges_scanned;
-        // Telemetry baseline for this iteration's ghost-traffic delta;
-        // behind the same one-relaxed-load gate as every recording site.
-        let ghost_bytes_at_start = if louvain_obs::enabled() {
+        // Telemetry baseline for this iteration's ghost-traffic delta,
+        // behind the same gate as the record below.
+        let ghost_bytes_at_start = if observed {
             comm.stats()
                 .snapshot()
                 .step_bytes_for(CommStep::GhostRefresh)
@@ -817,7 +819,7 @@ pub fn louvain_phase(
         });
         iter_span.arg("moves", moves_global);
         iter_span.arg("q", q);
-        if louvain_obs::telemetry_enabled() {
+        if observed {
             // Convergence telemetry: the global fields (q, delta-Q,
             // moves) are all-reduced and identical on every rank; the
             // per-rank fields sum exactly across ranks because each

@@ -142,9 +142,10 @@ pub struct JobCancelled {
 #[derive(Debug)]
 pub struct ResilAbort(pub String);
 
-/// Abort the run from inside a rank with a typed payload.
+/// Abort the run from inside a rank with a typed payload. It skips the
+/// panic hook: the attempt loop returns the message as the run's `Err`.
 pub(crate) fn abort(msg: String) -> ! {
-    std::panic::panic_any(ResilAbort(msg))
+    std::panic::resume_unwind(Box::new(ResilAbort(msg)))
 }
 
 /// FNV-1a fingerprint over a canonical rendering of every `DistConfig`

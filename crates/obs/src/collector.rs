@@ -1,37 +1,28 @@
-//! The per-job collector: one event ring and metrics registry per rank,
-//! all stamped against a single shared epoch so rank timelines align.
+//! The per-job collector: one record slot per rank, all stamped against
+//! a single shared epoch so rank timelines align.
 //!
-//! Usage: build one [`Collector`] before spawning rank threads, clone it
-//! (via `Arc`) into each rank closure, call [`Collector::install`] at
+//! Usage: build one [`Collector`] before spawning rank threads, share it
+//! by reference with each rank closure, call [`Collector::install`] at
 //! rank start (holding the returned guard for the rank's lifetime), and
 //! call [`Collector::finish`] after all ranks joined to harvest a
-//! [`TraceData`] for export.
+//! [`TraceData`] for export. The rank thread's observer owns what it
+//! records; the guard hands it to the rank's slot when it drops.
 
 use std::marker::PhantomData;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Instant;
 
 use crate::event::TraceEvent;
-use crate::metrics::{MetricsRegistry, MetricsSnapshot};
+use crate::metrics::MetricsSnapshot;
 use crate::progress::{ProgressMerger, ProgressSink};
-use crate::ring::EventRing;
-use crate::span::{install_observer, uninstall_observer, ThreadObserver};
-use crate::telemetry::{self, IterationRecord, TelemetryLog, TelemetryRow};
-
-/// Per-rank event capacity (events beyond this are dropped and counted,
-/// never reallocated — see [`EventRing`]).
-const DEFAULT_EVENTS_PER_RANK: usize = 1 << 16;
-
-struct RankSlot {
-    ring: Arc<EventRing>,
-    metrics: Arc<MetricsRegistry>,
-    telemetry: Arc<TelemetryLog>,
-}
+use crate::span::{swap_observer, RankRecord, ThreadObserver};
+use crate::telemetry::{self, IterationRecord, TelemetryRow};
 
 /// Per-job trace/metrics collector (see module docs).
 pub struct Collector {
     epoch: Instant,
-    ranks: Vec<RankSlot>,
+    /// What each rank's finished attempts recorded, in attempt order.
+    ranks: Vec<Mutex<RankRecord>>,
     progress: Option<Arc<ProgressMerger>>,
 }
 
@@ -39,19 +30,9 @@ impl Collector {
     pub fn new(num_ranks: usize) -> Self {
         Collector {
             epoch: Instant::now(),
-            ranks: (0..num_ranks)
-                .map(|_| RankSlot {
-                    ring: Arc::new(EventRing::with_capacity(DEFAULT_EVENTS_PER_RANK)),
-                    metrics: Arc::new(MetricsRegistry::new()),
-                    telemetry: Arc::new(TelemetryLog::default()),
-                })
-                .collect(),
+            ranks: (0..num_ranks).map(|_| Mutex::default()).collect(),
             progress: None,
         }
-    }
-
-    pub fn num_ranks(&self) -> usize {
-        self.ranks.len()
     }
 
     /// Attach a live progress subscriber: every rank installed after
@@ -63,18 +44,13 @@ impl Collector {
         self.progress = Some(Arc::new(ProgressMerger::new(self.ranks.len(), sink)));
     }
 
-    /// The attached progress merger, if any (e.g. to flush partial rows
-    /// after the run completes).
-    pub fn progress_merger(&self) -> Option<Arc<ProgressMerger>> {
-        self.progress.clone()
-    }
-
     /// Install this collector as the calling thread's observer, recording
-    /// into `rank`'s ring/registry. The returned guard restores the
-    /// previous observer when dropped; hold it for the rank's lifetime.
+    /// for `rank`. The returned guard hands the record to `rank`'s slot
+    /// and restores the previous observer when dropped; hold it for the
+    /// rank's lifetime.
     ///
     /// Panics if `rank` is out of range.
-    pub fn install(&self, rank: usize) -> InstallGuard {
+    pub fn install(&self, rank: usize) -> InstallGuard<'_> {
         self.install_attempt(rank, 0)
     }
 
@@ -83,41 +59,46 @@ impl Collector {
     /// reinstall a rank's observer after each crash/hang recovery with an
     /// incremented attempt so pre-crash events stay distinguishable from
     /// the resumed attempt's in the merged trace.
-    pub fn install_attempt(&self, rank: usize, attempt: u32) -> InstallGuard {
-        let slot = &self.ranks[rank];
-        let prev = install_observer(ThreadObserver {
-            ring: Arc::clone(&slot.ring),
+    pub fn install_attempt(&self, rank: usize, attempt: u32) -> InstallGuard<'_> {
+        assert!(rank < self.ranks.len(), "rank {rank} out of range");
+        let prev = swap_observer(Some(ThreadObserver {
             epoch: self.epoch,
-            metrics: Arc::clone(&slot.metrics),
-            telemetry: Arc::clone(&slot.telemetry),
             rank,
             attempt,
             progress: self.progress.clone(),
-        });
+            record: RankRecord::default(),
+        }));
         InstallGuard {
-            prev: Some(prev),
+            collector: self,
+            rank,
+            prev,
             _not_send: PhantomData,
         }
     }
 
-    /// Harvest all recorded data. Call after every [`InstallGuard`] has
-    /// been dropped (i.e. after rank threads joined); panics if a ring is
-    /// still shared.
+    /// End the run: emit the progress rows still pending, then harvest
+    /// all recorded data. Every [`InstallGuard`] borrows the collector,
+    /// so they have all dropped by now.
     pub fn finish(self) -> TraceData {
+        // Rows whose iterations some ranks early-terminated out of never
+        // reach a full rank count in the merger; watchers still see them.
+        if let Some(merger) = &self.progress {
+            merger.flush();
+        }
         let ranks = self
             .ranks
             .into_iter()
             .enumerate()
             .map(|(rank, slot)| {
-                let mut ring = Arc::try_unwrap(slot.ring)
-                    .expect("Collector::finish called while an InstallGuard is still alive");
-                let dropped = ring.dropped();
-                let mut events = ring.drain();
-                // Claim order is per-thread program order; sort so each
-                // rank's track is globally time-ordered for exporters.
+                let RankRecord {
+                    mut events,
+                    dropped,
+                    metrics,
+                    telemetry,
+                } = slot.into_inner().unwrap_or_else(PoisonError::into_inner);
+                // Each attempt's events are in program order; sort so
+                // the rank's track is globally time-ordered for exporters.
                 events.sort_by_key(|e| (e.ts_ns, e.tid));
-                let metrics = slot.metrics.snapshot();
-                let telemetry = slot.telemetry.drain();
                 RankTrace {
                     rank,
                     events,
@@ -131,17 +112,26 @@ impl Collector {
     }
 }
 
-/// Restores the thread's previous observer on drop. Not `Send`: it must
-/// be dropped on the thread that called [`Collector::install`].
-pub struct InstallGuard {
-    prev: Option<Option<ThreadObserver>>,
+/// Hands the thread's record to its rank's slot and restores the
+/// previous observer on drop, also while a crashed attempt unwinds. Not
+/// `Send`: it must be dropped on the thread that called
+/// [`Collector::install`].
+pub struct InstallGuard<'a> {
+    collector: &'a Collector,
+    rank: usize,
+    prev: Option<ThreadObserver>,
     _not_send: PhantomData<*const ()>,
 }
 
-impl Drop for InstallGuard {
+impl Drop for InstallGuard<'_> {
     fn drop(&mut self) {
-        if let Some(prev) = self.prev.take() {
-            uninstall_observer(prev);
+        if let Some(mine) = swap_observer(self.prev.take()) {
+            // `absorb` leaves the slot valid at every step, so a slot
+            // poisoned by a panic elsewhere is still sound to extend.
+            let mut slot = self.collector.ranks[self.rank]
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner);
+            slot.absorb(mine.record);
         }
     }
 }
@@ -152,7 +142,7 @@ pub struct RankTrace {
     pub rank: usize,
     /// Events sorted by timestamp.
     pub events: Vec<TraceEvent>,
-    /// Events lost to ring overflow.
+    /// Events past the per-rank cap, not kept.
     pub dropped: u64,
     pub metrics: MetricsSnapshot,
     /// Per-iteration algorithm telemetry this rank recorded.
@@ -235,11 +225,11 @@ mod tests {
     fn collector_gathers_events_from_rank_threads() {
         let _l = ENABLE_LOCK.lock().unwrap();
         set_enabled(true);
-        let collector = Arc::new(Collector::new(2));
-        let handles: Vec<_> = (0..2)
-            .map(|rank| {
-                let c = Arc::clone(&collector);
-                std::thread::spawn(move || {
+        let collector = Collector::new(2);
+        std::thread::scope(|s| {
+            for rank in 0..2 {
+                let c = &collector;
+                s.spawn(move || {
                     let _g = c.install(rank);
                     {
                         let mut s = span!("work", rank = rank);
@@ -247,17 +237,11 @@ mod tests {
                     }
                     complete_span("wait", "test", 10, vec![]);
                     crate::counter_add("moves", (rank + 1) as u64);
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
+                });
+            }
+        });
         set_enabled(false);
-        let data = Arc::try_unwrap(collector)
-            .ok()
-            .expect("ranks joined")
-            .finish();
+        let data = collector.finish();
         assert_eq!(data.ranks.len(), 2);
         for r in &data.ranks {
             assert_eq!(
@@ -306,5 +290,102 @@ mod tests {
         assert_eq!(inner.ranks[0].events[0].name, "inner");
         assert_eq!(outer.ranks[0].events.len(), 1);
         assert_eq!(outer.ranks[0].events[0].name, "outer");
+    }
+
+    fn iteration(phase: u64) -> IterationRecord {
+        IterationRecord {
+            phase,
+            iteration: 0,
+            modularity: 0.5,
+            delta_q: 0.0,
+            moves: 1,
+            active: 1,
+            vertices: 1,
+            communities: 1,
+            community_sizes: crate::Histogram::default(),
+            ghost_bytes: 0,
+        }
+    }
+
+    #[test]
+    fn a_crashed_attempt_hands_over_its_record_while_unwinding() {
+        let _l = ENABLE_LOCK.lock().unwrap();
+        set_enabled(true);
+        let collector = Collector::new(1);
+        let crashed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _g = collector.install_attempt(0, 0);
+            drop(span!("before_crash"));
+            crate::counter_add("ghost.full.refreshes", 1);
+            panic!("rank crashed");
+        }));
+        assert!(crashed.is_err());
+        assert!(!crate::observing(), "the guard uninstalled while unwinding");
+        {
+            let _g = collector.install_attempt(0, 1);
+            drop(span!("recovered"));
+            crate::counter_add("ghost.full.refreshes", 2);
+        }
+        set_enabled(false);
+        let data = collector.finish();
+        let rank = &data.ranks[0];
+        let seen: Vec<_> = rank.events.iter().map(|e| (e.name, e.attempt)).collect();
+        assert_eq!(seen, vec![("before_crash", 0), ("recovered", 1)]);
+        assert_eq!(rank.metrics.counter("ghost.full.refreshes"), 3);
+    }
+
+    /// A progress sink without tracing: the observer feeds the sink and
+    /// keeps nothing, so the run has no trace sections to show.
+    #[test]
+    fn progress_only_observer_streams_rows_and_records_nothing() {
+        let _l = ENABLE_LOCK.lock().unwrap();
+        set_enabled(false);
+        let rows = Arc::new(Mutex::new(Vec::new()));
+        let mut collector = Collector::new(1);
+        let sink = Arc::clone(&rows);
+        collector.set_progress(Arc::new(move |row: &TelemetryRow| {
+            sink.lock().unwrap().push(row.phase)
+        }));
+        assert!(!crate::observing());
+        {
+            let _g = collector.install(0);
+            assert!(crate::observing());
+            drop(span!("phase"));
+            complete_span("wait", "test", 10, vec![]);
+            crate::counter_add("sweep.colors", 1);
+            crate::gauge_set("mem.ghost_bytes", 1.0);
+            crate::record_iteration(iteration(0));
+            crate::record_iteration(iteration(1));
+        }
+        assert!(!crate::observing());
+        assert_eq!(*rows.lock().unwrap(), vec![0, 1]);
+        let data = collector.finish();
+        let rank = &data.ranks[0];
+        assert!(rank.events.is_empty() && rank.telemetry.is_empty());
+        assert!(rank.metrics.is_empty());
+        assert_eq!(rank.dropped, 0);
+    }
+
+    /// The sink runs on the rank thread with no borrow of its observer
+    /// held, so it may record as well; what it records is the rank's.
+    #[test]
+    fn a_progress_sink_may_record_on_the_rank_thread() {
+        let _l = ENABLE_LOCK.lock().unwrap();
+        set_enabled(true);
+        let mut collector = Collector::new(1);
+        collector.set_progress(Arc::new(|_: &TelemetryRow| {
+            crate::counter_add("sweep.colors", 1);
+            drop(span!("on_row"));
+        }));
+        {
+            let _g = collector.install(0);
+            crate::record_iteration(iteration(0));
+        }
+        set_enabled(false);
+        let data = collector.finish();
+        let rank = &data.ranks[0];
+        assert_eq!(rank.metrics.counter("sweep.colors"), 1);
+        assert_eq!(rank.events.len(), 1);
+        assert_eq!(rank.events[0].name, "on_row");
+        assert_eq!(rank.telemetry, vec![iteration(0)]);
     }
 }

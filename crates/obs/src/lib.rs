@@ -9,16 +9,19 @@
 //! Pieces:
 //!
 //! - **Spans** ([`span!`], [`span`], [`SpanGuard`]): RAII scopes that
-//!   record wall-clock duration into a per-rank lock-free
-//!   [`EventRing`]. One relaxed atomic load when disabled.
-//! - **Collector** ([`Collector`]): one ring + metrics registry per
-//!   rank, a shared epoch so rank timelines align, and a harvest step
-//!   producing [`TraceData`].
+//!   record wall-clock duration into the record the rank thread's
+//!   observer owns (no lock; the earliest 65 536 events per rank are
+//!   kept, later ones counted). One relaxed atomic load when disabled.
+//! - **Collector** ([`Collector`]): installs one observer per rank
+//!   thread, a shared epoch so rank timelines align, and a harvest step
+//!   producing [`TraceData`]. [`observing`] says whether this thread has
+//!   one.
 //! - **Exporter** ([`chrome_trace_json`]): Chrome trace-event JSON
 //!   (open in Perfetto / `chrome://tracing`; one `pid` per rank).
-//! - **Metrics** ([`MetricsRegistry`], [`counter_add`], [`gauge_set`]):
-//!   counters, gauges, log2 histograms under the names of
-//!   [`METRIC_REGISTRY`]; snapshots merge commutatively across ranks.
+//! - **Metrics** ([`MetricsSnapshot`], [`counter_add`], [`gauge_set`],
+//!   the server's [`MetricsRegistry`]): counters, gauges, log2
+//!   histograms under the names of [`METRIC_REGISTRY`]; snapshots merge
+//!   commutatively across ranks.
 //! - **The counter table** ([`StatsSnapshot`], [`CommStep`]): every
 //!   always-on per-rank counter, named once. `louvain-comm` records
 //!   into it; everything else walks it.
@@ -31,6 +34,8 @@
 //! what needs the communicator itself (filling a report from a finished
 //! run) lives above, in `louvain-dist`.
 
+#![deny(unsafe_code)]
+
 mod artifact;
 mod chrome;
 mod collector;
@@ -41,7 +46,6 @@ mod ops;
 mod progress;
 mod prom;
 mod report;
-mod ring;
 mod span;
 mod stats;
 mod telemetry;
@@ -59,16 +63,15 @@ pub use ops::{
     parse_flight_dump, unix_ms_now, OpEvent, OpKind, OpsPlane, DEFAULT_FLIGHT_CAPACITY,
     FLIGHT_MAGIC, FLIGHT_VERSION,
 };
-pub use progress::{ProgressMerger, ProgressScope, ProgressSink};
+pub use progress::{ProgressMerger, ProgressSink};
 pub use prom::{parse_prometheus_text, prometheus_name, prometheus_text};
 pub use report::{
     HealthTotals, ModeledBreakdown, PhaseProfileRow, RankHung, RankTotals, RunReport,
     RUN_REPORT_VERSION,
 };
-pub use ring::EventRing;
-pub use span::{complete_span, enabled, set_enabled, span, span_cat, telemetry_enabled, SpanGuard};
+pub use span::{complete_span, enabled, observing, set_enabled, span, span_cat, SpanGuard};
 pub use stats::{CommStep, StatsSnapshot, NUM_COMM_STEPS};
-pub use telemetry::{merge_ranks, record_iteration, IterationRecord, TelemetryLog, TelemetryRow};
+pub use telemetry::{merge_ranks, record_iteration, IterationRecord, TelemetryRow};
 
 // ---------------------------------------------------------------------------
 // Metric-name registry

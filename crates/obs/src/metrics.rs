@@ -1,9 +1,10 @@
 //! Counters, gauges, and log2-bucket histograms.
 //!
-//! Each rank records into its own registry (no cross-rank contention);
-//! snapshots are plain data that merge commutatively, so rank snapshots
-//! can be combined either locally or by shipping them through the
-//! communicator's collectives into one run-level view.
+//! An observed rank thread records into the [`MetricsSnapshot`] its
+//! observer owns (no lock, no cross-rank contention); the job server
+//! records into a [`MetricsRegistry`]. Snapshots are plain data that
+//! merge commutatively, so rank snapshots combine into one run-level
+//! view.
 
 use std::collections::BTreeMap;
 use std::sync::Mutex;
@@ -141,7 +142,9 @@ impl Histogram {
     }
 }
 
-/// Plain-data snapshot of a registry; merges commutatively.
+/// Counters, gauges and histograms by name: what a rank records into
+/// while observed, and what a [`MetricsRegistry`] guards. Merges
+/// commutatively (except each gauge's `last`).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct MetricsSnapshot {
     pub counters: BTreeMap<String, u64>,
@@ -168,45 +171,20 @@ impl MetricsSnapshot {
         }
     }
 
-    pub fn counter(&self, name: &str) -> u64 {
-        self.counters.get(name).copied().unwrap_or(0)
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.counters.is_empty() && self.gauges.is_empty() && self.histograms.is_empty()
-    }
-}
-
-/// A per-rank metrics registry. Mutex-guarded maps: metric updates are
-/// orders of magnitude rarer than span events (per-iteration, not
-/// per-edge), so contention is not a concern and the lock keeps the
-/// implementation dependency-free.
-#[derive(Debug, Default)]
-pub struct MetricsRegistry {
-    inner: Mutex<MetricsSnapshot>,
-}
-
-impl MetricsRegistry {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    pub fn counter_add(&self, name: &str, delta: u64) {
-        let mut m = self.inner.lock().unwrap();
-        match m.counters.get_mut(name) {
+    pub fn counter_add(&mut self, name: &str, delta: u64) {
+        match self.counters.get_mut(name) {
             Some(c) => *c += delta,
             None => {
-                m.counters.insert(name.to_string(), delta);
+                self.counters.insert(name.to_string(), delta);
             }
         }
     }
 
-    pub fn gauge_set(&self, name: &str, value: f64) {
-        let mut m = self.inner.lock().unwrap();
-        match m.gauges.get_mut(name) {
+    pub fn gauge_set(&mut self, name: &str, value: f64) {
+        match self.gauges.get_mut(name) {
             Some(g) => g.observe(value),
             None => {
-                m.gauges.insert(
+                self.gauges.insert(
                     name.to_string(),
                     GaugeStat {
                         last: value,
@@ -220,16 +198,48 @@ impl MetricsRegistry {
         }
     }
 
-    pub fn hist_observe(&self, name: &str, value: u64) {
-        let mut m = self.inner.lock().unwrap();
-        match m.histograms.get_mut(name) {
+    pub fn hist_observe(&mut self, name: &str, value: u64) {
+        match self.histograms.get_mut(name) {
             Some(h) => h.observe(value),
             None => {
                 let mut h = Histogram::default();
                 h.observe(value);
-                m.histograms.insert(name.to_string(), h);
+                self.histograms.insert(name.to_string(), h);
             }
         }
+    }
+
+    pub fn counter(&self, name: &str) -> u64 {
+        self.counters.get(name).copied().unwrap_or(0)
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.counters.is_empty() && self.gauges.is_empty() && self.histograms.is_empty()
+    }
+}
+
+/// The job server's metrics registry: a snapshot behind a `Mutex`, so
+/// request threads can record into one shared view.
+#[derive(Debug, Default)]
+pub struct MetricsRegistry {
+    inner: Mutex<MetricsSnapshot>,
+}
+
+impl MetricsRegistry {
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    pub fn counter_add(&self, name: &str, delta: u64) {
+        self.inner.lock().unwrap().counter_add(name, delta);
+    }
+
+    pub fn gauge_set(&self, name: &str, value: f64) {
+        self.inner.lock().unwrap().gauge_set(name, value);
+    }
+
+    pub fn hist_observe(&self, name: &str, value: u64) {
+        self.inner.lock().unwrap().hist_observe(name, value);
     }
 
     pub fn snapshot(&self) -> MetricsSnapshot {
@@ -238,21 +248,21 @@ impl MetricsRegistry {
 }
 
 // ---------------------------------------------------------------------------
-// Thread-local helpers (record into the installed rank's registry)
+// Thread-local helpers (record into the installed rank's record)
 // ---------------------------------------------------------------------------
 
-/// Add to a named counter on the current rank's registry. No-op when
+/// Add to a named counter on the current rank's record. No-op when
 /// tracing is disabled or no observer is installed.
 pub fn counter_add(name: &str, delta: u64) {
     if crate::enabled() {
-        crate::span::with_observer(|o| o.metrics.counter_add(name, delta));
+        crate::span::with_observer(|o| o.record.metrics.counter_add(name, delta));
     }
 }
 
-/// Set a named gauge on the current rank's registry.
+/// Set a named gauge on the current rank's record.
 pub fn gauge_set(name: &str, value: f64) {
     if crate::enabled() {
-        crate::span::with_observer(|o| o.metrics.gauge_set(name, value));
+        crate::span::with_observer(|o| o.record.metrics.gauge_set(name, value));
     }
 }
 

@@ -14,14 +14,13 @@
 //! row is therefore bit-for-bit equal to the post-hoc merged row, which
 //! is what the serve layer's bit-for-bit acceptance test pins.
 //!
-//! The disabled path costs one relaxed atomic load: recording sites
-//! check [`crate::span::recording_flags`], and the progress bit is only
-//! set while at least one [`ProgressScope`] is alive.
+//! The merger rides on the observers a [`crate::Collector`] installs,
+//! so a job without a subscriber, and a thread without an observer, pays
+//! nothing for it.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Arc, Mutex};
 
-use crate::span::{set_flag, FLAG_PROGRESS};
 use crate::telemetry::{IterationRecord, TelemetryRow};
 
 /// Receiver of live merged telemetry rows. Implementations must be cheap
@@ -33,48 +32,6 @@ pub trait ProgressSink: Send + Sync {
 impl<F: Fn(&TelemetryRow) + Send + Sync> ProgressSink for F {
     fn on_row(&self, row: &TelemetryRow) {
         self(row)
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Global subscriber gate
-// ---------------------------------------------------------------------------
-
-/// Count of live [`ProgressScope`]s; the mutex also serialises flag
-/// flips so a scope being dropped can never clear the bit out from
-/// under a scope being created.
-static PROGRESS_SCOPES: Mutex<usize> = Mutex::new(0);
-
-/// RAII guard that keeps the process-global progress bit set while at
-/// least one subscriber exists. Creation and drop are cold paths (per
-/// job, not per iteration); the hot path stays one relaxed load.
-#[must_use = "dropping the scope immediately clears the progress bit"]
-pub struct ProgressScope(());
-
-impl ProgressScope {
-    pub fn new() -> Self {
-        let mut n = PROGRESS_SCOPES.lock().unwrap();
-        if *n == 0 {
-            set_flag(FLAG_PROGRESS, true);
-        }
-        *n += 1;
-        ProgressScope(())
-    }
-}
-
-impl Default for ProgressScope {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Drop for ProgressScope {
-    fn drop(&mut self) {
-        let mut n = PROGRESS_SCOPES.lock().unwrap();
-        *n -= 1;
-        if *n == 0 {
-            set_flag(FLAG_PROGRESS, false);
-        }
     }
 }
 
@@ -283,22 +240,5 @@ mod tests {
             vec![rec(0, 0, 90, 256), rec(0, 1, 45, 96)],
         ]);
         assert_eq!(live, expected);
-    }
-
-    #[test]
-    fn progress_scopes_refcount_the_global_bit() {
-        let _l = crate::span::tests::ENABLE_LOCK.lock().unwrap();
-        assert_eq!(crate::span::recording_flags() & FLAG_PROGRESS, 0);
-        let a = ProgressScope::new();
-        let b = ProgressScope::new();
-        assert_ne!(crate::span::recording_flags() & FLAG_PROGRESS, 0);
-        drop(a);
-        assert_ne!(
-            crate::span::recording_flags() & FLAG_PROGRESS,
-            0,
-            "bit stays set while any scope is alive"
-        );
-        drop(b);
-        assert_eq!(crate::span::recording_flags() & FLAG_PROGRESS, 0);
     }
 }

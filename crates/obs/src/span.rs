@@ -1,92 +1,86 @@
 //! RAII spans, retroactive spans, and the thread-local observer state.
 //!
-//! Recording is a two-switch design: a process-global enable flag (one
-//! relaxed atomic load on the fast path — the ≤2% disabled-overhead
-//! budget) and a thread-local observer installed per rank thread by
-//! [`crate::Collector::install`]. A span records its wall-clock duration.
+//! Spans and metrics check one process-global switch, [`enabled`] (a
+//! single relaxed atomic load: the ≤2% disabled-overhead budget), then
+//! the thread-local observer that [`crate::Collector::install`] puts on
+//! a rank thread. The observer owns that rank's [`RankRecord`]: events,
+//! metrics and iteration telemetry are pushed into it without a lock and
+//! handed to the collector when the install guard drops. A span records
+//! its wall-clock duration.
 
 use std::cell::{Cell, RefCell};
-use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
 use crate::event::{ArgValue, EventKind, TraceEvent};
-use crate::metrics::MetricsRegistry;
+use crate::metrics::MetricsSnapshot;
 use crate::progress::ProgressMerger;
-use crate::ring::EventRing;
-use crate::telemetry::TelemetryLog;
+use crate::telemetry::IterationRecord;
 
 // ---------------------------------------------------------------------------
-// Global enable flags
+// Global enable flag
 // ---------------------------------------------------------------------------
 
-/// Bit set in [`FLAGS`] while tracing is enabled.
-pub(crate) const FLAG_TRACE: u32 = 1 << 0;
-/// Bit set in [`FLAGS`] while at least one live progress subscriber
-/// exists (see [`crate::progress::ProgressScope`]).
-pub(crate) const FLAG_PROGRESS: u32 = 1 << 1;
-
-/// One word holds every recording switch so the disabled fast path stays
-/// a single relaxed atomic load even with multiple consumers (tracing,
-/// live progress streaming).
-static FLAGS: AtomicU32 = AtomicU32::new(0);
+static ENABLED: AtomicBool = AtomicBool::new(false);
 
 /// Turn tracing on or off process-wide. Spans opened while disabled are
-/// no-ops even if tracing is enabled before they close. Leaves the
-/// progress-subscriber bit untouched.
+/// no-ops even if tracing is enabled before they close.
 pub fn set_enabled(on: bool) {
-    if on {
-        FLAGS.fetch_or(FLAG_TRACE, Ordering::Relaxed);
-    } else {
-        FLAGS.fetch_and(!FLAG_TRACE, Ordering::Relaxed);
-    }
+    ENABLED.store(on, Ordering::Relaxed);
 }
 
 /// Whether tracing is currently enabled. This is the only cost a span
 /// site pays when tracing is off.
 #[inline]
 pub fn enabled() -> bool {
-    FLAGS.load(Ordering::Relaxed) & FLAG_TRACE != 0
-}
-
-/// All recording flags in one load; `0` means every consumer is off and
-/// recording sites return immediately.
-#[inline]
-pub(crate) fn recording_flags() -> u32 {
-    FLAGS.load(Ordering::Relaxed)
-}
-
-/// Whether *any* recording consumer (tracing or a live progress
-/// subscriber) is on. Sites that prepare an [`crate::IterationRecord`]
-/// gate on this — still a single relaxed load when everything is off —
-/// so the record reaches progress watchers even when tracing is
-/// disabled.
-#[inline]
-pub fn telemetry_enabled() -> bool {
-    FLAGS.load(Ordering::Relaxed) != 0
-}
-
-pub(crate) fn set_flag(bit: u32, on: bool) {
-    if on {
-        FLAGS.fetch_or(bit, Ordering::Relaxed);
-    } else {
-        FLAGS.fetch_and(!bit, Ordering::Relaxed);
-    }
+    ENABLED.load(Ordering::Relaxed)
 }
 
 // ---------------------------------------------------------------------------
 // Thread-local observer
 // ---------------------------------------------------------------------------
 
+/// Events one rank keeps; later ones are counted in
+/// [`RankRecord::dropped`], so the earliest events are the ones kept.
+pub(crate) const DEFAULT_EVENTS_PER_RANK: usize = 1 << 16;
+
+/// Everything one rank thread records while observed. Its buffers grow
+/// on demand, so a rank that records nothing allocates nothing.
+#[derive(Debug, Default)]
+pub(crate) struct RankRecord {
+    pub events: Vec<TraceEvent>,
+    /// Events past [`DEFAULT_EVENTS_PER_RANK`], not kept.
+    pub dropped: u64,
+    pub metrics: MetricsSnapshot,
+    pub telemetry: Vec<IterationRecord>,
+}
+
+impl RankRecord {
+    fn push_event(&mut self, ev: TraceEvent) {
+        if self.events.len() < DEFAULT_EVENTS_PER_RANK {
+            self.events.push(ev);
+        } else {
+            self.dropped += 1;
+        }
+    }
+
+    /// Append a later attempt's record, keeping the cap on events.
+    pub fn absorb(&mut self, later: RankRecord) {
+        let room = DEFAULT_EVENTS_PER_RANK - self.events.len();
+        let kept = later.events.len().min(room);
+        self.dropped += later.dropped + (later.events.len() - kept) as u64;
+        self.events.extend(later.events.into_iter().take(kept));
+        self.metrics.merge(&later.metrics);
+        self.telemetry.extend(later.telemetry);
+    }
+}
+
 /// Per-thread recording state, installed by the collector.
-#[derive(Clone)]
 pub(crate) struct ThreadObserver {
-    pub ring: Arc<EventRing>,
     /// Shared job epoch: all ranks timestamp against the same `Instant`,
     /// so their events land on one timeline.
     pub epoch: Instant,
-    pub metrics: Arc<MetricsRegistry>,
-    pub telemetry: Arc<TelemetryLog>,
     /// Rank this observer records for.
     pub rank: usize,
     /// Execution attempt of the rank this observer records for (0 on
@@ -95,6 +89,7 @@ pub(crate) struct ThreadObserver {
     /// Live progress fan-in, present when a subscriber is watching the
     /// job this observer belongs to.
     pub progress: Option<Arc<ProgressMerger>>,
+    pub record: RankRecord,
 }
 
 static NEXT_TID: AtomicU32 = AtomicU32::new(1);
@@ -105,12 +100,15 @@ thread_local! {
     static TID: Cell<u32> = const { Cell::new(0) };
 }
 
-pub(crate) fn install_observer(obs: ThreadObserver) -> Option<ThreadObserver> {
-    OBSERVER.with(|o| o.borrow_mut().replace(obs))
+/// Put `obs` on this thread; returns the observer it displaced.
+pub(crate) fn swap_observer(obs: Option<ThreadObserver>) -> Option<ThreadObserver> {
+    OBSERVER.with(|o| std::mem::replace(&mut *o.borrow_mut(), obs))
 }
 
-pub(crate) fn uninstall_observer(prev: Option<ThreadObserver>) {
-    OBSERVER.with(|o| *o.borrow_mut() = prev);
+/// Whether this thread has an observer installed: a collector is
+/// listening (for a trace, a progress sink, or both).
+pub fn observing() -> bool {
+    OBSERVER.with(|o| o.borrow().is_some())
 }
 
 fn current_tid() -> u32 {
@@ -124,8 +122,10 @@ fn current_tid() -> u32 {
     })
 }
 
-pub(crate) fn with_observer<R>(f: impl FnOnce(&ThreadObserver) -> R) -> Option<R> {
-    OBSERVER.with(|o| o.borrow().as_ref().map(f))
+/// Run `f` on this thread's observer, if any. `f` must not call back
+/// into recording: the observer stays borrowed while it runs.
+pub(crate) fn with_observer<R>(f: impl FnOnce(&mut ThreadObserver) -> R) -> Option<R> {
+    OBSERVER.with(|o| o.borrow_mut().as_mut().map(f))
 }
 
 // ---------------------------------------------------------------------------
@@ -167,7 +167,7 @@ impl Drop for SpanGuard {
         let Some(inner) = self.0.take() else { return };
         let dur_ns = inner.start.elapsed().as_nanos() as u64;
         with_observer(|obs| {
-            obs.ring.push(TraceEvent {
+            obs.record.push_event(TraceEvent {
                 name: inner.name,
                 cat: inner.cat,
                 kind: EventKind::Complete { dur_ns },
@@ -225,7 +225,7 @@ pub fn complete_span(
     }
     with_observer(|obs| {
         let now_ns = obs.epoch.elapsed().as_nanos() as u64;
-        obs.ring.push(TraceEvent {
+        obs.record.push_event(TraceEvent {
             name,
             cat,
             kind: EventKind::Complete { dur_ns },
@@ -258,33 +258,30 @@ pub(crate) mod tests {
     // it, so every test that flips it runs under this lock.
     pub(crate) static ENABLE_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
-    fn with_ring<R>(f: impl FnOnce() -> R) -> (R, Vec<TraceEvent>) {
-        let ring = Arc::new(EventRing::with_capacity(64));
-        let prev = install_observer(ThreadObserver {
-            ring: Arc::clone(&ring),
+    /// Run `f` under a fresh observer; return what it recorded.
+    fn recorded(f: impl FnOnce()) -> RankRecord {
+        let prev = swap_observer(Some(ThreadObserver {
             epoch: Instant::now(),
-            metrics: Arc::new(MetricsRegistry::new()),
-            telemetry: Arc::new(TelemetryLog::default()),
             rank: 0,
             attempt: 0,
             progress: None,
-        });
-        let out = f();
-        uninstall_observer(prev);
-        let mut ring = Arc::try_unwrap(ring).expect("sole owner");
-        (out, ring.drain())
+            record: RankRecord::default(),
+        }));
+        f();
+        swap_observer(prev).expect("still installed").record
     }
 
     #[test]
     fn disabled_spans_record_nothing() {
         let _l = ENABLE_LOCK.lock().unwrap();
         set_enabled(false);
-        let ((), events) = with_ring(|| {
+        let events = recorded(|| {
             let mut g = span!("phase", phase = 1);
             g.arg("x", 3u64);
             drop(g);
             complete_span("marker", "t", 5, vec![]);
-        });
+        })
+        .events;
         assert!(events.is_empty());
     }
 
@@ -292,12 +289,13 @@ pub(crate) mod tests {
     fn enabled_spans_record_complete_events_with_args() {
         let _l = ENABLE_LOCK.lock().unwrap();
         set_enabled(true);
-        let ((), events) = with_ring(|| {
+        let events = recorded(|| {
             let mut g = span!(cat "comm", "ghost_refresh", bytes = 128u64);
             g.arg("round", 2u64);
             drop(g);
             complete_span("wait", "comm", 40, vec![("rank", ArgValue::U64(3))]);
-        });
+        })
+        .events;
         set_enabled(false);
         assert_eq!(events.len(), 2);
         let span_ev = &events[0];
@@ -311,23 +309,6 @@ pub(crate) mod tests {
         assert_eq!(events[1].name, "wait");
         assert_eq!(events[1].kind, EventKind::Complete { dur_ns: 40 });
         assert_eq!(events[1].args, vec![("rank", ArgValue::U64(3))]);
-    }
-
-    #[test]
-    fn progress_flag_does_not_enable_tracing() {
-        let _l = ENABLE_LOCK.lock().unwrap();
-        set_enabled(false);
-        set_flag(FLAG_PROGRESS, true);
-        assert!(!enabled(), "progress subscribers must not enable tracing");
-        assert_eq!(recording_flags(), FLAG_PROGRESS);
-        // Spans stay inert: only telemetry sites consult the progress bit.
-        let ((), events) = with_ring(|| {
-            let _g = span!("phase", phase = 1);
-            complete_span("marker", "t", 5, vec![]);
-        });
-        assert!(events.is_empty());
-        set_flag(FLAG_PROGRESS, false);
-        assert_eq!(recording_flags(), 0);
     }
 
     #[test]
@@ -345,13 +326,14 @@ pub(crate) mod tests {
     fn nested_spans_close_in_lifo_order() {
         let _l = ENABLE_LOCK.lock().unwrap();
         set_enabled(true);
-        let ((), events) = with_ring(|| {
+        let events = recorded(|| {
             let outer = span!("outer");
             {
                 let _inner = span!("inner");
             }
             drop(outer);
-        });
+        })
+        .events;
         set_enabled(false);
         // Inner closes (and records) first.
         assert_eq!(
@@ -362,5 +344,52 @@ pub(crate) mod tests {
             events[0].ts_ns >= events[1].ts_ns,
             "inner starts after outer"
         );
+    }
+
+    #[test]
+    fn events_past_the_cap_are_dropped_and_counted() {
+        let _l = ENABLE_LOCK.lock().unwrap();
+        set_enabled(true);
+        let record = recorded(|| {
+            for i in 0..DEFAULT_EVENTS_PER_RANK as u64 + 2 {
+                complete_span("e", "t", 0, vec![("i", ArgValue::U64(i))]);
+            }
+        });
+        set_enabled(false);
+        assert_eq!(record.events.len(), DEFAULT_EVENTS_PER_RANK);
+        assert_eq!(record.dropped, 2);
+        // The earliest events are the ones kept.
+        assert_eq!(record.events[0].args, vec![("i", ArgValue::U64(0))]);
+        let last = DEFAULT_EVENTS_PER_RANK as u64 - 1;
+        assert_eq!(
+            record.events[last as usize].args,
+            vec![("i", ArgValue::U64(last))]
+        );
+    }
+
+    #[test]
+    fn absorbing_a_later_attempt_keeps_the_cap() {
+        let ev = |i: u64| TraceEvent {
+            name: "e",
+            cat: "t",
+            kind: EventKind::Instant,
+            ts_ns: i,
+            tid: 0,
+            attempt: 0,
+            args: vec![],
+        };
+        let mut first = RankRecord::default();
+        for i in 0..DEFAULT_EVENTS_PER_RANK as u64 - 1 {
+            first.push_event(ev(i));
+        }
+        let mut later = RankRecord::default();
+        for i in 0..3 {
+            later.push_event(ev(1 << 20 | i));
+        }
+        later.dropped = 4;
+        first.absorb(later);
+        assert_eq!(first.events.len(), DEFAULT_EVENTS_PER_RANK);
+        assert_eq!(first.events.last().unwrap().ts_ns, 1 << 20);
+        assert_eq!(first.dropped, 4 + 2);
     }
 }

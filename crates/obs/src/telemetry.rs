@@ -5,10 +5,10 @@
 //! vertices moved, how fast the ET/ETC active set decays, how the
 //! community structure coarsens, and how much ghost traffic each
 //! iteration cost. One [`IterationRecord`] is appended per rank per
-//! iteration by the sweep loop in `louvain-dist`, through the same
-//! two-switch gate as every other recording site: one relaxed atomic
-//! load when tracing is disabled, thread-local observer lookup when it
-//! is on.
+//! iteration by the sweep loop in `louvain-dist` while the rank thread
+//! is observed ([`crate::observing`]): kept in the rank's record when
+//! tracing is on, and offered to the live progress merger when a
+//! subscriber is attached.
 //!
 //! Rank records merge into global [`TelemetryRow`]s keyed by
 //! `(phase, iteration)`: globally-reduced fields (modularity, delta-Q,
@@ -17,8 +17,6 @@
 //! and size histograms, ghost bytes) sum — each vertex and each
 //! community is owned by exactly one rank, so the sums and merged
 //! histograms are exact global values, not estimates.
-
-use std::sync::Mutex;
 
 use crate::metrics::Histogram;
 
@@ -49,40 +47,23 @@ pub struct IterationRecord {
     pub ghost_bytes: u64,
 }
 
-/// Append-only per-rank sink; shared between the rank thread (via its
-/// installed observer) and the collector that harvests it.
-#[derive(Debug, Default)]
-pub struct TelemetryLog {
-    records: Mutex<Vec<IterationRecord>>,
-}
-
-impl TelemetryLog {
-    pub fn push(&self, rec: IterationRecord) {
-        self.records.lock().unwrap().push(rec);
-    }
-
-    pub fn drain(&self) -> Vec<IterationRecord> {
-        std::mem::take(&mut *self.records.lock().unwrap())
-    }
-}
-
-/// Record one iteration on the current rank's telemetry log and offer
-/// it to the live progress merger if one is attached. No-op when every
-/// recording consumer is off (one relaxed atomic load) or no observer
-/// is installed.
+/// Record one iteration on the current rank: kept in its record when
+/// tracing is on, and offered to the live progress merger if one is
+/// attached. No-op when no observer is installed. The observer is
+/// released before the merger runs the sink, so a sink may record too.
 pub fn record_iteration(rec: IterationRecord) {
-    let flags = crate::span::recording_flags();
-    if flags == 0 {
+    let tracing = crate::enabled();
+    let Some((merger, rank, attempt)) = crate::span::with_observer(|o| {
+        if tracing {
+            o.record.telemetry.push(rec.clone());
+        }
+        (o.progress.clone(), o.rank, o.attempt)
+    }) else {
         return;
+    };
+    if let Some(merger) = merger {
+        merger.offer(rank, attempt, &rec);
     }
-    crate::span::with_observer(|o| {
-        if let Some(p) = &o.progress {
-            p.offer(o.rank, o.attempt, &rec);
-        }
-        if flags & crate::span::FLAG_TRACE != 0 {
-            o.telemetry.push(rec);
-        }
-    });
 }
 
 /// One globally-merged telemetry row: per-rank fields summed, histograms

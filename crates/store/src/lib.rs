@@ -971,9 +971,30 @@ mod tests {
                 );
                 cases += 1;
             }
+            // One `targets` word past the vertex count, at the first,
+            // middle and last arc: the ranged load reads that section
+            // unchecked too, and must refuse it as corrupt.
+            let header = SlabHeader::decode(&pristine).unwrap();
+            let targets = header.sections[layout::SEC_TARGETS];
+            let n = header.num_vertices;
+            let arcs = targets.len as usize / 8;
+            for arc in [0, arcs / 2, arcs - 1] {
+                for word in [n, n + 1, u64::MAX] {
+                    let mut bytes = pristine.clone();
+                    let at = targets.offset as usize + 8 * arc;
+                    bytes[at..at + 8].copy_from_slice(&word.to_le_bytes());
+                    let case = format!("stride {stride}, targets[{arc}] = {word:#x}");
+                    let v = read_hostile(&path, &bytes, &case);
+                    assert!(
+                        matches!(v.ranged, Err(StoreError::Corrupt { .. })),
+                        "{case}: load_rank gave {:?}",
+                        v.ranged
+                    );
+                    cases += 1;
+                }
+            }
             // Truncation at, and a word either side of, every section
             // boundary and inside the header.
-            let header = SlabHeader::decode(&pristine).unwrap();
             let mut cuts = vec![0, 7, 8, hdr - 8, hdr - 1, hdr];
             for s in &header.sections {
                 let (start, end) = (s.offset as usize, (s.offset + s.len) as usize);

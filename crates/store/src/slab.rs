@@ -316,6 +316,19 @@ pub fn load_rank(path: &Path, rank: usize, p: usize) -> Result<RankSlice, StoreE
             .collect())
     };
     let dests = read_arc_extent(SEC_TARGETS)?;
+    // `targets` is not checksummed on this path either: an id past the
+    // vertex count is refused here, before any owner lookup. A separate
+    // walk of the decoded ids measured faster than folding the check
+    // into the decode, which then no longer compiles to a plain copy.
+    if let Some(i) = dests.iter().position(|&d| d >= n) {
+        return Err(StoreError::Corrupt {
+            what: format!(
+                "targets word of rank {rank} at arc {} is {}, not below the {n} vertices",
+                lo + i as u64,
+                dests[i]
+            ),
+        });
+    }
     let weights: Vec<f64> = read_arc_extent(SEC_WEIGHTS)?
         .iter()
         .map(|&b| f64::from_bits(b))

@@ -141,7 +141,7 @@ LOUVAIN_SCALE=quick ./target/release/ablations 2>/dev/null |
 # to the same bytes as the default block size. The slab is format v2
 # with four sections; a copy whose version byte (file offset 0) says 1
 # is refused by `info` and `run`, by version and without a panic.
-echo "==> slab v2: generate --chunk-edges 500 under ulimit -n 256 | cmp against the default chunk | info | v1 copy refused by info and run | the retired --slab switch, convert and an LVGRBPH1 file refused"
+echo "==> slab v2: generate --chunk-edges 500 under ulimit -n 256 | cmp against the default chunk | info | v1 copy refused by info and run | run --ranged refuses a targets id past n | the retired --slab switch, convert and an LVGRBPH1 file refused"
 (
   ulimit -n 256
   ./target/release/louvain generate --kind rmat --n 65536 --seed 3 --chunk-edges 500 \
@@ -157,6 +157,15 @@ cp target/verify_default_blocks.slab target/verify_v1.slab
 printf 1 | dd of=target/verify_v1.slab bs=1 count=1 conv=notrunc status=none
 must_refuse "slab format version '1'" ./target/release/louvain info target/verify_v1.slab
 must_refuse "slab format version '1'" ./target/release/louvain run target/verify_v1.slab
+# `run --ranged` reads `targets` without its checksum: a destination id
+# past the vertex count (here u64::MAX in the first arc) is the store's
+# corrupt-slab error naming the rank and arc, not a rank panic.
+cp target/verify_default_blocks.slab target/verify_bad_target.slab
+targets_at=$(awk '$2 == "targets" { print $4 }' target/slab_info.txt)
+printf '\377\377\377\377\377\377\377\377' |
+  dd of=target/verify_bad_target.slab bs=1 seek="$targets_at" count=8 conv=notrunc status=none
+must_refuse "targets word of rank 0 at arc 0" \
+  ./target/release/louvain run target/verify_bad_target.slab --ranks 2 --ranged
 # The slab is the only graph file: the switch that chose it, the command
 # that wrote the binary edge list, and a file with that format's magic
 # (its 8-byte header, "LVGRBPH1" read as a big-endian word) are each

@@ -92,7 +92,10 @@ fn tracing_enabled_end_to_end() {
     for r in &trace.ranks {
         assert!(!r.events.is_empty(), "rank {} recorded no events", r.rank);
     }
-    assert!(trace.total_dropped() == 0, "ring overflowed in a small run");
+    assert!(
+        trace.total_dropped() == 0,
+        "events were dropped in a small run"
+    );
 
     // Expected span names from the instrumented phase loop.
     let rollup = trace.span_rollup();
@@ -760,4 +763,51 @@ fn memory_line_counts_each_ranks_starting_csr_once() {
         }],
     });
     assert!(text.contains(&format!("csr={expected} B")), "{text}");
+}
+
+/// A served job runs with tracing off and a progress sink. Its live rows
+/// must be the traced run's, field for field: each row's ghost bytes are
+/// that iteration's refresh traffic, not the rank's running total.
+#[test]
+fn progress_rows_are_equal_with_tracing_off_and_on() {
+    use distributed_louvain::comm::RunConfig;
+    use distributed_louvain::dist::{
+        run_distributed_resilient_source, GraphSource, ResilOptions, Variant,
+    };
+    use std::sync::Arc;
+
+    let _guard = TRACE_FLAG.lock().unwrap();
+    let g = lfr(LfrParams::small(3_000, 7)).graph;
+    let cfg = DistConfig::with_variant(Variant::Et { alpha: 0.25 });
+    let watch = |traced: bool| {
+        let rows = Arc::new(Mutex::new(Vec::<obs::TelemetryRow>::new()));
+        let sink = Arc::clone(&rows);
+        obs::set_enabled(traced);
+        let out = run_distributed_resilient_source(
+            GraphSource::Memory(&g),
+            2,
+            &cfg,
+            RunConfig::default(),
+            &ResilOptions {
+                progress: Some(Arc::new(move |row: &obs::TelemetryRow| {
+                    sink.lock().unwrap().push(row.clone())
+                })),
+                ..ResilOptions::none()
+            },
+        )
+        .expect("fault-free run");
+        obs::set_enabled(false);
+        assert_eq!(out.trace.is_some(), traced);
+        let mut rows = Arc::try_unwrap(rows).unwrap().into_inner().unwrap();
+        rows.sort_by_key(|r| (r.phase, r.iteration));
+        (rows, out)
+    };
+    let (untraced, _) = watch(false);
+    let (traced, out) = watch(true);
+    assert!(untraced.len() > 1);
+    assert_eq!(traced, out.trace.unwrap().merged_telemetry());
+    for (a, b) in untraced.iter().zip(&traced) {
+        assert_eq!(a, b, "phase {} iteration {}", a.phase, a.iteration);
+    }
+    assert_eq!(untraced.len(), traced.len());
 }
