@@ -55,7 +55,7 @@ use louvain_graph::{DenseMap, LocalGraph, VertexId, Weight};
 use crate::config::{DistConfig, SweepMode};
 use crate::ghost::{pull_from_owners, push_to_owners, CommunityIndex, GhostLayer, PullBufs};
 use crate::heuristics::{distributed_coloring, EtTracker};
-use crate::scratch::{lock_worker, IterScratch, SweepAcc, SweepWorker};
+use crate::scratch::{lock_worker, IterScratch, RemoteTable, SweepAcc, SweepWorker};
 use crate::stats::{IterationTrace, WorkCounter};
 
 /// Outcome of one phase's iteration loop on one rank.
@@ -99,6 +99,9 @@ struct SweepState {
     a: Vec<Weight>,
     /// Size of each owned community.
     size: Vec<u64>,
+    /// The remote communities: this iteration's pull and the deltas of
+    /// the moves applied since.
+    remote: RemoteTable,
     /// Per-vertex move flags for this iteration.
     moved: Vec<bool>,
 }
@@ -113,16 +116,17 @@ impl SweepState {
             comm: (0..nlocal as u32).collect(),
             a: k_local.to_vec(),
             size: vec![1; nlocal],
+            remote: RemoteTable::default(),
             moved: vec![false; nlocal],
         }
     }
+}
 
-    /// Owner side of the delta push: fold a peer's `(Δa_c, Δsize)` into
-    /// owned community `i`.
-    fn absorb(&mut self, i: usize, da: Weight, ds: i64) {
-        self.a[i] += da;
-        self.size[i] = (self.size[i] as i64 + ds) as u64;
-    }
+/// Owner side of the delta push: fold a peer's `(Δa_c, Δsize)` into
+/// owned community `i` of the weights `a` and sizes `size`.
+fn absorb(a: &mut [Weight], size: &mut [u64], i: usize, da: Weight, ds: i64) {
+    a[i] += da;
+    size[i] = (size[i] as i64 + ds) as u64;
 }
 
 /// The ghost vertices' communities, one per ghost slot: as refreshed
@@ -203,8 +207,6 @@ struct Sweep<'a> {
     index: &'a CommunityIndex,
     k_local: &'a [Weight],
     two_m: f64,
-    /// `a_c` and size of remote communities as of this iteration's pull.
-    remote_a: &'a DenseMap<(Weight, u64)>,
 }
 
 impl Sweep<'_> {
@@ -222,17 +224,17 @@ impl Sweep<'_> {
     /// chain inside that tolerance — never on integer weights, where two
     /// scores are equal or at least 1/2m apart (DESIGN.md §11).
     ///
-    /// Remote community info is the iteration-start pull adjusted by
-    /// `deltas`, the remote-community changes the caller has accumulated
-    /// since — without this "local view", every vertex of the rank sees
-    /// the same stale (small) a_c of an attractive remote community and
-    /// they all pile in, overshooting badly on mesh-like graphs.
+    /// Remote community info is the iteration-start pull adjusted by the
+    /// remote-community changes of the moves `state` has applied since
+    /// ([`RemoteTable::view`]) — without this "local view", every vertex
+    /// of the rank sees the same stale (small) a_c of an attractive
+    /// remote community and they all pile in, overshooting badly on
+    /// mesh-like graphs.
     #[inline]
     fn best_move(
         &self,
         state: &SweepState,
         l: usize,
-        deltas: &DenseMap<(Weight, i64)>,
         weights: &mut DenseMap<Weight>,
         edges: &mut u64,
     ) -> Option<(u32, Weight)> {
@@ -250,7 +252,7 @@ impl Sweep<'_> {
             let c = (self.ghosts).value_of(t, |i| state.comm[i], self.ghost_comm);
             *weights.entry(c) += w;
         }
-        let best = (self.score(state, l, deltas, weights))
+        let best = (self.score(state, l, weights))
             .map(|c| (c, self.e_in_change(state, l, c, weights, edges)));
         weights.clear();
         best
@@ -292,36 +294,23 @@ impl Sweep<'_> {
 
     /// Score the gathered candidates of `l`; see [`Sweep::best_move`].
     #[inline]
-    fn score(
-        &self,
-        state: &SweepState,
-        l: usize,
-        deltas: &DenseMap<(Weight, i64)>,
-        weights: &DenseMap<Weight>,
-    ) -> Option<u32> {
+    fn score(&self, state: &SweepState, l: usize, weights: &DenseMap<Weight>) -> Option<u32> {
         let index = self.index;
         if weights.entries().is_empty() {
             return None;
         }
         let cu = state.comm[l];
         let kv = self.k_local[l];
-        // Remote community info: this iteration's pull plus the caller's deltas.
-        let remote = |r: u32| -> (Weight, u64) {
-            let (mut a, mut sz) = self.remote_a.get(r).unwrap_or((0.0, 0));
-            if let Some((da, ds)) = deltas.get(r) {
-                a += da;
-                sz = (sz as i64 + ds).max(0) as u64;
-            }
-            (a, sz)
-        };
+        // Remote community info: one table entry, this iteration's pull
+        // plus the applied moves' deltas.
         let a_of = |c: u32| match index.remote_slot(c) {
             None => state.a[c as usize],
-            Some(r) => remote(r).0,
+            Some(r) => state.remote.view(r).0,
         };
         // Read for two communities per vertex, not for every candidate.
         let size_of = |c: u32| match index.remote_slot(c) {
             None => state.size[c as usize],
-            Some(r) => remote(r).1,
+            Some(r) => state.remote.view(r).1,
         };
         let id = |c: u32| index.global(c);
         let e_cu = weights.get(cu).unwrap_or(0.0);
@@ -354,8 +343,8 @@ impl Sweep<'_> {
     /// Move local vertex `l` to `best_c` (and `Σ e_in` by `e_in_change`):
     /// the only sweep-time writer of the community state. Owned
     /// communities are updated in place; changes to remote ones
-    /// accumulate in `acc.deltas` for the owner push, whose message
-    /// order follows the insertion history here.
+    /// accumulate in `state.remote` for the owner push, whose message
+    /// order follows the first-apply order here.
     fn apply_move(
         &self,
         state: &mut SweepState,
@@ -376,11 +365,7 @@ impl Sweep<'_> {
                 state.a[cu as usize] -= kv;
                 state.size[cu as usize] -= 1;
             }
-            Some(r) => {
-                let d = acc.deltas.entry(r);
-                d.0 -= kv;
-                d.1 -= 1;
-            }
+            Some(r) => state.remote.apply(r, -kv, -1),
         }
         // Join best_c.
         match index.remote_slot(best_c) {
@@ -388,11 +373,7 @@ impl Sweep<'_> {
                 state.a[best_c as usize] += kv;
                 state.size[best_c as usize] += 1;
             }
-            Some(r) => {
-                let d = acc.deltas.entry(r);
-                d.0 += kv;
-                d.1 += 1;
-            }
+            Some(r) => state.remote.apply(r, kv, 1),
         }
     }
 
@@ -419,8 +400,8 @@ impl Sweep<'_> {
     }
 
     /// Gauss-Seidel driver of the sequential schedule: each vertex of
-    /// `vertices` is scored against the live state (and the remote deltas
-    /// so far) and moved at once.
+    /// `vertices` is scored against the live state (with the remote
+    /// deltas so far) and moved at once.
     fn sweep_in_place(&self, state: &mut SweepState, vertices: &[usize], worker: &mut SweepWorker) {
         let SweepWorker { weights, acc, .. } = worker;
         for (i, &l) in vertices.iter().enumerate() {
@@ -428,7 +409,7 @@ impl Sweep<'_> {
                 self.prefetch_row(ahead);
             }
             acc.vertices += 1;
-            if let Some(mv) = self.best_move(state, l, &acc.deltas, weights, &mut acc.edges) {
+            if let Some(mv) = self.best_move(state, l, weights, &mut acc.edges) {
                 self.apply_move(state, l, mv, acc);
             }
         }
@@ -440,7 +421,7 @@ impl Sweep<'_> {
     /// distance-1 coloring guarantees no two batch members are adjacent,
     /// so no decision can read a community membership another batch member
     /// is about to change). Each batch's moves are *decided* in parallel
-    /// by the worker pool against the frozen batch-start state — the
+    /// by the worker pool against the frozen batch-start state — with the
     /// remote deltas of *previous* batches, read-only — then *applied*
     /// sequentially in batch order on the calling thread into `acc`. A
     /// decision is a function of the vertex and the frozen state alone
@@ -485,7 +466,7 @@ impl Sweep<'_> {
             }
             let mut batch_span =
                 louvain_obs::span!("sweep.batch", iter = iter, color = batch_color);
-            let (frozen, batch_start) = (&acc.deltas, &*state);
+            let batch_start = &*state;
             pool.run(batch.len(), |w, r| {
                 let mut worker = lock_worker(&workers[w]);
                 let SweepWorker {
@@ -500,7 +481,7 @@ impl Sweep<'_> {
                         self.prefetch_row(ahead);
                     }
                     if let Some((c, e_in_change)) =
-                        self.best_move(batch_start, l, frozen, weights, &mut acc.edges)
+                        self.best_move(batch_start, l, weights, &mut acc.edges)
                     {
                         // `l` < nlocal, which `CommunityIndex::new` bounds.
                         moves.push((l as u32, c, e_in_change));
@@ -656,55 +637,48 @@ pub fn louvain_phase(
         }
         // New remote communities enter only through the exchange (and
         // vertex following before it), so the tables are sized here.
-        scratch.cover(index.num_dense(), index.num_remote());
+        scratch.cover(index.num_dense());
+        state.remote.cover(index.num_remote());
         let targets = ghosts.targets();
-        let comm_of = |t: u32| ghosts.value_of(t, |i| state.comm[i], &ghost_comm.dense);
 
         // -- Step 2: pull a_c for remote communities we may join. ----------
         // The communities of the active vertices and of their neighbours.
         // A rank that knows no remote community (always so on one rank)
-        // has nothing to find and skips the arc walk.
-        scratch.remote_a.clear();
+        // has nothing to find and skips the search.
+        state.remote.clear_keys();
         if index.num_remote() > 0 {
-            for (l, &is_active) in scratch.active.iter().enumerate() {
-                if !is_active {
-                    continue;
-                }
-                let row = offsets[l]..offsets[l + 1];
-                compute.edges_scanned += row.len() as u64;
-                let cu = state.comm[l];
-                for c in std::iter::once(cu).chain(targets[row].iter().map(|&t| comm_of(t))) {
-                    if let Some(r) = index.remote_slot(c) {
-                        scratch.remote_a.entry(r);
-                    }
-                }
-            }
+            compute.edges_scanned += key_remote_communities(
+                offsets,
+                targets,
+                ghosts,
+                &index,
+                &state.comm,
+                &ghost_comm.dense,
+                &scratch.active,
+                &mut state.remote,
+                &mut scratch.deferred,
+            );
         }
         scratch.needed.clear();
-        scratch
-            .needed
-            .extend((scratch.remote_a.entries().iter()).map(|&(r, _)| index.remote_global(r)));
+        (scratch.needed).extend(state.remote.keyed().iter().map(|&r| index.remote_global(r)));
         {
-            let IterScratch {
-                needed,
-                pull,
-                remote_a,
-                ..
-            } = &mut scratch;
+            let SweepState {
+                a, size, remote, ..
+            } = &mut state;
             pull_from_owners(
                 comm,
                 part,
                 CommStep::CommunityPull,
-                needed.iter().copied(),
-                pull,
+                scratch.needed.iter().copied(),
+                &mut scratch.pull,
                 |c| {
                     let i = (c - first) as usize;
-                    (state.a[i], state.size[i])
+                    (a[i], size[i])
                 },
                 |c, info| {
                     let d = index.dense(c);
                     let r = index.remote_slot(d).expect("pulled an owned community");
-                    *remote_a.entry(r) = info;
+                    remote.set_pulled(r, info);
                 },
             );
         }
@@ -721,7 +695,6 @@ pub fn louvain_phase(
         {
             let _sweep_span = louvain_obs::span!("sweep", iter = iterations);
             let IterScratch {
-                remote_a,
                 sweep_vertices,
                 batches,
                 workers,
@@ -737,7 +710,6 @@ pub fn louvain_phase(
                 index: &index,
                 k_local: &k_local,
                 two_m,
-                remote_a,
             };
             if let Some(coloring) = &coloring {
                 sweep.sweep_colored(
@@ -764,14 +736,20 @@ pub fn louvain_phase(
         e_in += acc.e_in;
 
         // -- Step 3b: push deltas to community owners (lines 10–11). ------
-        push_to_owners(
-            comm,
-            part,
-            CommStep::DeltaPush,
-            (acc.deltas.entries().iter()).map(|&(r, (da, ds))| (index.remote_global(r), da, ds)),
-            &mut scratch.delta_msgs,
-            |c, da, ds| state.absorb((c - first) as usize, da, ds),
-        );
+        {
+            let SweepState {
+                a, size, remote, ..
+            } = &mut state;
+            push_to_owners(
+                comm,
+                part,
+                CommStep::DeltaPush,
+                (remote.deltas()).map(|(r, da, ds)| (index.remote_global(r), da, ds)),
+                &mut scratch.delta_msgs,
+                |c, da, ds| absorb(a, size, (c - first) as usize, da, ds),
+            );
+            remote.clear_deltas();
+        }
         acc.clear();
 
         // -- Step 4: global modularity (lines 12–13). ----------------------
@@ -891,7 +869,8 @@ pub fn louvain_phase(
     // a phase, so this samples the arena's and wire pools' high-water
     // marks (min/max land in the gauge stats across phases).
     if louvain_obs::enabled() {
-        louvain_obs::gauge_set("mem.scratch_bytes", scratch.approx_bytes() as f64);
+        let bytes = scratch.approx_bytes() + state.remote.approx_bytes();
+        louvain_obs::gauge_set("mem.scratch_bytes", bytes as f64);
         louvain_obs::gauge_set("mem.wire_bytes", ghosts.wire_bytes() as f64);
     }
 
@@ -1079,8 +1058,79 @@ fn apply_vertex_following(
         CommStep::Other,
         deltas.iter().map(|(&c, &(da, ds))| (c, da, ds)),
         &mut Vec::new(),
-        |c, da, ds| state.absorb((c - first) as usize, da, ds),
+        |c, da, ds| absorb(&mut state.a, &mut state.size, (c - first) as usize, da, ds),
     );
+}
+
+/// Step 2's key set: key in `remote` the remote communities of the
+/// active vertices and of their neighbours, and return the arcs read.
+///
+/// It asks each target once, not each arc. An active local vertex keys
+/// its own community, and a local vertex or ghost slot whose community
+/// is owned or already keyed costs nothing. Arcs are stored in both
+/// directions, so any other target is some active vertex's neighbour
+/// exactly when an active local vertex is among its own arcs: a ghost
+/// slot's [`GhostLayer::arcs_into`], a local target's row. That scan
+/// stops at the first active one. The local vertices' scans wait in
+/// `deferred` until every active vertex and ghost slot has keyed what
+/// it can, so that fewer of them run (DESIGN.md §11, "Step 2 by
+/// target").
+#[allow(clippy::too_many_arguments)]
+fn key_remote_communities(
+    offsets: &[usize],
+    targets: &[u32],
+    ghosts: &GhostLayer,
+    index: &CommunityIndex,
+    comm: &[u32],
+    ghost_comm: &[u32],
+    active: &[bool],
+    remote: &mut RemoteTable,
+    deferred: &mut Vec<u32>,
+) -> u64 {
+    let mut probes = 0u64;
+    deferred.clear();
+    for (t, &c) in comm.iter().enumerate() {
+        let Some(r) = index.remote_slot(c) else {
+            continue;
+        };
+        if active[t] {
+            remote.key(r);
+        } else if !remote.is_keyed(r) {
+            // `t` < nlocal, which `CommunityIndex::new` bounds.
+            deferred.push(t as u32);
+        }
+    }
+    for (s, &c) in ghost_comm.iter().enumerate() {
+        let Some(r) = index.remote_slot(c) else {
+            continue;
+        };
+        let into = ghosts.arcs_into(s);
+        if !remote.is_keyed(r) && any(into, |&(l, _)| active[l as usize], &mut probes) {
+            remote.key(r);
+        }
+    }
+    // A ghost target is not an active local vertex.
+    let active_local = |&u: &u32| active.get(u as usize) == Some(&true);
+    for &t in deferred.iter() {
+        let t = t as usize;
+        let r = index
+            .remote_slot(comm[t])
+            .expect("deferred for a remote community");
+        let row = &targets[offsets[t]..offsets[t + 1]];
+        if !remote.is_keyed(r) && any(row, active_local, &mut probes) {
+            remote.key(r);
+        }
+    }
+    probes
+}
+
+/// Some item of `items` is `hit`: read up to the first that is, and add
+/// the items read to `probes`.
+#[inline]
+fn any<T>(items: &[T], hit: impl Fn(&T) -> bool, probes: &mut u64) -> bool {
+    let found = items.iter().position(hit);
+    *probes += found.map_or(items.len(), |i| i + 1) as u64;
+    found.is_some()
 }
 
 /// This rank's `Σ e_in` (Eq. 2) from scratch: one pass over its arcs.
@@ -1517,11 +1567,10 @@ mod tests {
                     index: &index,
                     k_local: &k_local,
                     two_m: lg.local_arc_weight(),
-                    remote_a: &DenseMap::default(),
                 };
                 let mut table = DenseMap::default();
                 table.cover(index.num_dense());
-                let best = sweep.best_move(&state, 3, &DenseMap::default(), &mut table, &mut 0);
+                let best = sweep.best_move(&state, 3, &mut table, &mut 0);
                 assert!(table.is_clear());
                 best.map(|(c, _)| index.global(c))
             })[0]
@@ -1875,6 +1924,324 @@ mod tests {
             assert_eq!(assignment[2], assignment[3], "p={p}");
             let q_ref = modularity(&g, &assignment);
             assert!((q - q_ref).abs() < 1e-9, "p={p}");
+        }
+    }
+
+    /// `g` with a self-loop on every seventh vertex and `extra` isolated
+    /// vertices after the last.
+    fn with_loops_and_isolated(g: &Csr, extra: u64) -> Csr {
+        let n = g.num_vertices() as u64;
+        let mut el = EdgeList::new(n + extra);
+        for e in g.to_edge_list().edges() {
+            el.push(e.u, e.v, e.w);
+        }
+        for v in (0..n).step_by(7) {
+            el.push(v, v, 2.0);
+        }
+        Csr::from_edge_list(el)
+    }
+
+    /// A rank's graph as Step 2 reads it: row offsets, arc targets, the
+    /// ghost layer and the community numbering.
+    type KeyGraph<'a> = (&'a [usize], &'a [u32], &'a GhostLayer, &'a CommunityIndex);
+
+    /// Step 2's key set as a walk over every arc of every active row
+    /// computes it, as sorted remote slots: the reference
+    /// `key_remote_communities` must equal.
+    fn arc_walk_keys(
+        (offsets, targets, ghosts, index): KeyGraph,
+        (comm, ghost_comm): (&[u32], &[u32]),
+        active: &[bool],
+    ) -> Vec<u32> {
+        let mut keys = Vec::new();
+        for l in (0..active.len()).filter(|&l| active[l]) {
+            let row = targets[offsets[l]..offsets[l + 1]].iter();
+            let comms = row.map(|&t| ghosts.value_of(t, |i| comm[i], ghost_comm));
+            let all = std::iter::once(comm[l]).chain(comms);
+            keys.extend(all.filter_map(|c| index.remote_slot(c)));
+        }
+        keys.sort_unstable();
+        keys.dedup();
+        keys
+    }
+
+    /// Key a rank's Step 2 set on `comms` (local, ghost slots) under
+    /// each of `masks`, reusing one table, and hold it to the arc walk:
+    /// each of its slots keyed once, no other.
+    fn check_keys_under_masks(
+        graph: KeyGraph,
+        comms: (&[u32], &[u32]),
+        masks: &[Vec<bool>],
+        at: &str,
+    ) {
+        let (offsets, targets, ghosts, index) = graph;
+        let (mut table, mut deferred) = (RemoteTable::default(), Vec::new());
+        table.cover(index.num_remote());
+        for (mi, active) in masks.iter().enumerate() {
+            table.clear_keys();
+            let (comm, ghost_comm) = comms;
+            let probes = key_remote_communities(
+                offsets,
+                targets,
+                ghosts,
+                index,
+                comm,
+                ghost_comm,
+                active,
+                &mut table,
+                &mut deferred,
+            );
+            // Each row and each slot's arcs are read at most once.
+            assert!(probes <= 2 * targets.len() as u64, "{at}, mask {mi}");
+            let mut got = table.keyed().to_vec();
+            got.sort_unstable();
+            let keyed = got.len();
+            got.dedup();
+            assert_eq!(got.len(), keyed, "{at}, mask {mi}: a slot keyed twice");
+            let want = arc_walk_keys(graph, comms, active);
+            assert_eq!(got, want, "{at}, mask {mi}: Step 2's key set");
+        }
+    }
+
+    /// All, none, one vertex, and two random densities.
+    fn masks(nlocal: usize, rng: &mut rand::rngs::SmallRng) -> Vec<Vec<bool>> {
+        use rand::Rng;
+        let one = rng.random_range(0..nlocal.max(1));
+        let mut masks = vec![
+            vec![true; nlocal],
+            vec![false; nlocal],
+            (0..nlocal).map(|l| l == one).collect(),
+        ];
+        for density in [0.1, rng.random::<f64>()] {
+            masks.push((0..nlocal).map(|_| rng.random::<f64>() < density).collect());
+        }
+        masks
+    }
+
+    #[test]
+    fn step_two_keys_by_target_equal_the_arc_walk() {
+        // Seeded random states: every community is any vertex id (owned
+        // here or not) or one of a few shared ones, so slots repeat, on
+        // graphs with self-loops and isolated vertices.
+        use rand::{rngs::SmallRng, Rng, SeedableRng};
+        for (gi, g) in parity_graphs().iter().enumerate() {
+            let g = with_loops_and_isolated(g, 9);
+            let n = g.num_vertices() as u64;
+            for p in [2, 3, 8] {
+                let part = VertexPartition::balanced_vertices(n, p);
+                let parts = LocalGraph::scatter(&g, &part);
+                run(p, |c| {
+                    let lg = &parts[c.rank()];
+                    let ghosts = GhostLayer::build(c, lg);
+                    let offsets = lg.csr_parts().0;
+                    let seed = (gi * 64 + p * 8 + c.rank()) as u64;
+                    let mut rng = SmallRng::seed_from_u64(seed);
+                    for trial in 0..6 {
+                        let mut index = CommunityIndex::new(lg);
+                        let mut pick = |rng: &mut SmallRng| match rng.random_range(0..3u32) {
+                            0 => index.dense(rng.random_range(0..4u64)),
+                            _ => index.dense(rng.random_range(0..n)),
+                        };
+                        let comm: Vec<u32> = (0..lg.num_local()).map(|_| pick(&mut rng)).collect();
+                        let ghost_comm: Vec<u32> =
+                            (0..ghosts.num_ghosts()).map(|_| pick(&mut rng)).collect();
+                        check_keys_under_masks(
+                            (offsets, ghosts.targets(), &ghosts, &index),
+                            (&comm, &ghost_comm),
+                            &masks(lg.num_local(), &mut rng),
+                            &format!("graph {gi}, p={p}, rank {}, trial {trial}", c.rank()),
+                        );
+                    }
+                });
+            }
+        }
+    }
+
+    #[test]
+    fn step_two_keys_equal_the_arc_walk_on_the_states_runs_leave() {
+        // The states of real phases: after vertex following moved
+        // vertices before the first exchange, and after ET froze
+        // vertices and pruned the ghost slots they serve.
+        use rand::{rngs::SmallRng, SeedableRng};
+        let vf = DistConfig {
+            vertex_following: true,
+            ..DistConfig::baseline()
+        };
+        let pruned = DistConfig {
+            prune_inactive_ghosts: true,
+            delta_ghost_refresh: true,
+            ..DistConfig::with_variant(crate::Variant::Et { alpha: 0.75 })
+        };
+        for (gi, g) in parity_graphs().iter().enumerate() {
+            let g = with_loops_and_isolated(g, 5);
+            for p in [2, 3, 8] {
+                let part = VertexPartition::balanced_vertices(g.num_vertices() as u64, p);
+                let parts = LocalGraph::scatter(&g, &part);
+                for (name, cfg, max_iterations) in [("vf", &vf, 1), ("pruned", &pruned, 20)] {
+                    let pruned_slots: usize = run(p, |c| {
+                        let lg = &parts[c.rank()];
+                        let mut ghosts = GhostLayer::build(c, lg);
+                        let ctx = PhaseContext {
+                            comm: c,
+                            lg,
+                            two_m: g.two_m(),
+                        };
+                        let cfg = DistConfig {
+                            max_iterations,
+                            ..cfg.clone()
+                        };
+                        let r = louvain_phase(&ctx, &mut ghosts, &cfg, 0, 0.0);
+                        let mut index = CommunityIndex::new(lg);
+                        let comm: Vec<u32> =
+                            r.comm_of_local.iter().map(|&c| index.dense(c)).collect();
+                        let ghost_comm: Vec<u32> =
+                            r.ghost_comm.iter().map(|&c| index.dense(c)).collect();
+                        let mut rng = SmallRng::seed_from_u64((gi * 64 + p) as u64);
+                        check_keys_under_masks(
+                            (lg.csr_parts().0, ghosts.targets(), &ghosts, &index),
+                            (&comm, &ghost_comm),
+                            &masks(lg.num_local(), &mut rng),
+                            &format!("graph {gi}, p={p}, rank {}, {name}", c.rank()),
+                        );
+                        r.pruned_ghosts
+                    })
+                    .into_iter()
+                    .sum();
+                    if name == "pruned" {
+                        assert!(pruned_slots > 0, "graph {gi}, p={p}: nothing was pruned");
+                    }
+                }
+            }
+        }
+    }
+
+    /// Iteration 1 of a phase at p=2 up to the sweep (exchange, Step 2
+    /// and its pull), then a colored sweep on `threads`, with `bias`
+    /// first added to every remote slot's `a_c` as an applied delta.
+    /// Per rank: the communities and the deltas the push would send.
+    #[allow(clippy::type_complexity)]
+    fn colored_sweep_at_p2(
+        g: &Csr,
+        threads: usize,
+        bias: Weight,
+    ) -> Vec<(Vec<u32>, Vec<(u32, u64, i64)>)> {
+        let part = VertexPartition::balanced_vertices(g.num_vertices() as u64, 2);
+        let parts = LocalGraph::scatter(g, &part);
+        run(2, |c| {
+            let lg = &parts[c.rank()];
+            let (nlocal, first) = (lg.num_local(), lg.first_vertex());
+            let mut ghosts = GhostLayer::build(c, lg);
+            let k_local: Vec<Weight> = (0..nlocal).map(|l| lg.weighted_degree(l)).collect();
+            let mut index = CommunityIndex::new(lg);
+            let mut state = SweepState::new(&k_local);
+            let mut scratch = IterScratch::new(nlocal, threads);
+            let mut ghost_comm = GhostComms::default();
+            let gc = &mut ghost_comm;
+            exchange_ghosts(
+                c,
+                &mut ghosts,
+                &mut index,
+                &state,
+                &mut scratch,
+                gc,
+                false,
+                None,
+            );
+            scratch.cover(index.num_dense());
+            state.remote.cover(index.num_remote());
+            let (offsets, _, arc_weights) = lg.csr_parts();
+            let active = vec![true; nlocal];
+            let SweepState {
+                comm,
+                a,
+                size,
+                remote,
+                ..
+            } = &mut state;
+            let ghost_dense = &ghost_comm.dense;
+            key_remote_communities(
+                offsets,
+                ghosts.targets(),
+                &ghosts,
+                &index,
+                comm,
+                ghost_dense,
+                &active,
+                remote,
+                &mut Vec::new(),
+            );
+            let needed: Vec<VertexId> = remote
+                .keyed()
+                .iter()
+                .map(|&r| index.remote_global(r))
+                .collect();
+            pull_from_owners(
+                c,
+                lg.partition(),
+                CommStep::CommunityPull,
+                needed,
+                &mut PullBufs::default(),
+                |c| (a[(c - first) as usize], size[(c - first) as usize]),
+                |c, info| {
+                    let d = index.dense(c);
+                    let r = index.remote_slot(d).unwrap();
+                    remote.set_pulled(r, info);
+                },
+            );
+            for r in 0..index.num_remote() as u32 {
+                remote.apply(r, bias, 0);
+            }
+            let coloring = distributed_coloring(c, lg, &ghosts, 0xC0105);
+            let order: Vec<usize> = (0..nlocal).collect();
+            let sweep = Sweep {
+                offsets,
+                arc_weights,
+                targets: ghosts.targets(),
+                ghosts: &ghosts,
+                ghost_comm: &ghost_comm.dense,
+                index: &index,
+                k_local: &k_local,
+                two_m: g.two_m(),
+            };
+            let IterScratch {
+                batches,
+                workers,
+                acc,
+                ..
+            } = &mut scratch;
+            let pool = WorkerPool::new(threads);
+            sweep.sweep_colored(
+                &mut state, &pool, &coloring, &order, workers, batches, acc, 1,
+            );
+            let deltas = (state.remote.deltas()).map(|(r, da, ds)| (r, da.to_bits(), ds));
+            (state.comm.clone(), deltas.collect())
+        })
+    }
+
+    #[test]
+    fn colored_remote_view_is_bit_identical_across_thread_counts() {
+        // At p=2 a colored sweep scores remote candidates through the
+        // table's view: the pull plus the applied deltas, which here
+        // start with a bias on every remote slot and grow with every
+        // batch's applies. The view is reached (the bias changes
+        // decisions), and t=2, deciding on two threads against the
+        // frozen view, equals t=1 bit for bit.
+        for (gi, g) in parity_graphs().iter().enumerate() {
+            let plain = colored_sweep_at_p2(g, 1, 0.0);
+            let biased = colored_sweep_at_p2(g, 1, g.two_m());
+            let moves = |run: &[(Vec<u32>, _)]| run.iter().map(|r| r.0.clone()).collect::<Vec<_>>();
+            let reached = moves(&plain) != moves(&biased);
+            assert!(reached, "graph {gi}: the remote view was not reached");
+            assert_eq!(
+                biased,
+                colored_sweep_at_p2(g, 2, g.two_m()),
+                "graph {gi}: t=1 vs t=2"
+            );
+            assert_eq!(
+                plain,
+                colored_sweep_at_p2(g, 2, 0.0),
+                "graph {gi}: t=1 vs t=2"
+            );
         }
     }
 

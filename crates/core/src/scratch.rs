@@ -12,13 +12,15 @@
 //! after the first iteration the steady state performs no allocation at
 //! all on the exchange path.
 //!
-//! Everything keyed by a community is a [`DenseMap`] over the phase's
-//! dense community numbering ([`crate::ghost::CommunityIndex`]): the
-//! sweep and the steps around it index arrays, they never hash. The
-//! table lives in `louvain-graph` so Grappolo's gather shares it, and
-//! its first touch is branch-free: about half the arcs a gather reads
-//! touch a new community, so a branch on it would mispredict on every
-//! other arc (DESIGN.md §11, "Dense per-phase layout").
+//! Everything keyed by a community is indexed by the phase's dense
+//! community numbering ([`crate::ghost::CommunityIndex`]): the sweep and
+//! the steps around it index arrays, they never hash. A vertex's gather
+//! is a [`DenseMap`], which lives in `louvain-graph` so Grappolo's
+//! gather shares it; its first touch is branch-free, because about half
+//! the arcs a gather reads touch a new community and a branch on it
+//! would mispredict on every other arc. The remote communities' pulled
+//! and moved state is one [`RemoteTable`] by remote slot, so a remote
+//! candidate costs one read (DESIGN.md §11, "Dense per-phase layout").
 
 use std::sync::{Mutex, MutexGuard};
 
@@ -26,14 +28,132 @@ use louvain_graph::{DenseMap, VertexId, Weight};
 
 use crate::ghost::{CommunityDelta, PullBufs};
 
+/// One remote community's entry in [`RemoteTable`]: `a_c` and size as of
+/// this iteration's pull, and what this rank's applied moves have added
+/// to them since.
+#[derive(Debug, Clone, Copy, Default)]
+struct RemoteCommunity {
+    a: Weight,
+    size: u64,
+    da: Weight,
+    ds: i64,
+}
+
+/// Slot flags of [`RemoteTable`].
+const KEYED: u8 = 1;
+const TOUCHED: u8 = 2;
+
+/// The phase's remote-community state, one entry per remote slot
+/// ([`crate::ghost::CommunityIndex::remote_slot`]): Step 2 keys the
+/// slots to pull and fills them, the sweep's applies add their
+/// `(±k_v, ±1)` to them, and a score reads the sum from one entry. A
+/// slot not keyed this iteration reads `(0, 0)` plus its deltas.
+#[derive(Debug, Default)]
+pub struct RemoteTable {
+    slots: Vec<RemoteCommunity>,
+    /// `KEYED` and `TOUCHED` bits of each slot.
+    flags: Vec<u8>,
+    /// Slots keyed this iteration, in key order: the pull's requests.
+    keyed: Vec<u32>,
+    /// Slots a move applied to since the last push, in first-apply
+    /// order: the push's messages.
+    touched: Vec<u32>,
+}
+
+impl RemoteTable {
+    /// Accept remote slots `0..remote`; the table only grows.
+    pub fn cover(&mut self, remote: usize) {
+        if self.slots.len() < remote {
+            self.slots.resize(remote, RemoteCommunity::default());
+            self.flags.resize(remote, 0);
+        }
+    }
+
+    /// Forget the last pull: every keyed slot reads `(0, 0)` again.
+    pub fn clear_keys(&mut self) {
+        for &r in &self.keyed {
+            let s = &mut self.slots[r as usize];
+            (s.a, s.size) = (0.0, 0);
+            self.flags[r as usize] &= !KEYED;
+        }
+        self.keyed.clear();
+    }
+
+    #[inline]
+    pub fn is_keyed(&self, r: u32) -> bool {
+        self.flags[r as usize] & KEYED != 0
+    }
+
+    /// Add slot `r` to this iteration's pull, once.
+    #[inline]
+    pub fn key(&mut self, r: u32) {
+        let f = &mut self.flags[r as usize];
+        if *f & KEYED == 0 {
+            *f |= KEYED;
+            self.keyed.push(r);
+        }
+    }
+
+    /// The slots keyed this iteration, in key order.
+    pub fn keyed(&self) -> &[u32] {
+        &self.keyed
+    }
+
+    /// Store the pulled `(a_c, size)` of keyed slot `r`.
+    pub fn set_pulled(&mut self, r: u32, (a, size): (Weight, u64)) {
+        debug_assert!(self.is_keyed(r), "pulled slot {r} was not keyed");
+        let s = &mut self.slots[r as usize];
+        (s.a, s.size) = (a, size);
+    }
+
+    /// `a_c` and size of slot `r` as this rank sees them: the pull plus
+    /// its own applied moves.
+    #[inline]
+    pub fn view(&self, r: u32) -> (Weight, u64) {
+        let s = &self.slots[r as usize];
+        (s.a + s.da, (s.size as i64 + s.ds).max(0) as u64)
+    }
+
+    /// One applied move's change to slot `r`.
+    #[inline]
+    pub fn apply(&mut self, r: u32, da: Weight, ds: i64) {
+        let s = &mut self.slots[r as usize];
+        s.da += da;
+        s.ds += ds;
+        let f = &mut self.flags[r as usize];
+        if *f & TOUCHED == 0 {
+            *f |= TOUCHED;
+            self.touched.push(r);
+        }
+    }
+
+    /// `(slot, Δa_c, Δsize)` of every touched slot, in first-apply order.
+    pub fn deltas(&self) -> impl Iterator<Item = (u32, Weight, i64)> + '_ {
+        (self.touched.iter()).map(|&r| (r, self.slots[r as usize].da, self.slots[r as usize].ds))
+    }
+
+    /// Zero the deltas once they are pushed.
+    pub fn clear_deltas(&mut self) {
+        for &r in &self.touched {
+            let s = &mut self.slots[r as usize];
+            (s.da, s.ds) = (0.0, 0);
+            self.flags[r as usize] &= !TOUCHED;
+        }
+        self.touched.clear();
+    }
+
+    /// Bytes held, from capacities.
+    pub fn approx_bytes(&self) -> u64 {
+        (self.slots.capacity() * std::mem::size_of::<RemoteCommunity>()
+            + self.flags.capacity()
+            + (self.keyed.capacity() + self.touched.capacity()) * 4) as u64
+    }
+}
+
 /// What one sweep driver accumulated, merged into the iteration's total
 /// after the sweep.
 #[derive(Debug, Default)]
 pub struct SweepAcc {
-    /// `(Δa_c, Δsize)` of remote communities, keyed by
-    /// [`crate::ghost::CommunityIndex::remote_slot`]; the owner push
-    /// sends them in first-touch order.
-    pub deltas: DenseMap<(Weight, i64)>,
     /// Change to this rank's Σe_in the applied moves made, summed in
     /// apply order.
     pub e_in: Weight,
@@ -45,11 +165,6 @@ pub struct SweepAcc {
 impl SweepAcc {
     /// Fold `other` into `self`, leaving `other` empty for the next sweep.
     pub fn absorb(&mut self, other: &mut SweepAcc) {
-        for &(c, (da, ds)) in other.deltas.entries() {
-            let e = self.deltas.entry(c);
-            e.0 += da;
-            e.1 += ds;
-        }
         self.e_in += other.e_in;
         self.moves += other.moves;
         self.edges += other.edges;
@@ -58,7 +173,6 @@ impl SweepAcc {
     }
 
     pub fn clear(&mut self) {
-        self.deltas.clear();
         self.e_in = 0.0;
         (self.moves, self.edges, self.vertices) = (0, 0, 0);
     }
@@ -86,14 +200,15 @@ pub struct IterScratch {
     /// Per-vertex ET activity flags for the current iteration.
     pub active: Vec<bool>,
     /// Global ids of the remote communities whose `a_c` is pulled this
-    /// iteration: the keys of `remote_a`, as they go on the wire.
+    /// iteration, in [`RemoteTable::keyed`] order, as they go on the wire.
     pub needed: Vec<VertexId>,
+    /// Step 2's inactive local vertices whose remote community was not
+    /// yet keyed when its first pass met them: their rows are scanned
+    /// last.
+    pub deferred: Vec<u32>,
     /// Request and keyed `(community, (a_c, size))` reply buffers of the
     /// a_c pull.
     pub pull: PullBufs<(Weight, u64)>,
-    /// `a_c` and size of remote communities (by remote slot), rebuilt
-    /// every iteration.
-    pub remote_a: DenseMap<(Weight, u64)>,
     /// The vertex ids swept in the current iteration, in sweep order.
     pub sweep_vertices: Vec<usize>,
     /// Per-destination-rank delta messages for the owner push.
@@ -114,8 +229,8 @@ impl IterScratch {
             comm_snapshot: Vec::with_capacity(nlocal),
             active: Vec::with_capacity(nlocal),
             needed: Vec::new(),
+            deferred: Vec::new(),
             pull: PullBufs::default(),
-            remote_a: DenseMap::default(),
             sweep_vertices: Vec::with_capacity(nlocal),
             delta_msgs: Vec::new(),
             batches: Vec::new(),
@@ -124,17 +239,14 @@ impl IterScratch {
         }
     }
 
-    /// Size every community-keyed table for `communities` dense indices,
-    /// `remote` of them remote. Called once per iteration, before the
-    /// sweep; a no-op unless the rank saw a new remote community since.
-    pub fn cover(&mut self, communities: usize, remote: usize) {
-        self.remote_a.cover(remote);
-        self.acc.deltas.cover(remote);
+    /// Size every worker's gather for `communities` dense indices.
+    /// Called once per iteration, before the sweep; a no-op unless the
+    /// rank saw a new remote community since.
+    pub fn cover(&mut self, communities: usize) {
         for w in &mut self.workers {
             let w = w.get_mut().expect("a sweep worker panicked");
             debug_assert!(w.weights.is_clear(), "a sweep left its table dirty");
             w.weights.cover(communities);
-            w.acc.deltas.cover(remote);
         }
     }
 
@@ -149,20 +261,19 @@ impl IterScratch {
         let workers: u64 = (self.workers.iter())
             .map(|w| {
                 let w = lock_worker(w);
-                w.weights.approx_bytes() + flat_bytes(&w.moves) + w.acc.deltas.approx_bytes()
+                w.weights.approx_bytes() + flat_bytes(&w.moves)
             })
             .sum();
         flat_bytes(&self.comm_snapshot)
             + flat_bytes(&self.active)
             + flat_bytes(&self.needed)
+            + flat_bytes(&self.deferred)
             + nested(&self.pull.requests)
             + nested(&self.pull.replies)
-            + self.remote_a.approx_bytes()
             + flat_bytes(&self.sweep_vertices)
             + nested(&self.delta_msgs)
             + nested(&self.batches)
             + workers
-            + self.acc.deltas.approx_bytes()
     }
 }
 
@@ -265,34 +376,73 @@ mod tests {
     #[test]
     fn absorb_merges_and_empties_the_source() {
         let mut total = SweepAcc::default();
-        let mut part = SweepAcc::default();
-        total.deltas.cover(4);
-        part.deltas.cover(4);
-        *total.deltas.entry(1) = (1.0, 1);
-        *part.deltas.entry(3) = (2.0, -1);
-        *part.deltas.entry(1) = (0.5, 1);
-        part.e_in = 4.0;
-        part.moves = 2;
-        part.edges = 10;
-        part.vertices = 3;
+        let mut part = SweepAcc {
+            e_in: 4.0,
+            moves: 2,
+            edges: 10,
+            vertices: 3,
+        };
         total.e_in = -1.0;
         total.absorb(&mut part);
-        assert_eq!(total.deltas.entries(), &[(1, (1.5, 2)), (3, (2.0, -1))]);
         assert_eq!(total.e_in, 3.0);
         assert_eq!((total.moves, total.edges, total.vertices), (2, 10, 3));
-        assert!(part.deltas.is_clear());
         assert_eq!(part.e_in, 0.0);
         assert_eq!((part.moves, part.edges, part.vertices), (0, 0, 0));
+    }
+
+    #[test]
+    fn remote_table_views_the_pull_plus_the_applies() {
+        let mut t = RemoteTable::default();
+        t.cover(4);
+        t.key(2);
+        t.key(0);
+        t.key(2);
+        assert_eq!(t.keyed(), &[2, 0]);
+        assert!(t.is_keyed(0) && !t.is_keyed(1));
+        t.set_pulled(2, (5.0, 3));
+        t.set_pulled(0, (1.0, 1));
+        // Leave 0, join 3 (not keyed: it reads (0, 0) plus its deltas),
+        // then leave 2 twice.
+        t.apply(0, -1.0, -1);
+        t.apply(3, 1.0, 1);
+        t.apply(2, -2.0, -1);
+        t.apply(2, -0.5, -1);
+        assert_eq!(t.view(0), (0.0, 0));
+        assert_eq!(t.view(1), (0.0, 0));
+        assert_eq!(t.view(2), (2.5, 1));
+        assert_eq!(t.view(3), (1.0, 1));
+        // A size that the lagged pull puts below zero reads as zero.
+        t.apply(1, 0.0, -1);
+        assert_eq!(t.view(1), (0.0, 0));
+        let pushed: Vec<_> = t.deltas().collect();
+        assert_eq!(
+            pushed,
+            [(0, -1.0, -1), (3, 1.0, 1), (2, -2.5, -2), (1, 0.0, -1)]
+        );
+        t.clear_deltas();
+        assert_eq!(t.deltas().count(), 0);
+        assert_eq!(t.view(2), (5.0, 3));
+        t.clear_keys();
+        assert!(t.keyed().is_empty() && !t.is_keyed(2));
+        assert_eq!(t.view(2), (0.0, 0));
+        // Growing keeps what is there.
+        t.key(1);
+        t.set_pulled(1, (7.0, 2));
+        t.cover(64);
+        assert_eq!(t.view(1), (7.0, 2));
+        assert_eq!(t.view(63), (0.0, 0));
     }
 
     #[test]
     fn approx_bytes_counts_the_worker_tables() {
         let mut s = IterScratch::new(8, 2);
         let before = s.approx_bytes();
-        s.cover(1000, 100);
-        // Two weight tables over 1000 communities, four remote tables
-        // over 100 (remote_a, the round's deltas, one per worker).
-        assert!(s.approx_bytes() >= before + 2 * 4000 + 4 * 400);
+        s.cover(1000);
+        // Two weight tables over 1000 communities.
+        assert!(s.approx_bytes() >= before + 2 * 4000);
+        let mut t = RemoteTable::default();
+        t.cover(100);
+        assert!(t.approx_bytes() >= 100 * 33);
     }
 
     #[test]

@@ -993,6 +993,38 @@ mod tests {
                     cases += 1;
                 }
             }
+            // One `weights` word overwritten to NaN, −1 or +∞ at the
+            // first, middle and last arc: unchecked on the ranged path as
+            // well, and refused as corrupt naming the rank and the arc.
+            let weights = header.sections[layout::SEC_WEIGHTS];
+            for arc in [0, arcs / 2, arcs - 1] {
+                for w in [f64::NAN, -1.0, f64::INFINITY] {
+                    let mut bytes = pristine.clone();
+                    let at = weights.offset as usize + 8 * arc;
+                    bytes[at..at + 8].copy_from_slice(&w.to_bits().to_le_bytes());
+                    let case = format!("stride {stride}, weights[{arc}] = {w}");
+                    let v = read_hostile(&path, &bytes, &case);
+                    let named = match &v.ranged {
+                        Err(StoreError::Corrupt { what }) => {
+                            what.contains("rank ") && what.contains(&format!("arc {arc} "))
+                        }
+                        _ => false,
+                    };
+                    assert!(named, "{case}: load_rank gave {:?}", v.ranged);
+                    cases += 1;
+                }
+                // −0.0, a subnormal and the largest finite weight are
+                // weights: only the checksummed readers refuse the change.
+                for w in [-0.0, f64::MIN_POSITIVE / 2.0, f64::MAX] {
+                    let mut bytes = pristine.clone();
+                    let at = weights.offset as usize + 8 * arc;
+                    bytes[at..at + 8].copy_from_slice(&w.to_bits().to_le_bytes());
+                    let case = format!("stride {stride}, weights[{arc}] = {w:e}");
+                    let v = read_hostile(&path, &bytes, &case);
+                    assert!(v.ranged.is_ok(), "{case}: load_rank gave {:?}", v.ranged);
+                    cases += 1;
+                }
+            }
             // Truncation at, and a word either side of, every section
             // boundary and inside the header.
             let mut cuts = vec![0, 7, 8, hdr - 8, hdr - 1, hdr];

@@ -329,10 +329,29 @@ pub fn load_rank(path: &Path, rank: usize, p: usize) -> Result<RankSlice, StoreE
             ),
         });
     }
+    // Nor is `weights`: a NaN, infinite or negative weight is refused.
+    // A weight is finite and ≥ 0 exactly when its bits are below +∞'s or
+    // are −0.0's. Testing the words inside the decode measured faster
+    // than a second walk over the decoded weights.
+    let bad = |b: u64| (b >= f64::INFINITY.to_bits()) & (b != (-0.0f64).to_bits());
+    let mut any_bad = false;
     let weights: Vec<f64> = read_arc_extent(SEC_WEIGHTS)?
         .iter()
-        .map(|&b| f64::from_bits(b))
+        .map(|&b| {
+            any_bad |= bad(b);
+            f64::from_bits(b)
+        })
         .collect();
+    if any_bad {
+        let i = (weights.iter().position(|w| bad(w.to_bits()))).expect("a weight was bad");
+        return Err(StoreError::Corrupt {
+            what: format!(
+                "weights word of rank {rank} at arc {} is {}, not a finite weight ≥ 0",
+                lo + i as u64,
+                weights[i]
+            ),
+        });
+    }
 
     let local = LocalGraph::from_csr_parts(part, rank, local_offsets, dests, weights);
     Ok(RankSlice { local, bytes_read })

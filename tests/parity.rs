@@ -508,6 +508,14 @@ fn kernel_trajectories_are_pinned() {
 ///
 /// `comm` and `total` of the rows whose `TRAFFIC` hash moved to the
 /// neighbour topology were re-recorded on 64398e7; each fell.
+///
+/// `compute`, `reduce` and `total` of every row at p≥2 were re-recorded
+/// when Step 2 began to find its key set by target instead of walking
+/// every arc of every active row: it then counts only the arcs it
+/// probes. `reduce` rose in LFR's three ET columns, where the probes
+/// fall less on some ranks than on others, and fell everywhere else.
+/// `BEFORE` holds each replaced `total` and `compute`; every new one is
+/// below it.
 #[test]
 fn modeled_seconds_match_the_send_path_clock() {
     const MODEL: [[&[[f64; 5]]; 6]; 3] = [
@@ -530,63 +538,63 @@ fn modeled_seconds_match_the_send_path_clock() {
             ],
             &[
                 [
-                    0.02490069933333333,
-                    0.022473795,
+                    0.014497659333333331,
+                    0.012069705,
                     0.00018865288888888888,
-                    0.0004126743333333318,
+                    0.00039809433333333325,
                     0.00072286,
                 ],
                 [
-                    0.024881709999999998,
-                    0.022473795,
+                    0.014478669999999997,
+                    0.012069705,
                     0.0001693,
-                    0.0004126743333333318,
+                    0.00039809433333333325,
                     0.00072286,
                 ],
             ],
             &[
                 [
-                    0.01729106777777778,
-                    0.014838315,
+                    0.010724217777777776,
+                    0.008271240000000001,
                     0.0006737813333333334,
-                    0.00039105544444444453,
+                    0.0003787704444444433,
                     0.00080783,
                 ],
                 [
-                    0.00999105802069058,
-                    0.007951656122877107,
+                    0.006471970239462351,
+                    0.004432447767134344,
                     0.0006737813333333334,
-                    0.0002506170898925289,
+                    0.00024403372139890033,
                     0.00080783,
                 ],
             ],
             &[[
-                0.011151103555555555,
-                0.009395984999999997,
+                0.007723317333333332,
+                0.005825234999999998,
                 0.00021147555555555556,
-                0.00041207144444444416,
+                0.0004937314444444445,
                 0.0008404599999999999,
             ]],
             &[[
-                0.011230144888888887,
-                0.009395984999999997,
+                0.007802358666666666,
+                0.005825234999999998,
                 0.0002567328888888889,
-                0.00044589455555555524,
+                0.0005275545555555555,
                 0.0008404599999999999,
             ]],
             &[
                 [
-                    0.005029753999999999,
-                    0.0028318874999999997,
+                    0.004617006666666665,
+                    0.0024157162500000003,
                     0.001266608888888889,
-                    0.0006904178333333329,
+                    0.0006999390833333331,
                     0.00024166999999999998,
                 ],
                 [
-                    0.005009769111111111,
-                    0.0028318874999999997,
+                    0.00459717111111111,
+                    0.0024157162500000003,
                     0.0012461902222222223,
-                    0.0006904178333333329,
+                    0.0006999390833333331,
                     0.00024166999999999998,
                 ],
             ],
@@ -610,63 +618,63 @@ fn modeled_seconds_match_the_send_path_clock() {
             ],
             &[
                 [
-                    0.010072039555555554,
-                    0.007820399999999998,
+                    0.006186649555555555,
+                    0.003937979999999999,
                     4.574355555555556e-5,
-                    3.8988666666667176e-5,
+                    3.601866666666769e-5,
                     0.00195486,
                 ],
                 [
-                    0.010072006666666666,
-                    0.007820399999999998,
+                    0.006186616666666665,
+                    0.003937979999999999,
                     4.571066666666666e-5,
-                    3.8988666666667176e-5,
+                    3.601866666666769e-5,
                     0.00195486,
                 ],
             ],
             &[
                 [
-                    0.01021777511111111,
-                    0.007820399999999998,
+                    0.006332385111111111,
+                    0.003937979999999999,
                     0.00019147911111111113,
-                    3.8988666666667176e-5,
+                    3.601866666666769e-5,
                     0.00195486,
                 ],
                 [
-                    0.006484392283839835,
-                    0.004190848593209413,
+                    0.00440226333703789,
+                    0.0021103112299993357,
                     0.00019147911111111113,
-                    3.3572464820566216e-5,
+                    3.198088122869937e-5,
                     0.00195486,
                 ],
             ],
             &[[
-                0.010033466888888887,
-                0.007782389999999999,
+                0.0061664368888888895,
+                0.003918974999999999,
                 4.574266666666667e-5,
-                4.0278666666665946e-5,
+                3.666366666666664e-5,
                 0.00195486,
             ]],
             &[[
-                0.010067070222222224,
-                0.007782089999999999,
+                0.006200130222222222,
+                0.003918825,
                 7.320977777777778e-5,
-                4.69031111111109e-5,
+                4.32281111111109e-5,
                 0.0019547199999999996,
             ]],
             &[
                 [
-                    0.003694928222222222,
-                    0.0027158887499999997,
+                    0.002351248222222222,
+                    0.00138985125,
                     0.00027480755555555557,
-                    0.00019516524999999994,
+                    0.0001731527499999997,
                     0.0004897699999999999,
                 ],
                 [
-                    0.003694856222222222,
-                    0.0027158887499999997,
+                    0.002351176222222222,
+                    0.00138985125,
                     0.00027468222222222223,
-                    0.00019516524999999994,
+                    0.0001731527499999997,
                     0.0004897699999999999,
                 ],
             ],
@@ -690,69 +698,70 @@ fn modeled_seconds_match_the_send_path_clock() {
             ],
             &[
                 [
-                    0.008720146888888888,
-                    0.00701742,
+                    0.005711686888888889,
+                    0.00419316,
                     0.00011974977777777779,
-                    0.0006223271111111099,
+                    0.00043350711111111117,
                     0.0005991999999999999,
                 ],
                 [
-                    0.008718361999999999,
-                    0.00701742,
+                    0.005709902000000001,
+                    0.00419316,
                     0.00011796488888888888,
-                    0.0006223271111111099,
+                    0.00043350711111111117,
                     0.0005991999999999999,
                 ],
             ],
             &[
                 [
-                    0.009083998444444446,
-                    0.007002164999999999,
+                    0.006110818444444443,
+                    0.0041965349999999995,
                     0.0005422013333333333,
-                    0.0005639021111111113,
+                    0.0003941621111111106,
                     0.00062006,
                 ],
                 [
-                    0.005400586692817526,
-                    0.003752367313650221,
+                    0.003807298981145698,
+                    0.0022488674238023715,
                     0.0005422013333333333,
-                    0.0003341869281859364,
+                    0.00024322551442048116,
                     0.00062006,
                 ],
             ],
             &[[
-                0.007545690444444444,
-                0.006039584999999999,
+                0.005165460444444444,
+                0.0038267849999999988,
                 0.0001320328888888889,
-                0.0006573274444444442,
+                0.00046736744444444544,
                 0.0006230599999999999,
             ]],
             &[[
-                0.006635154222222223,
-                0.004773944999999999,
+                0.004500684222222222,
+                0.0029216249999999997,
                 0.00019127955555555556,
-                0.0007053296666666671,
+                0.00045125966666666607,
                 0.0006945499999999999,
             ]],
             &[
                 [
-                    0.0038164595555555555,
-                    0.0015403574999999997,
+                    0.003044622666666666,
+                    0.00109798125,
                     0.000735808,
-                    0.0011699371666666664,
+                    0.0008215434166666665,
                     0.0004418199999999999,
                 ],
                 [
-                    0.003816088,
-                    0.0015403574999999997,
+                    0.0030442511111111108,
+                    0.00109798125,
                     0.0007354364444444445,
-                    0.0011699371666666664,
+                    0.0008215434166666665,
                     0.0004418199999999999,
                 ],
             ],
         ],
     ];
-    // `total` and `compute` of every row before `Σ e_in` was tracked.
+    // `total` and `compute` of every row before Step 2 probed by target
+    // (at p=1, where it never runs: before `Σ e_in` was tracked).
     const BEFORE: [[&[[f64; 2]]; 6]; 3] = [
         [
             &[
@@ -760,18 +769,18 @@ fn modeled_seconds_match_the_send_path_clock() {
                 [0.02745479822222222, 0.024917399999999996],
             ],
             &[
-                [0.033849215777777775, 0.03141818999999999],
-                [0.03382986822222222, 0.03141818999999999],
+                [0.02490069933333333, 0.022473795],
+                [0.024881709999999998, 0.022473795],
             ],
             &[
-                [0.02237320177777778, 0.019916639999999996],
-                [0.012718193113624095, 0.01067306310744442],
+                [0.01729106777777778, 0.014838315],
+                [0.00999105802069058, 0.007951656122877107],
             ],
-            &[[0.019169413555555556, 0.017450219999999995]],
-            &[[0.019248454888888884, 0.017450219999999995]],
+            &[[0.011151103555555555, 0.009395984999999997]],
+            &[[0.011230144888888887, 0.009395984999999997]],
             &[
-                [0.006802752666666667, 0.0046263975],
-                [0.006782748222222222, 0.0046263975],
+                [0.005029753999999999, 0.0028318874999999997],
+                [0.005009769111111111, 0.0028318874999999997],
             ],
         ],
         [
@@ -780,18 +789,18 @@ fn modeled_seconds_match_the_send_path_clock() {
                 [0.027663832222222216, 0.023300729999999995],
             ],
             &[
-                [0.013898839555555554, 0.011650364999999998],
-                [0.013898806666666668, 0.011650364999999998],
+                [0.010072039555555554, 0.007820399999999998],
+                [0.010072006666666666, 0.007820399999999998],
             ],
             &[
-                [0.01404457511111111, 0.011650364999999998],
-                [0.008535123627056777, 0.00624327601793082],
+                [0.01021777511111111, 0.007820399999999998],
+                [0.006484392283839835, 0.004190848593209413],
             ],
-            &[[0.013860266888888886, 0.011612354999999998]],
-            &[[0.01389387022222222, 0.011611964999999998]],
+            &[[0.010033466888888887, 0.007782389999999999]],
+            &[[0.010067070222222224, 0.007782089999999999]],
             &[
-                [0.005137370444444443, 0.00411162375],
-                [0.005137301111111109, 0.00411162375],
+                [0.003694928222222222, 0.0027158887499999997],
+                [0.003694856222222222, 0.0027158887499999997],
             ],
         ],
         [
@@ -800,18 +809,18 @@ fn modeled_seconds_match_the_send_path_clock() {
                 [0.017051689777777775, 0.015087779999999999],
             ],
             &[
-                [0.010548516888888889, 0.008593335],
-                [0.010546731999999998, 0.008593335],
+                [0.008720146888888888, 0.00701742],
+                [0.008718361999999999, 0.00701742],
             ],
             &[
-                [0.010932878444444443, 0.008554860000000001],
-                [0.00641008071725447, 0.0045844359618566165],
+                [0.009083998444444446, 0.007002164999999999],
+                [0.005400586692817526, 0.003752367313650221],
             ],
-            &[[0.009795515333333334, 0.008171025]],
-            &[[0.00902624422222222, 0.006647489999999999]],
+            &[[0.007545690444444444, 0.006039584999999999]],
+            &[[0.006635154222222223, 0.004773944999999999]],
             &[
-                [0.004164092666666667, 0.0015662099999999997],
-                [0.004163721111111111, 0.0015662099999999997],
+                [0.0038164595555555555, 0.0015403574999999997],
+                [0.003816088, 0.0015403574999999997],
             ],
         ],
     ];
