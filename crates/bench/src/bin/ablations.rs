@@ -6,7 +6,7 @@
 //! refresh transport).
 
 use louvain_bench::datasets::{dataset_by_name, Scale};
-use louvain_bench::Table;
+use louvain_bench::{model, Table};
 use louvain_dist::{run_distributed, DistConfig, Variant};
 
 fn main() {
@@ -42,7 +42,7 @@ fn main() {
             format!("{:.4}", out.modularity),
             out.total_iterations.to_string(),
             out.phases.to_string(),
-            format!("{:.4}", out.modeled_seconds),
+            format!("{:.4}", model::job_seconds(&out.per_rank_stats, out.phases)),
             out.traffic.p2p_messages.to_string(),
             (out.traffic.p2p_bytes / 1024).to_string(),
         ]);

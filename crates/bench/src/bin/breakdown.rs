@@ -11,7 +11,7 @@
 //! communication share rising toward the paper's regime.
 
 use louvain_bench::datasets::{dataset_by_name, Scale};
-use louvain_bench::{harness, Table};
+use louvain_bench::{harness, model, Table};
 use louvain_dist::DistConfig;
 
 fn main() {
@@ -43,7 +43,7 @@ fn main() {
 
     for &ranks in &rank_counts {
         let out = harness::run_dist_full(&gen.graph, ranks, &DistConfig::baseline());
-        let (compute, comm, reduce, rebuild) = out.modeled_breakdown();
+        let (compute, comm, reduce, rebuild) = model::breakdown(&out.per_rank_stats, out.phases);
         let total = compute + comm + reduce + rebuild;
         let pct = |x: f64| format!("{:.1}%", 100.0 * x / total);
         table.add_row(vec![

@@ -8,13 +8,13 @@
 //! be reproduced on a laptop, but the *shape* — which variant wins, where
 //! scaling flattens — can. Past the largest rank count the host runs,
 //! each variant's curve continues to 4096 ranks as `modeled` rows:
-//! [`louvain_dist::model::extrapolate`] off that run's counters. Run with
+//! [`louvain_bench::model::extrapolate`] off that run's counters. Run with
 //! `cargo run --release -p louvain-bench --bin fig3 [graph ...]` to
 //! restrict the graph set, and `LOUVAIN_SCALE=quick` for a fast pass.
 
 use louvain_bench::datasets::{registry, Scale};
-use louvain_bench::{harness, Table};
-use louvain_dist::{model, DistConfig, DistOutcome};
+use louvain_bench::{harness, model, Table};
+use louvain_dist::{DistConfig, DistOutcome};
 
 fn main() {
     let scale = Scale::from_env();
@@ -82,7 +82,7 @@ fn main() {
                 let out = harness::run_dist_full(&gen.graph, p, &cfg);
                 row(
                     p,
-                    out.modeled_seconds,
+                    model::job_seconds(&out.per_rank_stats, out.phases),
                     out.wall.as_secs_f64(),
                     &out,
                     "measured",
@@ -92,7 +92,7 @@ fn main() {
             // The tail no host runs: 1/P compute and the 1D-cut α-β comm
             // off the largest measured run.
             let (from, out) = last.expect("at least one rank count");
-            let (measured_compute, ..) = out.modeled_breakdown();
+            let (measured_compute, ..) = model::breakdown(&out.per_rank_stats, out.phases);
             let iterations = out.total_iterations;
             for to in [128usize, 256, 512, 1024, 2048, 4096] {
                 let (compute, comm) =

@@ -11,8 +11,9 @@ pub struct RunRecord {
     pub variant: String,
     pub ranks: usize,
     pub wall_seconds: f64,
-    /// Modeled job time (critical path through the α-β cost model plus
-    /// work-counter compute; the number comparable across rank counts).
+    /// Modeled job time ([`crate::model::job_seconds`]: critical path
+    /// through the α-β cost model plus work-counter compute; the number
+    /// comparable across rank counts).
     pub modeled_seconds: f64,
     pub modularity: f64,
     pub phases: usize,
@@ -38,7 +39,7 @@ fn record_from(graph: &str, variant: String, ranks: usize, out: &DistOutcome) ->
         variant,
         ranks,
         wall_seconds: out.wall.as_secs_f64(),
-        modeled_seconds: out.modeled_seconds,
+        modeled_seconds: crate::model::job_seconds(&out.per_rank_stats, out.phases),
         modularity: out.modularity,
         phases: out.phases,
         iterations: out.total_iterations,

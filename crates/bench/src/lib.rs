@@ -22,11 +22,13 @@
 //! ```
 //!
 //! Every binary prints the paper's rows and writes a TSV under
-//! `target/experiments/`. Set `LOUVAIN_SCALE=quick|default|full` to trade
-//! runtime for fidelity.
+//! `target/experiments/`. Modeled seconds come from [`model`], the α-β
+//! time model, evaluated over a finished run's counters. Set
+//! `LOUVAIN_SCALE=quick|default|full` to trade runtime for fidelity.
 
 pub mod datasets;
 pub mod harness;
+pub mod model;
 pub mod table;
 
 pub use datasets::{dataset_by_name, registry, Dataset, GraphClass, Scale};

@@ -9,10 +9,10 @@
 //!   [`Comm::barrier`], [`Comm::all_reduce`], [`Comm::all_gather`],
 //!   [`Comm::exscan_sum`], [`Comm::all_to_all_v`], [`Comm::gather_to_root`],
 //!   [`Comm::broadcast`],
-//! * exact per-rank traffic accounting ([`CommStats`]), and
-//! * an α-β (latency/bandwidth) [`CostModel`] that prices the counted
-//!   traffic after the run, so that scaling *shape* can be studied on a
-//!   machine with far fewer cores than ranks.
+//! * exact per-rank traffic accounting ([`CommStats`]): the counts an
+//!   α-β (latency/bandwidth) model prices after the run (in the
+//!   experiment harness, `louvain-bench`), so that scaling *shape* can
+//!   be studied on a machine with far fewer cores than ranks.
 //!
 //! The simulation preserves the property that makes distributed Louvain
 //! semantically different from shared-memory Louvain: between two
@@ -31,7 +31,6 @@
 
 mod blackboard;
 mod comm;
-mod cost;
 mod envelope;
 mod fault;
 pub mod health;
@@ -40,7 +39,6 @@ mod runtime;
 mod stats;
 
 pub use comm::{Comm, Tag};
-pub use cost::CostModel;
 pub use fault::{CrashRule, FaultPlan, HangRule, RankCrashed, StallRule};
 pub use health::{HealthBoard, HealthConfig, RankHung};
 pub use reduce::{ReduceOp, Reducible};

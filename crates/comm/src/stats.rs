@@ -1,8 +1,8 @@
 //! Per-rank communication accounting.
 //!
-//! Every `Comm` method updates these counters; experiment harnesses read
-//! them to report communication volume, and the α-β [`crate::CostModel`]
-//! is evaluated over them at report time.
+//! Every `Comm` method updates these counters; a run reports them as
+//! they are, and the experiment harness (`louvain-bench`) prices them
+//! with its α-β time model after the run.
 //!
 //! The counters themselves — [`StatsSnapshot`], its one `counter_table!`
 //! and [`CommStep`] — are plain data and live in `louvain-obs`, beside

@@ -10,12 +10,12 @@
 //! The report carries the snapshots themselves (`traffic`,
 //! `per_rank_traffic`), so there is nothing to keep in step with
 //! `louvain_comm::stats`; what is computed here is what is not a
-//! counter: modeled seconds and the trace sections.
+//! counter: the trace sections.
 
 use louvain_comm::CommStep;
 use louvain_obs::{
-    ArgValue, EventKind, HealthTotals, ModeledBreakdown, PhaseProfileRow, RankTotals, RunReport,
-    TraceData, TraceEvent,
+    ArgValue, EventKind, HealthTotals, PhaseProfileRow, RankTotals, RunReport, TraceData,
+    TraceEvent,
 };
 
 use crate::api::DistOutcome;
@@ -160,8 +160,6 @@ pub fn build_run_report(outcome: &DistOutcome, meta: &ReportMeta) -> RunReport {
         })
         .collect();
 
-    let (compute, comm, reduce, rebuild) = outcome.modeled_breakdown();
-
     let (metrics, spans, phase_profile) = match &outcome.trace {
         Some(t) => (t.merged_metrics(), t.span_rollup(), build_phase_profile(t)),
         None => (Default::default(), Vec::new(), Vec::new()),
@@ -185,12 +183,6 @@ pub fn build_run_report(outcome: &DistOutcome, meta: &ReportMeta) -> RunReport {
         per_rank_traffic: outcome.per_rank_traffic.clone(),
         health: HealthTotals {
             hung_events: outcome.hung_events.clone(),
-        },
-        modeled: ModeledBreakdown {
-            compute,
-            comm,
-            reduce,
-            rebuild,
         },
         per_rank,
         metrics,

@@ -1,5 +1,6 @@
-//! Per-phase and per-iteration instrumentation: counters only.
-//! [`crate::model`] turns them into seconds after the run.
+//! Per-phase and per-iteration instrumentation: counters only. The
+//! experiment harness (`louvain_bench::model`) prices them in seconds
+//! after the run.
 
 use louvain_comm::StatsSnapshot;
 

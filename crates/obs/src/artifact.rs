@@ -148,6 +148,7 @@ mod tests {
     use super::*;
     use crate::metrics::Histogram;
     use crate::report::tests as report_tests;
+    use crate::report::RUN_REPORT_VERSION;
 
     fn sample() -> RunArtifact {
         let mut sizes = Histogram::default();
@@ -222,13 +223,18 @@ mod tests {
             &a.to_json().to_string_compact(),
             RunArtifact::from_json_str,
         );
-        // The report inside is held to its one version too: a v3 report
-        // (with the message-fault counters) is refused.
-        let v3 = doc
-            .to_string_compact()
-            .replace("\"run_report_version\":4", "\"run_report_version\":3");
-        let err = RunArtifact::from_json_str(&v3).unwrap_err();
-        assert!(err.contains("run_report_version 3"), "{err}");
+        // The report inside is held to its one version too: a report of
+        // the version before it is refused by number.
+        let needle = |v: u32| format!("\"run_report_version\":{v}");
+        let text = doc.to_string_compact();
+        assert!(text.contains(&needle(RUN_REPORT_VERSION)));
+        let older = RUN_REPORT_VERSION - 1;
+        let stale = text.replace(&needle(RUN_REPORT_VERSION), &needle(older));
+        let err = RunArtifact::from_json_str(&stale).unwrap_err();
+        assert!(
+            err.contains(&format!("run_report_version {older}")),
+            "{err}"
+        );
     }
 
     #[test]

@@ -26,8 +26,8 @@
 //!   always-on per-rank counter, named once. `louvain-comm` records
 //!   into it; everything else walks it.
 //! - **Run reports** ([`RunReport`]): the end-of-run JSON artifact: the
-//!   run's [`StatsSnapshot`]s as they are, the α-β model's time
-//!   breakdown, merged metrics, and span rollups.
+//!   run's [`StatsSnapshot`]s as they are, the measured wall, merged
+//!   metrics, and span rollups.
 //!
 //! This crate sits below `louvain-comm` in the dependency graph so the
 //! communicator can auto-span its own steps and record into the table;
@@ -66,8 +66,7 @@ pub use ops::{
 pub use progress::{ProgressMerger, ProgressSink};
 pub use prom::{parse_prometheus_text, prometheus_name, prometheus_text};
 pub use report::{
-    HealthTotals, ModeledBreakdown, PhaseProfileRow, RankHung, RankTotals, RunReport,
-    RUN_REPORT_VERSION,
+    HealthTotals, PhaseProfileRow, RankHung, RankTotals, RunReport, RUN_REPORT_VERSION,
 };
 pub use span::{complete_span, enabled, observing, set_enabled, span, span_cat, SpanGuard};
 pub use stats::{CommStep, StatsSnapshot, NUM_COMM_STEPS};

@@ -1,5 +1,5 @@
 //! The machine-readable run report: everything one distributed run
-//! produced — configuration, quality, wall/modeled time, traffic,
+//! produced — configuration, quality, wall time, traffic,
 //! merged metrics, and span rollups — in one JSON-serializable struct.
 //!
 //! Traffic is the counter table itself: the report holds the run's
@@ -7,8 +7,10 @@
 //! by walking [`StatsSnapshot::names`]. No counter is named in this
 //! file, so a counter added to the table appears in the report, and
 //! round-trips, with no edit here. Beside the snapshots sits only what
-//! is not a counter: run identity, the modeled seconds, the hung-rank
-//! events, and the trace-derived sections.
+//! is not a counter: run identity, the hung-rank events, and the
+//! trace-derived sections. Time is the measured wall only; a modeled
+//! time is priced from the counters by the experiment harness, never
+//! stored here.
 //!
 //! There is one schema version, [`RUN_REPORT_VERSION`]; `from_json`
 //! accepts exactly it and requires every section.
@@ -21,7 +23,7 @@ use crate::metrics::{GaugeStat, Histogram, MetricsSnapshot};
 use crate::stats::{CommStep, StatsSnapshot};
 
 /// Report schema version (bump on breaking field changes).
-pub const RUN_REPORT_VERSION: u32 = 4;
+pub const RUN_REPORT_VERSION: u32 = 5;
 
 /// What is known of one rank besides its counters (those are
 /// `RunReport::per_rank_traffic[rank]`).
@@ -51,37 +53,6 @@ pub struct PhaseProfileRow {
     /// the trace epoch — one clock for every rank, so `lens crit` can
     /// place the phase boundaries of different ranks on one line.
     pub end_ns: u64,
-}
-
-/// Modeled-seconds breakdown in the paper's Section V-A categories.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct ModeledBreakdown {
-    pub compute: f64,
-    pub comm: f64,
-    pub reduce: f64,
-    pub rebuild: f64,
-}
-
-impl ModeledBreakdown {
-    pub fn total(&self) -> f64 {
-        self.compute + self.comm + self.reduce + self.rebuild
-    }
-
-    /// (compute, comm, reduce, rebuild) as fractions of the total — the
-    /// numbers to diff against the paper's ~22/34/40 split.
-    pub fn fractions(&self) -> (f64, f64, f64, f64) {
-        let t = self.total();
-        if t <= 0.0 {
-            (0.0, 0.0, 0.0, 0.0)
-        } else {
-            (
-                self.compute / t,
-                self.comm / t,
-                self.reduce / t,
-                self.rebuild / t,
-            )
-        }
-    }
 }
 
 /// One hung-rank declaration. `louvain-comm` carries it out of a rank
@@ -157,7 +128,6 @@ pub struct RunReport {
     /// The same counters per rank, indexed by rank.
     pub per_rank_traffic: Vec<StatsSnapshot>,
     pub health: HealthTotals,
-    pub modeled: ModeledBreakdown,
     pub per_rank: Vec<RankTotals>,
     /// Metrics merged across all ranks.
     pub metrics: MetricsSnapshot,
@@ -337,20 +307,6 @@ impl RunReport {
                     }),
                 )]),
             ),
-            ("modeled", {
-                let (fc, fm, fr, fb) = self.modeled.fractions();
-                Json::obj(vec![
-                    ("compute_seconds", Json::Num(self.modeled.compute)),
-                    ("comm_seconds", Json::Num(self.modeled.comm)),
-                    ("reduce_seconds", Json::Num(self.modeled.reduce)),
-                    ("rebuild_seconds", Json::Num(self.modeled.rebuild)),
-                    ("total_seconds", Json::Num(self.modeled.total())),
-                    ("compute_fraction", Json::Num(fc)),
-                    ("comm_fraction", Json::Num(fm)),
-                    ("reduce_fraction", Json::Num(fr)),
-                    ("rebuild_fraction", Json::Num(fb)),
-                ])
-            }),
             (
                 "per_rank",
                 rows_to_json(&self.per_rank, |r| {
@@ -439,14 +395,6 @@ impl RunReport {
                             waited_ms: e.field_u64("waited_ms")?,
                         })
                     })?,
-                })
-            })?,
-            modeled: section(doc, "modeled", |modeled| {
-                Ok(ModeledBreakdown {
-                    compute: modeled.field_f64("compute_seconds")?,
-                    comm: modeled.field_f64("comm_seconds")?,
-                    reduce: modeled.field_f64("reduce_seconds")?,
-                    rebuild: modeled.field_f64("rebuild_seconds")?,
                 })
             })?,
             per_rank: rows_from_json(doc, "per_rank", |r| {
@@ -538,12 +486,6 @@ pub(crate) mod tests {
                     waited_ms: 480,
                 }],
             },
-            modeled: ModeledBreakdown {
-                compute: 2.2,
-                comm: 3.4,
-                reduce: 4.0,
-                rebuild: 0.4,
-            },
             per_rank: (0..3)
                 .map(|rank| RankTotals {
                     rank,
@@ -621,35 +563,12 @@ pub(crate) mod tests {
         }
     }
 
-    #[test]
-    fn fractions_sum_to_one() {
-        let m = ModeledBreakdown {
-            compute: 2.2,
-            comm: 3.4,
-            reduce: 4.0,
-            rebuild: 0.4,
-        };
-        let (c, o, r, b) = m.fractions();
-        assert!((c + o + r + b - 1.0).abs() < 1e-12);
-        assert!((c - 0.22).abs() < 1e-12);
-        assert!((o - 0.34).abs() < 1e-12);
-        assert!((r - 0.40).abs() < 1e-12);
-    }
-
-    #[test]
-    fn zero_breakdown_has_zero_fractions() {
-        assert_eq!(
-            ModeledBreakdown::default().fractions(),
-            (0.0, 0.0, 0.0, 0.0)
-        );
-    }
-
     // ---- hostile input (ROADMAP 1(c), this decoder's slice) ----
 
     /// Members written for readers of the JSON and rebuilt, not read,
     /// on decode: no mutation of one can make a document incomplete.
     fn derived(key: &str) -> bool {
-        matches!(key, "p50" | "p95" | "p99" | "total_seconds") || key.ends_with("_fraction")
+        matches!(key, "p50" | "p95" | "p99")
     }
 
     /// The three metric maps are keyed by whatever was recorded, so an
@@ -769,9 +688,10 @@ pub(crate) mod tests {
     fn from_json_rejects_missing_fields_and_bad_versions() {
         assert!(RunReport::from_json_str("{}").is_err());
         // One version: the shapes that called themselves 1, 2 (with
-        // `messages` and the modeled straggler) and 3 (with the
-        // message-fault counters, and no phase end times) are not read.
-        for old in [1, 2, 3] {
+        // `messages` and the modeled straggler), 3 (with the
+        // message-fault counters, and no phase end times) and 4 (with
+        // the `modeled` seconds section) are not read.
+        for old in [1, 2, 3, 4] {
             let mut doc = sample().to_json();
             if let Json::Obj(members) = &mut doc {
                 assert_eq!(members[0].0, "run_report_version");

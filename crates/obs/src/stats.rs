@@ -1,10 +1,10 @@
 //! The counter table: every always-on per-rank counter, named once.
 //!
 //! `louvain-comm` records into a [`StatsSnapshot`] on every `Comm`
-//! call; the α-β model prices the counted traffic at report time (the
-//! HPCToolkit-style breakdown of Section V-A of the paper is derived
-//! from exactly these numbers), and [`crate::RunReport`] carries the
-//! snapshots as they are.
+//! call, and [`crate::RunReport`] carries the snapshots as they are.
+//! The experiment harness's α-β model prices the counted traffic after
+//! the run (the HPCToolkit-style breakdown of Section V-A of the paper
+//! is derived from exactly these numbers).
 //!
 //! The counters are named in the [`counter_table!`] invocation below
 //! and nowhere else. A snapshot can be walked word by word in that

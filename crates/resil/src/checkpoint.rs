@@ -38,8 +38,8 @@ const MAGIC: u64 = u64::from_le_bytes(*b"LVRSCKPT");
 /// Version 3 appends the per-step blocked-wait nanoseconds, so wait
 /// attribution stays cumulative across a crash/restart. Version 4 stores
 /// the stats block as one counted run of words in the counter table's
-/// order ([`StatsSnapshot::words`]) and drops the α-β seconds, which are
-/// evaluated from the counters at report time. Version 5 carries the
+/// order ([`StatsSnapshot::words`]) and drops the α-β seconds, which the
+/// experiment harness prices from the counters after the run. Version 5 carries the
 /// shorter table left once message faults stopped being modelled: eight
 /// scalars (no drop / delay / duplicate / truncate / burst / corruption
 /// / retransmission counts, checksum rejects or backoff time).

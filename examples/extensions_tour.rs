@@ -12,10 +12,10 @@ use distributed_louvain::prelude::*;
 
 fn show(name: &str, out: &DistOutcome) {
     println!(
-        "{name:<28} Q={:.4}  iters={:<3} modeled={:>8.2}ms  p2p={:>6} msgs / {:>6} KiB",
+        "{name:<28} Q={:.4}  iters={:<3} wall={:>8.2}ms  p2p={:>6} msgs / {:>6} KiB",
         out.modularity,
         out.total_iterations,
-        out.modeled_seconds * 1e3,
+        out.wall.as_secs_f64() * 1e3,
         out.traffic.p2p_messages,
         out.traffic.p2p_bytes / 1024,
     );

@@ -23,11 +23,11 @@ fn main() {
     for variant in [Variant::Baseline, Variant::ThresholdCycling] {
         let out = run_distributed(&graph, 8, &DistConfig::with_variant(variant));
         println!(
-            "\n{} — Q = {:.4}, {} communities, modeled {:.2} ms",
+            "\n{} — Q = {:.4}, {} communities, wall {:.2} ms",
             variant.label(),
             out.modularity,
             out.num_communities,
-            out.modeled_seconds * 1e3
+            out.wall.as_secs_f64() * 1e3
         );
         println!(
             "{:>5} {:>10} {:>8} {:>8} {:>10}",

@@ -44,6 +44,17 @@ must_refuse() {
   fi
 }
 
+# The α-β time model lives in crates/bench/src/model.rs alone: a run,
+# its report and the CLI carry measured time only. Any model identifier
+# in a product crate's code (comments aside) fails here.
+echo "==> no modeled time in the product crates"
+model_names='modeled|Modeled|CostModel|EDGE_COST|parallel_speedup'
+if grep -rnE "$model_names" crates/{core,comm,obs,lens,serve,resil,store,graph}/src src |
+  grep -vE '^[^:]+:[0-9]+:[[:space:]]*//'; then
+  echo "verify: a time-model identifier is back in a product crate" >&2
+  exit 1
+fi
+
 echo "==> cargo build --release"
 cargo build --release --workspace
 

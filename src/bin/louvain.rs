@@ -106,7 +106,7 @@ USAGE:
       (load in Perfetto / chrome://tracing; one process track per rank).
       --artifact-out writes a versioned RunArtifact JSON, the schema
       `lens` consumes: the aggregated RunReport (per-step byte totals,
-      modeled compute/comm/reduce breakdown, metrics, span rollup) plus
+      per-(rank, phase) wall profile, metrics, span rollup) plus
       per-iteration convergence telemetry. Implies tracing, like
       --trace-out.
       --checkpoint-dir writes a checkpoint at every phase boundary;
@@ -524,7 +524,6 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
     println!("communities:   {}", out.num_communities);
     println!("phases:        {}", out.phases);
     println!("iterations:    {}", out.total_iterations);
-    println!("modeled time:  {:.4} s", out.modeled_seconds);
     println!("wall time:     {:.4} s", out.wall.as_secs_f64());
     println!(
         "traffic:       {} p2p msgs, {} KiB, {} collectives",

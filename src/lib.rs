@@ -6,7 +6,7 @@
 //! dependency:
 //!
 //! * [`comm`] — simulated MPI runtime (ranks as threads, collectives,
-//!   traffic accounting, α-β cost model),
+//!   traffic accounting),
 //! * [`graph`] — CSR graphs, partitioning, distributed graphs with ghosts,
 //!   synthetic generators (LFR, SSCA#2, RMAT, …), modularity,
 //! * [`grappolo`] — the shared-memory multithreaded Louvain baseline,
@@ -48,7 +48,7 @@ pub use louvain_store as store;
 
 /// Convenience re-exports for examples and quick experiments.
 pub mod prelude {
-    pub use crate::comm::{run as run_ranks, CostModel, ReduceOp, RunConfig};
+    pub use crate::comm::{run as run_ranks, ReduceOp, RunConfig};
     pub use crate::dist::{
         adjusted_rand_index, f_score, nmi, run_distributed, run_distributed_resilient_source,
         run_distributed_source, CheckpointOptions, DistConfig, DistOutcome, GraphSource,

@@ -78,8 +78,10 @@ fn hybrid_mpi_openmp_run_is_sane() {
     );
     let q_check = modularity(&g, &hybrid.assignment);
     assert!((hybrid.modularity - q_check).abs() < 1e-9);
-    // The modeled compute time accounts for the intra-rank threads.
-    assert!(hybrid.modeled_seconds > 0.0);
+    // Every phase of every rank records the thread count it swept with.
+    for rank in &hybrid.per_rank_stats {
+        assert!(rank.iter().all(|ph| ph.threads_per_rank == 2));
+    }
 }
 
 #[test]

@@ -477,8 +477,8 @@ fn kernel_trajectories_are_pinned() {
     }
 }
 
-/// `DistOutcome::modeled_seconds` and `modeled_breakdown()` of every row
-/// of the pin matrix, recorded on c24fe15 — the last commit where the
+/// `louvain_bench::model::job_seconds` and `breakdown` over the counters
+/// of every row of the pin matrix, recorded on c24fe15 — the last commit where the
 /// α-β seconds were accumulated call by call on the send path and the
 /// per-phase shares were bracketed in the iteration loop. Evaluating the
 /// model from the counters at report time must give the same figures;
@@ -518,6 +518,8 @@ fn kernel_trajectories_are_pinned() {
 /// below it.
 #[test]
 fn modeled_seconds_match_the_send_path_clock() {
+    use louvain_bench::model;
+
     const MODEL: [[&[[f64; 5]]; 6]; 3] = [
         [
             &[
@@ -837,9 +839,10 @@ fn modeled_seconds_match_the_send_path_clock() {
         for (col, ((p, cfgs), rows)) in schedules.iter().zip(model).enumerate() {
             for (cfg, &[total, compute, comm, reduce, rebuild]) in cfgs.iter().zip(rows) {
                 let out = run_distributed(g, *p, cfg);
-                let got = out.modeled_breakdown();
+                let job = model::job_seconds(&out.per_rank_stats, out.phases);
+                let got = model::breakdown(&out.per_rank_stats, out.phases);
                 assert!(
-                    close(out.modeled_seconds, total)
+                    close(job, total)
                         && close(got.0, compute)
                         && close(got.1, comm)
                         && close(got.2, reduce)
@@ -847,7 +850,7 @@ fn modeled_seconds_match_the_send_path_clock() {
                     "{gname} p={p} col={col} t={} delta={}: total {:?}, breakdown {got:?}",
                     cfg.threads_per_rank,
                     cfg.delta_ghost_refresh,
-                    out.modeled_seconds
+                    job
                 );
             }
         }
