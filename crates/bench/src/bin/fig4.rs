@@ -37,17 +37,18 @@ fn main() {
             seed: 600 + i as u64,
         });
         let r = harness::run_dist_once("ssca2", &gen.graph, p, Variant::Baseline);
-        let t1 = *first_time.get_or_insert(r.modeled_seconds);
+        let t1 = *first_time.get_or_insert(r.modeled());
         table.add_row(vec![
             p.to_string(),
             n.to_string(),
-            format!("{:.4}", r.modeled_seconds),
+            format!("{:.4}", r.modeled()),
             format!("{:.6}", r.modularity),
-            format!("{:.2}x", r.modeled_seconds / t1),
+            format!("{:.2}x", r.modeled() / t1),
         ]);
         tsv.push_str(&format!(
             "{p}\t{n}\t{:.6}\t{:.6}\n",
-            r.modeled_seconds, r.modularity
+            r.modeled(),
+            r.modularity
         ));
         eprintln!("# ranks={p} done");
     }

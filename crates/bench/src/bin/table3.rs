@@ -63,8 +63,8 @@ fn main() {
         );
         table.add_row(vec![
             threads.to_string(),
-            format!("{:.4}", dist.modeled_seconds),
-            format!("{:.4}", hybrid.modeled_seconds),
+            format!("{:.4}", dist.modeled()),
+            format!("{:.4}", hybrid.modeled()),
             format!("{:.4}", dist.modularity),
             format!("{:.4}", shared.wall_seconds),
             format!("{:.4}", shared.modularity),

@@ -37,17 +37,14 @@ fn main() {
                 continue;
             }
             let r = harness::run_dist_once(ds.name, &gen.graph, ranks, variant);
-            if best
-                .as_ref()
-                .is_none_or(|b| r.modeled_seconds < b.modeled_seconds)
-            {
+            if best.as_ref().is_none_or(|b| r.modeled() < b.modeled()) {
                 best = Some(r);
             }
         }
         let best = best.unwrap();
         table.add_row(vec![
             ds.name.to_string(),
-            format!("{:.2}x", base.modeled_seconds / best.modeled_seconds),
+            format!("{:.2}x", base.modeled() / best.modeled()),
             best.variant.clone(),
             format!("{:.3}", base.modularity),
             format!("{:.3}", best.modularity),

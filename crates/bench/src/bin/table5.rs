@@ -55,7 +55,7 @@ fn main() {
             gen.graph.num_edges().to_string(),
             format!("{:.6}", r.modularity),
             p.to_string(),
-            format!("{:.4}", r.modeled_seconds),
+            format!("{:.4}", r.modeled()),
         ]);
         tsv.push_str(&format!(
             "Graph#{}\t{}\t{}\t{:.6}\t{}\t{:.6}\n",
@@ -64,7 +64,7 @@ fn main() {
             gen.graph.num_edges(),
             r.modularity,
             p,
-            r.modeled_seconds
+            r.modeled()
         ));
         eprintln!("# Graph#{} done ({} ranks)", i + 1, p);
     }

@@ -44,11 +44,11 @@ fn main() {
             p,
             Variant::EtPlusCycling { alpha: 0.25 },
         );
-        let gain = 100.0 * (et.modeled_seconds - combo.modeled_seconds) / et.modeled_seconds;
+        let gain = 100.0 * (et.modeled() - combo.modeled()) / et.modeled();
         table.add_row(vec![
             p.to_string(),
-            format!("{:.4}", et.modeled_seconds),
-            format!("{:.4}", combo.modeled_seconds),
+            format!("{:.4}", et.modeled()),
+            format!("{:.4}", combo.modeled()),
             format!("{gain:.0}%"),
             format!("{:.3}", et.modularity),
             format!("{:.3}", combo.modularity),

@@ -13,11 +13,19 @@ pub struct RunRecord {
     pub wall_seconds: f64,
     /// Modeled job time ([`crate::model::job_seconds`]: critical path
     /// through the α-β cost model plus work-counter compute; the number
-    /// comparable across rank counts).
-    pub modeled_seconds: f64,
+    /// comparable across rank counts). `None` for a shared-memory run,
+    /// which has no message counters to price.
+    pub modeled_seconds: Option<f64>,
     pub modularity: f64,
     pub phases: usize,
     pub iterations: usize,
+}
+
+impl RunRecord {
+    /// The modeled job time of a distributed run.
+    pub fn modeled(&self) -> f64 {
+        self.modeled_seconds.expect("a distributed record")
+    }
 }
 
 /// Run the distributed algorithm once and flatten the outcome.
@@ -39,7 +47,7 @@ fn record_from(graph: &str, variant: String, ranks: usize, out: &DistOutcome) ->
         variant,
         ranks,
         wall_seconds: out.wall.as_secs_f64(),
-        modeled_seconds: crate::model::job_seconds(&out.per_rank_stats, out.phases),
+        modeled_seconds: Some(crate::model::job_seconds(&out.per_rank_stats, out.phases)),
         modularity: out.modularity,
         phases: out.phases,
         iterations: out.total_iterations,
@@ -56,7 +64,7 @@ pub fn run_shared_once(graph_name: &str, g: &Csr, cfg: &GrappoloConfig) -> RunRe
         variant: format!("grappolo({}t)", cfg.threads),
         ranks: 1,
         wall_seconds: wall,
-        modeled_seconds: wall,
+        modeled_seconds: None,
         modularity: result.modularity,
         phases: result.phases,
         iterations: result.total_iterations,
@@ -154,7 +162,7 @@ mod tests {
         assert_eq!(r.variant, "Baseline");
         assert_eq!(r.ranks, 2);
         assert!(r.modularity > 0.4);
-        assert!(r.modeled_seconds > 0.0);
+        assert!(r.modeled() > 0.0);
         assert!(r.phases >= 1 && r.iterations >= 1);
     }
 
@@ -164,5 +172,6 @@ mod tests {
         let r = run_shared_once("test", &g, &GrappoloConfig::default());
         assert!(r.modularity > 0.4);
         assert!(r.wall_seconds > 0.0);
+        assert_eq!(r.modeled_seconds, None);
     }
 }

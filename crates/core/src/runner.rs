@@ -3,7 +3,7 @@
 use std::time::Duration;
 
 use louvain_comm::{Comm, CommStep, ReduceOp};
-use louvain_graph::hash::{fast_map, fast_set, FastMap};
+use louvain_graph::hash::{fast_map, FastMap, FastSet};
 use louvain_graph::{LocalGraph, VertexId, VertexPartition};
 use louvain_resil::{CheckpointStore, RankCheckpoint};
 
@@ -44,7 +44,8 @@ pub struct RankOutcome {
 
 /// Fetch `local_vals[key - owner_first]` from the owner of every `key`.
 /// Used to project assignments through the distributed coarse hierarchy.
-/// Collective.
+/// Owned keys are answered in place; only remote keys are deduplicated,
+/// pulled and held in the reply map. Collective.
 fn pull_values(
     comm: &Comm,
     part: &VertexPartition,
@@ -52,26 +53,31 @@ fn pull_values(
     local_vals: &[VertexId],
     first: VertexId,
 ) -> Vec<VertexId> {
-    let mut unique = fast_set::<VertexId>();
-    for &k in keys {
-        unique.insert(k);
-    }
+    let local = |k: VertexId| local_vals.get(k.wrapping_sub(first) as usize).copied();
+    let remote: FastSet<_> = keys
+        .iter()
+        .copied()
+        .filter(|&k| local(k).is_none())
+        .collect();
     // `Other` is the default attribution; the explicit scope exists so
     // the projection traffic gets a step span and wait sub-span like
-    // every other collective (the counter totals are unchanged).
+    // every other collective. Every rank enters it, remote keys or not:
+    // self-sends are never counted, so the counter totals are unchanged.
     let mut map: FastMap<VertexId, VertexId> = fast_map();
     pull_from_owners(
         comm,
         part,
         CommStep::Other,
-        unique.iter().copied(),
+        remote.iter().copied(),
         &mut PullBufs::default(),
         |k| local_vals[(k - first) as usize],
         |k, v| {
             map.insert(k, v);
         },
     );
-    keys.iter().map(|k| map[k]).collect()
+    keys.iter()
+        .map(|k| local(*k).unwrap_or_else(|| map[k]))
+        .collect()
 }
 
 /// One rank's state recovered from the newest complete checkpoint.
@@ -539,6 +545,78 @@ mod tests {
         // Phases must improve until the last (which may only tie within τ).
         for w in qs.windows(2) {
             assert!(w[1] >= w[0] - 1e-6, "phase modularity regressed: {qs:?}");
+        }
+    }
+
+    /// The parent `pull_values`, which hashed every key, owned or not:
+    /// the oracle for the one that answers owned keys in place.
+    fn pull_values_hashed(
+        comm: &Comm,
+        part: &VertexPartition,
+        keys: &[VertexId],
+        local_vals: &[VertexId],
+        first: VertexId,
+    ) -> Vec<VertexId> {
+        let mut unique = louvain_graph::hash::fast_set::<VertexId>();
+        for &k in keys {
+            unique.insert(k);
+        }
+        let mut map: FastMap<VertexId, VertexId> = fast_map();
+        pull_from_owners(
+            comm,
+            part,
+            CommStep::Other,
+            unique.iter().copied(),
+            &mut PullBufs::default(),
+            |k| local_vals[(k - first) as usize],
+            |k, v| {
+                map.insert(k, v);
+            },
+        );
+        keys.iter().map(|k| map[k]).collect()
+    }
+
+    #[test]
+    fn pull_values_matches_the_hashed_oracle_in_values_and_traffic() {
+        use rand::{rngs::SmallRng, Rng, SeedableRng};
+        let n = 60u64;
+        for p in [1usize, 2, 3, 8] {
+            // Uneven blocks, and at p = 8 one rank that owns nothing.
+            let mut starts: Vec<u64> = (0..p as u64).map(|r| r * r * n / (p * p) as u64).collect();
+            if p == 8 {
+                starts[2] = starts[1];
+            }
+            starts.push(n);
+            let part = VertexPartition::from_starts(starts);
+            // 0: keys anywhere, with duplicates; 1: owned keys only;
+            // 2: remote keys only; 3: no keys on odd ranks.
+            for case in 0..4u64 {
+                let outs = run(p, |c| {
+                    let mut rng = SmallRng::seed_from_u64(case * 100 + c.rank() as u64);
+                    let (first, owned) = (part.first(c.rank()), part.range(c.rank()));
+                    let local_vals: Vec<u64> = owned.clone().map(|v| 1000 + 7 * v).collect();
+                    let keys: Vec<u64> = (0..rng.random_range(0..3 * n))
+                        .map(|_| rng.random_range(0..n))
+                        .filter(|k| match case {
+                            1 => owned.contains(k),
+                            2 => !owned.contains(k),
+                            3 => c.rank() % 2 == 0,
+                            _ => true,
+                        })
+                        .collect();
+                    let before = c.stats().snapshot();
+                    let got = pull_values(c, &part, &keys, &local_vals, first);
+                    let mid = c.stats().snapshot();
+                    let want = pull_values_hashed(c, &part, &keys, &local_vals, first);
+                    let after = c.stats().snapshot();
+                    assert!(keys.iter().zip(&want).all(|(k, v)| *v == 1000 + 7 * k));
+                    (got == want, mid.since(&before) == after.since(&mid))
+                });
+                for (rank, (values, traffic)) in outs.into_iter().enumerate() {
+                    assert!(values, "p={p} case {case} rank {rank}: values differ");
+                    assert!(traffic, "p={p} case {case} rank {rank}: traffic differs");
+                }
+            }
         }
     }
 

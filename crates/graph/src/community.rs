@@ -2,7 +2,7 @@
 //! shared-memory coarsening.
 
 use crate::csr::Csr;
-use crate::hash::{fast_map, fast_map_with_capacity};
+use crate::hash::fast_map;
 use crate::{VertexId, Weight};
 
 /// A community id per vertex. Ids are arbitrary `u64`s — in the Louvain
@@ -46,19 +46,22 @@ pub fn modularity(g: &Csr, comm: &[VertexId]) -> f64 {
     q
 }
 
-/// Renumber arbitrary community ids to dense `0..k`; returns the dense
-/// assignment and `k`. Order of first appearance (deterministic).
+/// Renumber community ids to dense `0..k`; returns the dense assignment
+/// and `k`. Order of first appearance (deterministic). The ids index a
+/// table of `max id + 1` slots, so they must be small: every caller
+/// passes vertex ids below the vertex count.
 pub fn renumber(comm: &[VertexId]) -> (CommunityAssignment, usize) {
-    let mut map = fast_map_with_capacity::<VertexId, VertexId>(comm.len());
+    let mut dense_of = vec![VertexId::MAX; comm.iter().max().map_or(0, |&m| m as usize + 1)];
     let mut next: VertexId = 0;
     let dense = comm
         .iter()
         .map(|&c| {
-            *map.entry(c).or_insert_with(|| {
-                let id = next;
+            let slot = &mut dense_of[c as usize];
+            if *slot == VertexId::MAX {
+                *slot = next;
                 next += 1;
-                id
-            })
+            }
+            *slot
         })
         .collect();
     (dense, next as usize)
@@ -165,6 +168,46 @@ mod tests {
         let (dense, k) = renumber(&[42, 7, 42, 9, 7]);
         assert_eq!(dense, vec![0, 1, 0, 2, 1]);
         assert_eq!(k, 3);
+    }
+
+    /// The hash-map `renumber` the dense table replaced: the oracle.
+    fn renumber_hashed(comm: &[VertexId]) -> (CommunityAssignment, usize) {
+        let mut map = crate::hash::fast_map_with_capacity::<VertexId, VertexId>(comm.len());
+        let mut next: VertexId = 0;
+        let dense = comm
+            .iter()
+            .map(|&c| {
+                *map.entry(c).or_insert_with(|| {
+                    let id = next;
+                    next += 1;
+                    id
+                })
+            })
+            .collect();
+        (dense, next as usize)
+    }
+
+    #[test]
+    fn dense_renumber_matches_the_hashed_one() {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = SmallRng::seed_from_u64(44);
+        assert_eq!(renumber(&[]), renumber_hashed(&[]));
+        for case in 0..400 {
+            let len = rng.random_range(1..300usize);
+            // Ids below the length, up to 40× above it, and one lone
+            // id far above every other.
+            let span = match case % 3 {
+                0 => len as u64,
+                _ => rng.random_range(1..40 * len as u64),
+            };
+            let mut comm: Vec<VertexId> = (0..len).map(|_| rng.random_range(0..span)).collect();
+            if case % 3 == 2 {
+                let at = rng.random_range(0..len);
+                comm[at] = 1_000_000 + rng.random_range(0..1000u64);
+            }
+            assert_eq!(renumber(&comm), renumber_hashed(&comm), "case {case}");
+        }
     }
 
     #[test]

@@ -102,8 +102,7 @@ impl ParallelLouvain {
             }
         }
 
-        let num_communities = louvain_graph::community::count_communities(&flat);
-        let (dense_flat, _) = louvain_graph::community::renumber(&flat);
+        let (dense_flat, num_communities) = louvain_graph::community::renumber(&flat);
         LouvainResult {
             assignment: dense_flat,
             modularity: prev_q.max(0.0f64.min(prev_q)),

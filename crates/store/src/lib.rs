@@ -417,6 +417,92 @@ mod tests {
         }
     }
 
+    /// Ranged loads whose arc extents span several read chunks: every
+    /// rank's rows equal the mapped piece's bit for bit, it reads exactly
+    /// its windows and extents, and a bad `targets` or `weights` word at
+    /// the first word of a later chunk, or at the extent's last word, is
+    /// refused with a message naming the rank and the arc.
+    #[test]
+    fn ranged_loads_across_read_chunks_match_the_mapping_and_name_bad_arcs() {
+        let chunk_words = slab::READ_CHUNK_BYTES as u64 / 8;
+        let p = RmatParams::social(12, 8, 11);
+        let path = TempPath::new("chunks");
+        let bad_path = TempPath::new("chunks-bad");
+        for stride in [8, DEFAULT_INDEX_STRIDE] {
+            let opts = SlabOptions {
+                index_stride: stride,
+                ..small_opts()
+            };
+            build_slab(1 << 12, |b| rmat_stream(p, b), opts, &path);
+            let slab = Slab::open(&path.0).unwrap();
+            assert!(
+                slab.num_arcs() > 4 * chunk_words,
+                "{} arcs",
+                slab.num_arcs()
+            );
+            let pristine = std::fs::read(&path.0).unwrap();
+            let header = SlabHeader::decode(&pristine).unwrap();
+            for ranks in [1, 2, 3, 8] {
+                let part = slab.partition(ranks);
+                for rank in 0..ranks {
+                    let case = format!("stride {stride} p={ranks} rank {rank}");
+                    let slice = load_rank(&path.0, rank, ranks).unwrap();
+                    let mapped = slab.local_graph(&part, rank);
+                    let ((o, d, w), (mo, md, mw)) = (slice.local.csr_parts(), mapped.csr_parts());
+                    assert_eq!((o, d), (mo, md), "{case}");
+                    assert!(w
+                        .iter()
+                        .map(|x| x.to_bits())
+                        .eq(mw.iter().map(|x| x.to_bits())));
+                    assert_eq!(
+                        slice.bytes_read,
+                        ranged_load_bytes(&slab, rank, ranks),
+                        "{case}"
+                    );
+
+                    let range = part.range(rank);
+                    let lo = slab.offsets()[range.start as usize];
+                    let hi = slab.offsets()[range.end as usize];
+                    let later_chunk = (lo + chunk_words < hi).then_some(lo + chunk_words);
+                    for arc in later_chunk.into_iter().chain([hi - 1]) {
+                        let n = slab.num_vertices();
+                        let plants = [
+                            (
+                                layout::SEC_TARGETS,
+                                n,
+                                format!("is {n}, not below the {n} vertices"),
+                            ),
+                            (
+                                layout::SEC_WEIGHTS,
+                                f64::NAN.to_bits(),
+                                "is NaN, not a finite weight ≥ 0".into(),
+                            ),
+                            (
+                                layout::SEC_WEIGHTS,
+                                (-1.0f64).to_bits(),
+                                "is -1, not a finite weight ≥ 0".into(),
+                            ),
+                        ];
+                        for (section, word, tail) in plants {
+                            let mut bytes = pristine.clone();
+                            let at = (header.sections[section].offset + 8 * arc) as usize;
+                            bytes[at..at + 8].copy_from_slice(&word.to_le_bytes());
+                            std::fs::write(&bad_path.0, &bytes).unwrap();
+                            let name = SECTION_NAMES[section];
+                            let want = format!("{name} word of rank {rank} at arc {arc} {tail}");
+                            match load_rank(&bad_path.0, rank, ranks) {
+                                Err(StoreError::Corrupt { what }) => {
+                                    assert_eq!(what, want, "{case}")
+                                }
+                                other => panic!("{case}: {name}[{arc}] planted, got {other:?}"),
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn empty_graph_slab() {
         let path = TempPath::new("empty");

@@ -12,9 +12,9 @@
 //!   big sections are *not* checksummed on this path — a rank reads a
 //!   strict subset of their bytes — which is the documented trade-off
 //!   for O(local) I/O.
-//! * [`verify`] checks all four checksums by streaming the file through
-//!   a fixed buffer, for callers that load by range but must not run on
-//!   a corrupt body (the job server verifies before every fresh run).
+//! * [`verify`] streams every section through the same chunked reader
+//!   to check all four checksums, for callers that load by range but
+//!   must not run on a corrupt body (the server verifies each fresh run).
 //!
 //! Both paths produce `LocalGraph`s bit-identical to
 //! `LocalGraph::scatter` over the in-memory CSR. A mapped piece borrows
@@ -22,6 +22,7 @@
 
 use std::fs::File;
 use std::io::{self, Read, Seek, SeekFrom};
+use std::ops::Range;
 use std::path::Path;
 
 use louvain_graph::csr::Csr;
@@ -173,40 +174,74 @@ pub fn peek_header(path: &Path) -> Result<SlabHeader, StoreError> {
     read_header(&mut File::open(path)?)
 }
 
-/// Bytes [`verify`] hashes per read: enough to amortise the syscall,
-/// small enough that verifying a slab of any size adds nothing to RSS.
-const VERIFY_CHUNK_BYTES: usize = 1 << 20;
+/// Bytes one read of [`stream`] moves: enough to amortise the syscall,
+/// small enough to stay in cache while it is decoded.
+pub(crate) const READ_CHUNK_BYTES: usize = 64 << 10;
+
+/// Read the `len` bytes at `offset` in order through one buffer, of
+/// [`READ_CHUNK_BYTES`] or `len` if smaller (the header check bounds it
+/// by the file length), and hand each chunk to `each`.
+fn stream(
+    file: &mut File,
+    offset: u64,
+    len: u64,
+    what: &'static str,
+    mut each: impl FnMut(&[u8]) -> Result<(), StoreError>,
+) -> Result<(), StoreError> {
+    let mut buf = vec![0u8; len.min(READ_CHUNK_BYTES as u64) as usize];
+    file.seek(SeekFrom::Start(offset))?;
+    let mut left = len;
+    while left > 0 {
+        let chunk = &mut buf[..left.min(READ_CHUNK_BYTES as u64) as usize];
+        read_exact_or_truncated(file, chunk, what)?;
+        each(chunk)?;
+        left -= chunk.len() as u64;
+    }
+    Ok(())
+}
+
+/// The little-endian words of a chunk [`stream`] read.
+fn words(chunk: &[u8]) -> impl Iterator<Item = u64> + '_ {
+    chunk
+        .chunks_exact(8)
+        .map(|c| u64::from_le_bytes(c.try_into().unwrap()))
+}
+
+/// Stream one whole section, hashing it on the way, and fail with
+/// `ChecksumMismatch` if the hash is not the one the header records.
+fn stream_checked(
+    file: &mut File,
+    header: &SlabHeader,
+    section: usize,
+    mut each: impl FnMut(&[u8]),
+) -> Result<(), StoreError> {
+    let (s, name) = (&header.sections[section], SECTION_NAMES[section]);
+    let mut hash = Fnv1a::default();
+    stream(file, s.offset, s.len, name, |chunk| {
+        hash.update(chunk);
+        each(chunk);
+        Ok(())
+    })?;
+    let found = hash.finish();
+    if found != s.checksum {
+        return Err(StoreError::ChecksumMismatch {
+            section: name,
+            expect: s.checksum,
+            found,
+        });
+    }
+    Ok(())
+}
 
 /// Check everything [`Slab::open`] checks — header, section table,
-/// and all four section checksums — by streaming each section through
-/// a fixed buffer instead of mapping the file. Fails with the same
-/// `ChecksumMismatch` / `Truncated` error `Slab::open` would.
+/// and all four section checksums — by streaming each section instead
+/// of mapping the file. Fails with the same `ChecksumMismatch` /
+/// `Truncated` error `Slab::open` would.
 pub fn verify(path: &Path) -> Result<SlabHeader, StoreError> {
     let mut file = File::open(path)?;
     let header = read_header(&mut file)?;
-    // No bigger than the largest section, which the header check bounds
-    // by the file length.
-    let largest = header.sections.iter().map(|s| s.len).max().unwrap_or(0);
-    let chunk_bytes = largest.min(VERIFY_CHUNK_BYTES as u64);
-    let mut buf = vec![0u8; chunk_bytes as usize];
-    for (name, s) in SECTION_NAMES.iter().zip(&header.sections) {
-        file.seek(SeekFrom::Start(s.offset))?;
-        let mut hash = Fnv1a::default();
-        let mut left = s.len;
-        while left > 0 {
-            let chunk = &mut buf[..left.min(chunk_bytes) as usize];
-            read_exact_or_truncated(&mut file, chunk, name)?;
-            hash.update(chunk);
-            left -= chunk.len() as u64;
-        }
-        let found = hash.finish();
-        if found != s.checksum {
-            return Err(StoreError::ChecksumMismatch {
-                section: name,
-                expect: s.checksum,
-                found,
-            });
-        }
+    for section in 0..SECTION_NAMES.len() {
+        stream_checked(&mut file, &header, section, |_| ())?;
     }
     Ok(header)
 }
@@ -243,7 +278,7 @@ pub struct RankSlice {
 /// own `(rank, p)` and reads only the extents it owns (plus the small
 /// `pindex` section). Partition boundaries come from a windowed binary
 /// search over `pindex`, so no rank ever reads the full `offsets`
-/// section.
+/// section. Each word is decoded straight into the vector it ends in.
 pub fn load_rank(path: &Path, rank: usize, p: usize) -> Result<RankSlice, StoreError> {
     assert!(p > 0 && rank < p, "rank {rank} out of range for p={p}");
     let mut file = File::open(path)?;
@@ -253,22 +288,20 @@ pub fn load_rank(path: &Path, rank: usize, p: usize) -> Result<RankSlice, StoreE
     let stride = header.index_stride;
 
     // The small section is read whole and checksummed even on this path.
-    let pindex = read_u64s_checked(&mut file, &header, SEC_PINDEX, &mut bytes_read)?;
+    let mut pindex = Vec::with_capacity(header.sections[SEC_PINDEX].len as usize / 8);
+    stream_checked(&mut file, &header, SEC_PINDEX, |c| pindex.extend(words(c)))?;
+    bytes_read += header.sections[SEC_PINDEX].len;
 
     // Partition boundaries via windowed binary search: pindex narrows
     // each target to one stride of `offsets`, which is then read from
     // disk. All ranks compute the same table (static knowledge), by the
     // rule `VertexPartition::balanced_offsets` applies to whole offsets.
-    let offsets_off = header.sections[SEC_OFFSETS].offset;
-    let mut read_offsets = |first: u64, count: u64| -> Result<Vec<u64>, StoreError> {
-        let mut buf = vec![0u8; (count * 8) as usize];
-        file.seek(SeekFrom::Start(offsets_off + first * 8))?;
-        file.read_exact(&mut buf)?;
+    let mut read_offsets = |first: u64, count: u64| {
         bytes_read += count * 8;
-        Ok(buf
-            .chunks_exact(8)
-            .map(|c| u64::from_le_bytes(c.try_into().unwrap()))
-            .collect())
+        let (span, keep) = (first..first + count, |o: u64| (o, false));
+        read_words(&mut file, &header, SEC_OFFSETS, span, keep, |_, _| {
+            unreachable!("no offsets word is flagged")
+        })
     };
     let part = if header.num_arcs == 0 {
         VertexPartition::balanced_vertices(n, p)
@@ -300,87 +333,62 @@ pub fn load_rank(path: &Path, rank: usize, p: usize) -> Result<RankSlice, StoreE
             what: format!("offsets of rank {rank} are not a monotone window of the arcs"),
         });
     }
-    let local_offsets: Vec<usize> = window.iter().map(|&o| (o - lo) as usize).collect();
+    // Same-sized elements: the rebase reuses the window's allocation.
+    let local_offsets: Vec<usize> = window.into_iter().map(|o| (o - lo) as usize).collect();
 
-    // The [lo, hi) extents of targets and weights.
-    let mut read_arc_extent = |section: usize| -> Result<Vec<u64>, StoreError> {
-        let off = header.sections[section].offset;
-        let count = hi - lo;
-        let mut buf = vec![0u8; (count * 8) as usize];
-        file.seek(SeekFrom::Start(off + lo * 8))?;
-        file.read_exact(&mut buf)?;
-        bytes_read += count * 8;
-        Ok(buf
-            .chunks_exact(8)
-            .map(|c| u64::from_le_bytes(c.try_into().unwrap()))
-            .collect())
+    // The [lo, hi) extents of targets and weights, not checksummed on
+    // this path either: an id past the vertex count is refused before
+    // any owner lookup, and so is a NaN, infinite or negative weight. A
+    // weight is finite and ≥ 0 exactly when its bits are below +∞'s or
+    // are −0.0's.
+    let target = |d: u64| (d, d >= n);
+    let dests = read_words(&mut file, &header, SEC_TARGETS, lo..hi, target, |arc, d| {
+        format!("targets word of rank {rank} at arc {arc} is {d}, not below the {n} vertices")
+    })?;
+    let weight = |b: u64| {
+        let bad = (b >= f64::INFINITY.to_bits()) & (b != (-0.0f64).to_bits());
+        (f64::from_bits(b), bad)
     };
-    let dests = read_arc_extent(SEC_TARGETS)?;
-    // `targets` is not checksummed on this path either: an id past the
-    // vertex count is refused here, before any owner lookup. A separate
-    // walk of the decoded ids measured faster than folding the check
-    // into the decode, which then no longer compiles to a plain copy.
-    if let Some(i) = dests.iter().position(|&d| d >= n) {
-        return Err(StoreError::Corrupt {
-            what: format!(
-                "targets word of rank {rank} at arc {} is {}, not below the {n} vertices",
-                lo + i as u64,
-                dests[i]
-            ),
-        });
-    }
-    // Nor is `weights`: a NaN, infinite or negative weight is refused.
-    // A weight is finite and ≥ 0 exactly when its bits are below +∞'s or
-    // are −0.0's. Testing the words inside the decode measured faster
-    // than a second walk over the decoded weights.
-    let bad = |b: u64| (b >= f64::INFINITY.to_bits()) & (b != (-0.0f64).to_bits());
-    let mut any_bad = false;
-    let weights: Vec<f64> = read_arc_extent(SEC_WEIGHTS)?
-        .iter()
-        .map(|&b| {
-            any_bad |= bad(b);
-            f64::from_bits(b)
-        })
-        .collect();
-    if any_bad {
-        let i = (weights.iter().position(|w| bad(w.to_bits()))).expect("a weight was bad");
-        return Err(StoreError::Corrupt {
-            what: format!(
-                "weights word of rank {rank} at arc {} is {}, not a finite weight ≥ 0",
-                lo + i as u64,
-                weights[i]
-            ),
-        });
-    }
+    let weights = read_words(&mut file, &header, SEC_WEIGHTS, lo..hi, weight, |arc, w| {
+        format!("weights word of rank {rank} at arc {arc} is {w}, not a finite weight ≥ 0")
+    })?;
+    bytes_read += 2 * (hi - lo) * 8;
 
     let local = LocalGraph::from_csr_parts(part, rank, local_offsets, dests, weights);
     Ok(RankSlice { local, bytes_read })
 }
 
-/// Read one whole section as `u64` words and validate its checksum.
-fn read_u64s_checked(
+/// Stream the `span` of one section's words through [`stream`], decoding
+/// each chunk straight into the returned vector. `decode` also flags a
+/// bad word: the first is refused as corrupt, with the message `refuse`
+/// makes of its index and value.
+fn read_words<T: Copy>(
     file: &mut File,
     header: &SlabHeader,
     section: usize,
-    bytes_read: &mut u64,
-) -> Result<Vec<u64>, StoreError> {
-    let s = &header.sections[section];
-    let mut buf = vec![0u8; s.len as usize];
-    file.seek(SeekFrom::Start(s.offset))?;
-    read_exact_or_truncated(file, &mut buf, SECTION_NAMES[section])?;
-    *bytes_read += s.len;
-    let found = fnv1a_words(&buf);
-    if found != s.checksum {
-        return Err(StoreError::ChecksumMismatch {
-            section: SECTION_NAMES[section],
-            expect: s.checksum,
-            found,
-        });
-    }
-    Ok(buf
-        .chunks_exact(8)
-        .map(|c| u64::from_le_bytes(c.try_into().unwrap()))
-        .collect())
+    span: Range<u64>,
+    decode: impl Fn(u64) -> (T, bool),
+    refuse: impl Fn(u64, T) -> String,
+) -> Result<Vec<T>, StoreError> {
+    let at = header.sections[section].offset + span.start * 8;
+    let len = (span.end - span.start) * 8;
+    let mut out = Vec::with_capacity(len as usize / 8);
+    stream(file, at, len, SECTION_NAMES[section], |chunk| {
+        let start = out.len();
+        out.extend(words(chunk).map(|w| decode(w).0));
+        // A pass of its own over the cached chunk: folded into the decode,
+        // the test kept it from compiling to a plain copy, and stopping at
+        // the first hit measured slower than this branch-free fold.
+        if !words(chunk).fold(false, |any, w| any | decode(w).1) {
+            return Ok(());
+        }
+        let i = words(chunk).position(|w| decode(w).1).expect("a bad word");
+        let (arc, value) = (span.start + (start + i) as u64, out[start + i]);
+        Err(StoreError::Corrupt {
+            what: refuse(arc, value),
+        })
+    })?;
+    Ok(out)
 }
 
 fn read_exact_or_truncated(

@@ -70,10 +70,11 @@ cargo test -q --workspace --no-fail-fast -- --test-threads=1
 # one; a kernel full of debug_assert!s must hold its pins in both, the
 # CSR and slab builders their bit-identity tests, and the phase its
 # bit-identity tests across row orders, thread counts and refresh
-# flavours, with the tracked-Σe_in check its unit tests keep on; the two
-# RSS guards bound the build whose peak_rss_mib the ladder reads.
+# flavours, with the tracked-Σe_in check its unit tests keep on; the
+# three RSS guards (detection, streamed ingest, ranged load) bound the
+# build whose peak_rss_mib the ladder reads.
 echo "==> cargo test --release (parity pins, RSS guards, louvain-graph, louvain-store, louvain-dist)"
-cargo test --release -q --test parity --test detect_rss --test storage_rss
+cargo test --release -q --test parity --test detect_rss --test storage_rss --test load_rss
 cargo test --release -q -p louvain-graph -p louvain-store -p louvain-dist
 
 # bench/ is its own workspace, invisible to --workspace: an API change
