@@ -5,16 +5,12 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use crate::blackboard::Blackboard;
 use crate::envelope::{Envelope, Mailbox, Senders};
 use crate::fault::{FaultPlan, RankCrashed};
 use crate::health::{HealthBoard, HealthConfig, RankHung, WaitCtx};
 use crate::reduce::{ReduceOp, Reducible};
 use crate::runtime::poisoned;
 use crate::stats::{CommStats, CommStep, StatsSnapshot};
-
-/// Message tag, matched together with the source rank on receive.
-pub type Tag = u32;
 
 /// One rank's endpoint into the simulated job.
 ///
@@ -26,7 +22,6 @@ pub struct Comm {
     size: usize,
     senders: Senders,
     mailbox: RefCell<Mailbox>,
-    blackboard: Arc<Blackboard>,
     stats: CommStats,
     fault: Option<Arc<FaultPlan>>,
     health: HealthConfig,
@@ -45,7 +40,6 @@ impl Comm {
         size: usize,
         senders: Senders,
         mailbox: Mailbox,
-        blackboard: Arc<Blackboard>,
         fault: Option<Arc<FaultPlan>>,
         health: HealthConfig,
         board: Arc<HealthBoard>,
@@ -56,7 +50,6 @@ impl Comm {
             size,
             senders,
             mailbox: RefCell::new(mailbox),
-            blackboard,
             stats: CommStats::default(),
             fault,
             health,
@@ -168,11 +161,10 @@ impl Comm {
 
     /// Put one message in `dst`'s mailbox, heartbeating this rank's
     /// slot of the job's shared health board.
-    fn deliver<T: Send + 'static>(&self, dst: usize, tag: Tag, data: Vec<T>) {
+    fn deliver<T: Send + 'static>(&self, dst: usize, data: T) {
         self.board.beat(self.rank);
         let env = Envelope {
             src: self.rank,
-            tag,
             payload: Box::new(data),
         };
         if self.senders[dst].send(env).is_err() {
@@ -182,6 +174,22 @@ impl Comm {
             }
             panic!("peer mailbox closed");
         }
+    }
+
+    /// Block for the next message from `src`. Every rank issues the same
+    /// sequence of operations and each sender's messages arrive in send
+    /// order, so the next one from `src` belongs to the current
+    /// operation; a payload of another type means the ranks disagree on
+    /// that sequence, a programming error.
+    fn receive<T: Send + 'static>(&self, src: usize) -> T {
+        let ctx = self.wait_ctx();
+        let env = self.mailbox.borrow_mut().recv_matching(src, &ctx);
+        *env.payload.downcast::<T>().unwrap_or_else(|_| {
+            panic!(
+                "type mismatch receiving from rank {src}: expected {}",
+                std::any::type_name::<T>()
+            )
+        })
     }
 
     /// This rank's id in `[0, size)`.
@@ -212,8 +220,8 @@ impl Comm {
     /// span instead of being lost with the unwind.
     ///
     /// The guard also records the step's idle time as a `wait`
-    /// sub-span: wall time spent in a blocked receive or collective
-    /// fill-wait (straggler-bound). The step span's own `bytes` arg is
+    /// sub-span: wall time spent blocked in a mailbox receive
+    /// (straggler-bound). The step span's own `bytes` arg is
     /// the step's byte delta, so trace totals reconcile with the
     /// `CommStats` counters byte-for-byte.
     pub fn with_step<R>(&self, step: CommStep, f: impl FnOnce() -> R) -> R {
@@ -254,104 +262,53 @@ impl Comm {
     }
 
     // ---------------------------------------------------------------
-    // Point-to-point
-    // ---------------------------------------------------------------
-
-    /// Send `data` to rank `dst` with tag `tag`. Never blocks (buffered).
-    pub fn send<T: Send + 'static>(&self, dst: usize, tag: Tag, data: Vec<T>) {
-        assert!(
-            dst < self.size,
-            "send to rank {dst} out of range (p={})",
-            self.size
-        );
-        self.fault_op_tick();
-        let bytes = (data.len() * std::mem::size_of::<T>()) as u64;
-        self.deliver(dst, tag, data);
-        self.stats.record_p2p(1, bytes);
-    }
-
-    /// Blocking receive of a message from `src` with tag `tag`.
-    ///
-    /// Panics if the payload type does not match what was sent — a type
-    /// confusion here is a programming error, not a runtime condition.
-    pub fn recv<T: Send + 'static>(&self, src: usize, tag: Tag) -> Vec<T> {
-        let ctx = self.wait_ctx();
-        let env = self.mailbox.borrow_mut().recv_matching(src, tag, &ctx);
-        *env.payload.downcast::<Vec<T>>().unwrap_or_else(|_| {
-            panic!(
-                "type mismatch receiving from rank {src} tag {tag}: expected Vec<{}>",
-                std::any::type_name::<T>()
-            )
-        })
-    }
-
-    // ---------------------------------------------------------------
     // Collectives
     // ---------------------------------------------------------------
 
-    /// One blackboard collective: count the op, charge `bytes` to the
-    /// current step, deposit `value` and `read` the filled board.
-    fn collective<T: Send + 'static, R>(
-        &self,
-        bytes: u64,
-        value: T,
-        read: impl FnOnce(&mut [Option<Box<dyn std::any::Any + Send>>]) -> R,
-    ) -> R {
+    /// One scalar collective: count the op, charge `bytes` to the
+    /// current step, send `value` to every peer and return every rank's
+    /// contribution in rank order (this rank's own in its slot).
+    fn collective<T: Clone + Send + 'static>(&self, bytes: u64, value: T) -> Vec<T> {
         self.fault_op_tick();
         self.stats.record_collective(bytes);
-        let ctx = self.wait_ctx();
-        self.blackboard
-            .exchange_watched(self.rank, value, read, Some(&ctx))
+        for dst in (0..self.size).filter(|&dst| dst != self.rank) {
+            self.deliver(dst, value.clone());
+        }
+        self.receive_all(value)
+    }
+
+    /// Receive one message from every peer in rank order; the result
+    /// holds them by source rank, with `mine` in this rank's slot.
+    fn receive_all<T: Send + 'static>(&self, mine: T) -> Vec<T> {
+        let mut all: Vec<T> = (0..self.size)
+            .filter(|&src| src != self.rank)
+            .map(|src| self.receive(src))
+            .collect();
+        all.insert(self.rank, mine);
+        all
     }
 
     /// Synchronize all ranks.
     pub fn barrier(&self) {
-        self.collective(0, (), |_| ());
+        self.collective(0, ());
     }
 
-    /// Every rank contributes one value; every rank receives the vector of
-    /// all contributions indexed by rank.
-    pub fn all_gather<T: Clone + Send + 'static>(&self, value: T) -> Vec<T> {
-        self.collective(std::mem::size_of::<T>() as u64, value, |slots| {
-            slots
-                .iter()
-                .map(|s| s.as_ref().unwrap().downcast_ref::<T>().unwrap().clone())
-                .collect()
-        })
-    }
-
-    /// Global reduction; every rank receives the combined value.
+    /// Global reduction; every rank receives the combined value, folded
+    /// in rank order (so every rank gets the same f64 bits).
     pub fn all_reduce<T: Reducible>(&self, value: T, op: ReduceOp) -> T {
-        self.collective(T::wire_bytes(), value, |slots| {
-            slots
-                .iter()
-                .map(|s| *s.as_ref().unwrap().downcast_ref::<T>().unwrap())
-                .reduce(|a, b| T::combine(op, a, b))
-                .expect("non-empty job")
-        })
+        self.collective(T::wire_bytes(), value)
+            .into_iter()
+            .reduce(|a, b| T::combine(op, a, b))
+            .expect("non-empty job")
     }
 
     /// Exclusive prefix sum: rank `i` receives the sum of the values
     /// contributed by ranks `0..i` (zero on rank 0). This is the primitive
     /// behind the global renumbering step of graph reconstruction.
     pub fn exscan_sum<T: Reducible>(&self, value: T) -> T {
-        let rank = self.rank;
-        self.collective(T::wire_bytes(), value, move |slots| {
-            slots[..rank]
-                .iter()
-                .map(|s| *s.as_ref().unwrap().downcast_ref::<T>().unwrap())
-                .fold(T::zero(), |a, b| T::combine(ReduceOp::Sum, a, b))
-        })
-    }
-
-    /// Broadcast `value` from `root` to all ranks. Non-root contributions
-    /// are ignored (pass any placeholder).
-    pub fn broadcast<T: Clone + Send + 'static>(&self, root: usize, value: T) -> T {
-        assert!(root < self.size);
-        self.collective(std::mem::size_of::<T>() as u64, value, |slots| {
-            let sent = slots[root].as_ref().unwrap();
-            sent.downcast_ref::<T>().unwrap().clone()
-        })
+        self.collective(T::wire_bytes(), value)[..self.rank]
+            .iter()
+            .fold(T::zero(), |a, &b| T::combine(ReduceOp::Sum, a, b))
     }
 
     /// Gather variable-length buffers to `root`. Returns `Some(bufs)` on
@@ -362,18 +319,14 @@ impl Comm {
         data: Vec<T>,
     ) -> Option<Vec<Vec<T>>> {
         assert!(root < self.size);
-        let bytes = (data.len() * std::mem::size_of::<T>()) as u64;
-        let is_root = self.rank == root;
-        self.collective(bytes, data, move |slots| {
-            // Move the payloads out; non-roots never read them and the
-            // board is reset after the round completes.
-            is_root.then(|| {
-                slots
-                    .iter_mut()
-                    .map(|s| std::mem::take(s.as_mut().unwrap().downcast_mut::<Vec<T>>().unwrap()))
-                    .collect()
-            })
-        })
+        self.fault_op_tick();
+        self.stats
+            .record_collective((data.len() * std::mem::size_of::<T>()) as u64);
+        if self.rank != root {
+            self.deliver(root, data);
+            return None;
+        }
+        Some(self.receive_all(data))
     }
 
     /// Irregular all-to-all: `bufs[j]` is sent to rank `j`; the result's
@@ -385,7 +338,6 @@ impl Comm {
             self.size,
             "all_to_all_v needs one buffer per rank"
         );
-        const A2A_TAG: Tag = u32::MAX - 7;
         self.fault_op_tick();
         let mine = std::mem::take(&mut bufs[self.rank]);
         let mut nmsgs = 0u64;
@@ -396,23 +348,10 @@ impl Comm {
             }
             nmsgs += 1;
             sent += (buf.len() * std::mem::size_of::<T>()) as u64;
-            self.deliver(dst, A2A_TAG, buf);
+            self.deliver(dst, buf);
         }
         self.stats.record_p2p(nmsgs, sent);
-        let mut out: Vec<Vec<T>> = (0..self.size).map(|_| Vec::new()).collect();
-        out[self.rank] = mine;
-        for (src, slot) in out.iter_mut().enumerate() {
-            if src == self.rank {
-                continue;
-            }
-            let ctx = self.wait_ctx();
-            let env = self.mailbox.borrow_mut().recv_matching(src, A2A_TAG, &ctx);
-            *slot = *env
-                .payload
-                .downcast::<Vec<T>>()
-                .expect("all_to_all_v type mismatch");
-        }
-        out
+        self.receive_all(mine)
     }
 
     /// MPI-3-style neighborhood all-to-all (`MPI_Neighbor_alltoallv`):
@@ -435,7 +374,6 @@ impl Comm {
             neighbors.len(),
             "one buffer per topology neighbor"
         );
-        const NBR_TAG: Tag = u32::MAX - 8;
         self.fault_op_tick();
         let mut nmsgs = 0u64;
         let mut sent = 0u64;
@@ -443,19 +381,10 @@ impl Comm {
             assert!(dst < self.size && dst != self.rank, "bad neighbor {dst}");
             nmsgs += 1;
             sent += (buf.len() * std::mem::size_of::<T>()) as u64;
-            self.deliver(dst, NBR_TAG, buf);
+            self.deliver(dst, buf);
         }
         self.stats.record_p2p(nmsgs, sent);
-        neighbors
-            .iter()
-            .map(|&src| {
-                let ctx = self.wait_ctx();
-                let env = self.mailbox.borrow_mut().recv_matching(src, NBR_TAG, &ctx);
-                *env.payload
-                    .downcast::<Vec<T>>()
-                    .expect("neighbor_all_to_all_v type mismatch")
-            })
-            .collect()
+        neighbors.iter().map(|&src| self.receive(src)).collect()
     }
 }
 
@@ -470,7 +399,7 @@ mod tests {
         run(2, |comm| {
             let unwound = catch_unwind(AssertUnwindSafe(|| {
                 comm.with_step(CommStep::GhostRefresh, || {
-                    comm.all_gather(1u64);
+                    comm.all_reduce(1u64, ReduceOp::Sum);
                     panic!("boom inside step");
                 })
             }));
@@ -480,7 +409,7 @@ mod tests {
             // …so traffic after the unwind lands on `Other`, not the
             // panicked step.
             let before = comm.stats().snapshot();
-            comm.all_gather(2u64);
+            comm.all_reduce(2u64, ReduceOp::Sum);
             let during = comm.stats().snapshot().since(&before);
             assert_eq!(during.step_bytes_for(CommStep::GhostRefresh), 0);
             assert!(during.step_bytes_for(CommStep::Other) > 0);

@@ -1,16 +1,20 @@
-//! Point-to-point transport: tagged, typed envelopes delivered through
-//! per-rank mailboxes.
+//! The job's one transport: typed envelopes delivered through per-rank
+//! mailboxes. Every collective and all-to-all of [`crate::Comm`] rides
+//! it.
 //!
 //! Each rank owns one [`Mailbox`] (a crossbeam channel receiver plus a queue
-//! of messages that arrived before anyone asked for them). Out-of-order
-//! arrival is expected — MPI matches on `(source, tag)` and so do we.
+//! of messages that arrived before anyone asked for them). Arrival across
+//! senders is in any order, so a receive matches on the source rank.
 //!
-//! Delivery is reliable and in order per sender, as under MPI, so the
-//! mailbox needs no sequence numbers, dedup or checksums.
+//! Delivery is reliable and in order per sender, as under MPI, and every
+//! rank issues the same sequence of operations, so the next message from
+//! a source is the one the current operation expects: the mailbox needs
+//! no tags, sequence numbers, dedup or checksums.
 //!
-//! Blocked receives run under the rank-health [`Watchdog`]: the
-//! configured deadline, deadline extensions, and finally a
-//! [`crate::RankHung`] declaration against the silent sender.
+//! A blocked receive is the runtime's only wait. It runs under the
+//! rank-health [`Watchdog`]: the configured deadline, deadline
+//! extensions, and finally a [`crate::RankHung`] declaration against the
+//! silent sender; at every tick it also unwinds if a peer has panicked.
 
 use std::any::Any;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -21,19 +25,18 @@ use crossbeam::channel::{Receiver, RecvTimeoutError, Sender};
 use crate::health::{WaitCtx, Watchdog};
 use crate::runtime::poisoned;
 
-/// A single in-flight message: source rank, user tag, and payload.
-/// (Byte accounting happens on the send side, in `CommStats`.)
+/// A single in-flight message: source rank and payload. (Byte
+/// accounting happens on the send side, in `CommStats`.)
 pub(crate) struct Envelope {
     pub src: usize,
-    pub tag: u32,
     pub payload: Box<dyn Any + Send>,
 }
 
 /// Receiving side of a rank's channel plus the "unexpected message queue".
 pub(crate) struct Mailbox {
     rx: Receiver<Envelope>,
-    /// Messages received from the channel that did not match the
-    /// `(src, tag)` a caller was waiting for.
+    /// Messages received from the channel that did not come from the
+    /// source a caller was waiting for.
     pending: Vec<Envelope>,
     /// Set when any rank in the job panicked; blocked receives abort.
     poison: Arc<AtomicBool>,
@@ -48,21 +51,17 @@ impl Mailbox {
         }
     }
 
-    /// Blocking receive of the next envelope matching `(src, tag)`,
-    /// under the watchdog ladder described in the module docs.
+    /// Blocking receive of the next envelope from `src`, under the
+    /// watchdog ladder described in the module docs.
     ///
     /// Panics if the job is poisoned (another rank panicked), or with a
     /// typed [`crate::RankHung`] once the ladder declares the sender
     /// hung.
-    pub fn recv_matching(&mut self, src: usize, tag: u32, ctx: &WaitCtx<'_>) -> Envelope {
-        if let Some(pos) = self
-            .pending
-            .iter()
-            .position(|e| e.src == src && e.tag == tag)
-        {
+    pub fn recv_matching(&mut self, src: usize, ctx: &WaitCtx<'_>) -> Envelope {
+        if let Some(pos) = self.pending.iter().position(|e| e.src == src) {
             // `remove`, not `swap_remove`: two buffered messages from the
-            // same (src, tag) stream must be delivered in arrival order,
-            // or consecutive all_to_all_v rounds would get swapped.
+            // same source must be delivered in arrival order, or
+            // consecutive collectives would get swapped.
             // Buffered = already arrived = zero blocked wait.
             return self.pending.remove(pos);
         }
@@ -75,7 +74,7 @@ impl Mailbox {
             dog.alive();
             match self.rx.recv_timeout(dog.tick()) {
                 Ok(env) => {
-                    if env.src == src && env.tag == tag {
+                    if env.src == src {
                         let waited = wait_start.elapsed().as_nanos() as u64;
                         ctx.stats.count(|t, step| t.step_wait_nanos[step] += waited);
                         return env;
@@ -87,13 +86,11 @@ impl Mailbox {
                         poisoned();
                     }
                     if dog.due() {
-                        dog.observe(&[src]);
+                        dog.observe(src);
                     }
                 }
                 Err(RecvTimeoutError::Disconnected) => {
-                    panic!(
-                        "communicator channel disconnected while waiting for rank {src} tag {tag}"
-                    );
+                    panic!("communicator channel disconnected while waiting for rank {src}");
                 }
             }
         }

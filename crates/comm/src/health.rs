@@ -1,14 +1,13 @@
 //! Rank-health watchdog: deadline-aware waits and heartbeat-based hang
 //! detection.
 //!
-//! Every blocking wait in the communicator (mailbox receives and
-//! blackboard collectives) runs under a [`Watchdog`] that escalates
-//! through a ladder: *deadline expires* → *consult heartbeats* →
-//! *extend the deadline* (`max_retries` more windows for a silent rank)
-//! → *declare the silent rank hung* by panicking with a [`RankHung`]
-//! payload. The resilient driver in `louvain-dist` catches that payload
-//! exactly like a [`crate::RankCrashed`] and restores from the newest
-//! checkpoint.
+//! The communicator's one blocking wait, a mailbox receive, runs under
+//! a `Watchdog` that escalates through a ladder: *deadline expires* →
+//! *consult heartbeats* → *extend the deadline* (`max_retries` more
+//! windows for a silent rank) → *declare the silent rank hung* by
+//! panicking with a [`RankHung`] payload. The resilient driver in
+//! `louvain-dist` catches that payload exactly like a
+//! [`crate::RankCrashed`] and restores from the newest checkpoint.
 //!
 //! Heartbeats are cheap: every rank stamps a shared [`HealthBoard`]
 //! slot (one relaxed atomic store) at every communication operation and
@@ -126,8 +125,8 @@ pub(crate) struct WaitCtx<'a> {
 /// The escalation ladder of one blocked wait: `deadline → (straggler
 /// extension | silent-rank extension) → RankHung`. Created per wait;
 /// callers invoke [`Watchdog::alive`] every poll tick and
-/// [`Watchdog::observe`] with the current suspect set once
-/// [`Watchdog::due`] reports the window expired.
+/// [`Watchdog::observe`] with the awaited rank once [`Watchdog::due`]
+/// reports the window expired.
 pub(crate) struct Watchdog<'a, 'c> {
     ctx: &'c WaitCtx<'a>,
     started: Instant,
@@ -163,18 +162,17 @@ impl<'a, 'c> Watchdog<'a, 'c> {
         self.window.elapsed() >= self.ctx.cfg.deadline
     }
 
-    /// Escalate one expired window. `suspects` are the ranks this wait
-    /// is blocked on; the subset whose heartbeats are stale past the
-    /// deadline are candidates for a hung declaration. Panics with
-    /// [`RankHung`] when the ladder is exhausted; otherwise extends the
-    /// window (recording a straggler or a silent-rank extension) and
-    /// returns.
-    pub fn observe(&mut self, suspects: &[usize]) {
+    /// Escalate one expired window. `suspect` is the rank this wait is
+    /// blocked on; if its heartbeat is stale past the deadline it is a
+    /// candidate for a hung declaration. Panics with [`RankHung`] when
+    /// the ladder is exhausted; otherwise extends the window (recording
+    /// a straggler or a silent-rank extension) and returns.
+    pub fn observe(&mut self, suspect: usize) {
         let cfg = self.ctx.cfg;
         let waited = self.started.elapsed();
         let step = self.ctx.stats.current_step();
         self.ctx.stats.count(|t, _| t.wd_timeouts += 1);
-        let hang = |suspect: usize| RankHung {
+        let hang = || RankHung {
             rank: suspect,
             detector: self.ctx.rank,
             phase: self.ctx.phase,
@@ -182,32 +180,23 @@ impl<'a, 'c> Watchdog<'a, 'c> {
             step,
             waited_ms: waited.as_millis() as u64,
         };
-        let stale: Option<usize> = suspects
-            .iter()
-            .copied()
-            .filter(|&s| self.ctx.board.age(s) > cfg.deadline)
-            .min();
-        match stale {
-            None => {
-                // Everyone we are waiting on is still heartbeating:
-                // straggler, not hang. Extend the window for free, but
-                // never beyond the liveness ceiling (live-but-deadlocked
-                // ranks must not wedge the job forever).
-                self.ctx.stats.count(|t, _| t.wd_stragglers += 1);
-                if waited > cfg.deadline * LIVENESS_FACTOR {
-                    let suspect = suspects.iter().copied().min().unwrap_or(self.ctx.rank);
-                    std::panic::panic_any(hang(suspect));
-                }
+        if self.ctx.board.age(suspect) > cfg.deadline {
+            if self.extensions >= cfg.retries_for(step) {
+                std::panic::panic_any(hang());
             }
-            Some(suspect) => {
-                if self.extensions >= cfg.retries_for(step) {
-                    std::panic::panic_any(hang(suspect));
-                }
-                self.extensions += 1;
-                self.ctx.stats.count(|t, slot| {
-                    t.wd_retries += 1;
-                    t.step_retries[slot] += 1;
-                });
+            self.extensions += 1;
+            self.ctx.stats.count(|t, slot| {
+                t.wd_retries += 1;
+                t.step_retries[slot] += 1;
+            });
+        } else {
+            // The awaited rank is still heartbeating: straggler, not
+            // hang. Extend the window for free, but never beyond the
+            // liveness ceiling (live-but-deadlocked ranks must not wedge
+            // the job forever).
+            self.ctx.stats.count(|t, _| t.wd_stragglers += 1);
+            if waited > cfg.deadline * LIVENESS_FACTOR {
+                std::panic::panic_any(hang());
             }
         }
         self.window = Instant::now();

@@ -4,11 +4,12 @@
 //! algorithm of Ghosh et al. (IPDPS 2018) requires, using one OS thread per
 //! "rank" inside a single process:
 //!
-//! * typed, tagged point-to-point messages ([`Comm::send`] / [`Comm::recv`]),
 //! * the collectives used by the paper's Algorithms 2–4:
-//!   [`Comm::barrier`], [`Comm::all_reduce`], [`Comm::all_gather`],
-//!   [`Comm::exscan_sum`], [`Comm::all_to_all_v`], [`Comm::gather_to_root`],
-//!   [`Comm::broadcast`],
+//!   [`Comm::barrier`], [`Comm::all_reduce`], [`Comm::exscan_sum`],
+//!   [`Comm::all_to_all_v`], [`Comm::neighbor_all_to_all_v`] and
+//!   [`Comm::gather_to_root`], all carried by one transport: typed
+//!   messages in per-rank mailboxes, whose one blocking receive runs
+//!   under the rank-health watchdog ([`health`]),
 //! * exact per-rank traffic accounting ([`CommStats`]): the counts an
 //!   α-β (latency/bandwidth) model prices after the run (in the
 //!   experiment harness, `louvain-bench`), so that scaling *shape* can
@@ -29,7 +30,6 @@
 //! assert_eq!(results, vec![6, 6, 6, 6]);
 //! ```
 
-mod blackboard;
 mod comm;
 mod envelope;
 mod fault;
@@ -38,7 +38,7 @@ mod reduce;
 mod runtime;
 mod stats;
 
-pub use comm::{Comm, Tag};
+pub use comm::Comm;
 pub use fault::{CrashRule, FaultPlan, HangRule, RankCrashed, StallRule};
 pub use health::{HealthBoard, HealthConfig, RankHung};
 pub use reduce::{ReduceOp, Reducible};

@@ -1,11 +1,10 @@
 //! Job launcher: spawns one thread per rank and hands each a [`Comm`].
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use crossbeam::channel::unbounded;
 
-use crate::blackboard::Blackboard;
 use crate::comm::Comm;
 use crate::envelope::Mailbox;
 use crate::fault::FaultPlan;
@@ -28,7 +27,8 @@ pub struct RunConfig {
 
 /// Run `f` on `p` simulated ranks and return the per-rank results in rank
 /// order. Panics (with the original message) if any rank panics; peer ranks
-/// blocked in communication calls abort via poisoning instead of hanging.
+/// blocked in communication calls unwind at their next watchdog tick
+/// (≤ 50 ms) instead of hanging.
 pub fn run<R, F>(p: usize, f: F) -> Vec<R>
 where
     R: Send,
@@ -53,9 +53,7 @@ where
     let poison = Arc::new(AtomicBool::new(false));
     // The payload of the rank that panicked FIRST; secondary "poisoned"
     // panics from blocked peers are discarded in its favour.
-    let first_payload: parking_lot::Mutex<Option<Box<dyn std::any::Any + Send>>> =
-        parking_lot::Mutex::new(None);
-    let blackboard = Arc::new(Blackboard::new(p, Arc::clone(&poison)));
+    let first_payload: Mutex<Option<Box<dyn std::any::Any + Send>>> = Mutex::new(None);
     let board = Arc::new(HealthBoard::new(p));
     let (senders, receivers): (Vec<_>, Vec<_>) = (0..p).map(|_| unbounded()).unzip();
     let senders = Arc::new(senders);
@@ -66,7 +64,6 @@ where
         let mut handles = Vec::with_capacity(p);
         for (rank, (rx, slot)) in receivers.into_iter().zip(results.iter_mut()).enumerate() {
             let senders = Arc::clone(&senders);
-            let blackboard = Arc::clone(&blackboard);
             let board = Arc::clone(&board);
             let poison = Arc::clone(&poison);
             let fault = config.fault.clone();
@@ -83,7 +80,6 @@ where
                         p,
                         senders,
                         mailbox,
-                        Arc::clone(&blackboard),
                         fault,
                         health,
                         board,
@@ -98,9 +94,11 @@ where
                         Err(payload) => {
                             let was_first = !poison.swap(true, Ordering::SeqCst);
                             if was_first {
-                                *first_payload_ref.lock() = Some(payload);
+                                *first_payload_ref
+                                    .lock()
+                                    .expect("no rank panics holding the payload lock") =
+                                    Some(payload);
                             }
-                            blackboard.poison_notify();
                             Err(())
                         }
                     }
@@ -118,6 +116,7 @@ where
         if any_failed {
             let payload = first_payload
                 .lock()
+                .expect("no rank panics holding the payload lock")
                 .take()
                 .unwrap_or_else(|| Box::new("rank thread failed without recorded payload"));
             std::panic::resume_unwind(payload);
@@ -147,33 +146,19 @@ mod tests {
     }
 
     #[test]
-    fn p2p_ring_passes_messages() {
-        let p = 4;
-        let out = run(p, |c| {
-            let next = (c.rank() + 1) % p;
-            let prev = (c.rank() + p - 1) % p;
-            c.send(next, 7, vec![c.rank() as u64]);
-            c.recv::<u64>(prev, 7)[0]
-        });
-        assert_eq!(out, vec![3, 0, 1, 2]);
-    }
-
-    #[test]
-    fn p2p_matches_by_tag_out_of_order() {
-        // Rank 0 sends two differently-tagged messages; rank 1 receives them
-        // in the opposite order.
-        let out = run(2, |c| {
+    fn collectives_match_by_source_out_of_order() {
+        // Rank 0 comes late, so rank 2's contributions reach rank 1
+        // first and wait in `pending` until rank 1 has heard from 0.
+        let out = run(3, |c| {
             if c.rank() == 0 {
-                c.send(1, 1, vec![10u32]);
-                c.send(1, 2, vec![20u32]);
-                vec![]
-            } else {
-                let b = c.recv::<u32>(0, 2);
-                let a = c.recv::<u32>(0, 1);
-                vec![a[0], b[0]]
+                std::thread::sleep(std::time::Duration::from_millis(30));
             }
+            let sum = c.all_reduce(c.rank() as u64 + 1, ReduceOp::Sum);
+            c.barrier();
+            let scan = c.exscan_sum(10 * (c.rank() as u64 + 1));
+            (sum, scan)
         });
-        assert_eq!(out[1], vec![10, 20]);
+        assert_eq!(out, vec![(6, 0), (6, 10), (6, 30)]);
     }
 
     #[test]
@@ -208,20 +193,16 @@ mod tests {
     }
 
     #[test]
-    fn all_gather_collects_in_rank_order() {
-        let out = run(3, |c| c.all_gather(format!("r{}", c.rank())));
-        for v in out {
-            assert_eq!(v, vec!["r0", "r1", "r2"]);
+    fn all_reduce_folds_in_rank_order() {
+        // f64 addition is not associative: only a rank-order left fold
+        // gives these bits, on every rank.
+        let vals = [1e16, 1.0, -1e16, 1.0];
+        let out = run(4, |c| c.all_reduce(vals[c.rank()], ReduceOp::Sum));
+        let folded = vals.iter().copied().reduce(|a, b| a + b).unwrap();
+        assert_eq!(folded, 1.0);
+        for r in out {
+            assert_eq!(r.to_bits(), folded.to_bits());
         }
-    }
-
-    #[test]
-    fn broadcast_takes_root_value() {
-        let out = run(4, |c| {
-            let v = if c.rank() == 2 { 99u64 } else { 0 };
-            c.broadcast(2, v)
-        });
-        assert_eq!(out, vec![99; 4]);
     }
 
     #[test]
@@ -281,19 +262,27 @@ mod tests {
 
     #[test]
     fn stats_count_traffic() {
-        let out = run(2, |c| {
+        // A collective charges one call plus its bytes, however many
+        // mailbox messages carry it; an all-to-all charges p−1 messages.
+        let out = run(3, |c| {
+            let mut bufs: Vec<Vec<u64>> = vec![Vec::new(); 3];
             if c.rank() == 0 {
-                c.send(1, 3, vec![1u64, 2, 3]);
-            } else {
-                let _ = c.recv::<u64>(0, 3);
+                bufs[1] = vec![1, 2, 3];
             }
+            c.all_to_all_v(bufs);
             c.barrier();
+            c.all_reduce(1.0f64, ReduceOp::Sum);
+            c.gather_to_root(0, vec![0u32; c.rank()]);
             c.stats().snapshot()
         });
-        assert_eq!(out[0].p2p_messages, 1);
+        assert_eq!(out[0].p2p_messages, 2);
         assert_eq!(out[0].p2p_bytes, 24);
-        assert_eq!(out[1].p2p_messages, 0);
-        assert_eq!(out[0].collective_calls, 1);
+        assert_eq!(out[1].p2p_messages, 2);
+        assert_eq!(out[1].p2p_bytes, 0);
+        for (rank, snap) in out.iter().enumerate() {
+            assert_eq!(snap.collective_calls, 3);
+            assert_eq!(snap.collective_bytes, 8 + 4 * rank as u64);
+        }
     }
 
     #[test]
@@ -319,28 +308,28 @@ mod tests {
     }
 
     #[test]
-    fn all_gather_of_heterogeneous_struct() {
-        #[derive(Clone, Debug, PartialEq)]
+    fn gather_to_root_of_heterogeneous_struct() {
+        #[derive(Debug, PartialEq)]
         struct Info {
             rank: usize,
             label: String,
         }
         let out = run(3, |c| {
-            c.all_gather(Info {
+            let info = Info {
                 rank: c.rank(),
                 label: format!("r{}", c.rank()),
-            })
+            };
+            c.gather_to_root(2, vec![info])
         });
-        for v in out {
-            assert_eq!(v.len(), 3);
-            assert_eq!(
-                v[2],
-                Info {
-                    rank: 2,
-                    label: "r2".into()
-                }
-            );
-        }
+        let gathered = out[2].as_ref().expect("rank 2 is the root");
+        assert_eq!(gathered.len(), 3);
+        assert_eq!(
+            gathered[1],
+            vec![Info {
+                rank: 1,
+                label: "r1".into()
+            }]
+        );
     }
 
     #[test]
@@ -352,13 +341,11 @@ mod tests {
     #[test]
     fn large_payload_roundtrip() {
         let out = run(2, |c| {
+            let mut bufs = vec![Vec::new(), Vec::new()];
             if c.rank() == 0 {
-                c.send(1, 2, (0..100_000u64).collect());
-                0
-            } else {
-                let v = c.recv::<u64>(0, 2);
-                v.iter().sum::<u64>()
+                bufs[1] = (0..100_000u64).collect();
             }
+            c.all_to_all_v(bufs)[0].iter().sum::<u64>()
         });
         assert_eq!(out[1], (0..100_000u64).sum::<u64>());
     }
@@ -406,35 +393,66 @@ mod tests {
 
     #[test]
     fn buffered_same_stream_messages_keep_arrival_order() {
-        // Regression: rank 0 floods rank 1 with many same-tag messages of
-        // alternating types while rank 1 is busy buffering them behind an
-        // unrelated receive; they must still be delivered in send order.
+        // Regression: a non-root returns from `gather_to_root` at once, so
+        // rank 0 floods root 1 with back-to-back gathers of alternating
+        // types; rank 2 starts only after the whole burst is sent, so
+        // root 1, stuck on rank 2 in the first gather, buffers the burst
+        // in `pending`, and must take it in send order.
+        let burst_sent = std::sync::Barrier::new(2);
         let out = run(3, |c| {
-            if c.rank() == 0 {
-                for i in 0..50u64 {
-                    c.send(1, 5, vec![i]); // u64 stream
-                    c.send(1, 5, vec![i as f64]); // f64 stream, same tag
-                }
-                c.send(1, 6, vec![1u8]);
-                vec![]
-            } else if c.rank() == 1 {
-                // First wait on rank 2 so rank 0's burst lands in `pending`.
-                let _ = c.recv::<u8>(2, 9);
-                let _ = c.recv::<u8>(0, 6);
-                let mut vals = Vec::new();
-                for _ in 0..50 {
-                    vals.push(c.recv::<u64>(0, 5)[0]);
-                    let f = c.recv::<f64>(0, 5)[0];
-                    assert_eq!(f, *vals.last().unwrap() as f64);
-                }
-                vals
-            } else {
-                std::thread::sleep(std::time::Duration::from_millis(30));
-                c.send(1, 9, vec![0u8]);
-                vec![]
+            if c.rank() == 2 {
+                burst_sent.wait();
             }
+            let mut vals = Vec::new();
+            for i in 0..50u64 {
+                let ints = c.gather_to_root(1, vec![i]);
+                let floats = c.gather_to_root(1, vec![i as f64]);
+                if let (Some(ints), Some(floats)) = (ints, floats) {
+                    assert_eq!(floats[0], vec![i as f64]);
+                    vals.push(ints[0][0]);
+                }
+            }
+            if c.rank() == 0 {
+                burst_sent.wait();
+            }
+            vals
         });
         assert_eq!(out[1], (0..50u64).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn a_hang_on_a_later_source_is_declared_against_it() {
+        use crate::fault::FaultPlan;
+        use crate::health::{HealthConfig, RankHung};
+        // Rank 3 goes silent at its second all-reduce; its peers hear
+        // from ranks 0..3 first, then wait on it.
+        let plan = Arc::new(FaultPlan::parse("hang:rank=3,phase=0,op=1").unwrap());
+        let health = HealthConfig {
+            deadline: std::time::Duration::from_millis(50),
+            max_retries: 1,
+            ..HealthConfig::default()
+        };
+        let res = std::panic::catch_unwind(|| {
+            run_with(
+                4,
+                RunConfig {
+                    fault: Some(plan),
+                    health,
+                },
+                |c| {
+                    for _ in 0..3 {
+                        c.all_reduce(c.rank() as u64, ReduceOp::Sum);
+                    }
+                },
+            )
+        });
+        let payload = res.unwrap_err();
+        let hung = payload
+            .downcast_ref::<RankHung>()
+            .expect("hang payload must survive propagation");
+        assert_eq!(hung.rank, 3, "the silent rank is the one declared hung");
+        assert_ne!(hung.detector, 3);
+        assert_eq!((hung.phase, hung.op), (0, 1));
     }
 
     #[test]
@@ -576,8 +594,8 @@ mod tests {
             let prev = (c.rank() + p - 1) % p;
             let mut token = c.rank() as u64;
             for _ in 0..p {
-                c.send(next, 9, vec![token]);
-                token = c.recv::<u64>(prev, 9)[0];
+                let got = c.neighbor_all_to_all_v(&[prev, next], vec![vec![], vec![token]]);
+                token = got[0][0];
             }
             assert_eq!(token, c.rank() as u64);
             c.all_reduce(token, ReduceOp::Sum)

@@ -5,7 +5,7 @@ use std::time::Duration;
 
 use louvain_comm::{run_with, FaultPlan, RankCrashed, RankHung, RunConfig, StatsSnapshot};
 use louvain_graph::{Csr, LocalGraph, VertexId, VertexPartition};
-use parking_lot_free::TakeSlots;
+use take_slots::TakeSlots;
 
 use crate::config::DistConfig;
 use crate::resume::{
@@ -17,7 +17,7 @@ use crate::stats::PhaseStats;
 
 /// Tiny helper: hand each rank exactly one pre-built value from a shared
 /// vector (the scattered graph pieces) without cloning.
-mod parking_lot_free {
+mod take_slots {
     use std::sync::Mutex;
 
     pub struct TakeSlots<T>(Mutex<Vec<Option<T>>>);
@@ -204,8 +204,7 @@ pub fn run_distributed_source(
 /// or [`RankHung`] from the communication watchdog declaring a silent
 /// rank dead — restarts all ranks from the newest complete checkpoint.
 /// Each failure kind has its own budget ([`ResilOptions::crash_budget`]
-/// and [`ResilOptions::hang_budget`], both defaulting to
-/// `max_recoveries`), so a flaky network cannot burn the budget a
+/// and [`ResilOptions::hang_budget`]), so a flaky network cannot burn the budget a
 /// genuinely crashing job needs and vice versa; exhausting either gives
 /// up with an `Err` tagged by kind. Because phase boundaries are consistent
 /// cuts and the trajectory is deterministic, the recovered outcome is
@@ -310,11 +309,11 @@ fn run_attempts(
                     return Err(format!("{CANCELLED_AT_PHASE}{}", cancelled.phase));
                 }
                 if let Some(crash) = payload.downcast_ref::<RankCrashed>() {
-                    if crash_recoveries >= resil.crash_budget() {
+                    if crash_recoveries >= resil.crash_budget {
                         return Err(format!(
                             "{crash}; {CRASH_BUDGET_EXHAUSTED} of {} exhausted \
                              ({crash_recoveries} crash + {} hang recoveries consumed)",
-                            resil.crash_budget(),
+                            resil.crash_budget,
                             hung_events.len(),
                         ));
                     }
@@ -322,11 +321,11 @@ fn run_attempts(
                     continue;
                 }
                 if let Some(hung) = payload.downcast_ref::<RankHung>() {
-                    if hung_events.len() >= resil.hang_budget() {
+                    if hung_events.len() >= resil.hang_budget {
                         return Err(format!(
                             "{hung}; {HANG_BUDGET_EXHAUSTED} of {} exhausted \
                              ({crash_recoveries} crash + {} hang recoveries consumed)",
-                            resil.hang_budget(),
+                            resil.hang_budget,
                             hung_events.len(),
                         ));
                     }

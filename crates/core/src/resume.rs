@@ -40,20 +40,15 @@ pub struct ResilOptions {
     /// instead of from scratch (falls back to a fresh start when the
     /// directory holds no complete checkpoint yet).
     pub resume: bool,
-    /// How many rank failures [`crate::api::run_distributed_resilient_source`]
+    /// How many rank crashes [`crate::api::run_distributed_resilient_source`]
     /// absorbs by restarting from the newest checkpoint before giving
-    /// up. This is the shared default for both failure kinds; the
-    /// per-kind fields below override it when set.
-    pub max_recoveries: usize,
-    /// Crash-specific recovery budget. `None` falls back to
-    /// `max_recoveries`. Splitting the budgets lets a serving layer
-    /// distinguish a poisoned job (crashes keep recurring) from a flaky
-    /// network (hang declarations) instead of burning one shared count
-    /// across unrelated failure kinds.
-    pub max_crash_recoveries: Option<usize>,
-    /// Hang-specific recovery budget. `None` falls back to
-    /// `max_recoveries`.
-    pub max_hang_recoveries: Option<usize>,
+    /// up. Split from `hang_budget` so a serving layer can tell a
+    /// poisoned job (crashes keep recurring) from a flaky network (hang
+    /// declarations) instead of burning one shared count across
+    /// unrelated failure kinds.
+    pub crash_budget: usize,
+    /// How many hung-rank declarations are absorbed the same way.
+    pub hang_budget: usize,
     /// Cooperative cancellation token, checked once per phase boundary
     /// (after the boundary checkpoint is durable). When it flips to
     /// `true`, all ranks agree on the decision via a collective and the
@@ -80,9 +75,8 @@ impl std::fmt::Debug for ResilOptions {
         f.debug_struct("ResilOptions")
             .field("checkpoint", &self.checkpoint)
             .field("resume", &self.resume)
-            .field("max_recoveries", &self.max_recoveries)
-            .field("max_crash_recoveries", &self.max_crash_recoveries)
-            .field("max_hang_recoveries", &self.max_hang_recoveries)
+            .field("crash_budget", &self.crash_budget)
+            .field("hang_budget", &self.hang_budget)
             .field("cancel", &self.cancel.is_some())
             .field("record_levels", &self.record_levels)
             .field("progress", &self.progress.is_some())
@@ -98,18 +92,6 @@ impl ResilOptions {
 
     pub fn is_none(&self) -> bool {
         self.checkpoint.is_none() && !self.resume
-    }
-
-    /// Effective crash recovery budget (per-kind override or the shared
-    /// default).
-    pub fn crash_budget(&self) -> usize {
-        self.max_crash_recoveries.unwrap_or(self.max_recoveries)
-    }
-
-    /// Effective hang recovery budget (per-kind override or the shared
-    /// default).
-    pub fn hang_budget(&self) -> usize {
-        self.max_hang_recoveries.unwrap_or(self.max_recoveries)
     }
 }
 

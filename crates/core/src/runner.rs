@@ -2,10 +2,10 @@
 
 use std::time::Duration;
 
-use louvain_comm::{Comm, CommStep, ReduceOp};
+use louvain_comm::{Comm, CommStep, ReduceOp, StatsSnapshot};
 use louvain_graph::hash::{fast_map, FastMap, FastSet};
 use louvain_graph::{LocalGraph, VertexId, VertexPartition};
-use louvain_resil::{CheckpointStore, RankCheckpoint};
+use louvain_resil::{CheckpointStore, RankCheckpoint, ResilError};
 
 use crate::config::DistConfig;
 use crate::ghost::{pull_from_owners, GhostLayer, PullBufs};
@@ -89,43 +89,66 @@ struct RestoredState {
     prev_q: f64,
     final_q: f64,
     total_iterations: usize,
+    stats: StatsSnapshot,
 }
 
-/// Load and validate this rank's slab from the newest complete
-/// checkpoint, or `None` when the store holds no checkpoint yet (a
-/// fresh start is then the correct resume). Unrecoverable problems
-/// (corruption, wrong config, wrong rank count, I/O) abort the run with
-/// a typed payload rather than silently diverging.
-fn restore_rank(comm: &Comm, store: &CheckpointStore, fingerprint: u64) -> Option<RestoredState> {
-    let latest = store
-        .latest()
-        .unwrap_or_else(|e| abort(format!("cannot resume: {e}")))?;
-    let _s = louvain_obs::span!("checkpoint_restore", phase = latest);
-    fn fail(latest: u64, e: louvain_resil::ResilError) -> ! {
-        abort(format!("cannot resume from phase {latest}: {e}"))
+/// Rebuild a rank's state from a decoded checkpoint. `decode` has
+/// checked the ownership table and the CSR; what is left is that
+/// `cur_of_orig` covers the `owned` original vertices of the rank.
+fn restored_state(ckpt: RankCheckpoint, owned: usize) -> Result<RestoredState, ResilError> {
+    if ckpt.cur_of_orig.len() != owned {
+        return Err(ResilError::Corrupt(format!(
+            "cur_of_orig covers {} original vertices, rank {} owns {owned}",
+            ckpt.cur_of_orig.len(),
+            ckpt.rank
+        )));
     }
-    let manifest = store.manifest(latest).unwrap_or_else(|e| fail(latest, e));
-    manifest
-        .validate(comm.size(), fingerprint)
-        .unwrap_or_else(|e| fail(latest, e));
-    let ckpt = store
-        .load_rank(&manifest, comm.rank())
-        .unwrap_or_else(|e| fail(latest, e));
-    let part = VertexPartition::from_starts(ckpt.part_starts.clone());
+    let part = VertexPartition::from_starts(ckpt.part_starts);
     let offsets: Vec<usize> = ckpt.offsets.iter().map(|&o| o as usize).collect();
-    let lg = LocalGraph::from_csr_parts(part, comm.rank(), offsets, ckpt.dests, ckpt.weights);
-    // Re-absorb the checkpointed counters so the resumed run's
-    // cumulative traffic matches an uninterrupted run's.
-    comm.stats().absorb(&ckpt.stats);
-    Some(RestoredState {
-        lg,
+    Ok(RestoredState {
+        lg: LocalGraph::from_csr_parts(part, ckpt.rank, offsets, ckpt.dests, ckpt.weights),
         cur_of_orig: ckpt.cur_of_orig,
         start_phase: ckpt.phase as usize,
         force_min_tau: ckpt.force_min_tau,
         prev_q: ckpt.prev_q,
         final_q: ckpt.final_q,
         total_iterations: ckpt.total_iterations as usize,
+        stats: ckpt.stats,
     })
+}
+
+/// Load and validate this rank's slab from the newest complete
+/// checkpoint, or `None` when the store holds no checkpoint yet (a
+/// fresh start is then the correct resume). `owned` is how many
+/// original vertices the rank holds, which `cur_of_orig` must cover.
+/// Unrecoverable problems (corruption, wrong config, wrong rank count,
+/// I/O) abort the run with a typed payload rather than silently
+/// diverging.
+fn restore_rank(
+    comm: &Comm,
+    store: &CheckpointStore,
+    fingerprint: u64,
+    owned: usize,
+) -> Option<RestoredState> {
+    let latest = store
+        .latest()
+        .unwrap_or_else(|e| abort(format!("cannot resume: {e}")))?;
+    let _s = louvain_obs::span!("checkpoint_restore", phase = latest);
+    fn fail(latest: u64, e: ResilError) -> ! {
+        abort(format!("cannot resume from phase {latest}: {e}"))
+    }
+    let manifest = store.manifest(latest).unwrap_or_else(|e| fail(latest, e));
+    manifest
+        .validate(comm.size(), fingerprint)
+        .unwrap_or_else(|e| fail(latest, e));
+    let restored = store
+        .load_rank(&manifest, comm.rank())
+        .and_then(|ckpt| restored_state(ckpt, owned))
+        .unwrap_or_else(|e| fail(latest, e));
+    // Re-absorb the checkpointed counters so the resumed run's
+    // cumulative traffic matches an uninterrupted run's.
+    comm.stats().absorb(&restored.stats);
+    Some(restored)
 }
 
 /// Run the distributed Louvain algorithm on this rank's piece of the
@@ -182,7 +205,7 @@ pub fn run_on_rank(
         let store = store
             .as_ref()
             .unwrap_or_else(|| abort("resume requested without a checkpoint directory".into()));
-        if let Some(restored) = restore_rank(comm, store, fingerprint) {
+        if let Some(restored) = restore_rank(comm, store, fingerprint, cur_of_orig.len()) {
             lg = restored.lg;
             cur_of_orig = restored.cur_of_orig;
             start_phase = restored.start_phase;
@@ -431,6 +454,95 @@ mod tests {
     fn scatter(g: &Csr, p: usize) -> Vec<LocalGraph<'_>> {
         let part = VertexPartition::balanced_vertices(g.num_vertices() as u64, p);
         LocalGraph::scatter(g, &part)
+    }
+
+    #[test]
+    fn hostile_checkpoints_are_errors_never_panics() {
+        use louvain_resil::{decode, encode, fnv1a64};
+        // Rank 1 of 2 owns vertices 3..7 of the coarse graph and five
+        // original vertices.
+        let ckpt = RankCheckpoint {
+            rank: 1,
+            ranks: 2,
+            phase: 2,
+            force_min_tau: false,
+            prev_q: 0.25,
+            final_q: 0.3,
+            total_iterations: 9,
+            config_fingerprint: 0xF00D,
+            part_starts: vec![0, 3, 7],
+            offsets: vec![0, 2, 3, 5, 6],
+            dests: vec![0, 4, 3, 5, 6, 1],
+            weights: vec![1.0, 2.0, 2.0, 1.0, 0.5, 3.0],
+            cur_of_orig: vec![3, 3, 4, 6, 0],
+            stats: StatsSnapshot::default(),
+        };
+        let owned = ckpt.cur_of_orig.len();
+        let clean = encode(&ckpt);
+        let restore = |bytes: &[u8]| decode(bytes).and_then(|c| restored_state(c, owned));
+        assert!(restore(&clean).is_ok());
+        let body = clean.len() - 8;
+        let (mut refused, mut restored) = (0, 0);
+        // Every 4-byte step reaches each u32 header field and both
+        // halves of every u64 word, lengths included.
+        for at in (0..=body - 8).step_by(4) {
+            let word = u64::from_le_bytes(clean[at..at + 8].try_into().unwrap());
+            let mutants = [
+                0,
+                1,
+                2,
+                3,
+                4,
+                5,
+                6,
+                7,
+                8,
+                word.wrapping_add(1),
+                word.wrapping_sub(1),
+                word ^ (1 << 63),
+                1 << 32,
+                u64::MAX,
+                f64::NAN.to_bits(),
+                (-1.0f64).to_bits(),
+                f64::INFINITY.to_bits(),
+            ];
+            for m in mutants {
+                let mut bytes = clean.clone();
+                bytes[at..at + 8].copy_from_slice(&m.to_le_bytes());
+                let hash = fnv1a64(&bytes[..body]);
+                bytes[body..].copy_from_slice(&hash.to_le_bytes());
+                match restore(&bytes) {
+                    Ok(_) => restored += 1,
+                    Err(_) => refused += 1,
+                }
+            }
+        }
+        assert!(
+            refused > 500 && restored > 100,
+            "{refused} refused, {restored} restored"
+        );
+
+        // Fields `tests/resilience.rs` does not break on a real resume
+        // are refused by name too.
+        let refuse = |field: &str, edit: &dyn Fn(&mut RankCheckpoint)| {
+            let mut bad = ckpt.clone();
+            edit(&mut bad);
+            match restore(&encode(&bad)) {
+                Err(ResilError::Corrupt(msg)) => assert!(msg.contains(field), "{field}: {msg}"),
+                Err(e) => panic!("{field}: expected Corrupt, got {e}"),
+                Ok(_) => panic!("{field}: a malformed checkpoint restored"),
+            }
+        };
+        refuse("part_starts", &|c| c.part_starts = vec![1, 3, 7]);
+        refuse("weights", &|c| c.weights[0] = f64::NAN);
+        refuse("offsets", &|c| {
+            // A rank owning u64::MAX vertices: its offsets length must not
+            // overflow on the way to the comparison.
+            c.rank = 0;
+            c.part_starts = vec![0, u64::MAX, u64::MAX];
+            c.offsets.clear();
+        });
+        refuse("cur_of_orig", &|c| c.cur_of_orig[1] = 99);
     }
 
     #[test]

@@ -128,8 +128,8 @@ counter_table! {
         /// charged when the extension happens so a panic mid-step cannot
         /// lose them (the contract of `Comm::with_step`).
         step_retries,
-        /// Idle wall nanoseconds blocked in receives and collective
-        /// fill-waits per step. Excluded from equality.
+        /// Idle wall nanoseconds blocked in mailbox receives per step.
+        /// Excluded from equality.
         step_wait_nanos,
     }
 }

@@ -185,8 +185,66 @@ pub fn encode(ckpt: &RankCheckpoint) -> Vec<u8> {
     buf
 }
 
+/// Check that the decoded fields describe a rank's piece of a graph:
+/// an ownership table of `ranks + 1` nondecreasing starts from 0, a CSR
+/// whose offsets cover exactly the rank's range and its arcs, and
+/// destinations and communities that name vertices of the graph. The
+/// restorer builds a `VertexPartition` and a `LocalGraph` from these,
+/// and those panic on a malformed shape.
+fn check_shape(c: &RankCheckpoint) -> Result<(), String> {
+    let starts = &c.part_starts;
+    if c.ranks == 0 || c.rank >= c.ranks {
+        return Err(format!("rank {} of a {}-rank job", c.rank, c.ranks));
+    }
+    if starts.len() != c.ranks + 1 || starts[0] != 0 {
+        return Err(format!(
+            "part_starts has {} entries starting at {:?} (a {}-rank table starts at 0)",
+            starts.len(),
+            starts.first(),
+            c.ranks
+        ));
+    }
+    if let Some(i) = starts.windows(2).position(|w| w[0] > w[1]) {
+        return Err(format!("part_starts falls at entry {}", i + 1));
+    }
+    let n = starts[c.ranks];
+    let owned = starts[c.rank + 1] - starts[c.rank];
+    let offsets = &c.offsets;
+    if (offsets.len() as u64).checked_sub(1) != Some(owned) || offsets[0] != 0 {
+        return Err(format!(
+            "offsets has {} entries starting at {:?} (the rank owns {owned} vertices)",
+            offsets.len(),
+            offsets.first()
+        ));
+    }
+    if let Some(i) = offsets.windows(2).position(|w| w[0] > w[1]) {
+        return Err(format!("offsets falls at entry {}", i + 1));
+    }
+    if offsets[offsets.len() - 1] != c.dests.len() as u64 || c.dests.len() != c.weights.len() {
+        return Err(format!(
+            "offsets end at {}, with {} dests and {} weights",
+            offsets[offsets.len() - 1],
+            c.dests.len(),
+            c.weights.len()
+        ));
+    }
+    if let Some(i) = c.weights.iter().position(|w| !(w.is_finite() && *w >= 0.0)) {
+        return Err(format!(
+            "weights[{i}] = {} is not a finite weight ≥ 0",
+            c.weights[i]
+        ));
+    }
+    let named = |field: &str, ids: &[u64]| match ids.iter().position(|&v| v >= n) {
+        Some(i) => Err(format!("{field}[{i}] = {} is not below n = {n}", ids[i])),
+        None => Ok(()),
+    };
+    named("dests", &c.dests)?;
+    named("cur_of_orig", &c.cur_of_orig)
+}
+
 /// Parse and validate an encoded checkpoint (magic, version, content
-/// hash, field shapes).
+/// hash, field shapes). How many original vertices `cur_of_orig` must
+/// cover is not in the file: the restorer checks its length.
 pub fn decode(bytes: &[u8]) -> Result<RankCheckpoint, ResilError> {
     if bytes.len() < 8 + 8 {
         return Err(ResilError::Corrupt(format!(
@@ -248,12 +306,7 @@ pub fn decode(bytes: &[u8]) -> Result<RankCheckpoint, ResilError> {
             body.len() - c.pos
         )));
     }
-    if dests.len() != weights.len() {
-        return Err(ResilError::Corrupt(
-            "dests/weights length mismatch".to_string(),
-        ));
-    }
-    Ok(RankCheckpoint {
+    let ckpt = RankCheckpoint {
         rank,
         ranks,
         phase,
@@ -268,7 +321,9 @@ pub fn decode(bytes: &[u8]) -> Result<RankCheckpoint, ResilError> {
         weights,
         cur_of_orig,
         stats,
-    })
+    };
+    check_shape(&ckpt).map_err(ResilError::Corrupt)?;
+    Ok(ckpt)
 }
 
 /// Write `bytes` to `path` atomically: a sibling tmp file is written,
@@ -301,14 +356,14 @@ mod tests {
     fn sample() -> RankCheckpoint {
         RankCheckpoint {
             rank: 1,
-            ranks: 4,
+            ranks: 3,
             phase: 3,
             force_min_tau: true,
             prev_q: f64::NEG_INFINITY,
             final_q: 0.4312,
             total_iterations: 17,
             config_fingerprint: 0xDEAD_BEEF_0123_4567,
-            part_starts: vec![0, 10, 20, 30],
+            part_starts: vec![0, 10, 12, 30],
             offsets: vec![0, 2, 5],
             dests: vec![11, 12, 13, 14, 15],
             weights: vec![1.0, 0.5, 2.0, 0.25, 3.0],

@@ -302,12 +302,14 @@ impl CheckpointStore {
             });
         }
         let ckpt = decode(&bytes)?;
-        if ckpt.rank != rank || ckpt.phase != manifest.phase {
+        if ckpt.rank != rank || ckpt.ranks != manifest.ranks || ckpt.phase != manifest.phase {
             return Err(ResilError::Corrupt(format!(
-                "{} holds rank {} phase {} (expected rank {rank} phase {})",
+                "{} holds rank {} of {} phase {} (expected rank {rank} of {} phase {})",
                 path.display(),
                 ckpt.rank,
+                ckpt.ranks,
                 ckpt.phase,
+                manifest.ranks,
                 manifest.phase
             )));
         }

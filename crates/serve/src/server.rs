@@ -815,15 +815,12 @@ impl Server {
         let resil = ResilOptions {
             checkpoint: Some(CheckpointOptions::new(&ckpt_dir)),
             resume: true,
-            max_recoveries: 0,
-            max_crash_recoveries: Some(
-                spec.max_crash_recoveries
-                    .unwrap_or(self.inner.cfg.max_crash_recoveries),
-            ),
-            max_hang_recoveries: Some(
-                spec.max_hang_recoveries
-                    .unwrap_or(self.inner.cfg.max_hang_recoveries),
-            ),
+            crash_budget: spec
+                .max_crash_recoveries
+                .unwrap_or(self.inner.cfg.max_crash_recoveries),
+            hang_budget: spec
+                .max_hang_recoveries
+                .unwrap_or(self.inner.cfg.max_hang_recoveries),
             cancel: Some(cancel.clone()),
             record_levels: true,
             // Every served job publishes live progress: the rows feed

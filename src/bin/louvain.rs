@@ -493,7 +493,8 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
     let resil = ResilOptions {
         checkpoint: checkpoint_dir.map(CheckpointOptions::new),
         resume,
-        max_recoveries,
+        crash_budget: max_recoveries,
+        hang_budget: max_recoveries,
         ..ResilOptions::none()
     };
     require_slab(&path)?;

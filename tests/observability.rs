@@ -536,7 +536,8 @@ fn chrome_trace_tags_attempts_under_resilient_recovery() {
         &ResilOptions {
             checkpoint: Some(CheckpointOptions::new(&dir)),
             resume: false,
-            max_recoveries: 1,
+            crash_budget: 1,
+            hang_budget: 1,
             ..ResilOptions::none()
         },
     )
@@ -619,7 +620,8 @@ fn resumed_run_counters_reconcile_with_uninterrupted_run() {
         &ResilOptions {
             checkpoint: Some(CheckpointOptions::new(&dir)),
             resume: false,
-            max_recoveries: 1,
+            crash_budget: 1,
+            hang_budget: 1,
             ..ResilOptions::none()
         },
     )

@@ -92,7 +92,8 @@ fn kill_and_resume_is_bit_identical_for_every_phase() {
                 let resil = ResilOptions {
                     checkpoint: Some(CheckpointOptions::new(&dir)),
                     resume: false,
-                    max_recoveries: 1,
+                    crash_budget: 1,
+                    hang_budget: 1,
                     ..ResilOptions::none()
                 };
                 let out = run_resilient(
@@ -151,7 +152,8 @@ fn parallel_sweep_crash_mid_phase_resumes_bit_identically() {
                 let resil = ResilOptions {
                     checkpoint: Some(CheckpointOptions::new(&dir)),
                     resume: false,
-                    max_recoveries: 1,
+                    crash_budget: 1,
+                    hang_budget: 1,
                     ..ResilOptions::none()
                 };
                 let out = run_resilient(
@@ -183,7 +185,8 @@ fn repeated_crashes_are_each_recovered_from_the_newest_checkpoint() {
     let resil = ResilOptions {
         checkpoint: Some(CheckpointOptions::new(&dir)),
         resume: false,
-        max_recoveries: 2,
+        crash_budget: 2,
+        hang_budget: 2,
         ..ResilOptions::none()
     };
     let spec = format!("crash:rank=1,phase=1,op=0;crash:rank=0,phase={last},op=1");
@@ -211,7 +214,8 @@ fn exhausted_recovery_budget_is_an_error() {
     let resil = ResilOptions {
         checkpoint: Some(CheckpointOptions::new(&dir)),
         resume: false,
-        max_recoveries: 0,
+        crash_budget: 0,
+        hang_budget: 0,
         ..ResilOptions::none()
     };
     let err = run_resilient(&g, 2, &cfg, with_plan("crash:rank=0,phase=1,op=0"), &resil)
@@ -229,7 +233,8 @@ fn exhausted_recovery_budget_is_an_error() {
         &ResilOptions {
             checkpoint: Some(CheckpointOptions::new(&dir)),
             resume: true,
-            max_recoveries: 0,
+            crash_budget: 0,
+            hang_budget: 0,
             ..ResilOptions::none()
         },
     )
@@ -250,7 +255,8 @@ fn resume_validation_refuses_incompatible_state() {
     let resil = ResilOptions {
         checkpoint: Some(CheckpointOptions::new(&dir)),
         resume: false,
-        max_recoveries: 0,
+        crash_budget: 0,
+        hang_budget: 0,
         ..ResilOptions::none()
     };
     run_resilient(&g, 2, &cfg, RunConfig::default(), &resil).expect("checkpointed run");
@@ -291,12 +297,64 @@ fn resume_validation_refuses_incompatible_state() {
         &ResilOptions {
             checkpoint: None,
             resume: true,
-            max_recoveries: 0,
+            crash_budget: 0,
+            hang_budget: 0,
             ..ResilOptions::none()
         },
     )
     .expect_err("resume without a checkpoint dir");
     assert!(err.contains("checkpoint"), "unhelpful error: {err}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A checkpoint whose content hash is valid but one field is malformed
+/// must fail the resume with a typed error naming the field, not panic
+/// a rank on the graph constructors' asserts.
+#[test]
+fn malformed_checkpoint_fields_are_refused_on_resume() {
+    use louvain_resil::{CheckpointStore, RankCheckpoint};
+    let g = lfr(LfrParams::small(600, 7)).graph;
+    let cfg = DistConfig::baseline();
+    let dir = tmp_dir("malformed");
+    let resil = ResilOptions {
+        checkpoint: Some(CheckpointOptions::new(&dir)),
+        ..ResilOptions::none()
+    };
+    run_resilient(&g, 2, &cfg, RunConfig::default(), &resil).expect("checkpointed run");
+    let store = CheckpointStore::new(&dir).unwrap();
+    let manifest = store.latest_manifest().unwrap().expect("a committed phase");
+    let clean = store.load_rank(&manifest, 1).unwrap();
+    type Edit = fn(&mut RankCheckpoint);
+    let edits: [(&str, Edit); 5] = [
+        ("part_starts", |c| c.part_starts[1] = u64::MAX),
+        ("offsets", |c| {
+            c.offsets.pop();
+        }),
+        ("offsets", |c| c.offsets[1] = u64::MAX),
+        ("dests", |c| c.dests[0] = u64::MAX),
+        ("cur_of_orig", |c| {
+            c.cur_of_orig.pop();
+        }),
+    ];
+    for (field, edit) in edits {
+        let mut bad = clean.clone();
+        edit(&mut bad);
+        let mut files = manifest.files.clone();
+        files[1] = store.write_rank(&bad).unwrap();
+        store
+            .commit_phase(manifest.phase, 2, manifest.config_fingerprint, files)
+            .unwrap();
+        let resume = ResilOptions {
+            resume: true,
+            ..resil.clone()
+        };
+        let err = run_resilient(&g, 2, &cfg, RunConfig::default(), &resume)
+            .expect_err("a malformed checkpoint must not resume");
+        assert!(
+            err.contains("corrupt") && err.contains(field),
+            "{field}: {err}"
+        );
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -314,7 +372,8 @@ fn crash_recovery_survives_concurrent_transient_faults() {
     let resil = ResilOptions {
         checkpoint: Some(CheckpointOptions::new(&dir)),
         resume: false,
-        max_recoveries: 1,
+        crash_budget: 1,
+        hang_budget: 1,
         ..ResilOptions::none()
     };
     let spec = "seed=13;stall:rank=0,ms=100,prob=0.04;crash:rank=1,phase=1,op=2";
@@ -376,7 +435,8 @@ fn delta_ghost_refresh_falls_back_to_full_after_resume() {
         &ResilOptions {
             checkpoint: checkpoint.clone(),
             resume: false,
-            max_recoveries: 0,
+            crash_budget: 0,
+            hang_budget: 0,
             ..ResilOptions::none()
         },
     );
@@ -393,7 +453,8 @@ fn delta_ghost_refresh_falls_back_to_full_after_resume() {
         &ResilOptions {
             checkpoint,
             resume: true,
-            max_recoveries: 0,
+            crash_budget: 0,
+            hang_budget: 0,
             ..ResilOptions::none()
         },
     );
@@ -443,7 +504,8 @@ fn checkpointing_never_changes_results_and_is_step_attributed() {
         let resil = ResilOptions {
             checkpoint: Some(CheckpointOptions::new(&dir)),
             resume: false,
-            max_recoveries: 0,
+            crash_budget: 0,
+            hang_budget: 0,
             ..ResilOptions::none()
         };
         let ckpt =
@@ -545,7 +607,8 @@ fn hang_recovery_is_bit_identical_for_every_phase() {
                 let resil = ResilOptions {
                     checkpoint: Some(CheckpointOptions::new(&dir)),
                     resume: false,
-                    max_recoveries: 1,
+                    crash_budget: 1,
+                    hang_budget: 1,
                     ..ResilOptions::none()
                 };
                 let out = run_resilient(
@@ -631,7 +694,8 @@ fn run_report_carries_health_section_and_hung_events() {
     let resil = ResilOptions {
         checkpoint: Some(CheckpointOptions::new(&dir)),
         resume: false,
-        max_recoveries: 1,
+        crash_budget: 1,
+        hang_budget: 1,
         ..ResilOptions::none()
     };
     let out = run_resilient(
