@@ -18,7 +18,8 @@
 //! The layout is dense, so the per-arc paths index arrays and never hash.
 //! [`GhostLayer::build`] relabels every arc destination once per phase
 //! into a `u32` *target* (`0..nlocal` an owned vertex, `nlocal..` a ghost
-//! slot), and [`CommunityIndex`] numbers the communities a rank meets
+//! slot; at p = 1 that is the destination, so the layer borrows the
+//! rows), and [`CommunityIndex`] numbers the communities a rank meets
 //! during the phase the same way (`0..nlocal` owned, `nlocal..` remote in
 //! order of first sight). Global ids are translated only where a value
 //! crosses the wire.
@@ -51,6 +52,7 @@
 //! round's send buffers) and per-owner slot offsets are precomputed once
 //! at build time; the owner exchanges [`reclaim`] caller-held buffers.
 
+use std::borrow::Cow;
 use std::sync::Mutex;
 
 use louvain_comm::{Comm, CommStep};
@@ -63,9 +65,9 @@ use crate::scratch::reclaim;
 /// list for this owner, new value).
 pub type DeltaEntry = (u32, VertexId);
 
-const TARGET_LIMIT: &str =
-    "dense indices are u32: a rank's owned vertices plus its ghosts, its arcs if it has \
-     ghosts, and its owned plus remote communities must each stay below 4_294_967_296";
+// Owned vertices plus ghosts, and owned plus remote communities, are
+// at most n < 2^32 (`VERTEX_LIMIT`), so their dense indices are `u32`.
+const ARC_LIMIT: &str = "the ghost arc index is u32: a rank with ghosts holds < 2^32 arcs";
 
 /// Grab-and-put vector pool: `take` pops a cleared buffer (or makes a
 /// fresh one), `put_back` returns buffers so their capacity is reused.
@@ -97,14 +99,15 @@ impl<T> BufPool<T> {
     }
 }
 
-/// Per-phase ghost bookkeeping for one rank.
+/// Per-phase ghost bookkeeping for one rank, over the graph `'g`.
 #[derive(Debug)]
-pub struct GhostLayer {
+pub struct GhostLayer<'g> {
     /// Owned vertex count: targets below it are read from the caller's
     /// local array, all others from ghost slot `target - nlocal`.
     nlocal: usize,
-    /// Dense target of every arc, aligned with `lg.csr_parts().1`.
-    targets: Vec<u32>,
+    /// Dense target of every arc, aligned with `lg.csr_parts().1`: that
+    /// array itself where the rank owns every vertex.
+    targets: Cow<'g, [u32]>,
     /// The arcs into ghost slot `s` are `arcs_into[into_start[s]..
     /// into_start[s + 1]]`, as `(local source, arc index)` in arc order;
     /// `has_ghost_arcs[l]` flags the rows with one. Empty without ghosts.
@@ -145,33 +148,37 @@ pub struct GhostLayer {
     delta_pool: BufPool<DeltaEntry>,
 }
 
-impl GhostLayer {
+impl<'g> GhostLayer<'g> {
     /// Run Algorithm 4: discover ghosts and exchange request lists.
     /// Collective — every rank must call it.
-    pub fn build(comm: &Comm, lg: &LocalGraph) -> Self {
+    pub fn build(comm: &Comm, lg: &'g LocalGraph) -> Self {
         let p = comm.size();
         let part = lg.partition();
         let first = lg.first_vertex();
         let nlocal = lg.num_local();
         let dests = lg.csr_parts().1;
-        // One walk over the arcs discovers the ghosts and relabels every
-        // destination; ghosts are numbered in order of first sight here
-        // and renumbered to their slots once the request lists are sorted.
-        let target_of = |i: usize| u32::try_from(i).expect(TARGET_LIMIT);
-        let mut seen = fast_map::<VertexId, u32>();
+        let mut seen = fast_map::<u32, u32>();
         let mut requests: Vec<Vec<VertexId>> = vec![Vec::new(); p];
-        let mut targets: Vec<u32> = Vec::with_capacity(dests.len());
-        for &u in dests {
-            let l = u.wrapping_sub(first);
-            targets.push(if l < nlocal as u64 {
-                target_of(l as usize)
-            } else {
-                let next = nlocal + seen.len();
-                *seen.entry(u).or_insert_with(|| {
-                    requests[part.owner_of(u)].push(u);
-                    target_of(next)
-                })
+        // Where the rank owns every vertex, a destination is its target.
+        // Elsewhere one walk over the arcs discovers the ghosts and
+        // relabels every destination; ghosts are numbered in order of
+        // first sight here and renumbered to their slots once the request
+        // lists are sorted.
+        let mut targets = Cow::Borrowed(dests);
+        if nlocal as u64 != lg.num_global() {
+            let walked = dests.iter().map(|&u| {
+                let l = u.wrapping_sub(first as u32);
+                if (l as usize) < nlocal {
+                    l
+                } else {
+                    let next = (nlocal + seen.len()) as u32;
+                    *seen.entry(u).or_insert_with(|| {
+                        requests[part.owner_of(u.into())].push(u.into());
+                        next
+                    })
+                }
             });
+            targets = Cow::Owned(walked.collect());
         }
         for r in requests.iter_mut() {
             r.sort_unstable();
@@ -183,7 +190,7 @@ impl GhostLayer {
         for r in &requests {
             base.push(next);
             for g in r {
-                slot_of_seen[seen[g] as usize - nlocal] = target_of(nlocal + next);
+                slot_of_seen[seen[&(*g as u32)] as usize - nlocal] = (nlocal + next) as u32;
                 next += 1;
             }
         }
@@ -192,9 +199,10 @@ impl GhostLayer {
         let offsets = lg.csr_parts().0;
         let (mut into_start, mut has_ghost_arcs) = (Vec::new(), Vec::new());
         if next > 0 {
-            u32::try_from(targets.len()).expect(TARGET_LIMIT);
+            u32::try_from(targets.len()).expect(ARC_LIMIT);
             into_start = vec![0u32; next + 1];
             has_ghost_arcs = vec![false; nlocal];
+            let targets = targets.to_mut();
             for l in 0..nlocal {
                 for t in &mut targets[offsets[l]..offsets[l + 1]] {
                     if let Some(s) = (*t as usize).checked_sub(nlocal) {
@@ -506,8 +514,8 @@ impl GhostLayer {
     }
 
     /// Approximate resident bytes of the ghost bookkeeping (arc targets
-    /// and their reverse index, request and serve tables, masks) — the
-    /// `mem.ghost_bytes` gauge.
+    /// unless borrowed from the graph, their reverse index, request and
+    /// serve tables, masks) — the `mem.ghost_bytes` gauge.
     pub fn approx_bytes(&self) -> u64 {
         use std::mem::size_of;
         fn nested<T>(v: &[Vec<T>]) -> u64 {
@@ -519,7 +527,10 @@ impl GhostLayer {
             + nested(&self.request_mask)
             + nested(&self.serve)
             + nested(&self.serve_mask)
-            + (self.targets.capacity() * size_of::<u32>()) as u64
+            + match &self.targets {
+                Cow::Owned(targets) => (targets.capacity() * size_of::<u32>()) as u64,
+                Cow::Borrowed(_) => 0,
+            }
             + (self.into_start.capacity() * size_of::<u32>()) as u64
             + (self.arcs_into.capacity() * size_of::<(u32, u32)>()) as u64
             + self.has_ghost_arcs.capacity() as u64
@@ -586,7 +597,7 @@ impl CommunityIndex {
     pub fn new(lg: &LocalGraph) -> Self {
         Self {
             first: lg.first_vertex(),
-            nlocal: u32::try_from(lg.num_local()).expect(TARGET_LIMIT),
+            nlocal: lg.num_local() as u32,
             remote_ids: Vec::new(),
             remote: fast_map(),
         }
@@ -630,10 +641,10 @@ impl CommunityIndex {
         if l < VertexId::from(self.nlocal) {
             return l as u32;
         }
-        let next = self.num_dense();
+        let next = self.num_dense() as u32;
         *self.remote.entry(c).or_insert_with(|| {
             self.remote_ids.push(c);
-            u32::try_from(next).expect(TARGET_LIMIT)
+            next
         })
     }
 
@@ -997,6 +1008,45 @@ mod tests {
             (shape, reverse_index_bytes(layer))
         });
         assert_eq!(out[0], ((0, 0, 0), 0));
+    }
+
+    /// At p = 1 a vertex's local index is its id: the layer's targets
+    /// are the graph's own destination array, not a copy, and its gauge
+    /// does not grow with the arc count. At p = 2 each rank relabels.
+    #[test]
+    fn a_single_rank_borrows_the_graphs_rows_as_its_targets() {
+        let n = 64;
+        let mut dense = EdgeList::new(n);
+        for v in 0..n {
+            for k in 1..=16 {
+                dense.push(v, (v + k) % n, 1.0);
+            }
+        }
+        let (sparse, dense) = (ring(n), Csr::from_edge_list(dense));
+        assert!(dense.num_arcs() >= 16 * sparse.num_arcs());
+        let bytes: Vec<u64> = [&sparse, &dense]
+            .into_iter()
+            .map(|g| {
+                let parts = scatter_for(1, g);
+                run(1, |c| {
+                    let layer = GhostLayer::build(c, &parts[0]);
+                    let dests = parts[0].csr_parts().1;
+                    assert!(std::ptr::eq(layer.targets(), dests));
+                    assert!(std::ptr::eq(dests, g.dests()));
+                    layer.approx_bytes()
+                })[0]
+            })
+            .collect();
+        assert_eq!(bytes[0], bytes[1]);
+        assert!(bytes[0] < sparse.num_arcs() as u64, "{bytes:?}");
+        let parts = scatter_for(2, &dense);
+        run(2, |c| {
+            let layer = GhostLayer::build(c, &parts[c.rank()]);
+            assert!(!std::ptr::eq(
+                layer.targets(),
+                parts[c.rank()].csr_parts().1
+            ));
+        });
     }
 
     /// What the slot → arc index and the ghost-row flags add to the

@@ -202,7 +202,7 @@ struct Sweep<'a> {
     offsets: &'a [usize],
     arc_weights: &'a [Weight],
     targets: &'a [u32],
-    ghosts: &'a GhostLayer,
+    ghosts: &'a GhostLayer<'a>,
     ghost_comm: &'a [u32],
     index: &'a CommunityIndex,
     k_local: &'a [Weight],
@@ -1545,9 +1545,9 @@ mod tests {
         // order of the candidates can show.
         let decide = |w: [Weight; 3], order: [usize; 3]| -> Option<VertexId> {
             let part = VertexPartition::balanced_vertices(4, 1);
-            let dests: Vec<VertexId> = [3, 3, 3]
+            let dests: Vec<u32> = [3, 3, 3]
                 .into_iter()
-                .chain(order.map(|i| i as u64))
+                .chain(order.map(|i| i as u32))
                 .collect();
             let weights: Vec<Weight> = w.into_iter().chain(order.map(|i| w[i])).collect();
             let lg = LocalGraph::from_csr_parts(part, 0, vec![0, 1, 2, 3, 6], dests, weights);
@@ -1943,7 +1943,12 @@ mod tests {
 
     /// A rank's graph as Step 2 reads it: row offsets, arc targets, the
     /// ghost layer and the community numbering.
-    type KeyGraph<'a> = (&'a [usize], &'a [u32], &'a GhostLayer, &'a CommunityIndex);
+    type KeyGraph<'a> = (
+        &'a [usize],
+        &'a [u32],
+        &'a GhostLayer<'a>,
+        &'a CommunityIndex,
+    );
 
     /// Step 2's key set as a walk over every arc of every active row
     /// computes it, as sorted remote slots: the reference

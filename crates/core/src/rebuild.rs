@@ -226,29 +226,28 @@ mod tests {
         ))
     }
 
-    /// This rank's inputs to a rebuild under an explicit global
-    /// assignment: its piece of `g`, its ghost layer and the communities
-    /// of its vertices and of its ghosts (slots follow the flattened
-    /// request lists).
-    fn inputs<'g>(
+    /// This rank's communities under an explicit global assignment: of
+    /// its vertices and of its ghosts (slots follow the flattened request
+    /// lists), the rebuild's inputs beside its piece and ghost layer.
+    fn communities(
         c: &Comm,
-        g: &'g Csr,
         part: &VertexPartition,
+        ghosts: &GhostLayer,
         assignment: &[VertexId],
-    ) -> (LocalGraph<'g>, GhostLayer, Vec<VertexId>, Vec<VertexId>) {
-        let lg = LocalGraph::scatter(g, part).swap_remove(c.rank());
-        let ghosts = GhostLayer::build(c, &lg);
+    ) -> (Vec<VertexId>, Vec<VertexId>) {
         let of = |v: VertexId| assignment[v as usize];
         let local = part.range(c.rank()).map(of).collect();
         let ghost_comm = (ghosts.requests().iter().flatten().copied().map(of)).collect();
-        (lg, ghosts, local, ghost_comm)
+        (local, ghost_comm)
     }
 
     /// Rebuild along `part` with an explicit global assignment, return
     /// the assembled coarse graph.
     fn rebuild_on(g: &Csr, part: &VertexPartition, assignment: &[VertexId]) -> Csr {
         let outs = run(part.num_ranks(), |c| {
-            let (lg, ghosts, local, ghost_comm) = inputs(c, g, part, assignment);
+            let lg = LocalGraph::scatter(g, part).swap_remove(c.rank());
+            let ghosts = GhostLayer::build(c, &lg);
+            let (local, ghost_comm) = communities(c, part, &ghosts, assignment);
             rebuild(c, &lg, &ghosts, &local, &ghost_comm).new_lg
         });
         LocalGraph::assemble(&outs)
@@ -322,7 +321,9 @@ mod tests {
                 ids.sort_unstable();
                 ids.dedup();
                 let outs = run(p, |c| {
-                    let (lg, ghosts, local, ghost_comm) = inputs(c, &g, &part, &assignment);
+                    let lg = LocalGraph::scatter(&g, &part).swap_remove(c.rank());
+                    let ghosts = GhostLayer::build(c, &lg);
+                    let (local, ghost_comm) = communities(c, &part, &ghosts, &assignment);
                     // Any numbering will do for step 5; here a key is its
                     // community's rank among all ids, and so is its new id.
                     let key = |c: &VertexId| ids.binary_search(c).unwrap() as u32;

@@ -6,13 +6,14 @@
 //! vertex exactly the sum of its row.
 
 use crate::edgelist::EdgeList;
-use crate::{VertexId, Weight};
+use crate::{assert_vertex_count, VertexId, Weight};
 
-/// Weighted CSR graph over vertices `0..num_vertices()`.
+/// Weighted CSR graph over vertices `0..num_vertices()`, fewer than
+/// [`crate::VERTEX_LIMIT`], so each destination is a `u32`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Csr {
     offsets: Vec<usize>,
-    dests: Vec<VertexId>,
+    dests: Vec<u32>,
     weights: Vec<Weight>,
 }
 
@@ -25,12 +26,13 @@ pub struct Csr {
 /// weights of one `(src, dst)` are summed left to right from 0.0 in that
 /// order, which every bit-identity claim in this workspace (slab bytes,
 /// rebuild against coarsen) is stated against. The rows come back as
-/// `(dst, w)` pairs, so a caller can drop its source before splitting them.
+/// `(dst, w)` pairs, so a caller can drop its source before splitting them;
+/// every `dst` is below [`crate::VERTEX_LIMIT`], which the caller checked.
 pub fn build_rows<I>(
     first: VertexId,
     nrows: usize,
     arcs: impl Fn() -> I,
-) -> (Vec<usize>, Vec<(VertexId, Weight)>)
+) -> (Vec<usize>, Vec<(u32, Weight)>)
 where
     I: Iterator<Item = (VertexId, VertexId, Weight)>,
 {
@@ -41,10 +43,11 @@ where
     }
     // Bucket by row, keeping arrival order inside a row.
     let mut cursor = offsets[..nrows].to_vec();
-    let mut rows: Vec<(VertexId, Weight)> = vec![(0, 0.0); offsets[nrows]];
+    let mut rows: Vec<(u32, Weight)> = vec![(0, 0.0); offsets[nrows]];
     arcs().for_each(|(u, v, w)| {
+        debug_assert!(v < crate::VERTEX_LIMIT);
         let at = &mut cursor[(u - first) as usize];
-        rows[*at] = (v, w);
+        rows[*at] = (v as u32, w);
         *at += 1;
     });
     // A row that arrives sorted — one sender's pre-merged row — is left
@@ -77,6 +80,7 @@ impl Csr {
     /// non-loop, a loop once. Duplicate pairs (in either orientation) are
     /// merged, their weights summed in list order.
     pub fn from_edge_list(list: EdgeList) -> Self {
+        assert_vertex_count(list.num_vertices());
         let (offsets, rows) = build_rows(0, list.num_vertices() as usize, || {
             list.edges().iter().flat_map(|e| {
                 let back = (e.u != e.v).then_some((e.v, e.u, e.w));
@@ -95,12 +99,13 @@ impl Csr {
     where
         I: Iterator<Item = (VertexId, VertexId, Weight)>,
     {
+        assert_vertex_count(n as u64);
         let (offsets, rows) = build_rows(0, n, arcs);
         Self::from_rows(offsets, rows)
     }
 
     /// Split `build_rows` output into the two arc arrays.
-    fn from_rows(offsets: Vec<usize>, rows: Vec<(VertexId, Weight)>) -> Self {
+    fn from_rows(offsets: Vec<usize>, rows: Vec<(u32, Weight)>) -> Self {
         let (dests, weights) = rows.into_iter().unzip();
         let csr = Self {
             offsets,
@@ -114,8 +119,9 @@ impl Csr {
     /// Build from raw CSR storage (the slab-store load path). Panics if
     /// the parts are not a well-formed CSR; symmetry is checked in debug
     /// mode like every other constructor.
-    pub fn from_raw_parts(offsets: Vec<usize>, dests: Vec<VertexId>, weights: Vec<Weight>) -> Self {
+    pub fn from_raw_parts(offsets: Vec<usize>, dests: Vec<u32>, weights: Vec<Weight>) -> Self {
         assert!(!offsets.is_empty(), "offsets must have at least one entry");
+        assert_vertex_count(offsets.len() as u64 - 1);
         assert_eq!(offsets[0], 0, "offsets must start at 0");
         assert!(
             offsets.windows(2).all(|w| w[0] <= w[1]),
@@ -165,7 +171,7 @@ impl Csr {
         let range = self.offsets[v]..self.offsets[v + 1];
         self.dests[range.clone()]
             .iter()
-            .copied()
+            .map(|&d| VertexId::from(d))
             .zip(self.weights[range].iter().copied())
     }
 
@@ -224,7 +230,7 @@ impl Csr {
     }
 
     /// Raw destination array.
-    pub fn dests(&self) -> &[VertexId] {
+    pub fn dests(&self) -> &[u32] {
         &self.dests
     }
 
@@ -349,7 +355,7 @@ mod tests {
         }
         let csr = Csr {
             offsets,
-            dests: arcs.iter().map(|&(_, v, _)| v).collect(),
+            dests: arcs.iter().map(|&(_, v, _)| v as u32).collect(),
             weights: arcs.iter().map(|&(_, _, w)| w).collect(),
         };
         let edges = edges.iter().map(|&(u, v, w)| (u, v, w.to_bits()));
@@ -393,6 +399,13 @@ mod tests {
         let p = crate::gen::RmatParams::social(14, 8, 3);
         crate::gen::rmat_stream(p, &mut list).unwrap();
         assert_matches_the_hash_dedup(list, "rmat scale 14");
+    }
+
+    #[test]
+    #[should_panic(expected = "fewer than 4294967296")]
+    fn a_graph_past_the_vertex_limit_is_refused_before_its_rows() {
+        // Asserted before `build_rows` sizes anything by n.
+        Csr::from_arcs(1 << 32, std::iter::empty);
     }
 
     #[test]

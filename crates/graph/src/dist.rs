@@ -1,14 +1,15 @@
 //! Per-rank pieces of a distributed graph.
 //!
 //! Mirrors the paper's layout (Fig 1): the index array uses local offsets,
-//! the edge array holds **global** destination ids; each rank also knows
-//! the full ownership table ([`VertexPartition`]).
+//! the edge array holds **global** destination ids (as `u32`, below
+//! [`crate::VERTEX_LIMIT`]); each rank also knows the full ownership
+//! table ([`VertexPartition`]).
 
 use std::borrow::Cow;
 
 use crate::csr::{build_rows, Csr};
 use crate::partition::VertexPartition;
-use crate::{VertexId, Weight};
+use crate::{assert_vertex_count, VertexId, Weight};
 
 /// The portion of a distributed graph owned by one rank: a CSR over the
 /// rank's contiguous vertex range, with global destination ids. The
@@ -19,7 +20,7 @@ pub struct LocalGraph<'a> {
     part: VertexPartition,
     rank: usize,
     offsets: Vec<usize>,
-    dests: Cow<'a, [VertexId]>,
+    dests: Cow<'a, [u32]>,
     weights: Cow<'a, [Weight]>,
 }
 
@@ -72,9 +73,10 @@ impl<'a> LocalGraph<'a> {
         part: VertexPartition,
         rank: usize,
         offsets: Vec<usize>,
-        dests: impl Into<Cow<'a, [VertexId]>>,
+        dests: impl Into<Cow<'a, [u32]>>,
         weights: impl Into<Cow<'a, [Weight]>>,
     ) -> Self {
+        assert_vertex_count(part.num_vertices());
         let (dests, weights) = (dests.into(), weights.into());
         assert!(rank < part.num_ranks(), "rank {rank} out of range");
         assert_eq!(
@@ -130,7 +132,7 @@ impl<'a> LocalGraph<'a> {
     /// The raw CSR storage of this rank's slab, `(offsets, dests,
     /// weights)` — the exact state a checkpoint must persist.
     /// [`LocalGraph::from_csr_parts`] is the inverse.
-    pub fn csr_parts(&self) -> (&[usize], &[VertexId], &[Weight]) {
+    pub fn csr_parts(&self) -> (&[usize], &[u32], &[Weight]) {
         (&self.offsets, &self.dests, &self.weights)
     }
 
@@ -147,20 +149,13 @@ impl<'a> LocalGraph<'a> {
         self.first_vertex() + l as VertexId
     }
 
-    /// True if `v` (global) is owned here.
-    #[inline]
-    pub fn owns(&self, v: VertexId) -> bool {
-        let r = self.part.range(self.rank);
-        v >= r.start && v < r.end
-    }
-
     /// Neighbors (global ids) of the local vertex `l`.
     #[inline]
     pub fn neighbors(&self, l: usize) -> impl Iterator<Item = (VertexId, Weight)> + '_ {
         let range = self.offsets[l]..self.offsets[l + 1];
         self.dests[range.clone()]
             .iter()
-            .copied()
+            .map(|&d| VertexId::from(d))
             .zip(self.weights[range].iter().copied())
     }
 
@@ -261,6 +256,13 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "fewer than 4294967296")]
+    fn a_piece_of_a_graph_past_the_vertex_limit_is_refused() {
+        let part = VertexPartition::from_starts(vec![0, 1, 1 << 32]);
+        LocalGraph::from_csr_parts(part, 0, vec![0, 0], Vec::new(), Vec::new());
+    }
+
+    #[test]
     fn local_global_id_mapping() {
         let g = path_graph(10);
         let part = VertexPartition::balanced_vertices(10, 3);
@@ -269,7 +271,6 @@ mod tests {
         assert_eq!(p1.first_vertex(), 4);
         assert_eq!(p1.to_local(5), 1);
         assert_eq!(p1.to_global(1), 5);
-        assert!(p1.owns(4) && p1.owns(6) && !p1.owns(7));
     }
 
     #[test]
@@ -307,7 +308,7 @@ mod tests {
         part: &VertexPartition,
         rank: usize,
         arcs: &[(VertexId, VertexId, Weight)],
-    ) -> (Vec<usize>, Vec<VertexId>, Vec<Weight>) {
+    ) -> (Vec<usize>, Vec<u32>, Vec<Weight>) {
         let first = part.first(rank);
         let nlocal = part.num_local(rank);
         let mut merged = fast_map_with_capacity::<(VertexId, VertexId), Weight>(arcs.len());
@@ -325,7 +326,7 @@ mod tests {
         }
         (
             offsets,
-            sorted.iter().map(|&(_, v, _)| v).collect(),
+            sorted.iter().map(|&(_, v, _)| v as u32).collect(),
             sorted.iter().map(|&(_, _, w)| w).collect(),
         )
     }

@@ -141,11 +141,6 @@ impl EdgeList {
             self_loops_dropped: loops as u64,
         }
     }
-
-    /// Maximum endpoint id present, or `None` if empty.
-    pub fn max_endpoint(&self) -> Option<VertexId> {
-        self.edges.iter().map(|e| e.u.max(e.v)).max()
-    }
 }
 
 #[cfg(test)]
@@ -159,7 +154,6 @@ mod tests {
         el.push(2, 3, 2.0);
         assert_eq!(el.num_edges(), 2);
         assert_eq!(el.total_weight(), 3.0);
-        assert_eq!(el.max_endpoint(), Some(3));
     }
 
     #[test]
@@ -226,7 +220,6 @@ mod tests {
     fn empty_list() {
         let el = EdgeList::new(5);
         assert!(el.is_empty());
-        assert_eq!(el.max_endpoint(), None);
         assert_eq!(el.total_weight(), 0.0);
     }
 }

@@ -64,6 +64,10 @@ pub enum IngestError {
         v: VertexId,
         num_vertices: u64,
     },
+    /// A graph of [`crate::VERTEX_LIMIT`] or more vertices.
+    TooManyVertices {
+        num_vertices: u64,
+    },
     /// Malformed text (missing column, unparsable id).
     Parse {
         line: usize,
@@ -86,6 +90,9 @@ impl fmt::Display for IngestError {
             }
             IngestError::OutOfRange { u, v, num_vertices } => {
                 write!(f, "edge ({u},{v}) out of range for {num_vertices} vertices")
+            }
+            IngestError::TooManyVertices { num_vertices } => {
+                write!(f, "{num_vertices} vertices, not fewer than 4294967296")
             }
             IngestError::Parse { line, msg } => write!(f, "line {line}: {msg}"),
             IngestError::Io(e) => write!(f, "i/o error: {e}"),
@@ -140,6 +147,12 @@ impl RepairStats {
     }
 }
 
+/// Refuse a graph of `n` vertices unless it fits [`crate::VERTEX_LIMIT`].
+pub fn check_vertex_count(n: u64) -> Result<(), IngestError> {
+    let too_many = IngestError::TooManyVertices { num_vertices: n };
+    (n < crate::VERTEX_LIMIT).then_some(()).ok_or(too_many)
+}
+
 /// Validate one weight; `line` is threaded into the error.
 pub fn check_weight(w: f64, line: usize) -> Result<(), IngestError> {
     let fault = if w.is_nan() {
@@ -172,6 +185,18 @@ mod tests {
         assert!(neg.to_string().contains("negative"), "{neg}");
         let inf = check_weight(f64::INFINITY, 5).unwrap_err();
         assert!(inf.to_string().contains("overflows"), "{inf}");
+    }
+
+    #[test]
+    fn the_vertex_limit_is_two_to_the_32() {
+        assert!(check_vertex_count(0).is_ok());
+        assert!(check_vertex_count(u32::MAX as u64).is_ok());
+        let e = check_vertex_count(1 << 32).unwrap_err();
+        assert!(
+            matches!(e, IngestError::TooManyVertices { num_vertices } if num_vertices == 1 << 32)
+        );
+        assert!(e.to_string().contains("fewer than 4294967296"), "{e}");
+        assert!(check_vertex_count(u64::MAX).is_err());
     }
 
     #[test]

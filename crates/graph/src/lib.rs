@@ -54,6 +54,15 @@ pub use sink::EdgeSink;
 /// billion edges and 100M+ vertices, so identifiers are 64-bit.
 pub type VertexId = u64;
 
+/// A graph has fewer vertices than this, so [`Csr`], [`LocalGraph`], the
+/// slab and checkpoints store arc destinations as `u32`. Readers refuse
+/// more ([`IngestError::TooManyVertices`]); in-memory constructors assert.
+pub const VERTEX_LIMIT: u64 = 1 << 32;
+
+pub(crate) fn assert_vertex_count(n: u64) {
+    ingest::check_vertex_count(n).unwrap_or_else(|e| panic!("{e}"));
+}
+
 /// Edge weight. Input graphs are unweighted (weight 1) but coarsened
 /// graphs accumulate real-valued weights.
 pub type Weight = f64;

@@ -5,97 +5,32 @@
 //! the authors convert to their binary format (here, a slab: `louvain
 //! ingest` streams a text file into one). This module reads the common
 //! text form: one edge per line, `src dst [weight]`, `#` or `%`
-//! comments, arbitrary (non-contiguous) vertex ids remapped densely.
+//! comments, arbitrary (non-contiguous) `u64` vertex ids remapped densely
+//! (fewer than [`crate::VERTEX_LIMIT`] distinct ones).
 
 use std::io::{self, BufRead};
 use std::path::Path;
 
-use crate::edgelist::EdgeList;
 use crate::hash::{fast_map, FastMap};
-use crate::ingest::{check_weight, IngestError, IngestPolicy, RepairStats};
-use crate::{VertexId, Weight};
+use crate::ingest::{check_vertex_count, check_weight, IngestError};
+use crate::VertexId;
 
-/// Result of a text import: the edge list plus the mapping from original
-/// (file) ids to the dense ids used in the graph.
-#[derive(Debug)]
-pub struct TextImport {
-    pub edges: EdgeList,
-    /// `original_id[dense_id]` — the file's id for each dense vertex.
-    pub original_ids: Vec<u64>,
-    /// What [`IngestPolicy::Repair`] changed (zero under other
-    /// policies).
-    pub repairs: RepairStats,
-}
-
-/// Parse a text edge list from a reader under a defect policy. Lines:
-/// `src dst [weight]`, separated by whitespace; `#`/`%`-prefixed lines
-/// are comments. Vertex ids are remapped to `0..n` in order of first
-/// appearance. NaN/negative/infinite weights are rejected in every
-/// policy. The in-memory oracle of [`stream_text_edge_list`].
-pub fn parse_edge_list_policy<R: BufRead>(
-    reader: R,
-    policy: IngestPolicy,
-) -> Result<TextImport, IngestError> {
-    let mut remap: FastMap<u64, VertexId> = fast_map();
-    let mut original_ids: Vec<u64> = Vec::new();
-    let mut triples: Vec<(VertexId, VertexId, Weight)> = Vec::new();
-    // Normalized pair -> index into `triples`, for duplicate detection
-    // under the strict/repair policies.
-    let mut seen: FastMap<(VertexId, VertexId), usize> = fast_map();
-    let mut repairs = RepairStats::default();
-    let mut total_weight = 0.0f64;
-    let dense = |raw: u64, remap: &mut FastMap<u64, VertexId>, orig: &mut Vec<u64>| {
-        *remap.entry(raw).or_insert_with(|| {
-            orig.push(raw);
-            (orig.len() - 1) as VertexId
-        })
-    };
-    for (lineno, line) in reader.lines().enumerate() {
-        let line = line?;
-        let t = line.trim();
-        if t.is_empty() || t.starts_with('#') || t.starts_with('%') {
-            continue;
+/// The dense id of the file's id `raw`, numbering it next on first sight.
+fn dense_id(
+    raw: u64,
+    remap: &mut FastMap<u64, VertexId>,
+    original_ids: &mut Vec<u64>,
+) -> Result<VertexId, IngestError> {
+    use std::collections::hash_map::Entry;
+    match remap.entry(raw) {
+        Entry::Occupied(e) => Ok(*e.get()),
+        Entry::Vacant(e) => {
+            let id = original_ids.len() as VertexId;
+            check_vertex_count(id + 1)?;
+            original_ids.push(raw);
+            Ok(*e.insert(id))
         }
-        let lineno = lineno + 1;
-        let (u, v, w) = split_line(t, lineno)?;
-        check_weight(w, lineno)?;
-        total_weight += w;
-        if total_weight.is_infinite() {
-            return Err(IngestError::BadWeight {
-                line: lineno,
-                value: w,
-                fault: crate::ingest::WeightFault::Overflow,
-            });
-        }
-        let du = dense(u, &mut remap, &mut original_ids);
-        let dv = dense(v, &mut remap, &mut original_ids);
-        if policy != IngestPolicy::Lenient {
-            if du == dv {
-                if policy == IngestPolicy::Strict {
-                    return Err(IngestError::SelfLoop { v: u, line: lineno });
-                }
-                repairs.self_loops_dropped += 1;
-                continue;
-            }
-            let key = if du <= dv { (du, dv) } else { (dv, du) };
-            if let Some(&at) = seen.get(&key) {
-                if policy == IngestPolicy::Strict {
-                    return Err(IngestError::DuplicateEdge { u, v, line: lineno });
-                }
-                triples[at].2 += w;
-                repairs.duplicates_merged += 1;
-                continue;
-            }
-            seen.insert(key, triples.len());
-        }
-        triples.push((du, dv, w));
     }
-    let n = original_ids.len() as u64;
-    Ok(TextImport {
-        edges: EdgeList::try_from_edges(n, triples)?,
-        original_ids,
-        repairs,
-    })
 }
 
 /// Split one non-comment line into `(src, dst, weight)`.
@@ -144,15 +79,15 @@ fn for_each_data_line(
 /// dense id space (`O(distinct vertices)` memory, full line validation
 /// with line numbers), pass 2 re-reads it and feeds remapped edges
 /// straight into the sink `make_sink(num_vertices)` returns — no
-/// RAM-resident [`EdgeList`]. Weight validation (NaN / negative /
-/// running-total overflow) matches [`parse_edge_list_policy`] exactly;
+/// RAM-resident [`crate::EdgeList`]. Weights are validated (NaN /
+/// negative / running-total overflow) with line numbers;
 /// self-loop and duplicate policy is whatever the *sink* enforces (the
 /// slab builder's `IngestPolicy`), which means strict-policy duplicate
 /// errors surface at the sink without text line numbers — the price of
 /// never materializing the edges. Returns the sink and the
-/// `original_id[dense_id]` table. Edge order into the sink is identical
-/// to the in-memory parse, so a slab built this way is bit-identical to
-/// `Csr::from_edge_list` over the parsed list.
+/// `original_id[dense_id]` table. Edges reach the sink in file order, so
+/// a slab built this way is bit-identical to `Csr::from_edge_list` over
+/// the same file streamed into an `EdgeList`.
 pub fn stream_text_edge_list<S: crate::sink::EdgeSink>(
     path: &Path,
     make_sink: impl FnOnce(u64) -> S,
@@ -171,12 +106,8 @@ pub fn stream_text_edge_list<S: crate::sink::EdgeSink>(
                 fault: crate::ingest::WeightFault::Overflow,
             });
         }
-        for raw in [u, v] {
-            if let std::collections::hash_map::Entry::Vacant(e) = remap.entry(raw) {
-                e.insert(original_ids.len() as VertexId);
-                original_ids.push(raw);
-            }
-        }
+        dense_id(u, &mut remap, &mut original_ids)?;
+        dense_id(v, &mut remap, &mut original_ids)?;
         Ok(())
     })?;
     let changed = |line: usize| IngestError::Parse {
@@ -196,6 +127,87 @@ pub fn stream_text_edge_list<S: crate::sink::EdgeSink>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::edgelist::EdgeList;
+    use crate::ingest::{IngestPolicy, RepairStats};
+    use crate::Weight;
+    use std::io::BufRead;
+
+    /// Result of a text import: the edge list plus the mapping from original
+    /// (file) ids to the dense ids used in the graph.
+    #[derive(Debug)]
+    struct TextImport {
+        edges: EdgeList,
+        /// `original_id[dense_id]` — the file's id for each dense vertex.
+        original_ids: Vec<u64>,
+        /// What [`IngestPolicy::Repair`] changed (zero under other
+        /// policies).
+        repairs: RepairStats,
+    }
+
+    /// Parse a text edge list from a reader under a defect policy. Lines:
+    /// `src dst [weight]`, separated by whitespace; `#`/`%`-prefixed lines
+    /// are comments. Vertex ids are remapped to `0..n` in order of first
+    /// appearance. NaN/negative/infinite weights are rejected in every
+    /// policy. The in-memory oracle of [`stream_text_edge_list`].
+    fn parse_edge_list_policy<R: BufRead>(
+        reader: R,
+        policy: IngestPolicy,
+    ) -> Result<TextImport, IngestError> {
+        let mut remap: FastMap<u64, VertexId> = fast_map();
+        let mut original_ids: Vec<u64> = Vec::new();
+        let mut triples: Vec<(VertexId, VertexId, Weight)> = Vec::new();
+        // Normalized pair -> index into `triples`, for duplicate detection
+        // under the strict/repair policies.
+        let mut seen: FastMap<(VertexId, VertexId), usize> = fast_map();
+        let mut repairs = RepairStats::default();
+        let mut total_weight = 0.0f64;
+        for (lineno, line) in reader.lines().enumerate() {
+            let line = line?;
+            let t = line.trim();
+            if t.is_empty() || t.starts_with('#') || t.starts_with('%') {
+                continue;
+            }
+            let lineno = lineno + 1;
+            let (u, v, w) = split_line(t, lineno)?;
+            check_weight(w, lineno)?;
+            total_weight += w;
+            if total_weight.is_infinite() {
+                return Err(IngestError::BadWeight {
+                    line: lineno,
+                    value: w,
+                    fault: crate::ingest::WeightFault::Overflow,
+                });
+            }
+            let du = dense_id(u, &mut remap, &mut original_ids)?;
+            let dv = dense_id(v, &mut remap, &mut original_ids)?;
+            if policy != IngestPolicy::Lenient {
+                if du == dv {
+                    if policy == IngestPolicy::Strict {
+                        return Err(IngestError::SelfLoop { v: u, line: lineno });
+                    }
+                    repairs.self_loops_dropped += 1;
+                    continue;
+                }
+                let key = if du <= dv { (du, dv) } else { (dv, du) };
+                if let Some(&at) = seen.get(&key) {
+                    if policy == IngestPolicy::Strict {
+                        return Err(IngestError::DuplicateEdge { u, v, line: lineno });
+                    }
+                    triples[at].2 += w;
+                    repairs.duplicates_merged += 1;
+                    continue;
+                }
+                seen.insert(key, triples.len());
+            }
+            triples.push((du, dv, w));
+        }
+        let n = original_ids.len() as u64;
+        Ok(TextImport {
+            edges: EdgeList::try_from_edges(n, triples)?,
+            original_ids,
+            repairs,
+        })
+    }
 
     fn parse(s: &str) -> TextImport {
         parse_edge_list_policy(s.as_bytes(), IngestPolicy::Lenient).unwrap()
@@ -217,6 +229,17 @@ mod tests {
         // First edge became (0, 1) after remapping.
         assert_eq!(t.edges.edges()[0].u, 0);
         assert_eq!(t.edges.edges()[0].v, 1);
+    }
+
+    #[test]
+    fn ids_past_32_bits_are_remapped_and_an_id_past_64_is_refused() {
+        // The file's ids are labels: 2^32 and u64::MAX become dense ids.
+        let t = parse("4294967296 18446744073709551615\n");
+        assert_eq!(t.edges.num_vertices(), 2);
+        assert_eq!(t.original_ids, vec![1 << 32, u64::MAX]);
+        let r =
+            parse_edge_list_policy("0 18446744073709551616\n".as_bytes(), IngestPolicy::Lenient);
+        assert!(matches!(r, Err(IngestError::Parse { line: 1, .. })));
     }
 
     #[test]

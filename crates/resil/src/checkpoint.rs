@@ -16,12 +16,16 @@
 //! config_fingerprint u64
 //! part_starts  [len u64, len × u64]   ownership table
 //! offsets      [len u64, len × u64]   CSR row offsets
-//! dests        [len u64, len × u64]   CSR destinations (global ids)
+//! dests        [len u64, len × u32]   CSR destinations (global ids)
 //! weights      [len u64, len × f64]   CSR weights
 //! cur_of_orig  [len u64, len × u64]   community of each original vertex
 //! stats        [len u64, len × u64]   StatsSnapshot counters, table order
 //! hash     u64  FNV-1a over every preceding byte
 //! ```
+//!
+//! The graph has fewer than `louvain_graph::VERTEX_LIMIT` (2^32)
+//! vertices, so a destination is 4 bytes; a `part_starts` that says
+//! otherwise is refused as corrupt.
 
 use std::fs::File;
 use std::io::{self, Write};
@@ -42,8 +46,9 @@ const MAGIC: u64 = u64::from_le_bytes(*b"LVRSCKPT");
 /// experiment harness prices from the counters after the run. Version 5 carries the
 /// shorter table left once message faults stopped being modelled: eight
 /// scalars (no drop / delay / duplicate / truncate / burst / corruption
-/// / retransmission counts, checksum rejects or backoff time).
-pub const CHECKPOINT_VERSION: u32 = 5;
+/// / retransmission counts, checksum rejects or backoff time). Version 6
+/// stores `dests` as `u32`.
+pub const CHECKPOINT_VERSION: u32 = 6;
 
 /// Everything one rank needs to rejoin the phase loop at a phase
 /// boundary. `phase` is the next phase to execute; the ET probabilities
@@ -64,7 +69,7 @@ pub struct RankCheckpoint {
     /// `VertexPartition::starts()` of the coarse graph.
     pub part_starts: Vec<u64>,
     pub offsets: Vec<u64>,
-    pub dests: Vec<u64>,
+    pub dests: Vec<u32>,
     pub weights: Vec<f64>,
     /// Community of each original vertex owned by this rank (the
     /// dendrogram-so-far, projected).
@@ -85,30 +90,14 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
     h
 }
 
-fn put_u64(buf: &mut Vec<u8>, v: u64) {
-    buf.extend_from_slice(&v.to_le_bytes());
+fn put<const W: usize>(buf: &mut Vec<u8>, bytes: [u8; W]) {
+    buf.extend_from_slice(&bytes);
 }
 
-fn put_u32(buf: &mut Vec<u8>, v: u32) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_f64(buf: &mut Vec<u8>, v: f64) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64s(buf: &mut Vec<u8>, vs: &[u64]) {
-    put_u64(buf, vs.len() as u64);
-    for &v in vs {
-        put_u64(buf, v);
-    }
-}
-
-fn put_f64s(buf: &mut Vec<u8>, vs: &[f64]) {
-    put_u64(buf, vs.len() as u64);
-    for &v in vs {
-        put_f64(buf, v);
-    }
+/// A counted run: its length as a `u64`, then each value's bytes.
+fn put_run<T: Copy, const W: usize>(buf: &mut Vec<u8>, vs: &[T], bytes: fn(T) -> [u8; W]) {
+    put(buf, (vs.len() as u64).to_le_bytes());
+    vs.iter().for_each(|&v| put(buf, bytes(v)));
 }
 
 /// Bounded-length binary reader over the encoded buffer.
@@ -131,57 +120,56 @@ impl<'a> Cur<'a> {
         Ok(s)
     }
 
+    fn word<const W: usize>(&mut self) -> Result<[u8; W], ResilError> {
+        Ok(self.take(W)?.try_into().unwrap())
+    }
+
     fn u64(&mut self) -> Result<u64, ResilError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
+        self.word().map(u64::from_le_bytes)
     }
 
     fn u32(&mut self) -> Result<u32, ResilError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
+        self.word().map(u32::from_le_bytes)
     }
 
-    fn f64(&mut self) -> Result<f64, ResilError> {
-        Ok(f64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    fn u64s(&mut self) -> Result<Vec<u64>, ResilError> {
+    /// A counted run written by [`put_run`].
+    fn run<T, const W: usize>(&mut self, value: fn([u8; W]) -> T) -> Result<Vec<T>, ResilError> {
         let len = self.u64()? as usize;
-        (0..len).map(|_| self.u64()).collect()
-    }
-
-    fn f64s(&mut self) -> Result<Vec<f64>, ResilError> {
-        let len = self.u64()? as usize;
-        (0..len).map(|_| self.f64()).collect()
+        (0..len).map(|_| self.word().map(value)).collect()
     }
 }
 
 /// Serialize a checkpoint, appending the trailing content hash.
 pub fn encode(ckpt: &RankCheckpoint) -> Vec<u8> {
     let mut buf = Vec::with_capacity(
-        128 + 8
-            * (ckpt.part_starts.len()
+        128 + 4 * ckpt.dests.len()
+            + 8 * (ckpt.part_starts.len()
                 + ckpt.offsets.len()
-                + ckpt.dests.len()
                 + ckpt.weights.len()
                 + ckpt.cur_of_orig.len()),
     );
-    put_u64(&mut buf, MAGIC);
-    put_u32(&mut buf, CHECKPOINT_VERSION);
-    put_u32(&mut buf, ckpt.rank as u32);
-    put_u32(&mut buf, ckpt.ranks as u32);
-    put_u32(&mut buf, u32::from(ckpt.force_min_tau));
-    put_u64(&mut buf, ckpt.phase);
-    put_f64(&mut buf, ckpt.prev_q);
-    put_f64(&mut buf, ckpt.final_q);
-    put_u64(&mut buf, ckpt.total_iterations);
-    put_u64(&mut buf, ckpt.config_fingerprint);
-    put_u64s(&mut buf, &ckpt.part_starts);
-    put_u64s(&mut buf, &ckpt.offsets);
-    put_u64s(&mut buf, &ckpt.dests);
-    put_f64s(&mut buf, &ckpt.weights);
-    put_u64s(&mut buf, &ckpt.cur_of_orig);
-    put_u64s(&mut buf, &ckpt.stats.words().collect::<Vec<_>>());
+    put(&mut buf, MAGIC.to_le_bytes());
+    put(&mut buf, CHECKPOINT_VERSION.to_le_bytes());
+    put(&mut buf, (ckpt.rank as u32).to_le_bytes());
+    put(&mut buf, (ckpt.ranks as u32).to_le_bytes());
+    put(&mut buf, u32::from(ckpt.force_min_tau).to_le_bytes());
+    put(&mut buf, ckpt.phase.to_le_bytes());
+    put(&mut buf, ckpt.prev_q.to_le_bytes());
+    put(&mut buf, ckpt.final_q.to_le_bytes());
+    put(&mut buf, ckpt.total_iterations.to_le_bytes());
+    put(&mut buf, ckpt.config_fingerprint.to_le_bytes());
+    put_run(&mut buf, &ckpt.part_starts, u64::to_le_bytes);
+    put_run(&mut buf, &ckpt.offsets, u64::to_le_bytes);
+    put_run(&mut buf, &ckpt.dests, u32::to_le_bytes);
+    put_run(&mut buf, &ckpt.weights, f64::to_le_bytes);
+    put_run(&mut buf, &ckpt.cur_of_orig, u64::to_le_bytes);
+    put_run(
+        &mut buf,
+        &ckpt.stats.words().collect::<Vec<_>>(),
+        u64::to_le_bytes,
+    );
     let hash = fnv1a64(&buf);
-    put_u64(&mut buf, hash);
+    put(&mut buf, hash.to_le_bytes());
     buf
 }
 
@@ -234,12 +222,23 @@ fn check_shape(c: &RankCheckpoint) -> Result<(), String> {
             c.weights[i]
         ));
     }
-    let named = |field: &str, ids: &[u64]| match ids.iter().position(|&v| v >= n) {
-        Some(i) => Err(format!("{field}[{i}] = {} is not below n = {n}", ids[i])),
-        None => Ok(()),
-    };
-    named("dests", &c.dests)?;
-    named("cur_of_orig", &c.cur_of_orig)
+    if n >= louvain_graph::VERTEX_LIMIT {
+        return Err(format!(
+            "part_starts ends at n = {n}, not below the vertex limit {}",
+            louvain_graph::VERTEX_LIMIT
+        ));
+    }
+    fn named<T: Copy + Into<u64>>(field: &str, ids: &[T], n: u64) -> Result<(), String> {
+        match ids.iter().position(|&v| v.into() >= n) {
+            Some(i) => Err(format!(
+                "{field}[{i}] = {} is not below n = {n}",
+                ids[i].into()
+            )),
+            None => Ok(()),
+        }
+    }
+    named("dests", &c.dests, n)?;
+    named("cur_of_orig", &c.cur_of_orig, n)
 }
 
 /// Parse and validate an encoded checkpoint (magic, version, content
@@ -279,16 +278,16 @@ pub fn decode(bytes: &[u8]) -> Result<RankCheckpoint, ResilError> {
     let ranks = c.u32()? as usize;
     let flags = c.u32()?;
     let phase = c.u64()?;
-    let prev_q = c.f64()?;
-    let final_q = c.f64()?;
+    let prev_q = c.word().map(f64::from_le_bytes)?;
+    let final_q = c.word().map(f64::from_le_bytes)?;
     let total_iterations = c.u64()?;
     let config_fingerprint = c.u64()?;
-    let part_starts = c.u64s()?;
-    let offsets = c.u64s()?;
-    let dests = c.u64s()?;
-    let weights = c.f64s()?;
-    let cur_of_orig = c.u64s()?;
-    let words = c.u64s()?;
+    let part_starts = c.run(u64::from_le_bytes)?;
+    let offsets = c.run(u64::from_le_bytes)?;
+    let dests = c.run(u32::from_le_bytes)?;
+    let weights = c.run(f64::from_le_bytes)?;
+    let cur_of_orig = c.run(u64::from_le_bytes)?;
+    let words = c.run(u64::from_le_bytes)?;
     let mut stats = StatsSnapshot::default();
     let expected = stats.words().count();
     if words.len() != expected {
@@ -426,9 +425,8 @@ mod tests {
 
     #[test]
     fn other_versions_are_refused_by_name() {
-        // 4 is the previous format (its stats block carried the
-        // message-fault counters); 99 is one this build has never heard
-        // of.
+        // 5 is the previous format (its dests were 64-bit, so it is not
+        // read as this one); 99 is one this build has never heard of.
         for version in [CHECKPOINT_VERSION - 1, 99] {
             let mut bytes = encode(&sample());
             bytes[8..12].copy_from_slice(&version.to_le_bytes());
@@ -441,6 +439,18 @@ mod tests {
                 }
                 other => panic!("expected UnsupportedVersion, got {other:?}"),
             }
+        }
+    }
+
+    #[test]
+    fn a_graph_past_the_vertex_limit_is_refused() {
+        let mut ckpt = sample();
+        ckpt.part_starts[3] = 1 << 32;
+        match decode(&encode(&ckpt)) {
+            Err(ResilError::Corrupt(msg)) => {
+                assert!(msg.contains("part_starts ends at n = 4294967296"), "{msg}")
+            }
+            other => panic!("expected Corrupt(part_starts), got {other:?}"),
         }
     }
 

@@ -17,7 +17,8 @@
 //!    row offsets into theirs.
 //!
 //! Peak memory is `O(n + chunk_edges)` — the per-vertex arrays (raw
-//! degrees, offsets) plus one block — never `O(m)`.
+//! degrees, offsets) plus one block — never `O(m)`. With 2^32 vertices or
+//! more it sizes nothing, and refuses every edge and `finish`.
 //!
 //! # Bit-identity with the in-memory path
 //!
@@ -36,7 +37,9 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use louvain_graph::csr::build_rows;
-use louvain_graph::ingest::{check_weight, IngestError, IngestPolicy, RepairStats};
+use louvain_graph::ingest::{
+    check_vertex_count, check_weight, IngestError, IngestPolicy, RepairStats,
+};
 use louvain_graph::sink::EdgeSink;
 use louvain_graph::{VertexId, Weight};
 
@@ -119,24 +122,17 @@ impl SlabBuilder {
     pub fn new(num_vertices: u64, opts: SlabOptions) -> Self {
         assert!(opts.chunk_edges > 0, "chunk_edges must be positive");
         assert!(opts.index_stride > 0, "index_stride must be positive");
+        // Too many vertices are refused by `edge` and `finish`.
+        let fits = check_vertex_count(num_vertices).is_ok();
         Self {
             n: num_vertices,
             opts,
-            degrees: vec![0; num_vertices as usize],
+            degrees: vec![0; if fits { num_vertices as usize } else { 0 }],
             spill: None,
             tmp: None,
             edges_in: 0,
             loops_dropped: 0,
         }
-    }
-
-    pub fn num_vertices(&self) -> u64 {
-        self.n
-    }
-
-    /// Edges accepted so far.
-    pub fn edges_in(&self) -> u64 {
-        self.edges_in
     }
 
     fn tmp_dir(&mut self) -> io::Result<PathBuf> {
@@ -202,6 +198,7 @@ impl SlabBuilder {
     /// spill and bucket files are removed on exit (including the error
     /// paths, via `Drop`), and so is a slab left half-written by an error.
     pub fn finish(mut self, path: &Path) -> Result<SlabSummary, StoreError> {
+        check_vertex_count(self.n)?;
         let blocks = row_blocks(&self.degrees, self.opts.chunk_edges as u64);
         let buckets = self.distribute(&blocks)?;
         let mut out = SectionedWriter::create(path)?;
@@ -256,7 +253,7 @@ impl SlabBuilder {
             for (i, v) in rows.clone().enumerate() {
                 let row = &built[row_at[i]..row_at[i + 1]];
                 offsets[v] = arcs + row_at[i] as u64;
-                loops += row.iter().any(|&(d, _)| d == v as VertexId) as u64;
+                loops += row.iter().any(|&(d, _)| d == v as u32) as u64;
             }
             for piece in built.chunks(8192) {
                 let dsts: Vec<u8> = piece.iter().flat_map(|&(d, _)| d.to_le_bytes()).collect();
@@ -345,6 +342,7 @@ impl SlabBuilder {
 
 impl EdgeSink for SlabBuilder {
     fn edge(&mut self, u: VertexId, v: VertexId, w: Weight) -> Result<(), IngestError> {
+        check_vertex_count(self.n)?;
         if u >= self.n || v >= self.n {
             return Err(IngestError::OutOfRange {
                 u,

@@ -84,7 +84,7 @@ impl fmt::Display for StoreError {
                 write!(f, "section {section} at offset {offset} violates 64-byte alignment")
             }
             StoreError::Corrupt { what } => write!(f, "corrupt slab: {what}"),
-            StoreError::Ingest(e) => write!(f, "ingest error: {e}"),
+            StoreError::Ingest(e) => write!(f, "{e}"),
             StoreError::Io(e) => write!(f, "i/o error: {e}"),
         }
     }

@@ -6,11 +6,12 @@
 //! | # | section   | contents                                   | bytes        |
 //! |---|-----------|--------------------------------------------|--------------|
 //! | 0 | `offsets` | CSR row offsets, `u64`                     | `(n+1) * 8`  |
-//! | 1 | `targets` | arc destinations (global ids), `u64`       | `arcs * 8`   |
+//! | 1 | `targets` | arc destinations (global ids), `u32`       | `arcs * 4`   |
 //! | 2 | `weights` | arc weights, `f64`                         | `arcs * 8`   |
 //! | 3 | `pindex`  | `offsets` sampled every `index_stride`     | `samples * 8`|
 //!
-//! All integers and floats are little-endian. The header layout is
+//! All integers and floats are little-endian. The header decode refuses
+//! 2^32 vertices or more, which 4-byte targets cannot name. The header is
 //!
 //! ```text
 //! 0x00  magic            u64   signature + version byte (low byte)
@@ -27,10 +28,12 @@
 //! with a windowed binary search instead of reading the whole `offsets`
 //! section (see `slab::load_rank`).
 
+use louvain_graph::ingest::check_vertex_count;
+
 use crate::err::StoreError;
 
-/// File magic: 7-byte signature `LVSLABC` plus the version byte `'2'`.
-pub const MAGIC: u64 = 0x4C56_534C_4142_4332;
+/// File magic: 7-byte signature `LVSLABC` plus the version byte `'3'`.
+pub const MAGIC: u64 = 0x4C56_534C_4142_4333;
 /// Signature part of the magic (version byte masked off).
 pub const MAGIC_SIGNATURE: u64 = MAGIC & !0xFF;
 /// Current format version byte (the low byte of [`MAGIC`]).
@@ -66,11 +69,11 @@ pub fn sniff_kind(path: &std::path::Path) -> Result<FileKind, StoreError> {
     }
 }
 /// Every section offset is a multiple of this (and of the page-aligned
-/// mmap base), so zero-copy `u64`/`f64` views are always aligned.
+/// mmap base), so zero-copy `u32`/`u64`/`f64` views are always aligned.
 pub const SECTION_ALIGN: u64 = 64;
 /// Fixed header size — itself a multiple of [`SECTION_ALIGN`].
 pub const HEADER_BYTES: u64 = 192;
-/// Number of sections in format version 2.
+/// Number of sections in format version 3.
 pub const SECTION_COUNT: usize = 4;
 /// Default `pindex` sampling stride (vertices per sample).
 pub const DEFAULT_INDEX_STRIDE: u64 = 4096;
@@ -151,6 +154,7 @@ impl SlabHeader {
             });
         }
         let num_vertices = get();
+        check_vertex_count(num_vertices)?;
         let num_arcs = get();
         let num_edges = get();
         let index_stride = get();
@@ -200,9 +204,9 @@ impl SlabHeader {
     /// The expected byte length of each section given the header counts,
     /// or `Corrupt` if a count is too large for any file to hold.
     pub fn expected_section_lens(&self) -> Result<[u64; SECTION_COUNT], StoreError> {
-        let words = |count: Option<u64>| {
+        let words = |count: Option<u64>, width: u64| {
             count
-                .and_then(|c| c.checked_mul(8))
+                .and_then(|c| c.checked_mul(width))
                 .ok_or_else(|| StoreError::Corrupt {
                     what: format!(
                         "header counts ({} vertices, {} arcs) overflow a section length",
@@ -210,11 +214,12 @@ impl SlabHeader {
                     ),
                 })
         };
+        let samples = pindex_samples(self.num_vertices, self.index_stride);
         Ok([
-            words(self.num_vertices.checked_add(1))?,
-            words(Some(self.num_arcs))?,
-            words(Some(self.num_arcs))?,
-            words(Some(pindex_samples(self.num_vertices, self.index_stride)))?,
+            words(self.num_vertices.checked_add(1), 8)?,
+            words(Some(self.num_arcs), 4)?,
+            words(Some(self.num_arcs), 8)?,
+            words(Some(samples), 8)?,
         ])
     }
 
@@ -271,40 +276,63 @@ pub fn align_up(v: u64, align: u64) -> u64 {
     (v + align - 1) & !(align - 1)
 }
 
-/// FNV-1a over little-endian 64-bit words. Section lengths are always a
-/// multiple of 8, so hashing words instead of bytes is both well-defined
-/// and ~8x cheaper on the multi-hundred-megabyte sections of large slabs.
+/// FNV-1a over little-endian 64-bit words, ~8x cheaper than over bytes
+/// on the multi-hundred-megabyte sections of large slabs. A `targets`
+/// section of an odd arc count ends in half a word, hashed as that word
+/// zero-extended.
 pub fn fnv1a_words(bytes: &[u8]) -> u64 {
-    debug_assert_eq!(bytes.len() % 8, 0, "sections are 8-byte multiples");
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for chunk in bytes.chunks_exact(8) {
-        h ^= u64::from_le_bytes(chunk.try_into().unwrap());
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    let mut h = Fnv1a::default();
+    h.update(bytes);
+    h.finish()
 }
 
-/// Streaming form of [`fnv1a_words`] for writers that hash as they go.
+/// Streaming form of [`fnv1a_words`]: pieces of any length hash as
+/// their concatenation.
 #[derive(Debug, Clone, Copy)]
-pub struct Fnv1a(u64);
+pub struct Fnv1a {
+    hash: u64,
+    /// The first `filled` bytes of the next word; the rest are zero.
+    pending: [u8; 8],
+    filled: usize,
+}
 
 impl Default for Fnv1a {
     fn default() -> Self {
-        Self(0xcbf2_9ce4_8422_2325)
+        let (pending, filled) = ([0; 8], 0);
+        Self {
+            hash: 0xcbf2_9ce4_8422_2325,
+            pending,
+            filled,
+        }
     }
+}
+
+fn fnv_mix(hash: u64, word: [u8; 8]) -> u64 {
+    (hash ^ u64::from_le_bytes(word)).wrapping_mul(0x0000_0100_0000_01b3)
 }
 
 impl Fnv1a {
     pub fn update(&mut self, bytes: &[u8]) {
-        debug_assert_eq!(bytes.len() % 8, 0);
-        for chunk in bytes.chunks_exact(8) {
-            self.0 ^= u64::from_le_bytes(chunk.try_into().unwrap());
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        let (head, rest) = bytes.split_at(bytes.len().min((8 - self.filled) % 8));
+        self.pending[self.filled..self.filled + head.len()].copy_from_slice(head);
+        self.filled += head.len();
+        if self.filled == 8 {
+            (self.hash, self.pending, self.filled) = (fnv_mix(self.hash, self.pending), [0; 8], 0);
         }
+        let words = rest.chunks_exact(8);
+        let tail = words.remainder();
+        for word in words {
+            self.hash = fnv_mix(self.hash, word.try_into().unwrap());
+        }
+        self.pending[self.filled..self.filled + tail.len()].copy_from_slice(tail);
+        self.filled += tail.len();
     }
 
     pub fn finish(&self) -> u64 {
-        self.0
+        match self.filled {
+            0 => self.hash,
+            _ => fnv_mix(self.hash, self.pending),
+        }
     }
 }
 
@@ -343,7 +371,7 @@ mod tests {
     #[test]
     fn magic_split_is_consistent() {
         assert_eq!(MAGIC_SIGNATURE | FORMAT_VERSION as u64, MAGIC);
-        assert_eq!(FORMAT_VERSION, b'2');
+        assert_eq!(FORMAT_VERSION, b'3');
     }
 
     #[test]
@@ -372,6 +400,25 @@ mod tests {
             SlabHeader::decode(&bytes),
             Err(StoreError::BadVersion { found: b'1' })
         ));
+    }
+
+    #[test]
+    fn a_vertex_count_past_32_bits_is_refused_by_the_header() {
+        use louvain_graph::ingest::IngestError;
+        let mut h = header();
+        h.num_vertices = 1 << 32;
+        assert!(matches!(
+            SlabHeader::decode(&h.encode()),
+            Err(StoreError::Ingest(IngestError::TooManyVertices { num_vertices })) if num_vertices == 1 << 32
+        ));
+    }
+
+    #[test]
+    fn targets_are_four_bytes_an_arc() {
+        assert_eq!(
+            header().expected_section_lens().unwrap()[SEC_TARGETS],
+            40 * 4
+        );
     }
 
     #[test]
@@ -422,6 +469,20 @@ mod tests {
         // 4096 % 40 != 0 — chunks(40) yields a 16-byte tail, still a
         // multiple of 8.
         assert_eq!(h.finish(), fnv1a_words(&data));
+    }
+
+    #[test]
+    fn pieces_of_any_length_hash_as_their_concatenation() {
+        let data: Vec<u8> = (0u8..=255).cycle().take(1004).collect();
+        for piece in [1, 3, 4, 12, 1004] {
+            let mut h = Fnv1a::default();
+            data.chunks(piece).for_each(|c| h.update(c));
+            assert_eq!(h.finish(), fnv1a_words(&data), "pieces of {piece}");
+        }
+        // A half word hashes as the word zero-extended.
+        let mut padded = data[..1004].to_vec();
+        padded.extend([0; 4]);
+        assert_eq!(fnv1a_words(&data), fnv1a_words(&padded));
     }
 
     #[test]

@@ -364,7 +364,8 @@ mod tests {
 
     /// What a ranged load of `rank` must read and nothing more: the
     /// header, the `pindex` section, one `offsets` window per partition
-    /// boundary, the rank's own offsets, and 16 B per local arc.
+    /// boundary, the rank's own offsets, and 12 B per local arc (a `u32`
+    /// target and an `f64` weight).
     fn ranged_load_bytes(slab: &Slab, rank: usize, p: usize) -> u64 {
         let (n, stride) = (slab.num_vertices(), slab.index_stride());
         let pindex = slab.pindex();
@@ -381,7 +382,7 @@ mod tests {
             + pindex.len() as u64 * 8
             + windows * 8
             + (range.end - range.start + 1) * 8
-            + local_arcs * 16
+            + local_arcs * 12
     }
 
     #[test]
@@ -419,9 +420,10 @@ mod tests {
 
     /// Ranged loads whose arc extents span several read chunks: every
     /// rank's rows equal the mapped piece's bit for bit, it reads exactly
-    /// its windows and extents, and a bad `targets` or `weights` word at
-    /// the first word of a later chunk, or at the extent's last word, is
-    /// refused with a message naming the rank and the arc.
+    /// its windows and extents, and a bad 4-byte `targets` or 8-byte
+    /// `weights` word at the first word of a later chunk of its section,
+    /// or at the extent's last word, is refused with a message naming the
+    /// rank and the arc.
     #[test]
     fn ranged_loads_across_read_chunks_match_the_mapping_and_name_bad_arcs() {
         let chunk_words = slab::READ_CHUNK_BYTES as u64 / 8;
@@ -463,30 +465,37 @@ mod tests {
                     let range = part.range(rank);
                     let lo = slab.offsets()[range.start as usize];
                     let hi = slab.offsets()[range.end as usize];
-                    let later_chunk = (lo + chunk_words < hi).then_some(lo + chunk_words);
-                    for arc in later_chunk.into_iter().chain([hi - 1]) {
-                        let n = slab.num_vertices();
-                        let plants = [
-                            (
-                                layout::SEC_TARGETS,
-                                n,
-                                format!("is {n}, not below the {n} vertices"),
-                            ),
-                            (
-                                layout::SEC_WEIGHTS,
-                                f64::NAN.to_bits(),
-                                "is NaN, not a finite weight ≥ 0".into(),
-                            ),
-                            (
-                                layout::SEC_WEIGHTS,
-                                (-1.0f64).to_bits(),
-                                "is -1, not a finite weight ≥ 0".into(),
-                            ),
-                        ];
-                        for (section, word, tail) in plants {
+                    let n = slab.num_vertices();
+                    let plants: [(usize, Vec<u8>, String); 4] = [
+                        (
+                            layout::SEC_TARGETS,
+                            (n as u32).to_le_bytes().into(),
+                            format!("is {n}, not below the {n} vertices"),
+                        ),
+                        (
+                            layout::SEC_TARGETS,
+                            u32::MAX.to_le_bytes().into(),
+                            format!("is {}, not below the {n} vertices", u32::MAX),
+                        ),
+                        (
+                            layout::SEC_WEIGHTS,
+                            f64::NAN.to_le_bytes().into(),
+                            "is NaN, not a finite weight ≥ 0".into(),
+                        ),
+                        (
+                            layout::SEC_WEIGHTS,
+                            (-1.0f64).to_le_bytes().into(),
+                            "is -1, not a finite weight ≥ 0".into(),
+                        ),
+                    ];
+                    for (section, word, tail) in plants {
+                        let later = lo + (slab::READ_CHUNK_BYTES / word.len()) as u64;
+                        let later_chunk = (later < hi).then_some(later);
+                        for arc in later_chunk.into_iter().chain([hi - 1]) {
                             let mut bytes = pristine.clone();
-                            let at = (header.sections[section].offset + 8 * arc) as usize;
-                            bytes[at..at + 8].copy_from_slice(&word.to_le_bytes());
+                            let width = word.len() as u64;
+                            let at = (header.sections[section].offset + width * arc) as usize;
+                            bytes[at..at + word.len()].copy_from_slice(&word);
                             std::fs::write(&bad_path.0, &bytes).unwrap();
                             let name = SECTION_NAMES[section];
                             let want = format!("{name} word of rank {rank} at arc {arc} {tail}");
@@ -662,14 +671,37 @@ mod tests {
     #[test]
     fn a_version_1_slab_is_bad_version_on_every_reader() {
         let path = TempPath::new("version");
-        let mut bytes = valid_slab_bytes(&path);
-        bytes[0] = b'1';
-        std::fs::write(&path.0, &bytes).unwrap();
-        let is_v1 = |e: StoreError| matches!(e, StoreError::BadVersion { found: b'1' });
-        assert!(is_v1(Slab::open(&path.0).unwrap_err()));
-        assert!(is_v1(load_rank(&path.0, 0, 2).unwrap_err()));
-        assert!(is_v1(peek_header(&path.0).unwrap_err()));
-        assert!(is_v1(verify(&path.0).unwrap_err()));
+        let pristine = valid_slab_bytes(&path);
+        // Version 2 held 8-byte targets, version 1 a `halo` section too.
+        for version in [b'1', b'2'] {
+            let mut bytes = pristine.clone();
+            bytes[0] = version;
+            std::fs::write(&path.0, &bytes).unwrap();
+            let named = |e: StoreError| {
+                let says = format!("version {:?}", version as char);
+                matches!(e, StoreError::BadVersion { found } if found == version)
+                    && e.to_string().contains(&says)
+            };
+            assert!(named(Slab::open(&path.0).unwrap_err()));
+            assert!(named(load_rank(&path.0, 0, 2).unwrap_err()));
+            assert!(named(peek_header(&path.0).unwrap_err()));
+            assert!(named(verify(&path.0).unwrap_err()));
+        }
+    }
+
+    #[test]
+    fn a_builder_past_the_vertex_limit_refuses_its_edges_without_sizing_by_n() {
+        let path = TempPath::new("too-many");
+        largest_alloc_since_last_call();
+        let mut b = SlabBuilder::new(1 << 32, small_opts());
+        let too_many = |e: &IngestError| matches!(e, IngestError::TooManyVertices { .. });
+        assert!(too_many(&b.edge(0, 1, 1.0).unwrap_err()));
+        match b.finish(&path.0) {
+            Err(StoreError::Ingest(e)) => assert!(too_many(&e), "{e}"),
+            other => panic!("finish gave {other:?}"),
+        }
+        assert!(largest_alloc_since_last_call() < 1 << 20);
+        assert!(!path.0.exists());
     }
 
     #[test]
@@ -1057,25 +1089,57 @@ mod tests {
                 );
                 cases += 1;
             }
-            // One `targets` word past the vertex count, at the first,
-            // middle and last arc: the ranged load reads that section
-            // unchecked too, and must refuse it as corrupt.
+            // A vertex count of 2^32 or more: every reader refuses it by
+            // type from the header, before sizing anything by it.
+            for value in [1u64 << 32, (1 << 32) + 120, u64::MAX] {
+                let mut bytes = pristine.clone();
+                bytes[8..16].copy_from_slice(&value.to_le_bytes());
+                let case = format!("stride {stride}, num_vertices = {value:#x}");
+                let v = read_hostile(&path, &bytes, &case);
+                for (what, r) in [
+                    ("peek", v.peek),
+                    ("open", v.open),
+                    ("verify", v.verify),
+                    ("ranged", v.ranged),
+                ] {
+                    assert!(
+                        matches!(
+                            r,
+                            Err(StoreError::Ingest(IngestError::TooManyVertices { .. }))
+                        ),
+                        "{case}: {what} gave {r:?}"
+                    );
+                }
+                cases += 1;
+            }
+            // Each 4-byte `targets` word in turn (on the first slab; the
+            // first, middle and last on the second) set past the vertex
+            // count: the ranged load reads that section unchecked too,
+            // and must refuse it as corrupt, naming the arc.
             let header = SlabHeader::decode(&pristine).unwrap();
             let targets = header.sections[layout::SEC_TARGETS];
-            let n = header.num_vertices;
-            let arcs = targets.len as usize / 8;
-            for arc in [0, arcs / 2, arcs - 1] {
-                for word in [n, n + 1, u64::MAX] {
+            let n = header.num_vertices as u32;
+            let arcs = targets.len as usize / 4;
+            let walked: Vec<usize> = if stride == 8 {
+                (0..arcs).collect()
+            } else {
+                vec![0, arcs / 2, arcs - 1]
+            };
+            for &arc in &walked {
+                for word in [n, n + 1, u32::MAX] {
+                    if word != n && arc % 16 != 0 && arc + 1 != arcs {
+                        continue;
+                    }
                     let mut bytes = pristine.clone();
-                    let at = targets.offset as usize + 8 * arc;
-                    bytes[at..at + 8].copy_from_slice(&word.to_le_bytes());
+                    let at = targets.offset as usize + 4 * arc;
+                    bytes[at..at + 4].copy_from_slice(&word.to_le_bytes());
                     let case = format!("stride {stride}, targets[{arc}] = {word:#x}");
                     let v = read_hostile(&path, &bytes, &case);
-                    assert!(
-                        matches!(v.ranged, Err(StoreError::Corrupt { .. })),
-                        "{case}: load_rank gave {:?}",
-                        v.ranged
-                    );
+                    let named = match &v.ranged {
+                        Err(StoreError::Corrupt { what }) => what.contains(&format!("arc {arc} ")),
+                        _ => false,
+                    };
+                    assert!(named, "{case}: load_rank gave {:?}", v.ranged);
                     cases += 1;
                 }
             }

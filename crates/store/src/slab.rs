@@ -3,7 +3,7 @@
 //! Two load paths, mirroring the paper's MPI-I/O usage:
 //!
 //! * [`Slab::open`] maps the entire file read-only and exposes zero-copy
-//!   `u64`/`f64` views of every section. All four checksums are
+//!   `u64`/`u32`/`f64` views of every section. All four checksums are
 //!   validated up front.
 //! * [`load_rank`] reads only the byte ranges one rank needs: the header,
 //!   the small `pindex` section (checksummed), one window of `offsets`
@@ -92,38 +92,34 @@ impl Slab {
         self.map.len() as u64
     }
 
-    fn view_u64(&self, section: usize) -> &[u64] {
+    /// A section as a slice of `T`, one of `u64`, `u32` or `f64`: every
+    /// bit pattern is a value, and the section is aligned for it.
+    fn view<T>(&self, section: usize) -> &[T] {
         let s = &self.header.sections[section];
         let bytes = &self.map.bytes()[s.offset as usize..(s.offset + s.len) as usize];
-        debug_assert_eq!(bytes.as_ptr() as usize % 8, 0, "section view misaligned");
-        unsafe { std::slice::from_raw_parts(bytes.as_ptr() as *const u64, bytes.len() / 8) }
-    }
-
-    fn view_f64(&self, section: usize) -> &[f64] {
-        let s = &self.header.sections[section];
-        let bytes = &self.map.bytes()[s.offset as usize..(s.offset + s.len) as usize];
-        debug_assert_eq!(bytes.as_ptr() as usize % 8, 0, "section view misaligned");
-        unsafe { std::slice::from_raw_parts(bytes.as_ptr() as *const f64, bytes.len() / 8) }
+        let width = std::mem::size_of::<T>();
+        debug_assert_eq!(bytes.as_ptr() as usize % width, 0, "misaligned view");
+        unsafe { std::slice::from_raw_parts(bytes.as_ptr() as *const T, bytes.len() / width) }
     }
 
     /// CSR row offsets (`n + 1` entries), zero-copy.
     pub fn offsets(&self) -> &[u64] {
-        self.view_u64(SEC_OFFSETS)
+        self.view(SEC_OFFSETS)
     }
 
     /// Arc destinations (global ids), zero-copy.
-    pub fn targets(&self) -> &[u64] {
-        self.view_u64(SEC_TARGETS)
+    pub fn targets(&self) -> &[u32] {
+        self.view(SEC_TARGETS)
     }
 
     /// Arc weights, zero-copy.
     pub fn weights(&self) -> &[f64] {
-        self.view_f64(SEC_WEIGHTS)
+        self.view(SEC_WEIGHTS)
     }
 
     /// Sampled offsets (`offsets[i * stride]`), zero-copy.
     pub fn pindex(&self) -> &[u64] {
-        self.view_u64(SEC_PINDEX)
+        self.view(SEC_PINDEX)
     }
 
     /// Copy the slab into an in-memory [`Csr`].
@@ -200,11 +196,14 @@ fn stream(
     Ok(())
 }
 
-/// The little-endian words of a chunk [`stream`] read.
-fn words(chunk: &[u8]) -> impl Iterator<Item = u64> + '_ {
-    chunk
-        .chunks_exact(8)
-        .map(|c| u64::from_le_bytes(c.try_into().unwrap()))
+/// The little-endian `u32` at the start of `b`.
+fn le_u32(b: &[u8]) -> u32 {
+    u32::from_le_bytes(b[..4].try_into().unwrap())
+}
+
+/// The little-endian `u64` at the start of `b`.
+fn le_u64(b: &[u8]) -> u64 {
+    u64::from_le_bytes(b[..8].try_into().unwrap())
 }
 
 /// Stream one whole section, hashing it on the way, and fail with
@@ -289,7 +288,9 @@ pub fn load_rank(path: &Path, rank: usize, p: usize) -> Result<RankSlice, StoreE
 
     // The small section is read whole and checksummed even on this path.
     let mut pindex = Vec::with_capacity(header.sections[SEC_PINDEX].len as usize / 8);
-    stream_checked(&mut file, &header, SEC_PINDEX, |c| pindex.extend(words(c)))?;
+    stream_checked(&mut file, &header, SEC_PINDEX, |c| {
+        pindex.extend(c.chunks_exact(8).map(le_u64))
+    })?;
     bytes_read += header.sections[SEC_PINDEX].len;
 
     // Partition boundaries via windowed binary search: pindex narrows
@@ -298,8 +299,8 @@ pub fn load_rank(path: &Path, rank: usize, p: usize) -> Result<RankSlice, StoreE
     // rule `VertexPartition::balanced_offsets` applies to whole offsets.
     let mut read_offsets = |first: u64, count: u64| {
         bytes_read += count * 8;
-        let (span, keep) = (first..first + count, |o: u64| (o, false));
-        read_words(&mut file, &header, SEC_OFFSETS, span, keep, |_, _| {
+        let (span, keep) = (first..first + count, |o: &[u8]| (le_u64(o), false));
+        read_words::<8, _>(&mut file, &header, SEC_OFFSETS, span, keep, |_, _| {
             unreachable!("no offsets word is flagged")
         })
     };
@@ -338,51 +339,60 @@ pub fn load_rank(path: &Path, rank: usize, p: usize) -> Result<RankSlice, StoreE
 
     // The [lo, hi) extents of targets and weights, not checksummed on
     // this path either: an id past the vertex count is refused before
-    // any owner lookup, and so is a NaN, infinite or negative weight. A
-    // weight is finite and ≥ 0 exactly when its bits are below +∞'s or
-    // are −0.0's.
-    let target = |d: u64| (d, d >= n);
-    let dests = read_words(&mut file, &header, SEC_TARGETS, lo..hi, target, |arc, d| {
+    // any owner lookup, and so is a NaN, infinite or negative weight,
+    // by 32-bit compares (x86-64's baseline vectorises no 64-bit one): a
+    // weight is finite and ≥ 0 exactly when its high half is below +∞'s
+    // or the whole word is −0.0's.
+    let n32 = n as u32;
+    let target = |b: &[u8]| (le_u32(b), le_u32(b) >= n32);
+    let dests = read_words::<4, _>(&mut file, &header, SEC_TARGETS, lo..hi, target, |arc, d| {
         format!("targets word of rank {rank} at arc {arc} is {d}, not below the {n} vertices")
     })?;
-    let weight = |b: u64| {
-        let bad = (b >= f64::INFINITY.to_bits()) & (b != (-0.0f64).to_bits());
-        (f64::from_bits(b), bad)
+    let weight = |b: &[u8]| {
+        let (low, high) = (le_u32(b), le_u32(&b[4..]));
+        let bad = (high >= 0x7FF0_0000) & ((high != 0x8000_0000) | (low != 0));
+        (f64::from_bits(le_u64(b)), bad)
     };
-    let weights = read_words(&mut file, &header, SEC_WEIGHTS, lo..hi, weight, |arc, w| {
+    let weights = read_words::<8, _>(&mut file, &header, SEC_WEIGHTS, lo..hi, weight, |arc, w| {
         format!("weights word of rank {rank} at arc {arc} is {w}, not a finite weight ≥ 0")
     })?;
-    bytes_read += 2 * (hi - lo) * 8;
+    bytes_read += (hi - lo) * (4 + 8);
 
     let local = LocalGraph::from_csr_parts(part, rank, local_offsets, dests, weights);
     Ok(RankSlice { local, bytes_read })
 }
 
-/// Stream the `span` of one section's words through [`stream`], decoding
-/// each chunk straight into the returned vector. `decode` also flags a
-/// bad word: the first is refused as corrupt, with the message `refuse`
-/// makes of its index and value.
-fn read_words<T: Copy>(
+/// Stream the `span` of one section's `W`-byte words through [`stream`],
+/// decoding each chunk straight into the returned vector. `decode` also
+/// flags a bad word: the first is refused as corrupt, with the message
+/// `refuse` makes of its index and value.
+fn read_words<const W: usize, T: Copy>(
     file: &mut File,
     header: &SlabHeader,
     section: usize,
     span: Range<u64>,
-    decode: impl Fn(u64) -> (T, bool),
+    decode: impl Fn(&[u8]) -> (T, bool),
     refuse: impl Fn(u64, T) -> String,
 ) -> Result<Vec<T>, StoreError> {
-    let at = header.sections[section].offset + span.start * 8;
-    let len = (span.end - span.start) * 8;
-    let mut out = Vec::with_capacity(len as usize / 8);
+    let at = header.sections[section].offset + span.start * W as u64;
+    let len = (span.end - span.start) * W as u64;
+    let mut out = Vec::with_capacity((span.end - span.start) as usize);
     stream(file, at, len, SECTION_NAMES[section], |chunk| {
         let start = out.len();
-        out.extend(words(chunk).map(|w| decode(w).0));
+        let words = chunk.chunks_exact(W);
+        out.extend(words.clone().map(|w| decode(w).0));
         // A pass of its own over the cached chunk: folded into the decode,
         // the test kept it from compiling to a plain copy, and stopping at
-        // the first hit measured slower than this branch-free fold.
-        if !words(chunk).fold(false, |any, w| any | decode(w).1) {
+        // the first hit measured slower than this branch-free loop, which
+        // did not vectorise over `[u8; W]` arrays.
+        let mut any = 0u32;
+        for w in words.clone() {
+            any |= decode(w).1 as u32;
+        }
+        if any == 0 {
             return Ok(());
         }
-        let i = words(chunk).position(|w| decode(w).1).expect("a bad word");
+        let i = words.clone().position(|w| decode(w).1).expect("a bad word");
         let (arc, value) = (span.start + (start + i) as u64, out[start + i]);
         Err(StoreError::Corrupt {
             what: refuse(arc, value),

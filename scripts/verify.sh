@@ -150,10 +150,11 @@ LOUVAIN_SCALE=quick ./target/release/ablations 2>/dev/null |
 
 # The slab builder keeps its open files bounded however many row blocks
 # it cuts: ≥1911 blocks of ≤500 arcs must build under 256 descriptors, and
-# to the same bytes as the default block size. The slab is format v2
-# with four sections; a copy whose version byte (file offset 0) says 1
-# is refused by `info` and `run`, by version and without a panic.
-echo "==> slab v2: generate --chunk-edges 500 under ulimit -n 256 | cmp against the default chunk | info | v1 copy refused by info and run | run --ranged refuses a targets id past n | the retired --slab switch, convert and an LVGRBPH1 file refused"
+# to the same bytes as the default block size. The slab is format v3
+# with four sections and 4-byte targets; a copy whose version byte (file
+# offset 0) says 1 or 2 is refused by `info` and `run`, by version and
+# without a panic.
+echo "==> slab v3: generate --chunk-edges 500 under ulimit -n 256 | cmp against the default chunk | info (targets 4 B per arc) | v1 and v2 copies refused by info and run | run --ranged refuses a 4-byte targets id past n | the retired --slab switch, convert and an LVGRBPH1 file refused"
 (
   ulimit -n 256
   ./target/release/louvain generate --kind rmat --n 65536 --seed 3 --chunk-edges 500 \
@@ -163,19 +164,24 @@ echo "==> slab v2: generate --chunk-edges 500 under ulimit -n 256 | cmp against 
   --out target/verify_default_blocks.slab
 cmp target/verify_small_blocks.slab target/verify_default_blocks.slab
 ./target/release/louvain info target/verify_default_blocks.slab | tee target/slab_info.txt
-grep -q "slab v2" target/slab_info.txt
+grep -q "slab v3" target/slab_info.txt
 test "$(grep -c '^section:' target/slab_info.txt)" -eq 4
-cp target/verify_default_blocks.slab target/verify_v1.slab
-printf 1 | dd of=target/verify_v1.slab bs=1 count=1 conv=notrunc status=none
-must_refuse "slab format version '1'" ./target/release/louvain info target/verify_v1.slab
-must_refuse "slab format version '1'" ./target/release/louvain run target/verify_v1.slab
+arcs=$(awk '$1 == "arcs:" { print $2 }' target/slab_info.txt)
+test "$(awk '$2 == "targets" { print $6 }' target/slab_info.txt)" -eq $((arcs * 4))
+for version in 1 2; do
+  cp target/verify_default_blocks.slab target/verify_old.slab
+  printf "$version" | dd of=target/verify_old.slab bs=1 count=1 conv=notrunc status=none
+  must_refuse "slab format version '$version'" ./target/release/louvain info target/verify_old.slab
+  must_refuse "slab format version '$version'" ./target/release/louvain run target/verify_old.slab
+done
 # `run --ranged` reads `targets` without its checksum: a destination id
-# past the vertex count (here u64::MAX in the first arc) is the store's
-# corrupt-slab error naming the rank and arc, not a rank panic.
+# past the vertex count (here u32::MAX, a 4-byte word, in the first arc)
+# is the store's corrupt-slab error naming the rank and arc, not a rank
+# panic.
 cp target/verify_default_blocks.slab target/verify_bad_target.slab
 targets_at=$(awk '$2 == "targets" { print $4 }' target/slab_info.txt)
-printf '\377\377\377\377\377\377\377\377' |
-  dd of=target/verify_bad_target.slab bs=1 seek="$targets_at" count=8 conv=notrunc status=none
+printf '\377\377\377\377' |
+  dd of=target/verify_bad_target.slab bs=1 seek="$targets_at" count=4 conv=notrunc status=none
 must_refuse "targets word of rank 0 at arc 0" \
   ./target/release/louvain run target/verify_bad_target.slab --ranks 2 --ranged
 # The slab is the only graph file: the switch that chose it, the command

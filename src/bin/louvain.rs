@@ -711,6 +711,7 @@ fn read_assignment(path: &Path) -> Result<Vec<VertexId>, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use distributed_louvain::graph::EdgeList;
 
     #[test]
     fn unknown_and_valueless_flags_are_refused_by_name() {
@@ -927,9 +928,10 @@ mod tests {
             p(&mapped),
         ])
         .unwrap();
-        // The in-memory parse under the same policy is the oracle.
-        let parsed = textio::parse_edge_list_policy(body.as_bytes(), IngestPolicy::Repair).unwrap();
-        let g = distributed_louvain::graph::Csr::from_edge_list(parsed.edges);
+        // The in-memory list, repaired the same way, is the oracle.
+        let (mut parsed, _) = textio::stream_text_edge_list(&text, EdgeList::new).unwrap();
+        parsed.repair();
+        let g = distributed_louvain::graph::Csr::from_edge_list(parsed);
         assert_eq!(in_memory_assignment(&g), read_assignment(&mapped).unwrap());
         // Strict ingest rejects the duplicate.
         assert!(cmd_ingest(&[p(&text), s("--out"), p(&slab), s("--strict")]).is_err());

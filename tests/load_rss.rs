@@ -8,11 +8,12 @@
 use distributed_louvain::store::{load_rank, peek_header};
 
 /// Peak-RSS growth a p=1 ranged load may add per arc. The rows it
-/// returns are 16 B per arc (a `u64` target and an `f64` weight); the
+/// returns are 12 B per arc (a `u32` target and an `f64` weight); the
 /// offsets add 8 B per vertex and the read buffer one chunk. A load
 /// that holds a second copy of either section while it decodes the
-/// other peaks near 24 B per arc and fails this bound.
-const MAX_GROWTH_BYTES_PER_ARC: f64 = 20.0;
+/// other, or widens the targets to 8 B, peaks at 16 B per arc or more
+/// and fails this bound.
+const MAX_GROWTH_BYTES_PER_ARC: f64 = 16.0;
 
 /// Current resident set (`VmRSS`), in bytes.
 fn rss_bytes() -> u64 {

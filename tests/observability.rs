@@ -734,7 +734,7 @@ fn every_registered_run_metric_is_recorded_by_one_traced_run() {
 
 /// `lens show`'s memory line on a multi-phase p=2 run: `mem.csr_bytes`
 /// is set once per rank, so its sum is the two starting CSRs —
-/// (n + p) offsets and one `u64` dest plus one `f64` weight per arc —
+/// (n + p) offsets and one `u32` dest plus one `f64` weight per arc —
 /// not that plus every coarse phase's.
 #[test]
 fn memory_line_counts_each_ranks_starting_csr_once() {
@@ -752,7 +752,7 @@ fn memory_line_counts_each_ranks_starting_csr_once() {
     );
     let csr = report.metrics.gauges["mem.csr_bytes"];
     assert_eq!(csr.count, p as u64, "one sample per rank");
-    let expected = (g.num_vertices() + p) * 8 + g.num_arcs() * 16;
+    let expected = (g.num_vertices() + p) * 8 + g.num_arcs() * 12;
     assert_eq!(csr.sum, expected as f64);
 
     let text = louvain_lens::show(&obs::RunArtifact {

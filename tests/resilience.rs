@@ -331,7 +331,7 @@ fn malformed_checkpoint_fields_are_refused_on_resume() {
             c.offsets.pop();
         }),
         ("offsets", |c| c.offsets[1] = u64::MAX),
-        ("dests", |c| c.dests[0] = u64::MAX),
+        ("dests", |c| c.dests[0] = u32::MAX),
         ("cur_of_orig", |c| {
             c.cur_of_orig.pop();
         }),

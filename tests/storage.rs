@@ -180,11 +180,11 @@ fn all_three_load_paths_are_bit_identical_across_the_matrix() {
             "{name}: {mode} run must record peak RSS"
         );
     }
-    // `mem.csr_bytes` is each rank's (n + p) offsets, plus a `u64` dest
+    // `mem.csr_bytes` is each rank's (n + p) offsets, plus a `u32` dest
     // and an `f64` weight per arc unless those are mapped pages, which
     // `mem.mapped_bytes` already counts.
     let offsets = (g.num_vertices() + 2) * 8;
-    let rows = g.num_arcs() * 16;
+    let rows = g.num_arcs() * 12;
     for (mode, out, want) in [
         ("memory", &mem, offsets + rows),
         ("mapped", &mapped, offsets),
