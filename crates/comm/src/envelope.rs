@@ -2,7 +2,7 @@
 //! mailboxes. Every collective and all-to-all of [`crate::Comm`] rides
 //! it.
 //!
-//! Each rank owns one [`Mailbox`] (a crossbeam channel receiver plus a queue
+//! Each rank owns one [`Mailbox`] (a `std::sync::mpsc` receiver plus a queue
 //! of messages that arrived before anyone asked for them). Arrival across
 //! senders is in any order, so a receive matches on the source rank.
 //!
@@ -20,7 +20,7 @@ use std::any::Any;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use crossbeam::channel::{Receiver, RecvTimeoutError, Sender};
+use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
 
 use crate::health::{WaitCtx, Watchdog};
 use crate::runtime::poisoned;

@@ -1,9 +1,8 @@
 //! Job launcher: spawns one thread per rank and hands each a [`Comm`].
 
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::channel;
 use std::sync::{Arc, Mutex};
-
-use crossbeam::channel::unbounded;
 
 use crate::comm::Comm;
 use crate::envelope::Mailbox;
@@ -55,7 +54,7 @@ where
     // panics from blocked peers are discarded in its favour.
     let first_payload: Mutex<Option<Box<dyn std::any::Any + Send>>> = Mutex::new(None);
     let board = Arc::new(HealthBoard::new(p));
-    let (senders, receivers): (Vec<_>, Vec<_>) = (0..p).map(|_| unbounded()).unzip();
+    let (senders, receivers): (Vec<_>, Vec<_>) = (0..p).map(|_| channel()).unzip();
     let senders = Arc::new(senders);
 
     let mut results: Vec<Option<R>> = (0..p).map(|_| None).collect();

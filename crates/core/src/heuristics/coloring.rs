@@ -20,6 +20,7 @@ use louvain_graph::hash::mix64;
 use louvain_graph::{LocalGraph, VertexId};
 
 use crate::ghost::GhostLayer;
+use crate::prefetch_rows;
 
 /// Sentinel for "not colored yet" on the wire.
 const UNCOLORED: u64 = u64::MAX;
@@ -89,6 +90,8 @@ pub fn distributed_coloring(
         });
         let end = queue.len();
         for i in head..end {
+            let round = |j| (j < end).then(|| queue[j] as usize);
+            prefetch_rows(round, i, (offsets, targets, &[]));
             let l = queue[i] as usize;
             let r = row(l);
             taken.resize(taken.len().max(r.len() + 1), 0);

@@ -55,6 +55,7 @@ use louvain_graph::{DenseMap, LocalGraph, VertexId, Weight};
 use crate::config::{DistConfig, SweepMode};
 use crate::ghost::{pull_from_owners, push_to_owners, CommunityIndex, GhostLayer, PullBufs};
 use crate::heuristics::{distributed_coloring, EtTracker};
+use crate::prefetch_rows;
 use crate::scratch::{lock_worker, IterScratch, RemoteTable, SweepAcc, SweepWorker};
 use crate::stats::{IterationTrace, WorkCounter};
 
@@ -188,10 +189,6 @@ fn exchange_ghosts(
     });
     (e_in_change, arcs)
 }
-
-/// How many vertices ahead of the one being scored a sweep driver
-/// prefetches a row (8 and 16 measured the same).
-const PREFETCH_AHEAD: usize = 4;
 
 /// Read-only inputs of one compute sweep, shared by both schedules. The
 /// community state is passed beside it: `&` to decide, `&mut` to apply
@@ -377,26 +374,9 @@ impl Sweep<'_> {
         }
     }
 
-    /// Ask for the first cache lines of row `l` (its targets and
-    /// weights), [`PREFETCH_AHEAD`] vertices before a driver reads it:
-    /// the shuffled sweep order makes every row start a cold miss.
-    #[allow(unsafe_code)]
-    #[inline]
-    fn prefetch_row(&self, l: usize) {
-        #[cfg(target_arch = "x86_64")]
-        {
-            use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
-            let a = self.offsets[l];
-            // SAFETY: a prefetch is a hint that never dereferences its
-            // address or faults, and `a ≤ offsets[nlocal]`, the length of
-            // both arrays, so `add` stays inside (or one past) them.
-            unsafe {
-                _mm_prefetch::<_MM_HINT_T0>(self.targets.as_ptr().add(a).cast());
-                _mm_prefetch::<_MM_HINT_T0>(self.arc_weights.as_ptr().add(a).cast());
-            }
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        let _ = l;
+    /// This sweep's rows, for [`prefetch_rows`] ahead of the vertex being scored.
+    fn rows(&self) -> (&[usize], &[u32], &[Weight]) {
+        (self.offsets, self.targets, self.arc_weights)
     }
 
     /// Gauss-Seidel driver of the sequential schedule: each vertex of
@@ -405,9 +385,7 @@ impl Sweep<'_> {
     fn sweep_in_place(&self, state: &mut SweepState, vertices: &[usize], worker: &mut SweepWorker) {
         let SweepWorker { weights, acc, .. } = worker;
         for (i, &l) in vertices.iter().enumerate() {
-            if let Some(&ahead) = vertices.get(i + PREFETCH_AHEAD) {
-                self.prefetch_row(ahead);
-            }
+            prefetch_rows(|j| vertices.get(j).copied(), i, self.rows());
             acc.vertices += 1;
             if let Some(mv) = self.best_move(state, l, weights, &mut acc.edges) {
                 self.apply_move(state, l, mv, acc);
@@ -477,9 +455,7 @@ impl Sweep<'_> {
                 let mine = &batch[r];
                 acc.vertices += mine.len() as u64;
                 for (i, &l) in mine.iter().enumerate() {
-                    if let Some(&ahead) = mine.get(i + PREFETCH_AHEAD) {
-                        self.prefetch_row(ahead);
-                    }
+                    prefetch_rows(|j| mine.get(j).copied(), i, self.rows());
                     if let Some((c, e_in_change)) =
                         self.best_move(batch_start, l, weights, &mut acc.edges)
                     {

@@ -313,6 +313,13 @@ fn fnv_mix(hash: u64, word: [u8; 8]) -> u64 {
 
 impl Fnv1a {
     pub fn update(&mut self, bytes: &[u8]) {
+        self.update_words(bytes, |_| ());
+    }
+
+    /// [`Fnv1a::update`], handing each word that lies whole in `bytes`
+    /// to `each` as it is hashed, so a check of the words rides the
+    /// hash's pass (its multiply chain leaves the core idle enough).
+    pub fn update_words(&mut self, bytes: &[u8], mut each: impl FnMut(u64)) {
         let (head, rest) = bytes.split_at(bytes.len().min((8 - self.filled) % 8));
         self.pending[self.filled..self.filled + head.len()].copy_from_slice(head);
         self.filled += head.len();
@@ -322,7 +329,9 @@ impl Fnv1a {
         let words = rest.chunks_exact(8);
         let tail = words.remainder();
         for word in words {
-            self.hash = fnv_mix(self.hash, word.try_into().unwrap());
+            let word = word.try_into().unwrap();
+            self.hash = fnv_mix(self.hash, word);
+            each(u64::from_le_bytes(word));
         }
         self.pending[self.filled..self.filled + tail.len()].copy_from_slice(tail);
         self.filled += tail.len();

@@ -930,7 +930,15 @@ mod tests {
         };
         Verdicts {
             peek: call("peek_header", &|| peek_header(&path.0).map(drop)),
-            open: call("Slab::open", &|| Slab::open(&path.0).map(drop)),
+            open: call("Slab::open", &|| {
+                // A slab `open` accepts is one every rank can be cut from.
+                Slab::open(&path.0).map(|slab| {
+                    for p in [1, 2] {
+                        let part = slab.partition(p);
+                        (0..p).for_each(|r| drop(slab.local_graph(&part, r)));
+                    }
+                })
+            }),
             verify: call("verify", &|| verify(&path.0).map(drop)),
             ranged: call("load_rank", &|| {
                 (0..3).try_for_each(|r| load_rank(&path.0, r, 3).map(drop))
@@ -1174,6 +1182,58 @@ mod tests {
                     assert!(v.ranged.is_ok(), "{case}: load_rank gave {:?}", v.ranged);
                     cases += 1;
                 }
+            }
+            // The same words, and `offsets` words out of order, with the
+            // section's checksum re-stamped: the mapped reader refuses
+            // them by their words, naming a bad target's or weight's arc.
+            let offsets = header.sections[layout::SEC_OFFSETS];
+            let last_offset = offsets.len as usize / 8 - 1;
+            let mut restamped = vec![];
+            for arc in [0, arcs / 2, arcs - 1] {
+                let at = targets.offset as usize + 4 * arc;
+                restamped.push((layout::SEC_TARGETS, at, n.to_le_bytes().to_vec(), arc));
+                for w in [f64::NAN, -1.0, f64::INFINITY] {
+                    let at = weights.offset as usize + 8 * arc;
+                    let word = w.to_bits().to_le_bytes().to_vec();
+                    restamped.push((layout::SEC_WEIGHTS, at, word, arc));
+                }
+            }
+            for (word, value) in [
+                (0, 1),
+                (last_offset / 2, 0),
+                (last_offset, arcs as u64 - 1),
+                (last_offset, arcs as u64 + 1),
+            ] {
+                let at = offsets.offset as usize + 8 * word;
+                restamped.push((
+                    layout::SEC_OFFSETS,
+                    at,
+                    u64::to_le_bytes(value).to_vec(),
+                    word,
+                ));
+            }
+            for (section, at, word, index) in restamped {
+                let mut bytes = pristine.clone();
+                bytes[at..at + word.len()].copy_from_slice(&word);
+                let s = header.sections[section];
+                let sum =
+                    layout::fnv1a_words(&bytes[s.offset as usize..(s.offset + s.len) as usize]);
+                let stamp = 8 * (6 + 3 * section + 2);
+                bytes[stamp..stamp + 8].copy_from_slice(&sum.to_le_bytes());
+                let case = format!(
+                    "stride {stride}, {} word {index} re-stamped",
+                    SECTION_NAMES[section]
+                );
+                let v = read_hostile(&path, &bytes, &case);
+                let named = match &v.open {
+                    Err(StoreError::Corrupt { what }) if section == layout::SEC_OFFSETS => {
+                        what.starts_with("offsets")
+                    }
+                    Err(StoreError::Corrupt { what }) => what.contains(&format!(" {index} is")),
+                    _ => false,
+                };
+                assert!(named, "{case}: open gave {:?}", v.open);
+                cases += 1;
             }
             // Truncation at, and a word either side of, every section
             // boundary and inside the header.

@@ -154,7 +154,7 @@ LOUVAIN_SCALE=quick ./target/release/ablations 2>/dev/null |
 # with four sections and 4-byte targets; a copy whose version byte (file
 # offset 0) says 1 or 2 is refused by `info` and `run`, by version and
 # without a panic.
-echo "==> slab v3: generate --chunk-edges 500 under ulimit -n 256 | cmp against the default chunk | info (targets 4 B per arc) | v1 and v2 copies refused by info and run | run --ranged refuses a 4-byte targets id past n | the retired --slab switch, convert and an LVGRBPH1 file refused"
+echo "==> slab v3: generate --chunk-edges 500 under ulimit -n 256 | cmp against the default chunk | info (targets 4 B per arc) | v1 and v2 copies refused by info and run | a 4-byte targets id past n refused by run --ranged, and with its checksum re-stamped by the mapped run and info | a re-stamped non-monotone offsets word refused by run | the retired --slab switch, convert and an LVGRBPH1 file refused"
 (
   ulimit -n 256
   ./target/release/louvain generate --kind rmat --n 65536 --seed 3 --chunk-edges 500 \
@@ -184,6 +184,28 @@ printf '\377\377\377\377' |
   dd of=target/verify_bad_target.slab bs=1 seek="$targets_at" count=4 conv=notrunc status=none
 must_refuse "targets word of rank 0 at arc 0" \
   ./target/release/louvain run target/verify_bad_target.slab --ranks 2 --ranged
+# With the section's checksum re-stamped, only the word checks stand
+# between that id and a rank: the mapped run and `info` refuse it too,
+# and the mapped run refuses an `offsets` word out of order.
+restamp() { # FILE SECTION: header word 8 + 3·SECTION := FNV-1a of its 8-byte words
+  local file=$1 at=$((8 * (6 + 3 * $2))) h=-3750763034362895579 w off len hex
+  off=$(od -An -t u8 -j "$at" -N 8 "$file" | tr -d ' ')
+  len=$(od -An -t u8 -j $((at + 8)) -N 8 "$file" | tr -d ' ')
+  for w in $(od -An -v -t x8 -j "$off" -N "$len" "$file"); do
+    h=$(((h ^ 16#$w) * 1099511628211))
+  done
+  hex=$(printf '%016x' "$h" | sed -E 's/(..)(..)(..)(..)(..)(..)(..)(..)/\\x\8\\x\7\\x\6\\x\5\\x\4\\x\3\\x\2\\x\1/')
+  printf "$hex" | dd of="$file" bs=1 seek=$((at + 16)) count=8 conv=notrunc status=none
+}
+restamp target/verify_bad_target.slab 1
+must_refuse "targets word at arc 0 " ./target/release/louvain run target/verify_bad_target.slab
+must_refuse "targets word at arc 0 " ./target/release/louvain info target/verify_bad_target.slab
+cp target/verify_default_blocks.slab target/verify_bad_offsets.slab
+offsets_at=$(awk '$2 == "offsets" { print $4 }' target/slab_info.txt)
+printf '\377\377\377\377\377\377\377\377' |
+  dd of=target/verify_bad_offsets.slab bs=1 seek=$((offsets_at + 8)) count=8 conv=notrunc status=none
+restamp target/verify_bad_offsets.slab 0
+must_refuse "offsets are not a monotone run" ./target/release/louvain run target/verify_bad_offsets.slab
 # The slab is the only graph file: the switch that chose it, the command
 # that wrote the binary edge list, and a file with that format's magic
 # (its 8-byte header, "LVGRBPH1" read as a big-endian word) are each
