@@ -121,22 +121,12 @@ pub struct DistConfig {
     pub max_iterations: usize,
     /// Seed for deterministic ET coin flips.
     pub seed: u64,
-    /// With an ET variant: once a vertex is permanently inactive, its
-    /// community is frozen, so owners announce it and peers stop
-    /// refreshing that ghost (the paper's "communication that relates to
-    /// inactive vertices can be prevented" refinement).
-    pub prune_inactive_ghosts: bool,
     /// Intra-rank ("OpenMP") threads for the compute sweep — the paper is
     /// MPI+OpenMP and runs "either 2 or 4 threads per process". With more
     /// than one, the colored schedule decides each conflict-free batch's
     /// moves in parallel and applies them in a fixed order, so results
     /// are bit-identical at any thread count (see [`SweepMode`]).
     pub threads_per_rank: usize,
-    /// Distributed vertex following (Grappolo's VF heuristic, §4.1 of Lu
-    /// et al.): before the first phase's sweeps, every degree-1 vertex
-    /// adopts its unique neighbor's (singleton) community; pendant pairs
-    /// collapse toward the smaller id. One extra ghost exchange.
-    pub vertex_following: bool,
     /// Delta ghost refresh: after the first iteration of a phase, owners
     /// push `(index, community)` pairs only for vertices whose community
     /// changed since the last exchange, instead of re-sending every ghost
@@ -169,9 +159,7 @@ impl DistConfig {
             max_phases: 40,
             max_iterations: 200,
             seed: 0xD157,
-            prune_inactive_ghosts: false,
             threads_per_rank: 1,
-            vertex_following: false,
             delta_ghost_refresh: false,
             sweep: SweepMode::Auto,
         }

@@ -24,27 +24,24 @@
 //! order of first sight). Global ids are translated only where a value
 //! crosses the wire.
 //!
-//! Three refinements from the paper's discussion are implemented here:
+//! Two refinements from the paper's discussion are implemented here:
 //!
 //! * **neighborhood transport** — the ghost topology is fixed for the
 //!   whole phase and symmetric, so every refresh is an MPI-3-style
 //!   neighborhood collective over it, whose per-message cost scales with
 //!   the topology degree instead of `p−1` (the discovery exchange in
-//!   [`GhostLayer::build`], the owner pulls/pushes and pruning's
-//!   announcements still go over the full communicator);
+//!   [`GhostLayer::build`] and the owner pulls/pushes still go over the
+//!   full communicator);
 //! * **delta refresh** ([`GhostLayer::refresh_delta`]) — after the first
 //!   iterations most vertices stop moving, so owners push `(index, value)`
 //!   pairs only for vertices whose community changed since the last
 //!   exchange instead of re-sending every ghost value. Ghost slots not
 //!   mentioned keep their previous value, which is exactly the owner's
 //!   current value — so a delta refresh leaves the ghost array
-//!   byte-identical to what a full [`GhostLayer::refresh`] would produce;
-//! * **inactive-ghost pruning** ([`GhostLayer::prune`]) — under early
-//!   termination, a permanently inactive vertex can never move again, so
-//!   its owner announces it and peers stop refreshing that ghost
-//!   ("any communication that relates to inactive vertices can be
-//!   prevented/preempted by communicating the ghost vertex IDs that have
-//!   become inactive", Section IV-B).
+//!   byte-identical to what a full [`GhostLayer::refresh`] would produce.
+//!   It is also how the paper's "any communication that relates to
+//!   inactive vertices can be prevented" (Section IV-B) is met: a vertex
+//!   early termination has frozen never changes, so it is never sent.
 //!
 //! Refresh rounds run in the per-iteration hot path, so all send/receive
 //! buffers cycle through a small pool ([`GhostLayer`] keeps the vectors
@@ -117,14 +114,9 @@ pub struct GhostLayer<'g> {
     /// Ghost ids this rank needs, grouped by owner, sorted (fixed order —
     /// the wire format of every refresh).
     requests: Vec<Vec<VertexId>>,
-    /// `request_mask[owner][i]` — false once the ghost was pruned
-    /// (frozen); its slot keeps the last received value.
-    request_mask: Vec<Vec<bool>>,
     /// For each peer rank: the local indices of our vertices it ghosts,
     /// aligned with that peer's request order.
     serve: Vec<Vec<usize>>,
-    /// Mirror of the peer's `request_mask` for our serve entries.
-    serve_mask: Vec<Vec<bool>>,
     /// Ranks this rank actually exchanges ghosts with (symmetric): the
     /// topology every refresh is sent over.
     neighbors: Vec<usize>,
@@ -132,7 +124,6 @@ pub struct GhostLayer<'g> {
     /// ghost value array (precomputed; refreshes fill from it).
     base: Vec<usize>,
     num_ghosts: usize,
-    pruned: usize,
     /// Local values as of the last [`GhostLayer::exchange`] — the
     /// baseline its delta flavour diffs against.
     last_pushed: Vec<VertexId>,
@@ -227,8 +218,6 @@ impl<'g> GhostLayer<'g> {
         let neighbors: Vec<usize> = (0..p)
             .filter(|&j| j != comm.rank() && (!requests[j].is_empty() || !serve[j].is_empty()))
             .collect();
-        let request_mask = requests.iter().map(|r| vec![true; r.len()]).collect();
-        let serve_mask = serve.iter().map(|s| vec![true; s.len()]).collect();
         Self {
             nlocal,
             targets,
@@ -236,13 +225,10 @@ impl<'g> GhostLayer<'g> {
             arcs_into,
             has_ghost_arcs,
             requests,
-            request_mask,
             serve,
-            serve_mask,
             neighbors,
             base,
             num_ghosts: next,
-            pruned: 0,
             last_pushed: Vec::new(),
             have_baseline: false,
             changed: Vec::new(),
@@ -254,11 +240,6 @@ impl<'g> GhostLayer<'g> {
     /// Number of distinct ghost vertices held by this rank.
     pub fn num_ghosts(&self) -> usize {
         self.num_ghosts
-    }
-
-    /// Ghosts whose refresh has been pruned.
-    pub fn num_pruned(&self) -> usize {
-        self.pruned
     }
 
     /// Ranks this rank exchanges ghosts with (symmetric topology).
@@ -348,35 +329,23 @@ impl<'g> GhostLayer<'g> {
         pool.put_back(received);
     }
 
-    /// One refresh round: every owner pushes `local_vals` entries for
-    /// the vertices each peer ghosts (pruned serve entries are skipped);
-    /// `out` is updated in slot order (it must persist across rounds once
-    /// pruning is enabled — pruned slots keep their frozen value).
-    /// Collective.
+    /// One refresh round: every owner pushes the `local_vals` entries of
+    /// the vertices each peer ghosts, and `out` is overwritten in slot
+    /// order. Collective.
     pub fn refresh(&self, comm: &Comm, local_vals: &[VertexId], out: &mut Vec<VertexId>) {
         out.resize(self.num_ghosts, 0);
         self.round(
             comm,
             &self.val_pool,
-            |j, buf| {
-                let alive = self.serve[j].iter().zip(&self.serve_mask[j]);
-                buf.extend(alive.filter(|&(_, &on)| on).map(|(&l, _)| local_vals[l]));
-            },
+            |j, buf| buf.extend(self.serve[j].iter().map(|&l| local_vals[l])),
             |owner, values| {
                 let base = self.base[owner];
-                let mut vi = 0;
-                for (i, &alive) in self.request_mask[owner].iter().enumerate() {
-                    if alive {
-                        out[base + i] = values[vi];
-                        vi += 1;
-                    }
-                }
-                debug_assert_eq!(vi, values.len());
+                out[base..base + self.requests[owner].len()].copy_from_slice(values);
             },
         );
     }
 
-    /// Delta refresh: owners push `(index, value)` pairs only for alive
+    /// Delta refresh: owners push `(index, value)` pairs only for the
     /// serve entries whose local vertex is marked in `changed` (indexed
     /// by local vertex); only the mentioned slots change. `out` must
     /// already hold the values of a previous full refresh of this phase
@@ -399,19 +368,15 @@ impl<'g> GhostLayer<'g> {
             comm,
             &self.delta_pool,
             |j, buf| {
-                let entries = self.serve[j].iter().zip(&self.serve_mask[j]).enumerate();
+                let entries = self.serve[j].iter().enumerate();
                 buf.extend(
                     entries
-                        .filter(|&(_, (&l, &on))| on && changed[l])
-                        .map(|(i, (&l, _))| (i as u32, local_vals[l])),
+                        .filter(|&(_, &l)| changed[l])
+                        .map(|(i, &l)| (i as u32, local_vals[l])),
                 );
             },
             |owner, pairs| {
                 for &(i, v) in pairs {
-                    debug_assert!(
-                        self.request_mask[owner][i as usize],
-                        "delta for a pruned ghost slot"
-                    );
                     out[self.base[owner] + i as usize] = v;
                 }
             },
@@ -428,8 +393,8 @@ impl<'g> GhostLayer<'g> {
     /// because exchanges are collective.
     ///
     /// The changed bits diff against the exact last-pushed values rather
-    /// than any per-iteration move flag, so an exchange also carries
-    /// moves made outside a sweep (vertex following). The phase loop
+    /// than any per-iteration move flag, so an exchange carries every
+    /// change since the last one, whoever made it. The phase loop
     /// exchanges once per iteration and once after the last one.
     pub fn exchange(
         &mut self,
@@ -465,48 +430,6 @@ impl<'g> GhostLayer<'g> {
         );
     }
 
-    /// Prune refresh traffic for permanently frozen vertices: this rank
-    /// announces `frozen_locals` (local indices of owned vertices that
-    /// became permanently inactive) to every peer ghosting them, and
-    /// symmetrically drops the ghosts other owners announce. Both sides
-    /// mask in the same round, so subsequent refreshes stay aligned.
-    /// Returns the number of ghost slots this rank stopped refreshing.
-    /// Collective.
-    pub fn prune(&mut self, comm: &Comm, lg: &LocalGraph, frozen_locals: &[usize]) -> usize {
-        let frozen: louvain_graph::hash::FastSet<usize> = frozen_locals.iter().copied().collect();
-        // Mask our serve entries and build the announcements.
-        let mut announce: Vec<Vec<VertexId>> = vec![Vec::new(); comm.size()];
-        for ((serve, mask), out) in self
-            .serve
-            .iter()
-            .zip(self.serve_mask.iter_mut())
-            .zip(announce.iter_mut())
-        {
-            for (i, &l) in serve.iter().enumerate() {
-                if mask[i] && frozen.contains(&l) {
-                    mask[i] = false;
-                    out.push(lg.to_global(l));
-                }
-            }
-        }
-        let received = comm.all_to_all_v(announce);
-        // Drop the announced ghosts from our request masks.
-        let mut dropped = 0;
-        for (owner, gids) in received.iter().enumerate() {
-            for gid in gids {
-                let i = self.requests[owner]
-                    .binary_search(gid)
-                    .expect("announced ghost not in request list");
-                if self.request_mask[owner][i] {
-                    self.request_mask[owner][i] = false;
-                    dropped += 1;
-                }
-            }
-        }
-        self.pruned += dropped;
-        dropped
-    }
-
     /// The request lists (per owner) — used by tests and by rebuild to
     /// enumerate ghost ids.
     pub fn requests(&self) -> &[Vec<VertexId>] {
@@ -515,7 +438,7 @@ impl<'g> GhostLayer<'g> {
 
     /// Approximate resident bytes of the ghost bookkeeping (arc targets
     /// unless borrowed from the graph, their reverse index, request and
-    /// serve tables, masks) — the `mem.ghost_bytes` gauge.
+    /// serve tables) — the `mem.ghost_bytes` gauge.
     pub fn approx_bytes(&self) -> u64 {
         use std::mem::size_of;
         fn nested<T>(v: &[Vec<T>]) -> u64 {
@@ -524,9 +447,7 @@ impl<'g> GhostLayer<'g> {
                 .sum()
         }
         nested(&self.requests)
-            + nested(&self.request_mask)
             + nested(&self.serve)
-            + nested(&self.serve_mask)
             + match &self.targets {
                 Cow::Owned(targets) => (targets.capacity() * size_of::<u32>()) as u64,
                 Cow::Borrowed(_) => 0,
@@ -933,35 +854,6 @@ mod tests {
     }
 
     #[test]
-    fn delta_refresh_respects_pruned_slots() {
-        let g = ring(8);
-        let parts = scatter_for(2, &g);
-        let out = run(2, |c| {
-            let lg = parts[c.rank()].clone();
-            let mut layer = GhostLayer::build(c, &lg);
-            let mut ghost_vals = Vec::new();
-            let vals1: Vec<u64> = (0..lg.num_local()).map(|l| 100 + lg.to_global(l)).collect();
-            layer.refresh(c, &vals1, &mut ghost_vals);
-            // Rank 0 freezes global vertex 0 (ghosted by rank 1).
-            let frozen: Vec<usize> = if c.rank() == 0 {
-                vec![lg.to_local(0)]
-            } else {
-                vec![]
-            };
-            layer.prune(c, &lg, &frozen);
-            // Every vertex "changes" — but the pruned serve entry must not
-            // be sent, so the frozen ghost keeps its round-1 value.
-            let vals2: Vec<u64> = (0..lg.num_local()).map(|l| 200 + lg.to_global(l)).collect();
-            let changed = vec![true; lg.num_local()];
-            layer.refresh_delta(c, &vals2, &changed, &mut ghost_vals);
-            ghost_vals
-        });
-        // Rank 1 ghosts vertices 0 and 3: 0 is frozen at 100, 3 moves to 203.
-        assert!(out[1].contains(&100), "{:?}", out[1]);
-        assert!(out[1].contains(&203), "{:?}", out[1]);
-    }
-
-    #[test]
     fn community_index_numbers_remote_communities_on_first_sight() {
         // Rank 1 of 3 on a 12-ring owns 4..8.
         let g = ring(12);
@@ -1083,43 +975,5 @@ mod tests {
             assert!(r0[round as usize].contains(&(round * 100 + 7)));
             assert!(r0[round as usize].contains(&(round * 100 + 4)));
         }
-    }
-
-    #[test]
-    fn pruned_ghosts_keep_their_frozen_value() {
-        let g = ring(8);
-        let parts = scatter_for(2, &g);
-        let out = run(2, |c| {
-            let lg = parts[c.rank()].clone();
-            let mut layer = GhostLayer::build(c, &lg);
-            let mut ghost_vals = Vec::new();
-            // Round 1: everyone publishes 100 + gid.
-            let vals1: Vec<u64> = (0..lg.num_local()).map(|l| 100 + lg.to_global(l)).collect();
-            layer.refresh(c, &vals1, &mut ghost_vals);
-            let before = ghost_vals.clone();
-            // Rank 0 freezes its local vertex with global id 0 — which is
-            // ghosted by rank 1 (ring edge 7–0).
-            let frozen: Vec<usize> = if c.rank() == 0 {
-                vec![lg.to_local(0)]
-            } else {
-                vec![]
-            };
-            let dropped = layer.prune(c, &lg, &frozen);
-            // Round 2: values change to 200 + gid; the pruned ghost must
-            // keep its round-1 value.
-            let vals2: Vec<u64> = (0..lg.num_local()).map(|l| 200 + lg.to_global(l)).collect();
-            layer.refresh(c, &vals2, &mut ghost_vals);
-            (before, ghost_vals, dropped, layer.num_pruned())
-        });
-        // Rank 1 ghosts vertices 0 and 3. After pruning vertex 0 its value
-        // stays at 100 while vertex 3 advances to 203.
-        let (before1, after1, dropped1, pruned1) = &out[1];
-        assert_eq!(*dropped1, 1);
-        assert_eq!(*pruned1, 1);
-        assert!(before1.contains(&100));
-        assert!(after1.contains(&100), "frozen ghost value lost: {after1:?}");
-        assert!(after1.contains(&203));
-        // Rank 0 pruned nothing on its side.
-        assert_eq!(out[0].2, 0);
     }
 }

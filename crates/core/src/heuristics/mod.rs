@@ -1,9 +1,9 @@
-//! The performance heuristics of Section IV-B.
+//! The performance heuristics of Section IV-B. Early termination's
+//! state machine is [`grappolo::EtState`], shared with the
+//! shared-memory baseline.
 
 pub mod coloring;
-pub mod early_term;
 pub mod threshold;
 
 pub use coloring::distributed_coloring;
-pub use early_term::{EtTracker, INACTIVE_CUTOFF};
 pub use threshold::ThresholdSchedule;

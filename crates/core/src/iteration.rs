@@ -39,22 +39,20 @@
 //! appear only where a value crosses the wire.
 //!
 //! Paper future-work extensions: the ghost refresh is always an
-//! MPI-3-style neighborhood collective ([`GhostLayer`]); pruning of
-//! refresh traffic for permanently inactive vertices under ET is off by
-//! default (see [`crate::DistConfig`]). The paper's other one, distance-1
-//! coloring, is the colored schedule's batching.
+//! MPI-3-style neighborhood collective ([`GhostLayer`]), and distance-1
+//! coloring is the colored schedule's batching.
 
 use std::sync::Mutex;
 
+use grappolo::EtState;
 use rayon::WorkerPool;
 
 use louvain_comm::{Comm, CommStep, ReduceOp};
-use louvain_graph::hash::{fast_map, FastMap};
 use louvain_graph::{DenseMap, LocalGraph, VertexId, Weight};
 
 use crate::config::{DistConfig, SweepMode};
-use crate::ghost::{pull_from_owners, push_to_owners, CommunityIndex, GhostLayer, PullBufs};
-use crate::heuristics::{distributed_coloring, EtTracker};
+use crate::ghost::{pull_from_owners, push_to_owners, CommunityIndex, GhostLayer};
+use crate::heuristics::distributed_coloring;
 use crate::prefetch_rows;
 use crate::scratch::{lock_worker, IterScratch, RemoteTable, SweepAcc, SweepWorker};
 use crate::stats::{IterationTrace, WorkCounter};
@@ -77,8 +75,6 @@ pub struct PhaseResult {
     pub compute: WorkCounter,
     /// True if the ETC 90%-inactive exit ended the phase.
     pub etc_exit: bool,
-    /// Ghost refreshes pruned away by the inactive-vertex refinement.
-    pub pruned_ghosts: usize,
 }
 
 /// Immutable phase inputs shared by the iteration loop.
@@ -491,8 +487,8 @@ fn reduce_modularity(comm: &Comm, e_in_local: f64, a: &[Weight], two_m: f64) -> 
 }
 
 /// Run the iteration loop of one phase with threshold `tau`.
-/// `ghosts` is taken mutably so the inactive-ghost pruning refinement can
-/// mask refresh traffic mid-phase.
+/// `ghosts` is taken mutably: each exchange leaves its delta baseline
+/// there.
 pub fn louvain_phase(
     ctx: &PhaseContext<'_>,
     ghosts: &mut GhostLayer,
@@ -517,10 +513,12 @@ pub fn louvain_phase(
     let mut state = SweepState::new(&k_local);
     let mut ghost_comm = GhostComms::default();
 
-    let mut et: Option<EtTracker> = cfg
+    // Early termination (Section IV-B(b)): coins keyed by global id, so a
+    // vertex flips the same coin on whichever rank hosts it.
+    let mut et: Option<EtState> = cfg
         .variant
         .alpha()
-        .map(|alpha| EtTracker::new(nlocal, first, alpha, cfg.seed));
+        .map(|alpha| EtState::with_offset(nlocal, first, alpha, cfg.seed));
     let sweep_order = louvain_graph::hash::shuffled_order(
         nlocal,
         cfg.seed ^ (phase_idx as u64).wrapping_mul(0x9e37) ^ first,
@@ -552,15 +550,6 @@ pub fn louvain_phase(
     // all-reduced, so every rank picks the same refresh flavour each
     // time.
     let mut few_moved = false;
-
-    // Distributed vertex following: pendant vertices pre-join their
-    // unique neighbor's singleton community before the first sweep.
-    // Collective (one ghost exchange of pendant flags + one delta push),
-    // so every rank must agree on the flag.
-    let followed = cfg.vertex_following && phase_idx == 0;
-    if followed {
-        apply_vertex_following(comm, lg, ghosts, &mut index, &mut state, &k_local);
-    }
 
     // This rank's Σ e_in (module doc).
     let mut e_in = self_loop_weight(lg, ghosts);
@@ -606,13 +595,8 @@ pub fn louvain_phase(
         );
         compute.edges_scanned += arcs;
         e_in += ghost_e_in_change;
-        if followed && iterations == 1 {
-            // Vertex following moved vertices before the first exchange,
-            // so the self-loop weight is not this phase's start.
-            e_in = local_e_in(lg, ghosts, &state, &ghost_comm.dense);
-        }
-        // New remote communities enter only through the exchange (and
-        // vertex following before it), so the tables are sized here.
+        // New remote communities enter only through the exchange, so the
+        // tables are sized here.
         scratch.cover(index.num_dense());
         state.remote.cover(index.num_remote());
         let targets = ghosts.targets();
@@ -749,19 +733,15 @@ pub fn louvain_phase(
         });
         few_moved = moves_global.saturating_mul(4) < n_global;
 
-        // -- ET bookkeeping / ghost pruning / ETC exit. --------------------
+        // -- ET bookkeeping / ETC exit. ------------------------------------
         let mut inactive_global = 0u64;
         if let Some(t) = &mut et {
             for (l, &m) in state.moved.iter().enumerate() {
                 t.update(l, m);
             }
-            if cfg.prune_inactive_ghosts {
-                let frozen = t.drain_newly_frozen();
-                ghosts.prune(comm, lg, &frozen);
-            }
             if cfg.variant.uses_etc_exit() {
                 inactive_global = comm.with_step(CommStep::Reduction, || {
-                    comm.all_reduce(t.num_inactive(), ReduceOp::Sum)
+                    comm.all_reduce(t.num_inactive() as u64, ReduceOp::Sum)
                 });
             }
         }
@@ -822,8 +802,7 @@ pub fn louvain_phase(
     // Final refresh so rebuild observes the final state of the ghosts,
     // then recompute modularity once WITHOUT lag: the per-iteration values
     // above drive convergence exactly as in the paper (stale ghost state),
-    // but the reported phase modularity must be exact. Pruned ghosts are
-    // frozen, so their cached values are already final. This Σ e_in is
+    // but the reported phase modularity must be exact. This Σ e_in is
     // recomputed from scratch, once a phase.
     exchange_ghosts(
         comm,
@@ -860,182 +839,7 @@ pub fn louvain_phase(
         traces,
         compute,
         etc_exit,
-        pruned_ghosts: ghosts.num_pruned(),
     }
-}
-
-/// Distributed vertex following (phase 0 only), chain-collapsing flavour.
-///
-/// Degree-1 *chains* — not just direct pendants — are peeled iteratively:
-/// each round, every vertex with exactly one still-alive non-loop
-/// neighbor follows that neighbor and drops out, exposing the next link.
-/// Mutual pendant pairs (an isolated edge: each endpoint is the other's
-/// unique alive neighbor) collapse toward the smaller id — following
-/// blindly would swap them instead of merging. Peeling repeats until a
-/// global round removes nothing.
-///
-/// A peeled vertex's recorded parent may itself be peeled in a later
-/// round, so chains are then resolved to their surviving *anchor* by
-/// distributed pointer chasing (owners answer "alive, or else forward to
-/// my parent" pulls), and every peeled vertex joins its anchor's
-/// singleton community in one delta push. Anchors are alive and have
-/// never moved, so the anchor's community id equals its vertex id.
-///
-/// All rounds are collective (flag ghost exchanges + an all-reduced
-/// peel/unresolved count), so every rank runs the same number of them.
-/// Peeled vertices stay active in later sweeps: they may still migrate
-/// once real modularity information starts flowing.
-fn apply_vertex_following(
-    comm: &Comm,
-    lg: &LocalGraph,
-    ghosts: &GhostLayer,
-    index: &mut CommunityIndex,
-    state: &mut SweepState,
-    k_local: &[Weight],
-) {
-    let part = lg.partition();
-    let first = lg.first_vertex();
-    let nlocal = lg.num_local();
-    // -- Peeling rounds. ---------------------------------------------------
-    // Vertex-following traffic keeps its default `Other` attribution;
-    // the explicit scopes give it wait/transfer sub-spans so the traced
-    // byte counters reconcile with the sub-span totals.
-    let mut alive: Vec<u64> = vec![1; nlocal];
-    let mut parent: Vec<Option<VertexId>> = vec![None; nlocal];
-    // The unique alive neighbor of each qualifying vertex: (target, id).
-    let mut qual_target: Vec<Option<(u32, VertexId)>> = vec![None; nlocal];
-    let mut ghost_alive: Vec<u64> = Vec::new();
-    let mut ghost_qual: Vec<u64> = Vec::new();
-    loop {
-        comm.with_step(CommStep::Other, || {
-            ghosts.refresh(comm, &alive, &mut ghost_alive)
-        });
-        {
-            let alive_of = |t| ghosts.value_of(t, |i| alive[i], &ghost_alive) == 1;
-            for l in 0..nlocal {
-                qual_target[l] = None;
-                if alive[l] == 0 {
-                    continue;
-                }
-                let v = lg.to_global(l);
-                let mut nbrs = (ghosts.neighbors(lg, l)).filter(|&(t, u, _)| u != v && alive_of(t));
-                qual_target[l] = match (nbrs.next(), nbrs.next()) {
-                    (Some((t, u, _)), None) => Some((t, u)),
-                    _ => None,
-                };
-            }
-        }
-        let qual: Vec<u64> = qual_target.iter().map(|t| u64::from(t.is_some())).collect();
-        comm.with_step(CommStep::Other, || {
-            ghosts.refresh(comm, &qual, &mut ghost_qual)
-        });
-        let qual_of = |t| ghosts.value_of(t, |i| qual[i], &ghost_qual) == 1;
-        let mut peeled = 0u64;
-        for l in 0..nlocal {
-            let Some((t, u)) = qual_target[l] else {
-                continue;
-            };
-            let v = lg.to_global(l);
-            // If the parent also qualifies, the relation is mutual (its
-            // unique alive neighbor must be us): only the larger id
-            // follows, the smaller survives as the pair's anchor.
-            if qual_of(t) && u > v {
-                continue;
-            }
-            alive[l] = 0;
-            parent[l] = Some(u);
-            peeled += 1;
-        }
-        let peeled_global =
-            comm.with_step(CommStep::Other, || comm.all_reduce(peeled, ReduceOp::Sum));
-        if peeled_global == 0 {
-            break;
-        }
-    }
-
-    // -- Pointer chasing: resolve chains to their surviving anchors. -------
-    let mut anchor = parent;
-    let mut resolved: Vec<bool> = anchor.iter().map(|t| t.is_none()).collect();
-    loop {
-        // Owners answer (alive, self) or (dead, current forward pointer).
-        // The anchor array advances as resolution proceeds, so answering
-        // from it (rather than from the original parents) gives querying
-        // ranks path-compressed hops for free.
-        let unresolved_targets = (0..nlocal)
-            .filter(|&l| !resolved[l])
-            .map(|l| anchor[l].expect("unresolved vertex without a target"));
-        let mut next: FastMap<VertexId, (bool, VertexId)> = fast_map();
-        pull_from_owners(
-            comm,
-            part,
-            CommStep::Other,
-            unresolved_targets,
-            &mut PullBufs::default(),
-            |u| {
-                let i = (u - first) as usize;
-                if alive[i] == 1 {
-                    (true, u)
-                } else {
-                    (false, anchor[i].expect("dead vertex without a parent"))
-                }
-            },
-            |u, hop| {
-                next.insert(u, hop);
-            },
-        );
-        let mut unresolved = 0u64;
-        for l in 0..nlocal {
-            if resolved[l] {
-                continue;
-            }
-            let t = anchor[l].expect("unresolved vertex without a target");
-            let &(is_alive, nxt) = next.get(&t).expect("owner did not answer a pull");
-            if is_alive {
-                resolved[l] = true;
-            } else {
-                anchor[l] = Some(nxt);
-                unresolved += 1;
-            }
-        }
-        let unresolved_global = comm.with_step(CommStep::Other, || {
-            comm.all_reduce(unresolved, ReduceOp::Sum)
-        });
-        if unresolved_global == 0 {
-            break;
-        }
-    }
-
-    // -- Apply: every peeled vertex joins its anchor's singleton. ----------
-    let mut deltas: FastMap<VertexId, (Weight, i64)> = fast_map();
-    for l in 0..nlocal {
-        if alive[l] == 1 {
-            continue;
-        }
-        let t = anchor[l].expect("peeled vertex without an anchor");
-        let kv = k_local[l];
-        // Leave own singleton community (owned here by construction).
-        let joined = index.dense(t);
-        state.comm[l] = joined;
-        state.a[l] -= kv;
-        state.size[l] -= 1;
-        // Join the anchor's community.
-        if index.remote_slot(joined).is_none() {
-            state.a[joined as usize] += kv;
-            state.size[joined as usize] += 1;
-        } else {
-            let d = deltas.entry(t).or_insert((0.0, 0));
-            d.0 += kv;
-            d.1 += 1;
-        }
-    }
-    push_to_owners(
-        comm,
-        part,
-        CommStep::Other,
-        deltas.iter().map(|(&c, &(da, ds))| (c, da, ds)),
-        &mut Vec::new(),
-        |c, da, ds| absorb(&mut state.a, &mut state.size, (c - first) as usize, da, ds),
-    );
 }
 
 /// Step 2's key set: key in `remote` the remote communities of the
@@ -1126,8 +930,8 @@ fn local_e_in(lg: &LocalGraph, ghosts: &GhostLayer, state: &SweepState, ghost_co
     e_in_local
 }
 
-/// `Σ e_in` after a phase's first exchange unless vertex following ran:
-/// every vertex alone and every ghost at its own id leave the self-loops.
+/// `Σ e_in` after a phase's first exchange: every vertex alone and every
+/// ghost at its own id leave the self-loops.
 fn self_loop_weight(lg: &LocalGraph, ghosts: &GhostLayer) -> f64 {
     let (offsets, _, arc_weights) = lg.csr_parts();
     let targets = ghosts.targets();
@@ -1140,6 +944,7 @@ fn self_loop_weight(lg: &LocalGraph, ghosts: &GhostLayer) -> f64 {
 mod tests {
     use super::*;
     use crate::config::DistConfig;
+    use crate::ghost::PullBufs;
     use louvain_comm::run;
     use louvain_graph::community::modularity;
     use louvain_graph::{Csr, EdgeList, VertexPartition};
@@ -1219,43 +1024,6 @@ mod tests {
     }
 
     #[test]
-    fn vertex_following_merges_pendants_immediately() {
-        // Star + pendant chain: 0-1, 0-2, 0-3 (star) and isolated edge 4-5.
-        let g = Csr::from_edge_list(EdgeList::from_edges(
-            6,
-            [(0, 1, 1.0), (0, 2, 1.0), (0, 3, 1.0), (4, 5, 1.0)],
-        ));
-        let cfg = DistConfig {
-            vertex_following: true,
-            ..DistConfig::baseline()
-        };
-        for p in [1, 2, 3] {
-            let (assignment, q) = run_one_phase(&g, p, &cfg);
-            // All star leaves end with the hub.
-            assert_eq!(assignment[1], assignment[0], "p={p}");
-            assert_eq!(assignment[2], assignment[0], "p={p}");
-            assert_eq!(assignment[3], assignment[0], "p={p}");
-            // The pendant pair collapses toward the smaller id.
-            assert_eq!(assignment[4], assignment[5], "p={p}");
-            assert_eq!(assignment[4], 4, "p={p}");
-            let q_ref = modularity(&g, &assignment);
-            assert!((q - q_ref).abs() < 1e-9, "p={p}");
-        }
-    }
-
-    #[test]
-    fn vertex_following_preserves_quality_on_lfr() {
-        let g = louvain_graph::gen::lfr(louvain_graph::gen::LfrParams::small(800, 11)).graph;
-        let base = run_one_phase(&g, 2, &DistConfig::baseline());
-        let cfg = DistConfig {
-            vertex_following: true,
-            ..DistConfig::baseline()
-        };
-        let vf = run_one_phase(&g, 2, &cfg);
-        assert!(vf.1 > base.1 - 0.05, "vf {} vs base {}", vf.1, base.1);
-    }
-
-    #[test]
     fn multithreaded_sweep_reaches_comparable_quality() {
         let g = louvain_graph::gen::lfr(louvain_graph::gen::LfrParams::small(1_000, 9)).graph;
         let base = run_one_phase(&g, 2, &DistConfig::baseline());
@@ -1309,33 +1077,6 @@ mod tests {
     }
 
     #[test]
-    fn delta_refresh_composes_with_pruning() {
-        let g = louvain_graph::gen::ssca2(louvain_graph::gen::Ssca2Params {
-            n: 600,
-            max_clique_size: 15,
-            inter_clique_prob: 0.05,
-            seed: 3,
-        })
-        .graph;
-        // ET + inactive-ghost pruning: pruned serve slots are excluded
-        // from delta payloads exactly as from full ones.
-        let et = DistConfig {
-            prune_inactive_ghosts: true,
-            ..DistConfig::with_variant(crate::Variant::Et { alpha: 0.75 })
-        };
-        let et_delta = DistConfig {
-            delta_ghost_refresh: true,
-            ..et.clone()
-        };
-        let a = run_one_phase(&g, 3, &et);
-        let b = run_one_phase(&g, 3, &et_delta);
-        assert_eq!(a.0, b.0);
-        assert_eq!(a.1, b.1);
-        let q_ref = modularity(&g, &b.0);
-        assert!((b.1 - q_ref).abs() < 1e-9);
-    }
-
-    #[test]
     fn modularity_traces_are_deterministic_and_delta_invariant() {
         let g = louvain_graph::gen::lfr(louvain_graph::gen::LfrParams::small(500, 3)).graph;
         let part = VertexPartition::balanced_vertices(500, 2);
@@ -1366,29 +1107,6 @@ mod tests {
         };
         let delta = run_traces(&delta_cfg);
         assert_eq!(base, delta, "delta refresh must not perturb the trajectory");
-    }
-
-    #[test]
-    fn pruning_preserves_results_for_frozen_et() {
-        // With pruning on, the phase output must still be a consistent
-        // (reported == recomputed) clustering.
-        let g = louvain_graph::gen::ssca2(louvain_graph::gen::Ssca2Params {
-            n: 600,
-            max_clique_size: 15,
-            inter_clique_prob: 0.05,
-            seed: 3,
-        })
-        .graph;
-        let cfg = DistConfig {
-            prune_inactive_ghosts: true,
-            ..DistConfig::with_variant(crate::Variant::Et { alpha: 0.75 })
-        };
-        let (assignment, q) = run_one_phase(&g, 3, &cfg);
-        let q_ref = modularity(&g, &assignment);
-        assert!(
-            (q - q_ref).abs() < 1e-9,
-            "reported {q} vs reference {q_ref}"
-        );
     }
 
     #[test]
@@ -1807,9 +1525,9 @@ mod tests {
         // from-scratch pass at every iteration in debug builds and in
         // these tests (`assert_tracked_e_in`): bit for bit on the
         // integer-weight generators, within 1e-9 relative on random f64
-        // weights. Both schedules, none exempt, at p ∈ {1, 2, 3}, under
-        // the extensions that change which vertices move and which ghost
-        // slots are refreshed.
+        // weights. Both schedules, none exempt, at p ∈ {1, 2, 3}, with and
+        // without ET and the delta refresh, which change which vertices
+        // move and which ghost slots are refreshed.
         let mut graphs = parity_graphs();
         graphs.push(with_random_weights(&graphs[0], 41));
         let colored = |threads_per_rank| DistConfig {
@@ -1826,18 +1544,10 @@ mod tests {
             [
                 ("baseline", base.clone()),
                 (
-                    "ET(0.25) + delta refresh + pruning",
+                    "ET(0.25) + delta refresh",
                     DistConfig {
                         variant: crate::Variant::Et { alpha: 0.25 },
                         delta_ghost_refresh: true,
-                        prune_inactive_ghosts: true,
-                        ..base.clone()
-                    },
-                ),
-                (
-                    "vertex following",
-                    DistConfig {
-                        vertex_following: true,
                         ..base.clone()
                     },
                 ),
@@ -1867,39 +1577,6 @@ mod tests {
                     }
                 }
             }
-        }
-    }
-
-    #[test]
-    fn vertex_following_collapses_chains() {
-        // Path 0-1-2-3-4 hanging off triangle 4-5-6: iterative peeling
-        // collapses the whole chain onto its anchor, where the old
-        // single-round VF only captured direct pendants.
-        let g = Csr::from_edge_list(EdgeList::from_edges(
-            7,
-            [
-                (0, 1, 1.0),
-                (1, 2, 1.0),
-                (2, 3, 1.0),
-                (3, 4, 1.0),
-                (4, 5, 1.0),
-                (5, 6, 1.0),
-                (4, 6, 1.0),
-            ],
-        ));
-        let cfg = DistConfig {
-            vertex_following: true,
-            ..DistConfig::baseline()
-        };
-        for p in [1, 2, 3] {
-            let (assignment, q) = run_one_phase(&g, p, &cfg);
-            // The chain 0-1-2-3 collapses with the triangle side it hangs
-            // from: everything in 0..=3 lands in one community.
-            assert_eq!(assignment[0], assignment[1], "p={p}");
-            assert_eq!(assignment[1], assignment[2], "p={p}");
-            assert_eq!(assignment[2], assignment[3], "p={p}");
-            let q_ref = modularity(&g, &assignment);
-            assert!((q - q_ref).abs() < 1e-9, "p={p}");
         }
     }
 
@@ -2040,17 +1717,13 @@ mod tests {
 
     #[test]
     fn step_two_keys_equal_the_arc_walk_on_the_states_runs_leave() {
-        // The states of real phases: after vertex following moved
-        // vertices before the first exchange, and after ET froze
-        // vertices and pruned the ghost slots they serve.
+        // The state a real phase leaves: 20 iterations of ET(0.75) with
+        // the delta refresh, by which a vertex that stays put three times
+        // is frozen and its ghost slots are no longer sent.
         use rand::{rngs::SmallRng, SeedableRng};
-        let vf = DistConfig {
-            vertex_following: true,
-            ..DistConfig::baseline()
-        };
-        let pruned = DistConfig {
-            prune_inactive_ghosts: true,
+        let cfg = DistConfig {
             delta_ghost_refresh: true,
+            max_iterations: 20,
             ..DistConfig::with_variant(crate::Variant::Et { alpha: 0.75 })
         };
         for (gi, g) in parity_graphs().iter().enumerate() {
@@ -2058,40 +1731,27 @@ mod tests {
             for p in [2, 3, 8] {
                 let part = VertexPartition::balanced_vertices(g.num_vertices() as u64, p);
                 let parts = LocalGraph::scatter(&g, &part);
-                for (name, cfg, max_iterations) in [("vf", &vf, 1), ("pruned", &pruned, 20)] {
-                    let pruned_slots: usize = run(p, |c| {
-                        let lg = &parts[c.rank()];
-                        let mut ghosts = GhostLayer::build(c, lg);
-                        let ctx = PhaseContext {
-                            comm: c,
-                            lg,
-                            two_m: g.two_m(),
-                        };
-                        let cfg = DistConfig {
-                            max_iterations,
-                            ..cfg.clone()
-                        };
-                        let r = louvain_phase(&ctx, &mut ghosts, &cfg, 0, 0.0);
-                        let mut index = CommunityIndex::new(lg);
-                        let comm: Vec<u32> =
-                            r.comm_of_local.iter().map(|&c| index.dense(c)).collect();
-                        let ghost_comm: Vec<u32> =
-                            r.ghost_comm.iter().map(|&c| index.dense(c)).collect();
-                        let mut rng = SmallRng::seed_from_u64((gi * 64 + p) as u64);
-                        check_keys_under_masks(
-                            (lg.csr_parts().0, ghosts.targets(), &ghosts, &index),
-                            (&comm, &ghost_comm),
-                            &masks(lg.num_local(), &mut rng),
-                            &format!("graph {gi}, p={p}, rank {}, {name}", c.rank()),
-                        );
-                        r.pruned_ghosts
-                    })
-                    .into_iter()
-                    .sum();
-                    if name == "pruned" {
-                        assert!(pruned_slots > 0, "graph {gi}, p={p}: nothing was pruned");
-                    }
-                }
+                run(p, |c| {
+                    let lg = &parts[c.rank()];
+                    let mut ghosts = GhostLayer::build(c, lg);
+                    let ctx = PhaseContext {
+                        comm: c,
+                        lg,
+                        two_m: g.two_m(),
+                    };
+                    let r = louvain_phase(&ctx, &mut ghosts, &cfg, 0, 0.0);
+                    let mut index = CommunityIndex::new(lg);
+                    let comm: Vec<u32> = r.comm_of_local.iter().map(|&c| index.dense(c)).collect();
+                    let ghost_comm: Vec<u32> =
+                        r.ghost_comm.iter().map(|&c| index.dense(c)).collect();
+                    let mut rng = SmallRng::seed_from_u64((gi * 64 + p) as u64);
+                    check_keys_under_masks(
+                        (lg.csr_parts().0, ghosts.targets(), &ghosts, &index),
+                        (&comm, &ghost_comm),
+                        &masks(lg.num_local(), &mut rng),
+                        &format!("graph {gi}, p={p}, rank {}", c.rank()),
+                    );
+                });
             }
         }
     }

@@ -147,9 +147,7 @@ pub fn config_fingerprint(cfg: &DistConfig) -> u64 {
         max_phases,
         max_iterations,
         seed,
-        prune_inactive_ghosts,
         threads_per_rank,
-        vertex_following,
         delta_ghost_refresh,
         sweep,
     } = cfg;
@@ -160,25 +158,26 @@ pub fn config_fingerprint(cfg: &DistConfig) -> u64 {
         Variant::Etc { alpha } => format!("etc:{:016x}", alpha.to_bits()),
         Variant::EtPlusCycling { alpha } => format!("et+cycling:{:016x}", alpha.to_bits()),
     };
-    // The three deleted ablation switches (refresh over the full
-    // communicator, no singleton-swap guard, index-order sweeps) stay in
-    // the text at the value every run has had since: the trajectories did
-    // not change, so checkpoint directories and served job keys written
-    // before the deletion still match. Their names are spelt in pieces so
-    // that they appear nowhere else in the code.
+    // The five deleted switches (refresh over the full communicator,
+    // inactive-ghost pruning, no singleton-swap guard, index-order sweeps,
+    // vertex following) stay in the text at their default: every run that
+    // left them off keeps its trajectory, so checkpoint directories and
+    // served job keys written before the deletion still match. Their names
+    // are spelt in pieces so that they appear nowhere else in the code.
     let text = format!(
         "variant={variant};threshold={:016x};max_phases={max_phases};\
-         max_iterations={max_iterations};seed={seed:016x};{}\
-         prune_inactive_ghosts={prune_inactive_ghosts};{}threads_per_rank={threads_per_rank};\
-         vertex_following={vertex_following};delta_ghost_refresh={delta_ghost_refresh};\
-         sweep={}",
+         max_iterations={max_iterations};seed={seed:016x};{}{}{}\
+         threads_per_rank={threads_per_rank};{}\
+         delta_ghost_refresh={delta_ghost_refresh};sweep={}",
         threshold.to_bits(),
         concat!("neighborhood", "_collectives=false;"),
+        concat!("prune_inactive", "_ghosts=false;"),
         concat!(
             "disable_singleton",
             "_guard=false;index_order",
             "_sweep=false;"
         ),
+        concat!("vertex", "_following=false;"),
         sweep.label(),
     );
     louvain_resil::fnv1a64(text.as_bytes())
@@ -193,18 +192,16 @@ mod tests {
         let base = DistConfig::baseline;
         assert_eq!(config_fingerprint(&base()), config_fingerprint(&base()));
 
-        // Every one of the 10 fields, flipped alone, must move the
+        // Every one of the 8 fields, flipped alone, must move the
         // fingerprint — and no two flips may land on the same one.
-        let flips: [fn(&mut DistConfig); 11] = [
+        let flips: [fn(&mut DistConfig); 9] = [
             |c| c.variant = Variant::Et { alpha: 0.25 },
             |c| c.variant = Variant::Et { alpha: 0.75 },
             |c| c.threshold *= 2.0,
             |c| c.max_phases += 1,
             |c| c.max_iterations += 1,
             |c| c.seed ^= 1,
-            |c| c.prune_inactive_ghosts ^= true,
             |c| c.threads_per_rank += 1,
-            |c| c.vertex_following ^= true,
             |c| c.delta_ghost_refresh ^= true,
             |c| c.sweep = crate::SweepMode::Colored,
         ];

@@ -119,13 +119,6 @@ impl JobSpec {
                         cfg.delta_ghost_refresh =
                             opt_bool(c, key)?.unwrap_or(cfg.delta_ghost_refresh)
                     }
-                    "vertex_following" => {
-                        cfg.vertex_following = opt_bool(c, key)?.unwrap_or(cfg.vertex_following)
-                    }
-                    "prune_inactive_ghosts" => {
-                        cfg.prune_inactive_ghosts =
-                            opt_bool(c, key)?.unwrap_or(cfg.prune_inactive_ghosts)
-                    }
                     unknown => return Err(format!("unknown `config` key `{unknown}`")),
                 }
             }
@@ -251,6 +244,20 @@ mod tests {
                     r#"_collectives": true}}"#
                 ),
                 concat!("unknown `config` key `neighborhood", "_collectives`"),
+            ),
+            (
+                concat!(
+                    r#"{"job_id": "j", "graph": "g", "config": {"vertex"#,
+                    r#"_following": true}}"#
+                ),
+                concat!("unknown `config` key `vertex", "_following`"),
+            ),
+            (
+                concat!(
+                    r#"{"job_id": "j", "graph": "g", "config": {"prune_inactive"#,
+                    r#"_ghosts": false}}"#
+                ),
+                concat!("unknown `config` key `prune_inactive", "_ghosts`"),
             ),
         ];
         for (text, needle) in cases {

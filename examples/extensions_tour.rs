@@ -1,8 +1,9 @@
 //! A tour of the paper's future-work extensions, implemented in this
-//! library and toggled through `DistConfig` flags: inactive-ghost
-//! pruning, vertex following, and the MPI+OpenMP hybrid mode with its
-//! distance-1 colored batches. (The fourth, neighborhood collectives for
-//! the ghost refresh, is not a flag: every refresh uses them.)
+//! library: the MPI+OpenMP hybrid mode with its distance-1 colored
+//! batches, and the delta ghost refresh, which stops sending the ghosts
+//! that did not change — under ET, the frozen ones. (Neighborhood
+//! collectives for the ghost refresh are not a flag: every refresh uses
+//! them.)
 //!
 //! ```sh
 //! cargo run --release --example extensions_tour
@@ -34,17 +35,6 @@ fn main() {
     let base = run_distributed(&g, ranks, &DistConfig::baseline());
     show("Baseline (paper Alg. 2)", &base);
 
-    // Vertex following: pendants pre-merged before the first sweep.
-    let out = run_distributed(
-        &g,
-        ranks,
-        &DistConfig {
-            vertex_following: true,
-            ..DistConfig::baseline()
-        },
-    );
-    show("+ vertex following", &out);
-
     // Hybrid MPI+OpenMP: half the ranks, two threads each, sweeping in
     // distance-1 colored batches.
     let out = run_distributed(
@@ -57,7 +47,8 @@ fn main() {
     );
     show("hybrid p/2 x 2 threads", &out);
 
-    // ET with and without inactive-ghost pruning.
+    // ET with the full and the delta ghost refresh: the same result, and
+    // the delta refresh never re-sends a vertex ET has frozen.
     println!();
     let et = DistConfig::with_variant(Variant::Et { alpha: 0.75 });
     let out = run_distributed(&g, ranks, &et);
@@ -66,9 +57,9 @@ fn main() {
         &g,
         ranks,
         &DistConfig {
-            prune_inactive_ghosts: true,
+            delta_ghost_refresh: true,
             ..et
         },
     );
-    show("ET(0.75) + ghost pruning", &out);
+    show("ET(0.75) + delta refresh", &out);
 }

@@ -100,9 +100,9 @@ cargo clippy -q "${pkg_flags[@]}" --all-targets -- -D warnings
 # row, `--ranks 0` and a deleted option must be usage errors naming the
 # flag and not panics, so must the deleted `relaxed` sweep mode, a colored
 # 2-rank run prints the same result at one and two threads per rank and
-# as `auto` at two, fig3 prints the modeled 128->4096-rank tail past
-# its last measured rank count, and ablations prints its pruning table.
-echo "==> louvain generate | run --artifact-out | lens show | lens crit | lens diff | run --ranks 0 | run --sweep relaxed | colored run t=1 = t=2 = auto t=2 | run <deleted option> | fig3 | ablations"
+# as `auto` at two, and fig3 prints the modeled 128->4096-rank tail past
+# its last measured rank count.
+echo "==> louvain generate | run --artifact-out | lens show | lens crit | lens diff | run --ranks 0 | run --sweep relaxed | colored run t=1 = t=2 = auto t=2 | run <deleted option> | fig3"
 ./target/release/louvain generate --kind lfr --n 3000 --seed 7 --out target/verify_lfr.slab
 ./target/release/louvain run target/verify_lfr.slab --ranks 2 --variant et:0.25 \
   --artifact-out target/run_artifact.json --trace-out target/trace.json
@@ -144,9 +144,6 @@ must_refuse "unknown option $gone" \
   ./target/release/louvain run target/verify_lfr.slab "$gone" 1
 # -c, not -q: grep must drain the pipe or fig3 dies writing to it.
 LOUVAIN_SCALE=quick ./target/release/fig3 channel 2>/dev/null | grep -cw modeled
-# The ablation binary keeps one study, ghost pruning: its table must print.
-LOUVAIN_SCALE=quick ./target/release/ablations 2>/dev/null |
-  grep -c '^== Ablation 5: inactive-ghost pruning'
 
 # The slab builder keeps its open files bounded however many row blocks
 # it cuts: ≥1911 blocks of ≤500 arcs must build under 256 descriptors, and

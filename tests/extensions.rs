@@ -1,5 +1,6 @@
-//! End-to-end coverage of the future-work extensions and the hybrid
-//! MPI+OpenMP mode at the full multi-phase level.
+//! End-to-end coverage of the future-work extensions (colored sweeps,
+//! the delta refresh) and the hybrid MPI+OpenMP mode at the full
+//! multi-phase level.
 
 use distributed_louvain::dist::{nmi, run_distributed, DistConfig, SweepMode, Variant};
 use distributed_louvain::graph::modularity;
@@ -7,31 +8,6 @@ use distributed_louvain::prelude::*;
 
 fn lfr_graph(seed: u64) -> Csr {
     lfr(LfrParams::small(2_000, seed)).graph
-}
-
-#[test]
-fn ghost_pruning_keeps_quality_and_cuts_refresh_bytes() {
-    let g = grid3d(Grid3dParams::cube(4_000, 7)).graph;
-    let et_cfg = DistConfig::with_variant(Variant::Et { alpha: 0.75 });
-    let base = run_distributed(&g, 4, &et_cfg);
-    let pruned = run_distributed(
-        &g,
-        4,
-        &DistConfig {
-            prune_inactive_ghosts: true,
-            ..et_cfg
-        },
-    );
-    // Pruning must not change what ET converges to by much — frozen
-    // vertices were not going to move anyway.
-    assert!(
-        (pruned.modularity - base.modularity).abs() < 0.05,
-        "pruned {} vs base {}",
-        pruned.modularity,
-        base.modularity
-    );
-    let q_check = modularity(&g, &pruned.assignment);
-    assert!((pruned.modularity - q_check).abs() < 1e-9);
 }
 
 #[test]
@@ -85,34 +61,13 @@ fn hybrid_mpi_openmp_run_is_sane() {
 }
 
 #[test]
-fn vertex_following_full_run_preserves_quality() {
-    let g = lfr_graph(85);
-    let base = run_distributed(&g, 3, &DistConfig::baseline());
-    let vf = run_distributed(
-        &g,
-        3,
-        &DistConfig {
-            vertex_following: true,
-            ..DistConfig::baseline()
-        },
-    );
-    assert!(
-        vf.modularity > base.modularity - 0.05,
-        "vf {} vs base {}",
-        vf.modularity,
-        base.modularity
-    );
-    // The clusterings should be largely the same communities.
-    assert!(nmi(&base.assignment, &vf.assignment) > 0.7);
-}
-
-#[test]
 fn extensions_compose() {
-    // Everything at once: ETC + pruning + VF on 4 ranks.
+    // Everything at once: ETC + delta refresh + colored t=2 on 4 ranks.
     let g = grid3d(Grid3dParams::cube(3_000, 9)).graph;
     let cfg = DistConfig {
-        prune_inactive_ghosts: true,
-        vertex_following: true,
+        delta_ghost_refresh: true,
+        sweep: SweepMode::Colored,
+        threads_per_rank: 2,
         ..DistConfig::with_variant(Variant::Etc { alpha: 0.25 })
     };
     let out = run_distributed(&g, 4, &cfg);

@@ -291,18 +291,14 @@ fn pin_matrix() -> ([(&'static str, Csr); 3], [(usize, Vec<DistConfig>); 6]) {
             ..et.clone()
         },
     ];
-    let everything = DistConfig {
-        vertex_following: true,
-        prune_inactive_ghosts: true,
-        ..DistConfig::with_variant(Variant::Etc { alpha: 0.25 })
-    };
+    let etc = DistConfig::with_variant(Variant::Etc { alpha: 0.25 });
     // In the column order of `PINS`.
     let schedules: [(usize, Vec<DistConfig>); 6] = [
         (1, vec![delta(false), delta(true)]),
         (2, vec![delta(false), delta(true)]),
         (2, vec![colored(1), colored(2)]),
         (2, vec![et]),
-        (2, vec![everything]),
+        (2, vec![etc]),
         (8, et_full_and_delta),
     ];
     (graphs, schedules)
@@ -329,19 +325,19 @@ fn pin_matrix() -> ([(&'static str, Csr); 3], [(usize, Vec<DistConfig>); 6]) {
 /// was recorded on 707a9a1, where the unsplit hashes of aa63baf still
 /// held.)
 ///
-/// The fifth column is every extension at once at p=2: ETC(0.25) +
-/// vertex following + ghost pruning. Its
-/// `PINS`, `TRAFFIC` and `MODEL` cells were re-recorded on 2b9d4f2,
-/// when the colour sub-rounds left it.
+/// The fifth column is ETC(0.25) at p=2. It used to add vertex
+/// following and inactive-ghost pruning to ETC(0.25); when those two
+/// were deleted, its `PINS`, `TRAFFIC` and `MODEL` cells were recorded
+/// under plain ETC(0.25) on af61307, the commit before the deletion, and
+/// its `OTHER_PER_ARC` cells under plain ETC(0.25) on 707a9a1.
 ///
 /// The sixth column — ET(0.25) at p=8, full and delta refresh sharing
 /// one pin — and its `TRAFFIC` and `MODEL` rows were recorded on
 /// d066b9f, before the perf sweep that used to compare these rows
 /// against a committed JSON at 10 % was deleted.
 ///
-/// Every column refreshes the ghosts over the neighbour topology (the
-/// fifth column always did).
-/// When the other five columns moved onto it on 64398e7 no `PINS` cell
+/// Every column refreshes the ghosts over the neighbour topology.
+/// When columns 1–4 and 6 moved onto it on 64398e7 no `PINS` cell
 /// and no `Other` byte count moved. The `TRAFFIC` hashes of the cells
 /// where some phase leaves a rank with fewer than `p − 1` topology
 /// neighbours — SSCA#2 and RMAT at p=8, RMAT's p=2 columns 2–4 — were
@@ -376,7 +372,7 @@ fn kernel_trajectories_are_pinned() {
             (0xbb12f380177a22c6, 0x3fc2091db8d6098a, 15),
             (0xa6a4722d9cef3845, 0x3fc234df86e2695e, 15),
             (0xf18e02107d158fd3, 0x3fc1ffa4ddc352fe, 17),
-            (0xceca73efb574cb50, 0x3fc2572f17cd401b, 19),
+            (0xf18e02107d158fd3, 0x3fc1ffa4ddc352fe, 17),
             (0x10499ffecf2632fd, 0x3fbfdf2aef6697ea, 16),
         ],
     ];
@@ -389,7 +385,7 @@ fn kernel_trajectories_are_pinned() {
             &[(0x986beb6876f6d5f1, 87_264), (0xeffc9ef990a40207, 87_264)],
             &[(0xc1c00221c620ef60, 922_112), (0xc1c00221c620ef60, 922_112)],
             &[(0x4e95cb6e8acb07aa, 118_584)],
-            &[(0xddcfb0b689e56e07, 178_016)],
+            &[(0xa6aeec2e3e2b247c, 118_584)],
             &[(0x6d08035f10b1f85c, 491_704), (0x9f9df50266594640, 491_704)],
         ],
         [
@@ -397,7 +393,7 @@ fn kernel_trajectories_are_pinned() {
             &[(0xb7505f6bd91cf62d, 920), (0x54e85763abc6a893, 920)],
             &[(0x0f7f7e8d9a64b55a, 23_160), (0x0f7f7e8d9a64b55a, 23_160)],
             &[(0x7d25c1f52384024d, 920)],
-            &[(0xc4a52688c763c61d, 3_544)],
+            &[(0xa0e6a7d5e42b2899, 920)],
             &[(0xaf37c173c155203b, 4_960), (0x806f891de243bc5a, 4_960)],
         ],
         [
@@ -408,7 +404,7 @@ fn kernel_trajectories_are_pinned() {
                 (0x39772e5b6e50831c, 1_016_728),
             ],
             &[(0x1b2671756663f465, 82_968)],
-            &[(0xb08d21cfefc3d0c6, 167_520)],
+            &[(0xd11d0f12f87eff70, 82_968)],
             &[(0x214e22366dc37e1d, 364_464), (0xf228ee3aad9c1778, 364_464)],
         ],
     ];
@@ -420,14 +416,14 @@ fn kernel_trajectories_are_pinned() {
             &[485_400, 485_400],
             &[1_309_208, 1_309_208],
             &[511_104],
-            &[1_398_400],
+            &[511_104],
         ],
-        [&[23_936, 23_936], &[46_176, 46_176], &[23_936], &[48_800]],
+        [&[23_936, 23_936], &[46_176, 46_176], &[23_936], &[23_936]],
         [
             &[336_712, 336_712],
             &[1_272_736, 1_272_736],
             &[334_416],
-            &[1_381_808],
+            &[334_416],
         ],
     ];
     for (traffic, per_arc) in TRAFFIC.iter().zip(OTHER_PER_ARC) {
@@ -485,8 +481,8 @@ fn kernel_trajectories_are_pinned() {
 /// only the order of the floating-point sums differs.
 ///
 /// Columns: total, compute, comm, reduce, rebuild. The fifth column's
-/// rows (every extension) were re-recorded from the counters on 2b9d4f2;
-/// see `kernel_trajectories_are_pinned`.
+/// rows (ETC(0.25)) were recorded on af61307; see
+/// `kernel_trajectories_are_pinned`.
 ///
 /// `rebuild`, `comm` at p=2 and with them `total` were re-recorded when
 /// the rebuild began to sum each (community, community) pair before
@@ -578,9 +574,9 @@ fn modeled_seconds_match_the_send_path_clock() {
                 0.0008404599999999999,
             ]],
             &[[
-                0.007802358666666666,
+                0.007757140444444444,
                 0.005825234999999998,
-                0.0002567328888888889,
+                0.00021147555555555556,
                 0.0005275545555555555,
                 0.0008404599999999999,
             ]],
@@ -658,11 +654,11 @@ fn modeled_seconds_match_the_send_path_clock() {
                 0.00195486,
             ]],
             &[[
-                0.006200130222222222,
-                0.003918825,
-                7.320977777777778e-5,
-                4.32281111111109e-5,
-                0.0019547199999999996,
+                0.0061729413333333335,
+                0.003918974999999999,
+                4.574266666666667e-5,
+                4.316811111111108e-5,
+                0.00195486,
             ]],
             &[
                 [
@@ -738,11 +734,11 @@ fn modeled_seconds_match_the_send_path_clock() {
                 0.0006230599999999999,
             ]],
             &[[
-                0.004500684222222222,
-                0.0029216249999999997,
-                0.00019127955555555556,
-                0.00045125966666666607,
-                0.0006945499999999999,
+                0.005187575555555556,
+                0.0038267849999999988,
+                0.0001320328888888889,
+                0.0004894825555555565,
+                0.0006230599999999999,
             ]],
             &[
                 [
@@ -764,6 +760,8 @@ fn modeled_seconds_match_the_send_path_clock() {
     ];
     // `total` and `compute` of every row before Step 2 probed by target
     // (at p=1, where it never runs: before `Σ e_in` was tracked).
+    // Column 5's were recorded while it also ran vertex following and
+    // ghost pruning; plain ETC(0.25) stays below them too.
     const BEFORE: [[&[[f64; 2]]; 6]; 3] = [
         [
             &[
