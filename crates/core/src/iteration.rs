@@ -1,15 +1,25 @@
 //! The Louvain iterations of one phase (Algorithm 3).
 //!
-//! Each iteration performs the paper's four communication steps:
+//! [`louvain_phase`] builds one `PhaseState`, this rank's arrays for the
+//! phase, and runs `PhaseState::iterate` until `PhaseState::exit` ends
+//! the phase. An iteration is the paper's four communication steps, one
+//! method each, in the paper's order:
 //!
-//! 1. owners push the latest community of every ghosted vertex
-//!    (lines 4–5),
-//! 2. ranks pull the weights `a_c` (and sizes) of remote communities
-//!    their vertices might join (the "ghost community" information),
-//! 3. after the local compute step (lines 6–9), weight deltas for
-//!    remotely-owned communities are pushed to their owners
-//!    (lines 10–11),
-//! 4. modularity is computed with global reductions (lines 12–13).
+//! 1. `exchange_ghosts`: owners push the latest community of every
+//!    ghosted vertex (lines 4–5);
+//! 2. `pull_remote_communities`: `key_remote_communities` finds the
+//!    remote communities the active vertices might join, and
+//!    [`pull_from_owners`] fetches their weights `a_c` and sizes (the
+//!    "ghost community" information);
+//! 3. `sweep`, the local compute step (lines 6–9), then `push_deltas`:
+//!    weight deltas for remotely-owned communities go to their owners
+//!    (lines 10–11);
+//! 4. `reduce_modularity`: modularity by global reductions (lines
+//!    12–13).
+//!
+//! `PhaseState::exit` is the one exit test: ETC's 90 %-inactive rule,
+//! then no move or a gain of at most τ. `PhaseState::finish` refreshes
+//! the ghosts once more and reduces the phase's exact modularity.
 //!
 //! Ranks see remote state only as of the most recent exchange — the
 //! "community update lag" that distinguishes the distributed algorithm
@@ -42,8 +52,6 @@
 //! MPI-3-style neighborhood collective ([`GhostLayer`]), and distance-1
 //! coloring is the colored schedule's batching.
 
-use std::sync::Mutex;
-
 use grappolo::EtState;
 use rayon::WorkerPool;
 
@@ -65,12 +73,8 @@ pub struct PhaseResult {
     /// Final communities of the ghost vertices (freshly exchanged after
     /// the last iteration, so rebuild sees a consistent state).
     pub ghost_comm: Vec<VertexId>,
-    /// Weight `a_c` of every *owned* community (indexed by `c - first`).
-    pub owned_a: Vec<Weight>,
-    /// Member count of every owned community, same indexing.
-    pub owned_size: Vec<u64>,
     pub modularity: f64,
-    pub iterations: usize,
+    /// One trace per iteration run.
     pub traces: Vec<IterationTrace>,
     pub compute: WorkCounter,
     /// True if the ETC 90%-inactive exit ended the phase.
@@ -117,73 +121,6 @@ impl SweepState {
             moved: vec![false; nlocal],
         }
     }
-}
-
-/// Owner side of the delta push: fold a peer's `(Δa_c, Δsize)` into
-/// owned community `i` of the weights `a` and sizes `size`.
-fn absorb(a: &mut [Weight], size: &mut [u64], i: usize, da: Weight, ds: i64) {
-    a[i] += da;
-    size[i] = (size[i] as i64 + ds) as u64;
-}
-
-/// The ghost vertices' communities, one per ghost slot: as refreshed
-/// (global ids — the wire's and rebuild's view) and as the sweep reads
-/// them (dense).
-#[derive(Default)]
-struct GhostComms {
-    global: Vec<VertexId>,
-    dense: Vec<u32>,
-}
-
-/// One ghost community exchange (Step 1): snapshot the local
-/// communities into the scratch arena, let the layer refresh the ghost
-/// communities from the owners' snapshots, and renumber the slots that
-/// changed. `allow_delta` must be uniform across ranks (see
-/// [`GhostLayer::exchange`]).
-///
-/// Given the arc weights, also returns what the changed slots did to
-/// this rank's `Σ e_in` against the (frozen) local communities, and the
-/// arcs read for it.
-#[allow(clippy::too_many_arguments)]
-fn exchange_ghosts(
-    comm: &Comm,
-    ghosts: &mut GhostLayer,
-    index: &mut CommunityIndex,
-    state: &SweepState,
-    scratch: &mut IterScratch,
-    ghost_comm: &mut GhostComms,
-    allow_delta: bool,
-    track_e_in: Option<&[Weight]>,
-) -> (Weight, u64) {
-    comm.with_step(CommStep::GhostRefresh, || {
-        scratch.comm_snapshot.clear();
-        scratch
-            .comm_snapshot
-            .extend(state.comm.iter().map(|&c| index.global(c)));
-        ghosts.exchange(
-            comm,
-            &scratch.comm_snapshot,
-            &mut ghost_comm.global,
-            allow_delta,
-        );
-    });
-    let (mut e_in_change, mut arcs) = (0.0, 0);
-    index.translate(&ghost_comm.global, &mut ghost_comm.dense, |s, old, new| {
-        let Some(arc_weights) = track_e_in else {
-            return;
-        };
-        let into = ghosts.arcs_into(s);
-        arcs += into.len() as u64;
-        for &(l, a) in into {
-            let c = state.comm[l as usize];
-            if c == new {
-                e_in_change += arc_weights[a as usize];
-            } else if c == old {
-                e_in_change -= arc_weights[a as usize];
-            }
-        }
-    });
-    (e_in_change, arcs)
 }
 
 /// Read-only inputs of one compute sweep, shared by both schedules. The
@@ -389,7 +326,8 @@ impl Sweep<'_> {
         }
     }
 
-    /// Driver of the colored deterministic schedule over `vertices`.
+    /// Driver of the colored deterministic schedule over
+    /// `scratch.sweep_vertices`.
     ///
     /// Vertices are grouped into conflict-free batches by color class (the
     /// distance-1 coloring guarantees no two batch members are adjacent,
@@ -397,9 +335,10 @@ impl Sweep<'_> {
     /// is about to change). Each batch's moves are *decided* in parallel
     /// by the worker pool against the frozen batch-start state — with the
     /// remote deltas of *previous* batches, read-only — then *applied*
-    /// sequentially in batch order on the calling thread into `acc`. A
-    /// decision is a function of the vertex and the frozen state alone
-    /// (each worker's table is clear between vertices), and the workers'
+    /// sequentially in batch order on the calling thread into
+    /// `scratch.acc`. A decision is a function of the vertex and the
+    /// frozen state alone (each worker's table is clear between
+    /// vertices), and the workers'
     /// moves are applied in worker order, which is range order, so the
     /// applied sequence is a function of the coloring alone — results at
     /// any `threads_per_rank` are bit-identical for a fixed coloring (and
@@ -409,19 +348,21 @@ impl Sweep<'_> {
     /// checker's. The parity argument is spelled out in DESIGN.md §11.
     /// The same independence keeps the `Σ e_in` change a decision
     /// carries exact when applied.
-    #[allow(clippy::too_many_arguments)]
     fn sweep_colored(
         &self,
         state: &mut SweepState,
         pool: &WorkerPool,
-        coloring: &(Vec<u32>, u32),
-        vertices: &[usize],
-        workers: &[Mutex<SweepWorker>],
-        batches: &mut Vec<Vec<usize>>,
-        acc: &mut SweepAcc,
+        (color, nc): &(Vec<u32>, u32),
+        scratch: &mut IterScratch,
         iter: usize,
     ) {
-        let (color, nc) = coloring;
+        let IterScratch {
+            sweep_vertices: vertices,
+            batches,
+            workers,
+            acc,
+            ..
+        } = scratch;
         let nc = *nc as usize;
         if batches.len() < nc {
             batches.resize_with(nc, Vec::new);
@@ -431,7 +372,7 @@ impl Sweep<'_> {
         }
         // `vertices` is already in sweep order, so each batch inherits the
         // deterministic order of its members.
-        for &l in vertices {
+        for &l in vertices.iter() {
             batches[color[l] as usize].push(l);
         }
         for (batch_color, batch) in batches.iter().enumerate().take(nc) {
@@ -461,7 +402,7 @@ impl Sweep<'_> {
                 }
             });
             let mut batch_moves = 0u64;
-            for worker in workers {
+            for worker in workers.iter() {
                 for (l, c, e_in_change) in lock_worker(worker).moves.drain(..) {
                     self.apply_move(state, l as usize, (c, e_in_change), acc);
                     batch_moves += 1;
@@ -472,23 +413,488 @@ impl Sweep<'_> {
     }
 }
 
-/// Global modularity (Eq. 2) from this rank's `Σ e_in` and the weights
-/// `a` of its owned communities: two sum-reductions, to be called inside
-/// a `Reduction` step scope.
-fn reduce_modularity(comm: &Comm, e_in_local: f64, a: &[Weight], two_m: f64) -> f64 {
-    let a2_local: f64 = a.iter().map(|a| a * a).sum();
-    let e_in = comm.all_reduce(e_in_local, ReduceOp::Sum);
-    let a2 = comm.all_reduce(a2_local, ReduceOp::Sum);
-    if two_m > 0.0 {
-        e_in / two_m - a2 / (two_m * two_m)
-    } else {
-        0.0
+/// One rank's state for one phase: its inputs, the per-phase arrays
+/// Algorithm 3 reads and writes, and the tracked `Σ e_in`. It is built
+/// at phase entry and dropped at phase end, so a phase boundary carries
+/// none of it.
+struct PhaseState<'a, 'g> {
+    ctx: &'a PhaseContext<'a>,
+    /// Each exchange leaves its delta baseline here.
+    ghosts: &'a mut GhostLayer<'g>,
+    cfg: &'a DistConfig,
+    phase: usize,
+    k_local: Vec<Weight>,
+    index: CommunityIndex,
+    state: SweepState,
+    /// The ghost vertices' communities, one per ghost slot: as refreshed
+    /// (global ids — the wire's and rebuild's view) and as the sweep reads
+    /// them (dense).
+    ghost_global: Vec<VertexId>,
+    ghost_dense: Vec<u32>,
+    /// Every buffer of the four-step loop, allocated once here and
+    /// recycled across iterations.
+    scratch: IterScratch,
+    /// Early termination (Section IV-B(b)): coins keyed by global id, so
+    /// a vertex flips the same coin on whichever rank hosts it.
+    et: Option<EtState>,
+    /// The local vertices in the order this phase sweeps them.
+    sweep_order: Vec<usize>,
+    /// Distance-1 coloring, present exactly when the colored batch
+    /// schedule runs.
+    coloring: Option<(Vec<u32>, u32)>,
+    /// The colored schedule dispatches each color batch through one pool
+    /// kept alive for the whole phase; at one thread it spawns nothing
+    /// and runs inline. Worker `w` owns `scratch.workers[w]`.
+    pool: WorkerPool,
+    /// This rank's `Σ e_in` (module doc).
+    e_in: Weight,
+    compute: WorkCounter,
+}
+
+impl<'a, 'g> PhaseState<'a, 'g> {
+    /// Every vertex alone, at phase `phase`. Collective under the colored
+    /// schedule, which colors the graph here.
+    fn new(
+        ctx: &'a PhaseContext<'a>,
+        ghosts: &'a mut GhostLayer<'g>,
+        cfg: &'a DistConfig,
+        phase: usize,
+    ) -> Self {
+        let lg = ctx.lg;
+        let (nlocal, first) = (lg.num_local(), lg.first_vertex());
+        let threads = cfg.threads_per_rank.max(1);
+        let k_local: Vec<Weight> = (0..nlocal).map(|l| lg.weighted_degree(l)).collect();
+        Self {
+            sweep_order: louvain_graph::hash::shuffled_order(
+                nlocal,
+                cfg.seed ^ (phase as u64).wrapping_mul(0x9e37) ^ first,
+            ),
+            // Computed once per phase with a thread-count-independent
+            // seed, so the coloring — and with it every colored-schedule
+            // trajectory — is fixed across `threads_per_rank` settings.
+            coloring: (cfg.sweep == SweepMode::Colored || threads > 1).then(|| {
+                let res = distributed_coloring(ctx.comm, lg, ghosts, cfg.seed ^ 0xC0105);
+                louvain_obs::counter_add("sweep.colors", res.1 as u64);
+                res
+            }),
+            index: CommunityIndex::new(lg),
+            state: SweepState::new(&k_local),
+            ghost_global: Vec::new(),
+            ghost_dense: Vec::new(),
+            scratch: IterScratch::new(nlocal, threads),
+            et: (cfg.variant.alpha())
+                .map(|alpha| EtState::with_offset(nlocal, first, alpha, cfg.seed)),
+            pool: WorkerPool::new(threads),
+            e_in: self_loop_weight(lg, ghosts),
+            compute: WorkCounter::default(),
+            k_local,
+            ctx,
+            ghosts,
+            cfg,
+            phase,
+        }
+    }
+
+    /// Algorithm 3's iterations at threshold `tau` until the exit test
+    /// ends the phase, at most `cfg.max_iterations` of them: their traces.
+    fn iterations(&mut self, tau: f64) -> Vec<IterationTrace> {
+        let mut traces: Vec<IterationTrace> = Vec::new();
+        while traces.len() < self.cfg.max_iterations {
+            let trace = self.iterate(traces.len() + 1, traces.last());
+            let exit = self.exit(&trace, traces.last(), tau);
+            traces.push(trace);
+            if exit {
+                break;
+            }
+        }
+        traces
+    }
+
+    /// Iteration `iter` (from 1): the four steps in the paper's order,
+    /// the ET bookkeeping and the iteration's trace, `prev` being the last
+    /// iteration's.
+    fn iterate(&mut self, iter: usize, prev: Option<&IterationTrace>) -> IterationTrace {
+        let comm = self.ctx.comm;
+        let mut iter_span = louvain_obs::span!("iteration", phase = self.phase, iter = iter);
+        let edges_at_start = self.compute.edges_scanned;
+        // A collector is listening (tracing, a progress sink, or both):
+        // the telemetry's ghost-traffic baseline, behind the record's gate.
+        let ghost_bytes = || (comm.stats().snapshot()).step_bytes_for(CommStep::GhostRefresh);
+        let ghost_bytes_at_start = louvain_obs::observing().then(ghost_bytes);
+        let (et, phase) = (&self.et, self.phase);
+        self.scratch.active.clear();
+        (self.scratch.active).extend((0..self.k_local.len()).map(|l| match et {
+            Some(t) => t.is_active(phase, iter, l),
+            None => true,
+        }));
+        self.state.moved.fill(false);
+
+        self.exchange_ghosts(prev, true);
+        self.pull_remote_communities();
+        let local_moves = self.sweep(iter);
+        self.push_deltas();
+        let (q, moves) = self.reduce_modularity(iter, local_moves);
+
+        let trace = IterationTrace {
+            modularity: q,
+            moves,
+            inactive: self.update_et(),
+            local_edges: self.compute.edges_scanned - edges_at_start,
+        };
+        iter_span.arg("moves", moves);
+        iter_span.arg("q", q);
+        if let Some(at_start) = ghost_bytes_at_start {
+            // Convergence telemetry: the global fields (q, delta-Q, moves)
+            // are all-reduced and identical on every rank; the per-rank
+            // fields sum exactly across ranks because each vertex and each
+            // community has exactly one owner.
+            let mut community_sizes = louvain_obs::Histogram::default();
+            for &sz in self.state.size.iter().filter(|&&sz| sz > 0) {
+                community_sizes.observe(sz);
+            }
+            louvain_obs::record_iteration(louvain_obs::IterationRecord {
+                phase: self.phase as u64,
+                iteration: (iter - 1) as u64,
+                modularity: q,
+                delta_q: prev.map_or(0.0, |p| q - p.modularity),
+                moves,
+                active: self.scratch.sweep_vertices.len() as u64,
+                vertices: self.k_local.len() as u64,
+                communities: community_sizes.count,
+                community_sizes,
+                ghost_bytes: ghost_bytes() - at_start,
+            });
+        }
+        trace
+    }
+
+    /// Step 1, the ghost refresh: snapshot the local communities into the
+    /// scratch arena, let the layer refresh the ghost communities from the
+    /// owners' snapshots, and renumber the slots that changed. A delta
+    /// refresh is allowed after an iteration `prev` in which fewer than a
+    /// quarter of the global vertices moved: a count every rank has
+    /// all-reduced alike (see [`GhostLayer::exchange`]).
+    ///
+    /// With `track_e_in`, also adds to `Σ e_in` what the changed slots did
+    /// against the (frozen) local communities, and the arcs read for it
+    /// to the work.
+    fn exchange_ghosts(&mut self, prev: Option<&IterationTrace>, track_e_in: bool) {
+        let (comm, lg) = (self.ctx.comm, self.ctx.lg);
+        let few_moved = prev.is_some_and(|t| t.moves.saturating_mul(4) < lg.num_global());
+        let allow_delta = self.cfg.delta_ghost_refresh && few_moved;
+        comm.with_step(CommStep::GhostRefresh, || {
+            let snapshot = &mut self.scratch.comm_snapshot;
+            snapshot.clear();
+            snapshot.extend(self.state.comm.iter().map(|&c| self.index.global(c)));
+            (self.ghosts).exchange(comm, snapshot, &mut self.ghost_global, allow_delta);
+        });
+        let arc_weights = track_e_in.then(|| lg.csr_parts().2);
+        let (mut e_in_change, mut arcs) = (0.0, 0);
+        self.index
+            .translate(&self.ghost_global, &mut self.ghost_dense, |s, old, new| {
+                let Some(arc_weights) = arc_weights else {
+                    return;
+                };
+                let into = self.ghosts.arcs_into(s);
+                arcs += into.len() as u64;
+                for &(l, a) in into {
+                    let c = self.state.comm[l as usize];
+                    if c == new {
+                        e_in_change += arc_weights[a as usize];
+                    } else if c == old {
+                        e_in_change -= arc_weights[a as usize];
+                    }
+                }
+            });
+        self.compute.edges_scanned += arcs;
+        self.e_in += e_in_change;
+    }
+
+    /// Step 2, the `a_c` pull: key the remote communities of the active
+    /// vertices and of their neighbours
+    /// ([`PhaseState::key_remote_communities`]), then pull their weights
+    /// and sizes from their owners. A rank that knows no remote community
+    /// (always so on one rank) has nothing to find and skips the search.
+    fn pull_remote_communities(&mut self) {
+        // New remote communities enter only through the exchange, so the
+        // tables are sized here.
+        self.scratch.cover(self.index.num_dense());
+        self.state.remote.cover(self.index.num_remote());
+        self.state.remote.clear_keys();
+        if self.index.num_remote() > 0 {
+            self.compute.edges_scanned += self.key_remote_communities();
+        }
+        let (index, needed) = (&mut self.index, &mut self.scratch.needed);
+        let SweepState {
+            a, size, remote, ..
+        } = &mut self.state;
+        needed.clear();
+        needed.extend(remote.keyed().iter().map(|&r| index.remote_global(r)));
+        let first = self.ctx.lg.first_vertex();
+        pull_from_owners(
+            self.ctx.comm,
+            self.ctx.lg.partition(),
+            CommStep::CommunityPull,
+            needed.iter().copied(),
+            &mut self.scratch.pull,
+            |c| {
+                let i = (c - first) as usize;
+                (a[i], size[i])
+            },
+            |c, info| {
+                let d = index.dense(c);
+                let r = index.remote_slot(d).expect("pulled an owned community");
+                remote.set_pulled(r, info);
+            },
+        );
+    }
+
+    /// Step 2's key set: key in `state.remote` the remote communities of
+    /// the active vertices and of their neighbours, and return the arcs
+    /// read.
+    ///
+    /// It asks each target once, not each arc. An active local vertex
+    /// keys its own community, and a local vertex or ghost slot whose
+    /// community is owned or already keyed costs nothing. Arcs are stored
+    /// in both directions, so any other target is some active vertex's
+    /// neighbour exactly when an active local vertex is among its own
+    /// arcs: a ghost slot's [`GhostLayer::arcs_into`], a local target's
+    /// row. That scan stops at the first active one. The local vertices'
+    /// scans wait in `scratch.deferred` until every active vertex and
+    /// ghost slot has keyed what it can, so that fewer of them run
+    /// (DESIGN.md §11, "Step 2 by target").
+    fn key_remote_communities(&mut self) -> u64 {
+        let (offsets, targets) = (self.ctx.lg.csr_parts().0, self.ghosts.targets());
+        let (index, comm, remote) = (&self.index, &self.state.comm, &mut self.state.remote);
+        let (active, deferred) = (&self.scratch.active, &mut self.scratch.deferred);
+        let mut probes = 0u64;
+        deferred.clear();
+        for (t, &c) in comm.iter().enumerate() {
+            let Some(r) = index.remote_slot(c) else {
+                continue;
+            };
+            if active[t] {
+                remote.key(r);
+            } else if !remote.is_keyed(r) {
+                // `t` < nlocal, which `CommunityIndex::new` bounds.
+                deferred.push(t as u32);
+            }
+        }
+        for (s, &c) in self.ghost_dense.iter().enumerate() {
+            let Some(r) = index.remote_slot(c) else {
+                continue;
+            };
+            let into = self.ghosts.arcs_into(s);
+            if !remote.is_keyed(r) && any(into, |&(l, _)| active[l as usize], &mut probes) {
+                remote.key(r);
+            }
+        }
+        // A ghost target is not an active local vertex.
+        let active_local = |&u: &u32| active.get(u as usize) == Some(&true);
+        for &t in deferred.iter() {
+            let t = t as usize;
+            let r = index
+                .remote_slot(comm[t])
+                .expect("deferred for a remote community");
+            let row = &targets[offsets[t]..offsets[t + 1]];
+            if !remote.is_keyed(r) && any(row, active_local, &mut probes) {
+                remote.key(r);
+            }
+        }
+        probes
+    }
+
+    /// Step 3, the compute sweep (lines 6–9) over the active vertices in
+    /// sweep order: colored batches, or in place on this thread (the
+    /// seed's sequential sweep, which runs only at threads_per_rank ==
+    /// 1). Returns this rank's moves.
+    fn sweep(&mut self, iter: usize) -> u64 {
+        let scratch = &mut self.scratch;
+        scratch.sweep_vertices.clear();
+        let active = &scratch.active;
+        (scratch.sweep_vertices).extend(self.sweep_order.iter().copied().filter(|&l| active[l]));
+        {
+            let _sweep_span = louvain_obs::span!("sweep", iter = iter);
+            let (offsets, _, arc_weights) = self.ctx.lg.csr_parts();
+            let sweep = Sweep {
+                offsets,
+                arc_weights,
+                targets: self.ghosts.targets(),
+                ghosts: self.ghosts,
+                ghost_comm: &self.ghost_dense,
+                index: &self.index,
+                k_local: &self.k_local,
+                two_m: self.ctx.two_m,
+            };
+            if let Some(coloring) = &self.coloring {
+                sweep.sweep_colored(&mut self.state, &self.pool, coloring, scratch, iter);
+            } else {
+                let worker = &mut lock_worker(&scratch.workers[0]);
+                sweep.sweep_in_place(&mut self.state, &scratch.sweep_vertices, worker);
+            }
+            for worker in &scratch.workers {
+                scratch.acc.absorb(&mut lock_worker(worker).acc);
+            }
+        }
+        let acc = std::mem::take(&mut scratch.acc);
+        self.compute.edges_scanned += acc.edges;
+        self.compute.vertices_processed += acc.vertices;
+        self.e_in += acc.e_in;
+        acc.moves
+    }
+
+    /// Step 3b, the delta push (lines 10–11): the applied moves' changes
+    /// to remote communities go to their owners, which fold each
+    /// `(Δa_c, Δsize)` into their own.
+    fn push_deltas(&mut self) {
+        let (lg, index) = (self.ctx.lg, &self.index);
+        let first = lg.first_vertex();
+        let SweepState {
+            a, size, remote, ..
+        } = &mut self.state;
+        push_to_owners(
+            self.ctx.comm,
+            lg.partition(),
+            CommStep::DeltaPush,
+            (remote.deltas()).map(|(r, da, ds)| (index.remote_global(r), da, ds)),
+            &mut self.scratch.delta_msgs,
+            |c, da, ds| {
+                let i = (c - first) as usize;
+                a[i] += da;
+                size[i] = (size[i] as i64 + ds) as u64;
+            },
+        );
+        remote.clear_deltas();
+    }
+
+    /// Step 4 (lines 12–13): the modularity of iteration `iter` from the
+    /// tracked `Σ e_in`, and the global move count, by all-reduce. Debug
+    /// builds and tests first hold the tracked `Σ e_in` to the
+    /// from-scratch pass.
+    fn reduce_modularity(&mut self, iter: usize, local_moves: u64) -> (f64, u64) {
+        if cfg!(any(debug_assertions, test)) {
+            // Bit for bit on integer weights (every partial sum exact).
+            let (e_in, scratch) = (self.e_in, self.e_in_from_scratch());
+            let integer_weights = self.ctx.lg.csr_parts().2.iter().all(|w| w.fract() == 0.0);
+            let agree = if integer_weights {
+                e_in.to_bits() == scratch.to_bits()
+            } else {
+                (e_in - scratch).abs() <= 1e-9 * scratch.abs().max(e_in.abs())
+            };
+            let at = format!("phase {}, iteration {iter}", self.phase);
+            assert!(agree, "{at}: tracked Σe_in {e_in}, {scratch} from scratch");
+        }
+        let comm = self.ctx.comm;
+        comm.with_step(CommStep::Reduction, || {
+            (
+                self.modularity(self.e_in),
+                comm.all_reduce(local_moves, ReduceOp::Sum),
+            )
+        })
+    }
+
+    /// Global modularity (Eq. 2) from this rank's `Σ e_in` and the
+    /// weights of its owned communities: two sum-reductions, to be called
+    /// inside a `Reduction` step scope.
+    fn modularity(&self, e_in_local: f64) -> f64 {
+        let (comm, two_m) = (self.ctx.comm, self.ctx.two_m);
+        let a2_local: f64 = self.state.a.iter().map(|a| a * a).sum();
+        let e_in = comm.all_reduce(e_in_local, ReduceOp::Sum);
+        let a2 = comm.all_reduce(a2_local, ReduceOp::Sum);
+        if two_m > 0.0 {
+            e_in / two_m - a2 / (two_m * two_m)
+        } else {
+            0.0
+        }
+    }
+
+    /// ET bookkeeping: each vertex's move flag updates its activity, and
+    /// under ETC the inactive vertices are counted over all ranks for the
+    /// exit test. Returns that count (0 without ETC).
+    fn update_et(&mut self) -> u64 {
+        let Some(t) = &mut self.et else {
+            return 0;
+        };
+        for (l, &m) in self.state.moved.iter().enumerate() {
+            t.update(l, m);
+        }
+        if !self.cfg.variant.uses_etc_exit() {
+            return 0;
+        }
+        let comm = self.ctx.comm;
+        comm.with_step(CommStep::Reduction, || {
+            comm.all_reduce(t.num_inactive() as u64, ReduceOp::Sum)
+        })
+    }
+
+    /// ETC's exit rule: the paper's 90 % of all vertices are inactive
+    /// after the iteration of `trace`.
+    fn etc_exit(&self, trace: &IterationTrace) -> bool {
+        const ETC_EXIT_FRACTION: f64 = 0.9;
+        let n_global = self.ctx.lg.num_global() as f64;
+        self.cfg.variant.uses_etc_exit() && trace.inactive as f64 >= ETC_EXIT_FRACTION * n_global
+    }
+
+    /// The exit test after the iteration of `trace`, `prev` being the one
+    /// before it: ETC's rule, or no vertex moved, or Q gained at most τ.
+    fn exit(&self, trace: &IterationTrace, prev: Option<&IterationTrace>, tau: f64) -> bool {
+        let converged = prev.is_some_and(|p| trace.modularity - p.modularity <= tau);
+        self.etc_exit(trace) || trace.moves == 0 || converged
+    }
+
+    /// End the phase: a final refresh so rebuild observes the final state
+    /// of the ghosts, then modularity once more WITHOUT lag: the
+    /// per-iteration values drive convergence exactly as in the paper
+    /// (stale ghost state), but the reported phase modularity must be
+    /// exact. This `Σ e_in` is recomputed from scratch, once a phase.
+    fn finish(&mut self, traces: Vec<IterationTrace>) -> PhaseResult {
+        self.exchange_ghosts(traces.last(), false);
+        let comm_of_local = std::mem::take(&mut self.scratch.comm_snapshot);
+        let e_in = self.e_in_from_scratch();
+        let comm = self.ctx.comm;
+        let modularity = comm.with_step(CommStep::Reduction, || self.modularity(e_in));
+
+        // Memory gauges at phase end: buffer capacities are monotone
+        // within a phase, so this samples the arena's and wire pools'
+        // high-water marks (min/max land in the gauge stats across phases).
+        if louvain_obs::enabled() {
+            let bytes = self.scratch.approx_bytes() + self.state.remote.approx_bytes();
+            louvain_obs::gauge_set("mem.scratch_bytes", bytes as f64);
+            louvain_obs::gauge_set("mem.wire_bytes", self.ghosts.wire_bytes() as f64);
+        }
+
+        PhaseResult {
+            etc_exit: traces.last().is_some_and(|t| self.etc_exit(t)),
+            comm_of_local,
+            ghost_comm: std::mem::take(&mut self.ghost_global),
+            modularity,
+            traces,
+            compute: self.compute,
+        }
+    }
+
+    /// This rank's `Σ e_in` (Eq. 2) from scratch: one pass over its arcs.
+    fn e_in_from_scratch(&self) -> f64 {
+        let (offsets, _, arc_weights) = self.ctx.lg.csr_parts();
+        let (ghosts, comm) = (&*self.ghosts, &self.state.comm);
+        let targets = ghosts.targets();
+        let mut e_in_local = 0.0;
+        for (l, &cv) in comm.iter().enumerate() {
+            let row = offsets[l]..offsets[l + 1];
+            for (&t, &w) in targets[row.clone()].iter().zip(&arc_weights[row]) {
+                if ghosts.value_of(t, |i| comm[i], &self.ghost_dense) == cv {
+                    e_in_local += w;
+                }
+            }
+        }
+        e_in_local
     }
 }
 
-/// Run the iteration loop of one phase with threshold `tau`.
-/// `ghosts` is taken mutably: each exchange leaves its delta baseline
-/// there.
+/// Run the iteration loop of one phase with threshold `tau`: Algorithm
+/// 3's iterations until the exit test ends the phase, at most
+/// `cfg.max_iterations` of them. `ghosts` is taken mutably: each
+/// exchange leaves its delta baseline there.
 pub fn louvain_phase(
     ctx: &PhaseContext<'_>,
     ghosts: &mut GhostLayer,
@@ -496,412 +902,9 @@ pub fn louvain_phase(
     phase_idx: usize,
     tau: f64,
 ) -> PhaseResult {
-    let comm = ctx.comm;
-    let lg = ctx.lg;
-    let part = lg.partition();
-    let nlocal = lg.num_local();
-    let first = lg.first_vertex();
-    let n_global = lg.num_global();
-    let threads = cfg.threads_per_rank.max(1);
-    // Hoisted copy: the parallel sweep closure must not capture `ctx`
-    // (it holds the non-Sync communicator).
-    let two_m = ctx.two_m;
-    let (offsets, _, arc_weights) = lg.csr_parts();
-
-    let k_local: Vec<Weight> = (0..nlocal).map(|l| lg.weighted_degree(l)).collect();
-    let mut index = CommunityIndex::new(lg);
-    let mut state = SweepState::new(&k_local);
-    let mut ghost_comm = GhostComms::default();
-
-    // Early termination (Section IV-B(b)): coins keyed by global id, so a
-    // vertex flips the same coin on whichever rank hosts it.
-    let mut et: Option<EtState> = cfg
-        .variant
-        .alpha()
-        .map(|alpha| EtState::with_offset(nlocal, first, alpha, cfg.seed));
-    let sweep_order = louvain_graph::hash::shuffled_order(
-        nlocal,
-        cfg.seed ^ (phase_idx as u64).wrapping_mul(0x9e37) ^ first,
-    );
-
-    let mut compute = WorkCounter::default();
-
-    // Distance-1 coloring, present exactly when the colored
-    // deterministic batch schedule runs. Computed once per phase with a
-    // thread-count-independent seed, so the coloring — and with it every
-    // colored-schedule trajectory — is fixed across `threads_per_rank`
-    // settings.
-    let colored_batches = cfg.sweep == SweepMode::Colored || threads > 1;
-    let coloring: Option<(Vec<u32>, u32)> = colored_batches.then(|| {
-        let res = distributed_coloring(comm, lg, ghosts, cfg.seed ^ 0xC0105);
-        louvain_obs::counter_add("sweep.colors", res.1 as u64);
-        res
-    });
-    // The colored schedule dispatches each color batch through one pool
-    // kept alive for the whole phase; at one thread it spawns nothing and
-    // runs inline. Worker `w` owns `scratch.workers[w]`.
-    let pool = WorkerPool::new(threads);
-
-    // Per-phase scratch arena: every buffer of the four-step loop is
-    // allocated once here and recycled across iterations.
-    let mut scratch = IterScratch::new(nlocal, threads);
-    // Delta-refresh policy input: fewer than a quarter of the global
-    // vertices moved in the previous iteration. The move count is
-    // all-reduced, so every rank picks the same refresh flavour each
-    // time.
-    let mut few_moved = false;
-
-    // This rank's Σ e_in (module doc).
-    let mut e_in = self_loop_weight(lg, ghosts);
-    let check_e_in = cfg!(any(debug_assertions, test));
-    let integer_weights = check_e_in && arc_weights.iter().all(|w| w.fract() == 0.0);
-
-    let mut traces: Vec<IterationTrace> = Vec::new();
-    let mut prev_q = f64::NEG_INFINITY;
-    let mut iterations = 0;
-    let mut etc_exit = false;
-
-    // A collector is listening (tracing, a progress sink, or both).
-    let observed = louvain_obs::observing();
-    while iterations < cfg.max_iterations {
-        iterations += 1;
-        let mut iter_span = louvain_obs::span!("iteration", phase = phase_idx, iter = iterations);
-        let edges_at_iter_start = compute.edges_scanned;
-        // Telemetry baseline for this iteration's ghost-traffic delta,
-        // behind the same gate as the record below.
-        let ghost_bytes_at_start = if observed {
-            comm.stats()
-                .snapshot()
-                .step_bytes_for(CommStep::GhostRefresh)
-        } else {
-            0
-        };
-        scratch.active.clear();
-        scratch.active.extend((0..nlocal).map(|l| match &et {
-            Some(t) => t.is_active(phase_idx, iterations, l),
-            None => true,
-        }));
-        state.moved.fill(false);
-        // -- Step 1: receive the latest ghost vertex communities. ---------
-        let (ghost_e_in_change, arcs) = exchange_ghosts(
-            comm,
-            ghosts,
-            &mut index,
-            &state,
-            &mut scratch,
-            &mut ghost_comm,
-            cfg.delta_ghost_refresh && few_moved,
-            Some(arc_weights),
-        );
-        compute.edges_scanned += arcs;
-        e_in += ghost_e_in_change;
-        // New remote communities enter only through the exchange, so the
-        // tables are sized here.
-        scratch.cover(index.num_dense());
-        state.remote.cover(index.num_remote());
-        let targets = ghosts.targets();
-
-        // -- Step 2: pull a_c for remote communities we may join. ----------
-        // The communities of the active vertices and of their neighbours.
-        // A rank that knows no remote community (always so on one rank)
-        // has nothing to find and skips the search.
-        state.remote.clear_keys();
-        if index.num_remote() > 0 {
-            compute.edges_scanned += key_remote_communities(
-                offsets,
-                targets,
-                ghosts,
-                &index,
-                &state.comm,
-                &ghost_comm.dense,
-                &scratch.active,
-                &mut state.remote,
-                &mut scratch.deferred,
-            );
-        }
-        scratch.needed.clear();
-        (scratch.needed).extend(state.remote.keyed().iter().map(|&r| index.remote_global(r)));
-        {
-            let SweepState {
-                a, size, remote, ..
-            } = &mut state;
-            pull_from_owners(
-                comm,
-                part,
-                CommStep::CommunityPull,
-                scratch.needed.iter().copied(),
-                &mut scratch.pull,
-                |c| {
-                    let i = (c - first) as usize;
-                    (a[i], size[i])
-                },
-                |c, info| {
-                    let d = index.dense(c);
-                    let r = index.remote_slot(d).expect("pulled an owned community");
-                    remote.set_pulled(r, info);
-                },
-            );
-        }
-
-        // -- Step 3: the compute sweep (lines 6–9). ------------------------
-        // Colored batches, or in place over the active vertices in sweep
-        // order on this thread (the seed's sequential sweep, which runs
-        // only at threads_per_rank == 1).
-        scratch.sweep_vertices.clear();
-        {
-            let active = &scratch.active;
-            (scratch.sweep_vertices).extend(sweep_order.iter().copied().filter(|&l| active[l]));
-        }
-        {
-            let _sweep_span = louvain_obs::span!("sweep", iter = iterations);
-            let IterScratch {
-                sweep_vertices,
-                batches,
-                workers,
-                acc,
-                ..
-            } = &mut scratch;
-            let sweep = Sweep {
-                offsets,
-                arc_weights,
-                targets,
-                ghosts: &*ghosts,
-                ghost_comm: &ghost_comm.dense,
-                index: &index,
-                k_local: &k_local,
-                two_m,
-            };
-            if let Some(coloring) = &coloring {
-                sweep.sweep_colored(
-                    &mut state,
-                    &pool,
-                    coloring,
-                    sweep_vertices,
-                    workers,
-                    batches,
-                    acc,
-                    iterations,
-                );
-            } else {
-                sweep.sweep_in_place(&mut state, sweep_vertices, &mut lock_worker(&workers[0]));
-            }
-            for worker in workers.iter() {
-                acc.absorb(&mut lock_worker(worker).acc);
-            }
-        }
-        let acc = &mut scratch.acc;
-        let local_moves = acc.moves;
-        compute.edges_scanned += acc.edges;
-        compute.vertices_processed += acc.vertices;
-        e_in += acc.e_in;
-
-        // -- Step 3b: push deltas to community owners (lines 10–11). ------
-        {
-            let SweepState {
-                a, size, remote, ..
-            } = &mut state;
-            push_to_owners(
-                comm,
-                part,
-                CommStep::DeltaPush,
-                (remote.deltas()).map(|(r, da, ds)| (index.remote_global(r), da, ds)),
-                &mut scratch.delta_msgs,
-                |c, da, ds| absorb(a, size, (c - first) as usize, da, ds),
-            );
-            remote.clear_deltas();
-        }
-        acc.clear();
-
-        // -- Step 4: global modularity (lines 12–13). ----------------------
-        // Σ e_in is at hand (tracked).
-        if check_e_in {
-            // Bit for bit on integer weights (every partial sum exact).
-            let scratch = local_e_in(lg, ghosts, &state, &ghost_comm.dense);
-            let agree = if integer_weights {
-                e_in.to_bits() == scratch.to_bits()
-            } else {
-                (e_in - scratch).abs() <= 1e-9 * scratch.abs().max(e_in.abs())
-            };
-            let at = format!("phase {phase_idx}, iteration {iterations}");
-            assert!(agree, "{at}: tracked Σe_in {e_in}, {scratch} from scratch");
-        }
-        let (q, moves_global) = comm.with_step(CommStep::Reduction, || {
-            (
-                reduce_modularity(comm, e_in, &state.a, two_m),
-                comm.all_reduce(local_moves, ReduceOp::Sum),
-            )
-        });
-        few_moved = moves_global.saturating_mul(4) < n_global;
-
-        // -- ET bookkeeping / ETC exit. ------------------------------------
-        let mut inactive_global = 0u64;
-        if let Some(t) = &mut et {
-            for (l, &m) in state.moved.iter().enumerate() {
-                t.update(l, m);
-            }
-            if cfg.variant.uses_etc_exit() {
-                inactive_global = comm.with_step(CommStep::Reduction, || {
-                    comm.all_reduce(t.num_inactive() as u64, ReduceOp::Sum)
-                });
-            }
-        }
-        traces.push(IterationTrace {
-            modularity: q,
-            moves: moves_global,
-            inactive: inactive_global,
-            local_edges: compute.edges_scanned - edges_at_iter_start,
-        });
-        iter_span.arg("moves", moves_global);
-        iter_span.arg("q", q);
-        if observed {
-            // Convergence telemetry: the global fields (q, delta-Q,
-            // moves) are all-reduced and identical on every rank; the
-            // per-rank fields sum exactly across ranks because each
-            // vertex and each community has exactly one owner.
-            let mut community_sizes = louvain_obs::Histogram::default();
-            let mut communities = 0u64;
-            for &sz in &state.size {
-                if sz > 0 {
-                    communities += 1;
-                    community_sizes.observe(sz);
-                }
-            }
-            louvain_obs::record_iteration(louvain_obs::IterationRecord {
-                phase: phase_idx as u64,
-                iteration: (iterations - 1) as u64,
-                modularity: q,
-                delta_q: if prev_q.is_finite() { q - prev_q } else { 0.0 },
-                moves: moves_global,
-                active: scratch.active.iter().filter(|&&a| a).count() as u64,
-                vertices: nlocal as u64,
-                communities,
-                community_sizes,
-                ghost_bytes: comm
-                    .stats()
-                    .snapshot()
-                    .step_bytes_for(CommStep::GhostRefresh)
-                    - ghost_bytes_at_start,
-            });
-        }
-
-        // ETC leaves the phase once the paper's 90 % of all vertices are
-        // inactive.
-        const ETC_EXIT_FRACTION: f64 = 0.9;
-        if cfg.variant.uses_etc_exit()
-            && inactive_global as f64 >= ETC_EXIT_FRACTION * n_global as f64
-        {
-            etc_exit = true;
-            break;
-        }
-        if moves_global == 0 || (prev_q.is_finite() && q - prev_q <= tau) {
-            break;
-        }
-        prev_q = q;
-    }
-
-    // Final refresh so rebuild observes the final state of the ghosts,
-    // then recompute modularity once WITHOUT lag: the per-iteration values
-    // above drive convergence exactly as in the paper (stale ghost state),
-    // but the reported phase modularity must be exact. This Σ e_in is
-    // recomputed from scratch, once a phase.
-    exchange_ghosts(
-        comm,
-        ghosts,
-        &mut index,
-        &state,
-        &mut scratch,
-        &mut ghost_comm,
-        cfg.delta_ghost_refresh && few_moved,
-        None,
-    );
-    let comm_of_local = std::mem::take(&mut scratch.comm_snapshot);
-    let final_e_in = local_e_in(lg, ghosts, &state, &ghost_comm.dense);
-    let final_q = comm.with_step(CommStep::Reduction, || {
-        reduce_modularity(comm, final_e_in, &state.a, two_m)
-    });
-
-    // Memory gauges at phase end: buffer capacities are monotone within
-    // a phase, so this samples the arena's and wire pools' high-water
-    // marks (min/max land in the gauge stats across phases).
-    if louvain_obs::enabled() {
-        let bytes = scratch.approx_bytes() + state.remote.approx_bytes();
-        louvain_obs::gauge_set("mem.scratch_bytes", bytes as f64);
-        louvain_obs::gauge_set("mem.wire_bytes", ghosts.wire_bytes() as f64);
-    }
-
-    PhaseResult {
-        comm_of_local,
-        ghost_comm: ghost_comm.global,
-        owned_a: state.a,
-        owned_size: state.size,
-        modularity: final_q,
-        iterations,
-        traces,
-        compute,
-        etc_exit,
-    }
-}
-
-/// Step 2's key set: key in `remote` the remote communities of the
-/// active vertices and of their neighbours, and return the arcs read.
-///
-/// It asks each target once, not each arc. An active local vertex keys
-/// its own community, and a local vertex or ghost slot whose community
-/// is owned or already keyed costs nothing. Arcs are stored in both
-/// directions, so any other target is some active vertex's neighbour
-/// exactly when an active local vertex is among its own arcs: a ghost
-/// slot's [`GhostLayer::arcs_into`], a local target's row. That scan
-/// stops at the first active one. The local vertices' scans wait in
-/// `deferred` until every active vertex and ghost slot has keyed what
-/// it can, so that fewer of them run (DESIGN.md §11, "Step 2 by
-/// target").
-#[allow(clippy::too_many_arguments)]
-fn key_remote_communities(
-    offsets: &[usize],
-    targets: &[u32],
-    ghosts: &GhostLayer,
-    index: &CommunityIndex,
-    comm: &[u32],
-    ghost_comm: &[u32],
-    active: &[bool],
-    remote: &mut RemoteTable,
-    deferred: &mut Vec<u32>,
-) -> u64 {
-    let mut probes = 0u64;
-    deferred.clear();
-    for (t, &c) in comm.iter().enumerate() {
-        let Some(r) = index.remote_slot(c) else {
-            continue;
-        };
-        if active[t] {
-            remote.key(r);
-        } else if !remote.is_keyed(r) {
-            // `t` < nlocal, which `CommunityIndex::new` bounds.
-            deferred.push(t as u32);
-        }
-    }
-    for (s, &c) in ghost_comm.iter().enumerate() {
-        let Some(r) = index.remote_slot(c) else {
-            continue;
-        };
-        let into = ghosts.arcs_into(s);
-        if !remote.is_keyed(r) && any(into, |&(l, _)| active[l as usize], &mut probes) {
-            remote.key(r);
-        }
-    }
-    // A ghost target is not an active local vertex.
-    let active_local = |&u: &u32| active.get(u as usize) == Some(&true);
-    for &t in deferred.iter() {
-        let t = t as usize;
-        let r = index
-            .remote_slot(comm[t])
-            .expect("deferred for a remote community");
-        let row = &targets[offsets[t]..offsets[t + 1]];
-        if !remote.is_keyed(r) && any(row, active_local, &mut probes) {
-            remote.key(r);
-        }
-    }
-    probes
+    let mut phase = PhaseState::new(ctx, ghosts, cfg, phase_idx);
+    let traces = phase.iterations(tau);
+    phase.finish(traces)
 }
 
 /// Some item of `items` is `hit`: read up to the first that is, and add
@@ -911,23 +914,6 @@ fn any<T>(items: &[T], hit: impl Fn(&T) -> bool, probes: &mut u64) -> bool {
     let found = items.iter().position(hit);
     *probes += found.map_or(items.len(), |i| i + 1) as u64;
     found.is_some()
-}
-
-/// This rank's `Σ e_in` (Eq. 2) from scratch: one pass over its arcs.
-fn local_e_in(lg: &LocalGraph, ghosts: &GhostLayer, state: &SweepState, ghost_comm: &[u32]) -> f64 {
-    let (offsets, _, arc_weights) = lg.csr_parts();
-    let targets = ghosts.targets();
-    let mut e_in_local = 0.0;
-    for l in 0..lg.num_local() {
-        let cv = state.comm[l];
-        let row = offsets[l]..offsets[l + 1];
-        for (&t, &w) in targets[row.clone()].iter().zip(&arc_weights[row]) {
-            if ghosts.value_of(t, |i| state.comm[i], ghost_comm) == cv {
-                e_in_local += w;
-            }
-        }
-    }
-    e_in_local
 }
 
 /// `Σ e_in` after a phase's first exchange: every vertex alone and every
@@ -944,7 +930,6 @@ fn self_loop_weight(lg: &LocalGraph, ghosts: &GhostLayer) -> f64 {
 mod tests {
     use super::*;
     use crate::config::DistConfig;
-    use crate::ghost::PullBufs;
     use louvain_comm::run;
     use louvain_graph::community::modularity;
     use louvain_graph::{Csr, EdgeList, VertexPartition};
@@ -1131,7 +1116,7 @@ mod tests {
                 two_m,
             };
             let r = louvain_phase(&ctx, &mut ghosts, &cfg, 0, cfg.threshold);
-            (r.iterations, r.traces.last().unwrap().inactive)
+            (r.traces.len(), r.traces.last().unwrap().inactive)
         });
         // Both ranks agree on iteration count (bulk synchronous).
         assert_eq!(outs[0].0, outs[1].0);
@@ -1213,7 +1198,7 @@ mod tests {
                                 two_m: g.two_m(),
                             };
                             let r = louvain_phase(&ctx, &mut ghosts, &cfg, 0, cfg.threshold);
-                            (r.comm_of_local, r.modularity.to_bits(), r.iterations)
+                            (r.comm_of_local, r.modularity.to_bits(), r.traces.len())
                         })
                     };
                     let forward = phase("forward");
@@ -1309,7 +1294,12 @@ mod tests {
                             lg: &lg,
                             two_m,
                         };
-                        let r = louvain_phase(&ctx, &mut ghosts, cfg, 0, cfg.threshold);
+                        // `louvain_phase`, keeping the tracked owned a_c
+                        // and sizes it drops.
+                        let mut phase = PhaseState::new(&ctx, &mut ghosts, cfg, 0);
+                        let traces = phase.iterations(cfg.threshold);
+                        let r = phase.finish(traces);
+                        let owned = (phase.state.a, phase.state.size);
                         let ghost_ids: Vec<VertexId> =
                             ghosts.requests().iter().flatten().copied().collect();
                         let coarse = crate::rebuild::rebuild(
@@ -1319,7 +1309,7 @@ mod tests {
                             &r.comm_of_local,
                             &r.ghost_comm,
                         );
-                        (r, ghost_ids, coarse.new_lg)
+                        (r, owned, ghost_ids, coarse.new_lg)
                     });
                     let assignment: Vec<VertexId> =
                         (outs.iter().flat_map(|o| o.0.comm_of_local.iter().copied())).collect();
@@ -1331,12 +1321,10 @@ mod tests {
                         a[c as usize] += g.weighted_degree(v as u64);
                         size[c as usize] += 1;
                     }
-                    let owned_a: Vec<Weight> = outs
-                        .iter()
-                        .flat_map(|o| o.0.owned_a.iter().copied())
-                        .collect();
+                    let owned_a: Vec<Weight> =
+                        outs.iter().flat_map(|o| o.1 .0.iter().copied()).collect();
                     let owned_size: Vec<u64> =
-                        (outs.iter().flat_map(|o| o.0.owned_size.iter().copied())).collect();
+                        (outs.iter().flat_map(|o| o.1 .1.iter().copied())).collect();
                     assert_eq!(owned_size, size, "{at}: community sizes");
                     assert_eq!(owned_size.iter().sum::<u64>(), n as u64, "{at}");
                     for (c, (got, want)) in owned_a.iter().zip(&a).enumerate() {
@@ -1344,7 +1332,7 @@ mod tests {
                     }
                     assert!((owned_a.iter().sum::<f64>() - two_m).abs() < 1e-9, "{at}");
                     // Every ghost slot holds its owner's final value.
-                    for (r, ghost_ids, _) in &outs {
+                    for (r, _, ghost_ids, _) in &outs {
                         assert_eq!(r.ghost_comm.len(), ghost_ids.len(), "{at}");
                         for (&c, &v) in r.ghost_comm.iter().zip(ghost_ids) {
                             assert_eq!(c, assignment[v as usize], "{at}: ghost {v}");
@@ -1353,7 +1341,7 @@ mod tests {
                     // Reported Q is Q from scratch, and rebuild keeps it.
                     let q = outs[0].0.modularity;
                     assert!((q - modularity(g, &assignment)).abs() < 1e-9, "{at}");
-                    let pieces: Vec<LocalGraph> = outs.into_iter().map(|o| o.2).collect();
+                    let pieces: Vec<LocalGraph> = outs.into_iter().map(|o| o.3).collect();
                     let coarse = LocalGraph::assemble(&pieces);
                     assert!((coarse.two_m() - two_m).abs() < 1e-9, "{at}: arc weight");
                     let singletons =
@@ -1594,69 +1582,44 @@ mod tests {
         Csr::from_edge_list(el)
     }
 
-    /// A rank's graph as Step 2 reads it: row offsets, arc targets, the
-    /// ghost layer and the community numbering.
-    type KeyGraph<'a> = (
-        &'a [usize],
-        &'a [u32],
-        &'a GhostLayer<'a>,
-        &'a CommunityIndex,
-    );
-
     /// Step 2's key set as a walk over every arc of every active row
     /// computes it, as sorted remote slots: the reference
     /// `key_remote_communities` must equal.
-    fn arc_walk_keys(
-        (offsets, targets, ghosts, index): KeyGraph,
-        (comm, ghost_comm): (&[u32], &[u32]),
-        active: &[bool],
-    ) -> Vec<u32> {
+    fn arc_walk_keys(phase: &PhaseState) -> Vec<u32> {
+        let (offsets, ghosts) = (phase.ctx.lg.csr_parts().0, &*phase.ghosts);
+        let (comm, ghost_comm) = (&phase.state.comm, &phase.ghost_dense);
+        let (active, targets) = (&phase.scratch.active, ghosts.targets());
         let mut keys = Vec::new();
         for l in (0..active.len()).filter(|&l| active[l]) {
             let row = targets[offsets[l]..offsets[l + 1]].iter();
             let comms = row.map(|&t| ghosts.value_of(t, |i| comm[i], ghost_comm));
             let all = std::iter::once(comm[l]).chain(comms);
-            keys.extend(all.filter_map(|c| index.remote_slot(c)));
+            keys.extend(all.filter_map(|c| phase.index.remote_slot(c)));
         }
         keys.sort_unstable();
         keys.dedup();
         keys
     }
 
-    /// Key a rank's Step 2 set on `comms` (local, ghost slots) under
-    /// each of `masks`, reusing one table, and hold it to the arc walk:
-    /// each of its slots keyed once, no other.
-    fn check_keys_under_masks(
-        graph: KeyGraph,
-        comms: (&[u32], &[u32]),
-        masks: &[Vec<bool>],
-        at: &str,
-    ) {
-        let (offsets, targets, ghosts, index) = graph;
-        let (mut table, mut deferred) = (RemoteTable::default(), Vec::new());
-        table.cover(index.num_remote());
-        for (mi, active) in masks.iter().enumerate() {
-            table.clear_keys();
-            let (comm, ghost_comm) = comms;
-            let probes = key_remote_communities(
-                offsets,
-                targets,
-                ghosts,
-                index,
-                comm,
-                ghost_comm,
-                active,
-                &mut table,
-                &mut deferred,
-            );
+    /// Key `phase`'s Step 2 set on its communities under each of
+    /// `masks`, reusing one table, and hold it to the arc walk: each of
+    /// its slots keyed once, no other.
+    fn check_keys_under_masks(phase: &mut PhaseState, masks: Vec<Vec<bool>>, at: &str) {
+        phase.state.remote = RemoteTable::default();
+        phase.state.remote.cover(phase.index.num_remote());
+        let arcs = phase.ghosts.targets().len() as u64;
+        for (mi, active) in masks.into_iter().enumerate() {
+            phase.scratch.active = active;
+            phase.state.remote.clear_keys();
+            let probes = phase.key_remote_communities();
             // Each row and each slot's arcs are read at most once.
-            assert!(probes <= 2 * targets.len() as u64, "{at}, mask {mi}");
-            let mut got = table.keyed().to_vec();
+            assert!(probes <= 2 * arcs, "{at}, mask {mi}");
+            let mut got = phase.state.remote.keyed().to_vec();
             got.sort_unstable();
             let keyed = got.len();
             got.dedup();
             assert_eq!(got.len(), keyed, "{at}, mask {mi}: a slot keyed twice");
-            let want = arc_walk_keys(graph, comms, active);
+            let want = arc_walk_keys(phase);
             assert_eq!(got, want, "{at}, mask {mi}: Step 2's key set");
         }
     }
@@ -1690,8 +1653,11 @@ mod tests {
                 let parts = LocalGraph::scatter(&g, &part);
                 run(p, |c| {
                     let lg = &parts[c.rank()];
-                    let ghosts = GhostLayer::build(c, lg);
-                    let offsets = lg.csr_parts().0;
+                    let mut ghosts = GhostLayer::build(c, lg);
+                    let num_ghosts = ghosts.num_ghosts();
+                    let (cfg, two_m) = (DistConfig::baseline(), g.two_m());
+                    let ctx = PhaseContext { comm: c, lg, two_m };
+                    let mut phase = PhaseState::new(&ctx, &mut ghosts, &cfg, 0);
                     let seed = (gi * 64 + p * 8 + c.rank()) as u64;
                     let mut rng = SmallRng::seed_from_u64(seed);
                     for trial in 0..6 {
@@ -1700,13 +1666,12 @@ mod tests {
                             0 => index.dense(rng.random_range(0..4u64)),
                             _ => index.dense(rng.random_range(0..n)),
                         };
-                        let comm: Vec<u32> = (0..lg.num_local()).map(|_| pick(&mut rng)).collect();
-                        let ghost_comm: Vec<u32> =
-                            (0..ghosts.num_ghosts()).map(|_| pick(&mut rng)).collect();
+                        phase.state.comm = (0..lg.num_local()).map(|_| pick(&mut rng)).collect();
+                        phase.ghost_dense = (0..num_ghosts).map(|_| pick(&mut rng)).collect();
+                        phase.index = index;
                         check_keys_under_masks(
-                            (offsets, ghosts.targets(), &ghosts, &index),
-                            (&comm, &ghost_comm),
-                            &masks(lg.num_local(), &mut rng),
+                            &mut phase,
+                            masks(lg.num_local(), &mut rng),
                             &format!("graph {gi}, p={p}, rank {}, trial {trial}", c.rank()),
                         );
                     }
@@ -1740,15 +1705,14 @@ mod tests {
                         two_m: g.two_m(),
                     };
                     let r = louvain_phase(&ctx, &mut ghosts, &cfg, 0, 0.0);
-                    let mut index = CommunityIndex::new(lg);
-                    let comm: Vec<u32> = r.comm_of_local.iter().map(|&c| index.dense(c)).collect();
-                    let ghost_comm: Vec<u32> =
-                        r.ghost_comm.iter().map(|&c| index.dense(c)).collect();
+                    let mut phase = PhaseState::new(&ctx, &mut ghosts, &cfg, 0);
+                    let index = &mut phase.index;
+                    phase.state.comm = r.comm_of_local.iter().map(|&c| index.dense(c)).collect();
+                    phase.ghost_dense = r.ghost_comm.iter().map(|&c| index.dense(c)).collect();
                     let mut rng = SmallRng::seed_from_u64((gi * 64 + p) as u64);
                     check_keys_under_masks(
-                        (lg.csr_parts().0, ghosts.targets(), &ghosts, &index),
-                        (&comm, &ghost_comm),
-                        &masks(lg.num_local(), &mut rng),
+                        &mut phase,
+                        masks(lg.num_local(), &mut rng),
                         &format!("graph {gi}, p={p}, rank {}", c.rank()),
                     );
                 });
@@ -1757,9 +1721,10 @@ mod tests {
     }
 
     /// Iteration 1 of a phase at p=2 up to the sweep (exchange, Step 2
-    /// and its pull), then a colored sweep on `threads`, with `bias`
-    /// first added to every remote slot's `a_c` as an applied delta.
-    /// Per rank: the communities and the deltas the push would send.
+    /// and its pull), then a colored sweep on `threads` in vertex order,
+    /// with `bias` first added to every remote slot's `a_c` as an applied
+    /// delta. Per rank: the communities and the deltas the push would
+    /// send.
     #[allow(clippy::type_complexity)]
     fn colored_sweep_at_p2(
         g: &Csr,
@@ -1768,92 +1733,30 @@ mod tests {
     ) -> Vec<(Vec<u32>, Vec<(u32, u64, i64)>)> {
         let part = VertexPartition::balanced_vertices(g.num_vertices() as u64, 2);
         let parts = LocalGraph::scatter(g, &part);
+        let cfg = DistConfig {
+            sweep: crate::SweepMode::Colored,
+            threads_per_rank: threads,
+            seed: 0,
+            ..DistConfig::baseline()
+        };
         run(2, |c| {
             let lg = &parts[c.rank()];
-            let (nlocal, first) = (lg.num_local(), lg.first_vertex());
             let mut ghosts = GhostLayer::build(c, lg);
-            let k_local: Vec<Weight> = (0..nlocal).map(|l| lg.weighted_degree(l)).collect();
-            let mut index = CommunityIndex::new(lg);
-            let mut state = SweepState::new(&k_local);
-            let mut scratch = IterScratch::new(nlocal, threads);
-            let mut ghost_comm = GhostComms::default();
-            let gc = &mut ghost_comm;
-            exchange_ghosts(
-                c,
-                &mut ghosts,
-                &mut index,
-                &state,
-                &mut scratch,
-                gc,
-                false,
-                None,
-            );
-            scratch.cover(index.num_dense());
-            state.remote.cover(index.num_remote());
-            let (offsets, _, arc_weights) = lg.csr_parts();
-            let active = vec![true; nlocal];
-            let SweepState {
-                comm,
-                a,
-                size,
-                remote,
-                ..
-            } = &mut state;
-            let ghost_dense = &ghost_comm.dense;
-            key_remote_communities(
-                offsets,
-                ghosts.targets(),
-                &ghosts,
-                &index,
-                comm,
-                ghost_dense,
-                &active,
-                remote,
-                &mut Vec::new(),
-            );
-            let needed: Vec<VertexId> = remote
-                .keyed()
-                .iter()
-                .map(|&r| index.remote_global(r))
-                .collect();
-            pull_from_owners(
-                c,
-                lg.partition(),
-                CommStep::CommunityPull,
-                needed,
-                &mut PullBufs::default(),
-                |c| (a[(c - first) as usize], size[(c - first) as usize]),
-                |c, info| {
-                    let d = index.dense(c);
-                    let r = index.remote_slot(d).unwrap();
-                    remote.set_pulled(r, info);
-                },
-            );
-            for r in 0..index.num_remote() as u32 {
-                remote.apply(r, bias, 0);
-            }
-            let coloring = distributed_coloring(c, lg, &ghosts, 0xC0105);
-            let order: Vec<usize> = (0..nlocal).collect();
-            let sweep = Sweep {
-                offsets,
-                arc_weights,
-                targets: ghosts.targets(),
-                ghosts: &ghosts,
-                ghost_comm: &ghost_comm.dense,
-                index: &index,
-                k_local: &k_local,
+            let ctx = PhaseContext {
+                comm: c,
+                lg,
                 two_m: g.two_m(),
             };
-            let IterScratch {
-                batches,
-                workers,
-                acc,
-                ..
-            } = &mut scratch;
-            let pool = WorkerPool::new(threads);
-            sweep.sweep_colored(
-                &mut state, &pool, &coloring, &order, workers, batches, acc, 1,
-            );
+            let mut phase = PhaseState::new(&ctx, &mut ghosts, &cfg, 0);
+            phase.sweep_order = (0..lg.num_local()).collect();
+            phase.scratch.active = vec![true; lg.num_local()];
+            phase.exchange_ghosts(None, false);
+            phase.pull_remote_communities();
+            for r in 0..phase.index.num_remote() as u32 {
+                phase.state.remote.apply(r, bias, 0);
+            }
+            phase.sweep(1);
+            let state = &phase.state;
             let deltas = (state.remote.deltas()).map(|(r, da, ds)| (r, da.to_bits(), ds));
             (state.comm.clone(), deltas.collect())
         })

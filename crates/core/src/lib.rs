@@ -31,6 +31,8 @@
 // The one `unsafe` block is the prefetch hint of [`prefetch`].
 #![deny(unsafe_code)]
 #![warn(clippy::undocumented_unsafe_blocks)]
+// No function over the `too-many-lines-threshold` of the root clippy.toml.
+#![warn(clippy::too_many_lines)]
 
 pub mod api;
 pub mod config;

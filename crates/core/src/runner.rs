@@ -1,4 +1,15 @@
 //! The phase loop (Algorithm 2) executed on every rank.
+//!
+//! [`run_on_rank`] carries one `RankState` from phase to phase: the
+//! rank's piece of the current graph, the projection of its original
+//! vertices and the loop's scalars, which is what a phase-boundary
+//! checkpoint stores (`RankState::from_checkpoint` and
+//! `RankState::to_checkpoint`). Each phase, in order: `check_cancel` at
+//! the boundary; `detect`, which discovers the ghosts (Algorithm 4) and
+//! runs the phase's Louvain iterations (Algorithm 3,
+//! [`louvain_phase`]); the acceptance test; [`rebuild`] of the coarse
+//! graph (Fig 1); `RankState::project` of the original vertices onto it;
+//! and `write_checkpoint`.
 
 use std::time::Duration;
 
@@ -10,7 +21,7 @@ use louvain_resil::{CheckpointStore, RankCheckpoint, ResilError};
 use crate::config::DistConfig;
 use crate::ghost::{pull_from_owners, GhostLayer, PullBufs};
 use crate::heuristics::ThresholdSchedule;
-use crate::iteration::{louvain_phase, PhaseContext};
+use crate::iteration::{louvain_phase, PhaseContext, PhaseResult};
 use crate::rebuild::rebuild;
 use crate::resume::{abort, config_fingerprint, JobCancelled, ResilOptions};
 use crate::stats::PhaseStats;
@@ -80,41 +91,96 @@ fn pull_values(
         .collect()
 }
 
-/// One rank's state recovered from the newest complete checkpoint.
-struct RestoredState {
-    lg: LocalGraph<'static>,
+/// What the phase loop carries from one phase to the next on this rank:
+/// what a phase-boundary checkpoint holds, bar the comm counters.
+struct RankState<'g> {
+    /// This rank's piece of the current (coarse) graph.
+    lg: LocalGraph<'g>,
+    /// Original vertex (this rank's range) → vertex of the current coarse
+    /// graph.
     cur_of_orig: Vec<VertexId>,
-    start_phase: usize,
+    /// The next phase to run.
+    phase: usize,
+    /// A phase converged at a cycled τ, so the rest run at the lowest.
     force_min_tau: bool,
+    /// The best phase modularity so far (−∞ before the first phase).
     prev_q: f64,
+    /// The last phase's modularity.
     final_q: f64,
     total_iterations: usize,
-    stats: StatsSnapshot,
 }
 
-/// Rebuild a rank's state from a decoded checkpoint. `decode` has
-/// checked the ownership table and the CSR; what is left is that
-/// `cur_of_orig` covers the `owned` original vertices of the rank.
-fn restored_state(ckpt: RankCheckpoint, owned: usize) -> Result<RestoredState, ResilError> {
-    if ckpt.cur_of_orig.len() != owned {
-        return Err(ResilError::Corrupt(format!(
-            "cur_of_orig covers {} original vertices, rank {} owns {owned}",
-            ckpt.cur_of_orig.len(),
-            ckpt.rank
-        )));
+impl<'g> RankState<'g> {
+    /// Phase 0 of `lg`, every original vertex mapped to itself.
+    fn new(comm: &Comm, lg: LocalGraph<'g>) -> Self {
+        Self {
+            cur_of_orig: lg.partition().range(comm.rank()).collect(),
+            lg,
+            phase: 0,
+            force_min_tau: false,
+            prev_q: f64::NEG_INFINITY,
+            final_q: 0.0,
+            total_iterations: 0,
+        }
     }
-    let part = VertexPartition::from_starts(ckpt.part_starts);
-    let offsets: Vec<usize> = ckpt.offsets.iter().map(|&o| o as usize).collect();
-    Ok(RestoredState {
-        lg: LocalGraph::from_csr_parts(part, ckpt.rank, offsets, ckpt.dests, ckpt.weights),
-        cur_of_orig: ckpt.cur_of_orig,
-        start_phase: ckpt.phase as usize,
-        force_min_tau: ckpt.force_min_tau,
-        prev_q: ckpt.prev_q,
-        final_q: ckpt.final_q,
-        total_iterations: ckpt.total_iterations as usize,
-        stats: ckpt.stats,
-    })
+
+    /// The state a decoded checkpoint holds. `decode` has checked the
+    /// ownership table and the CSR; what is left is that `cur_of_orig`
+    /// covers the `owned` original vertices of the rank.
+    fn from_checkpoint(
+        ckpt: RankCheckpoint,
+        owned: usize,
+    ) -> Result<RankState<'static>, ResilError> {
+        if ckpt.cur_of_orig.len() != owned {
+            return Err(ResilError::Corrupt(format!(
+                "cur_of_orig covers {} original vertices, rank {} owns {owned}",
+                ckpt.cur_of_orig.len(),
+                ckpt.rank
+            )));
+        }
+        let part = VertexPartition::from_starts(ckpt.part_starts);
+        let offsets: Vec<usize> = ckpt.offsets.iter().map(|&o| o as usize).collect();
+        Ok(RankState {
+            lg: LocalGraph::from_csr_parts(part, ckpt.rank, offsets, ckpt.dests, ckpt.weights),
+            cur_of_orig: ckpt.cur_of_orig,
+            phase: ckpt.phase as usize,
+            force_min_tau: ckpt.force_min_tau,
+            prev_q: ckpt.prev_q,
+            final_q: ckpt.final_q,
+            total_iterations: ckpt.total_iterations as usize,
+        })
+    }
+
+    /// This state as `comm`'s rank's checkpoint under the config
+    /// `fingerprint`, with the comm counters as they stand.
+    fn to_checkpoint(&self, comm: &Comm, fingerprint: u64) -> RankCheckpoint {
+        let (offsets, dests, weights) = self.lg.csr_parts();
+        RankCheckpoint {
+            rank: comm.rank(),
+            ranks: comm.size(),
+            phase: self.phase as u64,
+            force_min_tau: self.force_min_tau,
+            prev_q: self.prev_q,
+            final_q: self.final_q,
+            total_iterations: self.total_iterations as u64,
+            config_fingerprint: fingerprint,
+            part_starts: self.lg.partition().starts().to_vec(),
+            offsets: offsets.iter().map(|&o| o as u64).collect(),
+            dests: dests.to_vec(),
+            weights: weights.to_vec(),
+            cur_of_orig: self.cur_of_orig.clone(),
+            stats: comm.stats().snapshot(),
+        }
+    }
+
+    /// Map each original vertex on through the current graph: to
+    /// `values[v - first]` of the vertex `v` it maps to now, which `v`'s
+    /// owner holds. Collective.
+    fn project(&mut self, comm: &Comm, values: &[VertexId], phase: usize) {
+        let _s = louvain_obs::span!("project", phase = phase);
+        let (part, first) = (self.lg.partition(), self.lg.first_vertex());
+        self.cur_of_orig = pull_values(comm, part, &self.cur_of_orig, values, first);
+    }
 }
 
 /// Load and validate this rank's slab from the newest complete
@@ -129,7 +195,7 @@ fn restore_rank(
     store: &CheckpointStore,
     fingerprint: u64,
     owned: usize,
-) -> Option<RestoredState> {
+) -> Option<RankState<'static>> {
     let latest = store
         .latest()
         .unwrap_or_else(|e| abort(format!("cannot resume: {e}")))?;
@@ -141,14 +207,105 @@ fn restore_rank(
     manifest
         .validate(comm.size(), fingerprint)
         .unwrap_or_else(|e| fail(latest, e));
-    let restored = store
-        .load_rank(&manifest, comm.rank())
-        .and_then(|ckpt| restored_state(ckpt, owned))
-        .unwrap_or_else(|e| fail(latest, e));
+    let mut ckpt = (store.load_rank(&manifest, comm.rank())).unwrap_or_else(|e| fail(latest, e));
+    let stats = std::mem::take(&mut ckpt.stats);
+    let restored = RankState::from_checkpoint(ckpt, owned).unwrap_or_else(|e| fail(latest, e));
     // Re-absorb the checkpointed counters so the resumed run's
     // cumulative traffic matches an uninterrupted run's.
-    comm.stats().absorb(&restored.stats);
+    comm.stats().absorb(&stats);
     Some(restored)
+}
+
+/// Cooperative cancellation, checked once per phase boundary — i.e.
+/// right after the boundary checkpoint (if any) went durable at the end
+/// of the previous phase. The tiny agreement all-reduce makes the
+/// decision collective: either every rank stops here or none does, so
+/// no peer is ever left blocked mid-collective by a unilateral exit.
+fn check_cancel(comm: &Comm, resil: &ResilOptions, phase: usize) {
+    let Some(token) = resil.cancel.as_ref() else {
+        return;
+    };
+    let local = token.load(std::sync::atomic::Ordering::SeqCst) as u64;
+    let agreed = comm.with_step(CommStep::Other, || comm.all_reduce(local, ReduceOp::Max));
+    if agreed > 0 {
+        std::panic::panic_any(JobCancelled {
+            phase: phase as u64,
+        });
+    }
+}
+
+/// One phase's Louvain iterations on `lg` at threshold `tau`: discover
+/// the ghosts (Algorithm 4), all-reduce `2m`, then run Algorithm 3.
+/// Returns the phase's result, the ghost layer rebuild reads, and the
+/// traffic of the iterations.
+fn detect<'g>(
+    comm: &Comm,
+    lg: &'g LocalGraph,
+    cfg: &DistConfig,
+    phase: usize,
+    tau: f64,
+) -> (PhaseResult, GhostLayer<'g>, StatsSnapshot) {
+    let mut ghosts = {
+        let _s = louvain_obs::span!("ghost_build", phase = phase);
+        // Scoped under `Other` (its default attribution) so the
+        // slot-map exchange gets a step span and wait sub-span.
+        comm.with_step(CommStep::Other, || GhostLayer::build(comm, lg))
+    };
+    // Both at full size for the phase; `mem.csr_bytes` is set at load.
+    if louvain_obs::enabled() {
+        louvain_obs::gauge_set("mem.ghost_bytes", ghosts.approx_bytes() as f64);
+        louvain_obs::gauge_set("mem.peak_rss_bytes", louvain_obs::peak_rss_bytes() as f64);
+    }
+    let two_m = comm.with_step(CommStep::Other, || {
+        comm.all_reduce(lg.local_arc_weight(), ReduceOp::Sum)
+    });
+    let ctx = PhaseContext { comm, lg, two_m };
+    let before_phase = comm.stats().snapshot();
+    let result = louvain_phase(&ctx, &mut ghosts, cfg, phase, tau);
+    (result, ghosts, comm.stats().snapshot().since(&before_phase))
+}
+
+/// The phase-boundary checkpoint of `run`, which is about to start
+/// phase `run.phase`: all collectives have quiesced, the coarse graph
+/// was just rebuilt, and the projection is current — a consistent cut
+/// of the whole distributed state. Collective.
+fn write_checkpoint(comm: &Comm, store: &CheckpointStore, run: &RankState, fingerprint: u64) {
+    let next_phase = run.phase as u64;
+    let mut span = louvain_obs::span!("checkpoint_write", phase = next_phase);
+    // The stats cut is snapshotted BEFORE the checkpoint-step gather
+    // below, so the stored counters exclude the checkpointing traffic
+    // itself: a resumed run then reproduces an uninterrupted run's
+    // per-step totals exactly for every step but `checkpoint`.
+    let ckpt = run.to_checkpoint(comm, fingerprint);
+    let bytes = comm.with_step(CommStep::Checkpoint, || {
+        // Slab serialization + fsync is the longest stretch a rank spends
+        // away from any comm op; bracket it with heartbeats so peer
+        // watchdogs see a straggler, not a hang, when the disk is slow.
+        comm.heartbeat();
+        let entry = store.write_rank(&ckpt).unwrap_or_else(|e| {
+            abort(format!(
+                "checkpoint write failed at phase {next_phase}: {e}"
+            ))
+        });
+        comm.heartbeat();
+        let bytes = entry.bytes;
+        if let Some(entries) = comm.gather_to_root(0, vec![entry]) {
+            let all: Vec<_> = entries.into_iter().flatten().collect();
+            store
+                .commit_phase(next_phase, comm.size(), fingerprint, all)
+                .unwrap_or_else(|e| {
+                    abort(format!(
+                        "checkpoint commit failed at phase {next_phase}: {e}"
+                    ))
+                });
+        }
+        // No rank proceeds before the manifest is durable — otherwise a
+        // crash early in the next phase could strand slabs with no
+        // committed manifest behind them.
+        comm.barrier();
+        bytes
+    });
+    span.arg("bytes", bytes);
 }
 
 /// Run the distributed Louvain algorithm on this rank's piece of the
@@ -188,113 +345,58 @@ pub fn run_on_rank(
         })
     });
 
-    let mut lg = lg0;
-    // Original vertex (this rank's range) → vertex of the current coarse
-    // graph. Starts as the identity.
-    let mut cur_of_orig: Vec<VertexId> = lg.partition().range(comm.rank()).collect();
-
-    let mut phase_stats: Vec<PhaseStats> = Vec::new();
-    let mut prev_q = f64::NEG_INFINITY;
-    let mut final_q = 0.0;
-    let mut total_iterations = 0;
-    let mut force_min_tau = false;
-    let mut start_phase = 0usize;
+    let mut run = RankState::new(comm, lg0);
     let mut resumed_from_phase = None;
-
     if resil.resume {
         let store = store
             .as_ref()
             .unwrap_or_else(|| abort("resume requested without a checkpoint directory".into()));
-        if let Some(restored) = restore_rank(comm, store, fingerprint, cur_of_orig.len()) {
-            lg = restored.lg;
-            cur_of_orig = restored.cur_of_orig;
-            start_phase = restored.start_phase;
-            force_min_tau = restored.force_min_tau;
-            prev_q = restored.prev_q;
-            final_q = restored.final_q;
-            total_iterations = restored.total_iterations;
-            resumed_from_phase = Some(start_phase as u64);
+        if let Some(restored) = restore_rank(comm, store, fingerprint, run.cur_of_orig.len()) {
+            resumed_from_phase = Some(restored.phase as u64);
+            run = restored;
         }
     }
-
+    let start_phase = run.phase;
+    let mut phase_stats: Vec<PhaseStats> = Vec::new();
     let mut levels: Vec<Vec<VertexId>> = Vec::new();
 
     for phase_idx in start_phase..cfg.max_phases {
         comm.advance_fault_epoch(phase_idx as u64);
-        // Cooperative cancellation, checked once per phase boundary —
-        // i.e. right after the boundary checkpoint (if any) went
-        // durable at the end of the previous iteration. The tiny
-        // agreement all-reduce makes the decision collective: either
-        // every rank stops here or none does, so no peer is ever left
-        // blocked mid-collective by a unilateral exit.
-        if let Some(token) = resil.cancel.as_ref() {
-            let local = token.load(std::sync::atomic::Ordering::SeqCst) as u64;
-            let agreed = comm.with_step(CommStep::Other, || comm.all_reduce(local, ReduceOp::Max));
-            if agreed > 0 {
-                std::panic::panic_any(JobCancelled {
-                    phase: phase_idx as u64,
-                });
-            }
-        }
-        let tau = if force_min_tau {
+        check_cancel(comm, resil, phase_idx);
+        let tau = if run.force_min_tau {
             min_tau
         } else {
             schedule.tau_for_phase(phase_idx)
         };
-
         let mut phase_span = louvain_obs::span!(
             "phase",
             phase = phase_idx,
             tau = tau,
-            vertices = lg.num_global()
+            vertices = run.lg.num_global()
         );
-
-        let mut ghosts = {
-            let _s = louvain_obs::span!("ghost_build", phase = phase_idx);
-            // Scoped under `Other` (its default attribution) so the
-            // slot-map exchange gets a step span and wait sub-span.
-            comm.with_step(CommStep::Other, || GhostLayer::build(comm, &lg))
-        };
-        // Both at full size for the phase; `mem.csr_bytes` is set at load.
-        if louvain_obs::enabled() {
-            louvain_obs::gauge_set("mem.ghost_bytes", ghosts.approx_bytes() as f64);
-            louvain_obs::gauge_set("mem.peak_rss_bytes", louvain_obs::peak_rss_bytes() as f64);
-        }
-        let two_m = comm.with_step(CommStep::Other, || {
-            comm.all_reduce(lg.local_arc_weight(), ReduceOp::Sum)
-        });
-        let ctx = PhaseContext {
-            comm,
-            lg: &lg,
-            two_m,
-        };
-        let before_phase = comm.stats().snapshot();
-        let result = louvain_phase(&ctx, &mut ghosts, cfg, phase_idx, tau);
-        // The owned a_c and sizes are the phase's own arrays, which no step
-        // below reads: held through rebuild, they raise its peak.
-        drop((result.owned_a, result.owned_size));
-        let traffic = comm.stats().snapshot().since(&before_phase);
-        total_iterations += result.iterations;
-        final_q = result.modularity;
-        phase_span.arg("iterations", result.iterations);
+        let (result, ghosts, traffic) = detect(comm, &run.lg, cfg, phase_idx, tau);
+        let iterations = result.traces.len();
+        run.total_iterations += iterations;
+        run.final_q = result.modularity;
+        phase_span.arg("iterations", iterations);
         phase_span.arg("q", result.modularity);
 
-        let gain = result.modularity - prev_q;
-        let converged = prev_q.is_finite() && gain <= tau;
+        let converged = run.prev_q.is_finite() && result.modularity - run.prev_q <= tau;
         // "our distributed implementation always forces Louvain iteration
         // to run once more with the lowest threshold, to ensure acceptable
         // modularity" — convergence at a cycled (higher) τ only schedules
         // a final min-τ phase.
-        let accept = converged && (tau <= min_tau * (1.0 + 1e-12) || force_min_tau);
-        prev_q = prev_q.max(result.modularity);
+        let accept = converged && (tau <= min_tau * (1.0 + 1e-12) || run.force_min_tau);
+        run.prev_q = run.prev_q.max(result.modularity);
+        run.force_min_tau |= converged;
 
         let mut stats = PhaseStats {
             phase: phase_idx,
-            num_vertices: lg.num_global(),
-            iterations: result.iterations,
+            num_vertices: run.lg.num_global(),
+            iterations,
             modularity: result.modularity,
             tau,
-            iteration_traces: result.traces.clone(),
+            iteration_traces: result.traces,
             compute: result.compute,
             rebuild: Default::default(),
             traffic,
@@ -302,142 +404,50 @@ pub fn run_on_rank(
             threads_per_rank: cfg.threads_per_rank.max(1),
         };
 
-        if accept {
-            // Map original vertices to their final communities: the final
-            // community of orig v is comm_of_local[cur_of_orig[v]] held by
-            // the owner of that coarse vertex.
-            let first = lg.first_vertex();
-            let _s = louvain_obs::span!("project", phase = phase_idx);
-            cur_of_orig = pull_values(
-                comm,
-                lg.partition(),
-                &cur_of_orig,
-                &result.comm_of_local,
-                first,
-            );
-            if resil.record_levels {
-                levels.push(cur_of_orig.clone());
-            }
-            phase_stats.push(stats);
-            break;
-        }
-        if converged {
-            force_min_tau = true;
-        }
-
-        // Rebuild the coarse graph (also yields each old vertex's new id).
-        let before_rebuild = comm.stats().snapshot();
-        let out = {
+        // Unless the phase is accepted, rebuild the coarse graph, which
+        // also yields each old vertex's new id.
+        let coarse = (!accept).then(|| {
+            let before_rebuild = comm.stats().snapshot();
             let _s = louvain_obs::span!("rebuild", phase = phase_idx);
-            rebuild(
-                comm,
-                &lg,
-                &ghosts,
-                &result.comm_of_local,
-                &result.ghost_comm,
-            )
-        };
-        stats.rebuild = out.work;
-        stats
-            .traffic
-            .merge(&comm.stats().snapshot().since(&before_rebuild));
+            let (comm_of_local, ghost_comm) = (&result.comm_of_local, &result.ghost_comm);
+            let out = rebuild(comm, &run.lg, &ghosts, comm_of_local, ghost_comm);
+            stats.rebuild = out.work;
+            (stats.traffic).merge(&comm.stats().snapshot().since(&before_rebuild));
+            out
+        });
         phase_stats.push(stats);
-
-        // Project the original vertices onto the new coarse graph.
-        let first = lg.first_vertex();
-        cur_of_orig = {
-            let _s = louvain_obs::span!("project", phase = phase_idx);
-            pull_values(
-                comm,
-                lg.partition(),
-                &cur_of_orig,
-                &out.vertex_new_id,
-                first,
-            )
-        };
+        // Project the original vertices onto the new coarse graph, or onto
+        // their final communities: the final community of orig v is
+        // comm_of_local[cur_of_orig[v]], held by the owner of that vertex.
+        let new_ids = coarse
+            .as_ref()
+            .map_or(&result.comm_of_local, |c| &c.vertex_new_id);
+        run.project(comm, new_ids, phase_idx);
         if resil.record_levels {
-            levels.push(cur_of_orig.clone());
+            levels.push(run.cur_of_orig.clone());
         }
-
-        let compressed = out.new_num_vertices < lg.num_global();
-        lg = out.new_lg;
-        if !compressed {
-            // No compression: one more phase cannot improve; map current
-            // coarse vertices to their (identity) communities and stop.
+        let Some(out) = coarse else {
+            break;
+        };
+        let compressed = out.new_num_vertices < run.lg.num_global();
+        run.lg = out.new_lg;
+        // Without compression one more phase cannot improve, and the
+        // coarse vertices are the final (identity) communities; so they
+        // are when the phase budget is spent.
+        if !compressed || phase_idx + 1 == cfg.max_phases {
             break;
         }
-        if phase_idx + 1 == cfg.max_phases {
-            // Phase budget exhausted: cur_of_orig already points at the
-            // final coarse vertices, which are the final communities.
-            break;
-        }
-
-        // Phase-boundary checkpoint: all collectives have quiesced, the
-        // coarse graph was just rebuilt, and the projection is current —
-        // a consistent cut of the whole distributed state.
+        run.phase = phase_idx + 1;
         if let Some(store) = store.as_ref() {
-            let next_phase = (phase_idx + 1) as u64;
-            let mut span = louvain_obs::span!("checkpoint_write", phase = next_phase);
-            // The stats cut is snapshotted BEFORE the checkpoint-step
-            // gather below, so the stored counters exclude the
-            // checkpointing traffic itself: a resumed run then
-            // reproduces an uninterrupted run's per-step totals
-            // exactly for every step but `checkpoint`.
-            let (offsets, dests, weights) = lg.csr_parts();
-            let ckpt = RankCheckpoint {
-                rank: comm.rank(),
-                ranks: comm.size(),
-                phase: next_phase,
-                force_min_tau,
-                prev_q,
-                final_q,
-                total_iterations: total_iterations as u64,
-                config_fingerprint: fingerprint,
-                part_starts: lg.partition().starts().to_vec(),
-                offsets: offsets.iter().map(|&o| o as u64).collect(),
-                dests: dests.to_vec(),
-                weights: weights.to_vec(),
-                cur_of_orig: cur_of_orig.clone(),
-                stats: comm.stats().snapshot(),
-            };
-            let bytes = comm.with_step(CommStep::Checkpoint, || {
-                // Slab serialization + fsync is the longest stretch a
-                // rank spends away from any comm op; bracket it with
-                // heartbeats so peer watchdogs see a straggler, not a
-                // hang, when the disk is slow.
-                comm.heartbeat();
-                let entry = store.write_rank(&ckpt).unwrap_or_else(|e| {
-                    abort(format!(
-                        "checkpoint write failed at phase {next_phase}: {e}"
-                    ))
-                });
-                comm.heartbeat();
-                let bytes = entry.bytes;
-                if let Some(entries) = comm.gather_to_root(0, vec![entry]) {
-                    let all: Vec<_> = entries.into_iter().flatten().collect();
-                    store
-                        .commit_phase(next_phase, comm.size(), fingerprint, all)
-                        .unwrap_or_else(|e| {
-                            abort(format!(
-                                "checkpoint commit failed at phase {next_phase}: {e}"
-                            ))
-                        });
-                }
-                // No rank proceeds before the manifest is durable —
-                // otherwise a crash early in the next phase could
-                // strand slabs with no committed manifest behind them.
-                comm.barrier();
-                bytes
-            });
-            span.arg("bytes", bytes);
+            write_checkpoint(comm, store, &run, fingerprint);
         }
     }
 
     RankOutcome {
-        assignment: cur_of_orig,
-        modularity: final_q,
+        assignment: run.cur_of_orig,
+        modularity: run.final_q,
         phases: start_phase + phase_stats.len(),
-        total_iterations,
+        total_iterations: run.total_iterations,
         phase_stats,
         wall: started.elapsed(),
         resumed_from_phase,
@@ -479,7 +489,8 @@ mod tests {
         };
         let owned = ckpt.cur_of_orig.len();
         let clean = encode(&ckpt);
-        let restore = |bytes: &[u8]| decode(bytes).and_then(|c| restored_state(c, owned));
+        let restore =
+            |bytes: &[u8]| decode(bytes).and_then(|c| RankState::from_checkpoint(c, owned));
         assert!(restore(&clean).is_ok());
         let body = clean.len() - 8;
         let (mut refused, mut restored) = (0, 0);

@@ -475,7 +475,8 @@ mod tests {
 
     #[test]
     fn atomic_write_roundtrips_and_leaves_no_tmp() {
-        let dir = std::env::temp_dir().join("louvain-resil-atomic-test");
+        let dir =
+            std::env::temp_dir().join(format!("louvain-resil-atomic-test-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("rank-0.ckpt");
         let bytes = encode(&sample());
@@ -489,5 +490,6 @@ mod tests {
                 .ends_with(".tmp")),
             "tmp file must be renamed away"
         );
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

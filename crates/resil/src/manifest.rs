@@ -323,9 +323,8 @@ mod tests {
     use louvain_comm::StatsSnapshot;
 
     fn tmp_store(name: &str) -> CheckpointStore {
-        let dir = std::env::temp_dir()
-            .join("louvain-resil-store-tests")
-            .join(name);
+        let pid = std::process::id();
+        let dir = std::env::temp_dir().join(format!("louvain-resil-store-tests-{pid}-{name}"));
         let _ = std::fs::remove_dir_all(&dir);
         CheckpointStore::new(dir).unwrap()
     }
@@ -369,6 +368,7 @@ mod tests {
             let back = store.load_rank(&manifest, r).unwrap();
             assert_eq!(back, ckpt(r, 2));
         }
+        let _ = std::fs::remove_dir_all(store.dir());
     }
 
     #[test]
@@ -384,6 +384,7 @@ mod tests {
             manifest.validate(2, 0x1234),
             Err(ResilError::ConfigMismatch { .. })
         ));
+        let _ = std::fs::remove_dir_all(store.dir());
     }
 
     #[test]
@@ -400,12 +401,14 @@ mod tests {
             store.load_rank(&manifest, 0),
             Err(ResilError::HashMismatch { .. })
         ));
+        let _ = std::fs::remove_dir_all(store.dir());
     }
 
     #[test]
     fn missing_manifest_reads_as_error_not_panic() {
         let store = tmp_store("missing");
         assert!(matches!(store.manifest(7), Err(ResilError::Io(_))));
+        let _ = std::fs::remove_dir_all(store.dir());
     }
 
     #[test]
@@ -417,6 +420,7 @@ mod tests {
         let m = store.latest_manifest().unwrap().unwrap();
         assert_eq!(m.phase, 3);
         m.validate(2, 0xABCD).unwrap();
+        let _ = std::fs::remove_dir_all(store.dir());
     }
 
     #[test]
@@ -442,5 +446,6 @@ mod tests {
         }
         // Idempotent.
         assert_eq!(store.prune_superseded().unwrap(), 0);
+        let _ = std::fs::remove_dir_all(store.dir());
     }
 }

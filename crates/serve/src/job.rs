@@ -52,8 +52,8 @@ fn opt_bool(doc: &Json, key: &str) -> Result<Option<bool>, String> {
 }
 
 impl JobSpec {
-    /// Refuse a rank or thread count past its bound (or no ranks at
-    /// all), naming the field. [`JobSpec::from_json`] checks what came
+    /// Refuse no ranks, no phases, or a rank or thread count past its
+    /// bound, naming the field. [`JobSpec::from_json`] checks what came
     /// off the wire and `Server::submit` checks a hand-built spec, so
     /// nothing reaches `run_with` unchecked.
     pub fn validate(&self) -> Result<(), String> {
@@ -65,6 +65,9 @@ impl JobSpec {
             return Err(format!(
                 "`config.threads_per_rank` must be at most {MAX_THREADS_PER_RANK}, got {threads}"
             ));
+        }
+        if self.cfg.max_phases == 0 {
+            return Err("`config.max_phases` must be at least 1, got 0".into());
         }
         Ok(())
     }
@@ -211,6 +214,12 @@ mod tests {
             (
                 r#"{"job_id": "j", "graph": "g", "config": {"threads_per_rank": 65}}"#,
                 "`config.threads_per_rank`",
+            ),
+            // Run, it would report the identity assignment with modularity
+            // 0.0, which is not that partition's Q.
+            (
+                r#"{"job_id": "j", "graph": "g", "config": {"max_phases": 0}}"#,
+                "`config.max_phases` must be at least 1",
             ),
             (
                 r#"{"job_id": "j", "graph": "g", "config": {"variant": "bogus"}}"#,
