@@ -854,3 +854,78 @@ fn modeled_seconds_match_the_send_path_clock() {
         }
     }
 }
+
+/// Grappolo's trajectories at one thread, where its sweep is sequential
+/// and so deterministic: FNV-1a of the assignment, modularity bits,
+/// phases and total iterations, per graph (LFR-3k, RMAT s11) and config
+/// (coloring off/on × ET off/ET(0.25)). Recorded on eb5bfd4, where the
+/// sweep and the modularity sums still ran on the `rayon` shim's
+/// combinators; the `WorkerPool` that replaced them cuts the same ranges
+/// and adds the per-range partials in the same order, so no cell moves.
+///
+/// At two threads the sweep races (Grappolo reads stale community
+/// state on purpose), so there only Q is held, to the 0.06 of
+/// `grappolo_matches_serial_quality_across_families`.
+#[test]
+fn grappolo_t1_trajectories_are_pinned() {
+    use distributed_louvain::grappolo::EtMode;
+    use distributed_louvain::resil::fnv1a64;
+
+    const PINS: [[(u64, u64, usize, usize); 4]; 2] = [
+        [
+            (0x137b_904f_ed05_b162, 0x3feb_c4da_cb22_cd92, 3, 14),
+            (0x1c61_484e_908e_b435, 0x3feb_c49e_2f25_ea27, 3, 13),
+            (0x137b_904f_ed05_b162, 0x3feb_c4da_cb22_cd92, 4, 21),
+            (0x0ab0_aa3f_cd08_8d62, 0x3feb_c4a5_b6bd_be0c, 3, 20),
+        ],
+        [
+            (0x44bb_8c3a_ebb1_587c, 0x3fc2_c8c5_e7ec_54a4, 4, 12),
+            (0x3175_86bb_49b3_c4e9, 0x3fc2_ee9a_7bf6_adf6, 4, 19),
+            (0x7174_9f25_3064_608b, 0x3fc2_d8f9_d322_e018, 4, 20),
+            (0x80f4_6acf_d6e0_87f7, 0x3fc2_a5be_2794_e9d7, 4, 18),
+        ],
+    ];
+    let graphs = [
+        lfr(LfrParams::small(3_000, 7)).graph,
+        rmat(RmatParams::social(11, 8, 5)).graph,
+    ];
+    let configs = [(false, false), (true, false), (false, true), (true, true)];
+    for (g, pins) in graphs.iter().zip(&PINS) {
+        for (&(coloring, et), pin) in configs.iter().zip(pins) {
+            let cfg = |threads| GrappoloConfig {
+                threads,
+                coloring,
+                early_termination: if et {
+                    EtMode::On { alpha: 0.25 }
+                } else {
+                    EtMode::Off
+                },
+                ..GrappoloConfig::default()
+            };
+            let out = ParallelLouvain::new(cfg(1)).run(g);
+            let bytes: Vec<u8> = (out.assignment.iter())
+                .flat_map(|c| c.to_le_bytes())
+                .collect();
+            let got = (
+                fnv1a64(&bytes),
+                out.modularity.to_bits(),
+                out.phases,
+                out.total_iterations,
+            );
+            assert_eq!(
+                got,
+                *pin,
+                "n={} coloring={coloring} et={et}: got {got:#x?}",
+                g.num_vertices()
+            );
+            let racing = ParallelLouvain::new(cfg(2)).run(g);
+            assert!(
+                racing.modularity > out.modularity - 0.06,
+                "n={} coloring={coloring} et={et}: t=2 {} vs t=1 {}",
+                g.num_vertices(),
+                racing.modularity,
+                out.modularity
+            );
+        }
+    }
+}
