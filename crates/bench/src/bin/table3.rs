@@ -1,7 +1,7 @@
 //! Table III — distributed vs shared memory on a single node for
 //! soc-friendster, 4–64 threads.
 //!
-//! The shared-memory column is the Grappolo baseline with a rayon pool of
+//! The shared-memory column is the Grappolo baseline on a `WorkerPool` of
 //! the given size (wall time). The distributed column runs the same
 //! thread budget as simulated ranks and reports the modeled job time
 //! (wall time on an oversubscribed host is not meaningful — see

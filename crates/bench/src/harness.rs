@@ -118,11 +118,12 @@ pub fn convergence_figure(graph: &str, figure: &str) {
             &["phase", "modularity", "iterations", "cumulative_iters"],
         );
         for (phase, stats) in out.per_rank_stats[0].iter().enumerate() {
-            cumulative += stats.iterations;
+            let iterations = stats.iteration_traces.len();
+            cumulative += iterations;
             table.add_row(vec![
                 phase.to_string(),
                 format!("{:.4}", stats.modularity),
-                stats.iterations.to_string(),
+                iterations.to_string(),
                 cumulative.to_string(),
             ]);
             tsv.push_str(&format!(
@@ -130,7 +131,7 @@ pub fn convergence_figure(graph: &str, figure: &str) {
                 variant.label(),
                 phase,
                 stats.modularity,
-                stats.iterations,
+                iterations,
                 cumulative
             ));
         }

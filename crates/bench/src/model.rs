@@ -271,7 +271,6 @@ mod tests {
         let p = PhaseStats {
             phase: 0,
             num_vertices: 10,
-            iterations: 1,
             modularity: 0.5,
             tau: 1e-6,
             iteration_traces: vec![],

@@ -178,9 +178,13 @@ impl<'a> RankFeed<'a> {
 
 /// Run distributed Louvain on `p` simulated ranks with the paper's input
 /// distribution (edge-balanced 1D).
+///
+/// # Panics
+///
+/// If [`DistConfig::validate`] refuses `cfg`.
 pub fn run_distributed(g: &Csr, p: usize, cfg: &DistConfig) -> DistOutcome {
     run_distributed_source(GraphSource::Memory(g), p, cfg, RunConfig::default())
-        .expect("an in-memory run without injected faults cannot fail")
+        .expect("an in-memory run without injected faults fails only on an invalid config")
 }
 
 /// Run distributed Louvain from any [`GraphSource`] (resident CSR,
@@ -215,9 +219,10 @@ pub fn run_distributed_source(
 /// byte-range reads, exactly like a restarted MPI job re-reading its
 /// input file.
 ///
-/// Unrecoverable conditions (corrupt/incompatible checkpoints, I/O
-/// failures, exhausted recovery budget) come back as `Err`; panics that
-/// are neither crashes nor checkpoint failures propagate unchanged.
+/// A config [`DistConfig::validate`] refuses and unrecoverable
+/// conditions (corrupt/incompatible checkpoints, I/O failures, exhausted
+/// recovery budget) come back as `Err`; panics that are neither crashes
+/// nor checkpoint failures propagate unchanged.
 pub fn run_distributed_resilient_source(
     src: GraphSource<'_>,
     p: usize,
@@ -225,17 +230,7 @@ pub fn run_distributed_resilient_source(
     runcfg: RunConfig,
     resil: &ResilOptions,
 ) -> Result<DistOutcome, String> {
-    run_attempts(src, p, cfg, runcfg, resil)
-}
-
-/// The attempt loop behind every entry point.
-fn run_attempts(
-    src: GraphSource<'_>,
-    p: usize,
-    cfg: &DistConfig,
-    runcfg: RunConfig,
-    resil: &ResilOptions,
-) -> Result<DistOutcome, String> {
+    cfg.validate()?;
     let base_fault: Option<std::sync::Arc<FaultPlan>> = runcfg.fault.clone();
 
     // One collector across attempts: a crashed attempt's records are
@@ -423,6 +418,18 @@ mod tests {
             let q_ref = modularity(&gen.graph, &out.assignment);
             assert!((out.modularity - q_ref).abs() < 1e-9, "p={p}");
         }
+    }
+
+    #[test]
+    fn zero_max_phases_is_refused_by_name() {
+        let g = lfr(LfrParams::small(1_000, 3)).graph;
+        let cfg = DistConfig {
+            max_phases: 0,
+            ..DistConfig::baseline()
+        };
+        let err = run_distributed_source(GraphSource::Memory(&g), 2, &cfg, RunConfig::default())
+            .expect_err("a run of no phases would report Q = 0.0");
+        assert!(err.contains("max_phases"), "{err}");
     }
 
     #[test]

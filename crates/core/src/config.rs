@@ -165,6 +165,16 @@ impl DistConfig {
         }
     }
 
+    /// Refuse a config no run can honour, naming the field: with
+    /// `max_phases == 0` no phase runs and the reported Q would be 0.0,
+    /// not the identity partition's.
+    pub fn validate(&self) -> Result<(), String> {
+        if self.max_phases == 0 {
+            return Err("`max_phases` must be at least 1, got 0".into());
+        }
+        Ok(())
+    }
+
     /// All six variants the paper evaluates in Fig 3 / Table IV.
     pub fn paper_variants() -> Vec<Variant> {
         vec![

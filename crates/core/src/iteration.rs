@@ -52,8 +52,7 @@
 //! MPI-3-style neighborhood collective ([`GhostLayer`]), and distance-1
 //! coloring is the colored schedule's batching.
 
-use grappolo::EtState;
-use rayon::WorkerPool;
+use grappolo::{EtState, WorkerPool};
 
 use louvain_comm::{Comm, CommStep, ReduceOp};
 use louvain_graph::{DenseMap, LocalGraph, VertexId, Weight};

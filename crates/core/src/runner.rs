@@ -393,7 +393,6 @@ pub fn run_on_rank(
         let mut stats = PhaseStats {
             phase: phase_idx,
             num_vertices: run.lg.num_global(),
-            iterations,
             modularity: result.modularity,
             tau,
             iteration_traces: result.traces,

@@ -36,7 +36,6 @@ pub struct PhaseStats {
     pub phase: usize,
     /// Vertices of the phase's (coarsened) graph.
     pub num_vertices: u64,
-    pub iterations: usize,
     /// Modularity at phase end.
     pub modularity: f64,
     /// τ used for this phase.

@@ -1,5 +1,7 @@
 //! Configuration for the shared-memory Louvain runner.
 
+use crate::pool::WorkerPool;
+
 /// Early-termination behaviour (Eq. 3 of the IPDPS paper, retrofitted into
 /// the multithreaded implementation for Table I).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -19,7 +21,8 @@ pub struct GrappoloConfig {
     pub max_phases: usize,
     /// Safety cap on iterations within one phase.
     pub max_iterations: usize,
-    /// Number of rayon threads (0 = rayon's default pool size).
+    /// Threads of the run's [`WorkerPool`], the caller included
+    /// (0 = `std::thread::available_parallelism()`).
     pub threads: usize,
     /// Process vertices color class by color class (distance-1 coloring).
     pub coloring: bool,
@@ -47,6 +50,14 @@ impl Default for GrappoloConfig {
 }
 
 impl GrappoloConfig {
+    /// The pool a run sweeps on, of [`Self::threads`] threads.
+    pub(crate) fn pool(&self) -> WorkerPool {
+        WorkerPool::new(match self.threads {
+            0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
+            t => t,
+        })
+    }
+
     /// The configuration used for the paper's Table I sweep: fixed τ,
     /// early termination with the given α.
     pub fn with_et(alpha: f64) -> Self {
@@ -95,6 +106,13 @@ mod tests {
     fn with_et_sets_alpha() {
         let c = GrappoloConfig::with_et(0.25);
         assert_eq!(c.early_termination, EtMode::On { alpha: 0.25 });
+    }
+
+    #[test]
+    fn zero_threads_means_every_available_core() {
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        assert_eq!(GrappoloConfig::default().pool().threads(), cores);
+        assert_eq!(GrappoloConfig::serial().pool().threads(), 1);
     }
 
     #[test]

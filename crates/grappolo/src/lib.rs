@@ -33,12 +33,16 @@
 // deny dead code so unused drift is caught at build time instead of
 // silently accumulating.
 #![deny(dead_code)]
+// The one `unsafe` block is `WorkerPool::run`'s lifetime erasure.
+#![deny(unsafe_code)]
+#![warn(clippy::undocumented_unsafe_blocks)]
 
 mod atomicf64;
 mod coloring;
 mod config;
 mod et;
 mod phase;
+mod pool;
 mod runner;
 mod vf;
 
@@ -47,5 +51,6 @@ pub use coloring::greedy_coloring;
 pub use config::{EtMode, GrappoloConfig};
 pub use et::{EtState, INACTIVE_CUTOFF};
 pub use phase::PhaseOutcome;
+pub use pool::WorkerPool;
 pub use runner::{LouvainResult, ParallelLouvain, PhaseTrace};
 pub use vf::vertex_following_assignment;

@@ -9,9 +9,8 @@
 //! Louvain.
 
 use std::cell::RefCell;
+use std::iter::Sum;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-
-use rayon::prelude::*;
 
 use louvain_graph::{Csr, DenseMap, VertexId, Weight};
 
@@ -19,6 +18,7 @@ use crate::atomicf64::AtomicF64;
 use crate::coloring::greedy_coloring;
 use crate::config::{EtMode, GrappoloConfig};
 use crate::et::EtState;
+use crate::pool::WorkerPool;
 
 thread_local! {
     /// Per-thread gather table of [`PhaseState::try_move`], keyed by
@@ -146,29 +146,22 @@ impl<'g> PhaseState<'g> {
     }
 
     /// Modularity of the current state (Eq. 2).
-    fn modularity(&self) -> f64 {
+    fn modularity(&self, pool: &WorkerPool) -> f64 {
         if self.two_m == 0.0 {
             return 0.0;
         }
-        let e_in: f64 = (0..self.g.num_vertices())
-            .into_par_iter()
-            .map(|v| {
-                let cv = self.comm[v].load(Ordering::Relaxed);
-                self.g
-                    .neighbors(v as VertexId)
-                    .filter(|&(u, _)| self.comm[u as usize].load(Ordering::Relaxed) == cv)
-                    .map(|(_, w)| w)
-                    .sum::<f64>()
-            })
-            .sum();
-        let a2: f64 = self
-            .a_tot
-            .par_iter()
-            .map(|a| {
-                let v = a.load();
-                v * v
-            })
-            .sum();
+        let e_in: f64 = par_sum(pool, self.g.num_vertices(), |v| {
+            let cv = self.comm[v].load(Ordering::Relaxed);
+            self.g
+                .neighbors(v as VertexId)
+                .filter(|&(u, _)| self.comm[u as usize].load(Ordering::Relaxed) == cv)
+                .map(|(_, w)| w)
+                .sum::<f64>()
+        });
+        let a2: f64 = par_sum(pool, self.a_tot.len(), |c| {
+            let v = self.a_tot[c].load();
+            v * v
+        });
         e_in / self.two_m - a2 / (self.two_m * self.two_m)
     }
 
@@ -180,7 +173,19 @@ impl<'g> PhaseState<'g> {
     }
 }
 
-/// Run the Louvain iterations of one phase.
+/// `Σ f(i)` over `0..len` on `pool`: each participant sums its range,
+/// and the partials are added in range order.
+fn par_sum<T, F>(pool: &WorkerPool, len: usize, f: F) -> T
+where
+    T: Send + Sum,
+    F: Fn(usize) -> T + Sync,
+{
+    pool.run(len, |_, range| range.map(&f).sum())
+        .into_iter()
+        .sum()
+}
+
+/// Run the Louvain iterations of one phase, sweeping on `pool`.
 ///
 /// `phase_idx` seeds the deterministic early-termination coins; `init` is
 /// the starting assignment (singletons, or vertex following on phase 0).
@@ -189,6 +194,7 @@ pub fn run_phase(
     init: &[VertexId],
     cfg: &GrappoloConfig,
     phase_idx: usize,
+    pool: &WorkerPool,
 ) -> PhaseOutcome {
     let n = g.num_vertices();
     let state = PhaseState::new(g, init);
@@ -207,46 +213,44 @@ pub fn run_phase(
     let mut iterations = 0;
     while iterations < cfg.max_iterations {
         iterations += 1;
-        state
-            .moved
-            .par_iter()
-            .for_each(|m| m.store(false, Ordering::Relaxed));
+        pool.run(n, |_, range| {
+            for m in &state.moved[range] {
+                m.store(false, Ordering::Relaxed);
+            }
+        });
 
-        let active = |v: usize| match &et {
-            Some(et) => et.is_active(phase_idx, iterations, v),
-            None => true,
+        let visit = |v: usize| {
+            let active = match &et {
+                Some(et) => et.is_active(phase_idx, iterations, v),
+                None => true,
+            };
+            if active {
+                state.try_move(v);
+            }
         };
         match &classes {
             Some(classes) => {
                 for class in classes {
-                    class.par_iter().for_each(|&v| {
-                        if active(v as usize) {
-                            state.try_move(v as usize);
-                        }
+                    pool.run(class.len(), |_, range| {
+                        class[range].iter().for_each(|&v| visit(v as usize));
                     });
                 }
             }
             None => {
-                order.par_iter().for_each(|&v| {
-                    if active(v) {
-                        state.try_move(v);
-                    }
-                });
+                pool.run(n, |_, range| order[range].iter().for_each(|&v| visit(v)));
             }
         }
 
-        let moves: usize = state
-            .moved
-            .par_iter()
-            .map(|m| usize::from(m.load(Ordering::Relaxed)))
-            .sum();
+        let moves: usize = par_sum(pool, n, |v| {
+            usize::from(state.moved[v].load(Ordering::Relaxed))
+        });
         if let Some(et) = &mut et {
             for v in 0..n {
                 et.update(v, state.moved[v].load(Ordering::Relaxed));
             }
         }
 
-        let q = state.modularity();
+        let q = state.modularity(pool);
         curve.push(q);
         if moves == 0 || (prev_q.is_finite() && q - prev_q <= cfg.threshold) {
             break;
@@ -267,6 +271,12 @@ mod tests {
     use super::*;
     use louvain_graph::community::{modularity, singleton_assignment};
     use louvain_graph::EdgeList;
+
+    /// Phase 0 from singletons, on the pool `cfg` asks for.
+    fn phase(g: &Csr, cfg: &GrappoloConfig) -> PhaseOutcome {
+        let init = singleton_assignment(g.num_vertices());
+        run_phase(g, &init, cfg, 0, &cfg.pool())
+    }
 
     fn two_triangles() -> Csr {
         Csr::from_edge_list(EdgeList::from_edges(
@@ -290,14 +300,8 @@ mod tests {
             threads: 1,
             ..Default::default()
         };
-        // `run_phase` sweeps on the caller's pool (the runner installs one
-        // of `cfg.threads`); on the default pool two racing moves could
-        // split a triangle.
-        let pool = rayon::ThreadPoolBuilder::new()
-            .num_threads(1)
-            .build()
-            .unwrap();
-        let out = pool.install(|| run_phase(&g, &singleton_assignment(6), &cfg, 0));
+        // At one thread no two moves race, so neither triangle splits.
+        let out = phase(&g, &cfg);
         assert_eq!(out.assignment[0], out.assignment[1]);
         assert_eq!(out.assignment[1], out.assignment[2]);
         assert_eq!(out.assignment[3], out.assignment[4]);
@@ -310,7 +314,7 @@ mod tests {
     fn reported_modularity_matches_reference_computation() {
         let g = two_triangles();
         let cfg = GrappoloConfig::default();
-        let out = run_phase(&g, &singleton_assignment(6), &cfg, 0);
+        let out = phase(&g, &cfg);
         let q_ref = modularity(&g, &out.assignment);
         assert!((out.modularity - q_ref).abs() < 1e-12);
     }
@@ -319,7 +323,7 @@ mod tests {
     fn curve_is_monotone_until_convergence() {
         let g = louvain_graph::gen::lfr(louvain_graph::gen::LfrParams::small(800, 7)).graph;
         let cfg = GrappoloConfig::default();
-        let out = run_phase(&g, &singleton_assignment(800), &cfg, 0);
+        let out = phase(&g, &cfg);
         for w in out.curve.windows(2) {
             assert!(w[1] >= w[0] - 1e-6, "curve regressed: {:?}", w);
         }
@@ -332,25 +336,15 @@ mod tests {
             coloring: true,
             ..Default::default()
         };
-        let out = run_phase(&g, &singleton_assignment(6), &cfg, 0);
+        let out = phase(&g, &cfg);
         assert!(out.modularity > 0.3);
     }
 
     #[test]
     fn et_alpha_one_uses_fewer_iterations() {
         let g = louvain_graph::gen::lfr(louvain_graph::gen::LfrParams::small(2_000, 3)).graph;
-        let base = run_phase(
-            &g,
-            &singleton_assignment(2_000),
-            &GrappoloConfig::default(),
-            0,
-        );
-        let et = run_phase(
-            &g,
-            &singleton_assignment(2_000),
-            &GrappoloConfig::with_et(1.0),
-            0,
-        );
+        let base = phase(&g, &GrappoloConfig::default());
+        let et = phase(&g, &GrappoloConfig::with_et(1.0));
         assert!(
             et.iterations <= base.iterations,
             "ET {} vs base {}",
@@ -372,7 +366,7 @@ mod tests {
     #[test]
     fn empty_graph_terminates() {
         let g = Csr::from_edge_list(EdgeList::new(4));
-        let out = run_phase(&g, &singleton_assignment(4), &GrappoloConfig::default(), 0);
+        let out = phase(&g, &GrappoloConfig::default());
         assert_eq!(out.modularity, 0.0);
         assert!(out.iterations >= 1);
     }

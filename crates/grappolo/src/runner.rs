@@ -48,18 +48,11 @@ impl ParallelLouvain {
         &self.cfg
     }
 
-    /// Run to convergence on `g`.
+    /// Run to convergence on `g`, on one pool of `threads` threads.
     pub fn run(&self, g: &Csr) -> LouvainResult {
-        let pool = rayon::ThreadPoolBuilder::new()
-            .num_threads(self.cfg.threads) // 0 = default
-            .build()
-            .expect("failed to build rayon pool");
-        pool.install(|| self.run_inner(g))
-    }
-
-    fn run_inner(&self, g: &Csr) -> LouvainResult {
         let started = std::time::Instant::now();
         let cfg = &self.cfg;
+        let pool = cfg.pool();
         let n0 = g.num_vertices();
 
         let mut owned: Option<Csr> = None;
@@ -77,7 +70,7 @@ impl ParallelLouvain {
             } else {
                 singleton_assignment(n)
             };
-            let out: PhaseOutcome = run_phase(cur, &init, cfg, phase_idx);
+            let out: PhaseOutcome = run_phase(cur, &init, cfg, phase_idx, &pool);
             total_iterations += out.iterations;
             traces.push(PhaseTrace {
                 iterations: out.iterations,

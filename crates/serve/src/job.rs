@@ -66,10 +66,10 @@ impl JobSpec {
                 "`config.threads_per_rank` must be at most {MAX_THREADS_PER_RANK}, got {threads}"
             ));
         }
-        if self.cfg.max_phases == 0 {
-            return Err("`config.max_phases` must be at least 1, got 0".into());
-        }
-        Ok(())
+        // `DistConfig` names its fields bare; a submit nests them in `config`.
+        self.cfg
+            .validate()
+            .map_err(|e| e.replacen('`', "`config.", 1))
     }
 
     /// Parse a submit request body. Required fields: `job_id`, `graph`.

@@ -36,7 +36,11 @@ fn main() {
         for stats in &out.per_rank_stats[0] {
             println!(
                 "{:>5} {:>10} {:>8.0e} {:>8} {:>10.4}",
-                stats.phase, stats.num_vertices, stats.tau, stats.iterations, stats.modularity
+                stats.phase,
+                stats.num_vertices,
+                stats.tau,
+                stats.iteration_traces.len(),
+                stats.modularity
             );
         }
     }

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Tier-1 verification: build, test, format and lint the workspace.
 #
-# The vendor/ shims (rand, rayon, proptest, ...) are API stand-ins with
+# The vendor/ shims (rand, proptest) are API stand-ins with
 # intentionally minimal surfaces; they are built and tested as workspace
 # members but excluded from the style gates.
 set -euo pipefail

@@ -20,9 +20,8 @@ use louvain_graph::Csr;
 static TRACE_FLAG: Mutex<()> = Mutex::new(());
 
 fn tmp_dir(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir()
-        .join(format!("louvain-resilience-{}", std::process::id()))
-        .join(name);
+    let dir =
+        std::env::temp_dir().join(format!("louvain-resilience-{}-{name}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     dir
 }
